@@ -1,4 +1,4 @@
-"""FlexLint run orchestration: cache, parallelism, baseline.
+"""FlexLint run orchestration: cache, baseline.
 
 The per-file pass (syntax rules + flow rules) is pure: its findings
 depend only on the file's bytes and the :class:`LintConfig`.  That
@@ -6,7 +6,8 @@ makes it cacheable by content hash — the cache file maps ``path ->
 {hash, findings, index}`` under an environment key derived from the
 analysis version and config, so a config or rule change invalidates
 everything at once while an ordinary edit re-lints only the touched
-files.  Cache misses are parsed on a thread pool (``--jobs``).
+files.  Misses are analyzed serially: ``ast.parse`` holds the GIL, and
+concurrent parses corrupt CPython 3.11's interpreter-wide AST depth.
 
 The cross-file pass (FXL009) is recomputed every run from the per-file
 :class:`~repro.analysis.project.ModuleIndex` entries, which are JSON in
@@ -25,8 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.flexlint import (
@@ -56,20 +56,14 @@ BASELINE_VERSION = 1
 
 @dataclass
 class RunStats:
-    """Cache/parallelism accounting for one run."""
+    """Cache accounting for one run."""
 
     files: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    jobs: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "files": self.files,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "jobs": self.jobs,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -218,17 +212,6 @@ def _write_cache(path: Optional[str], env: str, files: Dict[str, dict]) -> None:
             pass
 
 
-def _analyze_one(
-    path: str, source: str, config: LintConfig
-) -> Tuple[List[Finding], Optional[ModuleIndex]]:
-    findings = lint_source(source, path=path, config=config)
-    try:
-        index = index_source(source, path)
-    except SyntaxError:
-        index = None  # lint_source already reported FXL000
-    return findings, index
-
-
 # ---------------------------------------------------------------------------
 # The orchestrated run
 # ---------------------------------------------------------------------------
@@ -236,25 +219,22 @@ def _analyze_one(
 def run(
     paths: Sequence[str],
     config: Optional[LintConfig] = None,
-    jobs: Optional[int] = None,
     cache_path: Optional[str] = None,
     baseline_path: Optional[str] = None,
     update_baseline: bool = False,
 ) -> RunResult:
-    """Lint ``paths`` with caching, parallel parsing, the cross-file
-    pass, and baseline suppression applied — the CLI's engine."""
+    """Lint ``paths`` with caching, the cross-file pass, and baseline
+    suppression applied — the CLI's engine."""
     cfg = config or LintConfig()
     env = _env_key(cfg)
     files = iter_py_files(paths)
-    jobs = jobs or min(8, os.cpu_count() or 1)
-    stats = RunStats(files=len(files), jobs=jobs)
+    stats = RunStats(files=len(files))
 
     cache = _load_cache(cache_path, env)
     new_cache: Dict[str, dict] = {}
     sources: Dict[str, str] = {}
     findings: List[Finding] = []
     indexes: Dict[str, ModuleIndex] = {}
-    misses: List[Tuple[str, str, str]] = []  # (path, digest, source)
 
     for path in files:
         try:
@@ -278,19 +258,11 @@ def run(
             new_cache[_norm(path)] = entry
         else:
             stats.cache_misses += 1
-            misses.append((path, digest, source))
-
-    if misses:
-        def work(item: Tuple[str, str, str]):
-            path, digest, source = item
-            return path, digest, _analyze_one(path, source, cfg)
-
-        if jobs > 1 and len(misses) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(work, misses))
-        else:
-            results = [work(item) for item in misses]
-        for path, digest, (file_findings, index) in results:
+            file_findings = lint_source(source, path=path, config=cfg)
+            try:
+                index = index_source(source, path)
+            except SyntaxError:
+                index = None  # lint_source already reported FXL000
             findings.extend(file_findings)
             if index is not None:
                 indexes[path] = index

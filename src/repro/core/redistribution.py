@@ -286,44 +286,49 @@ class FusedPlan:
     they are ever copied, transforms write straight into the destination.
     Single-reader only (the stream read path).
 
-    Fusion is legal when the reader's destination slices tile axis 0
-    contiguously with full trailing dimensions (``fusable``) — then
+    Fusion is legal when the reader's destination slices are disjoint
+    ascending runs along axis 0 with full trailing dimensions
+    (``row_tiled``) that leave no row uncovered (``fusable``) — then
     per-block row operations concatenated in row order are byte-identical
-    to the whole-array interpreted pass.  Anything else falls back.
+    to the whole-array interpreted pass.  A row tiling *with* gaps is
+    sound only for a filtering chain over a source whose missing blocks
+    are exactly the ones the chain drops (a step the broker pruned for
+    this reader): the reader says which it may use.  Else fall back.
     """
 
-    __slots__ = ("compiled", "chain", "fusable", "_order")
+    __slots__ = ("compiled", "chain", "row_tiled", "fusable", "_order")
 
     def __init__(self, compiled: CompiledPlan, chain) -> None:
         self.compiled = compiled
         self.chain = chain
         self._order: list[tuple[int, int, int, tuple]] = []
-        self.fusable = self._analyze()
+        self.row_tiled = self.fusable = False
+        self._analyze()
 
-    def _analyze(self) -> bool:
-        if len(self.compiled.reader_boxes) != 1 or not self.compiled.covered[0]:
-            return False
-        rbox = self.compiled.reader_boxes[0]
-        count = tuple(rbox.count)
+    def _analyze(self) -> None:
+        if len(self.compiled.reader_boxes) != 1:
+            return
+        count = tuple(self.compiled.reader_boxes[0].count)
         spans = []
         for w, src, dst in self.compiled.assignments[0]:
             first = dst[0]
             if first.step not in (None, 1):
-                return False
+                return
             for d, s in enumerate(dst[1:], start=1):
                 if (s.start or 0) != 0 or s.stop != count[d] or s.step not in (None, 1):
-                    return False
+                    return
             spans.append((first.start or 0, first.stop, w, src, dst))
         spans.sort(key=lambda t: (t[0], t[1]))
         row = 0
+        gaps = False
         for a, b, _, _, _ in spans:
-            if a != row:  # gap or overlap: overwrite order would matter
-                return False
+            if a < row:  # overlap: overwrite order would matter
+                return
+            gaps = gaps or a > row
             row = b
-        if row != count[0]:
-            return False
         self._order = spans
-        return True
+        self.row_tiled = True
+        self.fusable = not gaps and row == count[0]
 
     def can_execute_into(self, name: str) -> bool:
         """In-place scatter keeps shape, so only filter-free chains."""
@@ -341,9 +346,10 @@ class FusedPlan:
 
         With a filtering chain the per-block survivors concatenate in row
         order (one allocation, exactly the final size); a filter-free
-        chain writes transforms straight into the destination buffer.
+        chain writes transforms straight into the destination buffer
+        (so it insists on ``fusable``: gaps would stay unwritten).
         """
-        if not self.fusable:
+        if not self.row_tiled:
             raise ValueError("plan is not fusable; use CompiledPlan.execute")
         blocks, dtype = self.compiled._coerce_blocks(writer_blocks, dtype, check)
         rbox = self.compiled.reader_boxes[0]
@@ -377,7 +383,10 @@ class FusedPlan:
         first transform lands with ``out=``, the rest run in place — no
         intermediate arrays."""
         if not self.can_execute_into(name):
-            raise ValueError("chain filters rows; use execute()")
+            raise ValueError(
+                "in-place fused scatter needs a gapless row tiling and a "
+                "filter-free chain; use execute()"
+            )
         blocks, _ = self.compiled._coerce_blocks(writer_blocks, out.dtype, check)
         cursor = self.chain.cursor(name) if self.chain.transforms(name) else None
         for _, _, w, src, dst in self._order:

@@ -128,16 +128,18 @@ def retry_call(
     rng: Optional[Any] = None,
     sleep: Callable[[float], None] = None,
 ) -> Any:
-    """Run ``op`` under ``policy`` with real (wall-clock) backoff.
+    """Run ``op`` under ``policy`` — the one attempt loop.
 
-    The network plane's reconnect loops share this driver: ``op`` is one
-    attempt (an RPC, a publish, a fetch); a ``retriable`` exception
+    The network plane's reconnect loops, the in-process step drain and
+    :class:`ReliableChannel` share this driver: ``op`` is one attempt
+    (an RPC, a publish, a fetch, a send); a ``retriable`` exception
     triggers ``on_retry(attempt, exc)`` — where callers rebuild sockets
     and re-HELLO — after the policy's exponential backoff with seeded
     jitter.  Exhaustion re-raises the *last* retriable exception, so the
     caller decides the terminal type (e.g. wrap in ``SessionLost``).
 
-    ``sleep`` is injectable for tests (defaults to ``time.sleep``).
+    ``sleep`` is injectable (defaults to ``time.sleep``): tests pass a
+    recorder, :class:`ReliableChannel` its modeled ``time_lost`` clock.
     """
     import time as _time
 
@@ -192,26 +194,38 @@ class ReliableChannel:
         """
         from repro.transport.faults import TransportFault
 
-        self.stats.operations += 1
-        last_exc: Optional[Exception] = None
-        for attempt in range(self.policy.max_retries + 1):
-            self.stats.time_lost += self.policy.delay_before(attempt)
-            if attempt > 0:
-                self.stats.retries += 1
-            if self.injector.should_fail():
-                # The operation "times out": we pay the timeout and retry.
-                self.stats.time_lost += self.policy.timeout
-                last_exc = TimeoutError(f"movement timed out (attempt {attempt + 1})")
-                continue
+        retriable = (TransportFault, TimeoutError)
+        stats, policy = self.stats, self.policy
+        stats.operations += 1
+        attempts = 0
+
+        def lose(seconds: float) -> None:
+            # Backoff and timeouts are modeled, not slept.
+            stats.time_lost += seconds
+
+        def on_retry(_attempt: int, _exc: Exception) -> None:
+            stats.retries += 1
+
+        def attempt() -> Any:
+            nonlocal attempts
+            attempts += 1
             try:
+                if self.injector.should_fail():
+                    raise TimeoutError(f"movement timed out (attempt {attempts})")
                 return self.transport(*args, **kwargs)
-            except (TransportFault, TimeoutError) as exc:
-                self.stats.time_lost += self.policy.timeout
-                last_exc = exc
-        self.stats.failures += 1
-        raise MovementFailed(
-            f"gave up after {self.policy.max_retries + 1} attempts"
-        ) from last_exc
+            except retriable:
+                lose(policy.timeout)  # the operation "times out": pay it, retry
+                raise
+
+        try:
+            return retry_call(
+                attempt, policy, retriable, on_retry=on_retry, sleep=lose
+            )
+        except retriable as exc:
+            stats.failures += 1
+            raise MovementFailed(
+                f"gave up after {policy.max_retries + 1} attempts"
+            ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.adios.api import (
+    AdiosError,
     EndOfStream,
     IoMethod,
     RankContext,
@@ -55,9 +55,6 @@ from repro.core.hints import (
     BATCHING,
     BUFFER_STEPS,
     CACHING,
-    CACHING_ALL,
-    CACHING_LOCAL,
-    CACHING_NONE,
     DEGRADE_AFTER,
     FAULTS,
     FUSED,
@@ -68,6 +65,7 @@ from repro.core.hints import (
     RETRY_BACKOFF,
     RETRY_JITTER,
     RETRY_TIMEOUT,
+    STREAM_HINTS,
     STREAM_METHODS,
     SYNC,
     TRACE,
@@ -77,6 +75,7 @@ from repro.core.hints import (
     TRANSPORT_SHM,
     TRANSPORT_TCP,
     XPMEM,
+    defaults as hint_defaults,
     validate_spec,
 )
 from repro.core.redistribution import (
@@ -115,6 +114,7 @@ from repro.core.resilience import (
     RetryPolicy,
     TransactionAborted,
     TransactionCoordinator,
+    retry_call,
 )
 from repro.transport.buffers import WireBuffer, WireVector
 from repro.transport.faults import (
@@ -181,6 +181,21 @@ DRAINER_SHARED_STATE = frozenset({
 })
 
 
+#: The registry's defaults: :class:`StreamHints` restates none of them.
+_DEFAULTS = hint_defaults()
+
+#: How each registered hint kind is read off a ``<method>`` element.
+_HINT_READERS = {
+    "bool": MethodSpec.param_bool,
+    "int": MethodSpec.param_int,
+    "float": MethodSpec.param_float,
+    "str": lambda spec, key, default: spec.param(key, default) or default,
+    "enum": lambda spec, key, default: (
+        spec.param(key, default) or default
+    ).strip().lower(),
+}
+
+
 @dataclass(frozen=True)
 class StreamHints:
     """Transport tuning hints parsed from the XML ``<method>`` parameters.
@@ -190,45 +205,47 @@ class StreamHints:
     buffering depth (backpressure threshold).  ``queue_depth`` bounds the
     async drainer's hand-off queue (steps in flight before the writer
     blocks); ``transport`` picks the drain channel (``shm``/``rdma``).
+    One field per key of :data:`repro.core.hints.STREAM_HINTS`, which
+    owns every default.
     """
 
-    caching: CachingOption = CachingOption.NO_CACHING
-    batching: bool = False
-    sync: bool = False
-    xpmem: bool = False
-    buffer_steps: int = 4
+    caching: CachingOption = CachingOption(_DEFAULTS[CACHING])
+    batching: bool = _DEFAULTS[BATCHING]
+    sync: bool = _DEFAULTS[SYNC]
+    xpmem: bool = _DEFAULTS[XPMEM]
+    buffer_steps: int = _DEFAULTS[BUFFER_STEPS]
     #: Enable span tracing on the stream's monitor (``trace=true``).
-    trace: bool = False
+    trace: bool = _DEFAULTS[TRACE]
     #: Bounded depth of the async publication queue (back-pressure point).
-    queue_depth: int = 2
+    queue_depth: int = _DEFAULTS[QUEUE_DEPTH]
     #: Drain channel: ``shm`` (intra-node) or ``rdma`` (inter-node).
-    transport: str = "shm"
+    transport: str = _DEFAULTS[TRANSPORT]
     #: All-or-nothing step visibility via two-phase commit across ranks.
-    transactional: bool = False
+    transactional: bool = _DEFAULTS[TRANSACTIONAL]
     #: Bounded retries per step drain (paper's timeout-and-retry).
-    max_retries: int = 3
+    max_retries: int = _DEFAULTS[MAX_RETRIES]
     #: Per-send timeout (seconds); also the backoff base delay.
-    retry_timeout: float = 0.25
+    retry_timeout: float = _DEFAULTS[RETRY_TIMEOUT]
     #: Exponential backoff multiplier between retries.
-    retry_backoff: float = 2.0
+    retry_backoff: float = _DEFAULTS[RETRY_BACKOFF]
     #: Jitter fraction added to backoff delays (decorrelates ranks).
-    retry_jitter: float = 0.1
+    retry_jitter: float = _DEFAULTS[RETRY_JITTER]
     #: Fault-injection schedule for the drain channel (chaos testing),
     #: e.g. ``rate=0.1,seed=7,kinds=timeout|torn``.
-    faults: str = ""
+    faults: str = _DEFAULTS[FAULTS]
     #: Consecutive failed steps before degrading to the next transport
     #: down the ladder (0 disables degradation).
-    degrade_after: int = 2
+    degrade_after: int = _DEFAULTS[DEGRADE_AFTER]
     #: Directory lease in seconds; the writer must heartbeat within it or
     #: the failure detector ends the stream for readers (0 = no lease).
-    lease: float = 0.0
+    lease: float = _DEFAULTS[LEASE]
     #: Fuse compilable plug-in chains into the redistribution plan so
     #: reads run the chain while scattering (single pass); ``false``
     #: keeps the classic interpreted pass over materialized arrays.
-    fused: bool = True
+    fused: bool = _DEFAULTS[FUSED]
     #: Register reader block predicates with the directory so the drain
     #: skips sending blocks the chain provably drops.
-    pushdown: bool = False
+    pushdown: bool = _DEFAULTS[PUSHDOWN]
 
     @classmethod
     def from_spec(cls, spec: MethodSpec) -> "StreamHints":
@@ -236,43 +253,21 @@ class StreamHints:
         # is the single source of hint truth), not a silently-ignored
         # parameter as in the old scattered-literal days.
         validate_spec(spec)
-        raw = (spec.param(CACHING, CACHING_NONE) or CACHING_NONE).strip().lower()
-        mapping = {
-            CACHING_NONE: CachingOption.NO_CACHING,
-            CACHING_LOCAL: CachingOption.CACHING_LOCAL,
-            CACHING_ALL: CachingOption.CACHING_ALL,
+        values = {
+            key: _HINT_READERS[hint.kind](spec, key, hint.default)
+            for key, hint in STREAM_HINTS.items()
         }
-        if raw not in mapping:
+        try:
+            values[CACHING] = CachingOption(values[CACHING])
+        except ValueError:
             raise StreamError(
-                f"unknown caching hint {raw!r}; expected none/local/all"
-            )
-        transport = (
-            spec.param(TRANSPORT, TRANSPORT_SHM) or TRANSPORT_SHM
-        ).strip().lower()
-        if transport not in (TRANSPORT_SHM, TRANSPORT_RDMA):
+                f"unknown caching hint {values[CACHING]!r}; expected none/local/all"
+            ) from None
+        if values[TRANSPORT] not in (TRANSPORT_SHM, TRANSPORT_RDMA):
             raise StreamError(
-                f"unknown transport hint {transport!r}; expected shm/rdma"
+                f"unknown transport hint {values[TRANSPORT]!r}; expected shm/rdma"
             )
-        return cls(
-            caching=mapping[raw],
-            batching=spec.param_bool(BATCHING, False),
-            sync=spec.param_bool(SYNC, False),
-            xpmem=spec.param_bool(XPMEM, False),
-            buffer_steps=spec.param_int(BUFFER_STEPS, 4),
-            trace=spec.param_bool(TRACE, False),
-            queue_depth=spec.param_int(QUEUE_DEPTH, 2),
-            transport=transport,
-            transactional=spec.param_bool(TRANSACTIONAL, False),
-            max_retries=spec.param_int(MAX_RETRIES, 3),
-            retry_timeout=spec.param_float(RETRY_TIMEOUT, 0.25),
-            retry_backoff=spec.param_float(RETRY_BACKOFF, 2.0),
-            retry_jitter=spec.param_float(RETRY_JITTER, 0.1),
-            faults=spec.param(FAULTS, "") or "",
-            degrade_after=spec.param_int(DEGRADE_AFTER, 2),
-            lease=spec.param_float(LEASE, 0.0),
-            fused=spec.param_bool(FUSED, True),
-            pushdown=spec.param_bool(PUSHDOWN, False),
-        )
+        return cls(**values)
 
 
 @dataclass
@@ -294,12 +289,28 @@ class _PublishedStep:
     def nbytes(self) -> int:
         return sum(g.nbytes for g in self.groups.values())
 
+    #: The buffered copy is never pruned: in-process pushdown only
+    #: skips *sending* blocks through the drain channel.
+    may_be_pruned = False
+
     def var_names(self) -> list[str]:
         seen: dict[str, None] = {}
         for g in self.groups.values():
             for name in g.variables:
                 seen.setdefault(name, None)
         return list(seen)
+
+    def var_blocks(self, name: str):
+        for pg in self.groups.values():
+            wv = pg.variables.get(name)
+            if wv is not None:
+                yield wv.box, wv.global_shape, wv.data
+
+    def writer_record(self, rank: int) -> Optional[dict]:
+        pg = self.groups.get(rank)
+        if pg is None:
+            return None
+        return {n: wv.data for n, wv in pg.variables.items()}
 
 
 class _StepDrainer:
@@ -696,16 +707,18 @@ class StreamState:
             return None
         mon = self.monitor
         policy = self._retry_policy
-        last: Optional[Exception] = None
-        for attempt in range(policy.max_retries + 1):
-            if attempt > 0:
-                mon.metrics.counter("dataplane.drain.retries").inc()
-                flight.record(
-                    EV_RETRY, stream=self.name, step=step.step, attempt=attempt
-                )
-                delay = policy.delay_before(attempt, rng=self._retry_rng)
-                if delay > 0:
-                    time.sleep(delay)
+        retriable = (TransportFault, TimeoutError)
+        attempt = 0
+
+        def on_retry(n: int, _exc: Exception) -> None:
+            nonlocal attempt
+            attempt = n
+            mon.metrics.counter("dataplane.drain.retries").inc()
+            flight.record(EV_RETRY, stream=self.name, step=step.step, attempt=n)
+
+        def send_once() -> Optional[Exception]:
+            # A retriable fault is raised (retry_call's cue); any other
+            # error is this function's own result: it fails the step.
             try:
                 with mon.span(
                     "drain_attempt", self.name, parent=step.trace_ctx,
@@ -718,30 +731,32 @@ class StreamState:
                         # side already observed the data): releasing the
                         # span returns the pool/registration lease.
                         ack.release()
-                if attempt > 0:
-                    mon.metrics.counter("dataplane.drain.recovered").inc()
-                    mon.record(
-                        "drain_recovered", self.name, start=0.0, duration=0.0,
-                        step=step.step, attempts=attempt + 1,
-                    )
                 return None
-            except (TransportFault, TimeoutError) as exc:
-                last = exc
-                mon.metrics.counter("dataplane.drain.faults").inc()
-                mon.record(
-                    "drain_fault", self.name, start=0.0, duration=0.0,
-                    step=step.step, attempt=attempt, error=repr(exc),
-                )
             # flexlint: ok(FXL001) deliberate non-retriable classifier: any non-fault error fails the step
             except Exception as exc:
-                last = exc
                 mon.metrics.counter("dataplane.drain.faults").inc()
                 mon.record(
                     "drain_fault", self.name, start=0.0, duration=0.0,
                     step=step.step, attempt=attempt, error=repr(exc),
                 )
-                break  # non-retriable
-        return last
+                if isinstance(exc, retriable):
+                    raise
+                return exc
+
+        try:
+            err = retry_call(
+                send_once, policy, retriable,
+                on_retry=on_retry, rng=self._retry_rng,
+            )
+        except retriable as exc:
+            return exc  # retries exhausted
+        if err is None and attempt > 0:
+            mon.metrics.counter("dataplane.drain.recovered").inc()
+            mon.record(
+                "drain_recovered", self.name, start=0.0, duration=0.0,
+                step=step.step, attempts=attempt + 1,
+            )
+        return err
 
     def _drain_transactional(self, step: _PublishedStep, rank_parts: dict):
         """All-or-nothing step visibility: 2PC across the writer ranks.
@@ -930,17 +945,6 @@ def _same_shape(orig: WrittenVar, data) -> bool:
     return tuple(np.shape(data)) == tuple(orig.data.shape)
 
 
-def _step_parts(step: _PublishedStep) -> WireVector:
-    """Flatten a step's variables to one scatter-gather vector for the
-    channel (views over the written arrays — no copies here)."""
-    vec = WireVector()
-    for rank in sorted(step.groups):
-        for wv in step.groups[rank].variables.values():
-            if wv.data.nbytes:
-                vec.append(wv.data)
-    return vec
-
-
 def _provably_dropped(predicate, wv: WrittenVar) -> bool:
     """True when the reader predicate proves no row of this block
     survives the chain — judged on conservative whole-block bounds."""
@@ -1105,216 +1109,98 @@ class FlexpathWriteHandle(WriteHandle):
         self._state.writer_close(self._ctx.rank)
 
 
-class FlexpathReadHandle(ReadHandle):
-    """Stream-mode reader for one rank; End-of-Stream when writers close.
+class StepReader(ReadHandle):
+    """The one read path of every stream placement.
 
-    Step-oriented usage: ``begin_step()`` returns
-    :class:`~repro.adios.api.StepStatus` (``NotReady`` instead of a
-    :class:`StreamStalled` raise), reads address the positioned step,
-    ``end_step()`` releases it.
+    Selection → fused plan / cached plain plan / ``assemble`` fallback →
+    reader-side chain, with the ``read`` → ``redistribute``/``transport``
+    spans and the fused/interpreted counters, written once against a
+    **block source** — the step object :meth:`_source` returns
+    (:class:`_PublishedStep` in process, the net client's wire views):
+    ``var_names()``; ``var_blocks(name)``, one ``(box, global_shape,
+    data)`` per writer block; ``writer_record(rank)``, one writer's
+    ``{name: data}`` or ``None``; ``trace_ctx``, the publish span reads
+    parent on; ``may_be_pruned``, whether a broker may have dropped
+    blocks this reader's chain provably drops.  Subclasses own step
+    movement and provide ``plugins``, ``monitor`` and ``_plans`` (the
+    :class:`PlanCache` reads compile into; ``None`` re-derives overlap
+    geometry every read).  Planes differ only through the source.
     """
 
-    def __init__(self, state: StreamState, ctx: RankContext) -> None:
-        self._state = state
-        self._ctx = ctx
-        self._cursor = 0
-        # Handshake-protocol accounting per global-array variable: the
-        # engine carries the caching state the XML hints select.
-        self._hs_engines: dict[str, RedistributionEngine] = {}
-        self._hs_boxes: dict[str, tuple] = {}
-        self._hs_paid_steps: set[int] = set()
-        self._local_plan_cache: Optional[PlanCache] = None
-        # Chain hash last pushed to the directory (predicate pushdown).
-        self._registered_pred_hash: Optional[str] = None
-
-    @property
-    def plugins(self) -> PluginManager:
-        return self._state.plugins
-
-    @property
-    def monitor(self) -> PerfMonitor:
-        """The stream's shared monitor (enable tracing / dump here)."""
-        return self._state.monitor
+    _cursor = 0
 
     @property
     def current_step(self) -> int:
         return self._cursor
 
-    def _step(self) -> _PublishedStep:
-        return self._state.get_step(self._cursor)
+    def _source(self):
+        """The current step's block source; raises the typed readiness
+        exceptions (:class:`StepNotReady`, :class:`EndOfStream`, …)."""
+        raise NotImplementedError
 
     def _probe_step(self) -> None:
-        # begin_step() readiness check for the handle's current cursor.
-        self._state.get_step(self._cursor)
+        self._source()
+
+    def _account_handshake(self, name, gshape, writer_boxes) -> None:
+        """Control-plane accounting of one exchange (in process only)."""
 
     def available_vars(self):
-        return self._step().var_names()
-
-    def _plan_cache(self) -> Optional[PlanCache]:
-        """The plan cache the stream's caching hint selects.
-
-        CACHING_ALL shares the process-wide cache (both sides keep every
-        distribution), CACHING_LOCAL keeps a per-handle cache, NO_CACHING
-        re-derives overlap geometry every read — the paper's protocol
-        levels mapped onto the data plane.
-        """
-        caching = self._state.hints.caching
-        if caching is CachingOption.CACHING_ALL:
-            return global_plan_cache
-        if caching is CachingOption.CACHING_LOCAL:
-            if self._local_plan_cache is None:
-                self._local_plan_cache = PlanCache(maxsize=64)
-            return self._local_plan_cache
-        return None
+        return self._source().var_names()
 
     def _reader_chain(self, name: str):
         """The compiled reader-side chain when fusion may engage for
-        reads of ``name`` — else ``None`` (interpreted fallback).  Also
-        the hook where pushdown predicates reach the directory."""
-        state = self._state
-        if not state.plugins.has_side(PluginSide.READER):
+        reads of ``name`` — else ``None`` (interpreted fallback)."""
+        if not self.plugins.has_side(PluginSide.READER):
             return None
-        chain = state.plugins.compiled_chain(PluginSide.READER)
-        if state.hints.pushdown:
-            self._maybe_register_predicate(chain)
-        if chain is None or not state.hints.fused or not chain.supports(name):
+        chain = self.plugins.compiled_chain(PluginSide.READER)
+        if chain is None or not chain.supports(name):
             return None
         return chain
 
-    def _maybe_register_predicate(self, chain) -> None:
-        """Publish the chain's block predicate at the directory so the
-        writer-side drain can skip blocks it provably drops.  Idempotent
-        per chain generation; a chain without a predicate withdraws."""
-        state = self._state
-        if state._directory is None:
-            return
-        chain_hash = chain.chain_hash if chain is not None else ""
-        if chain_hash == self._registered_pred_hash:
-            return
-        pred = chain.block_predicate() if chain is not None else None
-        spec = pred.spec() if pred is not None else ""
-        try:
-            state._directory.register_predicate(
-                state.name, f"reader-{id(self)}", spec
-            )
-        except DirectoryError:
-            return
-        self._registered_pred_hash = chain_hash
+    def _pred_spec(self) -> str:
+        """The reader chain's serialized block predicate ("": none) —
+        what a pushdown reader publishes to whoever prunes for it."""
+        pred = self.plugins.block_predicate(PluginSide.READER)
+        return pred.spec() if pred is not None else ""
 
-    def _fused_plan(self, boxes, target, gshape, chain, cache):
-        """A fusable :class:`FusedPlan` for this read, or ``None``.
-
-        Cached plans key on the chain hash (geometry reused across
-        chains); NO_CACHING compiles afresh, mirroring the plain path.
-        """
-        mon = self._state.monitor
-        if cache is not None:
-            fplan, hit = cache.get(boxes, [target], gshape, chain=chain)
-            mon.metrics.counter(
-                "dataplane.plan_cache.hits" if hit
-                else "dataplane.plan_cache.misses"
-            ).inc()
-        else:
-            fplan = FusedPlan(CompiledPlan(compute_plan(boxes, [target])), chain)
-        return fplan if fplan.fusable else None
+    def _plan(self, boxes, target, gshape, chain=None):
+        """This geometry's compiled plan, fused with ``chain`` if given:
+        replayed from ``_plans`` when there is one (keys carry the chain
+        hash, so geometry is reused across chains), else compiled afresh."""
+        if self._plans is None:
+            base = CompiledPlan(compute_plan(boxes, [target]))
+            return FusedPlan(base, chain) if chain is not None else base
+        plan, hit = self._plans.get(boxes, [target], gshape, chain=chain)
+        self.monitor.metrics.counter(
+            "dataplane.plan_cache.hits" if hit else "dataplane.plan_cache.misses"
+        ).inc()
+        return plan
 
     def read_block(self, name: str, writer_rank: int) -> np.ndarray:
-        step = self._step()
-        pg = step.groups.get(writer_rank)
-        if pg is None or name not in pg.variables:
+        source = self._source()
+        record = source.writer_record(writer_rank)
+        if record is None or name not in record:
             raise VariableNotFound(
                 f"no block for var {name!r} from writer {writer_rank} "
                 f"at step {self._cursor}"
             )
-        mon = self._state.monitor
+        mon = self.monitor
         with mon.span(
-            "read", name, parent=step.trace_ctx,
+            "read", name, parent=source.trace_ctx,
             step=self._cursor, writer_rank=writer_rank,
         ):
             with mon.span("transport", name, writer_rank=writer_rank) as tspan:
-                record = {n: wv.data for n, wv in pg.variables.items()}
-                tspan.add_bytes(sum(int(wv.data.nbytes) for wv in pg.variables.values()))
-            if self._state.plugins.has_side(PluginSide.READER):
-                record = self._state.plugins.apply_side(PluginSide.READER, record)
+                tspan.add_bytes(sum(int(d.nbytes) for d in record.values()))
+            if self.plugins.has_side(PluginSide.READER):
+                record = self.plugins.apply_side(PluginSide.READER, record)
+        data = np.asarray(record[name])
         mon.record(
-            "stream_read", name, start=0.0, duration=0.0,
-            nbytes=int(np.asarray(record[name]).nbytes),
+            "stream_read", name, start=0.0, duration=0.0, nbytes=int(data.nbytes)
         )
-        return np.asarray(record[name])
+        return data
 
     def read(self, name, *, start=None, count=None, selection=None) -> np.ndarray:
-        start, count = resolve_read_args(selection, start, count)
-        step = self._step()
-        blocks = []
-        gshape = None
-        dtype = None
-        for pg in step.groups.values():
-            wv = pg.variables.get(name)
-            if wv is None:
-                continue
-            dtype = wv.data.dtype
-            if wv.global_shape is not None:
-                gshape = wv.global_shape
-            if wv.box is not None:
-                blocks.append((wv.box, wv.data))
-        if dtype is None:
-            raise VariableNotFound(f"no variable {name!r} at step {self._cursor}")
-        if gshape is None:
-            raise StreamError(
-                f"variable {name!r} is not a global array; use read_block()"
-            )
-        target = resolve_selection(start, count, gshape)
-        mon = self._state.monitor
-        cache = self._plan_cache()
-        plugins = self._state.plugins
-        chain = self._reader_chain(name)
-        with mon.span("read", name, parent=step.trace_ctx, step=self._cursor):
-            with mon.span("redistribute", name, writers=len(blocks)):
-                self._account_handshake(name, gshape, [b for b, _ in blocks])
-            fplan = (
-                self._fused_plan([b for b, _ in blocks], target, gshape, chain, cache)
-                if chain is not None and blocks else None
-            )
-            if fplan is not None:
-                # Single pass: the chain runs while wire spans scatter —
-                # no materialized intermediate array.
-                with mon.span(
-                    "transport", name, fused=True, chain=chain.chain_hash
-                ) as tspan:
-                    result = fplan.execute(
-                        [d for _, d in blocks], name,
-                        dtype=dtype, check=False, monitor=mon,
-                    )
-                    tspan.add_bytes(int(result.nbytes))
-                plugins.count_fused_read()
-            else:
-                with mon.span("transport", name) as tspan:
-                    if cache is not None and blocks:
-                        cplan, hit = cache.get([b for b, _ in blocks], [target], gshape)
-                        mon.metrics.counter(
-                            "dataplane.plan_cache.hits" if hit
-                            else "dataplane.plan_cache.misses"
-                        ).inc()
-                        out = cplan.execute(
-                            [d for _, d in blocks], dtype=dtype, check=False
-                        )[0]
-                    else:
-                        out = assemble(
-                            target,
-                            ((b, d) for b, d in blocks if intersect(target, b) is not None),
-                            dtype=dtype,
-                        )
-                    tspan.add_bytes(int(out.nbytes))
-                if plugins.has_side(PluginSide.READER):
-                    plugins.count_interpreted_read()
-                    record = plugins.apply_side(PluginSide.READER, {name: out})
-                    result = np.asarray(record[name])
-                else:
-                    result = out
-        mon.record(
-            "stream_read", name, start=0.0, duration=0.0, nbytes=int(result.nbytes)
-        )
-        return result
+        return self._read(name, None, start, count, selection)
 
     def read_into(
         self, name, out: np.ndarray, *, start=None, count=None, selection=None
@@ -1325,139 +1211,198 @@ class FlexpathReadHandle(ReadHandle):
         per-step ``np.empty``).  ``out`` must match the selection's shape
         and the variable's dtype; returns ``out``.
         """
+        return self._read(name, out, start, count, selection)
+
+    def _read(self, name, out, start, count, selection) -> np.ndarray:
+        """Both reads: ``out`` is the caller's destination, or ``None``
+        when the read allocates its own."""
         start, count = resolve_read_args(selection, start, count)
-        step = self._step()
-        blocks = []
-        gshape = None
-        dtype = None
-        for pg in step.groups.values():
-            wv = pg.variables.get(name)
-            if wv is None:
-                continue
-            dtype = wv.data.dtype
-            if wv.global_shape is not None:
-                gshape = wv.global_shape
-            if wv.box is not None:
-                blocks.append((wv.box, wv.data))
+        source = self._source()
+        boxes, datas = [], []
+        gshape = dtype = None
+        for box, block_gshape, data in source.var_blocks(name):
+            dtype = data.dtype
+            if block_gshape is not None:
+                gshape = block_gshape
+            if box is not None:
+                boxes.append(box)
+                datas.append(data)
         if dtype is None:
             raise VariableNotFound(f"no variable {name!r} at step {self._cursor}")
         if gshape is None:
-            raise StreamError(
+            raise AdiosError(
                 f"variable {name!r} is not a global array; use read_block()"
             )
         target = resolve_selection(start, count, gshape)
-        if tuple(out.shape) != tuple(target.count):
-            raise ValueError(
-                f"out shape {tuple(out.shape)} != selection count {tuple(target.count)}"
-            )
-        if out.dtype != dtype:
-            raise ValueError(f"out dtype {out.dtype} != variable dtype {dtype}")
-        mon = self._state.monitor
-        cache = self._plan_cache()
-        plugins = self._state.plugins
+        if out is not None:
+            if tuple(out.shape) != tuple(target.count):
+                raise ValueError(
+                    f"out shape {tuple(out.shape)} != selection count "
+                    f"{tuple(target.count)}"
+                )
+            if out.dtype != dtype:
+                raise ValueError(f"out dtype {out.dtype} != variable dtype {dtype}")
+        mon = self.monitor
+        plugins = self.plugins
         chain = self._reader_chain(name)
-        with mon.span("read", name, parent=step.trace_ctx, step=self._cursor):
-            with mon.span("redistribute", name, writers=len(blocks)):
-                self._account_handshake(name, gshape, [b for b, _ in blocks])
-            fplan = (
-                self._fused_plan([b for b, _ in blocks], target, gshape, chain, cache)
-                if chain is not None and blocks else None
-            )
-            if fplan is not None and not fplan.can_execute_into(name):
-                fplan = None  # a filtering chain changes the shape
+        with mon.span("read", name, parent=source.trace_ctx, step=self._cursor):
+            with mon.span("redistribute", name, writers=len(boxes)):
+                self._account_handshake(name, gshape, boxes)
+            fplan = None
+            if chain is not None and boxes:
+                fplan = self._plan(boxes, target, gshape, chain)
+                filters = chain.has_filter(name)
+                # Axis-0 gaps are sound only where they can only be
+                # blocks the chain drops: a pruned source under a chain
+                # that filters ``name``.  Such a chain also changes the
+                # shape, so it cannot land in a caller's array.
+                gaps_ok = filters and source.may_be_pruned
+                if not (fplan.row_tiled if gaps_ok else fplan.fusable) or (
+                    filters and out is not None
+                ):
+                    fplan = None
             if fplan is not None:
+                # Single pass: the chain runs while wire spans scatter —
+                # no materialized intermediate array.
                 with mon.span(
                     "transport", name, fused=True, chain=chain.chain_hash
                 ) as tspan:
-                    fplan.execute_into(
-                        [d for _, d in blocks], name, out,
-                        check=False, monitor=mon,
-                    )
-                    tspan.add_bytes(int(out.nbytes))
+                    if out is None:
+                        result = fplan.execute(
+                            datas, name, dtype=dtype, check=False, monitor=mon
+                        )
+                    else:
+                        result = fplan.execute_into(
+                            datas, name, out, check=False, monitor=mon
+                        )
+                    tspan.add_bytes(int(result.nbytes))
                 plugins.count_fused_read()
-                mon.record(
-                    "stream_read", name, start=0.0, duration=0.0,
-                    nbytes=int(out.nbytes),
-                )
-                return out
-            with mon.span("transport", name) as tspan:
-                if cache is not None and blocks:
-                    cplan, hit = cache.get([b for b, _ in blocks], [target], gshape)
-                    mon.metrics.counter(
-                        "dataplane.plan_cache.hits" if hit
-                        else "dataplane.plan_cache.misses"
-                    ).inc()
-                    cplan.execute_into([d for _, d in blocks], [out], check=False)
-                else:
-                    assembled = assemble(
-                        target,
-                        ((b, d) for b, d in blocks if intersect(target, b) is not None),
-                        dtype=dtype,
+            else:
+                if source.may_be_pruned:
+                    # Only the fused per-block path reads a pruned step
+                    # soundly (assemble() would put fill values where
+                    # pruned rows were, and the interpreted chain could
+                    # select them).
+                    raise AdiosError(
+                        f"pushdown is active but the blocks of {name!r} do not "
+                        f"row-tile the selection; re-open without pushdown for "
+                        f"this access pattern"
                     )
-                    out[...] = assembled
-                tspan.add_bytes(int(out.nbytes))
-            if plugins.has_side(PluginSide.READER):
-                # Interpreted pass + copy-back only when a reader-side
-                # chain is actually installed.
-                plugins.count_interpreted_read()
-                record = plugins.apply_side(PluginSide.READER, {name: out})
-                result = np.asarray(record[name])
-                if result is not out:
-                    out[...] = result  # a reader-side plugin transformed the data
+                with mon.span("transport", name) as tspan:
+                    if self._plans is not None and boxes:
+                        cplan = self._plan(boxes, target, gshape)
+                        if out is None:
+                            result = cplan.execute(datas, dtype=dtype, check=False)[0]
+                        else:
+                            result = cplan.execute_into(datas, [out], check=False)[0]
+                    else:
+                        result = assemble(
+                            target,
+                            (
+                                (b, d) for b, d in zip(boxes, datas)
+                                if intersect(target, b) is not None
+                            ),
+                            dtype=dtype,
+                        )
+                        if out is not None:
+                            out[...] = result
+                            result = out
+                    tspan.add_bytes(int(result.nbytes))
+                if plugins.has_side(PluginSide.READER):
+                    plugins.count_interpreted_read()
+                    record = plugins.apply_side(PluginSide.READER, {name: result})
+                    result = np.asarray(record[name])
+                    if out is not None and result is not out:
+                        out[...] = result  # a reader-side plugin transformed the data
+                        result = out
         mon.record(
-            "stream_read", name, start=0.0, duration=0.0, nbytes=int(out.nbytes)
+            "stream_read", name, start=0.0, duration=0.0, nbytes=int(result.nbytes)
         )
-        return out
+        return result
 
     def read_all(
         self, names=None, *, start=None, count=None, selection=None
     ) -> dict[str, np.ndarray]:
         """Read several global-array variables of the current step.
 
-        With ``batching=true`` one aggregated handshake round services
-        every variable (paper's variable batching); without it each
-        variable pays its own round, exactly as per-variable ``read``
-        calls would.  ``names=None`` selects every global-array variable.
+        ``names=None`` selects every global-array variable.  In process
+        with ``batching=true`` the first read's handshake round services
+        them all (paper's variable batching); without it each variable
+        pays its own round, exactly as per-variable ``read`` calls do.
         """
-        step = self._step()
         if names is None:
+            source = self._source()
             names = [
-                n for n in step.var_names()
-                if any(
-                    pg.variables.get(n) is not None
-                    and pg.variables[n].global_shape is not None
-                    for pg in step.groups.values()
-                )
+                n for n in source.var_names()
+                if any(g is not None for _, g, _ in source.var_blocks(n))
             ]
-        names = list(names)
-        if not names:
-            return {}
-        if self._state.hints.batching:
-            # Pay the aggregated round up-front so the per-variable reads
-            # of this step ride on it.
-            first = names[0]
-            gshape = None
-            boxes = []
-            for pg in step.groups.values():
-                wv = pg.variables.get(first)
-                if wv is None:
-                    continue
-                if wv.global_shape is not None:
-                    gshape = wv.global_shape
-                if wv.box is not None:
-                    boxes.append(wv.box)
-            if gshape is not None:
-                self._account_handshake(
-                    first, gshape, boxes, num_variables=len(names)
-                )
         return {
             n: self.read(n, start=start, count=count, selection=selection)
             for n in names
         }
 
-    def _account_handshake(
-        self, name, gshape, writer_boxes, num_variables: int = 1
-    ) -> None:
+
+class FlexpathReadHandle(StepReader):
+    """Stream-mode reader for one rank; End-of-Stream when writers close.
+
+    Step-oriented usage: ``begin_step()`` returns
+    :class:`~repro.adios.api.StepStatus` (``NotReady`` instead of a
+    :class:`StreamStalled` raise), reads address the positioned step,
+    ``end_step()`` releases it.  The read path is :class:`StepReader`'s;
+    this class adds what only the in-process plane has: the stream's
+    hints, the handshake-protocol accounting and the directory.
+    """
+
+    def __init__(self, state: StreamState, ctx: RankContext) -> None:
+        self._state = state
+        self._ctx = ctx
+        self.plugins = state.plugins
+        #: The stream's shared monitor (enable tracing / dump here).
+        self.monitor = state.monitor
+        # Handshake-protocol accounting per global-array variable: the
+        # engine carries the caching state the XML hints select.
+        self._hs_engines: dict[str, RedistributionEngine] = {}
+        self._hs_boxes: dict[str, tuple] = {}
+        #: Last step whose handshake round is paid (the cursor only grows).
+        self._hs_paid_step = -1
+        # The caching hint maps the paper's protocol levels onto the
+        # data plane: CACHING_ALL shares the process-wide plan cache
+        # (both sides keep every distribution), CACHING_LOCAL keeps a
+        # per-handle one, NO_CACHING re-derives geometry every read.
+        caching = state.hints.caching
+        self._plans: Optional[PlanCache] = (
+            global_plan_cache if caching is CachingOption.CACHING_ALL
+            else PlanCache(maxsize=64) if caching is CachingOption.CACHING_LOCAL
+            else None
+        )
+        # Chain hash last pushed to the directory (predicate pushdown).
+        self._registered_pred_hash: Optional[str] = None
+
+    def _source(self) -> _PublishedStep:
+        return self._state.get_step(self._cursor)
+
+    def _reader_chain(self, name: str):
+        """Honours the ``fused`` hint, and is where a pushdown reader
+        publishes its chain's block predicate at the directory so the
+        writer-side drain can skip blocks it provably drops.  Idempotent
+        per chain generation; a chain without a predicate withdraws."""
+        state = self._state
+        if (
+            state.hints.pushdown and state._directory is not None
+            and state.plugins.has_side(PluginSide.READER)
+        ):
+            chain_hash = state.plugins.chain_hash(PluginSide.READER)
+            if chain_hash != self._registered_pred_hash:
+                try:
+                    state._directory.register_predicate(
+                        state.name, f"reader-{id(self)}", self._pred_spec()
+                    )
+                    self._registered_pred_hash = chain_hash
+                except DirectoryError:
+                    pass
+        return super()._reader_chain(name) if state.hints.fused else None
+
+    def _account_handshake(self, name, gshape, writer_boxes) -> None:
         """Run the 4-step handshake protocol accounting for one exchange.
 
         Honors the stream's caching and batching hints: with CACHING_ALL
@@ -1472,7 +1417,7 @@ class FlexpathReadHandle(ReadHandle):
             eng = RedistributionEngine(
                 writer_boxes, [reader_box],
                 caching=hints.caching, batching=hints.batching,
-                plan_cache=self._plan_cache(),
+                plan_cache=self._plans,
             )
             self._hs_engines[name] = eng
             self._hs_boxes[name] = boxes_key
@@ -1480,10 +1425,10 @@ class FlexpathReadHandle(ReadHandle):
             # Distribution changed (e.g. particle movement): caches drop.
             eng.update_writer_boxes(writer_boxes)
             self._hs_boxes[name] = boxes_key
-        if hints.batching and self._cursor in self._hs_paid_steps:
+        if hints.batching and self._cursor == self._hs_paid_step:
             return  # aggregated into this step's earlier round
-        cost = eng.handshake(num_variables)
-        self._hs_paid_steps.add(self._cursor)
+        cost = eng.handshake()
+        self._hs_paid_step = self._cursor
         mon = self._state.monitor
         mon.record(
             "handshake", name, start=0.0, duration=0.0,
@@ -1502,31 +1447,14 @@ class FlexpathReadHandle(ReadHandle):
 
     def _advance(self):
         nxt = self._cursor + 1
-        state = self._state
-        if not state.step_available(nxt):
-            if not state.closed and state._directory is not None:
-                # Stalled? Let the failure detector rule out a dead writer.
-                try:
-                    state._directory.reap()
-                except DirectoryError:
-                    pass
-            if state.closed:
-                if state.error is not None:
-                    raise StreamFailure(
-                        f"stream {state.name!r} failed: {state.error}"
-                    )
-                raise EndOfStream(state.name)
-            raise StreamStalled(
-                f"step {nxt} of {state.name!r} not yet published"
-            )
-        # Move first, then surface a lost step: begin_step() marks it
-        # consumed, so the following begin_step() skips past the gap.
+        try:
+            self._state.get_step(nxt)
+        except StepLost:
+            # Move first, then surface the lost step: begin_step() marks
+            # it consumed, so the following begin_step() skips the gap.
+            self._cursor = nxt
+            raise
         self._cursor = nxt
-        step = state._published[nxt]
-        if step.status is not StepState.COMMITTED:
-            raise StepLost(
-                f"step {nxt} of {state.name!r} {step.status.value}: {step.error}"
-            )
 
     def close(self):
         pass

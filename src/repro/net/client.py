@@ -50,22 +50,16 @@ from repro.adios.api import (
     AdiosError,
     EndOfStream,
     RankContext,
-    ReadHandle,
     StepNotReady,
-    VariableNotFound,
     WriteHandle,
-    resolve_read_args,
 )
-from repro.adios.selection import (
-    BoundingBox,
-    assemble,
-    intersect,
-    resolve_selection,
-)
+from repro.adios.selection import BoundingBox
 from repro.core.directory import admission_exception
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import PluginManager, PluginSide
+from repro.core.redistribution import PlanCache
 from repro.core.resilience import RetryPolicy, retry_call
+from repro.core.stream import StepReader
 from repro.net.protocol import (
     Frame,
     MsgType,
@@ -75,7 +69,7 @@ from repro.net.protocol import (
     encode_frame,
     encode_var,
 )
-from repro.obs import recorder as flight
+from repro.obs import CURRENT, recorder as flight
 from repro.obs.events import (
     EV_NET_CONNECT,
     EV_NET_DISCONNECT,
@@ -742,15 +736,27 @@ class NetWriteHandle(WriteHandle):
 
 
 class _CachedStep:
-    """One fetched step, decoded lazily-ish: var records + backing span."""
+    """One fetched step, decoded lazily-ish: var records + backing span.
 
-    __slots__ = ("step", "vars", "_wb")
+    The wire-side block source of :class:`~repro.core.stream.StepReader`:
+    every array it hands out is a view into the receive span.
+    """
 
-    def __init__(self, step: int, count: int, wb, offset: int) -> None:
+    __slots__ = ("step", "vars", "_wb", "may_be_pruned")
+
+    #: The publish span does not cross the wire yet: reads root (or
+    #: join the caller's current) trace on the client.
+    trace_ctx = CURRENT
+
+    def __init__(self, step: int, count: int, wb, offset: int,
+                 may_be_pruned: bool = False) -> None:
         self.step = step
         self.vars: list[dict] = []
         # Keep the receive span alive: every array below views into it.
         self._wb = wb
+        #: Fetched over a channel ATTACHed with a predicate: blocks the
+        #: reader's chain provably drops may be missing.
+        self.may_be_pruned = may_be_pruned
         for _ in range(count):
             rec, offset = decode_var(wb, offset)
             self.vars.append(rec)
@@ -761,16 +767,38 @@ class _CachedStep:
             seen.setdefault(rec["name"], None)
         return list(seen)
 
+    def var_blocks(self, name: str):
+        for rec in self.vars:
+            if rec["name"] == name:
+                data = rec["data"]
+                yield (
+                    BoundingBox(tuple(rec["start"]), tuple(data.shape))
+                    if rec["start"] else None,
+                    tuple(rec["gshape"]) or None,
+                    data,
+                )
 
-class NetReadHandle(ReadHandle):
-    """Reader side of one remote stream: FETCH → assemble locally.
+    def writer_record(self, rank: int) -> Optional[dict]:
+        record: dict = {}
+        for rec in self.vars:
+            if int(rec["writer_rank"]) == rank:
+                # A remote writer may publish several blocks of one
+                # name; read_block serves its first.
+                record.setdefault(rec["name"], rec["data"])
+        return record or None
+
+
+class NetReadHandle(StepReader):
+    """Reader side of one remote stream: FETCH, then the shared reader.
 
     ``begin_step`` polls the broker (NOT_READY maps to
     :attr:`~repro.adios.api.StepStatus.NotReady`, EOS to
-    :attr:`~repro.adios.api.StepStatus.EndOfStream`); global-array
-    reads reassemble the writers' blocks with the same selection
-    machinery the in-process reader uses, so MxN redistribution works
-    across the network hop unchanged.
+    :attr:`~repro.adios.api.StepStatus.EndOfStream`); every read runs
+    :class:`~repro.core.stream.StepReader`'s one read path over the
+    fetched frame's wire views, so MxN redistribution, plan caching,
+    fused chains, ``read_into``/``read_all`` and the read spans work
+    across the network hop exactly as they do in process.  This class
+    owns only step movement: FETCH, reattach, predicate sync.
     """
 
     def __init__(self, client: RemoteClient, stream_id: str,
@@ -780,21 +808,21 @@ class NetReadHandle(ReadHandle):
         self.stream_id = stream_id
         self.name = name or stream_id.rsplit("/", 1)[-1]
         self._channel = channel
-        self._cursor = 0
         self._cache: dict[int, _CachedStep] = {}
         self._closed = False
         #: Reader-side plug-in chain: compilable chains run fused per
         #: block (single pass, no assembled intermediate); free-form
         #: codelets keep the interpreted assemble-then-apply path.
         self.plugins = PluginManager(client.monitor)
+        #: The client session's monitor (enable tracing / dump here).
+        self.monitor = client.monitor
+        #: Compiled plans, replayed from the second step on (what
+        #: ``caching=local`` selects in process).
+        self._plans = PlanCache(maxsize=64)
         self._pushdown = bool(pushdown)
         #: Predicate spec the current data channel ATTACHed with; the
         #: channel is re-ATTACHed whenever the chain's predicate changes.
         self._attached_pred = ""
-
-    @property
-    def current_step(self) -> int:
-        return self._cursor
 
     # -- step movement -----------------------------------------------------
     def _fetch_once(self, step: int) -> _CachedStep:
@@ -807,7 +835,8 @@ class NetReadHandle(ReadHandle):
         frame = decode_frame(wb)
         if frame.msg_type is MsgType.STEP_DATA:
             got = _CachedStep(
-                step, int(frame.record["count"]), wb, frame.consumed
+                step, int(frame.record["count"]), wb, frame.consumed,
+                may_be_pruned=bool(self._attached_pred),
             )
             # Retain only the current neighborhood; old steps are gone.
             self._cache = {k: v for k, v in self._cache.items() if k >= step - 1}
@@ -839,19 +868,13 @@ class NetReadHandle(ReadHandle):
         )
 
     # -- predicate pushdown ------------------------------------------------
-    def _pred_spec(self) -> str:
-        if not self._pushdown:
-            return ""
-        pred = self.plugins.block_predicate(PluginSide.READER)
-        return pred.spec() if pred is not None else ""
-
     def _sync_predicate(self) -> None:
         """Keep the broker's view of this reader's predicate current.
 
         The chain can change between steps (deploy/undeploy), and the
         predicate rides the ATTACH frame — so a change re-ATTACHes the
         data channel with the new spec before the next FETCH."""
-        spec = self._pred_spec()
+        spec = self._pred_spec() if self._pushdown else ""
         if spec == self._attached_pred:
             return
         channel = self._client._attach(self.stream_id, "r", predicate=spec)
@@ -862,145 +885,12 @@ class NetReadHandle(ReadHandle):
         except (TransportFault, OSError):
             pass
 
-    def _probe_step(self):
-        self._fetch(self._cursor)
+    def _source(self) -> _CachedStep:
+        return self._fetch(self._cursor)
 
     def _advance(self):
         self._fetch(self._cursor + 1)
         self._cursor += 1
-
-    # -- reads -------------------------------------------------------------
-    def available_vars(self):
-        return self._fetch(self._cursor).var_names()
-
-    def _blocks(self, name: str):
-        blocks = []
-        gshape = None
-        dtype = None
-        for rec in self._fetch(self._cursor).vars:
-            if rec["name"] != name:
-                continue
-            data = rec["data"]
-            dtype = data.dtype
-            if rec["gshape"]:
-                gshape = tuple(rec["gshape"])
-            if rec["start"]:
-                box = BoundingBox(tuple(rec["start"]), tuple(data.shape))
-                blocks.append((box, data))
-        if dtype is None:
-            raise VariableNotFound(
-                f"no variable {name!r} at step {self._cursor}"
-            )
-        return blocks, gshape, dtype
-
-    def _fusable_chain(self, name: str):
-        if not self.plugins.has_side(PluginSide.READER):
-            return None
-        chain = self.plugins.compiled_chain(PluginSide.READER)
-        if chain is None or not chain.supports(name):
-            return None
-        return chain
-
-    def _read_fused(self, name, chain, blocks, target, dtype):
-        """Single-pass read: slice each writer block to the selection,
-        run the chain's cursor per block in ascending row order, and
-        concatenate the survivors — no assembled intermediate array.
-
-        Returns None when the blocks do not row-tile the selection (the
-        fused contract: full trailing dims, leading-axis tiling).  Gaps
-        are tolerated only when this reader registered a pushdown
-        predicate — then a missing block is exactly one the broker
-        proved the chain drops, so it contributes zero rows either way.
-        """
-        ndim = len(target.count)
-        pieces = []
-        for box, data in blocks:
-            inter = intersect(target, box)
-            if inter is None:
-                continue
-            if tuple(inter.count[1:]) != tuple(target.count[1:]):
-                return None  # partial trailing dims: not a row tiling
-            sl = tuple(
-                slice(inter.start[d] - box.start[d],
-                      inter.start[d] - box.start[d] + inter.count[d])
-                for d in range(ndim)
-            )
-            pieces.append((inter.start[0], inter.count[0], data[sl]))
-        pieces.sort(key=lambda p: p[0])
-        row = target.start[0]
-        for at, n, _ in pieces:
-            if at < row:
-                return None  # overlapping writer blocks: order ambiguous
-            if at > row and not self._attached_pred:
-                return None  # gap: assemble() would fill — keep that path
-            row = at + n
-        if row != target.start[0] + target.count[0] and not self._attached_pred:
-            return None
-        cursor = chain.cursor(name)
-        out_pieces = []
-        for _, _, piece in pieces:
-            got = cursor.apply_block(np.ascontiguousarray(piece))
-            if got.shape[0]:
-                out_pieces.append(got)
-        cursor.finish(self._client.monitor)
-        self.plugins.count_fused_read()
-        if not out_pieces:
-            return np.empty((0, *target.count[1:]), dtype=dtype)
-        if len(out_pieces) == 1:
-            return np.ascontiguousarray(out_pieces[0])
-        return np.concatenate(out_pieces, axis=0)
-
-    def read(self, name, *, start=None, count=None, selection=None):
-        start, count = resolve_read_args(selection, start, count)
-        blocks, gshape, dtype = self._blocks(name)
-        if gshape is None:
-            raise AdiosError(
-                f"variable {name!r} is not a global array; use read_block()"
-            )
-        target = resolve_selection(start, count, gshape)
-        out = None
-        chain = self._fusable_chain(name)
-        if chain is not None:
-            out = self._read_fused(name, chain, blocks, target, dtype)
-        if out is None:
-            if self._attached_pred:
-                # The broker may have pruned blocks of this step; only
-                # the fused per-block path reads a pruned step soundly
-                # (assemble() would put fill values where pruned rows
-                # were, and the interpreted chain could select them).
-                raise AdiosError(
-                    f"pushdown is active but the blocks of {name!r} do not "
-                    f"row-tile the selection; re-open without pushdown for "
-                    f"this access pattern"
-                )
-            out = assemble(
-                target,
-                ((b, d) for b, d in blocks if intersect(target, b) is not None),
-                dtype=dtype,
-            )
-            if self.plugins.has_side(PluginSide.READER):
-                self.plugins.count_interpreted_read()
-                out = self.plugins.apply_side(
-                    PluginSide.READER, {name: out}
-                )[name]
-        self._client.monitor.record(
-            "stream_read", name, start=0.0, duration=0.0, nbytes=int(out.nbytes)
-        )
-        return out
-
-    def read_block(self, name, writer_rank):
-        for rec in self._fetch(self._cursor).vars:
-            if rec["name"] == name and int(rec["writer_rank"]) == writer_rank:
-                data = np.asarray(rec["data"])
-                if self.plugins.has_side(PluginSide.READER):
-                    data = self.plugins.apply_side(
-                        PluginSide.READER, {name: data}
-                    )[name]
-                return data
-        raise VariableNotFound(
-            f"no block for var {name!r} from writer {writer_rank} "
-            f"at step {self._cursor}"
-        )
 
     def close(self):
         if self._closed:

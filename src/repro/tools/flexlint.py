@@ -16,7 +16,6 @@ Options:
 * ``--baseline PATH`` — suppression file (default:
   ``.flexlint-baseline.json`` when it exists); ``--update-baseline``
   rewrites it from the currently active findings.
-* ``--jobs N`` — parallel per-file analysis workers.
 * ``--cache PATH`` / ``--no-cache`` — content-hash incremental cache
   (default: ``.flexlint-cache.json``); a warm run re-parses only
   changed files.
@@ -67,9 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline from the currently "
                         "active findings, then exit 0")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="parallel analysis workers (default: "
-                        "min(8, cpu count))")
     parser.add_argument("--cache", metavar="PATH", default=None,
                         help=f"incremental cache file (default: "
                         f"{DEFAULT_CACHE})")
@@ -103,7 +99,6 @@ def main(argv: Optional[Sequence[str]] = None, out: TextIO = sys.stdout) -> int:
 
     result = run(
         args.paths,
-        jobs=args.jobs,
         cache_path=cache_path,
         baseline_path=baseline_path,
         update_baseline=args.update_baseline,

@@ -672,6 +672,52 @@ def test_drain_error_marks_step_lost_not_committed():
     assert state.monitor.metrics.counter("dataplane.drain.steps_lost").value == 1
 
 
+def test_drain_retries_through_the_one_attempt_loop():
+    """Two transport faults then success: same counters and records the
+    hand-rolled loop produced, now driven by ``retry_call``; a
+    non-fault error still fails the step with zero retries."""
+    from repro.transport.faults import TransportTimeout
+
+    adios = make_adios("retry_timeout=0.001;retry_jitter=0")
+    name = "dp.retry"
+    writer = adios.open_write("fields", name, RankContext(0, 1))
+    state = stream_registry._states[name]
+
+    class FlakyChannel:
+        script = [TransportTimeout("t0"), TransportTimeout("t1"), None,
+                  ValueError("bug")]
+
+        def sendv(self, parts, timeout=None):
+            exc = self.script.pop(0)
+            if exc is not None:
+                raise exc
+
+        def recv(self, timeout=None):
+            return b""
+
+    state._ensure_pipeline()
+    state._channel = FlakyChannel()
+    for _ in range(2):
+        writer.write("temp", np.ones(SHAPE), box=BoundingBox((0, 0), SHAPE),
+                     global_shape=SHAPE)
+        writer.end_step(sync=False)
+    state._quiesce()
+    m = state.monitor.metrics
+    assert [s.status for s in state._published] == [
+        StepState.COMMITTED, StepState.LOST,
+    ]
+    assert m.counter("dataplane.drain.retries").value == 2
+    assert m.counter("dataplane.drain.faults").value == 3
+    assert m.counter("dataplane.drain.recovered").value == 1
+    faults = [dict(r.extra) for r in state.monitor.trace
+              if r.category == "drain_fault"]
+    assert [(f["step"], f["attempt"]) for f in faults] == [(0, 0), (0, 1), (1, 0)]
+    recovered = [dict(r.extra) for r in state.monitor.trace
+                 if r.category == "drain_recovered"]
+    assert recovered == [{"step": 0, "attempts": 3}]
+    writer.close()
+
+
 def test_rdma_transport_hint_smoke():
     adios = make_adios("transport=rdma")
     write_steps(adios, "dp.rdma", num_steps=2)

@@ -1,0 +1,280 @@
+"""One reader for every placement.
+
+The same read scenarios run through an in-process stream and through an
+in-process daemon must return byte-identical arrays and move the
+fused/interpreted counters identically — both handles run
+:class:`repro.core.stream.StepReader`'s one read path.  Net-only tests
+cover what remote readers inherit from it: plan-cache hits, a
+``read_into`` that scatters into the caller's array, ``read_all`` and
+the read spans.  Plus the :class:`FusedPlan` tiling analysis that
+replaced the net handle's hand-rolled gap check.
+"""
+
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from repro.adios import AdiosError, BoundingBox, StepStatus
+from repro.adios.config import MethodSpec
+from repro.core import PluginManager, PluginSide
+from repro.core.directory import TenantSpec
+from repro.core.hints import defaults
+from repro.core.plugins import (
+    range_select_plugin,
+    sampling_plugin,
+    unit_conversion_plugin,
+)
+from repro.core.redistribution import CompiledPlan, FusedPlan, compute_plan
+from repro.core.stream import StreamHints, stream_registry
+from repro.net.client import connect
+from repro.net.server import DirectoryDaemon
+from repro.obs.names import M_PLUGIN_FUSED_READS, M_PLUGIN_INTERPRETED_READS
+
+SHAPE = (32, 6)
+BANDS = [BoundingBox((r * 8, 0), (8, 6)) for r in range(4)]
+#: Column-split writers: no selection row-tiles over these.
+COLUMNS = [BoundingBox((0, c * 3), (32, 3)) for c in range(2)]
+DATA = np.random.default_rng(13).random(SHAPE)
+
+
+@pytest.fixture(autouse=True)
+def fresh_registry():
+    stream_registry.reset()
+    yield
+    stream_registry.reset()
+
+
+@pytest.fixture()
+def daemon():
+    d = DirectoryDaemon(
+        tenants=[TenantSpec("public")], telemetry=False, lease_interval=0.05
+    )
+    d.start()
+    yield d
+    d.stop()
+
+
+def _uri(daemon) -> str:
+    return f"flexio://{daemon.host}:{daemon.control_port}/public"
+
+
+def _write_step(writers, boxes=BANDS, extra=()):
+    """One step of the array: a writer rank per block in process, one
+    remote writer publishing every block over the net."""
+    for w in writers:
+        w.begin_step()
+    for i, box in enumerate(boxes):
+        w = writers[i % len(writers)]
+        w.write("zion", DATA[box.slices()], box=box, global_shape=SHAPE)
+    for name, arr, box, gshape in extra:
+        writers[0].write(name, arr, box=box, global_shape=gshape)
+    for w in writers:
+        w.end_step()
+
+
+def _open_inproc(name, boxes=BANDS, extra=()):
+    client = connect("local://")
+    writers = [client.open(name, "w", rank=r, num_ranks=4) for r in range(4)]
+    _write_step(writers, boxes, extra)
+    for w in writers:
+        w.close()
+    return client.open(name, "r")
+
+
+def _open_net(client, name, boxes=BANDS, extra=(), steps=1):
+    writer = client.open(name, "w")
+    for _ in range(steps):
+        _write_step([writer], boxes, extra)
+    return client.open(name, "r", timeout=2.0)
+
+
+def _unit(plugins):
+    plugins.deploy(unit_conversion_plugin("zion", 2.5), PluginSide.READER)
+
+
+def _sample_select(plugins):
+    plugins.deploy(sampling_plugin(stride=3, only=("zion",)), PluginSide.READER)
+    plugins.deploy(range_select_plugin("zion", 0, 0.2, 0.8), PluginSide.READER)
+
+
+#: name -> (writer boxes, deploy reader chain, read, fused delta, interpreted delta)
+SCENARIOS = {
+    "mxn_plain": (BANDS, None, lambda r: r.read("zion"), 0, 0),
+    "sub_box": (
+        BANDS, None, lambda r: r.read("zion", start=(5, 1), count=(20, 3)), 0, 0,
+    ),
+    "fused_filter_free": (BANDS, _unit, lambda r: r.read("zion"), 1, 0),
+    "fused_filtering": (BANDS, _sample_select, lambda r: r.read("zion"), 1, 0),
+    "non_tiling_interpreted": (
+        COLUMNS, _sample_select, lambda r: r.read("zion"), 0, 1,
+    ),
+    "read_block": (BANDS, _unit, lambda r: r.read_block("zion", 0), 0, 0),
+}
+
+
+def _run(reader, deploy, read):
+    if deploy is not None:
+        deploy(reader.plugins)
+    m = reader.monitor.metrics
+    before = (m.counter(M_PLUGIN_FUSED_READS).value,
+              m.counter(M_PLUGIN_INTERPRETED_READS).value)
+    assert reader.begin_step(timeout=2.0) is StepStatus.OK
+    got = read(reader)
+    reader.end_step()
+    return got, (m.counter(M_PLUGIN_FUSED_READS).value - before[0],
+                 m.counter(M_PLUGIN_INTERPRETED_READS).value - before[1])
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_same_read_on_both_planes(daemon, scenario):
+    boxes, deploy, read, fused, interpreted = SCENARIOS[scenario]
+    name = f"planes.{scenario}"
+    local, local_counts = _run(_open_inproc(name, boxes), deploy, read)
+    with connect(_uri(daemon)) as c:
+        remote, remote_counts = _run(_open_net(c, name, boxes), deploy, read)
+    assert remote.dtype == local.dtype and remote.shape == local.shape
+    assert remote.tobytes() == local.tobytes()
+    assert local_counts == remote_counts == (fused, interpreted)
+
+
+def test_non_global_read_raises_adios_error_on_both_planes(daemon):
+    extra = [("tag", np.arange(3.0), None, None)]
+    local = _open_inproc("planes.tag", extra=extra)
+    with connect(_uri(daemon)) as c:
+        remote = _open_net(c, "planes.tag", extra=extra)
+        for reader in (local, remote):
+            assert reader.begin_step(timeout=2.0) is StepStatus.OK
+            with pytest.raises(AdiosError, match="not a global array"):
+                reader.read("tag")
+            with pytest.raises(AdiosError, match="not a global array"):
+                reader.read_into("tag", np.empty(3))
+
+
+# ---------------------------------------------------------------------------
+# What the net handle inherits
+# ---------------------------------------------------------------------------
+
+def test_net_second_step_is_a_plan_cache_hit(daemon):
+    with connect(_uri(daemon)) as c:
+        r = _open_net(c, "planes.cache", steps=3)
+        for _ in range(3):
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            assert r.read("zion").tobytes() == DATA.tobytes()
+            r.end_step()
+        m = c.monitor.metrics
+        assert m.counter("dataplane.plan_cache.misses").value == 1
+        assert m.counter("dataplane.plan_cache.hits").value == 2
+
+
+def test_net_read_into_scatters_into_the_callers_array(daemon, monkeypatch):
+    import repro.core.stream as stream_mod
+
+    def forbidden(*_a, **_k):
+        raise AssertionError("read_into must not materialize an intermediate")
+
+    calls = []
+    execute_into = CompiledPlan.execute_into
+
+    def counted(self, blocks, outs, **kw):
+        calls.append(outs[0])
+        return execute_into(self, blocks, outs, **kw)
+
+    monkeypatch.setattr(CompiledPlan, "execute", forbidden)
+    monkeypatch.setattr(stream_mod, "assemble", forbidden)
+    monkeypatch.setattr(CompiledPlan, "execute_into", counted)
+    with connect(_uri(daemon)) as c:
+        r = _open_net(c, "planes.into")
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        out = np.empty((20, 3))
+        got = r.read_into("zion", out, start=(5, 1), count=(20, 3))
+        assert got is out and np.shares_memory(got, out)
+        assert len(calls) == 1 and calls[0] is out
+        assert out.tobytes() == np.ascontiguousarray(DATA[5:25, 1:4]).tobytes()
+        with pytest.raises(ValueError, match="out shape"):
+            r.read_into("zion", np.empty((4, 4)))
+
+
+def test_net_read_all_returns_every_global_array(daemon):
+    rho = np.arange(12.0).reshape(4, 3)
+    extra = [
+        ("rho", rho, BoundingBox((0, 0), (4, 3)), (4, 3)),
+        ("tag", np.arange(3.0), None, None),
+    ]
+    with connect(_uri(daemon)) as c:
+        r = _open_net(c, "planes.all", extra=extra)
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        got = r.read_all()
+        assert set(got) == {"zion", "rho"}
+        assert got["zion"].tobytes() == DATA.tobytes()
+        assert got["rho"].tobytes() == rho.tobytes()
+        assert set(r.read_all(["rho"])) == {"rho"}
+
+
+def test_net_read_emits_read_span_with_transport_child(daemon):
+    with connect(_uri(daemon)) as c:
+        c.monitor.enable_tracing()
+        r = _open_net(c, "planes.trace")
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        r.read("zion")
+        spans = {
+            rec.category: dict(rec.extra) for rec in c.monitor.trace
+            if rec.category in ("read", "redistribute", "transport")
+            and rec.name == "zion"
+        }
+        assert set(spans) == {"read", "redistribute", "transport"}
+        assert spans["transport"]["parent_id"] == spans["read"]["span_id"]
+        assert spans["transport"]["trace_id"] == spans["read"]["trace_id"]
+
+
+# ---------------------------------------------------------------------------
+# FusedPlan: gap-tolerant vs gapless row tiling
+# ---------------------------------------------------------------------------
+
+def _fused(writer_boxes, chain_of):
+    mgr = PluginManager()
+    chain_of(mgr)
+    chain = mgr.compiled_chain(PluginSide.READER)
+    target = BoundingBox((0, 0), SHAPE)
+    return FusedPlan(CompiledPlan(compute_plan(writer_boxes, [target])), chain)
+
+
+def test_fused_plan_records_row_tiled_and_gapless_separately():
+    full = _fused(BANDS, _sample_select)
+    assert full.row_tiled and full.fusable
+
+    holed = [BANDS[0], BANDS[1], BANDS[3]]  # band 2 pruned
+    gappy = _fused(holed, _sample_select)
+    assert gappy.row_tiled and not gappy.fusable
+    # A filtering chain reads the gappy tiling: the survivors of the
+    # blocks that are there, in row order.
+    blocks = [DATA[b.slices()] for b in holed]
+    got = gappy.execute(blocks, "zion", dtype=DATA.dtype)
+    oracle = _fused([BoundingBox((0, 0), (24, 6))], _sample_select)
+    want = oracle.execute([np.concatenate(blocks)], "zion", dtype=DATA.dtype)
+    assert got.tobytes() == want.tobytes() and got.shape[0] > 0
+
+    # A filter-free chain would leave the gap's rows unwritten: refused.
+    transform = _fused(holed, _unit)
+    assert transform.row_tiled and not transform.can_execute_into("zion")
+    with pytest.raises(ValueError, match="gapless"):
+        transform.execute(blocks, "zion", dtype=DATA.dtype)
+
+    # Overlapping or column-split blocks are not a row tiling at all.
+    overlap = _fused([BANDS[0], BoundingBox((4, 0), (28, 6))], _sample_select)
+    split = _fused(
+        [BoundingBox((0, 0), (32, 3)), BoundingBox((0, 3), (32, 3))], _sample_select
+    )
+    assert not overlap.row_tiled and not split.row_tiled
+
+
+# ---------------------------------------------------------------------------
+# StreamHints restates nothing
+# ---------------------------------------------------------------------------
+
+def test_stream_hints_defaults_are_the_registry():
+    registry = dict(defaults())
+    built = asdict(StreamHints())
+    assert built == asdict(StreamHints.from_spec(MethodSpec("g", "FLEXPATH", {})))
+    built["caching"] = built["caching"].value
+    assert built == registry

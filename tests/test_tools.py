@@ -270,7 +270,7 @@ def test_monitor_demo_json_output():
 
 
 # ---------------------------------------------------------------------------
-# flexlint CLI: SARIF, baseline, cache, jobs
+# flexlint CLI: SARIF, baseline, cache
 # ---------------------------------------------------------------------------
 
 import json as _json
@@ -389,16 +389,14 @@ def test_flexlint_cache_invalidated_by_edit(lint_tree):
     assert s["cache_misses"] == 1  # only the edited file re-analyzed
 
 
-def test_flexlint_no_cache_and_jobs_flags(lint_tree):
+def test_flexlint_no_cache_flag(lint_tree):
     stats = lint_tree / "stats.json"
     code, _ = _run(
-        [str(lint_tree), "--no-cache", "--jobs", "2",
-         "--stats-json", str(stats)],
+        [str(lint_tree), "--no-cache", "--stats-json", str(stats)],
         lint_tree,
     )
     assert code == 1
     s = _json.loads(stats.read_text(encoding="utf-8"))
-    assert s["jobs"] == 2
     assert s["cache_hits"] == 0
     assert not (lint_tree / _flexlint_cli.DEFAULT_CACHE).exists()
 
