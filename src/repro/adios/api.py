@@ -178,6 +178,9 @@ class ReadHandle(abc.ABC):
 
     _step_active = False
     _step_consumed = False
+    #: ``time.monotonic()`` deadline of the timed ``begin_step`` in
+    #: progress, for methods whose probe can block; ``None`` otherwise.
+    _deadline: Optional[float] = None
 
     @abc.abstractmethod
     def available_vars(self) -> list[str]: ...
@@ -236,39 +239,48 @@ class ReadHandle(abc.ABC):
         :class:`EndOfStream`; file methods are always ready.
         """
 
+    def _wait_ready(self) -> None:
+        """Idle between two probes of a timed ``begin_step``; a method
+        that is told when a step lands waits for that instead."""
+        time.sleep(0.0005)
+
     def begin_step(self, timeout: Optional[float] = None) -> StepStatus:
         """Position on the next unconsumed step (ADIOS2-style).
 
         Non-blocking by default: returns :attr:`StepStatus.NotReady`
-        when the writer is behind.  With ``timeout`` (seconds), polls
+        when the writer is behind.  With ``timeout`` (seconds), probes
         until ready or the deadline passes.
         """
         if self._step_active:
             raise AdiosError("begin_step while a step is active; call end_step first")
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                if self._step_consumed:
-                    self._advance()
-                else:
-                    self._probe_step()
-            except StepLost:
-                # The step is permanently gone: report the typed gap and
-                # consume it, so the next begin_step moves past it.
+        self._deadline = deadline
+        try:
+            while True:
+                try:
+                    if self._step_consumed:
+                        self._advance()
+                    else:
+                        self._probe_step()
+                except StepLost:
+                    # The step is permanently gone: report the typed gap
+                    # and consume it, so the next begin_step moves past it.
+                    self._step_consumed = True
+                    return StepStatus.OtherError
+                except StreamFailure:
+                    return StepStatus.OtherError
+                except EndOfStream:
+                    return StepStatus.EndOfStream
+                except StepNotReady:
+                    if deadline is not None and time.monotonic() < deadline:
+                        self._wait_ready()
+                        continue
+                    return StepStatus.NotReady
+                self._step_active = True
                 self._step_consumed = True
-                return StepStatus.OtherError
-            except StreamFailure:
-                return StepStatus.OtherError
-            except EndOfStream:
-                return StepStatus.EndOfStream
-            except StepNotReady:
-                if deadline is not None and time.monotonic() < deadline:
-                    time.sleep(0.0005)
-                    continue
-                return StepStatus.NotReady
-            self._step_active = True
-            self._step_consumed = True
-            return StepStatus.OK
+                return StepStatus.OK
+        finally:
+            self._deadline = None
 
     def end_step(self) -> StepStatus:
         """Release the current step."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -150,6 +151,10 @@ _DEGRADE_LADDER: dict[str, Optional[str]] = {
     TRANSPORT_SHM: None,
 }
 
+#: Longest a timed ``begin_step`` waits between two probes: a probe of
+#: a stalled stream is what runs the directory's lease reaper.
+_REAP_INTERVAL = 0.05
+
 #: Methods that run on (or in lock-step with) the drainer thread.  The
 #: FlexLint FXL005 rule checks every ``self.<attr>`` assignment inside
 #: these against :data:`DRAINER_SHARED_STATE` — an attribute mutated from
@@ -166,13 +171,15 @@ DRAINER_METHODS = frozenset({
 })
 
 #: Attributes the drainer thread is allowed to mutate.  ``_published`` /
-#: ``peak_buffered_bytes`` / ``backpressure_events`` are guarded by
-#: ``_publish_lock``; ``_pending`` by ``_pending_lock``; ``_channel`` /
-#: ``active_transport`` / ``_consecutive_failures`` are drainer-private
-#: (the drainer is their only writer after pipeline start).
+#: ``_buffered_bytes`` / ``peak_buffered_bytes`` / ``backpressure_events``
+#: are guarded by the lock of the ``_committed`` condition; ``_pending``
+#: by ``_pending_lock``; ``_channel`` / ``active_transport`` /
+#: ``_consecutive_failures`` are drainer-private (the drainer is their
+#: only writer after pipeline start).
 DRAINER_SHARED_STATE = frozenset({
     "_pending",
     "_published",
+    "_buffered_bytes",
     "_consecutive_failures",
     "_channel",
     "active_transport",
@@ -284,10 +291,9 @@ class _PublishedStep:
     status: StepState = StepState.PENDING
     #: Why a LOST/ABORTED step failed (repr of the final exception).
     error: Optional[str] = None
-
-    @property
-    def nbytes(self) -> int:
-        return sum(g.nbytes for g in self.groups.values())
+    #: Buffered payload size: summed once at seal, zeroed when the step
+    #: is lost (its groups are discarded), never re-derived.
+    nbytes: int = 0
 
     #: The buffered copy is never pruned: in-process pushdown only
     #: skips *sending* blocks through the drain channel.
@@ -338,6 +344,7 @@ class _StepDrainer:
         self.wedged = False
         # Captured at construction: near-zero overhead when disabled.
         self._san = sanitize.get()
+        self._depth = state.monitor.metrics.gauge("dataplane.drain.queue_depth")
         self._thread = threading.Thread(
             target=self._run, name=f"flexio-drain-{state.name}", daemon=True
         )
@@ -360,10 +367,9 @@ class _StepDrainer:
                 EV_BACKPRESSURE, stream=self._state.name, step=step.step
             )
             self._queue.put(item)
-        depth = mon.metrics.gauge("dataplane.drain.queue_depth")
-        depth.inc()
-        if depth.value > self._high_water:
-            self._high_water = depth.value
+        self._depth.inc()
+        if self._depth.value > self._high_water:
+            self._high_water = self._depth.value
             flight.record(
                 EV_QUEUE_HIGH_WATER, stream=self._state.name,
                 depth=int(self._high_water),
@@ -423,9 +429,7 @@ class _StepDrainer:
             try:
                 self._state._drain_one(step, rank_parts)
             finally:
-                self._state.monitor.metrics.gauge(
-                    "dataplane.drain.queue_depth"
-                ).dec()
+                self._depth.dec()
                 with self._pending_lock:
                     self._pending -= 1
                     if self._pending == 0:
@@ -452,7 +456,11 @@ class StreamState:
         self.backpressure_waits = 0
         self.plugins = PluginManager(self.monitor)
         self._published: list[_PublishedStep] = []
-        self._publish_lock = sanitize.make_lock("stream.publish")
+        #: Notified when a step's outcome is appended to ``_published``
+        #: or the stream ends; its lock guards the list and the bytes.
+        self._committed = threading.Condition(sanitize.make_lock("stream.publish"))
+        #: Bytes held by ``_published`` (steps never leave the list).
+        self._buffered_bytes = 0
         self._current: dict[int, ProcessGroupData] = {}
         self._step = 0
         self.writer_ranks: set[int] = set()
@@ -513,6 +521,8 @@ class StreamState:
         teardown, so a double close (or a close racing a registry reset)
         finds nothing left to do.
         """
+        with self._committed:
+            self._committed.notify_all()  # readers parked on an ended stream
         drainer, self._drainer = self._drainer, None
         if drainer is not None:
             drainer.stop()
@@ -592,6 +602,7 @@ class StreamState:
                                 )
                             )
                         step.groups[rank] = out
+                step.nbytes = sum(g.nbytes for g in step.groups.values())
                 wspan.add_bytes(step.nbytes)
                 step.trace_ctx = wspan.context
             vis.add_bytes(step.nbytes)
@@ -798,6 +809,7 @@ class StreamState:
         )
         step.error = repr(exc)
         step.groups.clear()  # free the buffers; never torn-visible
+        step.nbytes = 0
         mon = self.monitor
         mon.metrics.counter("dataplane.drain.steps_lost").inc()
         mon.record(
@@ -812,8 +824,9 @@ class StreamState:
             f"step {step.step} {step.status.value}",
             stream=self.name, monitor=mon,
         )
-        with self._publish_lock:
+        with self._committed:
             self._published.append(step)
+            self._committed.notify_all()
 
     def _maybe_degrade(self) -> None:
         """Graceful degradation: fall down the transport ladder.
@@ -858,14 +871,6 @@ class StreamState:
 
     def _commit(self, step: _PublishedStep) -> None:
         step.status = StepState.COMMITTED
-        with self._publish_lock:
-            self._published.append(step)
-            buffered = sum(s.nbytes for s in self._published)
-            self.peak_buffered_bytes = max(self.peak_buffered_bytes, buffered)
-            if len(self._published) > self.hints.buffer_steps:
-                # In the real transport the writer would stall here; in the
-                # in-process harness we surface it through monitoring.
-                self.backpressure_events += 1
         mon = self.monitor
         mon.metrics.counter("dataplane.drain.steps_committed").inc()
         mon.metrics.counter("dataplane.drain.bytes_committed").inc(step.nbytes)
@@ -875,6 +880,17 @@ class StreamState:
         flight.record(
             EV_STEP_COMMIT, stream=self.name, step=step.step, nbytes=step.nbytes
         )
+        with self._committed:  # last: a woken reader finds the commit recorded
+            self._published.append(step)
+            self._buffered_bytes += step.nbytes
+            self.peak_buffered_bytes = max(
+                self.peak_buffered_bytes, self._buffered_bytes
+            )
+            if len(self._published) > self.hints.buffer_steps:
+                # In the real transport the writer would stall here; in the
+                # in-process harness we surface it through monitoring.
+                self.backpressure_events += 1
+            self._committed.notify_all()
 
     def writer_close(self, rank: int) -> None:
         self._closed_ranks.add(rank)
@@ -916,11 +932,25 @@ class StreamState:
         self.shutdown_pipeline()
 
     # -- reader side --------------------------------------------------------
-    def step_available(self, index: int) -> bool:
-        return index < len(self.published)
+    def step_available(self, index: int, deadline: Optional[float] = None) -> bool:
+        """Whether step ``index`` is in the published list.  A sealed
+        step still in the drain pipeline is waited for — for *its*
+        outcome, never for drainer idleness — until ``deadline``
+        (``time.monotonic()`` seconds; ``None``: until the stream ends)."""
+        timeout = None if deadline is None else deadline - time.monotonic()
+        return self.await_step(index, timeout if index < self._step else 0.0)
 
-    def get_step(self, index: int) -> _PublishedStep:
-        if not self.step_available(index):
+    def await_step(self, index: int, timeout: Optional[float]) -> bool:
+        """Wait ``timeout`` seconds at most (``None``: unbounded) for step
+        ``index`` to be published or the stream to end; True if it is."""
+        with self._committed:
+            self._committed.wait_for(
+                lambda: len(self._published) > index or self.closed, timeout
+            )
+            return len(self._published) > index
+
+    def get_step(self, index: int, deadline: Optional[float] = None) -> _PublishedStep:
+        if not self.step_available(index, deadline):
             if not self.closed and self._directory is not None:
                 # A stall may really be a dead writer: run the failure
                 # detector before deciding what to tell the reader.
@@ -1379,7 +1409,14 @@ class FlexpathReadHandle(StepReader):
         self._registered_pred_hash: Optional[str] = None
 
     def _source(self) -> _PublishedStep:
-        return self._state.get_step(self._cursor)
+        return self._state.get_step(self._cursor, self._deadline)
+
+    def _wait_ready(self) -> None:
+        # Woken by the commit; each re-probe runs the lease reaper.
+        self._state.await_step(
+            self._cursor + self._step_consumed,
+            min(self._deadline - time.monotonic(), _REAP_INTERVAL),
+        )
 
     def _reader_chain(self, name: str):
         """Honours the ``fused`` hint, and is where a pushdown reader
@@ -1448,7 +1485,7 @@ class FlexpathReadHandle(StepReader):
     def _advance(self):
         nxt = self._cursor + 1
         try:
-            self._state.get_step(nxt)
+            self._state.get_step(nxt, self._deadline)
         except StepLost:
             # Move first, then surface the lost step: begin_step() marks
             # it consumed, so the following begin_step() skips the gap.

@@ -58,12 +58,15 @@ class Format:
             if f.name in seen:
                 raise ValueError(f"duplicate field {f.name!r} in format {self.name!r}")
             seen.add(f.name)
+        # Frozen, so the content-derived id is hashed once, here; it is
+        # not a dataclass field and stays out of eq/hash/repr.
+        object.__setattr__(self, "_format_id", int.from_bytes(
+            hashlib.sha256(self.self_description()).digest()[:8], "big"
+        ))
 
     @property
     def format_id(self) -> int:
-        return int.from_bytes(
-            hashlib.sha256(self.self_description()).digest()[:8], "big"
-        )
+        return self._format_id
 
     def self_description(self) -> bytes:
         """Canonical byte encoding of the schema itself."""

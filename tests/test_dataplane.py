@@ -718,6 +718,193 @@ def test_drain_retries_through_the_one_attempt_loop():
     writer.close()
 
 
+# ---------------------------------------------------------------------------
+# Commit path: constant cost per step, readers woken on their own step
+# ---------------------------------------------------------------------------
+
+FIELD = np.arange(256, dtype=np.float64).reshape(SHAPE)
+WHOLE = BoundingBox((0, 0), SHAPE)
+
+
+def write_step(writer, value=1.0, **end_kw):
+    writer.write("temp", FIELD * value, box=WHOLE, global_shape=SHAPE)
+    writer.end_step(**end_kw)
+
+
+class GatedChannel:
+    """Drain channel whose ``gated``-th ``sendv`` blocks until ``gate``."""
+
+    def __init__(self, gated):
+        self.gated = gated
+        self.calls = 0
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def sendv(self, parts, timeout=None):
+        self.calls += 1
+        if self.calls == self.gated:
+            self.entered.set()
+            assert self.gate.wait(10.0)
+
+    def recv(self, timeout=None):
+        return b""
+
+
+def gated_stream(name, gated, params="queue_depth=4"):
+    adios = make_adios(params)
+    writer = adios.open_write("fields", name, RankContext(0, 1))
+    reader = adios.open_read("fields", name, RankContext(0, 1))
+    state = stream_registry._states[name]
+    state._ensure_pipeline()
+    state._channel = channel = GatedChannel(gated)
+    return writer, reader, state, channel
+
+
+def in_thread(fn, *args, **kwargs):
+    """Run ``fn`` on a thread that must finish: a hang fails, not stalls."""
+    box = []
+    t = threading.Thread(target=lambda: box.append(fn(*args, **kwargs)))
+    t.start()
+    t.join(10.0)
+    assert not t.is_alive(), f"{fn.__name__} hung"
+    return box[0]
+
+
+def test_commit_cost_does_not_grow_with_stream_length(monkeypatch):
+    from repro.adios.model import ProcessGroupData
+
+    visits = []
+    group_nbytes = ProcessGroupData.nbytes.fget
+    monkeypatch.setattr(
+        ProcessGroupData, "nbytes",
+        property(lambda pg: visits.append(pg.step) or group_nbytes(pg)),
+    )
+    adios = make_adios()
+    boxes = block_decompose(SHAPE, (4, 4))
+    writers = [
+        adios.open_write("fields", "dp.flat", RankContext(r, 16)) for r in range(16)
+    ]
+    for step in range(301):
+        for w, box in zip(writers, boxes):
+            w.write("temp", np.ones(box.count), box=box, global_shape=SHAPE)
+            w.end_step(sync=True)   # the 16th seals, drains and commits
+    for w in writers:
+        w.close()
+    # Seal-to-commit of a step sizes each of its own 16 groups once and
+    # no other step's, at step 300 as at step 5.
+    assert visits.count(5) == visits.count(300) == 16
+    assert len(visits) == 301 * 16
+
+
+def test_peak_buffered_bytes_matches_brute_force_over_mixed_outcomes():
+    adios = make_adios("max_retries=0;faults=ops=2|3|6,kinds=timeout")
+    writer = adios.open_write("fields", "dp.peak", RankContext(0, 1))
+    state = stream_registry._states["dp.peak"]
+    for step in range(8):
+        write_step(writer, step)
+    writer.close()
+    published = state.published
+    assert {s.status for s in published} == {StepState.COMMITTED, StepState.LOST}
+    assert all(
+        s.nbytes == (FIELD.nbytes if s.status is StepState.COMMITTED else 0)
+        for s in published
+    )
+    brute = sum(g.nbytes for s in published for g in s.groups.values())
+    assert state.peak_buffered_bytes == state._buffered_bytes == brute > 0
+
+
+def test_reader_is_woken_by_its_own_steps_commit():
+    """Step 0 is readable while step 1 is still in the drain channel."""
+    writer, reader, state, channel = gated_stream("dp.wake", gated=2)
+    write_step(writer, 1.0)
+    write_step(writer, 2.0)
+    assert channel.entered.wait(10.0)
+    assert in_thread(reader.begin_step) is StepStatus.OK
+    np.testing.assert_array_equal(reader.read("temp"), FIELD)
+    reader.end_step()
+    assert len(state._published) == 1   # step 1 is still in flight
+    channel.gate.set()
+    assert in_thread(reader.begin_step) is StepStatus.OK
+    np.testing.assert_array_equal(reader.read("temp"), FIELD * 2.0)
+    writer.close()
+
+
+def test_timed_begin_step_gives_up_on_a_stuck_drain():
+    writer, reader, state, channel = gated_stream("dp.stuck", gated=1)
+    write_step(writer)
+    assert channel.entered.wait(10.0)
+    # Sealed but undrained: the probe waits for the commit, to its deadline.
+    assert in_thread(reader.begin_step, timeout=0.05) is StepStatus.NotReady
+    channel.gate.set()
+    assert in_thread(reader.begin_step, timeout=10.0) is StepStatus.OK
+    np.testing.assert_array_equal(reader.read("temp"), FIELD)
+    writer.close()
+
+
+@pytest.mark.parametrize("end, status", [
+    (lambda writer, state: state.fail("writer died"), StepStatus.OtherError),
+    (lambda writer, state: writer.close(), StepStatus.EndOfStream),
+], ids=["fail", "close"])
+def test_stream_end_wakes_a_waiting_reader(monkeypatch, end, status):
+    from repro.core import stream
+
+    # No periodic re-probe: only the end-of-stream signal can wake it.
+    monkeypatch.setattr(stream, "_REAP_INTERVAL", 60.0)
+    adios = make_adios()
+    writer = adios.open_write("fields", "dp.end", RankContext(0, 1))
+    reader = adios.open_read("fields", "dp.end", RankContext(0, 1))
+    state = stream_registry._states["dp.end"]
+    write_step(writer)
+    assert reader.begin_step() is StepStatus.OK
+    reader.end_step()
+    got = []
+    t = threading.Thread(target=lambda: got.append(reader.begin_step(timeout=60.0)))
+    t.start()
+    end(writer, state)
+    t.join(10.0)
+    assert not t.is_alive() and got == [status]
+
+
+def test_free_running_writer_never_loses_a_reader_wakeup():
+    """Three readers chase a writer that runs ahead of the drain: a lost
+    notify would park one for good, a stale one would hand it the wrong
+    step."""
+    import sys
+
+    adios = make_adios("queue_depth=4")
+    writer = adios.open_write("fields", "dp.stress", RankContext(0, 1))
+    readers = [
+        adios.open_read("fields", "dp.stress", RankContext(i, 3)) for i in range(3)
+    ]
+    steps, seen = 200, [[] for _ in readers]
+
+    def produce():
+        for step in range(steps):
+            write_step(writer, float(step))
+        writer.close()
+
+    def consume(reader, out):
+        while reader.begin_step(timeout=10.0) is StepStatus.OK:
+            out.append(float(reader.read("temp", start=(0, 1), count=(1, 1))[0, 0]))
+            reader.end_step()
+
+    threads = [threading.Thread(target=produce)] + [
+        threading.Thread(target=consume, args=(r, out))
+        for r, out in zip(readers, seen)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [[float(s) for s in range(steps)]] * 3
+
+
 def test_rdma_transport_hint_smoke():
     adios = make_adios("transport=rdma")
     write_steps(adios, "dp.rdma", num_steps=2)

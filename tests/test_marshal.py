@@ -39,6 +39,32 @@ def test_format_id_stable_across_instances():
     assert particle_format().format_id == particle_format().format_id
 
 
+def test_format_id_is_hashed_once_per_format(monkeypatch):
+    import hashlib
+
+    from repro.marshal import format as format_mod
+
+    calls = []
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(data):
+            calls.append(bytes(data))
+            return hashlib.sha256(data)
+
+    monkeypatch.setattr(format_mod, "hashlib", CountingHashlib)
+    a, b = particle_format(), particle_format()
+    ids = [a.format_id for _ in range(50)]
+    # One hash per Format built, however often the id is read ...
+    assert calls == [a.self_description(), b.self_description()]
+    # ... and the id is still the wire id: SHA-256 of the schema bytes.
+    assert set(ids) == {b.format_id} == {
+        int.from_bytes(hashlib.sha256(a.self_description()).digest()[:8], "big")
+    }
+    # The cached id is not part of the value.
+    assert a == b and hash(a) == hash(b) and "format_id" not in repr(a)
+
+
 def test_format_id_sensitive_to_schema():
     a = Format("x", (Field("a", FieldKind.INT64),))
     b = Format("x", (Field("a", FieldKind.FLOAT64),))
