@@ -1151,8 +1151,9 @@ class StepReader(ReadHandle):
     data)`` per writer block; ``writer_record(rank)``, one writer's
     ``{name: data}`` or ``None``; ``trace_ctx``, the publish span reads
     parent on; ``may_be_pruned``, whether a broker may have dropped
-    blocks this reader's chain provably drops.  Subclasses own step
-    movement and provide ``plugins``, ``monitor`` and ``_plans`` (the
+    blocks this reader's chain provably drops.  Subclasses say where a
+    step comes from (:meth:`_step_at`; moving past a lost step is done
+    once, here) and provide ``plugins``, ``monitor`` and ``_plans`` (the
     :class:`PlanCache` reads compile into; ``None`` re-derives overlap
     geometry every read).  Planes differ only through the source.
     """
@@ -1163,13 +1164,28 @@ class StepReader(ReadHandle):
     def current_step(self) -> int:
         return self._cursor
 
-    def _source(self):
-        """The current step's block source; raises the typed readiness
+    def _step_at(self, index: int):
+        """Step ``index``'s block source; raises the typed readiness
         exceptions (:class:`StepNotReady`, :class:`EndOfStream`, …)."""
         raise NotImplementedError
 
+    def _source(self):
+        """The current step's block source."""
+        return self._step_at(self._cursor)
+
     def _probe_step(self) -> None:
         self._source()
+
+    def _advance(self):
+        nxt = self._cursor + 1
+        try:
+            self._step_at(nxt)
+        except StepLost:
+            # Move first, then surface the lost step: begin_step() marks
+            # it consumed, so the following begin_step() skips the gap.
+            self._cursor = nxt
+            raise
+        self._cursor = nxt
 
     def _account_handshake(self, name, gshape, writer_boxes) -> None:
         """Control-plane accounting of one exchange (in process only)."""
@@ -1408,8 +1424,8 @@ class FlexpathReadHandle(StepReader):
         # Chain hash last pushed to the directory (predicate pushdown).
         self._registered_pred_hash: Optional[str] = None
 
-    def _source(self) -> _PublishedStep:
-        return self._state.get_step(self._cursor, self._deadline)
+    def _step_at(self, index: int) -> _PublishedStep:
+        return self._state.get_step(index, self._deadline)
 
     def _wait_ready(self) -> None:
         # Woken by the commit; each re-probe runs the lease reaper.
@@ -1481,17 +1497,6 @@ class FlexpathReadHandle(StepReader):
         trace scan.
         """
         return int(self._state.monitor.metrics.counter("handshake.messages").value)
-
-    def _advance(self):
-        nxt = self._cursor + 1
-        try:
-            self._state.get_step(nxt, self._deadline)
-        except StepLost:
-            # Move first, then surface the lost step: begin_step() marks
-            # it consumed, so the following begin_step() skips the gap.
-            self._cursor = nxt
-            raise
-        self._cursor = nxt
 
     def close(self):
         pass

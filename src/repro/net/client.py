@@ -50,7 +50,9 @@ from repro.adios.api import (
     AdiosError,
     EndOfStream,
     RankContext,
+    StepLost,
     StepNotReady,
+    StreamFailure,
     WriteHandle,
 )
 from repro.adios.selection import BoundingBox
@@ -153,6 +155,10 @@ def raise_wire_error(frame: Frame) -> None:
         raise admission_exception(kind, message)
     if kind == "protocol":
         raise ProtocolError(message)
+    if kind == "step_lost":
+        raise StepLost(message)
+    if kind == "stream_failed":
+        raise StreamFailure(message)
     raise NetError(kind, message)
 
 
@@ -400,7 +406,10 @@ class RemoteClient(Client):
             EV_NET_RECONNECT, attempt=attempt, tenant=self.tenant,
             cause=type(exc).__name__,
         )
-        self._dial()
+        # Data-path retries get here without the session lock, while the
+        # heartbeat thread's RPCs use the socket this replaces.
+        with self._lock:
+            self._dial()
 
     def _retry_exhausted(self, op: Callable[[], Any], what: str,
                          on_retry: Optional[Callable] = None) -> Any:
@@ -793,7 +802,9 @@ class NetReadHandle(StepReader):
 
     ``begin_step`` polls the broker (NOT_READY maps to
     :attr:`~repro.adios.api.StepStatus.NotReady`, EOS to
-    :attr:`~repro.adios.api.StepStatus.EndOfStream`); every read runs
+    :attr:`~repro.adios.api.StepStatus.EndOfStream`, an evicted step or
+    a failed stream to :attr:`~repro.adios.api.StepStatus.OtherError`,
+    exactly as the in-process plane types them); every read runs
     :class:`~repro.core.stream.StepReader`'s one read path over the
     fetched frame's wire views, so MxN redistribution, plan caching,
     fused chains, ``read_into``/``read_all`` and the read spans work
@@ -885,12 +896,8 @@ class NetReadHandle(StepReader):
         except (TransportFault, OSError):
             pass
 
-    def _source(self) -> _CachedStep:
-        return self._fetch(self._cursor)
-
-    def _advance(self):
-        self._fetch(self._cursor + 1)
-        self._cursor += 1
+    def _step_at(self, index: int) -> _CachedStep:
+        return self._fetch(index)
 
     def close(self):
         if self._closed:

@@ -179,9 +179,7 @@ class HostedStream:
         return got
 
     def ended(self, step: int) -> bool:
-        """True when ``step`` is past the writer's end of stream."""
-        if self.error is not None:
-            return True
+        """True when ``step`` is past the writer's clean end of stream."""
         return self.eos_step is not None and step >= self.eos_step
 
     # -- reader predicate pushdown -------------------------------------
@@ -819,9 +817,19 @@ class DirectoryDaemon:
                     encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
                     np.frombuffer(payload, dtype=np.uint8),
                 )
+            elif step <= stream.last_step:
+                # Published, since evicted by ``retain_steps``: it can
+                # never arrive, so the miss is a typed loss, not NOT_READY.
+                await self._send_error(
+                    writer, "step_lost", f"step {step} of {stream.stream_id} evicted"
+                )
             elif stream.ended(step):
                 await self._write_frame(
                     writer, encode_frame(MsgType.EOS, {"step": step})
+                )
+            elif stream.error is not None:
+                await self._send_error(
+                    writer, "stream_failed", f"{stream.stream_id}: {stream.error}"
                 )
             elif self._draining:
                 # No new publishes will land here; tell the reader to
@@ -1121,6 +1129,22 @@ def parse_tenant_arg(arg: str) -> TenantSpec:
                       max_bytes_per_s=max_bytes, max_leases=max_leases)
 
 
+_READY = "FLEXIO-DAEMON READY"
+
+
+def parse_ready_line(line: str) -> tuple[str, int, int]:
+    """``(host, control_port, data_port)`` from the READY line
+    :func:`main` prints; ``ValueError`` naming the line if malformed."""
+    try:
+        if not line.startswith(_READY + " "):
+            raise ValueError(line)
+        fields = dict(f.split("=", 1) for f in line[len(_READY):].split())
+        host, control = fields["control"].rsplit(":", 1)
+        return host, int(control), int(fields["data"].rsplit(":", 1)[1])
+    except (ValueError, KeyError, IndexError):
+        raise ValueError(f"malformed daemon READY line: {line!r}") from None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.net.server", description="FlexIO directory daemon"
@@ -1180,9 +1204,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         daemon.restore(args.checkpoint)
     daemon.start()
     telemetry_url = daemon.telemetry.url if daemon.telemetry is not None else "-"
-    # Machine-parseable ready line: subprocess harnesses block on it.
+    # Machine-parseable ready line: subprocess harnesses block on it and
+    # read it back with parse_ready_line().
     print(
-        f"FLEXIO-DAEMON READY control={daemon.host}:{daemon.control_port} "
+        f"{_READY} control={daemon.host}:{daemon.control_port} "
         f"data={daemon.host}:{daemon.data_port} telemetry={telemetry_url}",
         flush=True,
     )

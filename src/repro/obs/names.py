@@ -134,7 +134,7 @@ M_NET_RESTORES = "net.restores"
 M_NET_RESUMES = "net.resumes"
 M_NET_DUP_PUBLISHES = "net.dup_publishes"
 
-# Network plane, client side (net/client.py, tools/netchaos.py)
+# Network plane, client side (net/client.py, tools/chaos.py --scenario net)
 M_NET_RECONNECTS = "net.reconnects"
 M_NET_SESSIONS_LOST = "net.sessions_lost"
 M_NET_RESUME = "net.resume"

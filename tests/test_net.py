@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.adios import BoundingBox, EndOfStream, StepStatus
+from repro.adios import BoundingBox, EndOfStream, StepLost, StepStatus, StreamFailure
 from repro.core.directory import (
     AdmissionError,
     AdmissionKind,
@@ -55,7 +55,7 @@ from repro.net.protocol import (
     encode_frame,
     encode_var,
 )
-from repro.net.server import DirectoryDaemon, HostedStream
+from repro.net.server import DirectoryDaemon, HostedStream, parse_ready_line
 from repro.transport.faults import PeerDisconnected, SessionLost, TransportFault
 from repro.transport.tcp import TcpChannel
 
@@ -265,6 +265,83 @@ def test_step_exchange_and_eos_in_process(daemon):
         r.close()
 
 
+def test_evicted_steps_are_typed_losses_not_not_ready():
+    """A late reader of a stream that outran ``retain_steps`` sees a
+    typed gap per evicted step, then the retained tail, then EOS — never
+    a NotReady for a step that can no longer arrive."""
+    d = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False,
+                        retain_steps=2).start()
+    try:
+        with connect(uri(d, "public")) as c:
+            w = c.open("evict", "w")
+            for step in range(5):
+                w.begin_step()
+                w.write("x", np.full(4, float(step)))
+                w.end_step()
+            w.close()
+            r = c.open("evict", "r")
+            seen = []
+            while (status := r.begin_step(timeout=2.0)) is not StepStatus.EndOfStream:
+                assert status is not StepStatus.NotReady
+                seen.append((r.current_step, status))
+                if status is StepStatus.OK:
+                    np.testing.assert_array_equal(
+                        r.read_block("x", 0), np.full(4, float(r.current_step)))
+                    r.end_step()
+            assert seen == [(0, StepStatus.OtherError), (1, StepStatus.OtherError),
+                            (2, StepStatus.OtherError), (3, StepStatus.OK),
+                            (4, StepStatus.OK)]
+            r.close()
+    finally:
+        d.stop()
+
+
+def test_lease_expiry_is_stream_failure_not_clean_eos(daemon):
+    """A leased writer that stops heartbeating: the reader drains what
+    was retained, then gets OtherError (StreamFailure) — not EndOfStream,
+    which would claim the writer finished."""
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("leased", "w", lease=0.1)  # no heartbeat thread
+        for step in range(2):
+            w.begin_step()
+            w.write("x", np.full(4, float(step)))
+            w.end_step()
+        r = c.open("leased", "r")
+        for step in range(2):
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            np.testing.assert_array_equal(r.read_block("x", 0), np.full(4, float(step)))
+            r.end_step()
+        deadline = time.monotonic() + 5.0
+        while (status := r.begin_step(timeout=0.5)) is StepStatus.NotReady:
+            assert time.monotonic() < deadline, "lease never expired"
+        assert status is StepStatus.OtherError
+        assert r.begin_step(timeout=0.5) is StepStatus.OtherError  # and stays failed
+        assert r.current_step == 1  # a failed stream, not a lost step: no advance
+        with pytest.raises(StreamFailure, match="lease expired"):
+            r._fetch(2)
+        r.close()
+
+
+def test_data_path_reconnect_holds_the_session_lock(daemon, monkeypatch):
+    """The heartbeat thread's RPCs share the control socket a data-path
+    reattach re-dials, so the re-dial must run under the session lock."""
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("locked", "w")
+        free = []
+
+        def probe():
+            t = threading.Thread(
+                target=lambda: free.append(c._lock.acquire(blocking=False)))
+            t.start()
+            t.join(timeout=2.0)
+
+        monkeypatch.setattr(c, "_dial", probe)
+        w._channel = c._reattach(1, PeerDisconnected("test"), w.stream_id, "w",
+                                 w._channel)
+        assert free == [False]
+        w.close()
+
+
 def test_per_tenant_metrics_labels(daemon):
     with connect(uri(daemon), token="s3cret") as c:
         w = c.open("labeled", "w")
@@ -317,11 +394,8 @@ def daemon_process():
         text=True, env=env, cwd=REPO,
     )
     try:
-        line = proc.stdout.readline()
-        assert line.startswith("FLEXIO-DAEMON READY"), line
-        fields = dict(f.split("=", 1) for f in line.split()[2:])
-        host, port = fields["control"].rsplit(":", 1)
-        yield proc, host, int(port)
+        host, port, _ = parse_ready_line(proc.stdout.readline())
+        yield proc, host, port
     finally:
         proc.terminate()
         try:
@@ -373,6 +447,18 @@ def test_two_process_daemon_death_surfaces_as_typed_fault(daemon_process):
         w.end_step()
     with pytest.raises((TransportFault, OSError)):
         c.open("another", "w")
+
+
+def test_parse_ready_line_round_trip_and_malformed():
+    line = "FLEXIO-DAEMON READY control=127.0.0.1:7700 data=127.0.0.1:7701 telemetry=-\n"
+    assert parse_ready_line(line) == ("127.0.0.1", 7700, 7701)
+    for bad in ("", "Traceback (most recent call last):",
+                "FLEXIO-DAEMON READY control=127.0.0.1 data=x:1 telemetry=-",
+                "FLEXIO-DAEMON READY control=h:1 telemetry=-",
+                "FLEXIO-DAEMON READY control=h:http data=h:2"):
+        with pytest.raises(ValueError, match="malformed daemon READY line") as e:
+            parse_ready_line(bad)
+        assert repr(bad) in str(e.value)  # the line itself is in the message
 
 
 def test_top_level_connect_reexport():
@@ -434,6 +520,15 @@ def test_raise_wire_error_round_trips_every_admission_kind(kind):
         raise_wire_error(frame)
     assert exc_info.value.kind is kind
     assert kind.value in str(exc_info.value)
+
+
+def test_raise_wire_error_step_outcomes_are_the_in_process_types():
+    for kind, exc_type in (("step_lost", StepLost), ("stream_failed", StreamFailure)):
+        frame = decode_frame(encode_frame(
+            MsgType.ERROR, {"kind": kind, "message": f"typed: {kind}"}
+        ))
+        with pytest.raises(exc_type, match=f"typed: {kind}"):
+            raise_wire_error(frame)
 
 
 def test_raise_wire_error_non_admission_kinds():
