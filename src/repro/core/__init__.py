@@ -69,7 +69,6 @@ from repro.core.runtime import (
 from repro.core.resilience import (
     FaultInjector,
     MovementFailed,
-    ReliableChannel,
     RetryPolicy,
     TransactionAborted,
     TransactionCoordinator,
@@ -91,7 +90,6 @@ __all__ = [
     "policy_from_hint",
     "FaultInjector",
     "MovementFailed",
-    "ReliableChannel",
     "RetryPolicy",
     "TransactionAborted",
     "TransactionCoordinator",

@@ -8,10 +8,10 @@ protocol [26] into future versions of FlexIO."
 
 Both are implemented here:
 
-* :class:`ReliableChannel` — the *current* scheme: every data-movement
-  operation runs under a timeout with bounded retries and (modeled)
-  exponential backoff; a :class:`FaultInjector` deterministically injects
-  drops/timeouts so the behaviour is testable.
+* :func:`retry_call` — the *current* scheme: every data-movement
+  operation runs under a :class:`RetryPolicy`, a timeout with bounded
+  retries and exponential backoff; a :class:`FaultInjector`
+  deterministically injects drops/timeouts so the behaviour is testable.
 * :class:`TransactionCoordinator` — the *planned* scheme (D2T-style):
   an output step becomes a distributed transaction over all writer
   participants — two-phase commit with prepare votes, so a step is
@@ -111,15 +111,6 @@ class RetryPolicy:
         return base
 
 
-@dataclass
-class RetryStats:
-    operations: int = 0
-    retries: int = 0
-    failures: int = 0
-    #: Modeled seconds spent waiting on timeouts + backoff.
-    time_lost: float = 0.0
-
-
 def retry_call(
     op: Callable[[], Any],
     policy: RetryPolicy,
@@ -130,16 +121,16 @@ def retry_call(
 ) -> Any:
     """Run ``op`` under ``policy`` — the one attempt loop.
 
-    The network plane's reconnect loops, the in-process step drain and
-    :class:`ReliableChannel` share this driver: ``op`` is one attempt
-    (an RPC, a publish, a fetch, a send); a ``retriable`` exception
-    triggers ``on_retry(attempt, exc)`` — where callers rebuild sockets
-    and re-HELLO — after the policy's exponential backoff with seeded
+    The network plane's reconnect loops and the in-process step drain
+    share this driver: ``op`` is one attempt (an RPC, a publish, a
+    fetch, a send); a ``retriable`` exception triggers
+    ``on_retry(attempt, exc)`` — where callers rebuild sockets and
+    re-HELLO — after the policy's exponential backoff with seeded
     jitter.  Exhaustion re-raises the *last* retriable exception, so the
     caller decides the terminal type (e.g. wrap in ``SessionLost``).
 
     ``sleep`` is injectable (defaults to ``time.sleep``): tests pass a
-    recorder, :class:`ReliableChannel` its modeled ``time_lost`` clock.
+    recorder.
     """
     import time as _time
 
@@ -161,71 +152,6 @@ def retry_call(
             last_exc = exc
     assert last_exc is not None
     raise last_exc
-
-
-class ReliableChannel:
-    """Wraps an unreliable send operation with timeout-and-retry.
-
-    ``transport`` is any callable performing the movement (e.g. a bound
-    ``ShmChannel.send`` or ``RdmaChannel.send``); the injector decides
-    which invocations "time out".
-    """
-
-    def __init__(
-        self,
-        transport: Callable[..., Any],
-        policy: Optional[RetryPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-    ) -> None:
-        self.transport = transport
-        self.policy = policy or RetryPolicy()
-        self.injector = injector or FaultInjector()
-        self.stats = RetryStats()
-
-    def send(self, *args: Any, **kwargs: Any) -> Any:
-        """Run the operation, retrying on injected *and* real faults.
-
-        Besides the injector's scripted timeouts, any
-        :class:`~repro.transport.faults.TransportFault` or
-        :class:`TimeoutError` raised by the transport callable itself is
-        treated as a retriable movement error.  Returns the transport's
-        return value; raises :class:`MovementFailed` once retries are
-        exhausted.
-        """
-        from repro.transport.faults import TransportFault
-
-        retriable = (TransportFault, TimeoutError)
-        stats, policy = self.stats, self.policy
-        stats.operations += 1
-        attempts = 0
-
-        def lose(seconds: float) -> None:
-            # Backoff and timeouts are modeled, not slept.
-            stats.time_lost += seconds
-
-        def on_retry(_attempt: int, _exc: Exception) -> None:
-            stats.retries += 1
-
-        def attempt() -> Any:
-            nonlocal attempts
-            attempts += 1
-            try:
-                if self.injector.should_fail():
-                    raise TimeoutError(f"movement timed out (attempt {attempts})")
-                return self.transport(*args, **kwargs)
-            except retriable:
-                lose(policy.timeout)  # the operation "times out": pay it, retry
-                raise
-
-        try:
-            return retry_call(
-                attempt, policy, retriable, on_retry=on_retry, sleep=lose
-            )
-        except retriable as exc:
-            stats.failures += 1
-            raise MovementFailed(
-                f"gave up after {policy.max_retries + 1} attempts"
-            ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,10 @@ import numpy as np
 
 from repro.adios.api import (
     AdiosError,
-    EndOfStream,
     IoMethod,
     RankContext,
     ReadHandle,
     StepLost,
-    StepNotReady,
-    StreamFailure,
     VariableNotFound,
     WriteHandle,
     register_method,
@@ -117,6 +114,7 @@ from repro.core.resilience import (
     TransactionCoordinator,
     retry_call,
 )
+from repro.core.stepstore import Outcome, StepStore, StreamStalled, outcome_error
 from repro.transport.buffers import WireBuffer, WireVector
 from repro.transport.faults import (
     TransportFault,
@@ -124,10 +122,6 @@ from repro.transport.faults import (
     parse_fault_spec,
 )
 from repro.util import rng
-
-
-class StreamStalled(StepNotReady):
-    """No published step is available yet (writer still running)."""
 
 
 class StreamError(RuntimeError):
@@ -170,20 +164,18 @@ DRAINER_METHODS = frozenset({
     "_commit",
 })
 
-#: Attributes the drainer thread is allowed to mutate.  ``_published`` /
-#: ``_buffered_bytes`` / ``peak_buffered_bytes`` / ``backpressure_events``
-#: are guarded by the lock of the ``_committed`` condition; ``_pending``
-#: by ``_pending_lock``; ``_channel`` / ``active_transport`` /
+#: Attributes the drainer thread is allowed to mutate.
+#: ``backpressure_events`` is guarded by the lock of the ``_committed``
+#: condition — as is every call into the stream's step ``store``, which
+#: the drainer appends to but never assigns; ``_pending`` by
+#: ``_pending_lock``; ``_channel`` / ``active_transport`` /
 #: ``_consecutive_failures`` are drainer-private (the drainer is their
 #: only writer after pipeline start).
 DRAINER_SHARED_STATE = frozenset({
     "_pending",
-    "_published",
-    "_buffered_bytes",
     "_consecutive_failures",
     "_channel",
     "active_transport",
-    "peak_buffered_bytes",
     "backpressure_events",
 })
 
@@ -325,7 +317,7 @@ class _StepDrainer:
     The writer hands each :class:`_PublishedStep` to :meth:`submit`;
     once the queue holds ``queue_depth`` undrained steps the writer
     blocks (back-pressure, counted in ``dataplane.backpressure_waits``).
-    Every step ends up in the stream's published list exactly once —
+    Every step ends up in the stream's step store exactly once —
     COMMITTED when the drain succeeded, LOST/ABORTED when it did not —
     so readers never hang on a failed step and never see torn data.
     """
@@ -455,23 +447,17 @@ class StreamState:
         #: Times the writer blocked on a full drain queue (async pipeline).
         self.backpressure_waits = 0
         self.plugins = PluginManager(self.monitor)
-        self._published: list[_PublishedStep] = []
-        #: Notified when a step's outcome is appended to ``_published``
-        #: or the stream ends; its lock guards the list and the bytes.
+        #: Every step's outcome (a :class:`_PublishedStep`, delivered or
+        #: lost) and how the stream ended; nothing is evicted in process.
+        self.store = StepStore()
+        #: Notified when a step's outcome is appended to ``store`` or
+        #: the stream ends; its lock guards every call into the store.
         self._committed = threading.Condition(sanitize.make_lock("stream.publish"))
-        #: Bytes held by ``_published`` (steps never leave the list).
-        self._buffered_bytes = 0
         self._current: dict[int, ProcessGroupData] = {}
         self._step = 0
         self.writer_ranks: set[int] = set()
         self._advanced: set[int] = set()
         self._closed_ranks: set[int] = set()
-        self.closed = False
-        #: Why the stream ended abnormally (writer death, lease expiry);
-        #: None for a clean close.
-        self.error: Optional[str] = None
-        #: High-water mark of buffered bytes (backpressure visibility).
-        self.peak_buffered_bytes = 0
         self._drainer: Optional[_StepDrainer] = None
         self._channel = None
         #: Transport currently draining steps; degrades down the ladder
@@ -492,13 +478,28 @@ class StreamState:
         self._retry_rng = rng(zlib.crc32(name.encode("utf-8")))
         self._consecutive_failures = 0
 
+    @property
+    def closed(self) -> bool:
+        return self.store.closed
+
+    @property
+    def error(self) -> Optional[str]:
+        """Why the stream ended abnormally; None for a clean close."""
+        return self.store.failed
+
+    @property
+    def peak_buffered_bytes(self) -> int:
+        """High-water mark of buffered bytes (backpressure visibility)."""
+        return self.store.peak_nbytes
+
     # -- async pipeline -----------------------------------------------------
     @property
     def published(self) -> list[_PublishedStep]:
-        """Committed steps; waits for in-flight drains first so callers
+        """Every step's outcome; waits for in-flight drains first so callers
         observe the same ordering the synchronous data plane had."""
         self._quiesce()
-        return self._published
+        with self._committed:
+            return list(self.store)
 
     def _quiesce(self) -> None:
         if self._drainer is not None:
@@ -634,7 +635,7 @@ class StreamState:
         if sync and step.status is not StepState.COMMITTED:
             # Synchronous writes surface the loss to the writer (the
             # paper's error-reporting contract); the step is already in
-            # the published list as LOST/ABORTED so readers see the gap.
+            # the step store as LOST/ABORTED so readers see the gap.
             if step.status is StepState.ABORTED:
                 raise TransactionAborted(
                     f"step {step.step} of {self.name!r} aborted: {step.error}"
@@ -825,7 +826,7 @@ class StreamState:
             stream=self.name, monitor=mon,
         )
         with self._committed:
-            self._published.append(step)
+            self.store.append(step.step, step, 0, lost=step.error)
             self._committed.notify_all()
 
     def _maybe_degrade(self) -> None:
@@ -881,12 +882,8 @@ class StreamState:
             EV_STEP_COMMIT, stream=self.name, step=step.step, nbytes=step.nbytes
         )
         with self._committed:  # last: a woken reader finds the commit recorded
-            self._published.append(step)
-            self._buffered_bytes += step.nbytes
-            self.peak_buffered_bytes = max(
-                self.peak_buffered_bytes, self._buffered_bytes
-            )
-            if len(self._published) > self.hints.buffer_steps:
+            self.store.append(step.step, step, step.nbytes)
+            if len(self.store) > self.hints.buffer_steps:
                 # In the real transport the writer would stall here; in the
                 # in-process harness we surface it through monitoring.
                 self.backpressure_events += 1
@@ -903,7 +900,9 @@ class StreamState:
                 except (MovementFailed, TransactionAborted):
                     pass  # close never raises; the loss is already recorded
             self._quiesce()
-            self.closed = True
+            with self._committed:
+                if not self.store.closed:  # a failed stream stays failed
+                    self.store.end()
             self.shutdown_pipeline()
 
     def fail(self, reason: str) -> None:
@@ -915,12 +914,12 @@ class StreamState:
         :class:`~repro.adios.api.StreamFailure` instead of stalling
         forever on a dead writer.
         """
-        if self.closed:
-            return
-        self.error = reason
+        with self._committed:
+            if self.store.closed:
+                return
+            self.store.fail(reason)
         self._current = {}
         self._advanced = set()
-        self.closed = True
         self.monitor.metrics.counter("dataplane.stream.failures").inc()
         self.monitor.record(
             "stream_failed", self.name, start=0.0, duration=0.0, error=reason
@@ -932,43 +931,35 @@ class StreamState:
         self.shutdown_pipeline()
 
     # -- reader side --------------------------------------------------------
-    def step_available(self, index: int, deadline: Optional[float] = None) -> bool:
-        """Whether step ``index`` is in the published list.  A sealed
-        step still in the drain pipeline is waited for — for *its*
+    def await_step(self, index: int, timeout: Optional[float]) -> tuple[Outcome, object]:
+        """Wait ``timeout`` seconds at most (``None``: unbounded) for step
+        ``index`` to be decided — delivered, lost, or the stream over —
+        and return what the store says of it then."""
+        def decided():
+            found = self.store.lookup(index)
+            return None if found[0] is Outcome.NOT_YET else found
+
+        with self._committed:
+            return self._committed.wait_for(decided, timeout) or (Outcome.NOT_YET, None)
+
+    def get_step(self, index: int, deadline: Optional[float] = None) -> _PublishedStep:
+        """Step ``index``, or the typed exception of its outcome.  A
+        sealed step still in the drain pipeline is waited for — for *its*
         outcome, never for drainer idleness — until ``deadline``
         (``time.monotonic()`` seconds; ``None``: until the stream ends)."""
         timeout = None if deadline is None else deadline - time.monotonic()
-        return self.await_step(index, timeout if index < self._step else 0.0)
-
-    def await_step(self, index: int, timeout: Optional[float]) -> bool:
-        """Wait ``timeout`` seconds at most (``None``: unbounded) for step
-        ``index`` to be published or the stream to end; True if it is."""
-        with self._committed:
-            self._committed.wait_for(
-                lambda: len(self._published) > index or self.closed, timeout
-            )
-            return len(self._published) > index
-
-    def get_step(self, index: int, deadline: Optional[float] = None) -> _PublishedStep:
-        if not self.step_available(index, deadline):
-            if not self.closed and self._directory is not None:
-                # A stall may really be a dead writer: run the failure
-                # detector before deciding what to tell the reader.
-                try:
-                    self._directory.reap()
-                except DirectoryError:
-                    pass
-            if self.closed:
-                if self.error is not None:
-                    raise StreamFailure(f"stream {self.name!r} failed: {self.error}")
-                raise EndOfStream(self.name)
-            raise StreamStalled(f"step {index} of {self.name!r} not yet published")
-        step = self._published[index]
-        if step.status is not StepState.COMMITTED:
-            raise StepLost(
-                f"step {index} of {self.name!r} {step.status.value}: {step.error}"
-            )
-        return step
+        outcome, found = self.await_step(index, timeout if index < self._step else 0.0)
+        if outcome is Outcome.NOT_YET and self._directory is not None:
+            # A stall may really be a dead writer: run the failure
+            # detector before deciding what to tell the reader.
+            try:
+                self._directory.reap()
+            except DirectoryError:
+                pass
+            outcome, found = self.await_step(index, 0.0)
+        if outcome is not Outcome.HIT:
+            raise outcome_error(outcome, f"step {index} of {self.name!r}", found)
+        return found
 
 
 def _same_shape(orig: WrittenVar, data) -> bool:

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro import simcore
-from repro.adios.api import RankContext, StepLost, StepStatus
+from repro.adios.api import EndOfStream, RankContext, StepLost, StepNotReady, StepStatus
 from repro.core.api import FlexIO
 from repro.core.resilience import MovementFailed, TransactionAborted
 from repro.core.runtime import FlexIORuntime
@@ -137,18 +137,19 @@ class InSituRun:
                 # Once the whole step is published (last rank's end_step),
                 # charge movement per rank from the *conditioned* sizes.
                 state = stream_registry._states[self.stream_name]
-                if state.step_available(step):
-                    try:
-                        published = state.get_step(step)
-                    except StepLost:
-                        published = None  # lost step: nothing moved
-                    if published is not None:
-                        for r2, pg in published.groups.items():
-                            yield self._charge_movement(env, r2, pg.nbytes)
-                    # Announce even a lost step so readers advance past
-                    # the gap instead of deadlocking on the store.
-                    for box_store in announce:
-                        yield box_store.put(step)
+                try:
+                    published = state.get_step(step)
+                except StepLost:
+                    published = None  # lost step: nothing moved
+                except (StepNotReady, EndOfStream):
+                    continue  # some rank has yet to seal it (or never will)
+                if published is not None:
+                    for r2, pg in published.groups.items():
+                        yield self._charge_movement(env, r2, pg.nbytes)
+                # Announce even a lost step so readers advance past
+                # the gap instead of deadlocking on the store.
+                for box_store in announce:
+                    yield box_store.put(step)
             handles[rank].close()
 
         def reader(env, idx: int):

@@ -41,28 +41,22 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NoReturn, Optional
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from repro.adios.api import (
-    AdiosError,
-    EndOfStream,
-    RankContext,
-    StepLost,
-    StepNotReady,
-    StreamFailure,
-    WriteHandle,
-)
+from repro.adios.api import AdiosError, RankContext, WriteHandle
 from repro.adios.selection import BoundingBox
 from repro.core.directory import admission_exception
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import PluginManager, PluginSide
 from repro.core.redistribution import PlanCache
 from repro.core.resilience import RetryPolicy, retry_call
+from repro.core.stepstore import outcome_error
 from repro.core.stream import StepReader
 from repro.net.protocol import (
+    MISS_REPLY,
     Frame,
     MsgType,
     ProtocolError,
@@ -145,20 +139,32 @@ _ADMISSION_KINDS = frozenset(
 )
 
 
-def raise_wire_error(frame: Frame) -> None:
-    """Re-raise an ERROR or RETRY_AFTER frame as its typed exception."""
+#: ``MISS_REPLY`` read in reverse: the step outcome a reply frame carries.
+_REPLY_OUTCOME = {reply: outcome for outcome, reply in MISS_REPLY.items()}
+
+
+def raise_wire_error(frame: Frame, where: str = "reply") -> NoReturn:
+    """Raise the typed exception of a reply frame that is not the one
+    awaited (``where`` names the request): RETRY_AFTER; a step outcome
+    other than the data (``MISS_REPLY`` in reverse, raised as the
+    in-process types); an ERROR of any other kind; or, for any other
+    frame, :class:`ProtocolError`."""
+    record = frame.record
     if frame.msg_type is MsgType.RETRY_AFTER:
-        raise RetryAfter(float(frame.record["delay"]), frame.record["reason"])
-    kind = frame.record["kind"]
-    message = frame.record["message"]
+        raise RetryAfter(float(record["delay"]), record["reason"])
+    if frame.msg_type in (MsgType.EOS, MsgType.NOT_READY):
+        kind = message = ""  # the step index is their whole body
+    elif frame.msg_type is MsgType.ERROR:
+        kind, message = record["kind"], record["message"]
+    else:
+        raise ProtocolError(f"unexpected {frame.msg_type.name} frame for {where}")
+    outcome = _REPLY_OUTCOME.get((frame.msg_type, kind))
+    if outcome is not None:
+        raise outcome_error(outcome, where, message)
     if kind in _ADMISSION_KINDS:
         raise admission_exception(kind, message)
     if kind == "protocol":
         raise ProtocolError(message)
-    if kind == "step_lost":
-        raise StepLost(message)
-    if kind == "stream_failed":
-        raise StreamFailure(message)
     raise NetError(kind, message)
 
 
@@ -448,12 +454,8 @@ class RemoteClient(Client):
         if raw is None:
             raise PeerDisconnected("daemon closed the control connection")
         frame = decode_frame(raw)
-        if frame.msg_type in (MsgType.ERROR, MsgType.RETRY_AFTER):
-            raise_wire_error(frame)
         if frame.msg_type is not expect:
-            raise ProtocolError(
-                f"expected {expect.name}, daemon sent {frame.msg_type.name}"
-            )
+            raise_wire_error(frame, msg_type.name)
         return frame
 
     def _rpc(self, msg_type: MsgType, record: dict, expect: MsgType) -> Frame:
@@ -542,7 +544,7 @@ class RemoteClient(Client):
                     raise
                 self._sleep(0.02)
         stream_id = reply.record["stream_id"]
-        channel = self._attach(stream_id, mode)
+        channel = self._attach_retrying(stream_id, mode)
         self._hb_streams.add(name)
         flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode,
                       tenant=self.tenant)
@@ -569,13 +571,19 @@ class RemoteClient(Client):
             # would dial a fresh one on retry anyway.
             channel.close()
             raise
-        if frame.msg_type in (MsgType.ERROR, MsgType.RETRY_AFTER):
-            channel.close()
-            raise_wire_error(frame)
         if frame.msg_type is not MsgType.OK:
             channel.close()
-            raise ProtocolError(f"expected OK after ATTACH, got {frame.msg_type.name}")
+            raise_wire_error(frame, "ATTACH")
         return channel
+
+    def _attach_retrying(self, stream_id: str, role: str,
+                         predicate: str = "") -> TcpChannel:
+        """A first ATTACH of a data channel, under the same reconnect
+        schedule every later re-ATTACH runs under."""
+        return self._retry_exhausted(
+            lambda: self._attach(stream_id, role, predicate=predicate),
+            f"ATTACH {stream_id}", on_retry=self._reconnect,
+        )
 
     def _reattach(self, attempt: int, exc: Exception, stream_id: str,
                   role: str, old: TcpChannel,
@@ -705,12 +713,8 @@ class NetWriteHandle(WriteHandle):
         parts.extend(encode_var(rec) for rec in self._pending)
         self._channel.sendv(parts, timeout=self._client.timeout)
         frame = decode_frame(self._channel.recv(timeout=self._client.timeout))
-        if frame.msg_type in (MsgType.ERROR, MsgType.RETRY_AFTER):
-            raise_wire_error(frame)
         if frame.msg_type is not MsgType.OK:
-            raise ProtocolError(
-                f"expected OK after PUBLISH, got {frame.msg_type.name}"
-            )
+            raise_wire_error(frame, f"PUBLISH step {record['step']}")
 
     def _advance(self, eos: bool = False):
         if self._closed:
@@ -844,22 +848,16 @@ class NetReadHandle(StepReader):
         )
         wb = self._channel.recv(timeout=self._client.timeout)
         frame = decode_frame(wb)
-        if frame.msg_type is MsgType.STEP_DATA:
-            got = _CachedStep(
-                step, int(frame.record["count"]), wb, frame.consumed,
-                may_be_pruned=bool(self._attached_pred),
-            )
-            # Retain only the current neighborhood; old steps are gone.
-            self._cache = {k: v for k, v in self._cache.items() if k >= step - 1}
-            self._cache[step] = got
-            return got
-        if frame.msg_type is MsgType.NOT_READY:
-            raise StepNotReady(f"step {step} of {self.stream_id} not yet published")
-        if frame.msg_type is MsgType.EOS:
-            raise EndOfStream(self.stream_id)
-        if frame.msg_type in (MsgType.ERROR, MsgType.RETRY_AFTER):
-            raise_wire_error(frame)
-        raise ProtocolError(f"unexpected {frame.msg_type.name} after FETCH")
+        if frame.msg_type is not MsgType.STEP_DATA:
+            raise_wire_error(frame, f"step {step} of {self.stream_id!r}")
+        got = _CachedStep(
+            step, int(frame.record["count"]), wb, frame.consumed,
+            may_be_pruned=bool(self._attached_pred),
+        )
+        # Retain only the current neighborhood; old steps are gone.
+        self._cache = {k: v for k, v in self._cache.items() if k >= step - 1}
+        self._cache[step] = got
+        return got
 
     def _fetch(self, step: int) -> _CachedStep:
         cached = self._cache.get(step)
@@ -888,7 +886,7 @@ class NetReadHandle(StepReader):
         spec = self._pred_spec() if self._pushdown else ""
         if spec == self._attached_pred:
             return
-        channel = self._client._attach(self.stream_id, "r", predicate=spec)
+        channel = self._client._attach_retrying(self.stream_id, "r", predicate=spec)
         old, self._channel = self._channel, channel
         self._attached_pred = spec
         try:

@@ -41,6 +41,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.stepstore import Outcome
 from repro.marshal.codec import MarshalError, decode_view, encode_into, encoded_size
 from repro.marshal.format import FieldKind, Format, FormatRegistry
 from repro.transport.buffers import Ownership, WireBuffer
@@ -57,6 +58,7 @@ __all__ = [
     "decode_frame",
     "encode_var",
     "decode_var",
+    "MISS_REPLY",
     "CKPT_VERSION",
     "CKPT_HEAD",
     "CKPT_TENANT",
@@ -182,6 +184,16 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     MsgType.RETRY_AFTER: PROTOCOL_REGISTRY.define(
         "net.retry_after", [("delay", _F), ("reason", _S)]
     ),
+}
+
+#: How the daemon answers a FETCH the step store does not serve from
+#: its retained steps — ``(frame type, ERROR kind)`` per outcome; a hit
+#: is STEP_DATA plus the payload.  The client reads it in reverse.
+MISS_REPLY: dict[Outcome, tuple[MsgType, str]] = {
+    Outcome.LOST: (MsgType.ERROR, "step_lost"),
+    Outcome.ENDED: (MsgType.EOS, ""),
+    Outcome.FAILED: (MsgType.ERROR, "stream_failed"),
+    Outcome.NOT_YET: (MsgType.NOT_READY, ""),
 }
 
 #: One variable of a published step: box metadata + the payload array.
@@ -335,8 +347,9 @@ def error_frame(kind: str, message: str) -> WireBuffer:
 # step (the raw net.var run), spilled via the codec's ``encode_into``.
 # ``None`` quotas ride as -1 sentinels (the codec has no null type).
 
-#: Bump on any incompatible checkpoint-record change.
-CKPT_VERSION = 1
+#: Bump on any incompatible checkpoint-record change.  v2: the stream and
+#: step records carry the step store's whole snapshot, failure included.
+CKPT_VERSION = 2
 
 CKPT_HEAD = PROTOCOL_REGISTRY.define(
     "net.ckpt.head", [("version", _I), ("wall", _F), ("server", _S)]
@@ -359,9 +372,9 @@ CKPT_REG = PROTOCOL_REGISTRY.define(
 CKPT_STREAM = PROTOCOL_REGISTRY.define(
     "net.ckpt.stream",
     [("stream_id", _S), ("tenant", _S), ("name", _S), ("last_step", _I),
-     ("eos_step", _I), ("last_seq", _I), ("closed", _B), ("retain", _I),
-     ("count", _I)],  # eos_step -1 = still open; count net.ckpt.step follow
-)
+     ("eos_step", _I), ("failed", _B), ("error", _S), ("last_seq", _I),
+     ("retain", _I), ("peak_nbytes", _I), ("count", _I)],
+)  # eos_step -1 = still open; count net.ckpt.step records follow
 CKPT_STEP = PROTOCOL_REGISTRY.define(
     "net.ckpt.step",
     [("step", _I), ("count", _I), ("payload", FieldKind.BYTES)],

@@ -49,6 +49,7 @@ from repro.core.directory import (
 )
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import CodeletError, combine_predicates, parse_predicate
+from repro.core.stepstore import Outcome, StepStore
 from repro.net.protocol import (
     CKPT_HEAD,
     CKPT_REG,
@@ -57,6 +58,7 @@ from repro.net.protocol import (
     CKPT_STREAM,
     CKPT_TENANT,
     CKPT_VERSION,
+    MISS_REPLY,
     Frame,
     MsgType,
     ProtocolError,
@@ -123,22 +125,26 @@ class HostedStream:
         self.name = name
         self.stream_id = f"{tenant}/{name}"
         self.monitor = PerfMonitor()
-        self.closed = False
-        self.error: Optional[str] = None
         self.active_transport = "tcp"
-        self.retain_steps = int(retain_steps)
-        #: step -> raw frame tail (the net.var run) + its var count.
-        self._steps: dict[int, tuple[int, bytes]] = {}
-        self.last_step = -1
+        #: step -> (var count, raw frame tail: the net.var run); what a
+        #: reader is told about any step is this store's ``lookup``.
+        self.store = StepStore(retain=int(retain_steps))
         #: Highest publish sequence number applied; republished frames
         #: with seq <= last_seq are acknowledged but not re-stored, so a
         #: writer that resends after a lost OK never duplicates a step.
         self.last_seq = 0
-        self.eos_step: Optional[int] = None  # first step index past the end
         self._labels = {"tenant": tenant}
         #: Attached-reader pushdown predicates, keyed per data connection
         #: (None = reader attached without one, which disables pruning).
         self._reader_preds: dict[int, object] = {}
+
+    @property
+    def closed(self) -> bool:
+        return self.store.closed
+
+    @property
+    def error(self) -> Optional[str]:
+        return self.store.failed
 
     # ------------------------------------------------------------------
     def publish(self, step: int, count: int, payload: bytes, eos: bool,
@@ -154,33 +160,29 @@ class HostedStream:
                 )
                 return False
             self.last_seq = seq
-        self._steps[step] = (count, payload)
-        self.last_step = max(self.last_step, step)
+        self.store.append(step, (count, payload), len(payload))
         if eos:
-            self.eos_step = step + 1
-        while len(self._steps) > self.retain_steps:
-            del self._steps[min(self._steps)]
+            self.store.end(step + 1)
         m = self.monitor.metrics
         m.counter("net.steps_published", labels=self._labels).inc()
         m.counter("net.bytes_published", labels=self._labels).inc(len(payload))
-        m.gauge("net.retained_steps", labels=self._labels).set(len(self._steps))
+        m.gauge("net.retained_steps", labels=self._labels).set(len(self.store))
         flight.record(
             EV_NET_STEP_PUBLISH, stream=self.stream_id, step=step, nbytes=len(payload)
         )
         return True
 
     def fetch(self, step: int) -> Optional[tuple[int, bytes]]:
-        got = self._steps.get(step)
-        if got is not None:
-            m = self.monitor.metrics
-            m.counter("net.steps_fetched", labels=self._labels).inc()
-            m.counter("net.bytes_fetched", labels=self._labels).inc(len(got[1]))
-            flight.record(EV_NET_STEP_FETCH, stream=self.stream_id, step=step)
+        """Step ``step``'s ``(var count, payload)``, counted as served;
+        None on a miss (the store's ``lookup`` says which kind)."""
+        outcome, got = self.store.lookup(step)
+        if outcome is not Outcome.HIT:
+            return None
+        m = self.monitor.metrics
+        m.counter("net.steps_fetched", labels=self._labels).inc()
+        m.counter("net.bytes_fetched", labels=self._labels).inc(len(got[1]))
+        flight.record(EV_NET_STEP_FETCH, stream=self.stream_id, step=step)
         return got
-
-    def ended(self, step: int) -> bool:
-        """True when ``step`` is past the writer's clean end of stream."""
-        return self.eos_step is not None and step >= self.eos_step
 
     # -- reader predicate pushdown -------------------------------------
     def register_reader(self, key: int, predicate) -> None:
@@ -206,8 +208,7 @@ class HostedStream:
 
     def fail(self, reason: str) -> None:
         """Directory eviction callback: lease expired → typed stream end."""
-        self.error = reason
-        self.closed = True
+        self.store.fail(reason)
 
 
 def prune_step_payload(raw: np.ndarray, offset: int, count: int,
@@ -616,8 +617,7 @@ class DirectoryDaemon:
                 if stream is None:
                     await self._send_error(writer, "unknown_stream", rec["stream_id"])
                     return
-                stream.eos_step = stream.last_step + 1
-                stream.closed = True
+                stream.store.end()
                 try:
                     self.directory.unregister(stream.tenant, stream.name)
                 except DirectoryError:
@@ -817,28 +817,18 @@ class DirectoryDaemon:
                     encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
                     np.frombuffer(payload, dtype=np.uint8),
                 )
-            elif step <= stream.last_step:
-                # Published, since evicted by ``retain_steps``: it can
-                # never arrive, so the miss is a typed loss, not NOT_READY.
-                await self._send_error(
-                    writer, "step_lost", f"step {step} of {stream.stream_id} evicted"
-                )
-            elif stream.ended(step):
-                await self._write_frame(
-                    writer, encode_frame(MsgType.EOS, {"step": step})
-                )
-            elif stream.error is not None:
-                await self._send_error(
-                    writer, "stream_failed", f"{stream.stream_id}: {stream.error}"
-                )
-            elif self._draining:
+                continue
+            outcome, detail = stream.store.lookup(step)
+            msg_type, kind = MISS_REPLY[outcome]
+            if msg_type is MsgType.NOT_READY and self._draining:
                 # No new publishes will land here; tell the reader to
                 # back off and retry against the restarted daemon.
                 await self._send_retry_after(writer, "draining")
+            elif msg_type in (MsgType.EOS, MsgType.NOT_READY):
+                # The step index is their whole body.
+                await self._write_frame(writer, encode_frame(msg_type, {"step": step}))
             else:
-                await self._write_frame(
-                    writer, encode_frame(MsgType.NOT_READY, {"step": step})
-                )
+                await self._send_error(writer, kind, detail)
 
     # -- graceful drain ----------------------------------------------------
     def drain(self, delay: float = DEFAULT_RETRY_AFTER_S) -> None:
@@ -966,15 +956,18 @@ class DirectoryDaemon:
                     "remaining": 0.0 if remaining is None else remaining,
                 }))
         for stream in self._streams.values():
-            steps = sorted(stream._steps.items())
+            snap = stream.store.snapshot()
             parts.append(encode_record(CKPT_STREAM, {
                 "stream_id": stream.stream_id, "tenant": stream.tenant,
-                "name": stream.name, "last_step": stream.last_step,
-                "eos_step": -1 if stream.eos_step is None else stream.eos_step,
-                "last_seq": stream.last_seq, "closed": stream.closed,
-                "retain": stream.retain_steps, "count": len(steps),
+                "name": stream.name, "last_seq": stream.last_seq,
+                "last_step": snap["last"],
+                "eos_step": -1 if snap["ended"] is None else snap["ended"],
+                "failed": snap["failed"] is not None, "error": snap["failed"] or "",
+                "retain": snap["retain"], "peak_nbytes": snap["peak_nbytes"],
+                "count": len(snap["steps"]),
             }))
-            for step, (count, payload) in steps:
+            # ``publish`` is the store's only appender: no entry is lost.
+            for step, (count, payload), _nbytes, _lost in snap["steps"]:
                 parts.append(encode_record(CKPT_STEP, {
                     "step": step, "count": count,
                     "payload": np.frombuffer(payload, dtype=np.uint8),
@@ -1035,25 +1028,25 @@ class DirectoryDaemon:
             elif fmt.name == CKPT_REG.name:
                 regs.append(dict(rec))  # applied after streams exist
             elif fmt.name == CKPT_STREAM.name:
-                stream = HostedStream(
-                    rec["tenant"], rec["name"], retain_steps=int(rec["retain"])
-                )
-                stream.last_step = int(rec["last_step"])
-                stream.last_seq = int(rec["last_seq"])
-                stream.eos_step = (
-                    None if rec["eos_step"] < 0 else int(rec["eos_step"])
-                )
-                stream.closed = bool(rec["closed"])
+                steps = []
                 for _ in range(int(rec["count"])):
                     sfmt, srec, offset = decode_record(data, offset)
                     if sfmt.name != CKPT_STEP.name:
                         raise ProtocolError(
                             f"expected {CKPT_STEP.name}, got {sfmt.name}"
                         )
-                    stream._steps[int(srec["step"])] = (
-                        int(srec["count"]),
-                        np.asarray(srec["payload"], dtype=np.uint8).tobytes(),
+                    payload = np.asarray(srec["payload"], dtype=np.uint8).tobytes()
+                    steps.append(
+                        (int(srec["step"]), (int(srec["count"]), payload), len(payload))
                     )
+                stream = HostedStream(rec["tenant"], rec["name"])
+                stream.last_seq = int(rec["last_seq"])
+                stream.store = StepStore.restore({
+                    "retain": int(rec["retain"]), "last": int(rec["last_step"]),
+                    "ended": None if rec["eos_step"] < 0 else int(rec["eos_step"]),
+                    "failed": rec["error"] if rec["failed"] else None,
+                    "peak_nbytes": int(rec["peak_nbytes"]), "steps": steps,
+                })
                 self._streams[stream.stream_id] = stream
             else:
                 raise ProtocolError(f"unknown checkpoint record {fmt.name!r}")

@@ -456,7 +456,7 @@ def _run_inproc(report: ChaosReport, log: DeliveryLog, params: str,
 
     # -- what only the in-process plane can see ------------------------------
     fail = report.invariant_violations.append
-    for s in state._published:
+    for s in state.published:
         if s.status not in (StepState.COMMITTED, StepState.LOST, StepState.ABORTED):
             fail(f"step {s.step} left in state {s.status.value}")
     metrics = state.monitor.metrics

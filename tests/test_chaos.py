@@ -300,7 +300,7 @@ def test_wedged_drainer_stop_times_out_but_does_not_hang():
 
     release.set()                 # un-wedge so the daemon thread finishes
     drainer._thread.join(timeout=5.0)
-    assert state._published and state._published[0].status is StepState.COMMITTED
+    assert state.published and state.published[0].status is StepState.COMMITTED
     state._drain_one = real_drain
     h.close()
 

@@ -7,14 +7,13 @@ from repro.adios import Adios, EndOfStream, RankContext
 from repro.core import stream_registry
 from repro.core.resilience import (
     FaultInjector,
-    MovementFailed,
     Participant,
-    ReliableChannel,
     RetryPolicy,
     TransactionAborted,
     TransactionCoordinator,
     TransactionalStreamWriter,
     TxPhase,
+    retry_call,
 )
 
 CONFIG = """
@@ -59,7 +58,7 @@ def test_injector_validation():
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy / ReliableChannel
+# RetryPolicy / retry_call
 # ---------------------------------------------------------------------------
 
 def test_retry_policy_backoff():
@@ -74,51 +73,65 @@ def test_retry_policy_backoff():
         RetryPolicy(timeout=0)
 
 
-def test_reliable_channel_passes_through_on_success():
-    sent = []
-    ch = ReliableChannel(lambda data: sent.append(data) or len(data))
-    assert ch.send(b"hello") == 5
+def timing_out(op, injector):
+    """One attempt of ``op`` that times out whenever ``injector`` says."""
+    def attempt():
+        if injector.should_fail():
+            raise TimeoutError(f"movement timed out (op {injector.ops_seen})")
+        return op()
+
+    return attempt
+
+
+def test_retry_call_passes_through_on_success():
+    sent, retries = [], []
+    result = retry_call(
+        lambda: sent.append(b"hello") or 5, RetryPolicy(), (TimeoutError,),
+        on_retry=lambda n, exc: retries.append(n),
+    )
+    assert result == 5
     assert sent == [b"hello"]
-    assert ch.stats.retries == 0
+    assert retries == []
 
 
-def test_reliable_channel_retries_through_transient_fault():
-    sent = []
-    ch = ReliableChannel(
-        lambda data: sent.append(data),
-        policy=RetryPolicy(max_retries=2, timeout=0.5),
-        injector=FaultInjector(fail_ops=[1]),  # first attempt times out
+def test_retry_call_retries_through_transient_fault():
+    sent, retries, slept = [], [], []
+    retry_call(
+        timing_out(lambda: sent.append(b"payload"), FaultInjector(fail_ops=[1])),
+        RetryPolicy(max_retries=2, timeout=0.5), (TimeoutError,),
+        on_retry=lambda n, exc: retries.append((n, type(exc))),
+        sleep=slept.append,
     )
-    ch.send(b"payload")
     assert sent == [b"payload"]
-    assert ch.stats.retries == 1
-    assert ch.stats.time_lost == pytest.approx(0.5 + 0.5)  # timeout + backoff
+    assert retries == [(1, TimeoutError)]
+    assert slept == [0.5]  # one backoff, modeled not slept
 
 
-def test_reliable_channel_exhausts_retries():
-    ch = ReliableChannel(
-        lambda data: None,
-        policy=RetryPolicy(max_retries=2, timeout=0.1),
-        injector=FaultInjector(fail_ops=[1, 2, 3]),
-    )
-    with pytest.raises(MovementFailed):
-        ch.send(b"x")
-    assert ch.stats.failures == 1
+def test_retry_call_exhausts_retries():
+    injector = FaultInjector(fail_ops=[1, 2, 3])
+    with pytest.raises(TimeoutError, match="op 3"):  # the *last* retriable
+        retry_call(
+            timing_out(lambda: None, injector),
+            RetryPolicy(max_retries=2, timeout=0.1), (TimeoutError,),
+            sleep=lambda _s: None,
+        )
+    assert injector.ops_seen == 3  # max_retries + 1 attempts, no more
 
 
-def test_reliable_channel_wraps_real_transport():
+def test_retry_call_wraps_real_transport():
     """Retry over the actual shm channel: the message still arrives once."""
     from repro.transport import ShmChannel
 
     shm = ShmChannel()
-    ch = ReliableChannel(
-        shm.send,
-        policy=RetryPolicy(max_retries=3, timeout=0.1),
-        injector=FaultInjector(fail_ops=[1, 2]),
+    retries = []
+    retry_call(
+        timing_out(lambda: shm.send(b"resilient"), FaultInjector(fail_ops=[1, 2])),
+        RetryPolicy(max_retries=3, timeout=0.1), (TimeoutError,),
+        on_retry=lambda n, exc: retries.append(n), sleep=lambda _s: None,
     )
-    ch.send(b"resilient")
     assert shm.recv() == b"resilient"
-    assert ch.stats.retries == 2
+    assert retries == [1, 2]
+    assert len(shm.queue) == 0  # delivered exactly once
 
 
 # ---------------------------------------------------------------------------

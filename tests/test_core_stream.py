@@ -316,9 +316,9 @@ def test_sync_end_step_raises_and_step_is_typed_gap():
     w.close()
 
     state = stream_registry._states["s"]
-    assert state._published[0].status is StepState.LOST
-    assert state._published[0].groups == {}        # buffers discarded
-    assert state._published[1].status is StepState.COMMITTED
+    assert state.published[0].status is StepState.LOST
+    assert state.published[0].groups == {}        # buffers discarded
+    assert state.published[1].status is StepState.COMMITTED
 
     r = ad.open_read("particles", "s", RankContext(0, 1))
     assert r.begin_step() is StepStatus.OtherError  # step 0: typed gap

@@ -590,7 +590,7 @@ def test_sync_advance_commits_before_returning():
                      global_shape=SHAPE)
         writer.end_step()
         # No quiesce needed: sync publish drained before returning.
-        assert len(state._published) == step + 1
+        assert len(state.store) == step + 1
     writer.close()
 
 
@@ -603,7 +603,7 @@ def test_end_step_sync_override():
     writer.write("temp", np.ones(SHAPE), box=BoundingBox((0, 0), SHAPE),
                  global_shape=SHAPE)
     writer.end_step(sync=True)
-    assert len(state._published) == 1
+    assert len(state.store) == 1
     writer.close()
 
 
@@ -666,8 +666,8 @@ def test_drain_error_marks_step_lost_not_committed():
     # The reader sees a typed gap (OtherError), never the undelivered data.
     assert reader.begin_step() is StepStatus.OtherError
     assert reader.begin_step() is StepStatus.EndOfStream
-    assert state._published[0].status is StepState.LOST
-    assert state._published[0].groups == {}  # payload discarded, not torn
+    assert state.published[0].status is StepState.LOST
+    assert state.published[0].groups == {}  # payload discarded, not torn
     assert state.monitor.metrics.counter("dataplane.drain.errors").value == 1
     assert state.monitor.metrics.counter("dataplane.drain.steps_lost").value == 1
 
@@ -703,7 +703,7 @@ def test_drain_retries_through_the_one_attempt_loop():
         writer.end_step(sync=False)
     state._quiesce()
     m = state.monitor.metrics
-    assert [s.status for s in state._published] == [
+    assert [s.status for s in state.published] == [
         StepState.COMMITTED, StepState.LOST,
     ]
     assert m.counter("dataplane.drain.retries").value == 2
@@ -810,7 +810,7 @@ def test_peak_buffered_bytes_matches_brute_force_over_mixed_outcomes():
         for s in published
     )
     brute = sum(g.nbytes for s in published for g in s.groups.values())
-    assert state.peak_buffered_bytes == state._buffered_bytes == brute > 0
+    assert state.peak_buffered_bytes == state.store.nbytes == brute > 0
 
 
 def test_reader_is_woken_by_its_own_steps_commit():
@@ -822,7 +822,7 @@ def test_reader_is_woken_by_its_own_steps_commit():
     assert in_thread(reader.begin_step) is StepStatus.OK
     np.testing.assert_array_equal(reader.read("temp"), FIELD)
     reader.end_step()
-    assert len(state._published) == 1   # step 1 is still in flight
+    assert len(state.store) == 1   # step 1 is still in flight
     channel.gate.set()
     assert in_thread(reader.begin_step) is StepStatus.OK
     np.testing.assert_array_equal(reader.read("temp"), FIELD * 2.0)

@@ -56,7 +56,12 @@ from repro.net.protocol import (
     encode_var,
 )
 from repro.net.server import DirectoryDaemon, HostedStream, parse_ready_line
-from repro.transport.faults import PeerDisconnected, SessionLost, TransportFault
+from repro.transport.faults import (
+    PeerDisconnected,
+    SessionLost,
+    TransportFault,
+    TransportFaultInjector,
+)
 from repro.transport.tcp import TcpChannel
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -575,6 +580,20 @@ def test_session_resumes_across_control_socket_loss(daemon):
         w.close()
 
 
+def test_attach_at_open_runs_under_the_reconnect_schedule(daemon):
+    """One frame fault on the very first ATTACH is retried like every
+    later re-ATTACH is — not a typed abandon at open."""
+    faults = TransportFaultInjector(fail_ops=[1])  # op 1 = the ATTACH frame
+    with connect(uri(daemon), token="s3cret", faults=faults) as c:
+        w = c.open("attach.retry", "w")
+        assert faults.faults_injected == 1
+        assert c.monitor.metrics.counter("net.reconnects").value >= 1
+        w.begin_step()
+        w.write("v", np.ones(3))
+        w.end_step()
+        w.close()
+
+
 def test_duplicate_publish_suppressed_by_sequence():
     hs = HostedStream("acme", "dup")
     assert hs.publish(0, 1, b"payload", False, seq=1) is True
@@ -583,7 +602,7 @@ def test_duplicate_publish_suppressed_by_sequence():
     assert hs.publish(0, 1, b"payload", False, seq=1) is False
     assert hs.publish(1, 1, b"payload2", False, seq=2) is True
     assert hs.publish(1, 1, b"payload2", False, seq=1) is False
-    assert hs.last_step == 1
+    assert hs.store.last == 1
     assert hs.last_seq == 2
 
 
@@ -620,6 +639,54 @@ def test_checkpoint_restore_round_trip(daemon, tmp_path):
             # No EOS was published before the checkpoint: the restored
             # stream is still open, not ended.
             assert r.begin_step(timeout=0.2) is StepStatus.NotReady
+            r.close()
+    finally:
+        d2.stop()
+
+
+def test_restored_failed_stream_says_why(tmp_path):
+    """The checkpoint carries the step store whole, failure reason
+    included: a stream whose lease expired before the checkpoint still
+    answers ``stream_failed`` past its retained steps after a restore —
+    not NOT_READY for ever."""
+    now = [0.0]
+    tenants = [TenantSpec("public")]
+    d = DirectoryDaemon(tenants=tenants, telemetry=False, lease_interval=0.02,
+                        clock=lambda: now[0]).start()
+    try:
+        with connect(uri(d, "public")) as c:
+            w = c.open("ckpt.failed", "w", lease=5.0)  # no heartbeat thread
+            for step in range(2):
+                w.begin_step()
+                w.write("x", np.full(4, float(step)))
+                w.end_step()
+            now[0] += 10.0  # the writer went silent past its lease
+            hosted = d._streams["public/ckpt.failed"]
+            deadline = time.monotonic() + 5.0
+            while hosted.error is None:
+                assert time.monotonic() < deadline, "lease never expired"
+                time.sleep(0.01)
+            path = d.checkpoint(str(tmp_path / "failed.ckpt"))
+            w.close()
+    finally:
+        d.stop()
+
+    d2 = DirectoryDaemon(tenants=tenants, telemetry=False)
+    d2.restore(path)
+    d2.start()
+    try:
+        restored = d2._streams["public/ckpt.failed"]
+        assert restored.closed and "lease expired" in restored.error
+        with connect(uri(d2, "public")) as c2:
+            r = c2.open("ckpt.failed", "r", timeout=2.0)
+            for step in range(2):
+                assert r.begin_step(timeout=2.0) is StepStatus.OK
+                np.testing.assert_array_equal(
+                    r.read_block("x", 0), np.full(4, float(step)))
+                r.end_step()
+            assert r.begin_step(timeout=0.5) is StepStatus.OtherError
+            with pytest.raises(StreamFailure, match="lease expired"):
+                r._fetch(2)
             r.close()
     finally:
         d2.stop()

@@ -10,6 +10,7 @@ the read spans.  Plus the :class:`FusedPlan` tiling analysis that
 replaced the net handle's hand-rolled gap check.
 """
 
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -149,6 +150,66 @@ def test_non_global_read_raises_adios_error_on_both_planes(daemon):
                 reader.read("tag")
             with pytest.raises(AdiosError, match="not a global array"):
                 reader.read_into("tag", np.empty(3))
+
+
+# ---------------------------------------------------------------------------
+# What a reader is told about step k: one store, so one answer per plane
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["inproc", "net"])
+def plane(request):
+    """``(client, tick)`` on one plane; ``tick(seconds)`` moves the
+    injected clock its lease reaper runs on."""
+    now = [0.0]
+
+    def tick(seconds):
+        now[0] += seconds
+
+    if request.param == "inproc":
+        stream_registry.set_clock(lambda: now[0])
+        yield connect("local://", params="lease=5"), tick
+        return
+    d = DirectoryDaemon(
+        tenants=[TenantSpec("public")], telemetry=False, lease_interval=0.02,
+        clock=lambda: now[0],
+    ).start()
+    try:
+        with connect(_uri(d)) as c:
+            yield c, tick
+    finally:
+        d.stop()
+
+
+@pytest.mark.parametrize("outcome", ["clean_end", "lease_expiry", "reader_ahead"])
+def test_step_outcomes_are_the_same_on_both_planes(plane, outcome):
+    client, tick = plane
+    name = f"planes.{outcome}"
+    w = client.open(name, "w", lease=5.0)
+    for k in range(2):
+        w.begin_step()
+        w.write("x", np.full(4, float(k)))
+        w.end_step()
+    r = client.open(name, "r", timeout=2.0)
+    for k in range(2):  # retained steps are served whatever happens next
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        np.testing.assert_array_equal(r.read_block("x", 0), np.full(4, float(k)))
+        r.end_step()
+    if outcome == "clean_end":
+        w.close()
+        assert r.begin_step(timeout=2.0) is StepStatus.EndOfStream
+        assert r.begin_step() is StepStatus.EndOfStream
+    elif outcome == "lease_expiry":
+        tick(10.0)  # the writer went silent for two lease periods
+        for _ in range(3):  # typed, terminal: never a clean end, never NotReady
+            assert r.begin_step(timeout=2.0) is StepStatus.OtherError
+        assert r.current_step == 1  # a failed stream, not a lost step
+    else:
+        assert r.begin_step() is StepStatus.NotReady
+        t0 = time.monotonic()
+        assert r.begin_step(timeout=0.2) is StepStatus.NotReady
+        assert 0.2 <= time.monotonic() - t0 < 2.0
+    r.close()
+    w.close()
 
 
 # ---------------------------------------------------------------------------
