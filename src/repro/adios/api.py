@@ -240,15 +240,16 @@ class ReadHandle(abc.ABC):
         """
 
     def _wait_ready(self) -> None:
-        """Idle between two probes of a timed ``begin_step``; a method
-        that is told when a step lands waits for that instead."""
-        time.sleep(0.0005)
+        """Wait, between two probes of a timed ``begin_step``, for
+        whatever tells this method a step landed.  Nothing here: a probe
+        that itself waits (the net plane's held FETCH) needs no idle,
+        and no ``begin_step`` sleeps."""
 
     def begin_step(self, timeout: Optional[float] = None) -> StepStatus:
         """Position on the next unconsumed step (ADIOS2-style).
 
         Non-blocking by default: returns :attr:`StepStatus.NotReady`
-        when the writer is behind.  With ``timeout`` (seconds), probes
+        when the writer is behind.  With ``timeout`` (seconds), waits
         until ready or the deadline passes.
         """
         if self._step_active:

@@ -5,7 +5,8 @@
 fail and look up their steps here, so retention and the lost-step rule
 have one definition: :meth:`StepStore.lookup`.  The store takes no lock,
 does no I/O and wakes nobody — each plane synchronises it with what it
-already has (the ``_committed`` condition; the daemon's one event loop).
+already has (the ``_committed`` condition; the daemon's one event loop,
+whose ``HostedStream.wake`` follows every change a parked reader awaits).
 """
 
 from __future__ import annotations

@@ -74,6 +74,7 @@ from repro.obs.events import (
     EV_NET_SESSION_LOST,
     EV_NET_STREAM_OPEN,
 )
+from repro.obs.names import M_NET_FETCHES
 from repro.transport.faults import (
     PeerDisconnected,
     SessionLost,
@@ -301,6 +302,11 @@ class LocalClient(Client):
 #: timeout — reconnects should hammer fast, then give up fast).
 DEFAULT_RETRY = RetryPolicy(max_retries=3, timeout=0.05, backoff_factor=2.0,
                             jitter=0.25)
+
+#: Share of the session's recv timeout a FETCH may ask the daemon to hold
+#: it for: the hold must end, and its answer arrive, before the client
+#: would take a healthy idle daemon for a dead one.
+FETCH_HOLD_FRACTION = 0.5
 
 
 class RemoteClient(Client):
@@ -804,7 +810,11 @@ class _CachedStep:
 class NetReadHandle(StepReader):
     """Reader side of one remote stream: FETCH, then the shared reader.
 
-    ``begin_step`` polls the broker (NOT_READY maps to
+    A timed ``begin_step`` waits at the broker, not in a poll: each
+    FETCH carries how long the daemon may hold it (what is left of the
+    deadline, under the session's recv timeout), and is answered when
+    the step is published, the stream ends or fails, the daemon drains,
+    or the hold runs out (NOT_READY maps to
     :attr:`~repro.adios.api.StepStatus.NotReady`, EOS to
     :attr:`~repro.adios.api.StepStatus.EndOfStream`, an evicted step or
     a failed stream to :attr:`~repro.adios.api.StepStatus.OtherError`,
@@ -841,12 +851,20 @@ class NetReadHandle(StepReader):
 
     # -- step movement -----------------------------------------------------
     def _fetch_once(self, step: int) -> _CachedStep:
+        timeout = self._client.timeout
+        # Per attempt: a FETCH replayed after a reconnect, a drain or a
+        # restore — or re-sent after NOT_READY — carries what is left of
+        # the deadline.  Untimed probes (no deadline) are not held.
+        wait = 0.0 if self._deadline is None else max(0.0, min(
+            self._deadline - time.monotonic(), timeout * FETCH_HOLD_FRACTION))
+        self.monitor.metrics.counter(M_NET_FETCHES).inc()
         self._channel.sendv(
-            [encode_frame(MsgType.FETCH, {"step": step},
+            [encode_frame(MsgType.FETCH, {"step": step, "wait": wait},
                           seq=next(self._client._frame_seq))],
-            timeout=self._client.timeout,
+            timeout=timeout,
         )
-        wb = self._channel.recv(timeout=self._client.timeout)
+        # The dead-daemon bound; the hold above always ends inside it.
+        wb = self._channel.recv(timeout=timeout)
         frame = decode_frame(wb)
         if frame.msg_type is not MsgType.STEP_DATA:
             raise_wire_error(frame, f"step {step} of {self.stream_id!r}")

@@ -79,8 +79,9 @@ MAGIC = 0xF1EC0107
 #: v3: ATTACH carries the reader chain's pushdown predicate spec and
 #: ``net.var`` carries per-block min/max statistics, so the broker can
 #: prune provably-dropped blocks from PUBLISH payloads (PR 10, fused
-#: analytics).
-PROTOCOL_VERSION = 3
+#: analytics).  v4: FETCH carries ``wait``, the seconds the daemon may
+#: hold the request for a step that is not yet published (held FETCH).
+PROTOCOL_VERSION = 4
 
 #: magic u32, version u8, msg type u8, reserved u16, sequence u64.
 #: The sequence is per-connection and monotone; receivers use it to
@@ -111,9 +112,9 @@ class MsgType(enum.IntEnum):
     # data plane -------------------------------------------------------
     ATTACH = 16        # bind a data connection to (session, stream, role)
     PUBLISH = 17       # writer → daemon: one step (vars follow in-frame)
-    FETCH = 18         # reader → daemon: request one step
+    FETCH = 18         # reader → daemon: request one step, held up to ``wait``
     STEP_DATA = 19     # daemon → reader: the step (vars follow in-frame)
-    NOT_READY = 20     # daemon → reader: step not yet published
+    NOT_READY = 20     # daemon → reader: step not yet published (hold ran out)
     EOS = 21           # daemon → reader: stream ended (no more steps)
     RETRY_AFTER = 22   # daemon → peer: draining/restarting, come back later
 
@@ -175,7 +176,11 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     MsgType.PUBLISH: PROTOCOL_REGISTRY.define(
         "net.publish", [("step", _I), ("count", _I), ("eos", _B), ("seq", _I)]
     ),
-    MsgType.FETCH: PROTOCOL_REGISTRY.define("net.fetch", [("step", _I)]),
+    MsgType.FETCH: PROTOCOL_REGISTRY.define(
+        # ``wait``: seconds the daemon may hold the request while the
+        # step may still arrive; 0 = answer at once.
+        "net.fetch", [("step", _I), ("wait", _F)]
+    ),
     MsgType.STEP_DATA: PROTOCOL_REGISTRY.define(
         "net.step_data", [("step", _I), ("count", _I)]
     ),
@@ -188,7 +193,8 @@ _BODY_FORMATS: dict[MsgType, Format] = {
 
 #: How the daemon answers a FETCH the step store does not serve from
 #: its retained steps — ``(frame type, ERROR kind)`` per outcome; a hit
-#: is STEP_DATA plus the payload.  The client reads it in reverse.
+#: is STEP_DATA plus the payload.  ``NOT_YET`` is first held for up to
+#: the FETCH's ``wait``.  The client reads it in reverse.
 MISS_REPLY: dict[Outcome, tuple[MsgType, str]] = {
     Outcome.LOST: (MsgType.ERROR, "step_lost"),
     Outcome.ENDED: (MsgType.EOS, ""),

@@ -76,6 +76,7 @@ from repro.obs.events import (
     EV_NET_DISCONNECT,
     EV_NET_DRAIN,
     EV_NET_DUP_PUBLISH,
+    EV_NET_FETCH_HELD,
     EV_NET_RESTORE,
     EV_NET_RESUME,
     EV_NET_RETRY_AFTER,
@@ -88,6 +89,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import (
     F_FAULTS_INJECTED,
     M_FAULTS_INJECTED_TOTAL,
+    M_NET_FETCH_HOLDS_EXPIRED,
+    M_NET_FETCHES_HELD,
+    M_NET_READERS_PARKED,
     M_PLUGIN_BLOCKS_SKIPPED,
     metric_name,
 )
@@ -109,6 +113,10 @@ DEFAULT_RETAIN_STEPS = 64
 
 #: Back-off the daemon suggests in RETRY_AFTER frames while draining.
 DEFAULT_RETRY_AFTER_S = 0.25
+
+#: Longest the daemon holds one FETCH, whatever ``wait`` it asks for — and
+#: so the longest a reader whose socket died while parked stays attached.
+MAX_FETCH_HOLD_S = 10.0
 
 
 class HostedStream:
@@ -137,6 +145,10 @@ class HostedStream:
         #: Attached-reader pushdown predicates, keyed per data connection
         #: (None = reader attached without one, which disables pruning).
         self._reader_preds: dict[int, object] = {}
+        #: What a held FETCH waits on: set, and replaced, by :meth:`wake`.
+        self.changed = asyncio.Event()
+        #: Attached readers whose handler is parked in a held FETCH.
+        self.parked: set[asyncio.StreamWriter] = set()
 
     @property
     def closed(self) -> bool:
@@ -163,6 +175,7 @@ class HostedStream:
         self.store.append(step, (count, payload), len(payload))
         if eos:
             self.store.end(step + 1)
+        self.wake()
         m = self.monitor.metrics
         m.counter("net.steps_published", labels=self._labels).inc()
         m.counter("net.bytes_published", labels=self._labels).inc(len(payload))
@@ -206,9 +219,22 @@ class HostedStream:
             return None
         return combine_predicates(preds)
 
+    def end(self) -> None:
+        """The writer's CLOSE: clean end just past the last step."""
+        self.store.end()
+        self.wake()
+
     def fail(self, reason: str) -> None:
         """Directory eviction callback: lease expired → typed stream end."""
         self.store.fail(reason)
+        self.wake()
+
+    def wake(self) -> None:
+        """Called after anything that can change what ``store.lookup``
+        answers a parked reader — publish, end, fail, and the daemon's
+        drain; each one looks its step up again.  Loop thread only."""
+        self.changed.set()
+        self.changed = asyncio.Event()
 
 
 def prune_step_payload(raw: np.ndarray, offset: int, count: int,
@@ -359,10 +385,16 @@ class DirectoryDaemon:
         try:
             loop.run_forever()
         finally:
-            for task in tasks:
-                task.cancel()
             for server in self._servers:
                 server.close()
+            # Connection handlers too: one parked in a held FETCH, or idle
+            # between frames, would keep its socket (and 3.12's
+            # ``wait_closed``) open past stop().
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
+            for server in self._servers:
                 loop.run_until_complete(server.wait_closed())
             loop.close()
 
@@ -503,8 +535,8 @@ class DirectoryDaemon:
                     clean_bye = True
                     break
                 await self._dispatch_control(session, frame, writer)
-        except ConnectionError:
-            pass
+        except (ConnectionError, asyncio.CancelledError):
+            pass  # the peer is gone, or stop() ended this handler
         finally:
             if session is not None:
                 if clean_bye:
@@ -617,7 +649,7 @@ class DirectoryDaemon:
                 if stream is None:
                     await self._send_error(writer, "unknown_stream", rec["stream_id"])
                     return
-                stream.store.end()
+                stream.end()
                 try:
                     self.directory.unregister(stream.tenant, stream.name)
                 except DirectoryError:
@@ -734,8 +766,8 @@ class DirectoryDaemon:
                 if role != "w":
                     stream.drop_reader(reader_key)
                 self._attached.discard(writer)
-        except ConnectionError:
-            pass
+        except (ConnectionError, asyncio.CancelledError):
+            pass  # the peer is gone, or stop() ended this handler
         finally:
             writer.close()
 
@@ -809,16 +841,18 @@ class DirectoryDaemon:
                 await self._send_error(writer, "protocol", "reader must FETCH")
                 return
             step = int(frame.record["step"])
-            got = stream.fetch(step)
-            if got is not None:
-                count, payload = got
+            # The outcome that ended the hold is the one answered:
+            # nothing awaits between this lookup and the reply below.
+            outcome, detail = await self._held_lookup(
+                stream, step, frame.record["wait"], writer)
+            if outcome is Outcome.HIT:
+                count, payload = stream.fetch(step)
                 await self._write_frame(
                     writer,
                     encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
                     np.frombuffer(payload, dtype=np.uint8),
                 )
                 continue
-            outcome, detail = stream.store.lookup(step)
             msg_type, kind = MISS_REPLY[outcome]
             if msg_type is MsgType.NOT_READY and self._draining:
                 # No new publishes will land here; tell the reader to
@@ -829,6 +863,40 @@ class DirectoryDaemon:
                 await self._write_frame(writer, encode_frame(msg_type, {"step": step}))
             else:
                 await self._send_error(writer, kind, detail)
+
+    async def _held_lookup(self, stream: HostedStream, step: int, wait: float,
+                           writer) -> tuple[Outcome, object]:
+        """``stream.store.lookup(step)``, after parking for up to ``wait``
+        seconds (clamped; NaN and negatives hold nothing) while it says
+        ``NOT_YET`` and the daemon is not draining.  A reader woken for
+        another step parks again for what is left of its hold."""
+        outcome, detail = stream.store.lookup(step)
+        hold = min(wait, MAX_FETCH_HOLD_S) if wait > 0 else 0.0
+        if outcome is not Outcome.NOT_YET or not hold or self._draining:
+            return outcome, detail
+        metrics, labels = stream.monitor.metrics, stream._labels
+        metrics.counter(M_NET_FETCHES_HELD, labels=labels).inc()
+        parked = metrics.gauge(M_NET_READERS_PARKED, labels=labels)
+        clock = asyncio.get_running_loop().time
+        deadline = clock() + hold
+        stream.parked.add(writer)
+        parked.set(len(stream.parked))
+        try:
+            while (outcome is Outcome.NOT_YET and not self._draining
+                   and (left := deadline - clock()) > 0):
+                try:
+                    await asyncio.wait_for(stream.changed.wait(), left)
+                except asyncio.TimeoutError:
+                    pass
+                outcome, detail = stream.store.lookup(step)
+        finally:
+            stream.parked.discard(writer)
+            parked.set(len(stream.parked))
+        if outcome is Outcome.NOT_YET and not self._draining:
+            metrics.counter(M_NET_FETCH_HOLDS_EXPIRED, labels=labels).inc()
+        flight.record(EV_NET_FETCH_HELD, stream=stream.stream_id, step=step,
+                      wait=hold, outcome=outcome.value)
+        return outcome, detail
 
     # -- graceful drain ----------------------------------------------------
     def drain(self, delay: float = DEFAULT_RETRY_AFTER_S) -> None:
@@ -844,7 +912,12 @@ class DirectoryDaemon:
         if self._draining:
             return
         self._draining = True
-        peers = list(self._attached)
+        # A parked reader is woken and answered RETRY_AFTER by its own
+        # handler; the broadcast is for peers with no request outstanding.
+        peers = set(self._attached)
+        for stream in self._streams.values():
+            peers -= stream.parked
+            stream.wake()
         flight.record(EV_NET_DRAIN, peers=len(peers), delay=delay)
         self.metrics.counter("net.drains").inc()
         frame = encode_frame(

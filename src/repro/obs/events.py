@@ -80,6 +80,7 @@ EV_NET_DRAIN = "net.drain"
 EV_NET_CHECKPOINT = "net.checkpoint"
 EV_NET_RESTORE = "net.restore"
 EV_NET_DUP_PUBLISH = "net.dup_publish"
+EV_NET_FETCH_HELD = "net.fetch.held"
 
 _FLIGHT_SPECS = (
     EventSpec(EV_STEP_BEGIN, "a timestep was sealed and handed to the drainer"),
@@ -111,6 +112,7 @@ _FLIGHT_SPECS = (
     EventSpec(EV_NET_CHECKPOINT, "the daemon wrote a durability checkpoint"),
     EventSpec(EV_NET_RESTORE, "the daemon restored state from a checkpoint"),
     EventSpec(EV_NET_DUP_PUBLISH, "the broker suppressed a duplicate republish"),
+    EventSpec(EV_NET_FETCH_HELD, "a held FETCH ended (publish, end, fail, drain or expiry)"),
 )
 
 #: Flight event registry, keyed by code.

@@ -133,12 +133,16 @@ M_NET_CHECKPOINTS = "net.checkpoints"
 M_NET_RESTORES = "net.restores"
 M_NET_RESUMES = "net.resumes"
 M_NET_DUP_PUBLISHES = "net.dup_publishes"
+M_NET_FETCHES_HELD = "net.fetches_held"
+M_NET_FETCH_HOLDS_EXPIRED = "net.fetch_holds_expired"
+M_NET_READERS_PARKED = "net.readers_parked"
 
 # Network plane, client side (net/client.py, tools/chaos.py --scenario net)
 M_NET_RECONNECTS = "net.reconnects"
 M_NET_SESSIONS_LOST = "net.sessions_lost"
 M_NET_RESUME = "net.resume"
 M_NET_HEARTBEATS = "net.heartbeats"
+M_NET_FETCHES = "net.fetches"
 
 # Health SLO verdicts (obs/health.py)
 M_HEALTH_VERDICT = "health.verdict"
@@ -202,10 +206,17 @@ _METRIC_SPECS = (
     MetricSpec(M_NET_RESTORES, "counter", "daemon restores from checkpoint"),
     MetricSpec(M_NET_RESUMES, "counter", "sessions re-bound via resume token"),
     MetricSpec(M_NET_DUP_PUBLISHES, "counter", "duplicate republishes suppressed"),
+    MetricSpec(M_NET_FETCHES_HELD, "counter",
+               "FETCH frames parked on a step not yet published"),
+    MetricSpec(M_NET_FETCH_HOLDS_EXPIRED, "counter",
+               "held FETCH frames answered NOT_READY when the hold ran out"),
+    MetricSpec(M_NET_READERS_PARKED, "gauge",
+               "readers parked in a held FETCH right now (labeled)"),
     MetricSpec(M_NET_RECONNECTS, "counter", "client reconnect attempts that succeeded"),
     MetricSpec(M_NET_SESSIONS_LOST, "counter", "client sessions lost after retries"),
     MetricSpec(M_NET_RESUME, "counter", "client sessions resumed by token"),
     MetricSpec(M_NET_HEARTBEATS, "counter", "client heartbeats sent"),
+    MetricSpec(M_NET_FETCHES, "counter", "FETCH frames sent by a remote reader"),
     MetricSpec(M_HEALTH_VERDICT, "gauge", "stream health verdict (labeled)"),
     MetricSpec(M_HEALTH_STEPS_PER_S, "gauge", "stream step throughput (labeled)"),
     MetricSpec(M_HEALTH_LOSS_RATE, "gauge", "stream loss rate (labeled)"),

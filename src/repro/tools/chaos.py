@@ -33,7 +33,8 @@ sample per fault-injected endpoint; :func:`check_delivery` and
 4. **Observability** — every injected fault is a ``transport.fault``
    flight event, and the retry / reconnect / resume counters equal
    their flight events; with ``--flight-dir`` a typed loss leaves a
-   dump artifact.
+   dump artifact.  A net reader waits at the daemon (a held FETCH), so
+   the FETCH frames it sent are bounded by the steps it was delivered.
 
 In-process runs add what only they can see: no step left mid-pipeline,
 fault records in the trace, the concurrency sanitizer
@@ -93,7 +94,12 @@ from repro.obs.events import (
     EV_NET_RESUME,
     EV_RETRY,
 )
-from repro.obs.names import M_NET_RECONNECTS, M_NET_RESUME, M_PLUGIN_FUSED_READS
+from repro.obs.names import (
+    M_NET_FETCHES,
+    M_NET_RECONNECTS,
+    M_NET_RESUME,
+    M_PLUGIN_FUSED_READS,
+)
 from repro.transport.faults import TransportFault, parse_fault_spec
 from repro.util import rng
 
@@ -271,8 +277,10 @@ def check_delivery(log: DeliveryLog) -> list[str]:
 
 def check_observability(sample: dict) -> list[str]:
     """Invariant 4 over one endpoint's sample: ``who``, ``injected``
-    faults, ``fault_events`` seen in the flight ring, and ``counters``
-    mapping a metric name to ``(counter value, flight events)``."""
+    faults, ``fault_events`` seen in the flight ring, ``counters``
+    mapping a metric name to ``(counter value, flight events)``, and —
+    a net reader only — ``fetches``: ``(FETCH frames sent, steps
+    observed)``."""
     who = sample["who"]
     out = []
     if sample["fault_events"] < sample["injected"]:
@@ -283,6 +291,16 @@ def check_observability(sample: dict) -> list[str]:
     for name, (count, events) in sample["counters"].items():
         if count != events:
             out.append(f"{who}: {name}={count} but {events} flight events")
+    if "fetches" in sample:
+        # One FETCH per step when the daemon holds it; slack for EOS,
+        # expired holds while the writer is down, one per reconnect.
+        sent, observed = sample["fetches"]
+        bound = 3 * observed + sample["counters"][M_NET_RECONNECTS][0]
+        if sent > bound:
+            out.append(
+                f"{who}: {sent} FETCH frames for {observed} steps observed "
+                f"(bound {bound}): the reader polled instead of being held"
+            )
     return out
 
 
@@ -540,6 +558,11 @@ def _net_worker(role: str, uri: str, steps: int, seed: int, rate: float) -> int:
             role, recorder, client.monitor.metrics, injected,
             {M_NET_RECONNECTS: EV_NET_RECONNECT, M_NET_RESUME: EV_NET_RESUME},
         )
+        if role == "reader":
+            sample["fetches"] = (
+                int(client.monitor.metrics.counter(M_NET_FETCHES).value),
+                len(log.observed),
+            )
         own = {k: v for k, v in asdict(log).items() if v}  # its side only
         print(_RESULT_MARK + json.dumps({"log": own, "obs": sample}), flush=True)
         return RC_TYPED_LOSS if end else 0

@@ -149,6 +149,12 @@ def test_observability_check():
          "writer: 3 faults injected but only 2 transport.fault flight events")
     only(check_observability({**sample, "counters": {"net.reconnects": (2, 1)}}),
          "writer: net.reconnects=2 but 1 flight events")
+    # A net reader is held at the daemon: its FETCH frames are bounded by
+    # 3 x steps observed + reconnects (here 3 * 2 + 2); a poll is not.
+    reader = {**sample, "who": "reader", "fetches": (8, 2)}
+    assert check_observability(reader) == []
+    only(check_observability({**reader, "fetches": (9, 2)}),
+         "reader: 9 FETCH frames for 2 steps observed (bound 8)")
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ ROUND_TRIP_CASES = [
     (MsgType.OPEN, {"stream": "gts.out", "mode": "w", "program": "writer",
                     "rank": 0, "num_ranks": 4, "lease": 0.5}),
     (MsgType.PUBLISH, {"step": 3, "count": 2, "eos": False, "seq": 4}),
-    (MsgType.FETCH, {"step": 0}),
+    (MsgType.FETCH, {"step": 0, "wait": 1.25}),
     (MsgType.NOT_READY, {"step": 9}),
     (MsgType.EOS, {"step": 4}),
     (MsgType.RETRY_AFTER, {"delay": 0.25, "reason": "draining"}),
@@ -828,3 +828,332 @@ def test_tcp_connect_closes_socket_when_setsockopt_fails(monkeypatch):
     with pytest.raises(PeerDisconnected):
         TcpChannel.connect("127.0.0.1", 1)
     assert closed == [True]
+
+
+# ---------------------------------------------------------------------------
+# Held FETCH: a waiting reader is parked at the daemon, not polling it.
+# Frames are counted (client ``net.fetches``; the daemon's hold entry
+# point), never timed against each other.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def fetch_log(monkeypatch):
+    """``(step, wait)`` of every FETCH frame an in-process daemon reads."""
+    seen = []
+    real = DirectoryDaemon._held_lookup
+
+    def logged(self, stream, step, wait, writer):
+        seen.append((step, wait))
+        return real(self, stream, step, wait, writer)
+
+    monkeypatch.setattr(DirectoryDaemon, "_held_lookup", logged)
+    return seen
+
+
+def hosted_of(daemon, handle) -> HostedStream:
+    return daemon._streams[handle.stream_id]
+
+
+def wait_parked(hosted, n=1, within=2.0):
+    """Block until ``n`` FETCH handlers are parked on ``hosted``."""
+    deadline = time.monotonic() + within
+    while len(hosted.parked) != n:
+        assert time.monotonic() < deadline, f"{len(hosted.parked)} parked, want {n}"
+        time.sleep(0.002)
+
+
+def in_thread(fn):
+    """Run ``fn`` on a thread; ``.join_result()`` returns what it
+    returned or re-raises what it raised."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed to the joining test
+            box["error"] = exc
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+
+    def join_result(timeout=5.0):
+        t.join(timeout)
+        assert not t.is_alive(), "reader thread still blocked"
+        if "error" in box:
+            raise box["error"]
+        return box["value"]
+
+    t.join_result = join_result
+    return t
+
+
+def write_step(w, value, n=4):
+    w.begin_step()
+    w.write("x", np.full(n, float(value)))
+    w.end_step()
+
+
+def counter(handle_or_client, name, **labels):
+    return handle_or_client.monitor.metrics.counter(name, labels=labels or None).value
+
+
+def test_held_fetch_delivers_a_late_step_in_one_frame(daemon, fetch_log):
+    from repro.obs import recorder as flight
+    from repro.obs.events import EV_NET_FETCH_HELD
+    from repro.obs.live import render_prometheus
+
+    recorder = flight.reset()
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("held.one", "w")
+        r = c.open("held.one", "r")
+        hosted = hosted_of(daemon, r)
+        parked = hosted.monitor.metrics.gauge("net.readers_parked",
+                                              labels={"tenant": "acme"})
+        t = in_thread(lambda: r.begin_step(timeout=2.0))
+        wait_parked(hosted)
+        assert parked.value == 1
+        write_step(w, 7)
+        assert t.join_result() is StepStatus.OK
+        np.testing.assert_array_equal(r.read_block("x", 0), np.full(4, 7.0))
+        r.end_step()
+        # One frame, held, ended by the publish.
+        assert [step for step, _ in fetch_log] == [0]
+        assert 0 < fetch_log[0][1] <= 2.0
+        assert counter(c, "net.fetches") == 1
+        assert counter(hosted, "net.fetches_held", tenant="acme") == 1
+        assert counter(hosted, "net.fetch_holds_expired", tenant="acme") == 0
+        assert parked.value == 0
+        (event,) = recorder.events(code=EV_NET_FETCH_HELD)
+        assert event.stream == "acme/held.one"
+        assert dict(event.attrs) == {"step": 0, "wait": fetch_log[0][1], "outcome": "hit"}
+        # The four series leave through the exporter's metric_name().
+        daemon_text = render_prometheus({hosted.stream_id: hosted.monitor.metrics})
+        for series in ("flexio_net_fetches_held", "flexio_net_fetch_holds_expired",
+                       "flexio_net_readers_parked"):
+            assert f'{series}{{stream="acme/held.one",tenant="acme"}}' in daemon_text
+        assert "flexio_net_fetches 1" in render_prometheus({"": c.monitor.metrics})
+        w.close()
+        r.close()
+
+
+def test_untimed_begin_step_is_one_frame_never_parked(daemon, fetch_log):
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("held.untimed", "w")
+        r = c.open("held.untimed", "r")
+        assert r.begin_step() is StepStatus.NotReady
+        assert fetch_log == [(0, 0.0)]
+        assert counter(c, "net.fetches") == 1
+        assert counter(hosted_of(daemon, r), "net.fetches_held", tenant="acme") == 0
+        w.close()
+        r.close()
+
+
+def test_timed_begin_step_on_an_idle_stream_waits_out_the_deadline(daemon, fetch_log):
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("held.idle", "w")
+        r = c.open("held.idle", "r")
+        began = time.monotonic()
+        assert r.begin_step(timeout=0.2) is StepStatus.NotReady
+        assert time.monotonic() - began >= 0.2
+        assert 1 <= len(fetch_log) <= 2  # the hold is the wait, not a poll
+        hosted = hosted_of(daemon, r)
+        assert counter(hosted, "net.fetch_holds_expired", tenant="acme") >= 1
+        w.close()
+        r.close()
+
+
+def test_parked_reader_is_woken_by_close(daemon, fetch_log):
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("held.close", "w")
+        r = c.open("held.close", "r")
+        t = in_thread(lambda: r.begin_step(timeout=2.0))
+        wait_parked(hosted_of(daemon, r))
+        w.close()
+        assert t.join_result() is StepStatus.EndOfStream
+        assert len(fetch_log) == 1
+        r.close()
+
+
+def test_parked_reader_is_woken_by_lease_expiry():
+    now = [0.0]
+    d = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False,
+                        lease_interval=0.02, clock=lambda: now[0]).start()
+    try:
+        with connect(uri(d, "public")) as c:
+            w = c.open("held.lease", "w", lease=5.0)  # no heartbeat thread
+            r = c.open("held.lease", "r")
+            t = in_thread(lambda: r.begin_step(timeout=2.0))
+            wait_parked(hosted_of(d, r))
+            now[0] += 10.0  # the writer went silent past its lease
+            assert t.join_result() is StepStatus.OtherError
+            with pytest.raises(StreamFailure, match="lease expired"):
+                r._fetch(0)
+            assert counter(c, "net.fetches") == 2  # the held one, and that probe
+            r.close()
+            w.close()
+    finally:
+        d.stop()
+
+
+def attach_raw(client, stream_id) -> TcpChannel:
+    """A reader data channel speaking the frame protocol by hand."""
+    return client._attach(stream_id, "r")
+
+
+def raw_fetch(channel, step, wait):
+    channel.sendv([encode_frame(MsgType.FETCH, {"step": step, "wait": wait})])
+
+
+def test_parked_reader_woken_for_an_earlier_step_parks_again(daemon):
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("held.earlier", "w")
+        hosted = hosted_of(daemon, w)
+        ch = attach_raw(c, w.stream_id)
+        raw_fetch(ch, 1, 2.0)
+        wait_parked(hosted)
+        write_step(w, 0)  # wakes it — for a step it did not ask for
+        write_step(w, 1)
+        frame = decode_frame(ch.recv(timeout=2.0))
+        assert frame.msg_type is MsgType.STEP_DATA and frame.record["step"] == 1
+        assert counter(hosted, "net.fetches_held", tenant="acme") == 1  # one hold
+        assert counter(hosted, "net.steps_fetched", tenant="acme") == 1  # one answer
+        ch.close()
+        w.close()
+
+
+def test_hold_stays_under_the_recv_timeout(daemon, fetch_log):
+    """A healthy idle daemon is never taken for a dead one: every hold
+    ends, and is answered, inside the client's recv timeout."""
+    with connect(uri(daemon), token="s3cret", timeout=0.4) as c:
+        w = c.open("held.short", "w")
+        r = c.open("held.short", "r")
+        assert r.begin_step(timeout=1.5) is StepStatus.NotReady
+        assert counter(c, "net.reconnects") == 0
+        assert all(0 < wait <= 0.2 for _, wait in fetch_log)
+        assert counter(c, "net.fetches") == len(fetch_log) >= 2
+        w.close()
+        r.close()
+
+
+@pytest.mark.parametrize("kind,recv_timeout", [("dropped_frame", 0.4),
+                                               ("conn_reset", 5.0)])
+def test_lost_held_step_data_is_refetched_and_read_once(daemon, fetch_log, kind,
+                                                        recv_timeout):
+    """The held reply never arrives — dropped (the client times out) or
+    the connection reset under it: re-ATTACH, re-FETCH, one delivery."""
+    from repro.transport.faults import FaultKind
+
+    with connect(uri(daemon), token="s3cret") as cw, \
+            connect(uri(daemon), token="s3cret", timeout=recv_timeout) as cr:
+        w = cw.open("held.lost", "w")
+        r = cr.open("held.lost", "r")
+        t = in_thread(lambda: r.begin_step(timeout=2.0))
+        wait_parked(hosted_of(daemon, r))
+        # From here the daemon's frame 1 is the PUBLISH ack, frame 2 the
+        # held reader's STEP_DATA.
+        daemon.injector = TransportFaultInjector(fail_ops=[2], kinds=[FaultKind(kind)])
+        write_step(w, 3)
+        assert t.join_result() is StepStatus.OK
+        np.testing.assert_array_equal(r.read_block("x", 0), np.full(4, 3.0))
+        r.end_step()
+        assert daemon.injector.faults_injected == 1
+        assert counter(cr, "net.reconnects") == 1
+        (_, first), (_, replayed) = fetch_log  # both for step 0
+        # The replay carries what is left of the deadline, not the original
+        # (equal only where both are capped by the recv timeout).
+        assert replayed < first or replayed == first == recv_timeout / 2
+        assert r.begin_step() is StepStatus.NotReady  # step 0 was read once
+        assert r.current_step == 0 and fetch_log[2] == (1, 0.0)
+        w.close()
+        r.close()
+
+
+@pytest.mark.parametrize("wait,held", [(1e9, True), (-1.0, False),
+                                       (float("nan"), False)])
+def test_absurd_wait_is_clamped_or_not_held(daemon, monkeypatch, wait, held):
+    from repro.net import server
+
+    monkeypatch.setattr(server, "MAX_FETCH_HOLD_S", 0.05)
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("held.absurd", "w")
+        ch = attach_raw(c, w.stream_id)
+        raw_fetch(ch, 0, wait)
+        frame = decode_frame(ch.recv(timeout=2.0))
+        assert frame.msg_type is MsgType.NOT_READY and frame.record["step"] == 0
+        hosted = hosted_of(daemon, w)
+        assert counter(hosted, "net.fetches_held", tenant="acme") == int(held)
+        assert counter(hosted, "net.fetch_holds_expired", tenant="acme") == int(held)
+        ch.close()
+        w.close()
+
+
+def test_one_publish_answers_every_parked_reader(daemon, fetch_log):
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("held.fanout", "w")
+        readers = [c.open("held.fanout", "r") for _ in range(3)]
+        threads = [in_thread(lambda r=r: r.begin_step(timeout=2.0)) for r in readers]
+        wait_parked(hosted_of(daemon, w), 3)
+        write_step(w, 5)
+        for t, r in zip(threads, readers):
+            assert t.join_result() is StepStatus.OK
+            np.testing.assert_array_equal(r.read_block("x", 0), np.full(4, 5.0))
+            r.close()
+        assert [step for step, _ in fetch_log] == [0, 0, 0]
+        assert counter(c, "net.fetches") == 3
+        w.close()
+
+
+def test_v3_fetch_body_is_refused_not_misdecoded():
+    from repro.marshal.codec import encode_message
+    from repro.marshal.format import FieldKind, FormatRegistry
+
+    v3_body = encode_message(
+        FormatRegistry().define("net.fetch", [("step", FieldKind.INT64)]), {"step": 5}
+    )
+    for version in (3, PROTOCOL_VERSION):  # an old peer; an old body under a new header
+        raw = HEADER.pack(MAGIC, version, int(MsgType.FETCH), 0, 1) + bytes(v3_body)
+        with pytest.raises(ProtocolError):
+            decode_frame(raw)
+
+
+def test_drain_answers_a_parked_reader_once_and_promptly(daemon):
+    from repro.transport.faults import TransportTimeout
+
+    once = RetryPolicy(max_retries=0, timeout=0.01)
+    with connect(uri(daemon), token="s3cret", retry=once) as c:
+        w = c.open("held.drain", "w")
+        r = c.open("held.drain", "r")
+        idle = attach_raw(c, w.stream_id)  # attached, no request outstanding
+        t = in_thread(lambda: r.begin_step(timeout=5.0))
+        wait_parked(hosted_of(daemon, r))
+        began = time.monotonic()
+        daemon.drain(0.01)
+        with pytest.raises(SessionLost, match="draining"):
+            t.join_result(timeout=0.5)  # its own handler answered RETRY_AFTER
+        assert time.monotonic() - began < 0.5
+        with pytest.raises(TransportTimeout):
+            r._channel.recv(timeout=0.1)  # ... and the broadcast did not, too
+        # A peer that was not waiting still gets the broadcast, once.
+        assert decode_frame(idle.recv(timeout=1.0)).msg_type is MsgType.RETRY_AFTER
+        with pytest.raises(TransportTimeout):
+            idle.recv(timeout=0.1)
+        idle.close()
+        r.close()
+
+
+def test_stop_with_a_parked_reader_ends_the_daemon_thread():
+    d = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False).start()
+    c = connect(uri(d, "public"), retry=RetryPolicy(max_retries=0, timeout=0.01))
+    w = c.open("held.stop", "w")
+    r = c.open("held.stop", "r")
+    t = in_thread(lambda: r.begin_step(timeout=5.0))
+    wait_parked(hosted_of(d, r))
+    thread = d._thread
+    d.stop()
+    assert not thread.is_alive()  # inside stop()'s own join, not after it
+    with pytest.raises(TransportFault):  # typed, and long before the 5 s
+        t.join_result(timeout=2.0)
+    r.close()
+    with pytest.raises(TransportFault):
+        w.close()  # nobody left to tell
+    c.close()
