@@ -119,7 +119,9 @@ def bench_writer_visible(num_steps=12, compute_s=0.002):
         agg = state.monitor.aggregate("writer_visible")
         out[label + "_ms"] = agg.mean_duration * 1e3
         out[label + "_steps"] = agg.count
-        out[label + "_backpressure_waits"] = state.backpressure_waits
+        out[label + "_backpressure_waits"] = int(
+            state.monitor.metrics.counter("dataplane.backpressure_waits").value
+        )
     out["speedup"] = out["sync_ms"] / out["async_ms"]
     out["pass_async_below_sync"] = out["async_ms"] < out["sync_ms"]
     return out

@@ -8,8 +8,10 @@ Combines most of the stack in one run:
   watches its observed reduction ratio and migrates it into the writer —
   and because the simulated movement bill is charged from the *actual*
   conditioned byte counts, the migration visibly cuts data movement;
-* the performance monitor's trace is dumped at the end, the way FlexIO
-  feeds offline tuning.
+* the performance monitor's trace (timed regions; kept because tracing
+  is switched on) is dumped at the end, the way FlexIO feeds offline
+  tuning, while counts come from the metrics and migrations from the
+  controller's own event list.
 
 Run:  python examples/adaptive_insitu.py
 """
@@ -65,6 +67,7 @@ def run_once(stream_name, with_controller):
     )
     # Pre-create the stream so the codelet exists before step 0.
     state = stream_registry.create(stream_name, RankContext(0, 4))
+    state.monitor.enable_tracing()  # keep the per-step trace we dump below
     sampler = state.plugins.deploy(sampling_plugin(4), PluginSide.READER)
     controller = DCPlacementController(state.plugins, AdaptivePolicy(hysteresis=2))
 
@@ -114,11 +117,12 @@ def main() -> None:
         n = state.monitor.dump(trace)
         print(f"dumped {n} monitoring records for offline tuning "
               f"({os.path.getsize(trace)} bytes)")
-    summary = state.monitor.summary()
-    for cat in ("stream_publish", "dc_plugin", "dc_migration"):
-        if cat in summary:
-            s = summary[cat]
-            print(f"  {cat:16s} count={s['count']:4d} bytes={fmt_bytes(s['total_bytes'])}")
+    counter = state.monitor.metrics.counter
+    plugin = state.monitor.summary()["dc_plugin"]
+    print(f"  steps committed  count={int(counter('dataplane.drain.steps_committed').value):4d} "
+          f"bytes={fmt_bytes(int(counter('dataplane.drain.bytes_committed').value))}")
+    print(f"  dc_plugin        count={plugin['count']:4d} bytes={fmt_bytes(plugin['total_bytes'])}")
+    print(f"  migrations       count={len(controller.events):4d}")
 
 
 if __name__ == "__main__":

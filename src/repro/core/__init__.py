@@ -67,7 +67,6 @@ from repro.core.runtime import (
     make_stream_channel,
 )
 from repro.core.resilience import (
-    FaultInjector,
     MovementFailed,
     RetryPolicy,
     TransactionAborted,
@@ -88,7 +87,6 @@ __all__ = [
     "CachingOption",
     "DCPlacementController",
     "policy_from_hint",
-    "FaultInjector",
     "MovementFailed",
     "RetryPolicy",
     "TransactionAborted",

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.hints import MOVEMENT_STAGES, STAGE_DC_PLUGIN, STAGE_TRANSPORT
-from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import DCPlugin, PluginManager, PluginSide
+from repro.obs import recorder as flight
+from repro.obs.events import EV_PLUGIN_MIGRATE
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +85,9 @@ class DCPlacementController:
         self,
         plugins: PluginManager,
         policy: Optional[AdaptivePolicy] = None,
-        monitor: Optional[PerfMonitor] = None,
     ) -> None:
         self.plugins = plugins
         self.policy = policy or AdaptivePolicy()
-        self.monitor = monitor
         self.events: list[MigrationEvent] = []
         self._votes: dict[str, tuple[PluginSide, int]] = {}
         self._step = 0
@@ -154,11 +153,11 @@ class DCPlacementController:
                 self._votes.pop(plugin.name, None)
                 self.events.append(event)
                 performed.append(event)
-                if self.monitor is not None:
-                    self.monitor.record(
-                        "dc_migration", plugin.name, start=float(self._step),
-                        duration=0.0, to=desired.value, reason=reason,
-                    )
+                flight.record(
+                    EV_PLUGIN_MIGRATE, plugin=event.plugin, step=event.step,
+                    src=event.from_side.value, dst=event.to_side.value,
+                    reason=event.reason,
+                )
         self._step += 1
         return performed
 

@@ -110,7 +110,6 @@ STAGE_TRANSPORT = "transport"
 STAGE_REDISTRIBUTE = "redistribute"
 STAGE_READ = "read"
 STAGE_DC_PLUGIN = "dc_plugin"
-STAGE_HANDSHAKE = "handshake"
 
 #: Stages whose dominance means data movement is the bottleneck — the
 #: placement policy then favours writer-side reducers.

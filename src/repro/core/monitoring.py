@@ -10,12 +10,25 @@ memory allocations.  Records serve two consumers:
   high-water marks) feed the data-movement scheduler and DC plug-in
   placement decisions.
 
-Built on top of these flat records is the causal layer from
-:mod:`repro.obs`: ``monitor.span(...)`` opens a span whose finished form
-lands in the same trace buffer as an ordinary record carrying
-``trace_id``/``span_id``/``parent_id`` extras, and ``monitor.metrics``
-is a registry of counters/gauges/histograms the transports feed.
-Tracing is disabled by default and costs one boolean test when off.
+**Three kinds of observation, one sink each** — a fact is written once
+per kind it belongs to, never to two sinks of one kind under two names:
+
+* a **timed region** (it took Δt) is a record of this module —
+  ``span`` / ``measure`` / ``record`` with a real or simulated duration
+  → trace buffer (when kept), per-category aggregate,
+  ``latency.<category>`` histogram;
+* a **point event** (it happened at *t*) is a flight event —
+  ``flight.record(EV_*, stream=..., **attrs)`` → the bounded,
+  timestamped, dump-on-fault ring of :mod:`repro.obs.recorder`;
+* a **count or level** is a metric — ``monitor.metrics`` → ``/metrics``.
+
+So a step committed, lost, retried or degraded is a flight event and a
+counter, never a zero-duration record here, and a timed region is
+recorded once: ``measure()`` *is* the span when its trace is kept and
+the flat :class:`MeasurementPoint` otherwise.  Tracing is off by default
+and costs one boolean test; a monitor that is not tracing need not keep
+the per-record list either (``keep_trace=False`` — aggregates,
+histograms and counters are fed regardless).
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
@@ -39,9 +52,9 @@ _CORE_FIELDS = frozenset({"category", "name", "start", "duration", "bytes"})
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One monitored event."""
+    """One timed region."""
 
-    category: str       # e.g. "data_movement", "dc_plugin", "handshake"
+    category: str       # e.g. "writer_visible", "drain", "dc_plugin"
     name: str           # e.g. variable or plug-in name
     start: float        # seconds (simulated or wall, caller's choice)
     duration: float
@@ -152,7 +165,8 @@ class PerfMonitor:
 
     ``tracing`` defaults to the process-wide setting from
     :func:`repro.obs.default_tracing` (off unless ``FLEXIO_TRACE`` is set
-    or :func:`repro.obs.set_default_tracing` was called).
+    or :func:`repro.obs.set_default_tracing` was called).  Tracing
+    turns ``keep_trace`` on: spans have nowhere else to land.
     """
 
     def __init__(
@@ -163,7 +177,6 @@ class PerfMonitor:
         sample_rate: Optional[float] = None,
     ) -> None:
         self.clock = clock or time.perf_counter
-        self.keep_trace = keep_trace
         self.trace: list[TraceRecord] = []
         self.aggregates: dict[str, CategoryAggregate] = defaultdict(CategoryAggregate)
         #: Instrumented allocation tracking (Section II.G: "dynamic memory
@@ -179,6 +192,7 @@ class PerfMonitor:
             enabled=default_enabled if tracing is None else bool(tracing),
             sample_rate=default_rate if sample_rate is None else float(sample_rate),
         )
+        self.keep_trace = keep_trace or self.tracer.enabled
 
     # -- tracing -----------------------------------------------------------
     @property
@@ -187,8 +201,10 @@ class PerfMonitor:
 
     def enable_tracing(self, sample_rate: float = 1.0) -> None:
         """Turn on span collection (``sample_rate`` keeps that fraction
-        of traces, decided deterministically per root)."""
+        of traces, decided deterministically per root) and keep the
+        trace they land in."""
         self.tracer.enable(sample_rate)
+        self.keep_trace = True
 
     def disable_tracing(self) -> None:
         self.tracer.disable()
@@ -244,7 +260,17 @@ class PerfMonitor:
         self.metrics.histogram(metric_name(F_LATENCY, category)).observe(duration)
         return rec
 
-    def measure(self, category: str, name: str, nbytes: int = 0, **extra: Any) -> MeasurementPoint:
+    def measure(
+        self, category: str, name: str, nbytes: int = 0, parent: Any = CURRENT, **extra: Any
+    ):
+        """Time one region, once: the span (``parent`` as in
+        :meth:`span`) when its trace is kept, else — tracing off, trace
+        sampled out, ``parent=None`` — the flat :class:`MeasurementPoint`,
+        still timed and aggregated."""
+        if self.tracer.enabled and (
+            span := self.tracer.span(category, name, parent=parent, nbytes=nbytes, **extra)
+        ).recording:
+            return span  # a non-recording one is a no-op: nothing to close
         return MeasurementPoint(self, category, name, nbytes, **extra)
 
     # -- memory instrumentation -------------------------------------------

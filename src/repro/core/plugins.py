@@ -552,16 +552,14 @@ class DCPlugin:
     def apply(self, record: dict, monitor: Optional[PerfMonitor] = None) -> dict:
         """Run the codelet on one record (dict of variable name → array).
 
-        With tracing enabled the execution becomes a span (nesting under
-        the active write/read span of the timestep); otherwise it is the
-        classic flat measurement point.
+        The execution is one measured region: a span nesting under the
+        active write/read span of the timestep when that trace is kept,
+        the flat measurement point otherwise (tracing off or sampled
+        out) — timed and aggregated either way.
         """
         nbytes_in = self._record_bytes(record)
         if monitor:
-            if monitor.tracing_enabled:
-                cm = monitor.span("dc_plugin", self.name, nbytes=nbytes_in, side=self.side.value)
-            else:
-                cm = monitor.measure("dc_plugin", self.name, nbytes=nbytes_in, side=self.side.value)
+            cm = monitor.measure("dc_plugin", self.name, nbytes=nbytes_in, side=self.side.value)
             cm.__enter__()
         t0 = time.perf_counter()
         try:

@@ -659,14 +659,6 @@ class RedistributionEngine:
                 span.add_bytes(nbytes_moved)
                 span.__exit__(None, None, None)
         if self.monitor:
-            self.monitor.record(
-                "redistribution",
-                "move",
-                start=0.0,
-                duration=0.0,
-                nbytes=nbytes_moved,
-                pairs=len(self.plan.pairs),
-            )
             self.monitor.metrics.counter("redistribution.bytes_moved").inc(nbytes_moved)
             self.monitor.metrics.counter("redistribution.stride_messages").inc(
                 len(self.plan.pairs)

@@ -10,7 +10,8 @@ Both are implemented here:
 
 * :func:`retry_call` — the *current* scheme: every data-movement
   operation runs under a :class:`RetryPolicy`, a timeout with bounded
-  retries and exponential backoff; a :class:`FaultInjector`
+  retries and exponential backoff; the one fault source,
+  :class:`repro.transport.faults.TransportFaultInjector`,
   deterministically injects drops/timeouts so the behaviour is testable.
 * :class:`TransactionCoordinator` — the *planned* scheme (D2T-style):
   an output step becomes a distributed transaction over all writer
@@ -27,7 +28,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.util import rng
+from repro.transport.faults import TransportFaultInjector
 
 
 class MovementFailed(RuntimeError):
@@ -36,42 +37,6 @@ class MovementFailed(RuntimeError):
 
 class TransactionAborted(RuntimeError):
     """The coordinator aborted the transaction (some participant failed)."""
-
-
-# ---------------------------------------------------------------------------
-# Fault injection
-# ---------------------------------------------------------------------------
-
-class FaultInjector:
-    """Deterministic failure source for data-movement operations.
-
-    Two modes, combinable: a seeded drop probability, and a script of
-    exact operation indices to fail (1-based count of operations seen).
-    """
-
-    def __init__(
-        self,
-        drop_probability: float = 0.0,
-        fail_ops: Optional[Sequence[int]] = None,
-        seed: int = 0,
-    ) -> None:
-        if not (0.0 <= drop_probability < 1.0):
-            raise ValueError("drop_probability in [0, 1)")
-        self.drop_probability = drop_probability
-        self.fail_ops = set(fail_ops or ())
-        self._rng = rng(seed)
-        self.ops_seen = 0
-        self.faults_injected = 0
-
-    def should_fail(self) -> bool:
-        self.ops_seen += 1
-        fail = self.ops_seen in self.fail_ops or (
-            self.drop_probability > 0
-            and self._rng.random() < self.drop_probability
-        )
-        if fail:
-            self.faults_injected += 1
-        return fail
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +135,17 @@ class Participant:
 
     ``prepare`` stages the rank's output (durably, in the real system);
     ``commit`` publishes the staged data through ``publish_fn``;
-    ``abort`` discards it.  A :class:`FaultInjector` can fail prepares,
-    and ``prepare_fn`` lets the rank do real work during prepare (e.g.
-    move its bytes onto the wire) and vote on the outcome.
+    ``abort`` discards it.  A
+    :class:`~repro.transport.faults.TransportFaultInjector` can fail
+    prepares, and ``prepare_fn`` lets the rank do real work during
+    prepare (e.g. move its bytes onto the wire) and vote on the outcome.
     """
 
     def __init__(
         self,
         rank: int,
         publish_fn: Callable[[int, dict], None],
-        injector: Optional[FaultInjector] = None,
+        injector: Optional[TransportFaultInjector] = None,
         prepare_fn: Optional[Callable[[int, dict], bool]] = None,
     ) -> None:
         self.rank = rank
@@ -191,7 +157,7 @@ class Participant:
 
     def prepare(self, step: int, payload: dict) -> bool:
         """Stage the payload; returns the participant's vote."""
-        if self.injector is not None and self.injector.should_fail():
+        if self.injector is not None and self.injector.next_fault() is not None:
             self.phase = TxPhase.ABORTED
             self._staged = None
             return False
@@ -272,7 +238,7 @@ class TransactionalStreamWriter:
     def __init__(
         self,
         handles: Sequence[Any],
-        injector: Optional[FaultInjector] = None,
+        injector: Optional[TransportFaultInjector] = None,
         max_step_retries: int = 2,
     ) -> None:
         if not handles:

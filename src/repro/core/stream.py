@@ -283,6 +283,8 @@ class _PublishedStep:
     status: StepState = StepState.PENDING
     #: Why a LOST/ABORTED step failed (repr of the final exception).
     error: Optional[str] = None
+    #: Most tries any one send of this step took (1: nothing retried).
+    attempts: int = 1
     #: Buffered payload size: summed once at seal, zeroed when the step
     #: is lost (its groups are discarded), never re-derived.
     nbytes: int = 0
@@ -353,7 +355,6 @@ class _StepDrainer:
         try:
             self._queue.put_nowait(item)
         except queue.Full:
-            self._state.backpressure_waits += 1
             mon.metrics.counter("dataplane.backpressure_waits").inc()
             flight.record(
                 EV_BACKPRESSURE, stream=self._state.name, step=step.step
@@ -392,10 +393,6 @@ class _StepDrainer:
             self.wedged = True
             mon = self._state.monitor
             mon.metrics.counter("dataplane.drain.wedged").inc()
-            mon.record(
-                "drain_wedged", self._state.name, start=0.0, duration=0.0,
-                timeout=timeout,
-            )
             flight.record(
                 EV_DRAIN_WEDGED, stream=self._state.name, timeout=timeout
             )
@@ -438,14 +435,14 @@ class StreamState:
         hints: Optional[StreamHints] = None,
     ) -> None:
         self.name = name
-        self.monitor = monitor or PerfMonitor()
         self.hints = hints or StreamHints()
+        # An untraced stream's own monitor keeps no per-record list (its
+        # aggregates and metrics are fed either way); a caller's is theirs.
+        self.monitor = monitor or PerfMonitor(keep_trace=self.hints.trace)
         if self.hints.trace:
             self.monitor.enable_tracing()
         #: Times a publish exceeded the hinted buffering depth.
         self.backpressure_events = 0
-        #: Times the writer blocked on a full drain queue (async pipeline).
-        self.backpressure_waits = 0
         self.plugins = PluginManager(self.monitor)
         #: Every step's outcome (a :class:`_PublishedStep`, delivered or
         #: lost) and how the stream ended; nothing is evicted in process.
@@ -468,6 +465,8 @@ class StreamState:
         self._directory: Optional[DirectoryServer] = None
         # Fault schedule: the per-stream hint wins over FLEXIO_FAULTS.
         self._injector = parse_fault_spec(self.hints.faults) or injector_from_env()
+        if self._injector is not None:
+            self._injector.stream = name  # its transport.fault events are ours
         self._retry_policy = RetryPolicy(
             max_retries=self.hints.max_retries,
             timeout=self.hints.retry_timeout,
@@ -574,8 +573,10 @@ class StreamState:
         if sync is None:
             sync = self.hints.sync
         step = _PublishedStep(self._step)
+        # Not the ``write`` span's region (it also covers the hand-off
+        # and, with sync, the drain): flat, so ``write`` stays the root.
         with self.monitor.measure(
-            "writer_visible", self.name, step=self._step, sync=bool(sync)
+            "writer_visible", self.name, parent=None, step=self._step, sync=bool(sync)
         ) as vis:
             # Root span of this timestep's trace: everything downstream
             # (the reader's redistribute/transport/plug-in spans and the
@@ -680,27 +681,22 @@ class StreamState:
         """
         mon = self.monitor
         err: Optional[Exception] = None
-        with mon.measure("drain", self.name, step=step.step) as mp:
-            mp.add_bytes(step.nbytes)
-            with mon.span(
-                "drain", self.name, parent=step.trace_ctx, step=step.step
-            ):
-                if self.hints.transactional and step.groups:
-                    err = self._drain_transactional(step, rank_parts)
-                else:
-                    parts = WireVector(
-                        p for r in sorted(rank_parts) for p in rank_parts[r]
-                    )
-                    err = self._send_with_retries(step, parts)
+        with mon.measure(
+            "drain", self.name, nbytes=step.nbytes,
+            parent=step.trace_ctx, step=step.step,
+        ):
+            if self.hints.transactional and step.groups:
+                err = self._drain_transactional(step, rank_parts)
+            else:
+                parts = WireVector(
+                    p for r in sorted(rank_parts) for p in rank_parts[r]
+                )
+                err = self._send_with_retries(step, parts)
         if err is None:
             self._consecutive_failures = 0
             self._commit(step)
         else:
             mon.metrics.counter("dataplane.drain.errors").inc()
-            mon.record(
-                "drain_error", self.name, start=0.0, duration=0.0,
-                step=step.step, error=repr(err),
-            )
             self._mark_lost(step, err)
             self._consecutive_failures += 1
             self._maybe_degrade()
@@ -711,9 +707,11 @@ class StreamState:
         Returns None on success, the final exception on failure.  Only
         transport faults and timeouts are retriable — anything else
         (a programming error in the channel) fails the step immediately.
-        Each injected-and-survived fault shows up as a ``drain_fault``
-        record plus a retry counter; a send that eventually succeeds
-        increments ``dataplane.drain.recovered``.
+        Every failed attempt is counted in ``dataplane.drain.faults``;
+        one that is retried is a ``drain.retry`` flight event carrying
+        its error, and a send that eventually succeeds increments
+        ``dataplane.drain.recovered`` and leaves its try count on the
+        step (``attempts`` of the ``step.commit`` event).
         """
         if not parts or self._channel is None:
             return None
@@ -722,11 +720,14 @@ class StreamState:
         retriable = (TransportFault, TimeoutError)
         attempt = 0
 
-        def on_retry(n: int, _exc: Exception) -> None:
+        def on_retry(n: int, exc: Exception) -> None:
             nonlocal attempt
             attempt = n
             mon.metrics.counter("dataplane.drain.retries").inc()
-            flight.record(EV_RETRY, stream=self.name, step=step.step, attempt=n)
+            flight.record(
+                EV_RETRY, stream=self.name, step=step.step, attempt=n,
+                error=repr(exc),
+            )
 
         def send_once() -> Optional[Exception]:
             # A retriable fault is raised (retry_call's cue); any other
@@ -747,10 +748,6 @@ class StreamState:
             # flexlint: ok(FXL001) deliberate non-retriable classifier: any non-fault error fails the step
             except Exception as exc:
                 mon.metrics.counter("dataplane.drain.faults").inc()
-                mon.record(
-                    "drain_fault", self.name, start=0.0, duration=0.0,
-                    step=step.step, attempt=attempt, error=repr(exc),
-                )
                 if isinstance(exc, retriable):
                     raise
                 return exc
@@ -764,10 +761,7 @@ class StreamState:
             return exc  # retries exhausted
         if err is None and attempt > 0:
             mon.metrics.counter("dataplane.drain.recovered").inc()
-            mon.record(
-                "drain_recovered", self.name, start=0.0, duration=0.0,
-                step=step.step, attempts=attempt + 1,
-            )
+            step.attempts = max(step.attempts, attempt + 1)
         return err
 
     def _drain_transactional(self, step: _PublishedStep, rank_parts: dict):
@@ -813,10 +807,6 @@ class StreamState:
         step.nbytes = 0
         mon = self.monitor
         mon.metrics.counter("dataplane.drain.steps_lost").inc()
-        mon.record(
-            "step_lost", self.name, start=0.0, duration=0.0,
-            step=step.step, status=step.status.value, error=step.error,
-        )
         code = (
             EV_STEP_ABORTED if step.status is StepState.ABORTED else EV_STEP_LOST
         )
@@ -862,10 +852,6 @@ class StreamState:
             self.active_transport = nxt
         self._consecutive_failures = 0
         self.monitor.metrics.counter("dataplane.transport.degradations").inc()
-        self.monitor.record(
-            "transport_degraded", self.name, start=0.0, duration=0.0,
-            src=previous, dst=self.active_transport,
-        )
         flight.record(
             EV_DEGRADE, stream=self.name, src=previous, dst=self.active_transport
         )
@@ -875,11 +861,11 @@ class StreamState:
         mon = self.monitor
         mon.metrics.counter("dataplane.drain.steps_committed").inc()
         mon.metrics.counter("dataplane.drain.bytes_committed").inc(step.nbytes)
-        mon.record(
-            "stream_publish", self.name, start=0.0, duration=0.0, nbytes=step.nbytes
-        )
+        # ``attempts`` only when a retried send recovered the step.
+        recovered = {"attempts": step.attempts} if step.attempts > 1 else {}
         flight.record(
-            EV_STEP_COMMIT, stream=self.name, step=step.step, nbytes=step.nbytes
+            EV_STEP_COMMIT, stream=self.name, step=step.step,
+            nbytes=step.nbytes, **recovered,
         )
         with self._committed:  # last: a woken reader finds the commit recorded
             self.store.append(step.step, step, step.nbytes)
@@ -921,9 +907,6 @@ class StreamState:
         self._current = {}
         self._advanced = set()
         self.monitor.metrics.counter("dataplane.stream.failures").inc()
-        self.monitor.record(
-            "stream_failed", self.name, start=0.0, duration=0.0, error=reason
-        )
         flight.record(EV_STREAM_FAILED, stream=self.name, reason=reason)
         flight.dump_on_fault(
             f"stream failed: {reason}", stream=self.name, monitor=self.monitor
@@ -1231,9 +1214,7 @@ class StepReader(ReadHandle):
             if self.plugins.has_side(PluginSide.READER):
                 record = self.plugins.apply_side(PluginSide.READER, record)
         data = np.asarray(record[name])
-        mon.record(
-            "stream_read", name, start=0.0, duration=0.0, nbytes=int(data.nbytes)
-        )
+        mon.metrics.counter("dataplane.bytes_read").inc(int(data.nbytes))
         return data
 
     def read(self, name, *, start=None, count=None, selection=None) -> np.ndarray:
@@ -1352,9 +1333,7 @@ class StepReader(ReadHandle):
                     if out is not None and result is not out:
                         out[...] = result  # a reader-side plugin transformed the data
                         result = out
-        mon.record(
-            "stream_read", name, start=0.0, duration=0.0, nbytes=int(result.nbytes)
-        )
+        mon.metrics.counter("dataplane.bytes_read").inc(int(result.nbytes))
         return result
 
     def read_all(
@@ -1474,10 +1453,6 @@ class FlexpathReadHandle(StepReader):
         cost = eng.handshake()
         self._hs_paid_step = self._cursor
         mon = self._state.monitor
-        mon.record(
-            "handshake", name, start=0.0, duration=0.0,
-            nbytes=cost.control_bytes, messages=cost.messages,
-        )
         mon.metrics.counter("handshake.messages").inc(cost.messages)
         mon.metrics.counter("handshake.control_bytes").inc(cost.control_bytes)
 

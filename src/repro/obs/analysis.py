@@ -1,7 +1,9 @@
-"""Offline trace analysis: stage breakdowns, critical path, bottleneck.
+"""Offline analysis: stage breakdowns, critical path, bottleneck, faults.
 
-Consumes the JSONL dump produced by :meth:`PerfMonitor.dump` (a list of
-dicts after :meth:`PerfMonitor.load`).  Span records — those carrying
+Timed regions come from the JSONL dump produced by
+:meth:`PerfMonitor.dump` (a list of dicts after
+:meth:`PerfMonitor.load`); faults and recovery come from a flight
+timeline (:func:`fault_summary`).  Span records — those carrying
 ``trace_id``/``span_id`` — are assembled into per-trace trees; analysis
 then answers the three questions the paper's offline-tuning loop needs:
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.obs import events as ev
 from repro.obs.export import is_span_record
 
 
@@ -203,7 +206,6 @@ SUGGESTIONS: dict[str, str] = {
     "dc_plugin": "migrate reducer plug-ins writer-side and expander "
                  "plug-ins reader-side; check codelet cost against the "
                  "writer CPU budget",
-    "handshake": "enable handshake caching (caching=all) and batching",
 }
 
 
@@ -249,19 +251,20 @@ def find_bottleneck(records: Iterable[dict]) -> Optional[BottleneckHint]:
 
 @dataclass
 class FaultSummary:
-    """Aggregate of the data plane's fault and recovery records.
+    """Aggregate of the data plane's fault and recovery flight events.
 
-    Built from the non-span records the resilient pipeline emits:
-    injected transport faults (category ``fault``), per-attempt drain
-    failures and recoveries, steps lost after exhausted retries,
-    transport degradations, and abnormal stream ends.
+    Built from a flight timeline (:func:`fault_summary`): injected
+    transport faults, retried drain attempts, steps a retry recovered,
+    steps lost after exhausted retries, transport degradations,
+    abnormal stream ends and wedged drainers.
     """
 
     #: ``"<transport>.<kind>" -> count`` of injected faults.
     injected: dict = field(default_factory=dict)
+    #: Drain attempts that faulted: every retried attempt plus the last
+    #: attempt of every lost step.
     drain_faults: int = 0
     recovered: int = 0
-    drain_errors: int = 0
     steps_lost: int = 0
     #: ``(src, dst)`` transport pairs, one per degradation event.
     degradations: list = field(default_factory=list)
@@ -274,23 +277,21 @@ class FaultSummary:
         return sum(self.injected.values())
 
     def any(self) -> bool:
-        """True when the dump shows any fault activity at all."""
+        """True when the timeline shows any fault activity at all."""
         return bool(
-            self.injected or self.drain_faults or self.drain_errors
-            or self.steps_lost or self.degradations or self.stream_failures
-            or self.wedged_drains
+            self.injected or self.drain_faults or self.degradations
+            or self.stream_failures or self.wedged_drains
         )
 
     def lines(self) -> list[str]:
-        """Human-readable one-liners (what ``repro.tools.trace`` prints)."""
+        """Human-readable one-liners (``repro.tools.trace --flight``)."""
         out = []
         for key in sorted(self.injected):
             out.append(f"injected {self.injected[key]}x {key}")
         if self.drain_faults:
             out.append(
                 f"{self.drain_faults} drain attempts faulted, "
-                f"{self.recovered} steps recovered by retry, "
-                f"{self.drain_errors} exhausted retries"
+                f"{self.recovered} steps recovered by retry"
             )
         if self.steps_lost:
             out.append(f"{self.steps_lost} steps lost/aborted (typed gaps)")
@@ -303,27 +304,30 @@ class FaultSummary:
         return out
 
 
-def fault_summary(records: Iterable[dict]) -> FaultSummary:
-    """Aggregate every fault/recovery record of one dump."""
+def fault_summary(events: Iterable) -> FaultSummary:
+    """Aggregate the fault/recovery events of one flight timeline — a
+    dump's ``events`` (dicts) or ``recorder.events(stream=...)``."""
     s = FaultSummary()
-    for rec in records:
-        cat = rec.get("category")
-        if cat == "fault":
-            key = rec.get("name", "?")
+    for e in events:
+        if not isinstance(e, dict):
+            e = e.as_dict()
+        code = e["code"]
+        if code == ev.EV_FAULT:
+            key = f"{e.get('transport', '?')}.{e.get('kind', '?')}"
             s.injected[key] = s.injected.get(key, 0) + 1
-        elif cat == "drain_fault":
+        elif code == ev.EV_RETRY:
             s.drain_faults += 1
-        elif cat == "drain_recovered":
-            s.recovered += 1
-        elif cat == "drain_error":
-            s.drain_errors += 1
-        elif cat == "step_lost":
+        elif code == ev.EV_STEP_COMMIT:
+            if "attempts" in e:  # a retried send saved this step
+                s.recovered += 1
+        elif code in (ev.EV_STEP_LOST, ev.EV_STEP_ABORTED):
+            s.drain_faults += 1
             s.steps_lost += 1
-        elif cat == "transport_degraded":
-            s.degradations.append((rec.get("src", "?"), rec.get("dst", "?")))
-        elif cat == "stream_failed":
-            s.stream_failures.append(rec.get("error", "?"))
-        elif cat == "drain_wedged":
+        elif code == ev.EV_DEGRADE:
+            s.degradations.append((e.get("src", "?"), e.get("dst", "?")))
+        elif code == ev.EV_STREAM_FAILED:
+            s.stream_failures.append(e.get("reason", "?"))
+        elif code == ev.EV_DRAIN_WEDGED:
             s.wedged_drains += 1
     return s
 

@@ -1,23 +1,19 @@
 """Central event table: every telemetry event name, declared once.
 
-The flight recorder (:mod:`repro.obs.recorder`) and the flat trace
-records (:meth:`repro.core.monitoring.PerfMonitor.record`) both name
-events with short dotted strings.  Scattered ad-hoc literals are how
-the hint keys got out of sync before :mod:`repro.core.hints` existed —
-this module is the same cure for event names: each code is declared
-exactly once with its semantics, producers import the constant, and the
-FlexLint FXL007 rule fails any hot-path ``record()`` call whose event
-name is an unregistered literal or a computed f-string.
-
-Two registries share the table:
-
-* **flight event codes** (``EV_*``) — the compact structured events the
-  always-on flight recorder keeps in its ring buffer; and
-* **trace categories** — the ``category`` names of flat
-  ``PerfMonitor.record`` records (drain faults, lost steps, ...).
-
-``EVENT_CODES`` is their union: the single vocabulary FXL007 checks
-against.
+A *point event* of the data plane — it happened at *t* — has one sink,
+the flight recorder (:mod:`repro.obs.recorder`), and one name, a flight
+event code (``EV_*``); :mod:`repro.core.monitoring` states the whole
+rule (timed regions and counts have their own sinks).  Scattered ad-hoc
+literals are how the hint keys got out of sync before
+:mod:`repro.core.hints` existed — this module is the same cure for
+event names: each code is declared exactly once with its semantics,
+producers import the constant, the recorder refuses a code that is not
+in ``FLIGHT_EVENTS``, and the FlexLint FXL007 rule fails any hot-path
+``record()`` call whose name is an unregistered literal or a computed
+f-string.  FXL007 cannot tell a monitor's ``record()`` from the
+recorder's, so it checks literals against ``EVENT_CODES``: the flight
+codes plus the trace categories (names of *timed regions*) that
+``src/`` still spells as a literal.  No name is in both.
 """
 
 from __future__ import annotations
@@ -65,6 +61,7 @@ EV_STREAM_FAILED = "stream.failed"
 EV_DRAIN_WEDGED = "drain.wedged"
 EV_SANITIZER = "sanitizer.violation"
 EV_HEALTH = "health.verdict"
+EV_PLUGIN_MIGRATE = "plugin.migrate"
 EV_FLIGHT_DUMP = "flight.dump"
 EV_NET_CONNECT = "net.connect"
 EV_NET_DISCONNECT = "net.disconnect"
@@ -97,6 +94,7 @@ _FLIGHT_SPECS = (
     EventSpec(EV_DRAIN_WEDGED, "a drainer thread failed to join at stop()"),
     EventSpec(EV_SANITIZER, "the concurrency sanitizer recorded a violation"),
     EventSpec(EV_HEALTH, "a stream's health verdict changed"),
+    EventSpec(EV_PLUGIN_MIGRATE, "the placement controller migrated a codelet"),
     EventSpec(EV_FLIGHT_DUMP, "the recorder wrote a dump artifact"),
     EventSpec(EV_NET_CONNECT, "a client authenticated to the directory daemon"),
     EventSpec(EV_NET_DISCONNECT, "a client connection to the daemon ended"),
@@ -120,41 +118,22 @@ FLIGHT_EVENTS: dict[str, EventSpec] = {s.code: s for s in _FLIGHT_SPECS}
 
 
 # ---------------------------------------------------------------------------
-# Trace categories of flat PerfMonitor.record() records.
+# Trace categories a PerfMonitor.record() call in src/ spells as a literal
+# (span()/measure() categories are not record() names: FXL007 skips them).
 # ---------------------------------------------------------------------------
 
 _CATEGORY_SPECS = (
-    EventSpec("fault", "one injected transport fault (faults.record_injected)"),
-    EventSpec("drain_fault", "one failed drain attempt (will retry or fail)"),
-    EventSpec("drain_recovered", "a retried send eventually succeeded"),
-    EventSpec("drain_error", "a step's retries were exhausted"),
-    EventSpec("drain_wedged", "the drain thread missed its join timeout"),
-    EventSpec("step_lost", "a step was marked LOST/ABORTED"),
-    EventSpec("stream_publish", "a step was committed to the published list"),
-    EventSpec("stream_failed", "a stream ended abnormally"),
-    EventSpec("stream_read", "one reader-side read completed"),
-    EventSpec("transport_degraded", "the active transport fell down the ladder"),
-    EventSpec("transport", "one transport-level data movement"),
-    EventSpec("redistribution", "one MxN redistribution execution"),
-    EventSpec("handshake", "one handshake-protocol accounting round"),
-    EventSpec("dc_migration", "the placement controller migrated a codelet"),
+    EventSpec("transport", "one transport-level data movement (modelled duration)"),
 )
 
-#: Flat-record category registry, keyed by category name.
+#: Timed-region category registry, keyed by category name.
 TRACE_CATEGORIES: dict[str, EventSpec] = {s.code: s for s in _CATEGORY_SPECS}
 
-#: The single vocabulary FXL007 validates record() literals against.
+#: The vocabulary FXL007 validates record() literals against.
 EVENT_CODES: frozenset[str] = frozenset(FLIGHT_EVENTS) | frozenset(TRACE_CATEGORIES)
 
 
 def suggest(code: str) -> Optional[str]:
-    """The closest registered code to a misspelled one, if any."""
-    matches = difflib.get_close_matches(code, sorted(EVENT_CODES), n=1)
+    """The closest flight event code to a misspelled one, if any."""
+    matches = difflib.get_close_matches(code, sorted(FLIGHT_EVENTS), n=1)
     return matches[0] if matches else None
-
-
-def validate_code(code: str) -> str:
-    """Return ``code`` if registered; raise :class:`UnknownEventError`."""
-    if code not in EVENT_CODES:
-        raise UnknownEventError(code, suggest(code))
-    return code

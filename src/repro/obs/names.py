@@ -70,6 +70,7 @@ class UnknownMetricError(ValueError):
 
 # Data plane (core/stream.py, tools/chaos.py)
 M_BACKPRESSURE_WAITS = "dataplane.backpressure_waits"
+M_BYTES_READ = "dataplane.bytes_read"
 M_DRAIN_BYTES_COMMITTED = "dataplane.drain.bytes_committed"
 M_DRAIN_ERRORS = "dataplane.drain.errors"
 M_DRAIN_FAULTS = "dataplane.drain.faults"
@@ -152,6 +153,7 @@ M_HEALTH_P99 = "health.p99_latency"
 
 _METRIC_SPECS = (
     MetricSpec(M_BACKPRESSURE_WAITS, "counter", "writer blocked on a full drain queue"),
+    MetricSpec(M_BYTES_READ, "counter", "bytes handed to readers by read()/read_block()"),
     MetricSpec(M_DRAIN_BYTES_COMMITTED, "counter", "payload bytes committed by the drainer"),
     MetricSpec(M_DRAIN_ERRORS, "counter", "steps whose retries were exhausted"),
     MetricSpec(M_DRAIN_FAULTS, "counter", "transport faults seen by the drainer"),

@@ -14,15 +14,17 @@ That is a flight recorder:
   faults, transport degradations, lease reaps, queue high-water marks,
   sanitizer violations — appended under one tiny lock so concurrent
   producers never tear an event and eviction keeps strict
-  ``(timestamp, seq)`` order;
+  ``(timestamp, seq)`` order — the one sink of every *point event* of
+  the data plane (none is also written to a monitor's trace);
 * every event code comes from the central table
-  (:mod:`repro.obs.events`); an unregistered code raises, and the
-  FlexLint FXL007 rule enforces the same at the call site statically;
+  (:data:`repro.obs.events.FLIGHT_EVENTS`); an unregistered code raises,
+  and the FlexLint FXL007 rule enforces the same at the call site
+  statically;
 * on any fault, :func:`dump_on_fault` writes the last ``window_s``
-  seconds of events plus a metrics snapshot (and, when available, the
-  monitor's trace records) to a JSON artifact that
-  ``repro.tools.trace --flight`` renders with the existing
-  bottleneck-hint machinery.
+  seconds of events plus a metrics snapshot (and, when the monitor was
+  tracing, its span records) to a JSON artifact that
+  ``repro.tools.trace --flight`` renders: timeline, the faults-and-
+  recovery summary read off it, the stage breakdown of the spans.
 
 Enablement: on by default (``FLEXIO_FLIGHT=0`` disables).  Dump
 artifacts are written only when a directory is configured — via
@@ -40,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from repro.obs.events import EVENT_CODES, UnknownEventError, suggest
+from repro.obs.events import FLIGHT_EVENTS, UnknownEventError, suggest
 
 #: Version stamp of the dump schema (the ``--flight`` loader checks it).
 DUMP_SCHEMA = 1
@@ -111,13 +113,13 @@ class FlightRecorder:
     def record(self, code: str, stream: str = "", **attrs: Any) -> Optional[FlightEvent]:
         """Append one event; returns it (or None when disabled).
 
-        ``code`` must come from the central event table
-        (:mod:`repro.obs.events`) — an unknown code raises
+        ``code`` must be a flight code of the central event table
+        (:data:`repro.obs.events.FLIGHT_EVENTS`) — anything else raises
         :class:`~repro.obs.events.UnknownEventError` with a suggestion.
         """
         if not self.enabled:
             return None
-        if code not in EVENT_CODES:
+        if code not in FLIGHT_EVENTS:
             raise UnknownEventError(code, suggest(code))
         extra = tuple(sorted(attrs.items()))
         with self._lock:
@@ -184,7 +186,7 @@ class FlightRecorder:
 
         Includes the windowed event timeline, a metrics snapshot, and —
         when the monitor kept a trace — its records, so the ``--flight``
-        renderer can reuse the fault-summary and bottleneck machinery.
+        renderer can reuse the stage-breakdown and bottleneck machinery.
         """
         events = self.events(window_s=window_s)
         doc: dict = {

@@ -37,10 +37,10 @@ sample per fault-injected endpoint; :func:`check_delivery` and
    the FETCH frames it sent are bounded by the steps it was delivered.
 
 In-process runs add what only they can see: no step left mid-pipeline,
-fault records in the trace, the concurrency sanitizer
-(``FLEXIO_SANITIZE=1``), and — with ``--plugins`` — reads through the
-compiled fused plan checked against the interpreted chain (the oracle
-payload *is* the interpreted result, so invariant 2 covers it).
+the concurrency sanitizer (``FLEXIO_SANITIZE=1``), and — with
+``--plugins`` — reads through the compiled fused plan checked against
+the interpreted chain (the oracle payload *is* the interpreted result,
+so invariant 2 covers it).
 
 Usage::
 
@@ -86,7 +86,6 @@ from repro.core.stream import StepState, stream_registry
 from repro.net.client import connect
 from repro.net.server import parse_ready_line
 from repro.obs import recorder as flight
-from repro.obs.analysis import fault_summary
 from repro.obs.events import (
     EV_FAULT,
     EV_FLIGHT_DUMP,
@@ -488,11 +487,6 @@ def _run_inproc(report: ChaosReport, log: DeliveryLog, params: str,
         report.fused_reads = int(metrics.counter(M_PLUGIN_FUSED_READS).value)
         if any(d is not None for _, d in log.observed) and not report.fused_reads:
             fail("plug-in chain deployed but no read took the fused path")
-    summary = fault_summary([r.as_dict() for r in state.monitor.trace])
-    if report.faults_injected > 0 and not summary.any():
-        fail("faults were injected but none are visible in the trace")
-    if report.recovered > 0 and summary.recovered == 0:
-        fail("retries recovered steps but no drain_recovered trace records")
     if trace_out:
         state.monitor.export_perfetto(trace_out)
     stream_registry.close_stream(name)

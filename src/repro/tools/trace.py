@@ -17,9 +17,11 @@ https://ui.perfetto.dev.
 With ``--flight`` the argument is a **flight-recorder dump** (the JSON
 artifact :func:`repro.obs.recorder.dump_on_fault` writes when a step is
 lost, a drainer wedges, or a stream fails): the event timeline of the
-fault window is rendered chronologically, the embedded metrics snapshot
-is summarized, and any embedded trace records go through the same
-fault-summary/bottleneck machinery as a plain dump.
+fault window is rendered chronologically and summed up as a "faults and
+recovery" section (faults are point events — the timeline is the only
+place they are written), the embedded metrics snapshot is summarized,
+and any embedded span records go through the same stage-breakdown /
+bottleneck machinery as a plain dump.
 """
 
 from __future__ import annotations
@@ -88,12 +90,6 @@ def analyze(
                 file=out,
             )
 
-    faults = fault_summary(records)
-    if faults.any():
-        print("\nfaults and recovery:", file=out)
-        for line in faults.lines():
-            print(f"  {line}", file=out)
-
     copies = copy_summary(records)
     if copies.any():
         print("\ntransport copies (per delivery path):", file=out)
@@ -107,7 +103,8 @@ def analyze(
 
 
 def analyze_flight(doc: dict, out=None) -> int:
-    """Render a flight-recorder dump: timeline, metrics, embedded trace."""
+    """Render a flight-recorder dump: timeline, faults and recovery,
+    metrics, embedded trace."""
     out = out or sys.stdout
     events = doc.get("events", [])
     print(
@@ -130,6 +127,11 @@ def analyze_flight(doc: dict, out=None) -> int:
                 f"{'  ' + attrs if attrs else ''}",
                 file=out,
             )
+    faults = fault_summary(events)
+    if faults.any():
+        print("\nfaults and recovery:", file=out)
+        for line in faults.lines():
+            print(f"  {line}", file=out)
     metrics = doc.get("metrics") or {}
     counters = metrics.get("counters") or {}
     if counters:

@@ -15,8 +15,9 @@ fault model; this module supplies it for both transports:
 * :class:`TransportFaultInjector`, a seeded deterministic fault source
   the channels consult before each send.  Selectable per stream via the
   ``faults=...`` hint or process-wide via ``FLEXIO_FAULTS``; every
-  injected fault is counted in the metrics registry and recorded in the
-  trace so recovery is observable end to end.
+  injected fault is counted in the metrics registry and is one
+  ``transport.fault`` flight event (a point event: it has a timestamp,
+  not a duration), so recovery is observable end to end.
 """
 
 from __future__ import annotations
@@ -144,6 +145,9 @@ class TransportFaultInjector:
         if not all(isinstance(k, FaultKind) for k in self.kinds):
             raise ValueError("kinds must be FaultKind values")
         self._rng = rng(self.seed)
+        #: Stream whose drain channel this injector faults ("": none —
+        #: a network client's); attributes the ``transport.fault`` events.
+        self.stream = ""
         self.ops_seen = 0
         self.faults_injected = 0
         self.by_kind: dict[FaultKind, int] = {k: 0 for k in self.kinds}
@@ -222,20 +226,20 @@ def injector_from_env(environ=None) -> Optional[TransportFaultInjector]:
     return parse_fault_spec(env.get("FLEXIO_FAULTS"))
 
 
-def record_injected(monitor, transport: str, kind: FaultKind, nbytes: int = 0) -> None:
-    """Account one injected fault: counters + a trace record.
+def record_injected(
+    monitor, transport: str, kind: FaultKind, nbytes: int = 0, stream: str = ""
+) -> None:
+    """Account one injected fault: counters + a ``transport.fault``
+    flight event (attributed to ``stream`` when the injector has one).
 
-    The record lands in the monitor's trace buffer (category ``fault``)
-    so injected faults show up next to the drain/transport spans in the
-    Perfetto export; the counters make recovery rates queryable without
-    a trace scan.
+    The counters make recovery rates queryable without scanning the
+    ring; the event puts the fault on the timeline next to the retry or
+    loss it caused.
     """
     if monitor is None:
         return
     monitor.metrics.counter(metric_name(F_FAULTS_INJECTED, kind.value)).inc()
     monitor.metrics.counter(M_FAULTS_INJECTED_TOTAL).inc()
-    monitor.record(
-        "fault", f"{transport}.{kind.value}", start=0.0, duration=0.0,
-        nbytes=nbytes, kind=kind.value, transport=transport,
+    flight.record(
+        EV_FAULT, stream=stream, kind=kind.value, transport=transport, nbytes=nbytes
     )
-    flight.record(EV_FAULT, kind=kind.value, transport=transport, nbytes=nbytes)

@@ -448,7 +448,9 @@ class RdmaChannel(Channel):
         kind = self.injector.next_fault()
         if kind is None:
             return
-        record_injected(self.monitor, "rdma", kind, nbytes=nbytes)
+        record_injected(
+            self.monitor, "rdma", kind, nbytes=nbytes, stream=self.injector.stream
+        )
         raise fault_exception(
             kind, f"injected {kind.value} on rdma send ({nbytes} B)"
         )

@@ -509,7 +509,9 @@ class ShmChannel(Channel):
         kind = self.injector.next_fault()
         if kind is None:
             return
-        record_injected(self.monitor, "shm", kind, nbytes=total)
+        record_injected(
+            self.monitor, "shm", kind, nbytes=total, stream=self.injector.stream
+        )
         if kind is FaultKind.TORN_SEND and total > self._inline_max:
             with self.pool.lease(total) as lease:
                 torn = max(1, total // 2)

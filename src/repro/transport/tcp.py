@@ -208,7 +208,9 @@ class TcpChannel(Channel):
         kind = self.injector.next_fault()
         if kind is None:
             return None
-        record_injected(self.monitor, "tcp", kind, nbytes=total)
+        record_injected(
+            self.monitor, "tcp", kind, nbytes=total, stream=self.injector.stream
+        )
         if kind in (
             FaultKind.TORN_FRAME, FaultKind.DROPPED_FRAME, FaultKind.DELAYED_FRAME
         ):

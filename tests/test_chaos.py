@@ -227,10 +227,13 @@ def test_timeout_hierarchy_is_unified():
 
 
 # ---------------------------------------------------------------------------
-# Fault summary over a chaos trace
+# Fault summary over a chaos run's flight events
 # ---------------------------------------------------------------------------
 
 def test_fault_summary_reflects_chaos_trace():
+    from repro.obs import recorder as flight
+
+    recorder = flight.reset()
     name = "chaos.summary.stream"
     adios = Adios.from_xml(
         """
@@ -247,8 +250,7 @@ def test_fault_summary_reflects_chaos_trace():
         h.write("x", np.full(4, float(step)))
         h.end_step()
     h.close()
-    state = stream_registry._states[name]
-    summary = fault_summary([r.as_dict() for r in state.monitor.trace])
+    summary = fault_summary(recorder.events(stream=name))
     assert summary.any()
     assert summary.total_injected == sum(summary.injected.values())
     assert all(key.startswith("shm.") for key in summary.injected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PerfMonitor, PluginManager, PluginSide
+from repro.core import PluginManager, PluginSide
 from repro.core.adaptive import (
     AdaptiveGetScheduler,
     AdaptivePolicy,
@@ -94,12 +94,22 @@ def test_unobserved_plugin_not_moved():
 
 
 def test_controller_records_to_monitor():
-    mon = PerfMonitor(clock=lambda: 0.0)
+    """A migration is a point event: one ``plugin.migrate`` flight event
+    carrying what ``controller.events`` carries."""
+    from repro.obs import recorder as flight
+    from repro.obs.events import EV_PLUGIN_MIGRATE
+
+    recorder = flight.reset()
     mgr = PluginManager()
-    run_plugin(mgr.deploy(sampling_plugin(4), PluginSide.READER))
-    ctl = DCPlacementController(mgr, AdaptivePolicy(hysteresis=1), monitor=mon)
-    ctl.observe_step(0.5)
-    assert mon.aggregate("dc_migration").count == 1
+    sampler = mgr.deploy(sampling_plugin(4), PluginSide.READER)
+    run_plugin(sampler)
+    ctl = DCPlacementController(mgr, AdaptivePolicy(hysteresis=1))
+    (migration,) = ctl.observe_step(0.5)
+    (event,) = recorder.events(code=EV_PLUGIN_MIGRATE)
+    assert dict(event.attrs) == {
+        "plugin": sampler.name, "step": 0, "src": "reader", "dst": "writer",
+        "reason": migration.reason,
+    }
 
 
 def test_controller_input_validation():

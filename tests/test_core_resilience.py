@@ -6,7 +6,6 @@ import pytest
 from repro.adios import Adios, EndOfStream, RankContext
 from repro.core import stream_registry
 from repro.core.resilience import (
-    FaultInjector,
     Participant,
     RetryPolicy,
     TransactionAborted,
@@ -15,6 +14,7 @@ from repro.core.resilience import (
     TxPhase,
     retry_call,
 )
+from repro.transport.faults import TransportFaultInjector
 
 CONFIG = """
 <adios-config>
@@ -34,27 +34,27 @@ def fresh_registry():
 
 
 # ---------------------------------------------------------------------------
-# FaultInjector
+# The one fault injector, as the retry and 2PC tests below drive it
 # ---------------------------------------------------------------------------
 
 def test_injector_scripted_failures():
-    inj = FaultInjector(fail_ops=[2, 4])
-    assert [inj.should_fail() for _ in range(5)] == [False, True, False, True, False]
+    inj = TransportFaultInjector(fail_ops=[2, 4])
+    assert [inj.next_fault() is not None for _ in range(5)] == [False, True, False, True, False]
     assert inj.faults_injected == 2
 
 
 def test_injector_probabilistic_deterministic():
-    inj_a = FaultInjector(drop_probability=0.5, seed=7)
-    inj_b = FaultInjector(drop_probability=0.5, seed=7)
-    a = [inj_a.should_fail() for _ in range(20)]
-    b = [inj_b.should_fail() for _ in range(20)]
+    inj_a = TransportFaultInjector(rate=0.5, seed=7)
+    inj_b = TransportFaultInjector(rate=0.5, seed=7)
+    a = [inj_a.next_fault() is not None for _ in range(20)]
+    b = [inj_b.next_fault() is not None for _ in range(20)]
     assert a == b
     assert any(a) and not all(a)
 
 
 def test_injector_validation():
     with pytest.raises(ValueError):
-        FaultInjector(drop_probability=1.0)
+        TransportFaultInjector(rate=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_retry_policy_backoff():
 def timing_out(op, injector):
     """One attempt of ``op`` that times out whenever ``injector`` says."""
     def attempt():
-        if injector.should_fail():
+        if injector.next_fault() is not None:
             raise TimeoutError(f"movement timed out (op {injector.ops_seen})")
         return op()
 
@@ -97,7 +97,7 @@ def test_retry_call_passes_through_on_success():
 def test_retry_call_retries_through_transient_fault():
     sent, retries, slept = [], [], []
     retry_call(
-        timing_out(lambda: sent.append(b"payload"), FaultInjector(fail_ops=[1])),
+        timing_out(lambda: sent.append(b"payload"), TransportFaultInjector(fail_ops=[1])),
         RetryPolicy(max_retries=2, timeout=0.5), (TimeoutError,),
         on_retry=lambda n, exc: retries.append((n, type(exc))),
         sleep=slept.append,
@@ -108,7 +108,7 @@ def test_retry_call_retries_through_transient_fault():
 
 
 def test_retry_call_exhausts_retries():
-    injector = FaultInjector(fail_ops=[1, 2, 3])
+    injector = TransportFaultInjector(fail_ops=[1, 2, 3])
     with pytest.raises(TimeoutError, match="op 3"):  # the *last* retriable
         retry_call(
             timing_out(lambda: None, injector),
@@ -125,7 +125,7 @@ def test_retry_call_wraps_real_transport():
     shm = ShmChannel()
     retries = []
     retry_call(
-        timing_out(lambda: shm.send(b"resilient"), FaultInjector(fail_ops=[1, 2])),
+        timing_out(lambda: shm.send(b"resilient"), TransportFaultInjector(fail_ops=[1, 2])),
         RetryPolicy(max_retries=3, timeout=0.1), (TimeoutError,),
         on_retry=lambda n, exc: retries.append(n), sleep=lambda _s: None,
     )
@@ -160,7 +160,7 @@ def test_transaction_commits_all():
 
 
 def test_transaction_aborts_atomically():
-    inj = FaultInjector(fail_ops=[2])  # second participant's prepare fails
+    inj = TransportFaultInjector(fail_ops=[2])  # second participant's prepare fails
     parts, log = make_participants(3, injector=inj)
     coord = TransactionCoordinator(parts)
     with pytest.raises(TransactionAborted):
@@ -224,7 +224,7 @@ def test_transactional_stream_happy_path():
 
 
 def test_transactional_stream_retries_aborted_step():
-    inj = FaultInjector(fail_ops=[1])  # first prepare of step 0 fails
+    inj = TransportFaultInjector(fail_ops=[1])  # first prepare of step 0 fails
     ad, tx = open_tx_writer(injector=inj)
     for r in range(2):
         tx.write(r, "zion", np.full((4, 7), float(r)))
@@ -237,7 +237,7 @@ def test_transactional_stream_retries_aborted_step():
 
 def test_transactional_stream_gives_up_and_stays_clean():
     """If every retry aborts, nothing of the step is visible."""
-    inj = FaultInjector(fail_ops=[1, 2, 3, 4, 5, 6, 7, 8])
+    inj = TransportFaultInjector(fail_ops=[1, 2, 3, 4, 5, 6, 7, 8])
     ad, tx = open_tx_writer(injector=inj, retries=2)
     for r in range(2):
         tx.write(r, "zion", np.zeros((4, 7)))

@@ -323,6 +323,21 @@ def test_fxl007_waiver_and_real_event_table():
     assert rules_of(lint('m.record("no.such.event")\n')) == ["FXL007"]
 
 
+def test_fxl007_flags_a_point_event_written_back_as_a_trace_record():
+    """Re-adding one of the deleted zero-duration twins fails the lint
+    with no rule of its own: its category left the central table."""
+    code = """
+    def f(mon, flight, name, step):
+        mon.record("step_lost", name, start=0.0, duration=0.0, step=step)
+        flight.record("drain_fault", stream=name, step=step)
+        flight.record("step.lost", stream=name, step=step)
+        mon.record("transport", "rdma.send", start=1.0, duration=0.5)
+    """
+    findings = lint(code)
+    assert [(f.rule, f.line) for f in findings] == [("FXL007", 3), ("FXL007", 4)]
+    assert "step.lost" in findings[0].message  # the suggestion is its flight twin
+
+
 # ---------------------------------------------------------------------------
 # FXL008 — removed/legacy step-API spellings
 # ---------------------------------------------------------------------------

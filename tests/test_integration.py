@@ -29,7 +29,8 @@ from repro.apps import (
 from repro.core import FlexIO, PluginSide, stream_registry
 from repro.core.adaptive import AdaptivePolicy, DCPlacementController
 from repro.core.plugins import sampling_plugin
-from repro.core.resilience import FaultInjector, TransactionalStreamWriter
+from repro.core.resilience import TransactionalStreamWriter
+from repro.transport.faults import TransportFaultInjector
 
 
 @pytest.fixture(autouse=True)
@@ -207,7 +208,7 @@ def test_transactional_gts_run_with_faults_yields_clean_analytics():
     handles = [
         flexio.open_write("particles", "gts.tx", RankContext(r, 2)) for r in range(2)
     ]
-    injector = FaultInjector(fail_ops=[1, 4])  # two transient prepare faults
+    injector = TransportFaultInjector(fail_ops=[1, 4])  # two transient prepare faults
     tx = TransactionalStreamWriter(handles, injector=injector, max_step_retries=3)
     ranks = [GtsRank(cfg, r) for r in range(2)]
     for step in range(3):

@@ -130,6 +130,76 @@ def test_stream_pipeline_spans_share_one_trace_per_step():
     assert {"write", "read", "redistribute", "transport"} <= cats
 
 
+def _traced_steps(name, steps, sample_rate=None):
+    """Write ``steps`` one-rank steps on a ``trace=true`` stream; returns
+    the quiesced stream state."""
+    from repro.adios import RankContext
+    from repro.core import FlexIO, stream_registry
+
+    flexio = FlexIO.from_xml("""
+    <adios-config>
+      <adios-group name="g"><var name="x" type="float64" dimensions="4"/></adios-group>
+      <method group="g" method="FLEXPATH">trace=true</method>
+    </adios-config>
+    """)
+    w = flexio.open_write("g", name, RankContext(0, 1))
+    if sample_rate is not None:
+        w.monitor.enable_tracing(sample_rate)
+    for step in range(steps):
+        w.write("x", np.full(4, float(step)))
+        w.end_step()
+    w.close()
+    return stream_registry._states[name]
+
+
+@pytest.mark.parametrize("sample_rate, kept", [(None, 5), (0.5, 2)])
+def test_traced_drain_is_recorded_once(sample_rate, kept):
+    """``trace=true`` used to wrap the drain in ``measure`` *and*
+    ``span``: 10 ``drain`` records for 5 steps.  Now one region, one
+    record — the span when the step's trace is kept, the flat
+    measurement when it was sampled out."""
+    mon = _traced_steps(f"obs.drain-once.{kept}", 5, sample_rate).monitor
+    assert mon.aggregate("drain").count == 5
+    assert mon.metrics.histogram("latency.drain").count == 5
+    drains = {dict(r.extra)["step"]: dict(r.extra)
+              for r in mon.trace if r.category == "drain"}
+    writes = {dict(r.extra)["step"]: dict(r.extra)
+              for r in mon.trace if r.category == "write"}
+    assert sorted(drains) == [0, 1, 2, 3, 4] and len(writes) == kept
+    for step, drain in drains.items():
+        if step in writes:  # joins its step's trace, under the write root
+            assert drain["trace_id"] == writes[step]["trace_id"]
+            assert drain["parent_id"] == writes[step]["span_id"]
+        else:               # sampled out: still timed, no ids
+            assert "trace_id" not in drain
+    # writer_visible is a different region: flat, never the trace's root.
+    assert mon.aggregate("writer_visible").count == 5
+    assert all("trace_id" not in dict(r.extra)
+               for r in mon.trace if r.category == "writer_visible")
+    assert all(w["parent_id"] == "" for w in writes.values())
+
+
+def test_measure_is_the_span_when_traced_and_flat_otherwise():
+    clock = FakeClock()
+    mon = PerfMonitor(clock=clock, tracing=True, sample_rate=0.5)
+    for _ in range(4):  # roots 0 and 2 are sampled out, 1 and 3 kept
+        with mon.span("write", "s") as root:
+            with mon.measure("dc_plugin", "p", nbytes=8, side="writer") as m:
+                clock.tick(0.25)
+                m.add_bytes(2)
+            assert getattr(m, "recording", False) == root.recording
+    agg = mon.aggregate("dc_plugin")
+    assert (agg.count, agg.total_bytes, agg.total_time) == (4, 40, 1.0)
+    ids = [dict(r.extra).get("trace_id") for r in mon.trace
+           if r.category == "dc_plugin"]
+    assert [i is not None for i in ids] == [False, True, False, True]
+    flat = PerfMonitor(clock=clock)  # tracing off: the classic point
+    with flat.measure("dc_plugin", "p") as m:
+        clock.tick(0.5)
+    assert not getattr(m, "recording", False)
+    assert flat.trace[0].duration == 0.5 and flat.trace[0].extra == ()
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

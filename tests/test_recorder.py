@@ -69,6 +69,28 @@ def test_unknown_code_raises_with_suggestion():
     assert "step.comit" not in EVENT_CODES
 
 
+def test_trace_category_is_not_a_flight_code():
+    """The recorder takes flight codes only: the zero-duration record
+    categories that used to double the point events are gone from the
+    table, and the surviving trace category (``transport``) names a
+    timed region, never an event."""
+    from repro.obs.events import FLIGHT_EVENTS, TRACE_CATEGORIES
+
+    assert set(TRACE_CATEGORIES) == {"transport"}
+    assert not set(TRACE_CATEGORIES) & set(FLIGHT_EVENTS)
+    rec = FlightRecorder()
+    for category in (
+        "fault", "drain_fault", "drain_recovered", "drain_error",
+        "drain_wedged", "step_lost", "stream_publish", "stream_failed",
+        "transport_degraded", "stream_read", "handshake", "redistribution",
+        "dc_migration", "transport",
+    ):
+        assert category not in EVENT_CODES or category == "transport"
+        with pytest.raises(UnknownEventError):
+            rec.record(category, stream="s")
+    assert len(rec) == 0
+
+
 def test_events_filtering_window_code_stream_limit():
     clock = FakeClock()
     rec = FlightRecorder(clock=clock)

@@ -28,7 +28,8 @@ def fresh_registry():
 
 def run_stream(params, steps=3, vars_per_step=("temp",), name="hints.test"):
     """Write `steps` steps of global arrays and read them back; returns
-    (handshake message records, stream state)."""
+    (handshake messages each read cost — the delta of the
+    ``handshake.messages`` counter around it —, stream state)."""
     ad = Adios.from_xml(CONFIG_TMPL.format(params=params))
     shape = (8, 8)
     boxes = block_decompose(shape, (2, 2))
@@ -45,16 +46,15 @@ def run_stream(params, steps=3, vars_per_step=("temp",), name="hints.test"):
 
     reader = ad.open_read("fields", name, RankContext(0, 1))
     state = stream_registry._states[name]
+    counter = state.monitor.metrics.counter("handshake.messages")
+    msgs = []
     for s in range(steps):
         for var in vars_per_step:
+            before = counter.value
             np.testing.assert_array_equal(reader.read(var), full)
+            msgs.append(counter.value - before)
         if s < steps - 1:
             reader._advance()
-    msgs = [
-        dict(rec.extra)["messages"]
-        for rec in state.monitor.trace
-        if rec.category == "handshake"
-    ]
     return msgs, state
 
 
@@ -116,8 +116,10 @@ def test_batching_one_round_per_step():
     stream_registry.reset()
     batched, _ = run_stream("caching=NONE;batching=true",
                             vars_per_step=("temp", "pressure"), name="b")
-    # Two variables: unbatched pays two rounds per step, batched one.
-    assert len(unbatched) == 2 * len(batched)
+    # Two variables: unbatched pays two rounds per step, batched one
+    # (without caching every round costs messages).
+    assert all(unbatched) and len(unbatched) == 6
+    assert [m > 0 for m in batched] == [True, False] * 3
 
 
 def test_changed_distribution_invalidates_caches():
@@ -142,17 +144,19 @@ def test_changed_distribution_invalidates_caches():
     w.close()
 
     reader = ad.open_read("fields", name, RankContext(0, 1))
-    state = stream_registry._states[name]
+    counter = stream_registry._states[name].monitor.metrics.counter(
+        "handshake.messages"
+    )
+    msgs = [counter.value]
     reader.read("temp")
+    msgs.append(counter.value)
     reader._advance()
     reader.read("temp")  # cached: free
+    msgs.append(counter.value)
     reader._advance()
     reader.read("temp", start=(0, 0), count=(4, 8))  # new distribution
-    msgs = [
-        dict(rec.extra)["messages"]
-        for rec in state.monitor.trace
-        if rec.category == "handshake"
-    ]
+    msgs.append(counter.value)
+    msgs = [after - before for before, after in zip(msgs, msgs[1:])]
     assert msgs[0] > 0 and msgs[1] == 0 and msgs[2] > 0
 
 

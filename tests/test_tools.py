@@ -199,6 +199,55 @@ def test_trace_flight_renders_timeline_and_metrics(tmp_path):
     assert "dataplane.drain.steps_lost" in text
 
 
+def test_trace_flight_summarizes_faults_from_the_timeline(tmp_path):
+    """Faults are point events, written to the flight ring only: an
+    untraced lossy run's dump carries no ``records`` and ``--flight``
+    still prints the faults-and-recovery section, off the timeline."""
+    from repro.adios import Adios, RankContext
+    from repro.core import stream_registry
+    from repro.obs import recorder as flight
+    from repro.obs.recorder import load_dump
+    from repro.tools.trace import analyze_flight
+
+    stream_registry.reset()
+    recorder = flight.reset()
+    # Sends 1-4 and 6 time out, one retry each: steps 0 and 1 are lost
+    # (each loss degrades the transport), step 2 commits, step 3 recovers.
+    adios = Adios.from_xml("""
+    <adios-config>
+      <adios-group name="g"><var name="x" type="float64" dimensions="4"/></adios-group>
+      <method group="g" method="FLEXPATH">
+        transport=rdma;max_retries=1;retry_timeout=0.001;retry_jitter=0;
+        degrade_after=1;faults=ops=1|2|3|4|6
+      </method>
+    </adios-config>
+    """)
+    w = adios.open_write("g", "tools.lossy", RankContext(0, 1))
+    for step in range(4):
+        w.write("x", np.full(4, float(step)))
+        w.end_step()
+    w.close()
+    monitor = stream_registry._states["tools.lossy"].monitor
+    doc = load_dump(recorder.dump(
+        str(tmp_path / "lossy.json"), reason="lossy run", monitor=monitor
+    ))
+    stream_registry.reset()
+    assert "records" not in doc and monitor.trace == []
+    out = io.StringIO()
+    assert analyze_flight(doc, out=out) == 0
+    section = out.getvalue().split("faults and recovery:")[1].split("\n\n")[0]
+    assert [line.strip() for line in section.strip().splitlines()] == [
+        "injected 2x rdma.timeout",
+        "injected 1x shm.timeout",
+        "injected 2x tcp.timeout",
+        "5 drain attempts faulted, 1 steps recovered by retry",
+        "2 steps lost/aborted (typed gaps)",
+        "transport degraded rdma -> tcp",
+        "transport degraded tcp -> shm",
+    ]
+    assert "embedded trace records" not in out.getvalue()
+
+
 def test_trace_flight_rejects_plain_json(tmp_path):
     from repro.tools.trace import main as trace_main
 
