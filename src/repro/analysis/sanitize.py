@@ -21,6 +21,9 @@ type system — this module checks them at run time when enabled:
   use-after-release and double-release are flagged as they happen, and
   :meth:`Sanitizer.check_leases` flags leases never released (leaked
   pool buffers or registered memory).
+* **Mapped-source discipline** — an xpmem mapping is digested
+  (``zlib.crc32`` per part) when announced and again at detach; a
+  difference means the writer modified an array it had handed over.
 
 Enablement: set ``FLEXIO_SANITIZE=1`` in the environment (read lazily on
 first use), or call :func:`enable` / :func:`disable` programmatically.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import os
 import threading
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +51,7 @@ UNJOINED_THREAD = "unjoined-thread"
 LEASE_LEAK = "lease-leak"
 LEASE_USE_AFTER_RELEASE = "lease-use-after-release"
 LEASE_DOUBLE_RELEASE = "lease-double-release"
+XPMEM_SOURCE_MUTATED = "xpmem-source-mutated"
 
 
 @dataclass(frozen=True)
@@ -257,6 +262,24 @@ class Sanitizer:
                 self._violations.append(v)
             added.append(v)
         return added
+
+    # -- xpmem mappings ---------------------------------------------------
+    def note_xpmem_mapped(self, token: int, views) -> tuple[str, list[int]]:
+        """A producer announced ``views`` as one mapping: the record the
+        channel keeps with it — a label (the mapping thread names the
+        stream: ``flexio-drain-<stream>``) and a digest of every part."""
+        label = f"shm.xpmem#{token} mapped by {threading.current_thread().name}"
+        return label, [zlib.crc32(v) for v in views]
+
+    def note_xpmem_unmapped(self, record: tuple[str, list[int]], views) -> None:
+        """The mapping is detached: were its sources modified meanwhile?"""
+        label, digests = record
+        if digests != [zlib.crc32(v) for v in views]:
+            self._add(
+                XPMEM_SOURCE_MUTATED, label,
+                "source modified while mapped (an array handed to write() "
+                "must not change while the stream retains the step)",
+            )
 
 
 class TrackedLock:

@@ -125,7 +125,10 @@ _STREAM_SPECS = (
     HintSpec(SYNC, "bool", False,
              "Block the writer until the transport drain completes."),
     HintSpec(XPMEM, "bool", False,
-             "Zero-copy page-mapping path for large SHM messages."),
+             "Mapped drain: the shm channel maps a sealed step's arrays "
+             "instead of staging a copy of them.  On every path an array "
+             "handed to write() must not be modified while the stream "
+             "retains the step; xpmem stops paying for a copy nobody reads."),
     HintSpec(BUFFER_STEPS, "int", 4,
              "Buffered-step depth before backpressure is counted."),
     HintSpec(TRACE, "bool", False,

@@ -151,7 +151,9 @@ class FlexIORuntime:
         return self.transfer_time(nbytes, writer_core, reader_core)
 
 
-def make_stream_channel(kind: str = "shm", monitor=None, interconnect=None, injector=None):
+def make_stream_channel(
+    kind: str = "shm", monitor=None, interconnect=None, injector=None, xpmem: bool = False
+):
     """Build the drain channel behind a stream's async publication pipeline.
 
     ``kind`` follows the ``transport`` stream hint: ``shm`` yields an
@@ -162,18 +164,15 @@ def make_stream_channel(kind: str = "shm", monitor=None, interconnect=None, inje
 
     ``injector`` (a :class:`~repro.transport.faults.TransportFaultInjector`)
     makes the built channel inject send faults, for chaos testing and the
-    ``faults=`` stream hint.
-
-    Note the drain channel always uses the pool (two-copy) path even when
-    the ``xpmem`` hint is set: the xpmem protocol's synchronous
-    consumer-detach semantics would deadlock a single drainer thread that
-    both sends and receives; xpmem continues to inform the cost models.
+    ``faults=`` stream hint.  ``xpmem`` (the stream hint) makes the shm
+    channel map a step's arrays instead of staging them in a pool buffer;
+    the other transports have no such path and ignore it.
     """
     kind = (kind or "shm").strip().lower()
     if kind == "shm":
         from repro.transport.shm import ShmChannel
 
-        return ShmChannel(monitor=monitor, injector=injector)
+        return ShmChannel(use_xpmem=xpmem, monitor=monitor, injector=injector)
     if kind == "tcp":
         from repro.transport.tcp import TcpChannel
 

@@ -161,6 +161,7 @@ DRAINER_METHODS = frozenset({
     "_drain_transactional",
     "_mark_lost",
     "_maybe_degrade",
+    "_close_channel",
     "_commit",
 })
 
@@ -504,14 +505,18 @@ class StreamState:
         if self._drainer is not None:
             self._drainer.wait_idle()
 
+    def _open_channel(self, transport: str):
+        """The drain channel for one rung of the transport ladder."""
+        from repro.core.runtime import make_stream_channel
+
+        return make_stream_channel(
+            transport, monitor=self.monitor, injector=self._injector,
+            xpmem=self.hints.xpmem,
+        )
+
     def _ensure_pipeline(self) -> None:
         if self._drainer is None:
-            from repro.core.runtime import make_stream_channel
-
-            self._channel = make_stream_channel(
-                self.active_transport, monitor=self.monitor,
-                injector=self._injector,
-            )
+            self._channel = self._open_channel(self.active_transport)
             self._drainer = _StepDrainer(self, self.hints.queue_depth)
 
     def shutdown_pipeline(self) -> None:
@@ -526,15 +531,19 @@ class StreamState:
         drainer, self._drainer = self._drainer, None
         if drainer is not None:
             drainer.stop()
+        self._close_channel()
+
+    def _close_channel(self) -> None:
+        """Swap the drain channel out, then close it — which is also what
+        unmaps a mapped step nobody received (best effort)."""
         channel, self._channel = self._channel, None
-        if channel is not None:
-            close = getattr(channel, "close", None)
-            try:
-                if close is not None:
-                    close()
-            # flexlint: ok(FXL001) best-effort close of an arbitrary channel during teardown
-            except Exception:
-                pass
+        close = getattr(channel, "close", None)
+        try:
+            if close is not None:
+                close()
+        # flexlint: ok(FXL001) best-effort close of an arbitrary channel during teardown or fallback
+        except Exception:
+            pass
 
     # -- writer side --------------------------------------------------------
     def writer_join(self, rank: int) -> None:
@@ -739,10 +748,10 @@ class StreamState:
                 ):
                     self._channel.sendv(parts, timeout=policy.timeout)
                     ack = self._channel.recv(timeout=policy.timeout)
-                    if isinstance(ack, WireBuffer) and not ack.released:
-                        # The drain is its own consumer (the DC plugin
-                        # side already observed the data): releasing the
-                        # span returns the pool/registration lease.
+                    if isinstance(ack, (WireBuffer, WireVector)) and not ack.released:
+                        # The drain is its own consumer (the DC plugin side
+                        # already observed the data): releasing the delivery
+                        # returns the lease or detaches the mapping.
                         ack.release()
                 return None
             # flexlint: ok(FXL001) deliberate non-retriable classifier: any non-fault error fails the step
@@ -832,23 +841,11 @@ class StreamState:
             return
         nxt = _DEGRADE_LADDER.get(self.active_transport)
         previous = self.active_transport
-        channel, self._channel = self._channel, None
-        if channel is not None:
-            close = getattr(channel, "close", None)
-            try:
-                if close is not None:
-                    close()
-            # flexlint: ok(FXL001) best-effort close of the failing channel before falling back
-            except Exception:
-                pass
+        self._close_channel()
         if nxt is None:
             self.active_transport = "buffered"
         else:
-            from repro.core.runtime import make_stream_channel
-
-            self._channel = make_stream_channel(
-                nxt, monitor=self.monitor, injector=self._injector
-            )
+            self._channel = self._open_channel(nxt)
             self.active_transport = nxt
         self._consecutive_failures = 0
         self.monitor.metrics.counter("dataplane.transport.degradations").inc()

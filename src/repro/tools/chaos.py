@@ -171,6 +171,8 @@ class ChaosReport:
     steps: int
     #: A reader-side DC plug-in chain was deployed (``--plugins``).
     plugins: bool = False
+    #: The stream asked for the mapped drain (``--xpmem``; in process).
+    xpmem: bool = False
     #: Reads that took the compiled fused path (plug-in runs only).
     fused_reads: int = 0
     #: Daemon restart mode of a net run (``none``/``sigterm``/``sigkill``).
@@ -277,9 +279,10 @@ def check_delivery(log: DeliveryLog) -> list[str]:
 def check_observability(sample: dict) -> list[str]:
     """Invariant 4 over one endpoint's sample: ``who``, ``injected``
     faults, ``fault_events`` seen in the flight ring, ``counters``
-    mapping a metric name to ``(counter value, flight events)``, and —
-    a net reader only — ``fetches``: ``(FETCH frames sent, steps
-    observed)``."""
+    mapping a metric name to ``(counter value, flight events)``, — a
+    net reader only — ``fetches``: ``(FETCH frames sent, steps
+    observed)``, and — an ``xpmem`` run only — ``staged``: deliveries
+    that took the shm pool path."""
     who = sample["who"]
     out = []
     if sample["fault_events"] < sample["injected"]:
@@ -290,6 +293,11 @@ def check_observability(sample: dict) -> list[str]:
     for name, (count, events) in sample["counters"].items():
         if count != events:
             out.append(f"{who}: {name}={count} but {events} flight events")
+    if sample.get("staged"):
+        out.append(
+            f"{who}: xpmem=true but {sample['staged']} deliveries were "
+            f"staged through the shm pool instead of mapped"
+        )
     if "fetches" in sample:
         # One FETCH per step when the daemon holds it; slack for EOS,
         # expired holds while the writer is down, one per reconnect.
@@ -492,6 +500,8 @@ def _run_inproc(report: ChaosReport, log: DeliveryLog, params: str,
     stream_registry.close_stream(name)
     sample = _observe(name, recorder, metrics, report.faults_injected,
                       {"dataplane.drain.retries": EV_RETRY})
+    if report.xpmem:
+        sample["staged"] = int(metrics.counter("transport.path.pool").value)
     if flight_dir is not None:
         flight.set_flight_dir(None)
     if san is not None:
@@ -668,6 +678,7 @@ def run_chaos(
     writers: int = 2,
     transport: str = "shm",
     transactional: bool = False,
+    xpmem: bool = False,
     plugins: bool = False,
     kinds: str = "timeout|torn|disconnect",
     max_retries: int = 2,
@@ -684,7 +695,8 @@ def run_chaos(
     degradation ladder instead.  With ``flight_dir`` the flight recorder
     writes a dump artifact on every fault (lost step, wedged drainer,
     typed abandon), and the run fails its observability invariant if
-    there was a typed loss but no artifact appeared.
+    there was a typed loss but no artifact appeared.  ``xpmem`` mirrors
+    the stream hint: the shm rung must map every step it carries.
 
     The ``net`` scenario takes ``seed``, ``rate``, ``steps`` and
     ``flight_dir``; the other knobs configure the in-process data plane
@@ -702,7 +714,7 @@ def run_chaos(
     report = ChaosReport(
         scenario=scenario, seed=seed, rate=rate, steps=steps, plugins=plugins,
         transport="tcp" if net else transport,
-        transactional=transactional and not net,
+        transactional=transactional and not net, xpmem=xpmem and not net,
     )
     log = DeliveryLog()
     began = time.monotonic()
@@ -719,6 +731,7 @@ def run_chaos(
             retry_timeout=retry_timeout,
             degrade_after=degrade_after,
             transactional=transactional,
+            xpmem=xpmem,
             faults=f"rate={rate},seed={seed},kinds={kinds}",
         )
         samples = _run_inproc(report, log, params, writers,
@@ -756,7 +769,8 @@ def _print_report(report: ChaosReport, out) -> None:
     print(
         f"[{tag}] {report.scenario} seed={report.seed} rate={report.rate} "
         f"transport={report.transport}"
-        f"{' transactional' if report.transactional else ''}: "
+        f"{' transactional' if report.transactional else ''}"
+        f"{' xpmem' if report.xpmem else ''}: "
         f"{len(report.committed)}/{report.steps} committed, "
         f"{len(report.lost)} lost, {report.faults_injected} faults injected, "
         f"{report.retries} retries, {report.recovered} recovered, "
@@ -796,6 +810,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser.add_argument("--transport", default="shm", choices=("shm", "rdma"))
     parser.add_argument("--transactional", action="store_true",
                         help="all-or-nothing step visibility (2PC)")
+    parser.add_argument("--xpmem", action="store_true",
+                        help="mapped drain (xpmem=true): fails if a step "
+                             "is staged through the shm pool")
     parser.add_argument("--plugins", action="store_true",
                         help="deploy a reader-side DC plug-in chain and "
                              "check fused reads against the interpreted "
@@ -837,6 +854,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             writers=args.writers,
             transport=args.transport,
             transactional=args.transactional,
+            xpmem=args.xpmem,
             plugins=args.plugins and s == "s3d",
             kinds=args.kinds,
             max_retries=args.max_retries,

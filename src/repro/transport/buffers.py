@@ -264,12 +264,13 @@ class WireBuffer:
 
     # ------------------------------------------------------------------
     @classmethod
-    def wrap(cls, payload) -> "WireBuffer":
+    def wrap(cls, payload, **span) -> "WireBuffer":
         """Coerce any payload shape (bytes, memoryview, ndarray, or an
-        existing span) into a :class:`WireBuffer` without copying."""
+        existing span) into a :class:`WireBuffer` without copying;
+        ``span`` (ownership, copies) describes a raw payload only."""
         if isinstance(payload, WireBuffer):
             return payload
-        return cls(payload)
+        return cls(payload, **span)
 
     @classmethod
     def from_lease(
@@ -394,14 +395,46 @@ class WireVector:
     The total length is computed lazily and cached (invalidated by
     :meth:`append`); :meth:`copy_into` gathers every part straight into
     a destination buffer — the *one* producer-side copy of the pool and
-    RDMA paths.
+    RDMA paths.  A vector a channel *delivers* (an N-part xpmem mapping)
+    also says who owns its memory and how many copies it took — its raw
+    parts become spans that say the same — and is released once, whole.
     """
 
-    __slots__ = ("_parts", "_nbytes")
+    __slots__ = ("_parts", "_nbytes", "ownership", "copies",
+                 "_on_release", "_released")
 
-    def __init__(self, parts: Iterable = ()) -> None:
-        self._parts: list[WireBuffer] = [WireBuffer.wrap(p) for p in parts]
+    def __init__(
+        self,
+        parts: Iterable = (),
+        *,
+        ownership: Ownership = Ownership.HEAP,
+        copies: int = 0,
+        on_release: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self._parts: list[WireBuffer] = [
+            WireBuffer.wrap(p, ownership=ownership, copies=copies) for p in parts
+        ]
         self._nbytes: Optional[int] = None
+        self.ownership = ownership
+        self.copies = int(copies)
+        self._on_release = on_release
+        self._released = False
+
+    @property
+    def released(self) -> bool:
+        return self._released
+
+    def release(self) -> None:
+        """End a delivered vector's lifetime: every part span, then the
+        mapping behind them.  Exactly once; a second call raises."""
+        if self._released:
+            raise LeaseError(f"double release of {self!r}")
+        self._released = True
+        for part in self._parts:
+            if not part.released:
+                part.release()
+        if self._on_release is not None:
+            self._on_release()
 
     def append(self, part) -> None:
         self._parts.append(WireBuffer.wrap(part))

@@ -28,6 +28,7 @@ Three pieces:
 
 from __future__ import annotations
 
+import functools
 import struct
 import threading
 import time
@@ -60,11 +61,6 @@ from repro.transport.faults import (
     record_injected,
 )
 from repro.util import CACHE_LINE, align_up
-
-#: Back-compat alias; ``np.frombuffer(part)`` is copy-free for any
-#: bytes-like (the old local helper round-tripped through ``bytes(part)``
-#: and paid a needless copy per memoryview part).
-_as_byte_view = as_byte_view
 
 _EMPTY = 0
 _FULL = 1
@@ -404,19 +400,24 @@ class ShmChannel(Channel):
     """One-directional intra-node data channel (producer → consumer).
 
     Small payloads ride inline in queue entries (copied into the slot,
-    copied out of it: 2 copies).  Large payloads take one of two paths:
+    copied out of it: 2 copies).  Large payloads take one of two paths,
+    one control message each whether the message has one part
+    (``send``) or many (``sendv``):
 
     * **pool** (default): the producer gathers straight into a leased
       pool buffer (the single staging copy), sends a control message,
       and the consumer receives a :class:`WireBuffer` *view* over the
       shared buffer — releasing the span returns the lease.  One copy,
       fully asynchronous.
-    * **xpmem**: the producer publishes a read-only view of its source
-      buffer (modelling ``xpmem_make``/``xpmem_attach`` page mapping);
-      the consumer's :class:`WireBuffer` maps those pages directly —
-      zero transport copies — and releasing the span detaches, so the
-      producer must not reuse the source until then (synchronous
-      semantics).
+    * **xpmem** (``use_xpmem``): the producer maps read-only views of
+      its source parts under one token (modelling ``xpmem_make`` /
+      ``xpmem_attach`` page mapping) and the consumer's delivery
+      attaches to those pages — zero transport copies, no pool buffer —
+      until its release detaches them (``close()`` unmaps what was never
+      received).  The sources must not be modified before that.
+      ``send`` waits for the detach (the paper's synchronous semantics);
+      ``sendv`` returns once the mapping is announced, so one thread can
+      be both ends of its own channel.
 
     Every delivery reports its copy count (inline=2, pool=1, xpmem=0)
     into the ``transport.copies`` histogram of the bound monitor.
@@ -430,7 +431,7 @@ class ShmChannel(Channel):
         monitor=None,
         injector: Optional[TransportFaultInjector] = None,
     ) -> None:
-        self.queue = queue or SPSCQueue()
+        self.queue = SPSCQueue() if queue is None else queue  # an empty queue is falsy
         self.pool = pool or ShmBufferPool()
         self.use_xpmem = use_xpmem
         #: Optional PerfMonitor: send/recv become spans (when tracing is
@@ -439,10 +440,12 @@ class ShmChannel(Channel):
         #: Optional deterministic fault source consulted before sends.
         self.injector = injector
         self._inline_max = self.queue.payload_size - _CTRL.size
-        self._xpmem_segments: dict[int, np.ndarray] = {}
-        self._xpmem_done: dict[int, threading.Event] = {}
+        #: Live mappings: token -> (read-only part views, detach event,
+        #: the sanitizer's record of them — None unless FLEXIO_SANITIZE=1).
+        self._xpmem_segments: dict[int, tuple] = {}
         self._next_token = 0
         self._token_lock = sanitize.make_lock("shm.xpmem_token")
+        self._san = sanitize.get()  # captured: one None check when disabled
         #: Pool leases announced to the consumer but not yet received:
         #: buffer_id -> lease (handed over to the consumer's WireBuffer).
         self._in_flight: dict[int, BufferLease] = {}
@@ -457,70 +460,64 @@ class ShmChannel(Channel):
         payload: Union[bytes, memoryview, np.ndarray, WireBuffer],
         timeout: float = 5.0,
     ) -> None:
-        """Move one payload; accepts any wire span shape without copying."""
-        wb = WireBuffer.wrap(payload)
-        if self.monitor is not None:
-            with self.monitor.span("transport", "shm.send", nbytes=wb.nbytes):
-                self._send(wb, timeout)
-            self.monitor.metrics.counter("shm.bytes_sent").inc(wb.nbytes)
-            self.monitor.metrics.counter("shm.messages_sent").inc()
-        else:
-            self._send(wb, timeout)
+        """Move one payload; accepts any wire span shape without copying.
+
+        The one-part ``sendv`` — except that a mapped (xpmem) send
+        returns only after the consumer detached.
+        """
+        self._sendv("shm.send", WireVector((payload,)), timeout, sync=True)
 
     def sendv(
         self,
         parts: Union[WireVector, Sequence[Union[bytes, np.ndarray, WireBuffer]]],
         timeout: float = 5.0,
     ) -> None:
-        """Vectored send: gather ``parts`` into one message.
+        """Vectored send: ``parts`` travel as one message.
 
-        One control round and one pool lease service the whole step —
-        each part is copied straight into the shared buffer (or, inline,
-        straight into the queue slot alongside the control header), with
-        no intermediate join on the producer side.  Always takes the
-        pool path for large payloads (the xpmem path's synchronous
-        consumer-detach handshake would deadlock a caller that also
-        drives ``recv`` from the same thread).
+        One control round services the whole step: each part is copied
+        straight into one leased pool buffer (or, inline, straight into
+        the queue slot alongside the control header) with no
+        intermediate join on the producer side — or, on the xpmem path,
+        mapped in place and not copied at all.
         """
         vec = parts if isinstance(parts, WireVector) else WireVector(parts)
-        total = vec.nbytes
-        if self.monitor is not None:
-            with self.monitor.span(
-                "transport", "shm.sendv", nbytes=total, parts=len(vec)
-            ):
-                self._sendv(vec, total, timeout)
-            self.monitor.metrics.counter("shm.bytes_sent").inc(total)
-            self.monitor.metrics.counter("shm.messages_sent").inc()
-        else:
-            self._sendv(vec, total, timeout)
+        self._sendv("shm.sendv", vec, timeout, sync=False)
 
-    def _maybe_inject_fault(self, total: int) -> None:
+    def _sendv(self, op: str, vec: WireVector, timeout: float, sync: bool) -> None:
+        total = vec.nbytes
+        if self.monitor is None:
+            self._transmit(vec, total, timeout, sync)
+            return
+        with self.monitor.span("transport", op, nbytes=total, parts=len(vec)):
+            self._transmit(vec, total, timeout, sync)
+        self.monitor.metrics.counter("shm.bytes_sent").inc(total)
+        self.monitor.metrics.counter("shm.messages_sent").inc()
+
+    def _maybe_inject_fault(self, total: int) -> bool:
         """Consult the injector; raise the scheduled typed fault, if any.
 
-        A torn send is modeled faithfully for the pool path: part of the
-        payload is really written into a leased pool buffer, but the
-        control message never goes out — so the consumer can never
-        observe the partial bytes, and the producer sees a typed
-        :class:`TornSend`.  The lease is released before raising (no
-        leak across retries).
+        A torn *large* send is not raised here: True tells the
+        large-message path to model it faithfully — part of the payload
+        really written into a leased pool buffer, or the source pages
+        really mapped, but the control message never sent, so the
+        consumer can never observe the partial state and the producer
+        sees a typed :class:`TornSend` with the lease released / the
+        mapping withdrawn (no leak across retries).
         """
         if self.injector is None:
-            return
+            return False
         kind = self.injector.next_fault()
         if kind is None:
-            return
+            return False
         record_injected(
             self.monitor, "shm", kind, nbytes=total, stream=self.injector.stream
         )
         if kind is FaultKind.TORN_SEND and total > self._inline_max:
-            with self.pool.lease(total) as lease:
-                torn = max(1, total // 2)
-                lease.data[:torn] = 0
-            raise TornSend(f"injected torn send after {total // 2}/{total} B")
+            return True
         raise fault_exception(kind, f"injected {kind.value} on shm send ({total} B)")
 
-    def _sendv(self, vec: WireVector, total: int, timeout: float) -> None:
-        self._maybe_inject_fault(total)
+    def _transmit(self, vec: WireVector, total: int, timeout: float, sync: bool) -> None:
+        torn = self._maybe_inject_fault(total)
         if total <= self._inline_max:
             # One gather write: control header + every view, straight
             # into the queue slot (no join, no intermediate bytes).
@@ -532,30 +529,21 @@ class ShmChannel(Channel):
             )
             self.inline_sends += 1
             return
-        self._send_pool(vec, total, timeout)
-        self.large_sends += 1
-
-    def _send(self, wb: WireBuffer, timeout: float) -> None:
-        self._maybe_inject_fault(wb.nbytes)
-        if wb.nbytes <= self._inline_max:
-            hdr = as_byte_view(_CTRL.pack(_PATH_INLINE, 0, wb.nbytes))
-            self.queue.enqueuev(
-                (hdr, wb.as_array()), _CTRL.size + wb.nbytes, timeout=timeout
-            )
-            self.inline_sends += 1
-            return
         if self.use_xpmem:
-            self._send_xpmem(wb, timeout)
+            self._send_mapped(vec, total, timeout, sync, torn)
         else:
-            self._send_pool(WireVector((wb,)), wb.nbytes, timeout)
+            self._send_pool(vec, total, timeout, torn)
         self.large_sends += 1
 
-    def _send_pool(self, vec: WireVector, total: int, timeout: float) -> None:
+    def _send_pool(self, vec: WireVector, total: int, timeout: float, torn: bool) -> None:
         lease = self.pool.lease(total)
         # Publish the lease before the control message goes out so the
         # consumer can never observe a buffer_id we don't know about.
         self._in_flight[lease.buffer_id] = lease
         try:
+            if torn:
+                lease.data[: max(1, total // 2)] = 0
+                raise TornSend(f"injected torn send after {total // 2}/{total} B")
             vec.copy_into(lease.data)  # gather: the single staging copy
             self.queue.enqueue(
                 _CTRL.pack(_PATH_POOL, lease.buffer_id, total), timeout=timeout
@@ -568,35 +556,52 @@ class ShmChannel(Channel):
             lease.release()
             raise
 
-    def _send_xpmem(self, wb: WireBuffer, timeout: float) -> None:
+    def _send_mapped(
+        self, vec: WireVector, total: int, timeout: float, sync: bool, torn: bool
+    ) -> None:
         with self._token_lock:
             token = self._next_token
             self._next_token += 1
-        # "Map" the source pages: expose the producer's view, no copy.
-        self._xpmem_segments[token] = wb.as_array()
-        done = threading.Event()
-        self._xpmem_done[token] = done
+        # "Map" the source pages: read-only views of every part, no copy.
+        views = [
+            np.frombuffer(memoryview(part.as_array()).toreadonly(), dtype=np.uint8)
+            for part in vec
+        ]
+        record = None if self._san is None else self._san.note_xpmem_mapped(token, views)
+        detached = threading.Event()
+        self._xpmem_segments[token] = (views, detached, record)
+        announced = False
         try:
-            self.queue.enqueue(
-                _CTRL.pack(_PATH_XPMEM, token, wb.nbytes), timeout=timeout
-            )
-            # Synchronous large-message semantics: wait for consumer detach.
-            if not done.wait(timeout):
+            if torn:
+                raise TornSend(f"injected torn send: {total} B mapped, never announced")
+            self.queue.enqueue(_CTRL.pack(_PATH_XPMEM, token, total), timeout=timeout)
+            if sync and not detached.wait(timeout):
                 raise TimeoutError("xpmem consumer did not detach in time")
+            announced = True
         finally:
-            self._xpmem_segments.pop(token, None)
-            self._xpmem_done.pop(token, None)
+            if not announced:
+                self._unmap(token)  # withdrawn: nothing stays mapped across retries
+
+    def _unmap(self, token: int) -> None:
+        """Detach one mapping (consumer release, failed send, ``close``);
+        a second call for the same token finds nothing to do."""
+        segment = self._xpmem_segments.pop(token, None)
+        if segment is not None:
+            views, detached, record = segment
+            if record is not None:
+                self._san.note_xpmem_unmapped(record, views)
+            detached.set()
 
     def close(self) -> None:
         self.queue.close()
         # A producer shutting down with announcements never consumed must
-        # not leak leases or wedge xpmem waiters.
+        # not leak leases or mappings, or wedge xpmem waiters.
         for buffer_id in list(self._in_flight):
             lease = self._in_flight.pop(buffer_id, None)
             if lease is not None and not lease.released:
                 lease.release()
-        for done in list(self._xpmem_done.values()):
-            done.set()
+        for token in list(self._xpmem_segments):
+            self._unmap(token)
         if self.monitor is not None:
             self.emit_stats()
 
@@ -613,13 +618,15 @@ class ShmChannel(Channel):
         mon.metrics.gauge("shm.channel.large_sends").set(self.large_sends)
 
     # -- consumer ---------------------------------------------------------
-    def recv(self, timeout: float = 5.0) -> WireBuffer:
+    def recv(self, timeout: float = 5.0) -> Union[WireBuffer, WireVector]:
         """Receive one message as a :class:`WireBuffer` span; raises
         :class:`QueueClosed` at end of stream.
 
         Pool- and xpmem-backed spans stay valid until the consumer calls
-        :meth:`WireBuffer.release` — releasing returns the pool lease /
-        detaches the mapping.  Inline spans are heap-owned.
+        ``release()`` — releasing returns the pool lease / detaches the
+        mapping.  Inline spans are heap-owned.  A mapped message of N > 1
+        parts has no contiguous span: it arrives as one
+        :class:`WireVector` of read-only spans, released once.
         """
         if self.monitor is not None:
             with self.monitor.span("transport", "shm.recv") as sp:
@@ -633,7 +640,7 @@ class ShmChannel(Channel):
             return out
         return self._recv(timeout)
 
-    def _recv(self, timeout: float) -> WireBuffer:
+    def _recv(self, timeout: float) -> Union[WireBuffer, WireVector]:
         msg = self.queue.dequeue(timeout=timeout)  # inline copy-out lives in the queue
         path, token, length = _CTRL.unpack_from(msg, 0)
         if path == _PATH_INLINE:
@@ -647,13 +654,15 @@ class ShmChannel(Channel):
                 lease, length, ownership=Ownership.POOL, copies=COPIES_POOL
             )
         elif path == _PATH_XPMEM:
-            seg = self._xpmem_segments[int(token)]
-            done = self._xpmem_done[int(token)]
+            token = int(token)
+            views = self._xpmem_segments[token][0]
             # Attach to the producer's pages; release() detaches.
-            wb = WireBuffer(
-                seg[:length], ownership=Ownership.XPMEM,
-                copies=COPIES_XPMEM, on_release=done.set,
+            mapped = dict(
+                ownership=Ownership.XPMEM, copies=COPIES_XPMEM,
+                on_release=functools.partial(self._unmap, token),
             )
+            one = len(views) == 1
+            wb = WireBuffer(views[0], **mapped) if one else WireVector(views, **mapped)
         else:
             raise ValueError(f"corrupt control message path {path}")
         self.observe_delivery(wb, _PATH_NAMES[path])

@@ -69,6 +69,24 @@ def test_chaos_transactional_regime():
     assert report.writer_failures == len(report.lost)
 
 
+def test_chaos_xpmem_run_maps_every_step_and_fails_on_staging(monkeypatch):
+    """``xpmem=True`` mirrors the hint; a regression to the pool path
+    fails the observability invariant, not a stopwatch."""
+    report = run_chaos("s3d", seed=5, rate=0.2, steps=10, plugins=True, xpmem=True)
+    assert report.ok, report.invariant_violations
+    assert report.xpmem and report.as_dict()["xpmem"] is True
+    assert report.faults_injected > 0 and report.fused_reads > 0
+    from repro.core import runtime
+
+    build = runtime.make_stream_channel
+    monkeypatch.setattr(
+        runtime, "make_stream_channel",
+        lambda *a, **kw: build(*a, **{**kw, "xpmem": False}),
+    )
+    staged = run_chaos("s3d", seed=5, rate=0.2, steps=10, xpmem=True)
+    assert any("staged through the shm pool" in v for v in staged.invariant_violations)
+
+
 def test_chaos_degradation_ladder_engages():
     """rdma under sustained fault degrades (rdma -> shm -> buffered)."""
     report = run_chaos(

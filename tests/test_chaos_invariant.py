@@ -155,6 +155,10 @@ def test_observability_check():
     assert check_observability(reader) == []
     only(check_observability({**reader, "fetches": (9, 2)}),
          "reader: 9 FETCH frames for 2 steps observed (bound 8)")
+    # An xpmem run reports what its shm rung staged: none is the pass.
+    assert check_observability({**sample, "staged": 0}) == []
+    only(check_observability({**sample, "staged": 3}),
+         "writer: xpmem=true but 3 deliveries were staged through the shm pool")
 
 
 # ---------------------------------------------------------------------------

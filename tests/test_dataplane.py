@@ -1003,3 +1003,133 @@ def test_gauge_inc_dec():
     g.dec()
     assert g.value == 2
     assert g.max_value == 3
+
+
+# ---------------------------------------------------------------------------
+# Mapped drain: xpmem=true maps the sealed step instead of staging it
+# ---------------------------------------------------------------------------
+
+def path_counts(state):
+    m = state.monitor.metrics
+    return {p: m.counter(f"transport.path.{p}").value for p in ("xpmem", "pool")}
+
+
+def test_mapped_drain_copies_nothing_and_reads_the_same_bytes():
+    reads = {}
+    for xpmem in ("true", "false"):
+        adios = make_adios(f"xpmem={xpmem}")
+        name = f"dp.mapped.{xpmem}"
+        write_steps(adios, name, num_steps=20)
+        reads[xpmem] = [a.tobytes() for a in read_all_steps(adios, name)]
+        state = stream_registry._states[name]
+        copies = state.monitor.metrics.histogram("transport.copies")
+        if xpmem == "true":
+            assert (copies.count, copies.total, copies.zero_count) == (20, 0.0, 20)
+            assert path_counts(state) == {"xpmem": 20, "pool": 0}
+        else:
+            assert (copies.count, copies.total) == (20, 20.0)
+            assert path_counts(state) == {"xpmem": 0, "pool": 20}
+    assert len(reads["true"]) == 20 and reads["true"] == reads["false"]
+
+
+def test_mapped_drain_sync_write_does_not_deadlock():
+    adios = make_adios("xpmem=true;sync=true")
+    writer = adios.open_write("fields", "dp.mapped.sync", RankContext(0, 1))
+    state = stream_registry._states["dp.mapped.sync"]
+    for value in (1.0, 2.0):
+        in_thread(write_step, writer, value)  # the drainer is both ends
+    assert [s.status for s in state.published] == [StepState.COMMITTED] * 2
+    assert path_counts(state) == {"xpmem": 2, "pool": 0}
+    writer.close()
+
+
+def test_mapped_drain_retries_and_loses_steps_with_nothing_left_mapped():
+    from repro.obs import recorder as flight
+    from repro.obs.events import EV_STEP_COMMIT
+
+    recorder = flight.reset()
+    adios = make_adios(
+        "xpmem=true;max_retries=1;retry_timeout=0.001;retry_jitter=0;"
+        "faults=ops=1|3|4,kinds=torn"
+    )
+    name = "dp.mapped.retry"
+    writer = adios.open_write("fields", name, RankContext(0, 1))
+    state = stream_registry._states[name]
+    for value in (1.0, 2.0, 3.0):
+        write_step(writer, value)  # ops 1+2 | 3+4 | 5
+    assert [s.status for s in state.published] == [
+        StepState.COMMITTED, StepState.LOST, StepState.COMMITTED,
+    ]
+    commits = [dict(e.attrs) for e in recorder.events(code=EV_STEP_COMMIT, stream=name)]
+    assert [(c["step"], c.get("attempts")) for c in commits] == [(0, 2), (2, None)]
+    channel = state._channel
+    assert channel.use_xpmem and channel._xpmem_segments == {}
+    assert channel.pool.stats.allocations == 0  # a torn mapped send leases nothing
+    assert path_counts(state) == {"xpmem": 2, "pool": 0}
+    writer.close()
+
+
+def test_mapped_drain_carries_the_transactional_per_rank_sends():
+    adios = make_adios("xpmem=true;transactional=true")
+    name = "dp.mapped.tx"
+    write_steps(adios, name, num_steps=3)
+    ref = make_adios("")
+    write_steps(ref, name + ".ref", num_steps=3)
+    got = [a.tobytes() for a in read_all_steps(adios, name)]
+    assert got == [a.tobytes() for a in read_all_steps(ref, name + ".ref")]
+    state = stream_registry._states[name]
+    assert state.monitor.metrics.counter("dataplane.tx.committed").value == 3
+    assert path_counts(state) == {"xpmem": 12, "pool": 0}  # 4 ranks x 3 steps
+
+
+def test_degraded_stream_ends_on_a_mapped_shm_rung():
+    adios = make_adios(
+        "xpmem=true;transport=rdma;degrade_after=1;max_retries=0;"
+        "faults=ops=1|2,kinds=timeout"
+    )
+    writer = adios.open_write("fields", "dp.mapped.ladder", RankContext(0, 1))
+    state = stream_registry._states["dp.mapped.ladder"]
+    for value in range(1, 6):
+        write_step(writer, float(value))  # rdma fails, tcp fails, shm carries 3
+    assert [s.status for s in state.published] == (
+        [StepState.LOST] * 2 + [StepState.COMMITTED] * 3
+    )
+    assert state.active_transport == "shm" and state._channel.use_xpmem
+    assert path_counts(state) == {"xpmem": 3, "pool": 0}
+    writer.close()
+
+
+def test_sanitizer_names_a_writer_that_modifies_a_mapped_array():
+    from repro.analysis import sanitize
+
+    san = sanitize.enable(fresh=True)
+    try:
+        adios = make_adios("xpmem=true")
+        writer = adios.open_write("fields", "dp.mutate", RankContext(0, 1))
+        state = stream_registry._states["dp.mutate"]
+        state._ensure_pipeline()
+        recv = state._channel.recv
+        mapped, gate = threading.Event(), threading.Event()
+
+        def held_recv(timeout=5.0):
+            mapped.set()
+            assert gate.wait(10.0)
+            return recv(timeout)
+
+        state._channel.recv = held_recv
+        data = FIELD.copy()
+        writer.write("temp", data, box=WHOLE, global_shape=SHAPE)
+        writer.end_step()
+        assert mapped.wait(10.0)
+        data[0, 0] = -1.0  # the stream still retains the step
+        gate.set()
+        state._quiesce()
+        (violation,) = san.violations()
+        assert violation.kind == sanitize.XPMEM_SOURCE_MUTATED
+        assert "shm.xpmem#0" in violation.what and "dp.mutate" in violation.what
+        write_step(writer, 2.0)  # a writer that keeps the contract: silence
+        state._quiesce()
+        assert len(san.violations()) == 1
+        writer.close()
+    finally:
+        sanitize.disable()

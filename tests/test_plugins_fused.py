@@ -222,10 +222,62 @@ _S3D_XML = """
 """
 
 
+@pytest.mark.parametrize("xpmem", [False, True])
+def test_stream_fused_read_matches_interpreted_chain(xpmem):
+    """The same steps read through the fused plan (``fused=true``) and
+    through scatter-then-interpret, on the staged and the mapped drain."""
+    boxes = block_decompose((32, 32), (2, 1))
+    rng = np.random.default_rng(11)
+    steps = [[rng.uniform(-1.0, 2.0, size=tuple(b.count)) for b in boxes]
+             for _ in range(4)]
+    reads, counts = {}, {}
+    for fused in (True, False):
+        params = stream_params(sync=True, fused=fused, xpmem=xpmem)
+        ad = Adios.from_xml(_S3D_XML.format(params=params))
+        name = f"fused.equiv.{xpmem}.{fused}"
+        handles = [ad.open_write("field", name, RankContext(r, 2)) for r in range(2)]
+        state = stream_registry._states[name]
+        for kernel in (unit_conversion_plugin("temp", 1.5),
+                       sampling_plugin(stride=3, only=("temp",)),
+                       range_select_plugin("temp", 0, 0.0, 1.0)):
+            state.plugins.deploy(kernel, PluginSide.READER)
+        reader = ad.open_read("field", name, RankContext(0, 1))
+        try:
+            reads[fused] = []
+            for blocks in steps:
+                for h, data, box in zip(handles, blocks, boxes):
+                    h.write("temp", data, box=box, global_shape=(32, 32))
+                    h.end_step()
+                assert reader.begin_step(timeout=5.0) is StepStatus.OK
+                reads[fused].append(
+                    reader.read("temp", start=(0, 0), count=(32, 32)).tobytes()
+                )
+                reader.end_step()
+            metrics = state.monitor.metrics
+            counts[fused] = metrics.counter(M_PLUGIN_FUSED_READS).value
+            path = "xpmem" if xpmem else "pool"
+            assert metrics.counter(f"transport.path.{path}").value == len(steps)
+        finally:
+            for h in handles:
+                h.close()
+            reader.close()
+            stream_registry.close_stream(name)
+    assert reads[True] == reads[False]
+    assert counts == {True: len(steps), False: 0}
+
+
 def test_pushdown_skips_provably_dropped_blocks_in_process():
-    params = stream_params(sync=True, pushdown=True)
+    _pushdown_skips_blocks(xpmem=False)
+
+
+def test_pushdown_skipped_blocks_are_never_mapped():
+    _pushdown_skips_blocks(xpmem=True)
+
+
+def _pushdown_skips_blocks(xpmem):
+    params = stream_params(sync=True, pushdown=True, xpmem=xpmem)
     ad = Adios.from_xml(_S3D_XML.format(params=params))
-    name = "fused.pushdown.inproc"
+    name = f"fused.pushdown.inproc.{xpmem}"
     boxes = block_decompose((32, 32), (2, 1))
     handles = [ad.open_write("field", name, RankContext(r, 2)) for r in range(2)]
     state = stream_registry._states[name]
@@ -252,9 +304,14 @@ def test_pushdown_skips_provably_dropped_blocks_in_process():
         reader.end_step()
         assert metrics.counter(M_PLUGIN_BLOCKS_SKIPPED).value == 0
 
-        # Step 1: the drain now provably drops the out-of-range block.
+        # Step 1: the drain now provably drops the out-of-range block,
+        # which is never staged or mapped: only ``keep`` is sent.
+        sent = metrics.counter("shm.bytes_sent").value
         write_step()
         assert metrics.counter(M_PLUGIN_BLOCKS_SKIPPED).value == 1
+        assert metrics.counter("shm.bytes_sent").value - sent == keep.nbytes
+        path = "xpmem" if xpmem else "pool"
+        assert metrics.counter(f"transport.path.{path}").value == 2
         assert reader.begin_step(timeout=5.0) is StepStatus.OK
         got1 = reader.read("temp", start=(0, 0), count=(32, 32))
         reader.end_step()

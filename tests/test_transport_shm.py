@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.monitoring import PerfMonitor
 from repro.machine.presets import SMOKY_NODE, TITAN_NODE
 from repro.transport import (
     QueueClosed,
@@ -16,6 +17,8 @@ from repro.transport import (
     ShmCostModel,
     SPSCQueue,
 )
+from repro.transport.buffers import LeaseError, Ownership, WireVector
+from repro.transport.faults import FaultKind, TornSend, TransportFaultInjector
 from repro.util import CACHE_LINE
 
 
@@ -265,6 +268,99 @@ def test_channel_xpmem_single_copy_cross_thread():
     assert copies == [0]  # mapped pages: zero copies end to end
     assert ch.copies_per_large_message == 0
     assert ch.pool.stats.allocations == 0  # no pool buffer involved
+
+
+def _sources():
+    return [np.arange(n, dtype=np.float64) for n in (700, 900, 1100)]
+
+
+def test_mapped_sendv_lets_one_thread_be_both_ends():
+    """sendv → recv → release on the xpmem path never waits for a detach,
+    copies nothing, leases nothing and leaves nothing mapped."""
+    mon = PerfMonitor()
+    ch = ShmChannel(use_xpmem=True, monitor=mon)
+    sources = _sources()
+    ch.sendv(sources)  # returns once the mapping is announced
+    got = ch.recv()
+    assert isinstance(got, WireVector) and len(got) == len(sources)
+    assert (got.copies, got.ownership) == (0, Ownership.XPMEM)
+    assert got.nbytes == sum(s.nbytes for s in sources)
+    for span, src in zip(got, sources):
+        arr = span.as_array(np.float64)
+        assert (span.copies, span.ownership) == (0, Ownership.XPMEM)
+        assert arr.flags.writeable is False and src.flags.writeable
+        assert np.shares_memory(arr, src)
+        np.testing.assert_array_equal(arr, src)
+    assert list(ch._xpmem_segments) == [0]
+    got.release()  # one release detaches the whole mapping
+    assert got.released and all(span.released for span in got)
+    assert ch._xpmem_segments == {}
+    with pytest.raises(LeaseError):
+        got.release()
+    with pytest.raises(LeaseError):
+        got[0].as_array()
+    # One N-part delivery is one observation, on the xpmem path.
+    hist = mon.metrics.histogram("transport.copies")
+    assert (hist.count, hist.total) == (1, 0.0)
+    assert mon.metrics.counter("transport.path.xpmem").value == 1
+    # A mapping nobody received is unmapped by close().
+    ch.sendv(sources)
+    assert list(ch._xpmem_segments) == [1]
+    ch.close()
+    assert ch._xpmem_segments == {}
+    assert ch.pool.stats.allocations == 0 and ch.large_sends == 2
+
+
+def test_mapped_send_returns_only_after_the_consumer_detached():
+    ch = ShmChannel(use_xpmem=True)
+    big = np.arange(4096, dtype=np.float64)
+    received, let_go, sent = (threading.Event() for _ in range(3))
+
+    def consumer():
+        wb = ch.recv(timeout=10)
+        assert np.shares_memory(wb.as_array(), big)
+        received.set()
+        assert let_go.wait(10)
+        wb.release()
+
+    def producer():
+        ch.send(big, timeout=10)
+        sent.set()
+
+    threads = [threading.Thread(target=f) for f in (consumer, producer)]
+    for t in threads:
+        t.start()
+    assert received.wait(10)
+    assert not sent.wait(0.05)  # attached, not detached: send() still blocked
+    let_go.set()
+    for t in threads:
+        t.join(10)
+    assert sent.is_set() and ch._xpmem_segments == {}
+    # No consumer at all: the send times out and withdraws its mapping.
+    with pytest.raises(TimeoutError):
+        ch.send(big, timeout=0.02)
+    assert ch._xpmem_segments == {} and ch.pool.stats.allocations == 0
+
+
+def test_failed_mapped_send_withdraws_the_mapping():
+    """Torn send = mapped, never announced; same cleanup when the
+    announce itself times out.  Neither touches the pool."""
+    ch = ShmChannel(
+        queue=SPSCQueue(slots=2), use_xpmem=True,
+        injector=TransportFaultInjector(fail_ops=[1], kinds=[FaultKind.TORN_SEND]),
+    )
+    sources = _sources()
+    with pytest.raises(TornSend):
+        ch.sendv(sources)
+    assert ch._xpmem_segments == {} and len(ch.queue) == 0
+    ch.sendv(sources)  # the retry
+    ch.sendv(sources)
+    with pytest.raises(QueueFull):  # both slots hold unreceived announces
+        ch.sendv(sources, timeout=0.01)
+    assert list(ch._xpmem_segments) == [1, 2]
+    for _ in range(2):
+        ch.recv().release()
+    assert ch._xpmem_segments == {} and ch.pool.stats.allocations == 0
 
 
 def test_channel_end_of_stream():
