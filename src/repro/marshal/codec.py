@@ -99,7 +99,8 @@ def _field_size(field: Field, value: Any) -> int:
         if kind == FieldKind.ARRAY:
             arr = np.asarray(value)
             dt = arr.dtype.str.encode("ascii")
-            return 1 + len(dt) + 1 + 8 * arr.ndim + 8 + arr.nbytes
+            # max(): the packers' ascontiguousarray makes a 0-d value 1-d.
+            return 1 + len(dt) + 1 + 8 * max(arr.ndim, 1) + 8 + arr.nbytes
     except TypeError as exc:
         raise MarshalError(
             f"cannot size field {field.name!r} as {kind.name}: {exc}"
@@ -107,12 +108,14 @@ def _field_size(field: Field, value: Any) -> int:
     raise MarshalError(f"unsupported kind {kind}")  # pragma: no cover
 
 
-def _pack_field_into(field: Field, value: Any, mv: memoryview, off: int) -> int:
+def _pack_field_into(field: Field, value: Any, mv: memoryview, off: int,
+                     data: bool = True) -> int:
     """Pack one field directly at ``mv[off:]``; returns the new offset.
 
     The zero-copy twin of :func:`_pack_field`: ARRAY payloads are copied
     once, straight into the destination (a leased pool buffer, a queue
-    slot, registered RDMA memory), with no intermediate ``bytes``.
+    slot, registered RDMA memory), with no intermediate ``bytes`` — or,
+    with ``data=False``, not at all: the offset still moves past them.
     """
     kind = field.kind
     try:
@@ -158,9 +161,9 @@ def _pack_field_into(field: Field, value: Any, mv: memoryview, off: int) -> int:
                 off += 8
             struct.pack_into("<Q", mv, off, arr.nbytes)
             off += 8
-            # The single array copy: source view -> destination span.
-            dst = np.frombuffer(mv, dtype=np.uint8, count=arr.nbytes, offset=off)
-            dst[:] = arr.reshape(-1).view(np.uint8)
+            if data:  # the single array copy: source view -> destination span
+                dst = np.frombuffer(mv, dtype=np.uint8, count=arr.nbytes, offset=off)
+                dst[:] = arr.reshape(-1).view(np.uint8)
             return off + arr.nbytes
     except (TypeError, ValueError, OverflowError, struct.error) as exc:
         raise MarshalError(
@@ -331,10 +334,13 @@ def encode_into(
     record: dict,
     buf,
     peer_registry: Optional[FormatRegistry] = None,
+    detach_tail: bool = False,
 ) -> int:
     """Encode ``record`` directly into ``buf`` (a memoryview, bytearray,
     uint8 ndarray, or a leased buffer's ``data`` array); returns bytes
-    written.
+    written.  With ``detach_tail`` a trailing ARRAY field is packed up to
+    and including its byte count and ``buf`` ends there — the caller sends
+    the array as the next gather part; sizes still count its bytes.
 
     The zero-copy twin of :func:`encode_message`: ARRAY payloads are
     copied exactly once, from the source array straight into the
@@ -364,8 +370,9 @@ def encode_into(
         body_len_off = off
         off += 8
         body_start = off
+        tail = fmt.fields[-1] if detach_tail else None
         for field in fmt.fields:
-            off = _pack_field_into(field, record[field.name], mv, off)
+            off = _pack_field_into(field, record[field.name], mv, off, field is not tail)
         struct.pack_into("<Q", mv, body_len_off, off - body_start)
     except (struct.error, ValueError) as exc:
         raise MarshalError(f"destination too small for message: {exc}") from exc

@@ -716,7 +716,8 @@ class NetWriteHandle(WriteHandle):
     def _publish_once(self, record: dict) -> None:
         parts = [encode_frame(MsgType.PUBLISH, record,
                               seq=next(self._client._frame_seq))]
-        parts.extend(encode_var(rec) for rec in self._pending)
+        for rec in self._pending:
+            parts.extend(encode_var(rec))  # head span, then the array itself
         self._channel.sendv(parts, timeout=self._client.timeout)
         frame = decode_frame(self._channel.recv(timeout=self._client.timeout))
         if frame.msg_type is not MsgType.OK:

@@ -18,11 +18,12 @@ offset  size  field
 
 The body reuses :func:`repro.marshal.codec.encode_into` and
 :func:`~repro.marshal.codec.decode_view` over
-:class:`~repro.transport.buffers.WireBuffer` spans, so a frame is
-encoded with exactly one copy (fields packed straight into the span)
-and decoded with zero (BYTES/ARRAY fields come back as views over the
-receive buffer).  Both sides share :data:`PROTOCOL_REGISTRY`, so
-schemas never ride along in steady state.
+:class:`~repro.transport.buffers.WireBuffer` spans: scalar fields are
+packed straight into the span, a ``net.var``'s array is not copied at
+all (:func:`encode_var` returns it as its own gather part) and decoding
+copies nothing (BYTES/ARRAY fields come back as views over the receive
+buffer).  Both sides share :data:`PROTOCOL_REGISTRY`, so schemas never
+ride along in steady state.
 
 Multi-part frames: a :data:`MsgType.PUBLISH` body carries a variable
 *count*, and the frame continues with that many back-to-back codec
@@ -315,12 +316,18 @@ def decode_frame(
     return Frame(version, msg_type, record, offset + HEADER.size + consumed, seq)
 
 
-def encode_var(record: dict) -> WireBuffer:
-    """Encode one ``net.var`` follow-on message into a heap span."""
-    size = encoded_size(VAR_FORMAT, record, PROTOCOL_REGISTRY)
+def encode_var(record: dict) -> tuple[WireBuffer, np.ndarray]:
+    """Encode one ``net.var`` follow-on message as two gather parts: a
+    heap span holding everything up to and including the array's byte
+    count, and the array itself — the caller's own when it is
+    C-contiguous.  Joined, they are the flat codec message."""
+    data = np.ascontiguousarray(record["data"])
+    record = {**record, "data": data}  # sized and packed as what is sent
+    size = encoded_size(VAR_FORMAT, record, PROTOCOL_REGISTRY) - data.nbytes
     wb = WireBuffer(np.empty(size, dtype=np.uint8), ownership=Ownership.HEAP)
-    encode_into(VAR_FORMAT, record, memoryview(wb.as_array()), PROTOCOL_REGISTRY)
-    return wb
+    encode_into(VAR_FORMAT, record, memoryview(wb.as_array()), PROTOCOL_REGISTRY,
+                detach_tail=True)
+    return wb, data
 
 
 def decode_var(
@@ -334,11 +341,6 @@ def decode_var(
     if fmt.format_id != VAR_FORMAT.format_id:
         raise ProtocolError(f"expected net.var, got {fmt.name!r}")
     return record, offset + consumed
-
-
-def error_frame(kind: str, message: str) -> WireBuffer:
-    """Convenience: an ERROR frame with a taxonomy kind + human text."""
-    return encode_frame(MsgType.ERROR, {"kind": kind, "message": message})
 
 
 # ---------------------------------------------------------------------------

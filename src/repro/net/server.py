@@ -2,7 +2,9 @@
 
 Two asyncio listeners share one event loop (run in a daemon thread via
 :meth:`DirectoryDaemon.start`, or in the foreground via the
-``python -m repro.net.server`` CLI):
+``python -m repro.net.server`` CLI); every accepted connection is one
+:class:`_Conn`, which receives each frame straight into the array the
+broker then stores — a PUBLISH is never copied in user space:
 
 * the **control port** speaks the :mod:`repro.net.protocol` frames for
   session setup (HELLO → WELCOME with a bearer-token check against the
@@ -31,9 +33,9 @@ import itertools
 import os
 import secrets
 import signal
-import struct
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -91,19 +93,20 @@ from repro.obs.names import (
     M_FAULTS_INJECTED_TOTAL,
     M_NET_FETCH_HOLDS_EXPIRED,
     M_NET_FETCHES_HELD,
+    M_NET_FRAMES_REFUSED,
     M_NET_READERS_PARKED,
     M_PLUGIN_BLOCKS_SKIPPED,
     metric_name,
 )
+from repro.transport.buffers import as_byte_view
 from repro.transport.faults import (
     FaultKind,
     TransportFaultInjector,
     parse_fault_spec,
 )
+from repro.transport.tcp import FRAME_PREFIX, MAX_FRAME
 
 __all__ = ["HostedStream", "DirectoryDaemon", "parse_tenant_arg", "main"]
-
-_PREFIX = struct.Struct("<Q")
 
 #: Server banner sent in WELCOME frames.
 SERVER_VERSION = "flexio-directoryd/3"
@@ -117,6 +120,124 @@ DEFAULT_RETRY_AFTER_S = 0.25
 #: Longest the daemon holds one FETCH, whatever ``wait`` it asks for — and
 #: so the longest a reader whose socket died while parked stays attached.
 MAX_FETCH_HOLD_S = 10.0
+
+
+class _Conn(asyncio.BufferedProtocol):
+    """One accepted connection: whole frames in, ordered writes out.
+
+    Inbound it is a frame assembler (no socket, no clock): the transport
+    receives into the unfilled rest of an 8-byte prefix scratch, then of
+    the frame's *own* ``np.empty(length)`` — the array the broker goes on
+    to store; :meth:`read_frame` hands whole frames to the handler task,
+    ``None`` once no more will come (a frame cut short is dropped).
+    Reading pauses while a second whole frame waits behind an unread
+    one: a peer that pipelines without reading replies cannot grow the
+    daemon, a request/reply peer never trips it.  Outbound, a frame's
+    parts are queued back to back, so frames never interleave.
+    """
+
+    def __init__(self, daemon: "DirectoryDaemon", handler) -> None:
+        self._daemon = daemon
+        self._handler = handler
+        self._prefix = np.empty(FRAME_PREFIX.size, dtype=np.uint8)
+        self._body: Optional[np.ndarray] = None  # None: filling the prefix
+        self._into = memoryview(self._prefix)
+        self._got = 0
+        self._frames: deque[np.ndarray] = deque()
+        self._readable = asyncio.Event()  # a frame is queued, or none will be
+        self._writable = asyncio.Event()  # clear between pause_/resume_writing
+        self._writable.set()
+        self._paused = self._ended = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._task = asyncio.get_running_loop().create_task(self._handler(self))
+        self._task.add_done_callback(self._handler_done)  # the loop holds it weakly
+
+    def _handler_done(self, task: asyncio.Task) -> None:
+        if not task.cancelled() and task.exception() is not None:
+            task.get_loop().call_exception_handler({
+                "message": "flexio daemon: connection handler failed",
+                "exception": task.exception(), "transport": self.transport,
+            })
+        self.transport.close()
+
+    # -- inbound -----------------------------------------------------------
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._into[self._got:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._got += nbytes
+        if self._got < len(self._into):
+            return
+        self._got = 0
+        frame = self._body
+        if frame is None:  # the prefix is whole: the frame gets its own array
+            (length,) = FRAME_PREFIX.unpack(self._prefix)
+            if length <= MAX_FRAME:
+                try:
+                    frame = np.empty(length, dtype=np.uint8)
+                except MemoryError:
+                    pass  # refused below, like a prefix over the bound
+            if frame is None:
+                # A prefix is a claim, not a fact: typed refusal, then close.
+                self._daemon.metrics.counter(M_NET_FRAMES_REFUSED).inc()
+                self.write_frame(encode_frame(MsgType.ERROR, {
+                    "kind": "protocol", "message": f"frame of {length} B refused"}))
+                self.eof_received()
+                self.transport.close()
+                return
+            if length:
+                self._body, self._into = frame, memoryview(frame)
+                return
+        self._body, self._into = None, memoryview(self._prefix)
+        self._frames.append(frame)
+        self._readable.set()
+        if len(self._frames) > 1 and not self._paused:
+            self._paused = True
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._ended = True
+        self._readable.set()
+        return True  # replies may still go out; the handler's exit closes
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.eof_received()
+        self._writable.set()  # a parked drain() finds the transport closing
+
+    async def read_frame(self) -> Optional[np.ndarray]:
+        await self._readable.wait()
+        if not self._frames:
+            return None
+        frame = self._frames.popleft()
+        if not self._frames:
+            if not self._ended:
+                self._readable.clear()
+            if self._paused:
+                self._paused = False
+                self.transport.resume_reading()
+        return frame
+
+    # -- outbound ----------------------------------------------------------
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    def write_frame(self, *parts) -> None:
+        views = [as_byte_view(p) for p in parts]
+        total = sum(v.nbytes for v in views)
+        # Prefix + first part (the small frame header): one segment, not two.
+        self.transport.write(b"".join((FRAME_PREFIX.pack(total), views[0])))
+        for view in views[1:]:
+            self.transport.write(view.data)
+
+    async def drain(self) -> None:
+        await self._writable.wait()
+        if self.transport.is_closing():
+            raise ConnectionResetError("connection lost")
 
 
 class HostedStream:
@@ -134,7 +255,8 @@ class HostedStream:
         self.stream_id = f"{tenant}/{name}"
         self.monitor = PerfMonitor()
         self.active_transport = "tcp"
-        #: step -> (var count, raw frame tail: the net.var run); what a
+        #: step -> (var count, the net.var run: a uint8 view of the frame
+        #: that carried it; ``bytes`` once pruned or restored); what a
         #: reader is told about any step is this store's ``lookup``.
         self.store = StepStore(retain=int(retain_steps))
         #: Highest publish sequence number applied; republished frames
@@ -148,7 +270,7 @@ class HostedStream:
         #: What a held FETCH waits on: set, and replaced, by :meth:`wake`.
         self.changed = asyncio.Event()
         #: Attached readers whose handler is parked in a held FETCH.
-        self.parked: set[asyncio.StreamWriter] = set()
+        self.parked: set[_Conn] = set()
 
     @property
     def closed(self) -> bool:
@@ -159,8 +281,8 @@ class HostedStream:
         return self.store.failed
 
     # ------------------------------------------------------------------
-    def publish(self, step: int, count: int, payload: bytes, eos: bool,
-                seq: int = 0) -> bool:
+    def publish(self, step: int, count: int, payload: "np.ndarray | bytes",
+                eos: bool, seq: int = 0) -> bool:
         """Store one step; returns False for a suppressed duplicate."""
         if seq > 0:
             if seq <= self.last_seq:
@@ -185,7 +307,7 @@ class HostedStream:
         )
         return True
 
-    def fetch(self, step: int) -> Optional[tuple[int, bytes]]:
+    def fetch(self, step: int) -> Optional[tuple[int, "np.ndarray | bytes"]]:
         """Step ``step``'s ``(var count, payload)``, counted as served;
         None on a miss (the store's ``lookup`` says which kind)."""
         outcome, got = self.store.lookup(step)
@@ -238,7 +360,7 @@ class HostedStream:
 
 
 def prune_step_payload(raw: np.ndarray, offset: int, count: int,
-                       predicate, stream: HostedStream) -> tuple[int, bytes]:
+                       predicate, stream: HostedStream) -> tuple[int, "np.ndarray | bytes"]:
     """Drop ``net.var`` spans the combined reader predicate proves empty.
 
     Walks the PUBLISH frame's var run by ``decode_var`` offsets and
@@ -260,7 +382,7 @@ def prune_step_payload(raw: np.ndarray, offset: int, count: int,
             kept.append(raw[offset:end])
         offset = end
     if not skipped:
-        return count, raw[start:].tobytes()  # flexlint: ok(FXL006) brokered steps outlive the receive buffer
+        return count, raw[start:]  # the frame's own array: stored as it landed
     stream.monitor.metrics.counter(
         M_PLUGIN_BLOCKS_SKIPPED, labels=stream._labels
     ).inc(skipped)
@@ -328,7 +450,7 @@ class DirectoryDaemon:
         self._resume: dict[str, str] = {}  # resume token -> session_id
         self._session_counter = itertools.count(1)
         self._draining = False
-        self._attached: set[asyncio.StreamWriter] = set()
+        self._attached: set[_Conn] = set()
         self.telemetry: Optional[LiveTelemetryServer] = (
             LiveTelemetryServer(states=self._stream_states) if telemetry else None
         )
@@ -399,11 +521,14 @@ class DirectoryDaemon:
             loop.close()
 
     async def _bind(self) -> None:
-        control = await asyncio.start_server(
-            self._handle_control, self.host, self.control_port
+        loop = asyncio.get_running_loop()
+        control = await loop.create_server(
+            lambda: _Conn(self, self._handle_control), self.host, self.control_port
         )
         self.control_port = control.sockets[0].getsockname()[1]
-        data = await asyncio.start_server(self._handle_data, self.host, self.data_port)
+        data = await loop.create_server(
+            lambda: _Conn(self, self._handle_data), self.host, self.data_port
+        )
         self.data_port = data.sockets[0].getsockname()[1]
         self._servers = [control, data]
 
@@ -437,42 +562,35 @@ class DirectoryDaemon:
             self._ckpt_executor = None
 
     # -- frame I/O ---------------------------------------------------------
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> Optional[np.ndarray]:
-        try:
-            prefix = await reader.readexactly(_PREFIX.size)
-        except (asyncio.IncompleteReadError, ConnectionError):
+    async def _read_frame(self, conn: _Conn) -> Optional[tuple[np.ndarray, Frame]]:
+        """The next frame, raw and decoded — or None, and the caller hangs up:
+        no more will come, or this one was malformed (typed ERROR sent)."""
+        raw = await conn.read_frame()
+        if raw is None:
             return None
-        (length,) = _PREFIX.unpack(prefix)
         try:
-            body = await reader.readexactly(int(length))
-        except (asyncio.IncompleteReadError, ConnectionError):
+            return raw, decode_frame(raw)
+        except ProtocolError as exc:
+            await self._send_error(conn, "protocol", str(exc))
             return None
-        return np.frombuffer(body, dtype=np.uint8)
 
-    async def _write_frame(self, writer: asyncio.StreamWriter, *parts) -> None:
-        total = sum(p.nbytes if hasattr(p, "nbytes") else len(p) for p in parts)
+    async def _write_frame(self, conn: _Conn, *parts) -> None:
         if self.injector is not None:
             kind = self.injector.next_fault()
-            if kind is not None and await self._inject_outbound(writer, kind, total, parts):
+            if kind is not None and await self._inject_outbound(conn, kind, parts):
                 return
-        writer.write(_PREFIX.pack(total))
-        for part in parts:
-            if hasattr(part, "as_array"):
-                part = part.as_array()
-            if isinstance(part, np.ndarray):
-                part = part.data  # asyncio wants bytes-like; a view, no copy
-            writer.write(part)
-        await writer.drain()
+        conn.write_frame(*parts)
+        await conn.drain()
 
-    async def _inject_outbound(self, writer, kind: FaultKind, total: int,
-                               parts) -> bool:
+    async def _inject_outbound(self, conn: _Conn, kind: FaultKind, parts) -> bool:
         """Act out one injected fault on an outbound frame.
 
         Returns True when the frame must NOT be written normally (it was
         dropped, torn, or the connection was killed); False for kinds
         that only perturb timing.
         """
+        blob = b"".join(as_byte_view(p) for p in parts)  # chaos-only path
+        total = len(blob)
         self.metrics.counter(metric_name(F_FAULTS_INJECTED, kind.value)).inc()
         self.metrics.counter(M_FAULTS_INJECTED_TOTAL).inc()
         flight.record(EV_FAULT, kind=kind.value, transport="daemon", nbytes=total)
@@ -482,59 +600,49 @@ class DirectoryDaemon:
             await asyncio.sleep(0.05)
             return False
         if kind is FaultKind.TORN_FRAME:
-            blob = b"".join(
-                bytes(p.as_array().data) if hasattr(p, "as_array")
-                else (p.tobytes() if isinstance(p, np.ndarray) else bytes(p))
-                for p in parts
-            )
-            writer.write(_PREFIX.pack(total) + blob[: max(1, total // 2)])
-            writer.close()  # torn mid-frame: peer sees a truncated stream
+            conn.transport.write(FRAME_PREFIX.pack(total) + blob[: max(1, total // 2)])
+            conn.transport.close()  # torn mid-frame: peer sees a truncated stream
             return True
         # CONN_RESET / HALF_OPEN and any send-side kind: kill the
         # connection; the peer observes a disconnect and reconnects.
-        writer.close()
+        conn.transport.close()
         return True
 
-    async def _send_error(self, writer, kind: str, message: str) -> None:
+    async def _send_error(self, conn, kind: str, message: str) -> None:
         await self._write_frame(
-            writer, encode_frame(MsgType.ERROR, {"kind": kind, "message": message})
+            conn, encode_frame(MsgType.ERROR, {"kind": kind, "message": message})
         )
 
-    async def _send_admission_error(self, writer, exc: AdmissionError) -> None:
+    async def _send_admission_error(self, conn, exc: AdmissionError) -> None:
         kind = exc.kind.value if exc.kind is not None else "admission"
-        await self._send_error(writer, kind, str(exc))
+        await self._send_error(conn, kind, str(exc))
 
-    async def _send_retry_after(self, writer, reason: str,
+    async def _send_retry_after(self, conn, reason: str,
                                 delay: float = DEFAULT_RETRY_AFTER_S) -> None:
         flight.record(EV_NET_RETRY_AFTER, reason=reason, delay=delay)
         await self._write_frame(
-            writer, encode_frame(MsgType.RETRY_AFTER, {"delay": delay, "reason": reason})
+            conn, encode_frame(MsgType.RETRY_AFTER, {"delay": delay, "reason": reason})
         )
 
     # -- control plane -----------------------------------------------------
-    async def _handle_control(self, reader, writer) -> None:
+    async def _handle_control(self, conn: _Conn) -> None:
         # A session is NOT bound to this socket: it dies only on a clean
         # BYE (or daemon restart without a checkpoint).  A socket that
         # drops mid-session leaves the session resumable via its token.
         session: Optional[_Session] = None
         clean_bye = False
         try:
-            session = await self._control_hello(reader, writer)
+            session = await self._control_hello(conn)
             if session is None:
                 return
             while True:
-                raw = await self._read_frame(reader)
-                if raw is None:
+                if (got := await self._read_frame(conn)) is None:
                     break
-                try:
-                    frame = decode_frame(raw)
-                except ProtocolError as exc:
-                    await self._send_error(writer, "protocol", str(exc))
-                    break
+                frame = got[1]
                 if frame.msg_type is MsgType.BYE:
                     clean_bye = True
                     break
-                await self._dispatch_control(session, frame, writer)
+                await self._dispatch_control(session, frame, conn)
         except (ConnectionError, asyncio.CancelledError):
             pass  # the peer is gone, or stop() ended this handler
         finally:
@@ -543,29 +651,23 @@ class DirectoryDaemon:
                     self._sessions.pop(session.session_id, None)
                     self._resume.pop(session.resume, None)
                 flight.record(EV_NET_DISCONNECT, tenant=session.tenant)
-            writer.close()
 
-    async def _control_hello(self, reader, writer) -> Optional[_Session]:
-        raw = await self._read_frame(reader)
-        if raw is None:
+    async def _control_hello(self, conn: _Conn) -> Optional[_Session]:
+        if (got := await self._read_frame(conn)) is None:
             return None
-        try:
-            frame = decode_frame(raw)
-        except ProtocolError as exc:
-            await self._send_error(writer, "protocol", str(exc))
-            return None
+        frame = got[1]
         if frame.msg_type is not MsgType.HELLO:
-            await self._send_error(writer, "protocol", "expected HELLO")
+            await self._send_error(conn, "protocol", "expected HELLO")
             return None
         if self._draining:
-            await self._send_retry_after(writer, "draining")
+            await self._send_retry_after(conn, "draining")
             return None
         tenant = frame.record["tenant"]
         token = frame.record["token"] or None
         try:
             spec = self.directory.authenticate(tenant, token)
         except AdmissionError as exc:
-            await self._send_admission_error(writer, exc)
+            await self._send_admission_error(conn, exc)
             return None
         resume_token = frame.record["resume"]
         resumed = False
@@ -594,7 +696,7 @@ class DirectoryDaemon:
                 EV_NET_RESUME, session=session.session_id, tenant=tenant
             )
         flight.record(EV_NET_CONNECT, tenant=tenant, client=session.client)
-        await self._write_frame(writer, encode_frame(MsgType.WELCOME, {
+        await self._write_frame(conn, encode_frame(MsgType.WELCOME, {
             "session": session.session_id,
             "server": SERVER_VERSION,
             "data_port": self.data_port,
@@ -603,13 +705,13 @@ class DirectoryDaemon:
         }))
         return session
 
-    async def _dispatch_control(self, session: _Session, frame: Frame, writer) -> None:
+    async def _dispatch_control(self, session: _Session, frame: Frame, conn) -> None:
         rec = frame.record
         tenant = session.tenant
         if self._draining and frame.msg_type in (MsgType.OPEN, MsgType.REGISTER):
             # Drain refuses *new* work but still serves lookups, closes
             # and heartbeats so in-flight sessions can wind down.
-            await self._send_retry_after(writer, "draining")
+            await self._send_retry_after(conn, "draining")
             return
         try:
             if frame.msg_type is MsgType.REGISTER:
@@ -621,11 +723,11 @@ class DirectoryDaemon:
                 lease = rec["lease"] if rec["lease"] > 0 else None
                 self.directory.register(tenant, rec["stream"], info, lease=lease)
                 await self._write_frame(
-                    writer, encode_frame(MsgType.OK, {"detail": "registered"})
+                    conn, encode_frame(MsgType.OK, {"detail": "registered"})
                 )
             elif frame.msg_type is MsgType.LOOKUP:
                 info = self.directory.lookup(tenant, rec["stream"])
-                await self._write_frame(writer, encode_frame(MsgType.LOOKUP_REPLY, {
+                await self._write_frame(conn, encode_frame(MsgType.LOOKUP_REPLY, {
                     "program": info.program,
                     "rank": info.coordinator_rank,
                     "num_ranks": info.num_ranks,
@@ -640,14 +742,14 @@ class DirectoryDaemon:
                     # not know which names hold leases).
                     detail = "idle"
                 await self._write_frame(
-                    writer, encode_frame(MsgType.OK, {"detail": detail})
+                    conn, encode_frame(MsgType.OK, {"detail": detail})
                 )
             elif frame.msg_type is MsgType.OPEN:
-                await self._control_open(session, rec, writer)
+                await self._control_open(session, rec, conn)
             elif frame.msg_type is MsgType.CLOSE:
                 stream = self._streams.get(rec["stream_id"])
                 if stream is None:
-                    await self._send_error(writer, "unknown_stream", rec["stream_id"])
+                    await self._send_error(conn, "unknown_stream", rec["stream_id"])
                     return
                 stream.end()
                 try:
@@ -655,18 +757,18 @@ class DirectoryDaemon:
                 except DirectoryError:
                     pass  # already reaped or never leased-registered
                 await self._write_frame(
-                    writer, encode_frame(MsgType.OK, {"detail": "closed"})
+                    conn, encode_frame(MsgType.OK, {"detail": "closed"})
                 )
             else:
                 await self._send_error(
-                    writer, "protocol", f"unexpected {frame.msg_type.name} on control port"
+                    conn, "protocol", f"unexpected {frame.msg_type.name} on control port"
                 )
         except AdmissionError as exc:
-            await self._send_admission_error(writer, exc)
+            await self._send_admission_error(conn, exc)
         except DirectoryError as exc:
-            await self._send_error(writer, "directory", str(exc))
+            await self._send_error(conn, "directory", str(exc))
 
-    async def _control_open(self, session: _Session, rec: dict, writer) -> None:
+    async def _control_open(self, session: _Session, rec: dict, conn) -> None:
         tenant = session.tenant
         name = rec["stream"]
         mode = rec["mode"]
@@ -700,7 +802,7 @@ class DirectoryDaemon:
             if hosted is None:
                 # Raises the typed not-found the client retry loop expects.
                 self.directory.lookup(tenant, name)
-                await self._send_error(writer, "unknown_stream", stream_id)
+                await self._send_error(conn, "unknown_stream", stream_id)
                 return
             if not hosted.closed:
                 # Live stream: count the reader in the directory.  A
@@ -708,92 +810,81 @@ class DirectoryDaemon:
                 # late analytics drain the store-and-forward tail to EOS.
                 self.directory.lookup(tenant, name)
         else:
-            await self._send_error(writer, "protocol", f"bad open mode {mode!r}")
+            await self._send_error(conn, "protocol", f"bad open mode {mode!r}")
             return
         flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode, tenant=tenant)
-        await self._write_frame(writer, encode_frame(MsgType.OPEN_REPLY, {
+        await self._write_frame(conn, encode_frame(MsgType.OPEN_REPLY, {
             "stream_id": stream_id,
             "data_port": self.data_port,
         }))
 
     # -- data plane --------------------------------------------------------
-    async def _handle_data(self, reader, writer) -> None:
+    async def _handle_data(self, conn: _Conn) -> None:
         try:
-            raw = await self._read_frame(reader)
-            if raw is None:
+            if (got := await self._read_frame(conn)) is None:
                 return
-            try:
-                frame = decode_frame(raw)
-            except ProtocolError as exc:
-                await self._send_error(writer, "protocol", str(exc))
-                return
+            frame = got[1]
             if frame.msg_type is not MsgType.ATTACH:
-                await self._send_error(writer, "protocol", "expected ATTACH")
+                await self._send_error(conn, "protocol", "expected ATTACH")
                 return
             session = self._sessions.get(frame.record["session"])
             if session is None:
-                await self._send_error(writer, "auth", "unknown session")
+                await self._send_error(conn, "auth", "unknown session")
                 return
             stream = self._streams.get(frame.record["stream_id"])
             if stream is None or stream.tenant != session.tenant:
                 await self._send_error(
-                    writer, "unknown_stream", frame.record["stream_id"]
+                    conn, "unknown_stream", frame.record["stream_id"]
                 )
                 return
             if self._draining:
-                await self._send_retry_after(writer, "draining")
+                await self._send_retry_after(conn, "draining")
                 return
             role = frame.record["role"]
             try:
                 predicate = parse_predicate(frame.record["predicate"])
             except CodeletError as exc:
                 await self._send_error(
-                    writer, "protocol", f"bad predicate spec: {exc}"
+                    conn, "protocol", f"bad predicate spec: {exc}"
                 )
                 return
             await self._write_frame(
-                writer, encode_frame(MsgType.OK, {"detail": "attached"})
+                conn, encode_frame(MsgType.OK, {"detail": "attached"})
             )
-            self._attached.add(writer)
-            reader_key = id(writer)
+            self._attached.add(conn)
+            reader_key = id(conn)
             try:
                 if role == "w":
-                    await self._serve_writer(session, stream, reader, writer)
+                    await self._serve_writer(session, stream, conn)
                 else:
                     stream.register_reader(reader_key, predicate)
-                    await self._serve_reader(stream, reader, writer)
+                    await self._serve_reader(stream, conn)
             finally:
                 if role != "w":
                     stream.drop_reader(reader_key)
-                self._attached.discard(writer)
+                self._attached.discard(conn)
         except (ConnectionError, asyncio.CancelledError):
             pass  # the peer is gone, or stop() ended this handler
-        finally:
-            writer.close()
 
     async def _serve_writer(self, session: _Session, stream: HostedStream,
-                            reader, writer) -> None:
+                            conn: _Conn) -> None:
         while True:
-            raw = await self._read_frame(reader)
-            if raw is None:
+            if (got := await self._read_frame(conn)) is None:
                 return
-            try:
-                frame = decode_frame(raw)
-            except ProtocolError as exc:
-                await self._send_error(writer, "protocol", str(exc))
-                return
+            raw, frame = got
             if frame.msg_type is not MsgType.PUBLISH:
-                await self._send_error(writer, "protocol", "writer must PUBLISH")
+                await self._send_error(conn, "protocol", "writer must PUBLISH")
                 return
             if self._draining:
-                await self._send_retry_after(writer, "draining")
+                await self._send_retry_after(conn, "draining")
                 continue
             try:
                 self.directory.charge_bytes(session.tenant, raw.nbytes)
             except AdmissionError as exc:
-                await self._send_admission_error(writer, exc)
+                await self._send_admission_error(conn, exc)
                 continue
             count = int(frame.record["count"])
+            payload = raw[frame.consumed:]  # this frame's own array: no copy
             predicate = stream.prune_predicate()
             if predicate is not None and count:
                 try:
@@ -803,10 +894,7 @@ class DirectoryDaemon:
                 except ProtocolError:
                     # Malformed var run: store verbatim; the reader's
                     # decode surfaces the real error.
-                    count = int(frame.record["count"])
-                    payload = raw[frame.consumed:].tobytes()  # flexlint: ok(FXL006) brokered steps outlive the receive buffer
-            else:
-                payload = raw[frame.consumed:].tobytes()  # flexlint: ok(FXL006) brokered steps outlive the receive buffer; this is the store of store-and-forward
+                    pass
             stored = stream.publish(
                 int(frame.record["step"]), count,
                 payload, bool(frame.record["eos"]),
@@ -822,50 +910,45 @@ class DirectoryDaemon:
                 # the fsync+rename doesn't stall other sessions' frames.
                 await self.checkpoint_async()
             await self._write_frame(
-                writer, encode_frame(
+                conn, encode_frame(
                     MsgType.OK, {"detail": "published" if stored else "duplicate"}
                 )
             )
 
-    async def _serve_reader(self, stream: HostedStream, reader, writer) -> None:
+    async def _serve_reader(self, stream: HostedStream, conn: _Conn) -> None:
         while True:
-            raw = await self._read_frame(reader)
-            if raw is None:
+            if (got := await self._read_frame(conn)) is None:
                 return
-            try:
-                frame = decode_frame(raw)
-            except ProtocolError as exc:
-                await self._send_error(writer, "protocol", str(exc))
-                return
+            frame = got[1]
             if frame.msg_type is not MsgType.FETCH:
-                await self._send_error(writer, "protocol", "reader must FETCH")
+                await self._send_error(conn, "protocol", "reader must FETCH")
                 return
             step = int(frame.record["step"])
             # The outcome that ended the hold is the one answered:
             # nothing awaits between this lookup and the reply below.
             outcome, detail = await self._held_lookup(
-                stream, step, frame.record["wait"], writer)
+                stream, step, frame.record["wait"], conn)
             if outcome is Outcome.HIT:
                 count, payload = stream.fetch(step)
                 await self._write_frame(
-                    writer,
+                    conn,
                     encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
-                    np.frombuffer(payload, dtype=np.uint8),
+                    payload,
                 )
                 continue
             msg_type, kind = MISS_REPLY[outcome]
             if msg_type is MsgType.NOT_READY and self._draining:
                 # No new publishes will land here; tell the reader to
                 # back off and retry against the restarted daemon.
-                await self._send_retry_after(writer, "draining")
+                await self._send_retry_after(conn, "draining")
             elif msg_type in (MsgType.EOS, MsgType.NOT_READY):
                 # The step index is their whole body.
-                await self._write_frame(writer, encode_frame(msg_type, {"step": step}))
+                await self._write_frame(conn, encode_frame(msg_type, {"step": step}))
             else:
-                await self._send_error(writer, kind, detail)
+                await self._send_error(conn, kind, detail)
 
     async def _held_lookup(self, stream: HostedStream, step: int, wait: float,
-                           writer) -> tuple[Outcome, object]:
+                           conn) -> tuple[Outcome, object]:
         """``stream.store.lookup(step)``, after parking for up to ``wait``
         seconds (clamped; NaN and negatives hold nothing) while it says
         ``NOT_YET`` and the daemon is not draining.  A reader woken for
@@ -879,7 +962,7 @@ class DirectoryDaemon:
         parked = metrics.gauge(M_NET_READERS_PARKED, labels=labels)
         clock = asyncio.get_running_loop().time
         deadline = clock() + hold
-        stream.parked.add(writer)
+        stream.parked.add(conn)
         parked.set(len(stream.parked))
         try:
             while (outcome is Outcome.NOT_YET and not self._draining
@@ -890,7 +973,7 @@ class DirectoryDaemon:
                     pass
                 outcome, detail = stream.store.lookup(step)
         finally:
-            stream.parked.discard(writer)
+            stream.parked.discard(conn)
             parked.set(len(stream.parked))
         if outcome is Outcome.NOT_YET and not self._draining:
             metrics.counter(M_NET_FETCH_HOLDS_EXPIRED, labels=labels).inc()
@@ -923,9 +1006,9 @@ class DirectoryDaemon:
         frame = encode_frame(
             MsgType.RETRY_AFTER, {"delay": delay, "reason": "draining"}
         )
-        for writer in peers:
+        for conn in peers:
             try:
-                await self._write_frame(writer, frame)
+                await self._write_frame(conn, frame)
             except (ConnectionError, OSError):
                 pass  # peer already gone; nothing to notify
 

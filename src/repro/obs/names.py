@@ -137,6 +137,7 @@ M_NET_DUP_PUBLISHES = "net.dup_publishes"
 M_NET_FETCHES_HELD = "net.fetches_held"
 M_NET_FETCH_HOLDS_EXPIRED = "net.fetch_holds_expired"
 M_NET_READERS_PARKED = "net.readers_parked"
+M_NET_FRAMES_REFUSED = "net.frames_refused"
 
 # Network plane, client side (net/client.py, tools/chaos.py --scenario net)
 M_NET_RECONNECTS = "net.reconnects"
@@ -214,6 +215,8 @@ _METRIC_SPECS = (
                "held FETCH frames answered NOT_READY when the hold ran out"),
     MetricSpec(M_NET_READERS_PARKED, "gauge",
                "readers parked in a held FETCH right now (labeled)"),
+    MetricSpec(M_NET_FRAMES_REFUSED, "counter",
+               "inbound frames refused for their length prefix (over MAX_FRAME)"),
     MetricSpec(M_NET_RECONNECTS, "counter", "client reconnect attempts that succeeded"),
     MetricSpec(M_NET_SESSIONS_LOST, "counter", "client sessions lost after retries"),
     MetricSpec(M_NET_RESUME, "counter", "client sessions resumed by token"),

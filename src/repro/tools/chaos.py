@@ -130,7 +130,11 @@ _S3D_SHAPE = (32, 32)
 
 # -- the net scenario's fixed parameters -----------------------------------
 _NET_TENANT, _NET_TOKEN = "chaos", "chaos-t0ken"
-_NET_STREAM, _NET_VAR, _NET_SHAPE = "chaos.net", "temperature", (12, 12)
+_NET_STREAM, _NET_VAR = "chaos.net", "temperature"
+#: Array shape by seed parity: odd 1 KB (a frame arrives in one read), even
+#: 1.1 MB (frames span reads: connections torn mid-body, resumes after half
+#: a PUBLISH, MB-sized checkpoints; seeds 1..6 cover every restart mode).
+_NET_SHAPES = ((384, 384), (12, 12))
 #: Frame-layer kinds the client-side injectors draw from.
 _NET_KINDS = "torn_frame|dropped_frame|delayed_frame|conn_reset|half_open"
 _NET_RESTARTS = ("none", "sigterm", "sigkill")
@@ -535,13 +539,14 @@ def _net_worker(role: str, uri: str, steps: int, seed: int, rate: float) -> int:
     try:
         try:
             if role == "writer":
-                box = BoundingBox((0, 0), _NET_SHAPE)
+                shape = _NET_SHAPES[seed % 2]
+                box = BoundingBox((0, 0), shape)
                 w = client.open(_NET_STREAM, "w", timeout=15.0, lease=_NET_LEASE_S)
 
                 def write_step(step: int) -> None:
                     w.begin_step()
-                    w.write(_NET_VAR, _payload(seed, step, 0, _NET_SHAPE),
-                            box=box, global_shape=_NET_SHAPE)
+                    w.write(_NET_VAR, _payload(seed, step, 0, shape),
+                            box=box, global_shape=shape)
                     w.end_step()
 
                 _write_steps(log, steps, write_step, pace=_NET_PACE_S)
@@ -627,7 +632,7 @@ def _run_net(report: ChaosReport, log: DeliveryLog,
     seed, steps = report.seed, report.steps
     report.restart = _NET_RESTARTS[seed % 3]
     log.expected = {
-        s: _digest(_payload(seed, s, 0, _NET_SHAPE)) for s in range(steps)
+        s: _digest(_payload(seed, s, 0, _NET_SHAPES[seed % 2])) for s in range(steps)
     }
     worker_env = {"FLEXIO_FLIGHT_DIR": flight_dir} if flight_dir else None
     with tempfile.TemporaryDirectory(prefix=f"chaos-net-{seed}-") as tmp:

@@ -308,21 +308,9 @@ class TcpChannel(Channel):
     def _recv(self, timeout: float) -> WireBuffer:
         if self._closed:
             raise PeerDisconnected("recv on closed TcpChannel")
-        prefix = bytearray(FRAME_PREFIX.size)  # flexlint: ok(FXL006) 8-byte length-prefix scratch, not payload
-        got = _recv_exact(self._recv_sock, memoryview(prefix), timeout)
-        if got == 0:
+        payload = recv_frame(self._recv_sock, timeout)
+        if payload is None:
             raise PeerDisconnected("tcp peer closed the connection")
-        if got < FRAME_PREFIX.size:
-            raise TornSend(
-                f"tcp peer closed mid-prefix ({got}/{FRAME_PREFIX.size} B)"
-            )
-        (length,) = FRAME_PREFIX.unpack(prefix)
-        if length > MAX_FRAME:
-            raise PeerDisconnected(f"corrupt tcp frame length {length}")
-        payload = np.empty(int(length), dtype=np.uint8)
-        got = _recv_exact(self._recv_sock, memoryview(payload), timeout)
-        if got < length:
-            raise TornSend(f"tcp peer closed mid-frame ({got}/{length} B)")
         wb = WireBuffer(payload, ownership=Ownership.HEAP, copies=COPIES_TCP)
         self.observe_delivery(wb, "tcp")
         return wb

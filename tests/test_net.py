@@ -56,6 +56,7 @@ from repro.net.protocol import (
     encode_var,
 )
 from repro.net.server import DirectoryDaemon, HostedStream, parse_ready_line
+from repro.transport.buffers import as_byte_view
 from repro.transport.faults import (
     PeerDisconnected,
     SessionLost,
@@ -103,7 +104,7 @@ def test_var_round_trip_preserves_dtype_and_shape():
     rec = {"name": "temp", "writer_rank": 2, "start": [4, 0],
            "shape": [4, 6], "gshape": [8, 6],
            "vmin": 0.0, "vmax": 23.0, "has_stats": True, "data": data}
-    wb = encode_var(rec)
+    wb = np.concatenate([as_byte_view(p) for p in encode_var(rec)])
     got, nxt = decode_var(wb, 0)
     assert nxt == wb.nbytes
     assert got["name"] == "temp" and got["writer_rank"] == 2
@@ -122,7 +123,7 @@ def test_multipart_publish_frame_walks_by_consumed_offsets():
     v2 = encode_var({"name": "b", "writer_rank": 1, "start": [0], "shape": [2],
                      "gshape": [4], "vmin": 0.0, "vmax": 0.0,
                      "has_stats": True, "data": np.zeros(2, dtype=np.int64)})
-    blob = np.concatenate([w.as_array() for w in (head, v1, v2)])
+    blob = np.concatenate([as_byte_view(p) for p in (head, *v1, *v2)])
     frame = decode_frame(blob)
     assert frame.record["count"] == 2 and frame.record["eos"] is True
     rec1, off = decode_var(blob, frame.consumed)
