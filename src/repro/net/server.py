@@ -104,7 +104,7 @@ from repro.transport.faults import (
     TransportFaultInjector,
     parse_fault_spec,
 )
-from repro.transport.tcp import FRAME_PREFIX, MAX_FRAME
+from repro.transport.tcp import FRAME_PREFIX, MAX_FRAME, unpace_loopback
 
 __all__ = ["HostedStream", "DirectoryDaemon", "parse_tenant_arg", "main"]
 
@@ -151,6 +151,7 @@ class _Conn(asyncio.BufferedProtocol):
 
     def connection_made(self, transport) -> None:
         self.transport = transport
+        unpace_loopback(transport.get_extra_info("socket"))
         self._task = asyncio.get_running_loop().create_task(self._handler(self))
         self._task.add_done_callback(self._handler_done)  # the loop holds it weakly
 

@@ -34,7 +34,13 @@ from repro.net.server import DirectoryDaemon
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import M_NET_FRAMES_REFUSED
 from repro.transport.buffers import as_byte_view
-from repro.transport.tcp import FRAME_PREFIX, MAX_FRAME, recv_frame, send_frame
+from repro.transport.tcp import (
+    FRAME_PREFIX,
+    MAX_FRAME,
+    recv_frame,
+    send_frame,
+    unpace_loopback,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +419,45 @@ def test_handler_exception_is_logged_retrieved_and_closes_the_connection(
     assert "connection handler failed" in text
     assert any(r.exc_info and "handler bug" in str(r.exc_info[1]) for r in caplog.records)
     assert "never retrieved" not in text
+
+
+# ---------------------------------------------------------------------------
+# Loopback connections are not paced
+# ---------------------------------------------------------------------------
+
+def _congestion(sock) -> bytes:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_CONGESTION, 16).rstrip(b"\0")
+
+
+def _reno_is_offered() -> bool:
+    try:
+        with open("/proc/sys/net/ipv4/tcp_allowed_congestion_control") as fh:
+            return hasattr(socket, "TCP_CONGESTION") and "reno" in fh.read().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _reno_is_offered(), reason="no per-socket reno here")
+def test_both_ends_of_a_loopback_data_connection_are_unpaced(daemon, monkeypatch):
+    accepted = []
+    real = server._Conn.connection_made
+
+    def spy(self, transport):
+        real(self, transport)
+        accepted.append(_congestion(transport.get_extra_info("socket")))
+
+    monkeypatch.setattr(server._Conn, "connection_made", spy)
+    with connect(uri(daemon)) as client:
+        w = client.open("unpaced", "w")
+        assert _congestion(w._channel._send_sock) == b"reno"
+        w.close()
+    assert accepted and set(accepted) == {b"reno"}
+
+
+def test_unpace_loopback_leaves_other_sockets_alone():
+    with socket.socket() as unconnected:
+        unpace_loopback(unconnected)       # ENOTCONN: swallowed
+    a, b = socket.socketpair()             # AF_UNIX: no host, no TCP option
+    with a, b:
+        unpace_loopback(a)
+    unpace_loopback(None)                  # a transport without a socket
