@@ -11,10 +11,10 @@ Layers (bottom-up):
 - :mod:`repro.machine` -- HPC machine models (Titan/Smoky presets: nodes,
   NUMA domains, caches, Gemini/InfiniBand interconnects, Lustre-like FS).
 - :mod:`repro.marshal` -- self-describing binary marshaling (FFS/PBIO-like).
-- :mod:`repro.evpath` -- point-to-point messaging with pluggable transports.
-- :mod:`repro.transport` -- shared-memory (FastForward SPSC queues, buffer
-  pools, XPMEM path) and RDMA (NNTI-like, registration cache, scheduled
-  receiver-directed Get) transports.
+- :mod:`repro.transport` -- the ``Channel`` messaging interface and its
+  shared-memory (FastForward SPSC queues, buffer pools, XPMEM path),
+  RDMA (NNTI-like, registration cache, scheduled receiver-directed Get)
+  and TCP transports.
 - :mod:`repro.adios` -- ADIOS-like I/O substrate: data model, BP-lite file
   format, XML configuration, file & stream methods.
 - :mod:`repro.core` -- the FlexIO middleware: high-level API, directory

@@ -8,7 +8,8 @@ cannot be reintroduced:
 
 ========  ==============================================================
 FXL001    Broad/bare ``except`` on a fault-critical path (``transport/``,
-          ``core/stream.py``, ``core/directory.py``, ``coupled/``):
+          ``core/stream.py`` / ``drain.py`` / ``reader.py``,
+          ``core/directory.py``, ``coupled/``, ``net/``):
           handlers there must catch typed ``TransportFault`` /
           ``AdiosError`` / ``DirectoryError`` subclasses so real faults
           keep their taxonomy.
@@ -18,15 +19,16 @@ FXL003    Tracer span created but never closed: ``monitor.span(...)`` /
           ``begin_span(...)`` must be used as a context manager or have
           an explicit ``finish()`` / ``__exit__`` in the same function.
 FXL004    Direct ``commit()`` call outside the retry/2PC path
-          (``core/resilience.py``; ``_drain_one`` in ``core/stream.py``)
+          (``core/resilience.py``; ``_drain_one`` in ``core/drain.py``)
           — step visibility must go through the reliable-delivery path.
 FXL005    Attribute mutated from a drainer-thread method without being
           declared in the shared-state registry
-          (``repro.core.stream.DRAINER_SHARED_STATE``).
+          (``repro.core.drain.DRAINER_SHARED_STATE``).
 FXL006    Copy-discipline breach on the zero-copy plane (``transport/``,
-          ``core/stream.py``): ``.tobytes()`` / ``bytes(...)`` /
-          ``bytearray(...)`` materialize a copy of data that should
-          travel as :class:`~repro.transport.buffers.WireBuffer` views.
+          ``core/stream.py`` / ``drain.py`` / ``reader.py``):
+          ``.tobytes()`` / ``bytes(...)`` / ``bytearray(...)``
+          materialize a copy of data that should travel as
+          :class:`~repro.transport.buffers.WireBuffer` views.
 FXL007    Unregistered event code in a hot-path ``record()`` call: the
           first argument must be a constant from the central event
           table (:mod:`repro.obs.events`) or a ``Name``/``Attribute``
@@ -107,9 +109,9 @@ RULES: dict[str, Rule] = {
     r.id: r
     for r in (
         Rule("FXL001", "broad except on a fault-critical path",
-             "except handlers in transport/, core/stream.py, "
-             "core/directory.py and coupled/ must catch typed fault "
-             "classes, not Exception/BaseException/bare except."),
+             "except handlers in transport/, net/, coupled/, "
+             "core/directory.py and core/{stream,drain,reader}.py must catch "
+             "typed fault classes, not Exception/BaseException/bare except."),
         Rule("FXL002", "unregistered stream-hint key",
              "hint-key string literals must exist in the central "
              "repro.core.hints registry."),
@@ -118,14 +120,14 @@ RULES: dict[str, Rule] = {
              "manager or explicitly finish()ed in the same function."),
         Rule("FXL004", "commit outside the retry/2PC path",
              "commit()/_commit() may only be called from "
-             "core/resilience.py or the drain path of core/stream.py."),
+             "core/resilience.py or _drain_one() in core/drain.py."),
         Rule("FXL005", "undeclared drainer-thread shared state",
              "attributes assigned inside drainer-path methods must be "
-             "declared in repro.core.stream.DRAINER_SHARED_STATE."),
+             "declared in repro.core.drain.DRAINER_SHARED_STATE."),
         Rule("FXL006", "copy-discipline breach on the zero-copy plane",
              ".tobytes()/bytes()/bytearray() under transport/ and "
-             "core/stream.py materialize copies; carry WireBuffer/"
-             "memoryview spans instead (or waive with a reason)."),
+             "core/{stream,drain,reader}.py materialize copies; carry "
+             "WireBuffer/memoryview spans instead (or waive with a reason)."),
         Rule("FXL007", "unregistered event code in record() call",
              "the first argument of record() must be a string literal "
              "registered in repro.obs.events (or a Name/Attribute "
@@ -214,6 +216,8 @@ class LintConfig:
     broad_except_paths: tuple[str, ...] = (
         "repro/transport/",
         "repro/core/stream.py",
+        "repro/core/drain.py",
+        "repro/core/reader.py",
         "repro/core/directory.py",
         "repro/coupled/",
         "repro/net/",
@@ -222,12 +226,12 @@ class LintConfig:
     #: the file") pairs where commit() calls are legitimate.
     commit_allowed: tuple[tuple[str, Optional[tuple[str, ...]]], ...] = (
         ("repro/core/resilience.py", None),
-        ("repro/core/stream.py", ("_drain_one",)),
+        ("repro/core/drain.py", ("_drain_one",)),
     )
     #: File FXL005 applies to.
-    drainer_path: str = "repro/core/stream.py"
+    drainer_path: str = "repro/core/drain.py"
     #: Overrides for the drainer registries; None = read them from
-    #: repro.core.stream (DRAINER_METHODS / DRAINER_SHARED_STATE).
+    #: repro.core.drain (DRAINER_METHODS / DRAINER_SHARED_STATE).
     drainer_methods: Optional[frozenset[str]] = None
     drainer_shared_state: Optional[frozenset[str]] = None
     #: Override for the known hint keys; None = repro.core.hints registry.
@@ -236,6 +240,8 @@ class LintConfig:
     copy_discipline_paths: tuple[str, ...] = (
         "repro/transport/",
         "repro/core/stream.py",
+        "repro/core/drain.py",
+        "repro/core/reader.py",
     )
     #: Override for the registered event codes (FXL007); None = the
     #: repro.obs.events central table (flight events + trace categories).
@@ -306,7 +312,7 @@ def _default_hint_keys() -> frozenset[str]:
 
 
 def _default_drainer_registry() -> tuple[frozenset[str], frozenset[str]]:
-    from repro.core.stream import DRAINER_METHODS, DRAINER_SHARED_STATE
+    from repro.core.drain import DRAINER_METHODS, DRAINER_SHARED_STATE
 
     return frozenset(DRAINER_METHODS), frozenset(DRAINER_SHARED_STATE)
 

@@ -19,18 +19,24 @@ substrates below it:
   async writes (Sections II.B–II.C);
 * :mod:`repro.core.stream` — the FLEXPATH stream I/O method plugged into
   the ADIOS method registry: named streams, process-group and
-  global-array read patterns, End-of-Stream semantics;
+  global-array read patterns, End-of-Stream semantics; behind it
+  :mod:`repro.core.drain` (the pipelined drain of sealed steps) and
+  :mod:`repro.core.reader` (the one read path, shared with the network
+  plane);
 * :mod:`repro.core.runtime` — transport auto-selection from placement
   (shm within a node, RDMA across nodes, files for offline) and NUMA
   buffer-placement policy;
 * :mod:`repro.core.hints` — the central stream-hint registry: every
   ``<method>`` parameter declared once (key, type, default, choices),
-  validated at config load and enforced statically by FlexLint FXL002.
+  validated at config load and enforced statically by FlexLint FXL002,
+  and :class:`StreamHints`, the registry read off one ``<method>`` line.
 """
 
 from repro.core.hints import (
     HintSpec,
     HintValueError,
+    StreamError,
+    StreamHints,
     UnknownHintError,
     stream_params,
 )
@@ -52,14 +58,9 @@ from repro.core.redistribution import (
     global_plan_cache,
 )
 from repro.core.directory import DirectoryError
-from repro.core.stream import (
-    FlexpathMethod,
-    StepState,
-    StreamError,
-    StreamHints,
-    StreamStalled,
-    stream_registry,
-)
+from repro.core.drain import StepState
+from repro.core.stepstore import StreamStalled
+from repro.core.stream import FlexpathMethod, stream_registry
 from repro.core.runtime import (
     FlexIORuntime,
     NumaBufferPolicy,
@@ -71,7 +72,6 @@ from repro.core.resilience import (
     RetryPolicy,
     TransactionAborted,
     TransactionCoordinator,
-    TransactionalStreamWriter,
 )
 from repro.core.adaptive import (
     AdaptiveGetScheduler,
@@ -91,7 +91,6 @@ __all__ = [
     "RetryPolicy",
     "TransactionAborted",
     "TransactionCoordinator",
-    "TransactionalStreamWriter",
     "CodeletError",
     "CompiledPlan",
     "CoordinatorInfo",

@@ -7,7 +7,8 @@ for enumerated hints — the admissible values.  Consumers
 chaos harness) reference the module-level key constants instead of
 scattering string literals, and :func:`validate_keys` turns a typo like
 ``cachign=ALL`` into a hard error with a suggestion instead of a
-silently-ignored hint.
+silently-ignored hint.  :class:`StreamHints` is the registry read off
+one ``<method>`` element: a field per key, every default the registry's.
 
 The registry is also the ground truth for the FlexLint FXL002 rule
 (:mod:`repro.analysis.flexlint`): any hint-key literal used at a call
@@ -28,6 +29,13 @@ import difflib
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
+from repro.adios.config import MethodSpec
+from repro.core.redistribution import CachingOption
+
+
+class StreamError(RuntimeError):
+    """Misuse of a stream: of its protocol, or of its ``<method>`` line."""
+
 
 class UnknownHintError(ValueError):
     """A hint key that no registered method parameter declares."""
@@ -44,7 +52,7 @@ class UnknownHintError(ValueError):
         self.suggestion = suggestion
 
 
-class HintValueError(ValueError):
+class HintValueError(StreamError, ValueError):
     """A hint value outside the registered choices for its key."""
 
 
@@ -221,6 +229,17 @@ def validate_config(config) -> None:
         validate_spec(spec)
 
 
+def _choice(spec: HintSpec, text: str) -> str:
+    """An ``enum`` hint's value as the registry spells it — the one check
+    of a value against :attr:`HintSpec.choices`."""
+    value = text.strip().lower()
+    if value not in spec.choices:
+        raise HintValueError(
+            f"hint {spec.key}={text!r}: expected one of {'/'.join(spec.choices)}"
+        )
+    return value
+
+
 def _format_value(spec: HintSpec, value: Any) -> str:
     if spec.kind == "bool":
         if isinstance(value, str):
@@ -228,12 +247,7 @@ def _format_value(spec: HintSpec, value: Any) -> str:
         return "true" if value else "false"
     text = str(value)
     if spec.kind == "enum":
-        assert spec.choices is not None
-        if text.strip().lower() not in spec.choices:
-            raise HintValueError(
-                f"hint {spec.key}={text!r}: expected one of "
-                f"{'/'.join(spec.choices)}"
-            )
+        _choice(spec, text)
     return text
 
 
@@ -260,3 +274,83 @@ def stream_params(_method: str = "FLEXPATH", **hints: Any) -> str:
 def defaults(method: str = "FLEXPATH") -> Mapping[str, Any]:
     """The registered default value of every hint of ``method``."""
     return {k: s.default for k, s in METHOD_HINTS.get(method, {}).items()}
+
+
+#: The registry's defaults: :class:`StreamHints` restates none of them.
+_DEFAULTS = defaults()
+
+#: How each registered hint kind is read off a ``<method>`` element.
+_HINT_READERS = {
+    "bool": MethodSpec.param_bool,
+    "int": MethodSpec.param_int,
+    "float": MethodSpec.param_float,
+    "str": lambda spec, key, default: spec.param(key, default) or default,
+    "enum": lambda spec, key, default: _choice(
+        STREAM_HINTS[key], spec.param(key, default) or default
+    ),
+}
+
+
+@dataclass(frozen=True)
+class StreamHints:
+    """Transport tuning hints parsed from the XML ``<method>`` parameters.
+
+    The paper's Section IV.B.1 knobs: handshake caching, variable
+    batching, synchronous vs asynchronous writes, the XPMEM path, and the
+    buffering depth (backpressure threshold).  ``queue_depth`` bounds the
+    async drainer's hand-off queue (steps in flight before the writer
+    blocks); ``transport`` picks the drain channel.  One field per key of
+    :data:`STREAM_HINTS`, which owns every default and every ``enum``
+    hint's admissible values.
+    """
+
+    caching: CachingOption = CachingOption(_DEFAULTS[CACHING])
+    batching: bool = _DEFAULTS[BATCHING]
+    sync: bool = _DEFAULTS[SYNC]
+    xpmem: bool = _DEFAULTS[XPMEM]
+    buffer_steps: int = _DEFAULTS[BUFFER_STEPS]
+    #: Enable span tracing on the stream's monitor (``trace=true``).
+    trace: bool = _DEFAULTS[TRACE]
+    #: Bounded depth of the async publication queue (back-pressure point).
+    queue_depth: int = _DEFAULTS[QUEUE_DEPTH]
+    #: Drain channel: ``shm`` (intra-node), ``rdma`` (inter-node), ``tcp``.
+    transport: str = _DEFAULTS[TRANSPORT]
+    #: All-or-nothing step visibility via two-phase commit across ranks.
+    transactional: bool = _DEFAULTS[TRANSACTIONAL]
+    #: Bounded retries per step drain (paper's timeout-and-retry).
+    max_retries: int = _DEFAULTS[MAX_RETRIES]
+    #: Per-send timeout (seconds); also the backoff base delay.
+    retry_timeout: float = _DEFAULTS[RETRY_TIMEOUT]
+    #: Exponential backoff multiplier between retries.
+    retry_backoff: float = _DEFAULTS[RETRY_BACKOFF]
+    #: Jitter fraction added to backoff delays (decorrelates ranks).
+    retry_jitter: float = _DEFAULTS[RETRY_JITTER]
+    #: Fault-injection schedule for the drain channel (chaos testing),
+    #: e.g. ``rate=0.1,seed=7,kinds=timeout|torn``.
+    faults: str = _DEFAULTS[FAULTS]
+    #: Consecutive failed steps before degrading to the next transport
+    #: down the ladder (0 disables degradation).
+    degrade_after: int = _DEFAULTS[DEGRADE_AFTER]
+    #: Directory lease in seconds; the writer must heartbeat within it or
+    #: the failure detector ends the stream for readers (0 = no lease).
+    lease: float = _DEFAULTS[LEASE]
+    #: Fuse compilable plug-in chains into the redistribution plan so
+    #: reads run the chain while scattering (single pass); ``false``
+    #: keeps the classic interpreted pass over materialized arrays.
+    fused: bool = _DEFAULTS[FUSED]
+    #: Register reader block predicates with the directory so the drain
+    #: skips sending blocks the chain provably drops.
+    pushdown: bool = _DEFAULTS[PUSHDOWN]
+
+    @classmethod
+    def from_spec(cls, spec: MethodSpec) -> "StreamHints":
+        # Unknown keys are a hard error with a suggestion (the registry
+        # is the single source of hint truth), not a silently-ignored
+        # parameter as in the old scattered-literal days.
+        validate_spec(spec)
+        values = {
+            key: _HINT_READERS[hint.kind](spec, key, hint.default)
+            for key, hint in STREAM_HINTS.items()
+        }
+        values[CACHING] = CachingOption(values[CACHING])
+        return cls(**values)

@@ -1,0 +1,267 @@
+"""The read path every stream placement shares.
+
+:class:`StepReader` is written once against a *block source*; the
+in-process handle (:class:`repro.core.stream.FlexpathReadHandle`) and
+the network one (:class:`repro.net.client.NetReadHandle`) say where a
+step comes from and nothing else.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.adios.api import (
+    AdiosError,
+    ReadHandle,
+    StepLost,
+    VariableNotFound,
+    resolve_read_args,
+)
+from repro.adios.selection import assemble, intersect, resolve_selection
+from repro.core.plugins import PluginSide
+from repro.core.redistribution import CompiledPlan, FusedPlan, compute_plan
+
+
+class StepReader(ReadHandle):
+    """The one read path of every stream placement.
+
+    Selection → fused plan / cached plain plan / ``assemble`` fallback →
+    reader-side chain, with the ``read`` → ``redistribute``/``transport``
+    spans and the fused/interpreted counters, written once against a
+    **block source** — the step object :meth:`_source` returns
+    (:class:`_PublishedStep` in process, the net client's wire views):
+    ``var_names()``; ``var_blocks(name)``, one ``(box, global_shape,
+    data)`` per writer block; ``writer_record(rank)``, one writer's
+    ``{name: data}`` or ``None``; ``trace_ctx``, the publish span reads
+    parent on; ``may_be_pruned``, whether a broker may have dropped
+    blocks this reader's chain provably drops.  Subclasses say where a
+    step comes from (:meth:`_step_at`; moving past a lost step is done
+    once, here) and provide ``plugins``, ``monitor`` and ``_plans`` (the
+    :class:`PlanCache` reads compile into; ``None`` re-derives overlap
+    geometry every read).  Planes differ only through the source.
+    """
+
+    _cursor = 0
+
+    @property
+    def current_step(self) -> int:
+        return self._cursor
+
+    def _step_at(self, index: int):
+        """Step ``index``'s block source; raises the typed readiness
+        exceptions (:class:`StepNotReady`, :class:`EndOfStream`, …)."""
+        raise NotImplementedError
+
+    def _source(self):
+        """The current step's block source."""
+        return self._step_at(self._cursor)
+
+    def _probe_step(self) -> None:
+        self._source()
+
+    def _advance(self):
+        nxt = self._cursor + 1
+        try:
+            self._step_at(nxt)
+        except StepLost:
+            # Move first, then surface the lost step: begin_step() marks
+            # it consumed, so the following begin_step() skips the gap.
+            self._cursor = nxt
+            raise
+        self._cursor = nxt
+
+    def _account_handshake(self, name, gshape, writer_boxes) -> None:
+        """Control-plane accounting of one exchange (in process only)."""
+
+    def available_vars(self):
+        return self._source().var_names()
+
+    def _reader_chain(self, name: str):
+        """The compiled reader-side chain when fusion may engage for
+        reads of ``name`` — else ``None`` (interpreted fallback)."""
+        if not self.plugins.has_side(PluginSide.READER):
+            return None
+        chain = self.plugins.compiled_chain(PluginSide.READER)
+        if chain is None or not chain.supports(name):
+            return None
+        return chain
+
+    def _pred_spec(self) -> str:
+        """The reader chain's serialized block predicate ("": none) —
+        what a pushdown reader publishes to whoever prunes for it."""
+        pred = self.plugins.block_predicate(PluginSide.READER)
+        return pred.spec() if pred is not None else ""
+
+    def _plan(self, boxes, target, gshape, chain=None):
+        """This geometry's compiled plan, fused with ``chain`` if given:
+        replayed from ``_plans`` when there is one (keys carry the chain
+        hash, so geometry is reused across chains), else compiled afresh."""
+        if self._plans is None:
+            base = CompiledPlan(compute_plan(boxes, [target]))
+            return FusedPlan(base, chain) if chain is not None else base
+        plan, hit = self._plans.get(boxes, [target], gshape, chain=chain)
+        self.monitor.metrics.counter(
+            "dataplane.plan_cache.hits" if hit else "dataplane.plan_cache.misses"
+        ).inc()
+        return plan
+
+    def read_block(self, name: str, writer_rank: int) -> np.ndarray:
+        source = self._source()
+        record = source.writer_record(writer_rank)
+        if record is None or name not in record:
+            raise VariableNotFound(
+                f"no block for var {name!r} from writer {writer_rank} "
+                f"at step {self._cursor}"
+            )
+        mon = self.monitor
+        with mon.span(
+            "read", name, parent=source.trace_ctx,
+            step=self._cursor, writer_rank=writer_rank,
+        ):
+            with mon.span("transport", name, writer_rank=writer_rank) as tspan:
+                tspan.add_bytes(sum(int(d.nbytes) for d in record.values()))
+            if self.plugins.has_side(PluginSide.READER):
+                record = self.plugins.apply_side(PluginSide.READER, record)
+        data = np.asarray(record[name])
+        mon.metrics.counter("dataplane.bytes_read").inc(int(data.nbytes))
+        return data
+
+    def read(self, name, *, start=None, count=None, selection=None) -> np.ndarray:
+        return self._read(name, None, start, count, selection)
+
+    def read_into(
+        self, name, out: np.ndarray, *, start=None, count=None, selection=None
+    ) -> np.ndarray:
+        """Like :meth:`read`, but scatter the selection straight into the
+        preallocated ``out`` array — the steady-state zero-allocation
+        read path (incoming spans land in the reader's own buffer, no
+        per-step ``np.empty``).  ``out`` must match the selection's shape
+        and the variable's dtype; returns ``out``.
+        """
+        return self._read(name, out, start, count, selection)
+
+    def _read(self, name, out, start, count, selection) -> np.ndarray:
+        """Both reads: ``out`` is the caller's destination, or ``None``
+        when the read allocates its own."""
+        start, count = resolve_read_args(selection, start, count)
+        source = self._source()
+        boxes, datas = [], []
+        gshape = dtype = None
+        for box, block_gshape, data in source.var_blocks(name):
+            dtype = data.dtype
+            if block_gshape is not None:
+                gshape = block_gshape
+            if box is not None:
+                boxes.append(box)
+                datas.append(data)
+        if dtype is None:
+            raise VariableNotFound(f"no variable {name!r} at step {self._cursor}")
+        if gshape is None:
+            raise AdiosError(
+                f"variable {name!r} is not a global array; use read_block()"
+            )
+        target = resolve_selection(start, count, gshape)
+        if out is not None:
+            if tuple(out.shape) != tuple(target.count):
+                raise ValueError(
+                    f"out shape {tuple(out.shape)} != selection count "
+                    f"{tuple(target.count)}"
+                )
+            if out.dtype != dtype:
+                raise ValueError(f"out dtype {out.dtype} != variable dtype {dtype}")
+        mon = self.monitor
+        plugins = self.plugins
+        chain = self._reader_chain(name)
+        with mon.span("read", name, parent=source.trace_ctx, step=self._cursor):
+            with mon.span("redistribute", name, writers=len(boxes)):
+                self._account_handshake(name, gshape, boxes)
+            fplan = None
+            if chain is not None and boxes:
+                fplan = self._plan(boxes, target, gshape, chain)
+                filters = chain.has_filter(name)
+                # Axis-0 gaps are sound only where they can only be
+                # blocks the chain drops: a pruned source under a chain
+                # that filters ``name``.  Such a chain also changes the
+                # shape, so it cannot land in a caller's array.
+                gaps_ok = filters and source.may_be_pruned
+                if not (fplan.row_tiled if gaps_ok else fplan.fusable) or (
+                    filters and out is not None
+                ):
+                    fplan = None
+            if fplan is not None:
+                # Single pass: the chain runs while wire spans scatter —
+                # no materialized intermediate array.
+                with mon.span(
+                    "transport", name, fused=True, chain=chain.chain_hash
+                ) as tspan:
+                    if out is None:
+                        result = fplan.execute(
+                            datas, name, dtype=dtype, check=False, monitor=mon
+                        )
+                    else:
+                        result = fplan.execute_into(
+                            datas, name, out, check=False, monitor=mon
+                        )
+                    tspan.add_bytes(int(result.nbytes))
+                plugins.count_fused_read()
+            else:
+                if source.may_be_pruned:
+                    # Only the fused per-block path reads a pruned step
+                    # soundly (assemble() would put fill values where
+                    # pruned rows were, and the interpreted chain could
+                    # select them).
+                    raise AdiosError(
+                        f"pushdown is active but the blocks of {name!r} do not "
+                        f"row-tile the selection; re-open without pushdown for "
+                        f"this access pattern"
+                    )
+                with mon.span("transport", name) as tspan:
+                    if self._plans is not None and boxes:
+                        cplan = self._plan(boxes, target, gshape)
+                        if out is None:
+                            result = cplan.execute(datas, dtype=dtype, check=False)[0]
+                        else:
+                            result = cplan.execute_into(datas, [out], check=False)[0]
+                    else:
+                        result = assemble(
+                            target,
+                            (
+                                (b, d) for b, d in zip(boxes, datas)
+                                if intersect(target, b) is not None
+                            ),
+                            dtype=dtype,
+                        )
+                        if out is not None:
+                            out[...] = result
+                            result = out
+                    tspan.add_bytes(int(result.nbytes))
+                if plugins.has_side(PluginSide.READER):
+                    plugins.count_interpreted_read()
+                    record = plugins.apply_side(PluginSide.READER, {name: result})
+                    result = np.asarray(record[name])
+                    if out is not None and result is not out:
+                        out[...] = result  # a reader-side plugin transformed the data
+                        result = out
+        mon.metrics.counter("dataplane.bytes_read").inc(int(result.nbytes))
+        return result
+
+    def read_all(
+        self, names=None, *, start=None, count=None, selection=None
+    ) -> dict[str, np.ndarray]:
+        """Read several global-array variables of the current step.
+
+        ``names=None`` selects every global-array variable.  In process
+        with ``batching=true`` the first read's handshake round services
+        them all (paper's variable batching); without it each variable
+        pays its own round, exactly as per-variable ``read`` calls do.
+        """
+        if names is None:
+            source = self._source()
+            names = [
+                n for n in source.var_names()
+                if any(g is not None for _, g, _ in source.var_blocks(n))
+            ]
+        return {
+            n: self.read(n, start=start, count=count, selection=selection)
+            for n in names
+        }

@@ -16,8 +16,9 @@ Both are implemented here:
 * :class:`TransactionCoordinator` — the *planned* scheme (D2T-style):
   an output step becomes a distributed transaction over all writer
   participants — two-phase commit with prepare votes, so a step is
-  visible to readers either completely or not at all.
-  :class:`TransactionalStreamWriter` applies it to a FlexIO stream.
+  visible to readers either completely or not at all.  The
+  ``transactional=true`` stream hint applies it to a FlexIO stream's
+  drain (:mod:`repro.core.drain`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence
-
-import numpy as np
 
 from repro.transport.faults import TransportFaultInjector
 
@@ -224,62 +223,3 @@ class TransactionCoordinator:
             p.commit()
         self.stats.committed += 1
         return True
-
-
-class TransactionalStreamWriter:
-    """All-or-nothing output steps on a FlexIO stream.
-
-    Wraps per-rank write handles: ``write`` buffers locally; ``commit_step``
-    runs two-phase commit — only on success does any data reach the
-    stream, so readers never observe a torn step.  Failed steps are
-    retried up to ``max_step_retries`` times.
-    """
-
-    def __init__(
-        self,
-        handles: Sequence[Any],
-        injector: Optional[TransportFaultInjector] = None,
-        max_step_retries: int = 2,
-    ) -> None:
-        if not handles:
-            raise ValueError("need at least one write handle")
-        self._handles = list(handles)
-        self._pending: dict[int, dict] = {r: {} for r in range(len(handles))}
-        self._step = 0
-        self.max_step_retries = max_step_retries
-
-        def make_publish(idx: int):
-            def publish(step: int, payload: dict) -> None:
-                for name, (data, box, gshape) in payload.items():
-                    self._handles[idx].write(name, data, box=box, global_shape=gshape)
-                self._handles[idx].end_step()
-
-            return publish
-
-        self.participants = [
-            Participant(r, make_publish(r), injector) for r in range(len(handles))
-        ]
-        self.coordinator = TransactionCoordinator(self.participants)
-
-    def write(self, rank: int, name: str, data, box=None, global_shape=None) -> None:
-        self._pending[rank][name] = (np.asarray(data), box, global_shape)
-
-    def commit_step(self) -> int:
-        """2PC the buffered step; returns the committed step index."""
-        payloads = {r: vars_ for r, vars_ in self._pending.items()}
-        attempts = 0
-        while True:
-            try:
-                self.coordinator.run(self._step, payloads)
-                break
-            except TransactionAborted:
-                attempts += 1
-                if attempts > self.max_step_retries:
-                    raise
-        self._pending = {r: {} for r in range(len(self._handles))}
-        self._step += 1
-        return self._step - 1
-
-    def close(self) -> None:
-        for h in self._handles:
-            h.close()

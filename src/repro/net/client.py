@@ -54,7 +54,7 @@ from repro.core.plugins import PluginManager, PluginSide
 from repro.core.redistribution import PlanCache
 from repro.core.resilience import RetryPolicy, retry_call
 from repro.core.stepstore import outcome_error
-from repro.core.stream import StepReader
+from repro.core.reader import StepReader
 from repro.net.protocol import (
     MISS_REPLY,
     Frame,
@@ -110,13 +110,8 @@ class NetError(TransportFault):
 
     def __init__(self, kind: str, message: str) -> None:
         super().__init__(f"{kind}: {message}")
+        #: The wire kind (``.kind`` is ``TransportFault``'s ``FaultKind`` slot).
         self.error_kind = kind
-
-    # Back-compat alias: earlier releases exposed the wire kind as .kind,
-    # which TransportFault now uses for its FaultKind slot.
-    @property
-    def kind(self):  # type: ignore[override]
-        return self.error_kind
 
 
 class RetryAfter(NetError):
@@ -758,7 +753,7 @@ class NetWriteHandle(WriteHandle):
 class _CachedStep:
     """One fetched step, decoded lazily-ish: var records + backing span.
 
-    The wire-side block source of :class:`~repro.core.stream.StepReader`:
+    The wire-side block source of :class:`~repro.core.reader.StepReader`:
     every array it hands out is a view into the receive span.
     """
 
@@ -820,7 +815,7 @@ class NetReadHandle(StepReader):
     :attr:`~repro.adios.api.StepStatus.EndOfStream`, an evicted step or
     a failed stream to :attr:`~repro.adios.api.StepStatus.OtherError`,
     exactly as the in-process plane types them); every read runs
-    :class:`~repro.core.stream.StepReader`'s one read path over the
+    :class:`~repro.core.reader.StepReader`'s one read path over the
     fetched frame's wire views, so MxN redistribution, plan caching,
     fused chains, ``read_into``/``read_all`` and the read spans work
     across the network hop exactly as they do in process.  This class

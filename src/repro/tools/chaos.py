@@ -73,7 +73,8 @@ import numpy as np
 
 from repro.adios import Adios, BoundingBox, RankContext, StepStatus, block_decompose
 from repro.analysis import sanitize
-from repro.core.hints import stream_params
+from repro.core.drain import StepState
+from repro.core.hints import STREAM_HINTS, TRANSPORT, stream_params
 from repro.core.plugins import (
     PluginManager,
     PluginSide,
@@ -82,7 +83,7 @@ from repro.core.plugins import (
     unit_conversion_plugin,
 )
 from repro.core.resilience import MovementFailed, RetryPolicy, TransactionAborted
-from repro.core.stream import StepState, stream_registry
+from repro.core.stream import stream_registry
 from repro.net.client import connect
 from repro.net.server import parse_ready_line
 from repro.obs import recorder as flight
@@ -812,7 +813,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                              "process, 0.06 per frame for net; 0 = calm)")
     parser.add_argument("--steps", type=int, default=20)
     parser.add_argument("--writers", type=int, default=2)
-    parser.add_argument("--transport", default="shm", choices=("shm", "rdma"))
+    parser.add_argument("--transport", default=STREAM_HINTS[TRANSPORT].default,
+                        choices=STREAM_HINTS[TRANSPORT].choices)
     parser.add_argument("--transactional", action="store_true",
                         help="all-or-nothing step visibility (2PC)")
     parser.add_argument("--xpmem", action="store_true",

@@ -272,7 +272,7 @@ class NntiConnection:
             t += ic.bulk_transfer_time(nbytes, concurrent_flows)
         src.reg_cache.release(send_buf)
         dst.reg_cache.release(recv_buf)
-        return bytes(data), t  # flexlint: ok(FXL006) legacy timing API returns an owned copy; the channel path uses leases
+        return bytes(data), t  # flexlint: ok(FXL006) the Fig. 4 timing API (figures/fig4.py) returns an owned copy; the channel path uses leases
 
 
 class NntiFabric:

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.adios import Adios, EndOfStream, RankContext
-from repro.core import stream_registry
+from repro.adios import Adios, RankContext, StepLost, StepStatus
+from repro.core import StepState, stream_params, stream_registry
 from repro.core.resilience import (
     Participant,
     RetryPolicy,
     TransactionAborted,
     TransactionCoordinator,
-    TransactionalStreamWriter,
     TxPhase,
     retry_call,
 )
@@ -21,7 +20,7 @@ CONFIG = """
   <adios-group name="particles">
     <var name="zion" type="float64" dimensions="n,7"/>
   </adios-group>
-  <method group="particles" method="FLEXPATH"/>
+  <method group="particles" method="FLEXPATH">{params}</method>
 </adios-config>
 """
 
@@ -193,62 +192,71 @@ def test_coordinator_needs_participants():
 # Transactional stream output — readers never see torn steps
 # ---------------------------------------------------------------------------
 
-def open_tx_writer(num_ranks=2, injector=None, retries=2):
-    ad = Adios.from_xml(CONFIG)
-    handles = [
+def open_tx_writers(num_ranks=2, **hints):
+    """Per-rank writers of a ``transactional=true`` stream: the drain
+    sends each rank's payload as that rank's prepare vote."""
+    params = stream_params(transactional=True, retry_timeout=0.01, **hints)
+    ad = Adios.from_xml(CONFIG.format(params=params))
+    writers = [
         ad.open_write("particles", "tx.stream", RankContext(r, num_ranks))
         for r in range(num_ranks)
     ]
-    return ad, TransactionalStreamWriter(handles, injector=injector,
-                                         max_step_retries=retries)
+    return ad, writers, stream_registry._states["tx.stream"]
+
+
+def write_step(writers, value_of, sync=None):
+    for r, w in enumerate(writers):
+        w.write("zion", np.full((4, 7), value_of(r)))
+    for w in writers:
+        w.end_step(sync=sync)
 
 
 def test_transactional_stream_happy_path():
-    ad, tx = open_tx_writer()
+    ad, writers, state = open_tx_writers()
     for step in range(3):
-        for r in range(2):
-            tx.write(r, "zion", np.full((4, 7), float(step * 10 + r)))
-        assert tx.commit_step() == step
-    tx.close()
+        write_step(writers, lambda r: float(step * 10 + r))
+    for w in writers:
+        w.close()
 
     reader = ad.open_read("particles", "tx.stream", RankContext(0, 1))
     seen = []
-    while True:
+    while reader.begin_step() is StepStatus.OK:
         seen.append((float(reader.read_block("zion", 0)[0, 0]),
                      float(reader.read_block("zion", 1)[0, 0])))
-        try:
-            reader._advance()
-        except EndOfStream:
-            break
+        reader.end_step()
     assert seen == [(0.0, 1.0), (10.0, 11.0), (20.0, 21.0)]
+    assert state.monitor.metrics.counter("dataplane.tx.committed").value == 3
 
 
 def test_transactional_stream_retries_aborted_step():
-    inj = TransportFaultInjector(fail_ops=[1])  # first prepare of step 0 fails
-    ad, tx = open_tx_writer(injector=inj)
-    for r in range(2):
-        tx.write(r, "zion", np.full((4, 7), float(r)))
-    assert tx.commit_step() == 0  # retried internally, then committed
-    tx.close()
+    # The first prepare of step 0 faults, is retried, and the step commits.
+    ad, writers, state = open_tx_writers(faults="ops=1")
+    write_step(writers, float, sync=True)
+    for w in writers:
+        w.close()
+    metrics = state.monitor.metrics
+    assert metrics.counter("dataplane.drain.recovered").value == 1
+    assert metrics.counter("dataplane.tx.committed").value == 1
+    assert metrics.counter("dataplane.tx.aborted").value == 0
     reader = ad.open_read("particles", "tx.stream", RankContext(0, 1))
+    assert reader.begin_step() is StepStatus.OK
     assert reader.read_block("zion", 0)[0, 0] == 0.0
     assert reader.read_block("zion", 1)[0, 0] == 1.0
 
 
 def test_transactional_stream_gives_up_and_stays_clean():
-    """If every retry aborts, nothing of the step is visible."""
-    inj = TransportFaultInjector(fail_ops=[1, 2, 3, 4, 5, 6, 7, 8])
-    ad, tx = open_tx_writer(injector=inj, retries=2)
-    for r in range(2):
-        tx.write(r, "zion", np.zeros((4, 7)))
+    """If every retry of a prepare faults, the step is a typed ABORTED
+    gap: the writer is told, and nothing of the step is readable."""
+    ad, writers, state = open_tx_writers(max_retries=1, faults="ops=1|2")
     with pytest.raises(TransactionAborted):
-        tx.commit_step()
-    tx.close()
+        write_step(writers, float, sync=True)
+    for w in writers:
+        w.close()
+    (step,) = state.published
+    assert step.status is StepState.ABORTED and not step.groups
+    assert state.monitor.metrics.counter("dataplane.tx.aborted").value == 1
     reader = ad.open_read("particles", "tx.stream", RankContext(0, 1))
-    with pytest.raises((KeyError, EndOfStream)):
+    with pytest.raises(StepLost):
         reader.read_block("zion", 0)
-
-
-def test_transactional_writer_validation():
-    with pytest.raises(ValueError):
-        TransactionalStreamWriter([])
+    assert reader.begin_step() is StepStatus.OtherError  # the typed gap ...
+    assert reader.begin_step() is StepStatus.EndOfStream  # ... and past it

@@ -985,7 +985,7 @@ def test_shm_channel_carries_step_payload():
 
 
 def test_bad_hints_rejected():
-    from repro.core.stream import StreamError
+    from repro.core.hints import StreamError
 
     with pytest.raises(StreamError, match="transport"):
         make_adios("transport=carrier-pigeon").open_write(

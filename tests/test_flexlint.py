@@ -170,7 +170,7 @@ def test_fxl004_flags_commit_outside_allowed_path():
     def handler(self, step):
         self._commit(step)
     """
-    findings = lint(code, path="repro/core/stream.py")
+    findings = lint(code, path="repro/core/drain.py")
     assert rules_of(findings) == ["FXL004"]
 
 
@@ -179,7 +179,7 @@ def test_fxl004_allows_drain_path_and_resilience():
     def _drain_one(self, step):
         self._commit(step)
     """
-    assert lint(drain, path="repro/core/stream.py") == []
+    assert lint(drain, path="repro/core/drain.py") == []
     anywhere = """
     def run(self):
         self.commit()
@@ -206,6 +206,10 @@ def test_fxl005_flags_undeclared_drainer_mutation():
     assert rules_of(findings) == ["FXL005"]
     flagged = {f.message.split()[0] for f in findings}
     assert flagged == {"self._sneaky", "self._also_sneaky"}
+    # The default scope is the module the drain code lives in, judged
+    # against the registries that module declares.
+    assert rules_of(lint(code, path="repro/core/drain.py")) == ["FXL005"]
+    assert lint(code, path="repro/core/stream.py") == []
 
 
 def test_fxl005_ignores_non_drainer_methods_and_locals():
@@ -221,11 +225,11 @@ def test_fxl005_ignores_non_drainer_methods_and_locals():
 
 
 def test_fxl005_real_stream_registry_covers_the_real_file():
-    from repro.core.stream import DRAINER_METHODS, DRAINER_SHARED_STATE
+    from repro.core.drain import DRAINER_METHODS, DRAINER_SHARED_STATE
 
     assert "_drain_one" in DRAINER_METHODS
     assert "_consecutive_failures" in DRAINER_SHARED_STATE
-    path = os.path.join(SRC, "repro", "core", "stream.py")
+    path = os.path.join(SRC, "repro", "core", "drain.py")
     findings = lint_paths([path])
     assert [f for f in findings if f.rule == "FXL005" and not f.waived] == []
 
@@ -258,9 +262,10 @@ def test_fxl006_allows_allocation_and_out_of_scope():
     def f(view):
         return bytes(view)
     """
-    # Same code outside transport/ and core/stream.py is fine.
+    # Same code outside transport/ and the stream data plane is fine.
     assert lint(copying, path="repro/obs/fixture.py") == []
-    assert rules_of(lint(copying, path="repro/core/stream.py")) == ["FXL006"]
+    for module in ("stream", "drain", "reader"):
+        assert rules_of(lint(copying, path=f"repro/core/{module}.py")) == ["FXL006"]
 
 
 def test_fxl006_waiver_with_reason():

@@ -11,6 +11,7 @@ from repro.adios import (
     EndOfStream,
     RankContext,
     Range,
+    StepStatus,
     block_decompose,
     run_query,
 )
@@ -29,8 +30,6 @@ from repro.apps import (
 from repro.core import FlexIO, PluginSide, stream_registry
 from repro.core.adaptive import AdaptivePolicy, DCPlacementController
 from repro.core.plugins import sampling_plugin
-from repro.core.resilience import TransactionalStreamWriter
-from repro.transport.faults import TransportFaultInjector
 
 
 @pytest.fixture(autouse=True)
@@ -201,42 +200,51 @@ def test_three_way_method_switch(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_transactional_gts_run_with_faults_yields_clean_analytics():
-    """Injected prepare failures abort-and-retry entire steps; the
-    analytics downstream see only complete, ordered steps."""
-    flexio = FlexIO.from_xml(GTS_CONFIG)
+    """Faulted per-rank prepares are retried under ``transactional=true``;
+    the analytics downstream see only complete, ordered steps."""
+    # Ops 1 and 4: rank 0's prepare of step 0 and of step 1 (op 2 is the
+    # retry of the first) — two transient faults.
+    flexio = FlexIO.from_xml(GTS_CONFIG.replace(
+        "batching=true",
+        "batching=true;transactional=true;retry_timeout=0.01;faults=ops=1|4",
+    ))
     cfg = GtsConfig(num_ranks=2, particles_per_rank=2000)
-    handles = [
+    writers = [
         flexio.open_write("particles", "gts.tx", RankContext(r, 2)) for r in range(2)
     ]
-    injector = TransportFaultInjector(fail_ops=[1, 4])  # two transient prepare faults
-    tx = TransactionalStreamWriter(handles, injector=injector, max_step_retries=3)
     ranks = [GtsRank(cfg, r) for r in range(2)]
+    written = []
     for step in range(3):
-        for r, rank in enumerate(ranks):
-            out = rank.output(step)
-            tx.write(r, "zion", out["zion"])
-            tx.write(r, "electron", out["electron"])
-        assert tx.commit_step() == step
-    tx.close()
+        written.append([rank.output(step) for rank in ranks])
+        for w, out in zip(writers, written[-1]):
+            w.write("zion", out["zion"])
+            w.write("electron", out["electron"])
+        for w in writers:
+            w.end_step()
+    for w in writers:
+        w.close()
+    metrics = writers[0].monitor.metrics
+    assert metrics.counter("faults.injected.total").value == 2
+    assert metrics.counter("dataplane.drain.recovered").value == 2
+    assert metrics.counter("dataplane.tx.committed").value == 3
 
     reader = flexio.open_read("particles", "gts.tx", RankContext(0, 1))
     chain = GtsAnalytics()
     steps_seen = 0
-    while True:
+    while reader.begin_step() is StepStatus.OK:
         for wr in range(2):
             record = {
                 "zion": reader.read_block("zion", wr),
                 "electron": reader.read_block("electron", wr),
             }
+            np.testing.assert_array_equal(
+                record["zion"], written[steps_seen][wr]["zion"]
+            )
             result = chain.process(record, step=steps_seen)
             assert result.total_particles > 0
+        reader.end_step()
         steps_seen += 1
-        try:
-            reader._advance()
-        except EndOfStream:
-            break
     assert steps_seen == 3
-    assert injector.faults_injected == 2
 
 
 # ---------------------------------------------------------------------------

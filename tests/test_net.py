@@ -549,6 +549,7 @@ def test_raise_wire_error_non_admission_kinds():
     with pytest.raises(NetError) as exc_info:
         raise_wire_error(frame)
     assert exc_info.value.error_kind == "weird"
+    assert exc_info.value.kind is None  # TransportFault's FaultKind slot, not the wire kind
     frame = decode_frame(encode_frame(
         MsgType.RETRY_AFTER, {"delay": 0.5, "reason": "draining"}
     ))

@@ -3,7 +3,7 @@
 The same read scenarios run through an in-process stream and through an
 in-process daemon must return byte-identical arrays and move the
 fused/interpreted counters identically — both handles run
-:class:`repro.core.stream.StepReader`'s one read path.  Net-only tests
+:class:`repro.core.reader.StepReader`'s one read path.  Net-only tests
 cover what remote readers inherit from it: plan-cache hits, a
 ``read_into`` that scatters into the caller's array, ``read_all`` and
 the read spans.  Plus the :class:`FusedPlan` tiling analysis that
@@ -20,14 +20,14 @@ from repro.adios import AdiosError, BoundingBox, StepStatus
 from repro.adios.config import MethodSpec
 from repro.core import PluginManager, PluginSide
 from repro.core.directory import TenantSpec
-from repro.core.hints import defaults
+from repro.core.hints import StreamHints, defaults
 from repro.core.plugins import (
     range_select_plugin,
     sampling_plugin,
     unit_conversion_plugin,
 )
 from repro.core.redistribution import CompiledPlan, FusedPlan, compute_plan
-from repro.core.stream import StreamHints, stream_registry
+from repro.core.stream import stream_registry
 from repro.net.client import connect
 from repro.net.server import DirectoryDaemon
 from repro.obs.names import M_PLUGIN_FUSED_READS, M_PLUGIN_INTERPRETED_READS
@@ -229,7 +229,7 @@ def test_net_second_step_is_a_plan_cache_hit(daemon):
 
 
 def test_net_read_into_scatters_into_the_callers_array(daemon, monkeypatch):
-    import repro.core.stream as stream_mod
+    import repro.core.reader as reader_mod
 
     def forbidden(*_a, **_k):
         raise AssertionError("read_into must not materialize an intermediate")
@@ -242,7 +242,7 @@ def test_net_read_into_scatters_into_the_callers_array(daemon, monkeypatch):
         return execute_into(self, blocks, outs, **kw)
 
     monkeypatch.setattr(CompiledPlan, "execute", forbidden)
-    monkeypatch.setattr(stream_mod, "assemble", forbidden)
+    monkeypatch.setattr(reader_mod, "assemble", forbidden)
     monkeypatch.setattr(CompiledPlan, "execute_into", counted)
     with connect(_uri(daemon)) as c:
         r = _open_net(c, "planes.into")

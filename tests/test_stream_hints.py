@@ -6,7 +6,7 @@ import pytest
 from repro.adios import Adios, RankContext, block_decompose
 from repro.adios.config import MethodSpec
 from repro.core import CachingOption, stream_registry
-from repro.core.stream import StreamError, StreamHints
+from repro.core.hints import STREAM_HINTS, StreamError, StreamHints, stream_params
 
 CONFIG_TMPL = """
 <adios-config>
@@ -84,6 +84,28 @@ def test_hints_from_spec_full():
 def test_hints_bad_caching_rejected():
     with pytest.raises(StreamError):
         StreamHints.from_spec(MethodSpec("g", "FLEXPATH", {"caching": "sometimes"}))
+
+
+@pytest.mark.parametrize("key, choice", [
+    (hint.key, choice)
+    for hint in STREAM_HINTS.values() if hint.kind == "enum"
+    for choice in hint.choices
+])
+def test_every_registered_enum_choice_round_trips(key, choice):
+    """What the registry lists, the builder writes and the parser reads."""
+    ad = Adios.from_xml(CONFIG_TMPL.format(params=stream_params(**{key: choice})))
+    value = getattr(StreamHints.from_spec(ad.config.method_for("fields")), key)
+    assert getattr(value, "value", value) == choice
+
+
+def test_transport_tcp_is_selectable_and_delivers():
+    """The ladder's middle rung, chosen by the hint: every step drains
+    through a TCP channel and reads back exact (``run_stream`` verifies)."""
+    _, state = run_stream("transport=tcp", steps=3)
+    assert state.active_transport == "tcp"
+    metrics = state.monitor.metrics
+    assert metrics.counter("dataplane.drain.steps_committed").value == 3
+    assert metrics.counter("tcp.bytes_sent").value == 3 * 64 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -455,3 +455,44 @@ def test_flexlint_json_output_keeps_rule_key(lint_tree):
     assert code == 1
     findings = _json.loads(text)
     assert findings and findings[0]["rule"] == "FXL012"
+
+
+# ---------------------------------------------------------------------------
+# flexbench --trace: the callables its span wrappers patch are still there
+# ---------------------------------------------------------------------------
+
+#: The harness's top-level modules (it runs with its directory on sys.path).
+_FLEXBENCH_MODULES = ("layers", "tracing", "loadgen", "stats", "_paths")
+
+
+def test_flexbench_trace_patches_resolve_against_the_tree(monkeypatch):
+    """``layers.install`` wraps public callables by module and attribute
+    name: a moved or renamed one fails here, not only in CI's bench-smoke."""
+    import importlib
+    import sys
+
+    from repro.adios import selection
+    from repro.core import reader
+    from repro.core.stream import FlexpathReadHandle, FlexpathWriteHandle
+
+    monkeypatch.syspath_prepend(
+        _os.path.join(_os.path.dirname(__file__), _os.pardir, "benchmarks", "flexbench")
+    )
+    end_step, assemble = FlexpathWriteHandle.end_step, selection.assemble
+    try:
+        layers = importlib.import_module("layers")
+        tracer = importlib.import_module("tracing").Tracer()
+        try:
+            layers.install(tracer)  # AttributeError: a patched name is gone
+            assert FlexpathWriteHandle.end_step.__wrapped__ is end_step
+            assert FlexpathReadHandle.read.__wrapped__ is reader.StepReader.read
+            # The alias the one read path calls, not only its definition.
+            assert reader.assemble.__wrapped__ is assemble
+        finally:
+            tracer.uninstall()
+        assert FlexpathWriteHandle.end_step is end_step
+        assert "read" not in vars(FlexpathReadHandle)
+        assert reader.assemble is assemble and selection.assemble is assemble
+    finally:
+        for name in _FLEXBENCH_MODULES:
+            sys.modules.pop(name, None)
