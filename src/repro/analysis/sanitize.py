@@ -24,6 +24,9 @@ type system — this module checks them at run time when enabled:
 * **Mapped-source discipline** — an xpmem mapping is digested
   (``zlib.crc32`` per part) when announced and again at detach; a
   difference means the writer modified an array it had handed over.
+* **Pool-slot discipline** — the daemon digests a shared-memory slot at
+  publish and again at every fetch, later publish and when it is freed; a
+  difference means it was granted while still retained or pinned.
 
 Enablement: set ``FLEXIO_SANITIZE=1`` in the environment (read lazily on
 first use), or call :func:`enable` / :func:`disable` programmatically.
@@ -38,6 +41,7 @@ directly (``tests/test_sanitize.py``).
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import zlib
 from dataclasses import dataclass
@@ -52,6 +56,10 @@ LEASE_LEAK = "lease-leak"
 LEASE_USE_AFTER_RELEASE = "lease-use-after-release"
 LEASE_DOUBLE_RELEASE = "lease-double-release"
 XPMEM_SOURCE_MUTATED = "xpmem-source-mutated"
+NET_SLOT_MUTATED = "net-slot-mutated"
+
+#: Prefix of the stderr line every violation also prints.
+STDERR_MARK = "FLEXIO-SANITIZER"
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,8 @@ class Sanitizer:
     def _add(self, kind: str, what: str, details: str) -> None:
         with self._mu:
             self._violations.append(Violation(kind, what, details))
+        # Said out loud as well: nobody can ask a daemon in another process.
+        print(f"{STDERR_MARK} {kind}: {what} — {details}", file=sys.stderr, flush=True)
         # Lazy import: the sanitizer is imported by the data plane, the
         # recorder by the sanitizer — only at violation time, so module
         # import order stays acyclic.
@@ -280,6 +290,14 @@ class Sanitizer:
                 "source modified while mapped (an array handed to write() "
                 "must not change while the stream retains the step)",
             )
+
+
+    # -- daemon pool slots ------------------------------------------------
+    def check_slot(self, label: str, digest: int, view) -> None:
+        """``view`` must still hold the bytes digested at publish."""
+        if zlib.crc32(view) != digest:
+            self._add(NET_SLOT_MUTATED, label,
+                      "slot rewritten while its step was retained or pinned")
 
 
 class TrackedLock:

@@ -37,9 +37,12 @@ network::
 from __future__ import annotations
 
 import itertools
+import mmap
+import re
 import socket
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, NoReturn, Optional
 from urllib.parse import urlsplit
@@ -83,7 +86,8 @@ from repro.transport.faults import (
     TransportFaultInjector,
     TransportTimeout,
 )
-from repro.transport.tcp import TcpChannel, recv_frame, send_frame
+from repro.transport.buffers import as_byte_view
+from repro.transport.tcp import INLINE_MAX, TcpChannel, recv_frame, send_frame
 from repro.util import rng
 
 __all__ = [
@@ -162,6 +166,52 @@ def raise_wire_error(frame: Frame, where: str = "reply") -> NoReturn:
     if kind == "protocol":
         raise ProtocolError(message)
     raise NetError(kind, message)
+
+
+# ---------------------------------------------------------------------------
+# The same-node rung: daemon pools, mapped through /proc
+# ---------------------------------------------------------------------------
+
+#: The only names a daemon may ask this process to open: one of its own
+#: memfds, plus the generation serial that keeps a reused fd number apart.
+_POOL_NAME = re.compile(r"(/proc/\d+/fd/\d+)(@\d+)?")
+
+
+def _open_pool(name: str, write: bool = False):
+    match = _POOL_NAME.fullmatch(name)
+    if match is None:
+        raise ProtocolError(f"not a daemon pool name: {name!r}")
+    return open(match.group(1), "r+b" if write else "rb")
+
+
+def _read_nonce(name: str) -> str:
+    """What WELCOME's memfd holds — readable only by a peer that shares
+    the daemon's node, uid and pid namespace; "" for everyone else."""
+    try:
+        with _open_pool(name) as fh:
+            return fh.read().decode("ascii", "replace")
+    except (OSError, ProtocolError):
+        return ""
+
+
+def _slot(handle, name: str, offset: int, nbytes: int, write: bool) -> np.ndarray:
+    """``nbytes`` at ``offset`` of pool ``name``, through the session's one
+    mapping of that generation (kept alive by the handles using it;
+    ``PROT_READ`` unless a writer asked first).  A pool that is gone means
+    its daemon is: retriable."""
+    mapped = handle._client._pools.get(name)
+    if mapped is None or (write and not mapped.flags.writeable):
+        try:
+            with _open_pool(name, write) as fh:
+                prot = mmap.PROT_READ | (mmap.PROT_WRITE if write else 0)
+                mapped = np.frombuffer(mmap.mmap(fh.fileno(), 0, prot=prot), dtype=np.uint8)
+        except (OSError, ValueError) as exc:
+            raise PeerDisconnected(f"daemon pool {name} is gone: {exc}") from exc
+        handle._client._pools[name] = mapped
+    handle._pool = mapped
+    if not 0 <= offset <= offset + nbytes <= mapped.nbytes:
+        raise ProtocolError(f"slot {offset}+{nbytes} outside pool {name}")
+    return mapped[offset:offset + nbytes]
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +398,8 @@ class RemoteClient(Client):
         self._frame_seq = itertools.count(1)
         self.resume_token = ""
         self.resumed = False
+        #: Pool generations this session has mapped, alive while a handle uses them.
+        self._pools: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._retry_exhausted(self._dial, "connect")
         flight.record(EV_NET_CONNECT, tenant=tenant, client=client_name)
         # -- background heartbeat (writer leases + reader liveness) --------
@@ -393,6 +445,8 @@ class RemoteClient(Client):
         self.data_port = int(welcome.record["data_port"])
         self.resumed = bool(welcome.record["resumed"])
         self.resume_token = welcome.record["resume"]
+        #: Echoed in every ATTACH; blank = this peer gets inline frames only.
+        self._nonce = _read_nonce(welcome.record["pool"])
         if self.resumed:
             self.monitor.metrics.counter("net.resume").inc()
             flight.record(
@@ -556,6 +610,9 @@ class RemoteClient(Client):
 
     def _attach(self, stream_id: str, role: str,
                 predicate: str = "") -> TcpChannel:
+        """A data channel bound to the stream.  ``channel.grant`` is the
+        writer's GRANT record (or None): like the daemon's, it lives and
+        dies with this connection."""
         channel = TcpChannel.connect(
             self.host, self.data_port, monitor=self.monitor,
             injector=self.faults, timeout=self.timeout,
@@ -563,7 +620,7 @@ class RemoteClient(Client):
         try:
             channel.sendv([encode_frame(MsgType.ATTACH, {
                 "session": self.session_id, "stream_id": stream_id, "role": role,
-                "predicate": predicate,
+                "predicate": predicate, "nonce": self._nonce,
             }, seq=next(self._frame_seq))], timeout=self.timeout)
             frame = decode_frame(channel.recv(timeout=self.timeout))
         except (TransportFault, ProtocolError, OSError):
@@ -572,9 +629,10 @@ class RemoteClient(Client):
             # would dial a fresh one on retry anyway.
             channel.close()
             raise
-        if frame.msg_type is not MsgType.OK:
+        if frame.msg_type not in (MsgType.OK, MsgType.GRANT):
             channel.close()
             raise_wire_error(frame, "ATTACH")
+        channel.grant = frame.record if frame.msg_type is MsgType.GRANT else None
         return channel
 
     def _attach_retrying(self, stream_id: str, role: str,
@@ -670,6 +728,7 @@ class NetWriteHandle(WriteHandle):
         self._publish_seq = 0
         self._pending: list[dict] = []
         self._closed = False
+        self._pool = None  # the pool generation this handle has mapped (_slot)
         #: Writer-side plug-in chain: codelets deployed here condition
         #: each variable before the step leaves the client (the paper's
         #: writer-placed analytics for the network deployment shape).
@@ -709,14 +768,27 @@ class NetWriteHandle(WriteHandle):
             _stamp_stats(rec, arr)
 
     def _publish_once(self, record: dict) -> None:
-        parts = [encode_frame(MsgType.PUBLISH, record,
-                              seq=next(self._client._frame_seq))]
-        for rec in self._pending:
-            parts.extend(encode_var(rec))  # head span, then the array itself
+        seq = next(self._client._frame_seq)
+        # Per variable: head span, then the array itself.
+        run = [part for rec in self._pending for part in encode_var(rec)]
+        nbytes = sum(part.nbytes for part in run)
+        grant = self._channel.grant
+        if grant is not None and INLINE_MAX < nbytes <= grant["capacity"]:
+            # Same node, bulk run: the bytes ``sendv`` would have gathered
+            # go into the granted slot, the frame says where they are.
+            np.concatenate([as_byte_view(part) for part in run], out=_slot(
+                self, grant["pool"], int(grant["offset"]), nbytes, write=True))
+            parts = [encode_frame(MsgType.PUBLISH_REF, {
+                **record, "pool": grant["pool"], "offset": grant["offset"],
+                "nbytes": nbytes}, seq=seq)]
+        else:
+            parts = [encode_frame(MsgType.PUBLISH, record, seq=seq), *run]
         self._channel.sendv(parts, timeout=self._client.timeout)
         frame = decode_frame(self._channel.recv(timeout=self._client.timeout))
-        if frame.msg_type is not MsgType.OK:
+        if frame.msg_type not in (MsgType.OK, MsgType.GRANT):
             raise_wire_error(frame, f"PUBLISH step {record['step']}")
+        # The latest positive reply says what this connection holds.
+        self._channel.grant = frame.record if frame.msg_type is MsgType.GRANT else None
 
     def _advance(self, eos: bool = False):
         if self._closed:
@@ -754,7 +826,8 @@ class _CachedStep:
     """One fetched step, decoded lazily-ish: var records + backing span.
 
     The wire-side block source of :class:`~repro.core.reader.StepReader`:
-    every array it hands out is a view into the receive span.
+    every array it hands out is a view into the receive span (for a step
+    fetched by reference, this reader's own copy of the slot).
     """
 
     __slots__ = ("step", "vars", "_wb", "may_be_pruned")
@@ -831,6 +904,7 @@ class NetReadHandle(StepReader):
         self._channel = channel
         self._cache: dict[int, _CachedStep] = {}
         self._closed = False
+        self._pool = None  # the pool generation this handle has mapped (_slot)
         #: Reader-side plug-in chain: compilable chains run fused per
         #: block (single pass, no assembled intermediate); free-form
         #: codelets keep the interpreted assemble-then-apply path.
@@ -862,10 +936,16 @@ class NetReadHandle(StepReader):
         # The dead-daemon bound; the hold above always ends inside it.
         wb = self._channel.recv(timeout=timeout)
         frame = decode_frame(wb)
-        if frame.msg_type is not MsgType.STEP_DATA:
+        rec, offset = frame.record, frame.consumed
+        if frame.msg_type is MsgType.STEP_REF:
+            # The slot is this reader's until its next request; arrays handed
+            # to callers outlive the step, so the run is copied out — once.
+            wb, offset = _slot(self, rec["pool"], int(rec["offset"]),
+                               int(rec["nbytes"]), write=False).copy(), 0
+        elif frame.msg_type is not MsgType.STEP_DATA:
             raise_wire_error(frame, f"step {step} of {self.stream_id!r}")
         got = _CachedStep(
-            step, int(frame.record["count"]), wb, frame.consumed,
+            step, int(rec["count"]), wb, offset,
             may_be_pruned=bool(self._attached_pred),
         )
         # Retain only the current neighborhood; old steps are gone.

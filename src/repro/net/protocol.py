@@ -31,6 +31,13 @@ Multi-part frames: a :data:`MsgType.PUBLISH` body carries a variable
 sender (``sendv``) and decoded in place by the receiver via the
 ``consumed`` offsets :func:`decode_frame` and
 :func:`decode_var` return.
+
+By-reference frames (v5): a peer that proved it shares the daemon's node
+moves a run larger than :data:`~repro.transport.tcp.INLINE_MAX` through a
+daemon-owned shared-memory slot — :data:`MsgType.GRANT` is the positive
+reply that hands a writer its next slot, ``PUBLISH_REF`` / ``STEP_REF``
+carry ``(pool, offset, nbytes)`` instead of the run.  Every other peer,
+and every smaller run, exchanges exactly the frames above.
 """
 
 from __future__ import annotations
@@ -82,7 +89,10 @@ MAGIC = 0xF1EC0107
 #: prune provably-dropped blocks from PUBLISH payloads (PR 10, fused
 #: analytics).  v4: FETCH carries ``wait``, the seconds the daemon may
 #: hold the request for a step that is not yet published (held FETCH).
-PROTOCOL_VERSION = 4
+#: v5: WELCOME names a daemon memfd holding a nonce, ATTACH echoes it (the
+#: same-node proof); GRANT / PUBLISH_REF / STEP_REF move bulk runs through
+#: daemon-owned shared-memory slots; inline frames are byte-identical to v4's.
+PROTOCOL_VERSION = 5
 
 #: magic u32, version u8, msg type u8, reserved u16, sequence u64.
 #: The sequence is per-connection and monotone; receivers use it to
@@ -118,6 +128,10 @@ class MsgType(enum.IntEnum):
     NOT_READY = 20     # daemon → reader: step not yet published (hold ran out)
     EOS = 21           # daemon → reader: stream ended (no more steps)
     RETRY_AFTER = 22   # daemon → peer: draining/restarting, come back later
+    # data plane, same-node peers only ----------------------------------
+    GRANT = 23         # daemon → writer: OK, and this pool slot is yours
+    PUBLISH_REF = 24   # writer → daemon: one step, its run sits in the slot
+    STEP_REF = 25      # daemon → reader: the step, pinned until the next request
 
 
 #: The shared format vocabulary — registered once, known to both sides.
@@ -139,7 +153,9 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     MsgType.WELCOME: PROTOCOL_REGISTRY.define(
         "net.welcome",
         [("session", _S), ("server", _S), ("data_port", _I),
-         ("resume", _S), ("resumed", _B)],
+         ("resume", _S), ("resumed", _B),
+         # Path of a daemon memfd holding a nonce ("" = no pools here).
+         ("pool", _S)],
     ),
     MsgType.ERROR: PROTOCOL_REGISTRY.define(
         "net.error", [("kind", _S), ("message", _S)]
@@ -172,7 +188,10 @@ _BODY_FORMATS: dict[MsgType, Format] = {
          # Reader-role pushdown: the serialized BlockPredicate of the
          # reader's compiled plug-in chain ("" = none — disables any
          # broker-side pruning for the stream while this peer is attached).
-         ("predicate", _S)],
+         ("predicate", _S),
+         # What the peer read at WELCOME's ``pool`` path ("" = could not:
+         # other host, uid or pid namespace — it gets inline frames only).
+         ("nonce", _S)],
     ),
     MsgType.PUBLISH: PROTOCOL_REGISTRY.define(
         "net.publish", [("step", _I), ("count", _I), ("eos", _B), ("seq", _I)]
@@ -189,6 +208,20 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     MsgType.EOS: PROTOCOL_REGISTRY.define("net.eos", [("step", _I)]),
     MsgType.RETRY_AFTER: PROTOCOL_REGISTRY.define(
         "net.retry_after", [("delay", _F), ("reason", _S)]
+    ),
+    # ``pool`` names one pool generation; a slot is ``capacity`` bytes at
+    # ``offset``.  A writer holds what its latest positive reply granted.
+    MsgType.GRANT: PROTOCOL_REGISTRY.define(
+        "net.grant", [("detail", _S), ("pool", _S), ("offset", _I), ("capacity", _I)]
+    ),
+    MsgType.PUBLISH_REF: PROTOCOL_REGISTRY.define(
+        "net.publish_ref",
+        [("step", _I), ("count", _I), ("eos", _B), ("seq", _I),
+         ("pool", _S), ("offset", _I), ("nbytes", _I)],
+    ),
+    MsgType.STEP_REF: PROTOCOL_REGISTRY.define(
+        "net.step_ref",
+        [("step", _I), ("count", _I), ("pool", _S), ("offset", _I), ("nbytes", _I)],
     ),
 }
 

@@ -13,7 +13,9 @@ broker then stores — a PUBLISH is never copied in user space:
 * the **data port** is a store-and-forward step broker: a writer's
   connection ATTACHes to an open stream and PUBLISHes steps, a
   reader's connection FETCHes them — so two unrelated OS processes
-  exchange multi-step data without ever sharing memory.
+  exchange multi-step data without ever sharing memory.  Peers on the
+  daemon's own node do share it: a bulk run moves through a slot of a
+  :class:`_SlotPool` and the frame carries only where it is.
 
 Every hosted stream carries its own
 :class:`~repro.core.monitoring.PerfMonitor` whose series are labeled
@@ -30,11 +32,14 @@ from __future__ import annotations
 import argparse
 import asyncio
 import itertools
+import mmap
 import os
 import secrets
 import signal
 import threading
 import time
+import weakref
+import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.analysis import sanitize
 from repro.core.directory import (
     AdmissionError,
     CoordinatorInfo,
@@ -79,6 +85,8 @@ from repro.obs.events import (
     EV_NET_DRAIN,
     EV_NET_DUP_PUBLISH,
     EV_NET_FETCH_HELD,
+    EV_NET_POOL_CREATE,
+    EV_NET_POOL_RETIRE,
     EV_NET_RESTORE,
     EV_NET_RESUME,
     EV_NET_RETRY_AFTER,
@@ -94,7 +102,10 @@ from repro.obs.names import (
     M_NET_FETCH_HOLDS_EXPIRED,
     M_NET_FETCHES_HELD,
     M_NET_FRAMES_REFUSED,
+    M_NET_POOL_SLOTS_FREE,
     M_NET_READERS_PARKED,
+    M_NET_STEPS_FETCHED_BY_REF,
+    M_NET_STEPS_PUBLISHED_BY_REF,
     M_PLUGIN_BLOCKS_SKIPPED,
     metric_name,
 )
@@ -104,7 +115,7 @@ from repro.transport.faults import (
     TransportFaultInjector,
     parse_fault_spec,
 )
-from repro.transport.tcp import FRAME_PREFIX, MAX_FRAME, unpace_loopback
+from repro.transport.tcp import FRAME_PREFIX, INLINE_MAX, MAX_FRAME, unpace_loopback
 
 __all__ = ["HostedStream", "DirectoryDaemon", "parse_tenant_arg", "main"]
 
@@ -241,6 +252,27 @@ class _Conn(asyncio.BufferedProtocol):
             raise ConnectionResetError("connection lost")
 
 
+class _SlotPool:
+    """One generation of a hosted stream's shared-memory slots: an
+    anonymous memfd a same-uid peer on this node maps through
+    ``/proc/<pid>/fd/<n>`` — no name outlives the daemon.  Sized by the
+    first run it has to hold; slots are recycled (a fresh tmpfs page is a
+    fault per 4 KB on both sides) and mapped, never ``pwritev``-ed."""
+
+    _serial = itertools.count(1)
+
+    def __init__(self, run_nbytes: int, slots: int) -> None:
+        page = mmap.PAGESIZE
+        self.capacity = -(-(run_nbytes + run_nbytes // 8) // page) * page
+        fd = os.memfd_create("flexio-pool")
+        weakref.finalize(self, os.close, fd)  # the mapping goes with ``arr``
+        os.ftruncate(fd, self.capacity * slots)
+        self.arr = np.frombuffer(mmap.mmap(fd, 0), dtype=np.uint8)
+        #: fd numbers are reused: the serial makes the name one generation's.
+        self.name = f"/proc/{os.getpid()}/fd/{fd}@{next(self._serial)}"
+        self.free = [i * self.capacity for i in range(slots)]
+
+
 class HostedStream:
     """One named stream brokered by the daemon.
 
@@ -255,11 +287,19 @@ class HostedStream:
         self.name = name
         self.stream_id = f"{tenant}/{name}"
         self.monitor = PerfMonitor()
+        #: ``shm`` while the latest step sits in a pool slot.
         self.active_transport = "tcp"
         #: step -> (var count, the net.var run: a uint8 view of the frame
-        #: that carried it; ``bytes`` once pruned or restored); what a
-        #: reader is told about any step is this store's ``lookup``.
+        #: that carried it, or of the pool slot it was published into;
+        #: ``bytes`` once pruned or restored); what a reader is told about
+        #: any step is this store's ``lookup``.
         self.store = StepStore(retain=int(retain_steps))
+        #: The current pool generation (None until a same-node writer
+        #: publishes a run over ``INLINE_MAX``) and, for every slot in use,
+        #: ``id(its view) -> (pool, offset, nbytes, sanitizer digest | None)``.
+        self.pool: Optional[_SlotPool] = None
+        self._slots: dict[int, tuple] = {}
+        self._san = sanitize.get()  # captured: one None check when disabled
         #: Highest publish sequence number applied; republished frames
         #: with seq <= last_seq are acknowledged but not re-stored, so a
         #: writer that resends after a lost OK never duplicates a step.
@@ -283,23 +323,40 @@ class HostedStream:
 
     # ------------------------------------------------------------------
     def publish(self, step: int, count: int, payload: "np.ndarray | bytes",
-                eos: bool, seq: int = 0) -> bool:
-        """Store one step; returns False for a suppressed duplicate."""
-        if seq > 0:
-            if seq <= self.last_seq:
-                self.monitor.metrics.counter(
-                    "net.dup_publishes", labels=self._labels
-                ).inc()
-                flight.record(
-                    EV_NET_DUP_PUBLISH, stream=self.stream_id, step=step, seq=seq
-                )
-                return False
-            self.last_seq = seq
+                eos: bool, seq: int = 0, slot: Optional[tuple] = None) -> bool:
+        """Store one step; returns False for a suppressed duplicate.
+        ``slot`` is the granted ``(pool, offset)`` that ``payload`` views:
+        kept while that view object lives, given back at once when the
+        step is not stored as that view (duplicate, pruned to ``bytes``)."""
+        m = self.monitor.metrics
+        if 0 < seq <= self.last_seq:
+            m.counter("net.dup_publishes", labels=self._labels).inc()
+            flight.record(
+                EV_NET_DUP_PUBLISH, stream=self.stream_id, step=step, seq=seq
+            )
+            if slot is not None:
+                self.give_back(*slot)
+            return False
+        self.last_seq = max(seq, self.last_seq)
         self.store.append(step, (count, payload), len(payload))
         if eos:
             self.store.end(step + 1)
         self.wake()
-        m = self.monitor.metrics
+        by_ref = slot is not None and isinstance(payload, np.ndarray)
+        self.active_transport = "shm" if by_ref else "tcp"
+        if by_ref:
+            # The stored object is the one the slot's life hangs on.
+            digest = None
+            if self._san is not None:  # the write that just landed hit no slot in use
+                for ref in self._slots.values():
+                    self._checked(*ref)
+                digest = zlib.crc32(payload)
+            self._slots[key := id(payload)] = (*slot, len(payload), digest)
+            stream = weakref.ref(self)  # a dropped stream's pools die with it
+            weakref.finalize(payload, lambda: (s := stream()) and s._slot_dead(key))
+            m.counter(M_NET_STEPS_PUBLISHED_BY_REF, labels=self._labels).inc()
+        elif slot is not None:
+            self.give_back(*slot)
         m.counter("net.steps_published", labels=self._labels).inc()
         m.counter("net.bytes_published", labels=self._labels).inc(len(payload))
         m.gauge("net.retained_steps", labels=self._labels).set(len(self.store))
@@ -319,6 +376,60 @@ class HostedStream:
         m.counter("net.bytes_fetched", labels=self._labels).inc(len(got[1]))
         flight.record(EV_NET_STEP_FETCH, stream=self.stream_id, step=step)
         return got
+
+    # -- the same-node rung: pool slots -----------------------------------
+    # The lifetime rule, once: a slot is in use from its grant until the
+    # one view object stored for it is collected — the store holds that
+    # object while the step is retained, a reader's connection while the
+    # step is pinned to it — or until an unused grant is given back.
+    def grant(self, held: Optional[tuple] = None,
+              run_nbytes: int = 0) -> Optional[tuple]:
+        """The ``(pool, offset)`` one writer connection may publish its
+        next step into: ``held`` while it is of the current generation,
+        else a free slot, else None (no pool yet, or exhausted: the step
+        comes inline).  ``run_nbytes`` is the inline run just stored — a
+        large one no generation holds sizes the next; the old generation
+        dies with its last view."""
+        if run_nbytes > INLINE_MAX and (
+                self.pool is None or run_nbytes > self.pool.capacity):
+            old = self.pool
+            try:
+                self.pool = _SlotPool(run_nbytes, self.store.retain + 4)
+            except OSError:
+                return held  # no memfd to be had: inline, as before
+            self._slots_free = self.monitor.metrics.gauge(
+                M_NET_POOL_SLOTS_FREE, labels=self._labels)
+            if old is not None:
+                flight.record(EV_NET_POOL_RETIRE, stream=self.stream_id, pool=old.name)
+            flight.record(EV_NET_POOL_CREATE, stream=self.stream_id,
+                          pool=self.pool.name, capacity=self.pool.capacity)
+        if held is not None and held[0] is self.pool:
+            return held  # (a retired generation's grant is simply dropped)
+        if self.pool is None or not self.pool.free:
+            return None
+        slot = self.pool, self.pool.free.pop()
+        self._slots_free.set(len(self.pool.free))
+        return slot
+
+    def give_back(self, pool: _SlotPool, offset: int) -> None:
+        pool.free.append(offset)
+        self._slots_free.set(len(self.pool.free))
+
+    def slot_of(self, payload) -> Optional[tuple]:
+        """``(pool, offset)`` when ``payload`` is a stored slot view."""
+        ref = self._slots.get(id(payload))
+        return None if ref is None else self._checked(*ref)
+
+    def _slot_dead(self, key: int) -> None:
+        self.give_back(*self._checked(*self._slots.pop(key)))
+
+    def _checked(self, pool: _SlotPool, offset: int, nbytes: int, digest) -> tuple:
+        """``(pool, offset)`` of a slot in use.  Sanitizer: at every fetch,
+        every later publish and when freed, it holds what was published."""
+        if digest is not None:
+            self._san.check_slot(f"{self.stream_id}@{offset}", digest,
+                                 pool.arr[offset:offset + nbytes])
+        return pool, offset
 
     # -- reader predicate pushdown -------------------------------------
     def register_reader(self, key: int, predicate) -> None:
@@ -383,7 +494,8 @@ def prune_step_payload(raw: np.ndarray, offset: int, count: int,
             kept.append(raw[offset:end])
         offset = end
     if not skipped:
-        return count, raw[start:]  # the frame's own array: stored as it landed
+        # The frame's own array, or the slot's one view: stored as it landed.
+        return count, raw[start:] if start else raw
     stream.monitor.metrics.counter(
         M_PLUGIN_BLOCKS_SKIPPED, labels=stream._labels
     ).inc(skipped)
@@ -446,6 +558,15 @@ class DirectoryDaemon:
         #: Frame-layer fault source for the daemon's *outbound* frames
         #: (replies, STEP_DATA) — the server half of the chaos taxonomy.
         self.injector = injector
+        #: Same-node proof: only a peer sharing this node, uid and pid
+        #: namespace — one that can map a pool — reads the nonce WELCOME
+        #: names.  No ``memfd_create``: no path, everyone gets inline frames.
+        self._nonce, self._nonce_path = secrets.token_hex(8), ""
+        if hasattr(os, "memfd_create"):
+            fd = os.memfd_create("flexio-nonce")
+            weakref.finalize(self, os.close, fd)
+            os.write(fd, self._nonce.encode())
+            self._nonce_path = f"/proc/{os.getpid()}/fd/{fd}"
         self._streams: dict[str, HostedStream] = {}
         self._sessions: dict[str, _Session] = {}
         self._resume: dict[str, str] = {}  # resume token -> session_id
@@ -703,6 +824,7 @@ class DirectoryDaemon:
             "data_port": self.data_port,
             "resume": session.resume,
             "resumed": resumed,
+            "pool": self._nonce_path,
         }))
         return session
 
@@ -849,17 +971,16 @@ class DirectoryDaemon:
                     conn, "protocol", f"bad predicate spec: {exc}"
                 )
                 return
-            await self._write_frame(
-                conn, encode_frame(MsgType.OK, {"detail": "attached"})
-            )
+            colocated = bool(self._nonce_path) and frame.record["nonce"] == self._nonce
             self._attached.add(conn)
             reader_key = id(conn)
             try:
                 if role == "w":
-                    await self._serve_writer(session, stream, conn)
+                    await self._serve_writer(session, stream, conn, colocated)
                 else:
+                    await self._ack(conn, "attached")
                     stream.register_reader(reader_key, predicate)
-                    await self._serve_reader(stream, conn)
+                    await self._serve_reader(stream, conn, colocated)
             finally:
                 if role != "w":
                     stream.drop_reader(reader_key)
@@ -867,58 +988,93 @@ class DirectoryDaemon:
         except (ConnectionError, asyncio.CancelledError):
             pass  # the peer is gone, or stop() ended this handler
 
-    async def _serve_writer(self, session: _Session, stream: HostedStream,
-                            conn: _Conn) -> None:
-        while True:
-            if (got := await self._read_frame(conn)) is None:
-                return
-            raw, frame = got
-            if frame.msg_type is not MsgType.PUBLISH:
-                await self._send_error(conn, "protocol", "writer must PUBLISH")
-                return
-            if self._draining:
-                await self._send_retry_after(conn, "draining")
-                continue
-            try:
-                self.directory.charge_bytes(session.tenant, raw.nbytes)
-            except AdmissionError as exc:
-                await self._send_admission_error(conn, exc)
-                continue
-            count = int(frame.record["count"])
-            payload = raw[frame.consumed:]  # this frame's own array: no copy
-            predicate = stream.prune_predicate()
-            if predicate is not None and count:
-                try:
-                    count, payload = prune_step_payload(
-                        raw, frame.consumed, count, predicate, stream
-                    )
-                except ProtocolError:
-                    # Malformed var run: store verbatim; the reader's
-                    # decode surfaces the real error.
-                    pass
-            stored = stream.publish(
-                int(frame.record["step"]), count,
-                payload, bool(frame.record["eos"]),
-                seq=int(frame.record["seq"]),
-            )
-            try:  # publishing is the writer's liveness signal
-                self.directory.heartbeat(session.tenant, stream.name)
-            except DirectoryError:
-                pass  # unleased or already closed registration
-            if stored and self.checkpoint_sync and self.checkpoint_path:
-                # Durability before acknowledgement: once the writer sees
-                # OK, the step survives even a hard daemon kill.  Async so
-                # the fsync+rename doesn't stall other sessions' frames.
-                await self.checkpoint_async()
-            await self._write_frame(
-                conn, encode_frame(
-                    MsgType.OK, {"detail": "published" if stored else "duplicate"}
-                )
-            )
+    async def _ack(self, conn: _Conn, detail: str, grant: Optional[tuple] = None) -> None:
+        """The positive reply: OK, or GRANT to a writer that now holds a slot."""
+        if grant is None:
+            frame = encode_frame(MsgType.OK, {"detail": detail})
+        else:
+            frame = encode_frame(MsgType.GRANT, {
+                "detail": detail, "pool": grant[0].name, "offset": grant[1],
+                "capacity": grant[0].capacity})
+        await self._write_frame(conn, frame)
 
-    async def _serve_reader(self, stream: HostedStream, conn: _Conn) -> None:
+    async def _serve_writer(self, session: _Session, stream: HostedStream,
+                            conn: _Conn, colocated: bool) -> None:
+        # What the latest positive reply granted this connection, if it is
+        # still unused; back in the pool when the connection ends.
+        grant = stream.grant() if colocated else None
+        try:
+            await self._ack(conn, "attached", grant)
+            while True:
+                if (got := await self._read_frame(conn)) is None:
+                    return
+                raw, frame = got
+                rec, by_ref = frame.record, frame.msg_type is MsgType.PUBLISH_REF
+                nbytes = int(rec["nbytes"]) if by_ref else 0
+                if by_ref and (grant is None or not 0 <= nbytes <= grant[0].capacity
+                               or (rec["pool"], rec["offset"]) != (grant[0].name, grant[1])):
+                    await self._send_error(
+                        conn, "protocol", "PUBLISH_REF outside the granted slot")
+                    return
+                if not by_ref and frame.msg_type is not MsgType.PUBLISH:
+                    await self._send_error(conn, "protocol", "writer must PUBLISH")
+                    return
+                if self._draining:
+                    await self._send_retry_after(conn, "draining")
+                    continue
+                try:  # a referenced run is charged like the frame it replaces
+                    self.directory.charge_bytes(session.tenant, raw.nbytes + nbytes)
+                except AdmissionError as exc:
+                    await self._send_admission_error(conn, exc)
+                    continue
+                if by_ref:
+                    (pool, offset), grant, inline_run = grant, None, 0
+                    stored = self._store_step(
+                        stream, rec, pool.arr[offset:offset + nbytes], 0, (pool, offset))
+                else:
+                    inline_run = raw.nbytes - frame.consumed  # a bulk one sizes the pool
+                    stored = self._store_step(stream, rec, raw, frame.consumed)
+                try:  # publishing is the writer's liveness signal
+                    self.directory.heartbeat(session.tenant, stream.name)
+                except DirectoryError:
+                    pass  # unleased or already closed registration
+                if stored and self.checkpoint_sync and self.checkpoint_path:
+                    # Durability before acknowledgement: once the writer sees
+                    # OK, the step survives even a hard daemon kill.  Async so
+                    # the fsync+rename doesn't stall other sessions' frames.
+                    await self.checkpoint_async()
+                if colocated:
+                    grant = stream.grant(grant, inline_run)
+                await self._ack(conn, "published" if stored else "duplicate", grant)
+        finally:
+            if grant is not None:
+                stream.give_back(*grant)
+
+    @staticmethod
+    def _store_step(stream: HostedStream, rec: dict, raw: np.ndarray, start: int,
+                    slot: Optional[tuple] = None) -> bool:
+        """Store the step whose ``net.var`` run is ``raw[start:]`` (a frame's
+        tail, or all of a slot's view), pruned of what no reader wants."""
+        count = int(rec["count"])
+        payload = raw[start:] if start else raw  # the array as it landed: no copy
+        predicate = stream.prune_predicate()
+        if predicate is not None and count:
+            try:
+                count, payload = prune_step_payload(raw, start, count, predicate, stream)
+            except ProtocolError:
+                # Malformed var run: store verbatim; the reader's
+                # decode surfaces the real error.
+                pass
+        return stream.publish(int(rec["step"]), count, payload, bool(rec["eos"]),
+                              seq=int(rec["seq"]), slot=slot)
+
+    async def _serve_reader(self, stream: HostedStream, conn: _Conn,
+                            colocated: bool) -> None:
+        pinned = None  # the payload last served: not reusable before the next request
         while True:
-            if (got := await self._read_frame(conn)) is None:
+            got = await self._read_frame(conn)
+            pinned = None
+            if got is None:
                 return
             frame = got[1]
             if frame.msg_type is not MsgType.FETCH:
@@ -930,12 +1086,20 @@ class DirectoryDaemon:
             outcome, detail = await self._held_lookup(
                 stream, step, frame.record["wait"], conn)
             if outcome is Outcome.HIT:
-                count, payload = stream.fetch(step)
-                await self._write_frame(
-                    conn,
-                    encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
-                    payload,
-                )
+                count, pinned = stream.fetch(step)
+                slot = stream.slot_of(pinned)
+                if slot is not None and colocated:
+                    stream.monitor.metrics.counter(
+                        M_NET_STEPS_FETCHED_BY_REF, labels=stream._labels).inc()
+                    await self._write_frame(conn, encode_frame(MsgType.STEP_REF, {
+                        "step": step, "count": count, "pool": slot[0].name,
+                        "offset": slot[1], "nbytes": len(pinned)}))
+                else:
+                    await self._write_frame(
+                        conn,
+                        encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
+                        pinned,
+                    )
                 continue
             msg_type, kind = MISS_REPLY[outcome]
             if msg_type is MsgType.NOT_READY and self._draining:

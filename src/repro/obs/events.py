@@ -78,6 +78,8 @@ EV_NET_CHECKPOINT = "net.checkpoint"
 EV_NET_RESTORE = "net.restore"
 EV_NET_DUP_PUBLISH = "net.dup_publish"
 EV_NET_FETCH_HELD = "net.fetch.held"
+EV_NET_POOL_CREATE = "net.pool.create"
+EV_NET_POOL_RETIRE = "net.pool.retire"
 
 _FLIGHT_SPECS = (
     EventSpec(EV_STEP_BEGIN, "a timestep was sealed and handed to the drainer"),
@@ -111,6 +113,8 @@ _FLIGHT_SPECS = (
     EventSpec(EV_NET_RESTORE, "the daemon restored state from a checkpoint"),
     EventSpec(EV_NET_DUP_PUBLISH, "the broker suppressed a duplicate republish"),
     EventSpec(EV_NET_FETCH_HELD, "a held FETCH ended (publish, end, fail, drain or expiry)"),
+    EventSpec(EV_NET_POOL_CREATE, "a stream's first (or first larger) bulk run sized a slot pool"),
+    EventSpec(EV_NET_POOL_RETIRE, "a pool generation was replaced; it dies with its last step"),
 )
 
 #: Flight event registry, keyed by code.

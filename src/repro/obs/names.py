@@ -138,6 +138,9 @@ M_NET_FETCHES_HELD = "net.fetches_held"
 M_NET_FETCH_HOLDS_EXPIRED = "net.fetch_holds_expired"
 M_NET_READERS_PARKED = "net.readers_parked"
 M_NET_FRAMES_REFUSED = "net.frames_refused"
+M_NET_STEPS_PUBLISHED_BY_REF = "net.steps_published_by_ref"
+M_NET_STEPS_FETCHED_BY_REF = "net.steps_fetched_by_ref"
+M_NET_POOL_SLOTS_FREE = "net.pool_slots_free"
 
 # Network plane, client side (net/client.py, tools/chaos.py --scenario net)
 M_NET_RECONNECTS = "net.reconnects"
@@ -217,6 +220,9 @@ _METRIC_SPECS = (
                "readers parked in a held FETCH right now (labeled)"),
     MetricSpec(M_NET_FRAMES_REFUSED, "counter",
                "inbound frames refused for their length prefix (over MAX_FRAME)"),
+    MetricSpec(M_NET_STEPS_PUBLISHED_BY_REF, "counter", "steps published into a pool slot"),
+    MetricSpec(M_NET_STEPS_FETCHED_BY_REF, "counter", "steps served as a slot reference"),
+    MetricSpec(M_NET_POOL_SLOTS_FREE, "gauge", "free slots of the current pool generation"),
     MetricSpec(M_NET_RECONNECTS, "counter", "client reconnect attempts that succeeded"),
     MetricSpec(M_NET_SESSIONS_LOST, "counter", "client sessions lost after retries"),
     MetricSpec(M_NET_RESUME, "counter", "client sessions resumed by token"),

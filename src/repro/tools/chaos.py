@@ -628,6 +628,13 @@ def _worker_result(proc: subprocess.Popen, role: str) -> dict:
     return {"log": {f"{role}_end": end}}
 
 
+def _daemon_violations(daemon: subprocess.Popen) -> list[str]:
+    """What a dead daemon's sanitizer said (its stderr rides its stdout)."""
+    mark = sanitize.STDERR_MARK
+    return [line[len(mark):].strip()
+            for line in daemon.communicate()[0].splitlines() if line.startswith(mark)]
+
+
 def _run_net(report: ChaosReport, log: DeliveryLog,
              flight_dir: Optional[str]) -> list[dict]:
     seed, steps = report.seed, report.steps
@@ -656,6 +663,7 @@ def _run_net(report: ChaosReport, log: DeliveryLog,
                 daemon.send_signal(signal.SIGTERM if report.restart == "sigterm"
                                    else signal.SIGKILL)
                 daemon.wait(timeout=15)
+                report.sanitizer_violations += _daemon_violations(daemon)
                 daemon = _spawn_daemon(ckpt, control, data)[0]
             results = {role: _worker_result(p, role) for role, p in workers.items()}
         finally:
@@ -663,6 +671,9 @@ def _run_net(report: ChaosReport, log: DeliveryLog,
                 if p.poll() is None:
                     p.kill()
                     p.wait()
+            report.sanitizer_violations += _daemon_violations(daemon)
+    report.invariant_violations.extend(
+        f"sanitizer: {v}" for v in report.sanitizer_violations)
     for res in results.values():
         vars(log).update(res["log"])
     samples = [res["obs"] for res in results.values() if "obs" in res]

@@ -57,7 +57,7 @@ from repro.transport.faults import (
     record_injected,
 )
 
-__all__ = ["TcpChannel", "COPIES_TCP", "FRAME_PREFIX"]
+__all__ = ["TcpChannel", "COPIES_TCP", "FRAME_PREFIX", "INLINE_MAX"]
 
 #: A TCP delivery always pays two copies: producer memory → kernel
 #: socket buffer, kernel socket buffer → the consumer-side frame array.
@@ -68,6 +68,12 @@ FRAME_PREFIX = struct.Struct("<Q")
 
 #: Refuse absurd frame lengths before allocating (corrupt prefix guard).
 MAX_FRAME = 1 << 34  # 16 GiB
+
+#: The small/large split of the daemon's same-node rung (``ShmChannel``'s,
+#: and the paper's): a step run up to this size stays in its frame, a
+#: larger one may move through a shared-memory slot.  One loopback
+#: segment; a slot's bookkeeping (≈ 0.08 ms) is repaid at ≈ 130 KB.
+INLINE_MAX = 1 << 16
 
 
 #: How long an injected DELAYED_FRAME holds the frame back.
@@ -91,9 +97,12 @@ def unpace_loopback(sock: socket.socket) -> None:
 
 def _set_timeout(sock: socket.socket, timeout: float) -> None:
     """``settimeout`` with the typed-fault mapping: on an already-dead
-    socket it raises ``OSError``, which must not leak raw to callers."""
+    socket it raises ``OSError``, which must not leak raw to callers.
+    The socket remembers its timeout; re-arming it is an ``ioctl``, so an
+    unchanged value is not set again."""
     try:
-        sock.settimeout(timeout)
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
     except OSError as exc:
         raise PeerDisconnected(f"tcp socket unusable: {exc}") from exc
 

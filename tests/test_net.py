@@ -77,7 +77,8 @@ ROUND_TRIP_CASES = [
     (MsgType.HELLO, {"tenant": "acme", "token": "s3cret", "client": "gts",
                      "resume": ""}),
     (MsgType.WELCOME, {"session": "s-1", "server": "1.0.0", "data_port": 7701,
-                       "resume": "deadbeef", "resumed": False}),
+                       "resume": "deadbeef", "resumed": False,
+                       "pool": "/proc/4242/fd/7"}),
     (MsgType.ERROR, {"kind": "streams", "message": "at max_streams=2"}),
     (MsgType.OK, {"detail": ""}),
     (MsgType.OPEN, {"stream": "gts.out", "mode": "w", "program": "writer",
@@ -87,6 +88,15 @@ ROUND_TRIP_CASES = [
     (MsgType.NOT_READY, {"step": 9}),
     (MsgType.EOS, {"step": 4}),
     (MsgType.RETRY_AFTER, {"delay": 0.25, "reason": "draining"}),
+    (MsgType.ATTACH, {"session": "s-1", "stream_id": "acme/gts.out", "role": "w",
+                      "predicate": "", "nonce": "00ff"}),
+    (MsgType.GRANT, {"detail": "published", "pool": "/proc/4242/fd/9@3",
+                     "offset": 2359296, "capacity": 2359296}),
+    (MsgType.PUBLISH_REF, {"step": 3, "count": 2, "eos": False, "seq": 4,
+                           "pool": "/proc/4242/fd/9@3", "offset": 0,
+                           "nbytes": 2098000}),
+    (MsgType.STEP_REF, {"step": 3, "count": 2, "pool": "/proc/4242/fd/9@3",
+                        "offset": 0, "nbytes": 2098000}),
 ]
 
 
@@ -383,6 +393,33 @@ def test_tcp_disconnect_is_typed_transport_fault():
         ch.recv(timeout=0.1)  # closed channel: still the typed fault
     t.join(timeout=2.0)
     srv.close()
+
+
+def test_socket_timeout_is_armed_once_not_per_call(daemon, monkeypatch):
+    armed = []
+    real = socket.socket.settimeout
+
+    def counting(self, value):
+        armed.append(value)
+        return real(self, value)
+
+    with connect(uri(daemon), token="s3cret") as c:
+        w = c.open("timeouts", "w")
+        write_step(w, 0.0)  # connect and the first RPC have set what they need
+        monkeypatch.setattr(socket.socket, "settimeout", counting)
+        for k in range(10):  # 10 PUBLISH RPCs: a send and two receives each
+            write_step(w, float(k))
+        c.heartbeat("timeouts")
+        assert len(armed) <= 2, armed
+        monkeypatch.undo()
+        # A dead socket is still the typed fault, found by the send itself.
+        w._channel._send_sock.close()
+        w.begin_step()
+        w.write("x", np.zeros(4))
+        with pytest.raises(PeerDisconnected):
+            w._publish_once({"step": 11, "count": 1, "eos": False, "seq": 12})
+        w._closed = True
+        c._hb_streams.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,650 @@
+"""The daemon's same-node rung: bulk runs move through pool slots, the
+frame says where they are — and every peer that cannot (or must not)
+take that path gets exactly the inline frames it got before.
+
+Raw frames wherever a peer has to misbehave (``test_net_frames.py``'s
+style); the slot lifetime rule is checked as facts about the free list,
+never by timing.
+"""
+
+import gc
+import io
+import os
+import signal
+import subprocess
+import sys
+import time
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.adios import StepStatus
+from repro.analysis import sanitize
+from repro.core.directory import QuotaExceeded, TenantSpec
+from repro.core.resilience import RetryPolicy
+from repro.core.stepstore import Outcome, StepStore, outcome_error
+from repro.net.client import connect
+from repro.net.protocol import MsgType, ProtocolError, decode_frame, encode_frame, encode_var
+from repro.net.server import DirectoryDaemon, parse_ready_line
+from repro.obs import recorder as flight
+from repro.obs.events import EV_NET_POOL_CREATE, EV_NET_POOL_RETIRE
+from repro.obs.names import (
+    M_NET_POOL_SLOTS_FREE,
+    M_NET_STEPS_FETCHED_BY_REF,
+    M_NET_STEPS_PUBLISHED_BY_REF,
+)
+from repro.tools import monitor as monitor_tool
+from repro.transport.buffers import as_byte_view
+from repro.transport.faults import PeerDisconnected
+from repro.transport.tcp import INLINE_MAX, TcpChannel
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(REPO, "src")
+
+#: float64 elements of one bulk variable: 256 KiB, well over INLINE_MAX.
+BULK = 1 << 15
+RETAIN = 2
+SLOTS = RETAIN + 4
+
+
+def make_daemon(**kw):
+    kw.setdefault("tenants", [TenantSpec("public")])
+    return DirectoryDaemon(telemetry=False, retain_steps=RETAIN, **kw).start()
+
+
+@pytest.fixture()
+def daemon():
+    d = make_daemon()
+    yield d
+    d.stop()
+
+
+def uri(d):
+    return f"flexio://{d.host}:{d.control_port}/public"
+
+
+def bulk(k: int, n: int = BULK) -> np.ndarray:
+    return np.arange(n, dtype=np.float64) + k
+
+
+def put(w, k: int, n: int = BULK) -> None:
+    w.begin_step()
+    w.write("v", bulk(k, n))
+    w.end_step()
+
+
+def var_record(k: int, n: int = BULK) -> dict:
+    data = bulk(k, n)
+    return {"name": "v", "writer_rank": 0, "start": [], "shape": [n], "gshape": [],
+            "vmin": float(data.min()), "vmax": float(data.max()), "has_stats": True,
+            "data": data}
+
+
+def run_bytes(k: int, n: int = BULK) -> bytes:
+    """The ``net.var`` run ``NetWriteHandle`` sends for ``put(w, k, n)``."""
+    return b"".join(as_byte_view(p).tobytes() for p in encode_var(var_record(k, n)))
+
+
+def hosted(d, name):
+    return d._streams[f"public/{name}"]
+
+
+def settle(predicate, what: str, within: float = 2.0) -> None:
+    """The daemon's loop thread acts on a frame, or a hang-up, a moment
+    after this thread sent it."""
+    deadline = time.monotonic() + within
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.002)
+
+
+def rpc(channel: TcpChannel, msg_type: MsgType, record: dict, *parts):
+    channel.sendv([encode_frame(msg_type, record), *parts], timeout=2.0)
+    return decode_frame(channel.recv(timeout=2.0))
+
+
+def publish_ref(channel, step: int, seq: int, **tamper):
+    """A by-reference PUBLISH into the channel's granted slot, written
+    through a fresh mapping; ``tamper`` overrides what the frame claims."""
+    grant = channel.grant
+    run = run_bytes(step)
+    fd = os.open(grant["pool"].rpartition("@")[0], os.O_RDWR)
+    try:
+        os.pwrite(fd, run, grant["offset"])
+    finally:
+        os.close(fd)
+    record = {"step": step, "count": 1, "eos": False, "seq": seq, "pool": grant["pool"],
+              "offset": grant["offset"], "nbytes": len(run), **tamper}
+    return rpc(channel, MsgType.PUBLISH_REF, record)
+
+
+def counter(stream, name):
+    return stream.monitor.metrics.counter(name, labels=stream._labels).value
+
+
+# ---------------------------------------------------------------------------
+# The same step, whichever way it came
+# ---------------------------------------------------------------------------
+
+def test_by_reference_step_decodes_to_the_same_vars_as_inline(daemon):
+    with connect(uri(daemon)) as near, connect(uri(daemon)) as far:
+        assert near._nonce == daemon._nonce
+        far._nonce = ""  # cannot read the daemon's memfd: another host, uid, namespace
+        w = near.open("same", "w")
+        by_ref, inline = near.open("same", "r"), far.open("same", "r")
+        put(w, 0)        # the stream's first bulk step: inline, sizes the pool
+        put(w, 1)
+        stream = hosted(daemon, "same")
+        assert counter(stream, M_NET_STEPS_PUBLISHED_BY_REF) == 1
+        assert stream.active_transport == "shm"
+        a, b = by_ref._fetch(1), inline._fetch(1)
+        assert counter(stream, M_NET_STEPS_FETCHED_BY_REF) == 1
+        assert len(a.vars) == len(b.vars) == 1
+        for got, want in zip(a.vars, b.vars):
+            assert got.keys() == want.keys()
+            for key in got.keys() - {"data"}:
+                assert got[key] == want[key], key
+            assert got["data"].dtype == want["data"].dtype
+            assert got["data"].tobytes() == want["data"].tobytes() == bulk(1).tobytes()
+        # What the reader holds is its own: the slot goes round, the array stays.
+        held = a.vars[0]["data"]
+        assert not np.shares_memory(held, by_ref._pool)
+        for k in range(2, 2 + 2 * SLOTS):
+            put(w, k)
+        np.testing.assert_array_equal(held, bulk(1))
+        assert inline._pool is None and not far._pools  # the far peer mapped nothing
+        for h in (w, by_ref, inline):
+            h.close()
+
+
+def test_blank_nonce_peer_exchanges_the_inline_frames_byte_for_byte(daemon):
+    with connect(uri(daemon)) as c:
+        w = c.open("inline", "w")
+        put(w, 0)
+        put(w, 1)
+        stream = hosted(daemon, "inline")
+        assert stream.slot_of(stream.store.lookup(1)[1][1]) is not None  # slot-backed
+        attach = {"session": c.session_id, "stream_id": "public/inline", "predicate": ""}
+        # A raw v5 reader that could not read the nonce.
+        reader = TcpChannel.connect(daemon.host, daemon.data_port)
+        reader.sendv([encode_frame(MsgType.ATTACH, {**attach, "role": "r", "nonce": ""})])
+        ok = encode_frame(MsgType.OK, {"detail": "attached"}).as_array().tobytes()
+        assert reader.recv(timeout=2.0).as_array().tobytes() == ok
+        reader.sendv([encode_frame(MsgType.FETCH, {"step": 1, "wait": 0.0})])
+        want = encode_frame(MsgType.STEP_DATA, {"step": 1, "count": 1})
+        assert reader.recv(timeout=2.0).as_array().tobytes() == (
+            want.as_array().tobytes() + run_bytes(1))
+        assert counter(stream, M_NET_STEPS_FETCHED_BY_REF) == 0
+        # And a raw writer with a wrong nonce: OK, never GRANT, bulk or not.
+        writer = TcpChannel.connect(daemon.host, daemon.data_port)
+        writer.sendv([encode_frame(MsgType.ATTACH, {**attach, "role": "w", "nonce": "00" * 8})])
+        assert writer.recv(timeout=2.0).as_array().tobytes() == ok
+        reply = rpc(writer, MsgType.PUBLISH, {"step": 2, "count": 1, "eos": False, "seq": 3},
+                    *encode_var(var_record(2)))
+        assert reply.msg_type is MsgType.OK and reply.record == {"detail": "published"}
+        assert stream.active_transport == "tcp"
+        reader.close()
+        writer.close()
+        w._step, w._publish_seq = 3, 3  # what the hand-made PUBLISH used up
+        w.close()
+
+
+def test_small_runs_stay_inline_and_size_no_pool(daemon):
+    n = INLINE_MAX // 8 - 64  # the whole run, heads included, is under the boundary
+    with connect(uri(daemon)) as c:
+        w, r = c.open("small", "w"), c.open("small", "r")
+        for k in range(3):
+            put(w, k, n)
+            assert w._channel.grant is None
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            np.testing.assert_array_equal(r.read_block("v", 0), bulk(k, n))
+            r.end_step()
+        stream = hosted(daemon, "small")
+        assert stream.pool is None and stream.active_transport == "tcp"
+        assert counter(stream, M_NET_STEPS_PUBLISHED_BY_REF) == 0
+        w.close()
+        r.close()
+
+
+# ---------------------------------------------------------------------------
+# A reference is checked against the grant
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tamper", [
+    lambda g: {"pool": g["pool"].rpartition("@")[0] + "@999"},
+    lambda g: {"offset": g["offset"] + 4096},
+    lambda g: {"offset": (g["offset"] + g["capacity"]) % (SLOTS * g["capacity"])},
+    lambda g: {"nbytes": g["capacity"] + 1},
+    lambda g: {"nbytes": -1},
+], ids=["other-pool", "inside-the-slot", "another-slot", "over-capacity", "negative"])
+def test_publish_ref_outside_the_grant_is_a_protocol_error(daemon, tamper):
+    with connect(uri(daemon)) as c:
+        w = c.open("strict", "w")
+        put(w, 0)
+        stream, channel = hosted(daemon, "strict"), w._channel
+        assert len(stream.pool.free) == SLOTS - 1  # the writer's grant
+        reply = publish_ref(channel, 1, 2, **tamper(channel.grant))
+        assert reply.msg_type is MsgType.ERROR and reply.record["kind"] == "protocol"
+        with pytest.raises(PeerDisconnected):
+            channel.recv(timeout=2.0)  # and the daemon hung up
+        settle(lambda: len(stream.pool.free) == SLOTS, "the grant was not given back")
+        assert stream.store.last == 0 and len(stream.store) == 1
+        channel.close()
+        w._closed = True  # its channel is gone; nothing to CLOSE politely
+
+
+def test_publish_ref_without_a_grant_is_a_protocol_error(daemon):
+    with connect(uri(daemon)) as c:
+        w = c.open("ungranted", "w")
+        put(w, 0)
+        c._nonce = ""
+        channel = c._attach("public/ungranted", "w")
+        assert channel.grant is None
+        reply = rpc(channel, MsgType.PUBLISH_REF, {
+            "step": 1, "count": 1, "eos": False, "seq": 2,
+            "pool": w._channel.grant["pool"], "offset": w._channel.grant["offset"],
+            "nbytes": 1024})
+        assert reply.msg_type is MsgType.ERROR and reply.record["kind"] == "protocol"
+        assert hosted(daemon, "ungranted").store.last == 0
+        channel.close()
+        w.close()
+
+
+def test_client_refuses_pool_names_that_are_not_daemon_memfds(daemon):
+    with connect(uri(daemon)) as c:
+        w = c.open("names", "w")
+        put(w, 0)
+        w._channel.grant = {**w._channel.grant, "pool": "/etc/passwd"}
+        w.begin_step()
+        w.write("v", bulk(1))
+        with pytest.raises(ProtocolError):
+            w.end_step()
+        w._channel.grant = None
+        w.end_step()  # the same step, inline
+        assert hosted(daemon, "names").store.last == 1
+        w.close()
+
+
+def test_quota_refusal_of_a_by_reference_publish_stores_nothing():
+    now = [0.0]
+    d = make_daemon(tenants=[TenantSpec("public", max_bytes_per_s=400_000)],
+                    clock=lambda: now[0])
+    try:
+        with connect(uri(d)) as c:
+            w = c.open("quota", "w")
+            put(w, 0)  # ≈ 262 KB of the 400 KB budget, inline
+            stream, grant = hosted(d, "quota"), dict(w._channel.grant)
+            charged = d.metrics.counter("tenant.bytes", labels={"tenant": "public"})
+            inline_charge = charged.value
+            w.begin_step()
+            w.write("v", bulk(1))
+            with pytest.raises(QuotaExceeded):
+                w.end_step()
+            assert stream.store.last == 0 and charged.value == inline_charge
+            assert stream.active_transport == "tcp"
+            # Still this connection's, still unused; nothing else was taken.
+            assert w._channel.grant == grant and len(stream.pool.free) == SLOTS - 1
+            now[0] += 10.0  # the bucket refills
+            w.end_step()
+            assert stream.store.last == 1 and stream.active_transport == "shm"
+            # Charged like the frame it replaces: the run plus a small header.
+            assert 0 <= (charged.value - inline_charge) - inline_charge < 100
+            w.close()
+    finally:
+        d.stop()
+
+
+# ---------------------------------------------------------------------------
+# The lifetime rule: retained or pinned means not granted
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("release", ["next-fetch", "disconnect"])
+def test_pinned_slot_is_not_granted_until_its_reader_moves_on(daemon, release):
+    with connect(uri(daemon)) as c:
+        w = c.open("pinned", "w")
+        put(w, 0)
+        put(w, 1)
+        stream = hosted(daemon, "pinned")
+        reader = c._attach("public/pinned", "r")
+        ref = rpc(reader, MsgType.FETCH, {"step": 1, "wait": 0.0})
+        assert ref.msg_type is MsgType.STEP_REF and ref.record["nbytes"] == len(run_bytes(1))
+        pinned = ref.record["offset"]
+        used = []
+        for k in range(2, 2 + 3 * SLOTS):  # step 1 is long evicted
+            used.append(w._channel.grant["offset"])
+            put(w, k)
+        assert stream.store.lookup(1)[0] is Outcome.LOST
+        assert pinned not in used and pinned not in stream.pool.free
+        fd = os.open(ref.record["pool"].rpartition("@")[0], os.O_RDONLY)
+        try:
+            assert os.pread(fd, ref.record["nbytes"], pinned) == run_bytes(1)
+        finally:
+            os.close(fd)
+        if release == "next-fetch":
+            last = stream.store.last
+            assert rpc(reader, MsgType.FETCH, {"step": last, "wait": 0.0}).record["step"] == last
+        else:
+            reader.close()
+        settle(lambda: pinned in stream.pool.free,
+               "the pin outlived its reader's next request")
+        takers = [c._attach("public/pinned", "w") for _ in stream.pool.free]
+        assert pinned in [t.grant["offset"] for t in takers]  # and it is granted again
+        for h in (*takers, reader, w):
+            h.close()
+
+
+def test_unused_grant_returns_when_the_writer_disconnects(daemon):
+    with connect(uri(daemon)) as c:
+        w = c.open("grants", "w")
+        put(w, 0)
+        stream = hosted(daemon, "grants")
+        free = stream.monitor.metrics.gauge(M_NET_POOL_SLOTS_FREE, labels=stream._labels)
+        assert len(stream.pool.free) == free.value == SLOTS - 1
+        second = c._attach("public/grants", "w")
+        assert second.grant["pool"] == w._channel.grant["pool"]
+        assert second.grant["offset"] != w._channel.grant["offset"]
+        assert len(stream.pool.free) == free.value == SLOTS - 2
+        second.close()
+        settle(lambda: len(stream.pool.free) == SLOTS - 1, "the grant was not given back")
+        assert free.value == SLOTS - 1
+        w.close()
+        settle(lambda: len(stream.pool.free) == SLOTS, "the grant was not given back")
+
+
+def test_duplicate_seq_voids_the_grant_it_named(daemon):
+    with connect(uri(daemon)) as c:
+        w = c.open("dup", "w")
+        put(w, 0)
+        stream, channel = hosted(daemon, "dup"), w._channel
+        first = publish_ref(channel, 1, 2)
+        assert first.msg_type is MsgType.GRANT and first.record["detail"] == "published"
+        stored = stream.store.lookup(1)[1][1]
+        channel.grant = first.record
+        again = publish_ref(channel, 1, 2)  # the replay after a lost reply
+        assert again.msg_type is MsgType.GRANT and again.record["detail"] == "duplicate"
+        assert stream.store.lookup(1)[1][1] is stored and stream.store.last == 1
+        assert counter(stream, "net.dup_publishes") == 1
+        # One retained slot, one grant: the slot the replay named is not lost.
+        assert len(stream.pool.free) == SLOTS - 2
+        w._step, w._publish_seq = 2, 2
+        channel.grant = again.record
+        put(w, 2)
+        assert stream.store.lookup(2)[1][1].tobytes() == run_bytes(2)
+        w.close()
+
+
+def test_exhausted_pool_answers_ok_and_the_next_step_comes_inline(daemon):
+    with connect(uri(daemon)) as c:
+        w = c.open("full", "w")
+        put(w, 0)
+        stream = hosted(daemon, "full")
+        hoarders = [c._attach("public/full", "w") for _ in range(SLOTS - 1)]
+        assert all(h.grant is not None for h in hoarders) and stream.pool.free == []
+        late = c._attach("public/full", "w")
+        assert late.grant is None  # OK, not GRANT
+        put(w, 1)                  # the writer's own grant: by reference
+        assert stream.active_transport == "shm" and w._channel.grant is None
+        put(w, 2)                  # nothing free: the same API, the inline frame
+        assert stream.active_transport == "tcp"
+        assert stream.slot_of(stream.store.lookup(2)[1][1]) is None
+        assert stream.store.lookup(2)[1][1].tobytes() == run_bytes(2)
+        hoarders.pop().close()
+        settle(lambda: stream.pool.free, "the grant was not given back")
+        put(w, 3)                  # inline once more, and granted again
+        assert w._channel.grant is not None
+        put(w, 4)
+        assert stream.active_transport == "shm"
+        for h in (*hoarders, late, w):
+            h.close()
+
+
+def test_oversize_run_goes_inline_and_sizes_a_new_generation(daemon):
+    events = flight.reset()
+    big = 4 * BULK
+    with connect(uri(daemon)) as c:
+        w, r = c.open("grow", "w"), c.open("grow", "r")
+        put(w, 0)
+        put(w, 1)
+        stream = hosted(daemon, "grow")
+        old = stream.pool
+        old_name, old_fd = old.name, int(old.name.rpartition("@")[0].rsplit("/", 1)[1])
+        assert os.readlink(f"/proc/self/fd/{old_fd}").startswith("/memfd:flexio-pool")
+        assert r._fetch(1).vars[0]["data"].tobytes() == bulk(1).tobytes()
+        assert old_name in c._pools
+        put(w, 2, big)  # larger than a slot: inline, once
+        assert stream.active_transport == "tcp" and stream.pool is not old
+        assert stream.pool.capacity >= len(run_bytes(2, big))
+        assert w._channel.grant["pool"] == stream.pool.name
+        old_ref = weakref.ref(old)
+        del old
+        assert old_ref() is not None  # step 1 still lives in it
+        put(w, 3, big)  # by reference, in the new generation; evicts step 1
+        assert stream.active_transport == "shm"
+        for k in (2, 3):
+            assert r._fetch(k).vars[0]["data"].tobytes() == bulk(k, big).tobytes()
+        settle(lambda: old_ref() is None, "the old generation outlived its last step")
+        assert old_name not in c._pools  # the session's mapping of it went too
+        try:
+            assert not os.readlink(f"/proc/self/fd/{old_fd}").startswith("/memfd:flexio-pool") \
+                or old_fd == int(stream.pool.name.rpartition("@")[0].rsplit("/", 1)[1])
+        except FileNotFoundError:
+            pass  # closed, number not reused
+        created = events.events(code=EV_NET_POOL_CREATE, stream="public/grow")
+        retired = events.events(code=EV_NET_POOL_RETIRE, stream="public/grow")
+        assert [e.as_dict()["pool"] for e in created] == [old_name, stream.pool.name]
+        assert [e.as_dict()["pool"] for e in retired] == [old_name]
+        w.close()
+        r.close()
+
+
+# ---------------------------------------------------------------------------
+# Durability: a pool is not state
+# ---------------------------------------------------------------------------
+
+def spawn_daemon(ckpt, control=0, data=0):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.net.server", "--no-telemetry",
+         "--control-port", str(control), "--data-port", str(data),
+         "--retain-steps", "8", "--checkpoint", ckpt, "--checkpoint-sync",
+         *(["--restore"] if control else [])],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env, cwd=REPO,
+    )
+    return proc, *parse_ready_line(proc.stdout.readline())
+
+
+def shm_entries():
+    try:
+        return {e for e in os.listdir("/dev/shm") if e.startswith("flexio")}
+    except OSError:
+        return set()
+
+
+def test_checkpoint_sigkill_restore_serves_every_acked_step_then_sizes_a_fresh_pool(tmp_path):
+    before = shm_entries()
+    ckpt = str(tmp_path / "daemon.ckpt")
+    proc, host, control, data = spawn_daemon(ckpt)
+    try:
+        retry = RetryPolicy(max_retries=8, timeout=0.05, backoff_factor=2.0, jitter=0.25)
+        with connect(f"flexio://{host}:{control}/public", retry=retry, timeout=2.0) as c:
+            w = c.open("durable", "w")
+            for k in range(3):
+                put(w, k)  # acked: checkpointed, the slot-backed ones included
+            first_pool = w._channel.grant["pool"]
+            assert first_pool.startswith(f"/proc/{proc.pid}/fd/")
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=5)
+            proc.stdout.close()
+            assert shm_entries() == before  # a memfd has no name to leave behind
+            proc = spawn_daemon(ckpt, control, data)[0]
+            r = c.open("durable", "r", timeout=5.0)
+            for k in range(3):  # restored payloads are ``bytes``: inline
+                assert r.begin_step(timeout=5.0) is StepStatus.OK
+                np.testing.assert_array_equal(r.read_block("v", 0), bulk(k))
+                r.end_step()
+            assert r._pool is None
+            put(w, 3)  # the old grant died with its daemon: inline, sizes a fresh pool
+            assert w._channel.grant["pool"].startswith(f"/proc/{proc.pid}/fd/")
+            put(w, 4)
+            for k in (3, 4):
+                assert r.begin_step(timeout=5.0) is StepStatus.OK
+                np.testing.assert_array_equal(r.read_block("v", 0), bulk(k))
+                r.end_step()
+            assert r._pool is c._pools[w._channel.grant["pool"]]
+            gc.collect()  # the failed attempt's traceback held a view of the dead pool
+            assert first_pool not in c._pools
+            w.close()
+            r.close()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert shm_entries() == before
+
+
+# ---------------------------------------------------------------------------
+# The store's contract, through the daemon, on both payload paths
+# ---------------------------------------------------------------------------
+
+class HostedStoreMachine(RuleBasedStateMachine):
+    """Bulk steps through a live daemon against a plain ``StepStore``
+    model: what a reader is told about step k — the bytes, lost, ended,
+    not yet — is the model's answer, slot-backed or not."""
+
+    colocated = True
+
+    @initialize()
+    def start(self):
+        self.daemon = make_daemon()
+        self.client = connect(uri(self.daemon))
+        if not self.colocated:
+            self.client._nonce = ""
+        self.w = self.client.open("model", "w")
+        self.r = self.client.open("model", "r")
+        self.model = StepStore(RETAIN)
+        self.open, self.bulk_seen = True, False
+
+    def teardown(self):
+        self.r.close()
+        self.w._channel.close()
+        self.client.close()
+        self.daemon.stop()
+
+    @rule(n=st.sampled_from([BULK, BULK + 512, 64]))
+    def publish(self, n):
+        if self.open:
+            k = self.model.last + 1
+            put(self.w, k, n)
+            self.model.append(k, bulk(k, n), n)
+            self.bulk_seen |= n >= BULK
+
+    @rule()
+    def close(self):
+        if self.open:
+            self.w.close()
+            self.model.end()
+            self.open = False
+
+    @rule(index=st.integers(0, 12))
+    def fetch(self, index):
+        outcome, want = self.model.lookup(index)
+        self.r._cache.clear()
+        self.r._deadline = None
+        if outcome is Outcome.HIT:
+            np.testing.assert_array_equal(self.r._fetch(index).vars[0]["data"], want)
+        else:
+            with pytest.raises(type(outcome_error(outcome, "step"))):
+                self.r._fetch(index)
+
+    @invariant()
+    def slots_are_accounted_for(self):
+        stream = hosted(self.daemon, "model")
+        assert len(stream.store) == len(self.model)
+        assert (stream.pool is not None) == (self.colocated and self.bulk_seen)
+        if stream.pool is not None:
+            granted = self.open and self.w._channel.grant is not None
+            assert len(stream.pool.free) + len(stream._slots) + granted <= SLOTS
+
+
+@pytest.mark.parametrize("colocated", [True, False], ids=["colocated", "nonce-blanked"])
+def test_hosted_store_agrees_with_the_step_store_model(colocated):
+    machine = type("Machine", (HostedStoreMachine,), {"colocated": colocated})
+    machine.TestCase.settings = settings(
+        max_examples=6, stateful_step_count=14, deadline=None)
+    machine.TestCase().runTest()
+
+
+# ---------------------------------------------------------------------------
+# Sanitizer kind net-slot-mutated
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def san():
+    instance = sanitize.enable(fresh=True)
+    yield instance
+    sanitize.disable()
+
+
+def test_sanitizer_flags_a_slot_rewritten_while_its_step_is_retained(san):
+    d = make_daemon()
+    try:
+        with connect(uri(d)) as c:
+            w, r = c.open("san", "w"), c.open("san", "r")
+            for k in range(2 + 2 * SLOTS):  # slots go round: published, fetched, freed
+                put(w, k)
+                assert r.begin_step(timeout=2.0) is StepStatus.OK
+                r.end_step()
+            assert san.violations() == []
+            stream = hosted(d, "san")
+            pool, offset = stream.slot_of(stream.store.lookup(stream.store.last)[1][1])
+            pool.arr[offset + 200] ^= 0xFF  # what a second grant of the slot would do
+            r._cache.clear()
+            r._fetch(stream.store.last)
+            (violation,) = san.violations()
+            assert violation.kind == sanitize.NET_SLOT_MUTATED
+            assert "public/san" in violation.what
+            pool.arr[offset + 200] ^= 0xFF  # as published again: freed without a second report
+            w.close()
+            r.close()
+    finally:
+        d.stop()
+
+
+def test_sanitizer_off_means_no_digest_is_taken(daemon):
+    with connect(uri(daemon)) as c:
+        w = c.open("nosan", "w")
+        put(w, 0)
+        put(w, 1)
+        stream = hosted(daemon, "nosan")
+        assert stream._san is None
+        assert [ref[3] for ref in stream._slots.values()] == [None]
+        w.close()
+
+
+# ---------------------------------------------------------------------------
+# Observability: which rung a stream is on
+# ---------------------------------------------------------------------------
+
+def test_monitor_shows_the_rung_a_stream_is_on():
+    d = DirectoryDaemon(tenants=[TenantSpec("public")], retain_steps=RETAIN).start()
+    try:
+        with connect(uri(d)) as c:
+            w = c.open("rung", "w")
+            put(w, 0)
+            out = io.StringIO()
+            assert monitor_tool.scrape_once(d.telemetry.url, out) == 0
+            (row,) = [ln for ln in out.getvalue().splitlines() if "public/rung" in ln]
+            assert " tcp " in row
+            put(w, 1)
+            out = io.StringIO()
+            assert monitor_tool.scrape_once(d.telemetry.url, out) == 0
+            (row,) = [ln for ln in out.getvalue().splitlines() if "public/rung" in ln]
+            assert " shm " in row
+            w.close()
+    finally:
+        d.stop()

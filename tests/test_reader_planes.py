@@ -156,10 +156,12 @@ def test_non_global_read_raises_adios_error_on_both_planes(daemon):
 # What a reader is told about step k: one store, so one answer per plane
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=["inproc", "net"])
+@pytest.fixture(params=["inproc", "net", "net-nonce-blanked"])
 def plane(request):
     """``(client, tick)`` on one plane; ``tick(seconds)`` moves the
-    injected clock its lease reaper runs on."""
+    injected clock its lease reaper runs on.  The daemon plane runs twice:
+    as the same-node peer this process is (bulk steps by reference), and
+    as a peer that could not read the daemon's nonce (inline frames)."""
     now = [0.0]
 
     def tick(seconds):
@@ -175,9 +177,17 @@ def plane(request):
     ).start()
     try:
         with connect(_uri(d)) as c:
+            if request.param == "net-nonce-blanked":
+                c._nonce = ""
             yield c, tick
+            rung = d._streams[f"public/planes.{request.node.callspec.params['outcome']}"]
+            assert (rung.pool is not None) == (request.param == "net")
     finally:
         d.stop()
+
+
+#: float64 elements of a step well over ``INLINE_MAX``.
+BULK = 1 << 15
 
 
 @pytest.mark.parametrize("outcome", ["clean_end", "lease_expiry", "reader_ahead"])
@@ -185,14 +195,14 @@ def test_step_outcomes_are_the_same_on_both_planes(plane, outcome):
     client, tick = plane
     name = f"planes.{outcome}"
     w = client.open(name, "w", lease=5.0)
-    for k in range(2):
+    for k in range(2):  # bulk: the second one moves by reference where it can
         w.begin_step()
-        w.write("x", np.full(4, float(k)))
+        w.write("x", np.full(BULK, float(k)))
         w.end_step()
     r = client.open(name, "r", timeout=2.0)
     for k in range(2):  # retained steps are served whatever happens next
         assert r.begin_step(timeout=2.0) is StepStatus.OK
-        np.testing.assert_array_equal(r.read_block("x", 0), np.full(4, float(k)))
+        np.testing.assert_array_equal(r.read_block("x", 0), np.full(BULK, float(k)))
         r.end_step()
     if outcome == "clean_end":
         w.close()
