@@ -70,6 +70,15 @@ class StepReader(ReadHandle):
             raise
         self._cursor = nxt
 
+    def end_step(self):
+        status = super().end_step()
+        self._release()
+        return status
+
+    def _release(self) -> None:
+        """``end_step()`` lets the source's bytes go: what a read returned
+        is the caller's and never views them.  Nothing to do in process."""
+
     def _account_handshake(self, name, gshape, writer_boxes) -> None:
         """Control-plane accounting of one exchange (in process only)."""
 

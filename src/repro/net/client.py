@@ -43,6 +43,7 @@ import socket
 import threading
 import time
 import weakref
+import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, NoReturn, Optional
 from urllib.parse import urlsplit
@@ -51,6 +52,7 @@ import numpy as np
 
 from repro.adios.api import AdiosError, RankContext, WriteHandle
 from repro.adios.selection import BoundingBox
+from repro.analysis import sanitize
 from repro.core.directory import admission_exception
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import PluginManager, PluginSide
@@ -63,6 +65,7 @@ from repro.net.protocol import (
     Frame,
     MsgType,
     ProtocolError,
+    block_bounds,
     decode_frame,
     decode_var,
     encode_frame,
@@ -77,7 +80,7 @@ from repro.obs.events import (
     EV_NET_SESSION_LOST,
     EV_NET_STREAM_OPEN,
 )
-from repro.obs.names import M_NET_FETCHES
+from repro.obs.names import M_NET_FETCHES, M_NET_STEPS_COPIED_OUT
 from repro.transport.faults import (
     PeerDisconnected,
     SessionLost,
@@ -610,9 +613,9 @@ class RemoteClient(Client):
 
     def _attach(self, stream_id: str, role: str,
                 predicate: str = "") -> TcpChannel:
-        """A data channel bound to the stream.  ``channel.grant`` is the
-        writer's GRANT record (or None): like the daemon's, it lives and
-        dies with this connection."""
+        """A data channel bound to the stream.  ``channel.grant`` (a writer's
+        GRANT record, or None) and ``channel.stats`` (the broker asked for
+        block bounds) live and die with this connection, like the daemon's."""
         channel = TcpChannel.connect(
             self.host, self.data_port, monitor=self.monitor,
             injector=self.faults, timeout=self.timeout,
@@ -632,7 +635,7 @@ class RemoteClient(Client):
         if frame.msg_type not in (MsgType.OK, MsgType.GRANT):
             channel.close()
             raise_wire_error(frame, "ATTACH")
-        channel.grant = frame.record if frame.msg_type is MsgType.GRANT else None
+        _note_reply(channel, frame)
         return channel
 
     def _attach_retrying(self, stream_id: str, role: str,
@@ -689,18 +692,19 @@ class RemoteClient(Client):
 # Network step handles
 # ---------------------------------------------------------------------------
 
-def _stamp_stats(rec: dict, arr: np.ndarray) -> None:
+def _note_reply(channel: TcpChannel, frame: Frame) -> None:
+    """A writer's latest positive reply: what its connection holds, and owes."""
+    channel.grant = frame.record if frame.msg_type is MsgType.GRANT else None
+    channel.stats = bool(frame.record["stats"])
+
+
+def _stamp_stats(rec: dict, arr: np.ndarray, wanted: bool) -> None:
     """Writer-stamped whole-block bounds (the ADIOS per-block statistics
-    idiom) — what the broker's predicate pushdown prunes against.  Empty
-    and non-numeric payloads carry no stats and are never pruned."""
-    if arr.size and arr.dtype.kind in "fiu":
-        rec["vmin"] = float(arr.min())
-        rec["vmax"] = float(arr.max())
-        rec["has_stats"] = True
-    else:
-        rec["vmin"] = 0.0
-        rec["vmax"] = 0.0
-        rec["has_stats"] = False
+    idiom) — a plug-in the broker asks for while a reader prunes against
+    them, not work every writer does: unasked, the same bytes say no stats."""
+    bounds = block_bounds(arr) if wanted else None
+    rec["vmin"], rec["vmax"] = bounds or (0.0, 0.0)
+    rec["has_stats"] = bounds is not None
 
 
 class NetWriteHandle(WriteHandle):
@@ -752,7 +756,7 @@ class NetWriteHandle(WriteHandle):
             "gshape": list(global_shape) if global_shape is not None else [],
             "data": arr,
         }
-        _stamp_stats(rec, arr)
+        _stamp_stats(rec, arr, self._channel.stats)
         self._pending.append(rec)
 
     def _condition_pending(self) -> None:
@@ -765,7 +769,7 @@ class NetWriteHandle(WriteHandle):
             arr = np.ascontiguousarray(out[rec["name"]])
             rec["data"] = arr
             rec["shape"] = list(arr.shape)
-            _stamp_stats(rec, arr)
+            _stamp_stats(rec, arr, self._channel.stats)
 
     def _publish_once(self, record: dict) -> None:
         seq = next(self._client._frame_seq)
@@ -787,8 +791,7 @@ class NetWriteHandle(WriteHandle):
         frame = decode_frame(self._channel.recv(timeout=self._client.timeout))
         if frame.msg_type not in (MsgType.OK, MsgType.GRANT):
             raise_wire_error(frame, f"PUBLISH step {record['step']}")
-        # The latest positive reply says what this connection holds.
-        self._channel.grant = frame.record if frame.msg_type is MsgType.GRANT else None
+        _note_reply(self._channel, frame)
 
     def _advance(self, eos: bool = False):
         if self._closed:
@@ -823,11 +826,14 @@ class NetWriteHandle(WriteHandle):
 
 
 class _CachedStep:
-    """One fetched step, decoded lazily-ish: var records + backing span.
+    """One fetched step: var records + the span every array in them views.
 
-    The wire-side block source of :class:`~repro.core.reader.StepReader`:
-    every array it hands out is a view into the receive span (for a step
-    fetched by reference, this reader's own copy of the slot).
+    The wire-side block source of :class:`~repro.core.reader.StepReader`.
+    The span is an inline STEP_DATA's receive array (this step's own), or,
+    for a step fetched by reference, the daemon's pool slot itself, mapped
+    read-only — still only until the reader's pin ends: before that,
+    :meth:`NetReadHandle._release` drops the step or has it :meth:`own`
+    its bytes.
     """
 
     __slots__ = ("step", "vars", "_wb", "may_be_pruned")
@@ -839,15 +845,21 @@ class _CachedStep:
     def __init__(self, step: int, count: int, wb, offset: int,
                  may_be_pruned: bool = False) -> None:
         self.step = step
-        self.vars: list[dict] = []
-        # Keep the receive span alive: every array below views into it.
-        self._wb = wb
         #: Fetched over a channel ATTACHed with a predicate: blocks the
         #: reader's chain provably drops may be missing.
         self.may_be_pruned = may_be_pruned
+        self._view(wb, offset, count)
+
+    def _view(self, wb, offset: int, count: int) -> None:
+        self._wb = wb  # kept alive: every array below views into it
+        self.vars: list[dict] = []
         for _ in range(count):
             rec, offset = decode_var(wb, offset)
             self.vars.append(rec)
+
+    def own(self) -> None:
+        """Stop viewing the slot: copy the run out, decode it again."""
+        self._view(self._wb.copy(), 0, len(self.vars))
 
     def var_names(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -905,6 +917,9 @@ class NetReadHandle(StepReader):
         self._cache: dict[int, _CachedStep] = {}
         self._closed = False
         self._pool = None  # the pool generation this handle has mapped (_slot)
+        #: The one step viewing a pinned slot, with its sanitizer digest.
+        self._held: Optional[tuple[_CachedStep, Optional[int]]] = None
+        self._san = sanitize.get()  # captured: one None check when disabled
         #: Reader-side plug-in chain: compilable chains run fused per
         #: block (single pass, no assembled intermediate); free-form
         #: codelets keep the interpreted assemble-then-apply path.
@@ -937,17 +952,20 @@ class NetReadHandle(StepReader):
         wb = self._channel.recv(timeout=timeout)
         frame = decode_frame(wb)
         rec, offset = frame.record, frame.consumed
-        if frame.msg_type is MsgType.STEP_REF:
-            # The slot is this reader's until its next request; arrays handed
-            # to callers outlive the step, so the run is copied out — once.
+        borrowed = frame.msg_type is MsgType.STEP_REF
+        if borrowed:
+            # Read where it lies: reads scatter out of the slot into arrays
+            # the caller owns, and the slot is this reader's while ``_held``.
             wb, offset = _slot(self, rec["pool"], int(rec["offset"]),
-                               int(rec["nbytes"]), write=False).copy(), 0
+                               int(rec["nbytes"]), write=False), 0
         elif frame.msg_type is not MsgType.STEP_DATA:
             raise_wire_error(frame, f"step {step} of {self.stream_id!r}")
         got = _CachedStep(
             step, int(rec["count"]), wb, offset,
             may_be_pruned=bool(self._attached_pred),
         )
+        if borrowed:
+            self._held = got, None if self._san is None else zlib.crc32(wb)
         # Retain only the current neighborhood; old steps are gone.
         self._cache = {k: v for k, v in self._cache.items() if k >= step - 1}
         self._cache[step] = got
@@ -957,6 +975,7 @@ class NetReadHandle(StepReader):
         cached = self._cache.get(step)
         if cached is not None:
             return cached
+        self._release(own=True)  # all below ends the pin: re-ATTACH, FETCH, reattach
         self._sync_predicate()
 
         def reattach(attempt: int, exc: Exception) -> None:
@@ -969,6 +988,31 @@ class NetReadHandle(StepReader):
             lambda: self._fetch_once(step),
             f"FETCH step {step}", on_retry=reattach,
         )
+
+    def _release(self, own: bool = False) -> None:
+        """The client half of the slot lifetime rule (the daemon's half is
+        on ``HostedStream.grant``): a step fetched by reference views its
+        slot only while the daemon pins it to this connection.
+        ``end_step()`` releases it (dropped from the cache; the broker
+        retains it, so reading that index again re-FETCHes); whatever this
+        handle does that ends the pin — the next FETCH, a re-ATTACH,
+        ``close()`` — or that hands a block out whole first makes the
+        step ``own`` its bytes."""
+        if self._held is None:
+            return
+        (got, digest), self._held = self._held, None
+        if digest is not None:
+            self._san.check_slot(f"{self.stream_id}#{got.step} (reader)", digest, got._wb)
+        if own:
+            got.own()
+            self.monitor.metrics.counter(M_NET_STEPS_COPIED_OUT).inc()
+        else:
+            self._cache.pop(got.step, None)
+
+    def read_block(self, name: str, writer_rank: int) -> np.ndarray:
+        self._source()
+        self._release(own=True)
+        return super().read_block(name, writer_rank)
 
     # -- predicate pushdown ------------------------------------------------
     def _sync_predicate(self) -> None:
@@ -995,6 +1039,7 @@ class NetReadHandle(StepReader):
         if self._closed:
             return
         self._closed = True
+        self._release(own=True)
         self._client._hb_streams.discard(self.name)
         self._channel.close()
 

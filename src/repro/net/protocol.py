@@ -37,7 +37,9 @@ moves a run larger than :data:`~repro.transport.tcp.INLINE_MAX` through a
 daemon-owned shared-memory slot — :data:`MsgType.GRANT` is the positive
 reply that hands a writer its next slot, ``PUBLISH_REF`` / ``STEP_REF``
 carry ``(pool, offset, nbytes)`` instead of the run.  Every other peer,
-and every smaller run, exchanges exactly the frames above.
+and every smaller run, exchanges exactly the frames above.  Either positive
+reply (v6) also tells a writer whether to stamp block bounds: only while a
+reader prunes against them; the daemon bounds what arrives unstamped then.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "decode_frame",
     "encode_var",
     "decode_var",
+    "block_bounds",
     "MISS_REPLY",
     "CKPT_VERSION",
     "CKPT_HEAD",
@@ -92,7 +95,8 @@ MAGIC = 0xF1EC0107
 #: v5: WELCOME names a daemon memfd holding a nonce, ATTACH echoes it (the
 #: same-node proof); GRANT / PUBLISH_REF / STEP_REF move bulk runs through
 #: daemon-owned shared-memory slots; inline frames are byte-identical to v4's.
-PROTOCOL_VERSION = 5
+#: v6: OK / GRANT carry ``stats`` — a writer stamps block bounds only when asked.
+PROTOCOL_VERSION = 6
 
 #: magic u32, version u8, msg type u8, reserved u16, sequence u64.
 #: The sequence is per-connection and monotone; receivers use it to
@@ -165,7 +169,9 @@ _BODY_FORMATS: dict[MsgType, Format] = {
         [("stream", _S), ("program", _S), ("rank", _I), ("num_ranks", _I),
          ("lease", _F)],
     ),
-    MsgType.OK: PROTOCOL_REGISTRY.define("net.ok", [("detail", _S)]),
+    # ``stats``, to a writer's ATTACH or PUBLISH: a reader prunes right now,
+    # stamp ``vmin``/``vmax`` (else the daemon bounds the blocks it prunes).
+    MsgType.OK: PROTOCOL_REGISTRY.define("net.ok", [("detail", _S), ("stats", _B)]),
     MsgType.LOOKUP: PROTOCOL_REGISTRY.define("net.lookup", [("stream", _S)]),
     MsgType.LOOKUP_REPLY: PROTOCOL_REGISTRY.define(
         "net.lookup_reply",
@@ -212,7 +218,7 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     # ``pool`` names one pool generation; a slot is ``capacity`` bytes at
     # ``offset``.  A writer holds what its latest positive reply granted.
     MsgType.GRANT: PROTOCOL_REGISTRY.define(
-        "net.grant", [("detail", _S), ("pool", _S), ("offset", _I), ("capacity", _I)]
+        "net.grant", [("detail", _S), ("pool", _S), ("offset", _I), ("capacity", _I), ("stats", _B)]
     ),
     MsgType.PUBLISH_REF: PROTOCOL_REGISTRY.define(
         "net.publish_ref",
@@ -238,14 +244,22 @@ MISS_REPLY: dict[Outcome, tuple[MsgType, str]] = {
 
 #: One variable of a published step: box metadata + the payload array.
 #: ``vmin``/``vmax`` are writer-stamped whole-block bounds (the ADIOS
-#: per-block statistics idiom); ``has_stats`` is False for empty or
-#: non-numeric payloads, and a block without stats is never pruned.
+#: per-block statistics idiom); ``has_stats`` is False when the broker did
+#: not ask for them, and for the payloads :func:`block_bounds` never bounds.
 VAR_FORMAT = PROTOCOL_REGISTRY.define(
     "net.var",
     [("name", _S), ("writer_rank", _I), ("start", _L), ("shape", _L),
      ("gshape", _L), ("vmin", _F), ("vmax", _F), ("has_stats", _B),
      ("data", FieldKind.ARRAY)],
 )
+
+
+def block_bounds(arr: np.ndarray) -> Optional[tuple[float, float]]:
+    """``(min, max)`` of a numeric, non-empty block — what pushdown prunes
+    against; None for any other payload, which is never pruned."""
+    if arr.size and arr.dtype.kind in "fiu":
+        return float(arr.min()), float(arr.max())
+    return None
 
 
 def body_format(msg_type: MsgType) -> Format:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import itertools
 import mmap
 import os
@@ -70,6 +71,7 @@ from repro.net.protocol import (
     Frame,
     MsgType,
     ProtocolError,
+    block_bounds,
     decode_frame,
     decode_record,
     decode_var,
@@ -99,6 +101,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import (
     F_FAULTS_INJECTED,
     M_FAULTS_INJECTED_TOTAL,
+    M_NET_BLOCKS_BOUNDED_BY_DAEMON,
     M_NET_FETCH_HOLDS_EXPIRED,
     M_NET_FETCHES_HELD,
     M_NET_FRAMES_REFUSED,
@@ -305,9 +308,16 @@ class HostedStream:
         #: writer that resends after a lost OK never duplicates a step.
         self.last_seq = 0
         self._labels = {"tenant": tenant}
+        # This stream's series, resolved once each: a registry look-up sorts
+        # and joins the label dict into its key every time, 8 times a step.
+        metrics = self.monitor.metrics
+        self.counter = functools.cache(functools.partial(metrics.counter, labels=self._labels))
+        self.gauge = functools.cache(functools.partial(metrics.gauge, labels=self._labels))
         #: Attached-reader pushdown predicates, keyed per data connection
-        #: (None = reader attached without one, which disables pruning).
+        #: (None = reader attached without one, which disables pruning),
+        #: and what they combine to — asked at every publish and every ack.
         self._reader_preds: dict[int, object] = {}
+        self._prune = None
         #: What a held FETCH waits on: set, and replaced, by :meth:`wake`.
         self.changed = asyncio.Event()
         #: Attached readers whose handler is parked in a held FETCH.
@@ -328,9 +338,8 @@ class HostedStream:
         ``slot`` is the granted ``(pool, offset)`` that ``payload`` views:
         kept while that view object lives, given back at once when the
         step is not stored as that view (duplicate, pruned to ``bytes``)."""
-        m = self.monitor.metrics
         if 0 < seq <= self.last_seq:
-            m.counter("net.dup_publishes", labels=self._labels).inc()
+            self.counter("net.dup_publishes").inc()
             flight.record(
                 EV_NET_DUP_PUBLISH, stream=self.stream_id, step=step, seq=seq
             )
@@ -354,12 +363,12 @@ class HostedStream:
             self._slots[key := id(payload)] = (*slot, len(payload), digest)
             stream = weakref.ref(self)  # a dropped stream's pools die with it
             weakref.finalize(payload, lambda: (s := stream()) and s._slot_dead(key))
-            m.counter(M_NET_STEPS_PUBLISHED_BY_REF, labels=self._labels).inc()
+            self.counter(M_NET_STEPS_PUBLISHED_BY_REF).inc()
         elif slot is not None:
             self.give_back(*slot)
-        m.counter("net.steps_published", labels=self._labels).inc()
-        m.counter("net.bytes_published", labels=self._labels).inc(len(payload))
-        m.gauge("net.retained_steps", labels=self._labels).set(len(self.store))
+        self.counter("net.steps_published").inc()
+        self.counter("net.bytes_published").inc(len(payload))
+        self.gauge("net.retained_steps").set(len(self.store))
         flight.record(
             EV_NET_STEP_PUBLISH, stream=self.stream_id, step=step, nbytes=len(payload)
         )
@@ -371,9 +380,8 @@ class HostedStream:
         outcome, got = self.store.lookup(step)
         if outcome is not Outcome.HIT:
             return None
-        m = self.monitor.metrics
-        m.counter("net.steps_fetched", labels=self._labels).inc()
-        m.counter("net.bytes_fetched", labels=self._labels).inc(len(got[1]))
+        self.counter("net.steps_fetched").inc()
+        self.counter("net.bytes_fetched").inc(len(got[1]))
         flight.record(EV_NET_STEP_FETCH, stream=self.stream_id, step=step)
         return got
 
@@ -397,8 +405,6 @@ class HostedStream:
                 self.pool = _SlotPool(run_nbytes, self.store.retain + 4)
             except OSError:
                 return held  # no memfd to be had: inline, as before
-            self._slots_free = self.monitor.metrics.gauge(
-                M_NET_POOL_SLOTS_FREE, labels=self._labels)
             if old is not None:
                 flight.record(EV_NET_POOL_RETIRE, stream=self.stream_id, pool=old.name)
             flight.record(EV_NET_POOL_CREATE, stream=self.stream_id,
@@ -408,12 +414,12 @@ class HostedStream:
         if self.pool is None or not self.pool.free:
             return None
         slot = self.pool, self.pool.free.pop()
-        self._slots_free.set(len(self.pool.free))
+        self.gauge(M_NET_POOL_SLOTS_FREE).set(len(self.pool.free))
         return slot
 
     def give_back(self, pool: _SlotPool, offset: int) -> None:
         pool.free.append(offset)
-        self._slots_free.set(len(self.pool.free))
+        self.gauge(M_NET_POOL_SLOTS_FREE).set(len(self.pool.free))
 
     def slot_of(self, payload) -> Optional[tuple]:
         """``(pool, offset)`` when ``payload`` is a stored slot view."""
@@ -435,9 +441,11 @@ class HostedStream:
     def register_reader(self, key: int, predicate) -> None:
         """Track one attached reader's pushdown predicate (or None)."""
         self._reader_preds[key] = predicate
+        self._combine()
 
     def drop_reader(self, key: int) -> None:
         self._reader_preds.pop(key, None)
+        self._combine()
 
     def prune_predicate(self):
         """The combined block predicate the broker may prune against.
@@ -446,12 +454,11 @@ class HostedStream:
         and *every* attached reader registered a predicate: a block is a
         safe drop only when each consumer proves it empty.
         """
-        if not self._reader_preds:
-            return None
+        return self._prune
+
+    def _combine(self) -> None:
         preds = list(self._reader_preds.values())
-        if any(p is None for p in preds):
-            return None
-        return combine_predicates(preds)
+        self._prune = combine_predicates(preds) if preds and None not in preds else None
 
     def end(self) -> None:
         """The writer's CLOSE: clean end just past the last step."""
@@ -478,27 +485,31 @@ def prune_step_payload(raw: np.ndarray, offset: int, count: int,
     Walks the PUBLISH frame's var run by ``decode_var`` offsets and
     rebuilds the stored payload from the surviving spans — the payload
     is sliced, never re-encoded, so kept blocks stay byte-identical.  A
-    span without writer-stamped stats is always kept.  Each dropped span
-    counts toward the stream's ``plugin.blocks_skipped`` series.
+    writer stamps bounds once a reply has asked it to; a block published
+    inside that one-step window is bounded here (a slot is mapped here
+    too), so outcomes do not depend on who did.  A span nobody can bound
+    is always kept.  Each dropped span counts toward the stream's
+    ``plugin.blocks_skipped`` series.
     """
     kept: list[np.ndarray] = []
-    skipped = 0
+    skipped = bounded = 0
     start = offset
     for _ in range(count):
         rec, end = decode_var(raw, offset)
-        if rec["has_stats"] and not predicate.might_match(
-            rec["name"], float(rec["vmin"]), float(rec["vmax"])
-        ):
+        bounds = (rec["vmin"], rec["vmax"]) if rec["has_stats"] else block_bounds(rec["data"])
+        if bounds is not None and not rec["has_stats"]:
+            bounded += 1
+        if bounds is not None and not predicate.might_match(rec["name"], *map(float, bounds)):
             skipped += 1
         else:
             kept.append(raw[offset:end])
         offset = end
+    if bounded:
+        stream.counter(M_NET_BLOCKS_BOUNDED_BY_DAEMON).inc(bounded)
     if not skipped:
         # The frame's own array, or the slot's one view: stored as it landed.
         return count, raw[start:] if start else raw
-    stream.monitor.metrics.counter(
-        M_PLUGIN_BLOCKS_SKIPPED, labels=stream._labels
-    ).inc(skipped)
+    stream.counter(M_PLUGIN_BLOCKS_SKIPPED).inc(skipped)
     return count - skipped, b"".join(
         s.tobytes() for s in kept  # flexlint: ok(FXL006) store of store-and-forward
     )
@@ -845,9 +856,7 @@ class DirectoryDaemon:
                 )
                 lease = rec["lease"] if rec["lease"] > 0 else None
                 self.directory.register(tenant, rec["stream"], info, lease=lease)
-                await self._write_frame(
-                    conn, encode_frame(MsgType.OK, {"detail": "registered"})
-                )
+                await self._ack(conn, "registered")
             elif frame.msg_type is MsgType.LOOKUP:
                 info = self.directory.lookup(tenant, rec["stream"])
                 await self._write_frame(conn, encode_frame(MsgType.LOOKUP_REPLY, {
@@ -864,9 +873,7 @@ class DirectoryDaemon:
                     # heartbeat too (the client's background thread does
                     # not know which names hold leases).
                     detail = "idle"
-                await self._write_frame(
-                    conn, encode_frame(MsgType.OK, {"detail": detail})
-                )
+                await self._ack(conn, detail)
             elif frame.msg_type is MsgType.OPEN:
                 await self._control_open(session, rec, conn)
             elif frame.msg_type is MsgType.CLOSE:
@@ -879,9 +886,7 @@ class DirectoryDaemon:
                     self.directory.unregister(stream.tenant, stream.name)
                 except DirectoryError:
                     pass  # already reaped or never leased-registered
-                await self._write_frame(
-                    conn, encode_frame(MsgType.OK, {"detail": "closed"})
-                )
+                await self._ack(conn, "closed")
             else:
                 await self._send_error(
                     conn, "protocol", f"unexpected {frame.msg_type.name} on control port"
@@ -988,14 +993,16 @@ class DirectoryDaemon:
         except (ConnectionError, asyncio.CancelledError):
             pass  # the peer is gone, or stop() ended this handler
 
-    async def _ack(self, conn: _Conn, detail: str, grant: Optional[tuple] = None) -> None:
-        """The positive reply: OK, or GRANT to a writer that now holds a slot."""
+    async def _ack(self, conn: _Conn, detail: str, grant: Optional[tuple] = None,
+                   stats: bool = False) -> None:
+        """The positive reply: OK, or GRANT to a writer that now holds a slot;
+        ``stats`` asks a writer to stamp block bounds (a reader prunes)."""
         if grant is None:
-            frame = encode_frame(MsgType.OK, {"detail": detail})
+            frame = encode_frame(MsgType.OK, {"detail": detail, "stats": stats})
         else:
             frame = encode_frame(MsgType.GRANT, {
                 "detail": detail, "pool": grant[0].name, "offset": grant[1],
-                "capacity": grant[0].capacity})
+                "capacity": grant[0].capacity, "stats": stats})
         await self._write_frame(conn, frame)
 
     async def _serve_writer(self, session: _Session, stream: HostedStream,
@@ -1004,7 +1011,7 @@ class DirectoryDaemon:
         # still unused; back in the pool when the connection ends.
         grant = stream.grant() if colocated else None
         try:
-            await self._ack(conn, "attached", grant)
+            await self._ack(conn, "attached", grant, stream.prune_predicate() is not None)
             while True:
                 if (got := await self._read_frame(conn)) is None:
                     return
@@ -1045,7 +1052,8 @@ class DirectoryDaemon:
                     await self.checkpoint_async()
                 if colocated:
                     grant = stream.grant(grant, inline_run)
-                await self._ack(conn, "published" if stored else "duplicate", grant)
+                await self._ack(conn, "published" if stored else "duplicate", grant,
+                                stream.prune_predicate() is not None)
         finally:
             if grant is not None:
                 stream.give_back(*grant)
@@ -1089,8 +1097,7 @@ class DirectoryDaemon:
                 count, pinned = stream.fetch(step)
                 slot = stream.slot_of(pinned)
                 if slot is not None and colocated:
-                    stream.monitor.metrics.counter(
-                        M_NET_STEPS_FETCHED_BY_REF, labels=stream._labels).inc()
+                    stream.counter(M_NET_STEPS_FETCHED_BY_REF).inc()
                     await self._write_frame(conn, encode_frame(MsgType.STEP_REF, {
                         "step": step, "count": count, "pool": slot[0].name,
                         "offset": slot[1], "nbytes": len(pinned)}))
@@ -1122,9 +1129,8 @@ class DirectoryDaemon:
         hold = min(wait, MAX_FETCH_HOLD_S) if wait > 0 else 0.0
         if outcome is not Outcome.NOT_YET or not hold or self._draining:
             return outcome, detail
-        metrics, labels = stream.monitor.metrics, stream._labels
-        metrics.counter(M_NET_FETCHES_HELD, labels=labels).inc()
-        parked = metrics.gauge(M_NET_READERS_PARKED, labels=labels)
+        stream.counter(M_NET_FETCHES_HELD).inc()
+        parked = stream.gauge(M_NET_READERS_PARKED)
         clock = asyncio.get_running_loop().time
         deadline = clock() + hold
         stream.parked.add(conn)
@@ -1141,7 +1147,7 @@ class DirectoryDaemon:
             stream.parked.discard(conn)
             parked.set(len(stream.parked))
         if outcome is Outcome.NOT_YET and not self._draining:
-            metrics.counter(M_NET_FETCH_HOLDS_EXPIRED, labels=labels).inc()
+            stream.counter(M_NET_FETCH_HOLDS_EXPIRED).inc()
         flight.record(EV_NET_FETCH_HELD, stream=stream.stream_id, step=step,
                       wait=hold, outcome=outcome.value)
         return outcome, detail

@@ -141,6 +141,7 @@ M_NET_FRAMES_REFUSED = "net.frames_refused"
 M_NET_STEPS_PUBLISHED_BY_REF = "net.steps_published_by_ref"
 M_NET_STEPS_FETCHED_BY_REF = "net.steps_fetched_by_ref"
 M_NET_POOL_SLOTS_FREE = "net.pool_slots_free"
+M_NET_BLOCKS_BOUNDED_BY_DAEMON = "net.blocks_bounded_by_daemon"
 
 # Network plane, client side (net/client.py, tools/chaos.py --scenario net)
 M_NET_RECONNECTS = "net.reconnects"
@@ -148,6 +149,7 @@ M_NET_SESSIONS_LOST = "net.sessions_lost"
 M_NET_RESUME = "net.resume"
 M_NET_HEARTBEATS = "net.heartbeats"
 M_NET_FETCHES = "net.fetches"
+M_NET_STEPS_COPIED_OUT = "net.steps_copied_out"
 
 # Health SLO verdicts (obs/health.py)
 M_HEALTH_VERDICT = "health.verdict"
@@ -223,11 +225,13 @@ _METRIC_SPECS = (
     MetricSpec(M_NET_STEPS_PUBLISHED_BY_REF, "counter", "steps published into a pool slot"),
     MetricSpec(M_NET_STEPS_FETCHED_BY_REF, "counter", "steps served as a slot reference"),
     MetricSpec(M_NET_POOL_SLOTS_FREE, "gauge", "free slots of the current pool generation"),
+    MetricSpec(M_NET_BLOCKS_BOUNDED_BY_DAEMON, "counter", "unstamped blocks the broker bounded"),
     MetricSpec(M_NET_RECONNECTS, "counter", "client reconnect attempts that succeeded"),
     MetricSpec(M_NET_SESSIONS_LOST, "counter", "client sessions lost after retries"),
     MetricSpec(M_NET_RESUME, "counter", "client sessions resumed by token"),
     MetricSpec(M_NET_HEARTBEATS, "counter", "client heartbeats sent"),
     MetricSpec(M_NET_FETCHES, "counter", "FETCH frames sent by a remote reader"),
+    MetricSpec(M_NET_STEPS_COPIED_OUT, "counter", "by-reference steps held past their pin"),
     MetricSpec(M_HEALTH_VERDICT, "gauge", "stream health verdict (labeled)"),
     MetricSpec(M_HEALTH_STEPS_PER_S, "gauge", "stream step throughput (labeled)"),
     MetricSpec(M_HEALTH_LOSS_RATE, "gauge", "stream loss rate (labeled)"),

@@ -617,22 +617,22 @@ def _worker_result(proc: subprocess.Popen, role: str) -> dict:
         out, _ = proc.communicate(timeout=_NET_WATCHDOG_S)
     except subprocess.TimeoutExpired:
         proc.kill()
-        proc.communicate()
+        out, _ = proc.communicate()
         end = f"outlived the {_NET_WATCHDOG_S:.0f}s watchdog (deadlock?)"
     else:
         if proc.returncode in (0, RC_TYPED_LOSS):
             for line in out.splitlines():
                 if line.startswith(_RESULT_MARK):
-                    return json.loads(line[len(_RESULT_MARK):])
+                    return {**json.loads(line[len(_RESULT_MARK):]),
+                            "sanitizer": _sanitizer_said(out)}
         end = f"died untyped (rc={proc.returncode}):\n{out[-2000:]}"
-    return {"log": {f"{role}_end": end}}
+    return {"log": {f"{role}_end": end}, "sanitizer": _sanitizer_said(out)}
 
 
-def _daemon_violations(daemon: subprocess.Popen) -> list[str]:
-    """What a dead daemon's sanitizer said (its stderr rides its stdout)."""
+def _sanitizer_said(out: str) -> list[str]:
+    """What a finished child's sanitizer said (its stderr rides its stdout)."""
     mark = sanitize.STDERR_MARK
-    return [line[len(mark):].strip()
-            for line in daemon.communicate()[0].splitlines() if line.startswith(mark)]
+    return [line[len(mark):].strip() for line in out.splitlines() if line.startswith(mark)]
 
 
 def _run_net(report: ChaosReport, log: DeliveryLog,
@@ -663,7 +663,7 @@ def _run_net(report: ChaosReport, log: DeliveryLog,
                 daemon.send_signal(signal.SIGTERM if report.restart == "sigterm"
                                    else signal.SIGKILL)
                 daemon.wait(timeout=15)
-                report.sanitizer_violations += _daemon_violations(daemon)
+                report.sanitizer_violations += _sanitizer_said(daemon.communicate()[0])
                 daemon = _spawn_daemon(ckpt, control, data)[0]
             results = {role: _worker_result(p, role) for role, p in workers.items()}
         finally:
@@ -671,11 +671,12 @@ def _run_net(report: ChaosReport, log: DeliveryLog,
                 if p.poll() is None:
                     p.kill()
                     p.wait()
-            report.sanitizer_violations += _daemon_violations(daemon)
-    report.invariant_violations.extend(
-        f"sanitizer: {v}" for v in report.sanitizer_violations)
+            report.sanitizer_violations += _sanitizer_said(daemon.communicate()[0])
     for res in results.values():
         vars(log).update(res["log"])
+        report.sanitizer_violations += res["sanitizer"]
+    report.invariant_violations.extend(
+        f"sanitizer: {v}" for v in report.sanitizer_violations)
     samples = [res["obs"] for res in results.values() if "obs" in res]
     report.faults_injected = sum(s["injected"] for s in samples)
     report.retries = sum(s["counters"][M_NET_RECONNECTS][0] for s in samples)

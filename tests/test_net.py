@@ -80,7 +80,7 @@ ROUND_TRIP_CASES = [
                        "resume": "deadbeef", "resumed": False,
                        "pool": "/proc/4242/fd/7"}),
     (MsgType.ERROR, {"kind": "streams", "message": "at max_streams=2"}),
-    (MsgType.OK, {"detail": ""}),
+    (MsgType.OK, {"detail": "", "stats": True}),
     (MsgType.OPEN, {"stream": "gts.out", "mode": "w", "program": "writer",
                     "rank": 0, "num_ranks": 4, "lease": 0.5}),
     (MsgType.PUBLISH, {"step": 3, "count": 2, "eos": False, "seq": 4}),
@@ -91,7 +91,7 @@ ROUND_TRIP_CASES = [
     (MsgType.ATTACH, {"session": "s-1", "stream_id": "acme/gts.out", "role": "w",
                       "predicate": "", "nonce": "00ff"}),
     (MsgType.GRANT, {"detail": "published", "pool": "/proc/4242/fd/9@3",
-                     "offset": 2359296, "capacity": 2359296}),
+                     "offset": 2359296, "capacity": 2359296, "stats": False}),
     (MsgType.PUBLISH_REF, {"step": 3, "count": 2, "eos": False, "seq": 4,
                            "pool": "/proc/4242/fd/9@3", "offset": 0,
                            "nbytes": 2098000}),
@@ -195,7 +195,8 @@ def test_fuzz_corrupted_frames_fail_typed_never_crash(payload, flips):
 
 
 def test_version_skew_and_bad_magic_are_protocol_errors():
-    good = bytearray(encode_frame(MsgType.OK, {"detail": ""}).as_array().tobytes())
+    good = bytearray(encode_frame(
+        MsgType.OK, {"detail": "", "stats": False}).as_array().tobytes())
     skew = bytearray(good)
     skew[4] = PROTOCOL_VERSION + 1
     with pytest.raises(ProtocolError, match="version skew"):
@@ -1149,10 +1150,14 @@ def test_v3_fetch_body_is_refused_not_misdecoded():
     v3_body = encode_message(
         FormatRegistry().define("net.fetch", [("step", FieldKind.INT64)]), {"step": 5}
     )
-    for version in (3, PROTOCOL_VERSION):  # an old peer; an old body under a new header
-        raw = HEADER.pack(MAGIC, version, int(MsgType.FETCH), 0, 1) + bytes(v3_body)
-        with pytest.raises(ProtocolError):
-            decode_frame(raw)
+    v5_ok = encode_message(  # before ``stats``
+        FormatRegistry().define("net.ok", [("detail", FieldKind.STRING)]), {"detail": ""}
+    )
+    for old, msg_type, body in ((3, MsgType.FETCH, v3_body), (5, MsgType.OK, v5_ok)):
+        for version in (old, PROTOCOL_VERSION):  # an old peer; an old body under a new header
+            raw = HEADER.pack(MAGIC, version, int(msg_type), 0, 1) + bytes(body)
+            with pytest.raises(ProtocolError):
+                decode_frame(raw)
 
 
 def test_drain_answers_a_parked_reader_once_and_promptly(daemon):

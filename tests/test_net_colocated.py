@@ -22,24 +22,38 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.adios import StepStatus
+from repro.adios import BoundingBox, StepNotReady, StepStatus
 from repro.analysis import sanitize
+from repro.core import PluginSide
+from repro.core.plugins import DCPlugin, range_select_plugin, sampling_plugin
 from repro.core.directory import QuotaExceeded, TenantSpec
 from repro.core.resilience import RetryPolicy
 from repro.core.stepstore import Outcome, StepStore, outcome_error
 from repro.net.client import connect
-from repro.net.protocol import MsgType, ProtocolError, decode_frame, encode_frame, encode_var
+from repro.net.protocol import (
+    PROTOCOL_VERSION,
+    MsgType,
+    ProtocolError,
+    decode_frame,
+    decode_var,
+    encode_frame,
+    encode_var,
+)
 from repro.net.server import DirectoryDaemon, parse_ready_line
 from repro.obs import recorder as flight
 from repro.obs.events import EV_NET_POOL_CREATE, EV_NET_POOL_RETIRE
 from repro.obs.names import (
+    M_PLUGIN_BLOCKS_SKIPPED,
+    M_NET_BLOCKS_BOUNDED_BY_DAEMON,
+    M_NET_FETCHES,
     M_NET_POOL_SLOTS_FREE,
+    M_NET_STEPS_COPIED_OUT,
     M_NET_STEPS_FETCHED_BY_REF,
     M_NET_STEPS_PUBLISHED_BY_REF,
 )
 from repro.tools import monitor as monitor_tool
 from repro.transport.buffers import as_byte_view
-from repro.transport.faults import PeerDisconnected
+from repro.transport.faults import FaultKind, PeerDisconnected, TransportFaultInjector
 from repro.transport.tcp import INLINE_MAX, TcpChannel
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -63,6 +77,19 @@ def daemon():
     d.stop()
 
 
+@pytest.fixture(autouse=True)
+def no_violation_left_behind(request):
+    """CI also runs this file under ``FLEXIO_SANITIZE=1``: both digests of
+    a slot are on, and only a test that provokes one may end with a
+    violation on record."""
+    active = sanitize.get()
+    if active is not None:
+        active.reset()
+    yield
+    if active is not None and "san" not in request.fixturenames:
+        active.assert_clean()
+
+
 def uri(d):
     return f"flexio://{d.host}:{d.control_port}/public"
 
@@ -78,10 +105,9 @@ def put(w, k: int, n: int = BULK) -> None:
 
 
 def var_record(k: int, n: int = BULK) -> dict:
-    data = bulk(k, n)
+    """Unstamped, as a writer no pruning reader has asked sends it."""
     return {"name": "v", "writer_rank": 0, "start": [], "shape": [n], "gshape": [],
-            "vmin": float(data.min()), "vmax": float(data.max()), "has_stats": True,
-            "data": data}
+            "vmin": 0.0, "vmax": 0.0, "has_stats": False, "data": bulk(k, n)}
 
 
 def run_bytes(k: int, n: int = BULK) -> bytes:
@@ -126,6 +152,10 @@ def counter(stream, name):
     return stream.monitor.metrics.counter(name, labels=stream._labels).value
 
 
+def copied_out(reader) -> int:
+    return int(reader.monitor.metrics.counter(M_NET_STEPS_COPIED_OUT).value)
+
+
 # ---------------------------------------------------------------------------
 # The same step, whichever way it came
 # ---------------------------------------------------------------------------
@@ -150,12 +180,16 @@ def test_by_reference_step_decodes_to_the_same_vars_as_inline(daemon):
                 assert got[key] == want[key], key
             assert got["data"].dtype == want["data"].dtype
             assert got["data"].tobytes() == want["data"].tobytes() == bulk(1).tobytes()
-        # What the reader holds is its own: the slot goes round, the array stays.
-        held = a.vars[0]["data"]
-        assert not np.shares_memory(held, by_ref._pool)
-        for k in range(2, 2 + 2 * SLOTS):
+        # The step views the slot while it is pinned to this reader, and owns
+        # its bytes before anything ends the pin: the slot goes round, they stay.
+        assert by_ref._held[0] is a and np.shares_memory(a.vars[0]["data"], by_ref._pool)
+        put(w, 2)
+        by_ref._fetch(2)
+        assert not np.shares_memory(a.vars[0]["data"], by_ref._pool)
+        assert copied_out(by_ref) == 1
+        for k in range(3, 3 + 2 * SLOTS):
             put(w, k)
-        np.testing.assert_array_equal(held, bulk(1))
+        np.testing.assert_array_equal(a.vars[0]["data"], bulk(1))
         assert inline._pool is None and not far._pools  # the far peer mapped nothing
         for h in (w, by_ref, inline):
             h.close()
@@ -172,7 +206,8 @@ def test_blank_nonce_peer_exchanges_the_inline_frames_byte_for_byte(daemon):
         # A raw v5 reader that could not read the nonce.
         reader = TcpChannel.connect(daemon.host, daemon.data_port)
         reader.sendv([encode_frame(MsgType.ATTACH, {**attach, "role": "r", "nonce": ""})])
-        ok = encode_frame(MsgType.OK, {"detail": "attached"}).as_array().tobytes()
+        ok = encode_frame(
+            MsgType.OK, {"detail": "attached", "stats": False}).as_array().tobytes()
         assert reader.recv(timeout=2.0).as_array().tobytes() == ok
         reader.sendv([encode_frame(MsgType.FETCH, {"step": 1, "wait": 0.0})])
         want = encode_frame(MsgType.STEP_DATA, {"step": 1, "count": 1})
@@ -185,7 +220,8 @@ def test_blank_nonce_peer_exchanges_the_inline_frames_byte_for_byte(daemon):
         assert writer.recv(timeout=2.0).as_array().tobytes() == ok
         reply = rpc(writer, MsgType.PUBLISH, {"step": 2, "count": 1, "eos": False, "seq": 3},
                     *encode_var(var_record(2)))
-        assert reply.msg_type is MsgType.OK and reply.record == {"detail": "published"}
+        assert reply.msg_type is MsgType.OK
+        assert reply.record == {"detail": "published", "stats": False}
         assert stream.active_transport == "tcp"
         reader.close()
         writer.close()
@@ -442,6 +478,286 @@ def test_oversize_run_goes_inline_and_sizes_a_new_generation(daemon):
 
 
 # ---------------------------------------------------------------------------
+# The client half: read where it lies, hand out nothing of it
+# ---------------------------------------------------------------------------
+
+SHAPE = (256, 128)  # 256 KiB of float64
+WHOLE = [BoundingBox((0, 0), SHAPE)]
+HALVES = [BoundingBox((0, 0), (128, 128)), BoundingBox((128, 0), (128, 128))]
+
+
+def field(k: int) -> np.ndarray:
+    return (np.arange(SHAPE[0] * SHAPE[1], dtype=np.float64) + k).reshape(SHAPE)
+
+
+def put_field(w, k: int, boxes=WHOLE) -> None:
+    w.begin_step()
+    for box in boxes:
+        w.write("f", field(k)[box.slices()], box=box, global_shape=SHAPE)
+    w.end_step()
+
+
+def fetched_by_ref(d, name: str) -> int:
+    return counter(hosted(d, name), M_NET_STEPS_FETCHED_BY_REF)
+
+
+def _stride_one(plugins):  # compiles; its kernel returns a view of its input
+    plugins.deploy(sampling_plugin(stride=1, only=("f",)), PluginSide.READER)
+
+
+def _free_form(plugins):  # no kernel: assemble, then the interpreted chain
+    plugins.deploy(DCPlugin("same", "def condition(vars):\n    return dict(vars)\n"),
+                   PluginSide.READER)
+
+
+#: name -> (writer boxes, deploy reader chain, read)
+READS = {
+    "read": (HALVES, None, lambda r: r.read("f")),
+    "read_into": (HALVES, None, lambda r: r.read_into("f", np.empty(SHAPE))),
+    "read_all": (HALVES, None, lambda r: r.read_all()["f"]),
+    "read_block": (HALVES, None, lambda r: r.read_block("f", 0)),
+    "fused_single_block": (WHOLE, _stride_one, lambda r: r.read("f")),
+    "interpreted_chain": (WHOLE, _free_form, lambda r: r.read("f")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_no_read_hands_out_pool_memory(daemon, kind):
+    boxes, deploy, read = READS[kind]
+    with connect(uri(daemon)) as c:
+        w, r = c.open("mine", "w"), c.open("mine", "r")
+        if deploy is not None:
+            deploy(r.plugins)
+        put_field(w, 0, boxes)
+        put_field(w, 1, boxes)
+        assert r.begin_step(timeout=2.0) is StepStatus.OK  # step 0 came inline
+        r.end_step()
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        assert r._held is not None and fetched_by_ref(daemon, "mine") == 1
+        stream = hosted(daemon, "mine")
+        run = stream.store.lookup(1)[1][1]
+        pool, offset = stream.slot_of(run)
+        slot, published = pool.arr[offset:offset + len(run)], run.tobytes()
+        del run  # the stored object: the slot's life hangs on it
+        got = read(r)
+        assert not np.shares_memory(got, r._pool)
+        r.end_step()
+        for k in range(2, 14):  # the reader moves on, the slot goes round
+            put_field(w, k, boxes)
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            r.end_step()
+        assert slot.tobytes() != published
+        assert got.tobytes() == field(1)[:got.shape[0]].tobytes()
+        w.close()
+        r.close()
+
+
+def test_step_api_copies_nothing_out_and_the_legacy_style_once_a_step(daemon):
+    with connect(uri(daemon)) as ca, connect(uri(daemon)) as cb:
+        w, r, legacy = ca.open("styles", "w"), ca.open("styles", "r"), cb.open("styles", "r")
+        for k in range(21):
+            put_field(w, k)
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            np.testing.assert_array_equal(r.read("f"), field(k))
+            r.end_step()
+            assert r._held is None and (k == 0) == (k in r._cache)  # only inline steps stay
+            # No begin/end: step k is still held when step k+1 is probed.
+            if k:
+                legacy._advance()
+            np.testing.assert_array_equal(legacy.read("f"), field(k))
+            with pytest.raises(StepNotReady):
+                legacy._advance()
+            assert legacy._held is None
+            assert legacy._pool is None or not np.shares_memory(legacy._cache[k]._wb, legacy._pool)
+            np.testing.assert_array_equal(legacy.read("f"), field(k))
+        assert fetched_by_ref(daemon, "styles") == 2 * 20  # all but the first, each
+        assert copied_out(r) == 0 and copied_out(legacy) == 20
+        for h in (w, r, legacy):
+            h.close()
+
+
+def test_a_read_of_a_released_index_fetches_it_again(daemon):
+    with connect(uri(daemon)) as c:
+        w, r = c.open("again", "w"), c.open("again", "r")
+        put_field(w, 0)
+        put_field(w, 1)
+        for k in range(2):
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            np.testing.assert_array_equal(r.read("f"), field(k))
+            r.end_step()
+        fetches = c.monitor.metrics.counter(M_NET_FETCHES)
+        before = fetches.value
+        assert 1 not in r._cache and 0 in r._cache  # an inline step owns its bytes: kept
+        np.testing.assert_array_equal(r.read("f"), field(1))
+        assert fetches.value == before + 1 and fetched_by_ref(daemon, "again") == 2
+        assert copied_out(r) == 0
+        w.close()
+        r.close()
+        assert copied_out(r) == 1  # still held at close(): owned first
+
+
+@pytest.mark.parametrize("ended_by", ["predicate-change", "injected-reset"])
+def test_held_step_owns_its_bytes_before_the_client_ends_its_pin(daemon, ended_by):
+    with connect(uri(daemon)) as c:
+        w, r = c.open("midstep", "w"), c.open("midstep", "r", pushdown=True)
+        put_field(w, 0)
+        put_field(w, 1)
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        r.end_step()
+        assert r.begin_step(timeout=2.0) is StepStatus.OK  # step 1, not ended
+        held, channel = r._cache[1], r._channel
+        assert r._held[0] is held
+        put_field(w, 2)
+        if ended_by == "predicate-change":
+            r.plugins.deploy(range_select_plugin("f", 0, -1.0, 1e9), PluginSide.READER)
+        else:
+            daemon.injector = TransportFaultInjector(
+                fail_ops=[1], kinds=[FaultKind.CONN_RESET])  # the next reply
+        r._fetch(2)
+        assert r._channel is not channel  # re-ATTACHed, or reattached
+        assert (ended_by == "predicate-change") == bool(r._attached_pred)
+        assert r._held[0] is not held and not np.shares_memory(held.vars[0]["data"], r._pool)
+        assert copied_out(r) == 1
+        for k in range(3, 3 + 2 * SLOTS):
+            put_field(w, k)
+        assert r._cache[1] is held
+        np.testing.assert_array_equal(r.read("f"), field(1))  # still the current step
+        daemon.injector = None
+        w.close()
+        r.close()
+
+
+# ---------------------------------------------------------------------------
+# Block bounds: stamped when the broker asks, bounded there meanwhile
+# ---------------------------------------------------------------------------
+
+def reductions_in(call) -> int:
+    """C-level ``min`` / ``max`` / ``reduce`` calls made under ``call()``."""
+    seen = []
+
+    def profile(_frame, event, arg):
+        if event == "c_call" and arg.__name__ in ("min", "max", "reduce"):
+            seen.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return len(seen)
+
+
+def stored_vars(stream, step: int) -> list[dict]:
+    count, run = stream.store.lookup(step)[1]
+    out, offset = [], 0
+    for _ in range(count):
+        rec, offset = decode_var(run, offset)
+        out.append(rec)
+    return out
+
+
+@pytest.mark.parametrize("reader", ["none", "no-predicate"])
+def test_unasked_writer_stamps_no_bounds_and_reduces_nothing(daemon, reader):
+    with connect(uri(daemon)) as c:
+        w = c.open("unasked", "w")
+        r = c.open("unasked", "r") if reader != "none" else None
+        for k in range(2):  # inline, then by reference
+            w.begin_step()
+            assert reductions_in(lambda: w.write("v", bulk(k))) == 0
+            w.end_step()
+            assert w._channel.stats is False
+            (rec,) = stored_vars(hosted(daemon, "unasked"), k)
+            assert not rec["has_stats"] and rec["vmin"] == rec["vmax"] == 0.0
+            assert rec["data"].tobytes() == bulk(k).tobytes()
+        w._channel.stats = True  # what a reply would say once a reader prunes
+        w.begin_step()
+        assert reductions_in(lambda: w.write("v", bulk(2))) >= 2
+        w.end_step()
+        (rec,) = stored_vars(hosted(daemon, "unasked"), 2)
+        assert rec["has_stats"] and (rec["vmin"], rec["vmax"]) == (2.0, BULK + 1.0)
+        for h in filter(None, (w, r)):
+            h.close()
+
+
+@pytest.mark.parametrize("colocated", [True, False], ids=["colocated", "nonce-blanked"])
+def test_broker_bounds_the_window_then_the_writer_stamps(daemon, colocated):
+    keep = np.random.default_rng(5).uniform(0.0, 0.5, size=(128, 128))
+    drop = keep + 2.0
+    with connect(uri(daemon)) as c:
+        if not colocated:
+            c._nonce = ""
+        w = c.open("asked", "w")
+        r = c.open("asked", "r", pushdown=True)
+        r.plugins.deploy(range_select_plugin("f", 0, 0.0, 1.0), PluginSide.READER)
+        stream = hosted(daemon, "asked")
+
+        def step():
+            w.begin_step()
+            for box, data in zip(HALVES, (keep, drop)):
+                w.write("f", data, box=box, global_shape=SHAPE)
+            w.end_step()
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            assert r.read("f").tobytes() == keep.tobytes()
+            r.end_step()
+            return (counter(stream, M_NET_BLOCKS_BOUNDED_BY_DAEMON),
+                    counter(stream, M_PLUGIN_BLOCKS_SKIPPED), w._channel.stats)
+
+        # Nobody prunes yet; the reader's first FETCH re-ATTACHes with its predicate.
+        assert step() == (0, 0, False)
+        settle(lambda: stream.prune_predicate() is not None, "the predicate never armed")
+        # The writer's last reply predates the predicate: both blocks come
+        # unstamped, the broker bounds them, prunes one, and asks.
+        assert step() == (2, 1, True)
+        assert [v["has_stats"] for v in stored_vars(stream, 1)] == [False]
+        # Asked: stamped by the writer, pruned against its stamps.
+        assert step() == (2, 2, True)
+        assert [v["has_stats"] for v in stored_vars(stream, 2)] == [True]
+        assert (stream.pool is not None) == colocated
+        r.close()
+        settle(lambda: stream.prune_predicate() is None, "the predicate outlived its reader")
+        w.begin_step()
+        w.end_step()
+        assert w._channel.stats is False  # and the plug-in is withdrawn
+        w.close()
+
+
+#: What the parent commit (protocol v5) put on the wire for these records.
+V5_FRAMES = {
+    MsgType.PUBLISH: ({"step": 2, "count": 1, "eos": False, "seq": 3},
+                      "0701ecf1051100000700000000000000cdf0f50f001c1d618ea61319fa190000"
+                      "000000000002000000000000000100000000000000000300000000000000"),
+    MsgType.FETCH: ({"step": 1, "wait": 0.0},
+                    "0701ecf1051200000700000000000000cdf0f50f0049e46124fb89a3e0100000"
+                    "000000000001000000000000000000000000000000"),
+    MsgType.STEP_DATA: ({"step": 1, "count": 1},
+                        "0701ecf1051300000700000000000000cdf0f50f00df866cea66bdc32b100000"
+                        "000000000001000000000000000100000000000000"),
+}
+V5_VAR_HEADS = {
+    True: "cdf0f50f00c2c0fe68499be50d670000000000000001000000760000000000000000000000"
+          "00010000000400000000000000000000000000000000000000000000000000084001033c66"
+          "380104000000000000002000000000000000",
+    False: "cdf0f50f00c2c0fe68499be50d670000000000000001000000760000000000000000000000"
+           "00010000000400000000000000000000000000000000000000000000000000000000033c66"
+           "380104000000000000002000000000000000",
+}
+
+
+def test_inline_frames_are_the_parents_bytes_apart_from_the_version_byte():
+    for msg_type, (record, v5) in V5_FRAMES.items():
+        want = bytearray.fromhex(v5)
+        assert want[4] == 5
+        want[4] = PROTOCOL_VERSION
+        assert encode_frame(msg_type, record, seq=7).as_array().tobytes() == bytes(want)
+    data = np.arange(4, dtype=np.float64)
+    for stamped, v5 in V5_VAR_HEADS.items():  # same layout, same size, either way
+        head, tail = encode_var({
+            "name": "v", "writer_rank": 0, "start": [], "shape": [4], "gshape": [],
+            "vmin": 0.0, "vmax": 3.0 * stamped, "has_stats": stamped, "data": data})
+        assert head.as_array().tobytes() == bytes.fromhex(v5) and tail is data
+
+
+# ---------------------------------------------------------------------------
 # Durability: a pool is not state
 # ---------------------------------------------------------------------------
 
@@ -585,9 +901,20 @@ def test_hosted_store_agrees_with_the_step_store_model(colocated):
 
 @pytest.fixture()
 def san():
-    instance = sanitize.enable(fresh=True)
-    yield instance
+    was = sanitize.get()
+    yield sanitize.enable(fresh=True)
     sanitize.disable()
+    if was is not None:
+        sanitize.enable()
+
+
+@pytest.fixture()
+def san_off():
+    was = sanitize.get()
+    sanitize.disable()
+    yield
+    if was is not None:
+        sanitize.enable()
 
 
 def test_sanitizer_flags_a_slot_rewritten_while_its_step_is_retained(san):
@@ -615,15 +942,62 @@ def test_sanitizer_flags_a_slot_rewritten_while_its_step_is_retained(san):
         d.stop()
 
 
-def test_sanitizer_off_means_no_digest_is_taken(daemon):
+def test_sanitizer_flags_a_slot_rewritten_under_the_reader_that_holds_it(san):
+    d = make_daemon()
+    try:
+        with connect(uri(d)) as c:
+            w, r = c.open("held", "w"), c.open("held", "r")
+            put(w, 0)
+            put(w, 1)
+            for release in (r.end_step, lambda: r._release(own=True)):
+                r._cache.clear()
+                r._cursor, r._step_consumed = 1, False
+                assert r.begin_step(timeout=2.0) is StepStatus.OK
+                (held, digest) = r._held
+                assert held is r._cache[1] and digest is not None
+                stream = hosted(d, "held")
+                pool, offset = stream.slot_of(stream.store.lookup(1)[1][1])
+                pool.arr[offset + 200] ^= 0xFF  # the pin did not hold
+                release()
+                pool.arr[offset + 200] ^= 0xFF
+                if r._step_active:
+                    r.end_step()
+            first, second = san.violations()
+            assert first.kind == second.kind == sanitize.NET_SLOT_MUTATED
+            assert "public/held#1 (reader)" in first.what
+            w.close()
+            r.close()
+    finally:
+        d.stop()
+
+
+def test_chaos_folds_what_a_workers_sanitizer_said_into_its_result():
+    from repro.tools import chaos
+
+    said = f"{sanitize.NET_SLOT_MUTATED}: public/s#1 (reader) — rewritten"
+    script = (f"import sys; print({sanitize.STDERR_MARK + ' ' + said!r}, file=sys.stderr); "
+              f"print({chaos._RESULT_MARK + '{}'!r})")
+    for code, mark in ((script, chaos._RESULT_MARK), (script + "; sys.exit(9)", "")):
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, text=True)
+        result = chaos._worker_result(proc, "reader")
+        proc.stdout.close()
+        assert result["sanitizer"] == [said]
+        assert ("log" in result) == (not mark)  # died untyped: only its end state
+
+
+def test_sanitizer_off_means_no_digest_is_taken(san_off, daemon):
     with connect(uri(daemon)) as c:
-        w = c.open("nosan", "w")
+        w, r = c.open("nosan", "w"), c.open("nosan", "r")
         put(w, 0)
         put(w, 1)
         stream = hosted(daemon, "nosan")
-        assert stream._san is None
+        assert stream._san is None and r._san is None
         assert [ref[3] for ref in stream._slots.values()] == [None]
+        r._fetch(1)
+        assert r._held == (r._cache[1], None)
         w.close()
+        r.close()
 
 
 # ---------------------------------------------------------------------------

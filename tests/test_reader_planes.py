@@ -222,6 +222,23 @@ def test_step_outcomes_are_the_same_on_both_planes(plane, outcome):
     w.close()
 
 
+def test_end_step_in_process_releases_nothing():
+    """``end_step()`` calls the source's release hook; only the net handle
+    has anything to let go of (``tests/test_net_colocated.py``)."""
+    from repro.core.reader import StepReader
+
+    reader = _open_inproc("planes.release")
+    assert type(reader)._release is StepReader._release
+    assert reader.begin_step(timeout=2.0) is StepStatus.OK
+    first = reader.read("zion")
+    assert reader.end_step() is StepStatus.OK
+    with pytest.raises(AdiosError):
+        reader.end_step()  # still one end per begin
+    np.testing.assert_array_equal(reader.read("zion"), first)
+    np.testing.assert_array_equal(first, DATA)
+    reader.close()
+
+
 # ---------------------------------------------------------------------------
 # What the net handle inherits
 # ---------------------------------------------------------------------------
