@@ -45,7 +45,8 @@ FXL009    Non-exhaustive ``MsgType`` dispatch (cross-file): every
 FXL010    Blocking call (``time.sleep``, file I/O, ``os.fsync``,
           blocking socket ops, ``lock.acquire``) inside an ``async
           def`` on the network plane — directly or transitively
-          through a sync helper.
+          through a sync helper — or in a loop-thread callback (an
+          asyncio protocol method and the handlers it reaches).
 FXL011    Synchronous (threading) lock held across an ``await``; the
           static complement of sanitize.py's runtime lockdep.
 FXL012    ``lease()``/``acquire()``/``connect()`` result that may
@@ -144,7 +145,8 @@ RULES: dict[str, Rule] = {
         Rule("FXL010", "blocking call inside an async body",
              "time.sleep/file I/O/os.fsync/blocking socket ops/"
              "lock.acquire inside async def on the network plane stall "
-             "the event loop — directly or through a sync helper; use "
+             "the event loop — directly or through a sync helper, as do "
+             "they in a protocol callback or a handler it reaches; use "
              "async equivalents or run_in_executor."),
         Rule("FXL011", "sync lock held across await",
              "a threading lock held at an await suspends every other "

@@ -12,7 +12,9 @@ FXL009  exhaustive ``MsgType`` dispatch — every member of the wire
 FXL010  no blocking calls inside ``async def`` bodies on the network
         plane — ``time.sleep``, file I/O, ``os.fsync``/``os.replace``,
         blocking socket ops, ``lock.acquire`` — including *transitive*
-        blocking through sync helpers called from the coroutine.
+        blocking through sync helpers called from the coroutine, nor in
+        the sync callbacks the loop runs (protocol methods and the
+        handlers they reach by call or stored reference).
 FXL011  a synchronous (threading) lock held across an ``await``: the
         static complement of sanitize.py's runtime lockdep.
         ``async with`` on an asyncio lock is fine.
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import ast
 import difflib
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis import cfg as cfgmod
@@ -103,19 +104,8 @@ def _iter_functions(tree: ast.AST):
 
 
 # ---------------------------------------------------------------------------
-# FXL010 — blocking calls in async bodies (with transitive propagation)
+# FXL010 — blocking calls on the event loop (with transitive propagation)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _FnInfo:
-    cls: Optional[str]
-    node: ast.AST
-    is_async: bool
-    blocking: Optional[str] = None  # human-readable reason chain
-    local_calls: List[Tuple[Tuple[Optional[str], str], ast.Call]] = field(
-        default_factory=list
-    )
-
 
 def _direct_blocking(call: ast.Call, cfg: LintConfig) -> Optional[str]:
     """Why this single call blocks, or None."""
@@ -135,81 +125,101 @@ def _direct_blocking(call: ast.Call, cfg: LintConfig) -> Optional[str]:
     return None
 
 
-def _resolve_local(call: ast.Call, cls: Optional[str]):
-    """Key of a same-module callee: ``self.X()`` or a bare ``X()``."""
-    func = call.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
-            and func.value.id == "self":
-        return (cls, func.attr)
-    if isinstance(func, ast.Name):
-        return (None, func.id)
-    return None
+#: Calls whose function arguments run off the event loop.
+_HANDOFFS = frozenset({"run_in_executor", "submit", "to_thread", "Thread"})
 
 
-def _collect_fn_table(tree: ast.AST, cfg: LintConfig) -> Dict[tuple, _FnInfo]:
-    table: Dict[tuple, _FnInfo] = {}
-    for cls, node in _iter_functions(tree):
-        info = _FnInfo(cls=cls, node=node,
-                       is_async=isinstance(node, ast.AsyncFunctionDef))
-        for sub in _walk_shallow(node):
-            if not isinstance(sub, ast.Call):
+def _names_used(fn: ast.AST):
+    """``(name, how)`` for every function ``fn`` calls (``how`` "call":
+    ``obj.X()`` / ``X()``) or refers to without calling (``"self"`` for
+    ``self.X``, ``"name"`` for a bare ``X``), lambdas included — a lambda
+    is a callback of the frame that builds it — but nothing handed to an
+    executor or a thread, and no nested def (it is a table entry)."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(cur, ast.Call):
+            if (_dotted(cur.func) or "").rsplit(".", 1)[-1] in _HANDOFFS:
                 continue
-            reason = _direct_blocking(sub, cfg)
-            if reason is not None and info.blocking is None and not info.is_async:
-                info.blocking = f"{reason} at line {sub.lineno}"
-            key = _resolve_local(sub, cls)
-            if key is not None:
-                info.local_calls.append((key, sub))
-        table[(cls, node.name)] = info
-    # Propagate blocking transitively through sync same-module callees.
-    changed = True
-    while changed:
-        changed = False
-        for info in table.values():
-            if info.is_async or info.blocking is not None:
-                continue
-            for key, _call in info.local_calls:
-                target = table.get(key)
-                if target is not None and not target.is_async \
-                        and target.blocking is not None:
-                    info.blocking = (
-                        f"calls {key[1]}() → {target.blocking}"
-                    )
-                    changed = True
-                    break
-    return table
+            func = cur.func
+            if isinstance(func, ast.Attribute):
+                yield func.attr, "call"
+                stack.append(func.value)
+            elif isinstance(func, ast.Name):
+                yield func.id, "call"
+            else:
+                stack.append(func)
+            stack.extend(cur.args)
+            stack.extend(k.value for k in cur.keywords)
+            continue
+        if isinstance(cur, ast.Attribute) and isinstance(cur.ctx, ast.Load) \
+                and isinstance(cur.value, ast.Name) and cur.value.id == "self":
+            yield cur.attr, "self"
+        elif isinstance(cur, ast.Name) and isinstance(cur.ctx, ast.Load):
+            yield cur.id, "name"
+        stack.extend(ast.iter_child_nodes(cur))
+
+
+def _on_loop(tree: ast.AST) -> Dict[tuple, Tuple[ast.AST, str]]:
+    """Every function of this file that runs on the event loop thread,
+    keyed ``(class, name)``, with its node and the name it is reached
+    from: each coroutine, each method of an asyncio protocol class (a
+    ``*Protocol`` base), and every sync function those call or refer to,
+    transitively — a call matched by name whatever its receiver
+    (``self._daemon.X()``), a reference as ``self.X`` or a bare name (a
+    connection's state handler, a timer or done callback)."""
+    fns = {(cls, node.name): node for cls, node in _iter_functions(tree)}
+    protocols = {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        and any((_dotted(b) or "").endswith("Protocol") for b in node.bases)
+    }
+    methods = {
+        (node.name, fn.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for fn in node.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    by_name: Dict[str, List[tuple]] = {}
+    for key in fns:
+        by_name.setdefault(key[1], []).append(key)
+
+    def targets(cls: Optional[str], name: str, how: str):
+        keys = by_name.get(name, ())
+        if how == "self":
+            return [k for k in keys if k[0] == cls]
+        return keys if how == "call" else [k for k in keys if k not in methods]
+
+    reached = {key: key[1] for key, node in fns.items()
+               if isinstance(node, ast.AsyncFunctionDef) or key[0] in protocols}
+    todo = list(reached)
+    while todo:
+        key = todo.pop()
+        for name, how in _names_used(fns[key]):
+            for target in targets(key[0], name, how):
+                if target not in reached:
+                    reached[target] = reached[key]
+                    todo.append(target)
+    return {key: (fns[key], root) for key, root in reached.items()}
 
 
 def check_blocking_async(tree: ast.AST, path: str, cfg: LintConfig):
-    """FXL010: blocking calls (direct or via sync helpers) in coroutines."""
+    """FXL010: blocking calls on the event loop — in a coroutine, in a
+    protocol callback, or in a sync function either of them reaches."""
     if not _in_scope(path, cfg.blocking_async_paths):
         return
-    table = _collect_fn_table(tree, cfg)
-    for (cls, name), info in table.items():
-        if not info.is_async:
-            continue
-        for sub in _walk_shallow(info.node):
-            if not isinstance(sub, ast.Call):
+    for (_cls, name), (node, root) in _on_loop(tree).items():
+        for sub in _walk_shallow(node):
+            reason = _direct_blocking(sub, cfg) if isinstance(sub, ast.Call) else None
+            if reason is None:
                 continue
-            reason = _direct_blocking(sub, cfg)
-            if reason is not None:
-                yield Finding(
-                    "FXL010", path, sub.lineno, sub.col_offset,
-                    f"blocking call {reason} inside async {name}(); it "
-                    f"stalls the daemon event loop — use the async "
-                    f"equivalent or run_in_executor",
-                )
-                continue
-            key = _resolve_local(sub, cls)
-            target = table.get(key) if key is not None else None
-            if target is not None and not target.is_async \
-                    and target.blocking is not None:
-                yield Finding(
-                    "FXL010", path, sub.lineno, sub.col_offset,
-                    f"async {name}() calls {key[1]}(), which blocks the "
-                    f"event loop ({target.blocking}); move the blocking "
-                    f"part behind run_in_executor",
-                )
+            if isinstance(node, ast.AsyncFunctionDef):
+                why = (f"inside async {name}(); it stalls the daemon event loop "
+                       f"— use the async equivalent or run_in_executor")
+            else:
+                why = (f"in {name}(), which runs on the event loop (reached "
+                       f"from {root}()); move it behind run_in_executor")
+            yield Finding("FXL010", path, sub.lineno, sub.col_offset,
+                          f"blocking call {reason} {why}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,34 @@ Field packing:
     LIST_INT64 u32 count + count * i64
     ARRAY      u8 dtype-code-len + dtype str + u8 ndim + ndim * u64 shape
                + u64 nbytes + raw C-order data
+
+Every entry point runs the format's **plan**: its size, pack and unpack
+functions, generated from the field list the first time the format is
+used and kept on the :class:`~repro.marshal.format.Format` (FFS's
+dynamic code generation of conversion routines).  A run of fixed-width
+fields is one ``struct.Struct``; every other kind is a fixed template.
+Field names never enter the generated source — it indexes a tuple of
+them — so a schema a peer sent cannot inject code.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import struct
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.marshal.format import Field, FieldKind, Format, FormatRegistry
+from repro.marshal.format import FieldKind, Format, FormatRegistry
 
 MAGIC = 0x0FF5F0CD
 _FLAG_SCHEMA = 0x01
+
+#: magic u32, flags u8, format id u64; then the body length u64.
+_HEAD = struct.Struct("<IBQ")
+_BODY_LEN = struct.Struct("<Q")
+_U8 = np.dtype(np.uint8)
 
 
 class MarshalError(RuntimeError):
@@ -39,180 +54,215 @@ class MarshalError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Field packers
+# Plans: generated per format
 # ---------------------------------------------------------------------------
 
-def _pack_field(field: Field, value: Any, out: bytearray) -> None:
-    kind = field.kind
-    try:
-        if kind == FieldKind.INT64:
-            out += struct.pack("<q", int(value))
-        elif kind == FieldKind.FLOAT64:
-            out += struct.pack("<d", float(value))
-        elif kind == FieldKind.BOOL:
-            out += struct.pack("<B", 1 if value else 0)
-        elif kind == FieldKind.STRING:
-            b = str(value).encode("utf-8")
-            out += struct.pack("<I", len(b))
-            out += b
-        elif kind == FieldKind.BYTES:
-            b = bytes(value)
-            out += struct.pack("<Q", len(b))
-            out += b
-        elif kind == FieldKind.LIST_INT64:
-            vals = [int(v) for v in value]
-            out += struct.pack("<I", len(vals))
-            out += struct.pack(f"<{len(vals)}q", *vals) if vals else b""
-        elif kind == FieldKind.ARRAY:
-            arr = np.ascontiguousarray(value)
-            dt = arr.dtype.str.encode("ascii")
-            out += struct.pack("<B", len(dt))
-            out += dt
-            out += struct.pack("<B", arr.ndim)
-            for dim in arr.shape:
-                out += struct.pack("<Q", dim)
-            raw = arr.tobytes()
-            out += struct.pack("<Q", len(raw))
-            out += raw
-        else:  # pragma: no cover - exhaustive over FieldKind
-            raise MarshalError(f"unsupported kind {kind}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MarshalError(
-            f"cannot pack field {field.name!r} as {kind.name}: {exc}"
-        ) from exc
+#: Fixed-width kinds: struct code and how a value is packed.  ``"?"`` packs
+#: any value's truth as one byte and unpacks a bool.
+_SCALAR = {
+    FieldKind.INT64: ("q", "int({})"),
+    FieldKind.FLOAT64: ("d", "float({})"),
+    FieldKind.BOOL: ("?", "{}"),
+}
+
+#: What packing a bad value can raise (reported as MarshalError).
+_PACK_FAULTS = (TypeError, ValueError, OverflowError, struct.error)
+
+# Templates of the variable-width kinds.  ``{v}`` is the value expression,
+# ``{i}`` the field index; locals: ``mv``/``off`` (pack), ``m``/``off``
+# (unpack; ``raw`` is the flat uint8 array ARRAY and BYTES values view).
+_SIZE = {
+    FieldKind.STRING: "4 + len(str({v}).encode('utf-8'))",
+    FieldKind.BYTES: "8 + len({v})",
+    FieldKind.LIST_INT64: "4 + 8 * len({v})",
+    FieldKind.ARRAY: "array_size({v})",
+}
+_PACK = {
+    FieldKind.STRING: """\
+b = str({v}).encode('utf-8')
+n = len(b)
+U32.pack_into(mv, off, n)
+mv[off + 4:off + 4 + n] = b
+off += 4 + n""",
+    FieldKind.BYTES: """\
+b = {v}
+if not isinstance(b, BUFFERS):
+    b = bytes(b)
+n = len(b)
+U64.pack_into(mv, off, n)
+mv[off + 8:off + 8 + n] = b
+off += 8 + n""",
+    FieldKind.LIST_INT64: """\
+b = {v}
+n = len(b)
+struct_of(f'<I{{n}}q').pack_into(mv, off, n, *map(int, b))
+off += 4 + 8 * n""",
+    FieldKind.ARRAY: """\
+a = ascontiguousarray({v})
+t = a.dtype.str.encode('ascii')
+n = a.nbytes
+struct_of(f'<B{{len(t)}}sB{{a.ndim}}QQ').pack_into(mv, off, len(t), t, a.ndim, *a.shape, n)
+off += 10 + len(t) + 8 * a.ndim
+{copy}off += n""",
+}
+_ARRAY_COPY = "frombuffer(mv, U8, n, off)[:] = a.reshape(-1).view(U8)\n"
+_UNPACK = {
+    FieldKind.STRING: """\
+(n,) = U32.unpack_from(m, off)
+v{i} = str(m[off + 4:off + 4 + n], 'utf-8')
+off += 4 + n""",
+    FieldKind.LIST_INT64: """\
+(n,) = U32.unpack_from(m, off)
+_, *v{i} = struct_of(f'<I{{n}}q').unpack_from(m, off)
+off += 4 + 8 * n""",
+}
+_ARRAY_HEAD = """\
+(n,) = U8S.unpack_from(m, off)
+t = dtype_of(bytes(m[off + 1:off + 1 + n]))
+off += 1 + n
+(n,) = U8S.unpack_from(m, off)
+*shape, n = struct_of(f'<{{n}}QQ').unpack_from(m, off + 1)
+off += 9 + 8 * len(shape)
+"""
+# ARRAY and BYTES values own their bytes, or view ``raw``; each way keeps
+# the checks (and so the errors) the per-field interpreter had.
+_UNPACK_COPY = {
+    **_UNPACK,
+    FieldKind.BYTES: """\
+(n,) = U64.unpack_from(m, off)
+v{i} = bytes(m[off + 8:off + 8 + n])
+off += 8 + n""",
+    FieldKind.ARRAY: _ARRAY_HEAD + """\
+v{i} = frombuffer(m[off:off + n], t).reshape(shape).copy()
+off += n""",
+}
+_UNPACK_VIEW = {
+    **_UNPACK,
+    FieldKind.BYTES: """\
+(n,) = U64.unpack_from(m, off)
+v{i} = raw[off + 8:off + 8 + n]
+off += 8 + n""",
+    FieldKind.ARRAY: _ARRAY_HEAD + """\
+v{i} = frombuffer(raw, t, n // t.itemsize if t.itemsize else 0, off).reshape(shape)
+off += n""",
+}
 
 
-def _field_size(field: Field, value: Any) -> int:
-    """Encoded size of one field (for sizing a pack_into destination)."""
-    kind = field.kind
-    try:
-        if kind == FieldKind.INT64 or kind == FieldKind.FLOAT64:
-            return 8
-        if kind == FieldKind.BOOL:
-            return 1
-        if kind == FieldKind.STRING:
-            return 4 + len(str(value).encode("utf-8"))
-        if kind == FieldKind.BYTES:
-            return 8 + len(value)
-        if kind == FieldKind.LIST_INT64:
-            return 4 + 8 * len(value)
-        if kind == FieldKind.ARRAY:
-            arr = np.asarray(value)
-            dt = arr.dtype.str.encode("ascii")
-            # max(): the packers' ascontiguousarray makes a 0-d value 1-d.
-            return 1 + len(dt) + 1 + 8 * max(arr.ndim, 1) + 8 + arr.nbytes
-    except TypeError as exc:
-        raise MarshalError(
-            f"cannot size field {field.name!r} as {kind.name}: {exc}"
-        ) from exc
-    raise MarshalError(f"unsupported kind {kind}")  # pragma: no cover
+#: A list's, or an array head's, struct — by its format, which a length
+#: or a rank sets.
+_struct_of = functools.lru_cache(maxsize=256)(struct.Struct)
 
 
-def _pack_field_into(field: Field, value: Any, mv: memoryview, off: int,
-                     data: bool = True) -> int:
-    """Pack one field directly at ``mv[off:]``; returns the new offset.
-
-    The zero-copy twin of :func:`_pack_field`: ARRAY payloads are copied
-    once, straight into the destination (a leased pool buffer, a queue
-    slot, registered RDMA memory), with no intermediate ``bytes`` — or,
-    with ``data=False``, not at all: the offset still moves past them.
-    """
-    kind = field.kind
-    try:
-        if kind == FieldKind.INT64:
-            struct.pack_into("<q", mv, off, int(value))
-            return off + 8
-        if kind == FieldKind.FLOAT64:
-            struct.pack_into("<d", mv, off, float(value))
-            return off + 8
-        if kind == FieldKind.BOOL:
-            struct.pack_into("<B", mv, off, 1 if value else 0)
-            return off + 1
-        if kind == FieldKind.STRING:
-            b = str(value).encode("utf-8")
-            struct.pack_into("<I", mv, off, len(b))
-            off += 4
-            mv[off : off + len(b)] = b
-            return off + len(b)
-        if kind == FieldKind.BYTES:
-            b = value if isinstance(value, (bytes, bytearray, memoryview)) else bytes(value)
-            struct.pack_into("<Q", mv, off, len(b))
-            off += 8
-            mv[off : off + len(b)] = b
-            return off + len(b)
-        if kind == FieldKind.LIST_INT64:
-            vals = [int(v) for v in value]
-            struct.pack_into("<I", mv, off, len(vals))
-            off += 4
-            if vals:
-                struct.pack_into(f"<{len(vals)}q", mv, off, *vals)
-            return off + 8 * len(vals)
-        if kind == FieldKind.ARRAY:
-            arr = np.ascontiguousarray(value)
-            dt = arr.dtype.str.encode("ascii")
-            struct.pack_into("<B", mv, off, len(dt))
-            off += 1
-            mv[off : off + len(dt)] = dt
-            off += len(dt)
-            struct.pack_into("<B", mv, off, arr.ndim)
-            off += 1
-            for dim in arr.shape:
-                struct.pack_into("<Q", mv, off, dim)
-                off += 8
-            struct.pack_into("<Q", mv, off, arr.nbytes)
-            off += 8
-            if data:  # the single array copy: source view -> destination span
-                dst = np.frombuffer(mv, dtype=np.uint8, count=arr.nbytes, offset=off)
-                dst[:] = arr.reshape(-1).view(np.uint8)
-            return off + arr.nbytes
-    except (TypeError, ValueError, OverflowError, struct.error) as exc:
-        raise MarshalError(
-            f"cannot pack field {field.name!r} as {kind.name}: {exc}"
-        ) from exc
-    raise MarshalError(f"unsupported kind {kind}")  # pragma: no cover
+@functools.lru_cache(maxsize=64)
+def _dtype_of(code: bytes) -> np.dtype:
+    return np.dtype(code.decode("ascii"))
 
 
-def _unpack_field(field: Field, data: bytes, off: int) -> tuple[Any, int]:
-    kind = field.kind
-    if kind == FieldKind.INT64:
-        (v,) = struct.unpack_from("<q", data, off)
-        return v, off + 8
-    if kind == FieldKind.FLOAT64:
-        (v,) = struct.unpack_from("<d", data, off)
-        return v, off + 8
-    if kind == FieldKind.BOOL:
-        (v,) = struct.unpack_from("<B", data, off)
-        return bool(v), off + 1
-    if kind == FieldKind.STRING:
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        return data[off : off + n].decode("utf-8"), off + n
-    if kind == FieldKind.BYTES:
-        (n,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        return bytes(data[off : off + n]), off + n
-    if kind == FieldKind.LIST_INT64:
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        vals = list(struct.unpack_from(f"<{n}q", data, off)) if n else []
-        return vals, off + 8 * n
-    if kind == FieldKind.ARRAY:
-        (dlen,) = struct.unpack_from("<B", data, off)
-        off += 1
-        dtype = np.dtype(data[off : off + dlen].decode("ascii"))
-        off += dlen
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = []
-        for _ in range(ndim):
-            (dim,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            shape.append(dim)
-        (nbytes,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        arr = np.frombuffer(data[off : off + nbytes], dtype=dtype).reshape(shape)
-        return arr.copy(), off + nbytes
-    raise MarshalError(f"unsupported kind {kind}")  # pragma: no cover
+def _array_size(value) -> int:
+    arr = np.asarray(value)
+    # max(): ascontiguousarray, which packs, makes a 0-d value 1-d.
+    return 10 + len(arr.dtype.str) + 8 * max(arr.ndim, 1) + arr.nbytes
+
+
+_RUNTIME = {
+    "U8": np.uint8, "U8S": struct.Struct("<B"), "U32": struct.Struct("<I"),
+    "U64": struct.Struct("<Q"), "BUFFERS": (bytes, bytearray, memoryview, np.ndarray),
+    "PACK_FAULTS": _PACK_FAULTS, "ascontiguousarray": np.ascontiguousarray,
+    "frombuffer": np.frombuffer, "struct_of": _struct_of, "dtype_of": _dtype_of,
+    "array_size": _array_size, "struct": struct,
+}
+
+
+class _Plan:
+    """One format's generated codec.  ``size(record)`` is the body's
+    byte count; ``pack(record, mv, off, whole)`` writes the body at
+    ``mv[off:]`` and returns the end (``whole=False`` leaves a trailing
+    ARRAY's bytes out); ``unpack(m, raw, off)`` / ``unpack_view(...)``
+    return ``(record, end)`` — with copies, or with ARRAY and BYTES
+    values viewing ``raw``."""
+
+    __slots__ = ("fid", "schema", "size", "pack", "unpack", "unpack_view")
+
+
+def _fault(fmt: Format, verb: str, i: int, exc: Exception) -> MarshalError:
+    f = fmt.fields[i]
+    return MarshalError(f"cannot {verb} field {f.name!r} as {f.kind.name}: {exc}")
+
+
+def _indent(lines: list[str], depth: int) -> str:
+    pad = " " * (4 * depth)
+    return "".join(pad + line + "\n" for block in lines for line in block.splitlines())
+
+
+#: The tail of a generated size or pack: a field not in the record.
+_MISSING = "    except KeyError:\n        raise missing(r) from None\n"
+
+
+def _compile(fmt: Format) -> _Plan:
+    fields = fmt.fields
+    ns = dict(_RUNTIME, N=tuple(f.name for f in fields),
+              fault=functools.partial(_fault, fmt), missing=functools.partial(_missing, fmt))
+    size, pack, unpack, view = ["n = 0"], [], [], []
+    for fixed, group in itertools.groupby(range(len(fields)),
+                                          lambda i: fields[i].kind in _SCALAR):
+        run = list(group)
+        if not fixed:
+            for i in run:  # one variable-width field each
+                kind, value = fields[i].kind, f"r[N[{i}]]"
+                size.append(f"try:\n    n += {_SIZE[kind].format(v=value)}\n"
+                            f"except TypeError as e:\n    raise fault('size', {i}, e)")
+                copy = ("if whole:\n    " if i == len(fields) - 1 else "") + _ARRAY_COPY
+                pack.append(f"try:\n{_indent([_PACK[kind].format(v=value, copy=copy)], 1)}"
+                            f"except PACK_FAULTS as e:\n    raise fault('pack', {i}, e)")
+                unpack.append(_UNPACK_COPY[kind].format(i=i))
+                view.append(_UNPACK_VIEW[kind].format(i=i))
+            continue
+        start, codes = run[0], "".join(_SCALAR[fields[i].kind][0] for i in run)
+        ns[f"S{start}"] = run_struct = struct.Struct("<" + codes)
+        size[0] += f" + {run_struct.size}"
+        size.append(", ".join(f"r[N[{i}]]" for i in run))  # a missing one raises
+        values = ", ".join(_SCALAR[fields[i].kind][1].format(f"r[N[{i}]]") for i in run)
+        # A merged run that fails is packed again field by field, so the
+        # error names the field (and the offset) the interpreter would have.
+        blame = [f"try:\n    struct.pack_into('<{_SCALAR[fields[i].kind][0]}', mv, "
+                 f"off + {struct.calcsize('<' + codes[:i - start])}, "
+                 f"{_SCALAR[fields[i].kind][1].format(f'r[N[{i}]]')})\n"
+                 f"except PACK_FAULTS as e:\n    raise fault('pack', {i}, e)" for i in run]
+        pack.append(f"try:\n    S{start}.pack_into(mv, off, {values})\n"
+                    f"except PACK_FAULTS as e0:\n{_indent(blame, 1)}"
+                    f"    raise fault('pack', {start}, e0)\n"
+                    f"off += {run_struct.size}")
+        names = "".join(f"v{i}, " for i in run)
+        for out in (unpack, view):
+            out.append(f"{names}= S{start}.unpack_from(m, off)\noff += {run_struct.size}")
+    record = "{" + ", ".join(f"N[{i}]: v{i}" for i in range(len(fields))) + "}"
+    src = (
+        "def size(r):\n    try:\n" + _indent(size, 2) + "        return n\n" + _MISSING
+        + "def pack(r, mv, off, whole):\n    try:\n" + _indent(pack, 2)
+        + "        return off\n" + _MISSING
+        + "def unpack(m, raw, off):\n" + _indent(unpack, 1) + f"    return {record}, off\n"
+        + "def unpack_view(m, raw, off):\n" + _indent(view, 1) + f"    return {record}, off\n"
+    )
+    exec(compile(src, "<marshal plan>", "exec"), ns)
+    plan = _Plan()
+    plan.fid, plan.schema = fmt.format_id, fmt.self_description()
+    plan.size, plan.pack = ns["size"], ns["pack"]
+    plan.unpack, plan.unpack_view = ns["unpack"], ns["unpack_view"]
+    object.__setattr__(fmt, "_plan", plan)
+    return plan
+
+
+def _plan(fmt: Format) -> _Plan:
+    return fmt._plan or _compile(fmt)
+
+
+def _missing(fmt: Format, record: dict) -> MarshalError:
+    missing = [f.name for f in fmt.fields if f.name not in record]
+    return MarshalError(f"record missing fields {missing} for format {fmt.name!r}")
+
+
+def _inline(plan: _Plan, peer_registry: Optional[FormatRegistry]) -> bool:
+    return peer_registry is None or peer_registry.by_id(plan.fid) is None
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +280,22 @@ def encode_message(
     and it already knows the format, the schema is not inlined (steady
     state); otherwise the self-description rides along (first contact).
     """
-    missing = [f.name for f in fmt.fields if f.name not in record]
-    if missing:
-        raise MarshalError(f"record missing fields {missing} for format {fmt.name!r}")
-
-    inline_schema = peer_registry is None or not peer_registry.knows(fmt)
-    flags = _FLAG_SCHEMA if inline_schema else 0
-
-    body = bytearray()
-    for field in fmt.fields:
-        _pack_field(field, record[field.name], body)
-
-    out = bytearray()
-    out += struct.pack("<I", MAGIC)
-    out += struct.pack("<B", flags)
-    out += struct.pack("<Q", fmt.format_id)
-    if inline_schema:
-        out += fmt.self_description()
-    out += struct.pack("<Q", len(body))
-    out += body
+    plan = _plan(fmt)
+    inline = _inline(plan, peer_registry)
+    out = bytearray(21 + (len(plan.schema) if inline else 0) + plan.size(record))
+    _encode(plan, record, memoryview(out), inline, True)
     return bytes(out)
+
+
+def _encode(plan: _Plan, record: dict, mv: memoryview, inline: bool, whole: bool) -> int:
+    _HEAD.pack_into(mv, 0, MAGIC, _FLAG_SCHEMA if inline else 0, plan.fid)
+    off = 13
+    if inline:
+        mv[off : off + len(plan.schema)] = plan.schema
+        off += len(plan.schema)
+    end = plan.pack(record, mv, off + 8, whole)
+    _BODY_LEN.pack_into(mv, off, end - off - 8)
+    return end
 
 
 def decode_message(
@@ -268,44 +314,38 @@ def decode_stream(
     Needed when messages are concatenated (BP-lite index regions, shm
     channel batches).
     """
-    if len(data) < 13:
-        raise MarshalError(f"message truncated ({len(data)} bytes)")
-    (magic,) = struct.unpack_from("<I", data, 0)
+    return _decode(data, registry, None, copy=True)
+
+
+def _header(m: memoryview, registry: FormatRegistry,
+            expect: Optional[Format]) -> tuple[Format, int, int]:
+    """``(format, body offset, body length)`` of the message in ``m``."""
+    if m.nbytes < 13:
+        raise MarshalError(f"message truncated ({m.nbytes} bytes)")
+    magic, flags, format_id = _HEAD.unpack_from(m, 0)
     if magic != MAGIC:
         raise MarshalError(f"bad magic {magic:#x}")
-    (flags,) = struct.unpack_from("<B", data, 4)
-    (format_id,) = struct.unpack_from("<Q", data, 5)
     off = 13
-
+    if expect is not None and format_id != _plan(expect).fid:
+        raise MarshalError(f"format id {format_id:#x} is not {expect.name!r}")
     if flags & _FLAG_SCHEMA:
-        fmt, consumed = Format.from_self_description(data[off:])
+        fmt, consumed = Format.from_self_description(m[off:].tobytes())
         off += consumed
         if fmt.format_id != format_id:
             raise MarshalError(
                 f"inlined schema id {fmt.format_id:#x} != header id {format_id:#x}"
             )
-        registry.register(fmt)
+        # A known schema keeps its registered Format (and its plan).
+        fmt = expect or registry.by_id(format_id) or registry.register(fmt)
     else:
-        maybe = registry.by_id(format_id)
-        if maybe is None:
+        fmt = expect or registry.by_id(format_id)
+        if fmt is None:
             raise MarshalError(f"unknown format id {format_id:#x} and no inlined schema")
-        fmt = maybe
-
-    (body_len,) = struct.unpack_from("<Q", data, off)
+    (body_len,) = _BODY_LEN.unpack_from(m, off)
     off += 8
-    if off + body_len > len(data):
+    if off + body_len > m.nbytes:
         raise MarshalError("body extends past end of message")
-
-    record: dict = {}
-    pos = off
-    for field in fmt.fields:
-        value, pos = _unpack_field(field, data, pos)
-        record[field.name] = value
-    if pos - off != body_len:
-        raise MarshalError(
-            f"body length mismatch: declared {body_len}, consumed {pos - off}"
-        )
-    return fmt, record, pos
+    return fmt, off, body_len
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +359,8 @@ def encoded_size(
 ) -> int:
     """Exact wire size :func:`encode_into` will write for ``record`` —
     use it to size a pool lease before packing into it."""
-    missing = [f.name for f in fmt.fields if f.name not in record]
-    if missing:
-        raise MarshalError(f"record missing fields {missing} for format {fmt.name!r}")
-    inline_schema = peer_registry is None or not peer_registry.knows(fmt)
-    n = 13 + (len(fmt.self_description()) if inline_schema else 0) + 8
-    for field in fmt.fields:
-        n += _field_size(field, record[field.name])
-    return n
+    plan = _plan(fmt)
+    return 21 + (len(plan.schema) if _inline(plan, peer_registry) else 0) + plan.size(record)
 
 
 def encode_into(
@@ -347,73 +381,20 @@ def encode_into(
     destination span — so serializing into a leased pool buffer or
     registered RDMA memory costs one copy total.
     """
-    missing = [f.name for f in fmt.fields if f.name not in record]
-    if missing:
-        raise MarshalError(f"record missing fields {missing} for format {fmt.name!r}")
-    inline_schema = peer_registry is None or not peer_registry.knows(fmt)
-    flags = _FLAG_SCHEMA if inline_schema else 0
-
+    plan = _plan(fmt)
     mv = buf if isinstance(buf, memoryview) else memoryview(buf)
     if mv.format != "B":
         mv = mv.cast("B")
     if mv.readonly:
         raise MarshalError("encode_into destination is read-only")
     try:
-        struct.pack_into("<I", mv, 0, MAGIC)
-        struct.pack_into("<B", mv, 4, flags)
-        struct.pack_into("<Q", mv, 5, fmt.format_id)
-        off = 13
-        if inline_schema:
-            sd = fmt.self_description()
-            mv[off : off + len(sd)] = sd
-            off += len(sd)
-        body_len_off = off
-        off += 8
-        body_start = off
-        tail = fmt.fields[-1] if detach_tail else None
-        for field in fmt.fields:
-            off = _pack_field_into(field, record[field.name], mv, off, field is not tail)
-        struct.pack_into("<Q", mv, body_len_off, off - body_start)
+        return _encode(plan, record, mv, _inline(plan, peer_registry), not detach_tail)
     except (struct.error, ValueError) as exc:
         raise MarshalError(f"destination too small for message: {exc}") from exc
-    return off
 
 
-def _unpack_field_view(field: Field, data: np.ndarray, off: int) -> tuple[Any, int]:
-    """Unpack one field from a flat uint8 array; ARRAY and BYTES come
-    back as *views* over ``data`` (no copy)."""
-    kind = field.kind
-    if kind == FieldKind.ARRAY:
-        (dlen,) = struct.unpack_from("<B", data, off)
-        off += 1
-        dtype = np.dtype(bytes(data[off : off + dlen]).decode("ascii"))
-        off += dlen
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = []
-        for _ in range(ndim):
-            (dim,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            shape.append(dim)
-        (nbytes,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        count = nbytes // dtype.itemsize if dtype.itemsize else 0
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=off)
-        return arr.reshape(shape), off + nbytes
-    if kind == FieldKind.BYTES:
-        (n,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        return data[off : off + n], off + n
-    if kind == FieldKind.STRING:
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        return bytes(data[off : off + n]).decode("utf-8"), off + n
-    # Scalars carry no payload worth aliasing; reuse the copying path
-    # (struct.unpack_from accepts any buffer, including ndarrays).
-    return _unpack_field(field, data, off)
-
-
-def decode_view(data, registry: FormatRegistry) -> tuple[Format, dict, int]:
+def decode_view(data, registry: FormatRegistry,
+                expect: Optional[Format] = None) -> tuple[Format, dict, int]:
     """Zero-copy decode: like :func:`decode_stream`, but ARRAY fields are
     returned as ``np.frombuffer`` views over ``data`` (and BYTES as uint8
     views) instead of copies.
@@ -422,48 +403,24 @@ def decode_view(data, registry: FormatRegistry) -> tuple[Format, dict, int]:
     :class:`~repro.transport.buffers.WireBuffer` (anything with an
     ``as_array()``).  The returned arrays alias the receive segment: the
     consumer must finish with them (or copy) before releasing the span.
+    With ``expect``, a message of any other format is refused before its
+    schema is read, and ``registry`` learns nothing.
     """
-    if hasattr(data, "as_array"):
+    return _decode(data, registry, expect)
+
+
+def _decode(data, registry: FormatRegistry, expect: Optional[Format],
+            copy: bool = False) -> tuple[Format, dict, int]:
+    if isinstance(data, np.ndarray):
+        arr = data if data.dtype is _U8 and data.ndim == 1 else data.reshape(-1).view(_U8)
+    elif hasattr(data, "as_array"):
         arr = data.as_array()
-    elif isinstance(data, np.ndarray):
-        arr = data.reshape(-1).view(np.uint8)
     else:
-        arr = np.frombuffer(data, dtype=np.uint8)
-    if arr.nbytes < 13:
-        raise MarshalError(f"message truncated ({arr.nbytes} bytes)")
-    (magic,) = struct.unpack_from("<I", arr, 0)
-    if magic != MAGIC:
-        raise MarshalError(f"bad magic {magic:#x}")
-    (flags,) = struct.unpack_from("<B", arr, 4)
-    (format_id,) = struct.unpack_from("<Q", arr, 5)
-    off = 13
-
-    if flags & _FLAG_SCHEMA:
-        # First contact only (steady state ships bare messages): the
-        # schema parser wants bytes, so materialize the tail once here.
-        fmt, consumed = Format.from_self_description(arr[off:].tobytes())
-        off += consumed
-        if fmt.format_id != format_id:
-            raise MarshalError(
-                f"inlined schema id {fmt.format_id:#x} != header id {format_id:#x}"
-            )
-        registry.register(fmt)
-    else:
-        maybe = registry.by_id(format_id)
-        if maybe is None:
-            raise MarshalError(f"unknown format id {format_id:#x} and no inlined schema")
-        fmt = maybe
-
-    (body_len,) = struct.unpack_from("<Q", arr, off)
-    off += 8
-    if off + body_len > arr.nbytes:
-        raise MarshalError("body extends past end of message")
-
-    record: dict = {}
-    pos = off
-    for field in fmt.fields:
-        value, pos = _unpack_field_view(field, arr, pos)
-        record[field.name] = value
+        arr = np.frombuffer(data, dtype=_U8)
+    m = memoryview(arr)
+    fmt, off, body_len = _header(m, registry, expect)
+    plan = _plan(fmt)
+    record, pos = (plan.unpack if copy else plan.unpack_view)(m, arr, off)
     if pos - off != body_len:
         raise MarshalError(
             f"body length mismatch: declared {body_len}, consumed {pos - off}"

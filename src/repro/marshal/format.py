@@ -63,6 +63,8 @@ class Format:
         object.__setattr__(self, "_format_id", int.from_bytes(
             hashlib.sha256(self.self_description()).digest()[:8], "big"
         ))
+        #: The codec's generated size/pack/unpack plan, built on first use.
+        object.__setattr__(self, "_plan", None)
 
     @property
     def format_id(self) -> int:

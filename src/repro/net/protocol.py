@@ -265,12 +265,16 @@ def block_bounds(arr: np.ndarray) -> Optional[tuple[float, float]]:
 def body_format(msg_type: MsgType) -> Format:
     """The codec format of one message type's body."""
     try:
-        return _BODY_FORMATS[MsgType(msg_type)]
-    except (ValueError, KeyError):
+        return _BODY_FORMATS[msg_type]  # an IntEnum: a code finds its member
+    except KeyError:
         raise ProtocolError(f"unknown message type {msg_type!r}")
 
 
-@dataclass(frozen=True)
+#: Type code -> member, for the decoder (an enum call per frame is not free).
+_TYPES = {int(t): t for t in MsgType}
+
+
+@dataclass(slots=True)
 class Frame:
     """One decoded frame: its type, body record, and bytes consumed."""
 
@@ -303,11 +307,14 @@ def encode_frame(msg_type: MsgType, record: dict, seq: int = 0) -> WireBuffer:
 
 
 def _as_flat(data: Union[bytes, bytearray, memoryview, np.ndarray, WireBuffer]) -> np.ndarray:
-    if hasattr(data, "as_array"):
-        return data.as_array()
     if isinstance(data, np.ndarray):
-        return data.reshape(-1).view(np.uint8)
-    return np.frombuffer(data, dtype=np.uint8)
+        return data if data.dtype is _U8 and data.ndim == 1 else data.reshape(-1).view(_U8)
+    if isinstance(data, WireBuffer):
+        return data.as_array()
+    return np.frombuffer(data, dtype=_U8)
+
+
+_U8 = np.dtype(np.uint8)
 
 
 #: What a corrupted body can raise out of the codec.  The daemon reads
@@ -319,11 +326,9 @@ _DECODE_FAULTS = (
 )
 
 
-def _decode_body(arr: np.ndarray, what: str):
+def _decode_body(arr: np.ndarray, what: str, expect: Optional[Format] = None):
     try:
-        return decode_view(arr, PROTOCOL_REGISTRY)
-    except ProtocolError:
-        raise
+        return decode_view(arr, PROTOCOL_REGISTRY, expect)
     except _DECODE_FAULTS as exc:
         raise ProtocolError(f"malformed {what} body: {exc}") from exc
 
@@ -349,17 +354,13 @@ def decode_frame(
         )
     if reserved != 0:
         raise ProtocolError(f"nonzero reserved field {reserved:#x}")
-    try:
-        msg_type = MsgType(type_code)
-    except ValueError:
+    msg_type = _TYPES.get(type_code)
+    if msg_type is None:
         raise ProtocolError(f"unknown message type {type_code}")
-    fmt, record, consumed = _decode_body(arr[offset + HEADER.size:], msg_type.name)
-    expected = body_format(msg_type)
-    if fmt.format_id != expected.format_id:
-        raise ProtocolError(
-            f"body format {fmt.name!r} does not match message type "
-            f"{msg_type.name} (expected {expected.name!r})"
-        )
+    # The body must be this type's format before anything of it is read:
+    # a frame never teaches the shared registry a schema.
+    _, record, consumed = _decode_body(
+        arr[offset + HEADER.size:], msg_type.name, _BODY_FORMATS[msg_type])
     return Frame(version, msg_type, record, offset + HEADER.size + consumed, seq)
 
 
@@ -384,9 +385,7 @@ def decode_var(
     """Decode one ``net.var`` message at ``offset``; the array payload is
     a view over ``data``.  Returns (record, next offset)."""
     arr = _as_flat(data)
-    fmt, record, consumed = _decode_body(arr[offset:], "net.var")
-    if fmt.format_id != VAR_FORMAT.format_id:
-        raise ProtocolError(f"expected net.var, got {fmt.name!r}")
+    _, record, consumed = _decode_body(arr[offset:], "net.var", VAR_FORMAT)
     return record, offset + consumed
 
 

@@ -3,8 +3,8 @@
 Two asyncio listeners share one event loop (run in a daemon thread via
 :meth:`DirectoryDaemon.start`, or in the foreground via the
 ``python -m repro.net.server`` CLI); every accepted connection is one
-:class:`_Conn`, which receives each frame straight into the array the
-broker then stores — a PUBLISH is never copied in user space:
+:class:`_Conn`, and each frame is answered in the loop turn that completed
+it — a bulk PUBLISH lands in the array the broker then stores:
 
 * the **control port** speaks the :mod:`repro.net.protocol` frames for
   session setup (HELLO → WELCOME with a bearer-token check against the
@@ -41,10 +41,10 @@ import threading
 import time
 import weakref
 import zlib
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,6 +105,7 @@ from repro.obs.names import (
     M_NET_FETCH_HOLDS_EXPIRED,
     M_NET_FETCHES_HELD,
     M_NET_FRAMES_REFUSED,
+    M_NET_LOOP_LAG_MS,
     M_NET_POOL_SLOTS_FREE,
     M_NET_READERS_PARKED,
     M_NET_STEPS_FETCHED_BY_REF,
@@ -131,128 +132,178 @@ DEFAULT_RETAIN_STEPS = 64
 #: Back-off the daemon suggests in RETRY_AFTER frames while draining.
 DEFAULT_RETRY_AFTER_S = 0.25
 
-#: Longest the daemon holds one FETCH, whatever ``wait`` it asks for — and
-#: so the longest a reader whose socket died while parked stays attached.
+#: Longest the daemon holds one FETCH, whatever ``wait`` it asks for.
 MAX_FETCH_HOLD_S = 10.0
 
 
-class _Conn(asyncio.BufferedProtocol):
-    """One accepted connection: whole frames in, ordered writes out.
+#: A connection's receive scratch: any frame up to ``INLINE_MAX`` of body,
+#: header and prefix included, arrives whole in it.
+_SCRATCH = INLINE_MAX + 4096
 
-    Inbound it is a frame assembler (no socket, no clock): the transport
-    receives into the unfilled rest of an 8-byte prefix scratch, then of
-    the frame's *own* ``np.empty(length)`` — the array the broker goes on
-    to store; :meth:`read_frame` hands whole frames to the handler task,
-    ``None`` once no more will come (a frame cut short is dropped).
-    Reading pauses while a second whole frame waits behind an unread
-    one: a peer that pipelines without reading replies cannot grow the
-    daemon, a request/reply peer never trips it.  Outbound, a frame's
-    parts are queued back to back, so frames never interleave.
+
+class _Conn(asyncio.BufferedProtocol):
+    """One accepted connection: whole frames in, each answered in the loop
+    turn that completed it.
+
+    Inbound it is a frame assembler (no socket, no clock).  The transport
+    receives into a per-connection scratch; every whole frame in it is
+    copied out once and handed to ``handler(conn, raw)`` right there, in
+    ``buffer_updated``.  A frame longer than the scratch gets its *own*
+    ``np.empty(length)`` — the array the broker goes on to store: what was
+    read of it is copied in, the rest lands in place.  A prefix over
+    ``MAX_FRAME``, or one the allocator cannot honour, is refused before
+    anything is allocated.  While the connection owes a reply it cannot
+    give yet (:meth:`owe` … :meth:`settle`) or its transport is over the
+    write high-water mark, frames wait unparsed and reading pauses once
+    one scratch (or one large frame) is buffered: a peer that pipelines
+    without reading cannot grow the daemon.  Outbound, a frame up to
+    ``INLINE_MAX`` is one write, a larger one's parts go back to back:
+    frames never interleave.
     """
 
     def __init__(self, daemon: "DirectoryDaemon", handler) -> None:
         self._daemon = daemon
-        self._handler = handler
-        self._prefix = np.empty(FRAME_PREFIX.size, dtype=np.uint8)
-        self._body: Optional[np.ndarray] = None  # None: filling the prefix
-        self._into = memoryview(self._prefix)
-        self._got = 0
-        self._frames: deque[np.ndarray] = deque()
-        self._readable = asyncio.Event()  # a frame is queued, or none will be
-        self._writable = asyncio.Event()  # clear between pause_/resume_writing
-        self._writable.set()
-        self._paused = self._ended = False
+        #: The connection's state: what its next frame means.
+        self.handler = handler
+        self._scratch = np.empty(_SCRATCH, dtype=np.uint8)
+        self._body: Optional[np.ndarray] = None  # a large frame, its own array
+        # Bytes land at ``_into[_end:]``: the scratch, unparsed from
+        # ``_start`` on — or the large frame's array, ``_end`` bytes in.
+        self._into = memoryview(self._scratch)
+        self._start = self._end = 0
+        self.owing = self.closing = False
+        self._blocked = self._paused = self._pumping = False
+        # What the handlers keep per connection.
+        self.session: Optional[_Session] = None   # control: after HELLO
+        self.bye = False
+        self.stream: Optional[HostedStream] = None  # data: after ATTACH
+        self.reader = self.colocated = False
+        self.grant: Optional[tuple] = None   # a writer's unused slot
+        self.pinned = None  # the payload last served: kept until the next request
 
     def connection_made(self, transport) -> None:
         self.transport = transport
         unpace_loopback(transport.get_extra_info("socket"))
-        self._task = asyncio.get_running_loop().create_task(self._handler(self))
-        self._task.add_done_callback(self._handler_done)  # the loop holds it weakly
-
-    def _handler_done(self, task: asyncio.Task) -> None:
-        if not task.cancelled() and task.exception() is not None:
-            task.get_loop().call_exception_handler({
-                "message": "flexio daemon: connection handler failed",
-                "exception": task.exception(), "transport": self.transport,
-            })
-        self.transport.close()
+        self._daemon._conns.add(self)
 
     # -- inbound -----------------------------------------------------------
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self._into[self._got:]
+        return self._into[self._end:]
 
     def buffer_updated(self, nbytes: int) -> None:
-        self._got += nbytes
-        if self._got < len(self._into):
-            return
-        self._got = 0
-        frame = self._body
-        if frame is None:  # the prefix is whole: the frame gets its own array
-            (length,) = FRAME_PREFIX.unpack(self._prefix)
-            if length <= MAX_FRAME:
-                try:
-                    frame = np.empty(length, dtype=np.uint8)
-                except MemoryError:
-                    pass  # refused below, like a prefix over the bound
-            if frame is None:
-                # A prefix is a claim, not a fact: typed refusal, then close.
-                self._daemon.metrics.counter(M_NET_FRAMES_REFUSED).inc()
-                self.write_frame(encode_frame(MsgType.ERROR, {
-                    "kind": "protocol", "message": f"frame of {length} B refused"}))
-                self.eof_received()
-                self.transport.close()
-                return
-            if length:
-                self._body, self._into = frame, memoryview(frame)
-                return
-        self._body, self._into = None, memoryview(self._prefix)
-        self._frames.append(frame)
-        self._readable.set()
-        if len(self._frames) > 1 and not self._paused:
-            self._paused = True
-            self.transport.pause_reading()
+        self._end += nbytes
+        self._pump()
 
     def eof_received(self) -> bool:
-        self._ended = True
-        self._readable.set()
-        return True  # replies may still go out; the handler's exit closes
+        # The peer sends no more: every whole frame was handled as it came,
+        # what is written still leaves, a frame cut short and a reply still
+        # owed (a parked FETCH) are dropped — the transport closes now.
+        self.closing = True
+        return False
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.eof_received()
-        self._writable.set()  # a parked drain() finds the transport closing
+        self.closing = True
+        self._daemon._conn_lost(self)
 
-    async def read_frame(self) -> Optional[np.ndarray]:
-        await self._readable.wait()
-        if not self._frames:
-            return None
-        frame = self._frames.popleft()
-        if not self._frames:
-            if not self._ended:
-                self._readable.clear()
-            if self._paused:
-                self._paused = False
-                self.transport.resume_reading()
-        return frame
+    def owe(self) -> None:
+        """The frame being handled is answered later: hold the rest back."""
+        self.owing = True
+
+    def settle(self, *reply) -> None:
+        """The owed reply has gone (or goes now: ``reply``, a frame's
+        parts): handle what queued behind it."""
+        if reply:
+            self.write_frame(*reply)
+        self.owing = False
+        self._pump()
+
+    def hang_up(self) -> None:
+        self.closing = True
+        self.transport.close()
+
+    def _pump(self) -> None:
+        if self._pumping:  # a handler settled this connection: the loop below goes on
+            return
+        self._pumping = True
+        try:
+            while not (self.owing or self._blocked or self.closing):
+                raw = self._next_frame()
+                if raw is None:
+                    break
+                self.handler(self, raw)
+        finally:
+            self._pumping = False
+        if self.closing:
+            return
+        held = self.owing or self._blocked
+        if held and not self._paused and self._end == len(self._into):  # full
+            self._paused = True
+            self.transport.pause_reading()
+        elif self._paused and not held:
+            self._paused = False
+            self.transport.resume_reading()
+
+    def _next_frame(self) -> Optional[np.ndarray]:
+        """The next whole frame, or None until more bytes arrive."""
+        body = self._body
+        if body is not None:  # whole once its last byte is in
+            if self._end < len(body):
+                return None
+            self._body, self._into, self._end = None, memoryview(self._scratch), 0
+            return body
+        start, have = self._start, self._end - self._start
+        if have >= FRAME_PREFIX.size:
+            (length,) = FRAME_PREFIX.unpack_from(self._scratch, start)
+            end = start + FRAME_PREFIX.size + length
+            if end <= self._end:  # whole, here: copied out once
+                self._start = end
+                return self._scratch[start + FRAME_PREFIX.size:end].copy()
+            if FRAME_PREFIX.size + length > len(self._scratch):
+                self._large(length)
+                return None
+        # Part of a frame that fits: move it to the front, wait for the rest.
+        self._scratch[:have] = self._scratch[start:self._end]
+        self._start, self._end = 0, have
+        return None
+
+    def _large(self, length: int) -> None:
+        """Start a frame longer than the scratch in its own array."""
+        body = None
+        if length <= MAX_FRAME:
+            try:
+                body = np.empty(length, dtype=np.uint8)
+            except MemoryError:
+                pass  # refused below, like a prefix over the bound
+        if body is None:
+            # A prefix is a claim, not a fact: typed refusal, then close.
+            self._daemon.metrics.counter(M_NET_FRAMES_REFUSED).inc()
+            self.write_frame(encode_frame(MsgType.ERROR, {
+                "kind": "protocol", "message": f"frame of {length} B refused"}))
+            return self.hang_up()
+        read = self._scratch[self._start + FRAME_PREFIX.size:self._end]
+        body[:len(read)] = read
+        self._body, self._into = body, memoryview(body)
+        self._start, self._end = 0, len(read)
 
     # -- outbound ----------------------------------------------------------
     def pause_writing(self) -> None:
-        self._writable.clear()
+        self._blocked = True
 
     def resume_writing(self) -> None:
-        self._writable.set()
+        self._blocked = False
+        self._pump()
 
     def write_frame(self, *parts) -> None:
+        if self.closing:
+            return
         views = [as_byte_view(p) for p in parts]
         total = sum(v.nbytes for v in views)
-        # Prefix + first part (the small frame header): one segment, not two.
-        self.transport.write(b"".join((FRAME_PREFIX.pack(total), views[0])))
-        for view in views[1:]:
+        # Up to INLINE_MAX, one segment: the peer wakes once, to the whole
+        # frame.  A larger one: prefix + header, then the payload uncopied.
+        head = len(views) if total <= INLINE_MAX else 1
+        self.transport.write(b"".join((FRAME_PREFIX.pack(total), *views[:head])))
+        for view in views[head:]:
             self.transport.write(view.data)
-
-    async def drain(self) -> None:
-        await self._writable.wait()
-        if self.transport.is_closing():
-            raise ConnectionResetError("connection lost")
 
 
 class _SlotPool:
@@ -274,6 +325,16 @@ class _SlotPool:
         #: fd numbers are reused: the serial makes the name one generation's.
         self.name = f"/proc/{os.getpid()}/fd/{fd}@{next(self._serial)}"
         self.free = [i * self.capacity for i in range(slots)]
+
+
+class _Hold(NamedTuple):
+    """One parked FETCH: the step it asked for, its clamped ``wait``, the
+    timer that expires it, and ``end(outcome, detail)``, which answers it."""
+
+    step: int
+    wait: float
+    timer: asyncio.TimerHandle
+    end: Callable
 
 
 class HostedStream:
@@ -318,10 +379,8 @@ class HostedStream:
         #: and what they combine to — asked at every publish and every ack.
         self._reader_preds: dict[int, object] = {}
         self._prune = None
-        #: What a held FETCH waits on: set, and replaced, by :meth:`wake`.
-        self.changed = asyncio.Event()
-        #: Attached readers whose handler is parked in a held FETCH.
-        self.parked: set[_Conn] = set()
+        #: Attached readers with a FETCH parked here, and its hold.
+        self.parked: dict[_Conn, _Hold] = {}
 
     @property
     def closed(self) -> bool:
@@ -350,7 +409,6 @@ class HostedStream:
         self.store.append(step, (count, payload), len(payload))
         if eos:
             self.store.end(step + 1)
-        self.wake()
         by_ref = slot is not None and isinstance(payload, np.ndarray)
         self.active_transport = "shm" if by_ref else "tcp"
         if by_ref:
@@ -372,6 +430,7 @@ class HostedStream:
         flight.record(
             EV_NET_STEP_PUBLISH, stream=self.stream_id, step=step, nbytes=len(payload)
         )
+        self.wake()  # last: a slot-backed step is answered by reference
         return True
 
     def fetch(self, step: int) -> Optional[tuple[int, "np.ndarray | bytes"]]:
@@ -470,12 +529,24 @@ class HostedStream:
         self.store.fail(reason)
         self.wake()
 
-    def wake(self) -> None:
+    def wake(self, drain: bool = False) -> None:
         """Called after anything that can change what ``store.lookup``
         answers a parked reader — publish, end, fail, and the daemon's
-        drain; each one looks its step up again.  Loop thread only."""
-        self.changed.set()
-        self.changed = asyncio.Event()
+        drain (``drain``: not yet is an answer too).  Each parked reader's
+        step is looked up again and, unless it is still not yet, answered
+        here, in place.  Loop thread only."""
+        for hold in list(self.parked.values()):
+            outcome, detail = self.store.lookup(hold.step)
+            if outcome is not Outcome.NOT_YET or drain:
+                hold.end(outcome, detail)
+
+    def unpark(self, conn: _Conn) -> Optional[_Hold]:
+        """Take ``conn``'s hold off this stream, its timer with it."""
+        hold = self.parked.pop(conn, None)
+        if hold is not None:
+            hold.timer.cancel()
+            self.gauge(M_NET_READERS_PARKED).set(len(self.parked))
+        return hold
 
 
 def prune_step_payload(raw: np.ndarray, offset: int, count: int,
@@ -513,6 +584,27 @@ def prune_step_payload(raw: np.ndarray, offset: int, count: int,
     return count - skipped, b"".join(
         s.tobytes() for s in kept  # flexlint: ok(FXL006) store of store-and-forward
     )
+
+
+def _handler(method):
+    """A connection state: ``method(self, conn, raw, frame)`` is called
+    with each whole frame, decoded; one that does not decode is refused."""
+
+    @functools.wraps(method)
+    def handle(self, conn: _Conn, raw: np.ndarray) -> None:
+        try:
+            frame = decode_frame(raw)
+        except ProtocolError as exc:
+            return self._refuse(conn, "protocol", str(exc))
+        return method(self, conn, raw, frame)
+
+    return handle
+
+
+def _coordinator(rec: dict, contact=None) -> CoordinatorInfo:
+    """The writer coordinator a REGISTER or an OPEN for write names."""
+    return CoordinatorInfo(rec["program"], int(rec["rank"]), int(rec["num_ranks"]),
+                           contact=contact)
 
 
 @dataclass
@@ -583,7 +675,7 @@ class DirectoryDaemon:
         self._resume: dict[str, str] = {}  # resume token -> session_id
         self._session_counter = itertools.count(1)
         self._draining = False
-        self._attached: set[_Conn] = set()
+        self._conns: set[_Conn] = set()
         self.telemetry: Optional[LiveTelemetryServer] = (
             LiveTelemetryServer(states=self._stream_states) if telemetry else None
         )
@@ -600,7 +692,10 @@ class DirectoryDaemon:
     # -- telemetry plumbing ------------------------------------------------
     def _stream_states(self) -> dict[str, object]:
         states: dict[str, object] = dict(self._streams)
-        states[""] = _DaemonState(self.metrics)  # process-level series
+        # A process-level pseudo-stream: daemon-wide series (sessions,
+        # admission rejections, lease evictions) render without a stream label.
+        states[""] = SimpleNamespace(monitor=SimpleNamespace(metrics=self.metrics),
+                                     closed=False, error=None, active_transport="")
         return states
 
     # -- lifecycle ---------------------------------------------------------
@@ -642,9 +737,11 @@ class DirectoryDaemon:
         finally:
             for server in self._servers:
                 server.close()
-            # Connection handlers too: one parked in a held FETCH, or idle
-            # between frames, would keep its socket (and 3.12's
-            # ``wait_closed``) open past stop().
+            # Connections too: one parked in a held FETCH, or idle between
+            # frames, would keep its socket (and 3.12's ``wait_closed``)
+            # open past stop().
+            for conn in list(self._conns):
+                conn.hang_up()
             pending = asyncio.all_tasks(loop)
             for task in pending:
                 task.cancel()
@@ -656,18 +753,23 @@ class DirectoryDaemon:
     async def _bind(self) -> None:
         loop = asyncio.get_running_loop()
         control = await loop.create_server(
-            lambda: _Conn(self, self._handle_control), self.host, self.control_port
+            lambda: _Conn(self, self._hello), self.host, self.control_port
         )
         self.control_port = control.sockets[0].getsockname()[1]
         data = await loop.create_server(
-            lambda: _Conn(self, self._handle_data), self.host, self.data_port
+            lambda: _Conn(self, self._attach), self.host, self.data_port
         )
         self.data_port = data.sockets[0].getsockname()[1]
         self._servers = [control, data]
 
     async def _reap_loop(self) -> None:
+        loop = asyncio.get_running_loop()
+        lag = self.metrics.gauge(M_NET_LOOP_LAG_MS)
         while True:
+            due = loop.time() + self.lease_interval
             await asyncio.sleep(self.lease_interval)
+            # How late the tick ran: what a frame waits for the loop now.
+            lag.set(max(0.0, loop.time() - due) * 1e3)
             reaped = self.directory.reap_all()
             for tenant, names in reaped.items():
                 for name in names:
@@ -695,113 +797,91 @@ class DirectoryDaemon:
             self._ckpt_executor = None
 
     # -- frame I/O ---------------------------------------------------------
-    async def _read_frame(self, conn: _Conn) -> Optional[tuple[np.ndarray, Frame]]:
-        """The next frame, raw and decoded — or None, and the caller hangs up:
-        no more will come, or this one was malformed (typed ERROR sent)."""
-        raw = await conn.read_frame()
-        if raw is None:
-            return None
-        try:
-            return raw, decode_frame(raw)
-        except ProtocolError as exc:
-            await self._send_error(conn, "protocol", str(exc))
-            return None
+    def _reply(self, conn: _Conn, *parts) -> None:
+        """Write one frame to ``conn`` — or act out the fault injected into it."""
+        kind = None if self.injector is None else self.injector.next_fault()
+        if kind is None:
+            conn.write_frame(*parts)
+        else:
+            self._inject_outbound(conn, kind, parts)
 
-    async def _write_frame(self, conn: _Conn, *parts) -> None:
-        if self.injector is not None:
-            kind = self.injector.next_fault()
-            if kind is not None and await self._inject_outbound(conn, kind, parts):
-                return
-        conn.write_frame(*parts)
-        await conn.drain()
-
-    async def _inject_outbound(self, conn: _Conn, kind: FaultKind, parts) -> bool:
-        """Act out one injected fault on an outbound frame.
-
-        Returns True when the frame must NOT be written normally (it was
-        dropped, torn, or the connection was killed); False for kinds
-        that only perturb timing.
-        """
+    def _inject_outbound(self, conn: _Conn, kind: FaultKind, parts) -> None:
+        """Act out one injected fault on an outbound frame: it is dropped,
+        torn, delayed, or the connection is killed instead."""
         blob = b"".join(as_byte_view(p) for p in parts)  # chaos-only path
         total = len(blob)
         self.metrics.counter(metric_name(F_FAULTS_INJECTED, kind.value)).inc()
         self.metrics.counter(M_FAULTS_INJECTED_TOTAL).inc()
         flight.record(EV_FAULT, kind=kind.value, transport="daemon", nbytes=total)
         if kind is FaultKind.DROPPED_FRAME:
-            return True  # the reply silently never leaves; peer times out
+            return  # the reply silently never leaves; peer times out
         if kind is FaultKind.DELAYED_FRAME:
-            await asyncio.sleep(0.05)
-            return False
+            conn.owe()  # what the peer sends meanwhile waits behind it
+            self._loop.call_later(0.05, conn.settle, *parts)
+            return
         if kind is FaultKind.TORN_FRAME:
             conn.transport.write(FRAME_PREFIX.pack(total) + blob[: max(1, total // 2)])
-            conn.transport.close()  # torn mid-frame: peer sees a truncated stream
-            return True
-        # CONN_RESET / HALF_OPEN and any send-side kind: kill the
-        # connection; the peer observes a disconnect and reconnects.
-        conn.transport.close()
-        return True
+        # TORN_FRAME (the peer sees a truncated stream), CONN_RESET /
+        # HALF_OPEN and any send-side kind: kill the connection; the peer
+        # observes a disconnect and reconnects.
+        conn.hang_up()
 
-    async def _send_error(self, conn, kind: str, message: str) -> None:
-        await self._write_frame(
-            conn, encode_frame(MsgType.ERROR, {"kind": kind, "message": message})
-        )
+    def _send_error(self, conn, kind: str, message: str) -> None:
+        self._reply(conn, encode_frame(MsgType.ERROR, {"kind": kind, "message": message}))
 
-    async def _send_admission_error(self, conn, exc: AdmissionError) -> None:
+    def _refuse(self, conn, kind: str, message: str) -> None:
+        """A typed ERROR, then hang up: the peer broke the protocol."""
+        self._send_error(conn, kind, message)
+        conn.hang_up()
+
+    def _send_admission_error(self, conn, exc: AdmissionError) -> None:
         kind = exc.kind.value if exc.kind is not None else "admission"
-        await self._send_error(conn, kind, str(exc))
+        self._send_error(conn, kind, str(exc))
 
-    async def _send_retry_after(self, conn, reason: str,
-                                delay: float = DEFAULT_RETRY_AFTER_S) -> None:
+    def _send_retry_after(self, conn, reason: str,
+                          delay: float = DEFAULT_RETRY_AFTER_S) -> None:
         flight.record(EV_NET_RETRY_AFTER, reason=reason, delay=delay)
-        await self._write_frame(
+        self._reply(
             conn, encode_frame(MsgType.RETRY_AFTER, {"delay": delay, "reason": reason})
         )
 
-    # -- control plane -----------------------------------------------------
-    async def _handle_control(self, conn: _Conn) -> None:
-        # A session is NOT bound to this socket: it dies only on a clean
-        # BYE (or daemon restart without a checkpoint).  A socket that
-        # drops mid-session leaves the session resumable via its token.
-        session: Optional[_Session] = None
-        clean_bye = False
-        try:
-            session = await self._control_hello(conn)
-            if session is None:
-                return
-            while True:
-                if (got := await self._read_frame(conn)) is None:
-                    break
-                frame = got[1]
-                if frame.msg_type is MsgType.BYE:
-                    clean_bye = True
-                    break
-                await self._dispatch_control(session, frame, conn)
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # the peer is gone, or stop() ended this handler
-        finally:
-            if session is not None:
-                if clean_bye:
-                    self._sessions.pop(session.session_id, None)
-                    self._resume.pop(session.resume, None)
-                flight.record(EV_NET_DISCONNECT, tenant=session.tenant)
+    def _conn_lost(self, conn: _Conn) -> None:
+        """Whatever a connection held goes with it — in the turn it ends."""
+        self._conns.discard(conn)
+        stream = conn.stream
+        if stream is None:
+            # A session is NOT bound to its control socket: it dies only on
+            # a clean BYE (or daemon restart without a checkpoint).  A socket
+            # that drops mid-session leaves it resumable via its token.
+            if conn.session is not None:
+                if conn.bye:
+                    self._sessions.pop(conn.session.session_id, None)
+                    self._resume.pop(conn.session.resume, None)
+                flight.record(EV_NET_DISCONNECT, tenant=conn.session.tenant)
+            return
+        stream.unpark(conn)  # a parked reader stops steering pruning now
+        if conn.reader:
+            stream.drop_reader(id(conn))
+        if conn.grant is not None:
+            stream.give_back(*conn.grant)
+        conn.grant = conn.pinned = None
 
-    async def _control_hello(self, conn: _Conn) -> Optional[_Session]:
-        if (got := await self._read_frame(conn)) is None:
-            return None
-        frame = got[1]
+    # -- control plane -----------------------------------------------------
+    @_handler
+    def _hello(self, conn: _Conn, raw, frame: Frame) -> None:
+        """A control connection's first frame: HELLO, answered WELCOME."""
         if frame.msg_type is not MsgType.HELLO:
-            await self._send_error(conn, "protocol", "expected HELLO")
-            return None
+            return self._refuse(conn, "protocol", "expected HELLO")
         if self._draining:
-            await self._send_retry_after(conn, "draining")
-            return None
+            self._send_retry_after(conn, "draining")
+            return conn.hang_up()
         tenant = frame.record["tenant"]
         token = frame.record["token"] or None
         try:
             spec = self.directory.authenticate(tenant, token)
         except AdmissionError as exc:
-            await self._send_admission_error(conn, exc)
-            return None
+            self._send_admission_error(conn, exc)
+            return conn.hang_up()
         resume_token = frame.record["resume"]
         resumed = False
         session = None
@@ -829,7 +909,8 @@ class DirectoryDaemon:
                 EV_NET_RESUME, session=session.session_id, tenant=tenant
             )
         flight.record(EV_NET_CONNECT, tenant=tenant, client=session.client)
-        await self._write_frame(conn, encode_frame(MsgType.WELCOME, {
+        conn.session, conn.handler = session, self._control
+        self._reply(conn, encode_frame(MsgType.WELCOME, {
             "session": session.session_id,
             "server": SERVER_VERSION,
             "data_port": self.data_port,
@@ -837,29 +918,27 @@ class DirectoryDaemon:
             "resumed": resumed,
             "pool": self._nonce_path,
         }))
-        return session
 
-    async def _dispatch_control(self, session: _Session, frame: Frame, conn) -> None:
+    @_handler
+    def _control(self, conn: _Conn, raw, frame: Frame) -> None:
         rec = frame.record
+        session = conn.session
         tenant = session.tenant
+        if frame.msg_type is MsgType.BYE:
+            conn.bye = True
+            return conn.hang_up()
         if self._draining and frame.msg_type in (MsgType.OPEN, MsgType.REGISTER):
             # Drain refuses *new* work but still serves lookups, closes
             # and heartbeats so in-flight sessions can wind down.
-            await self._send_retry_after(conn, "draining")
-            return
+            return self._send_retry_after(conn, "draining")
         try:
             if frame.msg_type is MsgType.REGISTER:
-                info = CoordinatorInfo(
-                    program=rec["program"],
-                    coordinator_rank=int(rec["rank"]),
-                    num_ranks=int(rec["num_ranks"]),
-                )
-                lease = rec["lease"] if rec["lease"] > 0 else None
-                self.directory.register(tenant, rec["stream"], info, lease=lease)
-                await self._ack(conn, "registered")
+                self.directory.register(tenant, rec["stream"], _coordinator(rec),
+                                        lease=rec["lease"] if rec["lease"] > 0 else None)
+                self._ack(conn, "registered")
             elif frame.msg_type is MsgType.LOOKUP:
                 info = self.directory.lookup(tenant, rec["stream"])
-                await self._write_frame(conn, encode_frame(MsgType.LOOKUP_REPLY, {
+                self._reply(conn, encode_frame(MsgType.LOOKUP_REPLY, {
                     "program": info.program,
                     "rank": info.coordinator_rank,
                     "num_ranks": info.num_ranks,
@@ -873,30 +952,29 @@ class DirectoryDaemon:
                     # heartbeat too (the client's background thread does
                     # not know which names hold leases).
                     detail = "idle"
-                await self._ack(conn, detail)
+                self._ack(conn, detail)
             elif frame.msg_type is MsgType.OPEN:
-                await self._control_open(session, rec, conn)
+                self._control_open(session, rec, conn)
             elif frame.msg_type is MsgType.CLOSE:
                 stream = self._streams.get(rec["stream_id"])
                 if stream is None:
-                    await self._send_error(conn, "unknown_stream", rec["stream_id"])
-                    return
+                    return self._send_error(conn, "unknown_stream", rec["stream_id"])
                 stream.end()
                 try:
                     self.directory.unregister(stream.tenant, stream.name)
                 except DirectoryError:
                     pass  # already reaped or never leased-registered
-                await self._ack(conn, "closed")
+                self._ack(conn, "closed")
             else:
-                await self._send_error(
+                self._send_error(
                     conn, "protocol", f"unexpected {frame.msg_type.name} on control port"
                 )
         except AdmissionError as exc:
-            await self._send_admission_error(conn, exc)
+            self._send_admission_error(conn, exc)
         except DirectoryError as exc:
-            await self._send_error(conn, "directory", str(exc))
+            self._send_error(conn, "directory", str(exc))
 
-    async def _control_open(self, session: _Session, rec: dict, conn) -> None:
+    def _control_open(self, session: _Session, rec: dict, conn) -> None:
         tenant = session.tenant
         name = rec["stream"]
         mode = rec["mode"]
@@ -910,19 +988,11 @@ class DirectoryDaemon:
                 # re-attach must not hit the duplicate-registration check.
                 pass
             else:
-                info = CoordinatorInfo(
-                    program=rec["program"],
-                    coordinator_rank=int(rec["rank"]),
-                    num_ranks=int(rec["num_ranks"]),
-                )
-                lease = rec["lease"] if rec["lease"] > 0 else None
                 stream = HostedStream(tenant, name, retain_steps=self.retain_steps)
-                info = CoordinatorInfo(
-                    info.program, info.coordinator_rank, info.num_ranks, contact=stream
-                )
                 # Admission (quota + duplicate check) happens before the
                 # stream becomes visible to readers.
-                self.directory.register(tenant, name, info, lease=lease)
+                self.directory.register(tenant, name, _coordinator(rec, stream),
+                                        lease=rec["lease"] if rec["lease"] > 0 else None)
                 self._streams[stream_id] = stream
                 session.streams.append(stream_id)
         elif mode == "r":
@@ -930,71 +1000,55 @@ class DirectoryDaemon:
             if hosted is None:
                 # Raises the typed not-found the client retry loop expects.
                 self.directory.lookup(tenant, name)
-                await self._send_error(conn, "unknown_stream", stream_id)
-                return
+                return self._send_error(conn, "unknown_stream", stream_id)
             if not hosted.closed:
                 # Live stream: count the reader in the directory.  A
                 # closed stream stays openable while steps are retained —
                 # late analytics drain the store-and-forward tail to EOS.
                 self.directory.lookup(tenant, name)
         else:
-            await self._send_error(conn, "protocol", f"bad open mode {mode!r}")
-            return
+            return self._send_error(conn, "protocol", f"bad open mode {mode!r}")
         flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode, tenant=tenant)
-        await self._write_frame(conn, encode_frame(MsgType.OPEN_REPLY, {
+        self._reply(conn, encode_frame(MsgType.OPEN_REPLY, {
             "stream_id": stream_id,
             "data_port": self.data_port,
         }))
 
     # -- data plane --------------------------------------------------------
-    async def _handle_data(self, conn: _Conn) -> None:
+    @_handler
+    def _attach(self, conn: _Conn, raw, frame: Frame) -> None:
+        """A data connection's first frame: ATTACH binds it to a stream as
+        its writer (every next frame a PUBLISH) or a reader (a FETCH)."""
+        if frame.msg_type is not MsgType.ATTACH:
+            return self._refuse(conn, "protocol", "expected ATTACH")
+        session = self._sessions.get(frame.record["session"])
+        if session is None:
+            return self._refuse(conn, "auth", "unknown session")
+        stream = self._streams.get(frame.record["stream_id"])
+        if stream is None or stream.tenant != session.tenant:
+            return self._refuse(conn, "unknown_stream", frame.record["stream_id"])
+        if self._draining:
+            self._send_retry_after(conn, "draining")
+            return conn.hang_up()
         try:
-            if (got := await self._read_frame(conn)) is None:
-                return
-            frame = got[1]
-            if frame.msg_type is not MsgType.ATTACH:
-                await self._send_error(conn, "protocol", "expected ATTACH")
-                return
-            session = self._sessions.get(frame.record["session"])
-            if session is None:
-                await self._send_error(conn, "auth", "unknown session")
-                return
-            stream = self._streams.get(frame.record["stream_id"])
-            if stream is None or stream.tenant != session.tenant:
-                await self._send_error(
-                    conn, "unknown_stream", frame.record["stream_id"]
-                )
-                return
-            if self._draining:
-                await self._send_retry_after(conn, "draining")
-                return
-            role = frame.record["role"]
-            try:
-                predicate = parse_predicate(frame.record["predicate"])
-            except CodeletError as exc:
-                await self._send_error(
-                    conn, "protocol", f"bad predicate spec: {exc}"
-                )
-                return
-            colocated = bool(self._nonce_path) and frame.record["nonce"] == self._nonce
-            self._attached.add(conn)
-            reader_key = id(conn)
-            try:
-                if role == "w":
-                    await self._serve_writer(session, stream, conn, colocated)
-                else:
-                    await self._ack(conn, "attached")
-                    stream.register_reader(reader_key, predicate)
-                    await self._serve_reader(stream, conn, colocated)
-            finally:
-                if role != "w":
-                    stream.drop_reader(reader_key)
-                self._attached.discard(conn)
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # the peer is gone, or stop() ended this handler
+            predicate = parse_predicate(frame.record["predicate"])
+        except CodeletError as exc:
+            return self._refuse(conn, "protocol", f"bad predicate spec: {exc}")
+        conn.stream = stream
+        conn.colocated = bool(self._nonce_path) and frame.record["nonce"] == self._nonce
+        if frame.record["role"] == "w":
+            # What the latest positive reply granted this connection, while
+            # it is unused; back in the pool when the connection ends.
+            conn.grant = stream.grant() if conn.colocated else None
+            conn.handler = self._publish
+            self._ack(conn, "attached", conn.grant, stream.prune_predicate() is not None)
+        else:
+            conn.reader, conn.handler = True, self._fetch
+            self._ack(conn, "attached")
+            stream.register_reader(id(conn), predicate)
 
-    async def _ack(self, conn: _Conn, detail: str, grant: Optional[tuple] = None,
-                   stats: bool = False) -> None:
+    def _ack(self, conn: _Conn, detail: str, grant: Optional[tuple] = None,
+             stats: bool = False) -> None:
         """The positive reply: OK, or GRANT to a writer that now holds a slot;
         ``stats`` asks a writer to stamp block bounds (a reader prunes)."""
         if grant is None:
@@ -1003,60 +1057,64 @@ class DirectoryDaemon:
             frame = encode_frame(MsgType.GRANT, {
                 "detail": detail, "pool": grant[0].name, "offset": grant[1],
                 "capacity": grant[0].capacity, "stats": stats})
-        await self._write_frame(conn, frame)
+        self._reply(conn, frame)
 
-    async def _serve_writer(self, session: _Session, stream: HostedStream,
-                            conn: _Conn, colocated: bool) -> None:
-        # What the latest positive reply granted this connection, if it is
-        # still unused; back in the pool when the connection ends.
-        grant = stream.grant() if colocated else None
-        try:
-            await self._ack(conn, "attached", grant, stream.prune_predicate() is not None)
-            while True:
-                if (got := await self._read_frame(conn)) is None:
-                    return
-                raw, frame = got
-                rec, by_ref = frame.record, frame.msg_type is MsgType.PUBLISH_REF
-                nbytes = int(rec["nbytes"]) if by_ref else 0
-                if by_ref and (grant is None or not 0 <= nbytes <= grant[0].capacity
-                               or (rec["pool"], rec["offset"]) != (grant[0].name, grant[1])):
-                    await self._send_error(
-                        conn, "protocol", "PUBLISH_REF outside the granted slot")
-                    return
-                if not by_ref and frame.msg_type is not MsgType.PUBLISH:
-                    await self._send_error(conn, "protocol", "writer must PUBLISH")
-                    return
-                if self._draining:
-                    await self._send_retry_after(conn, "draining")
-                    continue
-                try:  # a referenced run is charged like the frame it replaces
-                    self.directory.charge_bytes(session.tenant, raw.nbytes + nbytes)
-                except AdmissionError as exc:
-                    await self._send_admission_error(conn, exc)
-                    continue
-                if by_ref:
-                    (pool, offset), grant, inline_run = grant, None, 0
-                    stored = self._store_step(
-                        stream, rec, pool.arr[offset:offset + nbytes], 0, (pool, offset))
-                else:
-                    inline_run = raw.nbytes - frame.consumed  # a bulk one sizes the pool
-                    stored = self._store_step(stream, rec, raw, frame.consumed)
-                try:  # publishing is the writer's liveness signal
-                    self.directory.heartbeat(session.tenant, stream.name)
-                except DirectoryError:
-                    pass  # unleased or already closed registration
-                if stored and self.checkpoint_sync and self.checkpoint_path:
-                    # Durability before acknowledgement: once the writer sees
-                    # OK, the step survives even a hard daemon kill.  Async so
-                    # the fsync+rename doesn't stall other sessions' frames.
-                    await self.checkpoint_async()
-                if colocated:
-                    grant = stream.grant(grant, inline_run)
-                await self._ack(conn, "published" if stored else "duplicate", grant,
-                                stream.prune_predicate() is not None)
-        finally:
-            if grant is not None:
-                stream.give_back(*grant)
+    def _owe(self, conn: _Conn, work, reply: Callable[[], None]) -> None:
+        """``conn`` owes a reply until the coroutine ``work`` is done;
+        ``reply()`` then gives it (a failure hangs up, and is logged)."""
+        conn.owe()
+
+        def done(task: asyncio.Task) -> None:
+            if task.cancelled() or conn.closing:
+                return
+            if task.exception() is not None:
+                conn.hang_up()
+                task.result()  # raises: the loop's exception handler logs it
+            reply()
+            conn.settle()
+
+        self._loop.create_task(work).add_done_callback(done)
+
+    @_handler
+    def _publish(self, conn: _Conn, raw: np.ndarray, frame: Frame) -> None:
+        stream, rec, grant = conn.stream, frame.record, conn.grant
+        by_ref = frame.msg_type is MsgType.PUBLISH_REF
+        nbytes = int(rec["nbytes"]) if by_ref else 0
+        if by_ref and (grant is None or not 0 <= nbytes <= grant[0].capacity
+                       or (rec["pool"], rec["offset"]) != (grant[0].name, grant[1])):
+            return self._refuse(conn, "protocol", "PUBLISH_REF outside the granted slot")
+        if not by_ref and frame.msg_type is not MsgType.PUBLISH:
+            return self._refuse(conn, "protocol", "writer must PUBLISH")
+        if self._draining:
+            return self._send_retry_after(conn, "draining")
+        try:  # a referenced run is charged like the frame it replaces
+            self.directory.charge_bytes(stream.tenant, raw.nbytes + nbytes)
+        except AdmissionError as exc:
+            return self._send_admission_error(conn, exc)
+        if by_ref:
+            (pool, offset), conn.grant, inline_run = grant, None, 0
+            stored = self._store_step(
+                stream, rec, pool.arr[offset:offset + nbytes], 0, (pool, offset))
+        else:
+            inline_run = raw.nbytes - frame.consumed  # a bulk one sizes the pool
+            stored = self._store_step(stream, rec, raw, frame.consumed)
+        try:  # publishing is the writer's liveness signal
+            self.directory.heartbeat(stream.tenant, stream.name)
+        except DirectoryError:
+            pass  # unleased or already closed registration
+
+        def ack() -> None:
+            if conn.colocated:
+                conn.grant = stream.grant(conn.grant, inline_run)
+            self._ack(conn, "published" if stored else "duplicate", conn.grant,
+                      stream.prune_predicate() is not None)
+
+        if stored and self.checkpoint_sync and self.checkpoint_path:
+            # Durability before acknowledgement: once the writer sees OK,
+            # the step survives even a hard daemon kill.  The fsync+rename
+            # runs off the loop, so other sessions' frames do not stall.
+            return self._owe(conn, self.checkpoint_async(), ack)
+        ack()
 
     @staticmethod
     def _store_step(stream: HostedStream, rec: dict, raw: np.ndarray, start: int,
@@ -1076,81 +1134,71 @@ class DirectoryDaemon:
         return stream.publish(int(rec["step"]), count, payload, bool(rec["eos"]),
                               seq=int(rec["seq"]), slot=slot)
 
-    async def _serve_reader(self, stream: HostedStream, conn: _Conn,
-                            colocated: bool) -> None:
-        pinned = None  # the payload last served: not reusable before the next request
-        while True:
-            got = await self._read_frame(conn)
-            pinned = None
-            if got is None:
-                return
-            frame = got[1]
-            if frame.msg_type is not MsgType.FETCH:
-                await self._send_error(conn, "protocol", "reader must FETCH")
-                return
-            step = int(frame.record["step"])
-            # The outcome that ended the hold is the one answered:
-            # nothing awaits between this lookup and the reply below.
-            outcome, detail = await self._held_lookup(
-                stream, step, frame.record["wait"], conn)
-            if outcome is Outcome.HIT:
-                count, pinned = stream.fetch(step)
-                slot = stream.slot_of(pinned)
-                if slot is not None and colocated:
-                    stream.counter(M_NET_STEPS_FETCHED_BY_REF).inc()
-                    await self._write_frame(conn, encode_frame(MsgType.STEP_REF, {
-                        "step": step, "count": count, "pool": slot[0].name,
-                        "offset": slot[1], "nbytes": len(pinned)}))
-                else:
-                    await self._write_frame(
-                        conn,
-                        encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
-                        pinned,
-                    )
-                continue
-            msg_type, kind = MISS_REPLY[outcome]
-            if msg_type is MsgType.NOT_READY and self._draining:
-                # No new publishes will land here; tell the reader to
-                # back off and retry against the restarted daemon.
-                await self._send_retry_after(conn, "draining")
-            elif msg_type in (MsgType.EOS, MsgType.NOT_READY):
-                # The step index is their whole body.
-                await self._write_frame(conn, encode_frame(msg_type, {"step": step}))
-            else:
-                await self._send_error(conn, kind, detail)
+    @_handler
+    def _fetch(self, conn: _Conn, raw, frame: Frame) -> None:
+        conn.pinned = None  # a new request: the step served last is let go
+        if frame.msg_type is not MsgType.FETCH:
+            return self._refuse(conn, "protocol", "reader must FETCH")
+        self._serve_fetch(conn, int(frame.record["step"]), frame.record["wait"])
 
-    async def _held_lookup(self, stream: HostedStream, step: int, wait: float,
-                           conn) -> tuple[Outcome, object]:
-        """``stream.store.lookup(step)``, after parking for up to ``wait``
-        seconds (clamped; NaN and negatives hold nothing) while it says
-        ``NOT_YET`` and the daemon is not draining.  A reader woken for
-        another step parks again for what is left of its hold."""
+    def _serve_fetch(self, conn: _Conn, step: int, wait: float) -> None:
+        """Answer one FETCH from ``stream.store.lookup(step)`` — or, while
+        that says ``NOT_YET`` and the daemon is not draining, park it for
+        up to ``wait`` seconds (clamped; NaN and negatives hold nothing):
+        one record on ``stream.parked`` and one timer, answered by whatever
+        ends the hold, in the loop turn that ends it."""
+        stream = conn.stream
         outcome, detail = stream.store.lookup(step)
         hold = min(wait, MAX_FETCH_HOLD_S) if wait > 0 else 0.0
         if outcome is not Outcome.NOT_YET or not hold or self._draining:
-            return outcome, detail
+            return self._answer(conn, step, outcome, detail)
         stream.counter(M_NET_FETCHES_HELD).inc()
-        parked = stream.gauge(M_NET_READERS_PARKED)
-        clock = asyncio.get_running_loop().time
-        deadline = clock() + hold
-        stream.parked.add(conn)
-        parked.set(len(stream.parked))
-        try:
-            while (outcome is Outcome.NOT_YET and not self._draining
-                   and (left := deadline - clock()) > 0):
-                try:
-                    await asyncio.wait_for(stream.changed.wait(), left)
-                except asyncio.TimeoutError:
-                    pass
-                outcome, detail = stream.store.lookup(step)
-        finally:
-            stream.parked.discard(conn)
-            parked.set(len(stream.parked))
+        conn.owe()
+        end = functools.partial(self._unpark, conn)
+        timer = self._loop.call_at(self._loop.time() + hold, lambda: end(
+            *stream.store.lookup(step)))
+        stream.parked[conn] = _Hold(step, hold, timer, end)
+        stream.gauge(M_NET_READERS_PARKED).set(len(stream.parked))
+
+    def _unpark(self, conn: _Conn, outcome: Outcome, detail) -> None:
+        """End ``conn``'s hold with ``outcome``: the one answer to its FETCH."""
+        stream = conn.stream
+        hold = stream.unpark(conn)
+        if hold is None:
+            return  # already ended (or the connection with it)
         if outcome is Outcome.NOT_YET and not self._draining:
             stream.counter(M_NET_FETCH_HOLDS_EXPIRED).inc()
-        flight.record(EV_NET_FETCH_HELD, stream=stream.stream_id, step=step,
-                      wait=hold, outcome=outcome.value)
-        return outcome, detail
+        flight.record(EV_NET_FETCH_HELD, stream=stream.stream_id, step=hold.step,
+                      wait=hold.wait, outcome=outcome.value)
+        self._answer(conn, hold.step, outcome, detail)
+        conn.settle()
+
+    def _answer(self, conn: _Conn, step: int, outcome: Outcome, detail) -> None:
+        """The reply to a FETCH of ``step``, from the store's outcome."""
+        stream = conn.stream
+        if outcome is Outcome.HIT:
+            count, conn.pinned = stream.fetch(step)
+            slot = stream.slot_of(conn.pinned)
+            if slot is not None and conn.colocated:
+                stream.counter(M_NET_STEPS_FETCHED_BY_REF).inc()
+                return self._reply(conn, encode_frame(MsgType.STEP_REF, {
+                    "step": step, "count": count, "pool": slot[0].name,
+                    "offset": slot[1], "nbytes": len(conn.pinned)}))
+            return self._reply(
+                conn,
+                encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
+                conn.pinned,
+            )
+        msg_type, kind = MISS_REPLY[outcome]
+        if msg_type is MsgType.NOT_READY and self._draining:
+            # No new publishes will land here; tell the reader to
+            # back off and retry against the restarted daemon.
+            self._send_retry_after(conn, "draining")
+        elif msg_type in (MsgType.EOS, MsgType.NOT_READY):
+            # The step index is their whole body.
+            self._reply(conn, encode_frame(msg_type, {"step": step}))
+        else:
+            self._send_error(conn, kind, detail)
 
     # -- graceful drain ----------------------------------------------------
     def drain(self, delay: float = DEFAULT_RETRY_AFTER_S) -> None:
@@ -1166,22 +1214,18 @@ class DirectoryDaemon:
         if self._draining:
             return
         self._draining = True
-        # A parked reader is woken and answered RETRY_AFTER by its own
-        # handler; the broadcast is for peers with no request outstanding.
-        peers = set(self._attached)
+        # A parked reader is answered RETRY_AFTER by its own hold ending;
+        # the broadcast is for attached peers that are owed nothing.
+        peers = [c for c in self._conns if c.stream is not None and not c.owing]
         for stream in self._streams.values():
-            peers -= stream.parked
-            stream.wake()
+            stream.wake(drain=True)
         flight.record(EV_NET_DRAIN, peers=len(peers), delay=delay)
         self.metrics.counter("net.drains").inc()
         frame = encode_frame(
             MsgType.RETRY_AFTER, {"delay": delay, "reason": "draining"}
         )
         for conn in peers:
-            try:
-                await self._write_frame(conn, frame)
-            except (ConnectionError, OSError):
-                pass  # peer already gone; nothing to notify
+            self._reply(conn, frame)
 
     # -- checkpoint / restore ----------------------------------------------
     def checkpoint(self, path: Optional[str] = None) -> str:
@@ -1394,24 +1438,6 @@ class DirectoryDaemon:
             EV_NET_RESTORE, path=source,
             streams=len(self._streams), sessions=len(self._sessions),
         )
-
-
-class _DaemonState:
-    """Process-level pseudo-stream so daemon-wide series (sessions,
-    admission rejections, lease evictions) render without a stream label."""
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.monitor = _MetricsOnly(metrics)
-        self.closed = False
-        self.error = None
-        self.active_transport = ""
-
-
-class _MetricsOnly:
-    __slots__ = ("metrics",)
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.metrics = metrics
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,7 @@ M_NET_STEPS_PUBLISHED_BY_REF = "net.steps_published_by_ref"
 M_NET_STEPS_FETCHED_BY_REF = "net.steps_fetched_by_ref"
 M_NET_POOL_SLOTS_FREE = "net.pool_slots_free"
 M_NET_BLOCKS_BOUNDED_BY_DAEMON = "net.blocks_bounded_by_daemon"
+M_NET_LOOP_LAG_MS = "net.loop_lag_ms"
 
 # Network plane, client side (net/client.py, tools/chaos.py --scenario net)
 M_NET_RECONNECTS = "net.reconnects"
@@ -226,6 +227,8 @@ _METRIC_SPECS = (
     MetricSpec(M_NET_STEPS_FETCHED_BY_REF, "counter", "steps served as a slot reference"),
     MetricSpec(M_NET_POOL_SLOTS_FREE, "gauge", "free slots of the current pool generation"),
     MetricSpec(M_NET_BLOCKS_BOUNDED_BY_DAEMON, "counter", "unstamped blocks the broker bounded"),
+    MetricSpec(M_NET_LOOP_LAG_MS, "gauge",
+               "how late the daemon's lease-reaper tick ran, in ms (event-loop lag)"),
     MetricSpec(M_NET_RECONNECTS, "counter", "client reconnect attempts that succeeded"),
     MetricSpec(M_NET_SESSIONS_LOST, "counter", "client sessions lost after retries"),
     MetricSpec(M_NET_RESUME, "counter", "client sessions resumed by token"),

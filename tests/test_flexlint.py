@@ -627,6 +627,66 @@ def test_fxl010_scoped_to_net_and_sync_callers_allowed():
     assert lint(async_elsewhere, path="repro/apps/fixture.py") == []
 
 
+CALLBACK_DAEMON = """
+import asyncio
+import time
+
+class _Conn(asyncio.BufferedProtocol):
+    def __init__(self, daemon, handler):
+        self.daemon, self.handler = daemon, handler
+
+    def buffer_updated(self, nbytes):
+        self.handler(self, nbytes)
+
+class Daemon:
+    async def bind(self, loop):
+        await loop.create_server(lambda: _Conn(self, self._hello), "", 0)
+
+    def _hello(self, conn, raw):
+        conn.handler = self._publish
+
+    def _publish(self, conn, raw):
+        self._ack(conn)
+
+    def _ack(self, conn):
+        {ack}
+
+    def _persist(self):
+        time.sleep(1.0)
+
+    def _later(self, loop):
+        loop.run_in_executor(None, self._persist)
+
+def main():
+    time.sleep(1.0)
+"""
+
+
+def test_fxl010_flags_a_time_sleep_in_a_connection_handler():
+    """The loop runs a connection's handlers as protocol callbacks, not
+    coroutines: a handler reached from ``buffer_updated`` — through the
+    state it stores — is held to the async rule."""
+    code = CALLBACK_DAEMON.format(ack="time.sleep(0.05)")
+    findings = lint(code, path="repro/net/fixture.py")
+    assert rules_of(findings) == ["FXL010"]
+    assert "_ack()" in findings[0].message and "event loop" in findings[0].message
+
+
+def test_fxl010_callbacks_may_hand_blocking_work_off_the_loop():
+    # ``_persist`` runs on an executor and ``main`` on no loop: both clean.
+    code = CALLBACK_DAEMON.format(ack="conn.transport.write(b'ok')")
+    assert lint(code, path="repro/net/fixture.py") == []
+    direct = """
+    import asyncio
+    import time
+
+    class _Conn(asyncio.Protocol):
+        def data_received(self, data):
+            time.sleep(0.01)
+    """
+    assert rules_of(lint(direct, path="repro/net/fixture.py")) == ["FXL010"]
+
+
 def test_fxl010_executor_handoff_is_clean():
     code = """
     import asyncio

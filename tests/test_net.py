@@ -880,13 +880,13 @@ def test_tcp_connect_closes_socket_when_setsockopt_fails(monkeypatch):
 def fetch_log(monkeypatch):
     """``(step, wait)`` of every FETCH frame an in-process daemon reads."""
     seen = []
-    real = DirectoryDaemon._held_lookup
+    real = DirectoryDaemon._serve_fetch
 
-    def logged(self, stream, step, wait, writer):
+    def logged(self, conn, step, wait):
         seen.append((step, wait))
-        return real(self, stream, step, wait, writer)
+        return real(self, conn, step, wait)
 
-    monkeypatch.setattr(DirectoryDaemon, "_held_lookup", logged)
+    monkeypatch.setattr(DirectoryDaemon, "_serve_fetch", logged)
     return seen
 
 
@@ -1089,9 +1089,9 @@ def test_lost_held_step_data_is_refetched_and_read_once(daemon, fetch_log, kind,
         r = cr.open("held.lost", "r")
         t = in_thread(lambda: r.begin_step(timeout=2.0))
         wait_parked(hosted_of(daemon, r))
-        # From here the daemon's frame 1 is the PUBLISH ack, frame 2 the
-        # held reader's STEP_DATA.
-        daemon.injector = TransportFaultInjector(fail_ops=[2], kinds=[FaultKind(kind)])
+        # From here the daemon's frame 1 is the held reader's STEP_DATA (the
+        # publish answers it in place), frame 2 the PUBLISH ack.
+        daemon.injector = TransportFaultInjector(fail_ops=[1], kinds=[FaultKind(kind)])
         write_step(w, 3)
         assert t.join_result() is StepStatus.OK
         np.testing.assert_array_equal(r.read_block("x", 0), np.full(4, 3.0))

@@ -246,6 +246,24 @@ def test_small_runs_stay_inline_and_size_no_pool(daemon):
         r.close()
 
 
+def test_a_parked_reader_woken_by_a_by_reference_step_is_told_where_it_is(daemon):
+    # The publish that wakes a parked reader has recorded the step's slot
+    # before the reader is answered: it gets the reference, not the bytes.
+    with connect(uri(daemon)) as c:
+        w = c.open("woken", "w")
+        put(w, 0)  # inline, sizes the pool
+        stream = hosted(daemon, "woken")
+        reader = c._attach("public/woken", "r")
+        reader.sendv([encode_frame(MsgType.FETCH, {"step": 1, "wait": 5.0})], timeout=2.0)
+        settle(lambda: stream.parked, "the FETCH never parked")
+        put(w, 1)  # by reference, into the writer's grant
+        ref = decode_frame(reader.recv(timeout=2.0))
+        assert ref.msg_type is MsgType.STEP_REF and ref.record["nbytes"] == len(run_bytes(1))
+        assert counter(stream, M_NET_STEPS_FETCHED_BY_REF) == 1
+        reader.close()
+        w.close()
+
+
 # ---------------------------------------------------------------------------
 # A reference is checked against the grant
 # ---------------------------------------------------------------------------

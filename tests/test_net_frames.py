@@ -1,7 +1,8 @@
-"""The daemon hop's copy-free frame path: the assembler without sockets,
+"""The daemon hop's frame path: the assembler without sockets or a loop,
 the copies as facts (``np.shares_memory`` / ``tracemalloc``, not timings),
-and the two bounds the connection object owes the network — the length
-prefix it will believe and the frames it will queue.
+the two bounds the connection object owes the network — the length
+prefix it will believe and the bytes it will buffer — and the one loop
+turn a frame costs: each is answered in the call that completed it.
 """
 
 import asyncio
@@ -32,10 +33,12 @@ from repro.net.protocol import (
 )
 from repro.net.server import DirectoryDaemon
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.names import M_NET_FRAMES_REFUSED
+from repro.obs.names import M_NET_FRAMES_REFUSED, M_NET_LOOP_LAG_MS, M_NET_READERS_PARKED
 from repro.transport.buffers import as_byte_view
+from repro.transport.faults import FaultKind, TransportFaultInjector
 from repro.transport.tcp import (
     FRAME_PREFIX,
+    INLINE_MAX,
     MAX_FRAME,
     recv_frame,
     send_frame,
@@ -44,7 +47,7 @@ from repro.transport.tcp import (
 
 
 # ---------------------------------------------------------------------------
-# (a) the assembler: bytes in -> whole frames out, no socket, no clock
+# (a) the assembler: bytes in -> whole frames out, no socket, no clock, no loop
 # ---------------------------------------------------------------------------
 
 class FakeTransport:
@@ -69,42 +72,34 @@ class FakeTransport:
         self.closed = True
 
 
-def make_conn():
-    conn = server._Conn(SimpleNamespace(metrics=MetricsRegistry()), handler=None)
-    conn.transport = FakeTransport()
+def make_conn(handler=None, daemon=None):
+    """A connection on a fake transport; without ``handler`` every whole
+    frame it hands over is kept in ``conn.frames``."""
+    frames = []
+    daemon = daemon or SimpleNamespace(
+        metrics=MetricsRegistry(), _conns=set(), _conn_lost=lambda conn: None)
+    conn = server._Conn(daemon, handler or (lambda c, raw: frames.append(raw)))
+    conn.transport, conn.frames = FakeTransport(), frames
     return conn
 
 
-def feed(conn, piece: bytes) -> None:
+def feed(conn, piece: bytes) -> int:
     """Deliver ``piece`` the way a selector transport does: as many
-    ``get_buffer`` / ``recv_into`` / ``buffer_updated`` rounds as it takes."""
-    piece = memoryview(piece)
-    while len(piece):
+    ``get_buffer`` / ``recv_into`` / ``buffer_updated`` rounds as it takes,
+    while reading is not paused.  Returns the bytes delivered."""
+    piece, done = memoryview(piece), 0
+    while done < len(piece) and conn.transport.reading and not conn.transport.closed:
         buf = conn.get_buffer(-1)
         assert len(buf) > 0, "get_buffer must never hand out an empty buffer"
-        n = min(len(buf), len(piece))
-        buf[:n] = piece[:n]
+        n = min(len(buf), len(piece) - done)
+        buf[:n] = piece[done:done + n]
         conn.buffer_updated(n)
-        piece = piece[n:]
+        done += n
+    return done
 
 
-def take(conn):
-    """``read_frame`` without a loop: the frame (or None at the end), or
-    ``"would block"`` when the coroutine has to wait."""
-    if not conn._readable.is_set():
-        return "would block"
-    try:
-        conn.read_frame().send(None)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("read_frame waited although a frame (or the end) was there")
-
-
-def drain_frames(conn) -> list:
-    out = []
-    while not isinstance(got := take(conn), str) and got is not None:
-        out.append(got.tobytes())
-    return out
+def handed(conn) -> list:
+    return [f.tobytes() for f in conn.frames]
 
 
 def wire(*bodies: bytes) -> bytes:
@@ -119,14 +114,14 @@ BODIES = [b"hello", b"", bytes(range(256)) * 5, b"x"]
 def test_assembler_yields_the_same_frames_for_every_split(cuts):
     stream = wire(*BODIES)
     conn = make_conn()
-    got = []
     edges = [0, *sorted(cuts), len(stream)]
     for a, b in zip(edges, edges[1:]):
-        feed(conn, stream[a:b])
-        got += drain_frames(conn)
-        assert conn.transport.reading  # paused at most while two were queued
-    assert got == BODIES
-    assert take(conn) == "would block"
+        assert feed(conn, stream[a:b]) == b - a
+        # Every frame whose last byte has arrived was handed over, at once.
+        assert len(conn.frames) == sum(len(wire(*BODIES[:i + 1])) <= b
+                                       for i in range(len(BODIES)))
+    assert handed(conn) == BODIES
+    assert conn.transport.reading and conn.transport.pauses == 0  # nothing owed
 
 
 def test_assembler_one_byte_pieces_and_a_straddling_piece():
@@ -134,47 +129,97 @@ def test_assembler_one_byte_pieces_and_a_straddling_piece():
     conn = make_conn()
     for i in range(len(stream)):
         feed(conn, stream[i:i + 1])
-    assert drain_frames(conn) == [b"abcdef", b"", b"gh"]
+    assert handed(conn) == [b"abcdef", b"", b"gh"]
     conn = make_conn()
     feed(conn, stream[:5])        # mid-prefix
-    assert take(conn) == "would block"
+    assert handed(conn) == []
     feed(conn, stream[5:11])      # rest of the prefix and half the body
-    assert take(conn) == "would block"
+    assert handed(conn) == []
     feed(conn, stream[11:])
-    assert drain_frames(conn) == [b"abcdef", b"", b"gh"]
+    assert handed(conn) == [b"abcdef", b"", b"gh"]
+
+
+def test_a_frame_that_fits_is_handed_over_in_the_call_that_brought_its_prefix():
+    conn = make_conn()
+    updates = []
+    real = conn.buffer_updated
+    conn.buffer_updated = lambda n: (updates.append(n), real(n))
+    body = bytes(range(200)) * 300  # 60 000 B: inside the scratch
+    feed(conn, wire(body))
+    assert len(updates) == 1 and handed(conn) == [body]  # one recv, one frame
+    (frame,) = conn.frames
+    assert not np.shares_memory(frame, conn.get_buffer(-1).obj)  # copied out once
 
 
 def test_assembler_two_frames_in_one_piece_pause_reading_until_read():
-    conn = make_conn()
+    """A reply owed holds what follows back, and reading pauses once one
+    scratch is buffered; the reply given, the rest is handed over in order."""
+    def owe_first(conn, raw):
+        conn.frames.append(raw)
+        if len(conn.frames) == 1:
+            conn.owe()
+
+    conn = make_conn(lambda c, raw: owe_first(c, raw))
     feed(conn, wire(b"one", b"two"))
-    assert conn.transport.pauses == 1 and not conn.transport.reading
-    assert take(conn).tobytes() == b"one"
-    assert not conn.transport.reading      # one still queued
-    assert take(conn).tobytes() == b"two"
-    assert conn.transport.reading          # queue empty: reading resumes
-    assert take(conn) == "would block"
+    assert handed(conn) == [b"one"] and conn.transport.reading
+    flood = wire(*[b"x" * 1000] * 200)  # 200 KB of pipelined requests
+    taken = feed(conn, flood)
+    assert not conn.transport.reading and conn.transport.pauses == 1
+    assert taken <= server._SCRATCH and handed(conn) == [b"one"]
+    conn.settle()
+    assert handed(conn)[:2] == [b"one", b"two"] and conn.transport.reading
+    feed(conn, flood[taken:])
+    assert handed(conn) == [b"one", b"two", *[b"x" * 1000] * 200]
+
+
+def test_pipelined_bytes_stay_bounded_while_a_reply_is_owed():
+    """One scratch plus one frame, whatever the peer sends: a large frame
+    that completes while a reply is owed waits whole, reading paused."""
+    big = bytes(200_000)
+
+    def owe_each(conn, raw):
+        conn.frames.append(raw)
+        conn.owe()
+
+    conn = make_conn(lambda c, raw: owe_each(c, raw))
+    stream = wire(b"a", big, b"b", big, b"c")
+    done = 0
+    while len(conn.frames) < 5:
+        done += feed(conn, stream[done:])
+        buffered = done - sum(FRAME_PREFIX.size + f.nbytes for f in conn.frames)
+        assert buffered <= server._SCRATCH + len(big) + FRAME_PREFIX.size
+        assert not conn.transport.reading or done == len(stream)
+        conn.settle()
+    assert handed(conn) == [b"a", big, b"b", big, b"c"]
 
 
 @pytest.mark.parametrize("cut", [3, FRAME_PREFIX.size + 2], ids=["mid-prefix", "mid-body"])
 @pytest.mark.parametrize("how", ["eof", "reset"])
 def test_assembler_eof_mid_frame_is_none_after_the_whole_frames(cut, how):
-    conn = make_conn()
+    lost = []
+    conn = make_conn(daemon=SimpleNamespace(
+        metrics=MetricsRegistry(), _conns=set(), _conn_lost=lost.append))
     feed(conn, wire(b"whole") + wire(b"cut short")[:cut])
+    assert handed(conn) == [b"whole"]  # handed over before the end was known
     if how == "eof":
-        assert conn.eof_received() is True  # replies may still leave
+        assert conn.eof_received() is False  # the transport closes itself
     else:
         conn.connection_lost(ConnectionResetError())
-    assert take(conn).tobytes() == b"whole"
-    assert take(conn) is None and take(conn) is None
+        assert lost == [conn]
+    conn.settle()
+    assert handed(conn) == [b"whole"] and conn.closing
 
 
 def test_a_frame_gets_its_own_array_filled_in_place():
     conn = make_conn()
-    body = np.arange(1000, dtype=np.uint8).tobytes()
-    feed(conn, FRAME_PREFIX.pack(len(body)))
+    body = np.arange(1 << 17, dtype=np.uint8).tobytes()  # larger than the scratch
+    head = wire(body)[:1000]
+    feed(conn, head)
     target = conn.get_buffer(-1).obj       # where the transport will recv_into
-    feed(conn, body)
-    frame = take(conn)
+    assert target.nbytes == len(body) and handed(conn) == []
+    assert bytes(target[:len(head) - FRAME_PREFIX.size]) == head[FRAME_PREFIX.size:]
+    feed(conn, wire(body)[len(head):])
+    (frame,) = conn.frames
     assert frame is target and frame.tobytes() == body
 
 
@@ -207,9 +252,10 @@ def stingy_allocator(monkeypatch):
 
 def test_prefix_over_max_frame_is_refused_before_any_allocation(stingy_allocator):
     conn = make_conn()
+    del stingy_allocator[:]  # the connection's own scratch
     feed(conn, FRAME_PREFIX.pack(MAX_FRAME + 1))
     assert refused_frame(conn)["kind"] == "protocol"
-    assert conn.transport.closed and take(conn) is None
+    assert conn.transport.closed and handed(conn) == []
     assert conn._daemon.metrics.counter(M_NET_FRAMES_REFUSED).value == 1
     assert max(stingy_allocator) < 1024  # only the ERROR frame's own span
 
@@ -219,7 +265,7 @@ def test_allocation_failure_is_refused_the_same_way(stingy_allocator):
     feed(conn, FRAME_PREFIX.pack(1 << 30))
     assert 1 << 30 in stingy_allocator
     assert refused_frame(conn)["kind"] == "protocol"
-    assert conn.transport.closed and take(conn) is None
+    assert conn.transport.closed and handed(conn) == []
     assert conn._daemon.metrics.counter(M_NET_FRAMES_REFUSED).value == 1
 
 
@@ -254,35 +300,22 @@ def hello(sock):
     assert decode_frame(recv_frame(sock, timeout=2.0)).msg_type is MsgType.WELCOME
 
 
-def test_pipelined_frames_queue_to_a_bound_and_are_answered_in_order(daemon, monkeypatch):
-    gate = asyncio.Event()
-    seen = {}
-    dispatch = DirectoryDaemon._dispatch_control
-
-    async def held(self, session, frame, conn):
-        seen["conn"] = conn
-        await gate.wait()
-        seen["deepest"] = max(seen.get("deepest", 0), len(conn._frames))
-        await dispatch(self, session, frame, conn)
-
-    monkeypatch.setattr(DirectoryDaemon, "_dispatch_control", held)
+def test_pipelined_frames_queue_to_a_bound_and_are_answered_in_order(daemon):
+    # The first reply is held back 50 ms (an injected DELAYED_FRAME): what
+    # the peer pipelines meanwhile waits unread, then is answered in order.
+    daemon.injector = TransportFaultInjector(fail_ops=[2], kinds=[FaultKind.DELAYED_FRAME])
     with socket.create_connection((daemon.host, daemon.control_port), timeout=2) as s:
         hello(s)
         ids = [f"public/nope-{i}" for i in range(50)]
+        began = time.monotonic()
         s.sendall(b"".join(  # 50 back-to-back frames, no reply read
             FRAME_PREFIX.pack(f.nbytes) + f.as_array().tobytes()
             for f in (encode_frame(MsgType.CLOSE, {"stream_id": i}) for i in ids)))
-        deadline = time.monotonic() + 2.0
-        while "conn" not in seen or len(seen["conn"]._frames) < 2:
-            assert time.monotonic() < deadline, "frames never queued"
-            time.sleep(0.005)
-        time.sleep(0.05)  # anything more the transport would read has arrived
-        assert len(seen["conn"]._frames) == 2 and seen["conn"]._paused
-        daemon._loop.call_soon_threadsafe(gate.set)
         replies = [decode_frame(recv_frame(s, timeout=2.0)).record for _ in ids]
+        assert time.monotonic() - began >= 0.05
     assert [r["kind"] for r in replies] == ["unknown_stream"] * 50
     assert [r["message"] for r in replies] == ids
-    assert seen["deepest"] <= 2
+    assert daemon.injector.faults_injected == 1
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +376,13 @@ def test_encode_var_payload_is_the_callers_contiguous_array():
 
 def test_stored_payload_is_a_view_of_the_received_frame(daemon, monkeypatch):
     frames = []
-    read_frame = server._Conn.read_frame
+    publish = DirectoryDaemon._publish
 
-    async def spy(self):
-        frame = await read_frame(self)
-        frames.append(frame)
-        return frame
+    def spy(self, conn, raw):
+        frames.append(raw)
+        return publish(self, conn, raw)
 
-    monkeypatch.setattr(server._Conn, "read_frame", spy)
+    monkeypatch.setattr(DirectoryDaemon, "_publish", spy)
     data = np.arange(1 << 15, dtype=np.float64)
     with connect(uri(daemon)) as c:
         w = c.open("landed", "w")
@@ -361,7 +393,7 @@ def test_stored_payload_is_a_view_of_the_received_frame(daemon, monkeypatch):
         (hosted,) = daemon._streams.values()
         _outcome, (count, payload) = hosted.store.lookup(0)
         assert count == 1 and isinstance(payload, np.ndarray)
-        (carrier,) = [f for f in frames if f is not None and f.nbytes > data.nbytes]
+        (carrier,) = [f for f in frames if f.nbytes > data.nbytes]
         assert np.shares_memory(payload, carrier)
         assert payload.nbytes + 100 > carrier.nbytes  # everything after the header
         r.begin_step(timeout=2.0)
@@ -404,24 +436,127 @@ def test_ingesting_a_4mb_publish_peaks_under_one_and_a_half_frames(daemon):
 
 
 # ---------------------------------------------------------------------------
-# (d) a handler that raises is logged and retrieved
+# (d) a handler that raises is logged and closes the connection
 # ---------------------------------------------------------------------------
 
 def test_handler_exception_is_logged_retrieved_and_closes_the_connection(
         daemon, monkeypatch, caplog):
-    async def boom(self, conn):
+    def boom(self, conn, raw):
         raise RuntimeError("handler bug")
 
-    monkeypatch.setattr(DirectoryDaemon, "_handle_control", boom)
+    monkeypatch.setattr(DirectoryDaemon, "_hello", boom)
     with caplog.at_level(logging.ERROR, logger="asyncio"):
         with socket.create_connection((daemon.host, daemon.control_port), timeout=2) as s:
+            hello_frame = encode_frame(MsgType.HELLO, {
+                "tenant": "public", "token": "", "client": "t", "resume": ""})
+            send_frame(s, hello_frame)
             assert recv_frame(s, timeout=2.0) is None  # closed, not left hanging
         gc.collect()
         time.sleep(0.05)
     text = "\n".join(r.getMessage() for r in caplog.records)
-    assert "connection handler failed" in text
+    assert "buffer_updated() call failed" in text
     assert any(r.exc_info and "handler bug" in str(r.exc_info[1]) for r in caplog.records)
     assert "never retrieved" not in text
+    assert not daemon._conns  # and the daemon forgot it
+
+
+# ---------------------------------------------------------------------------
+# (e) one loop turn per frame: a PUBLISH answers the writer and the parked
+# reader inside the call that delivered it — no event loop runs
+# ---------------------------------------------------------------------------
+
+def frame_bytes(msg_type, record, *parts) -> bytes:
+    return b"".join(as_byte_view(p).tobytes() for p in (encode_frame(msg_type, record), *parts))
+
+
+def replies(conn) -> list:
+    out = []
+    blob = b"".join(conn.transport.written)
+    while blob:
+        (n,) = FRAME_PREFIX.unpack(blob[:8])
+        out.append(decode_frame(blob[8:8 + n]).msg_type)
+        blob = blob[8 + n:]
+    return out
+
+
+def test_a_publish_answers_its_writer_and_the_parked_reader_synchronously():
+    d = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False)
+    d._loop = asyncio.new_event_loop()  # for the hold's timer; never run
+    try:
+        stream = server.HostedStream("public", "sync")
+        d._streams[stream.stream_id] = stream
+        spec = d.directory.authenticate("public", None)
+        d._sessions["s1"] = server._Session("s1", "public", spec)
+        writer, reader = make_conn(d._attach, d), make_conn(d._attach, d)
+        for conn, role in ((writer, "w"), (reader, "r")):
+            feed(conn, wire(frame_bytes(MsgType.ATTACH, {
+                "session": "s1", "stream_id": stream.stream_id, "role": role,
+                "predicate": "", "nonce": ""})))
+            assert replies(conn) == [MsgType.OK]
+        feed(reader, wire(frame_bytes(MsgType.FETCH, {"step": 0, "wait": 5.0})))
+        assert len(stream.parked) == 1 and replies(reader) == [MsgType.OK]
+        data = np.arange(16, dtype=np.float64)
+        feed(writer, wire(frame_bytes(
+            MsgType.PUBLISH, {"step": 0, "count": 1, "eos": False, "seq": 1},
+            *encode_var({"name": "v", "writer_rank": 0, "start": [], "shape": [16],
+                         "gshape": [], "vmin": 0.0, "vmax": 0.0, "has_stats": False,
+                         "data": data}))))
+        assert replies(writer) == [MsgType.OK, MsgType.OK]
+        assert replies(reader) == [MsgType.OK, MsgType.STEP_DATA]
+        assert not stream.parked and not reader.owing
+    finally:
+        d._loop.close()
+
+
+def test_a_small_frame_is_one_write_and_a_bulk_payload_is_not_copied():
+    conn = make_conn()
+    kept = []
+    conn.transport.write = kept.append  # the objects written, not copies
+    head = encode_frame(MsgType.STEP_DATA, {"step": 0, "count": 1})
+    header = as_byte_view(head).tobytes()
+    small = np.arange(INLINE_MAX // 16, dtype=np.float64)
+    conn.write_frame(head, small)
+    (segment,) = kept  # the reader wakes once, to all of it
+    body = header + small.tobytes()
+    assert bytes(segment) == FRAME_PREFIX.pack(len(body)) + body
+    kept.clear()
+    bulk = np.arange(INLINE_MAX // 8, dtype=np.float64)  # with its header, over the bound
+    conn.write_frame(head, bulk)
+    first, payload = kept
+    assert bytes(first) == FRAME_PREFIX.pack(len(header) + bulk.nbytes) + header
+    assert np.shares_memory(np.frombuffer(payload, dtype=np.uint8), bulk)
+
+
+# ---------------------------------------------------------------------------
+# Bugfix: a parked reader whose socket dies is dropped at once
+# ---------------------------------------------------------------------------
+
+def test_a_parked_reader_whose_socket_dies_is_dropped_at_once(daemon):
+    near = '[{"hi": 1.0, "kind": "range", "lo": 0.0, "var": "x"}]'
+    far = '[{"hi": 6.0, "kind": "range", "lo": 5.0, "var": "x"}]'
+    with connect(uri(daemon)) as c:
+        w = c.open("dies", "w")
+        hosted = daemon._streams[w.stream_id]
+        other = c._attach(w.stream_id, "r", predicate=far)
+        parked = c._attach(w.stream_id, "r", predicate=near)
+        parked.sendv([encode_frame(MsgType.FETCH, {"step": 0, "wait": 8.0})])
+        gauge = hosted.monitor.metrics.gauge(M_NET_READERS_PARKED,
+                                             labels={"tenant": "public"})
+        deadline = time.monotonic() + 2.0
+        while not hosted.parked:
+            assert time.monotonic() < deadline, "the FETCH never parked"
+            time.sleep(0.002)
+        assert gauge.value == 1 and hosted.prune_predicate().might_match("x", 0.2, 0.8)
+        parked.close()
+        deadline = time.monotonic() + 0.5
+        while gauge.value or hosted.prune_predicate().might_match("x", 0.2, 0.8):
+            assert time.monotonic() < deadline, "the dead reader is still parked"
+            time.sleep(0.002)
+        assert not hosted.parked
+        assert not hosted.prune_predicate().might_match("x", 0.2, 0.8)  # only ``far``
+        assert hosted.prune_predicate().might_match("x", 5.5, 5.6)
+        other.close()
+        w.close()
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +599,26 @@ def test_unpace_loopback_leaves_other_sockets_alone():
     with a, b:
         unpace_loopback(a)
     unpace_loopback(None)                  # a transport without a socket
+
+
+# ---------------------------------------------------------------------------
+# Observability: is the daemon's loop the bottleneck?
+# ---------------------------------------------------------------------------
+
+def test_loop_lag_gauge_reads_how_late_the_reaper_ticked():
+    d = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False,
+                        lease_interval=0.02).start()
+    try:
+        lag = d.metrics.gauge(M_NET_LOOP_LAG_MS)
+
+        def settles(check, within=2.0):
+            deadline = time.monotonic() + within
+            while not check(lag.value):
+                assert time.monotonic() < deadline, f"net.loop_lag_ms stuck at {lag.value}"
+                time.sleep(0.005)
+
+        d._loop.call_soon_threadsafe(time.sleep, 0.12)  # a callback that hogs the loop
+        settles(lambda ms: ms >= 60.0)
+        settles(lambda ms: ms < 50.0)  # and the next ticks are on time again
+    finally:
+        d.stop()
