@@ -79,6 +79,34 @@ def _range_mask(col: np.ndarray, lo: float, hi: float) -> np.ndarray:
 _range_mask_jit = _jit(_range_mask)
 
 
+def _gather_rows(arr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``arr[keep]``, copying each kept row in one piece where it can.
+
+    A 1-D boolean ``keep`` over the rows of an array whose rows are each
+    C-contiguous (a sampled block: strided rows, contiguous columns)
+    indexes a view with one ``np.void`` item per row — numpy's 1-D path,
+    one copy per row instead of one per element — and the gathered rows
+    are reinterpreted as ``arr``'s dtype and trailing shape: byte-identical
+    to ``arr[keep]``, fresh and writable.  Anything else (1-D or empty
+    arrays, Fortran-order or column-strided blocks, object dtypes, any
+    other mask) is ``arr[keep]``, raising what it raises.
+    """
+    if (
+        arr.ndim < 2 or arr.size == 0 or arr.dtype.hasobject
+        or not isinstance(keep, np.ndarray) or keep.dtype != np.bool_
+        or keep.shape != arr.shape[:1]
+    ):
+        return arr[keep]
+    width = arr.itemsize
+    for n, stride in zip(arr.shape[:0:-1], arr.strides[:0:-1]):
+        if n != 1 and stride != width:
+            return arr[keep]  # a row that is not one run of bytes
+        width *= n
+    items = arr.reshape(arr.shape[0], width // arr.itemsize)
+    rows = items.view(np.dtype((np.void, width)))[:, 0][keep]
+    return rows.view(arr.dtype).reshape((rows.shape[0], *arr.shape[1:]))
+
+
 class CodeletError(RuntimeError):
     """Codelet failed validation, compilation, or execution."""
 
@@ -333,15 +361,22 @@ class _ChainCursor:
     Carries, per kernel, the number of rows that already flowed into it
     from earlier blocks, so index-level filters (sampling) keep their
     global phase across the block sequence.  Blocks must arrive in
-    ascending row order — the fused plan guarantees it.
+    ascending row order — the fused plan guarantees it.  The kernels acting
+    on ``name`` resolve once, into ``kernels`` as ``(index, stride,
+    mask_fn, fn)``; an empty list means no kernel touches ``name``.
     """
 
-    __slots__ = ("chain", "name", "_entered", "_in_bytes", "_out_bytes",
+    __slots__ = ("chain", "kernels", "_entered", "_in_bytes", "_out_bytes",
                  "_elapsed")
 
     def __init__(self, chain: "CompiledChain", name: str) -> None:
         self.chain = chain
-        self.name = name
+        self.kernels = [
+            (i, None, None, k.fn) if k.capability is Capability.TRANSFORM
+            else (i, k.stride, k.mask_fn, None)
+            for i, (_, k) in enumerate(chain.pairs)
+            if k.capability is not Capability.ANNOTATE and k.applies_to(name)
+        ]
         n = len(chain.pairs)
         self._entered = [0] * n
         self._in_bytes = [0] * n
@@ -349,20 +384,17 @@ class _ChainCursor:
         self._elapsed = [0.0] * n
 
     def apply_block(self, arr: np.ndarray) -> np.ndarray:
-        for i, (_, k) in enumerate(self.chain.pairs):
-            if k.capability is Capability.ANNOTATE or not k.applies_to(self.name):
-                continue
+        for i, stride, mask_fn, fn in self.kernels:
             t0 = time.perf_counter()
             nbytes_in = arr.nbytes
-            if k.capability is Capability.FILTER:
-                if k.stride is not None:
-                    phase = (-self._entered[i]) % k.stride
-                    self._entered[i] += int(arr.shape[0])
-                    arr = arr[phase::k.stride]
-                else:
-                    arr = arr[k.mask_fn(arr)]
-            else:  # TRANSFORM
-                arr = k.fn(arr)
+            if stride is not None:
+                phase = (-self._entered[i]) % stride
+                self._entered[i] += int(arr.shape[0])
+                arr = arr[phase::stride]
+            elif mask_fn is not None:
+                arr = _gather_rows(arr, mask_fn(arr))
+            else:
+                arr = fn(arr)
             self._elapsed[i] += time.perf_counter() - t0
             self._in_bytes[i] += nbytes_in
             self._out_bytes[i] += arr.nbytes
@@ -371,16 +403,15 @@ class _ChainCursor:
     def apply_block_into(self, arr: np.ndarray, dst: np.ndarray) -> None:
         """Shape-preserving variant: transforms land in ``dst`` directly
         (first with ``out=``, the rest in place) — the ``execute_into``
-        half of the fused plan.  Only legal for filter-free chains."""
+        half of the fused plan.  Only legal for filter-free chains, whose
+        every resolved kernel is a transform."""
         wrote = False
-        for i, (_, k) in enumerate(self.chain.pairs):
-            if k.capability is not Capability.TRANSFORM or not k.applies_to(self.name):
-                continue
+        for i, _, _, fn in self.kernels:
             t0 = time.perf_counter()
             if wrote:
-                k.fn(dst, out=dst)
+                fn(dst, out=dst)
             else:
-                k.fn(arr, out=dst)
+                fn(arr, out=dst)
                 wrote = True
             self._elapsed[i] += time.perf_counter() - t0
             self._in_bytes[i] += arr.nbytes
@@ -389,7 +420,10 @@ class _ChainCursor:
             dst[...] = arr
 
     def finish(self, monitor: Optional[PerfMonitor] = None) -> None:
-        """Account one fused read: per-kernel stats + monitor records."""
+        """Account one fused read: per-kernel stats + monitor records —
+        none for a read no kernel acted on."""
+        if not self.kernels:
+            return
         for i, (plugin, _) in enumerate(self.chain.pairs):
             plugin._account(
                 monitor,
@@ -441,12 +475,6 @@ class CompiledChain:
 
     def cursor(self, name: str) -> _ChainCursor:
         return _ChainCursor(self, name)
-
-    def transforms(self, name: str) -> list:
-        return [
-            (p, k) for p, k in self.pairs
-            if k.capability is Capability.TRANSFORM and k.applies_to(name)
-        ]
 
     def block_predicate(self) -> Optional[BlockPredicate]:
         """The chain's writer-side pushdown predicate, if it has one.

@@ -388,14 +388,13 @@ class FusedPlan:
                 "filter-free chain; use execute()"
             )
         blocks, _ = self.compiled._coerce_blocks(writer_blocks, out.dtype, check)
-        cursor = self.chain.cursor(name) if self.chain.transforms(name) else None
+        cursor = self.chain.cursor(name)
         for _, _, w, src, dst in self._order:
-            if cursor is None:
-                out[dst] = blocks[w][src]
-            else:
+            if cursor.kernels:
                 cursor.apply_block_into(blocks[w][src], out[dst])
-        if cursor is not None:
-            cursor.finish(monitor)
+            else:  # a plain scatter is no kernel work
+                out[dst] = blocks[w][src]
+        cursor.finish(monitor)
         return out
 
 
@@ -562,7 +561,8 @@ class RedistributionEngine:
         #: Whether each side's gathered distribution is already cached.
         self._local_cached = False
         self._peer_cached = False
-        self.handshakes_performed: list[HandshakeCost] = []
+        #: The most recent :meth:`handshake`'s cost (``None`` before one).
+        self.last_handshake: Optional[HandshakeCost] = None
 
     def _compile(self) -> CompiledPlan:
         if self.plan_cache is not None:
@@ -594,7 +594,7 @@ class RedistributionEngine:
         total = HandshakeCost(0, 0, ())
         for _ in range(rounds):
             total = total + self._one_round()
-        self.handshakes_performed.append(total)
+        self.last_handshake = total
         return total
 
     def _one_round(self) -> HandshakeCost:

@@ -649,7 +649,16 @@ class FlexpathReadHandle(StepReader):
         return int(self._state.monitor.metrics.counter("handshake.messages").value)
 
     def close(self):
-        pass
+        """Withdraws this reader's pushdown predicate: a gone reader (or a
+        later handle with its ``id()``) must not steer the drain.  Idempotent."""
+        if self._registered_pred_hash is None:
+            return
+        self._registered_pred_hash = None
+        state = self._state
+        try:
+            state._directory.register_predicate(state.name, f"reader-{id(self)}", "")
+        except DirectoryError:
+            pass
 
 
 class FlexpathMethod(IoMethod):

@@ -159,7 +159,7 @@ def s3d_movement_tuning(
             "configuration": "untuned (no caching, unbatched, sync)",
             "machine": machine_name,
             "movement_s": untuned,
-            "handshake_msgs_per_step": eng.handshakes_performed[-1].messages,
+            "handshake_msgs_per_step": eng.last_handshake.messages,
             "data_msgs_per_step": eng.data_message_count(num_variables),
         }
     )

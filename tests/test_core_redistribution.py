@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.adios import BoundingBox, block_decompose
 from repro.core import CachingOption, RedistributionEngine
-from repro.core.redistribution import compute_plan
+from repro.core.redistribution import HandshakeCost, compute_plan
 
 
 def grid_boxes(shape, grid):
@@ -212,6 +212,21 @@ def test_batching_aggregates_rounds():
     c_ba = ba.handshake(num_variables=nvars)
     assert c_un.messages == nvars * c_ba.messages
     assert un.data_message_count(nvars) == nvars * ba.data_message_count(nvars)
+
+
+def test_engine_keeps_the_last_handshake_not_one_per_read():
+    """An engine lives as long as its stream and accounts every read."""
+    eng = engine_with(CachingOption.CACHING_ALL)
+    assert eng.last_handshake is None
+    for _ in range(10_000):
+        cost = eng.handshake()
+    assert eng.last_handshake is cost
+    records = [
+        v for v in vars(eng).values()
+        if isinstance(v, HandshakeCost)
+        or (isinstance(v, (list, tuple, dict)) and len(v) >= 10_000)
+    ]
+    assert records == [cost]
 
 
 def test_handshake_validation():
