@@ -103,7 +103,7 @@ def bench_reconnect_recovery(num_trials=10):
                 c.lookup("bench.probe")
                 steady_ms.append((time.perf_counter() - t0) * 1e3)
 
-                c._sock.close()  # tear the control socket mid-session
+                c._control.close()  # tear the control socket mid-session
                 t0 = time.perf_counter()
                 c.lookup("bench.probe")
                 recovery_ms.append((time.perf_counter() - t0) * 1e3)

@@ -34,10 +34,6 @@ class VarDecl:
             raise ValueError("variable name must be non-empty")
         np.dtype(self.dtype)  # raises on an invalid dtype string
 
-    @property
-    def is_global_array(self) -> bool:
-        return self.global_shape is not None
-
 
 @dataclass
 class Group:

@@ -19,10 +19,12 @@ FXL003    Tracer span created but never closed: ``monitor.span(...)`` /
           ``begin_span(...)`` must be used as a context manager or have
           an explicit ``finish()`` / ``__exit__`` in the same function.
 FXL004    Direct ``commit()`` call outside the retry/2PC path
-          (``core/resilience.py``; ``_drain_one`` in ``core/drain.py``)
-          — step visibility must go through the reliable-delivery path.
-FXL005    Attribute mutated from a drainer-thread method without being
-          declared in the shared-state registry
+          (``_drain_one`` in ``core/drain.py``) — step visibility must
+          go through the reliable-delivery path.
+FXL005    Attribute mutated from a drainer-thread method — on the
+          drainer (``self.x``) or across the thread boundary on the
+          stream state (``self._state.x``) — without being declared in
+          the shared-state registry
           (``repro.core.drain.DRAINER_SHARED_STATE``).
 FXL006    Copy-discipline breach on the zero-copy plane (``transport/``,
           ``core/stream.py`` / ``drain.py`` / ``reader.py``):
@@ -121,10 +123,11 @@ RULES: dict[str, Rule] = {
              "manager or explicitly finish()ed in the same function."),
         Rule("FXL004", "commit outside the retry/2PC path",
              "commit()/_commit() may only be called from "
-             "core/resilience.py or _drain_one() in core/drain.py."),
+             "_drain_one() in core/drain.py."),
         Rule("FXL005", "undeclared drainer-thread shared state",
-             "attributes assigned inside drainer-path methods must be "
-             "declared in repro.core.drain.DRAINER_SHARED_STATE."),
+             "attributes assigned inside drainer-path methods (on self "
+             "or self._state) must be declared in "
+             "repro.core.drain.DRAINER_SHARED_STATE."),
         Rule("FXL006", "copy-discipline breach on the zero-copy plane",
              ".tobytes()/bytes()/bytearray() under transport/ and "
              "core/{stream,drain,reader}.py materialize copies; carry "
@@ -227,7 +230,6 @@ class LintConfig:
     #: (path pattern, allowed function names or None for "anywhere in
     #: the file") pairs where commit() calls are legitimate.
     commit_allowed: tuple[tuple[str, Optional[tuple[str, ...]]], ...] = (
-        ("repro/core/resilience.py", None),
         ("repro/core/drain.py", ("_drain_one",)),
     )
     #: File FXL005 applies to.
@@ -503,6 +505,7 @@ def _check_commit(tree: ast.AST, path: str, cfg: LintConfig):
 
 
 def _self_attr_targets(stmt: ast.stmt):
+    """(owner, target) of each ``self.x`` / ``self._state.x`` target."""
     if isinstance(stmt, ast.Assign):
         targets = []
         for t in stmt.targets:
@@ -512,9 +515,10 @@ def _self_attr_targets(stmt: ast.stmt):
     else:
         return
     for t in targets:
-        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) \
-                and t.value.id == "self":
-            yield t
+        if isinstance(t, ast.Attribute):
+            owner = ast.unparse(t.value)
+            if owner in ("self", "self._state"):
+                yield owner, t
 
 
 def _check_drainer_state(tree: ast.AST, path: str, cfg: LintConfig):
@@ -536,11 +540,11 @@ def _check_drainer_state(tree: ast.AST, path: str, cfg: LintConfig):
         for stmt in ast.walk(node):
             if not isinstance(stmt, ast.stmt):
                 continue
-            for attr in _self_attr_targets(stmt):
+            for owner, attr in _self_attr_targets(stmt):
                 if attr.attr not in shared:
                     yield Finding(
                         "FXL005", path, stmt.lineno, stmt.col_offset,
-                        f"self.{attr.attr} mutated in drainer-path method "
+                        f"{owner}.{attr.attr} mutated in drainer-path method "
                         f"{node.name}() but not declared in "
                         f"DRAINER_SHARED_STATE",
                     )

@@ -33,9 +33,6 @@ class EnumDef:
     lineno: int
     members: Tuple[Tuple[str, int], ...]  # (member name, lineno)
 
-    def member_names(self) -> FrozenSet[str]:
-        return frozenset(name for name, _line in self.members)
-
 
 @dataclass(frozen=True)
 class CallSite:

@@ -71,7 +71,6 @@ from repro.core.resilience import (
     MovementFailed,
     RetryPolicy,
     TransactionAborted,
-    TransactionCoordinator,
 )
 from repro.core.adaptive import (
     AdaptiveGetScheduler,
@@ -90,7 +89,6 @@ __all__ = [
     "MovementFailed",
     "RetryPolicy",
     "TransactionAborted",
-    "TransactionCoordinator",
     "CodeletError",
     "CompiledPlan",
     "CoordinatorInfo",

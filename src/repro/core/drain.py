@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import queue
 import threading
+import zlib
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from repro.adios.model import WrittenVar
 from repro.analysis import sanitize
 from repro.core.hints import TRANSPORT_RDMA, TRANSPORT_SHM, TRANSPORT_TCP
-from repro.core.resilience import (
-    Participant,
-    TransactionAborted,
-    TransactionCoordinator,
-    retry_call,
-)
+from repro.core.resilience import RetryPolicy, TransactionAborted, retry_call
 from repro.obs import recorder as flight
 from repro.obs.events import (
     EV_BACKPRESSURE,
@@ -37,6 +33,7 @@ from repro.obs.events import (
 )
 from repro.transport.buffers import WireBuffer, WireVector
 from repro.transport.faults import TransportFault
+from repro.util import rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.stream import StreamState, _PublishedStep
@@ -60,10 +57,11 @@ _DEGRADE_LADDER: dict[str, Optional[str]] = {
 }
 
 #: Methods that run on (or in lock-step with) the drainer thread.  The
-#: FlexLint FXL005 rule checks every ``self.<attr>`` assignment inside
-#: these against :data:`DRAINER_SHARED_STATE` — an attribute mutated from
-#: the drainer without being declared here fails the lint, forcing the
-#: author to think about its synchronization.
+#: FlexLint FXL005 rule checks every ``self.<attr>`` and
+#: ``self._state.<attr>`` assignment inside these against
+#: :data:`DRAINER_SHARED_STATE` — an attribute mutated from the drainer
+#: without being declared here fails the lint, forcing the author to
+#: think about its synchronization.
 DRAINER_METHODS = frozenset({
     "_run",
     "_drain_one",
@@ -75,13 +73,14 @@ DRAINER_METHODS = frozenset({
     "_commit",
 })
 
-#: Attributes the drainer thread is allowed to mutate.
-#: ``backpressure_events`` is guarded by the lock of the ``_committed``
-#: condition — as is every call into the stream's step ``store``, which
-#: the drainer appends to but never assigns; ``_pending`` by
-#: ``_pending_lock``; ``_channel`` / ``active_transport`` /
-#: ``_consecutive_failures`` are drainer-private (the drainer is their
-#: only writer after pipeline start).
+#: Attributes the drainer thread is allowed to mutate.  Its own:
+#: ``_pending`` (guarded by ``_pending_lock``), ``_channel`` and
+#: ``_consecutive_failures`` (drainer-private).  The stream state's,
+#: written through ``self._state``: ``backpressure_events``, guarded by
+#: the lock of the ``_committed`` condition — as is every call into the
+#: stream's step ``store``, which the drainer appends to but never
+#: assigns — and ``active_transport`` (the drainer is its only writer
+#: after pipeline start).
 DRAINER_SHARED_STATE = frozenset({
     "_pending",
     "_consecutive_failures",
@@ -100,10 +99,25 @@ class _StepDrainer:
     Every step ends up in the stream's step store exactly once —
     COMMITTED when the drain succeeded, LOST/ABORTED when it did not —
     so readers never hang on a failed step and never see torn data.
+
+    The drainer owns the channel, the retry policy and the degradation
+    count; :data:`DRAINER_METHODS` run on its thread and reach the
+    stream state only through ``self._state``.
     """
 
     def __init__(self, state: "StreamState", queue_depth: int) -> None:
         self._state = state
+        hints = state.hints
+        self._retry_policy = RetryPolicy(
+            max_retries=hints.max_retries,
+            timeout=hints.retry_timeout,
+            backoff_factor=hints.retry_backoff,
+            jitter=hints.retry_jitter,
+        )
+        # Per-stream deterministic jitter source (stable across runs).
+        self._retry_rng = rng(zlib.crc32(state.name.encode("utf-8")))
+        self._consecutive_failures = 0
+        self._channel = self._open_channel(state.active_transport)
         self._queue: queue.Queue = queue.Queue(maxsize=max(1, int(queue_depth)))
         self._pending = 0
         self._pending_lock = sanitize.make_lock("drain.pending")
@@ -123,6 +137,16 @@ class _StepDrainer:
         self._thread.start()
         if self._san is not None:
             self._san.note_thread_started(self._thread, f"drainer:{state.name}")
+
+    def _open_channel(self, transport: str):
+        """The drain channel for one rung of the transport ladder."""
+        from repro.core.runtime import make_stream_channel
+
+        state = self._state
+        return make_stream_channel(
+            transport, monitor=state.monitor, injector=state._injector,
+            xpmem=state.hints.xpmem,
+        )
 
     def submit(self, step: _PublishedStep, rank_parts: dict) -> None:
         mon = self._state.monitor
@@ -194,19 +218,13 @@ class _StepDrainer:
                 return
             step, rank_parts = item
             try:
-                self._state._drain_one(step, rank_parts)
+                self._drain_one(step, rank_parts)
             finally:
                 self._depth.dec()
                 with self._pending_lock:
                     self._pending -= 1
                     if self._pending == 0:
                         self._idle.set()
-
-
-class DrainPath:
-    """The half of :class:`~repro.core.stream.StreamState` that
-    :data:`DRAINER_METHODS` names: split off by thread, not by object —
-    the stream state initialises every attribute read here."""
 
     def _close_channel(self) -> None:
         """Swap the drain channel out, then close it — which is also what
@@ -229,12 +247,13 @@ class DrainPath:
         so readers get a typed gap instead of torn or silently-dropped
         data.
         """
-        mon = self.monitor
+        state = self._state
+        mon = state.monitor
         with mon.measure(
-            "drain", self.name, nbytes=step.nbytes,
+            "drain", state.name, nbytes=step.nbytes,
             parent=step.trace_ctx, step=step.step,
         ):
-            if self.hints.transactional and step.groups:
+            if state.hints.transactional and step.groups:
                 err = self._drain_transactional(step, rank_parts)
             else:
                 parts = WireVector(
@@ -264,7 +283,7 @@ class DrainPath:
         """
         if not parts or self._channel is None:
             return None
-        mon = self.monitor
+        name, mon = self._state.name, self._state.monitor
         policy = self._retry_policy
         retriable = (TransportFault, TimeoutError)
         attempt = 0
@@ -274,7 +293,7 @@ class DrainPath:
             attempt = n
             mon.metrics.counter("dataplane.drain.retries").inc()
             flight.record(
-                EV_RETRY, stream=self.name, step=step.step, attempt=n,
+                EV_RETRY, stream=name, step=step.step, attempt=n,
                 error=repr(exc),
             )
 
@@ -283,7 +302,7 @@ class DrainPath:
             # error is this function's own result: it fails the step.
             try:
                 with mon.span(
-                    "drain_attempt", self.name, parent=step.trace_ctx,
+                    "drain_attempt", name, parent=step.trace_ctx,
                     step=step.step, attempt=attempt,
                 ):
                     self._channel.sendv(parts, timeout=policy.timeout)
@@ -314,34 +333,24 @@ class DrainPath:
         return err
 
     def _drain_transactional(self, step: _PublishedStep, rank_parts: dict):
-        """All-or-nothing step visibility: 2PC across the writer ranks.
+        """All-or-nothing step visibility across the writer ranks.
 
-        Each rank's prepare vote is its own reliable send; only when
-        every rank's payload cleared the transport does the coordinator
-        commit (and the caller flips the step COMMITTED).  Any abort
-        discards the whole step.  Returns None on commit, the abort
-        exception otherwise.
+        In rank order, each rank's vector is that rank's prepare vote: a
+        reliable send under the retry policy (a rank with nothing to send
+        votes yes).  The first rank whose send fails aborts the step —
+        the ranks after it are never sent — and the caller discards the
+        whole step; only when every vote is yes does the caller commit.
+        Returns None on commit, the abort exception otherwise.
         """
-        ranks = sorted(step.groups)
-
-        def make_prepare(r: int):
-            def prepare(_step: int, _payload: dict) -> bool:
-                return self._send_with_retries(step, rank_parts.get(r, [])) is None
-
-            return prepare
-
-        participants = [
-            Participant(r, lambda _s, _p: None, prepare_fn=make_prepare(r))
-            for r in ranks
-        ]
-        coordinator = TransactionCoordinator(participants)
-        mon = self.monitor
-        try:
-            coordinator.run(step.step, {r: {} for r in ranks})
-        except TransactionAborted as exc:
-            mon.metrics.counter("dataplane.tx.aborted").inc()
-            return exc
-        mon.metrics.counter("dataplane.tx.committed").inc()
+        metrics = self._state.monitor.metrics
+        for rank in sorted(step.groups):
+            err = self._send_with_retries(step, rank_parts[rank])
+            if err is not None:
+                metrics.counter("dataplane.tx.aborted").inc()
+                return TransactionAborted(
+                    f"step {step.step}: rank {rank} voted abort ({err!r})"
+                )
+        metrics.counter("dataplane.tx.committed").inc()
         return None
 
     def _mark_lost(self, step: _PublishedStep, exc: Exception) -> None:
@@ -353,16 +362,17 @@ class DrainPath:
         step.error = repr(exc)
         step.groups.clear()  # free the buffers; never torn-visible
         step.nbytes = 0
-        mon = self.monitor
+        state = self._state
+        mon = state.monitor
         mon.metrics.counter("dataplane.drain.steps_lost").inc()
-        flight.record(code, stream=self.name, step=step.step, error=step.error)
+        flight.record(code, stream=state.name, step=step.step, error=step.error)
         flight.dump_on_fault(
             f"step {step.step} {step.status.value}",
-            stream=self.name, monitor=mon,
+            stream=state.name, monitor=mon,
         )
-        with self._committed:
-            self.store.append(step.step, step, 0, lost=step.error)
-            self._committed.notify_all()
+        with state._committed:
+            state.store.append(step.step, step, 0, lost=step.error)
+            state._committed.notify_all()
 
     def _maybe_degrade(self) -> None:
         """Graceful degradation: fall down the transport ladder.
@@ -372,41 +382,43 @@ class DrainPath:
         (rdma → tcp → shm → buffered-only).  Runs on the drainer thread, which
         is the only user of the channel, so the swap is race-free.
         """
-        threshold = self.hints.degrade_after
+        state = self._state
+        threshold = state.hints.degrade_after
         if threshold <= 0 or self._consecutive_failures < threshold:
             return
-        nxt = _DEGRADE_LADDER.get(self.active_transport)
-        previous = self.active_transport
+        previous = state.active_transport
+        nxt = _DEGRADE_LADDER.get(previous)
         self._close_channel()
         if nxt is None:
-            self.active_transport = "buffered"
+            state.active_transport = "buffered"
         else:
             self._channel = self._open_channel(nxt)
-            self.active_transport = nxt
+            state.active_transport = nxt
         self._consecutive_failures = 0
-        self.monitor.metrics.counter("dataplane.transport.degradations").inc()
+        state.monitor.metrics.counter("dataplane.transport.degradations").inc()
         flight.record(
-            EV_DEGRADE, stream=self.name, src=previous, dst=self.active_transport
+            EV_DEGRADE, stream=state.name, src=previous, dst=state.active_transport
         )
 
     def _commit(self, step: _PublishedStep) -> None:
         step.status = StepState.COMMITTED
-        mon = self.monitor
+        state = self._state
+        mon = state.monitor
         mon.metrics.counter("dataplane.drain.steps_committed").inc()
         mon.metrics.counter("dataplane.drain.bytes_committed").inc(step.nbytes)
         # ``attempts`` only when a retried send recovered the step.
         recovered = {"attempts": step.attempts} if step.attempts > 1 else {}
         flight.record(
-            EV_STEP_COMMIT, stream=self.name, step=step.step,
+            EV_STEP_COMMIT, stream=state.name, step=step.step,
             nbytes=step.nbytes, **recovered,
         )
-        with self._committed:  # last: a woken reader finds the commit recorded
-            self.store.append(step.step, step, step.nbytes)
-            if len(self.store) > self.hints.buffer_steps:
+        with state._committed:  # last: a woken reader finds the commit recorded
+            state.store.append(step.step, step, step.nbytes)
+            if len(state.store) > state.hints.buffer_steps:
                 # In the real transport the writer would stall here; in the
                 # in-process harness we surface it through monitoring.
-                self.backpressure_events += 1
-            self._committed.notify_all()
+                state.backpressure_events += 1
+            state._committed.notify_all()
 
 
 def _provably_dropped(predicate, wv: WrittenVar) -> bool:

@@ -206,9 +206,6 @@ class PerfMonitor:
         self.tracer.enable(sample_rate)
         self.keep_trace = True
 
-    def disable_tracing(self) -> None:
-        self.tracer.disable()
-
     def span(self, category: str, name: str, parent: Any = CURRENT, nbytes: int = 0, **attrs: Any):
         """Open a span (context manager).  No-op when tracing is off.
 
@@ -222,10 +219,6 @@ class PerfMonitor:
         """Open a manual span: caller calls ``.finish()`` — for
         event-driven code (DES events) whose end is in another stack."""
         return self.tracer.begin(category, name, parent=parent, nbytes=nbytes, **attrs)
-
-    def current_span(self):
-        """The active :class:`SpanContext`, or None."""
-        return self.tracer.current()
 
     def _span_sink(self, span: Span) -> None:
         extra = dict(span.attrs)
@@ -301,12 +294,6 @@ class PerfMonitor:
     def load(path: str) -> list[dict]:
         with open(path, "r", encoding="utf-8") as fh:
             return [json.loads(line) for line in fh if line.strip()]
-
-    @staticmethod
-    def load_records(path: str) -> list[TraceRecord]:
-        """Load a dump back into :class:`TraceRecord` objects (the exact
-        inverse of :meth:`dump`)."""
-        return [TraceRecord.from_dict(d) for d in PerfMonitor.load(path)]
 
     def export_perfetto(self, path: str, process_name: str = "flexio") -> int:
         """Write the trace as Chrome/Perfetto ``trace_event`` JSON

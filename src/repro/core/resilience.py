@@ -13,21 +13,17 @@ Both are implemented here:
   retries and exponential backoff; the one fault source,
   :class:`repro.transport.faults.TransportFaultInjector`,
   deterministically injects drops/timeouts so the behaviour is testable.
-* :class:`TransactionCoordinator` — the *planned* scheme (D2T-style):
-  an output step becomes a distributed transaction over all writer
-  participants — two-phase commit with prepare votes, so a step is
-  visible to readers either completely or not at all.  The
-  ``transactional=true`` stream hint applies it to a FlexIO stream's
-  drain (:mod:`repro.core.drain`).
+* the *planned* scheme (D2T-style) is the ``transactional=true``
+  stream hint: the drain (:mod:`repro.core.drain`) makes an output step
+  a distributed transaction over all writer ranks — each rank's send is
+  its prepare vote, and the step commits only when every vote is yes,
+  so it is visible to readers either completely or not at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Callable, Optional, Sequence
-
-from repro.transport.faults import TransportFaultInjector
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 
 class MovementFailed(RuntimeError):
@@ -35,7 +31,7 @@ class MovementFailed(RuntimeError):
 
 
 class TransactionAborted(RuntimeError):
-    """The coordinator aborted the transaction (some participant failed)."""
+    """A transactional step aborted (some writer rank's prepare failed)."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,110 +112,3 @@ def retry_call(
             last_exc = exc
     assert last_exc is not None
     raise last_exc
-
-
-# ---------------------------------------------------------------------------
-# Distributed transactions (D2T-style two-phase commit)
-# ---------------------------------------------------------------------------
-
-class TxPhase(Enum):
-    IDLE = "idle"
-    PREPARED = "prepared"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
-
-
-class Participant:
-    """One writer rank's transaction agent.
-
-    ``prepare`` stages the rank's output (durably, in the real system);
-    ``commit`` publishes the staged data through ``publish_fn``;
-    ``abort`` discards it.  A
-    :class:`~repro.transport.faults.TransportFaultInjector` can fail
-    prepares, and ``prepare_fn`` lets the rank do real work during
-    prepare (e.g. move its bytes onto the wire) and vote on the outcome.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        publish_fn: Callable[[int, dict], None],
-        injector: Optional[TransportFaultInjector] = None,
-        prepare_fn: Optional[Callable[[int, dict], bool]] = None,
-    ) -> None:
-        self.rank = rank
-        self._publish = publish_fn
-        self.injector = injector
-        self._prepare_fn = prepare_fn
-        self.phase = TxPhase.IDLE
-        self._staged: Optional[tuple[int, dict]] = None
-
-    def prepare(self, step: int, payload: dict) -> bool:
-        """Stage the payload; returns the participant's vote."""
-        if self.injector is not None and self.injector.next_fault() is not None:
-            self.phase = TxPhase.ABORTED
-            self._staged = None
-            return False
-        if self._prepare_fn is not None and not self._prepare_fn(step, payload):
-            self.phase = TxPhase.ABORTED
-            self._staged = None
-            return False
-        self._staged = (step, dict(payload))
-        self.phase = TxPhase.PREPARED
-        return True
-
-    def commit(self) -> None:
-        if self.phase is not TxPhase.PREPARED or self._staged is None:
-            raise TransactionAborted(f"rank {self.rank} has nothing prepared")
-        step, payload = self._staged
-        self._publish(step, payload)
-        self._staged = None
-        self.phase = TxPhase.COMMITTED
-
-    def abort(self) -> None:
-        self._staged = None
-        self.phase = TxPhase.ABORTED
-
-
-@dataclass
-class TxStats:
-    transactions: int = 0
-    committed: int = 0
-    aborted: int = 0
-
-
-class TransactionCoordinator:
-    """Two-phase commit across all participants of one output step."""
-
-    def __init__(self, participants: Sequence[Participant]) -> None:
-        if not participants:
-            raise ValueError("a transaction needs participants")
-        self.participants = list(participants)
-        self.stats = TxStats()
-
-    def run(self, step: int, payloads: dict[int, dict]) -> bool:
-        """One transaction: prepare all, then commit or abort all.
-
-        ``payloads`` maps rank → that rank's output record.  Returns True
-        on commit; raises :class:`TransactionAborted` on abort (callers
-        retry the step).
-        """
-        self.stats.transactions += 1
-        votes = []
-        for p in self.participants:
-            payload = payloads.get(p.rank)
-            if payload is None:
-                votes.append(False)
-                break
-            votes.append(p.prepare(step, payload))
-            if not votes[-1]:
-                break
-        if not all(votes) or len(votes) < len(self.participants):
-            for p in self.participants:
-                p.abort()
-            self.stats.aborted += 1
-            raise TransactionAborted(f"step {step}: a participant voted abort")
-        for p in self.participants:
-            p.commit()
-        self.stats.committed += 1
-        return True

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +30,7 @@ from repro.adios.model import Group, ProcessGroupData, WrittenVar
 from repro.adios.selection import BoundingBox
 from repro.analysis import sanitize
 from repro.core.directory import CoordinatorInfo, DirectoryError, DirectoryServer
-from repro.core.drain import DrainPath, StepState, _rank_parts, _StepDrainer
+from repro.core.drain import StepState, _rank_parts, _StepDrainer
 from repro.core.hints import STREAM_METHODS, StreamError, StreamHints
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import (
@@ -48,12 +47,11 @@ from repro.core.redistribution import (
     RedistributionEngine,
     global_plan_cache,
 )
-from repro.core.resilience import MovementFailed, RetryPolicy, TransactionAborted
+from repro.core.resilience import MovementFailed, TransactionAborted
 from repro.core.stepstore import Outcome, StepStore, outcome_error
 from repro.obs import recorder as flight
 from repro.obs.events import EV_STEP_BEGIN, EV_STREAM_FAILED
 from repro.transport.faults import injector_from_env, parse_fault_spec
-from repro.util import rng
 
 #: Longest a timed ``begin_step`` waits between two probes: a probe of
 #: a stalled stream is what runs the directory's lease reaper.
@@ -104,9 +102,9 @@ class _PublishedStep:
         return {n: wv.data for n, wv in pg.variables.items()}
 
 
-class StreamState(DrainPath):
+class StreamState:
     """Shared state of one named stream: buffered steps + membership
-    (its drainer-thread methods are :class:`DrainPath`'s)."""
+    (the drain thread behind it is a :class:`~repro.core.drain._StepDrainer`)."""
 
     def __init__(
         self,
@@ -136,7 +134,6 @@ class StreamState(DrainPath):
         self._advanced: set[int] = set()
         self._closed_ranks: set[int] = set()
         self._drainer: Optional[_StepDrainer] = None
-        self._channel = None
         #: Transport currently draining steps; degrades down the ladder
         #: (rdma → tcp → shm → "buffered") on repeated failure.
         self.active_transport = self.hints.transport
@@ -147,15 +144,6 @@ class StreamState(DrainPath):
         self._injector = parse_fault_spec(self.hints.faults) or injector_from_env()
         if self._injector is not None:
             self._injector.stream = name  # its transport.fault events are ours
-        self._retry_policy = RetryPolicy(
-            max_retries=self.hints.max_retries,
-            timeout=self.hints.retry_timeout,
-            backoff_factor=self.hints.retry_backoff,
-            jitter=self.hints.retry_jitter,
-        )
-        # Per-stream deterministic jitter source (stable across runs).
-        self._retry_rng = rng(zlib.crc32(name.encode("utf-8")))
-        self._consecutive_failures = 0
 
     @property
     def closed(self) -> bool:
@@ -184,18 +172,8 @@ class StreamState(DrainPath):
         if self._drainer is not None:
             self._drainer.wait_idle()
 
-    def _open_channel(self, transport: str):
-        """The drain channel for one rung of the transport ladder."""
-        from repro.core.runtime import make_stream_channel
-
-        return make_stream_channel(
-            transport, monitor=self.monitor, injector=self._injector,
-            xpmem=self.hints.xpmem,
-        )
-
     def _ensure_pipeline(self) -> None:
         if self._drainer is None:
-            self._channel = self._open_channel(self.active_transport)
             self._drainer = _StepDrainer(self, self.hints.queue_depth)
 
     def shutdown_pipeline(self) -> None:
@@ -210,7 +188,7 @@ class StreamState(DrainPath):
         drainer, self._drainer = self._drainer, None
         if drainer is not None:
             drainer.stop()
-        self._close_channel()
+            drainer._close_channel()  # wedged or not
 
     # -- writer side --------------------------------------------------------
     def writer_join(self, rank: int) -> None:

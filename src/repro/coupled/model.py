@@ -101,10 +101,6 @@ class StepTimes:
     #: Multiplicative sim slowdown components, e.g. {"cache": 0.041}.
     slowdowns: dict = field(default_factory=dict)
 
-    @property
-    def sim_step_total(self) -> float:
-        return self.sim_compute + self.sim_io_visible
-
 
 @dataclass
 class CoupledResult:

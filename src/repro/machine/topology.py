@@ -63,11 +63,6 @@ class NodeType:
     def cores_per_domain(self) -> int:
         return self.cores_per_node // self.numa_domains
 
-    @property
-    def flops_per_core(self) -> float:
-        """Nominal double-precision rate (flops/s), 4 flops/cycle."""
-        return self.ghz * 1e9 * 4.0
-
 
 @dataclass(frozen=True)
 class Core:
@@ -80,9 +75,6 @@ class Core:
     #: Core index within its NUMA domain.
     core_local: int
 
-    def numa_global(self, numa_per_node: int) -> int:
-        return self.node_id * numa_per_node + self.numa_local
-
 
 @dataclass
 class Node:
@@ -90,10 +82,6 @@ class Node:
 
     node_id: int
     node_type: NodeType
-
-    def core_ids(self) -> range:
-        c = self.node_type.cores_per_node
-        return range(self.node_id * c, (self.node_id + 1) * c)
 
 
 @dataclass

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import mmap
 import re
-import socket
 import threading
 import time
 import weakref
@@ -90,7 +89,7 @@ from repro.transport.faults import (
     TransportTimeout,
 )
 from repro.transport.buffers import as_byte_view
-from repro.transport.tcp import INLINE_MAX, TcpChannel, recv_frame, send_frame
+from repro.transport.tcp import INLINE_MAX, TcpChannel
 from repro.util import rng
 
 __all__ = [
@@ -396,7 +395,9 @@ class RemoteClient(Client):
         self._clock = clock or time.monotonic
         self._sleep = sleep or time.sleep
         self._closed = False
-        self._sock: Optional[socket.socket] = None
+        #: The control connection: a framed channel with no monitor and
+        #: no fault injector, so control frames stay off the data-plane counters.
+        self._control: Optional[TcpChannel] = None
         self._lock = threading.RLock()
         self._frame_seq = itertools.count(1)
         self.resume_token = ""
@@ -418,27 +419,11 @@ class RemoteClient(Client):
 
     # -- connection management ---------------------------------------------
     def _dial(self) -> None:
-        """(Re)build the control socket and HELLO, resuming if we can."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        try:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        except socket.timeout as exc:
-            raise TransportTimeout(
-                f"connect to flexio daemon at {self.host}:{self.port} "
-                f"timed out after {self.timeout}s"
-            ) from exc
-        except OSError as exc:
-            raise PeerDisconnected(
-                f"cannot reach flexio daemon at {self.host}:{self.port}: {exc}"
-            ) from exc
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        """(Re)build the control connection and HELLO, resuming if we can."""
+        if self._control is not None:
+            self._control.close()
+            self._control = None
+        self._control = TcpChannel.connect(self.host, self.port, timeout=self.timeout)
         welcome = self._rpc_once(MsgType.HELLO, {
             "tenant": self.tenant, "token": self._token or "",
             "client": self._client_name, "resume": self.resume_token,
@@ -497,21 +482,17 @@ class RemoteClient(Client):
 
     # -- control-plane RPC -------------------------------------------------
     def _rpc_once(self, msg_type: MsgType, record: dict, expect: MsgType) -> Frame:
-        """One attempt on the current socket; raw socket errors are
-        already mapped to typed faults inside send_frame/recv_frame."""
-        if self._sock is None:
+        """One attempt on the current connection; socket errors are
+        already mapped to typed faults inside the channel."""
+        if self._control is None:
             # A previous reconnect died mid-dial; retriable — the retry
             # loop's on_retry re-dials before the next attempt.
             raise PeerDisconnected("control socket is down")
-        send_frame(
-            self._sock,
-            encode_frame(msg_type, record, seq=next(self._frame_seq)),
+        self._control.sendv(
+            [encode_frame(msg_type, record, seq=next(self._frame_seq))],
             timeout=self.timeout,
         )
-        raw = recv_frame(self._sock, timeout=self.timeout)
-        if raw is None:
-            raise PeerDisconnected("daemon closed the control connection")
-        frame = decode_frame(raw)
+        frame = decode_frame(self._control.recv(timeout=self.timeout))
         if frame.msg_type is not expect:
             raise_wire_error(frame, msg_type.name)
         return frame
@@ -671,20 +652,16 @@ class RemoteClient(Client):
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)
             self._hb_thread = None
-        if self._sock is not None:
+        if self._control is not None:
             try:
-                send_frame(
-                    self._sock,
-                    encode_frame(MsgType.BYE, {"reason": "client close"},
-                                 seq=next(self._frame_seq)),
+                self._control.sendv(
+                    [encode_frame(MsgType.BYE, {"reason": "client close"},
+                                  seq=next(self._frame_seq))],
                     timeout=self.timeout,
                 )
             except TransportFault:
                 pass  # daemon already gone: nothing to say goodbye to
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            self._control.close()
         flight.record(EV_NET_DISCONNECT, tenant=self.tenant)
 
 

@@ -3,8 +3,7 @@
 Every message between a client and the directory daemon — on either
 the control port or the data port — is one **frame** inside a ``u64``
 length-prefixed socket record (the framing
-:func:`repro.transport.tcp.send_frame` / ``TcpChannel`` already
-provide):
+:class:`~repro.transport.tcp.TcpChannel` already provides):
 
 ======  ====  =====================================================
 offset  size  field
@@ -293,9 +292,8 @@ def encode_frame(msg_type: MsgType, record: dict, seq: int = 0) -> WireBuffer:
 
     Header and body are packed straight into the span (one copy of the
     field values, none of the span itself); the result feeds
-    ``Channel.send``/``sendv`` or :func:`repro.transport.tcp.send_frame`
-    without further materialization.  ``seq`` stamps the header's
-    per-connection sequence number.
+    ``Channel.send``/``sendv`` without further materialization.
+    ``seq`` stamps the header's per-connection sequence number.
     """
     fmt = body_format(msg_type)
     size = HEADER.size + encoded_size(fmt, record, PROTOCOL_REGISTRY)

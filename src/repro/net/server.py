@@ -1234,8 +1234,15 @@ class DirectoryDaemon:
         Synchronous shape for non-loop callers (the CLI's SIGTERM
         handler, tests).  Coroutines must use :meth:`checkpoint_async`
         instead: the ``fsync``/``os.replace`` here block, and FXL010
-        flags any call to this from an ``async def``.
+        flags any call to this from an ``async def``.  While the daemon
+        serves, a caller on another thread has the loop run
+        :meth:`checkpoint_async`: only the loop may walk broker state.
         """
+        loop = self._loop
+        on_loop = threading.current_thread() is self._thread
+        if loop is not None and loop.is_running() and not on_loop:
+            fut = asyncio.run_coroutine_threadsafe(self.checkpoint_async(path), loop)
+            return fut.result(timeout=10.0)
         target = self._checkpoint_target(path)
         blob = self._checkpoint_blob()
         self._write_checkpoint_blob(blob, target)

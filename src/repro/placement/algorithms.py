@@ -321,21 +321,6 @@ class PlacementAlgorithm:
         ana_map = {v - num_sim: cores for v, cores in mapping.items() if v >= num_sim}
         return sim_map, ana_map
 
-    def _candidate_node_sets(
-        self, machine: Machine, total_slots: int, sim_slots: int, ana_slots: int
-    ) -> list[list[int]]:
-        """Node subsets to consider: packed (min nodes) and separated
-        (dedicated staging nodes after the simulation's nodes)."""
-        cpn = machine.node_type.cores_per_node
-        packed = list(range(ceil_div(total_slots, cpn)))
-        sim_nodes = ceil_div(sim_slots, cpn)
-        ana_nodes = max(1, ceil_div(ana_slots, cpn))
-        separated = list(range(sim_nodes + ana_nodes))
-        candidates = [packed]
-        if separated != packed:
-            candidates.append(separated)
-        return [c for c in candidates if len(c) <= machine.num_nodes]
-
 
 class DataAwareMapping(PlacementAlgorithm):
     """Binding from the inter-program matrix alone (Section III.B.1)."""

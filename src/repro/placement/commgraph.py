@@ -12,7 +12,7 @@ placement from helper-core (GTS: inter-program dominant) to staging
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,21 +69,8 @@ class CommGraph:
                 if u < v:
                     yield (u, v, w)
 
-    def degree_weight(self, v: int) -> float:
-        return sum(self._adj[v].values())
-
     def total_vertex_weight(self) -> int:
         return sum(self.vertex_weights)
-
-    def subgraph_cut(self, part_a: Iterable[int]) -> float:
-        """Total weight of edges crossing between ``part_a`` and the rest."""
-        a = set(part_a)
-        cut = 0.0
-        for u in a:
-            for v, w in self._adj[u].items():
-                if v not in a:
-                    cut += w
-        return cut
 
     # ------------------------------------------------------------------
     @classmethod

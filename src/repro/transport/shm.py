@@ -143,9 +143,6 @@ class SPSCQueue:
     def _entry(self, idx: int) -> int:
         return idx * self.entry_size
 
-    def _flag(self, idx: int) -> int:
-        return self._buf[self._entry(idx)]
-
     # -- producer side ----------------------------------------------------
     def try_enqueue(self, data: Union[bytes, bytearray, memoryview]) -> bool:
         """Enqueue without blocking; returns False if the next entry is FULL.

@@ -45,7 +45,6 @@ from repro.transport.buffers import (
     Ownership,
     WireBuffer,
     WireVector,
-    as_byte_view,
 )
 from repro.transport.faults import (
     FaultKind,
@@ -333,9 +332,20 @@ class TcpChannel(Channel):
     def _recv(self, timeout: float) -> WireBuffer:
         if self._closed:
             raise PeerDisconnected("recv on closed TcpChannel")
-        payload = recv_frame(self._recv_sock, timeout)
-        if payload is None:
+        sock = self._recv_sock
+        prefix = bytearray(FRAME_PREFIX.size)  # flexlint: ok(FXL006) 8-byte length-prefix scratch, not payload
+        got = _recv_exact(sock, memoryview(prefix), timeout)
+        if got == 0:
             raise PeerDisconnected("tcp peer closed the connection")
+        if got < FRAME_PREFIX.size:
+            raise TornSend(f"peer closed mid-prefix ({got}/{FRAME_PREFIX.size} B)")
+        (length,) = FRAME_PREFIX.unpack(prefix)
+        if length > MAX_FRAME:
+            raise PeerDisconnected(f"corrupt frame length {length}")
+        payload = np.empty(int(length), dtype=np.uint8)
+        got = _recv_exact(sock, memoryview(payload), timeout)
+        if got < length:
+            raise TornSend(f"peer closed mid-frame ({got}/{length} B)")
         wb = WireBuffer(payload, ownership=Ownership.HEAP, copies=COPIES_TCP)
         self.observe_delivery(wb, "tcp")
         return wb
@@ -367,38 +377,3 @@ class TcpChannel(Channel):
         mode = "loopback" if self.loopback else "remote"
         state = "closed" if self._closed else "open"
         return f"<TcpChannel {mode} {state} sent={self.messages_sent}>"
-
-
-def send_frame(sock: socket.socket, payload, timeout: float = 5.0) -> None:
-    """Module-level one-shot frame send over a raw socket (control-plane
-    helper shared with :mod:`repro.net`).  Every socket-layer failure —
-    including a dead socket at ``settimeout`` — surfaces as a typed
-    :class:`~repro.transport.faults.TransportFault`, never a raw
-    ``OSError``."""
-    view = as_byte_view(payload)
-    _set_timeout(sock, timeout)
-    try:
-        sock.sendall(FRAME_PREFIX.pack(view.nbytes))
-        sock.sendall(view)
-    except socket.timeout as exc:
-        raise TransportTimeout(f"frame send timed out after {timeout}s") from exc
-    except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-        raise PeerDisconnected(f"frame send failed: {exc}") from exc
-
-
-def recv_frame(sock: socket.socket, timeout: float = 5.0) -> Optional[np.ndarray]:
-    """Module-level one-shot frame receive; None on orderly peer close."""
-    prefix = bytearray(FRAME_PREFIX.size)  # flexlint: ok(FXL006) 8-byte length-prefix scratch, not payload
-    got = _recv_exact(sock, memoryview(prefix), timeout)
-    if got == 0:
-        return None
-    if got < FRAME_PREFIX.size:
-        raise TornSend(f"peer closed mid-prefix ({got}/{FRAME_PREFIX.size} B)")
-    (length,) = FRAME_PREFIX.unpack(prefix)
-    if length > MAX_FRAME:
-        raise PeerDisconnected(f"corrupt frame length {length}")
-    payload = np.empty(int(length), dtype=np.uint8)
-    got = _recv_exact(sock, memoryview(payload), timeout)
-    if got < length:
-        raise TornSend(f"peer closed mid-frame ({got}/{length} B)")
-    return payload

@@ -295,19 +295,20 @@ def test_wedged_drainer_stop_times_out_but_does_not_hang():
     state = stream_registry._states[name]
     release = threading.Event()
     entered = threading.Event()
-    real_drain = state._drain_one
+    state._ensure_pipeline()
+    drainer = state._drainer
+    real_drain = drainer._drain_one
 
     def stuck_drain(step, rank_parts):
         entered.set()
         release.wait()            # simulate a drain wedged in the transport
         real_drain(step, rank_parts)
 
-    state._drain_one = stuck_drain
+    drainer._drain_one = stuck_drain
     h.write("x", np.zeros(4))
     h.end_step()                   # async: submits to the drainer and returns
     assert entered.wait(timeout=5.0)
 
-    drainer = state._drainer
     assert drainer.stop(timeout=0.1) is False
     assert drainer.wedged is True
     assert (
@@ -321,7 +322,6 @@ def test_wedged_drainer_stop_times_out_but_does_not_hang():
     release.set()                 # un-wedge so the daemon thread finishes
     drainer._thread.join(timeout=5.0)
     assert state.published and state.published[0].status is StepState.COMMITTED
-    state._drain_one = real_drain
     h.close()
 
 

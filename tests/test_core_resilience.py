@@ -5,15 +5,8 @@ import pytest
 
 from repro.adios import Adios, RankContext, StepLost, StepStatus
 from repro.core import StepState, stream_params, stream_registry
-from repro.core.resilience import (
-    Participant,
-    RetryPolicy,
-    TransactionAborted,
-    TransactionCoordinator,
-    TxPhase,
-    retry_call,
-)
-from repro.transport.faults import TransportFaultInjector
+from repro.core.resilience import RetryPolicy, TransactionAborted, retry_call
+from repro.transport.faults import TransportFaultInjector, TransportTimeout
 
 CONFIG = """
 <adios-config>
@@ -33,7 +26,7 @@ def fresh_registry():
 
 
 # ---------------------------------------------------------------------------
-# The one fault injector, as the retry and 2PC tests below drive it
+# The one fault injector, as the retry tests below drive it
 # ---------------------------------------------------------------------------
 
 def test_injector_scripted_failures():
@@ -134,61 +127,6 @@ def test_retry_call_wraps_real_transport():
 
 
 # ---------------------------------------------------------------------------
-# Two-phase commit
-# ---------------------------------------------------------------------------
-
-def make_participants(n, injector=None, log=None):
-    log = log if log is not None else []
-
-    def publish(rank):
-        def fn(step, payload):
-            log.append((rank, step, sorted(payload)))
-
-        return fn
-
-    return [Participant(r, publish(r), injector) for r in range(n)], log
-
-
-def test_transaction_commits_all():
-    parts, log = make_participants(3)
-    coord = TransactionCoordinator(parts)
-    coord.run(0, {r: {"zion": r} for r in range(3)})
-    assert sorted(log) == [(0, 0, ["zion"]), (1, 0, ["zion"]), (2, 0, ["zion"])]
-    assert all(p.phase is TxPhase.COMMITTED for p in parts)
-    assert coord.stats.committed == 1
-
-
-def test_transaction_aborts_atomically():
-    inj = TransportFaultInjector(fail_ops=[2])  # second participant's prepare fails
-    parts, log = make_participants(3, injector=inj)
-    coord = TransactionCoordinator(parts)
-    with pytest.raises(TransactionAborted):
-        coord.run(0, {r: {"zion": r} for r in range(3)})
-    assert log == []  # nothing published anywhere
-    assert all(p.phase is TxPhase.ABORTED for p in parts)
-    assert coord.stats.aborted == 1
-
-
-def test_transaction_missing_payload_aborts():
-    parts, log = make_participants(2)
-    coord = TransactionCoordinator(parts)
-    with pytest.raises(TransactionAborted):
-        coord.run(0, {0: {"zion": 1}})  # rank 1 has nothing
-    assert log == []
-
-
-def test_commit_without_prepare_rejected():
-    parts, _ = make_participants(1)
-    with pytest.raises(TransactionAborted):
-        parts[0].commit()
-
-
-def test_coordinator_needs_participants():
-    with pytest.raises(ValueError):
-        TransactionCoordinator([])
-
-
-# ---------------------------------------------------------------------------
 # Transactional stream output — readers never see torn steps
 # ---------------------------------------------------------------------------
 
@@ -260,3 +198,66 @@ def test_transactional_stream_gives_up_and_stays_clean():
         reader.read_block("zion", 0)
     assert reader.begin_step() is StepStatus.OtherError  # the typed gap ...
     assert reader.begin_step() is StepStatus.EndOfStream  # ... and past it
+
+
+class RankCountingChannel:
+    """Drain channel that records the writer rank of every send attempt
+    (each rank writes its rank number) and times out the ranks in
+    ``failing``."""
+
+    def __init__(self, failing=()):
+        self.failing = set(failing)
+        self.sent = []
+
+    def sendv(self, parts, timeout=None):
+        rank = int(next(iter(parts)).as_array(np.float64)[0])
+        self.sent.append(rank)
+        if rank in self.failing:
+            raise TransportTimeout(f"rank {rank} send timed out")
+
+    def recv(self, timeout=None):
+        return b""
+
+
+def tx_writers_over(channel, **hints):
+    ad, writers, state = open_tx_writers(num_ranks=3, retry_jitter=0, **hints)
+    state._ensure_pipeline()
+    state._drainer._channel = channel
+    return ad, writers, state
+
+
+def test_transactional_abort_stops_at_the_first_failed_prepare():
+    """Rank 1's prepare exhausts its retries: the step aborts there, rank
+    2 is never sent, and the writer and reader both get a typed outcome."""
+    channel = RankCountingChannel(failing={1})
+    ad, writers, state = tx_writers_over(channel, max_retries=1)
+    with pytest.raises(TransactionAborted, match="rank 1"):
+        write_step(writers, float, sync=True)
+    assert channel.sent == [0, 1, 1]  # rank 1 tried twice; rank 2 never
+    (step,) = state.published
+    assert step.status is StepState.ABORTED and not step.groups
+    metrics = state.monitor.metrics
+    assert metrics.counter("dataplane.tx.aborted").value == 1
+    assert metrics.counter("dataplane.tx.committed").value == 0
+    for w in writers:
+        w.close()
+    reader = ad.open_read("particles", "tx.stream", RankContext(0, 1))
+    with pytest.raises(StepLost):
+        reader.read_block("zion", 0)
+
+
+def test_transactional_rank_with_nothing_to_send_votes_yes():
+    channel = RankCountingChannel()
+    ad, writers, state = tx_writers_over(channel)
+    for r, w in enumerate(writers):
+        w.write("zion", np.full((0 if r == 1 else 4, 7), float(r)))
+    for w in writers:
+        w.end_step(sync=True)
+    assert channel.sent == [0, 2]  # rank 1's zero-size block: no send
+    assert state.monitor.metrics.counter("dataplane.tx.committed").value == 1
+    for w in writers:
+        w.close()
+    reader = ad.open_read("particles", "tx.stream", RankContext(0, 1))
+    assert reader.begin_step() is StepStatus.OK
+    assert reader.read_block("zion", 1).shape == (0, 7)
+    assert reader.read_block("zion", 2)[0, 0] == 2.0

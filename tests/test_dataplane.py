@@ -678,7 +678,7 @@ def test_async_backpressure_on_slow_channel():
             return b""
 
     state._ensure_pipeline()
-    state._channel = SlowChannel()
+    state._drainer._channel = SlowChannel()
     for _ in range(4):
         writer.write("temp", np.ones(SHAPE), box=BoundingBox((0, 0), SHAPE),
                      global_shape=SHAPE)
@@ -710,7 +710,7 @@ def test_drain_error_marks_step_lost_not_committed():
             return b""
 
     state._ensure_pipeline()
-    state._channel = BrokenChannel()
+    state._drainer._channel = BrokenChannel()
     writer.write("temp", np.ones(SHAPE), box=BoundingBox((0, 0), SHAPE),
                  global_shape=SHAPE)
     writer.end_step()
@@ -752,7 +752,7 @@ def test_drain_retries_through_the_one_attempt_loop():
             return b""
 
     state._ensure_pipeline()
-    state._channel = FlakyChannel()
+    state._drainer._channel = FlakyChannel()
     for _ in range(2):
         writer.write("temp", np.ones(SHAPE), box=BoundingBox((0, 0), SHAPE),
                      global_shape=SHAPE)
@@ -813,7 +813,7 @@ def gated_stream(name, gated, params="queue_depth=4"):
     reader = adios.open_read("fields", name, RankContext(0, 1))
     state = stream_registry._states[name]
     state._ensure_pipeline()
-    state._channel = channel = GatedChannel(gated)
+    state._drainer._channel = channel = GatedChannel(gated)
     return writer, reader, state, channel
 
 
@@ -1062,7 +1062,7 @@ def test_mapped_drain_retries_and_loses_steps_with_nothing_left_mapped():
     ]
     commits = [dict(e.attrs) for e in recorder.events(code=EV_STEP_COMMIT, stream=name)]
     assert [(c["step"], c.get("attempts")) for c in commits] == [(0, 2), (2, None)]
-    channel = state._channel
+    channel = state._drainer._channel
     assert channel.use_xpmem and channel._xpmem_segments == {}
     assert channel.pool.stats.allocations == 0  # a torn mapped send leases nothing
     assert path_counts(state) == {"xpmem": 2, "pool": 0}
@@ -1094,7 +1094,7 @@ def test_degraded_stream_ends_on_a_mapped_shm_rung():
     assert [s.status for s in state.published] == (
         [StepState.LOST] * 2 + [StepState.COMMITTED] * 3
     )
-    assert state.active_transport == "shm" and state._channel.use_xpmem
+    assert state.active_transport == "shm" and state._drainer._channel.use_xpmem
     assert path_counts(state) == {"xpmem": 3, "pool": 0}
     writer.close()
 
@@ -1108,7 +1108,7 @@ def test_sanitizer_names_a_writer_that_modifies_a_mapped_array():
         writer = adios.open_write("fields", "dp.mutate", RankContext(0, 1))
         state = stream_registry._states["dp.mutate"]
         state._ensure_pipeline()
-        recv = state._channel.recv
+        recv = state._drainer._channel.recv
         mapped, gate = threading.Event(), threading.Event()
 
         def held_recv(timeout=5.0):
@@ -1116,7 +1116,7 @@ def test_sanitizer_names_a_writer_that_modifies_a_mapped_array():
             assert gate.wait(10.0)
             return recv(timeout)
 
-        state._channel.recv = held_recv
+        state._drainer._channel.recv = held_recv
         data = FIELD.copy()
         writer.write("temp", data, box=WHOLE, global_shape=SHAPE)
         writer.end_step()

@@ -180,11 +180,13 @@ def test_fxl004_allows_drain_path_and_resilience():
         self._commit(step)
     """
     assert lint(drain, path="repro/core/drain.py") == []
+    # core/resilience.py lost its whole-file pass with the 2PC classes:
+    # a commit() there is flagged like anywhere else.
     anywhere = """
     def run(self):
         self.commit()
     """
-    assert lint(anywhere, path="repro/core/resilience.py") == []
+    assert rules_of(lint(anywhere, path="repro/core/resilience.py")) == ["FXL004"]
     # The rule is repo-wide: a commit() sprouting in a NEW file is
     # exactly the bug class FXL004 exists to catch.
     assert rules_of(lint(drain, path="repro/obs/elsewhere.py")) == ["FXL004"]
@@ -210,6 +212,24 @@ def test_fxl005_flags_undeclared_drainer_mutation():
     # against the registries that module declares.
     assert rules_of(lint(code, path="repro/core/drain.py")) == ["FXL005"]
     assert lint(code, path="repro/core/stream.py") == []
+
+
+def test_fxl005_checks_writes_across_the_thread_boundary_on_the_state():
+    code = """
+    class D:
+        def _drain_one(self, step):
+            self._state.x = 1
+            self._state._declared += 1
+            self._state.store.append(step)  # a call, not an assignment
+    """
+    findings = lint(code, config=DRAINER_CFG)
+    assert [f.message.split()[0] for f in findings] == ["self._state.x"]
+    declared = LintConfig(
+        drainer_path="fixture.py",
+        drainer_methods=frozenset({"_drain_one"}),
+        drainer_shared_state=frozenset({"_declared", "x"}),
+    )
+    assert lint(code, config=declared) == []
 
 
 def test_fxl005_ignores_non_drainer_methods_and_locals():

@@ -608,7 +608,7 @@ def test_session_resumes_across_control_socket_loss(daemon):
         # Tear the control socket out from under the client: the next
         # RPC must reconnect, re-HELLO with the resume token, and land
         # in the SAME server-side session (stream quota state intact).
-        c._sock.close()
+        c._control.close()
         w = c.open("after-loss", "w")
         assert c.session_id == sid
         assert c.resumed
@@ -682,6 +682,25 @@ def test_checkpoint_restore_round_trip(daemon, tmp_path):
             r.close()
     finally:
         d2.stop()
+
+
+def test_checkpoint_from_another_thread_walks_state_on_the_loop(daemon, tmp_path,
+                                                                monkeypatch):
+    """The SIGTERM path checkpoints from the main thread while the loop
+    still serves: the state walk must run on the loop, which alone
+    mutates sessions and registrations."""
+    walkers, walk = [], DirectoryDaemon._checkpoint_blob
+
+    def recording_walk(self):
+        walkers.append(threading.current_thread())
+        return walk(self)
+
+    monkeypatch.setattr(DirectoryDaemon, "_checkpoint_blob", recording_walk)
+    with connect(uri(daemon), token="s3cret") as c:
+        c.register("ckpt.walk", program="writer")
+        path = daemon.checkpoint(str(tmp_path / "walk.ckpt"))
+    assert walkers == [daemon._thread]
+    assert os.path.getsize(path) > 0
 
 
 def test_restored_failed_stream_says_why(tmp_path):

@@ -35,13 +35,12 @@ from repro.net.server import DirectoryDaemon
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import M_NET_FRAMES_REFUSED, M_NET_LOOP_LAG_MS, M_NET_READERS_PARKED
 from repro.transport.buffers import as_byte_view
-from repro.transport.faults import FaultKind, TransportFaultInjector
+from repro.transport.faults import FaultKind, PeerDisconnected, TransportFaultInjector
 from repro.transport.tcp import (
     FRAME_PREFIX,
     INLINE_MAX,
     MAX_FRAME,
-    recv_frame,
-    send_frame,
+    TcpChannel,
     unpace_loopback,
 )
 
@@ -284,9 +283,11 @@ def uri(d):
 def test_live_daemon_answers_a_hostile_prefix_with_a_typed_error(daemon, port):
     with socket.create_connection((daemon.host, getattr(daemon, port)), timeout=2) as s:
         s.sendall(FRAME_PREFIX.pack(MAX_FRAME + 1))
-        frame = decode_frame(recv_frame(s, timeout=2.0))
+        channel = TcpChannel(s)
+        frame = decode_frame(channel.recv(timeout=2.0))
         assert frame.msg_type is MsgType.ERROR and frame.record["kind"] == "protocol"
-        assert recv_frame(s, timeout=2.0) is None  # and the connection is closed
+        with pytest.raises(PeerDisconnected):  # and the connection is closed
+            channel.recv(timeout=2.0)
     assert daemon.metrics.counter(M_NET_FRAMES_REFUSED).value == 1
 
 
@@ -294,10 +295,10 @@ def test_live_daemon_answers_a_hostile_prefix_with_a_typed_error(daemon, port):
 # Bugfix: inbound stays bounded when a peer pipelines without reading
 # ---------------------------------------------------------------------------
 
-def hello(sock):
-    send_frame(sock, encode_frame(
+def hello(channel):
+    channel.send(encode_frame(
         MsgType.HELLO, {"tenant": "public", "token": "", "client": "t", "resume": ""}))
-    assert decode_frame(recv_frame(sock, timeout=2.0)).msg_type is MsgType.WELCOME
+    assert decode_frame(channel.recv(timeout=2.0)).msg_type is MsgType.WELCOME
 
 
 def test_pipelined_frames_queue_to_a_bound_and_are_answered_in_order(daemon):
@@ -305,13 +306,14 @@ def test_pipelined_frames_queue_to_a_bound_and_are_answered_in_order(daemon):
     # the peer pipelines meanwhile waits unread, then is answered in order.
     daemon.injector = TransportFaultInjector(fail_ops=[2], kinds=[FaultKind.DELAYED_FRAME])
     with socket.create_connection((daemon.host, daemon.control_port), timeout=2) as s:
-        hello(s)
+        channel = TcpChannel(s)
+        hello(channel)
         ids = [f"public/nope-{i}" for i in range(50)]
         began = time.monotonic()
         s.sendall(b"".join(  # 50 back-to-back frames, no reply read
             FRAME_PREFIX.pack(f.nbytes) + f.as_array().tobytes()
             for f in (encode_frame(MsgType.CLOSE, {"stream_id": i}) for i in ids)))
-        replies = [decode_frame(recv_frame(s, timeout=2.0)).record for _ in ids]
+        replies = [decode_frame(channel.recv(timeout=2.0)).record for _ in ids]
         assert time.monotonic() - began >= 0.05
     assert [r["kind"] for r in replies] == ["unknown_stream"] * 50
     assert [r["message"] for r in replies] == ids
@@ -421,7 +423,7 @@ def test_ingesting_a_4mb_publish_peaks_under_one_and_a_half_frames(daemon):
             base, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             sock.sendall(blob)  # a raw socket: the sender allocates nothing
-            reply = decode_frame(recv_frame(sock, timeout=5.0))
+            reply = decode_frame(w._channel.recv(timeout=5.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -449,8 +451,10 @@ def test_handler_exception_is_logged_retrieved_and_closes_the_connection(
         with socket.create_connection((daemon.host, daemon.control_port), timeout=2) as s:
             hello_frame = encode_frame(MsgType.HELLO, {
                 "tenant": "public", "token": "", "client": "t", "resume": ""})
-            send_frame(s, hello_frame)
-            assert recv_frame(s, timeout=2.0) is None  # closed, not left hanging
+            channel = TcpChannel(s)
+            channel.send(hello_frame)
+            with pytest.raises(PeerDisconnected):  # closed, not left hanging
+                channel.recv(timeout=2.0)
         gc.collect()
         time.sleep(0.05)
     text = "\n".join(r.getMessage() for r in caplog.records)
