@@ -148,12 +148,14 @@ class _StepDrainer:
             xpmem=state.hints.xpmem,
         )
 
-    def submit(self, step: _PublishedStep, rank_parts: dict) -> None:
+    def submit(self, step: _PublishedStep, wire: tuple) -> None:
+        """Queue one sealed step with the ``(vector, rank spans)``
+        :func:`_rank_parts` built for it."""
         mon = self._state.monitor
         with self._pending_lock:
             self._pending += 1
             self._idle.clear()
-        item = (step, rank_parts)
+        item = (step, wire)
         try:
             self._queue.put_nowait(item)
         except queue.Full:
@@ -216,9 +218,9 @@ class _StepDrainer:
                 continue
             if item is None:
                 return
-            step, rank_parts = item
+            step, wire = item
             try:
-                self._drain_one(step, rank_parts)
+                self._drain_one(step, wire)
             finally:
                 self._depth.dec()
                 with self._pending_lock:
@@ -238,7 +240,7 @@ class _StepDrainer:
         except Exception:
             pass
 
-    def _drain_one(self, step: _PublishedStep, rank_parts: dict) -> None:
+    def _drain_one(self, step: _PublishedStep, wire: tuple) -> None:
         """Drainer-thread body: push one step's payload, then commit it.
 
         A step is committed **only** when its payload cleared the
@@ -249,16 +251,14 @@ class _StepDrainer:
         """
         state = self._state
         mon = state.monitor
+        parts, spans = wire
         with mon.measure(
             "drain", state.name, nbytes=step.nbytes,
             parent=step.trace_ctx, step=step.step,
         ):
             if state.hints.transactional and step.groups:
-                err = self._drain_transactional(step, rank_parts)
+                err = self._drain_transactional(step, parts, spans)
             else:
-                parts = WireVector(
-                    p for r in sorted(rank_parts) for p in rank_parts[r]
-                )
                 err = self._send_with_retries(step, parts)
         if err is None:
             self._consecutive_failures = 0
@@ -332,19 +332,20 @@ class _StepDrainer:
             step.attempts = max(step.attempts, attempt + 1)
         return err
 
-    def _drain_transactional(self, step: _PublishedStep, rank_parts: dict):
+    def _drain_transactional(self, step: _PublishedStep, parts: WireVector, spans: list):
         """All-or-nothing step visibility across the writer ranks.
 
-        In rank order, each rank's vector is that rank's prepare vote: a
-        reliable send under the retry policy (a rank with nothing to send
-        votes yes).  The first rank whose send fails aborts the step —
-        the ranks after it are never sent — and the caller discards the
-        whole step; only when every vote is yes does the caller commit.
+        In rank order, each rank's slice of the step's vector is that
+        rank's prepare vote: a reliable send under the retry policy (a
+        rank with nothing to send votes yes).  The first rank whose send
+        fails aborts the step — the ranks after it are never sent — and
+        the caller discards the whole step; only when every vote is yes
+        does the caller commit.
         Returns None on commit, the abort exception otherwise.
         """
         metrics = self._state.monitor.metrics
-        for rank in sorted(step.groups):
-            err = self._send_with_retries(step, rank_parts[rank])
+        for rank, lo, hi in spans:
+            err = self._send_with_retries(step, WireVector(parts[lo:hi]))
             if err is not None:
                 metrics.counter("dataplane.tx.aborted").inc()
                 return TransactionAborted(
@@ -361,6 +362,7 @@ class _StepDrainer:
             step.status, code = StepState.LOST, EV_STEP_LOST
         step.error = repr(exc)
         step.groups.clear()  # free the buffers; never torn-visible
+        step.block_index.clear()
         step.nbytes = 0
         state = self._state
         mon = state.monitor
@@ -432,31 +434,36 @@ def _provably_dropped(predicate, wv: WrittenVar) -> bool:
     )
 
 
-def _rank_parts(
-    step: _PublishedStep, predicate, metrics
-) -> dict[int, WireVector]:
-    """Per-rank scatter-gather vectors of a step's payload.
+def _rank_parts(step: _PublishedStep, predicate, metrics) -> tuple[WireVector, list]:
+    """The seal's one walk over a step's groups, in rank order.
 
-    The transactional drain sends each rank's vector as that rank's
-    prepare; the plain drain flattens them (rank order) into one send.
+    Sets ``step.nbytes`` (every written byte, sent or not) and returns
+    the step's scatter-gather vector with each rank's ``(rank, lo, hi)``
+    slice of it.  The plain drain sends the vector whole; the
+    transactional one sends each rank's slice as that rank's prepare.
     Parts are :class:`WireBuffer` views over the step's written arrays —
     the step holds those arrays until commit/loss, so the views stay
     valid across retries.
 
     With a reader ``predicate`` (pushdown; else ``None``), blocks the
-    reader chain provably drops never enter the vectors — analytics
+    reader chain provably drops never enter the vector — analytics
     placed on the I/O path saving the movement itself.  The step's buffered copy is
     untouched, so in-process reads stay exact.
     """
-    out: dict[int, WireVector] = {}
+    arrays: list = []
+    spans: list[tuple[int, int, int]] = []
+    nbytes = 0
     for rank in sorted(step.groups):
-        vec = WireVector()
+        lo = len(arrays)
         for wv in step.groups[rank].variables.values():
-            if not wv.data.nbytes:
+            data = wv.data
+            if not data.nbytes:
                 continue
+            nbytes += data.nbytes
             if predicate is not None and _provably_dropped(predicate, wv):
                 metrics.counter("plugin.blocks_skipped").inc()
                 continue
-            vec.append(wv.data)
-        out[rank] = vec
-    return out
+            arrays.append(data)
+        spans.append((rank, lo, len(arrays)))
+    step.nbytes = nbytes
+    return WireVector(arrays), spans

@@ -19,7 +19,25 @@ from repro.adios.api import (
 )
 from repro.adios.selection import assemble, intersect, resolve_selection
 from repro.core.plugins import PluginSide
-from repro.core.redistribution import CompiledPlan, FusedPlan, compute_plan
+from repro.core.redistribution import CompiledPlan, FusedPlan, boxes_key, compute_plan
+
+
+def index_blocks(blocks) -> tuple:
+    """One variable's ``(box, global_shape, data)`` blocks as the read
+    path uses them: ``(boxes, datas, gshape, dtype, writer_key)`` —
+    the placed blocks and their data, the last declared global shape,
+    the last block's dtype (``None``: no block) and the placed boxes'
+    plan-cache key."""
+    boxes, datas = [], []
+    gshape = dtype = None
+    for box, block_gshape, data in blocks:
+        dtype = data.dtype
+        if block_gshape is not None:
+            gshape = block_gshape
+        if box is not None:
+            boxes.append(box)
+            datas.append(data)
+    return boxes, datas, gshape, dtype, boxes_key(boxes)
 
 
 class StepReader(ReadHandle):
@@ -30,8 +48,9 @@ class StepReader(ReadHandle):
     spans and the fused/interpreted counters, written once against a
     **block source** — the step object :meth:`_source` returns
     (:class:`_PublishedStep` in process, the net client's wire views):
-    ``var_names()``; ``var_blocks(name)``, one ``(box, global_shape,
-    data)`` per writer block; ``writer_record(rank)``, one writer's
+    ``var_names()``; ``blocks(name)``, :func:`index_blocks` of its
+    writer blocks (a sealed step builds it once for every reader
+    rank); ``writer_record(rank)``, one writer's
     ``{name: data}`` or ``None``; ``trace_ctx``, the publish span reads
     parent on; ``may_be_pruned``, whether a broker may have dropped
     blocks this reader's chain provably drops.  Subclasses say where a
@@ -39,9 +58,14 @@ class StepReader(ReadHandle):
     once, here) and provide ``plugins``, ``monitor`` and ``_plans`` (the
     :class:`PlanCache` reads compile into; ``None`` re-derives overlap
     geometry every read).  Planes differ only through the source.
+    ``begin_step`` positions once: the source it found serves every
+    read until the cursor moves or ``end_step()``.
     """
 
     _cursor = 0
+    #: The source ``begin_step`` found for the cursor (``None``: not
+    #: positioned — each read looks the step up).
+    _at = None
 
     @property
     def current_step(self) -> int:
@@ -54,24 +78,26 @@ class StepReader(ReadHandle):
 
     def _source(self):
         """The current step's block source."""
-        return self._step_at(self._cursor)
+        return self._at or self._step_at(self._cursor)
 
     def _probe_step(self) -> None:
-        self._source()
+        self._at = self._step_at(self._cursor)
 
     def _advance(self):
         nxt = self._cursor + 1
+        self._at = None
         try:
-            self._step_at(nxt)
+            at = self._step_at(nxt)
         except StepLost:
             # Move first, then surface the lost step: begin_step() marks
             # it consumed, so the following begin_step() skips the gap.
             self._cursor = nxt
             raise
-        self._cursor = nxt
+        self._cursor, self._at = nxt, at
 
     def end_step(self):
         status = super().end_step()
+        self._at = None
         self._release()
         return status
 
@@ -79,7 +105,7 @@ class StepReader(ReadHandle):
         """``end_step()`` lets the source's bytes go: what a read returned
         is the caller's and never views them.  Nothing to do in process."""
 
-    def _account_handshake(self, name, gshape, writer_boxes) -> None:
+    def _account_handshake(self, name, gshape, writer_boxes, writer_key) -> None:
         """Control-plane accounting of one exchange (in process only)."""
 
     def available_vars(self):
@@ -101,14 +127,16 @@ class StepReader(ReadHandle):
         pred = self.plugins.block_predicate(PluginSide.READER)
         return pred.spec() if pred is not None else ""
 
-    def _plan(self, boxes, target, gshape, chain=None):
+    def _plan(self, boxes, writer_key, target, gshape, chain=None):
         """This geometry's compiled plan, fused with ``chain`` if given:
         replayed from ``_plans`` when there is one (keys carry the chain
         hash, so geometry is reused across chains), else compiled afresh."""
         if self._plans is None:
             base = CompiledPlan(compute_plan(boxes, [target]))
             return FusedPlan(base, chain) if chain is not None else base
-        plan, hit = self._plans.get(boxes, [target], gshape, chain=chain)
+        plan, hit = self._plans.get(
+            boxes, [target], gshape, chain=chain, writer_key=writer_key
+        )
         self.monitor.metrics.counter(
             "dataplane.plan_cache.hits" if hit else "dataplane.plan_cache.misses"
         ).inc()
@@ -154,15 +182,7 @@ class StepReader(ReadHandle):
         when the read allocates its own."""
         start, count = resolve_read_args(selection, start, count)
         source = self._source()
-        boxes, datas = [], []
-        gshape = dtype = None
-        for box, block_gshape, data in source.var_blocks(name):
-            dtype = data.dtype
-            if block_gshape is not None:
-                gshape = block_gshape
-            if box is not None:
-                boxes.append(box)
-                datas.append(data)
+        boxes, datas, gshape, dtype, writer_key = source.blocks(name)
         if dtype is None:
             raise VariableNotFound(f"no variable {name!r} at step {self._cursor}")
         if gshape is None:
@@ -183,10 +203,10 @@ class StepReader(ReadHandle):
         chain = self._reader_chain(name)
         with mon.span("read", name, parent=source.trace_ctx, step=self._cursor):
             with mon.span("redistribute", name, writers=len(boxes)):
-                self._account_handshake(name, gshape, boxes)
+                self._account_handshake(name, gshape, boxes, writer_key)
             fplan = None
             if chain is not None and boxes:
-                fplan = self._plan(boxes, target, gshape, chain)
+                fplan = self._plan(boxes, writer_key, target, gshape, chain)
                 filters = chain.has_filter(name)
                 # Axis-0 gaps are sound only where they can only be
                 # blocks the chain drops: a pruned source under a chain
@@ -226,7 +246,7 @@ class StepReader(ReadHandle):
                     )
                 with mon.span("transport", name) as tspan:
                     if self._plans is not None and boxes:
-                        cplan = self._plan(boxes, target, gshape)
+                        cplan = self._plan(boxes, writer_key, target, gshape)
                         if out is None:
                             result = cplan.execute(datas, dtype=dtype, check=False)[0]
                         else:
@@ -266,10 +286,7 @@ class StepReader(ReadHandle):
         """
         if names is None:
             source = self._source()
-            names = [
-                n for n in source.var_names()
-                if any(g is not None for _, g, _ in source.var_blocks(n))
-            ]
+            names = [n for n in source.var_names() if source.blocks(n)[2] is not None]
         return {
             n: self.read(n, start=start, count=count, selection=selection)
             for n in names

@@ -199,11 +199,13 @@ class CompiledPlan:
             )
         blocks: list[np.ndarray] = []
         for i, blk in enumerate(writer_blocks):
-            if hasattr(blk, "as_array"):
+            if isinstance(blk, np.ndarray):
+                pass
+            elif hasattr(blk, "as_array"):
                 if dtype is None:
                     raise ValueError("dtype is required for wire-span blocks")
                 blk = blk.as_array(dtype, self.writer_boxes[i].count)
-            elif not isinstance(blk, np.ndarray):
+            else:
                 blk = np.asarray(blk)
             if check and tuple(blk.shape) != tuple(self.writer_boxes[i].count):
                 raise ValueError(
@@ -409,7 +411,8 @@ class PlanCacheStats:
         return self.hits + self.misses
 
 
-def _boxes_key(boxes: Sequence[BoundingBox]) -> tuple:
+def boxes_key(boxes: Sequence[BoundingBox]) -> tuple:
+    """One distribution's part of a plan-cache key."""
     return tuple((b.start, b.count) for b in boxes)
 
 
@@ -418,16 +421,18 @@ def make_plan_key(
     reader_boxes: Sequence[BoundingBox],
     gshape: Optional[Sequence[int]] = None,
     chain_hash: str = "",
+    writer_key: Optional[tuple] = None,
 ) -> tuple:
     """Cache key for one (writer dist, reader dist, global shape) triple.
 
     ``chain_hash`` (the :class:`~repro.core.plugins.CompiledChain`
     digest) separates plans fused against different plug-in chains; the
-    empty string is the plain, unfused plan.
+    empty string is the plain, unfused plan.  ``writer_key`` is
+    ``boxes_key(writer_boxes)`` when the caller already has it.
     """
     return (
-        _boxes_key(writer_boxes),
-        _boxes_key(reader_boxes),
+        boxes_key(writer_boxes) if writer_key is None else writer_key,
+        boxes_key(reader_boxes),
         tuple(gshape) if gshape is not None else None,
         chain_hash,
     )
@@ -460,6 +465,7 @@ class PlanCache:
         reader_boxes: Sequence[BoundingBox],
         gshape: Optional[Sequence[int]] = None,
         chain=None,
+        writer_key: Optional[tuple] = None,
     ):
         """Return ``(plan, hit)`` — compiling on miss.
 
@@ -467,9 +473,11 @@ class PlanCache:
         with a :class:`~repro.core.plugins.CompiledChain` it is a
         :class:`FusedPlan`, cached under a chain-hash-extended key so
         the same geometry fused against different chains never collides.
+        ``writer_key``: the writer boxes' key, when a step's block index
+        already holds it.
         """
         chain_hash = chain.chain_hash if chain is not None else ""
-        key = make_plan_key(writer_boxes, reader_boxes, gshape, chain_hash)
+        key = make_plan_key(writer_boxes, reader_boxes, gshape, chain_hash, writer_key)
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:

@@ -40,7 +40,7 @@ from repro.core.plugins import (
     combine_predicates,
     parse_predicate,
 )
-from repro.core.reader import StepReader
+from repro.core.reader import StepReader, index_blocks
 from repro.core.redistribution import (
     CachingOption,
     PlanCache,
@@ -77,6 +77,9 @@ class _PublishedStep:
     #: Buffered payload size: summed once at seal, zeroed when the step
     #: is lost (its groups are discarded), never re-derived.
     nbytes: int = 0
+    #: Per-variable block index (:meth:`blocks`): built by the first
+    #: reader rank that asks, shared by every later read of the step.
+    block_index: dict = field(default_factory=dict, repr=False)
 
     #: The buffered copy is never pruned: in-process pushdown only
     #: skips *sending* blocks through the drain channel.
@@ -94,6 +97,12 @@ class _PublishedStep:
             wv = pg.variables.get(name)
             if wv is not None:
                 yield wv.box, wv.global_shape, wv.data
+
+    def blocks(self, name: str) -> tuple:
+        found = self.block_index.get(name)
+        if found is None:
+            found = self.block_index[name] = index_blocks(self.var_blocks(name))
+        return found
 
     def writer_record(self, rank: int) -> Optional[dict]:
         pg = self.groups.get(rank)
@@ -258,7 +267,11 @@ class StreamState:
                                 )
                             )
                         step.groups[rank] = out
-                step.nbytes = sum(g.nbytes for g in step.groups.values())
+                wire = _rank_parts(
+                    step,
+                    predicate=self._pushdown_predicate(),
+                    metrics=self.monitor.metrics,
+                )
                 wspan.add_bytes(step.nbytes)
                 step.trace_ctx = wspan.context
             vis.add_bytes(step.nbytes)
@@ -267,14 +280,7 @@ class StreamState:
                 EV_STEP_BEGIN, stream=self.name,
                 step=step.step, nbytes=step.nbytes,
             )
-            self._drainer.submit(
-                step,
-                _rank_parts(
-                    step,
-                    predicate=self._pushdown_predicate(),
-                    metrics=self.monitor.metrics,
-                ),
-            )
+            self._drainer.submit(step, wire)
             if sync:
                 self._drainer.wait_idle()
         self._current = {}
@@ -327,13 +333,16 @@ class StreamState:
     def writer_close(self, rank: int) -> None:
         self._closed_ranks.add(rank)
         self._advanced.discard(rank)
-        if self._closed_ranks >= self.writer_ranks:
-            # Publish any partial step implicitly, then end the stream.
-            if self._current:
-                try:
-                    self._publish()
-                except (MovementFailed, TransactionAborted):
-                    pass  # close never raises; the loss is already recorded
+        live = self.writer_ranks - self._closed_ranks
+        # The last rank out publishes any partial step implicitly; a rank
+        # the live ranks were all waiting for seals the step, as their
+        # last end_step would have.  Its writes go in either way.
+        if (self._advanced >= live) if live else self._current:
+            try:
+                self._publish()
+            except (MovementFailed, TransactionAborted):
+                pass  # close never raises; the loss is already recorded
+        if not live:
             self._quiesce()
             with self._committed:
                 if not self.store.closed:  # a failed stream stays failed
@@ -587,7 +596,7 @@ class FlexpathReadHandle(StepReader):
                     pass
         return super()._reader_chain(name) if state.hints.fused else None
 
-    def _account_handshake(self, name, gshape, writer_boxes) -> None:
+    def _account_handshake(self, name, gshape, writer_boxes, writer_key) -> None:
         """Run the 4-step handshake protocol accounting for one exchange.
 
         Honors the stream's caching and batching hints: with CACHING_ALL
@@ -595,7 +604,6 @@ class FlexpathReadHandle(StepReader):
         batching only the first variable of each step pays a round.
         """
         hints = self._state.hints
-        boxes_key = tuple((b.start, b.count) for b in writer_boxes)
         eng = self._hs_engines.get(name)
         if eng is None:
             reader_box = BoundingBox((0,) * len(gshape), tuple(gshape))
@@ -605,11 +613,11 @@ class FlexpathReadHandle(StepReader):
                 plan_cache=self._plans,
             )
             self._hs_engines[name] = eng
-            self._hs_boxes[name] = boxes_key
-        elif self._hs_boxes.get(name) != boxes_key:
+            self._hs_boxes[name] = writer_key
+        elif self._hs_boxes.get(name) != writer_key:
             # Distribution changed (e.g. particle movement): caches drop.
             eng.update_writer_boxes(writer_boxes)
-            self._hs_boxes[name] = boxes_key
+            self._hs_boxes[name] = writer_key
         if hints.batching and self._cursor == self._hs_paid_step:
             return  # aggregated into this step's earlier round
         cost = eng.handshake()

@@ -58,7 +58,7 @@ from repro.core.plugins import PluginManager, PluginSide
 from repro.core.redistribution import PlanCache
 from repro.core.resilience import RetryPolicy, retry_call
 from repro.core.stepstore import outcome_error
-from repro.core.reader import StepReader
+from repro.core.reader import StepReader, index_blocks
 from repro.net.protocol import (
     MISS_REPLY,
     Frame,
@@ -854,6 +854,9 @@ class _CachedStep:
                     tuple(rec["gshape"]) or None,
                     data,
                 )
+
+    def blocks(self, name: str) -> tuple:
+        return index_blocks(self.var_blocks(name))
 
     def writer_record(self, rank: int) -> Optional[dict]:
         record: dict = {}

@@ -310,13 +310,28 @@ def validate_metric(name: str) -> str:
     raise UnknownMetricError(name, suggest(name))
 
 
+#: Every ``metric_name`` built from string parts, by ``(family, *parts)``.
+_BUILT: dict[tuple, str] = {}
+
+
 def metric_name(family: str, *parts: object) -> str:
     """Build ``family.part1.part2...`` after validating that ``family``
     is (or extends) a registered family root.  This is the sanctioned
     spelling for dynamic metric names — FXL013 rejects raw f-strings.
+
+    A name whose parts are all strings is built once per process; other
+    parts (``1`` and ``True`` are equal keys with different names, and
+    an unhashable part is no key at all) and an unknown family are
+    judged on every call.
     """
+    key = (family, *parts)
+    try:
+        return _BUILT[key]
+    except (KeyError, TypeError):
+        pass
     if _family_root(family) is None:
         raise UnknownMetricError(family, suggest(family))
-    if not parts:
-        return family
-    return ".".join([family, *[str(p) for p in parts]])
+    name = ".".join([family, *[str(p) for p in parts]])
+    if all(type(p) is str for p in parts):
+        _BUILT[key] = name
+    return name

@@ -246,6 +246,54 @@ def test_transactional_abort_stops_at_the_first_failed_prepare():
         reader.read_block("zion", 0)
 
 
+class RecordingChannel:
+    """Drain channel that keeps the parts of every send."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendv(self, parts, timeout=None):
+        self.sent.append(list(parts))
+
+    def recv(self, timeout=None):
+        return b""
+
+
+def test_transactional_prepare_votes_send_each_ranks_own_parts_in_rank_order(monkeypatch):
+    from repro.core import stream
+
+    sealed = []
+    seal = stream._rank_parts
+
+    def recorded(step, **kw):
+        sealed.append(seal(step, **kw))
+        return sealed[-1]
+
+    monkeypatch.setattr(stream, "_rank_parts", recorded)
+    channel = RecordingChannel()
+    ad, writers, state = tx_writers_over(channel)
+    written = [
+        [np.full((4, 7), float(r)), np.full((2 * r + 1,), 10.0 + r)] for r in range(3)
+    ]
+    for w, (zion, extra) in zip(writers, written):
+        w.write("zion", zion)
+        w.write("extra", extra)
+    for w in writers:
+        w.end_step(sync=True)
+    ((parts, _),) = sealed
+    # One prepare per rank, in rank order: that rank's arrays, no others,
+    # as the very spans the seal built — nothing re-wrapped per rank.
+    assert [len(vote) for vote in channel.sent] == [2, 2, 2]
+    assert all(a is b for a, b in zip(sum(channel.sent, []), parts))
+    for vote, arrays in zip(channel.sent, written):
+        for part, array in zip(vote, arrays):
+            assert part.nbytes == array.nbytes
+            assert np.shares_memory(part.as_array(), array)
+    assert state.monitor.metrics.counter("dataplane.tx.committed").value == 1
+    for w in writers:
+        w.close()
+
+
 def test_transactional_rank_with_nothing_to_send_votes_yes():
     channel = RankCountingChannel()
     ad, writers, state = tx_writers_over(channel)

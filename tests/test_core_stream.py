@@ -169,6 +169,31 @@ def test_stream_eos_with_partial_final_step():
         r._advance()
 
 
+def test_rank_closing_after_the_others_ended_the_step_seals_it():
+    """The live ranks all ended step 0 before rank 1 closed without
+    ending it: the close seals step 0, and rank 0 goes on alone."""
+    ad = make_adios()
+    w0 = ad.open_write("particles", "s", RankContext(0, 2))
+    w1 = ad.open_write("particles", "s", RankContext(1, 2))
+    r = ad.open_read("particles", "s", RankContext(0, 1))
+    w0.write("zion", np.zeros((1, 7)))
+    w0.end_step()
+    w1.write("zion", np.full((1, 7), 9.0))
+    w1.close()
+    assert r.begin_step(timeout=0.5) is StepStatus.OK
+    assert r.current_step == 0
+    assert (r.read_block("zion", 0) == 0).all()
+    assert (r.read_block("zion", 1) == 9).all()  # the closing rank's write went in
+    r.end_step()
+    w0.write("zion", np.ones((1, 7)))  # step 1, not step 0 written twice
+    w0.end_step()
+    assert r.begin_step(timeout=0.5) is StepStatus.OK
+    assert (r.read_block("zion", 0) == 1).all()
+    r.end_step()
+    w0.close()
+    assert r.begin_step(timeout=0.5) is StepStatus.EndOfStream
+
+
 def test_stream_two_independent_readers():
     ad = make_adios()
     w = ad.open_write("particles", "s", RankContext(0, 1))

@@ -828,14 +828,16 @@ def in_thread(fn, *args, **kwargs):
 
 
 def test_commit_cost_does_not_grow_with_stream_length(monkeypatch):
-    from repro.adios.model import ProcessGroupData
+    from repro.core import stream
 
-    visits = []
-    group_nbytes = ProcessGroupData.nbytes.fget
-    monkeypatch.setattr(
-        ProcessGroupData, "nbytes",
-        property(lambda pg: visits.append(pg.step) or group_nbytes(pg)),
-    )
+    seals = []
+    seal = stream._rank_parts
+
+    def counted(step, **kw):
+        seals.append((step.step, sorted(step.groups)))
+        return seal(step, **kw)
+
+    monkeypatch.setattr(stream, "_rank_parts", counted)
     adios = make_adios()
     boxes = block_decompose(SHAPE, (4, 4))
     writers = [
@@ -847,10 +849,70 @@ def test_commit_cost_does_not_grow_with_stream_length(monkeypatch):
             w.end_step(sync=True)   # the 16th seals, drains and commits
     for w in writers:
         w.close()
-    # Seal-to-commit of a step sizes each of its own 16 groups once and
-    # no other step's, at step 300 as at step 5.
-    assert visits.count(5) == visits.count(300) == 16
-    assert len(visits) == 301 * 16
+    # Each step is sized by one seal pass over its own 16 groups and no
+    # other step's, at step 300 as at step 5; the store keeps the total.
+    assert seals == [(k, list(range(16))) for k in range(301)]
+    state = stream_registry._states["dp.flat"]
+    assert [s.nbytes for s in state.published] == [FIELD.nbytes] * 301
+    assert state.store.nbytes == 301 * FIELD.nbytes
+
+
+MXN_STEPS = 3
+
+
+def mxn_16_to_4(name):
+    """``MXN_STEPS`` committed steps of a 16 → 4 ``caching=all`` stream,
+    the whole field written; returns the 4 reader handles and the state."""
+    adios = make_adios("caching=ALL;sync=true")
+    boxes = block_decompose(SHAPE, (4, 4))
+    writers = [adios.open_write("fields", name, RankContext(r, 16)) for r in range(16)]
+    readers = [adios.open_read("fields", name, RankContext(r, 4)) for r in range(4)]
+    for step in range(MXN_STEPS):
+        for w, box in zip(writers, boxes):
+            w.write("temp", FIELD[box.slices()] * step, box=box, global_shape=SHAPE)
+            w.end_step()
+    for w in writers:
+        w.close()
+    return readers, stream_registry._states[name]
+
+
+def read_bands(readers):
+    """Every reader rank reads its band of every step of the stream."""
+    band = SHAPE[0] // len(readers)
+    for step in range(MXN_STEPS):
+        for i, r in enumerate(readers):
+            assert r.begin_step() is StepStatus.OK
+            got = r.read("temp", start=(i * band, 0), count=(band, SHAPE[1]))
+            np.testing.assert_array_equal(got, (FIELD * step)[i * band:(i + 1) * band])
+            r.end_step()
+
+
+def test_a_steps_block_index_is_built_once_for_every_reader_rank(monkeypatch):
+    from repro.core import stream
+
+    built = []
+    index = stream.index_blocks
+
+    def counted(blocks):
+        found = index(blocks)
+        built.append(len(found[0]))
+        return found
+
+    monkeypatch.setattr(stream, "index_blocks", counted)
+    readers, _ = mxn_16_to_4("dp.index")
+    read_bands(readers)
+    assert built == [16] * MXN_STEPS  # one 16-block index per step, not per rank
+
+
+def test_a_positioned_reader_looks_its_step_up_once(monkeypatch):
+    readers, state = mxn_16_to_4("dp.positioned")
+    asked = []
+    await_step = state.await_step
+    monkeypatch.setattr(
+        state, "await_step", lambda k, t: asked.append(k) or await_step(k, t)
+    )
+    read_bands(readers)
+    assert asked == [k for k in range(MXN_STEPS) for _ in readers]  # at begin_step only
 
 
 def test_peak_buffered_bytes_matches_brute_force_over_mixed_outcomes():

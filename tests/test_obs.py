@@ -717,6 +717,33 @@ def test_metric_name_rejects_unregistered_family():
         names.FAMILIES.pop("totally.adhoc", None)
 
 
+def test_metric_name_builds_a_string_name_once(monkeypatch):
+    from repro.obs import names
+
+    assert names.metric_name(names.F_PLUGIN, "bytes_in", "memo") == "plugin.bytes_in.memo"
+    scans = []
+    root = names._family_root
+    monkeypatch.setattr(names, "_family_root", lambda n: scans.append(n) or root(n))
+    for _ in range(3):
+        assert names.metric_name(names.F_PLUGIN, "bytes_in", "memo") == "plugin.bytes_in.memo"
+    assert scans == []  # served from the memo: no family scan
+    # Equal keys, different names: non-string parts are judged every call.
+    assert names.metric_name(names.F_PLUGIN, True) == "plugin.True"
+    assert names.metric_name(names.F_PLUGIN, 1) == "plugin.1"
+    # An unhashable part takes the uncached path and still builds.
+    assert names.metric_name(names.F_PLUGIN, ["a"]) == "plugin.['a']"
+    assert scans == [names.F_PLUGIN] * 3
+
+
+def test_metric_name_rejects_an_unknown_family_on_every_call():
+    from repro.obs import names
+
+    for _ in range(2):
+        with pytest.raises(names.UnknownMetricError):
+            names.metric_name("never.registered", "x")
+    assert ("never.registered", "x") not in names._BUILT
+
+
 def test_metric_registry_matches_linted_vocabulary():
     """The FXL013 vocabulary and the runtime registry are the same
     object: a name the linter accepts is a name the registry knows."""
