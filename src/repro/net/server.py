@@ -119,7 +119,9 @@ from repro.transport.faults import (
     TransportFaultInjector,
     parse_fault_spec,
 )
-from repro.transport.tcp import FRAME_PREFIX, INLINE_MAX, MAX_FRAME, unpace_loopback
+from repro.transport.tcp import (
+    FRAME_PREFIX, INLINE_MAX, FrameAssembler, FrameRefused, unpace_loopback
+)
 
 __all__ = ["HostedStream", "DirectoryDaemon", "parse_tenant_arg", "main"]
 
@@ -136,41 +138,29 @@ DEFAULT_RETRY_AFTER_S = 0.25
 MAX_FETCH_HOLD_S = 10.0
 
 
-#: A connection's receive scratch: any frame up to ``INLINE_MAX`` of body,
-#: header and prefix included, arrives whole in it.
-_SCRATCH = INLINE_MAX + 4096
-
-
 class _Conn(asyncio.BufferedProtocol):
     """One accepted connection: whole frames in, each answered in the loop
     turn that completed it.
 
-    Inbound it is a frame assembler (no socket, no clock).  The transport
-    receives into a per-connection scratch; every whole frame in it is
-    copied out once and handed to ``handler(conn, raw)`` right there, in
-    ``buffer_updated``.  A frame longer than the scratch gets its *own*
-    ``np.empty(length)`` — the array the broker goes on to store: what was
-    read of it is copied in, the rest lands in place.  A prefix over
-    ``MAX_FRAME``, or one the allocator cannot honour, is refused before
-    anything is allocated.  While the connection owes a reply it cannot
-    give yet (:meth:`owe` … :meth:`settle`) or its transport is over the
-    write high-water mark, frames wait unparsed and reading pauses once
-    one scratch (or one large frame) is buffered: a peer that pipelines
-    without reading cannot grow the daemon.  Outbound, a frame up to
-    ``INLINE_MAX`` is one write, a larger one's parts go back to back:
-    frames never interleave.
+    Inbound it drives a :class:`~repro.transport.tcp.FrameAssembler` —
+    the one every ``TcpChannel`` drives too: the transport receives into
+    it, and every whole frame is handed to ``handler(conn, raw)`` right
+    there, in ``buffer_updated`` (a large frame's array is the one the
+    broker goes on to store).  A refused prefix is answered with a typed
+    ``protocol`` ERROR and the connection closed.  While the connection
+    owes a reply it cannot give yet (:meth:`owe` … :meth:`settle`) or its
+    transport is over the write high-water mark, frames wait unparsed and
+    reading pauses once one scratch (or one large frame) is buffered: a
+    peer that pipelines without reading cannot grow the daemon.
+    Outbound, a frame up to ``INLINE_MAX`` is one write, a larger one's
+    parts go back to back: frames never interleave.
     """
 
     def __init__(self, daemon: "DirectoryDaemon", handler) -> None:
         self._daemon = daemon
         #: The connection's state: what its next frame means.
         self.handler = handler
-        self._scratch = np.empty(_SCRATCH, dtype=np.uint8)
-        self._body: Optional[np.ndarray] = None  # a large frame, its own array
-        # Bytes land at ``_into[_end:]``: the scratch, unparsed from
-        # ``_start`` on — or the large frame's array, ``_end`` bytes in.
-        self._into = memoryview(self._scratch)
-        self._start = self._end = 0
+        self._frames = FrameAssembler()
         self.owing = self.closing = False
         self._blocked = self._paused = self._pumping = False
         # What the handlers keep per connection.
@@ -188,10 +178,10 @@ class _Conn(asyncio.BufferedProtocol):
 
     # -- inbound -----------------------------------------------------------
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self._into[self._end:]
+        return self._frames.buffer()
 
     def buffer_updated(self, nbytes: int) -> None:
-        self._end += nbytes
+        self._frames.filled(nbytes)
         self._pump()
 
     def eof_received(self) -> bool:
@@ -227,7 +217,13 @@ class _Conn(asyncio.BufferedProtocol):
         self._pumping = True
         try:
             while not (self.owing or self._blocked or self.closing):
-                raw = self._next_frame()
+                try:
+                    raw = self._frames.next_frame()
+                except FrameRefused as exc:  # typed refusal, then close
+                    self._daemon.metrics.counter(M_NET_FRAMES_REFUSED).inc()
+                    self.write_frame(encode_frame(MsgType.ERROR, {
+                        "kind": "protocol", "message": str(exc)}))
+                    return self.hang_up()
                 if raw is None:
                     break
                 self.handler(self, raw)
@@ -236,54 +232,12 @@ class _Conn(asyncio.BufferedProtocol):
         if self.closing:
             return
         held = self.owing or self._blocked
-        if held and not self._paused and self._end == len(self._into):  # full
+        if held and not self._paused and self._frames.full:
             self._paused = True
             self.transport.pause_reading()
         elif self._paused and not held:
             self._paused = False
             self.transport.resume_reading()
-
-    def _next_frame(self) -> Optional[np.ndarray]:
-        """The next whole frame, or None until more bytes arrive."""
-        body = self._body
-        if body is not None:  # whole once its last byte is in
-            if self._end < len(body):
-                return None
-            self._body, self._into, self._end = None, memoryview(self._scratch), 0
-            return body
-        start, have = self._start, self._end - self._start
-        if have >= FRAME_PREFIX.size:
-            (length,) = FRAME_PREFIX.unpack_from(self._scratch, start)
-            end = start + FRAME_PREFIX.size + length
-            if end <= self._end:  # whole, here: copied out once
-                self._start = end
-                return self._scratch[start + FRAME_PREFIX.size:end].copy()
-            if FRAME_PREFIX.size + length > len(self._scratch):
-                self._large(length)
-                return None
-        # Part of a frame that fits: move it to the front, wait for the rest.
-        self._scratch[:have] = self._scratch[start:self._end]
-        self._start, self._end = 0, have
-        return None
-
-    def _large(self, length: int) -> None:
-        """Start a frame longer than the scratch in its own array."""
-        body = None
-        if length <= MAX_FRAME:
-            try:
-                body = np.empty(length, dtype=np.uint8)
-            except MemoryError:
-                pass  # refused below, like a prefix over the bound
-        if body is None:
-            # A prefix is a claim, not a fact: typed refusal, then close.
-            self._daemon.metrics.counter(M_NET_FRAMES_REFUSED).inc()
-            self.write_frame(encode_frame(MsgType.ERROR, {
-                "kind": "protocol", "message": f"frame of {length} B refused"}))
-            return self.hang_up()
-        read = self._scratch[self._start + FRAME_PREFIX.size:self._end]
-        body[:len(read)] = read
-        self._body, self._into = body, memoryview(body)
-        self._start, self._end = 0, len(read)
 
     # -- outbound ----------------------------------------------------------
     def pause_writing(self) -> None:

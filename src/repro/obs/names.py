@@ -113,8 +113,6 @@ M_RDMA_CH_SMALL_SENDS = "rdma.channel.small_sends"
 M_RDMA_CH_LARGE_SENDS = "rdma.channel.large_sends"
 M_TCP_BYTES_SENT = "tcp.bytes_sent"
 M_TCP_MESSAGES_SENT = "tcp.messages_sent"
-M_TCP_CH_BYTES_SENT = "tcp.channel.bytes_sent"
-M_TCP_CH_MESSAGES_SENT = "tcp.channel.messages_sent"
 
 # Multi-tenant directory (core/directory.py)
 M_TENANT_ADMISSION_REJECTED = "tenant.admission.rejected"
@@ -198,8 +196,6 @@ _METRIC_SPECS = (
     MetricSpec(M_RDMA_CH_LARGE_SENDS, "gauge", "RDMA large (registered) sends"),
     MetricSpec(M_TCP_BYTES_SENT, "counter", "bytes sent over the TCP channel"),
     MetricSpec(M_TCP_MESSAGES_SENT, "counter", "messages sent over the TCP channel"),
-    MetricSpec(M_TCP_CH_BYTES_SENT, "gauge", "per-channel TCP bytes sent"),
-    MetricSpec(M_TCP_CH_MESSAGES_SENT, "gauge", "per-channel TCP messages sent"),
     MetricSpec(M_TENANT_ADMISSION_REJECTED, "counter", "admission-control rejections"),
     MetricSpec(M_TENANT_BYTES, "counter", "per-tenant bytes accepted (labeled)"),
     MetricSpec(M_TENANT_STREAMS, "gauge", "per-tenant live streams (labeled)"),

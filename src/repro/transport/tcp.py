@@ -9,15 +9,18 @@ OS boundary.  It implements the same
   followed by the payload bytes; scatter-gather parts go out through
   ``socket.sendmsg`` so the producer never joins them into an
   intermediate ``bytes``;
-* **delivery** — ``recv`` reads the frame straight into a freshly
-  allocated uint8 array (one kernel→user copy after the user→kernel
-  copy on the sending side), wraps it in a
-  :class:`~repro.transport.buffers.WireBuffer` with ``copies=2``, and
-  reports it into the ``transport.copies`` histogram like every other
-  rung;
+* **delivery** — ``recv`` drives a :class:`FrameAssembler`, the one the
+  daemon's connections drive too, and returns the next whole frame as a
+  :class:`~repro.transport.buffers.WireBuffer` with the copies it took,
+  reported into ``transport.copies`` like every other rung: a frame
+  that fits ``SCRATCH`` arrives with its prefix in one ``recv_into`` and
+  is copied out once (``COPIES_TCP + 1``), a larger one is received in
+  place into its own array (``COPIES_TCP``).  A timed-out ``recv``
+  keeps what it read: the next one resumes the frame;
 * **faults** — socket timeouts surface as
   :class:`~repro.transport.faults.TransportTimeout`, resets and broken
-  pipes as :class:`~repro.transport.faults.PeerDisconnected`, and a
+  pipes as :class:`~repro.transport.faults.PeerDisconnected`, a length
+  prefix the receiver will not honour as :class:`FrameRefused`, and a
   connection that dies mid-frame as
   :class:`~repro.transport.faults.TornSend`, so the stream layer's
   bounded-retry/degradation machinery treats TCP exactly like SHM and
@@ -56,10 +59,11 @@ from repro.transport.faults import (
     record_injected,
 )
 
-__all__ = ["TcpChannel", "COPIES_TCP", "FRAME_PREFIX", "INLINE_MAX"]
+__all__ = ["TcpChannel", "FrameAssembler", "FrameRefused",
+           "COPIES_TCP", "FRAME_PREFIX", "INLINE_MAX", "SCRATCH"]
 
-#: A TCP delivery always pays two copies: producer memory → kernel
-#: socket buffer, kernel socket buffer → the consumer-side frame array.
+#: A TCP delivery pays at least two copies: producer memory → kernel
+#: socket buffer, kernel socket buffer → the consumer's receive buffer.
 COPIES_TCP = 2
 
 #: Little-endian u64 payload-length prefix in front of every frame.
@@ -74,6 +78,9 @@ MAX_FRAME = 1 << 34  # 16 GiB
 #: segment; a slot's bookkeeping (≈ 0.08 ms) is repaid at ≈ 130 KB.
 INLINE_MAX = 1 << 16
 
+#: A receive scratch: any frame up to ``INLINE_MAX`` of body, header and
+#: prefix included, arrives whole in it.
+SCRATCH = INLINE_MAX + 4096
 
 #: How long an injected DELAYED_FRAME holds the frame back.
 DELAY_INJECT_S = 0.05
@@ -106,25 +113,86 @@ def _set_timeout(sock: socket.socket, timeout: float) -> None:
         raise PeerDisconnected(f"tcp socket unusable: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, out: memoryview, timeout: float) -> int:
-    """Fill ``out`` completely from ``sock``; returns bytes read (may be
-    short only when the peer closed the connection)."""
-    _set_timeout(sock, timeout)
-    got = 0
-    total = len(out)
-    while got < total:
-        try:
-            n = sock.recv_into(out[got:], total - got)
-        except socket.timeout as exc:
-            raise TransportTimeout(
-                f"tcp recv timed out after {timeout}s ({got}/{total} B)"
-            ) from exc
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise PeerDisconnected(f"tcp peer vanished mid-recv: {exc}") from exc
-        if n == 0:
-            break
-        got += n
-    return got
+class FrameRefused(PeerDisconnected):
+    """A length prefix over ``MAX_FRAME``, or more than the allocator can
+    give: refused before anything is allocated for it."""
+
+
+class FrameAssembler:
+    """Bytes in, whole frames out: no socket, no clock, no loop.
+
+    Its caller receives into :meth:`buffer`, reports the bytes with
+    :meth:`filled` and takes frames with :meth:`next_frame` until it is
+    None — after which ``buffer()`` is never empty.  Bytes land in a
+    ``SCRATCH`` buffer; every whole frame in it is copied out once.  A
+    frame longer than the scratch gets its *own* ``np.empty(length)``:
+    what was read of it is copied in, the rest lands in place, and that
+    array is the frame.  A refused prefix raises :class:`FrameRefused`.
+    """
+
+    def __init__(self) -> None:
+        self._scratch = np.empty(SCRATCH, dtype=np.uint8)
+        self._body: Optional[np.ndarray] = None  # a large frame, its own array
+        # Bytes land at ``_into[_end:]``: the scratch, unparsed from
+        # ``_start`` on — or the large frame's array, ``_end`` bytes in.
+        self._into = memoryview(self._scratch)
+        self._start = self._end = 0
+
+    def buffer(self) -> memoryview:
+        """Where the next received bytes go."""
+        return self._into[self._end:]
+
+    def filled(self, nbytes: int) -> None:
+        """``nbytes`` were received into :meth:`buffer`."""
+        self._end += nbytes
+
+    @property
+    def full(self) -> bool:
+        """No room left until frames are taken."""
+        return self._end == len(self._into)
+
+    @property
+    def partial(self) -> bool:
+        """Part of a frame is held (meaningful once ``next_frame()`` is None)."""
+        return self._body is not None or self._end > self._start
+
+    def next_frame(self) -> Optional[np.ndarray]:
+        """The next whole frame, or None until more bytes arrive."""
+        body = self._body
+        if body is not None:  # whole once its last byte is in
+            if self._end < len(body):
+                return None
+            self._body, self._into, self._end = None, memoryview(self._scratch), 0
+            return body
+        start, have = self._start, self._end - self._start
+        if have >= FRAME_PREFIX.size:
+            (length,) = FRAME_PREFIX.unpack_from(self._scratch, start)
+            end = start + FRAME_PREFIX.size + length
+            if end <= self._end:  # whole, here: copied out once
+                self._start = end
+                return self._scratch[start + FRAME_PREFIX.size:end].copy()
+            if FRAME_PREFIX.size + length > SCRATCH:
+                self._large(length)
+                return None
+        # Part of a frame that fits: move it to the front, wait for the rest.
+        self._scratch[:have] = self._scratch[start:self._end]
+        self._start, self._end = 0, have
+        return None
+
+    def _large(self, length: int) -> None:
+        """Start a frame longer than the scratch in its own array."""
+        body = None
+        if length <= MAX_FRAME:
+            try:
+                body = np.empty(length, dtype=np.uint8)
+            except MemoryError:
+                pass  # refused below, like a prefix over the bound
+        if body is None:  # a prefix is a claim, not a fact
+            raise FrameRefused(f"frame of {length} B refused")
+        read = self._scratch[self._start + FRAME_PREFIX.size:self._end]
+        body[:len(read)] = read
+        self._body, self._into = body, memoryview(body)
+        self._start, self._end = 0, len(read)
 
 
 class TcpChannel(Channel):
@@ -150,12 +218,9 @@ class TcpChannel(Channel):
         if sock is None:
             # Loopback rung: real kernel sockets, one process.
             self._send_sock, self._recv_sock = socket.socketpair()
-            self.loopback = True
         else:
             self._send_sock = self._recv_sock = sock
-            self.loopback = False
-        self.messages_sent = 0
-        self.bytes_sent = 0
+        self._frames = FrameAssembler()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -194,14 +259,7 @@ class TcpChannel(Channel):
         payload: Union[bytes, memoryview, np.ndarray, WireBuffer],
         timeout: float = 5.0,
     ) -> None:
-        wb = WireBuffer.wrap(payload)
-        if self.monitor is not None:
-            with self.monitor.span("transport", "tcp.send", nbytes=wb.nbytes):
-                self._sendv((wb.as_array(),), wb.nbytes, timeout)
-            self.monitor.metrics.counter("tcp.bytes_sent").inc(wb.nbytes)
-            self.monitor.metrics.counter("tcp.messages_sent").inc()
-        else:
-            self._sendv((wb.as_array(),), wb.nbytes, timeout)
+        self._sendv("tcp.send", WireVector((payload,)), timeout)
 
     def sendv(
         self,
@@ -211,17 +269,17 @@ class TcpChannel(Channel):
         """Vectored send: one frame, every part gathered by ``sendmsg``
         (no intermediate join on the producer side)."""
         vec = parts if isinstance(parts, WireVector) else WireVector(parts)
+        self._sendv("tcp.sendv", vec, timeout)
+
+    def _sendv(self, op: str, vec: WireVector, timeout: float) -> None:
         total = vec.nbytes
-        views = tuple(p.as_array() for p in vec)
-        if self.monitor is not None:
-            with self.monitor.span(
-                "transport", "tcp.sendv", nbytes=total, parts=len(views)
-            ):
-                self._sendv(views, total, timeout)
-            self.monitor.metrics.counter("tcp.bytes_sent").inc(total)
-            self.monitor.metrics.counter("tcp.messages_sent").inc()
-        else:
-            self._sendv(views, total, timeout)
+        if self.monitor is None:
+            self._transmit(vec, total, timeout)
+            return
+        with self.monitor.span("transport", op, nbytes=total, parts=len(vec)):
+            self._transmit(vec, total, timeout)
+        self.monitor.metrics.counter("tcp.bytes_sent").inc(total)
+        self.monitor.metrics.counter("tcp.messages_sent").inc()
 
     def _maybe_inject_fault(self, total: int) -> Optional[FaultKind]:
         """Consult the injector; raises for immediate faults, returns a
@@ -263,7 +321,7 @@ class TcpChannel(Channel):
             except OSError:
                 pass
 
-    def _sendv(self, views: Sequence[np.ndarray], total: int, timeout: float) -> None:
+    def _transmit(self, vec: WireVector, total: int, timeout: float) -> None:
         if self._closed:
             raise PeerDisconnected("send on closed TcpChannel")
         frame_kind = self._maybe_inject_fault(total)
@@ -273,9 +331,8 @@ class TcpChannel(Channel):
             return
         if frame_kind is FaultKind.DELAYED_FRAME:
             time.sleep(DELAY_INJECT_S)
-        prefix = FRAME_PREFIX.pack(total)
-        parts = [memoryview(prefix)]
-        parts.extend(memoryview(v) for v in views)
+        parts = [memoryview(FRAME_PREFIX.pack(total))]
+        parts.extend(memoryview(p.as_array()) for p in vec)
         if frame_kind is FaultKind.TORN_FRAME:
             # Put the prefix and roughly half the payload on the wire,
             # then kill the connection: the receiver sees a genuinely
@@ -314,8 +371,6 @@ class TcpChannel(Channel):
             raise PeerDisconnected(f"tcp peer vanished before send: {exc}") from exc
         except OSError as exc:
             raise PeerDisconnected(f"tcp send failed: {exc}") from exc
-        self.messages_sent += 1
-        self.bytes_sent += total
 
     # -- consumer ---------------------------------------------------------
     def recv(self, timeout: float = 5.0) -> WireBuffer:
@@ -332,21 +387,25 @@ class TcpChannel(Channel):
     def _recv(self, timeout: float) -> WireBuffer:
         if self._closed:
             raise PeerDisconnected("recv on closed TcpChannel")
-        sock = self._recv_sock
-        prefix = bytearray(FRAME_PREFIX.size)  # flexlint: ok(FXL006) 8-byte length-prefix scratch, not payload
-        got = _recv_exact(sock, memoryview(prefix), timeout)
-        if got == 0:
-            raise PeerDisconnected("tcp peer closed the connection")
-        if got < FRAME_PREFIX.size:
-            raise TornSend(f"peer closed mid-prefix ({got}/{FRAME_PREFIX.size} B)")
-        (length,) = FRAME_PREFIX.unpack(prefix)
-        if length > MAX_FRAME:
-            raise PeerDisconnected(f"corrupt frame length {length}")
-        payload = np.empty(int(length), dtype=np.uint8)
-        got = _recv_exact(sock, memoryview(payload), timeout)
-        if got < length:
-            raise TornSend(f"peer closed mid-frame ({got}/{length} B)")
-        wb = WireBuffer(payload, ownership=Ownership.HEAP, copies=COPIES_TCP)
+        frames, sock = self._frames, self._recv_sock
+        if (raw := frames.next_frame()) is None:  # none read ahead: to the socket
+            _set_timeout(sock, timeout)
+        while raw is None:
+            try:
+                n = sock.recv_into(frames.buffer())
+            except socket.timeout as exc:
+                raise TransportTimeout(f"tcp recv timed out after {timeout}s") from exc
+            except OSError as exc:
+                raise PeerDisconnected(f"tcp peer vanished mid-recv: {exc}") from exc
+            if n == 0:
+                if frames.partial:
+                    raise TornSend("tcp peer closed mid-frame")
+                raise PeerDisconnected("tcp peer closed the connection")
+            frames.filled(n)
+            raw = frames.next_frame()
+        # A frame that fitted the scratch was copied out of it once more.
+        copies = COPIES_TCP + (FRAME_PREFIX.size + raw.nbytes <= SCRATCH)
+        wb = WireBuffer(raw, ownership=Ownership.HEAP, copies=copies)
         self.observe_delivery(wb, "tcp")
         return wb
 
@@ -355,25 +414,14 @@ class TcpChannel(Channel):
         if self._closed:
             return
         self._closed = True
+        self._abort_sockets()
         for sock in {self._send_sock, self._recv_sock}:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             try:
                 sock.close()
             except OSError:
                 pass
 
-    def emit_stats(self, monitor=None) -> None:
-        """Publish send counters into a monitor's metrics registry."""
-        mon = monitor or self.monitor
-        if mon is None:
-            raise ValueError("no monitor bound to this channel")
-        mon.metrics.gauge("tcp.channel.messages_sent").set(self.messages_sent)
-        mon.metrics.gauge("tcp.channel.bytes_sent").set(self.bytes_sent)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        mode = "loopback" if self.loopback else "remote"
+        mode = "loopback" if self._send_sock is not self._recv_sock else "remote"
         state = "closed" if self._closed else "open"
-        return f"<TcpChannel {mode} {state} sent={self.messages_sent}>"
+        return f"<TcpChannel {mode} {state}>"

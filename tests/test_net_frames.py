@@ -1,8 +1,9 @@
-"""The daemon hop's frame path: the assembler without sockets or a loop,
-the copies as facts (``np.shares_memory`` / ``tracemalloc``, not timings),
-the two bounds the connection object owes the network — the length
-prefix it will believe and the bytes it will buffer — and the one loop
-turn a frame costs: each is answered in the call that completed it.
+"""The frame path at both ends of the wire: the one assembler without
+sockets or a loop, the daemon's and the client's loop around it, the copies
+as facts (``np.shares_memory`` / ``tracemalloc``, not timings), the two
+bounds the connection object owes the network — the length prefix it
+will believe and the bytes it will buffer — and the one loop turn a
+frame costs: each is answered in the call that completed it.
 """
 
 import asyncio
@@ -35,11 +36,22 @@ from repro.net.server import DirectoryDaemon
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import M_NET_FRAMES_REFUSED, M_NET_LOOP_LAG_MS, M_NET_READERS_PARKED
 from repro.transport.buffers import as_byte_view
-from repro.transport.faults import FaultKind, PeerDisconnected, TransportFaultInjector
+from repro.transport.faults import (
+    FaultKind,
+    PeerDisconnected,
+    TornSend,
+    TransportFault,
+    TransportFaultInjector,
+    TransportTimeout,
+)
 from repro.transport.tcp import (
+    COPIES_TCP,
     FRAME_PREFIX,
     INLINE_MAX,
     MAX_FRAME,
+    SCRATCH,
+    FrameAssembler,
+    FrameRefused,
     TcpChannel,
     unpace_loopback,
 )
@@ -47,6 +59,109 @@ from repro.transport.tcp import (
 
 # ---------------------------------------------------------------------------
 # (a) the assembler: bytes in -> whole frames out, no socket, no clock, no loop
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def stingy_allocator(monkeypatch):
+    """``np.empty`` that cannot find more than 1 MB; yields the sizes asked."""
+    real, asked = np.empty, []
+
+    def stingy(shape, *a, **kw):
+        asked.append(shape)
+        if isinstance(shape, int) and shape > 1 << 20:
+            raise MemoryError
+        return real(shape, *a, **kw)
+
+    monkeypatch.setattr(np, "empty", stingy)
+    return asked
+
+
+def pour(frames: FrameAssembler, piece: bytes) -> list:
+    """Deliver ``piece`` the way either end does — ``buffer()``, receive
+    into it, ``filled()`` — taking every frame as soon as it is whole."""
+    out, piece, done = [], memoryview(piece), 0
+    while True:
+        while (raw := frames.next_frame()) is not None:
+            out.append(raw)
+        if done == len(piece):
+            return out
+        buf = frames.buffer()
+        assert len(buf) > 0, "buffer() must never be empty once next_frame() is None"
+        n = min(len(buf), len(piece) - done)
+        buf[:n] = piece[done:done + n]
+        frames.filled(n)
+        done += n
+
+
+def wire(*bodies: bytes) -> bytes:
+    return b"".join(FRAME_PREFIX.pack(len(b)) + b for b in bodies)
+
+
+BODIES = [b"hello", b"", bytes(range(256)) * 5, b"x"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cuts=st.lists(st.integers(0, len(wire(*BODIES))), max_size=12))
+def test_assembler_yields_the_same_frames_for_every_split(cuts):
+    stream = wire(*BODIES)
+    frames, got = FrameAssembler(), []
+    edges = [0, *sorted(cuts), len(stream)]
+    for a, b in zip(edges, edges[1:]):
+        got += pour(frames, stream[a:b])
+        # Every frame whose last byte has arrived was handed over, at once.
+        assert len(got) == sum(len(wire(*BODIES[:i + 1])) <= b for i in range(len(BODIES)))
+    assert [f.tobytes() for f in got] == BODIES
+    assert not frames.partial
+
+
+def test_assembler_one_byte_pieces_and_a_straddling_piece():
+    stream = wire(b"abcdef", b"", b"gh")
+    frames = FrameAssembler()
+    got = [f for i in range(len(stream)) for f in pour(frames, stream[i:i + 1])]
+    assert [f.tobytes() for f in got] == [b"abcdef", b"", b"gh"]
+    frames = FrameAssembler()
+    assert pour(frames, stream[:5]) == [] and frames.partial      # mid-prefix
+    assert pour(frames, stream[5:11]) == [] and frames.partial    # rest of the prefix, half the body
+    assert [f.tobytes() for f in pour(frames, stream[11:])] == [b"abcdef", b"", b"gh"]
+    assert not frames.partial
+
+
+def test_a_frame_gets_its_own_array_filled_in_place():
+    frames = FrameAssembler()
+    body = np.arange(1 << 17, dtype=np.uint8).tobytes()  # larger than the scratch
+    head = wire(body)[:1000]
+    assert pour(frames, head) == []
+    target = frames.buffer().obj       # where the caller will recv_into
+    assert target.nbytes == len(body) and frames.partial
+    assert bytes(target[:len(head) - FRAME_PREFIX.size]) == head[FRAME_PREFIX.size:]
+    (frame,) = pour(frames, wire(body)[len(head):])
+    assert frame is target and frame.tobytes() == body
+
+
+def test_a_frame_that_fits_is_copied_out_of_the_scratch_once():
+    frames = FrameAssembler()
+    body = bytes(range(200)) * 300  # 60 000 B: inside the scratch
+    buf = frames.buffer()
+    buf[:len(body) + FRAME_PREFIX.size] = wire(body)  # one receive, prefix and all
+    frames.filled(len(body) + FRAME_PREFIX.size)
+    frame = frames.next_frame()
+    assert frame.tobytes() == body and not np.shares_memory(frame, buf.obj)
+    assert frames.next_frame() is None and not frames.partial
+
+
+def test_assembler_refuses_a_prefix_before_allocating(stingy_allocator):
+    for length in (MAX_FRAME + 1, 1 << 30):
+        frames = FrameAssembler()
+        del stingy_allocator[:]  # the assembler's own scratch
+        with pytest.raises(FrameRefused, match=f"frame of {length} B refused"):
+            pour(frames, FRAME_PREFIX.pack(length))
+        # Over the bound: nothing asked; under it: the one ask that failed.
+        assert stingy_allocator == ([] if length > MAX_FRAME else [length])
+    assert issubclass(FrameRefused, PeerDisconnected)  # the client reconnects on it
+
+
+# ---------------------------------------------------------------------------
+# (a) the daemon's end: owe / pause / EOF on a fake transport
 # ---------------------------------------------------------------------------
 
 class FakeTransport:
@@ -101,43 +216,6 @@ def handed(conn) -> list:
     return [f.tobytes() for f in conn.frames]
 
 
-def wire(*bodies: bytes) -> bytes:
-    return b"".join(FRAME_PREFIX.pack(len(b)) + b for b in bodies)
-
-
-BODIES = [b"hello", b"", bytes(range(256)) * 5, b"x"]
-
-
-@settings(max_examples=60, deadline=None)
-@given(cuts=st.lists(st.integers(0, len(wire(*BODIES))), max_size=12))
-def test_assembler_yields_the_same_frames_for_every_split(cuts):
-    stream = wire(*BODIES)
-    conn = make_conn()
-    edges = [0, *sorted(cuts), len(stream)]
-    for a, b in zip(edges, edges[1:]):
-        assert feed(conn, stream[a:b]) == b - a
-        # Every frame whose last byte has arrived was handed over, at once.
-        assert len(conn.frames) == sum(len(wire(*BODIES[:i + 1])) <= b
-                                       for i in range(len(BODIES)))
-    assert handed(conn) == BODIES
-    assert conn.transport.reading and conn.transport.pauses == 0  # nothing owed
-
-
-def test_assembler_one_byte_pieces_and_a_straddling_piece():
-    stream = wire(b"abcdef", b"", b"gh")
-    conn = make_conn()
-    for i in range(len(stream)):
-        feed(conn, stream[i:i + 1])
-    assert handed(conn) == [b"abcdef", b"", b"gh"]
-    conn = make_conn()
-    feed(conn, stream[:5])        # mid-prefix
-    assert handed(conn) == []
-    feed(conn, stream[5:11])      # rest of the prefix and half the body
-    assert handed(conn) == []
-    feed(conn, stream[11:])
-    assert handed(conn) == [b"abcdef", b"", b"gh"]
-
-
 def test_a_frame_that_fits_is_handed_over_in_the_call_that_brought_its_prefix():
     conn = make_conn()
     updates = []
@@ -164,7 +242,7 @@ def test_assembler_two_frames_in_one_piece_pause_reading_until_read():
     flood = wire(*[b"x" * 1000] * 200)  # 200 KB of pipelined requests
     taken = feed(conn, flood)
     assert not conn.transport.reading and conn.transport.pauses == 1
-    assert taken <= server._SCRATCH and handed(conn) == [b"one"]
+    assert taken <= SCRATCH and handed(conn) == [b"one"]
     conn.settle()
     assert handed(conn)[:2] == [b"one", b"two"] and conn.transport.reading
     feed(conn, flood[taken:])
@@ -186,7 +264,7 @@ def test_pipelined_bytes_stay_bounded_while_a_reply_is_owed():
     while len(conn.frames) < 5:
         done += feed(conn, stream[done:])
         buffered = done - sum(FRAME_PREFIX.size + f.nbytes for f in conn.frames)
-        assert buffered <= server._SCRATCH + len(big) + FRAME_PREFIX.size
+        assert buffered <= SCRATCH + len(big) + FRAME_PREFIX.size
         assert not conn.transport.reading or done == len(stream)
         conn.settle()
     assert handed(conn) == [b"a", big, b"b", big, b"c"]
@@ -209,17 +287,103 @@ def test_assembler_eof_mid_frame_is_none_after_the_whole_frames(cut, how):
     assert handed(conn) == [b"whole"] and conn.closing
 
 
-def test_a_frame_gets_its_own_array_filled_in_place():
-    conn = make_conn()
-    body = np.arange(1 << 17, dtype=np.uint8).tobytes()  # larger than the scratch
-    head = wire(body)[:1000]
-    feed(conn, head)
-    target = conn.get_buffer(-1).obj       # where the transport will recv_into
-    assert target.nbytes == len(body) and handed(conn) == []
-    assert bytes(target[:len(head) - FRAME_PREFIX.size]) == head[FRAME_PREFIX.size:]
-    feed(conn, wire(body)[len(head):])
-    (frame,) = conn.frames
-    assert frame is target and frame.tobytes() == body
+# ---------------------------------------------------------------------------
+# (a) the client's end: TcpChannel.recv over a socketpair
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def pair():
+    """A ``TcpChannel`` on one end of a socketpair, and the raw other end."""
+    a, b = socket.socketpair()
+    with a, b:
+        yield TcpChannel(a), b
+
+
+def recv_bytes(channel, timeout=2.0) -> bytes:
+    return channel.recv(timeout=timeout).tobytes()
+
+
+@pytest.mark.parametrize("size", [2_000, 200_000], ids=["fits", "own-array"])
+def test_a_timed_out_recv_resumes_the_frame(pair, size):
+    channel, peer = pair
+    first, second = np.arange(size, dtype=np.uint8).tobytes(), b"second"
+    stream = wire(first, second)
+    peer.sendall(stream[:FRAME_PREFIX.size + 100])  # the prefix and 100 B of the body
+    with pytest.raises(TransportTimeout):
+        channel.recv(timeout=0.1)
+    peer.sendall(stream[FRAME_PREFIX.size + 100:])  # the rest, then a second frame
+    assert recv_bytes(channel) == first
+    assert recv_bytes(channel) == second
+
+
+def refuse(length: int, asked: list) -> FrameRefused:
+    """``TcpChannel.recv`` of a bare ``length`` prefix; ``asked`` keeps
+    only what the recv allocated."""
+    a, b = socket.socketpair()
+    with a, b:
+        channel = TcpChannel(a)
+        del asked[:]  # the channel's own scratch
+        b.sendall(FRAME_PREFIX.pack(length))
+        with pytest.raises(FrameRefused) as refused:
+            channel.recv(timeout=2.0)
+    return refused.value
+
+
+def test_the_client_refuses_a_prefix_it_cannot_allocate_typed(stingy_allocator):
+    assert isinstance(refuse(1 << 30, stingy_allocator), TransportFault)
+    assert stingy_allocator == [1 << 30]  # asked once, refused, nothing kept
+    assert isinstance(refuse(MAX_FRAME + 1, stingy_allocator), TransportFault)
+    assert max(stingy_allocator, default=0) < 1024
+
+
+@pytest.mark.parametrize("cut", [3, FRAME_PREFIX.size + 2], ids=["mid-prefix", "mid-body"])
+def test_recv_eof_mid_frame_is_a_torn_send(pair, cut):
+    channel, peer = pair
+    peer.sendall(wire(b"whole") + wire(b"cut short")[:cut])
+    peer.shutdown(socket.SHUT_WR)
+    assert recv_bytes(channel) == b"whole"
+    with pytest.raises(TornSend):
+        channel.recv(timeout=2.0)
+
+
+def test_recv_clean_eof_is_a_peer_disconnect(pair):
+    channel, peer = pair
+    peer.sendall(wire(b"whole"))
+    peer.shutdown(socket.SHUT_WR)
+    assert recv_bytes(channel) == b"whole"
+    with pytest.raises(PeerDisconnected) as gone:
+        channel.recv(timeout=2.0)
+    assert not isinstance(gone.value, FrameRefused)
+
+
+class CountingSocket:
+    """A socket whose ``recv_into`` calls are counted."""
+
+    def __init__(self, sock):
+        self.sock, self.recvs = sock, 0
+
+    def recv_into(self, *args):
+        self.recvs += 1
+        return self.sock.recv_into(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_a_frame_read_ahead_is_returned_with_no_syscall(pair):
+    channel, peer = pair
+    channel._recv_sock = counting = CountingSocket(channel._recv_sock)
+    peer.sendall(wire(b"one", b"two"))  # both in the socket buffer before the first recv
+    assert recv_bytes(channel) == b"one" and counting.recvs == 1
+    assert recv_bytes(channel) == b"two" and counting.recvs == 1
+
+
+def test_recv_copies_say_where_the_frame_landed(pair):
+    channel, peer = pair
+    peer.sendall(wire(bytes(INLINE_MAX)))     # fits the scratch: copied out once
+    assert channel.recv(timeout=2.0).copies == COPIES_TCP + 1
+    peer.sendall(wire(bytes(SCRATCH)))        # its own array: received in place
+    assert channel.recv(timeout=2.0).copies == COPIES_TCP
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +396,6 @@ def refused_frame(conn) -> dict:
     frame = decode_frame(written[8:])
     assert frame.msg_type is MsgType.ERROR
     return frame.record
-
-
-@pytest.fixture()
-def stingy_allocator(monkeypatch):
-    """``np.empty`` that cannot find more than 1 MB; yields the sizes asked."""
-    real, asked = np.empty, []
-
-    def stingy(shape, *a, **kw):
-        asked.append(shape)
-        if isinstance(shape, int) and shape > 1 << 20:
-            raise MemoryError
-        return real(shape, *a, **kw)
-
-    monkeypatch.setattr(np, "empty", stingy)
-    return asked
 
 
 def test_prefix_over_max_frame_is_refused_before_any_allocation(stingy_allocator):
