@@ -80,7 +80,6 @@ from repro.net.protocol import (
 )
 from repro.obs import recorder as flight
 from repro.obs.events import (
-    EV_FAULT,
     EV_NET_CHECKPOINT,
     EV_NET_CONNECT,
     EV_NET_DISCONNECT,
@@ -99,8 +98,6 @@ from repro.obs.events import (
 from repro.obs.live import LiveTelemetryServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import (
-    F_FAULTS_INJECTED,
-    M_FAULTS_INJECTED_TOTAL,
     M_NET_BLOCKS_BOUNDED_BY_DAEMON,
     M_NET_FETCH_HOLDS_EXPIRED,
     M_NET_FETCHES_HELD,
@@ -111,13 +108,13 @@ from repro.obs.names import (
     M_NET_STEPS_FETCHED_BY_REF,
     M_NET_STEPS_PUBLISHED_BY_REF,
     M_PLUGIN_BLOCKS_SKIPPED,
-    metric_name,
 )
 from repro.transport.buffers import as_byte_view
 from repro.transport.faults import (
     FaultKind,
     TransportFaultInjector,
     parse_fault_spec,
+    record_injected,
 )
 from repro.transport.tcp import (
     FRAME_PREFIX, INLINE_MAX, FrameAssembler, FrameRefused, unpace_loopback
@@ -764,9 +761,7 @@ class DirectoryDaemon:
         torn, delayed, or the connection is killed instead."""
         blob = b"".join(as_byte_view(p) for p in parts)  # chaos-only path
         total = len(blob)
-        self.metrics.counter(metric_name(F_FAULTS_INJECTED, kind.value)).inc()
-        self.metrics.counter(M_FAULTS_INJECTED_TOTAL).inc()
-        flight.record(EV_FAULT, kind=kind.value, transport="daemon", nbytes=total)
+        record_injected(self.metrics, "daemon", kind, nbytes=total)
         if kind is FaultKind.DROPPED_FRAME:
             return  # the reply silently never leaves; peer times out
         if kind is FaultKind.DELAYED_FRAME:

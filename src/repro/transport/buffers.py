@@ -14,38 +14,43 @@ materialization:
 * :class:`WireVector` — a scatter-gather list of spans with a lazily
   computed total length; transports gather it straight into a slot or a
   leased buffer, never through a ``b"".join``.
-* :class:`BufferLease` / :class:`LeasePool` — the acquire/release
-  protocol that unifies the SHM buffer pool and the RDMA registration
-  cache: exactly one release per lease, reclamation stays the pool's
-  business, and the concurrency sanitizer tracks leaks and
+* :class:`BufferLease` / :class:`LeasePool` — the one size-bucketed
+  free list behind the SHM buffer pool and the RDMA registration
+  cache, and its acquire/release protocol: exactly one release per
+  lease, and the concurrency sanitizer tracks leaks and
   use-after-release when enabled.
-* :class:`Channel` — the ``send``/``sendv``/``recv`` ABC both
-  :class:`~repro.transport.shm.ShmChannel` and
-  :class:`~repro.transport.rdma.RdmaChannel` implement; every delivery
-  reports its copy count into the ``transport.copies`` histogram.
+* :class:`Channel` — the ``send``/``sendv``/``recv`` skeleton of the
+  :class:`~repro.transport.shm.ShmChannel`,
+  :class:`~repro.transport.tcp.TcpChannel` and
+  :class:`~repro.transport.rdma.RdmaChannel` rungs: spans, counters,
+  the fault consult, and every delivery's copy count in the
+  ``transport.copies`` histogram.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
 import enum
-import threading
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.analysis import sanitize
-from repro.obs.names import F_TRANSPORT_PATH, metric_name
+from repro.obs.names import F_TRANSPORT_PATH, metric_name, validate_metric
+from repro.transport.faults import FaultKind, fault_exception, record_injected
 
 __all__ = [
     "Ownership",
     "LeaseError",
     "BufferLease",
     "LeasePool",
+    "PoolBuffer",
     "WireBuffer",
     "WireVector",
     "Channel",
     "as_byte_view",
+    "emit_gauges",
     "COPIES_XPMEM",
     "COPIES_POOL",
     "COPIES_INLINE",
@@ -179,50 +184,150 @@ class BufferLease:
         return f"<BufferLease {self.label} {self.nbytes}B {state}>"
 
 
-class LeasePool(abc.ABC):
-    """The acquire/release protocol behind :class:`BufferLease`.
+class PoolBuffer:
+    """One buffer of a :class:`LeasePool`: its id, its bucket size, and
+    its memory, allocated on first use — a pool driven only for its
+    accounting (``acquire``/``release`` in the cost models) never pays
+    for pages it does not touch."""
 
-    Implemented by :class:`~repro.transport.shm.ShmBufferPool` and
-    :class:`~repro.transport.rdma.RegistrationCache`; both keep their
-    own free lists and reclamation thresholds, this base only tracks
-    lease accounting.
+    __slots__ = ("buffer_id", "size", "in_use", "_data")
+
+    def __init__(self, buffer_id: int, size: int) -> None:
+        self.buffer_id = buffer_id
+        self.size = size
+        self.in_use = True
+        self._data: Optional[np.ndarray] = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = np.zeros(self.size, dtype=np.uint8)
+        return self._data
+
+
+class LeasePool(abc.ABC):
+    """A size-bucketed free list of reusable buffers, and the
+    acquire/release protocol behind :class:`BufferLease`.
+
+    A request rounds up to a power of two no smaller than ``floor`` (the
+    paper's "closest size" search) and is served from that size's free
+    list before anything is allocated.  Past ``max_bytes`` held, idle
+    buffers are reclaimed, largest first.  Releasing a free buffer is
+    refused.  One lock guards the free lists and the lease count.
+
+    :class:`~repro.transport.shm.ShmBufferPool` and
+    :class:`~repro.transport.rdma.RegistrationCache` keep their public
+    ``acquire``/``release`` faces and what their ``stats`` count
+    (:meth:`_account`); :meth:`emit_stats` publishes those stats.
     """
 
-    def __init__(self) -> None:
-        self._lease_mu = threading.Lock()
+    #: Smallest bucket, in bytes.
+    floor = 1
+    #: Metric family of :meth:`emit_stats`; also names the lock and the leases.
+    prefix = ""
+    #: Gauge, under ``prefix``, of the bytes the pool holds.
+    held_gauge = ""
+
+    def __init__(self, max_bytes: int) -> None:
+        if max_bytes <= 0:
+            raise ValueError("max_bytes must be positive")
+        self.max_bytes = int(max_bytes)
+        self._buffers: dict[int, PoolBuffer] = {}
+        self._free: dict[int, list[PoolBuffer]] = {}  # size -> idle buffers
+        self._next_id = 0
+        self._total_bytes = 0
         self._outstanding = 0
+        self._lock = sanitize.make_lock(self.prefix)
 
-    @abc.abstractmethod
-    def lease(self, nbytes: int) -> BufferLease:
-        """Acquire a buffer of at least ``nbytes`` under a lease."""
-
-    @abc.abstractmethod
-    def _return_buffer(self, lease: BufferLease) -> None:
-        """Put the released buffer back on the pool's free list."""
-
-    # ------------------------------------------------------------------
-    def _make_lease(
-        self,
-        buffer_id: int,
-        data: np.ndarray,
-        nbytes: int,
-        setup_time: float = 0.0,
-        label: str = "",
-    ) -> BufferLease:
-        with self._lease_mu:
-            self._outstanding += 1
-        return BufferLease(self, buffer_id, data, nbytes, setup_time, label)
-
-    def _lease_released(self, lease: BufferLease) -> None:
-        with self._lease_mu:
-            self._outstanding -= 1
-        self._return_buffer(lease)
+    @property
+    def total_bytes(self) -> int:
+        return self._total_bytes
 
     @property
     def outstanding_leases(self) -> int:
         """Leases acquired and not yet released."""
-        with self._lease_mu:
+        with self._lock:
             return self._outstanding
+
+    def _bucket(self, nbytes: int) -> int:
+        return max(self.floor, 1 << (nbytes - 1).bit_length())
+
+    def _acquire(self, nbytes: int) -> tuple[PoolBuffer, float]:
+        """A buffer of at least ``nbytes``, reused before allocated, and
+        the setup time :meth:`_account` charged for it."""
+        if nbytes <= 0:
+            raise ValueError("nbytes must be positive")
+        size = self._bucket(nbytes)
+        with self._lock:
+            free = self._free.get(size)
+            if free:
+                buf = free.pop()
+                buf.in_use = True
+                return buf, self._account(buf, reused=True)
+            buf = PoolBuffer(self._next_id, size)
+            self._next_id += 1
+            self._buffers[buf.buffer_id] = buf
+            self._total_bytes += size
+            setup = self._account(buf, reused=False)
+            if self._total_bytes > self.max_bytes:
+                self._reclaim_locked()
+            return buf, setup
+
+    @abc.abstractmethod
+    def _account(self, buf: PoolBuffer, reused: bool) -> float:
+        """Count one acquisition in ``stats`` (under the lock); returns
+        the setup time it cost."""
+
+    def _release(self, buf: PoolBuffer) -> None:
+        """Put ``buf`` back on its free list; a free buffer is refused."""
+        with self._lock:
+            if not buf.in_use:
+                raise ValueError(f"buffer {buf.buffer_id} already free")
+            buf.in_use = False
+            self._free.setdefault(buf.size, []).append(buf)
+
+    def _reclaim_locked(self) -> None:
+        """Drop idle buffers, largest first, until under ``max_bytes``."""
+        idle = sorted(
+            (b for bs in self._free.values() for b in bs), key=lambda b: -b.size
+        )
+        for buf in idle:
+            if self._total_bytes <= self.max_bytes:
+                break
+            self._free[buf.size].remove(buf)
+            del self._buffers[buf.buffer_id]
+            self._total_bytes -= buf.size
+            self.stats.reclaimed += 1
+
+    # -- BufferLease protocol ----------------------------------------------
+    def lease(self, nbytes: int) -> BufferLease:
+        """Acquire a buffer of at least ``nbytes`` under a lease; its
+        ``setup_time`` is what the acquisition cost."""
+        buf, setup = self._acquire(nbytes)
+        with self._lock:
+            self._outstanding += 1
+        return BufferLease(self, buf.buffer_id, buf.data, nbytes, setup,
+                           f"{self.prefix}#{buf.buffer_id}")
+
+    def _lease_released(self, lease: BufferLease) -> None:
+        with self._lock:
+            self._outstanding -= 1
+        self._release(self._buffers[lease.buffer_id])
+
+    def emit_stats(self, monitor, prefix: Optional[str] = None) -> None:
+        """Snapshot ``stats`` and the bytes held into ``monitor.metrics``."""
+        emit_gauges(monitor, prefix or self.prefix, self.stats,
+                    **{self.held_gauge: self._total_bytes})
+
+
+def emit_gauges(monitor, prefix: str, *stats, **extra) -> None:
+    """Publish every field of each ``stats`` dataclass, then ``extra``,
+    as ``<prefix>.<name>`` gauges in ``monitor.metrics``."""
+    values = {f.name: getattr(s, f.name) for s in stats for f in dataclasses.fields(s)}
+    values.update(extra)
+    for name, value in values.items():
+        gauge = validate_metric(f"{prefix}.{name}")
+        monitor.metrics.gauge(gauge).set(value)
 
 
 # ---------------------------------------------------------------------------
@@ -480,40 +585,112 @@ class WireVector:
 # ---------------------------------------------------------------------------
 
 class Channel(abc.ABC):
-    """The transport contract: scatter-gather sends, span deliveries.
+    """The transport contract, and the skeleton every rung shares.
 
     ``send``/``sendv`` accept bytes, memoryviews, contiguous arrays,
-    :class:`WireBuffer`, or :class:`WireVector` and never materialize an
-    intermediate ``bytes``; ``recv`` returns a :class:`WireBuffer` whose
-    ownership tells the consumer whether (and how) to release it.  Every
-    delivery reports its copy count into the ``transport.copies``
-    histogram of the bound monitor.
+    :class:`WireBuffer`, or :class:`WireVector`, coerce them to one
+    :class:`WireVector`, and never materialize an intermediate
+    ``bytes``; ``recv`` returns a :class:`WireBuffer` whose ownership
+    tells the consumer whether (and how) to release it.  Around every
+    rung's movement the skeleton keeps the ``<rung>.send`` / ``.sendv`` /
+    ``.recv`` spans, the ``<rung>.bytes_sent`` / ``messages_sent``
+    counters, the one fault consult per send, and each delivery's copy
+    count in the ``transport.copies`` histogram of the bound monitor.
+
+    A rung implements :meth:`_transmit` and :meth:`_recv`: how it moves
+    bytes, and the fault kinds it acts out (:meth:`_acts_out`) where
+    every other injected kind is raised before anything moves.
     """
 
-    #: Optional PerfMonitor; subclasses set it in ``__init__``.
+    #: Rung name: prefixes the span and counter names, and is the
+    #: ``transport`` of the rung's ``transport.fault`` events.
+    rung = ""
+    #: The rung prices its own movement: :meth:`_transmit` records the
+    #: simulated time, and a send gets no wall span.
+    simulated = False
+    #: Optional PerfMonitor and fault injector; rungs set them in ``__init__``.
     monitor = None
+    injector = None
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        rung = cls.rung
+        if rung:
+            cls._send_op, cls._sendv_op = f"{rung}.send", f"{rung}.sendv"
+            cls._recv_op = f"{rung}.recv"
+            cls._bytes_sent = validate_metric(f"{rung}.bytes_sent")
+            cls._messages_sent = validate_metric(f"{rung}.messages_sent")
+
     def send(self, payload, timeout: float = 5.0):
         """Move one payload to the consumer."""
+        vec = payload if isinstance(payload, WireVector) else WireVector((payload,))
+        return self._send(self._send_op, vec, timeout, True)
 
-    @abc.abstractmethod
     def sendv(self, parts, timeout: float = 5.0):
         """Gather ``parts`` into one message and move it."""
+        vec = parts if isinstance(parts, WireVector) else WireVector(parts)
+        return self._send(self._sendv_op, vec, timeout, False)
+
+    def _send(self, op: str, vec: WireVector, timeout: float, sync: bool):
+        total = vec.nbytes
+        mon = self.monitor
+        if mon is None:
+            return self._transmit(vec, total, timeout, sync, self._consult(total))
+        if self.simulated:
+            out = self._transmit(vec, total, timeout, sync, self._consult(total))
+        else:
+            with mon.span("transport", op, nbytes=total, parts=len(vec)):
+                out = self._transmit(vec, total, timeout, sync, self._consult(total))
+        mon.metrics.counter(self._bytes_sent).inc(total)
+        mon.metrics.counter(self._messages_sent).inc()
+        return out
+
+    def _consult(self, total: int):
+        """The one fault consult per send: draw from the injector, account
+        the fault, and raise its typed exception — unless the rung acts
+        it out, in which case the kind is returned for :meth:`_transmit`."""
+        injector = self.injector
+        if injector is None:
+            return None
+        kind = injector.next_fault()
+        if kind is None:
+            return None
+        metrics = None if self.monitor is None else self.monitor.metrics
+        record_injected(metrics, self.rung, kind, nbytes=total, stream=injector.stream)
+        if self._acts_out(kind, total):
+            return kind
+        raise fault_exception(kind, f"injected {kind.value} on {self.rung} send ({total} B)")
+
+    def _acts_out(self, kind: FaultKind, total: int) -> bool:
+        """Whether :meth:`_transmit` acts ``kind`` out on a ``total``-byte
+        send (default: no kind — each is raised before anything moves)."""
+        return False
 
     @abc.abstractmethod
+    def _transmit(self, vec: WireVector, total: int, timeout: float, sync: bool,
+                  fault: Optional[FaultKind]):
+        """Move ``vec`` (``total`` bytes) — or act out ``fault``.  ``sync``
+        is set for a one-part ``send``; the result is the send's."""
+
     def recv(self, timeout: float = 5.0) -> Optional[WireBuffer]:
         """The next delivered span (None when nothing is pending and the
         transport is non-blocking)."""
+        mon = self.monitor
+        if mon is None:
+            return self._recv(timeout)[0]
+        with mon.span("transport", self._recv_op) as sp:
+            out, path = self._recv(timeout)
+            if out is not None:
+                sp.add_bytes(out.nbytes)
+                sp.set_attr("path", path)
+                sp.set_attr("copies", out.copies)
+                mon.metrics.histogram("transport.copies").observe(float(out.copies))
+                mon.metrics.counter(metric_name(F_TRANSPORT_PATH, path)).inc()
+        return out
+
+    @abc.abstractmethod
+    def _recv(self, timeout: float) -> tuple[Optional[WireBuffer], str]:
+        """The next delivery and its path name (``(None, "")``: none pending)."""
 
     def close(self) -> None:  # pragma: no cover - subclasses override
         """Release transport resources (default: nothing to do)."""
-
-    # ------------------------------------------------------------------
-    def observe_delivery(self, wb: WireBuffer, path: str = "") -> None:
-        """Record one delivery's copy count into ``transport.copies``."""
-        mon = self.monitor
-        if mon is not None:
-            mon.metrics.histogram("transport.copies").observe(float(wb.copies))
-            if path:
-                mon.metrics.counter(metric_name(F_TRANSPORT_PATH, path)).inc()

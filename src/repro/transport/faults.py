@@ -2,13 +2,13 @@
 
 Paper Section II.H: FlexIO "uses simple timeout-and-retry schemes to cope
 with errors and failures during data movement".  Coping presupposes a
-fault model; this module supplies it for both transports:
+fault model; this module supplies it for every transport:
 
 * a small taxonomy of **fault kinds** a data-movement operation can hit
   (send timeout, partial/torn send, peer disconnect, registration
   failure), each mapped to a typed exception below a single
   :class:`TransportFault` root so retry code catches one family across
-  SHM and RDMA;
+  SHM, TCP and RDMA;
 * :class:`TransportTimeout`, the shared timeout base — it also derives
   from :class:`TimeoutError` so pre-existing ``except TimeoutError``
   callers keep working;
@@ -227,19 +227,20 @@ def injector_from_env(environ=None) -> Optional[TransportFaultInjector]:
 
 
 def record_injected(
-    monitor, transport: str, kind: FaultKind, nbytes: int = 0, stream: str = ""
+    metrics, transport: str, kind: FaultKind, nbytes: int = 0, stream: str = ""
 ) -> None:
-    """Account one injected fault: counters + a ``transport.fault``
-    flight event (attributed to ``stream`` when the injector has one).
+    """Account one injected fault: a ``transport.fault`` flight event
+    (attributed to ``stream`` when the injector has one), always, and
+    the ``faults.injected.*`` counters when there is a ``metrics``
+    registry.
 
     The counters make recovery rates queryable without scanning the
     ring; the event puts the fault on the timeline next to the retry or
     loss it caused.
     """
-    if monitor is None:
-        return
-    monitor.metrics.counter(metric_name(F_FAULTS_INJECTED, kind.value)).inc()
-    monitor.metrics.counter(M_FAULTS_INJECTED_TOTAL).inc()
+    if metrics is not None:
+        metrics.counter(metric_name(F_FAULTS_INJECTED, kind.value)).inc()
+        metrics.counter(M_FAULTS_INJECTED_TOTAL).inc()
     flight.record(
         EV_FAULT, stream=stream, kind=kind.value, transport=transport, nbytes=nbytes
     )

@@ -28,26 +28,21 @@ The pieces and their paper counterparts:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.machine.interconnect import Interconnect
 from repro.obs.names import F_RDMA_REGCACHE, metric_name
 from repro.transport.buffers import (
-    BufferLease,
     Channel,
     LeasePool,
     Ownership,
+    PoolBuffer,
     WireBuffer,
     WireVector,
+    emit_gauges,
 )
-from repro.transport.faults import (
-    TransportFaultInjector,
-    fault_exception,
-    record_injected,
-)
+from repro.transport.faults import FaultKind, TransportFaultInjector
 
 #: Copy counts the RDMA paths report into ``transport.copies``: bulk
 #: transfers stage once (the gather into registered send memory; the
@@ -62,26 +57,6 @@ COPIES_RDMA_SMALL = 1
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RegBuffer:
-    """An allocated-and-registered RDMA buffer.
-
-    ``data`` is the registered memory itself, allocated lazily on the
-    first lease so pure cost-model users (``acquire``/``release`` for
-    timing) never pay for backing pages they don't touch.
-    """
-
-    buffer_id: int
-    size: int
-    in_use: bool = True
-    data: Optional[np.ndarray] = None
-
-    def ensure_data(self) -> np.ndarray:
-        if self.data is None:
-            self.data = np.zeros(self.size, dtype=np.uint8)
-        return self.data
-
-
-@dataclass
 class RegCacheStats:
     hits: int = 0
     misses: int = 0
@@ -89,116 +64,48 @@ class RegCacheStats:
     setup_time_paid: float = 0.0
     setup_time_saved: float = 0.0
 
-    def emit(self, monitor, prefix: str = F_RDMA_REGCACHE) -> None:
-        """Publish a snapshot of these counters into ``monitor.metrics``."""
-        m = monitor.metrics
-        m.gauge(metric_name(prefix, "hits")).set(self.hits)
-        m.gauge(metric_name(prefix, "misses")).set(self.misses)
-        m.gauge(metric_name(prefix, "reclaimed")).set(self.reclaimed)
-        m.gauge(metric_name(prefix, "setup_time_paid")).set(self.setup_time_paid)
-        m.gauge(metric_name(prefix, "setup_time_saved")).set(self.setup_time_saved)
-
 
 class RegistrationCache(LeasePool):
     """Persistent send/receive buffer pool with registration reuse.
 
-    Two faces of the same free lists: the original ``acquire``/``release``
-    pair (used by the cost model's :meth:`NntiConnection.get_bulk`), and
-    the buffer plane's :meth:`lease` protocol, which also hands out the
+    Two faces of the same free lists (:class:`LeasePool`'s, shared with
+    the SHM buffer pool): the original ``acquire``/``release`` pair
+    (used by the cost model's :meth:`NntiConnection.get_bulk`), and the
+    buffer plane's :meth:`lease` protocol, which also hands out the
     registered memory itself so channels gather payloads straight into
     it.
     """
 
+    floor = 4096
+    prefix = F_RDMA_REGCACHE
+    held_gauge = "registered_bytes"
+
     def __init__(self, interconnect: Interconnect, max_bytes: int = 512 * 1024 * 1024) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        LeasePool.__init__(self)
+        super().__init__(max_bytes)
         self.interconnect = interconnect
-        self.max_bytes = int(max_bytes)
-        self._free: dict[int, list[RegBuffer]] = {}
-        self._all: dict[int, RegBuffer] = {}
-        self._next_id = 0
-        self._total_bytes = 0
         self.stats = RegCacheStats()
-
-    @staticmethod
-    def _bucket(nbytes: int) -> int:
-        size = 4096
-        while size < nbytes:
-            size <<= 1
-        return size
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total_bytes
 
     def setup_cost(self, nbytes: int) -> float:
         """Alloc + register cost this cache avoids on a hit."""
         ic = self.interconnect
         return ic.allocation_time(nbytes) + ic.registration_time(nbytes)
 
-    def acquire(self, nbytes: int) -> tuple[RegBuffer, float]:
+    def acquire(self, nbytes: int) -> tuple[PoolBuffer, float]:
         """Return ``(buffer, setup_time)``; setup_time is 0 on a cache hit."""
-        if nbytes <= 0:
-            raise ValueError("nbytes must be positive")
-        size = self._bucket(nbytes)
-        free = self._free.get(size)
-        if free:
-            buf = free.pop()
-            buf.in_use = True
+        return self._acquire(nbytes)
+
+    def release(self, buf: PoolBuffer) -> None:
+        self._release(buf)
+
+    def _account(self, buf: PoolBuffer, reused: bool) -> float:
+        cost = self.setup_cost(buf.size)
+        if reused:
             self.stats.hits += 1
-            self.stats.setup_time_saved += self.setup_cost(size)
-            return buf, 0.0
-        buf = RegBuffer(self._next_id, size)
-        self._next_id += 1
-        self._all[buf.buffer_id] = buf
-        self._total_bytes += size
-        cost = self.setup_cost(size)
+            self.stats.setup_time_saved += cost
+            return 0.0
         self.stats.misses += 1
         self.stats.setup_time_paid += cost
-        if self._total_bytes > self.max_bytes:
-            self._reclaim()
-        return buf, cost
-
-    def release(self, buf: RegBuffer) -> None:
-        if not buf.in_use:
-            raise ValueError(f"buffer {buf.buffer_id} already free")
-        buf.in_use = False
-        self._free.setdefault(buf.size, []).append(buf)
-
-    # -- BufferLease protocol ----------------------------------------------
-    def lease(self, nbytes: int) -> BufferLease:
-        """Acquire registered memory under a lease; ``setup_time`` on the
-        lease carries the registration cost (0 on a cache hit)."""
-        buf, setup = self.acquire(nbytes)
-        return self._make_lease(
-            buf.buffer_id, buf.ensure_data(), nbytes,
-            setup_time=setup, label=f"rdma.reg#{buf.buffer_id}",
-        )
-
-    def _return_buffer(self, lease: BufferLease) -> None:
-        self.release(self._all[lease.buffer_id])
-
-    def _reclaim(self) -> None:
-        """Deregister idle buffers, largest first, until under threshold."""
-        idle = sorted(
-            (b for bs in self._free.values() for b in bs), key=lambda b: -b.size
-        )
-        for buf in idle:
-            if self._total_bytes <= self.max_bytes:
-                break
-            self._free[buf.size].remove(buf)
-            del self._all[buf.buffer_id]
-            self._total_bytes -= buf.size
-            self.stats.reclaimed += 1
-
-    def emit_stats(self, monitor, prefix: str = F_RDMA_REGCACHE) -> None:
-        """Snapshot hit/miss/reclaim counters + registered bytes into
-        ``monitor.metrics``."""
-        self.stats.emit(monitor, prefix)
-        monitor.metrics.gauge(
-            metric_name(prefix, "registered_bytes")
-        ).set(self._total_bytes)
+        return cost
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +158,7 @@ class NntiConnection:
         peer.mailbox.append((tag, bytes(data)))  # flexlint: ok(FXL006) the Put really lands in the peer's message ring (identity for bytes input)
         return t
 
-    def get_bulk(
-        self, dst: NntiEndpoint, data: bytes, concurrent_flows: int = 1
-    ) -> tuple[bytes, float]:
+    def get_bulk(self, dst: NntiEndpoint, data: bytes) -> tuple[bytes, float]:
         """Receiver-directed Get: ``dst`` fetches ``data`` from the peer.
 
         Returns ``(payload, time)``.  Both sides' buffers come from their
@@ -269,7 +174,7 @@ class NntiConnection:
         if src.node_id == dst.node_id:
             t += nbytes / ic.params.peak_bw  # loopback DMA
         else:
-            t += ic.bulk_transfer_time(nbytes, concurrent_flows)
+            t += ic.bulk_transfer_time(nbytes)
         src.reg_cache.release(send_buf)
         dst.reg_cache.release(recv_buf)
         return bytes(data), t  # flexlint: ok(FXL006) the Fig. 4 timing API (figures/fig4.py) returns an owned copy; the channel path uses leases
@@ -410,15 +315,24 @@ class TransferScheduler:
 class RdmaChannel(Channel):
     """One-directional inter-node channel mirroring :class:`ShmChannel`.
 
-    ``send`` really moves bytes to the receiver and returns the simulated
-    time the operation costs; ``recv`` pops delivered
-    :class:`~repro.transport.buffers.WireBuffer` spans.  Small messages
-    go through Put into the peer's message ring (one staging copy).
-    Large messages gather straight into leased registered send memory
-    (the one CPU copy), are "transferred" by DMA into leased registered
-    receive memory, and arrive as a span over the receiver's registered
-    buffer — releasing it returns the registration lease.
+    ``send``/``sendv`` really move bytes to the receiver — one protocol
+    round (Put or control+Get) per message, every part gathered
+    straight into registered send memory with no intermediate join —
+    and return the simulated time the operation costs, which is also
+    what a send records in place of a wall span.  ``timeout`` is
+    accepted for signature parity; time is simulated here, so there is
+    nothing to wait on.  ``recv`` pops delivered
+    :class:`~repro.transport.buffers.WireBuffer` spans (None when none
+    is pending).  Small messages go through Put into the peer's message
+    ring (one staging copy).  Large messages gather straight into leased
+    registered send memory (the one CPU copy), are "transferred" by DMA
+    into leased registered receive memory, and arrive as a span over the
+    receiver's registered buffer — releasing it returns the
+    registration lease.
     """
+
+    rung = "rdma"
+    simulated = True
 
     def __init__(
         self,
@@ -442,47 +356,8 @@ class RdmaChannel(Channel):
         #: failure — the failure modes a real fabric surfaces).
         self.injector = injector
 
-    def _maybe_inject_fault(self, nbytes: int) -> None:
-        if self.injector is None:
-            return
-        kind = self.injector.next_fault()
-        if kind is None:
-            return
-        record_injected(
-            self.monitor, "rdma", kind, nbytes=nbytes, stream=self.injector.stream
-        )
-        raise fault_exception(
-            kind, f"injected {kind.value} on rdma send ({nbytes} B)"
-        )
-
-    def send(
-        self,
-        payload: Union[bytes, memoryview, np.ndarray, WireBuffer],
-        concurrent_flows: int = 1,
-        timeout: Optional[float] = None,
-    ) -> float:
-        """Move ``payload`` to the receiver; returns elapsed (simulated) time.
-
-        ``timeout`` exists for signature parity with
-        :meth:`ShmChannel.send` (the drain pipeline passes one); time is
-        simulated here, so it only bounds injected-fault semantics.
-        """
-        vec = payload if isinstance(payload, WireVector) else WireVector((payload,))
-        return self._sendv(vec, concurrent_flows)
-
-    def sendv(
-        self, parts, concurrent_flows: int = 1, timeout: Optional[float] = None
-    ) -> float:
-        """Vectored send: one protocol round (Put or control+Get) moves
-        every part of a step, mirroring :meth:`ShmChannel.sendv` — the
-        parts gather straight into registered send memory, with no
-        intermediate join."""
-        vec = parts if isinstance(parts, WireVector) else WireVector(parts)
-        return self._sendv(vec, concurrent_flows)
-
-    def _sendv(self, vec: WireVector, concurrent_flows: int) -> float:
-        total = vec.nbytes
-        self._maybe_inject_fault(total)
+    def _transmit(self, vec: WireVector, total: int, timeout: float, sync: bool,
+                  fault: Optional[FaultKind]) -> float:
         ic = self.connection.fabric.interconnect
         if total <= ic.params.small_msg_threshold:
             # Gather into the Put source; the ring entry is the consumer's
@@ -492,27 +367,22 @@ class RdmaChannel(Channel):
             # Deliver straight to the channel (the mailbox entry is ours).
             self.receiver.mailbox.pop()
             wb = WireBuffer(data, ownership=Ownership.HEAP, copies=COPIES_RDMA_SMALL)
-            self._delivered.append(wb)
             self.small_sends += 1
             path = "put_small"
         else:
-            t, wb = self._send_bulk(vec, total, concurrent_flows)
-            self._delivered.append(wb)
+            t, wb = self._send_bulk(vec, total)
             self.large_sends += 1
             path = "get_bulk"
+        self._delivered.append(wb)
         if self.monitor is not None:
             self.monitor.record(
                 "transport", "rdma.send",
                 start=self.monitor.clock(), duration=t,
                 nbytes=total, path=path,
             )
-            self.monitor.metrics.counter("rdma.bytes_sent").inc(total)
-            self.monitor.metrics.counter("rdma.messages_sent").inc()
         return t
 
-    def _send_bulk(
-        self, vec: WireVector, total: int, concurrent_flows: int
-    ) -> tuple[float, WireBuffer]:
+    def _send_bulk(self, vec: WireVector, total: int) -> tuple[float, WireBuffer]:
         """Control message + receiver-directed Get over leased registered
         buffers on both hosts (setups proceed in parallel)."""
         ic = self.connection.fabric.interconnect
@@ -529,7 +399,7 @@ class RdmaChannel(Channel):
             if self.sender.node_id == self.receiver.node_id:
                 t += total / ic.params.peak_bw  # loopback DMA
             else:
-                t += ic.bulk_transfer_time(total, concurrent_flows)
+                t += ic.bulk_transfer_time(total)
             # The Get itself: NIC-driven DMA into the receiver's registered
             # buffer — priced above, not counted as a CPU copy.
             recv_lease.data[:total] = send_lease.data[:total]
@@ -547,19 +417,13 @@ class RdmaChannel(Channel):
         send_lease.release()
         return t, wb
 
-    def recv(self, timeout: Optional[float] = None) -> Optional[WireBuffer]:
-        """Pop the next delivered span (``timeout`` accepted for signature
-        parity with :class:`~repro.transport.shm.ShmChannel`; delivery
-        here is synchronous, so there is nothing to wait on).  Bulk spans
-        must be released by the consumer to return the registration
-        lease."""
+    def _recv(self, timeout: float) -> tuple[Optional[WireBuffer], str]:
+        """Bulk spans must be released by the consumer to return the
+        registration lease."""
         if not self._delivered:
-            return None
+            return None, ""
         wb = self._delivered.popleft()
-        self.observe_delivery(
-            wb, "put_small" if wb.ownership is Ownership.HEAP else "get_bulk"
-        )
-        return wb
+        return wb, "put_small" if wb.ownership is Ownership.HEAP else "get_bulk"
 
     def close(self) -> None:
         """Drop undelivered spans, returning any registration leases."""
@@ -574,7 +438,7 @@ class RdmaChannel(Channel):
         mon = monitor or self.monitor
         if mon is None:
             raise ValueError("no monitor bound to this channel")
-        self.sender.reg_cache.emit_stats(mon, prefix=f"rdma.regcache.{self.sender.name}")
-        self.receiver.reg_cache.emit_stats(mon, prefix=f"rdma.regcache.{self.receiver.name}")
-        mon.metrics.gauge("rdma.channel.small_sends").set(self.small_sends)
-        mon.metrics.gauge("rdma.channel.large_sends").set(self.large_sends)
+        for ep in (self.sender, self.receiver):
+            ep.reg_cache.emit_stats(mon, prefix=metric_name(F_RDMA_REGCACHE, ep.name))
+        emit_gauges(mon, "rdma.channel", small_sends=self.small_sends,
+                    large_sends=self.large_sends)

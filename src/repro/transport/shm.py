@@ -32,14 +32,14 @@ import functools
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.analysis import sanitize
 from repro.machine.topology import NodeType
-from repro.obs.names import F_SHM_POOL, F_SHM_QUEUE, metric_name
+from repro.obs.names import F_SHM_POOL, F_SHM_QUEUE
 from repro.transport.buffers import (
     COPIES_INLINE,
     COPIES_POOL,
@@ -48,17 +48,17 @@ from repro.transport.buffers import (
     Channel,
     LeasePool,
     Ownership,
+    PoolBuffer,
     WireBuffer,
     WireVector,
     as_byte_view,
+    emit_gauges,
 )
 from repro.transport.faults import (
     FaultKind,
     TornSend,
     TransportFaultInjector,
     TransportTimeout,
-    fault_exception,
-    record_injected,
 )
 from repro.util import CACHE_LINE, align_up
 
@@ -95,15 +95,6 @@ class QueueStats:
     bytes_enqueued: int = 0
     producer_spins: int = 0
     consumer_spins: int = 0
-
-    def emit(self, monitor, prefix: str = F_SHM_QUEUE) -> None:
-        """Publish a snapshot of these counters into ``monitor.metrics``."""
-        m = monitor.metrics
-        m.gauge(metric_name(prefix, "enqueued")).set(self.enqueued)
-        m.gauge(metric_name(prefix, "dequeued")).set(self.dequeued)
-        m.gauge(metric_name(prefix, "bytes_enqueued")).set(self.bytes_enqueued)
-        m.gauge(metric_name(prefix, "producer_spins")).set(self.producer_spins)
-        m.gauge(metric_name(prefix, "consumer_spins")).set(self.consumer_spins)
 
 
 class SPSCQueue:
@@ -246,24 +237,12 @@ class SPSCQueue:
 
     def emit_stats(self, monitor, prefix: str = F_SHM_QUEUE) -> None:
         """Snapshot counters + current depth into ``monitor.metrics``."""
-        self.stats.emit(monitor, prefix)
-        monitor.metrics.gauge(metric_name(prefix, "depth")).set(len(self))
+        emit_gauges(monitor, prefix, self.stats, depth=len(self))
 
 
 # ---------------------------------------------------------------------------
 # Buffer pool
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _PoolBuffer:
-    buffer_id: int
-    data: np.ndarray
-    in_use: bool = False
-
-    @property
-    def size(self) -> int:
-        return self.data.nbytes
-
 
 @dataclass
 class PoolStats:
@@ -281,102 +260,36 @@ class ShmBufferPool(LeasePool):
     paper); ``release`` returns a buffer for reuse.  ``max_bytes`` is the
     configurable threshold that triggers reclamation of idle buffers.
     :meth:`lease` wraps the same acquire/release cycle in the buffer
-    plane's :class:`~repro.transport.buffers.BufferLease` protocol (shared
-    with the RDMA registration cache).
+    plane's :class:`~repro.transport.buffers.BufferLease` protocol; the
+    free lists are :class:`~repro.transport.buffers.LeasePool`'s, shared
+    with the RDMA registration cache.
     """
 
+    prefix = F_SHM_POOL
+    held_gauge = "occupancy_bytes"
+
     def __init__(self, max_bytes: int = 256 * 1024 * 1024) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        LeasePool.__init__(self)
-        self.max_bytes = int(max_bytes)
-        self._buffers: dict[int, _PoolBuffer] = {}
-        self._free: dict[int, list[int]] = {}  # size -> [buffer_id]
-        self._next_id = 0
-        self._total_bytes = 0
-        self._lock = sanitize.make_lock("shm.pool")
+        super().__init__(max_bytes)
         self.stats = PoolStats()
 
-    @staticmethod
-    def _bucket(nbytes: int) -> int:
-        size = 1
-        while size < nbytes:
-            size <<= 1
-        return size
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total_bytes
-
-    def acquire(self, nbytes: int) -> _PoolBuffer:
+    def acquire(self, nbytes: int) -> PoolBuffer:
         """Get a buffer of at least ``nbytes`` (reuse before allocate)."""
-        if nbytes <= 0:
-            raise ValueError("nbytes must be positive")
-        size = self._bucket(nbytes)
-        with self._lock:
-            free = self._free.get(size)
-            if free:
-                buf = self._buffers[free.pop()]
-                buf.in_use = True
-                self.stats.reuses += 1
-                return buf
-            buf = _PoolBuffer(self._next_id, np.zeros(size, dtype=np.uint8), in_use=True)
-            self._next_id += 1
-            self._buffers[buf.buffer_id] = buf
-            self._total_bytes += size
-            self.stats.allocations += 1
-            self.stats.peak_bytes = max(self.stats.peak_bytes, self._total_bytes)
-            if self._total_bytes > self.max_bytes:
-                self._reclaim_locked()
-            return buf
+        return self._acquire(nbytes)[0]
 
     def release(self, buffer_id: int) -> None:
         """Return a buffer to its free list."""
-        with self._lock:
-            buf = self._buffers.get(buffer_id)
-            if buf is None:
-                raise KeyError(f"unknown buffer id {buffer_id}")
-            if not buf.in_use:
-                raise ValueError(f"buffer {buffer_id} already free")
-            buf.in_use = False
-            self._free.setdefault(buf.size, []).append(buffer_id)
+        buf = self._buffers.get(buffer_id)
+        if buf is None:
+            raise KeyError(f"unknown buffer id {buffer_id}")
+        self._release(buf)
 
-    def get(self, buffer_id: int) -> _PoolBuffer:
-        return self._buffers[buffer_id]
-
-    # -- BufferLease protocol ----------------------------------------------
-    def lease(self, nbytes: int) -> BufferLease:
-        """Acquire a pool buffer under a lease (release via the lease)."""
-        buf = self.acquire(nbytes)  # flexlint: ok(FXL012) ownership transfers by buffer_id into the constructed lease; its release() returns the buffer
-        return self._make_lease(
-            buf.buffer_id, buf.data, nbytes, label=f"shm.pool#{buf.buffer_id}"
-        )
-
-    def _return_buffer(self, lease: BufferLease) -> None:
-        self.release(lease.buffer_id)
-
-    def _reclaim_locked(self) -> None:
-        """Drop idle buffers (largest first) until under the threshold."""
-        idle = sorted(
-            (b for b in self._buffers.values() if not b.in_use),
-            key=lambda b: -b.size,
-        )
-        for buf in idle:
-            if self._total_bytes <= self.max_bytes:
-                break
-            self._free[buf.size].remove(buf.buffer_id)
-            del self._buffers[buf.buffer_id]
-            self._total_bytes -= buf.size
-            self.stats.reclaimed += 1
-
-    def emit_stats(self, monitor, prefix: str = F_SHM_POOL) -> None:
-        """Snapshot pool counters + occupancy into ``monitor.metrics``."""
-        m = monitor.metrics
-        m.gauge(metric_name(prefix, "occupancy_bytes")).set(self._total_bytes)
-        m.gauge(metric_name(prefix, "peak_bytes")).set(self.stats.peak_bytes)
-        m.gauge(metric_name(prefix, "allocations")).set(self.stats.allocations)
-        m.gauge(metric_name(prefix, "reuses")).set(self.stats.reuses)
-        m.gauge(metric_name(prefix, "reclaimed")).set(self.stats.reclaimed)
+    def _account(self, buf: PoolBuffer, reused: bool) -> float:
+        if reused:
+            self.stats.reuses += 1
+        else:
+            self.stats.allocations += 1
+            self.stats.peak_bytes = max(self.stats.peak_bytes, self._total_bytes)
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +329,15 @@ class ShmChannel(Channel):
       ``sendv`` returns once the mapping is announced, so one thread can
       be both ends of its own channel.
 
-    Every delivery reports its copy count (inline=2, pool=1, xpmem=0)
-    into the ``transport.copies`` histogram of the bound monitor.
+    Neither path joins parts on the producer side.  ``recv`` raises
+    :class:`QueueClosed` at end of stream; a mapped message of N > 1
+    parts has no contiguous span, so it arrives as one
+    :class:`WireVector` of read-only spans, released once.  Every
+    delivery reports its copy count (inline=2, pool=1, xpmem=0) into the
+    ``transport.copies`` histogram of the bound monitor.
     """
+
+    rung = "shm"
 
     def __init__(
         self,
@@ -452,69 +371,17 @@ class ShmChannel(Channel):
         self.inline_sends = 0
 
     # -- producer ---------------------------------------------------------
-    def send(
-        self,
-        payload: Union[bytes, memoryview, np.ndarray, WireBuffer],
-        timeout: float = 5.0,
-    ) -> None:
-        """Move one payload; accepts any wire span shape without copying.
-
-        The one-part ``sendv`` — except that a mapped (xpmem) send
-        returns only after the consumer detached.
-        """
-        self._sendv("shm.send", WireVector((payload,)), timeout, sync=True)
-
-    def sendv(
-        self,
-        parts: Union[WireVector, Sequence[Union[bytes, np.ndarray, WireBuffer]]],
-        timeout: float = 5.0,
-    ) -> None:
-        """Vectored send: ``parts`` travel as one message.
-
-        One control round services the whole step: each part is copied
-        straight into one leased pool buffer (or, inline, straight into
-        the queue slot alongside the control header) with no
-        intermediate join on the producer side — or, on the xpmem path,
-        mapped in place and not copied at all.
-        """
-        vec = parts if isinstance(parts, WireVector) else WireVector(parts)
-        self._sendv("shm.sendv", vec, timeout, sync=False)
-
-    def _sendv(self, op: str, vec: WireVector, timeout: float, sync: bool) -> None:
-        total = vec.nbytes
-        if self.monitor is None:
-            self._transmit(vec, total, timeout, sync)
-            return
-        with self.monitor.span("transport", op, nbytes=total, parts=len(vec)):
-            self._transmit(vec, total, timeout, sync)
-        self.monitor.metrics.counter("shm.bytes_sent").inc(total)
-        self.monitor.metrics.counter("shm.messages_sent").inc()
-
-    def _maybe_inject_fault(self, total: int) -> bool:
-        """Consult the injector; raise the scheduled typed fault, if any.
-
-        A torn *large* send is not raised here: True tells the
-        large-message path to model it faithfully — part of the payload
-        really written into a leased pool buffer, or the source pages
-        really mapped, but the control message never sent, so the
+    def _acts_out(self, kind: FaultKind, total: int) -> bool:
+        """A torn *large* send is modelled faithfully: part of the
+        payload really written into a leased pool buffer, or the source
+        pages really mapped, but the control message never sent, so the
         consumer can never observe the partial state and the producer
         sees a typed :class:`TornSend` with the lease released / the
-        mapping withdrawn (no leak across retries).
-        """
-        if self.injector is None:
-            return False
-        kind = self.injector.next_fault()
-        if kind is None:
-            return False
-        record_injected(
-            self.monitor, "shm", kind, nbytes=total, stream=self.injector.stream
-        )
-        if kind is FaultKind.TORN_SEND and total > self._inline_max:
-            return True
-        raise fault_exception(kind, f"injected {kind.value} on shm send ({total} B)")
+        mapping withdrawn (no leak across retries)."""
+        return kind is FaultKind.TORN_SEND and total > self._inline_max
 
-    def _transmit(self, vec: WireVector, total: int, timeout: float, sync: bool) -> None:
-        torn = self._maybe_inject_fault(total)
+    def _transmit(self, vec: WireVector, total: int, timeout: float, sync: bool,
+                  fault: Optional[FaultKind]) -> None:
         if total <= self._inline_max:
             # One gather write: control header + every view, straight
             # into the queue slot (no join, no intermediate bytes).
@@ -527,9 +394,9 @@ class ShmChannel(Channel):
             self.inline_sends += 1
             return
         if self.use_xpmem:
-            self._send_mapped(vec, total, timeout, sync, torn)
+            self._send_mapped(vec, total, timeout, sync, fault is not None)
         else:
-            self._send_pool(vec, total, timeout, torn)
+            self._send_pool(vec, total, timeout, fault is not None)
         self.large_sends += 1
 
     def _send_pool(self, vec: WireVector, total: int, timeout: float, torn: bool) -> None:
@@ -611,33 +478,11 @@ class ShmChannel(Channel):
             raise ValueError("no monitor bound to this channel")
         self.queue.emit_stats(mon)
         self.pool.emit_stats(mon)
-        mon.metrics.gauge("shm.channel.inline_sends").set(self.inline_sends)
-        mon.metrics.gauge("shm.channel.large_sends").set(self.large_sends)
+        emit_gauges(mon, "shm.channel", inline_sends=self.inline_sends,
+                    large_sends=self.large_sends)
 
     # -- consumer ---------------------------------------------------------
-    def recv(self, timeout: float = 5.0) -> Union[WireBuffer, WireVector]:
-        """Receive one message as a :class:`WireBuffer` span; raises
-        :class:`QueueClosed` at end of stream.
-
-        Pool- and xpmem-backed spans stay valid until the consumer calls
-        ``release()`` — releasing returns the pool lease / detaches the
-        mapping.  Inline spans are heap-owned.  A mapped message of N > 1
-        parts has no contiguous span: it arrives as one
-        :class:`WireVector` of read-only spans, released once.
-        """
-        if self.monitor is not None:
-            with self.monitor.span("transport", "shm.recv") as sp:
-                out = self._recv(timeout)
-                sp.add_bytes(out.nbytes)
-                sp.set_attr(
-                    "path",
-                    "inline" if out.ownership is Ownership.HEAP else out.ownership.value,
-                )
-                sp.set_attr("copies", out.copies)
-            return out
-        return self._recv(timeout)
-
-    def _recv(self, timeout: float) -> Union[WireBuffer, WireVector]:
+    def _recv(self, timeout: float) -> tuple[Union[WireBuffer, WireVector], str]:
         msg = self.queue.dequeue(timeout=timeout)  # inline copy-out lives in the queue
         path, token, length = _CTRL.unpack_from(msg, 0)
         if path == _PATH_INLINE:
@@ -662,8 +507,7 @@ class ShmChannel(Channel):
             wb = WireBuffer(views[0], **mapped) if one else WireVector(views, **mapped)
         else:
             raise ValueError(f"corrupt control message path {path}")
-        self.observe_delivery(wb, _PATH_NAMES[path])
-        return wb
+        return wb, _PATH_NAMES[path]
 
 
 # ---------------------------------------------------------------------------

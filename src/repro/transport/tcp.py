@@ -39,7 +39,7 @@ from __future__ import annotations
 import socket
 import struct
 import time
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -55,8 +55,6 @@ from repro.transport.faults import (
     TornSend,
     TransportFaultInjector,
     TransportTimeout,
-    fault_exception,
-    record_injected,
 )
 
 __all__ = ["TcpChannel", "FrameAssembler", "FrameRefused",
@@ -84,6 +82,12 @@ SCRATCH = INLINE_MAX + 4096
 
 #: How long an injected DELAYED_FRAME holds the frame back.
 DELAY_INJECT_S = 0.05
+
+#: The injected kinds a send acts out on the socket (see ``_frame_fault``).
+_ACTED_OUT = frozenset({
+    FaultKind.TORN_FRAME, FaultKind.DROPPED_FRAME, FaultKind.DELAYED_FRAME,
+    FaultKind.CONN_RESET, FaultKind.HALF_OPEN,
+})
 
 
 def unpace_loopback(sock: socket.socket) -> None:
@@ -206,6 +210,8 @@ class TcpChannel(Channel):
     sends and receives share the one socket.
     """
 
+    rung = "tcp"
+
     def __init__(
         self,
         sock: Optional[socket.socket] = None,
@@ -254,65 +260,10 @@ class TcpChannel(Channel):
         return cls(sock, monitor=monitor, injector=injector)
 
     # -- producer ---------------------------------------------------------
-    def send(
-        self,
-        payload: Union[bytes, memoryview, np.ndarray, WireBuffer],
-        timeout: float = 5.0,
-    ) -> None:
-        self._sendv("tcp.send", WireVector((payload,)), timeout)
-
-    def sendv(
-        self,
-        parts: Union[WireVector, Sequence[Union[bytes, np.ndarray, WireBuffer]]],
-        timeout: float = 5.0,
-    ) -> None:
-        """Vectored send: one frame, every part gathered by ``sendmsg``
-        (no intermediate join on the producer side)."""
-        vec = parts if isinstance(parts, WireVector) else WireVector(parts)
-        self._sendv("tcp.sendv", vec, timeout)
-
-    def _sendv(self, op: str, vec: WireVector, timeout: float) -> None:
-        total = vec.nbytes
-        if self.monitor is None:
-            self._transmit(vec, total, timeout)
-            return
-        with self.monitor.span("transport", op, nbytes=total, parts=len(vec)):
-            self._transmit(vec, total, timeout)
-        self.monitor.metrics.counter("tcp.bytes_sent").inc(total)
-        self.monitor.metrics.counter("tcp.messages_sent").inc()
-
-    def _maybe_inject_fault(self, total: int) -> Optional[FaultKind]:
-        """Consult the injector; raises for immediate faults, returns a
-        kind the send path itself must act out (torn/dropped/delayed
-        frames need real socket effects, not just an exception)."""
-        if self.injector is None:
-            return None
-        kind = self.injector.next_fault()
-        if kind is None:
-            return None
-        record_injected(
-            self.monitor, "tcp", kind, nbytes=total, stream=self.injector.stream
-        )
-        if kind in (
-            FaultKind.TORN_FRAME, FaultKind.DROPPED_FRAME, FaultKind.DELAYED_FRAME
-        ):
-            return kind
-        if kind is FaultKind.TORN_SEND:
-            raise TornSend(f"injected torn send after {total // 2}/{total} B")
-        if kind is FaultKind.CONN_RESET:
-            # A real reset: the socket dies under us, both directions.
-            self._abort_sockets()
-            raise PeerDisconnected(f"injected connection reset ({total} B frame)")
-        if kind is FaultKind.HALF_OPEN:
-            # Half-open: our writes appear to succeed but nothing will
-            # ever come back — stop reading so the caller's reply recv
-            # times out, the way a silently-dead WAN peer behaves.
-            try:
-                self._recv_sock.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-            return None
-        raise fault_exception(kind, f"injected {kind.value} on tcp send ({total} B)")
+    def _acts_out(self, kind: FaultKind, total: int) -> bool:
+        """Torn, dropped and delayed frames, a reset and a half-open
+        socket need real socket effects, not just an exception."""
+        return kind in _ACTED_OUT
 
     def _abort_sockets(self) -> None:
         for sock in {self._send_sock, self._recv_sock}:
@@ -321,31 +272,14 @@ class TcpChannel(Channel):
             except OSError:
                 pass
 
-    def _transmit(self, vec: WireVector, total: int, timeout: float) -> None:
+    def _transmit(self, vec: WireVector, total: int, timeout: float, sync: bool,
+                  fault: Optional[FaultKind]) -> None:
         if self._closed:
             raise PeerDisconnected("send on closed TcpChannel")
-        frame_kind = self._maybe_inject_fault(total)
-        if frame_kind is FaultKind.DROPPED_FRAME:
-            # The frame "leaves" but never arrives; the peer's reply
-            # (which will never come) is the caller's timeout.
-            return
-        if frame_kind is FaultKind.DELAYED_FRAME:
-            time.sleep(DELAY_INJECT_S)
         parts = [memoryview(FRAME_PREFIX.pack(total))]
         parts.extend(memoryview(p.as_array()) for p in vec)
-        if frame_kind is FaultKind.TORN_FRAME:
-            # Put the prefix and roughly half the payload on the wire,
-            # then kill the connection: the receiver sees a genuinely
-            # torn frame, not just a client-side exception.
-            torn = b"".join(bytes(p) for p in parts)[: FRAME_PREFIX.size + total // 2]  # flexlint: ok(FXL006) chaos-only path; the copy IS the fault being injected
-            try:
-                self._send_sock.sendall(torn)
-            except OSError:
-                pass
-            self._abort_sockets()
-            raise TornSend(
-                f"injected torn frame after {total // 2}/{total} B"
-            )
+        if fault is not None and self._frame_fault(fault, parts, total):
+            return
         _set_timeout(self._send_sock, timeout)
         sent = 0
         frame_len = FRAME_PREFIX.size + total
@@ -372,19 +306,43 @@ class TcpChannel(Channel):
         except OSError as exc:
             raise PeerDisconnected(f"tcp send failed: {exc}") from exc
 
-    # -- consumer ---------------------------------------------------------
-    def recv(self, timeout: float = 5.0) -> WireBuffer:
-        """The next frame as a heap-owned :class:`WireBuffer`."""
-        if self.monitor is not None:
-            with self.monitor.span("transport", "tcp.recv") as sp:
-                wb = self._recv(timeout)
-                sp.add_bytes(wb.nbytes)
-                sp.set_attr("path", "tcp")
-                sp.set_attr("copies", wb.copies)
-            return wb
-        return self._recv(timeout)
+    def _frame_fault(self, kind: FaultKind, parts: list, total: int) -> bool:
+        """Act out one injected frame fault; True when the frame is gone
+        and the send is over without raising."""
+        if kind is FaultKind.DROPPED_FRAME:
+            # The frame "leaves" but never arrives; the peer's reply
+            # (which will never come) is the caller's timeout.
+            return True
+        if kind is FaultKind.DELAYED_FRAME:
+            time.sleep(DELAY_INJECT_S)
+        elif kind is FaultKind.TORN_FRAME:
+            # Put the prefix and roughly half the payload on the wire,
+            # then kill the connection: the receiver sees a genuinely
+            # torn frame, not just a client-side exception.
+            torn = b"".join(bytes(p) for p in parts)[: FRAME_PREFIX.size + total // 2]  # flexlint: ok(FXL006) chaos-only path; the copy IS the fault being injected
+            try:
+                self._send_sock.sendall(torn)
+            except OSError:
+                pass
+            self._abort_sockets()
+            raise TornSend(f"injected torn frame after {total // 2}/{total} B")
+        elif kind is FaultKind.CONN_RESET:
+            # A real reset: the socket dies under us, both directions.
+            self._abort_sockets()
+            raise PeerDisconnected(f"injected connection reset ({total} B frame)")
+        elif kind is FaultKind.HALF_OPEN:
+            # Half-open: our writes appear to succeed but nothing will
+            # ever come back — stop reading so the caller's reply recv
+            # times out, the way a silently-dead WAN peer behaves.
+            try:
+                self._recv_sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        return False
 
-    def _recv(self, timeout: float) -> WireBuffer:
+    # -- consumer ---------------------------------------------------------
+    def _recv(self, timeout: float) -> tuple[WireBuffer, str]:
+        """The next frame as a heap-owned :class:`WireBuffer`."""
         if self._closed:
             raise PeerDisconnected("recv on closed TcpChannel")
         frames, sock = self._frames, self._recv_sock
@@ -405,9 +363,7 @@ class TcpChannel(Channel):
             raw = frames.next_frame()
         # A frame that fitted the scratch was copied out of it once more.
         copies = COPIES_TCP + (FRAME_PREFIX.size + raw.nbytes <= SCRATCH)
-        wb = WireBuffer(raw, ownership=Ownership.HEAP, copies=copies)
-        self.observe_delivery(wb, "tcp")
-        return wb
+        return WireBuffer(raw, ownership=Ownership.HEAP, copies=copies), "tcp"
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -474,6 +474,9 @@ def test_flexbench_trace_patches_resolve_against_the_tree(monkeypatch):
     from repro.adios import selection
     from repro.core import reader
     from repro.core.stream import FlexpathReadHandle, FlexpathWriteHandle
+    from repro.transport.buffers import Channel
+    from repro.transport.shm import ShmChannel
+    from repro.transport.tcp import TcpChannel
 
     monkeypatch.syspath_prepend(
         _os.path.join(_os.path.dirname(__file__), _os.pardir, "benchmarks", "flexbench")
@@ -488,10 +491,29 @@ def test_flexbench_trace_patches_resolve_against_the_tree(monkeypatch):
             assert FlexpathReadHandle.read.__wrapped__ is reader.StepReader.read
             # The alias the one read path calls, not only its definition.
             assert reader.assemble.__wrapped__ is assemble
+            # A channel method every rung inherits is wrapped on each
+            # subclass, under that rung's own span name.
+            assert vars(TcpChannel)["sendv"].__wrapped__ is Channel.sendv
+            assert vars(ShmChannel)["recv"].__wrapped__ is Channel.recv
+            tcp, shm = TcpChannel(), ShmChannel()
+            try:
+                tcp.sendv([b"ab"])
+                tcp.recv(timeout=5.0)
+                shm.sendv([b"cd"])
+                shm.recv()
+            finally:
+                tcp.close()
+                shm.close()
+            assert [s.name for s in tracer.spans] == [
+                "transport.tcp.send", "transport.tcp.recv_wait",
+                "transport.shm.sendv", "transport.shm.recv",
+            ]
         finally:
             tracer.uninstall()
         assert FlexpathWriteHandle.end_step is end_step
         assert "read" not in vars(FlexpathReadHandle)
+        assert "sendv" not in vars(TcpChannel) and "recv" not in vars(ShmChannel)
+        assert not hasattr(Channel.sendv, "__wrapped__")
         assert reader.assemble is assemble and selection.assemble is assemble
     finally:
         for name in _FLEXBENCH_MODULES:

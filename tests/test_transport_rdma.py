@@ -38,16 +38,6 @@ def test_regcache_hit_is_free():
     assert cache.stats.setup_time_saved > 0
 
 
-def test_regcache_bucket_rounding():
-    cache = RegistrationCache(GeminiInterconnect())
-    buf, _ = cache.acquire(5000)
-    assert buf.size == 8192
-    cache.release(buf)
-    # A 6000-byte request reuses the same 8 KiB buffer.
-    buf2, cost = cache.acquire(6000)
-    assert buf2 is buf and cost == 0.0
-
-
 def test_regcache_reclamation():
     ic = GeminiInterconnect()
     cache = RegistrationCache(ic, max_bytes=64 * KiB)
@@ -230,12 +220,3 @@ def test_rdma_channel_small_and_large_paths():
     assert ch.recv() == b"tiny"
     assert ch.recv() == b"X" * (2 * MiB)
     assert ch.recv() is None
-
-
-def test_rdma_channel_contention_slows_bulk():
-    _, a, b, conn = make_pair()
-    ch = RdmaChannel(conn, sender=a)
-    ch.send(b"w" * MiB)  # warm the caches
-    t1 = ch.send(b"y" * (8 * MiB), concurrent_flows=1)
-    t8 = ch.send(b"y" * (8 * MiB), concurrent_flows=8)
-    assert t8 > t1

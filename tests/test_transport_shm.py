@@ -164,13 +164,6 @@ def test_pool_reuses_buffers():
     assert pool.stats.reuses == 1
 
 
-def test_pool_closest_size_bucketing():
-    pool = ShmBufferPool()
-    assert pool.acquire(1).size == 1
-    assert pool.acquire(1025).size == 2048
-    assert pool.acquire(4096).size == 4096
-
-
 def test_pool_release_validation():
     pool = ShmBufferPool()
     b = pool.acquire(100)
