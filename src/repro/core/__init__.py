@@ -72,20 +72,13 @@ from repro.core.resilience import (
     RetryPolicy,
     TransactionAborted,
 )
-from repro.core.adaptive import (
-    AdaptiveGetScheduler,
-    AdaptivePolicy,
-    DCPlacementController,
-    policy_from_hint,
-)
+from repro.core.adaptive import AdaptivePolicy, DCPlacementController
 from repro.core.api import FlexIO
 
 __all__ = [
-    "AdaptiveGetScheduler",
     "AdaptivePolicy",
     "CachingOption",
     "DCPlacementController",
-    "policy_from_hint",
     "MovementFailed",
     "RetryPolicy",
     "TransactionAborted",

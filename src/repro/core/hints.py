@@ -108,20 +108,8 @@ TRANSPORT_TCP = "tcp"
 STREAM_METHODS = ("FLEXPATH", "FLEXIO")
 
 
-# ---------------------------------------------------------------------------
-# Trace-stage names (span categories) consumed by the adaptive layer.
-# ---------------------------------------------------------------------------
-
-STAGE_WRITE = "write"
-STAGE_DRAIN = "drain"
-STAGE_TRANSPORT = "transport"
-STAGE_REDISTRIBUTE = "redistribute"
-STAGE_READ = "read"
+#: Trace-stage name (span category) of DC plug-in execution.
 STAGE_DC_PLUGIN = "dc_plugin"
-
-#: Stages whose dominance means data movement is the bottleneck — the
-#: placement policy then favours writer-side reducers.
-MOVEMENT_STAGES = (STAGE_WRITE, STAGE_TRANSPORT)
 
 
 _STREAM_SPECS = (

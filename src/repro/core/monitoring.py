@@ -1,14 +1,16 @@
 """Runtime performance monitoring (paper Section II.G).
 
 Measurement points at all levels of the FlexIO stack record the timing of
-data movement and DC plug-in execution, transferred data volumes, and
-memory allocations.  Records serve two consumers:
+data movement and DC plug-in execution and transferred data volumes;
+memory is instrumented where it is allocated, by the pools' gauges
+(``shm.pool.occupancy_bytes``, ``shm.pool.peak_bytes``,
+``rdma.regcache.<side>.registered_bytes``).  Records serve two
+consumers:
 
 * **offline tuning** — the full trace can be dumped to a file (JSON lines)
   for post-mortem analysis;
 * **runtime management** — online aggregates (per-category totals, rates,
-  high-water marks) feed the data-movement scheduler and DC plug-in
-  placement decisions.
+  high-water marks) feed DC plug-in placement decisions.
 
 **Three kinds of observation, one sink each** — a fact is written once
 per kind it belongs to, never to two sinks of one kind under two names:
@@ -179,10 +181,6 @@ class PerfMonitor:
         self.clock = clock or time.perf_counter
         self.trace: list[TraceRecord] = []
         self.aggregates: dict[str, CategoryAggregate] = defaultdict(CategoryAggregate)
-        #: Instrumented allocation tracking (Section II.G: "dynamic memory
-        #: allocation points within FlexIO are also instrumented").
-        self.current_alloc_bytes = 0
-        self.peak_alloc_bytes = 0
         #: Counters / gauges / histograms (transport stats land here).
         self.metrics = MetricsRegistry()
         default_enabled, default_rate = obs.default_tracing()
@@ -266,16 +264,6 @@ class PerfMonitor:
             return span  # a non-recording one is a no-op: nothing to close
         return MeasurementPoint(self, category, name, nbytes, **extra)
 
-    # -- memory instrumentation -------------------------------------------
-    def alloc(self, nbytes: int) -> None:
-        self.current_alloc_bytes += nbytes
-        self.peak_alloc_bytes = max(self.peak_alloc_bytes, self.current_alloc_bytes)
-
-    def free(self, nbytes: int) -> None:
-        self.current_alloc_bytes -= nbytes
-        if self.current_alloc_bytes < 0:
-            raise ValueError("free() exceeds tracked allocations")
-
     # -- consumption --------------------------------------------------------
     def aggregate(self, category: str) -> CategoryAggregate:
         return self.aggregates[category]
@@ -308,8 +296,9 @@ class PerfMonitor:
         """Online gathering: fold a remote monitor's state into ours.
 
         Models the paper's shipping of simulation-side monitoring data to
-        the analytics side for runtime management.  Folds aggregates,
-        the instrumented memory counters, and the metrics registry.
+        the analytics side for runtime management.  Folds aggregates
+        and the metrics registry (memory levels arrive there as the
+        pools' gauges).
         """
         for category, agg in other.aggregates.items():
             mine = self.aggregates[category]
@@ -317,13 +306,6 @@ class PerfMonitor:
             mine.total_time += agg.total_time
             mine.total_bytes += agg.total_bytes
             mine.max_duration = max(mine.max_duration, agg.max_duration)
-        # Memory instrumentation: outstanding allocations add up; the
-        # combined peak is at least each side's own peak and at least the
-        # combined current level.
-        self.current_alloc_bytes += other.current_alloc_bytes
-        self.peak_alloc_bytes = max(
-            self.peak_alloc_bytes, other.peak_alloc_bytes, self.current_alloc_bytes
-        )
         self.metrics.merge_from(other.metrics)
 
     def report(self) -> str:
@@ -339,8 +321,6 @@ class PerfMonitor:
                 f"{cat:20s} {agg.count:7d} {agg.total_time:10.4f} "
                 f"{agg.total_bytes:14d} {agg.mean_duration:10.6f} {mbps:10.2f}"
             )
-        if self.peak_alloc_bytes:
-            lines.append(f"peak tracked allocation: {self.peak_alloc_bytes} bytes")
         metric_lines = self.metrics.render()
         if metric_lines:
             lines.append("-- metrics --")

@@ -50,6 +50,7 @@ from repro.obs.names import (
     F_PLUGIN,
     M_PLUGIN_FUSED_READS,
     M_PLUGIN_INTERPRETED_READS,
+    M_PLUGIN_MIGRATIONS,
     metric_name,
 )
 
@@ -651,11 +652,16 @@ class PluginManager:
         raise CodeletError(f"no plug-in {name!r} deployed")
 
     def migrate(self, name: str, to_side: PluginSide) -> DCPlugin:
-        """Move a codelet across address spaces at runtime."""
+        """Move a codelet across address spaces at runtime.  Moving it
+        to the side it already runs on is a no-op: nothing is counted
+        and the compiled chains stay valid."""
         for p in self._chain:
             if p.name == name:
-                p.side = to_side
-                self._version += 1
+                if p.side != to_side:
+                    p.side = to_side
+                    self._version += 1
+                    if self.monitor is not None:
+                        self.monitor.metrics.counter(M_PLUGIN_MIGRATIONS).inc()
                 return p
         raise CodeletError(f"no plug-in {name!r} deployed")
 

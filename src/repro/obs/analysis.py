@@ -13,8 +13,8 @@ then answers the three questions the paper's offline-tuning loop needs:
 2. *What limits one timestep?* — the **critical path** through the span
    tree of a trace, computed by the standard last-finishing-child walk;
 3. *What should I turn?* — a :class:`BottleneckHint` naming the dominant
-   stage with a FlexIO-specific suggestion, consumable by
-   ``repro.tools.advisor`` and :mod:`repro.core.adaptive`.
+   stage with a FlexIO-specific suggestion, printed by
+   ``repro.tools.trace`` and consumed by ``repro.tools.advisor``.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ class BottleneckHint:
     """The dominant stage of a dump, with a share and a suggestion.
 
     ``stage`` matches a span category; ``share`` is its fraction of total
-    exclusive time in [0, 1].  Consumed by ``repro.tools.advisor``
-    (placement advice) and :mod:`repro.core.adaptive` (policy tuning).
+    exclusive time in [0, 1].  Printed by ``repro.tools.trace`` and
+    consumed by ``repro.tools.advisor`` (placement advice).
     """
 
     stage: str

@@ -41,9 +41,9 @@ def to_perfetto(records: Iterable[dict], process_name: str = "flexio") -> dict:
     document with just the process-name metadata; a span still **open**
     at export time (``duration``/``start`` of ``None``) renders as a
     zero-length event tagged ``args["open"]``; **duplicate span ids**
-    (the same record folded in twice via ``merge_from``) are emitted
-    once, and distinct spans that collide on an id get a disambiguated
-    ``span_id`` so ids stay unique within a trace.
+    (the same record in two concatenated dumps) are emitted once, and
+    distinct spans that collide on an id get a disambiguated ``span_id``
+    so ids stay unique within a trace.
     """
     events: list[dict] = []
     tids: dict[str, int] = {}

@@ -15,10 +15,7 @@ and grades the window against an :class:`SLOPolicy`:
 Verdicts are published back into the same registry as **labeled
 gauges** (``health.verdict{stream="..."}``, numeric per
 :data:`VERDICT_CODES`) so they ride the existing snapshot/merge/export
-machinery, recorded as flight events on every change, and consumed by
-:meth:`repro.core.adaptive.AdaptiveGetScheduler.observe_health` as a
-rate-mismatch signal: an unhealthy or stalled reader-side schedule
-backs off its Get concurrency before it makes the problem worse.
+machinery and recorded as flight events on every change.
 """
 
 from __future__ import annotations

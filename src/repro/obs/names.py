@@ -95,6 +95,7 @@ M_REDIST_STRIDE_MESSAGES = "redistribution.stride_messages"
 M_PLUGIN_BLOCKS_SKIPPED = "plugin.blocks_skipped"
 M_PLUGIN_FUSED_READS = "plugin.fused_reads"
 M_PLUGIN_INTERPRETED_READS = "plugin.interpreted_reads"
+M_PLUGIN_MIGRATIONS = "plugin.migrations"
 
 # Fault injection (transport/faults.py, net/server.py)
 M_FAULTS_INJECTED_TOTAL = "faults.injected.total"
@@ -184,6 +185,8 @@ _METRIC_SPECS = (
                "reads served by the fused (compiled-chain) path"),
     MetricSpec(M_PLUGIN_INTERPRETED_READS, "counter",
                "plug-in reads that fell back to the interpreted pass"),
+    MetricSpec(M_PLUGIN_MIGRATIONS, "counter",
+               "codelets moved to the other address space"),
     MetricSpec(M_FAULTS_INJECTED_TOTAL, "counter", "total injected transport faults"),
     MetricSpec(M_TRANSPORT_COPIES, "histogram", "copies paid per delivered message"),
     MetricSpec(M_SHM_BYTES_SENT, "counter", "bytes sent over the SHM channel"),

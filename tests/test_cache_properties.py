@@ -105,8 +105,6 @@ def test_monitor_report_text():
 
     mon = PerfMonitor()
     mon.record("data_movement", "x", 0.0, 2.0, nbytes=4_000_000)
-    mon.alloc(123)
     text = mon.report()
     assert "data_movement" in text
     assert "2.0000" in text
-    assert "peak tracked allocation: 123 bytes" in text

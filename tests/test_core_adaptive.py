@@ -1,15 +1,13 @@
-"""Tests for runtime management: DC placement control + adaptive Gets."""
+"""Tests for runtime management: DC placement control."""
 
 import numpy as np
 import pytest
 
 from repro.core import PluginManager, PluginSide
-from repro.core.adaptive import (
-    AdaptiveGetScheduler,
-    AdaptivePolicy,
-    DCPlacementController,
-)
+from repro.core import PerfMonitor
+from repro.core.adaptive import AdaptivePolicy, DCPlacementController
 from repro.core.plugins import annotation_plugin, sampling_plugin
+from repro.obs.names import M_PLUGIN_MIGRATIONS
 
 
 def run_plugin(plugin, nbytes_shape=(1000, 7), times=1):
@@ -95,12 +93,14 @@ def test_unobserved_plugin_not_moved():
 
 def test_controller_records_to_monitor():
     """A migration is a point event: one ``plugin.migrate`` flight event
-    carrying what ``controller.events`` carries."""
+    carrying what ``controller.events`` carries, and one count of
+    ``plugin.migrations`` on the manager's monitor."""
     from repro.obs import recorder as flight
     from repro.obs.events import EV_PLUGIN_MIGRATE
 
     recorder = flight.reset()
-    mgr = PluginManager()
+    mon = PerfMonitor()
+    mgr = PluginManager(mon)
     sampler = mgr.deploy(sampling_plugin(4), PluginSide.READER)
     run_plugin(sampler)
     ctl = DCPlacementController(mgr, AdaptivePolicy(hysteresis=1))
@@ -110,68 +110,25 @@ def test_controller_records_to_monitor():
         "plugin": sampler.name, "step": 0, "src": "reader", "dst": "writer",
         "reason": migration.reason,
     }
+    assert mon.metrics.counter(M_PLUGIN_MIGRATIONS).value == 1
+
+
+def test_migrate_to_current_side_is_a_no_op():
+    """Migrating a codelet to the side it already runs on neither counts
+    nor invalidates the compiled chain."""
+    mon = PerfMonitor()
+    mgr = PluginManager(mon)
+    sampler = mgr.deploy(sampling_plugin(4), PluginSide.READER)
+    chain = mgr.compiled_chain(PluginSide.READER)
+    mgr.migrate(sampler.name, PluginSide.READER)
+    assert mgr.compiled_chain(PluginSide.READER) is chain
+    assert mon.metrics.counter(M_PLUGIN_MIGRATIONS).value == 0
+    mgr.migrate(sampler.name, PluginSide.WRITER)
+    assert mgr.compiled_chain(PluginSide.READER) is None
+    assert mon.metrics.counter(M_PLUGIN_MIGRATIONS).value == 1
 
 
 def test_controller_input_validation():
     ctl = DCPlacementController(PluginManager())
     with pytest.raises(ValueError):
         ctl.observe_step(1.5)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive Get scheduler
-# ---------------------------------------------------------------------------
-
-def test_aimd_decreases_on_interference():
-    s = AdaptiveGetScheduler(target_slowdown=0.15, initial=8)
-    assert s.observe(0.30) == 4
-    assert s.observe(0.30) == 2
-    assert s.observe(0.30) == 1
-    assert s.observe(0.30) == 1  # floor
-
-
-def test_aimd_increases_with_headroom():
-    s = AdaptiveGetScheduler(target_slowdown=0.15, initial=2, max_bound=4)
-    assert s.observe(0.01) == 3
-    assert s.observe(0.01) == 4
-    assert s.observe(0.01) == 4  # ceiling
-
-
-def test_aimd_holds_in_deadband():
-    s = AdaptiveGetScheduler(target_slowdown=0.15, initial=4)
-    assert s.observe(0.12) == 4  # between 0.7*target and target: hold
-
-
-def test_aimd_converges_under_feedback():
-    """Closed loop with a toy plant: slowdown proportional to concurrency.
-
-    The controller settles at a bound whose slowdown is near the target.
-    """
-    s = AdaptiveGetScheduler(target_slowdown=0.15, initial=16, max_bound=16)
-
-    def plant(concurrency):
-        return 0.03 * concurrency  # 5 concurrent -> 0.15
-
-    for _ in range(20):
-        s.observe(plant(s.max_concurrent))
-    final = s.max_concurrent
-    assert plant(final) <= 0.16
-    assert final >= 3
-
-
-def test_scheduler_validation():
-    with pytest.raises(ValueError):
-        AdaptiveGetScheduler(target_slowdown=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveGetScheduler(initial=0)
-    s = AdaptiveGetScheduler()
-    with pytest.raises(ValueError):
-        s.observe(-0.1)
-
-
-def test_scheduler_history():
-    s = AdaptiveGetScheduler(initial=4)
-    s.observe(0.2)
-    s.observe(0.01)
-    assert [d.max_concurrent for d in s.history] == [2, 3]
-    assert [d.step for d in s.history] == [0, 1]

@@ -59,19 +59,6 @@ def test_trace_disabled_still_aggregates():
     assert mon.aggregate("c").count == 1
 
 
-def test_memory_instrumentation():
-    mon = PerfMonitor()
-    mon.alloc(100)
-    mon.alloc(200)
-    assert mon.current_alloc_bytes == 300
-    assert mon.peak_alloc_bytes == 300
-    mon.free(250)
-    assert mon.current_alloc_bytes == 50
-    assert mon.peak_alloc_bytes == 300
-    with pytest.raises(ValueError):
-        mon.free(100)
-
-
 def test_merge_from_remote_monitor():
     """Simulation-side monitoring gathered to the analytics side."""
     sim = PerfMonitor()

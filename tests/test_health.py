@@ -225,36 +225,3 @@ def test_health_board_samples_duck_typed_states():
     clock.tick()
     again = board.sample({"a": FakeState(a), "b": FakeState(b)})
     assert again["b"].verdict is Verdict.HEALTHY  # no NEW losses
-
-
-# ---------------------------------------------------------------------------
-# Adaptive coupling
-# ---------------------------------------------------------------------------
-
-def test_scheduler_observe_health_backs_off():
-    from repro.core.adaptive import AdaptiveGetScheduler
-
-    clock, reg, model = _model()
-    sched = AdaptiveGetScheduler(initial=8, max_bound=16)
-
-    reg.counter(STEPS_COMMITTED).inc(4)
-    clock.tick()
-    sched.observe_health(model.evaluate())
-    assert sched.max_concurrent == 8  # healthy: no change
-
-    reg.counter(RETRIES).inc(1)
-    clock.tick()
-    sched.observe_health(model.evaluate())
-    assert sched.max_concurrent == 7  # degraded: decrement
-
-    reg.counter(STEPS_LOST).inc(9)
-    clock.tick()
-    sched.observe_health(model.evaluate())
-    assert sched.max_concurrent == 3  # unhealthy: halve
-
-    bound = sched.max_concurrent
-    for _ in range(8):
-        reg.counter(STEPS_LOST).inc(1)
-        clock.tick()
-        bound = sched.observe_health(model.evaluate())
-    assert bound >= sched.min_bound  # floor holds

@@ -328,16 +328,6 @@ def test_as_dict_namespaces_colliding_extras_and_round_trips():
     assert TraceRecord.from_dict(back.as_dict()) == back
 
 
-def test_merge_from_folds_memory_counters():
-    a, b = PerfMonitor(), PerfMonitor()
-    a.alloc(100)
-    b.alloc(300)
-    b.free(50)
-    a.merge_from(b)
-    assert a.current_alloc_bytes == 350
-    assert a.peak_alloc_bytes == 350
-
-
 # ---------------------------------------------------------------------------
 # Export + analysis
 # ---------------------------------------------------------------------------
@@ -441,7 +431,7 @@ def test_to_perfetto_open_span_renders_zero_length_and_tagged():
 def test_to_perfetto_merge_duplicate_span_emitted_once():
     rec = {"trace_id": "t1", "span_id": "s1", "name": "w", "category": "write",
            "start": 1.0, "duration": 2.0}
-    # The same record folded in twice via merge_from.
+    # The same record in two concatenated dumps.
     doc = to_perfetto([rec, dict(rec)])
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert len(xs) == 1
@@ -583,36 +573,8 @@ def test_live_server_rejects_non_get():
 
 
 # ---------------------------------------------------------------------------
-# Hint consumers + event bracketing
+# Event bracketing
 # ---------------------------------------------------------------------------
-
-def test_policy_from_hint_adjusts_budget():
-    from repro.core.adaptive import AdaptivePolicy, policy_from_hint
-    from repro.obs import BottleneckHint
-
-    base = AdaptivePolicy()
-    plugin_bound = policy_from_hint(
-        BottleneckHint("dc_plugin", 0.6, 1.0, ""), base)
-    assert plugin_bound.writer_cpu_budget == pytest.approx(base.writer_cpu_budget / 2)
-    write_bound = policy_from_hint(BottleneckHint("write", 0.6, 1.0, ""), base)
-    assert write_bound.writer_cpu_budget > base.writer_cpu_budget
-    assert write_bound.reducer_ratio >= base.reducer_ratio
-    neutral = policy_from_hint(BottleneckHint("redistribute", 0.6, 1.0, ""), base)
-    assert neutral == base
-
-
-def test_scheduler_apply_hint_raises_bound_when_transport_bound():
-    from repro.core.adaptive import AdaptiveGetScheduler
-    from repro.obs import BottleneckHint
-
-    sched = AdaptiveGetScheduler(initial=4, max_bound=16)
-    sched.apply_hint(BottleneckHint("transport", 0.7, 1.0, ""))
-    assert 4 < sched.max_concurrent <= 16
-    before = AdaptiveGetScheduler(initial=4).max_concurrent
-    sched2 = AdaptiveGetScheduler(initial=4)
-    sched2.apply_hint(BottleneckHint("write", 0.7, 1.0, ""))
-    assert sched2.max_concurrent == before
-
 
 def test_simcore_trace_event_brackets_event_lifetime():
     from repro.simcore import Environment
