@@ -21,12 +21,12 @@ type system — this module checks them at run time when enabled:
   use-after-release and double-release are flagged as they happen, and
   :meth:`Sanitizer.check_leases` flags leases never released (leaked
   pool buffers or registered memory).
-* **Mapped-source discipline** — an xpmem mapping is digested
-  (``zlib.crc32`` per part) when announced and again at detach; a
-  difference means the writer modified an array it had handed over.
-* **Pool-slot discipline** — the daemon digests a shared-memory slot at
-  publish and again at every fetch, later publish and when it is freed; a
-  difference means it was granted while still retained or pinned.
+* **Mapped-buffer discipline** — a buffer readers must see unchanged is
+  digested when lent and checked when it comes back (:meth:`Sanitizer.lend`,
+  :meth:`Sanitizer.check_lent`): an xpmem mapping (``xpmem-source-mutated``:
+  the writer modified an array it had handed over), a daemon pool slot and
+  the slot a reader holds (``net-slot-mutated``: granted while retained or
+  pinned).
 
 Enablement: set ``FLEXIO_SANITIZE=1`` in the environment (read lazily on
 first use), or call :func:`enable` / :func:`disable` programmatically.
@@ -110,6 +110,12 @@ class Sanitizer:
         from repro.obs.events import EV_SANITIZER
 
         flight.record(EV_SANITIZER, kind=kind, what=what)
+
+    def _record(self, found: list[Violation]) -> list[Violation]:
+        """Keep what an end-of-run check found; the caller reports it."""
+        with self._mu:
+            self._violations.extend(found)
+        return found
 
     def violations(self) -> list[Violation]:
         with self._mu:
@@ -220,18 +226,11 @@ class Sanitizer:
             leaked = [
                 (t, label) for t, label in self._threads.values() if t.is_alive()
             ]
-        added = []
-        for thread, label in leaked:
-            v = Violation(
-                UNJOINED_THREAD,
-                label,
-                f"thread {thread.name!r} still alive at shutdown "
-                f"(drainer never joined)",
-            )
-            with self._mu:
-                self._violations.append(v)
-            added.append(v)
-        return added
+        return self._record([
+            Violation(UNJOINED_THREAD, label, f"thread {thread.name!r} still alive "
+                      f"at shutdown (drainer never joined)")
+            for thread, label in leaked
+        ])
 
     # -- buffer leases -----------------------------------------------------
     def note_lease_acquired(self, lease: object, label: str) -> None:
@@ -262,42 +261,29 @@ class Sanitizer:
         or registered memory).  Returns the violations added."""
         with self._mu:
             leaked = sorted(self._leases.values())
-        added = []
-        for label in leaked:
-            v = Violation(
-                LEASE_LEAK, label,
-                "lease never released (pool buffer / registration pinned)",
-            )
-            with self._mu:
-                self._violations.append(v)
-            added.append(v)
-        return added
+        return self._record([
+            Violation(LEASE_LEAK, label,
+                      "lease never released (pool buffer / registration pinned)")
+            for label in leaked
+        ])
 
-    # -- xpmem mappings ---------------------------------------------------
-    def note_xpmem_mapped(self, token: int, views) -> tuple[str, list[int]]:
-        """A producer announced ``views`` as one mapping: the record the
-        channel keeps with it — a label (the mapping thread names the
-        stream: ``flexio-drain-<stream>``) and a digest of every part."""
-        label = f"shm.xpmem#{token} mapped by {threading.current_thread().name}"
-        return label, [zlib.crc32(v) for v in views]
+    # -- mapped buffers ---------------------------------------------------
+    @staticmethod
+    def lend(*views) -> int:
+        """A buffer (``views``: its parts) is handed to readers that must
+        see it unchanged — an xpmem mapping, a daemon pool slot, a slot a
+        reader holds: its digest, one ``zlib.crc32`` over every part."""
+        digest = 0
+        for view in views:
+            digest = zlib.crc32(view, digest)
+        return digest
 
-    def note_xpmem_unmapped(self, record: tuple[str, list[int]], views) -> None:
-        """The mapping is detached: were its sources modified meanwhile?"""
-        label, digests = record
-        if digests != [zlib.crc32(v) for v in views]:
-            self._add(
-                XPMEM_SOURCE_MUTATED, label,
-                "source modified while mapped (an array handed to write() "
-                "must not change while the stream retains the step)",
-            )
-
-
-    # -- daemon pool slots ------------------------------------------------
-    def check_slot(self, label: str, digest: int, view) -> None:
-        """``view`` must still hold the bytes digested at publish."""
-        if zlib.crc32(view) != digest:
-            self._add(NET_SLOT_MUTATED, label,
-                      "slot rewritten while its step was retained or pinned")
+    def check_lent(self, kind: str, label: str, digest: int, *views) -> None:
+        """The lent buffer comes back (or is looked at again): it must
+        still hold what :meth:`lend` digested, else a ``kind`` violation."""
+        if self.lend(*views) != digest:
+            self._add(kind, label, "written while lent out (a reader may see other "
+                                   "bytes than were handed over)")
 
 
 class TrackedLock:

@@ -58,8 +58,23 @@ from repro.transport.faults import injector_from_env, parse_fault_spec
 _REAP_INTERVAL = 0.05
 
 
+class BlockSource:
+    """The one ``blocks`` of every step source, in process and fetched:
+    :func:`~repro.core.reader.index_blocks` of ``var_blocks(name)``, built
+    once per step into ``block_index`` — every reader rank shares it — and
+    emptied by a source whose arrays start viewing other bytes."""
+
+    __slots__ = ()
+
+    def blocks(self, name: str) -> tuple:
+        found = self.block_index.get(name)
+        if found is None:
+            found = self.block_index[name] = index_blocks(self.var_blocks(name))
+        return found
+
+
 @dataclass
-class _PublishedStep:
+class _PublishedStep(BlockSource):
     """One completed timestep: every writer rank's process group."""
 
     step: int
@@ -77,8 +92,7 @@ class _PublishedStep:
     #: Buffered payload size: summed once at seal, zeroed when the step
     #: is lost (its groups are discarded), never re-derived.
     nbytes: int = 0
-    #: Per-variable block index (:meth:`blocks`): built by the first
-    #: reader rank that asks, shared by every later read of the step.
+    #: Per-variable block index (:meth:`BlockSource.blocks`).
     block_index: dict = field(default_factory=dict, repr=False)
 
     #: The buffered copy is never pruned: in-process pushdown only
@@ -97,12 +111,6 @@ class _PublishedStep:
             wv = pg.variables.get(name)
             if wv is not None:
                 yield wv.box, wv.global_shape, wv.data
-
-    def blocks(self, name: str) -> tuple:
-        found = self.block_index.get(name)
-        if found is None:
-            found = self.block_index[name] = index_blocks(self.var_blocks(name))
-        return found
 
     def writer_record(self, rank: int) -> Optional[dict]:
         pg = self.groups.get(rank)

@@ -37,12 +37,9 @@ network::
 from __future__ import annotations
 
 import itertools
-import mmap
-import re
 import threading
 import time
 import weakref
-import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, NoReturn, Optional
 from urllib.parse import urlsplit
@@ -58,7 +55,8 @@ from repro.core.plugins import PluginManager, PluginSide
 from repro.core.redistribution import PlanCache
 from repro.core.resilience import RetryPolicy, retry_call
 from repro.core.stepstore import outcome_error
-from repro.core.reader import StepReader, index_blocks
+from repro.core.reader import StepReader
+from repro.core.stream import BlockSource
 from repro.net.protocol import (
     MISS_REPLY,
     Frame,
@@ -89,6 +87,7 @@ from repro.transport.faults import (
     TransportTimeout,
 )
 from repro.transport.buffers import as_byte_view
+from repro.transport.shm import ShmArena
 from repro.transport.tcp import INLINE_MAX, TcpChannel
 from repro.util import rng
 
@@ -171,45 +170,20 @@ def raise_wire_error(frame: Frame, where: str = "reply") -> NoReturn:
 
 
 # ---------------------------------------------------------------------------
-# The same-node rung: daemon pools, mapped through /proc
+# The same-node rung: daemon arenas, mapped through /proc
 # ---------------------------------------------------------------------------
 
-#: The only names a daemon may ask this process to open: one of its own
-#: memfds, plus the generation serial that keeps a reused fd number apart.
-_POOL_NAME = re.compile(r"(/proc/\d+/fd/\d+)(@\d+)?")
-
-
-def _open_pool(name: str, write: bool = False):
-    match = _POOL_NAME.fullmatch(name)
-    if match is None:
-        raise ProtocolError(f"not a daemon pool name: {name!r}")
-    return open(match.group(1), "r+b" if write else "rb")
-
-
-def _read_nonce(name: str) -> str:
-    """What WELCOME's memfd holds — readable only by a peer that shares
-    the daemon's node, uid and pid namespace; "" for everyone else."""
-    try:
-        with _open_pool(name) as fh:
-            return fh.read().decode("ascii", "replace")
-    except (OSError, ProtocolError):
-        return ""
-
-
 def _slot(handle, name: str, offset: int, nbytes: int, write: bool) -> np.ndarray:
-    """``nbytes`` at ``offset`` of pool ``name``, through the session's one
+    """``nbytes`` at ``offset`` of arena ``name``, through the session's one
     mapping of that generation (kept alive by the handles using it;
-    ``PROT_READ`` unless a writer asked first).  A pool that is gone means
-    its daemon is: retriable."""
+    ``PROT_READ`` unless a writer asked first).  An arena that is gone
+    means its daemon is: :class:`PeerDisconnected`, retriable."""
     mapped = handle._client._pools.get(name)
     if mapped is None or (write and not mapped.flags.writeable):
         try:
-            with _open_pool(name, write) as fh:
-                prot = mmap.PROT_READ | (mmap.PROT_WRITE if write else 0)
-                mapped = np.frombuffer(mmap.mmap(fh.fileno(), 0, prot=prot), dtype=np.uint8)
-        except (OSError, ValueError) as exc:
-            raise PeerDisconnected(f"daemon pool {name} is gone: {exc}") from exc
-        handle._client._pools[name] = mapped
+            mapped = handle._client._pools[name] = ShmArena.map(name, write)
+        except ValueError as exc:  # a name no daemon arena has
+            raise ProtocolError(str(exc)) from None
     handle._pool = mapped
     if not 0 <= offset <= offset + nbytes <= mapped.nbytes:
         raise ProtocolError(f"slot {offset}+{nbytes} outside pool {name}")
@@ -433,8 +407,14 @@ class RemoteClient(Client):
         self.data_port = int(welcome.record["data_port"])
         self.resumed = bool(welcome.record["resumed"])
         self.resume_token = welcome.record["resume"]
-        #: Echoed in every ATTACH; blank = this peer gets inline frames only.
-        self._nonce = _read_nonce(welcome.record["pool"])
+        #: Echoed in every ATTACH: what WELCOME's arena holds, readable
+        #: only by a peer that shares the daemon's node, uid and pid
+        #: namespace; blank = this peer gets inline frames only.
+        try:
+            self._nonce = bytes(ShmArena.map(welcome.record["pool"])).rstrip(b"\0").decode(
+                "ascii", "replace")
+        except (ValueError, PeerDisconnected):
+            self._nonce = ""
         if self.resumed:
             self.monitor.metrics.counter("net.resume").inc()
             flight.record(
@@ -802,7 +782,7 @@ class NetWriteHandle(WriteHandle):
         self._client._close_stream(self.stream_id, self.name)
 
 
-class _CachedStep:
+class _CachedStep(BlockSource):
     """One fetched step: var records + the span every array in them views.
 
     The wire-side block source of :class:`~repro.core.reader.StepReader`.
@@ -813,7 +793,7 @@ class _CachedStep:
     its bytes.
     """
 
-    __slots__ = ("step", "vars", "_wb", "may_be_pruned")
+    __slots__ = ("step", "vars", "_wb", "may_be_pruned", "block_index")
 
     #: The publish span does not cross the wire yet: reads root (or
     #: join the caller's current) trace on the client.
@@ -830,6 +810,7 @@ class _CachedStep:
     def _view(self, wb, offset: int, count: int) -> None:
         self._wb = wb  # kept alive: every array below views into it
         self.vars: list[dict] = []
+        self.block_index: dict = {}  # no index outlives the bytes it views
         for _ in range(count):
             rec, offset = decode_var(wb, offset)
             self.vars.append(rec)
@@ -854,9 +835,6 @@ class _CachedStep:
                     tuple(rec["gshape"]) or None,
                     data,
                 )
-
-    def blocks(self, name: str) -> tuple:
-        return index_blocks(self.var_blocks(name))
 
     def writer_record(self, rank: int) -> Optional[dict]:
         record: dict = {}
@@ -945,7 +923,7 @@ class NetReadHandle(StepReader):
             may_be_pruned=bool(self._attached_pred),
         )
         if borrowed:
-            self._held = got, None if self._san is None else zlib.crc32(wb)
+            self._held = got, None if self._san is None else self._san.lend(wb)
         # Retain only the current neighborhood; old steps are gone.
         self._cache = {k: v for k, v in self._cache.items() if k >= step - 1}
         self._cache[step] = got
@@ -982,7 +960,8 @@ class NetReadHandle(StepReader):
             return
         (got, digest), self._held = self._held, None
         if digest is not None:
-            self._san.check_slot(f"{self.stream_id}#{got.step} (reader)", digest, got._wb)
+            self._san.check_lent(sanitize.NET_SLOT_MUTATED,
+                                 f"{self.stream_id}#{got.step} (reader)", digest, got._wb)
         if own:
             got.own()
             self.monitor.metrics.counter(M_NET_STEPS_COPIED_OUT).inc()

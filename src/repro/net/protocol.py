@@ -91,7 +91,7 @@ MAGIC = 0xF1EC0107
 #: prune provably-dropped blocks from PUBLISH payloads (PR 10, fused
 #: analytics).  v4: FETCH carries ``wait``, the seconds the daemon may
 #: hold the request for a step that is not yet published (held FETCH).
-#: v5: WELCOME names a daemon memfd holding a nonce, ATTACH echoes it (the
+#: v5: WELCOME names a daemon arena holding a nonce, ATTACH echoes it (the
 #: same-node proof); GRANT / PUBLISH_REF / STEP_REF move bulk runs through
 #: daemon-owned shared-memory slots; inline frames are byte-identical to v4's.
 #: v6: OK / GRANT carry ``stats`` — a writer stamps block bounds only when asked.
@@ -157,7 +157,7 @@ _BODY_FORMATS: dict[MsgType, Format] = {
         "net.welcome",
         [("session", _S), ("server", _S), ("data_port", _I),
          ("resume", _S), ("resumed", _B),
-         # Path of a daemon memfd holding a nonce ("" = no pools here).
+         # Name of a one-slot daemon arena holding a nonce ("" = no pools here).
          ("pool", _S)],
     ),
     MsgType.ERROR: PROTOCOL_REGISTRY.define(
@@ -194,7 +194,7 @@ _BODY_FORMATS: dict[MsgType, Format] = {
          # reader's compiled plug-in chain ("" = none — disables any
          # broker-side pruning for the stream while this peer is attached).
          ("predicate", _S),
-         # What the peer read at WELCOME's ``pool`` path ("" = could not:
+         # What the peer read in WELCOME's ``pool`` arena ("" = could not:
          # other host, uid or pid namespace — it gets inline frames only).
          ("nonce", _S)],
     ),

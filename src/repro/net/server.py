@@ -15,7 +15,8 @@ it — a bulk PUBLISH lands in the array the broker then stores:
   reader's connection FETCHes them — so two unrelated OS processes
   exchange multi-step data without ever sharing memory.  Peers on the
   daemon's own node do share it: a bulk run moves through a slot of a
-  :class:`_SlotPool` and the frame carries only where it is.
+  :class:`~repro.transport.shm.ShmArena` and the frame carries only
+  where it is.
 
 Every hosted stream carries its own
 :class:`~repro.core.monitoring.PerfMonitor` whose series are labeled
@@ -33,14 +34,12 @@ import argparse
 import asyncio
 import functools
 import itertools
-import mmap
 import os
 import secrets
 import signal
 import threading
 import time
 import weakref
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -116,6 +115,7 @@ from repro.transport.faults import (
     parse_fault_spec,
     record_injected,
 )
+from repro.transport.shm import ShmArena
 from repro.transport.tcp import (
     FRAME_PREFIX, INLINE_MAX, FrameAssembler, FrameRefused, unpace_loopback
 )
@@ -257,27 +257,6 @@ class _Conn(asyncio.BufferedProtocol):
             self.transport.write(view.data)
 
 
-class _SlotPool:
-    """One generation of a hosted stream's shared-memory slots: an
-    anonymous memfd a same-uid peer on this node maps through
-    ``/proc/<pid>/fd/<n>`` — no name outlives the daemon.  Sized by the
-    first run it has to hold; slots are recycled (a fresh tmpfs page is a
-    fault per 4 KB on both sides) and mapped, never ``pwritev``-ed."""
-
-    _serial = itertools.count(1)
-
-    def __init__(self, run_nbytes: int, slots: int) -> None:
-        page = mmap.PAGESIZE
-        self.capacity = -(-(run_nbytes + run_nbytes // 8) // page) * page
-        fd = os.memfd_create("flexio-pool")
-        weakref.finalize(self, os.close, fd)  # the mapping goes with ``arr``
-        os.ftruncate(fd, self.capacity * slots)
-        self.arr = np.frombuffer(mmap.mmap(fd, 0), dtype=np.uint8)
-        #: fd numbers are reused: the serial makes the name one generation's.
-        self.name = f"/proc/{os.getpid()}/fd/{fd}@{next(self._serial)}"
-        self.free = [i * self.capacity for i in range(slots)]
-
-
 class _Hold(NamedTuple):
     """One parked FETCH: the step it asked for, its clamped ``wait``, the
     timer that expires it, and ``end(outcome, detail)``, which answers it."""
@@ -312,7 +291,7 @@ class HostedStream:
         #: The current pool generation (None until a same-node writer
         #: publishes a run over ``INLINE_MAX``) and, for every slot in use,
         #: ``id(its view) -> (pool, offset, nbytes, sanitizer digest | None)``.
-        self.pool: Optional[_SlotPool] = None
+        self.pool: Optional[ShmArena] = None
         self._slots: dict[int, tuple] = {}
         self._san = sanitize.get()  # captured: one None check when disabled
         #: Highest publish sequence number applied; republished frames
@@ -368,10 +347,11 @@ class HostedStream:
             if self._san is not None:  # the write that just landed hit no slot in use
                 for ref in self._slots.values():
                     self._checked(*ref)
-                digest = zlib.crc32(payload)
+                digest = self._san.lend(payload)
             self._slots[key := id(payload)] = (*slot, len(payload), digest)
             stream = weakref.ref(self)  # a dropped stream's pools die with it
-            weakref.finalize(payload, lambda: (s := stream()) and s._slot_dead(key))
+            weakref.finalize(payload, lambda: (s := stream()) and s.give_back(
+                *s._checked(*s._slots.pop(key))))
             self.counter(M_NET_STEPS_PUBLISHED_BY_REF).inc()
         elif slot is not None:
             self.give_back(*slot)
@@ -412,7 +392,7 @@ class HostedStream:
                 self.pool is None or run_nbytes > self.pool.capacity):
             old = self.pool
             try:
-                self.pool = _SlotPool(run_nbytes, self.store.retain + 4)
+                self.pool = ShmArena(run_nbytes, self.store.retain + 4)
             except OSError:
                 return held  # no memfd to be had: inline, as before
             if old is not None:
@@ -427,7 +407,7 @@ class HostedStream:
         self.gauge(M_NET_POOL_SLOTS_FREE).set(len(self.pool.free))
         return slot
 
-    def give_back(self, pool: _SlotPool, offset: int) -> None:
+    def give_back(self, pool: ShmArena, offset: int) -> None:
         pool.free.append(offset)
         self.gauge(M_NET_POOL_SLOTS_FREE).set(len(self.pool.free))
 
@@ -436,15 +416,12 @@ class HostedStream:
         ref = self._slots.get(id(payload))
         return None if ref is None else self._checked(*ref)
 
-    def _slot_dead(self, key: int) -> None:
-        self.give_back(*self._checked(*self._slots.pop(key)))
-
-    def _checked(self, pool: _SlotPool, offset: int, nbytes: int, digest) -> tuple:
+    def _checked(self, pool: ShmArena, offset: int, nbytes: int, digest) -> tuple:
         """``(pool, offset)`` of a slot in use.  Sanitizer: at every fetch,
         every later publish and when freed, it holds what was published."""
         if digest is not None:
-            self._san.check_slot(f"{self.stream_id}@{offset}", digest,
-                                 pool.arr[offset:offset + nbytes])
+            self._san.check_lent(sanitize.NET_SLOT_MUTATED, f"{self.stream_id}@{offset}",
+                                 digest, pool.arr[offset:offset + nbytes])
         return pool, offset
 
     # -- reader predicate pushdown -------------------------------------
@@ -613,14 +590,13 @@ class DirectoryDaemon:
         #: (replies, STEP_DATA) — the server half of the chaos taxonomy.
         self.injector = injector
         #: Same-node proof: only a peer sharing this node, uid and pid
-        #: namespace — one that can map a pool — reads the nonce WELCOME
-        #: names.  No ``memfd_create``: no path, everyone gets inline frames.
-        self._nonce, self._nonce_path = secrets.token_hex(8), ""
-        if hasattr(os, "memfd_create"):
-            fd = os.memfd_create("flexio-nonce")
-            weakref.finalize(self, os.close, fd)
-            os.write(fd, self._nonce.encode())
-            self._nonce_path = f"/proc/{os.getpid()}/fd/{fd}"
+        #: namespace — one that can map an arena — reads the nonce in the
+        #: one-slot arena WELCOME names.  No ``memfd_create``: no arena,
+        #: nobody can echo the nonce, everyone gets inline frames.
+        self._nonce = secrets.token_hex(8)
+        self._proof = ShmArena(len(self._nonce)) if hasattr(os, "memfd_create") else None
+        if self._proof is not None:
+            self._proof.arr[:len(self._nonce)] = np.frombuffer(self._nonce.encode(), np.uint8)
         self._streams: dict[str, HostedStream] = {}
         self._sessions: dict[str, _Session] = {}
         self._resume: dict[str, str] = {}  # resume token -> session_id
@@ -865,7 +841,7 @@ class DirectoryDaemon:
             "data_port": self.data_port,
             "resume": session.resume,
             "resumed": resumed,
-            "pool": self._nonce_path,
+            "pool": self._proof.name if self._proof else "",
         }))
 
     @_handler
@@ -984,7 +960,7 @@ class DirectoryDaemon:
         except CodeletError as exc:
             return self._refuse(conn, "protocol", f"bad predicate spec: {exc}")
         conn.stream = stream
-        conn.colocated = bool(self._nonce_path) and frame.record["nonce"] == self._nonce
+        conn.colocated = frame.record["nonce"] == self._nonce
         if frame.record["role"] == "w":
             # What the latest positive reply granted this connection, while
             # it is unused; back in the pool when the connection ends.

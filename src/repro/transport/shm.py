@@ -1,6 +1,6 @@
 """Shared-memory intra-node transport (paper Section II.D).
 
-Three pieces:
+Four pieces:
 
 1. :class:`SPSCQueue` — a FastForward-inspired single-producer
    single-consumer, circular, lock-free FIFO.  Producer and consumer keep
@@ -21,7 +21,11 @@ Three pieces:
    source buffer into the consumer (zero-copy handoff of a read-only
    view), so the transport itself performs no copy at all.
 
-3. :class:`ShmCostModel` — prices the same operations for discrete-event
+3. :class:`ShmArena` — the pool between *processes* on one node: one
+   memfd generation of slots with a free list, which the directory daemon
+   fills and its same-node peers map by name.
+
+4. :class:`ShmCostModel` — prices the same operations for discrete-event
    runs: per-message queue latencies by NUMA relationship, and per-copy
    memcpy costs from the node's memory bandwidth.
 """
@@ -29,9 +33,14 @@ Three pieces:
 from __future__ import annotations
 
 import functools
+import itertools
+import mmap
+import os
+import re
 import struct
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -56,6 +65,7 @@ from repro.transport.buffers import (
 )
 from repro.transport.faults import (
     FaultKind,
+    PeerDisconnected,
     TornSend,
     TransportFaultInjector,
     TransportTimeout,
@@ -292,6 +302,44 @@ class ShmBufferPool(LeasePool):
         return 0.0
 
 
+class ShmArena:
+    """One generation of same-node slots: an anonymous memfd another
+    process on this node (same uid and pid namespace) maps through
+    ``/proc/<pid>/fd/<n>`` — no name outlives its maker.  Sized by the
+    first run it has to hold (run + ⅛, page-rounded, per slot); slots are
+    recycled through ``free`` (a fresh tmpfs page is a fault per 4 KB on
+    both sides) and mapped, never ``pwritev``-ed."""
+
+    _serial = itertools.count(1)
+    #: A name: the memfd, and the serial that keeps a reused fd number apart.
+    _NAME = re.compile(r"(/proc/\d+/fd/\d+)@\d+")
+
+    def __init__(self, run_nbytes: int, slots: int = 1) -> None:
+        page = mmap.PAGESIZE
+        self.capacity = -(-(run_nbytes + run_nbytes // 8) // page) * page
+        fd = os.memfd_create("flexio-pool")
+        weakref.finalize(self, os.close, fd)  # the mapping goes with ``arr``
+        os.ftruncate(fd, self.capacity * slots)
+        self.arr = np.frombuffer(mmap.mmap(fd, 0), dtype=np.uint8)
+        self.name = f"/proc/{os.getpid()}/fd/{fd}@{next(self._serial)}"
+        self.free = [i * self.capacity for i in range(slots)]
+
+    @staticmethod
+    def map(name: str, write: bool = False) -> np.ndarray:
+        """All of arena ``name``, mapped ``PROT_READ`` unless ``write``: the
+        one place a name is checked and opened.  ``ValueError``: no arena has
+        that name; :class:`PeerDisconnected` (retriable): the arena is gone."""
+        match = ShmArena._NAME.fullmatch(name)
+        if match is None:
+            raise ValueError(f"not a same-node arena: {name!r}")
+        try:
+            with open(match.group(1), "r+b" if write else "rb") as fh:
+                prot = mmap.PROT_READ | (mmap.PROT_WRITE if write else 0)
+                return np.frombuffer(mmap.mmap(fh.fileno(), 0, prot=prot), dtype=np.uint8)
+        except (OSError, ValueError) as exc:
+            raise PeerDisconnected(f"arena {name} is gone: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Channel: small messages through the queue, large ones through the pool
 # ---------------------------------------------------------------------------
@@ -431,7 +479,9 @@ class ShmChannel(Channel):
             np.frombuffer(memoryview(part.as_array()).toreadonly(), dtype=np.uint8)
             for part in vec
         ]
-        record = None if self._san is None else self._san.note_xpmem_mapped(token, views)
+        record = None if self._san is None else (  # the mapping thread names the stream
+            f"shm.xpmem#{token} mapped by {threading.current_thread().name}",
+            self._san.lend(*views))
         detached = threading.Event()
         self._xpmem_segments[token] = (views, detached, record)
         announced = False
@@ -453,7 +503,7 @@ class ShmChannel(Channel):
         if segment is not None:
             views, detached, record = segment
             if record is not None:
-                self._san.note_xpmem_unmapped(record, views)
+                self._san.check_lent(sanitize.XPMEM_SOURCE_MUTATED, *record, *views)
             detached.set()
 
     def close(self) -> None:

@@ -8,25 +8,34 @@ its typed exception with one counter increment and exactly one
 ``transport.fault`` flight event, and no lease outstanding after a torn
 send.  ``ShmBufferPool`` and ``RegistrationCache`` share one free list;
 the second half checks its bucketing, reuse, reclamation and
-double-free refusal through each pool's public face.
+double-free refusal through each pool's public face.  The last part is
+the same-node ``ShmArena``'s contract: which names a peer maps, and how a
+reference it cannot honour fails.
 """
 
+import gc
 import threading
+import weakref
+from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import sanitize
 from repro.core.monitoring import PerfMonitor
+from repro.net.client import RECONNECT_FAULTS, _slot
+from repro.net.protocol import ProtocolError
 from repro.machine.interconnect import GeminiInterconnect
 from repro.obs import recorder as flight
 from repro.obs.events import EV_FAULT
 from repro.transport.buffers import Channel
 from repro.transport.faults import (
     FaultKind,
+    PeerDisconnected,
     TransportFaultInjector,
     fault_exception,
 )
 from repro.transport.rdma import NntiFabric, RdmaChannel, RegistrationCache
-from repro.transport.shm import ShmBufferPool, ShmChannel
+from repro.transport.shm import ShmArena, ShmBufferPool, ShmChannel
 from repro.transport.tcp import TcpChannel
 from repro.util import KiB, MiB
 
@@ -77,6 +86,19 @@ _FAULT_CASES = [
 
 def _payload(nbytes: int) -> bytes:
     return bytes(range(256)) * (nbytes // 256) + bytes(nbytes % 256)
+
+
+@pytest.fixture(autouse=True)
+def no_violation_left_behind():
+    """CI also runs this file under ``FLEXIO_SANITIZE=1``: every xpmem
+    mapping is lent to the mapped-buffer rule, and no case may end with a
+    violation on record."""
+    active = sanitize.get()
+    if active is not None:
+        active.reset()
+    yield
+    if active is not None:
+        active.assert_clean()
 
 
 @pytest.fixture()
@@ -259,3 +281,37 @@ def test_pool_refuses_a_double_free(name):
         release(pool, buf)
     assert acquire(pool, 100)[0] is buf  # listed once, not twice
     assert acquire(pool, 100)[0] is not buf
+
+
+# ---------------------------------------------------------------------------
+# The same-node arena
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["not-an-arena", "arena-dropped", "slot-past-the-end"])
+def test_arena_refuses_a_reference_it_cannot_honour(case):
+    arena = ShmArena(4 * KiB)
+    # What ``_slot`` uses of a read or write handle: its session's mappings.
+    handle = SimpleNamespace(
+        _client=SimpleNamespace(_pools=weakref.WeakValueDictionary()), _pool=None)
+    if case == "not-an-arena":
+        # A peer maps an arena's memfd and nothing else: not a file, not a
+        # path that walks on from one, not a bare fd without its generation.
+        for name in ("/etc/passwd", f"{arena.name}/../../../etc/passwd",
+                     arena.name.rpartition("@")[0], ""):
+            with pytest.raises(ValueError, match="not a same-node arena"):
+                ShmArena.map(name)
+        with pytest.raises(ProtocolError):  # on the wire: the daemon broke the protocol
+            _slot(handle, "/etc/passwd", 0, 16, write=False)
+    elif case == "arena-dropped":
+        name = arena.name
+        del arena
+        gc.collect()
+        with pytest.raises(PeerDisconnected) as gone:
+            _slot(handle, name, 0, 16, write=False)
+        assert isinstance(gone.value, RECONNECT_FAULTS)  # its daemon is gone: re-dial
+        assert name not in handle._client._pools
+    else:
+        last = _slot(handle, arena.name, arena.capacity - 16, 16, write=False)
+        assert last.nbytes == 16 and not last.flags.writeable
+        with pytest.raises(ProtocolError, match="outside pool"):
+            _slot(handle, arena.name, arena.capacity - 8, 16, write=False)

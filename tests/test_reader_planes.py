@@ -28,9 +28,12 @@ from repro.core.plugins import (
 )
 from repro.core.redistribution import CompiledPlan, FusedPlan, compute_plan
 from repro.core.stream import stream_registry
-from repro.net.client import connect
+from repro.net.client import _CachedStep, connect
+from repro.net.protocol import encode_var
 from repro.net.server import DirectoryDaemon
 from repro.obs.names import M_PLUGIN_FUSED_READS, M_PLUGIN_INTERPRETED_READS
+from repro.transport.buffers import as_byte_view
+from repro.transport.shm import ShmArena
 
 SHAPE = (32, 6)
 BANDS = [BoundingBox((r * 8, 0), (8, 6)) for r in range(4)]
@@ -354,6 +357,29 @@ def test_fused_plan_records_row_tiled_and_gapless_separately():
         [BoundingBox((0, 0), (32, 3)), BoundingBox((0, 3), (32, 3))], _sample_select
     )
     assert not overlap.row_tiled and not split.row_tiled
+
+
+# ---------------------------------------------------------------------------
+# One memoised block index, and none outlives the slot it viewed
+# ---------------------------------------------------------------------------
+
+def test_an_owned_step_indexes_no_memory_of_the_slot_it_was_fetched_from():
+    arena = ShmArena(DATA.nbytes)
+    run = np.concatenate([as_byte_view(p) for p in encode_var({
+        "name": "v", "writer_rank": 0, "start": [0, 0], "shape": list(SHAPE),
+        "gshape": list(SHAPE), "vmin": 0.0, "vmax": 0.0, "has_stats": False,
+        "data": DATA})])
+    slot = arena.arr[:run.nbytes]
+    slot[:] = run
+    step = _CachedStep(0, 1, slot, 0)  # as a STEP_REF is read: where it lies
+    index = step.blocks("v")
+    assert step.blocks("v") is index  # built once, like a sealed step's
+    assert np.shares_memory(index[1][0], arena.arr)
+    step.own()
+    owned = step.blocks("v")
+    assert owned is not index
+    assert not any(np.shares_memory(data, arena.arr) for data in owned[1])
+    np.testing.assert_array_equal(owned[1][0], DATA)
 
 
 # ---------------------------------------------------------------------------
