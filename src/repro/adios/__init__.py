@@ -16,8 +16,11 @@ This package supplies the substrate FlexIO inherits:
   from disk;
 * :mod:`repro.adios.config` — the XML configuration file (group → method
   mapping plus transport hint parameters);
-* :mod:`repro.adios.api` — the open/write/advance/close API with a method
-  registry that FlexIO's stream transport plugs into.
+* :mod:`repro.adios.api` — the step-oriented open / ``begin_step`` /
+  write or read / ``end_step`` / close API with a method registry that
+  FlexIO's stream transport plugs into.  The file methods' read handle
+  is :mod:`repro.core`'s one reader over BP-lite blocks
+  (:mod:`repro.core.filereader`), imported when a file is opened.
 """
 
 from repro.adios.selection import (

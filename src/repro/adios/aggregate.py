@@ -20,24 +20,18 @@ and global-array read patterns work unchanged.  Configured in the XML:
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.adios.api import (
     AdiosError,
-    EndOfStream,
     IoMethod,
     RankContext,
-    ReadHandle,
     WriteHandle,
     register_method,
-    resolve_read_args,
 )
 from repro.adios.bp import BpReader, BpWriter
 from repro.adios.config import MethodSpec
-from repro.adios.model import Group, VarMeta
-from repro.adios.selection import assemble, intersect, resolve_selection
 from repro.util import ceil_div
 
 _MANIFEST = "manifest.txt"
@@ -132,102 +126,6 @@ class _AggWriteHandle(WriteHandle):
         self._state.close(self._ctx.rank)
 
 
-class _AggReadHandle(ReadHandle):
-    """Reads across subfiles through the manifest."""
-
-    def __init__(self, path: str, ctx: RankContext) -> None:
-        self.dir = f"{os.fspath(path)}.dir"
-        manifest = os.path.join(self.dir, _MANIFEST)
-        if not os.path.exists(manifest):
-            raise AdiosError(f"no aggregated output at {path!r} (missing manifest)")
-        self._rank_to_subfile: dict[int, str] = {}
-        with open(manifest, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != _MANIFEST_MAGIC:
-                raise AdiosError(f"bad manifest header {header!r}")
-            for line in fh:
-                parts = line.split()
-                if parts and parts[0] == "rank":
-                    self._rank_to_subfile[int(parts[1])] = parts[2]
-        subfiles = sorted(set(self._rank_to_subfile.values()))
-        self._readers = {
-            name: BpReader(os.path.join(self.dir, name)) for name in subfiles
-        }
-        self._step = 0
-        self._num_steps = max(
-            (r.num_steps for r in self._readers.values()), default=0
-        )
-
-    def available_vars(self):
-        seen: dict[str, None] = {}
-        for reader in self._readers.values():
-            for name in reader.var_names():
-                seen.setdefault(name, None)
-        return list(seen)
-
-    def var_meta(self, name: str) -> VarMeta:
-        metas = []
-        for reader in self._readers.values():
-            try:
-                metas.append(reader.var_meta(name))
-            except KeyError:
-                continue
-        if not metas:
-            raise KeyError(f"no variable {name!r}")
-        gshape = next((m.global_shape for m in metas if m.global_shape), None)
-        return VarMeta(
-            name=name,
-            dtype=metas[0].dtype,
-            global_shape=gshape,
-            steps=max(m.steps for m in metas),
-            min_value=min(m.min_value for m in metas),
-            max_value=max(m.max_value for m in metas),
-        )
-
-    def read_block(self, name, writer_rank):
-        subfile = self._rank_to_subfile.get(writer_rank)
-        if subfile is None:
-            raise KeyError(f"rank {writer_rank} wrote no data")
-        return self._readers[subfile].read_block(name, self._step, writer_rank)
-
-    def read(self, name, *, start=None, count=None, selection=None):
-        start, count = resolve_read_args(selection, start, count)
-        blocks = []
-        gshape = None
-        dtype = None
-        for reader in self._readers.values():
-            for entry in reader.blocks(name, self._step):
-                dtype = np.dtype(entry.dtype)
-                if entry.global_shape:
-                    gshape = entry.global_shape
-                if entry.box is not None:
-                    blocks.append((reader, entry))
-        if dtype is None:
-            raise KeyError(f"no variable {name!r} at step {self._step}")
-        if gshape is None:
-            raise AdiosError(f"variable {name!r} is not a global array")
-        target = resolve_selection(start, count, gshape)
-        touched = (
-            (e.box, r._fetch(e))
-            for r, e in blocks
-            if intersect(target, e.box) is not None
-        )
-        return assemble(target, touched, dtype=dtype)
-
-    def _advance(self):
-        nxt = self._step + 1
-        has_data = any(
-            any(e.step == nxt for e in r.entries) for r in self._readers.values()
-        )
-        if not has_data:
-            raise EndOfStream(f"{self.dir} after step {self._step}")
-        self._step = nxt
-
-    def close(self):
-        for reader in self._readers.values():
-            reader.close()
-
-
 class AggregatedBpMethod(IoMethod):
     """The ``MPI_AGGREGATE`` file method."""
 
@@ -248,7 +146,25 @@ class AggregatedBpMethod(IoMethod):
         return _AggWriteHandle(state, ctx)
 
     def open_read(self, name, group, ctx: RankContext, spec: MethodSpec):
-        return _AggReadHandle(name, ctx)
+        # Function-local import, as in open_write: the reader is repro.core's.
+        from repro.core.filereader import FileReadHandle
+
+        subdir = f"{os.fspath(name)}.dir"
+        manifest = os.path.join(subdir, _MANIFEST)
+        if not os.path.exists(manifest):
+            raise AdiosError(f"no aggregated output at {name!r} (missing manifest)")
+        subfiles: set[str] = set()
+        with open(manifest, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != _MANIFEST_MAGIC:
+                raise AdiosError(f"bad manifest header {header!r}")
+            for line in fh:
+                parts = line.split()
+                if parts and parts[0] == "rank":
+                    subfiles.add(parts[2])
+        return FileReadHandle(
+            [BpReader(os.path.join(subdir, f)) for f in sorted(subfiles)]
+        )
 
 
 register_method("MPI_AGGREGATE", AggregatedBpMethod)

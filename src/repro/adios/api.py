@@ -22,7 +22,7 @@ import numpy as np
 from repro.adios.bp import BpReader, BpWriter
 from repro.adios.config import AdiosConfig, MethodSpec
 from repro.adios.model import Group
-from repro.adios.selection import BoundingBox, Selection, resolve_selection
+from repro.adios.selection import BoundingBox, Selection
 
 
 class AdiosError(RuntimeError):
@@ -202,6 +202,7 @@ class ReadHandle(abc.ABC):
         :class:`~repro.adios.selection.BoundingBox`.
         """
 
+    @abc.abstractmethod
     def read_into(
         self,
         name: str,
@@ -212,16 +213,7 @@ class ReadHandle(abc.ABC):
         selection: Optional[Any] = None,
     ) -> np.ndarray:
         """Read into a caller-provided array (same addressing as
-        :meth:`read`).  Default implementation copies through
-        :meth:`read`; stream methods override it with the zero-copy
-        scatter path."""
-        data = self.read(name, start=start, count=count, selection=selection)
-        if out.shape != data.shape:
-            raise AdiosError(
-                f"read_into({name!r}): out shape {out.shape} != {data.shape}"
-            )
-        out[...] = data
-        return out
+        :meth:`read`): the selection scatters straight into ``out``."""
 
     @abc.abstractmethod
     def read_block(self, name: str, writer_rank: int) -> np.ndarray:
@@ -232,12 +224,10 @@ class ReadHandle(abc.ABC):
         """Move to the next step; raises :class:`EndOfStream` when done
         (method-internal — callers drive :meth:`begin_step`)."""
 
+    @abc.abstractmethod
     def _probe_step(self) -> None:
-        """Verify the handle's *current* step is consumable.
-
-        Stream methods override this to raise :class:`StepNotReady` /
-        :class:`EndOfStream`; file methods are always ready.
-        """
+        """Verify the handle's *current* step is consumable; raises
+        :class:`StepNotReady` / :class:`EndOfStream` / :class:`StepLost`."""
 
     def _wait_ready(self) -> None:
         """Wait, between two probes of a timed ``begin_step``, for
@@ -380,60 +370,6 @@ class _BpWriteHandle(WriteHandle):
             st.writer.close()
 
 
-class _BpReadHandle(ReadHandle):
-    def __init__(self, path: str, ctx: RankContext) -> None:
-        self._reader = BpReader(path)
-        self._ctx = ctx
-        self._step = 0
-        if self._reader.num_steps == 0:
-            raise EndOfStream(path)
-
-    @property
-    def current_step(self) -> int:
-        return self._step
-
-    def available_vars(self):
-        return self._reader.var_names()
-
-    def read(self, name, *, start=None, count=None, selection=None):
-        start, count = resolve_read_args(selection, start, count)
-        if isinstance(start, (Selection, BoundingBox)):
-            try:
-                meta = self._reader.var_meta(name)
-            except KeyError as exc:
-                raise VariableNotFound(str(exc)) from None
-            if meta.global_shape is None:
-                raise AdiosError(
-                    f"variable {name!r} is not a global array; use read_block()"
-                )
-            box = resolve_selection(start, count, meta.global_shape)
-            start, count = box.start, box.count
-        try:
-            # flexlint: ok(FXL008) BpReader.read is the step-indexed file API, not the step-API read
-            return self._reader.read(name, self._step, start, count)
-        except KeyError as exc:
-            raise VariableNotFound(str(exc)) from None
-
-    def read_block(self, name, writer_rank):
-        try:
-            return self._reader.read_block(name, self._step, writer_rank)
-        except KeyError as exc:
-            raise VariableNotFound(str(exc)) from None
-
-    def _advance(self):
-        # BP files may end with an empty trailing step (writer protocol
-        # always keeps one step open); treat step exhaustion as EOS.
-        nxt = self._step + 1
-        if nxt >= self._reader.num_steps or not any(
-            e.step == nxt for e in self._reader.entries
-        ):
-            raise EndOfStream(f"{self._reader.path} after step {self._step}")
-        self._step = nxt
-
-    def close(self):
-        self._reader.close()
-
-
 class BpFileMethod(IoMethod):
     """ADIOS file mode: variables land in an indexed BP-lite file."""
 
@@ -447,7 +383,10 @@ class BpFileMethod(IoMethod):
         return _BpWriteHandle(state, ctx)
 
     def open_read(self, name, group, ctx, spec):
-        return _BpReadHandle(name, ctx)
+        # Function-local import: the reader is repro.core's, a layer above.
+        from repro.core.filereader import FileReadHandle
+
+        return FileReadHandle([BpReader(name)])
 
 
 register_method("BP", BpFileMethod)

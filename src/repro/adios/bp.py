@@ -13,9 +13,11 @@ keeps that architecture:
     index_offset  u64
     "TLRB" trailer magic
 
-Readers seek to the trailer, load the index, then fetch only the blocks a
-selection touches — min/max statistics allow query-style pruning (used by
-the range-query analytics).
+:class:`BpReader` seeks to the trailer, loads the index, and then
+fetches one block at a time.  Global-array reads go through the file
+methods' handle (:mod:`repro.core.filereader`), which fetches only the
+blocks a selection touches; min/max statistics allow query-style pruning
+(used by the range-query analytics).
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.adios.model import VarMeta
-from repro.adios.selection import BoundingBox, assemble, intersect
+from repro.adios.selection import BoundingBox
 from repro.marshal import (
     Field,
     FieldKind,
@@ -98,6 +100,23 @@ class IndexEntry:
     box: Optional[BoundingBox]
     global_shape: Optional[tuple[int, ...]]
     shape: tuple[int, ...]
+
+
+def merge_var_meta(name: str, entries) -> Optional[VarMeta]:
+    """``name``'s metadata over index ``entries`` — of one file, or of
+    every subfile of an aggregated run (``None``: no entry names it)."""
+    matches = [e for e in entries if e.name == name]
+    if not matches:
+        return None
+    gshape = next((e.global_shape for e in matches if e.global_shape), None)
+    return VarMeta(
+        name=name,
+        dtype=matches[0].dtype,
+        global_shape=gshape,
+        steps=1 + max(e.step for e in matches),
+        min_value=min(e.vmin for e in matches),
+        max_value=max(e.vmax for e in matches),
+    )
 
 
 class BpWriter:
@@ -275,24 +294,17 @@ class BpReader:
         return list(seen)
 
     def var_meta(self, name: str) -> VarMeta:
-        matches = [e for e in self.entries if e.name == name]
-        if not matches:
+        meta = merge_var_meta(name, self.entries)
+        if meta is None:
             raise KeyError(f"no variable {name!r} in {self.path}")
-        gshape = next((e.global_shape for e in matches if e.global_shape), None)
-        return VarMeta(
-            name=name,
-            dtype=matches[0].dtype,
-            global_shape=gshape,
-            steps=1 + max(e.step for e in matches),
-            min_value=min(e.vmin for e in matches),
-            max_value=max(e.vmax for e in matches),
-        )
+        return meta
 
     def blocks(self, name: str, step: int) -> list[IndexEntry]:
         return [e for e in self.entries if e.name == name and e.step == step]
 
     # ------------------------------------------------------------------
-    def _fetch(self, entry: IndexEntry) -> np.ndarray:
+    def fetch(self, entry: IndexEntry) -> np.ndarray:
+        """Read and decode one block's record: the only data I/O."""
         self._fh.seek(entry.offset)
         wire = self._fh.read(entry.length)
         _, rec = decode_message(wire, self._registry)
@@ -304,39 +316,8 @@ class BpReader:
         """Process-group-oriented read: one writer rank's block."""
         for e in self.blocks(name, step):
             if e.rank == rank:
-                return self._fetch(e)
+                return self.fetch(e)
         raise KeyError(f"no block for var {name!r} step {step} rank {rank}")
-
-    def read(
-        self,
-        name: str,
-        step: int,
-        start: Optional[Sequence[int]] = None,
-        count: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Global-array read: assemble a selection from on-disk blocks.
-
-        With ``start``/``count`` omitted, the full global array is read.
-        """
-        blocks = self.blocks(name, step)
-        if not blocks:
-            raise KeyError(f"no variable {name!r} at step {step}")
-        gshape = next((e.global_shape for e in blocks if e.global_shape), None)
-        if gshape is None:
-            raise BpFormatError(
-                f"variable {name!r} is not a global array; use read_block()"
-            )
-        if start is None or count is None:
-            target = BoundingBox((0,) * len(gshape), tuple(gshape))
-        else:
-            target = BoundingBox(tuple(start), tuple(count))
-        dtype = np.dtype(blocks[0].dtype)
-        touched = (
-            (e.box, self._fetch(e))
-            for e in blocks
-            if e.box is not None and intersect(target, e.box) is not None
-        )
-        return assemble(target, touched, dtype=dtype)
 
     def blocks_in_range(
         self, name: str, step: int, vmin: float, vmax: float

@@ -175,7 +175,7 @@ def run_query(reader: BpReader, predicate: Predicate, step: int = 0) -> QueryRes
             pruned += 1
             continue
         scanned += 1
-        data = {v: reader._fetch(entries[v]) for v in variables}
+        data = {v: reader.fetch(entries[v]) for v in variables}
         mask = predicate.mask(data)
         if not mask.any():
             continue

@@ -22,7 +22,7 @@ substrates below it:
   global-array read patterns, End-of-Stream semantics; behind it
   :mod:`repro.core.drain` (the pipelined drain of sealed steps) and
   :mod:`repro.core.reader` (the one read path, shared with the network
-  plane);
+  plane and, through :mod:`repro.core.filereader`, the file methods);
 * :mod:`repro.core.runtime` — transport auto-selection from placement
   (shm within a node, RDMA across nodes, files for offline) and NUMA
   buffer-placement policy;

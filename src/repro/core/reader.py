@@ -1,8 +1,9 @@
-"""The read path every stream placement shares.
+"""The read path every placement shares.
 
 :class:`StepReader` is written once against a *block source*; the
-in-process handle (:class:`repro.core.stream.FlexpathReadHandle`) and
-the network one (:class:`repro.net.client.NetReadHandle`) say where a
+in-process handle (:class:`repro.core.stream.FlexpathReadHandle`), the
+network one (:class:`repro.net.client.NetReadHandle`) and the file
+methods' (:class:`repro.core.filereader.FileReadHandle`) say where a
 step comes from and nothing else.
 """
 
@@ -17,7 +18,7 @@ from repro.adios.api import (
     VariableNotFound,
     resolve_read_args,
 )
-from repro.adios.selection import assemble, intersect, resolve_selection
+from repro.adios.selection import resolve_selection
 from repro.core.plugins import PluginSide
 from repro.core.redistribution import CompiledPlan, FusedPlan, boxes_key, compute_plan
 
@@ -41,13 +42,14 @@ def index_blocks(blocks) -> tuple:
 
 
 class StepReader(ReadHandle):
-    """The one read path of every stream placement.
+    """The one read path of every placement.
 
-    Selection → fused plan / cached plain plan / ``assemble`` fallback →
+    Selection → fused plan / plain plan (cached or compiled afresh) →
     reader-side chain, with the ``read`` → ``redistribute``/``transport``
     spans and the fused/interpreted counters, written once against a
     **block source** — the step object :meth:`_source` returns
-    (:class:`_PublishedStep` in process, the net client's wire views):
+    (:class:`_PublishedStep` in process, the net client's wire views,
+    a file step's lazy on-disk blocks):
     ``var_names()``; ``blocks(name)``, :func:`index_blocks` of its
     writer blocks (a sealed step builds it once for every reader
     rank); ``writer_record(rank)``, one writer's
@@ -173,7 +175,8 @@ class StepReader(ReadHandle):
         preallocated ``out`` array — the steady-state zero-allocation
         read path (incoming spans land in the reader's own buffer, no
         per-step ``np.empty``).  ``out`` must match the selection's shape
-        and the variable's dtype; returns ``out``.
+        and the variable's dtype; cells no block covers are zeroed, as
+        :meth:`read` returns them.  Returns ``out``.
         """
         return self._read(name, out, start, count, selection)
 
@@ -189,6 +192,8 @@ class StepReader(ReadHandle):
             raise AdiosError(
                 f"variable {name!r} is not a global array; use read_block()"
             )
+        if not boxes and not source.may_be_pruned:
+            raise AdiosError(f"no block of {name!r} is placed in its global array")
         target = resolve_selection(start, count, gshape)
         if out is not None:
             if tuple(out.shape) != tuple(target.count):
@@ -236,7 +241,7 @@ class StepReader(ReadHandle):
             else:
                 if source.may_be_pruned:
                     # Only the fused per-block path reads a pruned step
-                    # soundly (assemble() would put fill values where
+                    # soundly (a plain plan would put fill values where
                     # pruned rows were, and the interpreted chain could
                     # select them).
                     raise AdiosError(
@@ -245,24 +250,13 @@ class StepReader(ReadHandle):
                         f"this access pattern"
                     )
                 with mon.span("transport", name) as tspan:
-                    if self._plans is not None and boxes:
-                        cplan = self._plan(boxes, writer_key, target, gshape)
-                        if out is None:
-                            result = cplan.execute(datas, dtype=dtype, check=False)[0]
-                        else:
-                            result = cplan.execute_into(datas, [out], check=False)[0]
+                    cplan = self._plan(boxes, writer_key, target, gshape)
+                    if out is None:
+                        result = cplan.execute(datas, dtype=dtype, check=False)[0]
                     else:
-                        result = assemble(
-                            target,
-                            (
-                                (b, d) for b, d in zip(boxes, datas)
-                                if intersect(target, b) is not None
-                            ),
-                            dtype=dtype,
-                        )
-                        if out is not None:
-                            out[...] = result
-                            result = out
+                        result = cplan.execute_into(
+                            datas, [out], fill=0, check=False
+                        )[0]
                     tspan.add_bytes(int(result.nbytes))
                 if plugins.has_side(PluginSide.READER):
                     plugins.count_interpreted_read()

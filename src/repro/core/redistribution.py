@@ -146,6 +146,7 @@ class CompiledPlan:
         "assignments",
         "covered",
         "elements_moved",
+        "sources",
     )
 
     def __init__(self, plan: RedistributionPlan) -> None:
@@ -165,6 +166,8 @@ class CompiledPlan:
             dst = pair.overlap.slices(relative_to=rbox)
             self.assignments[pair.reader].append((pair.writer, src, dst))
             self.elements_moved += pair.overlap.size
+        #: Writers some assignment reads: only their blocks are coerced.
+        self.sources = {w for a in self.assignments for w, _, _ in a}
         # A reader box is "covered" when the union of its incoming
         # overlaps fills it entirely; detected once with a boolean mask.
         self.covered: list[bool] = []
@@ -190,7 +193,9 @@ class CompiledPlan:
         ``as_array``): spans are reinterpreted in place as
         ``np.frombuffer`` views shaped to their writer box, so bytes
         arriving from the transport scatter straight into the reader
-        arrays with no intermediate materialization.
+        arrays with no intermediate materialization.  A span no
+        assignment reads is passed through untouched, so a lazy one (an
+        on-disk block) is never fetched.
         """
         if check and len(writer_blocks) != len(self.writer_boxes):
             raise ValueError(
@@ -201,6 +206,9 @@ class CompiledPlan:
         for i, blk in enumerate(writer_blocks):
             if isinstance(blk, np.ndarray):
                 pass
+            elif i not in self.sources:
+                blocks.append(blk)  # nothing reads it: stays unfetched
+                continue
             elif hasattr(blk, "as_array"):
                 if dtype is None:
                     raise ValueError("dtype is required for wire-span blocks")

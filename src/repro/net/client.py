@@ -880,7 +880,7 @@ class NetReadHandle(StepReader):
         self._san = sanitize.get()  # captured: one None check when disabled
         #: Reader-side plug-in chain: compilable chains run fused per
         #: block (single pass, no assembled intermediate); free-form
-        #: codelets keep the interpreted assemble-then-apply path.
+        #: codelets keep the interpreted scatter-then-apply path.
         self.plugins = PluginManager(client.monitor)
         #: The client session's monitor (enable tracing / dump here).
         self.monitor = client.monitor

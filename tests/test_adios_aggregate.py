@@ -118,3 +118,20 @@ def test_rank_distribution_is_contiguous(tmp_path):
         assert f"rank {rank} data.0.bp" in manifest
     for rank in range(4, 8):
         assert f"rank {rank} data.1.bp" in manifest
+
+
+def test_selection_read_fetches_only_the_subfile_holding_it(tmp_path):
+    """The touched-block rule across subfiles: a selection inside one
+    rank's block reads that block, from its aggregator's subfile only."""
+    path = str(tmp_path / "touched.bp")
+    ad, full = write_run(path, num_ranks=8, aggs=4, steps=1)
+    reader = ad.open_read("fields", path, RankContext(0, 1))
+    boxes = block_decompose((16, 16), (8, 1))
+    box = boxes[5]  # rank 5: the third of four aggregators
+    got = reader.read("temp", start=box.start, count=box.count)
+    np.testing.assert_array_equal(got, full[box.slices()])
+    fetched = {os.path.basename(r.path): r.bytes_read for r in reader.readers}
+    assert fetched == {
+        "data.0.bp": 0, "data.1.bp": 0, "data.2.bp": box.size * 8, "data.3.bp": 0,
+    }
+    reader.close()

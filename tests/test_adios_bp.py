@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.adios import BoundingBox, BpFormatError, BpReader, BpWriter, block_decompose
+from repro.adios import (
+    AdiosError,
+    BoundingBox,
+    BpFormatError,
+    BpReader,
+    BpWriter,
+    RankContext,
+    block_decompose,
+)
+from repro.adios.api import BpFileMethod
+
+
+def open_bp(path):
+    """``path``'s read handle, as a group with ``method="BP"`` opens it."""
+    return BpFileMethod().open_read(str(path), None, RankContext(0, 1), None)
 
 
 def write_global_array(path, steps=2, grid=(3, 3), shape=(9, 6)):
@@ -22,8 +36,11 @@ def write_global_array(path, steps=2, grid=(3, 3), shape=(9, 6)):
 def test_write_read_full_global_array(tmp_path):
     path = tmp_path / "field.bp"
     write_global_array(path)
-    with BpReader(path) as r:
-        full = r.read("field", step=1)
+    with open_bp(path) as r:
+        r.begin_step()
+        r.end_step()
+        r.begin_step()
+        full = r.read("field")
         expected = np.arange(54, dtype=np.float64).reshape(9, 6) + 100
         np.testing.assert_array_equal(full, expected)
 
@@ -31,8 +48,8 @@ def test_write_read_full_global_array(tmp_path):
 def test_read_selection_spanning_blocks(tmp_path):
     path = tmp_path / "field.bp"
     write_global_array(path)
-    with BpReader(path) as r:
-        sel = r.read("field", step=0, start=(2, 1), count=(5, 4))
+    with open_bp(path) as r:
+        sel = r.read("field", start=(2, 1), count=(5, 4))
         expected = np.arange(54, dtype=np.float64).reshape(9, 6)[2:7, 1:5]
         np.testing.assert_array_equal(sel, expected)
 
@@ -41,10 +58,10 @@ def test_selection_read_fetches_only_touched_blocks(tmp_path):
     """The index spares us reading blocks outside the selection."""
     path = tmp_path / "field.bp"
     write_global_array(path, steps=1, grid=(3, 3), shape=(9, 9))
-    with BpReader(path) as r:
-        r.read("field", step=0, start=(0, 0), count=(3, 3))  # one corner block
+    with open_bp(path) as r:
+        r.read("field", start=(0, 0), count=(3, 3))  # one corner block
         one_block = 3 * 3 * 8
-        assert r.bytes_read == one_block
+        assert r.readers[0].bytes_read == one_block
 
 
 def test_process_group_read(tmp_path):
@@ -176,9 +193,9 @@ def test_local_array_global_read_rejected(tmp_path):
         w.begin_step()
         w.write(0, "x", np.zeros(3))
         w.end_step()
-    with BpReader(path) as r:
-        with pytest.raises(BpFormatError):
-            r.read("x", step=0)
+    with open_bp(path) as r:
+        with pytest.raises(AdiosError):
+            r.read("x")
 
 
 def test_empty_variable_stats(tmp_path):

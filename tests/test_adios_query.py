@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adios import BpReader, BpWriter, block_decompose
+from repro.adios import BpReader, BpWriter, RankContext, block_decompose
+from repro.adios.api import BpFileMethod
 from repro.adios.query import And, Or, QueryError, Range, run_query
 
 
@@ -81,8 +82,9 @@ def test_query_coordinates_are_global(gradient_file):
 
 def test_query_matches_brute_force(gradient_file):
     path, shape, _ = gradient_file
+    with BpFileMethod().open_read(path, None, RankContext(0, 1), None) as h:
+        full = h.read("energy")  # the brute-force oracle: the whole array
     with BpReader(path) as r:
-        full = r.read("energy", 0)
         res = run_query(r, Range("energy", 150.0, 420.0))
     expected = np.sort(full[(full >= 150) & (full <= 420)])
     np.testing.assert_array_equal(np.sort(res.values["energy"]), expected)

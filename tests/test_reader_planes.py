@@ -1,8 +1,9 @@
 """One reader for every placement.
 
-The same read scenarios run through an in-process stream and through an
-in-process daemon must return byte-identical arrays and move the
-fused/interpreted counters identically — both handles run
+The same read scenarios run through an in-process stream, through an
+in-process daemon and through the file methods (``BP`` and
+``MPI_AGGREGATE``) must return byte-identical arrays and move the
+fused/interpreted counters identically — every handle runs
 :class:`repro.core.reader.StepReader`'s one read path.  Net-only tests
 cover what remote readers inherit from it: plan-cache hits, a
 ``read_into`` that scatters into the caller's array, ``read_all`` and
@@ -16,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.adios import AdiosError, BoundingBox, StepStatus
+from repro.adios import AdiosError, BoundingBox, StepStatus, VariableNotFound
 from repro.adios.config import MethodSpec
 from repro.core import PluginManager, PluginSide
 from repro.core.directory import TenantSpec
@@ -77,13 +78,34 @@ def _write_step(writers, boxes=BANDS, extra=()):
         w.end_step()
 
 
-def _open_inproc(name, boxes=BANDS, extra=()):
-    client = connect("local://")
+def _open_inproc(name, boxes=BANDS, extra=(), params="", steps=1):
+    return _open_local(connect("local://", params=params), name, boxes, extra, steps)
+
+
+def _open_local(client, name, boxes, extra, steps):
     writers = [client.open(name, "w", rank=r, num_ranks=4) for r in range(4)]
-    _write_step(writers, boxes, extra)
+    for _ in range(steps):
+        _write_step(writers, boxes, extra)
     for w in writers:
         w.close()
     return client.open(name, "r")
+
+
+_FILE_CONFIG = """
+<adios-config>
+  <adios-group name="flexio"/>
+  <method group="flexio" method="{method}">{params}</method>
+</adios-config>
+"""
+
+#: The offline placement: one file, or two subfiles behind a manifest.
+FILE_METHODS = {"BP": "", "MPI_AGGREGATE": "aggregators=2"}
+
+
+def _open_file(path, method, boxes=BANDS, extra=(), steps=1):
+    """The same four writer ranks as in process, onto ``method``'s files."""
+    config = _FILE_CONFIG.format(method=method, params=FILE_METHODS[method])
+    return _open_local(connect("local://", config=config), str(path), boxes, extra, steps)
 
 
 def _open_net(client, name, boxes=BANDS, extra=(), steps=1):
@@ -140,6 +162,19 @@ def test_same_read_on_both_planes(daemon, scenario):
     assert remote.dtype == local.dtype and remote.shape == local.shape
     assert remote.tobytes() == local.tobytes()
     assert local_counts == remote_counts == (fused, interpreted)
+
+
+@pytest.mark.parametrize("method", sorted(FILE_METHODS))
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_same_read_on_the_file_plane(tmp_path, method, scenario):
+    boxes, deploy, read, fused, interpreted = SCENARIOS[scenario]
+    local, local_counts = _run(_open_inproc(f"planes.{scenario}", boxes), deploy, read)
+    reader = _open_file(tmp_path / "run.bp", method, boxes)
+    offline, offline_counts = _run(reader, deploy, read)
+    reader.close()
+    assert offline.dtype == local.dtype and offline.shape == local.shape
+    assert offline.tobytes() == local.tobytes()
+    assert local_counts == offline_counts == (fused, interpreted)
 
 
 def test_non_global_read_raises_adios_error_on_both_planes(daemon):
@@ -259,8 +294,6 @@ def test_net_second_step_is_a_plan_cache_hit(daemon):
 
 
 def test_net_read_into_scatters_into_the_callers_array(daemon, monkeypatch):
-    import repro.core.reader as reader_mod
-
     def forbidden(*_a, **_k):
         raise AssertionError("read_into must not materialize an intermediate")
 
@@ -272,7 +305,6 @@ def test_net_read_into_scatters_into_the_callers_array(daemon, monkeypatch):
         return execute_into(self, blocks, outs, **kw)
 
     monkeypatch.setattr(CompiledPlan, "execute", forbidden)
-    monkeypatch.setattr(reader_mod, "assemble", forbidden)
     monkeypatch.setattr(CompiledPlan, "execute_into", counted)
     with connect(_uri(daemon)) as c:
         r = _open_net(c, "planes.into")
@@ -316,6 +348,105 @@ def test_net_read_emits_read_span_with_transport_child(daemon):
         assert set(spans) == {"read", "redistribute", "transport"}
         assert spans["transport"]["parent_id"] == spans["read"]["span_id"]
         assert spans["transport"]["trace_id"] == spans["read"]["trace_id"]
+
+
+# ---------------------------------------------------------------------------
+# What the file handle inherits
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=sorted(FILE_METHODS))
+def file_method(request):
+    return request.param
+
+
+def test_file_read_all_returns_every_global_array(tmp_path, file_method):
+    rho = np.arange(12.0).reshape(4, 3)
+    extra = [
+        ("rho", rho, BoundingBox((0, 0), (4, 3)), (4, 3)),
+        ("tag", np.arange(3.0), None, None),
+    ]
+    with _open_file(tmp_path / "all.bp", file_method, extra=extra) as r:
+        assert r.begin_step() is StepStatus.OK
+        got = r.read_all()
+        assert set(got) == {"zion", "rho"}
+        assert got["zion"].tobytes() == DATA.tobytes()
+        assert got["rho"].tobytes() == rho.tobytes()
+        assert set(r.read_all(["rho"])) == {"rho"}
+
+
+def test_file_read_into_scatters_into_the_callers_array(tmp_path, file_method):
+    with _open_file(tmp_path / "into.bp", file_method) as r:
+        assert r.begin_step() is StepStatus.OK
+        out = np.empty((20, 3))
+        got = r.read_into("zion", out, start=(5, 1), count=(20, 3))
+        assert got is out
+        assert out.tobytes() == np.ascontiguousarray(DATA[5:25, 1:4]).tobytes()
+        with pytest.raises(ValueError, match="out dtype"):
+            r.read_into("zion", np.empty(SHAPE, dtype=np.float32))
+
+
+def test_file_handle_tracks_the_current_step(tmp_path, file_method):
+    with _open_file(tmp_path / "steps.bp", file_method, steps=2) as r:
+        assert r.begin_step() is StepStatus.OK
+        assert r.current_step == 0
+        r.end_step()
+        assert r.begin_step() is StepStatus.OK
+        assert r.current_step == 1
+        r.end_step()
+        assert r.begin_step() is StepStatus.EndOfStream
+        assert r.current_step == 1
+
+
+def test_file_handle_types_a_missing_variable_or_writer(tmp_path, file_method):
+    with _open_file(tmp_path / "missing.bp", file_method) as r:
+        assert r.begin_step() is StepStatus.OK
+        with pytest.raises(VariableNotFound):
+            r.read("nope")
+        with pytest.raises(VariableNotFound):
+            r.read_block("zion", 9)
+        with pytest.raises(VariableNotFound):
+            r.read_block("nope", 0)
+
+
+def test_unplaced_global_array_is_a_typed_error_in_process_and_on_file(tmp_path, file_method):
+    """A global shape with no block placed in it (every block written
+    without a box) is refused alike: no plan exists to read it through."""
+    extra = [("g", np.arange(3.0), None, (3,))]
+    with _open_file(tmp_path / "unplaced.bp", file_method, extra=extra) as offline:
+        for reader in (_open_inproc("planes.unplaced", extra=extra), offline):
+            assert reader.begin_step(timeout=2.0) is StepStatus.OK
+            with pytest.raises(AdiosError, match="no block of 'g' is placed"):
+                reader.read("g")
+
+
+# ---------------------------------------------------------------------------
+# read_into zero-fills what no block covers, whatever the plan path
+# ---------------------------------------------------------------------------
+
+#: Three of the four bands: rows 24..31 of the array have no block.
+PARTIAL = BANDS[:3]
+
+
+def _assert_zero_filled(reader):
+    assert reader.begin_step(timeout=2.0) is StepStatus.OK
+    for _ in range(2):  # compiled, then replayed where plans are cached
+        out = np.full(SHAPE, 7.0)
+        assert reader.read_into("zion", out) is out
+        np.testing.assert_array_equal(out[:24], DATA[:24])
+        assert not out[24:].any()
+    reader.end_step()
+
+
+@pytest.mark.parametrize("caching", ["none", "local"])
+def test_read_into_zero_fills_uncovered_cells_in_process(caching):
+    _assert_zero_filled(
+        _open_inproc(f"planes.fill.{caching}", PARTIAL, params=f"caching={caching}")
+    )
+
+
+def test_read_into_zero_fills_uncovered_cells_on_the_file_plane(tmp_path, file_method):
+    with _open_file(tmp_path / "fill.bp", file_method, PARTIAL) as r:
+        _assert_zero_filled(r)
 
 
 # ---------------------------------------------------------------------------
