@@ -12,8 +12,10 @@ binding ranks to subfiles::
         data.1.bp
         ...
 
-Readers resolve blocks through the manifest, so both the process-group
-and global-array read patterns work unchanged.  Configured in the XML:
+Writers are the BP method's: one :class:`~repro.adios.api.FileRun`, here
+over the subfiles, whose finish hook writes the manifest.  Readers
+resolve blocks through the manifest, so both the process-group and
+global-array read patterns work unchanged.  Configured in the XML:
 ``<method group="g" method="MPI_AGGREGATE">aggregators=4</method>``.
 """
 
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from repro.adios.api import (
     AdiosError,
+    FileRun,
     IoMethod,
     RankContext,
-    WriteHandle,
+    RankWriteHandle,
+    file_run,
     register_method,
 )
 from repro.adios.bp import BpReader, BpWriter
@@ -42,94 +44,39 @@ def _subfile(index: int) -> str:
     return f"data.{index}.bp"
 
 
-class _AggState:
-    """Shared state of one aggregated write: subfile writers + membership."""
+def _aggregated_run(subdir: str, num_ranks: int, num_aggregators: int) -> FileRun:
+    """One subfile per aggregator in ``subdir``; the manifest is written
+    once the last rank closes."""
+    if num_aggregators < 1:
+        raise AdiosError("aggregators must be >= 1")
+    os.makedirs(subdir, exist_ok=True)
+    num_aggregators = min(num_aggregators, num_ranks)
+    per = ceil_div(num_ranks, num_aggregators)
 
-    def __init__(self, path: str, num_ranks: int, num_aggregators: int) -> None:
-        if num_aggregators < 1:
-            raise AdiosError("aggregators must be >= 1")
-        self.dir = f"{os.fspath(path)}.dir"
-        os.makedirs(self.dir, exist_ok=True)
-        self.num_ranks = num_ranks
-        self.num_aggregators = min(num_aggregators, num_ranks)
-        self.writers = [
-            BpWriter(os.path.join(self.dir, _subfile(a)))
-            for a in range(self.num_aggregators)
-        ]
-        for w in self.writers:
-            w.begin_step()
-        self.open_ranks: set[int] = set()
-        self.advanced: set[int] = set()
-        self.closed_ranks: set[int] = set()
-        self.finished = False
-
-    def aggregator_of(self, rank: int) -> int:
+    def aggregator_of(rank: int) -> int:
         """Contiguous rank blocks per aggregator (the ADIOS default)."""
-        per = ceil_div(self.num_ranks, self.num_aggregators)
-        return min(rank // per, self.num_aggregators - 1)
+        return min(rank // per, num_aggregators - 1)
 
-    def write(self, rank: int, name, data, box, global_shape) -> None:
-        self.writers[self.aggregator_of(rank)].write(
-            rank, name, data, box, global_shape
-        )
-
-    def end_rank_step(self, rank: int) -> None:
-        self.advanced.add(rank)
-        if self.advanced >= (self.open_ranks - self.closed_ranks):
-            for w in self.writers:
-                w.end_step()
-                w.begin_step()
-            self.advanced.clear()
-
-    def close(self, rank: int) -> None:
-        self.closed_ranks.add(rank)
-        self.advanced.discard(rank)
-        if self.closed_ranks >= self.open_ranks and not self.finished:
-            for w in self.writers:
-                w.close()
-            self._write_manifest()
-            self.finished = True
-
-    def _write_manifest(self) -> None:
+    def write_manifest(run: FileRun) -> None:
         lines = [
             _MANIFEST_MAGIC,
-            f"ranks {self.num_ranks}",
-            f"aggregators {self.num_aggregators}",
+            f"ranks {num_ranks}",
+            f"aggregators {num_aggregators}",
         ]
-        for rank in sorted(self.open_ranks):
-            lines.append(f"rank {rank} {_subfile(self.aggregator_of(rank))}")
-        with open(os.path.join(self.dir, _MANIFEST), "w", encoding="utf-8") as fh:
+        for rank in sorted(run.barrier.joined):
+            lines.append(f"rank {rank} {_subfile(aggregator_of(rank))}")
+        with open(os.path.join(subdir, _MANIFEST), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
-
-class _AggWriteHandle(WriteHandle):
-    def __init__(self, state: _AggState, ctx: RankContext) -> None:
-        self._state = state
-        self._ctx = ctx
-        self._closed = False
-        state.open_ranks.add(ctx.rank)
-
-    def write(self, name, data, box=None, global_shape=None):
-        if self._closed:
-            raise AdiosError("write after close")
-        self._state.write(self._ctx.rank, name, np.asarray(data), box, global_shape)
-
-    def _advance(self):
-        if self._closed:
-            raise AdiosError("end_step after close")
-        self._state.end_rank_step(self._ctx.rank)
-
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        self._state.close(self._ctx.rank)
+    return FileRun(
+        [BpWriter(os.path.join(subdir, _subfile(a))) for a in range(num_aggregators)],
+        aggregator_of,
+        write_manifest,
+    )
 
 
 class AggregatedBpMethod(IoMethod):
     """The ``MPI_AGGREGATE`` file method."""
-
-    _shared: dict[str, _AggState] = {}
 
     def open_write(self, name, group, ctx: RankContext, spec: MethodSpec):
         # Function-local import: repro.core.hints lives above the adios
@@ -137,13 +84,11 @@ class AggregatedBpMethod(IoMethod):
         # import here would cycle.
         from repro.core.hints import AGGREGATORS
 
-        state = self._shared.get(name)
-        if state is None or state.finished:
-            state = _AggState(
-                name, ctx.size, spec.param_int(AGGREGATORS, max(1, ctx.size // 4))
-            )
-            self._shared[name] = state
-        return _AggWriteHandle(state, ctx)
+        subdir = f"{os.fspath(name)}.dir"
+        run = file_run(subdir, lambda: _aggregated_run(
+            subdir, ctx.size, spec.param_int(AGGREGATORS, max(1, ctx.size // 4))
+        ))
+        return RankWriteHandle(run, ctx)
 
     def open_read(self, name, group, ctx: RankContext, spec: MethodSpec):
         # Function-local import, as in open_write: the reader is repro.core's.

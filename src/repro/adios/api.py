@@ -7,11 +7,17 @@ streams memory-to-memory to online analytics (stream mode, registered by
 :mod:`repro.core.stream` under the name ``FLEXPATH``).  Read code is
 likewise mode-agnostic: stream readers see ``EndOfStream`` when the writer
 closes, file readers when steps run out.
+
+Writes are one path on every method: each rank writes through a
+:class:`RankWriteHandle` over the *run* all ranks of a program share —
+the stream's ``StreamState``, or a :class:`FileRun` of BP-lite files —
+and a step ends when that run's :class:`StepBarrier` says so.
 """
 
 from __future__ import annotations
 
 import abc
+import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +27,7 @@ import numpy as np
 
 from repro.adios.bp import BpReader, BpWriter
 from repro.adios.config import AdiosConfig, MethodSpec
-from repro.adios.model import Group
+from repro.adios.model import Group, WrittenVar
 from repro.adios.selection import BoundingBox, Selection
 
 
@@ -96,19 +102,30 @@ class WriteHandle(abc.ABC):
     The step-oriented API is ``begin_step() … write() … end_step()``.
     (The pre-redesign ``advance()`` alias is gone; methods implement the
     private :meth:`_advance` step seal instead — FlexLint FXL008 flags
-    any caller still spelling the legacy name.)
+    any caller still spelling the legacy name.)  Every method refuses
+    alike a handle used after ``close()`` and a block that does not fit
+    its box; what a method does with a block is its :meth:`_put`.
     """
 
     _step_open = False
+    _closed = False
 
-    @abc.abstractmethod
     def write(
         self,
         name: str,
         data: np.ndarray,
         box: Optional[BoundingBox] = None,
         global_shape: Optional[Sequence[int]] = None,
-    ) -> None: ...
+    ) -> None:
+        if self._closed:
+            raise AdiosError("write after close")
+        if box is not None and tuple(np.shape(data)) != tuple(box.count):
+            raise ValueError(f"data shape {np.shape(data)} != box count {box.count}")
+        self._put(name, data, box, global_shape)
+
+    @abc.abstractmethod
+    def _put(self, name, data, box, global_shape) -> None:
+        """Take one checked block of the current step (method-internal)."""
 
     @abc.abstractmethod
     def _advance(self) -> None:
@@ -123,12 +140,21 @@ class WriteHandle(abc.ABC):
 
     def end_step(self, **kwargs: Any) -> StepStatus:
         """Seal the current output step."""
+        if self._closed:
+            raise AdiosError("end_step after close")
         self._step_open = False
         self._advance(**kwargs)
         return StepStatus.OK
 
+    def close(self) -> None:
+        """End this handle's part in the stream/file; idempotent."""
+        if not self._closed:
+            self._closed = True
+            self._close()
+
     @abc.abstractmethod
-    def close(self) -> None: ...
+    def _close(self) -> None:
+        """Leave the stream/file, once (method-internal)."""
 
     def __enter__(self) -> "WriteHandle":
         return self
@@ -322,65 +348,140 @@ def _resolve_method(name: str) -> IoMethod:
 
 
 # ---------------------------------------------------------------------------
-# BP file method
+# The one writer (a rank handle over a shared run, one step barrier) and
+# the file methods' runs
 # ---------------------------------------------------------------------------
 
-class _SharedBpState:
-    """All ranks of one program share one BP-lite writer per path."""
+class StepBarrier:
+    """The writer ranks of one run, and the one rule that ends a step.
 
-    def __init__(self, path: str) -> None:
-        self.writer = BpWriter(path)
-        self.writer.begin_step()
-        self.open_ranks: set[int] = set()
-        self.advanced: set[int] = set()
-        self.closed_ranks: set[int] = set()
+    A step ends when every joined rank that has not closed has ended it;
+    a close that leaves only ranks which already ended the step ends it
+    too (with no rank left, that is the last one out).  Both calls return
+    whether the step ends now, and forget who ended it when it does.
+    """
+
+    def __init__(self) -> None:
+        self.joined: set[int] = set()
+        self.closed: set[int] = set()
+        self.ended: set[int] = set()
+
+    @property
+    def live(self) -> set[int]:
+        """Joined ranks that have not closed."""
+        return self.joined - self.closed
+
+    def end(self, rank: int) -> bool:
+        self.ended.add(rank)
+        return self._over()
+
+    def close(self, rank: int) -> bool:
+        self.closed.add(rank)
+        self.ended.discard(rank)
+        return self._over()
+
+    def _over(self) -> bool:
+        if self.ended >= self.live:
+            self.ended.clear()
+            return True
+        return False
 
 
-class _BpWriteHandle(WriteHandle):
-    def __init__(self, state: _SharedBpState, ctx: RankContext) -> None:
-        self._state = state
+class RankWriteHandle(WriteHandle):
+    """One rank's write side of a run every rank of the program shares.
+
+    The run (the stream's ``StreamState``, a file method's
+    :class:`FileRun`) provides ``join(rank)``, ``write(rank, wv)``,
+    ``end_rank_step(rank, **kwargs)`` and ``writer_close(rank)``, and
+    ends its steps by its :class:`StepBarrier`.  The checks every method
+    makes of a write are :class:`WriteHandle`'s.
+    """
+
+    def __init__(self, run: Any, ctx: RankContext) -> None:
+        self._run = run
         self._ctx = ctx
-        self._closed = False
-        state.open_ranks.add(ctx.rank)
+        run.join(ctx.rank)
 
-    def write(self, name, data, box=None, global_shape=None):
-        if self._closed:
-            raise AdiosError("write after close")
-        self._state.writer.write(self._ctx.rank, name, data, box, global_shape)
+    def _put(self, name, data, box, global_shape) -> None:
+        gshape = tuple(global_shape) if global_shape is not None else None
+        self._run.write(self._ctx.rank, WrittenVar(name, np.asarray(data), box, gshape))
 
-    def _advance(self):
-        if self._closed:
-            raise AdiosError("end_step after close")
-        st = self._state
-        st.advanced.add(self._ctx.rank)
-        # Step boundary once every open rank has advanced (implicit barrier).
-        if st.advanced >= (st.open_ranks - st.closed_ranks):
-            st.writer.end_step()
-            st.writer.begin_step()
-            st.advanced.clear()
+    def _advance(self, **kwargs: Any) -> None:
+        self._run.end_rank_step(self._ctx.rank, **kwargs)
 
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        st = self._state
-        st.closed_ranks.add(self._ctx.rank)
-        st.advanced.discard(self._ctx.rank)
-        if st.closed_ranks >= st.open_ranks:
-            st.writer.close()
+    def _close(self) -> None:
+        self._run.writer_close(self._ctx.rank)
+
+
+class FileRun:
+    """One run of a file method: the BP-lite files every rank writes.
+
+    ``writers`` is one file, or one subfile per aggregator;
+    ``writer_of(rank)`` indexes the one a rank's blocks go to, and
+    ``finish(run)`` runs once the last rank has closed and every file is
+    complete (the aggregated method writes its manifest there).
+    """
+
+    def __init__(
+        self,
+        writers: Sequence[BpWriter],
+        writer_of: Callable[[int], int] = lambda rank: 0,
+        finish: Callable[["FileRun"], None] = lambda run: None,
+    ) -> None:
+        self.writers = list(writers)
+        self.writer_of = writer_of
+        self._finish = finish
+        self.barrier = StepBarrier()
+        self.finished = False
+        for w in self.writers:
+            w.begin_step()
+
+    def join(self, rank: int) -> None:
+        self.barrier.joined.add(rank)
+
+    def write(self, rank: int, wv: WrittenVar) -> None:
+        self.writers[self.writer_of(rank)].write(
+            rank, wv.name, wv.data, wv.box, wv.global_shape
+        )
+
+    def end_rank_step(self, rank: int) -> None:
+        if self.barrier.end(rank):
+            self._next_step()
+
+    def _next_step(self) -> None:
+        for w in self.writers:
+            w.end_step()
+            w.begin_step()
+
+    def writer_close(self, rank: int) -> None:
+        if self.barrier.close(rank) and self.barrier.live:
+            self._next_step()
+        if not self.barrier.live:  # closing a file ends its open step
+            for w in self.writers:
+                w.close()
+            self._finish(self)
+            self.finished = True
+
+
+#: Live file runs by the path they write: every rank opening one path
+#: joins the same run until its last rank closes.
+_FILE_RUNS: dict[str, FileRun] = {}
+
+
+def file_run(path: str, make: Callable[[], FileRun]) -> FileRun:
+    """The unfinished run writing ``path``, or a new one from ``make()``."""
+    run = _FILE_RUNS.get(path)
+    if run is None or run.finished:
+        run = _FILE_RUNS[path] = make()
+    return run
 
 
 class BpFileMethod(IoMethod):
     """ADIOS file mode: variables land in an indexed BP-lite file."""
 
-    _shared: dict[str, _SharedBpState] = {}
-
     def open_write(self, name, group, ctx, spec):
-        state = self._shared.get(name)
-        if state is None or state.writer._closed:
-            state = _SharedBpState(name)
-            self._shared[name] = state
-        return _BpWriteHandle(state, ctx)
+        path = os.fspath(name)
+        return RankWriteHandle(file_run(path, lambda: FileRun([BpWriter(path)])), ctx)
 
     def open_read(self, name, group, ctx, spec):
         # Function-local import: the reader is repro.core's, a layer above.

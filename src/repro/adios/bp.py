@@ -135,10 +135,6 @@ class BpWriter:
         self.bytes_written = 0
 
     # ------------------------------------------------------------------
-    @property
-    def current_step(self) -> int:
-        return self._step
-
     def begin_step(self) -> int:
         if self._closed:
             raise BpFormatError("writer is closed")

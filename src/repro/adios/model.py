@@ -80,12 +80,6 @@ class WrittenVar:
     def nbytes(self) -> int:
         return int(self.data.nbytes)
 
-    def stats(self) -> tuple[float, float]:
-        """(min, max) — the BP-style characteristics kept in the index."""
-        if self.data.size == 0:
-            return (float("nan"), float("nan"))
-        return (float(self.data.min()), float(self.data.max()))
-
 
 @dataclass
 class ProcessGroupData:

@@ -29,11 +29,12 @@ import difflib
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
+from repro.adios.api import AdiosError
 from repro.adios.config import MethodSpec
 from repro.core.redistribution import CachingOption
 
 
-class StreamError(RuntimeError):
+class StreamError(AdiosError):
     """Misuse of a stream: of its protocol, or of its ``<method>`` line."""
 
 

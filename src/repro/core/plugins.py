@@ -40,10 +40,11 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.adios.model import WrittenVar
 from repro.core.hints import STAGE_DC_PLUGIN
 from repro.core.monitoring import PerfMonitor
 from repro.obs.names import (
@@ -705,6 +706,35 @@ class PluginManager:
         for p in self._chain:
             if p.side == side:
                 out = p.apply(out, self.monitor)
+        return out
+
+    def condition(self, written: Iterable[WrittenVar]) -> list[WrittenVar]:
+        """The writer-side chain over one writer's step — the one step
+        both the in-process seal and the net writer run.
+
+        The chain sees one record per block of a name: a writer's k-th
+        block of each name goes into record k, as k in-process ranks
+        would each send their own.  An output keeps its input's box while
+        its shape is unchanged; a reshaped one keeps only the global
+        shape, and a new one is local data.
+        """
+        records: list[dict[str, WrittenVar]] = []
+        for wv in written:
+            k = sum(wv.name in record for record in records)
+            if k == len(records):
+                records.append({})
+            records[k][wv.name] = wv
+        out = []
+        for record in records:
+            conditioned = self.apply_side(
+                PluginSide.WRITER, {name: wv.data for name, wv in record.items()}
+            )
+            for name, data in conditioned.items():
+                data = np.asarray(data)
+                # A new output is measured against itself: local data.
+                orig = record.get(name) or WrittenVar(name, data)
+                box = orig.box if data.shape == orig.data.shape else None
+                out.append(WrittenVar(name, data, box, orig.global_shape))
         return out
 
     def count_fused_read(self) -> None:

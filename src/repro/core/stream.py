@@ -22,9 +22,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from repro.adios.api import IoMethod, RankContext, WriteHandle, register_method
+from repro.adios.api import (
+    IoMethod,
+    RankContext,
+    RankWriteHandle,
+    StepBarrier,
+    register_method,
+)
 from repro.adios.config import MethodSpec
 from repro.adios.model import Group, ProcessGroupData, WrittenVar
 from repro.adios.selection import BoundingBox
@@ -120,8 +124,9 @@ class _PublishedStep(BlockSource):
 
 
 class StreamState:
-    """Shared state of one named stream: buffered steps + membership
-    (the drain thread behind it is a :class:`~repro.core.drain._StepDrainer`)."""
+    """Shared state of one named stream: buffered steps + membership, the
+    stream's run under :class:`~repro.adios.api.RankWriteHandle` (the drain
+    thread behind it is a :class:`~repro.core.drain._StepDrainer`)."""
 
     def __init__(
         self,
@@ -147,9 +152,7 @@ class StreamState:
         self._committed = threading.Condition(sanitize.make_lock("stream.publish"))
         self._current: dict[int, ProcessGroupData] = {}
         self._step = 0
-        self.writer_ranks: set[int] = set()
-        self._advanced: set[int] = set()
-        self._closed_ranks: set[int] = set()
+        self.barrier = StepBarrier()
         self._drainer: Optional[_StepDrainer] = None
         #: Transport currently draining steps; degrades down the ladder
         #: (rdma → tcp → shm → "buffered") on repeated failure.
@@ -208,14 +211,12 @@ class StreamState:
             drainer._close_channel()  # wedged or not
 
     # -- writer side --------------------------------------------------------
-    def writer_join(self, rank: int) -> None:
-        if self.closed:
-            raise StreamError(f"stream {self.name!r} already closed")
-        self.writer_ranks.add(rank)
+    def join(self, rank: int) -> None:
+        self.barrier.joined.add(rank)
 
     def write(self, rank: int, wv: WrittenVar) -> None:
-        if self.closed or rank in self._closed_ranks:
-            raise StreamError("write on a closed stream handle")
+        if self.closed:
+            raise StreamError(f"write on ended stream {self.name!r}")
         pg = self._current.get(rank)
         if pg is None:
             pg = ProcessGroupData(rank=rank, step=self._step)
@@ -225,11 +226,7 @@ class StreamState:
     def end_rank_step(self, rank: int, sync: Optional[bool] = None) -> None:
         if self.closed:
             raise StreamError(f"end_step on ended stream {self.name!r}: {self.error}")
-        if rank not in self.writer_ranks:
-            raise StreamError(f"rank {rank} never joined stream {self.name!r}")
-        self._advanced.add(rank)
-        live = self.writer_ranks - self._closed_ranks
-        if self._advanced >= live:
+        if self.barrier.end(rank):
             self._publish(sync=sync)
 
     def _publish(self, sync: Optional[bool] = None) -> None:
@@ -253,28 +250,14 @@ class StreamState:
             # (the reader's redistribute/transport/plug-in spans and the
             # drainer's channel spans) parents on it.
             with self.monitor.span("write", self.name, step=self._step) as wspan:
-                if not self.plugins.has_side(PluginSide.WRITER):
-                    # No writer-side conditioning: the sealed step reuses
-                    # the written groups directly (no dict round-trip, no
-                    # per-variable rewrap).
-                    for rank, pg in sorted(self._current.items()):
-                        step.groups[rank] = pg
-                else:
-                    for rank, pg in sorted(self._current.items()):
-                        record = {name: wv.data for name, wv in pg.variables.items()}
-                        conditioned = self.plugins.apply_side(PluginSide.WRITER, record)
-                        out = ProcessGroupData(rank=rank, step=pg.step)
-                        for name, data in conditioned.items():
-                            orig = pg.variables.get(name)
-                            out.add(
-                                WrittenVar(
-                                    name=name,
-                                    data=np.asarray(data),
-                                    box=orig.box if orig is not None and _same_shape(orig, data) else None,
-                                    global_shape=orig.global_shape if orig is not None else None,
-                                )
-                            )
-                        step.groups[rank] = out
+                # No writer-side chain: the sealed step reuses the
+                # written groups directly (no per-variable rewrap).
+                conditioning = self.plugins.has_side(PluginSide.WRITER)
+                for rank, pg in sorted(self._current.items()):
+                    if conditioning:
+                        written = self.plugins.condition(pg.variables.values())
+                        pg = ProcessGroupData(rank, pg.step, {wv.name: wv for wv in written})
+                    step.groups[rank] = pg
                 wire = _rank_parts(
                     step,
                     predicate=self._pushdown_predicate(),
@@ -292,7 +275,6 @@ class StreamState:
             if sync:
                 self._drainer.wait_idle()
         self._current = {}
-        self._advanced = set()
         self._step += 1
         if self._directory is not None:
             # Liveness signal for the lease-based failure detector; a
@@ -339,18 +321,15 @@ class StreamState:
         return combine_predicates(preds)
 
     def writer_close(self, rank: int) -> None:
-        self._closed_ranks.add(rank)
-        self._advanced.discard(rank)
-        live = self.writer_ranks - self._closed_ranks
         # The last rank out publishes any partial step implicitly; a rank
         # the live ranks were all waiting for seals the step, as their
         # last end_step would have.  Its writes go in either way.
-        if (self._advanced >= live) if live else self._current:
+        if self.barrier.close(rank) and (self.barrier.live or self._current):
             try:
                 self._publish()
             except (MovementFailed, TransactionAborted):
                 pass  # close never raises; the loss is already recorded
-        if not live:
+        if not self.barrier.live:
             self._quiesce()
             with self._committed:
                 if not self.store.closed:  # a failed stream stays failed
@@ -371,7 +350,7 @@ class StreamState:
                 return
             self.store.fail(reason)
         self._current = {}
-        self._advanced = set()
+        self.barrier.ended.clear()
         self.monitor.metrics.counter("dataplane.stream.failures").inc()
         flight.record(EV_STREAM_FAILED, stream=self.name, reason=reason)
         flight.dump_on_fault(
@@ -409,10 +388,6 @@ class StreamState:
         if outcome is not Outcome.HIT:
             raise outcome_error(outcome, f"step {index} of {self.name!r}", found)
         return found
-
-
-def _same_shape(orig: WrittenVar, data) -> bool:
-    return tuple(np.shape(data)) == tuple(orig.data.shape)
 
 
 class StreamRegistry:
@@ -484,57 +459,22 @@ stream_registry = StreamRegistry()
 # Handles
 # ---------------------------------------------------------------------------
 
-class FlexpathWriteHandle(WriteHandle):
-    """Stream-mode writer for one rank.
+class FlexpathWriteHandle(RankWriteHandle):
+    """Stream-mode writer for one rank: the shared rank handle over the
+    stream's :class:`StreamState`, plus its plug-ins and monitor.
 
     Step-oriented usage: ``begin_step() … write() … end_step()``;
     ``end_step(sync=True)`` forces one synchronous publish regardless of
-    the stream's ``sync`` hint.
+    the stream's ``sync`` hint.  The name stays registered after
+    ``close()``, so readers can still resolve the stream and drain
+    buffered steps; EndOfStream tells them it ended.
     """
 
     def __init__(self, state: StreamState, ctx: RankContext) -> None:
-        self._state = state
-        self._ctx = ctx
-        self._closed = False
-        state.writer_join(ctx.rank)
-
-    @property
-    def plugins(self) -> PluginManager:
-        return self._state.plugins
-
-    @property
-    def monitor(self) -> PerfMonitor:
-        """The stream's shared monitor (enable tracing / dump here)."""
-        return self._state.monitor
-
-    def write(self, name, data, box=None, global_shape=None):
-        if self._closed:
-            raise StreamError("write after close")
-        arr = np.asarray(data)
-        if box is not None and tuple(arr.shape) != tuple(box.count):
-            raise ValueError(f"data shape {arr.shape} != box count {box.count}")
-        self._state.write(
-            self._ctx.rank,
-            WrittenVar(
-                name=name,
-                data=arr,
-                box=box,
-                global_shape=tuple(global_shape) if global_shape is not None else None,
-            ),
-        )
-
-    def _advance(self, sync: Optional[bool] = None):
-        if self._closed:
-            raise StreamError("end_step after close")
-        self._state.end_rank_step(self._ctx.rank, sync=sync)
-
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        # The name stays registered so readers can still resolve the
-        # stream and drain buffered steps; EndOfStream tells them it ended.
-        self._state.writer_close(self._ctx.rank)
+        super().__init__(state, ctx)
+        self.plugins = state.plugins
+        #: The stream's shared monitor (enable tracing / dump here).
+        self.monitor = state.monitor
 
 
 class FlexpathReadHandle(StepReader):

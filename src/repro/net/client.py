@@ -46,7 +46,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from repro.adios.api import AdiosError, RankContext, WriteHandle
+from repro.adios.api import RankContext, WriteHandle
+from repro.adios.model import WrittenVar
 from repro.adios.selection import BoundingBox
 from repro.analysis import sanitize
 from repro.core.directory import admission_exception
@@ -664,6 +665,12 @@ def _stamp_stats(rec: dict, arr: np.ndarray, wanted: bool) -> None:
     rec["has_stats"] = bounds is not None
 
 
+def _written(rec: dict) -> WrittenVar:
+    """A buffered ``net.var`` record as the block the writer wrote."""
+    box = BoundingBox(tuple(rec["start"]), tuple(rec["shape"])) if rec["start"] else None
+    return WrittenVar(rec["name"], rec["data"], box, tuple(rec["gshape"]) or None)
+
+
 class NetWriteHandle(WriteHandle):
     """Writer side of one remote stream: steps become PUBLISH frames.
 
@@ -688,23 +695,17 @@ class NetWriteHandle(WriteHandle):
         #: PUBLISH (lost ack) never duplicates a step.
         self._publish_seq = 0
         self._pending: list[dict] = []
-        self._closed = False
         self._pool = None  # the pool generation this handle has mapped (_slot)
         #: Writer-side plug-in chain: codelets deployed here condition
-        #: each variable before the step leaves the client (the paper's
-        #: writer-placed analytics for the network deployment shape).
+        #: the step before it leaves the client (the paper's writer-placed
+        #: analytics for the network deployment shape), by the same
+        #: :meth:`~repro.core.plugins.PluginManager.condition` an
+        #: in-process stream seals its steps with.
         self.plugins = PluginManager(client.monitor)
 
-    @property
-    def current_step(self) -> int:
-        return self._step
-
-    def write(self, name, data, box=None, global_shape=None):
-        if self._closed:
-            raise AdiosError("write after close")
+    def _put(self, name, data, box, global_shape) -> None:
+        """Buffer one block as its ``net.var`` record, bounds stamped."""
         arr = np.ascontiguousarray(data)
-        if box is not None and tuple(arr.shape) != tuple(box.count):
-            raise ValueError(f"data shape {arr.shape} != box count {box.count}")
         rec = {
             "name": name,
             "writer_rank": self._rank,
@@ -715,18 +716,6 @@ class NetWriteHandle(WriteHandle):
         }
         _stamp_stats(rec, arr, self._channel.stats)
         self._pending.append(rec)
-
-    def _condition_pending(self) -> None:
-        """Run the writer-side chain over every buffered variable,
-        re-stamping shape and stats for whatever comes out."""
-        for rec in self._pending:
-            out = self.plugins.apply_side(
-                PluginSide.WRITER, {rec["name"]: rec["data"]}
-            )
-            arr = np.ascontiguousarray(out[rec["name"]])
-            rec["data"] = arr
-            rec["shape"] = list(arr.shape)
-            _stamp_stats(rec, arr, self._channel.stats)
 
     def _publish_once(self, record: dict) -> None:
         seq = next(self._client._frame_seq)
@@ -751,10 +740,12 @@ class NetWriteHandle(WriteHandle):
         _note_reply(self._channel, frame)
 
     def _advance(self, eos: bool = False):
-        if self._closed:
-            raise AdiosError("end_step after close")
         if self.plugins.has_side(PluginSide.WRITER):
-            self._condition_pending()
+            # The chain's outputs are buffered (and stamped) in its place.
+            written = self.plugins.condition(map(_written, self._pending))
+            self._pending = []
+            for wv in written:
+                self._put(wv.name, wv.data, wv.box, wv.global_shape)
         seq = self._publish_seq + 1
         record = {
             "step": self._step, "count": len(self._pending), "eos": eos,
@@ -774,10 +765,7 @@ class NetWriteHandle(WriteHandle):
         self._pending = []
         self._step += 1
 
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
+    def _close(self):
         self._channel.close()
         self._client._close_stream(self.stream_id, self.name)
 

@@ -9,6 +9,14 @@ cover what remote readers inherit from it: plan-cache hits, a
 ``read_into`` that scatters into the caller's array, ``read_all`` and
 the read spans.  Plus the :class:`FusedPlan` tiling analysis that
 replaced the net handle's hand-rolled gap check.
+
+One writer, too: the same rank schedules through the stream and both
+file methods deliver the same steps (one rank handle, one
+:class:`~repro.adios.api.StepBarrier`), a writer-side chain conditions
+a step alike in process and through the daemon
+(:meth:`~repro.core.plugins.PluginManager.condition`), and every write
+handle refuses a closed handle and a block that does not fit its box
+alike.
 """
 
 import time
@@ -19,10 +27,12 @@ import pytest
 
 from repro.adios import AdiosError, BoundingBox, StepStatus, VariableNotFound
 from repro.adios.config import MethodSpec
+from repro.analysis import sanitize
 from repro.core import PluginManager, PluginSide
 from repro.core.directory import TenantSpec
 from repro.core.hints import StreamHints, defaults
 from repro.core.plugins import (
+    DCPlugin,
     range_select_plugin,
     sampling_plugin,
     unit_conversion_plugin,
@@ -45,9 +55,20 @@ DATA = np.random.default_rng(13).random(SHAPE)
 
 @pytest.fixture(autouse=True)
 def fresh_registry():
+    """CI also runs this file under ``FLEXIO_SANITIZE=1``: no case may end
+    with a violation on record, nor with a drainer thread its streams'
+    close paths left un-joined (checked before the registry's reset
+    joins whatever is left)."""
+    active = sanitize.get()
+    if active is not None:
+        active.reset()
     stream_registry.reset()
     yield
+    if active is not None:
+        active.check_shutdown()
     stream_registry.reset()
+    if active is not None:
+        active.assert_clean()
 
 
 @pytest.fixture()
@@ -523,3 +544,224 @@ def test_stream_hints_defaults_are_the_registry():
     assert built == asdict(StreamHints.from_spec(MethodSpec("g", "FLEXPATH", {})))
     built["caching"] = built["caching"].value
     assert built == registry
+
+
+# ---------------------------------------------------------------------------
+# One writer: the same rank schedule delivers the same steps on every method
+# ---------------------------------------------------------------------------
+
+#: Every method a program's ranks write through: the stream, one file,
+#: two subfiles behind a manifest.
+WRITE_METHODS = {"FLEXPATH": "", **FILE_METHODS}
+
+#: Rows of the two-rank array each rank's band covers.
+BAND = 4
+
+#: name -> (schedule of (op, rank), the writer ranks of each delivered
+#: step).  ``w`` writes the rank's next block, ``e`` ends its step and
+#: ``c`` closes it.
+SCHEDULES = {
+    "lockstep": (
+        "w0 w1 e0 e1 w0 w1 e0 e1 c0 c1", [[0, 1], [0, 1]],
+    ),
+    # Rank 1 closes after rank 0, the only live rank left, ended step 0:
+    # the close ends that step, so rank 0's next block starts step 1.
+    "close_after_live_ranks_ended": ("w0 e0 w1 c1 w0 e0 c0", [[0, 1], [0]]),
+    "last_rank_out_leaves_a_partial_step": (
+        "w0 w1 e0 e1 w0 w1 c0 c1", [[0, 1], [0, 1]],
+    ),
+    "close_before_writing": ("c1 w0 e0 w0 e0 c0", [[0], [0]]),
+}
+
+
+def _band(rank, k):
+    return np.random.default_rng(100 * k + rank).random((BAND, 3))
+
+
+def _run_schedule(path, method, schedule):
+    config = _FILE_CONFIG.format(method=method, params=WRITE_METHODS[method])
+    client = connect("local://", config=config)
+    writers = [client.open(path, "w", rank=r, num_ranks=2) for r in range(2)]
+    written = [0, 0]
+    for op in schedule.split():
+        kind, rank = op[0], int(op[1])
+        w = writers[rank]
+        if kind == "w":
+            box = BoundingBox((rank * BAND, 0), (BAND, 3))
+            w.write("a", _band(rank, written[rank]), box=box, global_shape=(2 * BAND, 3))
+            written[rank] += 1
+        elif kind == "e":
+            w.end_step()
+        else:
+            w.close()
+    return client.open(path, "r")
+
+
+def _delivered(reader):
+    """Every step: its writer ranks and the global array's bytes."""
+    steps = []
+    while reader.begin_step(timeout=2.0) is StepStatus.OK:
+        ranks = []
+        for rank in range(2):
+            try:
+                reader.read_block("a", rank)
+            except VariableNotFound:
+                continue
+            ranks.append(rank)
+        steps.append((ranks, reader.read("a").tobytes()))
+        reader.end_step()
+    reader.close()
+    return steps
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_same_schedule_delivers_the_same_steps_on_every_method(tmp_path, schedule):
+    ops, ranks = SCHEDULES[schedule]
+    got = {
+        method: _delivered(_run_schedule(str(tmp_path / f"{method}.bp"), method, ops))
+        for method in WRITE_METHODS
+    }
+    stream = got.pop("FLEXPATH")
+    assert [r for r, _ in stream] == ranks
+    for method, steps in got.items():
+        assert steps == stream, method
+
+
+# ---------------------------------------------------------------------------
+# One writer-side chain step, in process and through the daemon
+# ---------------------------------------------------------------------------
+
+PAIR = np.random.default_rng(7).random((2, 8, 2))
+
+SUM_SRC = """
+def condition(vars):
+    out = dict(vars)
+    out['c'] = vars['a'] + vars['b']
+    return out
+"""
+
+
+def _units_chain(plugins):
+    plugins.deploy(unit_conversion_plugin("zion", 2.5), PluginSide.WRITER)
+
+
+def _sum_chain(plugins):
+    plugins.deploy(DCPlugin("sum", SUM_SRC), PluginSide.WRITER)
+
+
+def _sample_chain(plugins):
+    plugins.deploy(sampling_plugin(2), PluginSide.WRITER)
+
+
+def _units_read(reader):
+    got = reader.read("zion")
+    np.testing.assert_array_equal(got, DATA * 2.5)
+    return got.tobytes()
+
+
+def _sum_read(reader):
+    """Each writer's ``a`` and ``b`` blocks are one record: ``c`` is their
+    sum, a new output and so local data."""
+    c = reader.read_block("c", 0)
+    np.testing.assert_array_equal(c, PAIR[0, :4] + PAIR[1, :4])
+    with pytest.raises(AdiosError, match="not a global array"):
+        reader.read("c")
+    return (sorted(reader.available_vars()), reader.read("a").tobytes(),
+            reader.read("b").tobytes(), c.tobytes())
+
+
+def _sample_read(reader):
+    """The sampled block lost its box, not its global shape."""
+    with pytest.raises(AdiosError, match="no block of 'a' is placed"):
+        reader.read("a")
+    block = reader.read_block("a", 0)
+    np.testing.assert_array_equal(block, PAIR[0, ::2])
+    return block.tobytes()
+
+
+#: name -> (deploy the writer chain, blocks each rank writes, read the step)
+WRITER_CHAINS = {
+    "units": (
+        _units_chain,
+        [[("zion", DATA[box.slices()], box, SHAPE)] for box in BANDS],
+        _units_read,
+    ),
+    "two_variable_codelet": (
+        _sum_chain,
+        [
+            [(name, PAIR[i, r * 4:(r + 1) * 4], BoundingBox((r * 4, 0), (4, 2)), (8, 2))
+             for i, name in enumerate("ab")]
+            for r in range(2)
+        ],
+        _sum_read,
+    ),
+    "sampling_a_global_array": (
+        _sample_chain,
+        [[("a", PAIR[0], BoundingBox((0, 0), (8, 2)), (8, 2))]],
+        _sample_read,
+    ),
+}
+
+
+def _write_blocks(w, blocks):
+    for name, arr, box, gshape in blocks:
+        w.write(name, arr, box=box, global_shape=gshape)
+
+
+@pytest.mark.parametrize("chain", sorted(WRITER_CHAINS))
+def test_writer_chain_conditions_a_step_alike_on_both_planes(daemon, chain):
+    """In process, rank r writes the r-th block of each name; the one net
+    writer writes them all, and its r-th block of a name goes into the
+    chain's r-th record."""
+    deploy, ranks, read = WRITER_CHAINS[chain]
+    name = f"planes.writer.{chain}"
+    client = connect("local://")
+    writers = [client.open(name, "w", rank=r, num_ranks=len(ranks)) for r in range(len(ranks))]
+    deploy(writers[0].plugins)
+    for w, blocks in zip(writers, ranks):
+        w.begin_step()
+        _write_blocks(w, blocks)
+    for w in writers:
+        w.end_step()
+        w.close()
+    local = client.open(name, "r")
+    assert local.begin_step(timeout=2.0) is StepStatus.OK
+    with connect(_uri(daemon)) as c:
+        w = c.open(name, "w")
+        deploy(w.plugins)
+        w.begin_step()
+        for blocks in ranks:
+            _write_blocks(w, blocks)
+        w.end_step()
+        remote = c.open(name, "r", timeout=2.0)
+        assert remote.begin_step(timeout=2.0) is StepStatus.OK
+        assert read(remote) == read(local)
+        w.close()
+
+
+# ---------------------------------------------------------------------------
+# Every write handle refuses the same misuse
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", [*sorted(WRITE_METHODS), "net"])
+def test_write_handle_refuses_a_closed_handle_and_a_misfit_block(request, tmp_path, method):
+    path = str(tmp_path / "closed.bp")
+    if method == "net":
+        client = connect(_uri(request.getfixturevalue("daemon")))
+        w = client.open("planes.closed", "w")
+    else:
+        config = _FILE_CONFIG.format(method=method, params=WRITE_METHODS[method])
+        client = connect("local://", config=config)
+        w = client.open(path, "w")
+    box = BoundingBox((0, 0), (4, 3))
+    with pytest.raises(ValueError, match="box count"):
+        w.write("a", np.zeros((3, 3)), box=box, global_shape=(4, 3))
+    w.begin_step()
+    w.write("a", np.zeros((4, 3)), box=box, global_shape=(4, 3))
+    w.end_step()
+    w.close()
+    with pytest.raises(AdiosError, match="write after close"):
+        w.write("a", np.zeros((4, 3)), box=box, global_shape=(4, 3))
+    with pytest.raises(AdiosError, match="end_step after close"):
+        w.end_step()
+    client.close()
