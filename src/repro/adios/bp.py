@@ -230,7 +230,11 @@ class BpReader:
         self._fh = open(self.path, "rb")
         self._registry = FormatRegistry()
         self.entries: list[IndexEntry] = []
-        self._load_index()
+        try:
+            self._load_index()
+        except BaseException:  # a bad header or index: the file goes too
+            self._fh.close()
+            raise
         #: Bytes of variable payload actually fetched (monitoring).
         self.bytes_read = 0
 

@@ -94,6 +94,11 @@ FUSED = "fused"
 PUSHDOWN = "pushdown"
 #: ``MPI_AGGREGATE`` file-method parameter (aggregator fan-in).
 AGGREGATORS = "aggregators"
+#: ``STAGING`` method parameters: the daemon's ``host:port`` and the tenant.
+DAEMON = "daemon"
+TENANT = "tenant"
+#: Environment variable a ``STAGING`` method reads its bearer token from.
+TOKEN_ENV = "FLEXIO_TOKEN"
 
 #: Values of the ``caching`` hint (handshake-protocol levels).
 CACHING_NONE = "none"
@@ -170,6 +175,12 @@ METHOD_HINTS: dict[str, dict[str, HintSpec]] = {
         AGGREGATORS: HintSpec(
             AGGREGATORS, "int", 0,
             "Aggregator processes for the MPI_AGGREGATE file method."),
+    },
+    "STAGING": {
+        DAEMON: HintSpec(DAEMON, "str", "",
+                         "host:port of the staging daemon's control port."),
+        TENANT: HintSpec(TENANT, "str", "public",
+                         f"Tenant of the daemon to stage through (token: ${TOKEN_ENV})."),
     },
 }
 

@@ -37,6 +37,7 @@ network::
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 import weakref
@@ -46,11 +47,12 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from repro.adios.api import RankContext, WriteHandle
+from repro.adios.api import IoMethod, RankContext, RankWriteHandle, register_method
 from repro.adios.model import WrittenVar
 from repro.adios.selection import BoundingBox
 from repro.analysis import sanitize
-from repro.core.directory import admission_exception
+from repro.core.directory import DirectoryError, admission_exception
+from repro.core.hints import DAEMON, TENANT, TOKEN_ENV
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import PluginManager, PluginSide
 from repro.core.redistribution import PlanCache
@@ -379,6 +381,11 @@ class RemoteClient(Client):
         self.resumed = False
         #: Pool generations this session has mapped, alive while a handle uses them.
         self._pools: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        #: The stream handles this session opened and has not seen close:
+        #: its close closes them.  A session a staging ``<method>`` line
+        #: opened for one handle (``_solo``) closes with that handle.
+        self._handles: list = []
+        self._solo = False
         self._retry_exhausted(self._dial, "connect")
         flight.record(EV_NET_CONNECT, tenant=tenant, client=client_name)
         # -- background heartbeat (writer leases + reader liveness) --------
@@ -399,10 +406,16 @@ class RemoteClient(Client):
             self._control.close()
             self._control = None
         self._control = TcpChannel.connect(self.host, self.port, timeout=self.timeout)
-        welcome = self._rpc_once(MsgType.HELLO, {
-            "tenant": self.tenant, "token": self._token or "",
-            "client": self._client_name, "resume": self.resume_token,
-        }, MsgType.WELCOME)
+        try:
+            welcome = self._rpc_once(MsgType.HELLO, {
+                "tenant": self.tenant, "token": self._token or "",
+                "client": self._client_name, "resume": self.resume_token,
+            }, MsgType.WELCOME)
+        except (TransportFault, ProtocolError, DirectoryError):
+            # Refused (bad token, draining) or cut off: the socket goes too.
+            self._control.close()
+            self._control = None
+            raise
         self.session_id = welcome.record["session"]
         self.server_version = welcome.record["server"]
         self.data_port = int(welcome.record["data_port"])
@@ -564,17 +577,20 @@ class RemoteClient(Client):
                     raise
                 self._sleep(0.02)
         stream_id = reply.record["stream_id"]
-        channel = self._attach_retrying(stream_id, mode)
+        channel = self._attach_retrying(stream_id, mode, rank=rank)
         self._hb_streams.add(name)
         flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode,
                       tenant=self.tenant)
         if mode == "w":
-            return NetWriteHandle(self, stream_id, channel, rank=rank, name=name)
-        return NetReadHandle(self, stream_id, channel, name=name,
-                             pushdown=pushdown)
+            handle = NetWriteHandle(_RunLink(self, stream_id, channel, name),
+                                    RankContext(rank, num_ranks))
+        else:
+            handle = NetReadHandle(self, stream_id, channel, name=name, pushdown=pushdown)
+        self._handles.append(handle)
+        return handle
 
     def _attach(self, stream_id: str, role: str,
-                predicate: str = "") -> TcpChannel:
+                predicate: str = "", rank: int = 0) -> TcpChannel:
         """A data channel bound to the stream.  ``channel.grant`` (a writer's
         GRANT record, or None) and ``channel.stats`` (the broker asked for
         block bounds) live and die with this connection, like the daemon's."""
@@ -585,7 +601,7 @@ class RemoteClient(Client):
         try:
             channel.sendv([encode_frame(MsgType.ATTACH, {
                 "session": self.session_id, "stream_id": stream_id, "role": role,
-                "predicate": predicate, "nonce": self._nonce,
+                "predicate": predicate, "nonce": self._nonce, "rank": rank,
             }, seq=next(self._frame_seq))], timeout=self.timeout)
             frame = decode_frame(channel.recv(timeout=self.timeout))
         except (TransportFault, ProtocolError, OSError):
@@ -601,17 +617,17 @@ class RemoteClient(Client):
         return channel
 
     def _attach_retrying(self, stream_id: str, role: str,
-                         predicate: str = "") -> TcpChannel:
+                         predicate: str = "", rank: int = 0) -> TcpChannel:
         """A first ATTACH of a data channel, under the same reconnect
         schedule every later re-ATTACH runs under."""
         return self._retry_exhausted(
-            lambda: self._attach(stream_id, role, predicate=predicate),
+            lambda: self._attach(stream_id, role, predicate=predicate, rank=rank),
             f"ATTACH {stream_id}", on_retry=self._reconnect,
         )
 
     def _reattach(self, attempt: int, exc: Exception, stream_id: str,
                   role: str, old: TcpChannel,
-                  predicate: str = "") -> TcpChannel:
+                  predicate: str = "", rank: int = 0) -> TcpChannel:
         """Data-path recovery: reconnect the control session (fresh
         socket + resume HELLO), then re-ATTACH the data channel."""
         try:
@@ -619,16 +635,19 @@ class RemoteClient(Client):
         except (TransportFault, OSError):
             pass
         self._reconnect(attempt, exc)
-        return self._attach(stream_id, role, predicate=predicate)
-
-    def _close_stream(self, stream_id: str, name: str) -> None:
-        self._hb_streams.discard(name)
-        self._rpc(MsgType.CLOSE, {"stream_id": stream_id}, MsgType.OK)
+        return self._attach(stream_id, role, predicate=predicate, rank=rank)
 
     def close(self) -> None:
+        """Close every handle this session opened, then the session."""
         if self._closed:
             return
         self._closed = True
+        handles, self._handles = self._handles, []
+        for handle in handles:
+            try:
+                handle.close()
+            except (TransportFault, ProtocolError, DirectoryError):
+                pass  # a writer whose daemon is gone: the session goes anyway
         self._hb_stop.set()
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)
@@ -645,6 +664,12 @@ class RemoteClient(Client):
             self._control.close()
         flight.record(EV_NET_DISCONNECT, tenant=self.tenant)
 
+    def _handle_closed(self, handle) -> None:
+        if handle in self._handles:
+            self._handles.remove(handle)
+        if self._solo and not self._closed:
+            self.close()
+
 
 # ---------------------------------------------------------------------------
 # Network step handles
@@ -656,71 +681,69 @@ def _note_reply(channel: TcpChannel, frame: Frame) -> None:
     channel.stats = bool(frame.record["stats"])
 
 
-def _stamp_stats(rec: dict, arr: np.ndarray, wanted: bool) -> None:
-    """Writer-stamped whole-block bounds (the ADIOS per-block statistics
-    idiom) — a plug-in the broker asks for while a reader prunes against
-    them, not work every writer does: unasked, the same bytes say no stats."""
-    bounds = block_bounds(arr) if wanted else None
-    rec["vmin"], rec["vmax"] = bounds or (0.0, 0.0)
-    rec["has_stats"] = bounds is not None
+def _var_record(wv: WrittenVar, rank: int, stats: bool) -> dict:
+    """One written block as its ``net.var`` record.  Bounds are stamped
+    (the ADIOS per-block statistics idiom) only while the broker asks for
+    them — a reader prunes against them; unasked, the same bytes say no
+    stats."""
+    arr = np.ascontiguousarray(wv.data)
+    bounds = block_bounds(arr) if stats else None
+    vmin, vmax = bounds or (0.0, 0.0)
+    return {
+        "name": wv.name, "writer_rank": rank,
+        "start": list(wv.box.start) if wv.box is not None else [],
+        "shape": list(arr.shape),
+        "gshape": list(wv.global_shape) if wv.global_shape is not None else [],
+        "vmin": vmin, "vmax": vmax, "has_stats": bounds is not None, "data": arr,
+    }
 
 
 def _written(rec: dict) -> WrittenVar:
-    """A buffered ``net.var`` record as the block the writer wrote."""
+    """A ``net.var`` record as the block the writer wrote."""
     box = BoundingBox(tuple(rec["start"]), tuple(rec["shape"])) if rec["start"] else None
     return WrittenVar(rec["name"], rec["data"], box, tuple(rec["gshape"]) or None)
 
 
-class NetWriteHandle(WriteHandle):
-    """Writer side of one remote stream: steps become PUBLISH frames.
+class _RunLink:
+    """One writer rank's end of the daemon's run: its data connection.
 
-    ``write`` buffers this rank's variables; ``end_step`` gathers the
-    PUBLISH header and one ``net.var`` message per variable into a
-    single vectored frame (no client-side join) and waits for the
-    broker's acknowledgement — a quota rejection surfaces as the typed
-    :class:`~repro.core.directory.QuotaExceeded` right at the step
-    boundary that exceeded it.
+    The run — its steps and the :class:`~repro.adios.api.StepBarrier`
+    that ends them — is the daemon's ``HostedStream``; this is what the
+    rank handle drives in its place.  ``write`` keeps the rank's blocks of
+    its open step, ``end_rank_step`` sends them as one PUBLISH (the
+    header, then one ``net.var`` message per block, or a slot reference)
+    and waits for the acknowledgement, ``writer_close`` sends the last one
+    with ``eos``.  Resume, republish and the publish sequence are this
+    connection's: the daemon suppresses any republished ``seq`` it has
+    already applied, so a retried PUBLISH (lost ack) never lands twice.
     """
 
     def __init__(self, client: RemoteClient, stream_id: str,
-                 channel: TcpChannel, rank: int = 0, name: str = "") -> None:
+                 channel: TcpChannel, name: str) -> None:
         self._client = client
         self.stream_id = stream_id
-        self.name = name or stream_id.rsplit("/", 1)[-1]
+        self.name = name
         self._channel = channel
-        self._rank = rank
         self._step = 0
-        #: Monotonic per-stream publish sequence: the daemon suppresses
-        #: any republished seq it has already applied, so a retried
-        #: PUBLISH (lost ack) never duplicates a step.
         self._publish_seq = 0
-        self._pending: list[dict] = []
-        self._pool = None  # the pool generation this handle has mapped (_slot)
+        #: The rank's blocks of its open step, as ``net.var`` records.
+        self._records: list[dict] = []
+        self._pool = None  # the pool generation this rank has mapped (_slot)
         #: Writer-side plug-in chain: codelets deployed here condition
-        #: the step before it leaves the client (the paper's writer-placed
-        #: analytics for the network deployment shape), by the same
-        #: :meth:`~repro.core.plugins.PluginManager.condition` an
+        #: the rank's step before it leaves the client (the paper's
+        #: writer-placed analytics for the network deployment shape), by
+        #: the same :meth:`~repro.core.plugins.PluginManager.condition` an
         #: in-process stream seals its steps with.
         self.plugins = PluginManager(client.monitor)
 
-    def _put(self, name, data, box, global_shape) -> None:
-        """Buffer one block as its ``net.var`` record, bounds stamped."""
-        arr = np.ascontiguousarray(data)
-        rec = {
-            "name": name,
-            "writer_rank": self._rank,
-            "start": list(box.start) if box is not None else [],
-            "shape": list(arr.shape),
-            "gshape": list(global_shape) if global_shape is not None else [],
-            "data": arr,
-        }
-        _stamp_stats(rec, arr, self._channel.stats)
-        self._pending.append(rec)
+    def join(self, rank: int) -> None:
+        """Nothing to do: the rank joined the run at its OPEN."""
 
-    def _publish_once(self, record: dict) -> None:
+    def write(self, rank: int, wv: WrittenVar) -> None:
+        self._records.append(_var_record(wv, rank, self._channel.stats))
+
+    def _publish_once(self, record: dict, run: list) -> None:
         seq = next(self._client._frame_seq)
-        # Per variable: head span, then the array itself.
-        run = [part for rec in self._pending for part in encode_var(rec)]
         nbytes = sum(part.nbytes for part in run)
         grant = self._channel.grant
         if grant is not None and INLINE_MAX < nbytes <= grant["capacity"]:
@@ -739,35 +762,66 @@ class NetWriteHandle(WriteHandle):
             raise_wire_error(frame, f"PUBLISH step {record['step']}")
         _note_reply(self._channel, frame)
 
-    def _advance(self, eos: bool = False):
+    def end_rank_step(self, rank: int) -> None:
+        self._publish(rank, eos=False)
+
+    def _publish(self, rank: int, eos: bool) -> None:
+        records = self._records  # kept until acknowledged: a refused step is sent again
         if self.plugins.has_side(PluginSide.WRITER):
-            # The chain's outputs are buffered (and stamped) in its place.
-            written = self.plugins.condition(map(_written, self._pending))
-            self._pending = []
-            for wv in written:
-                self._put(wv.name, wv.data, wv.box, wv.global_shape)
+            # The chain's outputs are sent (and stamped) in the blocks' place.
+            records = [_var_record(wv, rank, self._channel.stats)
+                       for wv in self.plugins.condition(map(_written, records))]
+        # Per block: head span, then the array itself.
+        run = [part for rec in records for part in encode_var(rec)]
         seq = self._publish_seq + 1
-        record = {
-            "step": self._step, "count": len(self._pending), "eos": eos,
-            "seq": seq,
-        }
+        record = {"step": self._step, "count": len(records), "eos": eos, "seq": seq}
 
         def reattach(attempt: int, exc: Exception) -> None:
             self._channel = self._client._reattach(
-                attempt, exc, self.stream_id, "w", self._channel
+                attempt, exc, self.stream_id, "w", self._channel, rank=rank
             )
 
         self._client._retry_exhausted(
-            lambda: self._publish_once(record),
+            lambda: self._publish_once(record, run),
             f"PUBLISH step {self._step}", on_retry=reattach,
         )
         self._publish_seq = seq
-        self._pending = []
+        self._records = []
         self._step += 1
 
-    def _close(self):
-        self._channel.close()
-        self._client._close_stream(self.stream_id, self.name)
+    def writer_close(self, rank: int) -> None:
+        """The rank's last PUBLISH (its unended blocks, if any) says it
+        closes; the daemon's barrier does the rest."""
+        self._client._hb_streams.discard(self.name)
+        try:
+            self._publish(rank, eos=True)
+        finally:
+            self._channel.close()
+
+
+class NetWriteHandle(RankWriteHandle):
+    """Writer side of one remote stream: one rank of the daemon's run.
+
+    The shared rank handle over a :class:`_RunLink` — one data connection
+    per writer rank.  ``end_step`` publishes the rank's blocks as one
+    vectored frame (no client-side join) and waits for the broker's
+    acknowledgement: a quota rejection surfaces as the typed
+    :class:`~repro.core.directory.QuotaExceeded` right at the step
+    boundary that exceeded it.  The step ends when every rank of the run
+    has ended it, by the daemon's :class:`~repro.adios.api.StepBarrier`.
+    """
+
+    def __init__(self, link: _RunLink, ctx: RankContext) -> None:
+        super().__init__(link, ctx)
+        self.stream_id = link.stream_id
+        self.name = link.name
+        self.plugins = link.plugins
+
+    def _close(self) -> None:
+        try:
+            super()._close()
+        finally:
+            self._run._client._handle_closed(self)
 
 
 class _CachedStep(BlockSource):
@@ -989,6 +1043,7 @@ class NetReadHandle(StepReader):
         self._release(own=True)
         self._client._hb_streams.discard(self.name)
         self._channel.close()
+        self._client._handle_closed(self)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,3 +1086,36 @@ def connect(
         retry=retry, seed=seed, faults=faults,
         heartbeat_interval=heartbeat_interval,
     )
+
+
+class StagingMethod(IoMethod):
+    """The staging placement, selected by a ``<method>`` line.
+
+    ``daemon=host:port;tenant=name`` (:mod:`repro.core.hints`) names the
+    daemon and the tenant, and the bearer token comes from the
+    ``FLEXIO_TOKEN`` environment variable.  Each rank's handle is opened
+    on a session of its own, which closes with it;
+    ``connect("flexio://host:port/tenant").open(...)`` opens the same
+    handles on a session the caller holds.
+    """
+
+    @staticmethod
+    def _open(name: str, mode: str, ctx: RankContext, spec) -> Any:
+        session = connect(f"flexio://{spec.param(DAEMON, '')}/{spec.param(TENANT, '')}",
+                          token=os.environ.get(TOKEN_ENV))
+        try:
+            handle = session.open(name, mode, rank=ctx.rank, num_ranks=ctx.size)
+        except (TransportFault, ProtocolError, DirectoryError):
+            session.close()
+            raise
+        session._solo = True
+        return handle
+
+    def open_write(self, name, group, ctx, spec):
+        return self._open(name, "w", ctx, spec)
+
+    def open_read(self, name, group, ctx, spec):
+        return self._open(name, "r", ctx, spec)
+
+
+register_method("STAGING", StagingMethod)

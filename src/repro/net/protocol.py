@@ -29,7 +29,9 @@ Multi-part frames: a :data:`MsgType.PUBLISH` body carries a variable
 ``net.var`` messages — the step payload is scatter-gathered by the
 sender (``sendv``) and decoded in place by the receiver via the
 ``consumed`` offsets :func:`decode_frame` and
-:func:`decode_var` return.
+:func:`decode_var` return.  A PUBLISH is one writer rank's run; a step
+several ranks wrote is served as one STEP_DATA whose runs follow back to
+back, rank by rank (the count is their sum).
 
 By-reference frames (v5): a peer that proved it shares the daemon's node
 moves a run larger than :data:`~repro.transport.tcp.INLINE_MAX` through a
@@ -76,6 +78,7 @@ __all__ = [
     "CKPT_REG",
     "CKPT_STREAM",
     "CKPT_STEP",
+    "CKPT_RUN",
     "encode_record",
     "decode_record",
 ]
@@ -83,19 +86,10 @@ __all__ = [
 #: Frame magic ("FlexIO net, 01").
 MAGIC = 0xF1EC0107
 
-#: Bump on any incompatible header or format change.  v2: the header
-#: grew a u64 per-connection sequence number and the HELLO/WELCOME/
-#: PUBLISH bodies grew resume/sequence fields (PR 8, network resilience).
-#: v3: ATTACH carries the reader chain's pushdown predicate spec and
-#: ``net.var`` carries per-block min/max statistics, so the broker can
-#: prune provably-dropped blocks from PUBLISH payloads (PR 10, fused
-#: analytics).  v4: FETCH carries ``wait``, the seconds the daemon may
-#: hold the request for a step that is not yet published (held FETCH).
-#: v5: WELCOME names a daemon arena holding a nonce, ATTACH echoes it (the
-#: same-node proof); GRANT / PUBLISH_REF / STEP_REF move bulk runs through
-#: daemon-owned shared-memory slots; inline frames are byte-identical to v4's.
-#: v6: OK / GRANT carry ``stats`` — a writer stamps block bounds only when asked.
-PROTOCOL_VERSION = 6
+#: Bump on any incompatible header or format change; DESIGN.md §13
+#: ("Versions") says what each one changed.  v7: ATTACH names the writer
+#: rank of a data connection, and a rank closes with a PUBLISH ``eos``.
+PROTOCOL_VERSION = 7
 
 #: magic u32, version u8, msg type u8, reserved u16, sequence u64.
 #: The sequence is per-connection and monotone; receivers use it to
@@ -121,7 +115,6 @@ class MsgType(enum.IntEnum):
     HEARTBEAT = 8      # writer lease refresh
     OPEN = 9           # open a named stream for write or read
     OPEN_REPLY = 10    # daemon → client: stream id + data port
-    CLOSE = 11         # writer closes a stream (end of stream)
     BYE = 12           # client ends the session
     # data plane -------------------------------------------------------
     ATTACH = 16        # bind a data connection to (session, stream, role)
@@ -185,7 +178,6 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     MsgType.OPEN_REPLY: PROTOCOL_REGISTRY.define(
         "net.open_reply", [("stream_id", _S), ("data_port", _I)]
     ),
-    MsgType.CLOSE: PROTOCOL_REGISTRY.define("net.close", [("stream_id", _S)]),
     MsgType.BYE: PROTOCOL_REGISTRY.define("net.bye", [("reason", _S)]),
     MsgType.ATTACH: PROTOCOL_REGISTRY.define(
         "net.attach",
@@ -196,8 +188,11 @@ _BODY_FORMATS: dict[MsgType, Format] = {
          ("predicate", _S),
          # What the peer read in WELCOME's ``pool`` arena ("" = could not:
          # other host, uid or pid namespace — it gets inline frames only).
-         ("nonce", _S)],
+         ("nonce", _S),
+         # The writer rank this connection publishes for (a reader's is unused).
+         ("rank", _I)],
     ),
+    # One writer rank's run of its current step; ``eos``: and the rank closes.
     MsgType.PUBLISH: PROTOCOL_REGISTRY.define(
         "net.publish", [("step", _I), ("count", _I), ("eos", _B), ("seq", _I)]
     ),
@@ -396,12 +391,16 @@ def decode_var(
 # like a PUBLISH frame's ``net.var`` run.  The first record is always
 # ``net.ckpt.head``; each ``net.ckpt.stream`` is followed by ``count``
 # ``net.ckpt.step`` records whose BYTES payload is the stream's retained
-# step (the raw net.var run), spilled via the codec's ``encode_into``.
+# step (its net.var runs, joined), spilled via the codec's ``encode_into``,
+# then ``open`` ``net.ckpt.run`` records: the runs ranks landed for the
+# step their barrier has not ended yet.
 # ``None`` quotas ride as -1 sentinels (the codec has no null type).
 
 #: Bump on any incompatible checkpoint-record change.  v2: the stream and
 #: step records carry the step store's whole snapshot, failure included.
-CKPT_VERSION = 2
+#: v3: the stream record carries its writer run (ranks, their sessions and
+#: publish sequences, the barrier) and the open step's runs follow it.
+CKPT_VERSION = 3
 
 CKPT_HEAD = PROTOCOL_REGISTRY.define(
     "net.ckpt.head", [("version", _I), ("wall", _F), ("server", _S)]
@@ -413,8 +412,7 @@ CKPT_TENANT = PROTOCOL_REGISTRY.define(
 )
 CKPT_SESSION = PROTOCOL_REGISTRY.define(
     "net.ckpt.session",
-    [("session", _S), ("tenant", _S), ("client", _S), ("resume", _S),
-     ("streams", _S)],  # comma-joined stream ids
+    [("session", _S), ("tenant", _S), ("client", _S), ("resume", _S)],
 )
 CKPT_REG = PROTOCOL_REGISTRY.define(
     "net.ckpt.reg",
@@ -424,12 +422,21 @@ CKPT_REG = PROTOCOL_REGISTRY.define(
 CKPT_STREAM = PROTOCOL_REGISTRY.define(
     "net.ckpt.stream",
     [("stream_id", _S), ("tenant", _S), ("name", _S), ("last_step", _I),
-     ("eos_step", _I), ("failed", _B), ("error", _S), ("last_seq", _I),
-     ("retain", _I), ("peak_nbytes", _I), ("count", _I)],
+     ("eos_step", _I), ("failed", _B), ("error", _S),
+     ("retain", _I), ("peak_nbytes", _I), ("count", _I),
+     # The writer run: joined ranks and (comma-joined) their sessions, the
+     # closed ranks and those that ended the open step, and (rank, seq)
+     # pairs flattened; then ``open`` net.ckpt.run records.
+     ("ranks", _L), ("owners", _S), ("closed", _L), ("ended", _L),
+     ("seqs", _L), ("open", _I)],
 )  # eos_step -1 = still open; count net.ckpt.step records follow
 CKPT_STEP = PROTOCOL_REGISTRY.define(
     "net.ckpt.step",
     [("step", _I), ("count", _I), ("payload", FieldKind.BYTES)],
+)
+CKPT_RUN = PROTOCOL_REGISTRY.define(
+    "net.ckpt.run",
+    [("rank", _I), ("count", _I), ("payload", FieldKind.BYTES)],
 )
 
 

@@ -41,12 +41,14 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from repro.adios.api import StepBarrier
 from repro.analysis import sanitize
 from repro.core.directory import (
     AdmissionError,
@@ -61,6 +63,7 @@ from repro.core.stepstore import Outcome, StepStore
 from repro.net.protocol import (
     CKPT_HEAD,
     CKPT_REG,
+    CKPT_RUN,
     CKPT_SESSION,
     CKPT_STEP,
     CKPT_STREAM,
@@ -164,6 +167,7 @@ class _Conn(asyncio.BufferedProtocol):
         self.session: Optional[_Session] = None   # control: after HELLO
         self.bye = False
         self.stream: Optional[HostedStream] = None  # data: after ATTACH
+        self.rank = 0  # the writer rank a data connection publishes for
         self.reader = self.colocated = False
         self.grant: Optional[tuple] = None   # a writer's unused slot
         self.pinned = None  # the payload last served: kept until the next request
@@ -268,7 +272,14 @@ class _Hold(NamedTuple):
 
 
 class HostedStream:
-    """One named stream brokered by the daemon.
+    """One named stream brokered by the daemon: the run its writer ranks share.
+
+    Each writer rank is one data connection.  A rank joins at its OPEN
+    (:meth:`join`), and every PUBLISH lands that rank's ``net.var`` run of
+    the open step (:meth:`publish`); the step is appended to ``store`` when
+    the run's :class:`~repro.adios.api.StepBarrier` ends it — the rule
+    every in-process and file run ends its steps by — and a rank's close
+    (a PUBLISH with ``eos``) goes through the same barrier.
 
     Duck-typed like an in-process stream state (``monitor``, ``closed``,
     ``error``, ``active_transport``) so the live-telemetry server and
@@ -283,21 +294,27 @@ class HostedStream:
         self.monitor = PerfMonitor()
         #: ``shm`` while the latest step sits in a pool slot.
         self.active_transport = "tcp"
-        #: step -> (var count, the net.var run: a uint8 view of the frame
-        #: that carried it, or of the pool slot it was published into;
-        #: ``bytes`` once pruned or restored); what a reader is told about
-        #: any step is this store's ``lookup``.
+        #: step -> (var count, the step's runs: one rank's — a uint8 view of
+        #: the frame that carried it, or of the pool slot it was published
+        #: into, ``bytes`` once pruned or restored — or a tuple of several
+        #: ranks' in rank order); what a reader is told about any step is
+        #: this store's ``lookup``.
         self.store = StepStore(retain=int(retain_steps))
+        #: The writer ranks, and each joined rank's owning session.
+        self.barrier = StepBarrier()
+        self.owners: dict[int, str] = {}
+        #: ``(rank, var count, run)`` landed for the open step, in order.
+        self.open_runs: list[tuple[int, int, "np.ndarray | bytes"]] = []
+        #: Per writer rank, the highest publish sequence number applied;
+        #: republished frames with seq <= it are acknowledged but not
+        #: re-stored, so a rank that resends after a lost OK never lands twice.
+        self.last_seq: dict[int, int] = {}
         #: The current pool generation (None until a same-node writer
         #: publishes a run over ``INLINE_MAX``) and, for every slot in use,
         #: ``id(its view) -> (pool, offset, nbytes, sanitizer digest | None)``.
         self.pool: Optional[ShmArena] = None
         self._slots: dict[int, tuple] = {}
         self._san = sanitize.get()  # captured: one None check when disabled
-        #: Highest publish sequence number applied; republished frames
-        #: with seq <= last_seq are acknowledged but not re-stored, so a
-        #: writer that resends after a lost OK never duplicates a step.
-        self.last_seq = 0
         self._labels = {"tenant": tenant}
         # This stream's series, resolved once each: a registry look-up sorts
         # and joins the label dict into its key every time, 8 times a step.
@@ -321,13 +338,26 @@ class HostedStream:
         return self.store.failed
 
     # ------------------------------------------------------------------
+    def join(self, rank: int, session: str) -> None:
+        """Writer rank ``rank`` OPENed by ``session`` (any of the tenant's)
+        joins the run; the same session opening it again is its OPEN
+        retried.  A rank open elsewhere, or already closed, is refused."""
+        owner = self.owners.setdefault(rank, session)
+        if owner != session or rank in self.barrier.closed:
+            raise DirectoryError(f"writer rank {rank} of {self.stream_id!r} is already open")
+        self.barrier.joined.add(rank)
+
     def publish(self, step: int, count: int, payload: "np.ndarray | bytes",
-                eos: bool, seq: int = 0, slot: Optional[tuple] = None) -> bool:
-        """Store one step; returns False for a suppressed duplicate.
-        ``slot`` is the granted ``(pool, offset)`` that ``payload`` views:
-        kept while that view object lives, given back at once when the
-        step is not stored as that view (duplicate, pruned to ``bytes``)."""
-        if 0 < seq <= self.last_seq:
+                eos: bool, seq: int = 0, slot: Optional[tuple] = None,
+                rank: int = 0) -> bool:
+        """Land ``rank``'s run of the open step (its ``step``-th, as the
+        rank counts); with ``eos`` the rank closes after it.  Returns False
+        for a suppressed duplicate.  ``slot`` is the granted ``(pool,
+        offset)`` that ``payload`` views: kept while that view object
+        lives, given back at once when the run is not kept as that view
+        (duplicate, pruned to ``bytes``)."""
+        last = self.last_seq.get(rank, 0)
+        if 0 < seq <= last:
             self.counter("net.dup_publishes").inc()
             flight.record(
                 EV_NET_DUP_PUBLISH, stream=self.stream_id, step=step, seq=seq
@@ -335,13 +365,8 @@ class HostedStream:
             if slot is not None:
                 self.give_back(*slot)
             return False
-        self.last_seq = max(seq, self.last_seq)
-        self.store.append(step, (count, payload), len(payload))
-        if eos:
-            self.store.end(step + 1)
-        by_ref = slot is not None and isinstance(payload, np.ndarray)
-        self.active_transport = "shm" if by_ref else "tcp"
-        if by_ref:
+        self.last_seq[rank] = max(seq, last)
+        if slot is not None and isinstance(payload, np.ndarray):
             # The stored object is the one the slot's life hangs on.
             digest = None
             if self._san is not None:  # the write that just landed hit no slot in use
@@ -355,23 +380,48 @@ class HostedStream:
             self.counter(M_NET_STEPS_PUBLISHED_BY_REF).inc()
         elif slot is not None:
             self.give_back(*slot)
-        self.counter("net.steps_published").inc()
-        self.counter("net.bytes_published").inc(len(payload))
-        self.gauge("net.retained_steps").set(len(self.store))
-        flight.record(
-            EV_NET_STEP_PUBLISH, stream=self.stream_id, step=step, nbytes=len(payload)
-        )
-        self.wake()  # last: a slot-backed step is answered by reference
+        if count:  # a rank that wrote nothing lands no run
+            self.open_runs.append((rank, count, payload))
+        if not eos:
+            if self.barrier.end(rank):
+                self._seal()
+            return True
+        # A close ends the step when only ranks that ended it are left —
+        # or, the last rank out, when a closed rank's run is waiting.
+        if self.barrier.close(rank) and (self.barrier.live or self.open_runs):
+            self._seal()
+        if not self.barrier.live:
+            self.store.end()
+            self.wake()
         return True
 
+    def _seal(self) -> None:
+        """The barrier ended the open step: append it, its runs in rank order."""
+        runs, self.open_runs = self.open_runs, []
+        runs.sort(key=itemgetter(0))  # by rank; a rank's own runs stay in landing order
+        if len(runs) == 1:
+            _, count, payload = runs[0]  # stored as it landed
+            nbytes = len(payload)
+        else:
+            count, payload = sum(run[1] for run in runs), tuple(run[2] for run in runs)
+            nbytes = sum(map(len, payload))
+        step = self.store.last + 1
+        self.store.append(step, (count, payload), nbytes)
+        self.active_transport = "tcp" if self.slot_of(payload) is None else "shm"
+        self.counter("net.steps_published").inc()
+        self.counter("net.bytes_published").inc(nbytes)
+        self.gauge("net.retained_steps").set(len(self.store))
+        flight.record(EV_NET_STEP_PUBLISH, stream=self.stream_id, step=step, nbytes=nbytes)
+        self.wake()  # last: a slot-backed step is answered by reference
+
     def fetch(self, step: int) -> Optional[tuple[int, "np.ndarray | bytes"]]:
-        """Step ``step``'s ``(var count, payload)``, counted as served;
+        """Step ``step``'s ``(var count, runs)``, counted as served;
         None on a miss (the store's ``lookup`` says which kind)."""
         outcome, got = self.store.lookup(step)
         if outcome is not Outcome.HIT:
             return None
         self.counter("net.steps_fetched").inc()
-        self.counter("net.bytes_fetched").inc(len(got[1]))
+        self.counter("net.bytes_fetched").inc(sum(map(len, step_runs(got[1]))))
         flight.record(EV_NET_STEP_FETCH, stream=self.stream_id, step=step)
         return got
 
@@ -447,14 +497,13 @@ class HostedStream:
         preds = list(self._reader_preds.values())
         self._prune = combine_predicates(preds) if preds and None not in preds else None
 
-    def end(self) -> None:
-        """The writer's CLOSE: clean end just past the last step."""
-        self.store.end()
-        self.wake()
-
     def fail(self, reason: str) -> None:
-        """Directory eviction callback: lease expired → typed stream end."""
+        """Directory eviction callback: lease expired → typed stream end.
+        The open step is dropped with the runs landed for it: no reader
+        sees a step missing a rank."""
         self.store.fail(reason)
+        self.open_runs = []
+        self.barrier.ended.clear()
         self.wake()
 
     def wake(self, drain: bool = False) -> None:
@@ -475,6 +524,11 @@ class HostedStream:
             hold.timer.cancel()
             self.gauge(M_NET_READERS_PARKED).set(len(self.parked))
         return hold
+
+
+def step_runs(payload) -> tuple:
+    """A stored step's runs: its one run, or the tuple of several."""
+    return payload if isinstance(payload, tuple) else (payload,)
 
 
 def prune_step_payload(raw: np.ndarray, offset: int, count: int,
@@ -544,7 +598,6 @@ class _Session:
     #: Server-issued resume token: a reconnecting client presents it in
     #: HELLO to adopt this session instead of minting a fresh one.
     resume: str = ""
-    streams: list[str] = field(default_factory=list)
 
 
 class DirectoryDaemon:
@@ -725,16 +778,11 @@ class DirectoryDaemon:
 
     # -- frame I/O ---------------------------------------------------------
     def _reply(self, conn: _Conn, *parts) -> None:
-        """Write one frame to ``conn`` — or act out the fault injected into it."""
+        """Write one frame to ``conn`` — or act out the fault injected into
+        it: the frame is dropped, torn, delayed, or the connection killed."""
         kind = None if self.injector is None else self.injector.next_fault()
         if kind is None:
-            conn.write_frame(*parts)
-        else:
-            self._inject_outbound(conn, kind, parts)
-
-    def _inject_outbound(self, conn: _Conn, kind: FaultKind, parts) -> None:
-        """Act out one injected fault on an outbound frame: it is dropped,
-        torn, delayed, or the connection is killed instead."""
+            return conn.write_frame(*parts)
         blob = b"".join(as_byte_view(p) for p in parts)  # chaos-only path
         total = len(blob)
         record_injected(self.metrics, "daemon", kind, nbytes=total)
@@ -807,17 +855,9 @@ class DirectoryDaemon:
         except AdmissionError as exc:
             self._send_admission_error(conn, exc)
             return conn.hang_up()
-        resume_token = frame.record["resume"]
-        resumed = False
-        session = None
-        if resume_token:
-            sid = self._resume.get(resume_token)
-            if sid is not None:
-                candidate = self._sessions.get(sid)
-                if candidate is not None and candidate.tenant == tenant:
-                    session = candidate
-                    resumed = True
-        if session is None:
+        session = self._sessions.get(self._resume.get(frame.record["resume"]))
+        resumed = session is not None and session.tenant == tenant
+        if not resumed:
             session = _Session(
                 session_id=f"s{next(self._session_counter)}",
                 tenant=tenant,
@@ -853,8 +893,8 @@ class DirectoryDaemon:
             conn.bye = True
             return conn.hang_up()
         if self._draining and frame.msg_type in (MsgType.OPEN, MsgType.REGISTER):
-            # Drain refuses *new* work but still serves lookups, closes
-            # and heartbeats so in-flight sessions can wind down.
+            # Drain refuses *new* work but still serves lookups and
+            # heartbeats so in-flight sessions can wind down.
             return self._send_retry_after(conn, "draining")
         try:
             if frame.msg_type is MsgType.REGISTER:
@@ -880,16 +920,6 @@ class DirectoryDaemon:
                 self._ack(conn, detail)
             elif frame.msg_type is MsgType.OPEN:
                 self._control_open(session, rec, conn)
-            elif frame.msg_type is MsgType.CLOSE:
-                stream = self._streams.get(rec["stream_id"])
-                if stream is None:
-                    return self._send_error(conn, "unknown_stream", rec["stream_id"])
-                stream.end()
-                try:
-                    self.directory.unregister(stream.tenant, stream.name)
-                except DirectoryError:
-                    pass  # already reaped or never leased-registered
-                self._ack(conn, "closed")
             else:
                 self._send_error(
                     conn, "protocol", f"unexpected {frame.msg_type.name} on control port"
@@ -905,21 +935,15 @@ class DirectoryDaemon:
         mode = rec["mode"]
         stream_id = f"{tenant}/{name}"
         if mode == "w":
-            existing = self._streams.get(stream_id)
-            if (existing is not None and not existing.closed
-                    and stream_id in session.streams):
-                # Idempotent re-OPEN: this session already owns the live
-                # stream — a retried OPEN (lost reply) or a post-resume
-                # re-attach must not hit the duplicate-registration check.
-                pass
-            else:
+            stream = self._streams.get(stream_id)
+            if stream is None or stream.closed:
+                # The run's first rank: admission (quota + duplicate check)
+                # happens before the stream becomes visible to readers.
                 stream = HostedStream(tenant, name, retain_steps=self.retain_steps)
-                # Admission (quota + duplicate check) happens before the
-                # stream becomes visible to readers.
                 self.directory.register(tenant, name, _coordinator(rec, stream),
                                         lease=rec["lease"] if rec["lease"] > 0 else None)
                 self._streams[stream_id] = stream
-                session.streams.append(stream_id)
+            stream.join(int(rec["rank"]), session.session_id)
         elif mode == "r":
             hosted = self._streams.get(stream_id)
             if hosted is None:
@@ -959,7 +983,7 @@ class DirectoryDaemon:
             predicate = parse_predicate(frame.record["predicate"])
         except CodeletError as exc:
             return self._refuse(conn, "protocol", f"bad predicate spec: {exc}")
-        conn.stream = stream
+        conn.stream, conn.rank = stream, int(frame.record["rank"])
         conn.colocated = frame.record["nonce"] == self._nonce
         if frame.record["role"] == "w":
             # What the latest positive reply granted this connection, while
@@ -1012,19 +1036,37 @@ class DirectoryDaemon:
             return self._refuse(conn, "protocol", "writer must PUBLISH")
         if self._draining:
             return self._send_retry_after(conn, "draining")
+        if stream.closed:  # a rank's close after the run ended (a lease) is moot
+            if rec["eos"]:
+                return self._ack(conn, "closed")
+            return self._send_error(conn, "stream_failed", stream.error or "stream ended")
         try:  # a referenced run is charged like the frame it replaces
             self.directory.charge_bytes(stream.tenant, raw.nbytes + nbytes)
         except AdmissionError as exc:
             return self._send_admission_error(conn, exc)
         if by_ref:
             (pool, offset), conn.grant, inline_run = grant, None, 0
-            stored = self._store_step(
-                stream, rec, pool.arr[offset:offset + nbytes], 0, (pool, offset))
+            raw, start, slot = pool.arr[offset:offset + nbytes], 0, (pool, offset)
         else:
             inline_run = raw.nbytes - frame.consumed  # a bulk one sizes the pool
-            stored = self._store_step(stream, rec, raw, frame.consumed)
-        try:  # publishing is the writer's liveness signal
-            self.directory.heartbeat(stream.tenant, stream.name)
+            start, slot = frame.consumed, None
+        # The run as it landed (no copy), pruned of what no reader wants.
+        count, payload = int(rec["count"]), raw[start:] if start else raw
+        predicate = stream.prune_predicate()
+        if predicate is not None and count:
+            try:
+                count, payload = prune_step_payload(raw, start, count, predicate, stream)
+            except ProtocolError:
+                # Malformed var run: store verbatim; the reader's
+                # decode surfaces the real error.
+                pass
+        stored = stream.publish(int(rec["step"]), count, payload, bool(rec["eos"]),
+                                seq=int(rec["seq"]), slot=slot, rank=conn.rank)
+        try:  # publishing is the writer's liveness signal; the last rank out frees the name
+            if rec["eos"] and stream.closed:
+                self.directory.unregister(stream.tenant, stream.name)
+            else:
+                self.directory.heartbeat(stream.tenant, stream.name)
         except DirectoryError:
             pass  # unleased or already closed registration
 
@@ -1040,24 +1082,6 @@ class DirectoryDaemon:
             # runs off the loop, so other sessions' frames do not stall.
             return self._owe(conn, self.checkpoint_async(), ack)
         ack()
-
-    @staticmethod
-    def _store_step(stream: HostedStream, rec: dict, raw: np.ndarray, start: int,
-                    slot: Optional[tuple] = None) -> bool:
-        """Store the step whose ``net.var`` run is ``raw[start:]`` (a frame's
-        tail, or all of a slot's view), pruned of what no reader wants."""
-        count = int(rec["count"])
-        payload = raw[start:] if start else raw  # the array as it landed: no copy
-        predicate = stream.prune_predicate()
-        if predicate is not None and count:
-            try:
-                count, payload = prune_step_payload(raw, start, count, predicate, stream)
-            except ProtocolError:
-                # Malformed var run: store verbatim; the reader's
-                # decode surfaces the real error.
-                pass
-        return stream.publish(int(rec["step"]), count, payload, bool(rec["eos"]),
-                              seq=int(rec["seq"]), slot=slot)
 
     @_handler
     def _fetch(self, conn: _Conn, raw, frame: Frame) -> None:
@@ -1109,10 +1133,11 @@ class DirectoryDaemon:
                 return self._reply(conn, encode_frame(MsgType.STEP_REF, {
                     "step": step, "count": count, "pool": slot[0].name,
                     "offset": slot[1], "nbytes": len(conn.pinned)}))
+            # Several ranks' runs follow the header back to back: no join.
             return self._reply(
                 conn,
                 encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
-                conn.pinned,
+                *step_runs(conn.pinned),
             )
         msg_type, kind = MISS_REPLY[outcome]
         if msg_type is MsgType.NOT_READY and self._draining:
@@ -1185,10 +1210,11 @@ class DirectoryDaemon:
         """
         target = self._checkpoint_target(path)
         blob = self._checkpoint_blob()
+        if self._ckpt_executor is None:
+            self._ckpt_executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="flexio-ckpt")
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._checkpoint_executor(), self._write_checkpoint_blob, blob, target
-        )
+        await loop.run_in_executor(self._ckpt_executor, self._write_checkpoint_blob, blob, target)
         self._note_checkpoint(target, len(blob))
         return target
 
@@ -1197,13 +1223,6 @@ class DirectoryDaemon:
         if not target:
             raise ValueError("no checkpoint path configured")
         return target
-
-    def _checkpoint_executor(self) -> ThreadPoolExecutor:
-        if self._ckpt_executor is None:
-            self._ckpt_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="flexio-ckpt"
-            )
-        return self._ckpt_executor
 
     def _write_checkpoint_blob(self, blob: bytes, target: str) -> None:
         """Blocking half: atomic tmp+fsync+rename.  The tmp name carries
@@ -1245,7 +1264,6 @@ class DirectoryDaemon:
             parts.append(encode_record(CKPT_SESSION, {
                 "session": sess.session_id, "tenant": sess.tenant,
                 "client": sess.client, "resume": sess.resume,
-                "streams": ",".join(sess.streams),
             }))
         for tenant in self.directory.tenants():
             server = self.directory.server_for(tenant)
@@ -1259,21 +1277,29 @@ class DirectoryDaemon:
                     "remaining": 0.0 if remaining is None else remaining,
                 }))
         for stream in self._streams.values():
-            snap = stream.store.snapshot()
+            snap, barrier = stream.store.snapshot(), stream.barrier
             parts.append(encode_record(CKPT_STREAM, {
                 "stream_id": stream.stream_id, "tenant": stream.tenant,
-                "name": stream.name, "last_seq": stream.last_seq,
+                "name": stream.name,
                 "last_step": snap["last"],
                 "eos_step": -1 if snap["ended"] is None else snap["ended"],
                 "failed": snap["failed"] is not None, "error": snap["failed"] or "",
                 "retain": snap["retain"], "peak_nbytes": snap["peak_nbytes"],
                 "count": len(snap["steps"]),
+                "ranks": list(stream.owners), "owners": ",".join(stream.owners.values()),
+                "closed": sorted(barrier.closed), "ended": sorted(barrier.ended),
+                "seqs": [n for pair in stream.last_seq.items() for n in pair],
+                "open": len(stream.open_runs),
             }))
             # ``publish`` is the store's only appender: no entry is lost.
             for step, (count, payload), _nbytes, _lost in snap["steps"]:
                 parts.append(encode_record(CKPT_STEP, {
                     "step": step, "count": count,
-                    "payload": np.frombuffer(payload, dtype=np.uint8),
+                    "payload": np.frombuffer(b"".join(step_runs(payload)), dtype=np.uint8),
+                }))
+            for rank, count, run in stream.open_runs:
+                parts.append(encode_record(CKPT_RUN, {
+                    "rank": rank, "count": count, "payload": np.frombuffer(run, dtype=np.uint8),
                 }))
         return b"".join(p.tobytes() for p in parts)
 
@@ -1320,7 +1346,6 @@ class DirectoryDaemon:
                     session_id=rec["session"], tenant=rec["tenant"],
                     spec=self.directory.spec(rec["tenant"]),
                     client=rec["client"], resume=rec["resume"],
-                    streams=[s for s in rec["streams"].split(",") if s],
                 )
                 self._sessions[sess.session_id] = sess
                 if sess.resume:
@@ -1331,24 +1356,30 @@ class DirectoryDaemon:
             elif fmt.name == CKPT_REG.name:
                 regs.append(dict(rec))  # applied after streams exist
             elif fmt.name == CKPT_STREAM.name:
-                steps = []
-                for _ in range(int(rec["count"])):
+                n_steps, held = int(rec["count"]), []
+                for i in range(n_steps + int(rec["open"])):
+                    want = CKPT_STEP if i < n_steps else CKPT_RUN
                     sfmt, srec, offset = decode_record(data, offset)
-                    if sfmt.name != CKPT_STEP.name:
-                        raise ProtocolError(
-                            f"expected {CKPT_STEP.name}, got {sfmt.name}"
-                        )
+                    if sfmt.name != want.name:
+                        raise ProtocolError(f"expected {want.name}, got {sfmt.name}")
                     payload = np.asarray(srec["payload"], dtype=np.uint8).tobytes()
-                    steps.append(
-                        (int(srec["step"]), (int(srec["count"]), payload), len(payload))
-                    )
+                    held.append((srec, int(srec["count"]), payload))
                 stream = HostedStream(rec["tenant"], rec["name"])
-                stream.last_seq = int(rec["last_seq"])
+                stream.owners = dict(zip(map(int, rec["ranks"]), rec["owners"].split(",")))
+                stream.barrier.joined = set(stream.owners)
+                stream.barrier.closed = set(map(int, rec["closed"]))
+                stream.barrier.ended = set(map(int, rec["ended"]))
+                seqs = [int(n) for n in rec["seqs"]]
+                stream.last_seq = dict(zip(seqs[::2], seqs[1::2]))
+                stream.open_runs = [(int(r["rank"]), count, payload)
+                                    for r, count, payload in held[n_steps:]]
                 stream.store = StepStore.restore({
                     "retain": int(rec["retain"]), "last": int(rec["last_step"]),
                     "ended": None if rec["eos_step"] < 0 else int(rec["eos_step"]),
                     "failed": rec["error"] if rec["failed"] else None,
-                    "peak_nbytes": int(rec["peak_nbytes"]), "steps": steps,
+                    "peak_nbytes": int(rec["peak_nbytes"]),
+                    "steps": [(int(r["step"]), (count, payload), len(payload))
+                              for r, count, payload in held[:n_steps]],
                 })
                 self._streams[stream.stream_id] = stream
             else:

@@ -12,6 +12,7 @@ from repro.adios import (
     RankContext,
     block_decompose,
 )
+from repro.adios import bp
 from repro.adios.api import BpFileMethod
 
 
@@ -216,3 +217,14 @@ def test_bytes_written_counter(tmp_path):
         w.write(0, "x", np.zeros(100, dtype=np.float64))
         w.end_step()
         assert w.bytes_written == 800
+
+
+def test_a_bad_header_closes_the_file(tmp_path, monkeypatch):
+    bad = tmp_path / "bad.bp"
+    bad.write_bytes(b"not a bp file")
+    opened = []
+    monkeypatch.setattr(bp, "open", lambda *a: opened.append(open(*a)) or opened[-1],
+                        raising=False)
+    with pytest.raises(BpFormatError, match="not a BP-lite file"):
+        BpReader(bad)
+    assert len(opened) == 1 and opened[0].closed

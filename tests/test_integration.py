@@ -29,7 +29,9 @@ from repro.apps import (
 )
 from repro.core import FlexIO, PluginSide, stream_registry
 from repro.core.adaptive import AdaptivePolicy, DCPlacementController
+from repro.core.directory import TenantSpec
 from repro.core.plugins import sampling_plugin
+from repro.net.server import DirectoryDaemon
 
 
 @pytest.fixture(autouse=True)
@@ -188,11 +190,21 @@ def _s3d_roundtrip(method, params, name):
 
 
 def test_three_way_method_switch(tmp_path):
+    """In process, offline (one file, or subfiles behind a manifest) and
+    through a staging daemon: the same program, one ``<method>`` line apart."""
     stream = _s3d_roundtrip("FLEXPATH", "caching=ALL", "switch3.stream")
     bp = _s3d_roundtrip("BP", "", str(tmp_path / "switch3.bp"))
     agg = _s3d_roundtrip("MPI_AGGREGATE", "aggregators=2", str(tmp_path / "switch3agg.bp"))
+    daemon = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False).start()
+    try:
+        staged = _s3d_roundtrip(
+            "STAGING", f"daemon={daemon.host}:{daemon.control_port};tenant=public",
+            "switch3.staged")
+    finally:
+        daemon.stop()
     np.testing.assert_array_equal(stream, bp)
     np.testing.assert_array_equal(stream, agg)
+    np.testing.assert_array_equal(stream, staged)
 
 
 # ---------------------------------------------------------------------------

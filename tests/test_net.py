@@ -89,7 +89,7 @@ ROUND_TRIP_CASES = [
     (MsgType.EOS, {"step": 4}),
     (MsgType.RETRY_AFTER, {"delay": 0.25, "reason": "draining"}),
     (MsgType.ATTACH, {"session": "s-1", "stream_id": "acme/gts.out", "role": "w",
-                      "predicate": "", "nonce": "00ff"}),
+                      "predicate": "", "nonce": "00ff", "rank": 3}),
     (MsgType.GRANT, {"detail": "published", "pool": "/proc/4242/fd/9@3",
                      "offset": 2359296, "capacity": 2359296, "stats": False}),
     (MsgType.PUBLISH_REF, {"step": 3, "count": 2, "eos": False, "seq": 4,
@@ -353,8 +353,8 @@ def test_data_path_reconnect_holds_the_session_lock(daemon, monkeypatch):
             t.join(timeout=2.0)
 
         monkeypatch.setattr(c, "_dial", probe)
-        w._channel = c._reattach(1, PeerDisconnected("test"), w.stream_id, "w",
-                                 w._channel)
+        w._run._channel = c._reattach(1, PeerDisconnected("test"), w.stream_id, "w",
+                                      w._run._channel)
         assert free == [False]
         w.close()
 
@@ -414,11 +414,11 @@ def test_socket_timeout_is_armed_once_not_per_call(daemon, monkeypatch):
         assert len(armed) <= 2, armed
         monkeypatch.undo()
         # A dead socket is still the typed fault, found by the send itself.
-        w._channel._send_sock.close()
+        w._run._channel._send_sock.close()
         w.begin_step()
         w.write("x", np.zeros(4))
         with pytest.raises(PeerDisconnected):
-            w._publish_once({"step": 11, "count": 1, "eos": False, "seq": 12})
+            w._run._publish_once({"step": 11, "count": 0, "eos": False, "seq": 12}, [])
         w._closed = True
         c._hb_streams.clear()
 
@@ -642,8 +642,10 @@ def test_duplicate_publish_suppressed_by_sequence():
     assert hs.publish(0, 1, b"payload", False, seq=1) is False
     assert hs.publish(1, 1, b"payload2", False, seq=2) is True
     assert hs.publish(1, 1, b"payload2", False, seq=1) is False
-    assert hs.store.last == 1
-    assert hs.last_seq == 2
+    # Each writer rank's connection has a sequence of its own.
+    assert hs.publish(2, 1, b"payload3", False, seq=1, rank=1) is True
+    assert hs.store.last == 2
+    assert hs.last_seq == {0: 2, 1: 1}
 
 
 def test_drain_refuses_new_sessions_with_retry_after(daemon):
@@ -1220,3 +1222,135 @@ def test_stop_with_a_parked_reader_ends_the_daemon_thread():
     with pytest.raises(TransportFault):
         w.close()  # nobody left to tell
     c.close()
+
+
+# ---------------------------------------------------------------------------
+# The daemon's run: every writer rank one data connection, one barrier
+# ---------------------------------------------------------------------------
+
+def ranks_of(r) -> list[int]:
+    """The writer ranks of ``r``'s current step."""
+    ranks = []
+    for rank in range(2):
+        try:
+            r.read_block("x", rank)
+        except KeyError:
+            continue
+        ranks.append(rank)
+    return ranks
+
+
+def test_a_step_ends_when_every_rank_has_ended_it(daemon):
+    with connect(uri(daemon, "public")) as c0, connect(uri(daemon, "public")) as c1:
+        w0 = c0.open("run.two", "w", rank=0, num_ranks=2)
+        w1 = c1.open("run.two", "w", rank=1, num_ranks=2)
+        hosted = daemon._streams["public/run.two"]
+        write_step(w0, 0.0)
+        assert hosted.store.last == -1  # rank 1 has not ended step 0
+        write_step(w1, 1.0)
+        assert hosted.store.last == 0 and len(hosted.store.lookup(0)[1][1]) == 2
+        # A rank that ends a step with no writes sends no record, and still ends it.
+        write_step(w0, 2.0)
+        w1.begin_step()
+        w1.end_step()
+        r = c0.open("run.two", "r")
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        assert ranks_of(r) == [0, 1]
+        np.testing.assert_array_equal(r.read_block("x", 1), np.full(4, 1.0))
+        r.end_step()
+        assert r.begin_step(timeout=2.0) is StepStatus.OK and ranks_of(r) == [0]
+        r.end_step()
+        w0.close()
+        assert r.begin_step(timeout=0.2) is StepStatus.NotReady  # rank 1 is live
+        w1.close()
+        assert r.begin_step(timeout=2.0) is StepStatus.EndOfStream
+        r.close()
+
+
+def test_a_step_of_several_runs_is_one_vectored_step_data(daemon):
+    """No join in the daemon: each rank's run follows the header as it
+    landed — bulk runs in pool slots included — and such a step is never
+    served by reference."""
+    with connect(uri(daemon, "public")) as c0, connect(uri(daemon, "public")) as c1:
+        writers = [c.open("run.vec", "w", rank=k, num_ranks=2) for k, c in enumerate((c0, c1))]
+        for step in range(2):  # the first sizes the pool, the second lands in slots
+            for k, w in enumerate(writers):
+                write_step(w, 10 * step + k, n=1 << 14)
+        hosted = daemon._streams["public/run.vec"]
+        count, runs = hosted.store.lookup(1)[1]
+        assert count == 2 and all(hosted.slot_of(run) is not None for run in runs)
+        reader = c0._attach("public/run.vec", "r")
+        reader.sendv([encode_frame(MsgType.FETCH, {"step": 1, "wait": 0.0})], timeout=2.0)
+        frame = decode_frame(got := reader.recv(timeout=2.0))
+        assert frame.msg_type is MsgType.STEP_DATA and frame.record["count"] == 2
+        body = got.as_array()[frame.consumed:].tobytes()
+        assert body == b"".join(run.tobytes() for run in runs)
+        rec, offset = decode_var(body, 0)
+        assert rec["writer_rank"] == 0
+        assert decode_var(body, offset)[0]["writer_rank"] == 1
+        reader.close()
+        for w in writers:
+            w.close()
+
+
+def test_a_rank_opened_twice_is_a_typed_error(daemon):
+    with connect(uri(daemon, "public")) as c0, connect(uri(daemon, "public")) as c1:
+        w = c0.open("run.twice", "w", rank=0, num_ranks=2)
+        with pytest.raises(NetError, match="rank 0 .* already open"):
+            c1.open("run.twice", "w", rank=0, num_ranks=2)
+        w1 = c1.open("run.twice", "w", rank=1, num_ranks=2)
+        w1.close()
+        with pytest.raises(NetError, match="rank 1 .* already open"):
+            c1.open("run.twice", "w", rank=1, num_ranks=2)  # closed: not again
+        w.close()
+
+
+def test_a_rank_lease_expiring_mid_step_is_a_typed_error_not_a_short_step():
+    """Rank 0 ended step 1, rank 1 never did: the stream fails, and the
+    reader gets OtherError at step 1 — never a step 1 without rank 1."""
+    now = [0.0]
+    d = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False,
+                        lease_interval=0.02, clock=lambda: now[0]).start()
+    try:
+        with connect(uri(d, "public")) as c0, connect(uri(d, "public")) as c1:
+            w0 = c0.open("run.lease", "w", rank=0, num_ranks=2, lease=5.0)
+            w1 = c1.open("run.lease", "w", rank=1, num_ranks=2, lease=5.0)
+            write_step(w0, 0.0)
+            write_step(w1, 1.0)
+            write_step(w0, 2.0)
+            r = c0.open("run.lease", "r")
+            assert r.begin_step(timeout=2.0) is StepStatus.OK and ranks_of(r) == [0, 1]
+            r.end_step()
+            now[0] += 10.0  # every rank went silent past the lease
+            assert r.begin_step(timeout=2.0) is StepStatus.OtherError
+            with pytest.raises(StreamFailure, match="lease expired"):
+                r._fetch(1)
+            hosted = d._streams["public/run.lease"]
+            assert hosted.store.last == 0 and hosted.open_runs == []
+            with pytest.raises(StreamFailure):  # a failed run takes no more steps
+                write_step(w1, 3.0)
+            r.close()
+            w0.close()  # a close after the failure is moot, not an error
+    finally:
+        d.stop()
+
+
+def test_closing_a_session_closes_the_handles_it_opened(daemon):
+    c = connect(uri(daemon), token="s3cret")
+    w = c.open("leak.w", "w")
+    write_step(w, 0.0)
+    r = c.open("leak.w", "r")
+    socks = [w._run._channel._send_sock, r._channel._send_sock, c._control._send_sock]
+    c.close()
+    assert w._closed and r._closed
+    assert [s.fileno() for s in socks] == [-1, -1, -1]
+    assert daemon._streams["acme/leak.w"].closed  # the writer's close reached the run
+
+
+def test_a_refused_hello_closes_its_control_socket(daemon, monkeypatch):
+    dialed = []
+    real = TcpChannel.connect
+    monkeypatch.setattr(TcpChannel, "connect", lambda *a, **k: dialed.append(real(*a, **k)) or dialed[-1])
+    with pytest.raises(AuthFailure):
+        connect(uri(daemon), token="wrong")
+    assert len(dialed) == 1 and dialed[0]._send_sock.fileno() == -1

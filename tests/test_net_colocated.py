@@ -205,7 +205,7 @@ def test_blank_nonce_peer_exchanges_the_inline_frames_byte_for_byte(daemon):
         attach = {"session": c.session_id, "stream_id": "public/inline", "predicate": ""}
         # A raw v5 reader that could not read the nonce.
         reader = TcpChannel.connect(daemon.host, daemon.data_port)
-        reader.sendv([encode_frame(MsgType.ATTACH, {**attach, "role": "r", "nonce": ""})])
+        reader.sendv([encode_frame(MsgType.ATTACH, {**attach, "role": "r", "nonce": "", "rank": 0})])
         ok = encode_frame(
             MsgType.OK, {"detail": "attached", "stats": False}).as_array().tobytes()
         assert reader.recv(timeout=2.0).as_array().tobytes() == ok
@@ -216,7 +216,7 @@ def test_blank_nonce_peer_exchanges_the_inline_frames_byte_for_byte(daemon):
         assert counter(stream, M_NET_STEPS_FETCHED_BY_REF) == 0
         # And a raw writer with a wrong nonce: OK, never GRANT, bulk or not.
         writer = TcpChannel.connect(daemon.host, daemon.data_port)
-        writer.sendv([encode_frame(MsgType.ATTACH, {**attach, "role": "w", "nonce": "00" * 8})])
+        writer.sendv([encode_frame(MsgType.ATTACH, {**attach, "role": "w", "nonce": "00" * 8, "rank": 0})])
         assert writer.recv(timeout=2.0).as_array().tobytes() == ok
         reply = rpc(writer, MsgType.PUBLISH, {"step": 2, "count": 1, "eos": False, "seq": 3},
                     *encode_var(var_record(2)))
@@ -225,7 +225,7 @@ def test_blank_nonce_peer_exchanges_the_inline_frames_byte_for_byte(daemon):
         assert stream.active_transport == "tcp"
         reader.close()
         writer.close()
-        w._step, w._publish_seq = 3, 3  # what the hand-made PUBLISH used up
+        w._run._step, w._run._publish_seq = 3, 3  # what the hand-made PUBLISH used up
         w.close()
 
 
@@ -235,7 +235,7 @@ def test_small_runs_stay_inline_and_size_no_pool(daemon):
         w, r = c.open("small", "w"), c.open("small", "r")
         for k in range(3):
             put(w, k, n)
-            assert w._channel.grant is None
+            assert w._run._channel.grant is None
             assert r.begin_step(timeout=2.0) is StepStatus.OK
             np.testing.assert_array_equal(r.read_block("v", 0), bulk(k, n))
             r.end_step()
@@ -279,7 +279,7 @@ def test_publish_ref_outside_the_grant_is_a_protocol_error(daemon, tamper):
     with connect(uri(daemon)) as c:
         w = c.open("strict", "w")
         put(w, 0)
-        stream, channel = hosted(daemon, "strict"), w._channel
+        stream, channel = hosted(daemon, "strict"), w._run._channel
         assert len(stream.pool.free) == SLOTS - 1  # the writer's grant
         reply = publish_ref(channel, 1, 2, **tamper(channel.grant))
         assert reply.msg_type is MsgType.ERROR and reply.record["kind"] == "protocol"
@@ -300,7 +300,7 @@ def test_publish_ref_without_a_grant_is_a_protocol_error(daemon):
         assert channel.grant is None
         reply = rpc(channel, MsgType.PUBLISH_REF, {
             "step": 1, "count": 1, "eos": False, "seq": 2,
-            "pool": w._channel.grant["pool"], "offset": w._channel.grant["offset"],
+            "pool": w._run._channel.grant["pool"], "offset": w._run._channel.grant["offset"],
             "nbytes": 1024})
         assert reply.msg_type is MsgType.ERROR and reply.record["kind"] == "protocol"
         assert hosted(daemon, "ungranted").store.last == 0
@@ -312,12 +312,12 @@ def test_client_refuses_pool_names_that_are_not_daemon_memfds(daemon):
     with connect(uri(daemon)) as c:
         w = c.open("names", "w")
         put(w, 0)
-        w._channel.grant = {**w._channel.grant, "pool": "/etc/passwd"}
+        w._run._channel.grant = {**w._run._channel.grant, "pool": "/etc/passwd"}
         w.begin_step()
         w.write("v", bulk(1))
         with pytest.raises(ProtocolError):
             w.end_step()
-        w._channel.grant = None
+        w._run._channel.grant = None
         w.end_step()  # the same step, inline
         assert hosted(daemon, "names").store.last == 1
         w.close()
@@ -331,7 +331,7 @@ def test_quota_refusal_of_a_by_reference_publish_stores_nothing():
         with connect(uri(d)) as c:
             w = c.open("quota", "w")
             put(w, 0)  # ≈ 262 KB of the 400 KB budget, inline
-            stream, grant = hosted(d, "quota"), dict(w._channel.grant)
+            stream, grant = hosted(d, "quota"), dict(w._run._channel.grant)
             charged = d.metrics.counter("tenant.bytes", labels={"tenant": "public"})
             inline_charge = charged.value
             w.begin_step()
@@ -341,7 +341,7 @@ def test_quota_refusal_of_a_by_reference_publish_stores_nothing():
             assert stream.store.last == 0 and charged.value == inline_charge
             assert stream.active_transport == "tcp"
             # Still this connection's, still unused; nothing else was taken.
-            assert w._channel.grant == grant and len(stream.pool.free) == SLOTS - 1
+            assert w._run._channel.grant == grant and len(stream.pool.free) == SLOTS - 1
             now[0] += 10.0  # the bucket refills
             w.end_step()
             assert stream.store.last == 1 and stream.active_transport == "shm"
@@ -369,7 +369,7 @@ def test_pinned_slot_is_not_granted_until_its_reader_moves_on(daemon, release):
         pinned = ref.record["offset"]
         used = []
         for k in range(2, 2 + 3 * SLOTS):  # step 1 is long evicted
-            used.append(w._channel.grant["offset"])
+            used.append(w._run._channel.grant["offset"])
             put(w, k)
         assert stream.store.lookup(1)[0] is Outcome.LOST
         assert pinned not in used and pinned not in stream.pool.free
@@ -399,8 +399,8 @@ def test_unused_grant_returns_when_the_writer_disconnects(daemon):
         free = stream.monitor.metrics.gauge(M_NET_POOL_SLOTS_FREE, labels=stream._labels)
         assert len(stream.pool.free) == free.value == SLOTS - 1
         second = c._attach("public/grants", "w")
-        assert second.grant["pool"] == w._channel.grant["pool"]
-        assert second.grant["offset"] != w._channel.grant["offset"]
+        assert second.grant["pool"] == w._run._channel.grant["pool"]
+        assert second.grant["offset"] != w._run._channel.grant["offset"]
         assert len(stream.pool.free) == free.value == SLOTS - 2
         second.close()
         settle(lambda: len(stream.pool.free) == SLOTS - 1, "the grant was not given back")
@@ -413,7 +413,7 @@ def test_duplicate_seq_voids_the_grant_it_named(daemon):
     with connect(uri(daemon)) as c:
         w = c.open("dup", "w")
         put(w, 0)
-        stream, channel = hosted(daemon, "dup"), w._channel
+        stream, channel = hosted(daemon, "dup"), w._run._channel
         first = publish_ref(channel, 1, 2)
         assert first.msg_type is MsgType.GRANT and first.record["detail"] == "published"
         stored = stream.store.lookup(1)[1][1]
@@ -424,7 +424,7 @@ def test_duplicate_seq_voids_the_grant_it_named(daemon):
         assert counter(stream, "net.dup_publishes") == 1
         # One retained slot, one grant: the slot the replay named is not lost.
         assert len(stream.pool.free) == SLOTS - 2
-        w._step, w._publish_seq = 2, 2
+        w._run._step, w._run._publish_seq = 2, 2
         channel.grant = again.record
         put(w, 2)
         assert stream.store.lookup(2)[1][1].tobytes() == run_bytes(2)
@@ -441,7 +441,7 @@ def test_exhausted_pool_answers_ok_and_the_next_step_comes_inline(daemon):
         late = c._attach("public/full", "w")
         assert late.grant is None  # OK, not GRANT
         put(w, 1)                  # the writer's own grant: by reference
-        assert stream.active_transport == "shm" and w._channel.grant is None
+        assert stream.active_transport == "shm" and w._run._channel.grant is None
         put(w, 2)                  # nothing free: the same API, the inline frame
         assert stream.active_transport == "tcp"
         assert stream.slot_of(stream.store.lookup(2)[1][1]) is None
@@ -449,7 +449,7 @@ def test_exhausted_pool_answers_ok_and_the_next_step_comes_inline(daemon):
         hoarders.pop().close()
         settle(lambda: stream.pool.free, "the grant was not given back")
         put(w, 3)                  # inline once more, and granted again
-        assert w._channel.grant is not None
+        assert w._run._channel.grant is not None
         put(w, 4)
         assert stream.active_transport == "shm"
         for h in (*hoarders, late, w):
@@ -472,7 +472,7 @@ def test_oversize_run_goes_inline_and_sizes_a_new_generation(daemon):
         put(w, 2, big)  # larger than a slot: inline, once
         assert stream.active_transport == "tcp" and stream.pool is not old
         assert stream.pool.capacity >= len(run_bytes(2, big))
-        assert w._channel.grant["pool"] == stream.pool.name
+        assert w._run._channel.grant["pool"] == stream.pool.name
         old_ref = weakref.ref(old)
         del old
         assert old_ref() is not None  # step 1 still lives in it
@@ -683,11 +683,11 @@ def test_unasked_writer_stamps_no_bounds_and_reduces_nothing(daemon, reader):
             w.begin_step()
             assert reductions_in(lambda: w.write("v", bulk(k))) == 0
             w.end_step()
-            assert w._channel.stats is False
+            assert w._run._channel.stats is False
             (rec,) = stored_vars(hosted(daemon, "unasked"), k)
             assert not rec["has_stats"] and rec["vmin"] == rec["vmax"] == 0.0
             assert rec["data"].tobytes() == bulk(k).tobytes()
-        w._channel.stats = True  # what a reply would say once a reader prunes
+        w._run._channel.stats = True  # what a reply would say once a reader prunes
         w.begin_step()
         assert reductions_in(lambda: w.write("v", bulk(2))) >= 2
         w.end_step()
@@ -718,7 +718,7 @@ def test_broker_bounds_the_window_then_the_writer_stamps(daemon, colocated):
             assert r.read("f").tobytes() == keep.tobytes()
             r.end_step()
             return (counter(stream, M_NET_BLOCKS_BOUNDED_BY_DAEMON),
-                    counter(stream, M_PLUGIN_BLOCKS_SKIPPED), w._channel.stats)
+                    counter(stream, M_PLUGIN_BLOCKS_SKIPPED), w._run._channel.stats)
 
         # Nobody prunes yet; the reader's first FETCH re-ATTACHes with its predicate.
         assert step() == (0, 0, False)
@@ -735,7 +735,7 @@ def test_broker_bounds_the_window_then_the_writer_stamps(daemon, colocated):
         settle(lambda: stream.prune_predicate() is None, "the predicate outlived its reader")
         w.begin_step()
         w.end_step()
-        assert w._channel.stats is False  # and the plug-in is withdrawn
+        assert w._run._channel.stats is False  # and the plug-in is withdrawn
         w.close()
 
 
@@ -809,7 +809,7 @@ def test_checkpoint_sigkill_restore_serves_every_acked_step_then_sizes_a_fresh_p
             w = c.open("durable", "w")
             for k in range(3):
                 put(w, k)  # acked: checkpointed, the slot-backed ones included
-            first_pool = w._channel.grant["pool"]
+            first_pool = w._run._channel.grant["pool"]
             assert first_pool.startswith(f"/proc/{proc.pid}/fd/")
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=5)
@@ -823,13 +823,13 @@ def test_checkpoint_sigkill_restore_serves_every_acked_step_then_sizes_a_fresh_p
                 r.end_step()
             assert r._pool is None
             put(w, 3)  # the old grant died with its daemon: inline, sizes a fresh pool
-            assert w._channel.grant["pool"].startswith(f"/proc/{proc.pid}/fd/")
+            assert w._run._channel.grant["pool"].startswith(f"/proc/{proc.pid}/fd/")
             put(w, 4)
             for k in (3, 4):
                 assert r.begin_step(timeout=5.0) is StepStatus.OK
                 np.testing.assert_array_equal(r.read_block("v", 0), bulk(k))
                 r.end_step()
-            assert r._pool is c._pools[w._channel.grant["pool"]]
+            assert r._pool is c._pools[w._run._channel.grant["pool"]]
             gc.collect()  # the failed attempt's traceback held a view of the dead pool
             assert first_pool not in c._pools
             w.close()
@@ -865,7 +865,7 @@ class HostedStoreMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self.r.close()
-        self.w._channel.close()
+        self.w._run._channel.close()
         self.client.close()
         self.daemon.stop()
 
@@ -901,7 +901,7 @@ class HostedStoreMachine(RuleBasedStateMachine):
         assert len(stream.store) == len(self.model)
         assert (stream.pool is not None) == (self.colocated and self.bulk_seen)
         if stream.pool is not None:
-            granted = self.open and self.w._channel.grant is not None
+            granted = self.open and self.w._run._channel.grant is not None
             assert len(stream.pool.free) + len(stream._slots) + granted <= SLOTS
 
 

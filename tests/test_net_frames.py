@@ -25,8 +25,10 @@ from repro.net import server
 from repro.net.client import connect
 from repro.net.protocol import (
     PROTOCOL_REGISTRY,
+    PROTOCOL_VERSION,
     VAR_FORMAT,
     MsgType,
+    ProtocolError,
     decode_frame,
     decode_var,
     encode_frame,
@@ -457,15 +459,15 @@ def test_pipelined_frames_queue_to_a_bound_and_are_answered_in_order(daemon):
     with socket.create_connection((daemon.host, daemon.control_port), timeout=2) as s:
         channel = TcpChannel(s)
         hello(channel)
-        ids = [f"public/nope-{i}" for i in range(50)]
+        ids = [f"nope-{i}" for i in range(50)]
         began = time.monotonic()
         s.sendall(b"".join(  # 50 back-to-back frames, no reply read
             FRAME_PREFIX.pack(f.nbytes) + f.as_array().tobytes()
-            for f in (encode_frame(MsgType.CLOSE, {"stream_id": i}) for i in ids)))
+            for f in (encode_frame(MsgType.LOOKUP, {"stream": i}) for i in ids)))
         replies = [decode_frame(channel.recv(timeout=2.0)).record for _ in ids]
         assert time.monotonic() - began >= 0.05
-    assert [r["kind"] for r in replies] == ["unknown_stream"] * 50
-    assert [r["message"] for r in replies] == ids
+    assert [r["kind"] for r in replies] == ["directory"] * 50
+    assert all(i in r["message"] for i, r in zip(ids, replies))
     assert daemon.injector.faults_injected == 1
 
 
@@ -559,7 +561,7 @@ def test_ingesting_a_4mb_publish_peaks_under_one_and_a_half_frames(daemon):
     rec = var(data)
     with connect(uri(daemon)) as c:
         w = c.open("peak", "w")
-        sock = w._channel._send_sock
+        sock = w._run._channel._send_sock
         parts = [encode_frame(MsgType.PUBLISH,
                               {"step": 0, "count": 1, "eos": False, "seq": 1}),
                  *encode_var(rec)]
@@ -572,7 +574,7 @@ def test_ingesting_a_4mb_publish_peaks_under_one_and_a_half_frames(daemon):
             base, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             sock.sendall(blob)  # a raw socket: the sender allocates nothing
-            reply = decode_frame(w._channel.recv(timeout=5.0))
+            reply = decode_frame(w._run._channel.recv(timeout=5.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -582,7 +584,7 @@ def test_ingesting_a_4mb_publish_peaks_under_one_and_a_half_frames(daemon):
         assert reply.record["capacity"] >= len(blob)
         assert peak - base < 1.5 * len(blob), (peak - base) / len(blob)
         assert peak - base >= data.nbytes  # the frame's own array was seen
-        w._step, w._publish_seq = 1, 1  # what the hand-made PUBLISH used up
+        w._run._step, w._run._publish_seq = 1, 1  # what the hand-made PUBLISH used up
         w.close()
 
 
@@ -644,7 +646,7 @@ def test_a_publish_answers_its_writer_and_the_parked_reader_synchronously():
         for conn, role in ((writer, "w"), (reader, "r")):
             feed(conn, wire(frame_bytes(MsgType.ATTACH, {
                 "session": "s1", "stream_id": stream.stream_id, "role": role,
-                "predicate": "", "nonce": ""})))
+                "predicate": "", "nonce": "", "rank": 0})))
             assert replies(conn) == [MsgType.OK]
         feed(reader, wire(frame_bytes(MsgType.FETCH, {"step": 0, "wait": 5.0})))
         assert len(stream.parked) == 1 and replies(reader) == [MsgType.OK]
@@ -740,7 +742,7 @@ def test_both_ends_of_a_loopback_data_connection_are_unpaced(daemon, monkeypatch
     monkeypatch.setattr(server._Conn, "connection_made", spy)
     with connect(uri(daemon)) as client:
         w = client.open("unpaced", "w")
-        assert _congestion(w._channel._send_sock) == b"reno"
+        assert _congestion(w._run._channel._send_sock) == b"reno"
         w.close()
     assert accepted and set(accepted) == {b"reno"}
 
@@ -775,3 +777,43 @@ def test_loop_lag_gauge_reads_how_late_the_reaper_ticked():
         settles(lambda ms: ms < 50.0)  # and the next ticks are on time again
     finally:
         d.stop()
+
+
+# ---------------------------------------------------------------------------
+# Protocol v7: the writer rank of a data connection, and a rank's close
+# ---------------------------------------------------------------------------
+
+#: The frames v7 changed, byte for byte: ATTACH names the writer rank the
+#: connection publishes for; a PUBLISH with ``eos`` is that rank's close
+#: (here with no blocks left to send).
+V7_FRAMES = {
+    MsgType.ATTACH: (
+        {"session": "s1", "stream_id": "public/run", "role": "w", "predicate": "",
+         "nonce": "", "rank": 1},
+        "0701ecf1071000000700000000000000cdf0f50f000bed7a4e39e5d68a29000000000000"
+        "000200000073310a0000007075626c69632f72756e0100000077000000000000000001"
+        "00000000000000",
+    ),
+    MsgType.PUBLISH: (
+        {"step": 2, "count": 0, "eos": True, "seq": 3},
+        "0701ecf1071100000700000000000000cdf0f50f001c1d618ea61319fa19000000000000"
+        "0002000000000000000000000000000000010300000000000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("msg_type", sorted(V7_FRAMES), ids=lambda t: t.name)
+def test_v7_frames_are_their_golden_bytes(msg_type):
+    record, golden = V7_FRAMES[msg_type]
+    assert PROTOCOL_VERSION == 7
+    assert encode_frame(msg_type, record, seq=7).as_array().tobytes().hex() == golden
+    frame = decode_frame(bytes.fromhex(golden))
+    assert (frame.msg_type, frame.record, frame.seq) == (msg_type, record, 7)
+
+
+def test_the_control_close_is_gone_from_the_wire():
+    """A rank closes with its last PUBLISH; type 11 (v6's CLOSE) is unknown."""
+    raw = bytearray(encode_frame(MsgType.BYE, {"reason": ""}).as_array().tobytes())
+    raw[5] = 11
+    with pytest.raises(ProtocolError, match="unknown message type 11"):
+        decode_frame(bytes(raw))

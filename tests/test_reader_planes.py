@@ -10,8 +10,9 @@ cover what remote readers inherit from it: plan-cache hits, a
 the read spans.  Plus the :class:`FusedPlan` tiling analysis that
 replaced the net handle's hand-rolled gap check.
 
-One writer, too: the same rank schedules through the stream and both
-file methods deliver the same steps (one rank handle, one
+One writer, too: the same rank schedules through the stream, both file
+methods and the daemon (``STAGING``, each rank its own data connection)
+deliver the same steps (one rank handle, one
 :class:`~repro.adios.api.StepBarrier`), a writer-side chain conditions
 a step alike in process and through the daemon
 (:meth:`~repro.core.plugins.PluginManager.condition`), and every write
@@ -578,9 +579,9 @@ def _band(rank, k):
     return np.random.default_rng(100 * k + rank).random((BAND, 3))
 
 
-def _run_schedule(path, method, schedule):
-    config = _FILE_CONFIG.format(method=method, params=WRITE_METHODS[method])
-    client = connect("local://", config=config)
+def _run_schedule(path, method, schedule, params=None):
+    params = WRITE_METHODS[method] if params is None else params
+    client = connect("local://", config=_FILE_CONFIG.format(method=method, params=params))
     writers = [client.open(path, "w", rank=r, num_ranks=2) for r in range(2)]
     written = [0, 0]
     for op in schedule.split():
@@ -615,12 +616,18 @@ def _delivered(reader):
 
 
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
-def test_same_schedule_delivers_the_same_steps_on_every_method(tmp_path, schedule):
+def test_same_schedule_delivers_the_same_steps_on_every_method(tmp_path, daemon, schedule):
+    """The staging placement is one ``<method>`` line too: each writer
+    rank opens its own session and data connection to the daemon."""
     ops, ranks = SCHEDULES[schedule]
     got = {
         method: _delivered(_run_schedule(str(tmp_path / f"{method}.bp"), method, ops))
         for method in WRITE_METHODS
     }
+    staging = f"daemon={daemon.host}:{daemon.control_port};tenant=public"
+    got["STAGING"] = _delivered(_run_schedule(f"schedule.{schedule}", "STAGING", ops, staging))
+    # Two writer ranks and the reader, a session (and a data connection) each.
+    assert daemon.metrics.counter("net.sessions", labels={"tenant": "public"}).value == 3
     stream = got.pop("FLEXPATH")
     assert [r for r, _ in stream] == ranks
     for method, steps in got.items():
