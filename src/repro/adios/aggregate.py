@@ -28,7 +28,7 @@ from repro.adios.api import (
     FileRun,
     IoMethod,
     RankContext,
-    RankWriteHandle,
+    WriteHandle,
     file_run,
     register_method,
 )
@@ -88,7 +88,7 @@ class AggregatedBpMethod(IoMethod):
         run = file_run(subdir, lambda: _aggregated_run(
             subdir, ctx.size, spec.param_int(AGGREGATORS, max(1, ctx.size // 4))
         ))
-        return RankWriteHandle(run, ctx)
+        return WriteHandle(run, ctx)
 
     def open_read(self, name, group, ctx: RankContext, spec: MethodSpec):
         # Function-local import, as in open_write: the reader is repro.core's.

@@ -9,7 +9,7 @@ likewise mode-agnostic: stream readers see ``EndOfStream`` when the writer
 closes, file readers when steps run out.
 
 Writes are one path on every method: each rank writes through a
-:class:`RankWriteHandle` over the *run* all ranks of a program share —
+:class:`WriteHandle` over the *run* all ranks of a program share —
 the stream's ``StreamState``, or a :class:`FileRun` of BP-lite files —
 and a step ends when that run's :class:`StepBarrier` says so.
 """
@@ -96,19 +96,25 @@ class RankContext:
             raise ValueError(f"invalid rank {self.rank} of {self.size}")
 
 
-class WriteHandle(abc.ABC):
-    """Per-rank write side of one opened file/stream.
+class WriteHandle:
+    """One rank's write side of a run every rank of the program shares.
 
     The step-oriented API is ``begin_step() … write() … end_step()``.
-    (The pre-redesign ``advance()`` alias is gone; methods implement the
-    private :meth:`_advance` step seal instead — FlexLint FXL008 flags
-    any caller still spelling the legacy name.)  Every method refuses
-    alike a handle used after ``close()`` and a block that does not fit
-    its box; what a method does with a block is its :meth:`_put`.
+    The run (the stream's ``StreamState``, a file method's
+    :class:`FileRun`, the daemon's run through a rank's data connection)
+    provides ``join(rank)``, ``write(rank, wv)``, ``end_rank_step(rank,
+    **kwargs)`` and ``writer_close(rank)``, and ends its steps by its
+    :class:`StepBarrier`.  Every method refuses alike a handle used after
+    ``close()`` and a block that does not fit its box.
     """
 
     _step_open = False
     _closed = False
+
+    def __init__(self, run: Any, ctx: RankContext) -> None:
+        self._run = run
+        self._ctx = ctx
+        run.join(ctx.rank)
 
     def write(
         self,
@@ -121,15 +127,8 @@ class WriteHandle(abc.ABC):
             raise AdiosError("write after close")
         if box is not None and tuple(np.shape(data)) != tuple(box.count):
             raise ValueError(f"data shape {np.shape(data)} != box count {box.count}")
-        self._put(name, data, box, global_shape)
-
-    @abc.abstractmethod
-    def _put(self, name, data, box, global_shape) -> None:
-        """Take one checked block of the current step (method-internal)."""
-
-    @abc.abstractmethod
-    def _advance(self) -> None:
-        """Seal this rank's current output step (method-internal)."""
+        gshape = tuple(global_shape) if global_shape is not None else None
+        self._run.write(self._ctx.rank, WrittenVar(name, np.asarray(data), box, gshape))
 
     def begin_step(self) -> StepStatus:
         """Open a new output step (ADIOS2-style)."""
@@ -139,22 +138,18 @@ class WriteHandle(abc.ABC):
         return StepStatus.OK
 
     def end_step(self, **kwargs: Any) -> StepStatus:
-        """Seal the current output step."""
+        """Seal this rank's current output step."""
         if self._closed:
             raise AdiosError("end_step after close")
         self._step_open = False
-        self._advance(**kwargs)
+        self._run.end_rank_step(self._ctx.rank, **kwargs)
         return StepStatus.OK
 
     def close(self) -> None:
-        """End this handle's part in the stream/file; idempotent."""
+        """End this rank's part in the run; idempotent."""
         if not self._closed:
             self._closed = True
-            self._close()
-
-    @abc.abstractmethod
-    def _close(self) -> None:
-        """Leave the stream/file, once (method-internal)."""
+            self._run.writer_close(self._ctx.rank)
 
     def __enter__(self) -> "WriteHandle":
         return self
@@ -348,8 +343,7 @@ def _resolve_method(name: str) -> IoMethod:
 
 
 # ---------------------------------------------------------------------------
-# The one writer (a rank handle over a shared run, one step barrier) and
-# the file methods' runs
+# A run's step barrier, and the file methods' runs
 # ---------------------------------------------------------------------------
 
 class StepBarrier:
@@ -357,8 +351,10 @@ class StepBarrier:
 
     A step ends when every joined rank that has not closed has ended it;
     a close that leaves only ranks which already ended the step ends it
-    too (with no rank left, that is the last one out).  Both calls return
+    too — with no rank left, that is the last one out, and it ends the
+    step only when writes are still waiting for one.  Both calls return
     whether the step ends now, and forget who ended it when it does.
+    This class alone writes its three sets.
     """
 
     def __init__(self) -> None:
@@ -371,14 +367,22 @@ class StepBarrier:
         """Joined ranks that have not closed."""
         return self.joined - self.closed
 
+    def join(self, rank: int) -> None:
+        self.joined.add(rank)
+
     def end(self, rank: int) -> bool:
         self.ended.add(rank)
         return self._over()
 
-    def close(self, rank: int) -> bool:
+    def close(self, rank: int, pending: bool) -> bool:
+        """``rank`` leaves the run; ``pending``: the open step holds writes."""
         self.closed.add(rank)
         self.ended.discard(rank)
-        return self._over()
+        return self._over() and (pending or bool(self.live))
+
+    def fail(self) -> None:
+        """The run failed: its open step is dropped, and who ended it too."""
+        self.ended.clear()
 
     def _over(self) -> bool:
         if self.ended >= self.live:
@@ -386,31 +390,16 @@ class StepBarrier:
             return True
         return False
 
+    def snapshot(self) -> dict:
+        """The three sets as sorted lists, for a checkpoint."""
+        return {k: sorted(getattr(self, k)) for k in ("joined", "closed", "ended")}
 
-class RankWriteHandle(WriteHandle):
-    """One rank's write side of a run every rank of the program shares.
-
-    The run (the stream's ``StreamState``, a file method's
-    :class:`FileRun`) provides ``join(rank)``, ``write(rank, wv)``,
-    ``end_rank_step(rank, **kwargs)`` and ``writer_close(rank)``, and
-    ends its steps by its :class:`StepBarrier`.  The checks every method
-    makes of a write are :class:`WriteHandle`'s.
-    """
-
-    def __init__(self, run: Any, ctx: RankContext) -> None:
-        self._run = run
-        self._ctx = ctx
-        run.join(ctx.rank)
-
-    def _put(self, name, data, box, global_shape) -> None:
-        gshape = tuple(global_shape) if global_shape is not None else None
-        self._run.write(self._ctx.rank, WrittenVar(name, np.asarray(data), box, gshape))
-
-    def _advance(self, **kwargs: Any) -> None:
-        self._run.end_rank_step(self._ctx.rank, **kwargs)
-
-    def _close(self) -> None:
-        self._run.writer_close(self._ctx.rank)
+    @classmethod
+    def restore(cls, snap: dict) -> "StepBarrier":
+        barrier = cls()
+        barrier.joined, barrier.closed, barrier.ended = (
+            set(map(int, snap[k])) for k in ("joined", "closed", "ended"))
+        return barrier
 
 
 class FileRun:
@@ -437,7 +426,7 @@ class FileRun:
             w.begin_step()
 
     def join(self, rank: int) -> None:
-        self.barrier.joined.add(rank)
+        self.barrier.join(rank)
 
     def write(self, rank: int, wv: WrittenVar) -> None:
         self.writers[self.writer_of(rank)].write(
@@ -454,7 +443,7 @@ class FileRun:
             w.begin_step()
 
     def writer_close(self, rank: int) -> None:
-        if self.barrier.close(rank) and self.barrier.live:
+        if self.barrier.close(rank, pending=False):
             self._next_step()
         if not self.barrier.live:  # closing a file ends its open step
             for w in self.writers:
@@ -481,7 +470,7 @@ class BpFileMethod(IoMethod):
 
     def open_write(self, name, group, ctx, spec):
         path = os.fspath(name)
-        return RankWriteHandle(file_run(path, lambda: FileRun([BpWriter(path)])), ctx)
+        return WriteHandle(file_run(path, lambda: FileRun([BpWriter(path)])), ctx)
 
     def open_read(self, name, group, ctx, spec):
         # Function-local import: the reader is repro.core's, a layer above.

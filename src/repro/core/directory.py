@@ -6,6 +6,9 @@ the simulation creates a stream its coordinator registers the stream name
 with its contact information at the directory server; the analytics'
 coordinator looks the name up and connects.  The server participates only
 in discovery — never in the data path — so a single instance suffices.
+Nothing a step's movement consults lives here: the readers' pushdown
+predicates are held by the stream they read (its ``readers``), and the
+writer side prunes against those.
 
 Failure detection (Section II.H's "errors and failures during data
 movement" extended to the control plane): a registration may carry a
@@ -52,8 +55,6 @@ class _Entry:
     lease: Optional[float] = None
     #: Absolute deadline (directory clock) of the current lease.
     deadline: Optional[float] = None
-    #: Serialized reader block predicates (pushdown), keyed by owner tag.
-    predicates: dict = field(default_factory=dict)
 
 
 class DirectoryServer:
@@ -197,30 +198,6 @@ class DirectoryServer:
         if entry is None:
             raise DirectoryError(f"no stream registered under {name!r}")
         return list(entry.readers)
-
-    # -- predicate pushdown -------------------------------------------------
-    def register_predicate(self, name: str, owner: str, spec: str) -> None:
-        """A reader publishes its chain's serialized block predicate.
-
-        The writing side consults :meth:`predicates_of` to skip sending
-        blocks *every* registered predicate provably drops.  Re-register
-        under the same ``owner`` to replace (chain changed); an empty
-        ``spec`` withdraws the owner's predicate.
-        """
-        entry = self._entries.get(name)
-        if entry is None:
-            raise DirectoryError(f"no stream registered under {name!r}")
-        if spec:
-            entry.predicates[owner] = spec
-        else:
-            entry.predicates.pop(owner, None)
-
-    def predicates_of(self, name: str) -> list[str]:
-        """Serialized block predicates registered for ``name``."""
-        entry = self._entries.get(name)
-        if entry is None:
-            raise DirectoryError(f"no stream registered under {name!r}")
-        return list(entry.predicates.values())
 
 
 # ---------------------------------------------------------------------------

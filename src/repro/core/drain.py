@@ -76,17 +76,15 @@ DRAINER_METHODS = frozenset({
 #: Attributes the drainer thread is allowed to mutate.  Its own:
 #: ``_pending`` (guarded by ``_pending_lock``), ``_channel`` and
 #: ``_consecutive_failures`` (drainer-private).  The stream state's,
-#: written through ``self._state``: ``backpressure_events``, guarded by
-#: the lock of the ``_committed`` condition — as is every call into the
-#: stream's step ``store``, which the drainer appends to but never
-#: assigns — and ``active_transport`` (the drainer is its only writer
-#: after pipeline start).
+#: written through ``self._state``: ``active_transport`` (the drainer is
+#: its only writer after pipeline start).  Every call into the stream's
+#: step ``store``, which the drainer appends to but never assigns, is
+#: guarded by the lock of the ``_committed`` condition.
 DRAINER_SHARED_STATE = frozenset({
     "_pending",
     "_consecutive_failures",
     "_channel",
     "active_transport",
-    "backpressure_events",
 })
 
 
@@ -416,10 +414,6 @@ class _StepDrainer:
         )
         with state._committed:  # last: a woken reader finds the commit recorded
             state.store.append(step.step, step, step.nbytes)
-            if len(state.store) > state.hints.buffer_steps:
-                # In the real transport the writer would stall here; in the
-                # in-process harness we surface it through monitoring.
-                state.backpressure_events += 1
             state._committed.notify_all()
 
 

@@ -78,7 +78,6 @@ CACHING = "caching"
 BATCHING = "batching"
 SYNC = "sync"
 XPMEM = "xpmem"
-BUFFER_STEPS = "buffer_steps"
 TRACE = "trace"
 QUEUE_DEPTH = "queue_depth"
 TRANSPORT = "transport"
@@ -131,8 +130,6 @@ _STREAM_SPECS = (
              "instead of staging a copy of them.  On every path an array "
              "handed to write() must not be modified while the stream "
              "retains the step; xpmem stops paying for a copy nobody reads."),
-    HintSpec(BUFFER_STEPS, "int", 4,
-             "Buffered-step depth before backpressure is counted."),
     HintSpec(TRACE, "bool", False,
              "Enable span tracing on the stream's monitor."),
     HintSpec(QUEUE_DEPTH, "int", 2,
@@ -161,7 +158,7 @@ _STREAM_SPECS = (
              "Fuse compilable plug-in chains into the redistribution "
              "plan (single-pass reads); false keeps the interpreted pass."),
     HintSpec(PUSHDOWN, "bool", False,
-             "Register reader block predicates with the directory so the "
+             "Register reader block predicates with the stream so the "
              "writer drain skips blocks the chain provably drops."),
 )
 
@@ -297,9 +294,9 @@ class StreamHints:
 
     The paper's Section IV.B.1 knobs: handshake caching, variable
     batching, synchronous vs asynchronous writes, the XPMEM path, and the
-    buffering depth (backpressure threshold).  ``queue_depth`` bounds the
-    async drainer's hand-off queue (steps in flight before the writer
-    blocks); ``transport`` picks the drain channel.  One field per key of
+    buffering depth — ``queue_depth``, the async drainer's hand-off queue
+    (steps in flight before the writer blocks: the back-pressure point).
+    ``transport`` picks the drain channel.  One field per key of
     :data:`STREAM_HINTS`, which owns every default and every ``enum``
     hint's admissible values.
     """
@@ -308,7 +305,6 @@ class StreamHints:
     batching: bool = _DEFAULTS[BATCHING]
     sync: bool = _DEFAULTS[SYNC]
     xpmem: bool = _DEFAULTS[XPMEM]
-    buffer_steps: int = _DEFAULTS[BUFFER_STEPS]
     #: Enable span tracing on the stream's monitor (``trace=true``).
     trace: bool = _DEFAULTS[TRACE]
     #: Bounded depth of the async publication queue (back-pressure point).
@@ -338,7 +334,7 @@ class StreamHints:
     #: reads run the chain while scattering (single pass); ``false``
     #: keeps the classic interpreted pass over materialized arrays.
     fused: bool = _DEFAULTS[FUSED]
-    #: Register reader block predicates with the directory so the drain
+    #: Register reader block predicates with the stream so the drain
     #: skips sending blocks the chain provably drops.
     pushdown: bool = _DEFAULTS[PUSHDOWN]
 

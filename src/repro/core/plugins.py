@@ -357,6 +357,34 @@ def combine_predicates(preds: Sequence[BlockPredicate]):
     return _Any()
 
 
+class ReaderPredicates:
+    """The pushdown predicates of one run's attached readers.
+
+    Each reader is keyed by whatever stands for it (its handle, its data
+    connection) and maps to its parsed predicate, ``None`` when it has
+    none.  ``combined`` is what a writer side may prune against, and the
+    one rule: ``None`` — never prune — unless at least one reader is
+    attached and *every* attached reader has a predicate, since a block
+    is a safe drop only when each consumer proves it empty.
+    """
+
+    def __init__(self) -> None:
+        self._preds: dict = {}
+        self.combined = None
+
+    def attach(self, key, predicate: Optional[BlockPredicate]) -> None:
+        self._preds[key] = predicate
+        self._combine()
+
+    def detach(self, key) -> None:
+        self._preds.pop(key, None)
+        self._combine()
+
+    def _combine(self) -> None:
+        preds = list(self._preds.values())
+        self.combined = combine_predicates(preds) if preds and None not in preds else None
+
+
 class _ChainCursor:
     """Sequential per-block applier for one variable's fused read.
 

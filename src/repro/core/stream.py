@@ -25,8 +25,8 @@ from typing import Optional
 from repro.adios.api import (
     IoMethod,
     RankContext,
-    RankWriteHandle,
     StepBarrier,
+    WriteHandle,
     register_method,
 )
 from repro.adios.config import MethodSpec
@@ -37,13 +37,7 @@ from repro.core.directory import CoordinatorInfo, DirectoryError, DirectoryServe
 from repro.core.drain import StepState, _rank_parts, _StepDrainer
 from repro.core.hints import STREAM_METHODS, StreamError, StreamHints
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import (
-    CodeletError,
-    PluginManager,
-    PluginSide,
-    combine_predicates,
-    parse_predicate,
-)
+from repro.core.plugins import PluginManager, PluginSide, ReaderPredicates
 from repro.core.reader import StepReader, index_blocks
 from repro.core.redistribution import (
     CachingOption,
@@ -125,7 +119,7 @@ class _PublishedStep(BlockSource):
 
 class StreamState:
     """Shared state of one named stream: buffered steps + membership, the
-    stream's run under :class:`~repro.adios.api.RankWriteHandle` (the drain
+    stream's run under :class:`~repro.adios.api.WriteHandle` (the drain
     thread behind it is a :class:`~repro.core.drain._StepDrainer`)."""
 
     def __init__(
@@ -141,8 +135,6 @@ class StreamState:
         self.monitor = monitor or PerfMonitor(keep_trace=self.hints.trace)
         if self.hints.trace:
             self.monitor.enable_tracing()
-        #: Times a publish exceeded the hinted buffering depth.
-        self.backpressure_events = 0
         self.plugins = PluginManager(self.monitor)
         #: Every step's outcome (a :class:`_PublishedStep`, delivered or
         #: lost) and how the stream ended; nothing is evicted in process.
@@ -153,6 +145,8 @@ class StreamState:
         self._current: dict[int, ProcessGroupData] = {}
         self._step = 0
         self.barrier = StepBarrier()
+        #: Pushdown readers' block predicates: what the drain may skip.
+        self.readers = ReaderPredicates()
         self._drainer: Optional[_StepDrainer] = None
         #: Transport currently draining steps; degrades down the ladder
         #: (rdma → tcp → shm → "buffered") on repeated failure.
@@ -212,7 +206,7 @@ class StreamState:
 
     # -- writer side --------------------------------------------------------
     def join(self, rank: int) -> None:
-        self.barrier.joined.add(rank)
+        self.barrier.join(rank)
 
     def write(self, rank: int, wv: WrittenVar) -> None:
         if self.closed:
@@ -259,9 +253,7 @@ class StreamState:
                         pg = ProcessGroupData(rank, pg.step, {wv.name: wv for wv in written})
                     step.groups[rank] = pg
                 wire = _rank_parts(
-                    step,
-                    predicate=self._pushdown_predicate(),
-                    metrics=self.monitor.metrics,
+                    step, predicate=self.readers.combined, metrics=self.monitor.metrics
                 )
                 wspan.add_bytes(step.nbytes)
                 step.trace_ctx = wspan.context
@@ -295,36 +287,11 @@ class StreamState:
                 f"step {step.step} of {self.name!r} lost: {step.error}"
             )
 
-    def _pushdown_predicate(self):
-        """The combined reader block predicate for this step's drain.
-
-        Only consulted with ``pushdown=true``: readers register their
-        chain's serialized predicate at the directory, and a block is
-        skipped only when *every* registered predicate provably drops it
-        (no predicate registered → everything is sent).
-        """
-        if not self.hints.pushdown or self._directory is None:
-            return None
-        try:
-            specs = self._directory.predicates_of(self.name)
-        except DirectoryError:
-            return None
-        preds = []
-        for spec in specs:
-            try:
-                pred = parse_predicate(spec)
-            except CodeletError:
-                return None  # unintelligible predicate: never skip
-            if pred is None:
-                return None  # a reader with no predicate needs everything
-            preds.append(pred)
-        return combine_predicates(preds)
-
     def writer_close(self, rank: int) -> None:
         # The last rank out publishes any partial step implicitly; a rank
         # the live ranks were all waiting for seals the step, as their
         # last end_step would have.  Its writes go in either way.
-        if self.barrier.close(rank) and (self.barrier.live or self._current):
+        if self.barrier.close(rank, pending=bool(self._current)):
             try:
                 self._publish()
             except (MovementFailed, TransactionAborted):
@@ -350,7 +317,7 @@ class StreamState:
                 return
             self.store.fail(reason)
         self._current = {}
-        self.barrier.ended.clear()
+        self.barrier.fail()
         self.monitor.metrics.counter("dataplane.stream.failures").inc()
         flight.record(EV_STREAM_FAILED, stream=self.name, reason=reason)
         flight.dump_on_fault(
@@ -459,7 +426,7 @@ stream_registry = StreamRegistry()
 # Handles
 # ---------------------------------------------------------------------------
 
-class FlexpathWriteHandle(RankWriteHandle):
+class FlexpathWriteHandle(WriteHandle):
     """Stream-mode writer for one rank: the shared rank handle over the
     stream's :class:`StreamState`, plus its plug-ins and monitor.
 
@@ -485,7 +452,8 @@ class FlexpathReadHandle(StepReader):
     :class:`StreamStalled` raise), reads address the positioned step,
     ``end_step()`` releases it.  The read path is :class:`StepReader`'s;
     this class adds what only the in-process plane has: the stream's
-    hints, the handshake-protocol accounting and the directory.
+    hints, the handshake-protocol accounting and its pushdown
+    registration.
     """
 
     def __init__(self, state: StreamState, ctx: RankContext) -> None:
@@ -510,7 +478,7 @@ class FlexpathReadHandle(StepReader):
             else PlanCache(maxsize=64) if caching is CachingOption.CACHING_LOCAL
             else None
         )
-        # Chain hash last pushed to the directory (predicate pushdown).
+        # Chain hash last registered with the stream (predicate pushdown).
         self._registered_pred_hash: Optional[str] = None
 
     def _step_at(self, index: int) -> _PublishedStep:
@@ -525,23 +493,15 @@ class FlexpathReadHandle(StepReader):
 
     def _reader_chain(self, name: str):
         """Honours the ``fused`` hint, and is where a pushdown reader
-        publishes its chain's block predicate at the directory so the
+        registers its chain's block predicate with the stream, so the
         writer-side drain can skip blocks it provably drops.  Idempotent
-        per chain generation; a chain without a predicate withdraws."""
+        per chain generation; a chain without a predicate vetoes pruning."""
         state = self._state
-        if (
-            state.hints.pushdown and state._directory is not None
-            and state.plugins.has_side(PluginSide.READER)
-        ):
+        if state.hints.pushdown and state.plugins.has_side(PluginSide.READER):
             chain_hash = state.plugins.chain_hash(PluginSide.READER)
             if chain_hash != self._registered_pred_hash:
-                try:
-                    state._directory.register_predicate(
-                        state.name, f"reader-{id(self)}", self._pred_spec()
-                    )
-                    self._registered_pred_hash = chain_hash
-                except DirectoryError:
-                    pass
+                state.readers.attach(self, state.plugins.block_predicate(PluginSide.READER))
+                self._registered_pred_hash = chain_hash
         return super()._reader_chain(name) if state.hints.fused else None
 
     def _account_handshake(self, name, gshape, writer_boxes, writer_key) -> None:
@@ -583,16 +543,10 @@ class FlexpathReadHandle(StepReader):
         return int(self._state.monitor.metrics.counter("handshake.messages").value)
 
     def close(self):
-        """Withdraws this reader's pushdown predicate: a gone reader (or a
-        later handle with its ``id()``) must not steer the drain.  Idempotent."""
-        if self._registered_pred_hash is None:
-            return
+        """Withdraws this reader's pushdown predicate: a gone reader must
+        not steer the drain.  Idempotent."""
         self._registered_pred_hash = None
-        state = self._state
-        try:
-            state._directory.register_predicate(state.name, f"reader-{id(self)}", "")
-        except DirectoryError:
-            pass
+        self._state.readers.detach(self)
 
 
 class FlexpathMethod(IoMethod):

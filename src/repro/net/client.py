@@ -47,7 +47,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from repro.adios.api import IoMethod, RankContext, RankWriteHandle, register_method
+from repro.adios.api import IoMethod, RankContext, WriteHandle, register_method
 from repro.adios.model import WrittenVar
 from repro.adios.selection import BoundingBox
 from repro.analysis import sanitize
@@ -799,7 +799,7 @@ class _RunLink:
             self._channel.close()
 
 
-class NetWriteHandle(RankWriteHandle):
+class NetWriteHandle(WriteHandle):
     """Writer side of one remote stream: one rank of the daemon's run.
 
     The shared rank handle over a :class:`_RunLink` — one data connection
@@ -817,9 +817,9 @@ class NetWriteHandle(RankWriteHandle):
         self.name = link.name
         self.plugins = link.plugins
 
-    def _close(self) -> None:
+    def close(self) -> None:
         try:
-            super()._close()
+            super().close()
         finally:
             self._run._client._handle_closed(self)
 

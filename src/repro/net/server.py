@@ -58,7 +58,7 @@ from repro.core.directory import (
     TenantSpec,
 )
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import CodeletError, combine_predicates, parse_predicate
+from repro.core.plugins import CodeletError, ReaderPredicates, parse_predicate
 from repro.core.stepstore import Outcome, StepStore
 from repro.net.protocol import (
     CKPT_HEAD,
@@ -321,11 +321,9 @@ class HostedStream:
         metrics = self.monitor.metrics
         self.counter = functools.cache(functools.partial(metrics.counter, labels=self._labels))
         self.gauge = functools.cache(functools.partial(metrics.gauge, labels=self._labels))
-        #: Attached-reader pushdown predicates, keyed per data connection
-        #: (None = reader attached without one, which disables pruning),
-        #: and what they combine to — asked at every publish and every ack.
-        self._reader_preds: dict[int, object] = {}
-        self._prune = None
+        #: Attached readers' pushdown predicates, keyed by data connection;
+        #: what they combine to is asked at every publish and every ack.
+        self.readers = ReaderPredicates()
         #: Attached readers with a FETCH parked here, and its hold.
         self.parked: dict[_Conn, _Hold] = {}
 
@@ -345,7 +343,7 @@ class HostedStream:
         owner = self.owners.setdefault(rank, session)
         if owner != session or rank in self.barrier.closed:
             raise DirectoryError(f"writer rank {rank} of {self.stream_id!r} is already open")
-        self.barrier.joined.add(rank)
+        self.barrier.join(rank)
 
     def publish(self, step: int, count: int, payload: "np.ndarray | bytes",
                 eos: bool, seq: int = 0, slot: Optional[tuple] = None,
@@ -386,9 +384,7 @@ class HostedStream:
             if self.barrier.end(rank):
                 self._seal()
             return True
-        # A close ends the step when only ranks that ended it are left —
-        # or, the last rank out, when a closed rank's run is waiting.
-        if self.barrier.close(rank) and (self.barrier.live or self.open_runs):
+        if self.barrier.close(rank, pending=bool(self.open_runs)):
             self._seal()
         if not self.barrier.live:
             self.store.end()
@@ -474,36 +470,13 @@ class HostedStream:
                                  digest, pool.arr[offset:offset + nbytes])
         return pool, offset
 
-    # -- reader predicate pushdown -------------------------------------
-    def register_reader(self, key: int, predicate) -> None:
-        """Track one attached reader's pushdown predicate (or None)."""
-        self._reader_preds[key] = predicate
-        self._combine()
-
-    def drop_reader(self, key: int) -> None:
-        self._reader_preds.pop(key, None)
-        self._combine()
-
-    def prune_predicate(self):
-        """The combined block predicate the broker may prune against.
-
-        None — i.e. never prune — unless at least one reader is attached
-        and *every* attached reader registered a predicate: a block is a
-        safe drop only when each consumer proves it empty.
-        """
-        return self._prune
-
-    def _combine(self) -> None:
-        preds = list(self._reader_preds.values())
-        self._prune = combine_predicates(preds) if preds and None not in preds else None
-
     def fail(self, reason: str) -> None:
         """Directory eviction callback: lease expired → typed stream end.
         The open step is dropped with the runs landed for it: no reader
         sees a step missing a rank."""
         self.store.fail(reason)
         self.open_runs = []
-        self.barrier.ended.clear()
+        self.barrier.fail()
         self.wake()
 
     def wake(self, drain: bool = False) -> None:
@@ -834,7 +807,7 @@ class DirectoryDaemon:
             return
         stream.unpark(conn)  # a parked reader stops steering pruning now
         if conn.reader:
-            stream.drop_reader(id(conn))
+            stream.readers.detach(conn)
         if conn.grant is not None:
             stream.give_back(*conn.grant)
         conn.grant = conn.pinned = None
@@ -990,11 +963,11 @@ class DirectoryDaemon:
             # it is unused; back in the pool when the connection ends.
             conn.grant = stream.grant() if conn.colocated else None
             conn.handler = self._publish
-            self._ack(conn, "attached", conn.grant, stream.prune_predicate() is not None)
+            self._ack(conn, "attached", conn.grant, stream.readers.combined is not None)
         else:
             conn.reader, conn.handler = True, self._fetch
             self._ack(conn, "attached")
-            stream.register_reader(id(conn), predicate)
+            stream.readers.attach(conn, predicate)
 
     def _ack(self, conn: _Conn, detail: str, grant: Optional[tuple] = None,
              stats: bool = False) -> None:
@@ -1052,7 +1025,7 @@ class DirectoryDaemon:
             start, slot = frame.consumed, None
         # The run as it landed (no copy), pruned of what no reader wants.
         count, payload = int(rec["count"]), raw[start:] if start else raw
-        predicate = stream.prune_predicate()
+        predicate = stream.readers.combined
         if predicate is not None and count:
             try:
                 count, payload = prune_step_payload(raw, start, count, predicate, stream)
@@ -1074,7 +1047,7 @@ class DirectoryDaemon:
             if conn.colocated:
                 conn.grant = stream.grant(conn.grant, inline_run)
             self._ack(conn, "published" if stored else "duplicate", conn.grant,
-                      stream.prune_predicate() is not None)
+                      stream.readers.combined is not None)
 
         if stored and self.checkpoint_sync and self.checkpoint_path:
             # Durability before acknowledgement: once the writer sees OK,
@@ -1277,7 +1250,7 @@ class DirectoryDaemon:
                     "remaining": 0.0 if remaining is None else remaining,
                 }))
         for stream in self._streams.values():
-            snap, barrier = stream.store.snapshot(), stream.barrier
+            snap, barrier = stream.store.snapshot(), stream.barrier.snapshot()
             parts.append(encode_record(CKPT_STREAM, {
                 "stream_id": stream.stream_id, "tenant": stream.tenant,
                 "name": stream.name,
@@ -1287,7 +1260,7 @@ class DirectoryDaemon:
                 "retain": snap["retain"], "peak_nbytes": snap["peak_nbytes"],
                 "count": len(snap["steps"]),
                 "ranks": list(stream.owners), "owners": ",".join(stream.owners.values()),
-                "closed": sorted(barrier.closed), "ended": sorted(barrier.ended),
+                "closed": barrier["closed"], "ended": barrier["ended"],
                 "seqs": [n for pair in stream.last_seq.items() for n in pair],
                 "open": len(stream.open_runs),
             }))
@@ -1366,9 +1339,8 @@ class DirectoryDaemon:
                     held.append((srec, int(srec["count"]), payload))
                 stream = HostedStream(rec["tenant"], rec["name"])
                 stream.owners = dict(zip(map(int, rec["ranks"]), rec["owners"].split(",")))
-                stream.barrier.joined = set(stream.owners)
-                stream.barrier.closed = set(map(int, rec["closed"]))
-                stream.barrier.ended = set(map(int, rec["ended"]))
+                stream.barrier = StepBarrier.restore(
+                    {"joined": stream.owners, "closed": rec["closed"], "ended": rec["ended"]})
                 seqs = [int(n) for n in rec["seqs"]]
                 stream.last_seq = dict(zip(seqs[::2], seqs[1::2]))
                 stream.open_runs = [(int(r["rank"]), count, payload)

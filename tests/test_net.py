@@ -31,6 +31,7 @@ from repro.core.directory import (
     AdmissionError,
     AdmissionKind,
     AuthFailure,
+    DirectoryError,
     QuotaExceeded,
     TenantSpec,
     UnknownTenant,
@@ -447,6 +448,7 @@ def daemon_process():
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
 
 
 def test_two_process_smoke(daemon_process):
@@ -684,6 +686,35 @@ def test_checkpoint_restore_round_trip(daemon, tmp_path):
             r.close()
     finally:
         d2.stop()
+
+
+@pytest.mark.parametrize("rank0_closes", [False, True])
+def test_checkpoint_mid_step_restores_the_open_step(tmp_path, rank0_closes):
+    """Checkpoint v3 carries the run's open step with its barrier: rank 0
+    has published the step (and, closing, left the run) and rank 1 has
+    not.  In a fresh daemon rank 1's publish seals one step holding both
+    runs in rank order, and the closed rank stays refused."""
+    tenants = [TenantSpec("acme")]
+    d = DirectoryDaemon(tenants=tenants, telemetry=False)
+    hs = d._streams["acme/mid"] = HostedStream("acme", "mid")
+    for rank in (0, 1):
+        hs.join(rank, "s1")
+    assert hs.publish(0, 1, b"rank0", rank0_closes, seq=1, rank=0)
+    assert hs.store.last == -1 and len(hs.open_runs) == 1  # the step is open
+    path = d.checkpoint(str(tmp_path / "mid.ckpt"))
+
+    d2 = DirectoryDaemon(tenants=tenants, telemetry=False)
+    d2.restore(path)
+    restored = d2._streams["acme/mid"]
+    assert restored.store.last == -1
+    assert restored.publish(0, 1, b"rank1", False, seq=1, rank=1)
+    assert restored.store.last == 0
+    assert restored.fetch(0) == (2, (b"rank0", b"rank1"))
+    if rank0_closes:
+        with pytest.raises(DirectoryError, match="already open"):
+            restored.join(0, "s1")
+    else:
+        restored.join(0, "s1")  # its OPEN retried: still its session's
 
 
 def test_checkpoint_from_another_thread_walks_state_on_the_loop(daemon, tmp_path,

@@ -722,7 +722,7 @@ def test_broker_bounds_the_window_then_the_writer_stamps(daemon, colocated):
 
         # Nobody prunes yet; the reader's first FETCH re-ATTACHes with its predicate.
         assert step() == (0, 0, False)
-        settle(lambda: stream.prune_predicate() is not None, "the predicate never armed")
+        settle(lambda: stream.readers.combined is not None, "the predicate never armed")
         # The writer's last reply predates the predicate: both blocks come
         # unstamped, the broker bounds them, prunes one, and asks.
         assert step() == (2, 1, True)
@@ -732,7 +732,7 @@ def test_broker_bounds_the_window_then_the_writer_stamps(daemon, colocated):
         assert [v["has_stats"] for v in stored_vars(stream, 2)] == [True]
         assert (stream.pool is not None) == colocated
         r.close()
-        settle(lambda: stream.prune_predicate() is None, "the predicate outlived its reader")
+        settle(lambda: stream.readers.combined is None, "the predicate outlived its reader")
         w.begin_step()
         w.end_step()
         assert w._run._channel.stats is False  # and the plug-in is withdrawn

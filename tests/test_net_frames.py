@@ -701,15 +701,15 @@ def test_a_parked_reader_whose_socket_dies_is_dropped_at_once(daemon):
         while not hosted.parked:
             assert time.monotonic() < deadline, "the FETCH never parked"
             time.sleep(0.002)
-        assert gauge.value == 1 and hosted.prune_predicate().might_match("x", 0.2, 0.8)
+        assert gauge.value == 1 and hosted.readers.combined.might_match("x", 0.2, 0.8)
         parked.close()
         deadline = time.monotonic() + 0.5
-        while gauge.value or hosted.prune_predicate().might_match("x", 0.2, 0.8):
+        while gauge.value or hosted.readers.combined.might_match("x", 0.2, 0.8):
             assert time.monotonic() < deadline, "the dead reader is still parked"
             time.sleep(0.002)
         assert not hosted.parked
-        assert not hosted.prune_predicate().might_match("x", 0.2, 0.8)  # only ``far``
-        assert hosted.prune_predicate().might_match("x", 5.5, 5.6)
+        assert not hosted.readers.combined.might_match("x", 0.2, 0.8)  # only ``far``
+        assert hosted.readers.combined.might_match("x", 5.5, 5.6)
         other.close()
         w.close()
 

@@ -28,6 +28,8 @@ from repro.core import CodeletError, DCPlugin, PluginManager, PluginSide
 from repro.core.directory import TenantSpec
 from repro.core.hints import stream_params
 from repro.core.plugins import (
+    BlockPredicate,
+    ReaderPredicates,
     range_select_plugin,
     sampling_plugin,
     unit_conversion_plugin,
@@ -211,6 +213,33 @@ def test_chain_hash_stable_and_parameter_sensitive():
 # ---------------------------------------------------------------------------
 # Predicate pushdown, in-process plane
 # ---------------------------------------------------------------------------
+
+def test_reader_predicate_set_prunes_only_when_every_reader_proves_it():
+    """The one rule both planes prune by: nothing to prune against unless
+    at least one reader is attached and every attached reader has a
+    predicate; a detach recombines what is left."""
+    def keep(lo, hi):
+        return BlockPredicate([{"kind": "range", "var": "x", "lo": lo, "hi": hi}])
+
+    readers = ReaderPredicates()
+    assert readers.combined is None  # nobody attached
+    readers.attach("a", None)
+    assert readers.combined is None  # a reader with no predicate needs every block
+    readers.attach("a", keep(0.0, 1.0))  # re-attaching replaces
+    readers.attach("b", keep(5.0, 6.0))
+    both = readers.combined
+    assert both.might_match("x", 0.2, 0.8) and both.might_match("x", 5.5, 5.6)
+    assert not both.might_match("x", 2.0, 3.0)
+    readers.attach("c", None)
+    assert readers.combined is None
+    readers.detach("c")
+    readers.detach("b")
+    assert readers.combined.might_match("x", 0.2, 0.8)
+    assert not readers.combined.might_match("x", 5.5, 5.6)
+    readers.detach("a")
+    readers.detach("a")  # idempotent
+    assert readers.combined is None
+
 
 _S3D_XML = """
 <adios-config>

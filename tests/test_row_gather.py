@@ -278,13 +278,13 @@ def test_closed_pushdown_reader_withdraws_its_predicate():
         assert reader.begin_step(timeout=5.0) is StepStatus.OK
         assert reader.read("f", start=(0, 0), count=SHAPE).tobytes() == keep.tobytes()
         reader.end_step()
-        assert len(state._directory.predicates_of(name)) == 1
+        assert state.readers.combined is not None
         write_step()  # the predicate is armed: the drain skips ``drop``
         assert skipped.value == 1
 
         reader.close()
         reader.close()
-        assert state._directory.predicates_of(name) == []
+        assert state.readers.combined is None
         write_step()  # nobody left to prune for
         assert skipped.value == 1
     finally:

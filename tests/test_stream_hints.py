@@ -66,19 +66,17 @@ def test_hints_from_spec_defaults():
     h = StreamHints.from_spec(MethodSpec("g", "FLEXPATH", {}))
     assert h.caching is CachingOption.NO_CACHING
     assert not h.batching and not h.sync and not h.xpmem
-    assert h.buffer_steps == 4
 
 
 def test_hints_from_spec_full():
     spec = MethodSpec(
         "g", "FLEXPATH",
         {"caching": "ALL", "batching": "true", "sync": "yes",
-         "xpmem": "1", "buffer_steps": "9"},
+         "xpmem": "1"},
     )
     h = StreamHints.from_spec(spec)
     assert h.caching is CachingOption.CACHING_ALL
     assert h.batching and h.sync and h.xpmem
-    assert h.buffer_steps == 9
 
 
 def test_hints_bad_caching_rejected():
@@ -180,13 +178,6 @@ def test_changed_distribution_invalidates_caches():
     msgs.append(counter.value)
     msgs = [after - before for before, after in zip(msgs, msgs[1:])]
     assert msgs[0] > 0 and msgs[1] == 0 and msgs[2] > 0
-
-
-def test_backpressure_counter():
-    _, state = run_stream("buffer_steps=1", steps=4)
-    assert state.backpressure_events > 0
-    _, state2 = run_stream("buffer_steps=64", steps=4, name="deep")
-    assert state2.backpressure_events == 0
 
 
 def test_peak_buffered_bytes_tracked():
