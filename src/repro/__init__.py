@@ -17,15 +17,25 @@ Layers (bottom-up):
   and TCP transports.
 - :mod:`repro.adios` -- ADIOS-like I/O substrate: data model, BP-lite file
   format, XML configuration, file & stream methods.
+- :mod:`repro.obs` -- tracing, metrics, the flight recorder, health and
+  live export.
 - :mod:`repro.core` -- the FlexIO middleware: high-level API, directory
   service, MxN redistribution, Data Conditioning plug-ins, monitoring.
+- :mod:`repro.net` -- the directory daemon, its frame protocol and the
+  remote client.
 - :mod:`repro.placement` -- metrics, graph partitioning/mapping, and the
   data-aware / holistic / node-topology-aware placement algorithms.
 - :mod:`repro.apps` -- GTS- and S3D-like workload models plus real analytics
   (distribution function, range query, histograms, volume renderer).
 - :mod:`repro.coupled` -- end-to-end coupled-run simulator producing the
   paper's metrics (Total Execution Time, CPU hours, movement volume).
+
+Every package re-exports its names lazily (:func:`repro.util.lazy_exports`)
+and :func:`connect` imports only the plane its URI names, so a placement
+loads only the modules it runs.
 """
+
+from urllib.parse import urlsplit
 
 __version__ = "1.0.0"
 
@@ -33,13 +43,18 @@ __all__ = ["__version__", "connect"]
 
 
 def connect(uri: str, **kwargs):
-    """Open a FlexIO client session (see :func:`repro.net.client.connect`).
+    """Open a FlexIO client session; each placement loads only its plane.
 
-    ``connect("local://")`` runs in-process;
-    ``connect("flexio://host:port/tenant", token=...)`` dials a
-    directory daemon.  Imported lazily so ``import repro`` stays cheap
-    and cycle-free.
+    ``connect("local://", config=..., machine=..., params=...)`` runs
+    in-process (:class:`repro.core.api.LocalClient`);
+    ``connect("flexio://host:port/tenant", token=...)`` dials a directory
+    daemon (:func:`repro.net.client.connect`).  Imported on call, so
+    ``import repro`` loads no subpackage.
     """
+    if urlsplit(uri).scheme == "local":
+        from repro.core.api import LocalClient
+
+        return LocalClient(**kwargs)
     from repro.net.client import connect as _connect
 
     return _connect(uri, **kwargs)

@@ -23,71 +23,17 @@ This package supplies the substrate FlexIO inherits:
   (:mod:`repro.core.filereader`), imported when a file is opened.
 """
 
-from repro.adios.selection import (
-    BoundingBox,
-    BoxSelection,
-    FullSelection,
-    Selection,
-    block_decompose,
-    intersect,
-)
-from repro.adios.model import Group, ProcessGroupData, VarDecl, VarMeta
-from repro.adios.bp import BpReader, BpWriter, BpFormatError
-from repro.adios.config import AdiosConfig, ConfigError, MethodSpec
-from repro.adios.aggregate import AggregatedBpMethod
-from repro.adios.query import And, Or, Predicate, QueryError, QueryResult, Range, run_query
-from repro.adios.api import (
-    Adios,
-    AdiosError,
-    EndOfStream,
-    IoMethod,
-    RankContext,
-    ReadHandle,
-    StepLost,
-    StepNotReady,
-    StepStatus,
-    StreamFailure,
-    VariableNotFound,
-    WriteHandle,
-    register_method,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "Adios",
-    "AggregatedBpMethod",
-    "And",
-    "Or",
-    "Predicate",
-    "QueryError",
-    "QueryResult",
-    "Range",
-    "run_query",
-    "AdiosConfig",
-    "AdiosError",
-    "BoundingBox",
-    "BoxSelection",
-    "FullSelection",
-    "Selection",
-    "StepLost",
-    "StepNotReady",
-    "StepStatus",
-    "StreamFailure",
-    "VariableNotFound",
-    "BpFormatError",
-    "BpReader",
-    "BpWriter",
-    "ConfigError",
-    "EndOfStream",
-    "ReadHandle",
-    "WriteHandle",
-    "Group",
-    "IoMethod",
-    "MethodSpec",
-    "ProcessGroupData",
-    "RankContext",
-    "VarDecl",
-    "VarMeta",
-    "block_decompose",
-    "intersect",
-    "register_method",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "aggregate": "AggregatedBpMethod",
+    "api": "Adios AdiosError EndOfStream IoMethod RankContext ReadHandle "
+           "StepLost StepNotReady StepStatus StreamFailure VariableNotFound "
+           "WriteHandle register_method",
+    "bp": "BpFormatError BpReader BpWriter",
+    "config": "AdiosConfig ConfigError MethodSpec",
+    "model": "Group ProcessGroupData VarDecl VarMeta",
+    "query": "And Or Predicate QueryError QueryResult Range run_query",
+    "selection": "BoundingBox BoxSelection FullSelection Selection "
+                 "block_decompose intersect",
+})

@@ -33,7 +33,7 @@ from repro.adios.api import (
     register_method,
 )
 from repro.adios.bp import BpReader, BpWriter
-from repro.adios.config import MethodSpec
+from repro.adios.config import AGGREGATORS, MethodSpec
 from repro.util import ceil_div
 
 _MANIFEST = "manifest.txt"
@@ -79,11 +79,6 @@ class AggregatedBpMethod(IoMethod):
     """The ``MPI_AGGREGATE`` file method."""
 
     def open_write(self, name, group, ctx: RankContext, spec: MethodSpec):
-        # Function-local import: repro.core.hints lives above the adios
-        # layer (core imports adios at package init), so a module-level
-        # import here would cycle.
-        from repro.core.hints import AGGREGATORS
-
         subdir = f"{os.fspath(name)}.dir"
         run = file_run(subdir, lambda: _aggregated_run(
             subdir, ctx.size, spec.param_int(AGGREGATORS, max(1, ctx.size // 4))
@@ -91,7 +86,7 @@ class AggregatedBpMethod(IoMethod):
         return WriteHandle(run, ctx)
 
     def open_read(self, name, group, ctx: RankContext, spec: MethodSpec):
-        # Function-local import, as in open_write: the reader is repro.core's.
+        # Function-local import: the reader is repro.core's, a layer above.
         from repro.core.filereader import FileReadHandle
 
         subdir = f"{os.fspath(name)}.dir"

@@ -17,18 +17,21 @@ and a step ends when that run's :class:`StepBarrier` says so.
 from __future__ import annotations
 
 import abc
+import importlib
 import os
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.adios.bp import BpReader, BpWriter
 from repro.adios.config import AdiosConfig, MethodSpec
 from repro.adios.model import Group, WrittenVar
 from repro.adios.selection import BoundingBox, Selection
+
+if TYPE_CHECKING:
+    from repro.adios.bp import BpWriter
 
 
 class AdiosError(RuntimeError):
@@ -327,6 +330,16 @@ class IoMethod(abc.ABC):
 
 _METHODS: dict[str, Callable[[], IoMethod]] = {}
 
+#: The module implementing each ``<method>`` name not defined here: it is
+#: imported on the name's first lookup, and registers the name.
+_METHOD_MODULES = {
+    "FLEXPATH": "repro.core.stream",
+    "FLEXIO": "repro.core.stream",
+    "MPI_AGGREGATE": "repro.adios.aggregate",
+    "AGGREGATE": "repro.adios.aggregate",
+    "STAGING": "repro.net.client",
+}
+
 
 def register_method(name: str, factory: Callable[[], IoMethod]) -> None:
     """Register an I/O method under its config-file name."""
@@ -334,10 +347,14 @@ def register_method(name: str, factory: Callable[[], IoMethod]) -> None:
 
 
 def _resolve_method(name: str) -> IoMethod:
-    factory = _METHODS.get(name.upper())
+    key = name.upper()
+    if key not in _METHODS and key in _METHOD_MODULES:
+        importlib.import_module(_METHOD_MODULES[key])
+    factory = _METHODS.get(key)
     if factory is None:
         raise AdiosError(
-            f"unknown I/O method {name!r}; registered: {sorted(_METHODS)}"
+            f"unknown I/O method {name!r}; registered: "
+            f"{sorted({*_METHODS, *_METHOD_MODULES})}"
         )
     return factory()
 
@@ -468,12 +485,16 @@ def file_run(path: str, make: Callable[[], FileRun]) -> FileRun:
 class BpFileMethod(IoMethod):
     """ADIOS file mode: variables land in an indexed BP-lite file."""
 
+    # Function-local imports: only a file placement loads BP-lite (and
+    # its marshal codec); the reader is repro.core's, a layer above.
     def open_write(self, name, group, ctx, spec):
+        from repro.adios.bp import BpWriter
+
         path = os.fspath(name)
         return WriteHandle(file_run(path, lambda: FileRun([BpWriter(path)])), ctx)
 
     def open_read(self, name, group, ctx, spec):
-        # Function-local import: the reader is repro.core's, a layer above.
+        from repro.adios.bp import BpReader
         from repro.core.filereader import FileReadHandle
 
         return FileReadHandle([BpReader(name)])

@@ -28,6 +28,12 @@ from typing import Optional
 from repro.adios.model import Group
 
 
+#: The ``MPI_AGGREGATE`` parameter (aggregator fan-in).  Spelled here,
+#: below :mod:`repro.core.hints` which registers it, because the method
+#: reading it is in this layer.
+AGGREGATORS = "aggregators"
+
+
 class ConfigError(RuntimeError):
     """Malformed configuration document."""
 

@@ -12,23 +12,14 @@ Two complementary halves (DESIGN.md §10):
   producer/consumer discipline, lock-order inversion detection, and
   un-joined drainer threads at shutdown.
 
-This ``__init__`` deliberately imports only the dependency-free
-sanitizer: :mod:`repro.transport.shm` and :mod:`repro.core.stream`
-import it from their module scope, so pulling the linter (which reads
-the hint and shared-state registries from :mod:`repro.core`) in here
-would create an import cycle.
+Its names load lazily (:func:`repro.util.lazy_exports`):
+:mod:`repro.transport.shm` and :mod:`repro.core.stream` import the
+sanitizer from their module scope, and the linter reads the hint and
+shared-state registries of :mod:`repro.core`.
 """
 
-from repro.analysis.sanitize import (
-    SanitizerError,
-    TrackedLock,
-    Violation,
-    make_lock,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "SanitizerError",
-    "TrackedLock",
-    "Violation",
-    "make_lock",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "sanitize": "SanitizerError TrackedLock Violation make_lock",
+})

@@ -20,51 +20,14 @@ their observable behaviour:
   does.
 """
 
-from repro.apps.gts import GtsConfig, GtsRank, gts_analytics_profile, gts_sim_profile
-from repro.apps.analytics import (
-    GtsAnalytics,
-    histogram1d,
-    histogram2d,
-    particle_distribution,
-    range_query,
-)
-from repro.apps.pixie3d import (
-    MhdDiagnostics,
-    Pixie3dAnalysis,
-    Pixie3dConfig,
-    Pixie3dRank,
-    curl,
-    divergence,
-    pixie3d_analysis_profile,
-    pixie3d_sim_profile,
-)
-from repro.apps.s3d import S3dConfig, S3dRank, s3d_sim_profile, s3d_viz_profile
-from repro.apps.viz import composite_over, read_ppm, volume_render, write_ppm
+from repro.util import lazy_exports
 
-__all__ = [
-    "GtsAnalytics",
-    "GtsConfig",
-    "GtsRank",
-    "MhdDiagnostics",
-    "Pixie3dAnalysis",
-    "Pixie3dConfig",
-    "Pixie3dRank",
-    "curl",
-    "divergence",
-    "pixie3d_analysis_profile",
-    "pixie3d_sim_profile",
-    "S3dConfig",
-    "S3dRank",
-    "composite_over",
-    "gts_analytics_profile",
-    "gts_sim_profile",
-    "histogram1d",
-    "histogram2d",
-    "particle_distribution",
-    "range_query",
-    "read_ppm",
-    "s3d_sim_profile",
-    "s3d_viz_profile",
-    "volume_render",
-    "write_ppm",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "analytics": "GtsAnalytics histogram1d histogram2d particle_distribution "
+                 "range_query",
+    "gts": "GtsConfig GtsRank gts_analytics_profile gts_sim_profile",
+    "pixie3d": "MhdDiagnostics Pixie3dAnalysis Pixie3dConfig Pixie3dRank curl "
+               "divergence pixie3d_analysis_profile pixie3d_sim_profile",
+    "s3d": "S3dConfig S3dRank s3d_sim_profile s3d_viz_profile",
+    "viz": "composite_over read_ppm volume_render write_ppm",
+})

@@ -32,85 +32,21 @@ substrates below it:
   and :class:`StreamHints`, the registry read off one ``<method>`` line.
 """
 
-from repro.core.hints import (
-    HintSpec,
-    HintValueError,
-    StreamError,
-    StreamHints,
-    UnknownHintError,
-    stream_params,
-)
-from repro.core.monitoring import MeasurementPoint, PerfMonitor, TraceRecord
-from repro.core.plugins import (
-    CodeletError,
-    DCPlugin,
-    PluginManager,
-    PluginSide,
-)
-from repro.core.directory import CoordinatorInfo, DirectoryServer
-from repro.core.redistribution import (
-    CachingOption,
-    CompiledPlan,
-    HandshakeCost,
-    PlanCache,
-    RedistributionEngine,
-    RedistributionPlan,
-    global_plan_cache,
-)
-from repro.core.directory import DirectoryError
-from repro.core.drain import StepState
-from repro.core.stepstore import StreamStalled
-from repro.core.stream import FlexpathMethod, stream_registry
-from repro.core.runtime import (
-    FlexIORuntime,
-    NumaBufferPolicy,
-    TransportKind,
-    make_stream_channel,
-)
-from repro.core.resilience import (
-    MovementFailed,
-    RetryPolicy,
-    TransactionAborted,
-)
-from repro.core.adaptive import AdaptivePolicy, DCPlacementController
-from repro.core.api import FlexIO
+from repro.util import lazy_exports
 
-__all__ = [
-    "AdaptivePolicy",
-    "CachingOption",
-    "DCPlacementController",
-    "MovementFailed",
-    "RetryPolicy",
-    "TransactionAborted",
-    "CodeletError",
-    "CompiledPlan",
-    "CoordinatorInfo",
-    "DCPlugin",
-    "DirectoryServer",
-    "FlexIO",
-    "FlexIORuntime",
-    "FlexpathMethod",
-    "HandshakeCost",
-    "HintSpec",
-    "HintValueError",
-    "MeasurementPoint",
-    "NumaBufferPolicy",
-    "PerfMonitor",
-    "PlanCache",
-    "PluginManager",
-    "PluginSide",
-    "global_plan_cache",
-    "make_stream_channel",
-    "RedistributionEngine",
-    "RedistributionPlan",
-    "DirectoryError",
-    "StepState",
-    "StreamError",
-    "StreamHints",
-    "StreamStalled",
-    "TraceRecord",
-    "TransportKind",
-    "UnknownHintError",
-    "stream_params",
-    "stream_registry",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "adaptive": "AdaptivePolicy DCPlacementController",
+    "api": "FlexIO",
+    "directory": "CoordinatorInfo DirectoryError DirectoryServer",
+    "drain": "StepState",
+    "hints": "HintSpec HintValueError StreamError StreamHints UnknownHintError "
+             "stream_params",
+    "monitoring": "MeasurementPoint PerfMonitor TraceRecord",
+    "plugins": "CodeletError DCPlugin PluginManager PluginSide",
+    "redistribution": "CachingOption CompiledPlan HandshakeCost PlanCache "
+                      "RedistributionEngine RedistributionPlan global_plan_cache",
+    "resilience": "MovementFailed RetryPolicy TransactionAborted",
+    "runtime": "FlexIORuntime NumaBufferPolicy TransportKind make_stream_channel",
+    "stepstore": "StreamStalled",
+    "stream": "FlexpathMethod stream_registry",
+})

@@ -8,22 +8,22 @@ Typical use (see ``examples/quickstart.py``)::
 
 Whether ``gts.stream`` is a memory-to-memory stream or a BP file on disk
 is decided by the ``<method>`` line of the configuration — application
-code is identical either way.
+code is identical either way.  :class:`LocalClient` is the same façade
+behind ``repro.connect("local://")``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.adios.api import Adios, RankContext, ReadHandle, WriteHandle
 from repro.adios.config import AdiosConfig
 from repro.core.hints import STREAM_METHODS, validate_config
 from repro.core.monitoring import PerfMonitor
 from repro.core.runtime import FlexIORuntime, NumaBufferPolicy
-from repro.machine.topology import Machine
 
-# Importing the stream module registers the FLEXPATH method.
-import repro.core.stream  # noqa: F401
+if TYPE_CHECKING:
+    from repro.machine.topology import Machine
 
 
 class FlexIO:
@@ -68,3 +68,72 @@ class FlexIO:
 
     def is_stream(self, group: str) -> bool:
         return self.method_name(group) in STREAM_METHODS
+
+
+# ---------------------------------------------------------------------------
+# The in-process client
+# ---------------------------------------------------------------------------
+
+#: Group the local client binds stream opens to; variables are declared
+#: at write time (the stream method needs no static var list).
+LOCAL_GROUP = "flexio"
+
+_LOCAL_CONFIG = """
+<adios-config>
+  <adios-group name="flexio"/>
+  <method group="flexio" method="FLEXPATH">{params}</method>
+</adios-config>
+"""
+
+
+class Client:
+    """Common context-manager surface of both client kinds."""
+
+    def open(self, name: str, mode: str, **kwargs: Any):
+        raise NotImplementedError
+
+    def close(self) -> None:  # pragma: no cover - overridden
+        pass
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+
+class LocalClient(Client):
+    """``local://``: the in-process service, same ``open()`` surface as
+    :class:`repro.net.client.RemoteClient`.
+
+    ``config`` overrides the generated single-group stream
+    configuration (an :class:`~repro.adios.config.AdiosConfig` or XML
+    text); ``params`` sets the stream method's hint string when the
+    default configuration is used.
+    """
+
+    def __init__(self, config=None, machine=None, params: str = "") -> None:
+        if config is None:
+            config = _LOCAL_CONFIG.format(params=params)
+        if isinstance(config, str):
+            config = AdiosConfig.from_xml(config)
+        self.flexio = FlexIO(config, machine=machine)
+        self._group_default = next(iter(config.groups), LOCAL_GROUP)
+
+    def open(
+        self,
+        name: str,
+        mode: str,
+        *,
+        group: Optional[str] = None,
+        rank: int = 0,
+        num_ranks: int = 1,
+        **_ignored: Any,
+    ):
+        ctx = RankContext(rank, num_ranks)
+        group = group or self._group_default
+        if mode == "w":
+            return self.flexio.open_write(group, name, ctx)
+        if mode == "r":
+            return self.flexio.open_read(group, name, ctx)
+        raise ValueError(f"bad open mode {mode!r} (expected 'w' or 'r')")

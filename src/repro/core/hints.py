@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.adios.api import AdiosError
-from repro.adios.config import MethodSpec
+from repro.adios.config import AGGREGATORS, MethodSpec
 from repro.core.redistribution import CachingOption
 
 
@@ -91,8 +91,8 @@ DEGRADE_AFTER = "degrade_after"
 LEASE = "lease"
 FUSED = "fused"
 PUSHDOWN = "pushdown"
-#: ``MPI_AGGREGATE`` file-method parameter (aggregator fan-in).
-AGGREGATORS = "aggregators"
+# AGGREGATORS (the MPI_AGGREGATE parameter) is imported above from
+# repro.adios.config, the layer of the file method that reads it.
 #: ``STAGING`` method parameters: the daemon's ``host:port`` and the tenant.
 DAEMON = "daemon"
 TENANT = "tenant"
@@ -111,10 +111,6 @@ TRANSPORT_TCP = "tcp"
 
 #: Method names that select the FLEXPATH stream engine.
 STREAM_METHODS = ("FLEXPATH", "FLEXIO")
-
-
-#: Trace-stage name (span category) of DC plug-in execution.
-STAGE_DC_PLUGIN = "dc_plugin"
 
 
 _STREAM_SPECS = (

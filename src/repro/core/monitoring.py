@@ -41,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro import obs
+from repro.obs import default_tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import F_LATENCY, metric_name
 from repro.obs.tracing import CURRENT, Span, Tracer
@@ -183,7 +183,7 @@ class PerfMonitor:
         self.aggregates: dict[str, CategoryAggregate] = defaultdict(CategoryAggregate)
         #: Counters / gauges / histograms (transport stats land here).
         self.metrics = MetricsRegistry()
-        default_enabled, default_rate = obs.default_tracing()
+        default_enabled, default_rate = default_tracing()
         self.tracer = Tracer(
             sink=self._span_sink,
             clock=self.clock,

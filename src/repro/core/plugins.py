@@ -45,7 +45,6 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.adios.model import WrittenVar
-from repro.core.hints import STAGE_DC_PLUGIN
 from repro.core.monitoring import PerfMonitor
 from repro.obs.names import (
     F_PLUGIN,
@@ -54,6 +53,9 @@ from repro.obs.names import (
     M_PLUGIN_MIGRATIONS,
     metric_name,
 )
+
+#: Trace-stage name (span category) of DC plug-in execution.
+STAGE_DC_PLUGIN = "dc_plugin"
 
 # Optional accelerator: kernels JIT-compile when the ``numba`` extra is
 # installed; the baseline environment falls back to pure numpy silently.

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.machine.topology import Machine
 from repro.transport.shm import ShmCostModel
+
+if TYPE_CHECKING:  # the caller builds the machine; this module only reads it
+    from repro.machine.topology import Machine
 
 
 class TransportKind(Enum):

@@ -19,45 +19,15 @@ and S3D_Box on Smoky and Titan) and sweeps every placement for the
 benchmark harness.
 """
 
-from repro.coupled.model import (
-    CoupledOptions,
-    CoupledResult,
-    CoupledWorkload,
-    PlacementStyle,
-    StepTimes,
-)
-from repro.coupled.simulate import simulate_coupled
-from repro.coupled.scenarios import (
-    GTS_ANALYTICS_CACHE,
-    GTS_CACHE,
-    S3D_CACHE,
-    S3D_VIZ_CACHE,
-    evaluate_gts_placements,
-    evaluate_pixie3d_placements,
-    evaluate_s3d_placements,
-    gts_workload,
-    pixie3d_workload,
-    s3d_workload,
-)
-from repro.coupled.fallback import FallbackDecision, simulate_with_fallback
+from repro.util import lazy_exports
 
-__all__ = [
-    "CoupledOptions",
-    "CoupledResult",
-    "CoupledWorkload",
-    "GTS_ANALYTICS_CACHE",
-    "GTS_CACHE",
-    "PlacementStyle",
-    "S3D_CACHE",
-    "S3D_VIZ_CACHE",
-    "StepTimes",
-    "FallbackDecision",
-    "evaluate_gts_placements",
-    "evaluate_pixie3d_placements",
-    "evaluate_s3d_placements",
-    "gts_workload",
-    "pixie3d_workload",
-    "simulate_with_fallback",
-    "s3d_workload",
-    "simulate_coupled",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "fallback": "FallbackDecision simulate_with_fallback",
+    "model": "CoupledOptions CoupledResult CoupledWorkload PlacementStyle "
+             "StepTimes",
+    "scenarios": "GTS_ANALYTICS_CACHE GTS_CACHE S3D_CACHE S3D_VIZ_CACHE "
+                 "evaluate_gts_placements evaluate_pixie3d_placements "
+                 "evaluate_s3d_placements gts_workload pixie3d_workload "
+                 "s3d_workload",
+    "simulate": "simulate_coupled",
+})

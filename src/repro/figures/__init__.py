@@ -7,27 +7,14 @@ wraps these with pytest-benchmark and writes the rendered tables to
 ``results/``; ``EXPERIMENTS.md`` records paper-vs-measured values.
 """
 
-from repro.figures.tables import format_table, write_table
-from repro.figures.fig4 import fig4_rdma_registration
-from repro.figures.fig6 import fig6_gts_total_execution_time
-from repro.figures.fig7 import fig7_gts_detailed_timing
-from repro.figures.fig8 import fig8_cache_miss_rates
-from repro.figures.fig9 import fig9_s3d_total_execution_time
-from repro.figures.costs import (
-    gts_cost_metrics,
-    s3d_cost_metrics,
-    s3d_movement_tuning,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "fig4_rdma_registration",
-    "fig6_gts_total_execution_time",
-    "fig7_gts_detailed_timing",
-    "fig8_cache_miss_rates",
-    "fig9_s3d_total_execution_time",
-    "format_table",
-    "gts_cost_metrics",
-    "s3d_cost_metrics",
-    "s3d_movement_tuning",
-    "write_table",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "costs": "gts_cost_metrics s3d_cost_metrics s3d_movement_tuning",
+    "fig4": "fig4_rdma_registration",
+    "fig6": "fig6_gts_total_execution_time",
+    "fig7": "fig7_gts_detailed_timing",
+    "fig8": "fig8_cache_miss_rates",
+    "fig9": "fig9_s3d_total_execution_time",
+    "tables": "format_table write_table",
+})

@@ -17,42 +17,13 @@ graphs onto, plus interconnect / cache / file-system cost models that the
 coupled-run simulator charges time against.
 """
 
-from repro.machine.topology import (
-    Core,
-    Machine,
-    Node,
-    NodeType,
-    TopologyLevel,
-    TreeNode,
-)
-from repro.machine.interconnect import (
-    GeminiInterconnect,
-    InfinibandInterconnect,
-    Interconnect,
-    RdmaCostParams,
-    SeaStarInterconnect,
-)
-from repro.machine.cache import CacheContentionModel, CacheProfile
-from repro.machine.filesystem import LustreModel
-from repro.machine.presets import generic_cluster, jaguar_xt5, smoky, titan
+from repro.util import lazy_exports
 
-__all__ = [
-    "CacheContentionModel",
-    "CacheProfile",
-    "Core",
-    "GeminiInterconnect",
-    "InfinibandInterconnect",
-    "Interconnect",
-    "LustreModel",
-    "Machine",
-    "Node",
-    "NodeType",
-    "RdmaCostParams",
-    "SeaStarInterconnect",
-    "TopologyLevel",
-    "TreeNode",
-    "generic_cluster",
-    "jaguar_xt5",
-    "smoky",
-    "titan",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "cache": "CacheContentionModel CacheProfile",
+    "filesystem": "LustreModel",
+    "interconnect": "GeminiInterconnect InfinibandInterconnect Interconnect "
+                    "RdmaCostParams SeaStarInterconnect",
+    "presets": "generic_cluster jaguar_xt5 smoky titan",
+    "topology": "Core Machine Node NodeType TopologyLevel TreeNode",
+})

@@ -10,27 +10,10 @@ formats, :func:`encode` / :func:`decode` produce and parse actual bytes.
 Both the messaging layer and the BP-lite file format build on it.
 """
 
-from repro.marshal.format import Field, FieldKind, Format, FormatRegistry
-from repro.marshal.codec import (
-    MarshalError,
-    decode_message,
-    decode_stream,
-    decode_view,
-    encode_into,
-    encode_message,
-    encoded_size,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "Field",
-    "FieldKind",
-    "Format",
-    "FormatRegistry",
-    "MarshalError",
-    "decode_message",
-    "decode_stream",
-    "decode_view",
-    "encode_into",
-    "encode_message",
-    "encoded_size",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "codec": "MarshalError decode_message decode_stream decode_view "
+             "encode_into encode_message encoded_size",
+    "format": "Field FieldKind Format FormatRegistry",
+})

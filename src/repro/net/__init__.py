@@ -15,19 +15,10 @@ is where FlexIO becomes a *service*.  Three modules:
   and the remote step-API handles behind it.
 """
 
-from repro.net.protocol import (  # noqa: F401
-    PROTOCOL_VERSION,
-    Frame,
-    MsgType,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-)
-from repro.net.client import (  # noqa: F401
-    Client,
-    LocalClient,
-    NetError,
-    RemoteClient,
-    connect,
-    parse_flexio_uri,
-)
+from repro.util import lazy_exports
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "client": "Client LocalClient NetError RemoteClient connect parse_flexio_uri",
+    "protocol": "PROTOCOL_VERSION Frame MsgType ProtocolError decode_frame "
+                "encode_frame",
+})

@@ -4,10 +4,11 @@ One entry point covers both deployment shapes the paper's
 location-flexible placement implies:
 
 * ``connect("local://")`` — everything in-process.  The returned
-  :class:`LocalClient` wraps the :class:`~repro.core.api.FlexIO`
-  façade with a stream-mode configuration, so ``open(name, "w")`` /
-  ``open(name, "r")`` hand back the familiar step-API handles backed
-  by the in-process data plane (shm/rdma models, drainer, plan cache).
+  :class:`~repro.core.api.LocalClient` wraps the
+  :class:`~repro.core.api.FlexIO` façade with a stream-mode
+  configuration, so ``open(name, "w")`` / ``open(name, "r")`` hand
+  back the familiar step-API handles backed by the in-process data
+  plane (shm/rdma models, drainer, plan cache).
 
 * ``connect("flexio://host:port/tenant", token=...)`` — a
   :class:`RemoteClient` session against a running
@@ -51,6 +52,7 @@ from repro.adios.api import IoMethod, RankContext, WriteHandle, register_method
 from repro.adios.model import WrittenVar
 from repro.adios.selection import BoundingBox
 from repro.analysis import sanitize
+from repro.core.api import Client, LocalClient
 from repro.core.directory import DirectoryError, admission_exception
 from repro.core.hints import DAEMON, TENANT, TOKEN_ENV
 from repro.core.monitoring import PerfMonitor
@@ -244,77 +246,6 @@ def parse_flexio_uri(uri: str) -> ParsedUri:
     return ParsedUri(
         scheme="flexio", host=parts.hostname, port=port, tenant=tenant
     )
-
-
-# ---------------------------------------------------------------------------
-# Local client
-# ---------------------------------------------------------------------------
-
-#: Group the local client binds stream opens to; variables are declared
-#: at write time (the stream method needs no static var list).
-LOCAL_GROUP = "flexio"
-
-_LOCAL_CONFIG = """
-<adios-config>
-  <adios-group name="flexio"/>
-  <method group="flexio" method="FLEXPATH">{params}</method>
-</adios-config>
-"""
-
-
-class Client:
-    """Common context-manager surface of both client kinds."""
-
-    def open(self, name: str, mode: str, **kwargs: Any):
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - overridden
-        pass
-
-    def __enter__(self) -> "Client":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-class LocalClient(Client):
-    """``local://``: the in-process service, same ``open()`` surface.
-
-    ``config`` overrides the generated single-group stream
-    configuration (an :class:`~repro.adios.config.AdiosConfig` or XML
-    text); ``params`` sets the stream method's hint string when the
-    default configuration is used.
-    """
-
-    def __init__(self, config=None, machine=None, params: str = "") -> None:
-        from repro.adios.config import AdiosConfig
-        from repro.core.api import FlexIO
-
-        if config is None:
-            config = _LOCAL_CONFIG.format(params=params)
-        if isinstance(config, str):
-            config = AdiosConfig.from_xml(config)
-        self.flexio = FlexIO(config, machine=machine)
-        self._group_default = next(iter(config.groups), LOCAL_GROUP)
-
-    def open(
-        self,
-        name: str,
-        mode: str,
-        *,
-        group: Optional[str] = None,
-        rank: int = 0,
-        num_ranks: int = 1,
-        **_ignored: Any,
-    ):
-        ctx = RankContext(rank, num_ranks)
-        group = group or self._group_default
-        if mode == "w":
-            return self.flexio.open_write(group, name, ctx)
-        if mode == "r":
-            return self.flexio.open_read(group, name, ctx)
-        raise ValueError(f"bad open mode {mode!r} (expected 'w' or 'r')")
 
 
 # ---------------------------------------------------------------------------

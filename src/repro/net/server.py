@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,7 +97,6 @@ from repro.obs.events import (
     EV_NET_STEP_PUBLISH,
     EV_NET_STREAM_OPEN,
 )
-from repro.obs.live import LiveTelemetryServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import (
     M_NET_BLOCKS_BOUNDED_BY_DAEMON,
@@ -122,6 +121,9 @@ from repro.transport.shm import ShmArena
 from repro.transport.tcp import (
     FRAME_PREFIX, INLINE_MAX, FrameAssembler, FrameRefused, unpace_loopback
 )
+
+if TYPE_CHECKING:
+    from repro.obs.live import LiveTelemetryServer
 
 __all__ = ["HostedStream", "DirectoryDaemon", "parse_tenant_arg", "main"]
 
@@ -629,9 +631,11 @@ class DirectoryDaemon:
         self._session_counter = itertools.count(1)
         self._draining = False
         self._conns: set[_Conn] = set()
-        self.telemetry: Optional[LiveTelemetryServer] = (
-            LiveTelemetryServer(states=self._stream_states) if telemetry else None
-        )
+        self.telemetry: Optional[LiveTelemetryServer] = None
+        if telemetry:  # the HTTP exporter is loaded only when it serves
+            from repro.obs.live import LiveTelemetryServer
+
+            self.telemetry = LiveTelemetryServer(states=self._stream_states)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._servers: list[asyncio.AbstractServer] = []
         self._thread: Optional[threading.Thread] = None

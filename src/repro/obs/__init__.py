@@ -35,43 +35,22 @@ from __future__ import annotations
 
 import os
 
-from repro.obs.tracing import (
-    CURRENT,
-    NOOP_SPAN,
-    Span,
-    SpanContext,
-    Tracer,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.export import is_span_record, to_perfetto, write_perfetto
-from repro.obs.analysis import (
-    BottleneckHint,
-    CriticalHop,
-    FaultSummary,
-    SpanNode,
-    StageStat,
-    build_traces,
-    critical_path,
-    fault_summary,
-    find_bottleneck,
-    longest_trace,
-    stage_breakdown,
-)
-from repro.obs.events import EVENT_CODES, EventSpec, UnknownEventError
-from repro.obs.recorder import FlightEvent, FlightRecorder, load_dump
-from repro.obs.snapshot import DeltaSnapshot, SnapshotCollector
-from repro.obs.health import (
-    HealthBoard,
-    HealthReport,
-    SLOPolicy,
-    StreamHealthModel,
-    Verdict,
-)
-from repro.obs.live import (
-    LiveTelemetryServer,
-    render_prometheus,
-    validate_exposition,
-)
+from repro.util import lazy_exports
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "analysis": "BottleneckHint CriticalHop FaultSummary SpanNode StageStat "
+                "build_traces critical_path fault_summary find_bottleneck "
+                "longest_trace stage_breakdown",
+    "events": "EVENT_CODES EventSpec UnknownEventError",
+    "export": "is_span_record to_perfetto write_perfetto",
+    "health": "HealthBoard HealthReport SLOPolicy StreamHealthModel Verdict",
+    "live": "LiveTelemetryServer render_prometheus validate_exposition",
+    "metrics": "Counter Gauge Histogram MetricsRegistry",
+    "recorder": "FlightEvent FlightRecorder load_dump",
+    "snapshot": "DeltaSnapshot SnapshotCollector",
+    "tracing": "CURRENT NOOP_SPAN Span SpanContext Tracer",
+})
+__all__ += ["default_tracing", "set_default_tracing"]
 
 _DEFAULT = {"enabled": False, "sample_rate": 1.0}
 
@@ -90,48 +69,3 @@ def default_tracing() -> tuple[bool, float]:
     if env in _TRUTHY:
         return True, float(_DEFAULT["sample_rate"])
     return bool(_DEFAULT["enabled"]), float(_DEFAULT["sample_rate"])
-
-
-__all__ = [
-    "BottleneckHint",
-    "Counter",
-    "CriticalHop",
-    "CURRENT",
-    "DeltaSnapshot",
-    "EVENT_CODES",
-    "EventSpec",
-    "FaultSummary",
-    "fault_summary",
-    "FlightEvent",
-    "FlightRecorder",
-    "Gauge",
-    "HealthBoard",
-    "HealthReport",
-    "Histogram",
-    "LiveTelemetryServer",
-    "MetricsRegistry",
-    "NOOP_SPAN",
-    "SLOPolicy",
-    "SnapshotCollector",
-    "Span",
-    "SpanContext",
-    "SpanNode",
-    "StageStat",
-    "StreamHealthModel",
-    "Tracer",
-    "UnknownEventError",
-    "Verdict",
-    "build_traces",
-    "critical_path",
-    "default_tracing",
-    "find_bottleneck",
-    "is_span_record",
-    "load_dump",
-    "longest_trace",
-    "render_prometheus",
-    "set_default_tracing",
-    "stage_breakdown",
-    "to_perfetto",
-    "validate_exposition",
-    "write_perfetto",
-]

@@ -148,30 +148,22 @@ def validate_exposition(text: str) -> list[str]:
     return problems
 
 
-def _default_states() -> Mapping[str, object]:
-    """Live streams of the in-process registry (imported lazily: core
-    imports obs, so obs.live must not import core at module load)."""
-    from repro.core.stream import stream_registry
-
-    return dict(stream_registry._states)
-
-
 class LiveTelemetryServer:
     """Loopback asyncio HTTP server over the process's telemetry.
 
     ``states`` is a zero-argument callable returning the streams to
-    expose (name → object with ``monitor``/``closed``/``error``);
-    defaults to the process-wide stream registry.
+    expose (name → object with ``monitor``/``closed``/``error``): the
+    daemon's hosted streams, or the in-process stream registry's.
     """
 
     def __init__(
         self,
-        states: Optional[Callable[[], Mapping[str, object]]] = None,
+        states: Callable[[], Mapping[str, object]],
         policy: Optional[SLOPolicy] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self._states = states or _default_states
+        self._states = states
         self.board = HealthBoard(policy=policy)
         self.host = host
         self.port = port          # 0 → ephemeral; fixed after start()

@@ -20,39 +20,14 @@ metrics and the three heuristic placement algorithms the paper evaluates.
   sync and async variants), and node-topology-aware placement.
 """
 
-from repro.placement.metrics import RunMetrics, cpu_hours
-from repro.placement.commgraph import CommGraph, grid_edges, ring_edges
-from repro.placement.partition import bisect_graph, partition_graph
-from repro.placement.graphmap import map_to_tree, mapping_cost
-from repro.placement.algorithms import (
-    AnalyticsProfile,
-    DataAwareMapping,
-    HolisticPlacement,
-    NodeTopologyAwarePlacement,
-    Placement,
-    PlacementAlgorithm,
-    SimProfile,
-    allocate_analytics_async,
-    allocate_analytics_sync,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "AnalyticsProfile",
-    "CommGraph",
-    "DataAwareMapping",
-    "HolisticPlacement",
-    "NodeTopologyAwarePlacement",
-    "Placement",
-    "PlacementAlgorithm",
-    "RunMetrics",
-    "SimProfile",
-    "allocate_analytics_async",
-    "allocate_analytics_sync",
-    "bisect_graph",
-    "cpu_hours",
-    "grid_edges",
-    "map_to_tree",
-    "mapping_cost",
-    "partition_graph",
-    "ring_edges",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "algorithms": "AnalyticsProfile DataAwareMapping HolisticPlacement "
+                  "NodeTopologyAwarePlacement Placement PlacementAlgorithm "
+                  "SimProfile allocate_analytics_async allocate_analytics_sync",
+    "commgraph": "CommGraph grid_edges ring_edges",
+    "graphmap": "map_to_tree mapping_cost",
+    "metrics": "RunMetrics cpu_hours",
+    "partition": "bisect_graph partition_graph",
+})

@@ -23,32 +23,12 @@ Public API
     Exception injected into a process by :meth:`Process.interrupt`.
 """
 
-from repro.simcore.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    EventAlreadyTriggered,
-    Timeout,
-)
-from repro.simcore.environment import Environment, SimulationError
-from repro.simcore.process import Interrupt, Process
-from repro.simcore.resources import Preempted, PriorityResource, Resource
-from repro.simcore.store import Store
+from repro.util import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "Environment",
-    "Event",
-    "EventAlreadyTriggered",
-    "Interrupt",
-    "Preempted",
-    "PriorityResource",
-    "Process",
-    "Resource",
-    "SimulationError",
-    "Store",
-    "Timeout",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "environment": "Environment SimulationError",
+    "events": "AllOf AnyOf Condition Event EventAlreadyTriggered Timeout",
+    "process": "Interrupt Process",
+    "resources": "Preempted PriorityResource Resource",
+    "store": "Store",
+})

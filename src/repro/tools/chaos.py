@@ -12,8 +12,9 @@ judge:
   connection resets, half-open sockets) on both clients' channels and,
   by ``seed % 3``, a daemon restart mid-run: none, SIGTERM drain +
   checkpoint, or SIGKILL with synchronous checkpoints — restored with
-  ``--restore`` on the same pre-picked ports.  ``--rate 0`` is the calm
-  cross-process exchange.
+  ``--restore`` on the same pre-picked ports, once the writer's k-th
+  step is acknowledged (k drawn from the seed).  ``--rate 0`` is the
+  calm cross-process exchange.
 
 Every driver fills one :class:`DeliveryLog` and one observability
 sample per fault-injected endpoint; :func:`check_delivery` and
@@ -61,6 +62,7 @@ import hashlib
 import itertools
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -149,6 +151,8 @@ _NET_WATCHDOG_S = 120.0
 #: Worker exit code for a typed abandon (0 = clean end).
 RC_TYPED_LOSS = 3
 _RESULT_MARK = "CHAOS-WORKER "
+#: The writer's line for each step the daemon acknowledged.
+_ACK_MARK = "CHAOS-ACKED "
 
 
 def _chaos_chain() -> list:
@@ -549,6 +553,7 @@ def _net_worker(role: str, uri: str, steps: int, seed: int, rate: float) -> int:
                     w.write(_NET_VAR, _payload(seed, step, 0, shape),
                             box=box, global_shape=shape)
                     w.end_step()
+                    print(f"{_ACK_MARK}{step}", flush=True)
 
                 _write_steps(log, steps, write_step, pace=_NET_PACE_S)
                 if not log.writer_end:
@@ -611,13 +616,30 @@ def _spawn_daemon(ckpt: str, control: int = 0, data: int = 0):
         raise
 
 
-def _worker_result(proc: subprocess.Popen, role: str) -> dict:
-    """The worker's JSON line, or a log whose end state says how it died."""
+def _await_acks(proc: subprocess.Popen, k: int) -> str:
+    """Read the writer's output until its ``k``-th acknowledged step (or
+    its end, or the watchdog); returns what was read."""
+    out, read = proc.stdout.buffer, b""
+    deadline = time.monotonic() + _NET_WATCHDOG_S
+    while read.count(_ACK_MARK.encode()) < k:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([out], [], [], left)[0]:
+            break
+        chunk = out.read1(1 << 16)  # empties the buffer: select sees what is next
+        if not chunk:
+            break
+        read += chunk
+    return read.decode(errors="replace")
+
+
+def _worker_result(proc: subprocess.Popen, role: str, head: str = "") -> dict:
+    """The worker's JSON line, or a log whose end state says how it died;
+    ``head`` is what was already read of its output."""
     try:
-        out, _ = proc.communicate(timeout=_NET_WATCHDOG_S)
+        out = head + proc.communicate(timeout=_NET_WATCHDOG_S)[0]
     except subprocess.TimeoutExpired:
         proc.kill()
-        out, _ = proc.communicate()
+        out = head + proc.communicate()[0]
         end = f"outlived the {_NET_WATCHDOG_S:.0f}s watchdog (deadlock?)"
     else:
         if proc.returncode in (0, RC_TYPED_LOSS):
@@ -650,6 +672,7 @@ def _run_net(report: ChaosReport, log: DeliveryLog,
                   "--rate", str(report.rate),
                   "--uri", f"flexio://{host}:{control}/{_NET_TENANT}"]
         workers: dict[str, subprocess.Popen] = {}
+        head = {"writer": "", "reader": ""}
         try:
             # The reader draws its own schedule (seed + 1000).
             for role, wseed in (("writer", seed), ("reader", seed + 1000)):
@@ -657,15 +680,19 @@ def _run_net(report: ChaosReport, log: DeliveryLog,
                     [*common, "--role", role, "--seed", str(wseed)], worker_env
                 )
             if report.restart != "none":
-                # Let some steps land, then take the daemon down mid-run
-                # and bring it back on the ports the clients redial.
-                time.sleep(0.6 + 0.05 * (seed % 5))
+                # Take the daemon down once the writer's k-th step is
+                # acknowledged — an event, not a clock, so the stream is
+                # checkpointed however long the interpreters took to start
+                # — and bring it back on the ports the clients redial.
+                k = 1 + seed // 3 % max(1, steps // 2)
+                head["writer"] = _await_acks(workers["writer"], k)
                 daemon.send_signal(signal.SIGTERM if report.restart == "sigterm"
                                    else signal.SIGKILL)
                 daemon.wait(timeout=15)
                 report.sanitizer_violations += _sanitizer_said(daemon.communicate()[0])
                 daemon = _spawn_daemon(ckpt, control, data)[0]
-            results = {role: _worker_result(p, role) for role, p in workers.items()}
+            results = {role: _worker_result(p, role, head[role])
+                       for role, p in workers.items()}
         finally:
             for p in (*workers.values(), daemon):
                 if p.poll() is None:

@@ -27,54 +27,14 @@ II.D/II.E of the paper, plus the fault model they share:
   seeded injector every rung (and the daemon) consults before a send.
 """
 
-from repro.transport.faults import (
-    FaultKind,
-    PeerDisconnected,
-    RegistrationFailed,
-    TornSend,
-    TransportFault,
-    TransportFaultInjector,
-    TransportTimeout,
-    injector_from_env,
-    parse_fault_spec,
-)
-from repro.transport.shm import (
-    QueueClosed,
-    QueueEmpty,
-    QueueFull,
-    ShmBufferPool,
-    ShmChannel,
-    ShmCostModel,
-    SPSCQueue,
-)
-from repro.transport.rdma import (
-    NntiEndpoint,
-    NntiFabric,
-    RdmaChannel,
-    RegistrationCache,
-    TransferScheduler,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "FaultKind",
-    "NntiEndpoint",
-    "NntiFabric",
-    "PeerDisconnected",
-    "QueueClosed",
-    "QueueEmpty",
-    "QueueFull",
-    "RdmaChannel",
-    "RegistrationCache",
-    "RegistrationFailed",
-    "ShmBufferPool",
-    "ShmChannel",
-    "ShmCostModel",
-    "SPSCQueue",
-    "TornSend",
-    "TransferScheduler",
-    "TransportFault",
-    "TransportFaultInjector",
-    "TransportTimeout",
-    "injector_from_env",
-    "parse_fault_spec",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "faults": "FaultKind PeerDisconnected RegistrationFailed TornSend "
+              "TransportFault TransportFaultInjector TransportTimeout "
+              "injector_from_env parse_fault_spec",
+    "rdma": "NntiEndpoint NntiFabric RdmaChannel RegistrationCache "
+            "TransferScheduler",
+    "shm": "QueueClosed QueueEmpty QueueFull ShmBufferPool ShmChannel "
+           "ShmCostModel SPSCQueue",
+})

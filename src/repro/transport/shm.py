@@ -42,12 +42,11 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.analysis import sanitize
-from repro.machine.topology import NodeType
 from repro.obs.names import F_SHM_POOL, F_SHM_QUEUE
 from repro.transport.buffers import (
     COPIES_INLINE,
@@ -71,6 +70,9 @@ from repro.transport.faults import (
     TransportTimeout,
 )
 from repro.util import CACHE_LINE, align_up
+
+if TYPE_CHECKING:  # a cost-model annotation: the data path runs no machine model
+    from repro.machine.topology import NodeType
 
 _EMPTY = 0
 _FULL = 1

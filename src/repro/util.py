@@ -1,6 +1,11 @@
-"""Small shared helpers: byte units, cache-line math, deterministic RNG."""
+"""Small shared helpers: byte units, cache-line math, deterministic RNG,
+and the lazy re-export table of the package ``__init__`` modules."""
 
 from __future__ import annotations
+
+import importlib
+import sys
+from typing import Any, Callable
 
 import numpy as np
 
@@ -53,3 +58,26 @@ def rng(seed: int | None) -> np.random.Generator:
     repeated runs (and the test suite) are bit-stable.
     """
     return np.random.default_rng(0xF1E710 if seed is None else seed)
+
+
+def lazy_exports(package: str, table: dict[str, str]) -> tuple[list[str], Callable]:
+    """A package's public names, imported from their submodules on first use.
+
+    ``table`` maps each submodule of ``package`` to the names it exports,
+    space-separated.  Returns ``(__all__, __getattr__)`` for the package
+    ``__init__`` (PEP 562): ``import package`` loads no submodule, and
+    ``from package import Name`` loads only the one defining ``Name``.
+    """
+    where = {
+        name: f"{package}.{module}"
+        for module, names in table.items() for name in names.split()
+    }
+
+    def __getattr__(name: str) -> Any:
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(where[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return sorted(where), __getattr__

@@ -41,7 +41,8 @@ def test_subfile_layout_on_disk(tmp_path):
     assert os.path.isdir(d)
     files = sorted(os.listdir(d))
     assert files == ["data.0.bp", "data.1.bp", "manifest.txt"]
-    manifest = open(os.path.join(d, "manifest.txt")).read()
+    with open(os.path.join(d, "manifest.txt")) as fh:
+        manifest = fh.read()
     assert "bplite-aggregate v1" in manifest
     assert "rank 0 data.0.bp" in manifest
     assert "rank 7 data.1.bp" in manifest
@@ -113,7 +114,8 @@ def test_rank_distribution_is_contiguous(tmp_path):
     preserving write locality within each subfile."""
     path = str(tmp_path / "contig.bp")
     write_run(path, num_ranks=8, aggs=2)
-    manifest = open(os.path.join(path + ".dir", "manifest.txt")).read()
+    with open(os.path.join(path + ".dir", "manifest.txt")) as fh:
+        manifest = fh.read()
     for rank in range(4):
         assert f"rank {rank} data.0.bp" in manifest
     for rank in range(4, 8):

@@ -546,6 +546,7 @@ def test_live_server_serves_all_endpoints_over_http():
         assert "/metrics" in index["endpoints"]
         with pytest.raises(urllib.error.HTTPError) as exc:
             get("/nope")
+        exc.value.close()  # the error carries the response and its socket
         assert exc.value.code == 404
         assert server.requests >= 6
     finally:
@@ -567,6 +568,7 @@ def test_live_server_rejects_non_get():
         )
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=5)
+        exc.value.close()  # the error carries the response and its socket
         assert exc.value.code == 405
     finally:
         server.stop()
