@@ -36,6 +36,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -57,58 +58,8 @@ from repro.obs.names import (
 #: Trace-stage name (span category) of DC plug-in execution.
 STAGE_DC_PLUGIN = "dc_plugin"
 
-# Optional accelerator: kernels JIT-compile when the ``numba`` extra is
-# installed; the baseline environment falls back to pure numpy silently.
-try:
-    from numba import njit as _njit  # type: ignore
-except Exception:  # pragma: no cover - numba absent in the baseline env
-    _njit = None
-
-
-def _jit(fn: Callable) -> Callable:
-    """numba-compile ``fn`` when importable; silent numpy fallback."""
-    if _njit is None:
-        return fn
-    try:  # pragma: no cover - exercised only with the numba extra
-        return _njit(cache=False)(fn)
-    # flexlint: ok(FXL001) numba failure must never break the numpy path
-    except Exception:
-        return fn
-
-
 def _range_mask(col: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (col >= lo) & (col <= hi)
-
-
-_range_mask_jit = _jit(_range_mask)
-
-
-def _gather_rows(arr: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``arr[keep]``, copying each kept row in one piece where it can.
-
-    A 1-D boolean ``keep`` over the rows of an array whose rows are each
-    C-contiguous (a sampled block: strided rows, contiguous columns)
-    indexes a view with one ``np.void`` item per row — numpy's 1-D path,
-    one copy per row instead of one per element — and the gathered rows
-    are reinterpreted as ``arr``'s dtype and trailing shape: byte-identical
-    to ``arr[keep]``, fresh and writable.  Anything else (1-D or empty
-    arrays, Fortran-order or column-strided blocks, object dtypes, any
-    other mask) is ``arr[keep]``, raising what it raises.
-    """
-    if (
-        arr.ndim < 2 or arr.size == 0 or arr.dtype.hasobject
-        or not isinstance(keep, np.ndarray) or keep.dtype != np.bool_
-        or keep.shape != arr.shape[:1]
-    ):
-        return arr[keep]
-    width = arr.itemsize
-    for n, stride in zip(arr.shape[:0:-1], arr.strides[:0:-1]):
-        if n != 1 and stride != width:
-            return arr[keep]  # a row that is not one run of bytes
-        width *= n
-    items = arr.reshape(arr.shape[0], width // arr.itemsize)
-    rows = items.view(np.dtype((np.void, width)))[:, 0][keep]
-    return rows.view(arr.dtype).reshape((rows.shape[0], *arr.shape[1:]))
 
 
 class CodeletError(RuntimeError):
@@ -231,25 +182,22 @@ class PluginKernel:
 
     * ``FILTER`` kernels drop rows, either index-level (``stride``: keep
       every s-th row of the stream flowing into the kernel) or
-      value-level (``mask_fn``: boolean row mask);
-    * ``TRANSFORM`` kernels map rows elementwise (``fn(arr, out=None)``);
+      value-level (``mask_fn``: boolean row mask of the rows it is
+      given);
+    * ``TRANSFORM`` kernels map rows elementwise (``fn(arr, out=None)``;
+      without ``out`` the result is a new array);
     * ``ANNOTATE`` kernels add *other* variables and are an identity on
       the fused path (``fuse_safe=False`` opts a kernel out of fusion —
       e.g. ``bbox``, whose reduction over an empty selection raises).
 
-    ``might_match(lo, hi)`` answers whether a block whose values lie
-    entirely in ``[lo, hi]`` could contribute any row after the filter
-    (the :mod:`repro.adios.query` index-pruning idiom, conservatively
-    using whole-block bounds); ``map_bounds`` lets transforms ahead of
-    the filter keep that predicate sound.  ``pushdown_term`` is the
-    kernel's serializable predicate contribution carried to the writer
-    side and the net broker.
+    ``pushdown_term`` is the kernel's serializable contribution to the
+    chain's :class:`BlockPredicate`, carried to the writer side and the
+    net broker.
     """
 
     __slots__ = (
         "capability", "targets", "requires_target", "fuse_safe",
-        "stride", "mask_fn", "might_match", "fn", "map_bounds",
-        "fingerprint", "pushdown_term",
+        "stride", "mask_fn", "fn", "fingerprint", "pushdown_term",
     )
 
     def __init__(
@@ -262,9 +210,7 @@ class PluginKernel:
         fuse_safe: bool = True,
         stride: Optional[int] = None,
         mask_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        might_match: Optional[Callable[[float, float], bool]] = None,
         fn: Optional[Callable] = None,
-        map_bounds: Optional[Callable[[float, float], tuple]] = None,
         pushdown_term: Optional[dict] = None,
     ) -> None:
         if capability is Capability.FILTER and stride is None and mask_fn is None:
@@ -277,9 +223,7 @@ class PluginKernel:
         self.fuse_safe = fuse_safe
         self.stride = int(stride) if stride is not None else None
         self.mask_fn = mask_fn
-        self.might_match = might_match
         self.fn = fn
-        self.map_bounds = map_bounds
         self.fingerprint = fingerprint
         self.pushdown_term = pushdown_term
 
@@ -416,21 +360,70 @@ class _ChainCursor:
         self._elapsed = [0.0] * n
 
     def apply_block(self, arr: np.ndarray) -> np.ndarray:
+        """Run the kernels over one block; return its surviving rows, fresh.
+
+        The survivors are a row selection over the block — the slice
+        ``start::step`` of ``count`` rows while only strides have run, row
+        indices ``rows`` from the first mask on — gathered once, at the
+        end, by ``np.take``: one contiguous copy per kept row of a
+        C-contiguous block.  A mask sees the selection as a view while it
+        is a slice, gathered after; one that is not a boolean mask of its
+        length raises ``IndexError``, as ``arr[mask]`` does.  A transform
+        maps the selection, which restarts as all rows of its result.
+        """
+        start, step, count, rows, fresh = 0, 1, arr.shape[0], None, False
+        row_bytes = arr.itemsize * math.prod(arr.shape[1:])
+        t0 = time.perf_counter()
         for i, stride, mask_fn, fn in self.kernels:
-            t0 = time.perf_counter()
-            nbytes_in = arr.nbytes
+            self._in_bytes[i] += count * row_bytes
             if stride is not None:
                 phase = (-self._entered[i]) % stride
-                self._entered[i] += int(arr.shape[0])
-                arr = arr[phase::stride]
-            elif mask_fn is not None:
-                arr = _gather_rows(arr, mask_fn(arr))
+                self._entered[i] += count
+                count = len(range(phase, count, stride))
+                if rows is None:
+                    start, step = start + phase * step, step * stride
+                else:
+                    rows = rows[phase::stride]
             else:
-                arr = fn(arr)
-            self._elapsed[i] += time.perf_counter() - t0
-            self._in_bytes[i] += nbytes_in
-            self._out_bytes[i] += arr.nbytes
+                sel = (arr[start:start + step * count:step] if rows is None
+                       else arr.take(rows, axis=0))
+                if fn is not None:
+                    arr = fn(sel)  # a new array: the selection restarts over it
+                    start, step, count, rows, fresh = 0, 1, arr.shape[0], None, True
+                    row_bytes = arr.itemsize * math.prod(arr.shape[1:])
+                else:
+                    mask = np.asarray(mask_fn(sel))
+                    if mask.dtype != np.bool_ or mask.shape != (count,):
+                        raise IndexError(
+                            f"row mask {mask.dtype} {mask.shape} over {count} rows"
+                        )
+                    if rows is None:
+                        rows = mask.nonzero()[0]
+                        rows *= step
+                        rows += start
+                    else:
+                        rows = rows[mask]
+                    count = rows.shape[0]
+            self._out_bytes[i] += count * row_bytes
+            t1 = time.perf_counter()
+            self._elapsed[i] += t1 - t0
+            t0 = t1
+        if rows is None:
+            if fresh and count == arr.shape[0]:
+                return arr
+            rows = np.arange(start, start + step * count, step)
+        arr = arr.take(rows, axis=0)
+        if self.kernels:  # the gather is the last kernel's work
+            self._elapsed[self.kernels[-1][0]] += time.perf_counter() - t0
         return arr
+
+    def result_dtype(self, dtype: np.dtype, shape: tuple) -> np.dtype:
+        """What a filter-free chain's transforms make of rows of ``dtype``
+        (a scale makes integers float): they run over no rows."""
+        arr = np.empty((0, *shape[1:]), dtype=dtype)
+        for *_, fn in self.kernels:
+            arr = fn(arr)
+        return arr.dtype
 
     def apply_block_into(self, arr: np.ndarray, dst: np.ndarray) -> None:
         """Shape-preserving variant: transforms land in ``dst`` directly
@@ -852,7 +845,7 @@ def range_select_plugin(var: str, column: int, lo: float, hi: float) -> DCPlugin
     column, lo, hi = int(column), float(lo), float(hi)
 
     def _mask(arr: np.ndarray, _c=column, _lo=lo, _hi=hi) -> np.ndarray:
-        return _range_mask_jit(arr[:, _c], _lo, _hi)
+        return _range_mask(arr[:, _c], _lo, _hi)
 
     kernel = PluginKernel(
         Capability.FILTER,
@@ -860,7 +853,6 @@ def range_select_plugin(var: str, column: int, lo: float, hi: float) -> DCPlugin
         targets=(var,),
         requires_target=True,
         mask_fn=_mask,
-        might_match=lambda blo, bhi, _lo=lo, _hi=hi: not (bhi < _lo or blo > _hi),
         pushdown_term={"kind": "range", "var": var, "lo": lo, "hi": hi},
     )
     return DCPlugin(
@@ -889,17 +881,12 @@ def unit_conversion_plugin(var: str, factor: float) -> DCPlugin:
     def _scale(arr: np.ndarray, out: Optional[np.ndarray] = None, _f=factor):
         return np.multiply(arr, _f, out=out)
 
-    def _bounds(blo: float, bhi: float, _f=factor) -> tuple:
-        a, b = blo * _f, bhi * _f
-        return (a, b) if a <= b else (b, a)
-
     kernel = PluginKernel(
         Capability.TRANSFORM,
         fingerprint=f"units:{var}:{factor!r}",
         targets=(var,),
         requires_target=True,
         fn=_scale,
-        map_bounds=_bounds,
         pushdown_term={"kind": "scale", "var": var, "factor": factor},
     )
     return DCPlugin(

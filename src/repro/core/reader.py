@@ -176,7 +176,10 @@ class StepReader(ReadHandle):
         read path (incoming spans land in the reader's own buffer, no
         per-step ``np.empty``).  ``out`` must match the selection's shape
         and the variable's dtype; cells no block covers are zeroed, as
-        :meth:`read` returns them.  Returns ``out``.
+        :meth:`read` returns them.  Returns ``out``.  Under a reader-side
+        chain, ``out`` is written only if the chain's output has exactly
+        its shape; otherwise (a filter dropped rows) the read raises
+        :class:`AdiosError` and ``out`` is left as it was.
         """
         return self._read(name, out, start, count, selection)
 
@@ -249,21 +252,27 @@ class StepReader(ReadHandle):
                         f"row-tile the selection; re-open without pushdown for "
                         f"this access pattern"
                     )
+                chained = plugins.has_side(PluginSide.READER)
                 with mon.span("transport", name) as tspan:
                     cplan = self._plan(boxes, writer_key, target, gshape)
-                    if out is None:
+                    if out is None or chained:
                         result = cplan.execute(datas, dtype=dtype, check=False)[0]
                     else:
                         result = cplan.execute_into(
                             datas, [out], fill=0, check=False
                         )[0]
                     tspan.add_bytes(int(result.nbytes))
-                if plugins.has_side(PluginSide.READER):
+                if chained:
                     plugins.count_interpreted_read()
                     record = plugins.apply_side(PluginSide.READER, {name: result})
                     result = np.asarray(record[name])
-                    if out is not None and result is not out:
-                        out[...] = result  # a reader-side plugin transformed the data
+                    if out is not None:
+                        if result.shape != out.shape:  # never broadcast into out
+                            raise AdiosError(
+                                f"read_into: the reader chain made {name!r} "
+                                f"{result.shape}, not out's {out.shape}"
+                            )
+                        out[...] = result
                         result = out
         mon.metrics.counter("dataplane.bytes_read").inc(int(result.nbytes))
         return result

@@ -364,22 +364,20 @@ class FusedPlan:
         blocks, dtype = self.compiled._coerce_blocks(writer_blocks, dtype, check)
         rbox = self.compiled.reader_boxes[0]
         if not self.chain.has_filter(name):
+            dtype = self.chain.cursor(name).result_dtype(dtype, rbox.count)
             out = np.empty(rbox.count, dtype=dtype)
             self.execute_into(blocks, name, out, check=False, monitor=monitor)
             return out
         cursor = self.chain.cursor(name)
-        pieces = []
-        for _, _, w, src, _ in self._order:
-            piece = cursor.apply_block(blocks[w][src])
-            if piece.shape[0]:
-                pieces.append(piece)
+        pieces = [cursor.apply_block(blocks[w][src]) for _, _, w, src, _ in self._order]
         cursor.finish(monitor)
+        if len(pieces) == 1:
+            return pieces[0]  # apply_block's result is always fresh
         if not pieces:
             tail = tuple(rbox.count)[1:]
             return np.empty((0, *tail), dtype=dtype)
-        if len(pieces) == 1:
-            return np.array(pieces[0], dtype=dtype, copy=True)
-        return np.concatenate(pieces, axis=0)
+        # The pieces' own dtype: numpy would make a byte-swapped one native.
+        return np.concatenate(pieces, axis=0, dtype=pieces[0].dtype)
 
     def execute_into(
         self,

@@ -1,14 +1,19 @@
-"""The fused executor's value filter: a row gather, on both planes.
+"""The fused executor's value filter: a row selection, on both planes.
 
-Three tiers:
+Four tiers:
 
-* property — :func:`repro.core.plugins._gather_rows` against ``arr[keep]``
-  over dtypes, row widths, memory layouts and masks: byte-identical, a
-  fresh writable array, and the same exception for a wrong-length mask;
+* property — a fused filter read (:meth:`FusedPlan.execute`) over random
+  chains of ``sampling``, ``range_select`` and ``unit_conversion``, row
+  splits, dtypes and block layouts is the interpreted chain over the
+  assembled array: byte-identical, a fresh writable array, and the same
+  per-plug-in stats; a faulty mask raises ``IndexError``;
 * both planes — a fused ``sampling`` + ``range_select`` read of a 2-D
   variable in process and through a same-node net stream (steps read out
   of the daemon's slots) equals the interpreted chain, and what it
   returned shares no memory with the blocks it was read from;
+* ``read_into`` under a filtering chain, on both planes, fills ``out``
+  only when the chain's output has its shape, and otherwise raises a
+  typed error and leaves ``out`` as it was;
 * pushdown lifetime — a closed in-process reader's predicate stops
   steering the drain.
 """
@@ -18,15 +23,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adios import Adios, BoundingBox, RankContext, StepStatus, block_decompose
-from repro.core import PluginManager, PluginSide
+from repro.adios import (
+    Adios,
+    AdiosError,
+    BoundingBox,
+    RankContext,
+    StepStatus,
+    block_decompose,
+)
+from repro.core import DCPlugin, PluginManager, PluginSide
 from repro.core.directory import TenantSpec
 from repro.core.hints import stream_params
 from repro.core.plugins import (
+    Capability,
+    PluginKernel,
     _ChainCursor,
-    _gather_rows,
     range_select_plugin,
     sampling_plugin,
+    unit_conversion_plugin,
 )
 from repro.core.redistribution import PlanCache
 from repro.core.stream import stream_registry
@@ -35,81 +49,117 @@ from repro.net.server import DirectoryDaemon
 from repro.obs.names import M_PLUGIN_BLOCKS_SKIPPED, M_PLUGIN_FUSED_READS
 
 # ---------------------------------------------------------------------------
-# The row gather is arr[keep]
+# A fused filter read is the interpreted chain
 # ---------------------------------------------------------------------------
 
-DTYPES = ("f8", ">f8", "f4", "i1", "c16", "O")
+DTYPES = ("f8", ">f8", "f4", "i4")
 
-#: layout -> (rows, width) -> the array under test, built from a C base.
+#: layout -> (base, rows, width) -> one writer block cut from ``base``.
 LAYOUTS = {
     "c": lambda base, n, w: base[:n, :w].copy(),
     "fortran": lambda base, n, w: np.asfortranarray(base[:n, :w]),
-    "column_range": lambda base, n, w: base[:n, 1:w + 1],
-    "column_strided": lambda base, n, w: base[:n, :2 * w:2],
-    "strided_rows": lambda base, n, w: base[:3 * n:3, :w],
-    "reversed_rows": lambda base, n, w: base[:n, :w][::-1],
-    "three_d": lambda base, n, w: base[:n, :2 * w].reshape(n, w, 2),
-    "one_d": lambda base, n, w: base[:n, 0].copy(),
-    "read_only": lambda base, n, w: _read_only(base[:2 * n:2, :w]),
+    "strided_rows": lambda base, n, w: base[:2 * n:2, :w],
+    "column_sliced": lambda base, n, w: base[:n, 1:w + 1],
 }
 
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
-
-
-def _base(dtype, rng):
-    values = rng.integers(-100, 100, size=(30, 20))
-    base = values.astype(dtype)
-    if base.dtype.kind == "c":
-        base = base + 1j * values[::-1].astype(dtype)
-    return base
+KERNELS = st.one_of(
+    st.tuples(st.just("sample"), st.integers(1, 5)),
+    st.tuples(st.just("range"), st.floats(-4.0, 4.0), st.floats(0.0, 4.0)),
+    st.tuples(st.just("unit"), st.floats(-2.0, 2.0)),
+)
 
 
-def _owns_its_bytes(got, src) -> bool:
-    root = got
-    while isinstance(root.base, np.ndarray):
-        root = root.base
-    return root.flags.owndata and not np.shares_memory(got, src)
+def _chain(specs) -> PluginManager:
+    """A reader-side manager with fresh plug-ins for ``specs``."""
+    mgr = PluginManager()
+    for kind, *args in specs:
+        if kind == "sample":
+            plugin = sampling_plugin(stride=args[0])
+        elif kind == "range":
+            lo, span = args
+            plugin = range_select_plugin("v", 0, lo, lo + span)
+        else:
+            plugin = unit_conversion_plugin("v", args[0])
+        mgr.deploy(plugin, PluginSide.READER)
+    return mgr
+
+
+def _row_tiling(rows, width):
+    boxes, at = [], 0
+    for n in rows:
+        boxes.append(BoundingBox((at, 0), (n, width)))
+        at += n
+    return boxes, (at, width)
+
+
+def _stats(mgr):
+    return [
+        (p.name, p.stats.bytes_in, p.stats.bytes_out, p.stats.invocations)
+        for p in mgr.plugins(PluginSide.READER)
+    ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
+    specs=st.lists(KERNELS, min_size=1, max_size=3, unique_by=lambda k: k[0]),
+    rows=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    width=st.integers(1, 5),
     dtype=st.sampled_from(DTYPES),
     layout=st.sampled_from(sorted(LAYOUTS)),
-    rows=st.integers(0, 10),
-    width=st.integers(1, 9),
-    mask=st.sampled_from(("random", "none", "all")),
     seed=st.integers(0, 10_000),
 )
-def test_row_gather_is_arr_keep(dtype, layout, rows, width, mask, seed):
+def test_fused_filter_read_is_the_interpreted_chain(
+    specs, rows, width, dtype, layout, seed
+):
     rng = np.random.default_rng(seed)
-    arr = LAYOUTS[layout](_base(dtype, rng), rows, width)
-    keep = {
-        "random": rng.random(arr.shape[0]) < 0.5,
-        "none": np.zeros(arr.shape[0], dtype=bool),
-        "all": np.ones(arr.shape[0], dtype=bool),
-    }[mask]
-    want = arr[keep]
-    got = _gather_rows(arr, keep)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    if arr.dtype.hasobject:
-        assert got.tolist() == want.tolist()
-    else:
-        assert got.tobytes() == want.tobytes()
-    assert got.flags.writeable and _owns_its_bytes(got, arr)
-    if rows and dtype != "O":
-        # A block whose rows are each contiguous is gathered a row at a
-        # time (the result views the gathered items); the rest is arr[keep].
-        whole_rows = arr.ndim > 1 and arr[0].flags.c_contiguous
-        assert got.flags.owndata == (not whole_rows)
+    bases = [
+        rng.uniform(-4.0, 4.0, size=(2 * n, width + 1)).astype(dtype)
+        for n in rows
+    ]
+    blocks = [LAYOUTS[layout](base, n, width) for base, n in zip(bases, rows)]
+    boxes, gshape = _row_tiling(rows, width)
+    reader = [BoundingBox((0, 0), gshape)]
 
-    wrong = np.ones(arr.shape[0] + 1, dtype=bool)
-    with pytest.raises(Exception) as expected:
-        arr[wrong]
-    with pytest.raises(expected.type):
-        _gather_rows(arr, wrong)
+    fused_mgr = _chain(specs)
+    fplan, _ = PlanCache().get(
+        boxes, reader, gshape, chain=fused_mgr.compiled_chain(PluginSide.READER)
+    )
+    got = fplan.execute(blocks, "v")
+
+    plain, _ = PlanCache().get(boxes, reader, gshape)
+    oracle = _chain(specs)
+    want = oracle.apply_side(PluginSide.READER, {"v": plain.execute(blocks)[0]})["v"]
+
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if gshape[0]:  # with no row to run it over, no chain picks the dtype
+        assert got.dtype == want.dtype
+    assert got.flags.writeable
+    assert not any(np.shares_memory(got, base) for base in bases)
+    assert _stats(fused_mgr) == _stats(oracle)
+
+
+def _faulty(mask_of):
+    kernel = PluginKernel(Capability.FILTER, fingerprint="faulty", mask_fn=mask_of)
+    return DCPlugin("faulty", "def condition(vars):\n    return vars\n", kernel=kernel)
+
+
+@pytest.mark.parametrize("mask_of", [
+    lambda arr: np.ones(arr.shape[0] + 1, dtype=bool),
+    lambda arr: np.ones(arr.shape[0], dtype=np.float64),
+    lambda arr: np.zeros(arr.shape[0], dtype=np.intp),
+], ids=["wrong_length", "float", "int"])
+@pytest.mark.parametrize("stride", [1, 2], ids=["whole", "sampled"])
+def test_a_faulty_mask_raises_index_error(mask_of, stride):
+    """A mask that is not a boolean row mask of the selection raises what
+    ``arr[mask]`` raises for a wrong length — and an integer one is
+    refused too, never taken for row indices."""
+    blocks = [np.arange(6.0).reshape(2, 3), np.arange(6.0, 12.0).reshape(2, 3)]
+    fplan = _fused_plan(lambda m: (
+        m.deploy(sampling_plugin(stride=stride), PluginSide.READER),
+        m.deploy(_faulty(mask_of), PluginSide.READER),
+    ))
+    with pytest.raises(IndexError):
+        fplan.execute(blocks, "v")
 
 
 def _fused_plan(chain_of):
@@ -247,6 +297,80 @@ def test_net_fused_read_out_of_a_slot_is_the_oracle_and_its_own(daemon, lone):
             if k:
                 assert not np.shares_memory(got, r._pool)
         assert c.monitor.metrics.counter(M_PLUGIN_FUSED_READS).value == 4
+        w.close()
+        r.close()
+
+
+# ---------------------------------------------------------------------------
+# read_into under a filtering chain: the whole shape, or a typed error
+# ---------------------------------------------------------------------------
+
+SMALL = (8, 3)
+
+_SMALL_XML = """
+<adios-config>
+  <adios-group name="small">
+    <var name="v" type="float64" dimensions="8,3"/>
+  </adios-group>
+  <method group="small" method="FLEXPATH">{params}</method>
+</adios-config>
+"""
+
+#: survivors -> rows of column 0 equal to 10.0, the one value the chain keeps.
+KEPT = {"none": [], "one": [5], "all": list(range(SMALL[0]))}
+
+
+def _small_step(survivors: str) -> np.ndarray:
+    a = np.arange(24.0).reshape(SMALL) + 100.0
+    a[KEPT[survivors], 0] = 10.0
+    return a
+
+
+def _read_into(reader, a: np.ndarray, survivors: str) -> None:
+    """``read_into`` either fills ``out`` with every row (all survive)
+    or raises and leaves ``out`` holding what it held."""
+    out = np.full(SMALL, -1.0)
+    if survivors == "all":
+        assert reader.read_into("v", out, start=(0, 0), count=SMALL) is out
+        assert out.tobytes() == a.tobytes()
+    else:
+        with pytest.raises(AdiosError, match="read_into"):
+            reader.read_into("v", out, start=(0, 0), count=SMALL)
+        assert (out == -1.0).all()
+    reader.end_step()
+
+
+@pytest.mark.parametrize("survivors", sorted(KEPT))
+def test_in_process_read_into_under_a_filter_is_whole_or_refused(survivors):
+    ad = Adios.from_xml(_SMALL_XML.format(params=stream_params(sync=True)))
+    name = f"rowgather.into.{survivors}"
+    writer = ad.open_write("small", name, RankContext(0, 1))
+    state = stream_registry._states[name]
+    state.plugins.deploy(range_select_plugin("v", 0, 10.0, 10.0), PluginSide.READER)
+    reader = ad.open_read("small", name, RankContext(0, 1))
+    try:
+        a = _small_step(survivors)
+        writer.write("v", a, box=BoundingBox((0, 0), SMALL), global_shape=SMALL)
+        writer.end_step()
+        assert reader.begin_step(timeout=5.0) is StepStatus.OK
+        _read_into(reader, a, survivors)
+    finally:
+        writer.close()
+        reader.close()
+        stream_registry.close_stream(name)
+
+
+@pytest.mark.parametrize("survivors", sorted(KEPT))
+def test_net_read_into_under_a_filter_is_whole_or_refused(daemon, survivors):
+    with connect(f"flexio://{daemon.host}:{daemon.control_port}/public") as c:
+        w, r = c.open("into", "w"), c.open("into", "r", timeout=2.0)
+        r.plugins.deploy(range_select_plugin("v", 0, 10.0, 10.0), PluginSide.READER)
+        a = _small_step(survivors)
+        w.begin_step()
+        w.write("v", a, box=BoundingBox((0, 0), SMALL), global_shape=SMALL)
+        w.end_step()
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        _read_into(r, a, survivors)
         w.close()
         r.close()
 
