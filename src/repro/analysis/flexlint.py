@@ -74,18 +74,23 @@ index of :mod:`repro.analysis.project` (see
 line (or put it on the line directly above).  The reason is mandatory —
 a bare waiver does not waive.  Multiple rules: ``ok(FXL001, FXL003)``.
 
-Programmatic entry points: :func:`lint_source`, :func:`lint_file`,
-:func:`lint_paths`.  CLI: ``python -m repro.tools.flexlint src/``.
+Programmatic entry points: :func:`lint_source` for one text,
+:func:`lint_paths` for a tree (per-file rules, then the cross-file
+pass); ``python -m repro.tools.flexlint src/`` is a thin CLI over
+:func:`lint_paths`.
 """
 
 from __future__ import annotations
 
 import ast
 import difflib
+import importlib.util
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional, Sequence
+
+from repro.analysis.project import ProjectIndex, index_tree
 
 _WAIVER_RE = re.compile(
     r"#\s*flexlint:\s*ok\(\s*([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)\s*\)\s*(.*)$"
@@ -174,7 +179,7 @@ RULES: dict[str, Rule] = {
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint finding, possibly waived or baselined."""
+    """One lint finding, possibly waived."""
 
     rule: str
     path: str
@@ -183,33 +188,20 @@ class Finding:
     message: str
     waived: bool = False
     waiver_reason: str = ""
-    baselined: bool = False
-    baseline_reason: str = ""
 
     @property
     def active(self) -> bool:
         """True when this finding should fail the lint."""
-        return not self.waived and not self.baselined
+        return not self.waived
 
     def format(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
         if self.waived:
             text += f"  [waived: {self.waiver_reason}]"
-        if self.baselined:
-            text += f"  [baselined: {self.baseline_reason}]"
         return text
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule, "path": self.path, "line": self.line,
-            "col": self.col, "message": self.message, "waived": self.waived,
-            "waiver_reason": self.waiver_reason, "baselined": self.baselined,
-            "baseline_reason": self.baseline_reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(**data)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -715,18 +707,16 @@ def _apply_waivers(findings: list[Finding], source: str) -> list[Finding]:
     return out
 
 
-def lint_source(
-    source: str, path: str = "<string>", config: Optional[LintConfig] = None
+def _syntax_error(path: str, exc: SyntaxError) -> Finding:
+    return Finding(
+        "FXL000", path, exc.lineno or 0, exc.offset or 0,
+        f"syntax error: {exc.msg}",
+    )
+
+
+def _lint_tree(
+    tree: ast.Module, source: str, path: str, cfg: LintConfig
 ) -> list[Finding]:
-    """Lint one source text; returns every finding (waived ones marked)."""
-    cfg = config or LintConfig()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [Finding(
-            "FXL000", path, exc.lineno or 0, exc.offset or 0,
-            f"syntax error: {exc.msg}",
-        )]
     findings: list[Finding] = []
     for check in _CHECKS + _flow_checks():
         findings.extend(check(tree, path, cfg))
@@ -734,16 +724,22 @@ def lint_source(
     return _apply_waivers(findings, source)
 
 
+def lint_source(
+    source: str, path: str = "<string>", config: Optional[LintConfig] = None
+) -> list[Finding]:
+    """Lint one source text; returns every finding (waived ones marked)."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return [_syntax_error(path, exc)]
+    return _lint_tree(tree, source, path, config or LintConfig())
+
+
 def _flow_checks():
     # Imported lazily: flowrules imports Finding/LintConfig from here.
     from repro.analysis.flowrules import FILE_CHECKS
 
     return FILE_CHECKS
-
-
-def lint_file(path: str, config: Optional[LintConfig] = None) -> list[Finding]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return lint_source(fh.read(), path=path, config=config)
 
 
 def iter_py_files(paths: Sequence[str]) -> list[str]:
@@ -767,27 +763,48 @@ def iter_py_files(paths: Sequence[str]) -> list[str]:
 def lint_paths(
     paths: Sequence[str], config: Optional[LintConfig] = None
 ) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths``, including the
-    cross-file project pass (FXL009)."""
+    """Lint every ``.py`` file under ``paths``, then run the cross-file
+    pass (FXL009); findings come back in ``(path, line, col, rule)``
+    order.  Each file is parsed once, from its bytes — so a file Python
+    could not import (bad encoding, bad syntax) is an FXL000 finding,
+    as is one that cannot be read."""
     cfg = config or LintConfig()
     findings: list[Finding] = []
     sources: dict[str, str] = {}
+    project = ProjectIndex()
     for path in iter_py_files(paths):
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            tree = ast.parse(raw, filename=path)
+        except OSError as exc:
+            findings.append(
+                Finding("FXL000", path, 0, 0, f"unreadable file: {exc}")
+            )
+            continue
+        except SyntaxError as exc:
+            findings.append(_syntax_error(path, exc))
+            continue
+        source = importlib.util.decode_source(raw)
         sources[path] = source
-        findings.extend(lint_source(source, path=path, config=cfg))
-    findings.extend(project_findings(sources, cfg))
+        findings.extend(_lint_tree(tree, source, path, cfg))
+        project.add(index_tree(tree, path))
+    findings.extend(_cross_file_findings(project, sources, cfg))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 
 def project_findings(sources: dict[str, str], cfg: LintConfig) -> list[Finding]:
     """Run the cross-file rules over an in-memory ``{path: source}``
     project; waivers in the *defining* file apply as usual."""
-    from repro.analysis.flowrules import check_dispatch
-    from repro.analysis.project import ProjectIndex
+    return _cross_file_findings(ProjectIndex.from_sources(sources), sources, cfg)
 
-    project = ProjectIndex.from_sources(sources)
+
+def _cross_file_findings(
+    project: ProjectIndex, sources: dict[str, str], cfg: LintConfig
+) -> list[Finding]:
+    from repro.analysis.flowrules import check_dispatch
+
     raw = sorted(check_dispatch(project, cfg), key=lambda f: (f.path, f.line))
     out: list[Finding] = []
     by_path: dict[str, list[Finding]] = {}

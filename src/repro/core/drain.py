@@ -109,7 +109,6 @@ class _StepDrainer:
         self._retry_policy = RetryPolicy(
             max_retries=hints.max_retries,
             timeout=hints.retry_timeout,
-            backoff_factor=hints.retry_backoff,
             jitter=hints.retry_jitter,
         )
         # Per-stream deterministic jitter source (stable across runs).

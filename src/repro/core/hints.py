@@ -84,7 +84,6 @@ TRANSPORT = "transport"
 TRANSACTIONAL = "transactional"
 MAX_RETRIES = "max_retries"
 RETRY_TIMEOUT = "retry_timeout"
-RETRY_BACKOFF = "retry_backoff"
 RETRY_JITTER = "retry_jitter"
 FAULTS = "faults"
 DEGRADE_AFTER = "degrade_after"
@@ -140,8 +139,6 @@ _STREAM_SPECS = (
              "Bounded retries per step drain."),
     HintSpec(RETRY_TIMEOUT, "float", 0.25,
              "Per-send timeout (seconds); also the backoff base delay."),
-    HintSpec(RETRY_BACKOFF, "float", 2.0,
-             "Exponential backoff multiplier between retries."),
     HintSpec(RETRY_JITTER, "float", 0.1,
              "Jitter fraction added to backoff delays."),
     HintSpec(FAULTS, "str", "",
@@ -313,8 +310,6 @@ class StreamHints:
     max_retries: int = _DEFAULTS[MAX_RETRIES]
     #: Per-send timeout (seconds); also the backoff base delay.
     retry_timeout: float = _DEFAULTS[RETRY_TIMEOUT]
-    #: Exponential backoff multiplier between retries.
-    retry_backoff: float = _DEFAULTS[RETRY_BACKOFF]
     #: Jitter fraction added to backoff delays (decorrelates ranks).
     retry_jitter: float = _DEFAULTS[RETRY_JITTER]
     #: Fault-injection schedule for the drain channel (chaos testing),

@@ -537,6 +537,29 @@ def test_cli_show_waived(tmp_path):
     assert "[waived: fine here]" in out.getvalue()
 
 
+def test_unimportable_and_missing_files_are_fxl000(tmp_path):
+    """A non-UTF-8 source is the SyntaxError Python's import raises, and
+    a path that cannot be read is reported too — by the engine and the
+    CLI alike, never crashed on or passed."""
+    bad = tmp_path / "repro" / "transport" / "bad.py"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(b'x = "\xff\xfe"\n')
+    missing = tmp_path / "missing.py"
+
+    findings = lint_paths([str(tmp_path), str(missing)])
+    assert [(f.rule, f.path) for f in findings] == [
+        ("FXL000", str(missing)), ("FXL000", str(bad)),
+    ]
+    assert "syntax error" in findings[1].message
+    assert "unreadable file" in findings[0].message
+
+    out = io.StringIO()
+    assert cli.main([str(tmp_path), str(missing)], out=out) == 1
+    text = out.getvalue()
+    assert text.count("FXL000") == 2
+    assert "flexlint: 2 finding(s)" in text
+
+
 def test_repo_src_tree_lints_clean():
     """Acceptance: the shipped tree has zero non-waived findings."""
     out = io.StringIO()
