@@ -59,7 +59,9 @@ from repro.obs.names import (
 STAGE_DC_PLUGIN = "dc_plugin"
 
 def _range_mask(col: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return (col >= lo) & (col <= hi)
+    col = np.ascontiguousarray(col)  # a strided column is read once
+    mask = col >= lo
+    return np.logical_and(mask, col <= hi, out=mask)
 
 
 class CodeletError(RuntimeError):
@@ -359,19 +361,18 @@ class _ChainCursor:
         self._out_bytes = [0] * n
         self._elapsed = [0.0] * n
 
-    def apply_block(self, arr: np.ndarray) -> np.ndarray:
-        """Run the kernels over one block; return its surviving rows, fresh.
+    def select_block(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Run the kernels over one block; return the array its survivors
+        lie in and their row indices, for :meth:`take` to gather.
 
-        The survivors are a row selection over the block — the slice
-        ``start::step`` of ``count`` rows while only strides have run, row
-        indices ``rows`` from the first mask on — gathered once, at the
-        end, by ``np.take``: one contiguous copy per kept row of a
-        C-contiguous block.  A mask sees the selection as a view while it
-        is a slice, gathered after; one that is not a boolean mask of its
-        length raises ``IndexError``, as ``arr[mask]`` does.  A transform
-        maps the selection, which restarts as all rows of its result.
+        The selection is the slice ``start::step`` of ``count`` rows while
+        only strides have run, row indices ``rows`` from the first mask on.
+        A mask sees the selection as a view while it is a slice, gathered
+        after; one that is not a boolean mask of its length raises
+        ``IndexError``, as ``arr[mask]`` does.  A transform maps the
+        selection, which restarts as all rows of its result.
         """
-        start, step, count, rows, fresh = 0, 1, arr.shape[0], None, False
+        start, step, count, rows = 0, 1, arr.shape[0], None
         row_bytes = arr.itemsize * math.prod(arr.shape[1:])
         t0 = time.perf_counter()
         for i, stride, mask_fn, fn in self.kernels:
@@ -389,7 +390,7 @@ class _ChainCursor:
                        else arr.take(rows, axis=0))
                 if fn is not None:
                     arr = fn(sel)  # a new array: the selection restarts over it
-                    start, step, count, rows, fresh = 0, 1, arr.shape[0], None, True
+                    start, step, count, rows = 0, 1, arr.shape[0], None
                     row_bytes = arr.itemsize * math.prod(arr.shape[1:])
                 else:
                     mask = np.asarray(mask_fn(sel))
@@ -409,13 +410,26 @@ class _ChainCursor:
             self._elapsed[i] += t1 - t0
             t0 = t1
         if rows is None:
-            if fresh and count == arr.shape[0]:
-                return arr
             rows = np.arange(start, start + step * count, step)
-        arr = arr.take(rows, axis=0)
-        if self.kernels:  # the gather is the last kernel's work
+        return arr, rows
+
+    def take(self, arr: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+        """Gather a :meth:`select_block` result, into ``out`` if given: one
+        contiguous copy per kept row, timed as the last kernel's work."""
+        t0 = time.perf_counter()
+        arr = arr.take(rows, axis=0, out=out, mode="clip")  # rows are in range
+        if self.kernels:
             self._elapsed[self.kernels[-1][0]] += time.perf_counter() - t0
         return arr
+
+    def apply_block(self, arr: np.ndarray, picks: Optional[list] = None) -> np.ndarray:
+        """The block's surviving rows, fresh; with ``picks`` the gather
+        waits: the selection is appended there, its row indices returned."""
+        arr, rows = self.select_block(arr)
+        if picks is None:
+            return self.take(arr, rows)
+        picks.append((arr, rows))
+        return rows
 
     def result_dtype(self, dtype: np.dtype, shape: tuple) -> np.dtype:
         """What a filter-free chain's transforms make of rows of ``dtype``

@@ -354,8 +354,9 @@ class FusedPlan:
     ) -> np.ndarray:
         """Scatter + chain in one pass; returns the conditioned array.
 
-        With a filtering chain the per-block survivors concatenate in row
-        order (one allocation, exactly the final size); a filter-free
+        With a filtering chain each block's survivors are selected first,
+        then gathered once, in row order, into a result sized from the
+        selections (one allocation, no per-block piece); a filter-free
         chain writes transforms straight into the destination buffer
         (so it insists on ``fusable``: gaps would stay unwritten).
         """
@@ -368,16 +369,19 @@ class FusedPlan:
             out = np.empty(rbox.count, dtype=dtype)
             self.execute_into(blocks, name, out, check=False, monitor=monitor)
             return out
-        cursor = self.chain.cursor(name)
-        pieces = [cursor.apply_block(blocks[w][src]) for _, _, w, src, _ in self._order]
+        cursor, picks = self.chain.cursor(name), []
+        for _, _, w, src, _ in self._order:
+            cursor.apply_block(blocks[w][src], picks)  # the kernels; the gather waits
+        # One result, sized from the selections, in their dtype (``>f8``
+        # stays swapped): each block's survivors are gathered into it once.
+        like = picks[0][0] if picks else np.empty((0, *tuple(rbox.count)[1:]), dtype)
+        out = np.empty((sum(len(r) for _, r in picks), *like.shape[1:]), like.dtype)
+        row = 0
+        for arr, rows in picks:
+            cursor.take(arr, rows, out[row:row + len(rows)])
+            row += len(rows)
         cursor.finish(monitor)
-        if len(pieces) == 1:
-            return pieces[0]  # apply_block's result is always fresh
-        if not pieces:
-            tail = tuple(rbox.count)[1:]
-            return np.empty((0, *tail), dtype=dtype)
-        # The pieces' own dtype: numpy would make a byte-swapped one native.
-        return np.concatenate(pieces, axis=0, dtype=pieces[0].dtype)
+        return out
 
     def execute_into(
         self,

@@ -778,9 +778,6 @@ class _CachedStep(BlockSource):
         #: Fetched over a channel ATTACHed with a predicate: blocks the
         #: reader's chain provably drops may be missing.
         self.may_be_pruned = may_be_pruned
-        self._view(wb, offset, count)
-
-    def _view(self, wb, offset: int, count: int) -> None:
         self._wb = wb  # kept alive: every array below views into it
         self.vars: list[dict] = []
         self.block_index: dict = {}  # no index outlives the bytes it views
@@ -789,8 +786,15 @@ class _CachedStep(BlockSource):
             self.vars.append(rec)
 
     def own(self) -> None:
-        """Stop viewing the slot: copy the run out, decode it again."""
-        self._view(self._wb.copy(), 0, len(self.vars))
+        """Stop viewing the slot: copy the run out and re-point every
+        decoded array, and the block index, at the copy by offset."""
+        base, self._wb, moved = self._wb.ctypes.data, self._wb.copy(), {}
+        for rec in self.vars:
+            data, at = rec["data"], rec["data"].ctypes.data - base
+            rec["data"] = moved[id(data)] = (
+                self._wb[at:at + data.nbytes].view(data.dtype).reshape(data.shape))
+        self.block_index = {name: (boxes, [moved[id(d)] for d in datas], *rest)
+                            for name, (boxes, datas, *rest) in self.block_index.items()}
 
     def var_names(self) -> list[str]:
         seen: dict[str, None] = {}

@@ -307,6 +307,8 @@ class HostedStream:
         self.owners: dict[int, str] = {}
         #: ``(rank, var count, run)`` landed for the open step, in order.
         self.open_runs: list[tuple[int, int, "np.ndarray | bytes"]] = []
+        #: Names of which a pruned run of the open step kept a block.
+        self.shown: set[str] = set()
         #: Per writer rank, the highest publish sequence number applied;
         #: republished frames with seq <= it are acknowledged but not
         #: re-stored, so a rank that resends after a lost OK never lands twice.
@@ -395,7 +397,7 @@ class HostedStream:
 
     def _seal(self) -> None:
         """The barrier ended the open step: append it, its runs in rank order."""
-        runs, self.open_runs = self.open_runs, []
+        runs, self.open_runs, self.shown = self.open_runs, [], set()
         runs.sort(key=itemgetter(0))  # by rank; a rank's own runs stay in landing order
         if len(runs) == 1:
             _, count, payload = runs[0]  # stored as it landed
@@ -516,22 +518,25 @@ def prune_step_payload(raw: np.ndarray, offset: int, count: int,
     writer stamps bounds once a reply has asked it to; a block published
     inside that one-step window is bounded here (a slot is mapped here
     too), so outcomes do not depend on who did.  A span nobody can bound
-    is always kept.  Each dropped span counts toward the stream's
-    ``plugin.blocks_skipped`` series.
+    is always kept, and so is a name's first span while the open step has
+    kept none (``stream.shown``): the reader's chain drops its rows, so
+    pruning stays invisible.  Each dropped span counts toward the
+    stream's ``plugin.blocks_skipped`` series.
     """
     kept: list[np.ndarray] = []
-    skipped = bounded = 0
+    bounded = 0
     start = offset
     for _ in range(count):
         rec, end = decode_var(raw, offset)
         bounds = (rec["vmin"], rec["vmax"]) if rec["has_stats"] else block_bounds(rec["data"])
         if bounds is not None and not rec["has_stats"]:
             bounded += 1
-        if bounds is not None and not predicate.might_match(rec["name"], *map(float, bounds)):
-            skipped += 1
-        else:
+        if (rec["name"] not in stream.shown or bounds is None
+                or predicate.might_match(rec["name"], *map(float, bounds))):
+            stream.shown.add(rec["name"])
             kept.append(raw[offset:end])
         offset = end
+    skipped = count - len(kept)
     if bounded:
         stream.counter(M_NET_BLOCKS_BOUNDED_BY_DAEMON).inc(bounded)
     if not skipped:

@@ -11,9 +11,9 @@ materialization:
   (heap, pool-leased, xpmem-mapped, registered-RDMA), a liveness
   contract (access after :meth:`~WireBuffer.release` raises), and the
   number of copies the payload underwent on its way here.
-* :class:`WireVector` — a scatter-gather list of spans with a lazily
-  computed total length; transports gather it straight into a slot or a
-  leased buffer, never through a ``b"".join``.
+* :class:`WireVector` — a scatter-gather list of byte views, spans made
+  on demand; transports gather it straight into a slot or a leased
+  buffer, never through a ``b"".join``.
 * :class:`BufferLease` / :class:`LeasePool` — the one size-bucketed
   free list behind the SHM buffer pool and the RDMA registration
   cache, and its acquire/release protocol: exactly one release per
@@ -369,15 +369,6 @@ class WireBuffer:
 
     # ------------------------------------------------------------------
     @classmethod
-    def wrap(cls, payload, **span) -> "WireBuffer":
-        """Coerce any payload shape (bytes, memoryview, ndarray, or an
-        existing span) into a :class:`WireBuffer` without copying;
-        ``span`` (ownership, copies) describes a raw payload only."""
-        if isinstance(payload, WireBuffer):
-            return payload
-        return cls(payload, **span)
-
-    @classmethod
     def from_lease(
         cls,
         lease: BufferLease,
@@ -495,14 +486,14 @@ class WireBuffer:
 
 
 class WireVector:
-    """A scatter-gather list of :class:`WireBuffer` spans.
-
-    The total length is computed lazily and cached (invalidated by
-    :meth:`append`); :meth:`copy_into` gathers every part straight into
-    a destination buffer — the *one* producer-side copy of the pool and
-    RDMA paths.  A vector a channel *delivers* (an N-part xpmem mapping)
-    also says who owns its memory and how many copies it took — its raw
-    parts become spans that say the same — and is released once, whole.
+    """A scatter-gather list of flat uint8 byte views (a :class:`WireBuffer`
+    handed in, a leased span say, stays itself), walked by :meth:`views`;
+    :meth:`copy_into` gathers them into a destination — the *one*
+    producer-side copy of the pool and RDMA paths.  Indexing or iterating
+    makes a part's span on demand, once, sharing the vector's ownership,
+    copies and liveness.  A vector a channel *delivers* (an N-part xpmem
+    mapping) says who owns its memory and how many copies it took, and is
+    released once, whole.  The total length is lazy (reset by :meth:`append`).
     """
 
     __slots__ = ("_parts", "_nbytes", "ownership", "copies",
@@ -516,8 +507,8 @@ class WireVector:
         copies: int = 0,
         on_release: Optional[Callable[[], None]] = None,
     ) -> None:
-        self._parts: list[WireBuffer] = [
-            WireBuffer.wrap(p, ownership=ownership, copies=copies) for p in parts
+        self._parts: list = [
+            p if isinstance(p, WireBuffer) else as_byte_view(p) for p in parts
         ]
         self._nbytes: Optional[int] = None
         self.ownership = ownership
@@ -536,13 +527,13 @@ class WireVector:
             raise LeaseError(f"double release of {self!r}")
         self._released = True
         for part in self._parts:
-            if not part.released:
+            if isinstance(part, WireBuffer) and not part.released:
                 part.release()
         if self._on_release is not None:
             self._on_release()
 
     def append(self, part) -> None:
-        self._parts.append(WireBuffer.wrap(part))
+        self._parts.append(part if isinstance(part, WireBuffer) else as_byte_view(part))
         self._nbytes = None
 
     @property
@@ -552,21 +543,36 @@ class WireVector:
             self._nbytes = sum(p.nbytes for p in self._parts)
         return self._nbytes
 
+    def views(self) -> list[np.ndarray]:
+        """Every part's flat uint8 view, in order; makes no span."""
+        if self._released:
+            raise LeaseError(f"views of released {self!r}")
+        return [p.as_array() if isinstance(p, WireBuffer) else p for p in self._parts]
+
+    def _span(self, idx: int) -> WireBuffer:
+        part = self._parts[idx]
+        if not isinstance(part, WireBuffer):  # made once; after release, born released
+            part = WireBuffer(part, ownership=self.ownership, copies=self.copies)
+            part._released, self._parts[idx] = self._released, part
+        return part
+
     def __len__(self) -> int:
         return len(self._parts)
 
     def __iter__(self) -> Iterator[WireBuffer]:
-        return iter(self._parts)
+        return map(self._span, range(len(self._parts)))
 
-    def __getitem__(self, idx: int) -> WireBuffer:
-        return self._parts[idx]
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):  # a list of spans
+            return [self._span(i) for i in range(len(self._parts))[idx]]
+        return self._span(idx)
 
     def copy_into(self, dest: np.ndarray, offset: int = 0) -> int:
         """Gather all parts into ``dest`` (flat uint8) starting at
         ``offset``; returns the offset past the last byte written."""
-        for p in self._parts:
-            n = p.nbytes
-            dest[offset : offset + n] = p.as_array()
+        for v in self.views():
+            n = v.nbytes
+            dest[offset : offset + n] = v
             offset += n
         return offset
 

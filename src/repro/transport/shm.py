@@ -437,7 +437,7 @@ class ShmChannel(Channel):
             # into the queue slot (no join, no intermediate bytes).
             hdr = as_byte_view(_CTRL.pack(_PATH_INLINE, 0, total))
             self.queue.enqueuev(
-                (hdr, *(p.as_array() for p in vec)),
+                (hdr, *vec.views()),
                 _CTRL.size + total,
                 timeout=timeout,
             )
@@ -477,10 +477,8 @@ class ShmChannel(Channel):
             token = self._next_token
             self._next_token += 1
         # "Map" the source pages: read-only views of every part, no copy.
-        views = [
-            np.frombuffer(memoryview(part.as_array()).toreadonly(), dtype=np.uint8)
-            for part in vec
-        ]
+        views = [np.frombuffer(memoryview(v).toreadonly(), dtype=np.uint8)
+                 for v in vec.views()]
         record = None if self._san is None else (  # the mapping thread names the stream
             f"shm.xpmem#{token} mapped by {threading.current_thread().name}",
             self._san.lend(*views))
@@ -555,8 +553,8 @@ class ShmChannel(Channel):
                 ownership=Ownership.XPMEM, copies=COPIES_XPMEM,
                 on_release=functools.partial(self._unmap, token),
             )
-            one = len(views) == 1
-            wb = WireBuffer(views[0], **mapped) if one else WireVector(views, **mapped)
+            wb = (WireBuffer(views[0], **mapped) if len(views) == 1
+                  else WireVector(views, **mapped))
         else:
             raise ValueError(f"corrupt control message path {path}")
         return wb, _PATH_NAMES[path]

@@ -276,8 +276,7 @@ class TcpChannel(Channel):
                   fault: Optional[FaultKind]) -> None:
         if self._closed:
             raise PeerDisconnected("send on closed TcpChannel")
-        parts = [memoryview(FRAME_PREFIX.pack(total))]
-        parts.extend(memoryview(p.as_array()) for p in vec)
+        parts = [memoryview(FRAME_PREFIX.pack(total)), *map(memoryview, vec.views())]
         if fault is not None and self._frame_fault(fault, parts, total):
             return
         _set_timeout(self._send_sock, timeout)

@@ -139,7 +139,7 @@ def test_sanitizer_clean_on_disciplined_use(san):
 
 def test_wirebuffer_wrap_is_a_view():
     arr = np.arange(16, dtype=np.uint8)
-    wb = WireBuffer.wrap(arr)
+    wb = WireBuffer(arr)
     assert wb.nbytes == 16
     assert wb.ownership is Ownership.HEAP
     arr[0] = 99  # the span aliases the source, no copy was taken
@@ -189,6 +189,64 @@ def test_wirevector_length_iteration_and_lazy_nbytes():
     assert end == 10
     assert bytes(dest[1:10]) == b"ab\x00\x01\x02cdef"
     assert vec.tobytes() == b"ab\x00\x01\x02cdef"
+
+
+def test_wirevector_spans_are_made_on_demand_and_share_its_liveness(monkeypatch):
+    """Parts are byte views: building and walking a vector makes no span.
+    A span made by indexing carries the vector's ownership and copies,
+    is the same object the next time, and is released with the vector;
+    one made after release is born released."""
+    made = []
+    real_init = WireBuffer.__init__
+
+    def counting_init(self, *args, **kw):
+        made.append(self)
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(WireBuffer, "__init__", counting_init)
+    sources = [np.arange(4, dtype=np.float64), np.arange(6, dtype=np.int32)]
+    vec = WireVector(sources, ownership=Ownership.XPMEM, copies=COPIES_XPMEM)
+    views = vec.views()
+    assert made == []
+    assert [v.dtype for v in views] == [np.uint8, np.uint8]
+    assert all(np.shares_memory(v, src) for v, src in zip(views, sources))
+    first = vec[0]
+    assert made == [first] and vec[0] is first and next(iter(vec)) is first
+    assert (first.ownership, first.copies) == (Ownership.XPMEM, COPIES_XPMEM)
+    np.testing.assert_array_equal(first.as_array(np.float64), sources[0])
+    vec.release()
+    assert first.released and vec[1].released
+    for span in (first, vec[1]):
+        with pytest.raises(LeaseError):
+            span.as_array()
+    with pytest.raises(LeaseError):
+        vec.views()
+
+
+def test_wirevector_walks_mixed_parts_and_releases_a_leased_one_once():
+    pool = ShmBufferPool()
+    lease = pool.lease(8)
+    lease.data[:8] = np.arange(8, dtype=np.uint8)
+    leased = WireBuffer.from_lease(lease, 8)
+    vec = WireVector([b"ab", leased])
+    vec.append(np.arange(3, dtype=np.uint8))
+    assert [bytes(v) for v in vec.views()] == [b"ab", bytes(range(8)), b"\x00\x01\x02"]
+    assert vec[1] is leased  # a span handed in stays itself
+    # A slice is its spans (a transactional prepare is a rank's slice).
+    assert vec[0:3:2] == [vec[0], vec[2]] and vec[1:][0] is leased
+    assert WireVector(vec[1:]).tobytes() == bytes(range(8)) + b"\x00\x01\x02"
+    assert pool.outstanding_leases == 1
+    vec.release()
+    assert leased.released and lease.released and pool.outstanding_leases == 0
+    with pytest.raises(LeaseError):
+        vec.release()
+    # A part its consumer released first is not released a second time.
+    again = pool.lease(8)
+    part = WireBuffer.from_lease(again, 8)
+    vec = WireVector([part])
+    part.release()
+    vec.release()
+    assert again.released and pool.outstanding_leases == 0
 
 
 def test_wirevector_empty():

@@ -645,6 +645,44 @@ def test_held_step_owns_its_bytes_before_the_client_ends_its_pin(daemon, ended_b
         r.close()
 
 
+def test_owning_a_held_step_repoints_its_arrays_without_decoding_again(daemon, monkeypatch):
+    """``own()`` copies the slot's run once and moves every decoded array
+    and the block index onto the copy by offset: nothing views the slot
+    after it, and everything equals what was read out of the slot."""
+    import repro.net.client as client_mod
+
+    with connect(uri(daemon)) as c:
+        w, r = c.open("owned", "w"), c.open("owned", "r")
+        put_field(w, 0, HALVES)
+        put_field(w, 1, HALVES)
+        assert r.begin_step(timeout=2.0) is StepStatus.OK  # step 0 came inline
+        r.end_step()
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+        held = r._held[0]
+        before = r.read("f")  # builds the block index over the slot
+        seen = [rec["data"].copy() for rec in held.vars]
+        assert all(np.shares_memory(rec["data"], r._pool) for rec in held.vars)
+
+        def no_decode(*_):
+            raise AssertionError("own() decoded the run again")
+
+        monkeypatch.setattr(client_mod, "decode_var", no_decode)
+        r._release(own=True)
+        monkeypatch.undo()
+        assert r._held is None and copied_out(r) == 1
+        datas = held.blocks("f")[1]
+        assert [id(d) for d in datas] == [id(rec["data"]) for rec in held.vars]
+        for rec, want in zip(held.vars, seen):
+            data = rec["data"]
+            assert not np.shares_memory(data, r._pool)
+            assert np.shares_memory(data, held._wb)
+            assert data.dtype == want.dtype and data.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(r.read("f"), before)
+        r.end_step()
+        w.close()
+        r.close()
+
+
 # ---------------------------------------------------------------------------
 # Block bounds: stamped when the broker asks, bounded there meanwhile
 # ---------------------------------------------------------------------------

@@ -421,3 +421,42 @@ def test_net_broker_prunes_blocks_for_pushdown_readers(daemon):
         assert c.monitor.metrics.counter(M_PLUGIN_FUSED_READS).value == 2
         w.close()
         r.close()
+
+
+def test_net_broker_keeps_a_fully_pruned_variable_visible(daemon):
+    """A chain that drops every block of a variable still reads it on the
+    pruned step: the broker keeps one block of the name — of the step,
+    not of each rank — and the reader's chain drops its rows, so pruning
+    never turns into ``VariableNotFound``."""
+    uri = f"flexio://{daemon.host}:{daemon.control_port}/public"
+    rng = np.random.default_rng(6)
+    with connect(uri) as c:
+        writers = [c.open("gone", "w", rank=k, num_ranks=2) for k in range(2)]
+        r = c.open("gone", "r", timeout=2.0, pushdown=True)
+        r.plugins.deploy(range_select_plugin("temp", 0, 0.0, 1.0), PluginSide.READER)
+
+        def publish():
+            for k, w in enumerate(writers):
+                w.begin_step()
+                for half in range(2):
+                    w.write("temp", rng.uniform(2.0, 3.0, size=(8, 32)),
+                            box=BoundingBox((16 * k + 8 * half, 0), (8, 32)),
+                            global_shape=(32, 32))
+                w.end_step()
+
+        reads = []
+        for _ in range(2):  # step 0 is never pruned (the re-ATTACH is later)
+            publish()
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            reads.append(r.read("temp", start=(0, 0), count=(32, 32)))
+            r.end_step()
+            time.sleep(0.3)
+        assert [got.shape for got in reads] == [(0, 32), (0, 32)]
+        hosted = daemon._streams["public/gone"]
+        skipped = hosted.monitor.metrics.counter(
+            M_PLUGIN_BLOCKS_SKIPPED, labels={"tenant": "public"}
+        ).value
+        assert skipped == 3  # of step 1's four blocks, one stays
+        for w in writers:
+            w.close()
+        r.close()

@@ -18,6 +18,8 @@ Four tiers:
   steering the drain.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,52 @@ def test_fused_filter_read_is_the_interpreted_chain(
     assert got.flags.writeable
     assert not any(np.shares_memory(got, base) for base in bases)
     assert _stats(fused_mgr) == _stats(oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.permutations(("sample", "range", "unit")),
+    take=st.integers(1, 3),
+    rows=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    dtype=st.sampled_from(("f8", ">f8", "i4")),
+    stride=st.integers(1, 6),
+    lo=st.floats(-3.0, 3.0),
+    span=st.floats(0.0, 3.0),
+    none_survive=st.booleans(),
+    factor=st.floats(0.25, 4.0),
+    seed=st.integers(0, 10_000),
+)
+def test_gather_once_is_the_interpreted_chain(
+    order, take, rows, dtype, stride, lo, span, none_survive, factor, seed
+):
+    """Each block's survivors are gathered straight into the one result —
+    no per-block piece is concatenated — and that is the interpreted
+    chain over the assembled array, dtype included (``i4`` scaled comes
+    out float, ``>f8`` stays swapped), sharing no memory with a block."""
+    if none_survive:
+        lo, span = 100.0, 1.0  # above every value, scaled or not: none survive
+    specs = {"sample": ("sample", stride), "range": ("range", lo, span),
+             "unit": ("unit", factor)}
+    chain = [specs[kind] for kind in order[:take]]
+    rng = np.random.default_rng(seed)
+    blocks = [rng.uniform(-4.0, 4.0, size=(n, 3)).astype(dtype) for n in rows]
+    boxes, gshape = _row_tiling(rows, 3)
+    reader = [BoundingBox((0, 0), gshape)]
+    plain, _ = PlanCache().get(boxes, reader, gshape)
+    want = _chain(chain).apply_side(
+        PluginSide.READER, {"v": plain.execute(blocks)[0]})["v"]
+    fplan, _ = PlanCache().get(
+        boxes, reader, gshape, chain=_chain(chain).compiled_chain(PluginSide.READER))
+
+    def refuse(*_, **__):
+        raise AssertionError("a per-block piece was concatenated")
+
+    with mock.patch.object(np, "concatenate", refuse):
+        got = fplan.execute(blocks, "v")
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if gshape[0]:  # with no row to run it over, no chain picks the dtype
+        assert got.dtype == want.dtype
+    assert not any(np.shares_memory(got, block) for block in blocks)
 
 
 def _faulty(mask_of):
