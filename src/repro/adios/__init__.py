@@ -18,15 +18,17 @@ This package supplies the substrate FlexIO inherits:
   mapping plus transport hint parameters);
 * :mod:`repro.adios.api` — the step-oriented open / ``begin_step`` /
   write or read / ``end_step`` / close API with a method registry that
-  FlexIO's stream transport plugs into.  The file methods' read handle
-  is :mod:`repro.core`'s one reader over BP-lite blocks
-  (:mod:`repro.core.filereader`), imported when a file is opened.
+  FlexIO's stream transport plugs into.  Every method registers from a
+  layer above, looked up by name when a group is opened: the file
+  methods with :mod:`repro.core`'s one reader over BP-lite blocks
+  (:mod:`repro.core.filereader`);
+* :mod:`repro.adios.aggregate` — the ``MPI_AGGREGATE`` subfiles and
+  their manifest.
 """
 
 from repro.util import lazy_exports
 
 __all__, __getattr__ = lazy_exports(__name__, {
-    "aggregate": "AggregatedBpMethod",
     "api": "Adios AdiosError EndOfStream IoMethod RankContext ReadHandle "
            "StepLost StepNotReady StepStatus StreamFailure VariableNotFound "
            "WriteHandle register_method",

@@ -13,9 +13,12 @@ binding ranks to subfiles::
         ...
 
 Writers are the BP method's: one :class:`~repro.adios.api.FileRun`, here
-over the subfiles, whose finish hook writes the manifest.  Readers
-resolve blocks through the manifest, so both the process-group and
-global-array read patterns work unchanged.  Configured in the XML:
+over the subfiles, whose finish hook writes the manifest; readers list
+the subfiles with :func:`read_manifest`, so the manifest's writer and
+parser live side by side.  The method itself,
+:class:`~repro.core.filereader.AggregatedBpMethod`, registers with the
+file methods' reader; both the process-group and global-array read
+patterns work unchanged.  Configured in the XML:
 ``<method group="g" method="MPI_AGGREGATE">aggregators=4</method>``.
 """
 
@@ -23,16 +26,8 @@ from __future__ import annotations
 
 import os
 
-from repro.adios.api import (
-    AdiosError,
-    FileRun,
-    IoMethod,
-    RankContext,
-    WriteHandle,
-    file_run,
-    register_method,
-)
-from repro.adios.bp import BpReader, BpWriter
+from repro.adios.api import AdiosError, FileRun, RankContext, WriteHandle, file_run
+from repro.adios.bp import BpWriter
 from repro.adios.config import AGGREGATORS, MethodSpec
 from repro.util import ceil_div
 
@@ -75,37 +70,28 @@ def _aggregated_run(subdir: str, num_ranks: int, num_aggregators: int) -> FileRu
     )
 
 
-class AggregatedBpMethod(IoMethod):
-    """The ``MPI_AGGREGATE`` file method."""
-
-    def open_write(self, name, group, ctx: RankContext, spec: MethodSpec):
-        subdir = f"{os.fspath(name)}.dir"
-        run = file_run(subdir, lambda: _aggregated_run(
-            subdir, ctx.size, spec.param_int(AGGREGATORS, max(1, ctx.size // 4))
-        ))
-        return WriteHandle(run, ctx)
-
-    def open_read(self, name, group, ctx: RankContext, spec: MethodSpec):
-        # Function-local import: the reader is repro.core's, a layer above.
-        from repro.core.filereader import FileReadHandle
-
-        subdir = f"{os.fspath(name)}.dir"
-        manifest = os.path.join(subdir, _MANIFEST)
-        if not os.path.exists(manifest):
-            raise AdiosError(f"no aggregated output at {name!r} (missing manifest)")
-        subfiles: set[str] = set()
-        with open(manifest, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != _MANIFEST_MAGIC:
-                raise AdiosError(f"bad manifest header {header!r}")
-            for line in fh:
-                parts = line.split()
-                if parts and parts[0] == "rank":
-                    subfiles.add(parts[2])
-        return FileReadHandle(
-            [BpReader(os.path.join(subdir, f)) for f in sorted(subfiles)]
-        )
+def open_write(name, ctx: RankContext, spec: MethodSpec) -> WriteHandle:
+    """Rank ``ctx``'s handle on the aggregated run writing ``name``."""
+    subdir = f"{os.fspath(name)}.dir"
+    run = file_run(subdir, lambda: _aggregated_run(
+        subdir, ctx.size, spec.param_int(AGGREGATORS, max(1, ctx.size // 4))
+    ))
+    return WriteHandle(run, ctx)
 
 
-register_method("MPI_AGGREGATE", AggregatedBpMethod)
-register_method("AGGREGATE", AggregatedBpMethod)
+def read_manifest(name) -> list[str]:
+    """The subfile paths the manifest of the run at ``name`` binds ranks to."""
+    subdir = f"{os.fspath(name)}.dir"
+    manifest = os.path.join(subdir, _MANIFEST)
+    if not os.path.exists(manifest):
+        raise AdiosError(f"no aggregated output at {name!r} (missing manifest)")
+    subfiles: set[str] = set()
+    with open(manifest, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != _MANIFEST_MAGIC:
+            raise AdiosError(f"bad manifest header {header!r}")
+        for line in fh:
+            parts = line.split()
+            if parts and parts[0] == "rank":
+                subfiles.add(parts[2])
+    return [os.path.join(subdir, f) for f in sorted(subfiles)]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import abc
 import importlib
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -330,13 +329,17 @@ class IoMethod(abc.ABC):
 
 _METHODS: dict[str, Callable[[], IoMethod]] = {}
 
-#: The module implementing each ``<method>`` name not defined here: it is
-#: imported on the name's first lookup, and registers the name.
+#: The module implementing each ``<method>`` name: it is imported on the
+#: name's first lookup, and registers the name.  Every method lives a
+#: layer above this one, so this table is the one place ``adios`` names
+#: ``core`` and ``net`` (DESIGN.md §6).
 _METHOD_MODULES = {
     "FLEXPATH": "repro.core.stream",
     "FLEXIO": "repro.core.stream",
-    "MPI_AGGREGATE": "repro.adios.aggregate",
-    "AGGREGATE": "repro.adios.aggregate",
+    **dict.fromkeys(
+        ("BP", "POSIX", "MPI", "HDF5", "NETCDF", "MPI_AGGREGATE", "AGGREGATE"),
+        "repro.core.filereader",
+    ),
     "STAGING": "repro.net.client",
 }
 
@@ -480,31 +483,6 @@ def file_run(path: str, make: Callable[[], FileRun]) -> FileRun:
     if run is None or run.finished:
         run = _FILE_RUNS[path] = make()
     return run
-
-
-class BpFileMethod(IoMethod):
-    """ADIOS file mode: variables land in an indexed BP-lite file."""
-
-    # Function-local imports: only a file placement loads BP-lite (and
-    # its marshal codec); the reader is repro.core's, a layer above.
-    def open_write(self, name, group, ctx, spec):
-        from repro.adios.bp import BpWriter
-
-        path = os.fspath(name)
-        return WriteHandle(file_run(path, lambda: FileRun([BpWriter(path)])), ctx)
-
-    def open_read(self, name, group, ctx, spec):
-        from repro.adios.bp import BpReader
-        from repro.core.filereader import FileReadHandle
-
-        return FileReadHandle([BpReader(name)])
-
-
-register_method("BP", BpFileMethod)
-register_method("POSIX", BpFileMethod)
-register_method("MPI", BpFileMethod)  # paper: MPI-IO/HDF5/NetCDF methods all
-register_method("HDF5", BpFileMethod)  # funnel into the same file substrate
-register_method("NETCDF", BpFileMethod)
 
 
 # ---------------------------------------------------------------------------

@@ -4,71 +4,14 @@ General-purpose linters cannot know that a broad ``except`` in the drain
 path once silently swallowed lost steps, or that a misspelled stream
 hint is silently ignored by the XML config layer.  FlexLint encodes the
 bug classes this repo has actually hit (and fixed) as rules, so they
-cannot be reintroduced:
+cannot be reintroduced.  :data:`RULES` lists them (``python -m
+repro.tools.flexlint --list-rules`` prints it; DESIGN.md §10, §15).
 
-========  ==============================================================
-FXL001    Broad/bare ``except`` on a fault-critical path (``transport/``,
-          ``core/stream.py`` / ``drain.py`` / ``reader.py``,
-          ``core/directory.py``, ``coupled/``, ``net/``):
-          handlers there must catch typed ``TransportFault`` /
-          ``AdiosError`` / ``DirectoryError`` subclasses so real faults
-          keep their taxonomy.
-FXL002    Stream-hint key literal not declared in the central registry
-          (:mod:`repro.core.hints`) — the stringly-typed-typo guard.
-FXL003    Tracer span created but never closed: ``monitor.span(...)`` /
-          ``begin_span(...)`` must be used as a context manager or have
-          an explicit ``finish()`` / ``__exit__`` in the same function.
-FXL004    Direct ``commit()`` call outside the retry/2PC path
-          (``_drain_one`` in ``core/drain.py``) — step visibility must
-          go through the reliable-delivery path.
-FXL005    Attribute mutated from a drainer-thread method — on the
-          drainer (``self.x``) or across the thread boundary on the
-          stream state (``self._state.x``) — without being declared in
-          the shared-state registry
-          (``repro.core.drain.DRAINER_SHARED_STATE``).
-FXL006    Copy-discipline breach on the zero-copy plane (``transport/``,
-          ``core/stream.py`` / ``drain.py`` / ``reader.py``):
-          ``.tobytes()`` / ``bytes(...)`` / ``bytearray(...)``
-          materialize a copy of data that should travel as
-          :class:`~repro.transport.buffers.WireBuffer` views.
-FXL007    Unregistered event code in a hot-path ``record()`` call: the
-          first argument must be a constant from the central event
-          table (:mod:`repro.obs.events`) or a ``Name``/``Attribute``
-          reference to one — ad-hoc f-strings and computed event names
-          defeat the flight recorder's fixed vocabulary.
-FXL008    Removed/legacy step-API spelling: ``.advance()`` is gone
-          (writers call ``end_step()``, readers drive
-          ``begin_step()``/``end_step()``), and selections must go
-          through keywords — ``read(name, selection=...)`` /
-          ``read(name, start=..., count=...)`` — never positionally.
-FXL009    Non-exhaustive ``MsgType`` dispatch (cross-file): every
-          member of the wire enum must be referenced by both the
-          daemon's dispatch and the client's typed-response paths.
-FXL010    Blocking call (``time.sleep``, file I/O, ``os.fsync``,
-          blocking socket ops, ``lock.acquire``) inside an ``async
-          def`` on the network plane — directly or transitively
-          through a sync helper — or in a loop-thread callback (an
-          asyncio protocol method and the handlers it reaches).
-FXL011    Synchronous (threading) lock held across an ``await``; the
-          static complement of sanitize.py's runtime lockdep.
-FXL012    ``lease()``/``acquire()``/``connect()`` result that may
-          reach the function exit without ``release()``/``close()``
-          or an ownership transfer on some CFG path.
-FXL013    Metric-name literal not registered in the central
-          :mod:`repro.obs.names` table (counters/gauges/histograms);
-          dynamic names must go through ``metric_name()``.
-FXL014    Direct plug-in kernel invocation (``.fn(...)``,
-          ``.mask_fn(...)``, ``._func(...)``) outside the plug-in
-          runtime (``core/plugins.py``) and the compiled-plan executor
-          (``core/redistribution.py``) — ad-hoc kernel calls bypass
-          per-kernel accounting, fused/interpreted equivalence, and
-          the chain-hash plan-cache keying.
-========  ==============================================================
-
-Rules FXL009-FXL013 are flow/project aware: they run on the per-function
-control-flow graphs of :mod:`repro.analysis.cfg` and the whole-program
-index of :mod:`repro.analysis.project` (see
-:mod:`repro.analysis.flowrules`).
+Most claims are data: an owner ("X only in Y"), a registry ("the name a
+call passes is registered") or a layer ("package P imports only Q") is a
+row of :mod:`repro.analysis.tables`, and :func:`_check_tables` checks
+every row in one walk.  The flow- and project-aware rules are in
+:mod:`repro.analysis.flowrules`.
 
 **Waivers**: append ``# flexlint: ok(FXL001) <reason>`` to the flagged
 line (or put it on the line directly above).  The reason is mandatory —
@@ -84,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import difflib
+import fnmatch
 import importlib.util
 import os
 import re
@@ -91,6 +35,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from repro.analysis.project import ProjectIndex, index_tree
+from repro.analysis.tables import LAYERS, OWNERS, REGISTRIES, Registry
 
 _WAIVER_RE = re.compile(
     r"#\s*flexlint:\s*ok\(\s*([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)\s*\)\s*(.*)$"
@@ -99,9 +44,23 @@ _WAIVER_RE = re.compile(
 _BROAD_NAMES = ("Exception", "BaseException")
 _SPAN_METHODS = ("span", "begin_span")
 _SPAN_CLOSERS = ("finish", "__exit__")
-_PARAM_METHODS = ("param", "param_bool", "param_int", "param_float")
-_HINT_BUILDERS = ("stream_params",)
-_COMMIT_NAMES = ("commit", "_commit")
+#: Paths (dir prefixes ending in "/" or file suffixes) where FXL001 applies.
+_BROAD_EXCEPT_PATHS = (
+    "repro/transport/",
+    "repro/core/stream.py",
+    "repro/core/drain.py",
+    "repro/core/reader.py",
+    "repro/core/directory.py",
+    "repro/coupled/",
+    "repro/net/",
+)
+#: Paths where FXL006 (copy discipline) applies.
+_COPY_DISCIPLINE_PATHS = (
+    "repro/transport/",
+    "repro/core/stream.py",
+    "repro/core/drain.py",
+    "repro/core/reader.py",
+)
 
 
 @dataclass(frozen=True)
@@ -121,14 +80,15 @@ RULES: dict[str, Rule] = {
              "core/directory.py and core/{stream,drain,reader}.py must catch "
              "typed fault classes, not Exception/BaseException/bare except."),
         Rule("FXL002", "unregistered stream-hint key",
-             "hint-key string literals must exist in the central "
-             "repro.core.hints registry."),
+             "hint-key names passed to param*() or as stream_params() "
+             "keywords must exist in the central repro.core.hints registry "
+             "(REGISTRIES rows)."),
         Rule("FXL003", "tracer span never closed",
              "span()/begin_span() results must be entered as a context "
              "manager or explicitly finish()ed in the same function."),
         Rule("FXL004", "commit outside the retry/2PC path",
              "commit()/_commit() may only be called from "
-             "_drain_one() in core/drain.py."),
+             "_drain_one() in core/drain.py (an OWNERS row)."),
         Rule("FXL005", "undeclared drainer-thread shared state",
              "attributes assigned inside drainer-path methods (on self "
              "or self._state) must be declared in "
@@ -138,14 +98,14 @@ RULES: dict[str, Rule] = {
              "core/{stream,drain,reader}.py materialize copies; carry "
              "WireBuffer/memoryview spans instead (or waive with a reason)."),
         Rule("FXL007", "unregistered event code in record() call",
-             "the first argument of record() must be a string literal "
-             "registered in repro.obs.events (or a Name/Attribute "
-             "constant reference); no f-strings or computed names."),
+             "the event code record() is passed must be a literal "
+             "registered in repro.obs.events or a reference to one; no "
+             "f-strings or computed names (a REGISTRIES row)."),
         Rule("FXL008", "removed/legacy step-API spelling",
              ".advance() no longer exists (use end_step(), or "
-             "begin_step()/end_step() loops on readers) and "
-             "read()/read_into()/read_all() take selections only as "
-             "selection=/start=/count= keywords."),
+             "begin_step()/end_step() loops on readers; an OWNERS row "
+             "allowed nowhere) and read()/read_into()/read_all() take "
+             "selections only as selection=/start=/count= keywords."),
         Rule("FXL009", "non-exhaustive MsgType dispatch",
              "every member of the wire enum (net/protocol.py MsgType) "
              "must be referenced by each dispatch surface "
@@ -165,14 +125,22 @@ RULES: dict[str, Rule] = {
              "release()/close() or an ownership transfer on every CFG "
              "path to the function exit, including exception edges."),
         Rule("FXL013", "unregistered metric name",
-             "counter()/gauge()/histogram() name literals must be "
-             "registered in repro.obs.names (or extend a registered "
-             "family); dynamic names go through metric_name()."),
+             "counter()/gauge()/histogram() names must be registered in "
+             "repro.obs.names (or extend a registered family); dynamic "
+             "names go through metric_name() (a REGISTRIES row)."),
         Rule("FXL014", "plug-in kernel invoked outside the executor",
              ".fn()/.mask_fn()/._func() calls are reserved to "
              "core/plugins.py and the compiled-plan executor in "
              "core/redistribution.py; everything else goes through "
-             "apply()/apply_side() or a chain cursor."),
+             "apply()/apply_side() or a chain cursor (an OWNERS row)."),
+        Rule("FXL015", "single-owner state or resource used by another",
+             "a run's rank sets, predicate combination, shared-memory "
+             "mapping and socket reads each have one owner; the OWNERS "
+             "rows of repro.analysis.tables name it."),
+        Rule("FXL016", "import against the layer table",
+             "a package imports only the packages its LAYERS row lists "
+             "(module-level, function-local and TYPE_CHECKING imports "
+             "alike); DESIGN.md section 6 draws the table."),
     )
 }
 
@@ -206,117 +174,16 @@ class Finding:
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Scope and registry knobs (overridable for tests/fixtures)."""
+    """What a fixture overrides: the drainer registries and the registry rows."""
 
-    #: Paths (dir prefixes ending in "/" or file suffixes) where FXL001
-    #: applies.
-    broad_except_paths: tuple[str, ...] = (
-        "repro/transport/",
-        "repro/core/stream.py",
-        "repro/core/drain.py",
-        "repro/core/reader.py",
-        "repro/core/directory.py",
-        "repro/coupled/",
-        "repro/net/",
-    )
-    #: (path pattern, allowed function names or None for "anywhere in
-    #: the file") pairs where commit() calls are legitimate.
-    commit_allowed: tuple[tuple[str, Optional[tuple[str, ...]]], ...] = (
-        ("repro/core/drain.py", ("_drain_one",)),
-    )
     #: File FXL005 applies to.
     drainer_path: str = "repro/core/drain.py"
     #: Overrides for the drainer registries; None = read them from
     #: repro.core.drain (DRAINER_METHODS / DRAINER_SHARED_STATE).
     drainer_methods: Optional[frozenset[str]] = None
     drainer_shared_state: Optional[frozenset[str]] = None
-    #: Override for the known hint keys; None = repro.core.hints registry.
-    hint_keys: Optional[frozenset[str]] = None
-    #: Paths where FXL006 (copy discipline) applies.
-    copy_discipline_paths: tuple[str, ...] = (
-        "repro/transport/",
-        "repro/core/stream.py",
-        "repro/core/drain.py",
-        "repro/core/reader.py",
-    )
-    #: Override for the registered event codes (FXL007); None = the
-    #: repro.obs.events central table (flight events + trace categories).
-    event_codes: Optional[frozenset[str]] = None
-    #: Paths where FXL010 (no blocking calls in async bodies) applies.
-    blocking_async_paths: tuple[str, ...] = ("repro/net/",)
-    #: Dotted call names FXL010 treats as blocking the event loop.
-    blocking_calls: tuple[str, ...] = (
-        "time.sleep",
-        "os.fsync",
-        "os.replace",
-        "os.rename",
-        "os.remove",
-        "os.unlink",
-        "shutil.copyfileobj",
-        "socket.create_connection",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "select.select",
-    )
-    #: Paths where FXL012 (must-release dataflow) applies.
-    lease_scope_paths: tuple[str, ...] = (
-        "repro/transport/",
-        "repro/net/",
-    )
-    #: Methods whose assigned result FXL012 tracks as an owned resource.
-    lease_acquire_methods: tuple[str, ...] = (
-        "lease",
-        "acquire",
-        "connect",
-        "create_connection",
-    )
-    #: Methods that end the release obligation.
-    lease_release_methods: tuple[str, ...] = (
-        "release",
-        "close",
-        "shutdown",
-    )
-    #: (path suffix, enum name) of the wire enum FXL009 checks.
-    dispatch_enum: tuple[str, str] = ("repro/net/protocol.py", "MsgType")
-    #: Path suffixes of the dispatch surfaces that must reference every
-    #: enum member.
-    dispatch_surfaces: tuple[str, ...] = (
-        "repro/net/server.py",
-        "repro/net/client.py",
-    )
-    #: Override for the registered metric names (FXL013); None = the
-    #: repro.obs.names central table.
-    metric_names: Optional[frozenset[str]] = None
-    #: Override for the registered metric family roots; None = the
-    #: repro.obs.names FAMILY_ROOTS.
-    metric_families: Optional[tuple[str, ...]] = None
-    #: Paths allowed to invoke plug-in kernels directly (FXL014).
-    kernel_call_paths: tuple[str, ...] = (
-        "repro/core/plugins.py",
-        "repro/core/redistribution.py",
-    )
-    #: Attribute names FXL014 treats as kernel entry points.
-    kernel_call_attrs: tuple[str, ...] = ("fn", "mask_fn", "_func")
-
-
-def _default_hint_keys() -> frozenset[str]:
-    from repro.core.hints import known_keys
-
-    return known_keys()
-
-
-def _default_drainer_registry() -> tuple[frozenset[str], frozenset[str]]:
-    from repro.core.drain import DRAINER_METHODS, DRAINER_SHARED_STATE
-
-    return frozenset(DRAINER_METHODS), frozenset(DRAINER_SHARED_STATE)
-
-
-def _default_event_codes() -> frozenset[str]:
-    from repro.obs.events import EVENT_CODES
-
-    return EVENT_CODES
+    #: The REGISTRIES rows; a fixture swaps in a row with its own vocabulary.
+    registries: tuple[Registry, ...] = REGISTRIES
 
 
 def _norm(path: str) -> str:
@@ -356,7 +223,7 @@ def _enclosing(node: ast.AST, parent: dict, kinds) -> Optional[ast.AST]:
 # ---------------------------------------------------------------------------
 
 def _check_broad_except(tree: ast.AST, path: str, cfg: LintConfig):
-    if not _in_scope(path, cfg.broad_except_paths):
+    if not _in_scope(path, _BROAD_EXCEPT_PATHS):
         return
     for node in ast.walk(tree):
         if not isinstance(node, ast.ExceptHandler):
@@ -379,38 +246,6 @@ def _check_broad_except(tree: ast.AST, path: str, cfg: LintConfig):
                 f"TransportFault/AdiosError/DirectoryError subclasses "
                 f"(or waive with a reason)",
             )
-
-
-def _check_hint_keys(tree: ast.AST, path: str, cfg: LintConfig):
-    keys = cfg.hint_keys if cfg.hint_keys is not None else _default_hint_keys()
-
-    def unknown(key: str, node: ast.AST, how: str):
-        hint = difflib.get_close_matches(key, sorted(keys), n=1)
-        extra = f"; did you mean {hint[0]!r}?" if hint else ""
-        return Finding(
-            "FXL002", path, node.lineno, node.col_offset,
-            f"hint key {key!r} ({how}) is not in the "
-            f"repro.core.hints registry{extra}",
-        )
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _PARAM_METHODS:
-            if node.args and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                key = node.args[0].value
-                if key not in keys:
-                    yield unknown(key, node, f"{func.attr}() call")
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if name in _HINT_BUILDERS:
-            for kw in node.keywords:
-                if kw.arg is not None and not kw.arg.startswith("_") \
-                        and kw.arg not in keys:
-                    yield unknown(kw.arg, node, f"{name}() keyword")
 
 
 def _check_spans(tree: ast.AST, path: str, cfg: LintConfig):
@@ -467,35 +302,6 @@ def _check_spans(tree: ast.AST, path: str, cfg: LintConfig):
         # Returned / passed-through spans are the callee's responsibility.
 
 
-def _check_commit(tree: ast.AST, path: str, cfg: LintConfig):
-    allowed_funcs: Optional[tuple[str, ...]] = ()
-    for pat, funcs in cfg.commit_allowed:
-        if _in_scope(path, (pat,)):
-            allowed_funcs = funcs  # None means the whole file is fine
-            break
-    if allowed_funcs is None:
-        return
-    parent = _parents(tree)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if name not in _COMMIT_NAMES:
-            continue
-        scope = _enclosing(node, parent, (ast.FunctionDef, ast.AsyncFunctionDef))
-        fname = scope.name if scope is not None else "<module>"
-        if fname in allowed_funcs:
-            continue
-        yield Finding(
-            "FXL004", path, node.lineno, node.col_offset,
-            f"direct {name}() call in {fname}() outside the retry/2PC "
-            f"path; route step visibility through the drain pipeline",
-        )
-
-
 def _self_attr_targets(stmt: ast.stmt):
     """(owner, target) of each ``self.x`` / ``self._state.x`` target."""
     if isinstance(stmt, ast.Assign):
@@ -514,16 +320,13 @@ def _self_attr_targets(stmt: ast.stmt):
 
 
 def _check_drainer_state(tree: ast.AST, path: str, cfg: LintConfig):
-    if cfg.drainer_path and not _in_scope(path, (cfg.drainer_path,)):
+    if not _in_scope(path, (cfg.drainer_path,)):
         return
-    if cfg.drainer_methods is not None and cfg.drainer_shared_state is not None:
-        methods, shared = cfg.drainer_methods, cfg.drainer_shared_state
-    else:
-        methods, shared = _default_drainer_registry()
-        if cfg.drainer_methods is not None:
-            methods = cfg.drainer_methods
-        if cfg.drainer_shared_state is not None:
-            shared = cfg.drainer_shared_state
+    from repro.core.drain import DRAINER_METHODS, DRAINER_SHARED_STATE
+
+    methods = DRAINER_METHODS if cfg.drainer_methods is None else cfg.drainer_methods
+    shared = (DRAINER_SHARED_STATE if cfg.drainer_shared_state is None
+              else cfg.drainer_shared_state)
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -543,7 +346,7 @@ def _check_drainer_state(tree: ast.AST, path: str, cfg: LintConfig):
 
 
 def _check_copy_discipline(tree: ast.AST, path: str, cfg: LintConfig):
-    if not _in_scope(path, cfg.copy_discipline_paths):
+    if not _in_scope(path, _COPY_DISCIPLINE_PATHS):
         return
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -571,102 +374,235 @@ def _check_copy_discipline(tree: ast.AST, path: str, cfg: LintConfig):
         )
 
 
-def _check_event_codes(tree: ast.AST, path: str, cfg: LintConfig):
-    codes = (
-        cfg.event_codes if cfg.event_codes is not None
-        else _default_event_codes()
-    )
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if name != "record" or not node.args:
-            continue
-        arg = node.args[0]
-        if isinstance(arg, (ast.Name, ast.Attribute)):
-            # A reference to a registered constant (EV_*, span.category,
-            # self._category) — resolved at runtime by the recorder.
-            continue
-        if isinstance(arg, ast.JoinedStr):
-            yield Finding(
-                "FXL007", path, arg.lineno, arg.col_offset,
-                "f-string event name in record(); use a registered "
-                "constant from repro.obs.events and carry the variable "
-                "parts as attrs",
-            )
-        elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            if arg.value not in codes:
-                hint = difflib.get_close_matches(arg.value, sorted(codes), n=1)
-                extra = f"; did you mean {hint[0]!r}?" if hint else ""
-                yield Finding(
-                    "FXL007", path, arg.lineno, arg.col_offset,
-                    f"event code {arg.value!r} is not registered in the "
-                    f"repro.obs.events table{extra}",
-                )
-        elif not isinstance(arg, ast.Constant):
-            yield Finding(
-                "FXL007", path, arg.lineno, arg.col_offset,
-                "computed event name in record(); event codes must be "
-                "registered constants from repro.obs.events",
-            )
-
-
 #: Step-API read methods and how many positional arguments each accepts
 #: (the variable name; plus the output array for ``read_into``).  More
 #: than that means a positional selection — a removed spelling.
 _READ_POSITIONAL_LIMITS = {"read": 1, "read_all": 1, "read_into": 2}
 
 
-def _check_legacy_api(tree: ast.AST, path: str, cfg: LintConfig):
+def _check_positional_reads(tree: ast.AST, path: str, cfg: LintConfig):
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
             continue
         name = node.func.attr
-        if name == "advance":
+        if len(node.args) > _READ_POSITIONAL_LIMITS.get(name, len(node.args)):
             yield Finding(
                 "FXL008", path, node.lineno, node.col_offset,
-                ".advance() was removed; writers call end_step(), "
-                "readers drive begin_step()/end_step()",
+                f"positional selection in {name}(); pass the "
+                f"selection= keyword (or start=/count=) instead",
             )
-        elif name in _READ_POSITIONAL_LIMITS:
-            limit = _READ_POSITIONAL_LIMITS[name]
-            if len(node.args) > limit:
-                yield Finding(
-                    "FXL008", path, node.lineno, node.col_offset,
-                    f"positional selection in {name}(); pass the "
-                    f"selection= keyword (or start=/count=) instead",
-                )
 
 
-def _check_kernel_calls(tree: ast.AST, path: str, cfg: LintConfig):
-    if _in_scope(path, cfg.kernel_call_paths):
+# ---------------------------------------------------------------------------
+# The table-driven rule: OWNERS, REGISTRIES and LAYERS in one walk
+# ---------------------------------------------------------------------------
+
+#: Methods that change the container they are called on.
+_MUTATORS = frozenset({
+    "add", "append", "clear", "difference_update", "discard", "extend",
+    "insert", "intersection_update", "pop", "popitem", "remove",
+    "setdefault", "symmetric_difference_update", "update",
+})
+_OWNED = [(pat, row) for row in OWNERS for pat in row.patterns]
+
+
+def _text(node: ast.AST) -> str:
+    """Dotted text of a callee or a written target (``self._state.x``,
+    ``get().fn``); what is neither a name nor an attribute is ``?``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{_text(node.value)}.{node.attr}"
+    if isinstance(node, ast.Call):
+        return _text(node.func) + "()"
+    return "?"
+
+
+def _written(node: ast.AST):
+    """The expressions ``node`` writes: assignment and ``del`` targets
+    (a subscript writes its container), or a mutator call's receiver."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        todo = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        todo = [node.target]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in _MUTATORS:
+        todo = [node.func.value]
+    else:
         return
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in cfg.kernel_call_attrs:
-            yield Finding(
-                "FXL014", path, node.lineno, node.col_offset,
-                f".{func.attr}() invokes a plug-in kernel outside the "
-                f"executor; go through apply()/apply_side() or a chain "
-                f"cursor so accounting and fusion equivalence hold",
-            )
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            todo.extend(t.elts)
+        elif isinstance(t, (ast.Subscript, ast.Starred)):
+            todo.append(t.value)
+        else:
+            yield t
+
+
+def _in_owner_scope(scopes: tuple[str, ...], path: str, qual: str) -> bool:
+    for scope in scopes:
+        module, _, name = scope.partition(":")
+        if _in_scope(path, (module,)) and (not name or f".{name}." in f".{qual}."):
+            return True
+    return False
+
+
+def _owner_findings(text: str, node: ast.AST, path: str, qual: str):
+    for pat, row in _OWNED:
+        if fnmatch.fnmatchcase(text, pat) and not _in_owner_scope(row.scopes, path, qual):
+            where = ", ".join(row.scopes) or "nowhere"
+            yield Finding(row.rule, path, node.lineno, node.col_offset,
+                          f"{text} {row.why} (allowed: {where})")
+
+
+def _load(ref):
+    """A vocabulary: a fixture's own set, or a ``module:attribute`` one."""
+    if not isinstance(ref, str):
+        return ref
+    module, _, attr = ref.partition(":")
+    value = getattr(importlib.import_module(module), attr)
+    return value() if callable(value) else value
+
+
+def vocabulary(row: Registry) -> tuple[frozenset[str], tuple[str, ...]]:
+    """A registry row's registered names and family roots."""
+    return frozenset(_load(row.vocab)), tuple(_load(row.families))
+
+
+def _name_args(call: ast.Call, row: Registry):
+    """The expressions that carry ``call``'s name under ``row``; with
+    ``**`` each keyword's own name, as a literal at the keyword."""
+    if row.keywords == ("**",):
+        for kw in call.keywords:
+            if kw.arg is not None and not kw.arg.startswith("_"):
+                yield ast.copy_location(ast.Constant(kw.arg), kw)
+        return
+    if row.position is not None and len(call.args) > row.position:
+        yield call.args[row.position]
+    for kw in call.keywords:
+        if kw.arg in row.keywords:
+            yield kw.value
+
+
+def _branches(expr: ast.expr):
+    """A conditional's branches, each on its own; else the expression."""
+    if isinstance(expr, ast.IfExp):
+        yield from _branches(expr.body)
+        yield from _branches(expr.orelse)
+    else:
+        yield expr
+
+
+def _built_string(expr: ast.expr) -> Optional[str]:
+    """``"f-string"`` or ``"computed"`` for a string made on the spot."""
+    if isinstance(expr, ast.JoinedStr):
+        return "f-string"
+    if isinstance(expr, ast.BinOp) and any(
+        isinstance(n, ast.Constant) and isinstance(n.value, str) for n in ast.walk(expr)
+    ):
+        return "computed"
+    return None
+
+
+def _registry_findings(call: ast.Call, callee: str, row: Registry, vocab, path: str):
+    names, roots = vocab
+    where = row.vocab.partition(":")[0] if isinstance(row.vocab, str) else "the registry"
+    for arg in _name_args(call, row):
+        for expr in _branches(arg):
+            if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+                value = expr.value
+                if value in names or any(
+                    value == root or value.startswith(root + ".") for root in roots
+                ):
+                    continue
+                hint = difflib.get_close_matches(value, sorted(names.union(roots)), n=1)
+                extra = f"; did you mean {hint[0]!r}?" if hint else ""
+                yield Finding(row.rule, path, expr.lineno, expr.col_offset,
+                              f"{row.what} {value!r} in {callee}() is not "
+                              f"registered in {where}{extra}")
+            elif row.dynamic and (kind := _built_string(expr)):
+                yield Finding(row.rule, path, expr.lineno, expr.col_offset,
+                              f"{kind} {row.what} in {callee}(); pass a name "
+                              f"registered in {where} (a family goes through "
+                              f"its builder, variable parts as attributes)")
+
+
+def _package(path: str) -> Optional[str]:
+    """The ``repro`` package a file is in: ``repro`` for the façade,
+    ``util`` for ``util.py``; None outside the package."""
+    norm = "/" + _norm(path)
+    at = norm.rfind("/repro/")
+    if at < 0:
+        return None
+    parts = norm[at + 7:].split("/")
+    if len(parts) > 1:
+        return parts[0]
+    return "repro" if parts[0] == "__init__.py" else parts[0][:-3]
+
+
+def _imported(node: ast.AST):
+    """The ``repro`` packages an import statement names (anything else
+    ``from repro import`` names is the façade, ``repro``)."""
+    if isinstance(node, ast.Import):
+        modules = [a.name for a in node.names]
+    elif node.module == "repro":
+        modules = [f"repro.{a.name}" for a in node.names]
+    else:
+        modules = [node.module or ""]
+    for module in modules:
+        parts = module.split(".")
+        if parts[0] == "repro" and len(parts) > 1:
+            yield parts[1] if parts[1] in LAYERS else "repro"
+
+
+def _layer_findings(node: ast.AST, package: str, path: str):
+    allowed = LAYERS.get(package, ())
+    if "*" in allowed:
+        return
+    for target in _imported(node):
+        if target not in (package, "util", *allowed):
+            name = "repro" if target == "repro" else f"repro.{target}"
+            yield Finding("FXL016", path, node.lineno, node.col_offset,
+                          f"{package} imports {name}, but its LAYERS row "
+                          f"allows only {', '.join(('util', *allowed))}")
+
+
+def _check_tables(tree: ast.AST, path: str, cfg: LintConfig):
+    """Every OWNERS, REGISTRIES and LAYERS row, in one walk of ``tree``."""
+    package = _package(path)
+    by_callee: dict[str, list[Registry]] = {}
+    for row in cfg.registries:
+        for callee in row.callees:
+            by_callee.setdefault(callee, []).append(row)
+    vocabs: dict[Registry, tuple] = {}
+    stack: list[tuple[ast.AST, str]] = [(tree, "")]
+    while stack:
+        node, qual = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = f"{qual}.{node.name}" if qual else node.name
+        stack.extend((child, qual) for child in ast.iter_child_nodes(node))
+        if isinstance(node, ast.Call):
+            yield from _owner_findings(_text(node.func) + "()", node, path, qual)
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            for row in by_callee.get(callee, ()):
+                if row not in vocabs:
+                    vocabs[row] = vocabulary(row)
+                yield from _registry_findings(node, callee, row, vocabs[row], path)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and package is not None:
+            yield from _layer_findings(node, package, path)
+        for target in _written(node):
+            yield from _owner_findings(_text(target), target, path, qual)
 
 
 _CHECKS = (
     _check_broad_except,
-    _check_hint_keys,
     _check_spans,
-    _check_commit,
     _check_drainer_state,
     _check_copy_discipline,
-    _check_event_codes,
-    _check_legacy_api,
-    _check_kernel_calls,
+    _check_positional_reads,
+    _check_tables,
 )
 
 
@@ -789,23 +725,23 @@ def lint_paths(
         sources[path] = source
         findings.extend(_lint_tree(tree, source, path, cfg))
         project.add(index_tree(tree, path))
-    findings.extend(_cross_file_findings(project, sources, cfg))
+    findings.extend(_cross_file_findings(project, sources))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 
-def project_findings(sources: dict[str, str], cfg: LintConfig) -> list[Finding]:
+def project_findings(sources: dict[str, str]) -> list[Finding]:
     """Run the cross-file rules over an in-memory ``{path: source}``
     project; waivers in the *defining* file apply as usual."""
-    return _cross_file_findings(ProjectIndex.from_sources(sources), sources, cfg)
+    return _cross_file_findings(ProjectIndex.from_sources(sources), sources)
 
 
 def _cross_file_findings(
-    project: ProjectIndex, sources: dict[str, str], cfg: LintConfig
+    project: ProjectIndex, sources: dict[str, str]
 ) -> list[Finding]:
     from repro.analysis.flowrules import check_dispatch
 
-    raw = sorted(check_dispatch(project, cfg), key=lambda f: (f.path, f.line))
+    raw = sorted(check_dispatch(project), key=lambda f: (f.path, f.line))
     out: list[Finding] = []
     by_path: dict[str, list[Finding]] = {}
     for f in raw:

@@ -1,4 +1,4 @@
-"""Flow- and project-aware FlexLint rules (FXL009-FXL013).
+"""Flow- and project-aware FlexLint rules (FXL009-FXL012).
 
 The original rule set pattern-matches single statements; these rules
 consume the :mod:`repro.analysis.cfg` control-flow graphs and the
@@ -22,10 +22,6 @@ FXL012  must-release: a ``lease()``/``acquire()``/``connect()`` result
         must reach ``release()``/``close()`` or an ownership transfer
         (returned, stored, passed on) on **every** CFG path to the
         function exit, including exception edges.
-FXL013  metric-name literals in ``counter()``/``gauge()``/
-        ``histogram()`` calls must come from the central
-        :mod:`repro.obs.names` table (or extend a registered family);
-        dynamic names go through ``metric_name()``.
 
 Per-file checks share the ``(tree, path, cfg)`` signature of the
 original rules and are exported via :data:`FILE_CHECKS`;
@@ -35,7 +31,6 @@ original rules and are exported via :data:`FILE_CHECKS`;
 from __future__ import annotations
 
 import ast
-import difflib
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis import cfg as cfgmod
@@ -56,9 +51,27 @@ __all__ = [
     "check_blocking_async",
     "check_lock_across_await",
     "check_must_release",
-    "check_metric_names",
     "check_dispatch",
 ]
+
+#: Where FXL010 (no blocking calls on the event loop) applies.
+_BLOCKING_ASYNC_PATHS = ("repro/net/",)
+#: Dotted call names FXL010 treats as blocking the event loop.
+_BLOCKING_CALLS = frozenset({
+    "time.sleep", "os.fsync", "os.replace", "os.rename", "os.remove",
+    "os.unlink", "shutil.copyfileobj", "socket.create_connection",
+    "subprocess.run", "subprocess.call", "subprocess.check_call",
+    "subprocess.check_output", "select.select",
+})
+#: Where FXL012 (must-release dataflow) applies.
+_LEASE_SCOPE_PATHS = ("repro/transport/", "repro/net/")
+#: Methods whose assigned result FXL012 tracks, and those that release it.
+_LEASE_ACQUIRE = ("lease", "acquire", "connect", "create_connection")
+_LEASE_RELEASE = ("release", "close", "shutdown")
+#: (path suffix, enum name) of the wire enum FXL009 checks, and the
+#: dispatch surfaces that must reference every member.
+_DISPATCH_ENUM = ("repro/net/protocol.py", "MsgType")
+_DISPATCH_SURFACES = ("repro/net/server.py", "repro/net/client.py")
 
 _LOCKY_MARKERS = ("lock", "mutex", "sem")
 _SOCKET_BLOCKING_ATTRS = frozenset(
@@ -107,11 +120,11 @@ def _iter_functions(tree: ast.AST):
 # FXL010 — blocking calls on the event loop (with transitive propagation)
 # ---------------------------------------------------------------------------
 
-def _direct_blocking(call: ast.Call, cfg: LintConfig) -> Optional[str]:
+def _direct_blocking(call: ast.Call) -> Optional[str]:
     """Why this single call blocks, or None."""
     func = call.func
     dotted = _dotted(func)
-    if dotted is not None and dotted in cfg.blocking_calls:
+    if dotted in _BLOCKING_CALLS:
         return f"{dotted}()"
     if isinstance(func, ast.Name) and func.id in ("open", "input"):
         return f"{func.id}()"
@@ -205,11 +218,11 @@ def _on_loop(tree: ast.AST) -> Dict[tuple, Tuple[ast.AST, str]]:
 def check_blocking_async(tree: ast.AST, path: str, cfg: LintConfig):
     """FXL010: blocking calls on the event loop — in a coroutine, in a
     protocol callback, or in a sync function either of them reaches."""
-    if not _in_scope(path, cfg.blocking_async_paths):
+    if not _in_scope(path, _BLOCKING_ASYNC_PATHS):
         return
     for (_cls, name), (node, root) in _on_loop(tree).items():
         for sub in _walk_shallow(node):
-            reason = _direct_blocking(sub, cfg) if isinstance(sub, ast.Call) else None
+            reason = _direct_blocking(sub) if isinstance(sub, ast.Call) else None
             if reason is None:
                 continue
             if isinstance(node, ast.AsyncFunctionDef):
@@ -350,9 +363,6 @@ def _stmt_escapes(stmt: ast.AST, name: str) -> bool:
 class _MustRelease(cfgmod.Analysis):
     """Facts: ``(name, method, lineno, col)`` for leases still owned."""
 
-    def __init__(self, cfg: LintConfig) -> None:
-        self.cfg = cfg
-
     # -- gen -----------------------------------------------------------
     def _acquire_of(self, stmt) -> Optional[tuple]:
         if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
@@ -367,7 +377,7 @@ class _MustRelease(cfgmod.Analysis):
                 and isinstance(value.func, ast.Attribute)):
             return None
         method = value.func.attr
-        if method not in self.cfg.lease_acquire_methods:
+        if method not in _LEASE_ACQUIRE:
             return None
         if method == "acquire" and _is_locky(value.func.value):
             return None  # lock.acquire() is FXL010/011 territory
@@ -399,7 +409,7 @@ class _MustRelease(cfgmod.Analysis):
             return False
         for node in _walk_shallow(stmt):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in self.cfg.lease_release_methods \
+                    and node.func.attr in _LEASE_RELEASE \
                     and isinstance(node.func.value, ast.Name) \
                     and node.func.value.id == name:
                 return True
@@ -425,10 +435,10 @@ class _MustRelease(cfgmod.Analysis):
 
 def check_must_release(tree: ast.AST, path: str, cfg: LintConfig):
     """FXL012: acquire() must reach release()/transfer on every path."""
-    if not _in_scope(path, cfg.lease_scope_paths):
+    if not _in_scope(path, _LEASE_SCOPE_PATHS):
         return
     for _cls, node in _iter_functions(tree):
-        analysis = _MustRelease(cfg)
+        analysis = _MustRelease()
         if not any(
             analysis._acquire_of(s) is not None
             for s in _walk_shallow(node) if isinstance(s, ast.Assign)
@@ -448,100 +458,16 @@ def check_must_release(tree: ast.AST, path: str, cfg: LintConfig):
 
 
 # ---------------------------------------------------------------------------
-# FXL013 — metric names from the central table
-# ---------------------------------------------------------------------------
-
-_METRIC_METHODS = ("counter", "gauge", "histogram")
-
-
-def _metric_vocab(cfg: LintConfig):
-    if cfg.metric_names is not None:
-        names = cfg.metric_names
-        roots = cfg.metric_families if cfg.metric_families is not None else ()
-    else:
-        from repro.obs.names import FAMILY_ROOTS, METRIC_NAMES
-
-        names = METRIC_NAMES
-        roots = (
-            cfg.metric_families if cfg.metric_families is not None
-            else FAMILY_ROOTS
-        )
-    return names, tuple(roots)
-
-
-def _metric_ok(value: str, names, roots) -> bool:
-    if value in names:
-        return True
-    return any(value == root or value.startswith(root + ".") for root in roots)
-
-
-def check_metric_names(tree: ast.AST, path: str, cfg: LintConfig):
-    """FXL013: counter()/gauge()/histogram() names must be registered."""
-    names, roots = _metric_vocab(cfg)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in _METRIC_METHODS):
-            continue
-        arg = node.args[0]
-        candidates: List[str] = []
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            candidates = [arg.value]
-        elif isinstance(arg, ast.IfExp):
-            branches = [arg.body, arg.orelse]
-            if all(
-                isinstance(b, ast.Constant) and isinstance(b.value, str)
-                for b in branches
-            ):
-                candidates = [b.value for b in branches]
-            else:
-                continue
-        elif isinstance(arg, ast.JoinedStr):
-            yield Finding(
-                "FXL013", path, arg.lineno, arg.col_offset,
-                f"f-string metric name in {func.attr}(); register the "
-                f"family in repro.obs.names and build the name with "
-                f"metric_name(family, ...)",
-            )
-            continue
-        elif isinstance(arg, ast.BinOp) and any(
-            isinstance(op, ast.Constant) and isinstance(op.value, str)
-            for op in (arg.left, arg.right)
-        ):
-            yield Finding(
-                "FXL013", path, arg.lineno, arg.col_offset,
-                f"concatenated metric name in {func.attr}(); use "
-                f"metric_name() over a registered family instead",
-            )
-            continue
-        else:
-            continue  # Name/Attribute refs, arrays (np.histogram), ...
-        for value in candidates:
-            if _metric_ok(value, names, roots):
-                continue
-            hint = difflib.get_close_matches(
-                value, sorted(names | frozenset(roots)), n=1
-            )
-            extra = f"; did you mean {hint[0]!r}?" if hint else ""
-            yield Finding(
-                "FXL013", path, arg.lineno, arg.col_offset,
-                f"metric name {value!r} is not registered in the "
-                f"repro.obs.names table{extra}",
-            )
-
-
-# ---------------------------------------------------------------------------
 # FXL009 — exhaustive enum dispatch (cross-file)
 # ---------------------------------------------------------------------------
 
-def check_dispatch(project: ProjectIndex, cfg: LintConfig) -> Iterator[Finding]:
+def check_dispatch(project: ProjectIndex) -> Iterator[Finding]:
     """Every enum member must be referenced by each dispatch surface."""
-    path_suffix, enum_name = cfg.dispatch_enum
+    path_suffix, enum_name = _DISPATCH_ENUM
     enum = project.find_enum(path_suffix, enum_name)
     if enum is None:
         return  # enum not part of the analyzed set
-    for surface in cfg.dispatch_surfaces:
+    for surface in _DISPATCH_SURFACES:
         module = project.module_for_suffix(surface)
         if module is None:
             continue  # surface outside the analyzed set
@@ -556,10 +482,9 @@ def check_dispatch(project: ProjectIndex, cfg: LintConfig) -> Iterator[Finding]:
                 )
 
 
-#: Per-file flow checks, same signature as the FXL001-FXL008 checks.
+#: Per-file flow checks, same signature as the checks in flexlint.py.
 FILE_CHECKS = (
     check_blocking_async,
     check_lock_across_await,
     check_must_release,
-    check_metric_names,
 )

@@ -17,10 +17,9 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from repro.adios.model import WrittenVar
-from repro.analysis import sanitize
 from repro.core.hints import TRANSPORT_RDMA, TRANSPORT_SHM, TRANSPORT_TCP
 from repro.core.resilience import RetryPolicy, TransactionAborted, retry_call
-from repro.obs import recorder as flight
+from repro.obs import recorder as flight, sanitize
 from repro.obs.events import (
     EV_BACKPRESSURE,
     EV_DEGRADE,

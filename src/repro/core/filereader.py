@@ -1,27 +1,37 @@
-"""The offline placement's reader: BP-lite files as a block source.
+"""The offline placement: the file methods, and BP-lite files as a block source.
 
-The file methods (``BP`` and its aliases, ``MPI_AGGREGATE``) read through
-:class:`~repro.core.reader.StepReader` like the stream planes do, so one
-application switches between inline, staged and offline analytics by
-its ``<method>`` line alone.  A step is the index entries with that
+The file methods (``BP`` and its aliases, ``MPI_AGGREGATE``) register
+here, looked up through ``adios/api.py:_METHOD_MODULES`` like the stream
+methods, and read through :class:`~repro.core.reader.StepReader` like
+the stream planes do, so one application switches between inline,
+staged and offline analytics by its ``<method>`` line alone.  A step is the index entries with that
 step, from one file or from every subfile an aggregated run's manifest
 names; a block's bytes are fetched only when a plan scatters from it.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 import numpy as np
 
-from repro.adios.api import EndOfStream, VariableNotFound
-from repro.adios.bp import BpReader, IndexEntry, merge_var_meta
+from repro.adios import aggregate
+from repro.adios.api import (
+    EndOfStream,
+    FileRun,
+    IoMethod,
+    VariableNotFound,
+    WriteHandle,
+    file_run,
+    register_method,
+)
+from repro.adios.bp import BpReader, BpWriter, IndexEntry, merge_var_meta
 from repro.adios.model import VarMeta
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import PluginManager
-from repro.core.reader import StepReader
+from repro.core.reader import BlockSource, StepReader
 from repro.core.redistribution import PlanCache
-from repro.core.stream import BlockSource
 from repro.obs import CURRENT
 
 
@@ -109,3 +119,32 @@ class FileReadHandle(StepReader):
     def close(self) -> None:
         for reader in self.readers:
             reader.close()
+
+
+class BpFileMethod(IoMethod):
+    """ADIOS file mode: variables land in an indexed BP-lite file."""
+
+    def open_write(self, name, group, ctx, spec):
+        path = os.fspath(name)
+        return WriteHandle(file_run(path, lambda: FileRun([BpWriter(path)])), ctx)
+
+    def open_read(self, name, group, ctx, spec):
+        return FileReadHandle([BpReader(name)])
+
+
+class AggregatedBpMethod(IoMethod):
+    """The ``MPI_AGGREGATE`` file method (:mod:`repro.adios.aggregate`)."""
+
+    def open_write(self, name, group, ctx, spec):
+        return aggregate.open_write(name, ctx, spec)
+
+    def open_read(self, name, group, ctx, spec):
+        return FileReadHandle([BpReader(p) for p in aggregate.read_manifest(name)])
+
+
+# Paper: the MPI-IO, HDF5 and NetCDF methods all funnel into the same
+# file substrate.
+for _name in ("BP", "POSIX", "MPI", "HDF5", "NETCDF"):
+    register_method(_name, BpFileMethod)
+register_method("MPI_AGGREGATE", AggregatedBpMethod)
+register_method("AGGREGATE", AggregatedBpMethod)

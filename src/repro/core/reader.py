@@ -41,6 +41,21 @@ def index_blocks(blocks) -> tuple:
     return boxes, datas, gshape, dtype, boxes_key(boxes)
 
 
+class BlockSource:
+    """The one ``blocks`` of every step source, in process, fetched or
+    on disk: :func:`index_blocks` of ``var_blocks(name)``, built
+    once per step into ``block_index`` — every reader rank shares it — and
+    emptied by a source whose arrays start viewing other bytes."""
+
+    __slots__ = ()
+
+    def blocks(self, name: str) -> tuple:
+        found = self.block_index.get(name)
+        if found is None:
+            found = self.block_index[name] = index_blocks(self.var_blocks(name))
+        return found
+
+
 class StepReader(ReadHandle):
     """The one read path of every placement.
 

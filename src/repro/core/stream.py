@@ -32,13 +32,12 @@ from repro.adios.api import (
 from repro.adios.config import MethodSpec
 from repro.adios.model import Group, ProcessGroupData, WrittenVar
 from repro.adios.selection import BoundingBox
-from repro.analysis import sanitize
 from repro.core.directory import CoordinatorInfo, DirectoryError, DirectoryServer
 from repro.core.drain import StepState, _rank_parts, _StepDrainer
 from repro.core.hints import STREAM_METHODS, StreamError, StreamHints
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import PluginManager, PluginSide, ReaderPredicates
-from repro.core.reader import StepReader, index_blocks
+from repro.core.reader import BlockSource, StepReader
 from repro.core.redistribution import (
     CachingOption,
     PlanCache,
@@ -47,28 +46,13 @@ from repro.core.redistribution import (
 )
 from repro.core.resilience import MovementFailed, TransactionAborted
 from repro.core.stepstore import Outcome, StepStore, outcome_error
-from repro.obs import recorder as flight
+from repro.obs import recorder as flight, sanitize
 from repro.obs.events import EV_STEP_BEGIN, EV_STREAM_FAILED
 from repro.transport.faults import injector_from_env, parse_fault_spec
 
 #: Longest a timed ``begin_step`` waits between two probes: a probe of
 #: a stalled stream is what runs the directory's lease reaper.
 _REAP_INTERVAL = 0.05
-
-
-class BlockSource:
-    """The one ``blocks`` of every step source, in process and fetched:
-    :func:`~repro.core.reader.index_blocks` of ``var_blocks(name)``, built
-    once per step into ``block_index`` — every reader rank shares it — and
-    emptied by a source whose arrays start viewing other bytes."""
-
-    __slots__ = ()
-
-    def blocks(self, name: str) -> tuple:
-        found = self.block_index.get(name)
-        if found is None:
-            found = self.block_index[name] = index_blocks(self.var_blocks(name))
-        return found
 
 
 @dataclass

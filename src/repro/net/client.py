@@ -51,7 +51,6 @@ import numpy as np
 from repro.adios.api import IoMethod, RankContext, WriteHandle, register_method
 from repro.adios.model import WrittenVar
 from repro.adios.selection import BoundingBox
-from repro.analysis import sanitize
 from repro.core.api import Client, LocalClient
 from repro.core.directory import DirectoryError, admission_exception
 from repro.core.hints import DAEMON, TENANT, TOKEN_ENV
@@ -60,8 +59,7 @@ from repro.core.plugins import PluginManager, PluginSide
 from repro.core.redistribution import PlanCache
 from repro.core.resilience import RetryPolicy, retry_call
 from repro.core.stepstore import outcome_error
-from repro.core.reader import StepReader
-from repro.core.stream import BlockSource
+from repro.core.reader import BlockSource, StepReader
 from repro.net.protocol import (
     MISS_REPLY,
     Frame,
@@ -73,7 +71,7 @@ from repro.net.protocol import (
     encode_frame,
     encode_var,
 )
-from repro.obs import CURRENT, recorder as flight
+from repro.obs import CURRENT, recorder as flight, sanitize
 from repro.obs.events import (
     EV_NET_CONNECT,
     EV_NET_DISCONNECT,

@@ -49,7 +49,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from repro.adios.api import StepBarrier
-from repro.analysis import sanitize
 from repro.core.directory import (
     AdmissionError,
     CoordinatorInfo,
@@ -80,7 +79,7 @@ from repro.net.protocol import (
     encode_frame,
     encode_record,
 )
-from repro.obs import recorder as flight
+from repro.obs import recorder as flight, sanitize
 from repro.obs.events import (
     EV_NET_CHECKPOINT,
     EV_NET_CONNECT,

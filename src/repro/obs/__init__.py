@@ -22,7 +22,9 @@ And the always-on telemetry plane (DESIGN.md §12):
 * :mod:`repro.obs.snapshot` / :mod:`repro.obs.health` — periodic delta
   snapshots of the metrics registry feeding per-stream SLO verdicts;
 * :mod:`repro.obs.live` — loopback HTTP export: Prometheus text
-  exposition, flight-event JSONL tail, health/stream JSON.
+  exposition, flight-event JSONL tail, health/stream JSON;
+* :mod:`repro.obs.sanitize` — the runtime concurrency sanitizer
+  (``FLEXIO_SANITIZE=1``, DESIGN.md §10), imported by the data plane.
 
 Tracing is off by default (the hot path pays one boolean test).  Enable
 it per monitor (``monitor.enable_tracing()``), per stream via the XML

@@ -74,7 +74,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.adios import Adios, BoundingBox, RankContext, StepStatus, block_decompose
-from repro.analysis import sanitize
 from repro.core.drain import StepState
 from repro.core.hints import STREAM_HINTS, TRANSPORT, stream_params
 from repro.core.plugins import (
@@ -88,7 +87,7 @@ from repro.core.resilience import MovementFailed, RetryPolicy, TransactionAborte
 from repro.core.stream import stream_registry
 from repro.net.client import connect
 from repro.net.server import parse_ready_line
-from repro.obs import recorder as flight
+from repro.obs import recorder as flight, sanitize
 from repro.obs.events import (
     EV_FAULT,
     EV_FLIGHT_DUMP,

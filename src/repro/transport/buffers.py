@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.analysis import sanitize
+from repro.obs import sanitize
 from repro.obs.names import F_TRANSPORT_PATH, metric_name, validate_metric
 from repro.transport.faults import FaultKind, fault_exception, record_injected
 

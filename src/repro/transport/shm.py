@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis import sanitize
+from repro.obs import sanitize
 from repro.obs.names import F_SHM_POOL, F_SHM_QUEUE
 from repro.transport.buffers import (
     COPIES_INLINE,

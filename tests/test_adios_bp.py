@@ -13,7 +13,7 @@ from repro.adios import (
     block_decompose,
 )
 from repro.adios import bp
-from repro.adios.api import BpFileMethod
+from repro.core.filereader import BpFileMethod
 
 
 def open_bp(path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adios import BpReader, BpWriter, RankContext, block_decompose
-from repro.adios.api import BpFileMethod
+from repro.core.filereader import BpFileMethod
 from repro.adios.query import And, Or, QueryError, Range, run_query
 
 

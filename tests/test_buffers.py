@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.analysis import sanitize
-from repro.analysis.sanitize import (
+from repro.obs import sanitize
+from repro.obs.sanitize import (
     LEASE_DOUBLE_RELEASE,
     LEASE_LEAK,
     LEASE_USE_AFTER_RELEASE,

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import sanitize
+from repro.obs import sanitize
 from repro.core.monitoring import PerfMonitor
 from repro.net.client import RECONNECT_FAULTS, _slot
 from repro.net.protocol import ProtocolError

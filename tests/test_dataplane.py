@@ -888,17 +888,17 @@ def read_bands(readers):
 
 
 def test_a_steps_block_index_is_built_once_for_every_reader_rank(monkeypatch):
-    from repro.core import stream
+    from repro.core import reader
 
     built = []
-    index = stream.index_blocks
+    index = reader.index_blocks
 
     def counted(blocks):
         found = index(blocks)
         built.append(len(found[0]))
         return found
 
-    monkeypatch.setattr(stream, "index_blocks", counted)
+    monkeypatch.setattr(reader, "index_blocks", counted)
     readers, _ = mxn_16_to_4("dp.index")
     read_bands(readers)
     assert built == [16] * MXN_STEPS  # one 16-block index per step, not per rank
@@ -1162,7 +1162,7 @@ def test_degraded_stream_ends_on_a_mapped_shm_rung():
 
 
 def test_sanitizer_names_a_writer_that_modifies_a_mapped_array():
-    from repro.analysis import sanitize
+    from repro.obs import sanitize
 
     san = sanitize.enable(fresh=True)
     try:

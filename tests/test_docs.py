@@ -204,3 +204,16 @@ def test_a_planted_stale_name_is_caught() -> None:
     assert stale_members(spans) == ["DCPlugin.apply_twice"]
     assert stale_dotted(spans) == ["repro.core.plugins.NoSuchThing"]
     assert stale_paths(spans) == ["core/no_such_module.py"]
+
+
+def test_design_layer_table_is_the_lint_table() -> None:
+    """DESIGN.md §6 draws the FXL016 layer table, row for row."""
+    from repro.analysis.tables import LAYERS
+
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    section = text.split("\n## 6. Layering\n")[1].split("\n## 7.")[0]
+    drawn = [
+        (row[0], ("*",) if row[1] == "any" else tuple(re.findall(r"`(\w+)`", row[1])))
+        for row in re.findall(r"^\| `(\w+)`[^|]* \| ([^|]+) \|$", section, re.M)
+    ]
+    assert drawn == list(LAYERS.items())

@@ -6,6 +6,7 @@ exercised separately.  The final acceptance check — the repo's own
 ``src/`` tree lints clean — runs the real CLI over the real tree.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -19,7 +20,9 @@ from repro.analysis.flexlint import (
     RULES,
     lint_paths,
     lint_source,
+    project_findings,
 )
+from repro.analysis.tables import REGISTRIES
 from repro.tools import flexlint as cli
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -122,6 +125,18 @@ def test_fxl002_flags_unknown_stream_params_keyword():
     findings = lint(code)
     assert rules_of(findings) == ["FXL002"]
     assert "trasnport" in findings[0].message
+
+
+def test_fxl002_reads_the_key_by_keyword_and_each_branch():
+    code = """
+    def f(spec, x):
+        spec.param(key="cachign")
+        spec.param("cachign" if x else "caching")
+        spec.param_int("queue_depth" if x else "caching", 2)
+    """
+    findings = lint(code)
+    assert [(f.rule, f.line) for f in findings] == [("FXL002", 3), ("FXL002", 4)]
+    assert "caching" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +317,13 @@ def test_fxl006_waiver_with_reason():
 # FXL007 — record() event codes come from the central table
 # ---------------------------------------------------------------------------
 
-#: Fixture event table (decoupled from the real repro.obs.events).
-EVENTS_CFG = LintConfig(event_codes=frozenset({"step.commit", "step.lost"}))
+#: Fixture event table (decoupled from the real repro.obs.events): the
+#: FXL007 row with its own vocabulary.
+EVENTS_CFG = LintConfig(registries=tuple(
+    dataclasses.replace(row, vocab=frozenset({"step.commit", "step.lost"}))
+    if row.rule == "FXL007" else row
+    for row in REGISTRIES
+))
 
 
 def test_fxl007_flags_fstring_literal_typo_and_computed_names():
@@ -361,6 +381,20 @@ def test_fxl007_flags_a_point_event_written_back_as_a_trace_record():
     findings = lint(code)
     assert [(f.rule, f.line) for f in findings] == [("FXL007", 3), ("FXL007", 4)]
     assert "step.lost" in findings[0].message  # the suggestion is its flight twin
+
+
+def test_fxl007_reads_the_code_by_keyword_and_each_branch():
+    """A conditional of two registered codes is two registered codes,
+    not a computed name; a keyword code is read like a positional one."""
+    code = """
+    def f(flight, ok):
+        flight.record(code="made.up")
+        flight.record("step.commit" if ok else "step.lost", stream="s")
+        flight.record("step.commit" if ok else "step.lsot", stream="s")
+    """
+    findings = lint(code, config=EVENTS_CFG)
+    assert [(f.rule, f.line) for f in findings] == [("FXL007", 3), ("FXL007", 5)]
+    assert "step.lost" in findings[1].message
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +545,10 @@ def test_cli_list_rules():
     out = io.StringIO()
     assert cli.main(["--list-rules"], out=out) == 0
     text = out.getvalue()
-    for rule_id in (
-        "FXL001", "FXL002", "FXL003", "FXL004", "FXL005", "FXL006",
-        "FXL007", "FXL008", "FXL009", "FXL010", "FXL011", "FXL012",
-        "FXL013", "FXL014",
-    ):
+    rule_ids = {f"FXL{n:03d}" for n in range(1, 17)}
+    for rule_id in rule_ids:
         assert rule_id in text
-    assert set(RULES) == {
-        "FXL001", "FXL002", "FXL003", "FXL004", "FXL005", "FXL006",
-        "FXL007", "FXL008", "FXL009", "FXL010", "FXL011", "FXL012",
-        "FXL013", "FXL014",
-    }
+    assert set(RULES) == rule_ids
 
 
 def test_cli_show_waived(tmp_path):
@@ -591,14 +618,12 @@ def handle(frame):
 
 
 def test_fxl009_flags_unhandled_enum_member():
-    from repro.analysis.flexlint import project_findings
-
     sources = {
         "repro/net/protocol.py": textwrap.dedent(PROTOCOL_SRC),
         "repro/net/server.py": textwrap.dedent(SURFACE_SRC),
         "repro/net/client.py": textwrap.dedent(SURFACE_SRC),
     }
-    findings = project_findings(sources, LintConfig())
+    findings = project_findings(sources)
     assert findings and {f.rule for f in findings} == {"FXL009"}
     # One finding per surface that misses the member, anchored at the
     # member's definition in the enum file.
@@ -609,8 +634,6 @@ def test_fxl009_flags_unhandled_enum_member():
 
 
 def test_fxl009_clean_when_every_member_dispatched():
-    from repro.analysis.flexlint import project_findings
-
     full = textwrap.dedent(SURFACE_SRC) + (
         "    if frame.msg_type is MsgType.NEW_FANCY:\n        return fancy()\n"
     )
@@ -619,7 +642,7 @@ def test_fxl009_clean_when_every_member_dispatched():
         "repro/net/server.py": full,
         "repro/net/client.py": full,
     }
-    assert project_findings(sources, LintConfig()) == []
+    assert project_findings(sources) == []
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +909,16 @@ def test_fxl013_accepts_registered_names_families_and_nonstrings():
     assert lint(code) == []
 
 
+def test_fxl013_reads_the_name_by_keyword():
+    code = """
+    def f(m, x):
+        m.counter(name="no.such")
+        m.gauge(name="faults.injected.total" if x else "no.such.gauge")
+    """
+    findings = lint(code)
+    assert [(f.rule, f.line) for f in findings] == [("FXL013", 3), ("FXL013", 4)]
+
+
 # ---------------------------------------------------------------------------
 # FXL014 — kernels are invoked only by the plug-in runtime / executor
 # ---------------------------------------------------------------------------
@@ -933,3 +966,94 @@ def test_fxl014_waivable_with_reason():
     findings = lint(code, path="repro/apps/fixture.py")
     assert [f.rule for f in findings] == ["FXL014"]
     assert findings[0].waived
+
+
+# ---------------------------------------------------------------------------
+# FXL015 — state and resources with one owner
+# ---------------------------------------------------------------------------
+
+def test_fxl015_flags_rank_set_writes_and_predicate_combination():
+    """The spellings the tree once used, each caught; a step store's
+    ``ended`` is not a barrier's."""
+    code = """
+    stream.barrier.joined = set(owners)
+    self.barrier.ended.clear()
+    barrier.closed.add(rank)
+    self._prune = combine_predicates(preds)
+    store.ended = 3
+    """
+    findings = lint(code, path="repro/core/fixture.py")
+    assert [(f.rule, f.line) for f in findings] == [("FXL015", n) for n in (2, 3, 4, 5)]
+
+
+def test_fxl015_allows_each_owner_its_own_scope():
+    barrier = """
+    class StepBarrier:
+        def join(self, rank):
+            self.joined.add(rank)
+
+    class FileRun:
+        def restore(self, ranks):
+            self.barrier.joined |= ranks
+    """
+    assert [f.line for f in lint(barrier, path="repro/adios/api.py")] == [8]
+    preds = """
+    class ReaderPredicates:
+        def __init__(self, preds):
+            self.combined = combine_predicates(preds)
+    """
+    assert lint(preds, path="repro/core/plugins.py") == []
+    assert rules_of(lint(preds, path="repro/net/server.py")) == ["FXL015"]
+
+
+def test_fxl015_flags_shared_memory_and_socket_reads_outside_their_rung():
+    code = """
+    import mmap, os
+
+    def f(sock, buf):
+        fd = os.memfd_create("another-pool")
+        view = mmap.mmap(fd, 0)
+        return sock.recv_into(buf), view
+    """
+    findings = lint(code, path="repro/net/fixture.py")
+    assert [(f.rule, f.line) for f in findings] == [("FXL015", n) for n in (5, 6, 7)]
+    assert [f.line for f in lint(code, path="repro/transport/shm.py")] == [7]
+    assert [f.line for f in lint(code, path="repro/transport/tcp.py")] == [5, 6]
+
+
+# ---------------------------------------------------------------------------
+# FXL016 — imports follow the layer table
+# ---------------------------------------------------------------------------
+
+def test_fxl016_flags_a_function_local_import_upward():
+    code = """
+    from repro.adios.bp import BpReader
+    from repro.util import ceil_div
+
+    def open_read(name):
+        from repro.core.filereader import FileReadHandle
+        return FileReadHandle([BpReader(name)])
+    """
+    findings = lint(code, path="repro/adios/fixture.py")
+    assert [(f.rule, f.line) for f in findings] == [("FXL016", 6)]
+    assert "repro.core" in findings[0].message
+
+
+def test_fxl016_resolves_package_names_and_typing_imports():
+    code = """
+    from typing import TYPE_CHECKING
+    from repro import net
+    from repro import connect
+    from repro.obs import sanitize
+    import repro.core.api
+
+    if TYPE_CHECKING:
+        from repro.analysis.flexlint import Finding
+    """
+    findings = lint(code, path="src/repro/transport/fixture.py")
+    assert [(f.rule, f.line) for f in findings] == [("FXL016", n) for n in (3, 4, 6, 9)]
+    assert "imports repro.net," in findings[0].message
+    assert "imports repro," in findings[1].message  # the façade
+    # tools may import any package; a file outside the package has no layer.
+    assert lint(code, path="src/repro/tools/fixture.py") == []
+    assert lint(code, path="tests/fixture.py") == []

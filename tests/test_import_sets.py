@@ -22,20 +22,22 @@ from repro.net.client import connect
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 #: The in-process placement: no daemon, no sockets, no file format, no
-#: telemetry exporter, no offline analysis, no adaptive controller.
+#: telemetry exporter, no offline analysis, no adaptive controller, no
+#: static linter.
 NOT_IN_PROCESS = {
     "asyncio", "ssl", "repro.net.protocol", "repro.net.server",
     "repro.transport.tcp", "repro.transport.rdma", "repro.marshal",
     "repro.adios.bp", "repro.adios.query", "repro.adios.aggregate",
     "repro.obs.live", "repro.obs.analysis", "repro.core.adaptive",
+    "repro.analysis",
 }
 
 #: The daemon with telemetry off: no in-process data plane, no client,
-#: no file format, no HTTP exporter.
+#: no file format, no HTTP exporter, no static linter.
 NOT_IN_DAEMON = {
     "repro.core.stream", "repro.core.drain", "repro.core.reader",
     "repro.net.client", "repro.transport.rdma", "repro.adios.bp",
-    "repro.adios.query", "repro.obs.live",
+    "repro.adios.query", "repro.obs.live", "repro.analysis",
 }
 
 

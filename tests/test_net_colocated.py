@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.adios import BoundingBox, StepNotReady, StepStatus
-from repro.analysis import sanitize
+from repro.obs import sanitize
 from repro.core import PluginSide
 from repro.core.plugins import DCPlugin, range_select_plugin, sampling_plugin
 from repro.core.directory import QuotaExceeded, TenantSpec

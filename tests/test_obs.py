@@ -709,12 +709,13 @@ def test_metric_name_rejects_an_unknown_family_on_every_call():
 
 
 def test_metric_registry_matches_linted_vocabulary():
-    """The FXL013 vocabulary and the runtime registry are the same
-    object: a name the linter accepts is a name the registry knows."""
-    from repro.analysis.flexlint import LintConfig
+    """The FXL013 row reads the runtime registry: a name the linter
+    accepts is a name the registry knows."""
+    from repro.analysis.flexlint import vocabulary
+    from repro.analysis.tables import REGISTRIES
     from repro.obs import names
 
-    cfg = LintConfig()
-    assert cfg.metric_names is None  # linter defaults to the registry
+    row = next(r for r in REGISTRIES if r.rule == "FXL013")
+    assert vocabulary(row) == (names.METRIC_NAMES, names.FAMILY_ROOTS)
     assert "transport.copies" in names.METRIC_NAMES
     assert all(root in names.FAMILIES for root in names.FAMILY_ROOTS)

@@ -28,7 +28,7 @@ import pytest
 
 from repro.adios import AdiosError, BoundingBox, StepStatus, VariableNotFound
 from repro.adios.config import MethodSpec
-from repro.analysis import sanitize
+from repro.obs import sanitize
 from repro.core import PluginManager, PluginSide
 from repro.core.directory import TenantSpec
 from repro.core.hints import StreamHints, defaults

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.adios import Adios, RankContext
-from repro.analysis import sanitize
-from repro.analysis.sanitize import (
+from repro.obs import sanitize
+from repro.obs.sanitize import (
     LOCK_ORDER,
     SPSC_CONSUMER,
     SPSC_PRODUCER,
