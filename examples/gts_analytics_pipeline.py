@@ -9,12 +9,18 @@ chain: particle distribution function, ~20 %-selective range query on
 velocity, and 1-D/2-D histograms saved for parallel-coordinates
 visualization.
 
-The stream runs with ``trace=true``, so every timestep becomes one
-distributed trace: the write span is the root, and the reader's
-redistribute/transport/plug-in spans attach to it across the
-decoupled programs.
+The placement is the ``<method>`` line alone (``--method``,
+``--params``): the same program runs the analytics online through a
+stream (``FLEXPATH``, with ``xpmem=true`` the mapped drain) or offline
+from files (``BP``, ``MPI_AGGREGATE``), and the writer-side codelet
+conditions the output on every one of them.  The stream runs with
+``trace=true``, so every timestep becomes one distributed trace: the
+write span is the root, and the reader's redistribute/transport/plug-in
+spans attach to it across the decoupled programs.
 
 Run:  python examples/gts_analytics_pipeline.py
+      python examples/gts_analytics_pipeline.py --method BP --hist-dir out/bp
+      python examples/gts_analytics_pipeline.py --params "batching=true;trace=true;xpmem=true"
       python examples/gts_analytics_pipeline.py --trace-dir out/
       python -m repro.tools.trace out/gts_trace.jsonl
 """
@@ -29,7 +35,7 @@ import repro
 from repro.adios import BoundingBox
 from repro.apps import GtsAnalytics, GtsConfig, GtsRank
 from repro.core import PluginSide
-from repro.core.hints import stream_params
+from repro.core.hints import STREAM_METHODS, stream_params
 from repro.core.plugins import sampling_plugin
 from repro.util import fmt_bytes
 
@@ -40,10 +46,11 @@ CONFIG = """
     <var name="electron" type="float64" dimensions="n,7"/>
     <var name="phi" type="float64" dimensions="64,64"/>
   </adios-group>
-  <method group="particles" method="FLEXPATH">{params}</method>
+  <method group="particles" method="{method}">{params}</method>
 </adios-config>
-""".format(params=stream_params(batching=True, trace=True))
+"""
 
+STREAM_PARAMS = stream_params(batching=True, trace=True)
 NUM_RANKS = 4
 NUM_STEPS = 3
 PHI_SHAPE = (64, 64)
@@ -51,21 +58,39 @@ PHI_SHAPE = (64, 64)
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--method", default="FLEXPATH",
+                        help="the <method> line's I/O method (FLEXPATH, BP, "
+                             "MPI_AGGREGATE, ...)")
+    parser.add_argument("--params", default=None,
+                        help="the <method> line's parameters (default: "
+                             f"{STREAM_PARAMS!r} on a stream, none on a file)")
+    parser.add_argument("--hist-dir", default=None, metavar="DIR",
+                        help="keep the histogram files here")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="write gts_trace.jsonl + gts_trace.perfetto.json "
                              "and the monitoring report here")
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        run(args, work)
 
-    client = repro.connect("local://", config=CONFIG)
+
+def run(args, work: str) -> None:
+    hist_dir = args.hist_dir or work
+    params = args.params
+    if params is None:
+        params = STREAM_PARAMS if args.method.upper() in STREAM_METHODS else ""
+    client = repro.connect("local://", config=CONFIG.format(method=args.method, params=params))
+    # A file path on a file method, the stream's name on a stream.
+    name = os.path.join(work, "gts.particles")
     cfg = GtsConfig(num_ranks=NUM_RANKS, particles_per_rank=20_000)
 
     # --- Simulation side: write particle output every I/O step ----------
     gts_ranks = [GtsRank(cfg, r) for r in range(NUM_RANKS)]
     writers = [
-        client.open("gts.particles", "w", rank=r, num_ranks=NUM_RANKS)
+        client.open(name, "w", rank=r, num_ranks=NUM_RANKS)
         for r in range(NUM_RANKS)
     ]
-    monitor = writers[0].monitor  # shared by the whole stream (trace=true)
+    monitor = writers[0].monitor  # shared by the whole run
 
     # The analytics ships a sampling codelet to run WRITER-side, cutting
     # what FlexIO must buffer/move by 4x before it leaves the simulation.
@@ -94,8 +119,8 @@ def main(argv=None) -> None:
                 global_shape=PHI_SHAPE,
             )
         for writer in writers:
-            # Async publish: the drainer pushes the step through the shm
-            # channel while the simulation continues.
+            # On a stream the drainer pushes the step through the shm
+            # channel while the simulation continues; a file run writes it.
             writer.end_step()
     for writer in writers:
         writer.close()
@@ -104,18 +129,17 @@ def main(argv=None) -> None:
 
     # --- Analytics side: the paper's chain, process-group pattern -------
     chain = GtsAnalytics(selectivity=0.2)
-    reader = client.open("gts.particles", "r")
+    reader = client.open(name, "r")
 
     def check_phi(rd, step):
         # Global-array read: MxN redistribution of the field grid.
         phi = rd.read("phi")
         assert phi.shape == PHI_SHAPE
 
-    with tempfile.TemporaryDirectory() as tmp:
-        results = chain.run_stream(
-            reader, NUM_RANKS, save_dir=tmp, on_step=check_phi
-        )
-        nfiles = len(os.listdir(tmp))
+    os.makedirs(hist_dir, exist_ok=True)
+    results = chain.run_stream(reader, NUM_RANKS, save_dir=hist_dir, on_step=check_phi)
+    reader.close()
+    nfiles = sum(f.startswith("hist_") for f in os.listdir(hist_dir))
     nsteps = 1 + max(r.step for r in results)
     print(f"analytics processed {chain.steps_processed} process groups over "
           f"{nsteps} steps; wrote {nfiles} histogram files")

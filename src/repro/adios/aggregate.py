@@ -39,7 +39,7 @@ def _subfile(index: int) -> str:
     return f"data.{index}.bp"
 
 
-def _aggregated_run(subdir: str, num_ranks: int, num_aggregators: int) -> FileRun:
+def _aggregated_run(plugins, subdir: str, num_ranks: int, num_aggregators: int) -> FileRun:
     """One subfile per aggregator in ``subdir``; the manifest is written
     once the last rank closes."""
     if num_aggregators < 1:
@@ -64,17 +64,18 @@ def _aggregated_run(subdir: str, num_ranks: int, num_aggregators: int) -> FileRu
             fh.write("\n".join(lines) + "\n")
 
     return FileRun(
+        plugins,
         [BpWriter(os.path.join(subdir, _subfile(a))) for a in range(num_aggregators)],
         aggregator_of,
         write_manifest,
     )
 
 
-def open_write(name, ctx: RankContext, spec: MethodSpec) -> WriteHandle:
+def open_write(name, ctx: RankContext, spec: MethodSpec, plugins) -> WriteHandle:
     """Rank ``ctx``'s handle on the aggregated run writing ``name``."""
     subdir = f"{os.fspath(name)}.dir"
     run = file_run(subdir, lambda: _aggregated_run(
-        subdir, ctx.size, spec.param_int(AGGREGATORS, max(1, ctx.size // 4))
+        plugins(), subdir, ctx.size, spec.param_int(AGGREGATORS, max(1, ctx.size // 4))
     ))
     return WriteHandle(run, ctx)
 

@@ -9,9 +9,10 @@ likewise mode-agnostic: stream readers see ``EndOfStream`` when the writer
 closes, file readers when steps run out.
 
 Writes are one path on every method: each rank writes through a
-:class:`WriteHandle` over the *run* all ranks of a program share —
-the stream's ``StreamState``, or a :class:`FileRun` of BP-lite files —
-and a step ends when that run's :class:`StepBarrier` says so.
+:class:`WriteHandle` over the :class:`Run` all ranks of a program share
+— the stream's ``StreamState``, a :class:`FileRun` of BP-lite files,
+the daemon's ``HostedStream`` — whose :class:`StepBarrier` ends its
+steps and whose writer-side chain conditions them.
 """
 
 from __future__ import annotations
@@ -99,15 +100,11 @@ class RankContext:
 
 
 class WriteHandle:
-    """One rank's write side of a run every rank of the program shares.
-
-    The step-oriented API is ``begin_step() … write() … end_step()``.
-    The run (the stream's ``StreamState``, a file method's
-    :class:`FileRun`, the daemon's run through a rank's data connection)
-    provides ``join(rank)``, ``write(rank, wv)``, ``end_rank_step(rank,
-    **kwargs)`` and ``writer_close(rank)``, and ends its steps by its
-    :class:`StepBarrier`.  Every method refuses alike a handle used after
-    ``close()`` and a block that does not fit its box.
+    """One rank's write side of the :class:`Run` all ranks of a program
+    share (through a rank's data connection on the daemon), showing its
+    ``plugins`` and ``monitor``.  ``begin_step() … write() … end_step()``;
+    every method refuses alike a handle used after ``close()`` and a
+    block that does not fit its box.
     """
 
     _step_open = False
@@ -116,6 +113,8 @@ class WriteHandle:
     def __init__(self, run: Any, ctx: RankContext) -> None:
         self._run = run
         self._ctx = ctx
+        self.plugins = run.plugins
+        self.monitor = run.monitor
         run.join(ctx.rank)
 
     def write(
@@ -125,6 +124,10 @@ class WriteHandle:
         box: Optional[BoundingBox] = None,
         global_shape: Optional[Sequence[int]] = None,
     ) -> None:
+        """Add a block of ``name`` to this rank's open step.  On every
+        method ``data`` is kept, not copied: it is the run's, and must not
+        be modified, until its step ends — on a stream, while the stream
+        retains the step."""
         if self._closed:
             raise AdiosError("write after close")
         if box is not None and tuple(np.shape(data)) != tuple(box.count):
@@ -363,7 +366,7 @@ def _resolve_method(name: str) -> IoMethod:
 
 
 # ---------------------------------------------------------------------------
-# A run's step barrier, and the file methods' runs
+# A run's step barrier, the run, and the file methods' runs
 # ---------------------------------------------------------------------------
 
 class StepBarrier:
@@ -401,7 +404,7 @@ class StepBarrier:
         return self._over() and (pending or bool(self.live))
 
     def fail(self) -> None:
-        """The run failed: its open step is dropped, and who ended it too."""
+        """The run failed: forget who ended its open step."""
         self.ended.clear()
 
     def _over(self) -> bool:
@@ -422,54 +425,99 @@ class StepBarrier:
         return barrier
 
 
-class FileRun:
-    """One run of a file method: the BP-lite files every rank writes.
-
-    ``writers`` is one file, or one subfile per aggregator;
-    ``writer_of(rank)`` indexes the one a rank's blocks go to, and
-    ``finish(run)`` runs once the last rank has closed and every file is
-    complete (the aggregated method writes its manifest there).
+class Run:
+    """What all writer ranks of a program share, on every method: the
+    stream's ``StreamState``, a :class:`FileRun`, the daemon's
+    ``HostedStream``.  A rank's writes wait in ``open_step`` (rank ->
+    entries, in landing order) until the :class:`StepBarrier` ends the
+    step; the host's :meth:`_seal` takes it, ranks in order, and the last
+    rank out calls :meth:`_finish`, even when that seal raised.
+    ``plugins`` (its monitor is the run's) conditions a rank's blocks
+    through :func:`condition`.
     """
 
-    def __init__(
-        self,
-        writers: Sequence[BpWriter],
-        writer_of: Callable[[int], int] = lambda rank: 0,
-        finish: Callable[["FileRun"], None] = lambda run: None,
-    ) -> None:
-        self.writers = list(writers)
-        self.writer_of = writer_of
-        self._finish = finish
+    def __init__(self, plugins: Any) -> None:
+        self.plugins = plugins
+        self.monitor = plugins.monitor
         self.barrier = StepBarrier()
-        self.finished = False
-        for w in self.writers:
-            w.begin_step()
+        self.open_step: dict[int, list] = {}
 
     def join(self, rank: int) -> None:
         self.barrier.join(rank)
 
-    def write(self, rank: int, wv: WrittenVar) -> None:
-        self.writers[self.writer_of(rank)].write(
-            rank, wv.name, wv.data, wv.box, wv.global_shape
-        )
+    def write(self, rank: int, entry: Any) -> None:
+        self.open_step.setdefault(rank, []).append(entry)
 
-    def end_rank_step(self, rank: int) -> None:
+    def end_rank_step(self, rank: int, **seal: Any) -> None:
         if self.barrier.end(rank):
-            self._next_step()
+            self._seal_open(**seal)
 
-    def _next_step(self) -> None:
+    def writer_close(self, rank: int) -> None:
+        try:
+            if self.barrier.close(rank, pending=bool(self.open_step)):
+                self._seal_open()
+        finally:
+            if not self.barrier.live:
+                self._finish()
+
+    def fail(self, reason: str) -> None:
+        """The run failed: its open step is dropped, and who ended it too."""
+        self.open_step = {}
+        self.barrier.fail()
+
+    def _seal_open(self, **seal: Any) -> None:
+        step, self.open_step = self.open_step, {}
+        self._seal(sorted(step.items()), **seal)
+
+    def _seal(self, step: list[tuple[int, list]], **seal: Any) -> None:
+        raise NotImplementedError  # where an ended step, (rank, entries) pairs, goes
+
+    def _finish(self) -> None:
+        raise NotImplementedError  # what ending the run means
+
+
+def condition(plugins: Any, blocks: list[WrittenVar]) -> list[WrittenVar]:
+    """One rank's blocks of a step through the writer-side chain (none:
+    the blocks), for every run's seal and the net writer's publish."""
+    return plugins.condition(blocks) if plugins.conditions else blocks
+
+
+class FileRun(Run):
+    """One run of a file method: the BP-lite files every rank writes.
+
+    ``writers`` is one file, or one subfile per aggregator;
+    ``writer_of(rank)`` indexes the one a rank's blocks go to, and
+    ``on_finish(run)`` runs once the last rank has closed and every file
+    is complete (the aggregated method writes its manifest there).
+    """
+
+    def __init__(
+        self,
+        plugins: Any,
+        writers: Sequence[BpWriter],
+        writer_of: Callable[[int], int] = lambda rank: 0,
+        on_finish: Callable[["FileRun"], None] = lambda run: None,
+    ) -> None:
+        super().__init__(plugins)
+        self.writers = list(writers)
+        self.writer_of = writer_of
+        self.on_finish = on_finish
+        for w in self.writers:
+            w.begin_step()
+
+    def _seal(self, step: list[tuple[int, list]]) -> None:
+        for rank, blocks in step:
+            bp = self.writers[self.writer_of(rank)]
+            for wv in condition(self.plugins, blocks):
+                bp.write(rank, wv.name, wv.data, wv.box, wv.global_shape)
         for w in self.writers:
             w.end_step()
             w.begin_step()
 
-    def writer_close(self, rank: int) -> None:
-        if self.barrier.close(rank, pending=False):
-            self._next_step()
-        if not self.barrier.live:  # closing a file ends its open step
-            for w in self.writers:
-                w.close()
-            self._finish(self)
-            self.finished = True
+    def _finish(self) -> None:
+        for w in self.writers:  # closing a file ends its open step
+            w.close()
+        self.on_finish(self)
 
 
 #: Live file runs by the path they write: every rank opening one path
@@ -478,9 +526,9 @@ _FILE_RUNS: dict[str, FileRun] = {}
 
 
 def file_run(path: str, make: Callable[[], FileRun]) -> FileRun:
-    """The unfinished run writing ``path``, or a new one from ``make()``."""
+    """The run writing ``path`` while one of its ranks is open, else ``make()``."""
     run = _FILE_RUNS.get(path)
-    if run is None or run.finished:
+    if run is None or not run.barrier.live:
         run = _FILE_RUNS[path] = make()
     return run
 

@@ -89,13 +89,6 @@ class ProcessGroupData:
     step: int
     variables: dict[str, WrittenVar] = field(default_factory=dict)
 
-    def add(self, wv: WrittenVar) -> None:
-        if wv.name in self.variables:
-            raise ValueError(
-                f"variable {wv.name!r} written twice in step {self.step} by rank {self.rank}"
-            )
-        self.variables[wv.name] = wv
-
     @property
     def nbytes(self) -> int:
         return sum(v.nbytes for v in self.variables.values())

@@ -55,6 +55,11 @@ OWNERS: tuple[Owner, ...] = (
           ("adios/api.py:StepBarrier",),
           "writes a run's rank sets; StepBarrier's join/end/close/fail/"
           "restore are their one writer"),
+    Owner("FXL015", ("*barrier.join()", "*barrier.end()", "*barrier.close()",
+                     "*barrier.fail()"), ("adios/api.py:Run",),
+          "drives a step barrier outside Run: every run ends its steps by one rule"),
+    Owner("FXL015", ("*.condition()",), ("adios/api.py:condition",),
+          "runs a writer-side chain outside adios.api.condition"),
     Owner("FXL015", ("combine_predicates()", "*.combine_predicates()"),
           ("core/plugins.py:ReaderPredicates",),
           "combines pushdown predicates outside the reader-predicate set, "

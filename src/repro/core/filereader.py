@@ -121,12 +121,17 @@ class FileReadHandle(StepReader):
             reader.close()
 
 
+def _plugins() -> PluginManager:
+    """A new file run's plug-in chain, with the run's own monitor."""
+    return PluginManager(PerfMonitor())
+
+
 class BpFileMethod(IoMethod):
     """ADIOS file mode: variables land in an indexed BP-lite file."""
 
     def open_write(self, name, group, ctx, spec):
         path = os.fspath(name)
-        return WriteHandle(file_run(path, lambda: FileRun([BpWriter(path)])), ctx)
+        return WriteHandle(file_run(path, lambda: FileRun(_plugins(), [BpWriter(path)])), ctx)
 
     def open_read(self, name, group, ctx, spec):
         return FileReadHandle([BpReader(name)])
@@ -136,7 +141,7 @@ class AggregatedBpMethod(IoMethod):
     """The ``MPI_AGGREGATE`` file method (:mod:`repro.adios.aggregate`)."""
 
     def open_write(self, name, group, ctx, spec):
-        return aggregate.open_write(name, ctx, spec)
+        return aggregate.open_write(name, ctx, spec, _plugins)
 
     def open_read(self, name, group, ctx, spec):
         return FileReadHandle([BpReader(p) for p in aggregate.read_manifest(name)])

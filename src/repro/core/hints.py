@@ -122,9 +122,9 @@ _STREAM_SPECS = (
              "Block the writer until the transport drain completes."),
     HintSpec(XPMEM, "bool", False,
              "Mapped drain: the shm channel maps a sealed step's arrays "
-             "instead of staging a copy of them.  On every path an array "
-             "handed to write() must not be modified while the stream "
-             "retains the step; xpmem stops paying for a copy nobody reads."),
+             "instead of staging a copy of them, a copy nobody reads: an "
+             "array handed to write() is the run's while the stream retains "
+             "the step (WriteHandle.write)."),
     HintSpec(TRACE, "bool", False,
              "Enable span tracing on the stream's monitor."),
     HintSpec(QUEUE_DEPTH, "int", 2,

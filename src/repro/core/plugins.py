@@ -671,6 +671,8 @@ class PluginManager:
         self.monitor = monitor
         self._chain: list[DCPlugin] = []
         self._version = 0
+        #: A codelet runs writer-side: :meth:`condition` is not a no-op.
+        self.conditions = False
         self._compiled: dict[PluginSide, tuple[int, Optional[CompiledChain]]] = {}
 
     # ------------------------------------------------------------------
@@ -679,14 +681,15 @@ class PluginManager:
             raise CodeletError(f"plug-in {plugin.name!r} already deployed")
         plugin.side = side
         self._chain.append(plugin)
-        self._version += 1
+        self._changed()
         return plugin
 
     def undeploy(self, name: str) -> DCPlugin:
         for i, p in enumerate(self._chain):
             if p.name == name:
-                self._version += 1
-                return self._chain.pop(i)
+                plugin = self._chain.pop(i)
+                self._changed()
+                return plugin
         raise CodeletError(f"no plug-in {name!r} deployed")
 
     def migrate(self, name: str, to_side: PluginSide) -> DCPlugin:
@@ -697,7 +700,7 @@ class PluginManager:
             if p.name == name:
                 if p.side != to_side:
                     p.side = to_side
-                    self._version += 1
+                    self._changed()
                     if self.monitor is not None:
                         self.monitor.metrics.counter(M_PLUGIN_MIGRATIONS).inc()
                 return p
@@ -712,6 +715,11 @@ class PluginManager:
         """True when at least one plug-in is installed on ``side`` —
         the no-plugin fast path check (skips the dict round-trip)."""
         return any(p.side == side for p in self._chain)
+
+    def _changed(self) -> None:
+        """The chain changed: a new generation, and is it writer-side?"""
+        self._version += 1
+        self.conditions = self.has_side(PluginSide.WRITER)
 
     # -- compiled form --------------------------------------------------
     def compiled_chain(self, side: PluginSide) -> Optional[CompiledChain]:
@@ -746,8 +754,8 @@ class PluginManager:
         return out
 
     def condition(self, written: Iterable[WrittenVar]) -> list[WrittenVar]:
-        """The writer-side chain over one writer's step — the one step
-        both the in-process seal and the net writer run.
+        """The writer-side chain over one writer's step; every run calls
+        it through :func:`repro.adios.api.condition`.
 
         The chain sees one record per block of a name: a writer's k-th
         block of each name goes into record k, as k in-process ranks

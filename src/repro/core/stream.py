@@ -25,8 +25,9 @@ from typing import Optional
 from repro.adios.api import (
     IoMethod,
     RankContext,
-    StepBarrier,
+    Run,
     WriteHandle,
+    condition,
     register_method,
 )
 from repro.adios.config import MethodSpec
@@ -101,10 +102,10 @@ class _PublishedStep(BlockSource):
         return {n: wv.data for n, wv in pg.variables.items()}
 
 
-class StreamState:
-    """Shared state of one named stream: buffered steps + membership, the
-    stream's run under :class:`~repro.adios.api.WriteHandle` (the drain
-    thread behind it is a :class:`~repro.core.drain._StepDrainer`)."""
+class StreamState(Run):
+    """Shared state of one named stream: its run of buffered steps (the
+    drain thread behind it is a :class:`~repro.core.drain._StepDrainer`)
+    and its readers' side."""
 
     def __init__(
         self,
@@ -116,19 +117,17 @@ class StreamState:
         self.hints = hints or StreamHints()
         # An untraced stream's own monitor keeps no per-record list (its
         # aggregates and metrics are fed either way); a caller's is theirs.
-        self.monitor = monitor or PerfMonitor(keep_trace=self.hints.trace)
+        monitor = monitor or PerfMonitor(keep_trace=self.hints.trace)
         if self.hints.trace:
-            self.monitor.enable_tracing()
-        self.plugins = PluginManager(self.monitor)
+            monitor.enable_tracing()
+        super().__init__(PluginManager(monitor))
         #: Every step's outcome (a :class:`_PublishedStep`, delivered or
         #: lost) and how the stream ended; nothing is evicted in process.
         self.store = StepStore()
         #: Notified when a step's outcome is appended to ``store`` or
         #: the stream ends; its lock guards every call into the store.
         self._committed = threading.Condition(sanitize.make_lock("stream.publish"))
-        self._current: dict[int, ProcessGroupData] = {}
         self._step = 0
-        self.barrier = StepBarrier()
         #: Pushdown readers' block predicates: what the drain may skip.
         self.readers = ReaderPredicates()
         self._drainer: Optional[_StepDrainer] = None
@@ -189,26 +188,21 @@ class StreamState:
             drainer._close_channel()  # wedged or not
 
     # -- writer side --------------------------------------------------------
-    def join(self, rank: int) -> None:
-        self.barrier.join(rank)
-
     def write(self, rank: int, wv: WrittenVar) -> None:
         if self.closed:
             raise StreamError(f"write on ended stream {self.name!r}")
-        pg = self._current.get(rank)
-        if pg is None:
-            pg = ProcessGroupData(rank=rank, step=self._step)
-            self._current[rank] = pg
-        pg.add(wv)
+        written = self.open_step.get(rank)
+        if written and any(b.name == wv.name for b in written):
+            raise ValueError(f"variable {wv.name!r} written twice in step {self._step}")
+        super().write(rank, wv)
 
     def end_rank_step(self, rank: int, sync: Optional[bool] = None) -> None:
         if self.closed:
             raise StreamError(f"end_step on ended stream {self.name!r}: {self.error}")
-        if self.barrier.end(rank):
-            self._publish(sync=sync)
+        super().end_rank_step(rank, sync=sync)
 
-    def _publish(self, sync: Optional[bool] = None) -> None:
-        """Seal the current step, hand it to the drain pipeline.
+    def _seal(self, blocks: list[tuple[int, list]], sync: Optional[bool] = None) -> None:
+        """Hand the ended step to the drain pipeline.
 
         ``sync=True`` blocks until the step has cleared the transport
         (paper's synchronous writes); ``sync=False`` returns as soon as
@@ -224,18 +218,14 @@ class StreamState:
         with self.monitor.measure(
             "writer_visible", self.name, parent=None, step=self._step, sync=bool(sync)
         ) as vis:
-            # Root span of this timestep's trace: everything downstream
-            # (the reader's redistribute/transport/plug-in spans and the
-            # drainer's channel spans) parents on it.
+            # Root span of this timestep's trace: the writer-side chain
+            # and everything downstream parent on it.
             with self.monitor.span("write", self.name, step=self._step) as wspan:
-                # No writer-side chain: the sealed step reuses the
-                # written groups directly (no per-variable rewrap).
-                conditioning = self.plugins.has_side(PluginSide.WRITER)
-                for rank, pg in sorted(self._current.items()):
-                    if conditioning:
-                        written = self.plugins.condition(pg.variables.values())
-                        pg = ProcessGroupData(rank, pg.step, {wv.name: wv for wv in written})
-                    step.groups[rank] = pg
+                for rank, written in blocks:
+                    step.groups[rank] = ProcessGroupData(
+                        rank, self._step,
+                        {wv.name: wv for wv in condition(self.plugins, written)},
+                    )
                 wire = _rank_parts(
                     step, predicate=self.readers.combined, metrics=self.monitor.metrics
                 )
@@ -250,7 +240,6 @@ class StreamState:
             self._drainer.submit(step, wire)
             if sync:
                 self._drainer.wait_idle()
-        self._current = {}
         self._step += 1
         if self._directory is not None:
             # Liveness signal for the lease-based failure detector; a
@@ -272,20 +261,17 @@ class StreamState:
             )
 
     def writer_close(self, rank: int) -> None:
-        # The last rank out publishes any partial step implicitly; a rank
-        # the live ranks were all waiting for seals the step, as their
-        # last end_step would have.  Its writes go in either way.
-        if self.barrier.close(rank, pending=bool(self._current)):
-            try:
-                self._publish()
-            except (MovementFailed, TransactionAborted):
-                pass  # close never raises; the loss is already recorded
-        if not self.barrier.live:
-            self._quiesce()
-            with self._committed:
-                if not self.store.closed:  # a failed stream stays failed
-                    self.store.end()
-            self.shutdown_pipeline()
+        try:
+            super().writer_close(rank)
+        except (MovementFailed, TransactionAborted):
+            pass  # close never raises; the loss is already recorded
+
+    def _finish(self) -> None:
+        self._quiesce()
+        with self._committed:
+            if not self.store.closed:  # a failed stream stays failed
+                self.store.end()
+        self.shutdown_pipeline()
 
     def fail(self, reason: str) -> None:
         """End the stream abnormally (writer death / lease expiry).
@@ -300,8 +286,7 @@ class StreamState:
             if self.store.closed:
                 return
             self.store.fail(reason)
-        self._current = {}
-        self.barrier.fail()
+        super().fail(reason)
         self.monitor.metrics.counter("dataplane.stream.failures").inc()
         flight.record(EV_STREAM_FAILED, stream=self.name, reason=reason)
         flight.dump_on_fault(
@@ -411,21 +396,11 @@ stream_registry = StreamRegistry()
 # ---------------------------------------------------------------------------
 
 class FlexpathWriteHandle(WriteHandle):
-    """Stream-mode writer for one rank: the shared rank handle over the
-    stream's :class:`StreamState`, plus its plug-ins and monitor.
-
-    Step-oriented usage: ``begin_step() … write() … end_step()``;
-    ``end_step(sync=True)`` forces one synchronous publish regardless of
-    the stream's ``sync`` hint.  The name stays registered after
-    ``close()``, so readers can still resolve the stream and drain
-    buffered steps; EndOfStream tells them it ended.
-    """
-
-    def __init__(self, state: StreamState, ctx: RankContext) -> None:
-        super().__init__(state, ctx)
-        self.plugins = state.plugins
-        #: The stream's shared monitor (enable tracing / dump here).
-        self.monitor = state.monitor
+    """Stream-mode writer for one rank over the stream's
+    :class:`StreamState`.  ``end_step(sync=True)`` forces one synchronous
+    publish regardless of the ``sync`` hint.  The name stays registered
+    after ``close()``: readers still drain buffered steps, then see
+    EndOfStream."""
 
 
 class FlexpathReadHandle(StepReader):

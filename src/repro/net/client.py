@@ -48,14 +48,14 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from repro.adios.api import IoMethod, RankContext, WriteHandle, register_method
+from repro.adios.api import IoMethod, RankContext, WriteHandle, condition, register_method
 from repro.adios.model import WrittenVar
 from repro.adios.selection import BoundingBox
 from repro.core.api import Client, LocalClient
 from repro.core.directory import DirectoryError, admission_exception
 from repro.core.hints import DAEMON, TENANT, TOKEN_ENV
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import PluginManager, PluginSide
+from repro.core.plugins import PluginManager
 from repro.core.redistribution import PlanCache
 from repro.core.resilience import RetryPolicy, retry_call
 from repro.core.stepstore import outcome_error
@@ -310,10 +310,11 @@ class RemoteClient(Client):
         self.resumed = False
         #: Pool generations this session has mapped, alive while a handle uses them.
         self._pools: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        #: The stream handles this session opened and has not seen close:
+        #: The stream handles this session opened and has not seen close,
+        #: by what reports their close (a reader, a writer's run link):
         #: its close closes them.  A session a staging ``<method>`` line
         #: opened for one handle (``_solo``) closes with that handle.
-        self._handles: list = []
+        self._handles: dict = {}
         self._solo = False
         self._retry_exhausted(self._dial, "connect")
         flight.record(EV_NET_CONNECT, tenant=tenant, client=client_name)
@@ -511,11 +512,11 @@ class RemoteClient(Client):
         flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode,
                       tenant=self.tenant)
         if mode == "w":
-            handle = NetWriteHandle(_RunLink(self, stream_id, channel, name),
-                                    RankContext(rank, num_ranks))
+            link = _RunLink(self, stream_id, channel, name)
+            self._handles[link] = handle = NetWriteHandle(link, RankContext(rank, num_ranks))
         else:
             handle = NetReadHandle(self, stream_id, channel, name=name, pushdown=pushdown)
-        self._handles.append(handle)
+            self._handles[handle] = handle
         return handle
 
     def _attach(self, stream_id: str, role: str,
@@ -571,8 +572,8 @@ class RemoteClient(Client):
         if self._closed:
             return
         self._closed = True
-        handles, self._handles = self._handles, []
-        for handle in handles:
+        handles, self._handles = self._handles, {}
+        for handle in handles.values():
             try:
                 handle.close()
             except (TransportFault, ProtocolError, DirectoryError):
@@ -593,9 +594,8 @@ class RemoteClient(Client):
             self._control.close()
         flight.record(EV_NET_DISCONNECT, tenant=self.tenant)
 
-    def _handle_closed(self, handle) -> None:
-        if handle in self._handles:
-            self._handles.remove(handle)
+    def _handle_closed(self, closer) -> None:
+        self._handles.pop(closer, None)
         if self._solo and not self._closed:
             self.close()
 
@@ -627,21 +627,14 @@ def _var_record(wv: WrittenVar, rank: int, stats: bool) -> dict:
     }
 
 
-def _written(rec: dict) -> WrittenVar:
-    """A ``net.var`` record as the block the writer wrote."""
-    box = BoundingBox(tuple(rec["start"]), tuple(rec["shape"])) if rec["start"] else None
-    return WrittenVar(rec["name"], rec["data"], box, tuple(rec["gshape"]) or None)
-
-
 class _RunLink:
     """One writer rank's end of the daemon's run: its data connection.
 
-    The run — its steps and the :class:`~repro.adios.api.StepBarrier`
-    that ends them — is the daemon's ``HostedStream``; this is what the
-    rank handle drives in its place.  ``write`` keeps the rank's blocks of
-    its open step, ``end_rank_step`` sends them as one PUBLISH (the
-    header, then one ``net.var`` message per block, or a slot reference)
-    and waits for the acknowledgement, ``writer_close`` sends the last one
+    The run is the daemon's ``HostedStream``; this is what the rank
+    handle drives in its place.  ``write`` keeps the rank's blocks of its
+    open step, ``end_rank_step`` conditions them (:func:`condition`) and
+    sends them as one PUBLISH (the header, then one ``net.var`` message
+    per block, or a slot reference), ``writer_close`` sends the last one
     with ``eos``.  Resume, republish and the publish sequence are this
     connection's: the daemon suppresses any republished ``seq`` it has
     already applied, so a retried PUBLISH (lost ack) never lands twice.
@@ -655,21 +648,18 @@ class _RunLink:
         self._channel = channel
         self._step = 0
         self._publish_seq = 0
-        #: The rank's blocks of its open step, as ``net.var`` records.
-        self._records: list[dict] = []
+        #: The rank's blocks of its open step.
+        self._blocks: list[WrittenVar] = []
         self._pool = None  # the pool generation this rank has mapped (_slot)
-        #: Writer-side plug-in chain: codelets deployed here condition
-        #: the rank's step before it leaves the client (the paper's
-        #: writer-placed analytics for the network deployment shape), by
-        #: the same :meth:`~repro.core.plugins.PluginManager.condition` an
-        #: in-process stream seals its steps with.
+        #: The rank's writer-side chain, on its session's monitor.
         self.plugins = PluginManager(client.monitor)
+        self.monitor = client.monitor
 
     def join(self, rank: int) -> None:
         """Nothing to do: the rank joined the run at its OPEN."""
 
     def write(self, rank: int, wv: WrittenVar) -> None:
-        self._records.append(_var_record(wv, rank, self._channel.stats))
+        self._blocks.append(wv)
 
     def _publish_once(self, record: dict, run: list) -> None:
         seq = next(self._client._frame_seq)
@@ -695,11 +685,9 @@ class _RunLink:
         self._publish(rank, eos=False)
 
     def _publish(self, rank: int, eos: bool) -> None:
-        records = self._records  # kept until acknowledged: a refused step is sent again
-        if self.plugins.has_side(PluginSide.WRITER):
-            # The chain's outputs are sent (and stamped) in the blocks' place.
-            records = [_var_record(wv, rank, self._channel.stats)
-                       for wv in self.plugins.condition(map(_written, records))]
+        # The blocks are kept until acknowledged: a refused step is sent again.
+        records = [_var_record(wv, rank, self._channel.stats)
+                   for wv in condition(self.plugins, self._blocks)]
         # Per block: head span, then the array itself.
         run = [part for rec in records for part in encode_var(rec)]
         seq = self._publish_seq + 1
@@ -715,7 +703,7 @@ class _RunLink:
             f"PUBLISH step {self._step}", on_retry=reattach,
         )
         self._publish_seq = seq
-        self._records = []
+        self._blocks = []
         self._step += 1
 
     def writer_close(self, rank: int) -> None:
@@ -726,31 +714,15 @@ class _RunLink:
             self._publish(rank, eos=True)
         finally:
             self._channel.close()
+            self._client._handle_closed(self)
 
 
 class NetWriteHandle(WriteHandle):
-    """Writer side of one remote stream: one rank of the daemon's run.
-
-    The shared rank handle over a :class:`_RunLink` — one data connection
-    per writer rank.  ``end_step`` publishes the rank's blocks as one
-    vectored frame (no client-side join) and waits for the broker's
-    acknowledgement: a quota rejection surfaces as the typed
-    :class:`~repro.core.directory.QuotaExceeded` right at the step
-    boundary that exceeded it.  The step ends when every rank of the run
-    has ended it, by the daemon's :class:`~repro.adios.api.StepBarrier`.
-    """
-
-    def __init__(self, link: _RunLink, ctx: RankContext) -> None:
-        super().__init__(link, ctx)
-        self.stream_id = link.stream_id
-        self.name = link.name
-        self.plugins = link.plugins
-
-    def close(self) -> None:
-        try:
-            super().close()
-        finally:
-            self._run._client._handle_closed(self)
+    """One rank of the daemon's run: the shared rank handle over its
+    :class:`_RunLink`.  ``end_step`` waits for the broker's
+    acknowledgement, so a quota rejection surfaces as the typed
+    :class:`~repro.core.directory.QuotaExceeded` at the step boundary
+    that exceeded it."""
 
 
 class _CachedStep(BlockSource):

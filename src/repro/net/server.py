@@ -42,13 +42,12 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.adios.api import StepBarrier
+from repro.adios.api import Run, StepBarrier
 from repro.core.directory import (
     AdmissionError,
     CoordinatorInfo,
@@ -57,7 +56,7 @@ from repro.core.directory import (
     TenantSpec,
 )
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import CodeletError, ReaderPredicates, parse_predicate
+from repro.core.plugins import CodeletError, PluginManager, ReaderPredicates, parse_predicate
 from repro.core.stepstore import Outcome, StepStore
 from repro.net.protocol import (
     CKPT_HEAD,
@@ -272,15 +271,13 @@ class _Hold(NamedTuple):
     end: Callable
 
 
-class HostedStream:
+class HostedStream(Run):
     """One named stream brokered by the daemon: the run its writer ranks share.
 
     Each writer rank is one data connection.  A rank joins at its OPEN
-    (:meth:`join`), and every PUBLISH lands that rank's ``net.var`` run of
-    the open step (:meth:`publish`); the step is appended to ``store`` when
-    the run's :class:`~repro.adios.api.StepBarrier` ends it — the rule
-    every in-process and file run ends its steps by — and a rank's close
-    (a PUBLISH with ``eos``) goes through the same barrier.
+    (:meth:`join`); each PUBLISH lands its ``net.var`` run of the open
+    step, ``(var count, run)``, and ends or closes the rank
+    (:meth:`publish`), by the rule of every run.
 
     Duck-typed like an in-process stream state (``monitor``, ``closed``,
     ``error``, ``active_transport``) so the live-telemetry server and
@@ -292,7 +289,7 @@ class HostedStream:
         self.tenant = tenant
         self.name = name
         self.stream_id = f"{tenant}/{name}"
-        self.monitor = PerfMonitor()
+        super().__init__(PluginManager(PerfMonitor()))
         #: ``shm`` while the latest step sits in a pool slot.
         self.active_transport = "tcp"
         #: step -> (var count, the step's runs: one rank's — a uint8 view of
@@ -301,11 +298,8 @@ class HostedStream:
         #: ranks' in rank order); what a reader is told about any step is
         #: this store's ``lookup``.
         self.store = StepStore(retain=int(retain_steps))
-        #: The writer ranks, and each joined rank's owning session.
-        self.barrier = StepBarrier()
+        #: Each joined writer rank's owning session.
         self.owners: dict[int, str] = {}
-        #: ``(rank, var count, run)`` landed for the open step, in order.
-        self.open_runs: list[tuple[int, int, "np.ndarray | bytes"]] = []
         #: Names of which a pruned run of the open step kept a block.
         self.shown: set[str] = set()
         #: Per writer rank, the highest publish sequence number applied;
@@ -346,7 +340,7 @@ class HostedStream:
         owner = self.owners.setdefault(rank, session)
         if owner != session or rank in self.barrier.closed:
             raise DirectoryError(f"writer rank {rank} of {self.stream_id!r} is already open")
-        self.barrier.join(rank)
+        super().join(rank)
 
     def publish(self, step: int, count: int, payload: "np.ndarray | bytes",
                 eos: bool, seq: int = 0, slot: Optional[tuple] = None,
@@ -382,28 +376,21 @@ class HostedStream:
         elif slot is not None:
             self.give_back(*slot)
         if count:  # a rank that wrote nothing lands no run
-            self.open_runs.append((rank, count, payload))
-        if not eos:
-            if self.barrier.end(rank):
-                self._seal()
-            return True
-        if self.barrier.close(rank, pending=bool(self.open_runs)):
-            self._seal()
-        if not self.barrier.live:
-            self.store.end()
-            self.wake()
+            self.write(rank, (count, payload))
+        if eos:
+            self.writer_close(rank)
+        else:
+            self.end_rank_step(rank)
         return True
 
-    def _seal(self) -> None:
-        """The barrier ended the open step: append it, its runs in rank order."""
-        runs, self.open_runs, self.shown = self.open_runs, [], set()
-        runs.sort(key=itemgetter(0))  # by rank; a rank's own runs stay in landing order
-        if len(runs) == 1:
-            _, count, payload = runs[0]  # stored as it landed
-            nbytes = len(payload)
-        else:
-            count, payload = sum(run[1] for run in runs), tuple(run[2] for run in runs)
-            nbytes = sum(map(len, payload))
+    def _seal(self, step_runs: list[tuple[int, list]]) -> None:
+        """Append the ended step, its runs in rank order (a rank's own in
+        landing order)."""
+        self.shown = set()
+        runs = [run for _, rank_runs in step_runs for run in rank_runs]
+        count, nbytes = sum(c for c, _ in runs), sum(len(p) for _, p in runs)
+        # One run is stored as it landed.
+        payload = runs[0][1] if len(runs) == 1 else tuple(p for _, p in runs)
         step = self.store.last + 1
         self.store.append(step, (count, payload), nbytes)
         self.active_transport = "tcp" if self.slot_of(payload) is None else "shm"
@@ -412,6 +399,10 @@ class HostedStream:
         self.gauge("net.retained_steps").set(len(self.store))
         flight.record(EV_NET_STEP_PUBLISH, stream=self.stream_id, step=step, nbytes=nbytes)
         self.wake()  # last: a slot-backed step is answered by reference
+
+    def _finish(self) -> None:
+        self.store.end()
+        self.wake()
 
     def fetch(self, step: int) -> Optional[tuple[int, "np.ndarray | bytes"]]:
         """Step ``step``'s ``(var count, runs)``, counted as served;
@@ -478,8 +469,7 @@ class HostedStream:
         The open step is dropped with the runs landed for it: no reader
         sees a step missing a rank."""
         self.store.fail(reason)
-        self.open_runs = []
-        self.barrier.fail()
+        super().fail(reason)
         self.wake()
 
     def wake(self, drain: bool = False) -> None:
@@ -1270,7 +1260,7 @@ class DirectoryDaemon:
                 "ranks": list(stream.owners), "owners": ",".join(stream.owners.values()),
                 "closed": barrier["closed"], "ended": barrier["ended"],
                 "seqs": [n for pair in stream.last_seq.items() for n in pair],
-                "open": len(stream.open_runs),
+                "open": sum(map(len, stream.open_step.values())),
             }))
             # ``publish`` is the store's only appender: no entry is lost.
             for step, (count, payload), _nbytes, _lost in snap["steps"]:
@@ -1278,10 +1268,12 @@ class DirectoryDaemon:
                     "step": step, "count": count,
                     "payload": np.frombuffer(b"".join(step_runs(payload)), dtype=np.uint8),
                 }))
-            for rank, count, run in stream.open_runs:
-                parts.append(encode_record(CKPT_RUN, {
-                    "rank": rank, "count": count, "payload": np.frombuffer(run, dtype=np.uint8),
-                }))
+            for rank, runs in stream.open_step.items():
+                for count, run in runs:
+                    parts.append(encode_record(CKPT_RUN, {
+                        "rank": rank, "count": count,
+                        "payload": np.frombuffer(run, dtype=np.uint8),
+                    }))
         return b"".join(p.tobytes() for p in parts)
 
     def restore(self, path: Optional[str] = None) -> None:
@@ -1351,8 +1343,8 @@ class DirectoryDaemon:
                     {"joined": stream.owners, "closed": rec["closed"], "ended": rec["ended"]})
                 seqs = [int(n) for n in rec["seqs"]]
                 stream.last_seq = dict(zip(seqs[::2], seqs[1::2]))
-                stream.open_runs = [(int(r["rank"]), count, payload)
-                                    for r, count, payload in held[n_steps:]]
+                for r, count, payload in held[n_steps:]:
+                    stream.write(int(r["rank"]), (count, payload))
                 stream.store = StepStore.restore({
                     "retain": int(rec["retain"]), "last": int(rec["last_step"]),
                     "ended": None if rec["eos_step"] < 0 else int(rec["eos_step"]),

@@ -377,7 +377,7 @@ def test_lease_expiry_ends_stream_with_error_not_stall():
     assert r.begin_step() is StepStatus.OtherError  # lease expired -> failure
     state = stream_registry._states["s"]
     assert state.closed and "lease expired" in state.error
-    assert state._current == {}                     # partial step discarded
+    assert state.open_step == {}                    # partial step discarded
     assert stream_registry.directory.evictions == 1
     assert state.monitor.metrics.counter("dataplane.stream.failures").value == 1
     # The failure is also idempotent and terminal:

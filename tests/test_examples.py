@@ -4,6 +4,7 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core import stream_registry
@@ -48,6 +49,42 @@ def test_gts_analytics_pipeline(capsys):
     out = run_example("gts_analytics_pipeline", capsys=capsys)
     assert "selectivity" in out
     assert "20" in out
+
+
+#: The GTS pipeline's placements: a ``<method>`` line each, nothing else.
+GTS_METHODS = {
+    "stream": ["--method", "FLEXPATH"],
+    "stream_xpmem": ["--method", "FLEXPATH", "--params", "batching=true;trace=true;xpmem=true"],
+    "file": ["--method", "BP"],
+    "aggregated_files": ["--method", "MPI_AGGREGATE"],
+}
+
+
+def _histograms(hist_dir) -> dict:
+    """Every histogram file's arrays as bytes (the ``.npz`` zip members
+    carry their write time; the arrays are what the analytics made)."""
+    out = {}
+    for f in sorted(os.listdir(hist_dir)):
+        with np.load(os.path.join(hist_dir, f)) as z:
+            out[f] = {k: (z[k].dtype.str, z[k].shape, z[k].tobytes()) for k in z.files}
+    return out
+
+
+def test_gts_pipeline_gives_the_same_histograms_on_every_method(capsys, tmp_path):
+    """The paper's claim on the shipped application: the writer-side
+    sampler and the analytics chain move by the ``<method>`` line alone,
+    and every placement yields the same histograms and selectivity."""
+    got = {}
+    for placement, argv in GTS_METHODS.items():
+        hist_dir = tmp_path / placement
+        out = run_example("gts_analytics_pipeline", [*argv, "--hist-dir", str(hist_dir)], capsys)
+        assert "DC plug-in reduction ratio: 0.25" in out, placement
+        assert "range-query selectivity: 20.0%" in out, placement
+        got[placement] = _histograms(hist_dir)
+    stream = got.pop("stream")
+    assert len(stream) == 12
+    for placement, hists in got.items():
+        assert hists == stream, placement
 
 
 def test_s3d_insitu_viz(capsys, tmp_path):

@@ -1006,6 +1006,35 @@ def test_fxl015_allows_each_owner_its_own_scope():
     assert rules_of(lint(preds, path="repro/net/server.py")) == ["FXL015"]
 
 
+def test_fxl015_keeps_the_step_barrier_protocol_and_the_chain_in_run():
+    """A fourth run cannot write the barrier protocol out again, nor run
+    a writer-side chain of its own: both belong to ``adios/api.py``'s
+    ``Run`` and ``condition``."""
+    code = """
+    class Run:
+        def end_rank_step(self, rank):
+            if self.barrier.end(rank):
+                self._seal_open()
+
+    def condition(plugins, blocks):
+        return plugins.condition(blocks)
+
+    class FourthRun:
+        def join(self, rank):
+            self.barrier.join(rank)
+
+        def writer_close(self, rank):
+            if self.barrier.close(rank, pending=False):
+                self.barrier.fail()
+            blocks = self.plugins.condition(self.blocks)
+    """
+    assert [f.line for f in lint(code, path="repro/adios/api.py")] == [12, 15, 16, 17]
+    findings = lint(code, path="repro/net/fixture.py")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("FXL015", n) for n in (4, 8, 12, 15, 16, 17)]
+    assert "one rule" in findings[0].message
+
+
 def test_fxl015_flags_shared_memory_and_socket_reads_outside_their_rung():
     code = """
     import mmap, os

@@ -354,7 +354,7 @@ def test_data_path_reconnect_holds_the_session_lock(daemon, monkeypatch):
             t.join(timeout=2.0)
 
         monkeypatch.setattr(c, "_dial", probe)
-        w._run._channel = c._reattach(1, PeerDisconnected("test"), w.stream_id, "w",
+        w._run._channel = c._reattach(1, PeerDisconnected("test"), w._run.stream_id, "w",
                                       w._run._channel)
         assert free == [False]
         w.close()
@@ -700,7 +700,7 @@ def test_checkpoint_mid_step_restores_the_open_step(tmp_path, rank0_closes):
     for rank in (0, 1):
         hs.join(rank, "s1")
     assert hs.publish(0, 1, b"rank0", rank0_closes, seq=1, rank=0)
-    assert hs.store.last == -1 and len(hs.open_runs) == 1  # the step is open
+    assert hs.store.last == -1 and len(hs.open_step) == 1  # the step is open
     path = d.checkpoint(str(tmp_path / "mid.ckpt"))
 
     d2 = DirectoryDaemon(tenants=tenants, telemetry=False)
@@ -943,7 +943,8 @@ def fetch_log(monkeypatch):
 
 
 def hosted_of(daemon, handle) -> HostedStream:
-    return daemon._streams[handle.stream_id]
+    """The daemon's run behind a reader, or behind a writer's run link."""
+    return daemon._streams[getattr(handle, "_run", handle).stream_id]
 
 
 def wait_parked(hosted, n=1, within=2.0):
@@ -1100,7 +1101,7 @@ def test_parked_reader_woken_for_an_earlier_step_parks_again(daemon):
     with connect(uri(daemon), token="s3cret") as c:
         w = c.open("held.earlier", "w")
         hosted = hosted_of(daemon, w)
-        ch = attach_raw(c, w.stream_id)
+        ch = attach_raw(c, w._run.stream_id)
         raw_fetch(ch, 1, 2.0)
         wait_parked(hosted)
         write_step(w, 0)  # wakes it — for a step it did not ask for
@@ -1168,7 +1169,7 @@ def test_absurd_wait_is_clamped_or_not_held(daemon, monkeypatch, wait, held):
     monkeypatch.setattr(server, "MAX_FETCH_HOLD_S", 0.05)
     with connect(uri(daemon), token="s3cret") as c:
         w = c.open("held.absurd", "w")
-        ch = attach_raw(c, w.stream_id)
+        ch = attach_raw(c, w._run.stream_id)
         raw_fetch(ch, 0, wait)
         frame = decode_frame(ch.recv(timeout=2.0))
         assert frame.msg_type is MsgType.NOT_READY and frame.record["step"] == 0
@@ -1219,7 +1220,7 @@ def test_drain_answers_a_parked_reader_once_and_promptly(daemon):
     with connect(uri(daemon), token="s3cret", retry=once) as c:
         w = c.open("held.drain", "w")
         r = c.open("held.drain", "r")
-        idle = attach_raw(c, w.stream_id)  # attached, no request outstanding
+        idle = attach_raw(c, w._run.stream_id)  # attached, no request outstanding
         t = in_thread(lambda: r.begin_step(timeout=5.0))
         wait_parked(hosted_of(daemon, r))
         began = time.monotonic()
@@ -1357,7 +1358,7 @@ def test_a_rank_lease_expiring_mid_step_is_a_typed_error_not_a_short_step():
             with pytest.raises(StreamFailure, match="lease expired"):
                 r._fetch(1)
             hosted = d._streams["public/run.lease"]
-            assert hosted.store.last == 0 and hosted.open_runs == []
+            assert hosted.store.last == 0 and hosted.open_step == {}
             with pytest.raises(StreamFailure):  # a failed run takes no more steps
                 write_step(w1, 3.0)
             r.close()

@@ -691,9 +691,9 @@ def test_a_parked_reader_whose_socket_dies_is_dropped_at_once(daemon):
     far = '[{"hi": 6.0, "kind": "range", "lo": 5.0, "var": "x"}]'
     with connect(uri(daemon)) as c:
         w = c.open("dies", "w")
-        hosted = daemon._streams[w.stream_id]
-        other = c._attach(w.stream_id, "r", predicate=far)
-        parked = c._attach(w.stream_id, "r", predicate=near)
+        hosted = daemon._streams[w._run.stream_id]
+        other = c._attach(w._run.stream_id, "r", predicate=far)
+        parked = c._attach(w._run.stream_id, "r", predicate=near)
         parked.sendv([encode_frame(MsgType.FETCH, {"step": 0, "wait": 8.0})])
         gauge = hosted.monitor.metrics.gauge(M_NET_READERS_PARKED,
                                              labels={"tenant": "public"})

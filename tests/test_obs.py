@@ -130,6 +130,38 @@ def test_stream_pipeline_spans_share_one_trace_per_step():
     assert {"write", "read", "redistribute", "transport"} <= cats
 
 
+def test_writer_side_plugin_spans_join_their_steps_write_trace():
+    """The writer-side chain runs inside its step's ``write`` span: each
+    rank's ``dc_plugin`` span (``side=writer``) carries that step's trace
+    id, under the write root."""
+    from repro.adios import RankContext
+    from repro.core import FlexIO, PluginSide
+    from repro.core.plugins import sampling_plugin
+
+    flexio = FlexIO.from_xml("""
+    <adios-config>
+      <adios-group name="g"><var name="x" type="float64" dimensions="8"/></adios-group>
+      <method group="g" method="FLEXPATH">trace=true</method>
+    </adios-config>
+    """)
+    writers = [flexio.open_write("g", "obs.writer-chain", RankContext(r, 2)) for r in range(2)]
+    writers[0].plugins.deploy(sampling_plugin(2), PluginSide.WRITER)
+    for step in range(3):
+        for w in writers:
+            w.write("x", np.full(8, float(step)))
+            w.end_step()
+    for w in writers:
+        w.close()
+    records = [dict(r.extra) | {"category": r.category} for r in writers[0].monitor.trace]
+    writes = {r["span_id"]: r for r in records if r["category"] == "write"}
+    plugins = [r for r in records if r["category"] == "dc_plugin"]
+    assert len(writes) == 3 and len(plugins) == 6
+    for span in plugins:
+        assert span["side"] == "writer"
+        assert span["trace_id"] == writes[span["parent_id"]]["trace_id"]
+    assert sorted(writes[s["parent_id"]]["step"] for s in plugins) == [0, 0, 1, 1, 2, 2]
+
+
 def _traced_steps(name, steps, sample_rate=None):
     """Write ``steps`` one-rank steps on a ``trace=true`` stream; returns
     the quiesced stream state."""

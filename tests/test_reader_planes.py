@@ -14,10 +14,10 @@ One writer, too: the same rank schedules through the stream, both file
 methods and the daemon (``STAGING``, each rank its own data connection)
 deliver the same steps (one rank handle, one
 :class:`~repro.adios.api.StepBarrier`), a writer-side chain conditions
-a step alike in process and through the daemon
-(:meth:`~repro.core.plugins.PluginManager.condition`), and every write
-handle refuses a closed handle and a block that does not fit its box
-alike.
+a step alike in process, on both file methods and through the daemon
+(:func:`~repro.adios.api.condition`), every write handle shows its
+run's chain and monitor, and every write handle refuses a closed handle
+and a block that does not fit its box alike.
 """
 
 import time
@@ -716,34 +716,73 @@ def _write_blocks(w, blocks):
 
 
 @pytest.mark.parametrize("chain", sorted(WRITER_CHAINS))
-def test_writer_chain_conditions_a_step_alike_on_both_planes(daemon, chain):
-    """In process, rank r writes the r-th block of each name; the one net
-    writer writes them all, and its r-th block of a name goes into the
-    chain's r-th record."""
+def test_writer_chain_conditions_a_step_alike_on_both_planes(tmp_path, daemon, chain):
+    """In process and on both file methods, rank r writes the r-th block
+    of each name and the chain deployed on one rank's handle is the
+    run's; the one net writer writes them all, and its r-th block of a
+    name goes into the chain's r-th record."""
     deploy, ranks, read = WRITER_CHAINS[chain]
-    name = f"planes.writer.{chain}"
-    client = connect("local://")
-    writers = [client.open(name, "w", rank=r, num_ranks=len(ranks)) for r in range(len(ranks))]
-    deploy(writers[0].plugins)
-    for w, blocks in zip(writers, ranks):
-        w.begin_step()
-        _write_blocks(w, blocks)
-    for w in writers:
-        w.end_step()
-        w.close()
-    local = client.open(name, "r")
-    assert local.begin_step(timeout=2.0) is StepStatus.OK
+
+    def ranks_read(client, name):
+        writers = [client.open(name, "w", rank=r, num_ranks=len(ranks))
+                   for r in range(len(ranks))]
+        deploy(writers[0].plugins)
+        for w, blocks in zip(writers, ranks):
+            w.begin_step()
+            _write_blocks(w, blocks)
+        for w in writers:
+            w.end_step()
+            w.close()
+        reader = client.open(name, "r")
+        assert reader.begin_step(timeout=2.0) is StepStatus.OK
+        got = read(reader)
+        reader.close()
+        return got
+
+    local = ranks_read(connect("local://"), f"planes.writer.{chain}")
+    for method, params in FILE_METHODS.items():
+        config = _FILE_CONFIG.format(method=method, params=params)
+        path = str(tmp_path / f"{method}.bp")
+        assert ranks_read(connect("local://", config=config), path) == local, method
     with connect(_uri(daemon)) as c:
-        w = c.open(name, "w")
+        w = c.open(f"planes.writer.{chain}", "w")
         deploy(w.plugins)
         w.begin_step()
         for blocks in ranks:
             _write_blocks(w, blocks)
         w.end_step()
-        remote = c.open(name, "r", timeout=2.0)
+        remote = c.open(f"planes.writer.{chain}", "r", timeout=2.0)
         assert remote.begin_step(timeout=2.0) is StepStatus.OK
-        assert read(remote) == read(local)
+        assert read(remote) == local
         w.close()
+
+
+@pytest.mark.parametrize("method", [*sorted(WRITE_METHODS), "STAGING", "net"])
+def test_every_write_handle_shows_its_runs_chain_and_monitor(tmp_path, daemon, method):
+    """Two ranks' handles on every method: in process and on the file
+    methods both show their one run's chain and monitor; a staging rank's
+    run is its own data connection, on its session's monitor."""
+    if method == "net":
+        session = connect(_uri(daemon))
+        writers = [session.open("planes.run", "w", rank=r, num_ranks=2) for r in range(2)]
+    else:
+        params = (f"daemon={daemon.host}:{daemon.control_port};tenant=public"
+                  if method == "STAGING" else WRITE_METHODS[method])
+        client = connect("local://", config=_FILE_CONFIG.format(method=method, params=params))
+        writers = [client.open(str(tmp_path / "run.bp"), "w", rank=r, num_ranks=2)
+                   for r in range(2)]
+    for w in writers:
+        assert w.plugins is w._run.plugins and w.monitor is w._run.monitor
+        assert w.plugins.monitor is w.monitor
+    if method in ("STAGING", "net"):
+        assert all(w.monitor is w._run._client.monitor for w in writers)
+        assert writers[0].plugins is not writers[1].plugins
+    else:
+        assert writers[0]._run is writers[1]._run
+    for w in writers:
+        w.close()
+    if method == "net":
+        session.close()
 
 
 # ---------------------------------------------------------------------------
