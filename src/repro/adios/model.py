@@ -83,15 +83,16 @@ class WrittenVar:
 
 @dataclass
 class ProcessGroupData:
-    """Everything one rank wrote during one I/O timestep."""
+    """Everything one rank wrote during one I/O timestep: its blocks, in
+    write order (a name may have several)."""
 
     rank: int
     step: int
-    variables: dict[str, WrittenVar] = field(default_factory=dict)
+    blocks: list[WrittenVar] = field(default_factory=list)
 
     @property
     def nbytes(self) -> int:
-        return sum(v.nbytes for v in self.variables.values())
+        return sum(v.nbytes for v in self.blocks)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,12 @@ OWNERS: tuple[Owner, ...] = (
     # Test doubles stand in for the socket the frame assembler reads.
     Owner("FXL015", ("*.recv_into()",), ("transport/tcp.py", "tests/"),
           "reads a socket outside TcpChannel's frame assembly"),
+    # Tests read frames by hand to check what went over the wire.
+    Owner("FXL015", ("decode_frame()", "*.decode_frame()"),
+          ("net/client.py:_exchange", "net/server.py:_handler", "tests/"),
+          "decodes a frame outside the client's one exchange and the "
+          "daemon's connection states: every request is sent, answered and "
+          "typed one way"),
 )
 
 

@@ -32,6 +32,8 @@ from repro.util import MiB, rng
 #: Attribute columns of the particle arrays.
 ATTRS = ("x", "y", "z", "v_par", "v_perp", "weight", "particle_id")
 NUM_ATTRS = 7
+#: The particle arrays of one output, in write order.
+SPECIES = ("zion", "electron")
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,10 @@ class GtsRank:
         return int(base * (1.0 + jitter * (2.0 * g.random() - 1.0)))
 
     def _species(self, step: int, species: str, count: int) -> np.ndarray:
-        g = rng(hash((self.config.seed, self.rank, step, species)) & 0x7FFFFFFF)
+        # Seeded by the species' index, not its name: a str hash changes
+        # with PYTHONHASHSEED, so two processes would draw different particles.
+        g = rng(hash((self.config.seed, self.rank, step, SPECIES.index(species)))
+                & 0x7FFFFFFF)
         out = np.empty((count, NUM_ATTRS), dtype=np.float64)
         # Toroidal coordinates: radial band per rank, angles uniform.
         out[:, 0] = g.uniform(0.1 + 0.8 * self.rank / self.config.num_ranks,
@@ -135,10 +140,7 @@ class GtsRank:
     def output(self, step: int) -> dict[str, np.ndarray]:
         """The rank's process-group payload for one output step."""
         count = self.particle_count(step)
-        return {
-            "zion": self._species(step, "zion", count),
-            "electron": self._species(step, "electron", count),
-        }
+        return {species: self._species(step, species, count) for species in SPECIES}
 
 
 # ---------------------------------------------------------------------------

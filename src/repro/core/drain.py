@@ -447,7 +447,7 @@ def _rank_parts(step: _PublishedStep, predicate, metrics) -> tuple[WireVector, l
     nbytes = 0
     for rank in sorted(step.groups):
         lo = len(arrays)
-        for wv in step.groups[rank].variables.values():
+        for wv in step.groups[rank].blocks:
             data = wv.data
             if not data.nbytes:
                 continue

@@ -85,21 +85,24 @@ class _PublishedStep(BlockSource):
     def var_names(self) -> list[str]:
         seen: dict[str, None] = {}
         for g in self.groups.values():
-            for name in g.variables:
-                seen.setdefault(name, None)
+            for wv in g.blocks:
+                seen.setdefault(wv.name, None)
         return list(seen)
 
     def var_blocks(self, name: str):
         for pg in self.groups.values():
-            wv = pg.variables.get(name)
-            if wv is not None:
-                yield wv.box, wv.global_shape, wv.data
+            for wv in pg.blocks:
+                if wv.name == name:
+                    yield wv.box, wv.global_shape, wv.data
 
     def writer_record(self, rank: int) -> Optional[dict]:
         pg = self.groups.get(rank)
         if pg is None:
             return None
-        return {n: wv.data for n, wv in pg.variables.items()}
+        record: dict = {}
+        for wv in pg.blocks:
+            record.setdefault(wv.name, wv.data)
+        return record
 
 
 class StreamState(Run):
@@ -191,9 +194,6 @@ class StreamState(Run):
     def write(self, rank: int, wv: WrittenVar) -> None:
         if self.closed:
             raise StreamError(f"write on ended stream {self.name!r}")
-        written = self.open_step.get(rank)
-        if written and any(b.name == wv.name for b in written):
-            raise ValueError(f"variable {wv.name!r} written twice in step {self._step}")
         super().write(rank, wv)
 
     def end_rank_step(self, rank: int, sync: Optional[bool] = None) -> None:
@@ -223,9 +223,7 @@ class StreamState(Run):
             with self.monitor.span("write", self.name, step=self._step) as wspan:
                 for rank, written in blocks:
                     step.groups[rank] = ProcessGroupData(
-                        rank, self._step,
-                        {wv.name: wv for wv in condition(self.plugins, written)},
-                    )
+                        rank, self._step, condition(self.plugins, written))
                 wire = _rank_parts(
                     step, predicate=self.readers.combined, metrics=self.monitor.metrics
                 )

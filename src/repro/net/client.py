@@ -1,30 +1,20 @@
-"""``connect()``: the client face of the FlexIO service.
+"""``connect("flexio://host:port/tenant")``: the client of the FlexIO service.
 
-One entry point covers both deployment shapes the paper's
-location-flexible placement implies:
+``connect(uri, token=...)`` opens a :class:`RemoteClient` session
+against a running :class:`~repro.net.server.DirectoryDaemon` (the
+in-process ``local://`` service is :func:`repro.connect`'s other
+branch).  The control socket authenticates the tenant (HELLO → WELCOME)
+and opens named streams; each open dials the daemon's data port through
+a :class:`~repro.transport.tcp.TcpChannel` (a :class:`_DataLink`) and
+exchanges steps with the store-and-forward broker (PUBLISH / FETCH
+frames).  Every request, on either port, is one :func:`_exchange`.
+Admission rejections — bad token, unknown tenant, quota exceeded — come
+back as the *same* typed :class:`~repro.core.directory.AdmissionError`
+values the daemon raised, rebuilt from the wire kind.
 
-* ``connect("local://")`` — everything in-process.  The returned
-  :class:`~repro.core.api.LocalClient` wraps the
-  :class:`~repro.core.api.FlexIO` façade with a stream-mode
-  configuration, so ``open(name, "w")`` / ``open(name, "r")`` hand
-  back the familiar step-API handles backed by the in-process data
-  plane (shm/rdma models, drainer, plan cache).
-
-* ``connect("flexio://host:port/tenant", token=...)`` — a
-  :class:`RemoteClient` session against a running
-  :class:`~repro.net.server.DirectoryDaemon`.  The control socket
-  authenticates the tenant (HELLO → WELCOME) and opens named streams;
-  each open dials the daemon's data port through a
-  :class:`~repro.transport.tcp.TcpChannel` and exchanges steps with
-  the store-and-forward broker (PUBLISH / FETCH frames).  Admission
-  rejections — bad token, unknown tenant, quota exceeded — come back
-  as the *same* typed :class:`~repro.core.directory.AdmissionError`
-  values the daemon raised, rebuilt from the wire kind.
-
-Either way the handles subclass the redesigned
-:class:`~repro.adios.api.WriteHandle` / :class:`~repro.adios.api.ReadHandle`
-ABCs, so application step loops are identical in-process and over the
-network::
+The handles subclass the :class:`~repro.adios.api.WriteHandle` /
+:class:`~repro.adios.api.ReadHandle` ABCs, so application step loops are
+identical in-process and over the network::
 
     import repro as flexio
 
@@ -51,7 +41,7 @@ import numpy as np
 from repro.adios.api import IoMethod, RankContext, WriteHandle, condition, register_method
 from repro.adios.model import WrittenVar
 from repro.adios.selection import BoundingBox
-from repro.core.api import Client, LocalClient
+from repro.core.api import Client
 from repro.core.directory import DirectoryError, admission_exception
 from repro.core.hints import DAEMON, TENANT, TOKEN_ENV
 from repro.core.monitoring import PerfMonitor
@@ -102,7 +92,6 @@ __all__ = [
     "RetryAfter",
     "SessionLost",
     "Client",
-    "LocalClient",
     "RemoteClient",
 ]
 
@@ -172,25 +161,19 @@ def raise_wire_error(frame: Frame, where: str = "reply") -> NoReturn:
     raise NetError(kind, message)
 
 
-# ---------------------------------------------------------------------------
-# The same-node rung: daemon arenas, mapped through /proc
-# ---------------------------------------------------------------------------
-
-def _slot(handle, name: str, offset: int, nbytes: int, write: bool) -> np.ndarray:
-    """``nbytes`` at ``offset`` of arena ``name``, through the session's one
-    mapping of that generation (kept alive by the handles using it;
-    ``PROT_READ`` unless a writer asked first).  An arena that is gone
-    means its daemon is: :class:`PeerDisconnected`, retriable."""
-    mapped = handle._client._pools.get(name)
-    if mapped is None or (write and not mapped.flags.writeable):
-        try:
-            mapped = handle._client._pools[name] = ShmArena.map(name, write)
-        except ValueError as exc:  # a name no daemon arena has
-            raise ProtocolError(str(exc)) from None
-    handle._pool = mapped
-    if not 0 <= offset <= offset + nbytes <= mapped.nbytes:
-        raise ProtocolError(f"slot {offset}+{nbytes} outside pool {name}")
-    return mapped[offset:offset + nbytes]
+def _exchange(channel: TcpChannel, parts: list, timeout: float,
+              expect: tuple[MsgType, ...], where: str) -> tuple[Frame, Any]:
+    """One request on ``channel``: send its ``parts``, receive the reply
+    and decode it.  Returns the frame and the receive buffer its body
+    views when its type is one of ``expect``; any other reply raises as
+    :func:`raise_wire_error` types it (``where`` names the request).  The
+    client decodes a frame nowhere else."""
+    channel.sendv(parts, timeout=timeout)
+    wb = channel.recv(timeout=timeout)
+    frame = decode_frame(wb)
+    if frame.msg_type not in expect:
+        raise_wire_error(frame, where)
+    return frame, wb
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +395,8 @@ class RemoteClient(Client):
             # A previous reconnect died mid-dial; retriable — the retry
             # loop's on_retry re-dials before the next attempt.
             raise PeerDisconnected("control socket is down")
-        self._control.sendv(
-            [encode_frame(msg_type, record, seq=next(self._frame_seq))],
-            timeout=self.timeout,
-        )
-        frame = decode_frame(self._control.recv(timeout=self.timeout))
-        if frame.msg_type is not expect:
-            raise_wire_error(frame, msg_type.name)
-        return frame
+        frame = encode_frame(msg_type, record, seq=next(self._frame_seq))
+        return _exchange(self._control, [frame], self.timeout, (expect,), msg_type.name)[0]
 
     def _rpc(self, msg_type: MsgType, record: dict, expect: MsgType) -> Frame:
         if self._closed:
@@ -430,17 +407,7 @@ class RemoteClient(Client):
                 msg_type.name, on_retry=self._reconnect,
             )
 
-    # -- directory surface -------------------------------------------------
-    def register(self, stream: str, *, program: str = "writer", rank: int = 0,
-                 num_ranks: int = 1, lease: float = 0.0) -> None:
-        self._rpc(MsgType.REGISTER, {
-            "stream": stream, "program": program, "rank": rank,
-            "num_ranks": num_ranks, "lease": float(lease),
-        }, MsgType.OK)
-
-    def lookup(self, stream: str) -> dict:
-        return self._rpc(MsgType.LOOKUP, {"stream": stream}, MsgType.LOOKUP_REPLY).record
-
+    # -- liveness ----------------------------------------------------------
     def heartbeat(self, stream: str) -> None:
         self._rpc(MsgType.HEARTBEAT, {"stream": stream}, MsgType.OK)
 
@@ -506,66 +473,17 @@ class RemoteClient(Client):
                 if deadline is None or self._clock() >= deadline:
                     raise
                 self._sleep(0.02)
-        stream_id = reply.record["stream_id"]
-        channel = self._attach_retrying(stream_id, mode, rank=rank)
+        link = _DataLink(self, reply.record["stream_id"], mode, rank)
         self._hb_streams.add(name)
-        flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode,
+        flight.record(EV_NET_STREAM_OPEN, stream=link.stream_id, mode=mode,
                       tenant=self.tenant)
         if mode == "w":
-            link = _RunLink(self, stream_id, channel, name)
-            self._handles[link] = handle = NetWriteHandle(link, RankContext(rank, num_ranks))
+            run = _RunLink(link, name)
+            self._handles[run] = handle = NetWriteHandle(run, RankContext(rank, num_ranks))
         else:
-            handle = NetReadHandle(self, stream_id, channel, name=name, pushdown=pushdown)
+            handle = NetReadHandle(link, name, pushdown=pushdown)
             self._handles[handle] = handle
         return handle
-
-    def _attach(self, stream_id: str, role: str,
-                predicate: str = "", rank: int = 0) -> TcpChannel:
-        """A data channel bound to the stream.  ``channel.grant`` (a writer's
-        GRANT record, or None) and ``channel.stats`` (the broker asked for
-        block bounds) live and die with this connection, like the daemon's."""
-        channel = TcpChannel.connect(
-            self.host, self.data_port, monitor=self.monitor,
-            injector=self.faults, timeout=self.timeout,
-        )
-        try:
-            channel.sendv([encode_frame(MsgType.ATTACH, {
-                "session": self.session_id, "stream_id": stream_id, "role": role,
-                "predicate": predicate, "nonce": self._nonce, "rank": rank,
-            }, seq=next(self._frame_seq))], timeout=self.timeout)
-            frame = decode_frame(channel.recv(timeout=self.timeout))
-        except (TransportFault, ProtocolError, OSError):
-            # A half-attached socket is a leak: the daemon holds the
-            # accept side until its idle reaper fires, and the client
-            # would dial a fresh one on retry anyway.
-            channel.close()
-            raise
-        if frame.msg_type not in (MsgType.OK, MsgType.GRANT):
-            channel.close()
-            raise_wire_error(frame, "ATTACH")
-        _note_reply(channel, frame)
-        return channel
-
-    def _attach_retrying(self, stream_id: str, role: str,
-                         predicate: str = "", rank: int = 0) -> TcpChannel:
-        """A first ATTACH of a data channel, under the same reconnect
-        schedule every later re-ATTACH runs under."""
-        return self._retry_exhausted(
-            lambda: self._attach(stream_id, role, predicate=predicate, rank=rank),
-            f"ATTACH {stream_id}", on_retry=self._reconnect,
-        )
-
-    def _reattach(self, attempt: int, exc: Exception, stream_id: str,
-                  role: str, old: TcpChannel,
-                  predicate: str = "", rank: int = 0) -> TcpChannel:
-        """Data-path recovery: reconnect the control session (fresh
-        socket + resume HELLO), then re-ATTACH the data channel."""
-        try:
-            old.close()
-        except (TransportFault, OSError):
-            pass
-        self._reconnect(attempt, exc)
-        return self._attach(stream_id, role, predicate=predicate, rank=rank)
 
     def close(self) -> None:
         """Close every handle this session opened, then the session."""
@@ -604,10 +522,114 @@ class RemoteClient(Client):
 # Network step handles
 # ---------------------------------------------------------------------------
 
-def _note_reply(channel: TcpChannel, frame: Frame) -> None:
-    """A writer's latest positive reply: what its connection holds, and owes."""
-    channel.grant = frame.record if frame.msg_type is MsgType.GRANT else None
-    channel.stats = bool(frame.record["stats"])
+#: The positive replies to a data connection's ATTACH or PUBLISH.
+_ACKS = (MsgType.OK, MsgType.GRANT)
+#: The replies to a FETCH that carry the step.
+_STEPS = (MsgType.STEP_DATA, MsgType.STEP_REF)
+
+
+class _DataLink:
+    """One data connection of one stream, and the one way a request runs
+    on it.
+
+    The link ATTACHes under the session's retry schedule, and :meth:`run`
+    runs every later request under it too: a retriable fault reconnects
+    the session (fresh control socket, resume HELLO) and re-ATTACHes the
+    link on a fresh data socket before the next attempt — the socket may
+    be desynced, so no retry reuses it.  :meth:`reattach` binds a new
+    reader predicate the same way.  What the latest positive reply said
+    lives and dies with the connection, like the daemon's half:
+    ``grant`` (a writer's GRANT record, or None) and ``stats`` (the broker
+    asks for block bounds); ``pool`` is the pool generation the link's
+    slots are mapped from.
+    """
+
+    def __init__(self, client: RemoteClient, stream_id: str, role: str,
+                 rank: int = 0) -> None:
+        self.client = client
+        self.stream_id = stream_id
+        self.role = role
+        self.rank = rank
+        self.channel: Optional[TcpChannel] = None
+        #: The reader predicate spec the channel ATTACHed with ("" = none).
+        self.predicate = ""
+        self.grant: Optional[dict] = None
+        self.stats = False
+        self.pool = None
+        self._attach_retrying("")
+
+    def _attach_retrying(self, predicate: str) -> None:
+        self.client._retry_exhausted(
+            lambda: self._attach(predicate), f"ATTACH {self.stream_id}",
+            on_retry=self.client._reconnect,
+        )
+
+    def _attach(self, predicate: str) -> None:
+        c = self.client
+        channel = TcpChannel.connect(c.host, c.data_port, monitor=c.monitor,
+                                     injector=c.faults, timeout=c.timeout)
+        try:
+            self._ack(_exchange(channel, [encode_frame(MsgType.ATTACH, {
+                "session": c.session_id, "stream_id": self.stream_id,
+                "role": self.role, "predicate": predicate, "nonce": c._nonce,
+                "rank": self.rank,
+            }, seq=next(c._frame_seq))], c.timeout, _ACKS, "ATTACH")[0])
+            self.channel, channel, self.predicate = channel, None, predicate
+        finally:
+            if channel is not None:
+                # A half-attached socket is a leak: the daemon holds the
+                # accept side until its idle reaper fires.
+                channel.close()
+
+    def _ack(self, frame: Frame) -> None:
+        self.grant = frame.record if frame.msg_type is MsgType.GRANT else None
+        self.stats = bool(frame.record["stats"])
+
+    def _recover(self, attempt: int, exc: Exception) -> None:
+        self.channel.close()
+        self.client._reconnect(attempt, exc)
+        self._attach(self.predicate)
+
+    def run(self, attempt: Callable[[], Any], where: str) -> Any:
+        """``attempt()`` — one try of a request, through :meth:`exchange` —
+        under the session's retry schedule; exhaustion is
+        :class:`SessionLost`."""
+        return self.client._retry_exhausted(attempt, where, on_retry=self._recover)
+
+    def exchange(self, parts: list, expect: tuple[MsgType, ...],
+                 where: str) -> tuple[Frame, Any]:
+        """One :func:`_exchange` on the link's channel; a positive reply
+        is noted."""
+        frame, wb = _exchange(self.channel, parts, self.client.timeout, expect, where)
+        if frame.msg_type in _ACKS:
+            self._ack(frame)
+        return frame, wb
+
+    def reattach(self, predicate: str) -> None:
+        """ATTACH a fresh socket with ``predicate``, then drop the old one."""
+        old = self.channel
+        self._attach_retrying(predicate)
+        old.close()
+
+    def slot(self, name: str, offset: int, nbytes: int, write: bool) -> np.ndarray:
+        """``nbytes`` at ``offset`` of arena ``name``, through the
+        session's one mapping of that generation (kept alive by the links
+        using it; ``PROT_READ`` unless a writer asked first).  An arena
+        that is gone means its daemon is: :class:`PeerDisconnected`,
+        retriable."""
+        mapped = self.client._pools.get(name)
+        if mapped is None or (write and not mapped.flags.writeable):
+            try:
+                mapped = self.client._pools[name] = ShmArena.map(name, write)
+            except ValueError as exc:  # a name no daemon arena has
+                raise ProtocolError(str(exc)) from None
+        self.pool = mapped
+        if not 0 <= offset <= offset + nbytes <= mapped.nbytes:
+            raise ProtocolError(f"slot {offset}+{nbytes} outside pool {name}")
+        return mapped[offset:offset + nbytes]
+
+    def close(self) -> None:
+        self.channel.close()
 
 
 def _var_record(wv: WrittenVar, rank: int, stats: bool) -> dict:
@@ -628,32 +650,29 @@ def _var_record(wv: WrittenVar, rank: int, stats: bool) -> dict:
 
 
 class _RunLink:
-    """One writer rank's end of the daemon's run: its data connection.
+    """One writer rank's end of the daemon's run, over its :class:`_DataLink`.
 
     The run is the daemon's ``HostedStream``; this is what the rank
     handle drives in its place.  ``write`` keeps the rank's blocks of its
     open step, ``end_rank_step`` conditions them (:func:`condition`) and
     sends them as one PUBLISH (the header, then one ``net.var`` message
     per block, or a slot reference), ``writer_close`` sends the last one
-    with ``eos``.  Resume, republish and the publish sequence are this
-    connection's: the daemon suppresses any republished ``seq`` it has
-    already applied, so a retried PUBLISH (lost ack) never lands twice.
+    with ``eos``.  The publish sequence is this rank's: the daemon
+    suppresses any republished ``seq`` it has already applied, so a
+    retried PUBLISH (lost ack) never lands twice.
     """
 
-    def __init__(self, client: RemoteClient, stream_id: str,
-                 channel: TcpChannel, name: str) -> None:
-        self._client = client
-        self.stream_id = stream_id
+    def __init__(self, link: _DataLink, name: str) -> None:
+        self._link = link
+        self.stream_id = link.stream_id
         self.name = name
-        self._channel = channel
         self._step = 0
         self._publish_seq = 0
         #: The rank's blocks of its open step.
         self._blocks: list[WrittenVar] = []
-        self._pool = None  # the pool generation this rank has mapped (_slot)
         #: The rank's writer-side chain, on its session's monitor.
-        self.plugins = PluginManager(client.monitor)
-        self.monitor = client.monitor
+        self.plugins = PluginManager(link.client.monitor)
+        self.monitor = link.client.monitor
 
     def join(self, rank: int) -> None:
         """Nothing to do: the rank joined the run at its OPEN."""
@@ -662,46 +681,34 @@ class _RunLink:
         self._blocks.append(wv)
 
     def _publish_once(self, record: dict, run: list) -> None:
-        seq = next(self._client._frame_seq)
+        link = self._link
+        seq = next(link.client._frame_seq)
         nbytes = sum(part.nbytes for part in run)
-        grant = self._channel.grant
+        grant = link.grant
         if grant is not None and INLINE_MAX < nbytes <= grant["capacity"]:
             # Same node, bulk run: the bytes ``sendv`` would have gathered
             # go into the granted slot, the frame says where they are.
-            np.concatenate([as_byte_view(part) for part in run], out=_slot(
-                self, grant["pool"], int(grant["offset"]), nbytes, write=True))
+            np.concatenate([as_byte_view(part) for part in run], out=link.slot(
+                grant["pool"], int(grant["offset"]), nbytes, write=True))
             parts = [encode_frame(MsgType.PUBLISH_REF, {
                 **record, "pool": grant["pool"], "offset": grant["offset"],
                 "nbytes": nbytes}, seq=seq)]
         else:
             parts = [encode_frame(MsgType.PUBLISH, record, seq=seq), *run]
-        self._channel.sendv(parts, timeout=self._client.timeout)
-        frame = decode_frame(self._channel.recv(timeout=self._client.timeout))
-        if frame.msg_type not in (MsgType.OK, MsgType.GRANT):
-            raise_wire_error(frame, f"PUBLISH step {record['step']}")
-        _note_reply(self._channel, frame)
+        link.exchange(parts, _ACKS, f"PUBLISH step {record['step']}")
 
     def end_rank_step(self, rank: int) -> None:
         self._publish(rank, eos=False)
 
     def _publish(self, rank: int, eos: bool) -> None:
         # The blocks are kept until acknowledged: a refused step is sent again.
-        records = [_var_record(wv, rank, self._channel.stats)
+        records = [_var_record(wv, rank, self._link.stats)
                    for wv in condition(self.plugins, self._blocks)]
         # Per block: head span, then the array itself.
         run = [part for rec in records for part in encode_var(rec)]
         seq = self._publish_seq + 1
         record = {"step": self._step, "count": len(records), "eos": eos, "seq": seq}
-
-        def reattach(attempt: int, exc: Exception) -> None:
-            self._channel = self._client._reattach(
-                attempt, exc, self.stream_id, "w", self._channel, rank=rank
-            )
-
-        self._client._retry_exhausted(
-            lambda: self._publish_once(record, run),
-            f"PUBLISH step {self._step}", on_retry=reattach,
-        )
+        self._link.run(lambda: self._publish_once(record, run), f"PUBLISH step {self._step}")
         self._publish_seq = seq
         self._blocks = []
         self._step += 1
@@ -709,12 +716,13 @@ class _RunLink:
     def writer_close(self, rank: int) -> None:
         """The rank's last PUBLISH (its unended blocks, if any) says it
         closes; the daemon's barrier does the rest."""
-        self._client._hb_streams.discard(self.name)
+        client = self._link.client
+        client._hb_streams.discard(self.name)
         try:
             self._publish(rank, eos=True)
         finally:
-            self._channel.close()
-            self._client._handle_closed(self)
+            self._link.close()
+            client._handle_closed(self)
 
 
 class NetWriteHandle(WriteHandle):
@@ -787,8 +795,6 @@ class _CachedStep(BlockSource):
         record: dict = {}
         for rec in self.vars:
             if int(rec["writer_rank"]) == rank:
-                # A remote writer may publish several blocks of one
-                # name; read_block serves its first.
                 record.setdefault(rec["name"], rec["data"])
         return record or None
 
@@ -809,65 +815,54 @@ class NetReadHandle(StepReader):
     fetched frame's wire views, so MxN redistribution, plan caching,
     fused chains, ``read_into``/``read_all`` and the read spans work
     across the network hop exactly as they do in process.  This class
-    owns only step movement: FETCH, reattach, predicate sync.
+    owns only step movement over its :class:`_DataLink`: FETCH, the step
+    cache and pin, predicate sync.
     """
 
-    def __init__(self, client: RemoteClient, stream_id: str,
-                 channel: TcpChannel, name: str = "",
-                 pushdown: bool = False) -> None:
-        self._client = client
-        self.stream_id = stream_id
-        self.name = name or stream_id.rsplit("/", 1)[-1]
-        self._channel = channel
+    def __init__(self, link: _DataLink, name: str, pushdown: bool = False) -> None:
+        self._link = link
+        self.stream_id = link.stream_id
+        self.name = name
         self._cache: dict[int, _CachedStep] = {}
         self._closed = False
-        self._pool = None  # the pool generation this handle has mapped (_slot)
         #: The one step viewing a pinned slot, with its sanitizer digest.
         self._held: Optional[tuple[_CachedStep, Optional[int]]] = None
         self._san = sanitize.get()  # captured: one None check when disabled
         #: Reader-side plug-in chain: compilable chains run fused per
         #: block (single pass, no assembled intermediate); free-form
         #: codelets keep the interpreted scatter-then-apply path.
-        self.plugins = PluginManager(client.monitor)
+        self.plugins = PluginManager(link.client.monitor)
         #: The client session's monitor (enable tracing / dump here).
-        self.monitor = client.monitor
+        self.monitor = link.client.monitor
         #: Compiled plans, replayed from the second step on (what
         #: ``caching=local`` selects in process).
         self._plans = PlanCache(maxsize=64)
         self._pushdown = bool(pushdown)
-        #: Predicate spec the current data channel ATTACHed with; the
-        #: channel is re-ATTACHed whenever the chain's predicate changes.
-        self._attached_pred = ""
 
     # -- step movement -----------------------------------------------------
     def _fetch_once(self, step: int) -> _CachedStep:
-        timeout = self._client.timeout
+        link = self._link
         # Per attempt: a FETCH replayed after a reconnect, a drain or a
         # restore — or re-sent after NOT_READY — carries what is left of
-        # the deadline.  Untimed probes (no deadline) are not held.
+        # the deadline.  Untimed probes (no deadline) are not held; the
+        # hold always ends inside the session's dead-daemon bound.
         wait = 0.0 if self._deadline is None else max(0.0, min(
-            self._deadline - time.monotonic(), timeout * FETCH_HOLD_FRACTION))
+            self._deadline - time.monotonic(), link.client.timeout * FETCH_HOLD_FRACTION))
         self.monitor.metrics.counter(M_NET_FETCHES).inc()
-        self._channel.sendv(
+        frame, wb = link.exchange(
             [encode_frame(MsgType.FETCH, {"step": step, "wait": wait},
-                          seq=next(self._client._frame_seq))],
-            timeout=timeout,
-        )
-        # The dead-daemon bound; the hold above always ends inside it.
-        wb = self._channel.recv(timeout=timeout)
-        frame = decode_frame(wb)
+                          seq=next(link.client._frame_seq))],
+            _STEPS, f"step {step} of {self.stream_id!r}")
         rec, offset = frame.record, frame.consumed
         borrowed = frame.msg_type is MsgType.STEP_REF
         if borrowed:
             # Read where it lies: reads scatter out of the slot into arrays
             # the caller owns, and the slot is this reader's while ``_held``.
-            wb, offset = _slot(self, rec["pool"], int(rec["offset"]),
-                               int(rec["nbytes"]), write=False), 0
-        elif frame.msg_type is not MsgType.STEP_DATA:
-            raise_wire_error(frame, f"step {step} of {self.stream_id!r}")
+            wb, offset = link.slot(rec["pool"], int(rec["offset"]),
+                                   int(rec["nbytes"]), write=False), 0
         got = _CachedStep(
             step, int(rec["count"]), wb, offset,
-            may_be_pruned=bool(self._attached_pred),
+            may_be_pruned=bool(link.predicate),
         )
         if borrowed:
             self._held = got, None if self._san is None else self._san.lend(wb)
@@ -880,19 +875,9 @@ class NetReadHandle(StepReader):
         cached = self._cache.get(step)
         if cached is not None:
             return cached
-        self._release(own=True)  # all below ends the pin: re-ATTACH, FETCH, reattach
+        self._release(own=True)  # all below ends the pin: a re-ATTACH, the FETCH, a retry
         self._sync_predicate()
-
-        def reattach(attempt: int, exc: Exception) -> None:
-            self._channel = self._client._reattach(
-                attempt, exc, self.stream_id, "r", self._channel,
-                predicate=self._attached_pred,
-            )
-
-        return self._client._retry_exhausted(
-            lambda: self._fetch_once(step),
-            f"FETCH step {step}", on_retry=reattach,
-        )
+        return self._link.run(lambda: self._fetch_once(step), f"FETCH step {step}")
 
     def _release(self, own: bool = False) -> None:
         """The client half of the slot lifetime rule (the daemon's half is
@@ -928,15 +913,8 @@ class NetReadHandle(StepReader):
         predicate rides the ATTACH frame — so a change re-ATTACHes the
         data channel with the new spec before the next FETCH."""
         spec = self._pred_spec() if self._pushdown else ""
-        if spec == self._attached_pred:
-            return
-        channel = self._client._attach_retrying(self.stream_id, "r", predicate=spec)
-        old, self._channel = self._channel, channel
-        self._attached_pred = spec
-        try:
-            old.close()
-        except (TransportFault, OSError):
-            pass
+        if spec != self._link.predicate:
+            self._link.reattach(spec)
 
     def _step_at(self, index: int) -> _CachedStep:
         return self._fetch(index)
@@ -946,9 +924,9 @@ class NetReadHandle(StepReader):
             return
         self._closed = True
         self._release(own=True)
-        self._client._hb_streams.discard(self.name)
-        self._channel.close()
-        self._client._handle_closed(self)
+        self._link.client._hb_streams.discard(self.name)
+        self._link.close()
+        self._link.client._handle_closed(self)
 
 
 # ---------------------------------------------------------------------------
@@ -959,22 +937,16 @@ def connect(
     uri: str,
     *,
     token: Optional[str] = None,
-    config=None,
-    machine=None,
-    params: str = "",
     client_name: str = "",
     timeout: float = 5.0,
     retry: Optional[RetryPolicy] = None,
     seed: int = 0,
     faults: Optional[TransportFaultInjector] = None,
     heartbeat_interval: float = 0.0,
-) -> Client:
-    """Connect to a FlexIO service and return a :class:`Client`.
-
-    ``local://`` builds an in-process :class:`LocalClient` (``config``,
-    ``machine`` and ``params`` configure it); ``flexio://host:port/tenant``
-    dials a directory daemon and authenticates with the bearer
-    ``token``, returning a :class:`RemoteClient` session.
+) -> RemoteClient:
+    """Dial the directory daemon ``flexio://host:port/tenant`` names and
+    authenticate with the bearer ``token``: a :class:`RemoteClient`
+    session (``local://`` is :func:`repro.connect`'s).
 
     Remote resilience knobs: ``retry`` bounds the reconnect loop every
     RPC and data exchange runs under (``seed`` feeds its jitter),
@@ -983,8 +955,8 @@ def connect(
     data channels for chaos runs.
     """
     parsed = parse_flexio_uri(uri)
-    if parsed.scheme == "local":
-        return LocalClient(config=config, machine=machine, params=params)
+    if parsed.scheme != "flexio":
+        raise ValueError(f"{uri!r} names no daemon; repro.connect opens local://")
     return RemoteClient(
         parsed.host, parsed.port, parsed.tenant,
         token=token, client_name=client_name, timeout=timeout,

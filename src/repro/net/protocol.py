@@ -87,9 +87,9 @@ __all__ = [
 MAGIC = 0xF1EC0107
 
 #: Bump on any incompatible header or format change; DESIGN.md §13
-#: ("Versions") says what each one changed.  v7: ATTACH names the writer
-#: rank of a data connection, and a rank closes with a PUBLISH ``eos``.
-PROTOCOL_VERSION = 7
+#: ("Versions") says what each one changed.  v8: REGISTER, LOOKUP and
+#: LOOKUP_REPLY leave the wire (OPEN registers and looks up a stream).
+PROTOCOL_VERSION = 8
 
 #: magic u32, version u8, msg type u8, reserved u16, sequence u64.
 #: The sequence is per-connection and monotone; receivers use it to
@@ -108,10 +108,7 @@ class MsgType(enum.IntEnum):
     HELLO = 1          # client → daemon: tenant + bearer token
     WELCOME = 2        # daemon → client: session id + data port
     ERROR = 3          # daemon → client: typed failure (kind + message)
-    REGISTER = 4       # writer coordinator publishes a stream name
     OK = 5             # generic success acknowledgement
-    LOOKUP = 6         # reader coordinator resolves a stream name
-    LOOKUP_REPLY = 7   # daemon → client: writer coordinator info
     HEARTBEAT = 8      # writer lease refresh
     OPEN = 9           # open a named stream for write or read
     OPEN_REPLY = 10    # daemon → client: stream id + data port
@@ -156,19 +153,9 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     MsgType.ERROR: PROTOCOL_REGISTRY.define(
         "net.error", [("kind", _S), ("message", _S)]
     ),
-    MsgType.REGISTER: PROTOCOL_REGISTRY.define(
-        "net.register",
-        [("stream", _S), ("program", _S), ("rank", _I), ("num_ranks", _I),
-         ("lease", _F)],
-    ),
     # ``stats``, to a writer's ATTACH or PUBLISH: a reader prunes right now,
     # stamp ``vmin``/``vmax`` (else the daemon bounds the blocks it prunes).
     MsgType.OK: PROTOCOL_REGISTRY.define("net.ok", [("detail", _S), ("stats", _B)]),
-    MsgType.LOOKUP: PROTOCOL_REGISTRY.define("net.lookup", [("stream", _S)]),
-    MsgType.LOOKUP_REPLY: PROTOCOL_REGISTRY.define(
-        "net.lookup_reply",
-        [("program", _S), ("rank", _I), ("num_ranks", _I)],
-    ),
     MsgType.HEARTBEAT: PROTOCOL_REGISTRY.define("net.heartbeat", [("stream", _S)]),
     MsgType.OPEN: PROTOCOL_REGISTRY.define(
         "net.open",

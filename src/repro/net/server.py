@@ -8,8 +8,8 @@ it — a bulk PUBLISH lands in the array the broker then stores:
 
 * the **control port** speaks the :mod:`repro.net.protocol` frames for
   session setup (HELLO → WELCOME with a bearer-token check against the
-  tenant table), directory traffic (REGISTER / LOOKUP / HEARTBEAT),
-  and named-stream OPEN/CLOSE;
+  tenant table), named-stream OPEN (which registers a writer's stream
+  and looks up a reader's) and lease HEARTBEATs;
 * the **data port** is a store-and-forward step broker: a writer's
   connection ATTACHes to an open stream and PUBLISHes steps, a
   reader's connection FETCHes them — so two unrelated OS processes
@@ -552,8 +552,8 @@ def _handler(method):
     return handle
 
 
-def _coordinator(rec: dict, contact=None) -> CoordinatorInfo:
-    """The writer coordinator a REGISTER or an OPEN for write names."""
+def _coordinator(rec: dict, contact) -> CoordinatorInfo:
+    """The writer coordinator an OPEN for write names."""
     return CoordinatorInfo(rec["program"], int(rec["rank"]), int(rec["num_ranks"]),
                            contact=contact)
 
@@ -863,23 +863,12 @@ class DirectoryDaemon:
         if frame.msg_type is MsgType.BYE:
             conn.bye = True
             return conn.hang_up()
-        if self._draining and frame.msg_type in (MsgType.OPEN, MsgType.REGISTER):
-            # Drain refuses *new* work but still serves lookups and
-            # heartbeats so in-flight sessions can wind down.
+        if self._draining and frame.msg_type is MsgType.OPEN:
+            # Drain refuses *new* work but still serves heartbeats so
+            # in-flight sessions can wind down.
             return self._send_retry_after(conn, "draining")
         try:
-            if frame.msg_type is MsgType.REGISTER:
-                self.directory.register(tenant, rec["stream"], _coordinator(rec),
-                                        lease=rec["lease"] if rec["lease"] > 0 else None)
-                self._ack(conn, "registered")
-            elif frame.msg_type is MsgType.LOOKUP:
-                info = self.directory.lookup(tenant, rec["stream"])
-                self._reply(conn, encode_frame(MsgType.LOOKUP_REPLY, {
-                    "program": info.program,
-                    "rank": info.coordinator_rank,
-                    "num_ranks": info.num_ranks,
-                }))
-            elif frame.msg_type is MsgType.HEARTBEAT:
+            if frame.msg_type is MsgType.HEARTBEAT:
                 try:
                     self.directory.heartbeat(tenant, rec["stream"])
                     detail = "heartbeat"

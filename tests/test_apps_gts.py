@@ -1,5 +1,10 @@
 """Tests for the GTS workload model and its analytics chain."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,8 @@ from repro.apps import (
 from repro.apps.analytics import quantile_range
 from repro.apps.gts import NUM_ATTRS
 from repro.util import MiB
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def small_config(**kw):
@@ -45,6 +52,24 @@ def test_output_arrays_shape_and_determinism():
     assert out["electron"].shape[1] == NUM_ATTRS
     out2 = GtsRank(cfg, rank=1).output(step=0)
     np.testing.assert_array_equal(out["zion"], out2["zion"])
+
+
+def test_output_is_the_same_whatever_the_interpreters_hash_seed():
+    """Two processes with different ``PYTHONHASHSEED`` write the same
+    particles: nothing seeds from a ``str`` hash."""
+    code = textwrap.dedent("""
+        import hashlib
+        from repro.apps import GtsConfig, GtsRank
+        out = GtsRank(GtsConfig(num_ranks=4, particles_per_rank=500), rank=0).output(step=0)
+        print(" ".join(hashlib.sha256(out[s].tobytes()).hexdigest() for s in sorted(out)))
+    """)
+    digests = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def test_particle_count_drifts_between_steps():

@@ -22,7 +22,7 @@ import pytest
 
 from repro.obs import sanitize
 from repro.core.monitoring import PerfMonitor
-from repro.net.client import RECONNECT_FAULTS, _slot
+from repro.net.client import RECONNECT_FAULTS, _DataLink
 from repro.net.protocol import ProtocolError
 from repro.machine.interconnect import GeminiInterconnect
 from repro.obs import recorder as flight
@@ -290,9 +290,9 @@ def test_pool_refuses_a_double_free(name):
 @pytest.mark.parametrize("case", ["not-an-arena", "arena-dropped", "slot-past-the-end"])
 def test_arena_refuses_a_reference_it_cannot_honour(case):
     arena = ShmArena(4 * KiB)
-    # What ``_slot`` uses of a read or write handle: its session's mappings.
-    handle = SimpleNamespace(
-        _client=SimpleNamespace(_pools=weakref.WeakValueDictionary()), _pool=None)
+    # What a data link's ``slot`` uses: its session's mappings.
+    link = SimpleNamespace(
+        client=SimpleNamespace(_pools=weakref.WeakValueDictionary()), pool=None)
     if case == "not-an-arena":
         # A peer maps an arena's memfd and nothing else: not a file, not a
         # path that walks on from one, not a bare fd without its generation.
@@ -301,17 +301,17 @@ def test_arena_refuses_a_reference_it_cannot_honour(case):
             with pytest.raises(ValueError, match="not a same-node arena"):
                 ShmArena.map(name)
         with pytest.raises(ProtocolError):  # on the wire: the daemon broke the protocol
-            _slot(handle, "/etc/passwd", 0, 16, write=False)
+            _DataLink.slot(link, "/etc/passwd", 0, 16, write=False)
     elif case == "arena-dropped":
         name = arena.name
         del arena
         gc.collect()
         with pytest.raises(PeerDisconnected) as gone:
-            _slot(handle, name, 0, 16, write=False)
+            _DataLink.slot(link, name, 0, 16, write=False)
         assert isinstance(gone.value, RECONNECT_FAULTS)  # its daemon is gone: re-dial
-        assert name not in handle._client._pools
+        assert name not in link.client._pools
     else:
-        last = _slot(handle, arena.name, arena.capacity - 16, 16, write=False)
+        last = _DataLink.slot(link, arena.name, arena.capacity - 16, 16, write=False)
         assert last.nbytes == 16 and not last.flags.writeable
         with pytest.raises(ProtocolError, match="outside pool"):
-            _slot(handle, arena.name, arena.capacity - 8, 16, write=False)
+            _DataLink.slot(link, arena.name, arena.capacity - 8, 16, write=False)

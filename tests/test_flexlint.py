@@ -828,12 +828,12 @@ def test_fxl012_flags_leak_on_exception_path():
 
 
 def test_fxl012_attribute_use_is_not_a_transfer():
-    # decode_frame(channel.recv()) must NOT count as handing the channel
-    # off — this is exactly the real _attach leak shape.
+    # parse(channel.recv()) must NOT count as handing the channel off —
+    # this is exactly the shape of a leak the client's ATTACH once had.
     code = """
     def f(host, port):
         channel = TcpChannel.connect(host, port)
-        frame = decode_frame(channel.recv())
+        frame = parse(channel.recv())
         return channel
     """
     findings = lint(code, path="repro/net/fixture.py")
@@ -1048,6 +1048,32 @@ def test_fxl015_flags_shared_memory_and_socket_reads_outside_their_rung():
     assert [(f.rule, f.line) for f in findings] == [("FXL015", n) for n in (5, 6, 7)]
     assert [f.line for f in lint(code, path="repro/transport/shm.py")] == [7]
     assert [f.line for f in lint(code, path="repro/transport/tcp.py")] == [5, 6]
+
+
+def test_fxl015_keeps_frame_decoding_in_the_clients_one_exchange():
+    """A second decode site in the client — a request answered its own
+    way — is a finding; the exchange and the daemon's handler are not."""
+    client = """
+    def _exchange(channel, parts, timeout, expect, where):
+        channel.sendv(parts, timeout=timeout)
+        return decode_frame(channel.recv(timeout=timeout))
+
+    class _RunLink:
+        def _publish_once(self, parts):
+            self._link.channel.sendv(parts)
+            return protocol.decode_frame(self._link.channel.recv())
+    """
+    findings = lint(client, path="repro/net/client.py")
+    assert [(f.rule, f.line) for f in findings] == [("FXL015", 9)]
+    assert "one exchange" in findings[0].message
+    server = """
+    def _handler(method):
+        def handle(self, conn, raw):
+            return method(self, conn, raw, decode_frame(raw))
+        return handle
+    """
+    assert lint(server, path="repro/net/server.py") == []
+    assert [f.line for f in lint(server, path="repro/net/fixture.py")] == [4]
 
 
 # ---------------------------------------------------------------------------

@@ -139,15 +139,12 @@ GOLDEN = {
     "net.grant": "cdf0f50f009ce82b24e15823ab29000000000000000900000064657461696c2dc3a907000000706f6f6c2dc3a96e72a4ffffffffffe8ed85ffffffffff00",
     "net.heartbeat": "cdf0f50f00378689050363270d0d000000000000000900000073747265616d2dc3a9",
     "net.hello": "cdf0f50f00b8400025b1d8226c33000000000000000900000074656e616e742dc3a908000000746f6b656e2dc3a909000000636c69656e742dc3a909000000726573756d652dc3a9",
-    "net.lookup": "cdf0f50f00d71ec3066b9dda270d000000000000000900000073747265616d2dc3a9",
-    "net.lookup_reply": "cdf0f50f007247d36eb988064f1e000000000000000a00000070726f6772616d2dc3a9f4f6c2ffffffffffa5ab76ffffffffff",
     "net.not_ready": "cdf0f50f00883318a69fb293910800000000000000f4f6c2ffffffffff",
     "net.ok": "cdf0f50f00002e03ea159e23ae0e000000000000000900000064657461696c2dc3a900",
     "net.open": "cdf0f50f0015617ec5ff42d4a43e000000000000000900000073747265616d2dc3a9070000006d6f64652dc3a90a00000070726f6772616d2dc3a9f4f6c2ffffffffffa5ab76ffffffffffb76ddbb66ddbe63f",
     "net.open_reply": "cdf0f50f008693a1977daa7d9a18000000000000000c00000073747265616d5f69642dc3a9a5ab76ffffffffff",
     "net.publish": "cdf0f50f001c1d618ea61319fa1900000000000000f4f6c2ffffffffffb1b4b3ffffffffff003739d2ffffffffff",
     "net.publish_ref": "cdf0f50f00260165a05d9b88c33400000000000000f4f6c2ffffffffffb1b4b3ffffffffff003739d2ffffffffff07000000706f6f6c2dc3a96e72a4ffffffffff6e72a4ffffffffff",
-    "net.register": "cdf0f50f00c71c8a15d833393a33000000000000000900000073747265616d2dc3a90a00000070726f6772616d2dc3a9f4f6c2ffffffffffa5ab76ffffffffffb76ddbb66ddbe63f",
     "net.retry_after": "cdf0f50f008c4256eefb823f6b1500000000000000b76ddbb66ddbe63f09000000726561736f6e2dc3a9",
     "net.step_data": "cdf0f50f00df866cea66bdc32b1000000000000000f4f6c2ffffffffffb1b4b3ffffffffff",
     "net.step_ref": "cdf0f50f00cc965736679accb22b00000000000000f4f6c2ffffffffffb1b4b3ffffffffff07000000706f6f6c2dc3a96e72a4ffffffffff6e72a4ffffffffff",

@@ -41,6 +41,7 @@ from repro.net.client import (
     NetError,
     RemoteClient,
     RetryAfter,
+    _DataLink,
     connect,
     parse_flexio_uri,
     raise_wire_error,
@@ -354,10 +355,58 @@ def test_data_path_reconnect_holds_the_session_lock(daemon, monkeypatch):
             t.join(timeout=2.0)
 
         monkeypatch.setattr(c, "_dial", probe)
-        w._run._channel = c._reattach(1, PeerDisconnected("test"), w._run.stream_id, "w",
-                                      w._run._channel)
+        w._run._link._recover(1, PeerDisconnected("test"))
         assert free == [False]
         w.close()
+
+
+#: One request of each kind on session ``c``, writer ``w``, reader ``r``.
+REQUESTS = {
+    MsgType.HEARTBEAT: lambda c, w, r: c.heartbeat("retry"),
+    MsgType.ATTACH: lambda c, w, r: c.open("retry", "r").close(),
+    MsgType.PUBLISH: lambda c, w, r: write_step(w, 1.0),
+    MsgType.FETCH: lambda c, w, r: r.begin_step(timeout=2.0),
+}
+
+
+@pytest.mark.parametrize("msg_type", sorted(REQUESTS), ids=lambda t: t.name)
+def test_a_request_cut_off_once_lands_once_on_a_fresh_socket(daemon, monkeypatch, msg_type):
+    """The control RPC, ATTACH, PUBLISH and FETCH run the one exchange
+    under the one retry path: a connection lost on the first attempt is
+    one reconnect, and the request goes again on a fresh socket.  The
+    PUBLISH is cut off after its ack came (the ack is lost): the replay
+    is suppressed, not applied twice."""
+    from repro.net import client as client_mod
+
+    real, used = client_mod._exchange, []
+
+    def cut_once(channel, parts, *args):
+        if parts[0].as_array()[5] != msg_type:
+            return real(channel, parts, *args)
+        used.append(channel)
+        if len(used) == 1:
+            if msg_type is MsgType.PUBLISH:
+                real(channel, parts, *args)  # applied; its ack is lost below
+            raise PeerDisconnected("cut off")
+        return real(channel, parts, *args)
+
+    with connect(uri(daemon), token="s3cret") as c:
+        w, r = c.open("retry", "w"), c.open("retry", "r")
+        write_step(w, 0.0)
+        before = counter(c, "net.reconnects")
+        monkeypatch.setattr(client_mod, "_exchange", cut_once)
+        REQUESTS[msg_type](c, w, r)
+        monkeypatch.undo()
+        assert counter(c, "net.reconnects") - before == 1
+        assert len(used) == 2 and used[1] is not used[0] and used[0]._closed
+        if msg_type is MsgType.PUBLISH:
+            hosted = hosted_of(daemon, w)
+            assert counter(hosted, "net.dup_publishes", tenant="acme") == 1
+            assert hosted.store.last == 1
+        if msg_type is MsgType.FETCH:
+            np.testing.assert_array_equal(r.read_block("x", 0), np.zeros(4))
+        w.close()
+        r.close()
 
 
 def test_per_tenant_metrics_labels(daemon):
@@ -415,7 +464,7 @@ def test_socket_timeout_is_armed_once_not_per_call(daemon, monkeypatch):
         assert len(armed) <= 2, armed
         monkeypatch.undo()
         # A dead socket is still the typed fault, found by the send itself.
-        w._run._channel._send_sock.close()
+        w._run._link.channel._send_sock.close()
         w.begin_step()
         w.write("x", np.zeros(4))
         with pytest.raises(PeerDisconnected):
@@ -511,6 +560,8 @@ def test_top_level_connect_reexport():
     assert repro.connect is not None
     with pytest.raises(ValueError):
         repro.connect("ftp://nope")
+    with pytest.raises(ValueError, match="repro.connect"):
+        connect("local://")  # the in-process service has one front door
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +781,7 @@ def test_checkpoint_from_another_thread_walks_state_on_the_loop(daemon, tmp_path
 
     monkeypatch.setattr(DirectoryDaemon, "_checkpoint_blob", recording_walk)
     with connect(uri(daemon), token="s3cret") as c:
-        c.register("ckpt.walk", program="writer")
+        c.open("ckpt.walk", "w")
         path = daemon.checkpoint(str(tmp_path / "walk.ckpt"))
     assert walkers == [daemon._thread]
     assert os.path.getsize(path) > 0
@@ -898,7 +949,7 @@ def test_attach_failure_closes_fresh_data_channel(daemon, monkeypatch):
 
         monkeypatch.setattr(client_mod, "TcpChannel", StubFactory)
         with pytest.raises(TransportFault):
-            c._attach("nonexistent-stream", "w")
+            client_mod._DataLink(c, "nonexistent-stream", "w")
         assert stub.closed
 
 
@@ -1090,7 +1141,7 @@ def test_parked_reader_is_woken_by_lease_expiry():
 
 def attach_raw(client, stream_id) -> TcpChannel:
     """A reader data channel speaking the frame protocol by hand."""
-    return client._attach(stream_id, "r")
+    return _DataLink(client, stream_id, "r").channel
 
 
 def raw_fetch(channel, step, wait):
@@ -1229,7 +1280,7 @@ def test_drain_answers_a_parked_reader_once_and_promptly(daemon):
             t.join_result(timeout=0.5)  # its own handler answered RETRY_AFTER
         assert time.monotonic() - began < 0.5
         with pytest.raises(TransportTimeout):
-            r._channel.recv(timeout=0.1)  # ... and the broadcast did not, too
+            r._link.channel.recv(timeout=0.1)  # ... and the broadcast did not, too
         # A peer that was not waiting still gets the broadcast, once.
         assert decode_frame(idle.recv(timeout=1.0)).msg_type is MsgType.RETRY_AFTER
         with pytest.raises(TransportTimeout):
@@ -1311,7 +1362,7 @@ def test_a_step_of_several_runs_is_one_vectored_step_data(daemon):
         hosted = daemon._streams["public/run.vec"]
         count, runs = hosted.store.lookup(1)[1]
         assert count == 2 and all(hosted.slot_of(run) is not None for run in runs)
-        reader = c0._attach("public/run.vec", "r")
+        reader = attach_raw(c0, "public/run.vec")
         reader.sendv([encode_frame(MsgType.FETCH, {"step": 1, "wait": 0.0})], timeout=2.0)
         frame = decode_frame(got := reader.recv(timeout=2.0))
         assert frame.msg_type is MsgType.STEP_DATA and frame.record["count"] == 2
@@ -1372,7 +1423,7 @@ def test_closing_a_session_closes_the_handles_it_opened(daemon):
     w = c.open("leak.w", "w")
     write_step(w, 0.0)
     r = c.open("leak.w", "r")
-    socks = [w._run._channel._send_sock, r._channel._send_sock, c._control._send_sock]
+    socks = [w._run._link.channel._send_sock, r._link.channel._send_sock, c._control._send_sock]
     c.close()
     assert w._closed and r._closed
     assert [s.fileno() for s in socks] == [-1, -1, -1]

@@ -29,7 +29,7 @@ from repro.core.plugins import DCPlugin, range_select_plugin, sampling_plugin
 from repro.core.directory import QuotaExceeded, TenantSpec
 from repro.core.resilience import RetryPolicy
 from repro.core.stepstore import Outcome, StepStore, outcome_error
-from repro.net.client import connect
+from repro.net.client import _DataLink, connect
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     MsgType,
@@ -133,10 +133,10 @@ def rpc(channel: TcpChannel, msg_type: MsgType, record: dict, *parts):
     return decode_frame(channel.recv(timeout=2.0))
 
 
-def publish_ref(channel, step: int, seq: int, **tamper):
-    """A by-reference PUBLISH into the channel's granted slot, written
+def publish_ref(link, step: int, seq: int, **tamper):
+    """A by-reference PUBLISH into the link's granted slot, written
     through a fresh mapping; ``tamper`` overrides what the frame claims."""
-    grant = channel.grant
+    grant = link.grant
     run = run_bytes(step)
     fd = os.open(grant["pool"].rpartition("@")[0], os.O_RDWR)
     try:
@@ -145,7 +145,7 @@ def publish_ref(channel, step: int, seq: int, **tamper):
         os.close(fd)
     record = {"step": step, "count": 1, "eos": False, "seq": seq, "pool": grant["pool"],
               "offset": grant["offset"], "nbytes": len(run), **tamper}
-    return rpc(channel, MsgType.PUBLISH_REF, record)
+    return rpc(link.channel, MsgType.PUBLISH_REF, record)
 
 
 def counter(stream, name):
@@ -182,15 +182,15 @@ def test_by_reference_step_decodes_to_the_same_vars_as_inline(daemon):
             assert got["data"].tobytes() == want["data"].tobytes() == bulk(1).tobytes()
         # The step views the slot while it is pinned to this reader, and owns
         # its bytes before anything ends the pin: the slot goes round, they stay.
-        assert by_ref._held[0] is a and np.shares_memory(a.vars[0]["data"], by_ref._pool)
+        assert by_ref._held[0] is a and np.shares_memory(a.vars[0]["data"], by_ref._link.pool)
         put(w, 2)
         by_ref._fetch(2)
-        assert not np.shares_memory(a.vars[0]["data"], by_ref._pool)
+        assert not np.shares_memory(a.vars[0]["data"], by_ref._link.pool)
         assert copied_out(by_ref) == 1
         for k in range(3, 3 + 2 * SLOTS):
             put(w, k)
         np.testing.assert_array_equal(a.vars[0]["data"], bulk(1))
-        assert inline._pool is None and not far._pools  # the far peer mapped nothing
+        assert inline._link.pool is None and not far._pools  # the far peer mapped nothing
         for h in (w, by_ref, inline):
             h.close()
 
@@ -235,7 +235,7 @@ def test_small_runs_stay_inline_and_size_no_pool(daemon):
         w, r = c.open("small", "w"), c.open("small", "r")
         for k in range(3):
             put(w, k, n)
-            assert w._run._channel.grant is None
+            assert w._run._link.grant is None
             assert r.begin_step(timeout=2.0) is StepStatus.OK
             np.testing.assert_array_equal(r.read_block("v", 0), bulk(k, n))
             r.end_step()
@@ -253,7 +253,7 @@ def test_a_parked_reader_woken_by_a_by_reference_step_is_told_where_it_is(daemon
         w = c.open("woken", "w")
         put(w, 0)  # inline, sizes the pool
         stream = hosted(daemon, "woken")
-        reader = c._attach("public/woken", "r")
+        reader = _DataLink(c, "public/woken", "r").channel
         reader.sendv([encode_frame(MsgType.FETCH, {"step": 1, "wait": 5.0})], timeout=2.0)
         settle(lambda: stream.parked, "the FETCH never parked")
         put(w, 1)  # by reference, into the writer's grant
@@ -279,15 +279,15 @@ def test_publish_ref_outside_the_grant_is_a_protocol_error(daemon, tamper):
     with connect(uri(daemon)) as c:
         w = c.open("strict", "w")
         put(w, 0)
-        stream, channel = hosted(daemon, "strict"), w._run._channel
+        stream, link = hosted(daemon, "strict"), w._run._link
         assert len(stream.pool.free) == SLOTS - 1  # the writer's grant
-        reply = publish_ref(channel, 1, 2, **tamper(channel.grant))
+        reply = publish_ref(link, 1, 2, **tamper(link.grant))
         assert reply.msg_type is MsgType.ERROR and reply.record["kind"] == "protocol"
         with pytest.raises(PeerDisconnected):
-            channel.recv(timeout=2.0)  # and the daemon hung up
+            link.channel.recv(timeout=2.0)  # and the daemon hung up
         settle(lambda: len(stream.pool.free) == SLOTS, "the grant was not given back")
         assert stream.store.last == 0 and len(stream.store) == 1
-        channel.close()
+        link.close()
         w._closed = True  # its channel is gone; nothing to CLOSE politely
 
 
@@ -296,15 +296,15 @@ def test_publish_ref_without_a_grant_is_a_protocol_error(daemon):
         w = c.open("ungranted", "w")
         put(w, 0)
         c._nonce = ""
-        channel = c._attach("public/ungranted", "w")
-        assert channel.grant is None
-        reply = rpc(channel, MsgType.PUBLISH_REF, {
+        link = _DataLink(c, "public/ungranted", "w")
+        assert link.grant is None
+        reply = rpc(link.channel, MsgType.PUBLISH_REF, {
             "step": 1, "count": 1, "eos": False, "seq": 2,
-            "pool": w._run._channel.grant["pool"], "offset": w._run._channel.grant["offset"],
+            "pool": w._run._link.grant["pool"], "offset": w._run._link.grant["offset"],
             "nbytes": 1024})
         assert reply.msg_type is MsgType.ERROR and reply.record["kind"] == "protocol"
         assert hosted(daemon, "ungranted").store.last == 0
-        channel.close()
+        link.close()
         w.close()
 
 
@@ -312,12 +312,12 @@ def test_client_refuses_pool_names_that_are_not_daemon_memfds(daemon):
     with connect(uri(daemon)) as c:
         w = c.open("names", "w")
         put(w, 0)
-        w._run._channel.grant = {**w._run._channel.grant, "pool": "/etc/passwd"}
+        w._run._link.grant = {**w._run._link.grant, "pool": "/etc/passwd"}
         w.begin_step()
         w.write("v", bulk(1))
         with pytest.raises(ProtocolError):
             w.end_step()
-        w._run._channel.grant = None
+        w._run._link.grant = None
         w.end_step()  # the same step, inline
         assert hosted(daemon, "names").store.last == 1
         w.close()
@@ -331,7 +331,7 @@ def test_quota_refusal_of_a_by_reference_publish_stores_nothing():
         with connect(uri(d)) as c:
             w = c.open("quota", "w")
             put(w, 0)  # ≈ 262 KB of the 400 KB budget, inline
-            stream, grant = hosted(d, "quota"), dict(w._run._channel.grant)
+            stream, grant = hosted(d, "quota"), dict(w._run._link.grant)
             charged = d.metrics.counter("tenant.bytes", labels={"tenant": "public"})
             inline_charge = charged.value
             w.begin_step()
@@ -341,7 +341,7 @@ def test_quota_refusal_of_a_by_reference_publish_stores_nothing():
             assert stream.store.last == 0 and charged.value == inline_charge
             assert stream.active_transport == "tcp"
             # Still this connection's, still unused; nothing else was taken.
-            assert w._run._channel.grant == grant and len(stream.pool.free) == SLOTS - 1
+            assert w._run._link.grant == grant and len(stream.pool.free) == SLOTS - 1
             now[0] += 10.0  # the bucket refills
             w.end_step()
             assert stream.store.last == 1 and stream.active_transport == "shm"
@@ -363,13 +363,13 @@ def test_pinned_slot_is_not_granted_until_its_reader_moves_on(daemon, release):
         put(w, 0)
         put(w, 1)
         stream = hosted(daemon, "pinned")
-        reader = c._attach("public/pinned", "r")
+        reader = _DataLink(c, "public/pinned", "r").channel
         ref = rpc(reader, MsgType.FETCH, {"step": 1, "wait": 0.0})
         assert ref.msg_type is MsgType.STEP_REF and ref.record["nbytes"] == len(run_bytes(1))
         pinned = ref.record["offset"]
         used = []
         for k in range(2, 2 + 3 * SLOTS):  # step 1 is long evicted
-            used.append(w._run._channel.grant["offset"])
+            used.append(w._run._link.grant["offset"])
             put(w, k)
         assert stream.store.lookup(1)[0] is Outcome.LOST
         assert pinned not in used and pinned not in stream.pool.free
@@ -385,7 +385,7 @@ def test_pinned_slot_is_not_granted_until_its_reader_moves_on(daemon, release):
             reader.close()
         settle(lambda: pinned in stream.pool.free,
                "the pin outlived its reader's next request")
-        takers = [c._attach("public/pinned", "w") for _ in stream.pool.free]
+        takers = [_DataLink(c, "public/pinned", "w") for _ in stream.pool.free]
         assert pinned in [t.grant["offset"] for t in takers]  # and it is granted again
         for h in (*takers, reader, w):
             h.close()
@@ -398,9 +398,9 @@ def test_unused_grant_returns_when_the_writer_disconnects(daemon):
         stream = hosted(daemon, "grants")
         free = stream.monitor.metrics.gauge(M_NET_POOL_SLOTS_FREE, labels=stream._labels)
         assert len(stream.pool.free) == free.value == SLOTS - 1
-        second = c._attach("public/grants", "w")
-        assert second.grant["pool"] == w._run._channel.grant["pool"]
-        assert second.grant["offset"] != w._run._channel.grant["offset"]
+        second = _DataLink(c, "public/grants", "w")
+        assert second.grant["pool"] == w._run._link.grant["pool"]
+        assert second.grant["offset"] != w._run._link.grant["offset"]
         assert len(stream.pool.free) == free.value == SLOTS - 2
         second.close()
         settle(lambda: len(stream.pool.free) == SLOTS - 1, "the grant was not given back")
@@ -413,19 +413,19 @@ def test_duplicate_seq_voids_the_grant_it_named(daemon):
     with connect(uri(daemon)) as c:
         w = c.open("dup", "w")
         put(w, 0)
-        stream, channel = hosted(daemon, "dup"), w._run._channel
-        first = publish_ref(channel, 1, 2)
+        stream, link = hosted(daemon, "dup"), w._run._link
+        first = publish_ref(link, 1, 2)
         assert first.msg_type is MsgType.GRANT and first.record["detail"] == "published"
         stored = stream.store.lookup(1)[1][1]
-        channel.grant = first.record
-        again = publish_ref(channel, 1, 2)  # the replay after a lost reply
+        link.grant = first.record
+        again = publish_ref(link, 1, 2)  # the replay after a lost reply
         assert again.msg_type is MsgType.GRANT and again.record["detail"] == "duplicate"
         assert stream.store.lookup(1)[1][1] is stored and stream.store.last == 1
         assert counter(stream, "net.dup_publishes") == 1
         # One retained slot, one grant: the slot the replay named is not lost.
         assert len(stream.pool.free) == SLOTS - 2
         w._run._step, w._run._publish_seq = 2, 2
-        channel.grant = again.record
+        link.grant = again.record
         put(w, 2)
         assert stream.store.lookup(2)[1][1].tobytes() == run_bytes(2)
         w.close()
@@ -436,12 +436,12 @@ def test_exhausted_pool_answers_ok_and_the_next_step_comes_inline(daemon):
         w = c.open("full", "w")
         put(w, 0)
         stream = hosted(daemon, "full")
-        hoarders = [c._attach("public/full", "w") for _ in range(SLOTS - 1)]
+        hoarders = [_DataLink(c, "public/full", "w") for _ in range(SLOTS - 1)]
         assert all(h.grant is not None for h in hoarders) and stream.pool.free == []
-        late = c._attach("public/full", "w")
+        late = _DataLink(c, "public/full", "w")
         assert late.grant is None  # OK, not GRANT
         put(w, 1)                  # the writer's own grant: by reference
-        assert stream.active_transport == "shm" and w._run._channel.grant is None
+        assert stream.active_transport == "shm" and w._run._link.grant is None
         put(w, 2)                  # nothing free: the same API, the inline frame
         assert stream.active_transport == "tcp"
         assert stream.slot_of(stream.store.lookup(2)[1][1]) is None
@@ -449,7 +449,7 @@ def test_exhausted_pool_answers_ok_and_the_next_step_comes_inline(daemon):
         hoarders.pop().close()
         settle(lambda: stream.pool.free, "the grant was not given back")
         put(w, 3)                  # inline once more, and granted again
-        assert w._run._channel.grant is not None
+        assert w._run._link.grant is not None
         put(w, 4)
         assert stream.active_transport == "shm"
         for h in (*hoarders, late, w):
@@ -472,7 +472,7 @@ def test_oversize_run_goes_inline_and_sizes_a_new_generation(daemon):
         put(w, 2, big)  # larger than a slot: inline, once
         assert stream.active_transport == "tcp" and stream.pool is not old
         assert stream.pool.capacity >= len(run_bytes(2, big))
-        assert w._run._channel.grant["pool"] == stream.pool.name
+        assert w._run._link.grant["pool"] == stream.pool.name
         old_ref = weakref.ref(old)
         del old
         assert old_ref() is not None  # step 1 still lives in it
@@ -558,7 +558,7 @@ def test_no_read_hands_out_pool_memory(daemon, kind):
         slot, published = pool.arr[offset:offset + len(run)], run.tobytes()
         del run  # the stored object: the slot's life hangs on it
         got = read(r)
-        assert not np.shares_memory(got, r._pool)
+        assert not np.shares_memory(got, r._link.pool)
         r.end_step()
         for k in range(2, 14):  # the reader moves on, the slot goes round
             put_field(w, k, boxes)
@@ -586,7 +586,8 @@ def test_step_api_copies_nothing_out_and_the_legacy_style_once_a_step(daemon):
             with pytest.raises(StepNotReady):
                 legacy._advance()
             assert legacy._held is None
-            assert legacy._pool is None or not np.shares_memory(legacy._cache[k]._wb, legacy._pool)
+            pool = legacy._link.pool
+            assert pool is None or not np.shares_memory(legacy._cache[k]._wb, pool)
             np.testing.assert_array_equal(legacy.read("f"), field(k))
         assert fetched_by_ref(daemon, "styles") == 2 * 20  # all but the first, each
         assert copied_out(r) == 0 and copied_out(legacy) == 20
@@ -623,7 +624,7 @@ def test_held_step_owns_its_bytes_before_the_client_ends_its_pin(daemon, ended_b
         assert r.begin_step(timeout=2.0) is StepStatus.OK
         r.end_step()
         assert r.begin_step(timeout=2.0) is StepStatus.OK  # step 1, not ended
-        held, channel = r._cache[1], r._channel
+        held, channel = r._cache[1], r._link.channel
         assert r._held[0] is held
         put_field(w, 2)
         if ended_by == "predicate-change":
@@ -632,9 +633,9 @@ def test_held_step_owns_its_bytes_before_the_client_ends_its_pin(daemon, ended_b
             daemon.injector = TransportFaultInjector(
                 fail_ops=[1], kinds=[FaultKind.CONN_RESET])  # the next reply
         r._fetch(2)
-        assert r._channel is not channel  # re-ATTACHed, or reattached
-        assert (ended_by == "predicate-change") == bool(r._attached_pred)
-        assert r._held[0] is not held and not np.shares_memory(held.vars[0]["data"], r._pool)
+        assert r._link.channel is not channel  # re-ATTACHed, or reattached
+        assert (ended_by == "predicate-change") == bool(r._link.predicate)
+        assert r._held[0] is not held and not np.shares_memory(held.vars[0]["data"], r._link.pool)
         assert copied_out(r) == 1
         for k in range(3, 3 + 2 * SLOTS):
             put_field(w, k)
@@ -661,7 +662,7 @@ def test_owning_a_held_step_repoints_its_arrays_without_decoding_again(daemon, m
         held = r._held[0]
         before = r.read("f")  # builds the block index over the slot
         seen = [rec["data"].copy() for rec in held.vars]
-        assert all(np.shares_memory(rec["data"], r._pool) for rec in held.vars)
+        assert all(np.shares_memory(rec["data"], r._link.pool) for rec in held.vars)
 
         def no_decode(*_):
             raise AssertionError("own() decoded the run again")
@@ -674,7 +675,7 @@ def test_owning_a_held_step_repoints_its_arrays_without_decoding_again(daemon, m
         assert [id(d) for d in datas] == [id(rec["data"]) for rec in held.vars]
         for rec, want in zip(held.vars, seen):
             data = rec["data"]
-            assert not np.shares_memory(data, r._pool)
+            assert not np.shares_memory(data, r._link.pool)
             assert np.shares_memory(data, held._wb)
             assert data.dtype == want.dtype and data.tobytes() == want.tobytes()
         np.testing.assert_array_equal(r.read("f"), before)
@@ -723,11 +724,11 @@ def test_unasked_writer_stamps_no_bounds_and_reduces_nothing(daemon, reader):
             w.begin_step()
             w.write("v", bulk(k))
             assert reductions_in(w.end_step) == 0  # the step's blocks go out here
-            assert w._run._channel.stats is False
+            assert w._run._link.stats is False
             (rec,) = stored_vars(hosted(daemon, "unasked"), k)
             assert not rec["has_stats"] and rec["vmin"] == rec["vmax"] == 0.0
             assert rec["data"].tobytes() == bulk(k).tobytes()
-        w._run._channel.stats = True  # what a reply would say once a reader prunes
+        w._run._link.stats = True  # what a reply would say once a reader prunes
         w.begin_step()
         w.write("v", bulk(2))
         assert reductions_in(w.end_step) >= 2
@@ -758,7 +759,7 @@ def test_broker_bounds_the_window_then_the_writer_stamps(daemon, colocated):
             assert r.read("f").tobytes() == keep.tobytes()
             r.end_step()
             return (counter(stream, M_NET_BLOCKS_BOUNDED_BY_DAEMON),
-                    counter(stream, M_PLUGIN_BLOCKS_SKIPPED), w._run._channel.stats)
+                    counter(stream, M_PLUGIN_BLOCKS_SKIPPED), w._run._link.stats)
 
         # Nobody prunes yet; the reader's first FETCH re-ATTACHes with its predicate.
         assert step() == (0, 0, False)
@@ -775,7 +776,7 @@ def test_broker_bounds_the_window_then_the_writer_stamps(daemon, colocated):
         settle(lambda: stream.readers.combined is None, "the predicate outlived its reader")
         w.begin_step()
         w.end_step()
-        assert w._run._channel.stats is False  # and the plug-in is withdrawn
+        assert w._run._link.stats is False  # and the plug-in is withdrawn
         w.close()
 
 
@@ -849,7 +850,7 @@ def test_checkpoint_sigkill_restore_serves_every_acked_step_then_sizes_a_fresh_p
             w = c.open("durable", "w")
             for k in range(3):
                 put(w, k)  # acked: checkpointed, the slot-backed ones included
-            first_pool = w._run._channel.grant["pool"]
+            first_pool = w._run._link.grant["pool"]
             assert first_pool.startswith(f"/proc/{proc.pid}/fd/")
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=5)
@@ -861,15 +862,15 @@ def test_checkpoint_sigkill_restore_serves_every_acked_step_then_sizes_a_fresh_p
                 assert r.begin_step(timeout=5.0) is StepStatus.OK
                 np.testing.assert_array_equal(r.read_block("v", 0), bulk(k))
                 r.end_step()
-            assert r._pool is None
+            assert r._link.pool is None
             put(w, 3)  # the old grant died with its daemon: inline, sizes a fresh pool
-            assert w._run._channel.grant["pool"].startswith(f"/proc/{proc.pid}/fd/")
+            assert w._run._link.grant["pool"].startswith(f"/proc/{proc.pid}/fd/")
             put(w, 4)
             for k in (3, 4):
                 assert r.begin_step(timeout=5.0) is StepStatus.OK
                 np.testing.assert_array_equal(r.read_block("v", 0), bulk(k))
                 r.end_step()
-            assert r._pool is c._pools[w._run._channel.grant["pool"]]
+            assert r._link.pool is c._pools[w._run._link.grant["pool"]]
             gc.collect()  # the failed attempt's traceback held a view of the dead pool
             assert first_pool not in c._pools
             w.close()
@@ -905,7 +906,7 @@ class HostedStoreMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self.r.close()
-        self.w._run._channel.close()
+        self.w._run._link.close()
         self.client.close()
         self.daemon.stop()
 
@@ -941,7 +942,7 @@ class HostedStoreMachine(RuleBasedStateMachine):
         assert len(stream.store) == len(self.model)
         assert (stream.pool is not None) == (self.colocated and self.bulk_seen)
         if stream.pool is not None:
-            granted = self.open and self.w._run._channel.grant is not None
+            granted = self.open and self.w._run._link.grant is not None
             assert len(stream.pool.free) + len(stream._slots) + granted <= SLOTS
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.directory import TenantSpec
 from repro.marshal.codec import encode_into, encoded_size
 from repro.net import server
-from repro.net.client import connect
+from repro.net.client import _DataLink, connect
 from repro.net.protocol import (
     PROTOCOL_REGISTRY,
     PROTOCOL_VERSION,
@@ -463,7 +463,9 @@ def test_pipelined_frames_queue_to_a_bound_and_are_answered_in_order(daemon):
         began = time.monotonic()
         s.sendall(b"".join(  # 50 back-to-back frames, no reply read
             FRAME_PREFIX.pack(f.nbytes) + f.as_array().tobytes()
-            for f in (encode_frame(MsgType.LOOKUP, {"stream": i}) for i in ids)))
+            for f in (encode_frame(MsgType.OPEN, {
+                "stream": i, "mode": "r", "program": "reader", "rank": 0,
+                "num_ranks": 1, "lease": 0.0}) for i in ids)))
         replies = [decode_frame(channel.recv(timeout=2.0)).record for _ in ids]
         assert time.monotonic() - began >= 0.05
     assert [r["kind"] for r in replies] == ["directory"] * 50
@@ -561,7 +563,7 @@ def test_ingesting_a_4mb_publish_peaks_under_one_and_a_half_frames(daemon):
     rec = var(data)
     with connect(uri(daemon)) as c:
         w = c.open("peak", "w")
-        sock = w._run._channel._send_sock
+        sock = w._run._link.channel._send_sock
         parts = [encode_frame(MsgType.PUBLISH,
                               {"step": 0, "count": 1, "eos": False, "seq": 1}),
                  *encode_var(rec)]
@@ -574,7 +576,7 @@ def test_ingesting_a_4mb_publish_peaks_under_one_and_a_half_frames(daemon):
             base, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             sock.sendall(blob)  # a raw socket: the sender allocates nothing
-            reply = decode_frame(w._run._channel.recv(timeout=5.0))
+            reply = decode_frame(w._run._link.channel.recv(timeout=5.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -686,14 +688,21 @@ def test_a_small_frame_is_one_write_and_a_bulk_payload_is_not_copied():
 # Bugfix: a parked reader whose socket dies is dropped at once
 # ---------------------------------------------------------------------------
 
+def attach_reader(client, stream_id, predicate):
+    """A reader data channel ATTACHed with ``predicate``, driven by hand."""
+    link = _DataLink(client, stream_id, "r")
+    link.reattach(predicate)
+    return link.channel
+
+
 def test_a_parked_reader_whose_socket_dies_is_dropped_at_once(daemon):
     near = '[{"hi": 1.0, "kind": "range", "lo": 0.0, "var": "x"}]'
     far = '[{"hi": 6.0, "kind": "range", "lo": 5.0, "var": "x"}]'
     with connect(uri(daemon)) as c:
         w = c.open("dies", "w")
         hosted = daemon._streams[w._run.stream_id]
-        other = c._attach(w._run.stream_id, "r", predicate=far)
-        parked = c._attach(w._run.stream_id, "r", predicate=near)
+        other = attach_reader(c, w._run.stream_id, far)
+        parked = attach_reader(c, w._run.stream_id, near)
         parked.sendv([encode_frame(MsgType.FETCH, {"step": 0, "wait": 8.0})])
         gauge = hosted.monitor.metrics.gauge(M_NET_READERS_PARKED,
                                              labels={"tenant": "public"})
@@ -742,7 +751,7 @@ def test_both_ends_of_a_loopback_data_connection_are_unpaced(daemon, monkeypatch
     monkeypatch.setattr(server._Conn, "connection_made", spy)
     with connect(uri(daemon)) as client:
         w = client.open("unpaced", "w")
-        assert _congestion(w._run._channel._send_sock) == b"reno"
+        assert _congestion(w._run._link.channel._send_sock) == b"reno"
         w.close()
     assert accepted and set(accepted) == {b"reno"}
 
@@ -783,20 +792,21 @@ def test_loop_lag_gauge_reads_how_late_the_reaper_ticked():
 # Protocol v7: the writer rank of a data connection, and a rank's close
 # ---------------------------------------------------------------------------
 
-#: The frames v7 changed, byte for byte: ATTACH names the writer rank the
-#: connection publishes for; a PUBLISH with ``eos`` is that rank's close
-#: (here with no blocks left to send).
+#: The frames v7 changed, byte for byte (v8 changed only the header's
+#: version byte): ATTACH names the writer rank the connection publishes
+#: for; a PUBLISH with ``eos`` is that rank's close (here with no blocks
+#: left to send).
 V7_FRAMES = {
     MsgType.ATTACH: (
         {"session": "s1", "stream_id": "public/run", "role": "w", "predicate": "",
          "nonce": "", "rank": 1},
-        "0701ecf1071000000700000000000000cdf0f50f000bed7a4e39e5d68a29000000000000"
+        "0701ecf1081000000700000000000000cdf0f50f000bed7a4e39e5d68a29000000000000"
         "000200000073310a0000007075626c69632f72756e0100000077000000000000000001"
         "00000000000000",
     ),
     MsgType.PUBLISH: (
         {"step": 2, "count": 0, "eos": True, "seq": 3},
-        "0701ecf1071100000700000000000000cdf0f50f001c1d618ea61319fa19000000000000"
+        "0701ecf1081100000700000000000000cdf0f50f001c1d618ea61319fa19000000000000"
         "0002000000000000000000000000000000010300000000000000",
     ),
 }
@@ -805,7 +815,7 @@ V7_FRAMES = {
 @pytest.mark.parametrize("msg_type", sorted(V7_FRAMES), ids=lambda t: t.name)
 def test_v7_frames_are_their_golden_bytes(msg_type):
     record, golden = V7_FRAMES[msg_type]
-    assert PROTOCOL_VERSION == 7
+    assert PROTOCOL_VERSION == 8
     assert encode_frame(msg_type, record, seq=7).as_array().tobytes().hex() == golden
     frame = decode_frame(bytes.fromhex(golden))
     assert (frame.msg_type, frame.record, frame.seq) == (msg_type, record, 7)

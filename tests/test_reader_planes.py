@@ -40,7 +40,8 @@ from repro.core.plugins import (
 )
 from repro.core.redistribution import CompiledPlan, FusedPlan, compute_plan
 from repro.core.stream import stream_registry
-from repro.net.client import _CachedStep, connect
+from repro import connect
+from repro.net.client import _CachedStep
 from repro.net.protocol import encode_var
 from repro.net.server import DirectoryDaemon
 from repro.obs.names import M_PLUGIN_FUSED_READS, M_PLUGIN_INTERPRETED_READS
@@ -775,7 +776,7 @@ def test_every_write_handle_shows_its_runs_chain_and_monitor(tmp_path, daemon, m
         assert w.plugins is w._run.plugins and w.monitor is w._run.monitor
         assert w.plugins.monitor is w.monitor
     if method in ("STAGING", "net"):
-        assert all(w.monitor is w._run._client.monitor for w in writers)
+        assert all(w.monitor is w._run._link.client.monitor for w in writers)
         assert writers[0].plugins is not writers[1].plugins
     else:
         assert writers[0]._run is writers[1]._run
@@ -810,4 +811,29 @@ def test_write_handle_refuses_a_closed_handle_and_a_misfit_block(request, tmp_pa
         w.write("a", np.zeros((4, 3)), box=box, global_shape=(4, 3))
     with pytest.raises(AdiosError, match="end_step after close"):
         w.end_step()
+    client.close()
+
+
+@pytest.mark.parametrize("method", [*sorted(WRITE_METHODS), "STAGING"])
+def test_every_method_keeps_every_block_a_rank_writes_of_one_name(tmp_path, daemon, method):
+    """One rank writes a name as two blocks in a step: every ``<method>``
+    keeps both, reads them back as the one array, and serves the rank's
+    first from ``read_block`` — the rule ``WriteHandle.write`` states."""
+    params = (f"daemon={daemon.host}:{daemon.control_port};tenant=public"
+              if method == "STAGING" else WRITE_METHODS[method])
+    client = connect("local://", config=_FILE_CONFIG.format(method=method, params=params))
+    path = str(tmp_path / "halves.bp")
+    w = client.open(path, "w")
+    a = np.arange(24.0).reshape(8, 3)
+    w.begin_step()
+    for rows in (slice(0, 4), slice(4, 8)):
+        w.write("a", a[rows], box=BoundingBox((rows.start, 0), (4, 3)), global_shape=(8, 3))
+    w.end_step()
+    w.close()
+    r = client.open(path, "r")
+    assert r.begin_step(timeout=2.0) is StepStatus.OK
+    np.testing.assert_array_equal(r.read("a"), a)
+    np.testing.assert_array_equal(r.read_block("a", 0), a[:4])
+    r.end_step()
+    r.close()
     client.close()

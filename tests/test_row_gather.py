@@ -343,7 +343,7 @@ def test_net_fused_read_out_of_a_slot_is_the_oracle_and_its_own(daemon, lone):
             assert got.tobytes() == _oracle(a) and got.flags.writeable
             assert not any(np.shares_memory(got, b) for b in blocks)
             if k:
-                assert not np.shares_memory(got, r._pool)
+                assert not np.shares_memory(got, r._link.pool)
         assert c.monitor.metrics.counter(M_PLUGIN_FUSED_READS).value == 4
         w.close()
         r.close()
