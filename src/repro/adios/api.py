@@ -436,6 +436,11 @@ class Run:
     rank out calls :meth:`_finish`, even when that seal raised.
     ``plugins`` (its monitor is the run's) conditions a rank's blocks
     through :func:`condition`.
+
+    A run may hold a liveness lease (:meth:`hold_lease`): every
+    :meth:`beat` moves its ``deadline`` a whole ``lease`` period on, and
+    a run :meth:`lapsed` past it is the stream's reaper's to fail.  This
+    class alone writes the deadline.
     """
 
     def __init__(self, plugins: Any) -> None:
@@ -443,6 +448,33 @@ class Run:
         self.monitor = plugins.monitor
         self.barrier = StepBarrier()
         self.open_step: dict[int, list] = {}
+        #: Lease period in seconds (None: the run never lapses), and its
+        #: deadline on ``clock``.
+        self.lease: Optional[float] = None
+        self.deadline: Optional[float] = None
+        self.clock: Callable[[], float] = time.monotonic
+
+    def hold_lease(self, period: Optional[float], clock: Callable[[], float],
+                   remaining: Optional[float] = None) -> None:
+        """Hold the run under a lease of ``period`` seconds on ``clock``
+        (None: no lease).  Its first deadline is a whole period away, or
+        ``remaining`` seconds: a restored lease goes on where it was.  The
+        period comes from a hint or the wire, so a non-positive one is
+        refused."""
+        if period is not None and period <= 0:
+            raise ValueError("lease must be positive (or None for no lease)")
+        self.lease, self.clock = period, clock
+        if period is not None:
+            self.deadline = clock() + (period if remaining is None else remaining)
+
+    def beat(self) -> None:
+        """The writer is alive: its lease runs a whole period from now."""
+        if self.lease is not None:
+            self.deadline = self.clock() + self.lease
+
+    def lapsed(self) -> bool:
+        """The lease is strictly past its deadline."""
+        return self.deadline is not None and self.clock() > self.deadline
 
     def join(self, rank: int) -> None:
         self.barrier.join(rank)

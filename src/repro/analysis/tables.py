@@ -58,6 +58,9 @@ OWNERS: tuple[Owner, ...] = (
     Owner("FXL015", ("*barrier.join()", "*barrier.end()", "*barrier.close()",
                      "*barrier.fail()"), ("adios/api.py:Run",),
           "drives a step barrier outside Run: every run ends its steps by one rule"),
+    Owner("FXL015", ("*.deadline",), ("adios/api.py:Run",),
+          "writes a run's lease deadline; Run's hold_lease/beat are its one "
+          "writer, so both planes' leases lapse by one rule"),
     Owner("FXL015", ("*.condition()",), ("adios/api.py:condition",),
           "runs a writer-side chain outside adios.api.condition"),
     Owner("FXL015", ("combine_predicates()", "*.combine_predicates()"),

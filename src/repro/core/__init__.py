@@ -10,9 +10,9 @@ substrates below it:
   mobile codelets compiled from source at runtime, installable in the
   writer's or reader's address space and migratable between them
   (Section II.F);
-* :mod:`repro.core.directory` — the directory server + per-program
-  coordinators used for stream discovery and connection setup
-  (Section II.C.1);
+* :mod:`repro.core.directory` — stream discovery (Section II.C.1) over
+  each plane's run table, the lease reaper that fails a run whose
+  writer went silent, and the daemon's tenant admission control;
 * :mod:`repro.core.redistribution` — MxN global-array redistribution:
   overlap mapping, the 4-step handshake with NO_CACHING /
   CACHING_LOCAL / CACHING_ALL options, variable batching, and sync vs
@@ -37,7 +37,7 @@ from repro.util import lazy_exports
 __all__, __getattr__ = lazy_exports(__name__, {
     "adaptive": "AdaptivePolicy DCPlacementController",
     "api": "FlexIO",
-    "directory": "CoordinatorInfo DirectoryError DirectoryServer",
+    "directory": "DirectoryError",
     "drain": "StepState",
     "hints": "HintSpec HintValueError StreamError StreamHints UnknownHintError "
              "stream_params",

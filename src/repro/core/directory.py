@@ -1,207 +1,58 @@
-"""Directory server + coordinators (paper Section II.C.1).
+"""Stream discovery and tenancy (paper Section II.C.1).
 
-Before any data moves, simulation and analytics find each other: each
-program elects a *local coordinator* (rank 0 here, as in practice); when
-the simulation creates a stream its coordinator registers the stream name
-with its contact information at the directory server; the analytics'
-coordinator looks the name up and connects.  The server participates only
-in discovery — never in the data path — so a single instance suffices.
-Nothing a step's movement consults lives here: the readers' pushdown
-predicates are held by the stream they read (its ``readers``), and the
-writer side prunes against those.
+Before any data moves, simulation and analytics find each other: the
+writing program's coordinator opens a stream name and the analytics'
+coordinator looks it up.  The lookup table is each plane's run table —
+:class:`~repro.core.stream.StreamRegistry`'s in process, the
+:class:`~repro.net.server.DirectoryDaemon`'s behind the daemon — so a
+name is discoverable exactly while its run is held there; nothing of a
+step's movement passes through discovery.
 
 Failure detection (Section II.H's "errors and failures during data
-movement" extended to the control plane): a registration may carry a
-**lease**.  The writing coordinator must :meth:`~DirectoryServer.heartbeat`
-within the lease period; :meth:`~DirectoryServer.reap` evicts entries whose
-lease expired and notifies the registered contact (``contact.fail(...)``),
-so readers of a dead writer get a typed end-of-stream-with-error instead
-of stalling forever.  Streams registered without a lease (the default)
-are never evicted — exactly the old behaviour.
+movement" extended to the control plane): a run may hold a liveness
+lease (:meth:`~repro.adios.api.Run.hold_lease`), which every sealed
+step, PUBLISH and HEARTBEAT beats.  :func:`reap` fails every live run
+whose lease lapsed, so readers of a dead writer get a typed
+end-of-stream-with-error instead of stalling for ever; the in-process
+plane reaps the run a reader waits on, the daemon every run at each
+reap tick.  Runs without a lease (the default) never lapse.
+
+:class:`TenantDirectory` is the daemon's admission control: bearer
+tokens, quotas counted over a tenant's live runs, and its byte budget.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.obs import recorder as flight
 from repro.obs.events import EV_ADMISSION_REJECT, EV_LEASE_REAP
 
+if TYPE_CHECKING:
+    from repro.adios.api import Run
+
 
 class DirectoryError(RuntimeError):
-    """Lookup of an unregistered name, or duplicate registration."""
+    """Open of a stream name no run holds, or of a writer rank already open."""
 
 
-@dataclass(frozen=True)
-class CoordinatorInfo:
-    """Contact information registered by a program's coordinator."""
-
-    program: str
-    coordinator_rank: int
-    num_ranks: int
-    #: Opaque contact handle (in-process: the stream-state object itself).
-    contact: Any = None
-
-
-@dataclass
-class _Entry:
-    writer: CoordinatorInfo
-    readers: list[CoordinatorInfo] = field(default_factory=list)
-    lookups: int = 0
-    #: Lease period in seconds; None → the entry never expires.
-    lease: Optional[float] = None
-    #: Absolute deadline (directory clock) of the current lease.
-    deadline: Optional[float] = None
-
-
-class DirectoryServer:
-    """Name → coordinator registry with optional liveness leases.
-
-    Counters make the "server is not in the critical path" property
-    checkable: per-step data movement never touches the server (writer
-    heartbeats are control-plane traffic, counted separately).
-    ``clock`` is injectable so tests and discrete-event runs can drive
-    lease expiry deterministically.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._entries: dict[str, _Entry] = {}
-        self._clock = clock or time.monotonic
-        self.registrations = 0
-        self.lookups = 0
-        self.heartbeats = 0
-        self.evictions = 0
-
-    def set_clock(self, clock: Optional[Callable[[], float]]) -> None:
-        """Swap the lease clock (tests / discrete-event drivers).
-
-        Deadlines already computed against the old clock are not
-        rebased, so swap before any leased registration exists.
-        """
-        self._clock = clock or time.monotonic
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self._clock
-
-    def leased_count(self) -> int:
-        """Registrations currently held under a liveness lease."""
-        return sum(1 for e in self._entries.values() if e.lease is not None)
-
-    def register(
-        self,
-        name: str,
-        info: CoordinatorInfo,
-        lease: Optional[float] = None,
-        remaining: Optional[float] = None,
-    ) -> None:
-        """The writing program's coordinator publishes a stream name.
-
-        With ``lease`` (seconds) the registration must be refreshed via
-        :meth:`heartbeat` or :meth:`reap` will evict it.  ``remaining``
-        (restore path) sets the *first* deadline that many seconds from
-        now instead of a full lease period, so a registration restored
-        from a daemon checkpoint resumes its old lease clock rather than
-        getting a fresh one.
-        """
-        if name in self._entries:
-            raise DirectoryError(f"stream name {name!r} already registered")
-        if lease is not None and lease <= 0:
-            raise ValueError("lease must be positive (or None for no lease)")
-        entry = _Entry(writer=info, lease=lease)
-        if lease is not None:
-            entry.deadline = self._clock() + (
-                remaining if remaining is not None else lease
-            )
-        self._entries[name] = entry
-        self.registrations += 1
-
-    def heartbeat(self, name: str) -> None:
-        """Writer liveness signal: pushes the lease deadline forward."""
-        entry = self._entries.get(name)
-        if entry is None:
-            raise DirectoryError(f"no stream registered under {name!r}")
-        self.heartbeats += 1
-        if entry.lease is not None:
-            entry.deadline = self._clock() + entry.lease
-
-    def expired(self, now: Optional[float] = None) -> list[str]:
-        """Names whose lease deadline has passed (no side effects)."""
-        now = self._clock() if now is None else now
-        return sorted(
-            name
-            for name, e in self._entries.items()
-            if e.deadline is not None and now > e.deadline
-        )
-
-    def reap(self, now: Optional[float] = None) -> list[str]:
-        """Evict every expired entry; returns the evicted names.
-
-        Each evicted entry's contact is notified through its ``fail``
-        method (when it has one) so the stream ends with a typed error
-        for its readers rather than an eternal stall.
-        """
-        evicted = []
-        for name in self.expired(now):
-            entry = self._entries.pop(name)
-            self.evictions += 1
-            evicted.append(name)
-            flight.record(EV_LEASE_REAP, stream=name, lease=entry.lease)
-            fail = getattr(entry.writer.contact, "fail", None)
-            if callable(fail):
-                try:
-                    fail(
-                        f"writer lease expired "
-                        f"({entry.lease:.3g}s without heartbeat)"
-                    )
-                # flexlint: ok(FXL001) eviction must never take the directory down
-                except Exception:
-                    pass
-        return evicted
-
-    def lookup(self, name: str, reader: Optional[CoordinatorInfo] = None) -> CoordinatorInfo:
-        """A reading program's coordinator resolves a stream name."""
-        entry = self._entries.get(name)
-        if entry is None:
-            raise DirectoryError(f"no stream registered under {name!r}")
-        entry.lookups += 1
-        self.lookups += 1
-        if reader is not None:
-            entry.readers.append(reader)
-        return entry.writer
-
-    def unregister(self, name: str) -> None:
-        """Writer closes the stream; the name becomes reusable."""
-        if name not in self._entries:
-            raise DirectoryError(f"no stream registered under {name!r}")
-        del self._entries[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
-    def entries(self) -> list[tuple[str, CoordinatorInfo, Optional[float], Optional[float]]]:
-        """Checkpoint view: ``(name, writer, lease, remaining_ttl)`` per
-        registration, with ``remaining_ttl`` measured against the
-        directory clock (None for unleased entries)."""
-        now = self._clock()
-        out = []
-        for name, e in sorted(self._entries.items()):
-            remaining = None if e.deadline is None else max(0.0, e.deadline - now)
-            out.append((name, e.writer, e.lease, remaining))
-        return out
-
-    def readers_of(self, name: str) -> list[CoordinatorInfo]:
-        entry = self._entries.get(name)
-        if entry is None:
-            raise DirectoryError(f"no stream registered under {name!r}")
-        return list(entry.readers)
+def reap(runs: Iterable[Run]) -> list[Run]:
+    """Fail every live run of ``runs`` whose lease lapsed, and return
+    them: the stream ends with a typed error for its readers."""
+    evicted = []
+    for run in runs:
+        if not run.closed and run.lapsed():
+            flight.record(EV_LEASE_REAP, stream=run.name, lease=run.lease)
+            run.fail(f"writer lease expired ({run.lease:.3g}s without heartbeat)")
+            evicted.append(run)
+    return evicted
 
 
 # ---------------------------------------------------------------------------
-# Tenancy: per-tenant namespaces, bearer tokens, quotas, admission control
+# Tenancy: bearer tokens, quotas, admission control
 # ---------------------------------------------------------------------------
 
 class AdmissionKind(enum.Enum):
@@ -302,14 +153,14 @@ class _TokenBucket:
 
 
 class TenantDirectory:
-    """Multi-tenant front of the directory: auth, quotas, namespaces.
+    """Admission control for the daemon's tenants: auth, quotas, budget.
 
-    Each tenant owns an isolated :class:`DirectoryServer` (stream names
-    are scoped per tenant), all sharing one injectable ``clock`` so
-    lease reaping stays deterministic under test.  Every admission
-    decision is accounted: rejections raise a typed
-    :class:`AdmissionError`, bump a per-tenant labeled counter in the
-    optional metrics registry, and land in the flight recorder.
+    Stream names are scoped per tenant by the daemon's run table (a run
+    is keyed ``tenant/name``); here each tenant has its spec and byte
+    bucket, all on one injectable ``clock``.  Every admission decision is
+    accounted: rejections raise a typed :class:`AdmissionError`, bump a
+    per-tenant labeled counter in the optional metrics registry, and land
+    in the flight recorder.
     """
 
     def __init__(
@@ -320,7 +171,6 @@ class TenantDirectory:
         self._clock = clock or time.monotonic
         self.metrics = metrics
         self._tenants: dict[str, TenantSpec] = {}
-        self._servers: dict[str, DirectoryServer] = {}
         self._buckets: dict[str, _TokenBucket] = {}
         self.admitted = 0
         self.rejected = 0
@@ -330,7 +180,6 @@ class TenantDirectory:
         if spec.name in self._tenants:
             raise DirectoryError(f"tenant {spec.name!r} already exists")
         self._tenants[spec.name] = spec
-        self._servers[spec.name] = DirectoryServer(clock=self._clock)
         if spec.max_bytes_per_s is not None:
             self._buckets[spec.name] = _TokenBucket(spec.max_bytes_per_s, self._clock)
 
@@ -346,19 +195,6 @@ class TenantDirectory:
             return self._tenants[tenant]
         except KeyError:
             raise self._reject(tenant, UnknownTenant(f"unknown tenant {tenant!r}"))
-
-    def server_for(self, tenant: str) -> DirectoryServer:
-        self.spec(tenant)
-        return self._servers[tenant]
-
-    def set_clock(self, clock: Optional[Callable[[], float]]) -> None:
-        """Swap the shared clock across every tenant namespace."""
-        self._clock = clock or time.monotonic
-        for server in self._servers.values():
-            server.set_clock(self._clock)
-        for bucket in self._buckets.values():
-            bucket._clock = self._clock
-            bucket._last = self._clock()
 
     # -- admission control -------------------------------------------------
     def _reject(self, tenant: str, err: AdmissionError) -> AdmissionError:
@@ -382,18 +218,12 @@ class TenantDirectory:
         self.admitted += 1
         return spec
 
-    def register(
-        self,
-        tenant: str,
-        name: str,
-        info: CoordinatorInfo,
-        lease: Optional[float] = None,
-        remaining: Optional[float] = None,
-    ) -> None:
-        """Tenant-scoped :meth:`DirectoryServer.register` behind quotas."""
+    def admit_run(self, tenant: str, live: Sequence[Run], lease: Optional[float]) -> None:
+        """The quotas a new run of ``tenant`` must fit, counted over
+        ``live``, the tenant's live runs: ``max_streams`` of them, and
+        ``max_leases`` of those holding a lease when this one asks for one."""
         spec = self.spec(tenant)
-        server = self._servers[tenant]
-        if spec.max_streams is not None and len(server.names()) >= spec.max_streams:
+        if spec.max_streams is not None and len(live) >= spec.max_streams:
             raise self._reject(tenant, QuotaExceeded(
                 AdmissionKind.STREAM_QUOTA,
                 f"tenant {tenant!r} at max_streams={spec.max_streams}",
@@ -401,17 +231,17 @@ class TenantDirectory:
         if (
             lease is not None
             and spec.max_leases is not None
-            and server.leased_count() >= spec.max_leases
+            and sum(run.lease is not None for run in live) >= spec.max_leases
         ):
             raise self._reject(tenant, QuotaExceeded(
                 AdmissionKind.LEASE_QUOTA,
                 f"tenant {tenant!r} at max_leases={spec.max_leases}",
             ))
-        server.register(name, info, lease=lease, remaining=remaining)
+
+    def count_runs(self, tenant: str, live: Sequence[Run]) -> None:
+        """Set the ``tenant.streams`` gauge: ``live`` are the tenant's live runs."""
         if self.metrics is not None:
-            self.metrics.gauge(
-                "tenant.streams", labels={"tenant": tenant}
-            ).set(len(server.names()))
+            self.metrics.gauge("tenant.streams", labels={"tenant": tenant}).set(len(live))
 
     def charge_bytes(self, tenant: str, nbytes: int) -> None:
         """Debit a data-plane transfer against the tenant's byte budget."""
@@ -426,27 +256,3 @@ class TenantDirectory:
             self.metrics.counter(
                 "tenant.bytes", labels={"tenant": tenant}
             ).inc(nbytes)
-
-    # -- tenant-scoped directory operations --------------------------------
-    def lookup(self, tenant: str, name: str, reader=None) -> CoordinatorInfo:
-        return self.server_for(tenant).lookup(name, reader)
-
-    def heartbeat(self, tenant: str, name: str) -> None:
-        self.server_for(tenant).heartbeat(name)
-
-    def unregister(self, tenant: str, name: str) -> None:
-        server = self.server_for(tenant)
-        server.unregister(name)
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "tenant.streams", labels={"tenant": tenant}
-            ).set(len(server.names()))
-
-    def reap_all(self, now: Optional[float] = None) -> dict[str, list[str]]:
-        """Reap expired leases across every tenant namespace."""
-        out: dict[str, list[str]] = {}
-        for tenant, server in self._servers.items():
-            evicted = server.reap(now)
-            if evicted:
-                out[tenant] = evicted
-        return out

@@ -2,10 +2,10 @@
 
 Stream mode keeps the file metaphor: the simulation *creates a file* with
 a unique name, the analytics *opens* it — but underneath, the open
-resolves the name at the directory server and connects to the writing
-program.  Writers then emit timesteps; readers consume them (process-group
-or global-array pattern); when the writer closes the file, readers receive
-End-of-Stream from their next read.  Because the API is the ADIOS file
+resolves the name in the process's stream table (its directory) to the
+writing program's run.  Writers then emit timesteps; readers consume
+them (process-group or global-array pattern); when the writer closes the
+file, readers receive End-of-Stream from their next read.  Because the API is the ADIOS file
 API, stream and file modes interchange without code changes.
 
 The data plane behind ``end_step`` is the pipelined drain of
@@ -33,7 +33,7 @@ from repro.adios.api import (
 from repro.adios.config import MethodSpec
 from repro.adios.model import Group, ProcessGroupData, WrittenVar
 from repro.adios.selection import BoundingBox
-from repro.core.directory import CoordinatorInfo, DirectoryError, DirectoryServer
+from repro.core.directory import DirectoryError, reap
 from repro.core.drain import StepState, _rank_parts, _StepDrainer
 from repro.core.hints import STREAM_METHODS, StreamError, StreamHints
 from repro.core.monitoring import PerfMonitor
@@ -52,7 +52,7 @@ from repro.obs.events import EV_STEP_BEGIN, EV_STREAM_FAILED
 from repro.transport.faults import injector_from_env, parse_fault_spec
 
 #: Longest a timed ``begin_step`` waits between two probes: a probe of
-#: a stalled stream is what runs the directory's lease reaper.
+#: a stalled stream is what checks its writer's lease.
 _REAP_INTERVAL = 0.05
 
 
@@ -137,9 +137,6 @@ class StreamState(Run):
         #: Transport currently draining steps; degrades down the ladder
         #: (rdma → tcp → shm → "buffered") on repeated failure.
         self.active_transport = self.hints.transport
-        #: Directory this stream is registered at (set by the registry);
-        #: heartbeats and reader-side failure detection go through it.
-        self._directory: Optional[DirectoryServer] = None
         # Fault schedule: the per-stream hint wins over FLEXIO_FAULTS.
         self._injector = parse_fault_spec(self.hints.faults) or injector_from_env()
         if self._injector is not None:
@@ -239,13 +236,7 @@ class StreamState(Run):
             if sync:
                 self._drainer.wait_idle()
         self._step += 1
-        if self._directory is not None:
-            # Liveness signal for the lease-based failure detector; a
-            # concurrently-unregistered name is not the writer's problem.
-            try:
-                self._directory.heartbeat(self.name)
-            except DirectoryError:
-                pass
+        self.beat()  # the writer's liveness signal
         if sync and step.status is not StepState.COMMITTED:
             # Synchronous writes surface the loss to the writer (the
             # paper's error-reporting contract); the step is already in
@@ -311,13 +302,8 @@ class StreamState(Run):
         (``time.monotonic()`` seconds; ``None``: until the stream ends)."""
         timeout = None if deadline is None else deadline - time.monotonic()
         outcome, found = self.await_step(index, timeout if index < self._step else 0.0)
-        if outcome is Outcome.NOT_YET and self._directory is not None:
-            # A stall may really be a dead writer: run the failure
-            # detector before deciding what to tell the reader.
-            try:
-                self._directory.reap()
-            except DirectoryError:
-                pass
+        if outcome is Outcome.NOT_YET and reap([self]):
+            # The stall was a dead writer: its lease lapsed.
             outcome, found = self.await_step(index, 0.0)
         if outcome is not Outcome.HIT:
             raise outcome_error(outcome, f"step {index} of {self.name!r}", found)
@@ -325,55 +311,38 @@ class StreamState(Run):
 
 
 class StreamRegistry:
-    """Directory server + live stream states for one process."""
+    """The process's directory: stream name -> its run, the one table a
+    writer's open adds to and a reader's open looks up."""
 
     def __init__(self, clock=None) -> None:
         self._clock = clock
-        self.directory = DirectoryServer(clock=clock)
         self._states: dict[str, StreamState] = {}
 
     def set_clock(self, clock) -> None:
-        """Swap the injectable clock (tests) — propagates to the
-        directory server so lease reaping is deterministic."""
+        """Swap the lease clock of the streams opened from now on (tests:
+        lease expiry is one tick forward)."""
         self._clock = clock
-        self.directory.set_clock(clock)
 
     def create(
         self, name: str, ctx: RankContext, monitor=None, hints=None
     ) -> StreamState:
         state = self._states.get(name)
-        if state is None or state.closed:
-            if state is not None and state.closed:
-                # Recycle a finished stream's name for a new run.
-                self.directory.unregister(name)
-            state = StreamState(name, monitor, hints)
-            state._directory = self.directory
-            self._states[name] = state
-            # Coordinator (rank 0 by election) registers the name, with a
-            # liveness lease when the stream hints ask for one.
-            self.directory.register(
-                name,
-                CoordinatorInfo(
-                    program="writer", coordinator_rank=0, num_ranks=ctx.size, contact=state
-                ),
-                lease=state.hints.lease or None,
-            )
+        if state is None or state.closed:  # a finished stream's name is recycled
+            state = self._states[name] = StreamState(name, monitor, hints)
+            state.hold_lease(state.hints.lease or None, self._clock or time.monotonic)
         return state
 
     def open(self, name: str, ctx: RankContext) -> StreamState:
-        info = self.directory.lookup(
-            name,
-            CoordinatorInfo(program="reader", coordinator_rank=0, num_ranks=ctx.size),
-        )
-        return info.contact
+        state = self._states.get(name)
+        if state is None:
+            raise DirectoryError(f"no stream registered under {name!r}")
+        return state
 
     def close_stream(self, name: str) -> None:
-        if name in self._states:
-            self._states[name].shutdown_pipeline()
-            try:
-                self.directory.unregister(name)
-            except DirectoryError:
-                pass  # already unregistered (recycled name)
+        """Tear the stream down and withdraw its name."""
+        state = self._states.pop(name, None)
+        if state is not None:
+            state.shutdown_pipeline()
 
     def reset(self) -> None:
         for state in getattr(self, "_states", {}).values():

@@ -75,7 +75,6 @@ __all__ = [
     "CKPT_HEAD",
     "CKPT_TENANT",
     "CKPT_SESSION",
-    "CKPT_REG",
     "CKPT_STREAM",
     "CKPT_STEP",
     "CKPT_RUN",
@@ -387,7 +386,9 @@ def decode_var(
 #: step records carry the step store's whole snapshot, failure included.
 #: v3: the stream record carries its writer run (ranks, their sessions and
 #: publish sequences, the barrier) and the open step's runs follow it.
-CKPT_VERSION = 3
+#: v4: the stream record carries its lease (period, remaining TTL); the
+#: ``net.ckpt.reg`` registration record is gone.
+CKPT_VERSION = 4
 
 CKPT_HEAD = PROTOCOL_REGISTRY.define(
     "net.ckpt.head", [("version", _I), ("wall", _F), ("server", _S)]
@@ -401,11 +402,6 @@ CKPT_SESSION = PROTOCOL_REGISTRY.define(
     "net.ckpt.session",
     [("session", _S), ("tenant", _S), ("client", _S), ("resume", _S)],
 )
-CKPT_REG = PROTOCOL_REGISTRY.define(
-    "net.ckpt.reg",
-    [("tenant", _S), ("stream", _S), ("program", _S), ("rank", _I),
-     ("num_ranks", _I), ("lease", _F), ("remaining", _F)],  # 0 lease = none
-)
 CKPT_STREAM = PROTOCOL_REGISTRY.define(
     "net.ckpt.stream",
     [("stream_id", _S), ("tenant", _S), ("name", _S), ("last_step", _I),
@@ -415,7 +411,9 @@ CKPT_STREAM = PROTOCOL_REGISTRY.define(
      # closed ranks and those that ended the open step, and (rank, seq)
      # pairs flattened; then ``open`` net.ckpt.run records.
      ("ranks", _L), ("owners", _S), ("closed", _L), ("ended", _L),
-     ("seqs", _L), ("open", _I)],
+     ("seqs", _L), ("open", _I),
+     # The lease period (0: none) and what was left of it at the walk.
+     ("lease", _F), ("remaining", _F)],
 )  # eos_step -1 = still open; count net.ckpt.step records follow
 CKPT_STEP = PROTOCOL_REGISTRY.define(
     "net.ckpt.step",

@@ -50,17 +50,16 @@ import numpy as np
 from repro.adios.api import Run, StepBarrier
 from repro.core.directory import (
     AdmissionError,
-    CoordinatorInfo,
     DirectoryError,
     TenantDirectory,
     TenantSpec,
+    reap,
 )
 from repro.core.monitoring import PerfMonitor
 from repro.core.plugins import CodeletError, PluginManager, ReaderPredicates, parse_predicate
 from repro.core.stepstore import Outcome, StepStore
 from repro.net.protocol import (
     CKPT_HEAD,
-    CKPT_REG,
     CKPT_RUN,
     CKPT_SESSION,
     CKPT_STEP,
@@ -465,9 +464,9 @@ class HostedStream(Run):
         return pool, offset
 
     def fail(self, reason: str) -> None:
-        """Directory eviction callback: lease expired → typed stream end.
-        The open step is dropped with the runs landed for it: no reader
-        sees a step missing a rank."""
+        """The run's lease lapsed (:func:`~repro.core.directory.reap`):
+        a typed stream end.  The open step is dropped with the runs landed
+        for it: no reader sees a step missing a rank."""
         self.store.fail(reason)
         super().fail(reason)
         self.wake()
@@ -552,12 +551,6 @@ def _handler(method):
     return handle
 
 
-def _coordinator(rec: dict, contact) -> CoordinatorInfo:
-    """The writer coordinator an OPEN for write names."""
-    return CoordinatorInfo(rec["program"], int(rec["rank"]), int(rec["num_ranks"]),
-                           contact=contact)
-
-
 @dataclass
 class _Session:
     session_id: str
@@ -574,9 +567,10 @@ class DirectoryDaemon:
 
     ``tenants`` seeds the tenant table; with none given a single open
     tenant ``"public"`` (no token, no quotas) is created so
-    single-tenant deployments work out of the box.  ``clock`` threads
-    through to every per-tenant :class:`DirectoryServer` so lease reap
-    stays deterministic under test.
+    single-tenant deployments work out of the box.  ``_streams`` is the
+    daemon's directory: ``tenant/name`` -> the run that name opens.
+    ``clock`` is what every run's lease and every tenant's byte budget
+    read, so lease reap stays deterministic under test.
     """
 
     def __init__(
@@ -598,7 +592,8 @@ class DirectoryDaemon:
         self.control_port = control_port  # 0 → ephemeral; fixed after start
         self.data_port = data_port
         self.metrics = MetricsRegistry()
-        self.directory = TenantDirectory(clock=clock, metrics=self.metrics)
+        self.clock = clock or time.monotonic
+        self.directory = TenantDirectory(clock=self.clock, metrics=self.metrics)
         for spec in tenants if tenants is not None else [TenantSpec("public")]:
             self.directory.add_tenant(spec)
         self.lease_interval = lease_interval
@@ -721,12 +716,11 @@ class DirectoryDaemon:
             await asyncio.sleep(self.lease_interval)
             # How late the tick ran: what a frame waits for the loop now.
             lag.set(max(0.0, loop.time() - due) * 1e3)
-            reaped = self.directory.reap_all()
-            for tenant, names in reaped.items():
-                for name in names:
-                    self.metrics.counter(
-                        "net.lease_evictions", labels={"tenant": tenant}
-                    ).inc()
+            for stream in reap(list(self._streams.values())):
+                self.metrics.counter(
+                    "net.lease_evictions", labels={"tenant": stream.tenant}
+                ).inc()
+                self._count_runs(stream.tenant)
 
     async def _checkpoint_loop(self) -> None:
         while True:
@@ -810,6 +804,14 @@ class DirectoryDaemon:
             stream.give_back(*conn.grant)
         conn.grant = conn.pinned = None
 
+    # -- the run table -----------------------------------------------------
+    def _live_runs(self, tenant: str) -> list[HostedStream]:
+        return [s for s in self._streams.values() if s.tenant == tenant and not s.closed]
+
+    def _count_runs(self, tenant: str) -> None:
+        """A run of ``tenant`` opened or ended: its ``tenant.streams`` gauge."""
+        self.directory.count_runs(tenant, self._live_runs(tenant))
+
     # -- control plane -----------------------------------------------------
     @_handler
     def _hello(self, conn: _Conn, raw, frame: Frame) -> None:
@@ -869,15 +871,14 @@ class DirectoryDaemon:
             return self._send_retry_after(conn, "draining")
         try:
             if frame.msg_type is MsgType.HEARTBEAT:
-                try:
-                    self.directory.heartbeat(tenant, rec["stream"])
-                    detail = "heartbeat"
-                except DirectoryError:
-                    # Tolerant: reader-side and already-closed streams
-                    # heartbeat too (the client's background thread does
-                    # not know which names hold leases).
-                    detail = "idle"
-                self._ack(conn, detail)
+                # Tolerant: reader-side and already-closed streams heartbeat
+                # too (the client's background thread does not know which
+                # names hold leases).
+                stream = self._streams.get(f"{tenant}/{rec['stream']}")
+                live = stream is not None and not stream.closed
+                if live:
+                    stream.beat()
+                self._ack(conn, "heartbeat" if live else "idle")
             elif frame.msg_type is MsgType.OPEN:
                 self._control_open(session, rec, conn)
             else:
@@ -897,24 +898,21 @@ class DirectoryDaemon:
         if mode == "w":
             stream = self._streams.get(stream_id)
             if stream is None or stream.closed:
-                # The run's first rank: admission (quota + duplicate check)
-                # happens before the stream becomes visible to readers.
+                # The run's first rank: admission happens before the
+                # stream becomes visible to readers.
+                lease = rec["lease"] if rec["lease"] > 0 else None
+                self.directory.admit_run(tenant, self._live_runs(tenant), lease)
                 stream = HostedStream(tenant, name, retain_steps=self.retain_steps)
-                self.directory.register(tenant, name, _coordinator(rec, stream),
-                                        lease=rec["lease"] if rec["lease"] > 0 else None)
+                stream.hold_lease(lease, self.clock)
                 self._streams[stream_id] = stream
+                self._count_runs(tenant)
             stream.join(int(rec["rank"]), session.session_id)
         elif mode == "r":
-            hosted = self._streams.get(stream_id)
-            if hosted is None:
-                # Raises the typed not-found the client retry loop expects.
-                self.directory.lookup(tenant, name)
-                return self._send_error(conn, "unknown_stream", stream_id)
-            if not hosted.closed:
-                # Live stream: count the reader in the directory.  A
-                # closed stream stays openable while steps are retained —
-                # late analytics drain the store-and-forward tail to EOS.
-                self.directory.lookup(tenant, name)
+            # A closed stream stays openable while steps are retained —
+            # late analytics drain the store-and-forward tail to EOS.
+            if stream_id not in self._streams:
+                # The typed not-found the client retry loop expects.
+                raise DirectoryError(f"no stream registered under {name!r}")
         else:
             return self._send_error(conn, "protocol", f"bad open mode {mode!r}")
         flight.record(EV_NET_STREAM_OPEN, stream=stream_id, mode=mode, tenant=tenant)
@@ -1022,13 +1020,10 @@ class DirectoryDaemon:
                 pass
         stored = stream.publish(int(rec["step"]), count, payload, bool(rec["eos"]),
                                 seq=int(rec["seq"]), slot=slot, rank=conn.rank)
-        try:  # publishing is the writer's liveness signal; the last rank out frees the name
-            if rec["eos"] and stream.closed:
-                self.directory.unregister(stream.tenant, stream.name)
-            else:
-                self.directory.heartbeat(stream.tenant, stream.name)
-        except DirectoryError:
-            pass  # unleased or already closed registration
+        if stream.closed:  # the last rank out ended the run
+            self._count_runs(stream.tenant)
+        else:  # publishing is the writer's liveness signal
+            stream.beat()
 
         def ack() -> None:
             if conn.colocated:
@@ -1203,7 +1198,7 @@ class DirectoryDaemon:
         )
 
     def _checkpoint_blob(self) -> bytes:
-        """The state walk: every tenant/session/registration/stream as
+        """The state walk: every tenant/session/stream as
         bare codec messages (the same marshal plane the wire uses).
         Pure in-memory work — safe on the event loop."""
         parts: list[np.ndarray] = [encode_record(CKPT_HEAD, {
@@ -1225,17 +1220,6 @@ class DirectoryDaemon:
                 "session": sess.session_id, "tenant": sess.tenant,
                 "client": sess.client, "resume": sess.resume,
             }))
-        for tenant in self.directory.tenants():
-            server = self.directory.server_for(tenant)
-            for name, info, lease, remaining in server.entries():
-                parts.append(encode_record(CKPT_REG, {
-                    "tenant": tenant, "stream": name,
-                    "program": info.program,
-                    "rank": info.coordinator_rank,
-                    "num_ranks": info.num_ranks,
-                    "lease": 0.0 if lease is None else lease,
-                    "remaining": 0.0 if remaining is None else remaining,
-                }))
         for stream in self._streams.values():
             snap, barrier = stream.store.snapshot(), stream.barrier.snapshot()
             parts.append(encode_record(CKPT_STREAM, {
@@ -1250,6 +1234,9 @@ class DirectoryDaemon:
                 "closed": barrier["closed"], "ended": barrier["ended"],
                 "seqs": [n for pair in stream.last_seq.items() for n in pair],
                 "open": sum(map(len, stream.open_step.values())),
+                "lease": stream.lease or 0.0,
+                "remaining": 0.0 if stream.deadline is None
+                else max(0.0, stream.deadline - stream.clock()),
             }))
             # ``publish`` is the store's only appender: no entry is lost.
             for step, (count, payload), _nbytes, _lost in snap["steps"]:
@@ -1270,7 +1257,7 @@ class DirectoryDaemon:
 
         Call before :meth:`start`.  Tenants already configured keep
         their (possibly newer) specs; checkpointed sessions become
-        resumable again; leased registrations resume with their
+        resumable again; leased streams resume with their
         *remaining* TTL, not a fresh lease period.
         """
         source = path or self.checkpoint_path
@@ -1283,7 +1270,6 @@ class DirectoryDaemon:
             raise ProtocolError(
                 f"bad checkpoint head {fmt.name!r} v{head.get('version')}"
             )
-        regs: list[dict] = []
         max_sid = 0
         while offset < data.nbytes:
             fmt, rec, offset = decode_record(data, offset)
@@ -1315,8 +1301,6 @@ class DirectoryDaemon:
                 sid = sess.session_id
                 if sid.startswith("s") and sid[1:].isdigit():
                     max_sid = max(max_sid, int(sid[1:]))
-            elif fmt.name == CKPT_REG.name:
-                regs.append(dict(rec))  # applied after streams exist
             elif fmt.name == CKPT_STREAM.name:
                 n_steps, held = int(rec["count"]), []
                 for i in range(n_steps + int(rec["open"])):
@@ -1327,6 +1311,7 @@ class DirectoryDaemon:
                     payload = np.asarray(srec["payload"], dtype=np.uint8).tobytes()
                     held.append((srec, int(srec["count"]), payload))
                 stream = HostedStream(rec["tenant"], rec["name"])
+                stream.hold_lease(rec["lease"] or None, self.clock, rec["remaining"])
                 stream.owners = dict(zip(map(int, rec["ranks"]), rec["owners"].split(",")))
                 stream.barrier = StepBarrier.restore(
                     {"joined": stream.owners, "closed": rec["closed"], "ended": rec["ended"]})
@@ -1345,17 +1330,8 @@ class DirectoryDaemon:
                 self._streams[stream.stream_id] = stream
             else:
                 raise ProtocolError(f"unknown checkpoint record {fmt.name!r}")
-        for rec in regs:
-            contact = self._streams.get(f"{rec['tenant']}/{rec['stream']}")
-            info = CoordinatorInfo(
-                rec["program"], int(rec["rank"]), int(rec["num_ranks"]),
-                contact=contact,
-            )
-            self.directory.register(
-                rec["tenant"], rec["stream"], info,
-                lease=rec["lease"] if rec["lease"] > 0 else None,
-                remaining=rec["remaining"] if rec["lease"] > 0 else None,
-            )
+        for tenant in {stream.tenant for stream in self._streams.values()}:
+            self._count_runs(tenant)
         self._session_counter = itertools.count(max_sid + 1)
         self.metrics.counter("net.restores").inc()
         flight.record(

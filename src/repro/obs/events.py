@@ -91,7 +91,7 @@ _FLIGHT_SPECS = (
     EventSpec(EV_DEGRADE, "the stream fell down the transport ladder"),
     EventSpec(EV_BACKPRESSURE, "the writer blocked on a full drain queue"),
     EventSpec(EV_QUEUE_HIGH_WATER, "the drain queue reached a new high-water depth"),
-    EventSpec(EV_LEASE_REAP, "the directory evicted an expired writer lease"),
+    EventSpec(EV_LEASE_REAP, "a run's writer lease lapsed: the reaper failed the run"),
     EventSpec(EV_STREAM_FAILED, "a stream ended abnormally (writer death)"),
     EventSpec(EV_DRAIN_WEDGED, "a drainer thread failed to join at stop()"),
     EventSpec(EV_SANITIZER, "the concurrency sanitizer recorded a violation"),

@@ -1,4 +1,4 @@
-"""Tests for the FLEXPATH stream method and the directory service."""
+"""Tests for the FLEXPATH stream method and its run's liveness lease."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,10 @@ from repro.adios import (
     StepStatus,
     block_decompose,
 )
+from repro.adios.api import Run
 from repro.core import PluginSide, StreamStalled, stream_registry
-from repro.core.directory import CoordinatorInfo, DirectoryError, DirectoryServer
-from repro.core.plugins import range_select_plugin, sampling_plugin
+from repro.core.directory import DirectoryError, reap
+from repro.core.plugins import PluginManager, range_select_plugin, sampling_plugin
 
 STREAM_CONFIG = """
 <adios-config>
@@ -39,41 +40,6 @@ def fresh_registry():
 
 def make_adios():
     return Adios.from_xml(STREAM_CONFIG)
-
-
-# ---------------------------------------------------------------------------
-# Directory service
-# ---------------------------------------------------------------------------
-
-def test_directory_register_lookup_unregister():
-    d = DirectoryServer()
-    info = CoordinatorInfo("sim", 0, 128, contact="handle")
-    d.register("gts.out", info)
-    got = d.lookup("gts.out")
-    assert got.contact == "handle"
-    assert d.names() == ["gts.out"]
-    d.unregister("gts.out")
-    with pytest.raises(DirectoryError):
-        d.lookup("gts.out")
-
-
-def test_directory_duplicate_and_missing():
-    d = DirectoryServer()
-    d.register("x", CoordinatorInfo("a", 0, 1))
-    with pytest.raises(DirectoryError):
-        d.register("x", CoordinatorInfo("b", 0, 1))
-    with pytest.raises(DirectoryError):
-        d.unregister("y")
-
-
-def test_directory_tracks_readers_not_data():
-    d = DirectoryServer()
-    d.register("s", CoordinatorInfo("sim", 0, 4))
-    d.lookup("s", CoordinatorInfo("ana", 0, 2))
-    assert len(d.readers_of("s")) == 1
-    # Only discovery traffic: one registration, one lookup, regardless of
-    # how much data later flows.
-    assert d.registrations == 1 and d.lookups == 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +324,13 @@ def test_lease_expiry_ends_stream_with_error_not_stall():
     reader gets OtherError instead of polling a dead stream forever, and
     the writer's partial step is discarded (never torn-visible).
 
-    The failure detector runs on an injected clock — the registry
-    threads it down to the directory server — so the "crash" is one
+    The failure detector runs on an injected clock — the registry's,
+    which every stream's lease reads — so the "crash" is one
     deterministic tick forward, not a wall-clock sleep."""
+    from repro.obs import recorder as flight
+    from repro.obs.events import EV_LEASE_REAP
+
+    recorder = flight.reset()
     now = [0.0]
     stream_registry.set_clock(lambda: now[0])
     ad = Adios.from_xml(FAULTY_CONFIG.format(params="lease=0.05"))
@@ -378,10 +348,35 @@ def test_lease_expiry_ends_stream_with_error_not_stall():
     state = stream_registry._states["s"]
     assert state.closed and "lease expired" in state.error
     assert state.open_step == {}                    # partial step discarded
-    assert stream_registry.directory.evictions == 1
+    assert len(recorder.events(code=EV_LEASE_REAP, stream="s")) == 1
     assert state.monitor.metrics.counter("dataplane.stream.failures").value == 1
     # The failure is also idempotent and terminal:
     assert r.begin_step() is StepStatus.OtherError
+
+
+def test_a_lease_evicted_stream_name_opens_a_new_run():
+    """The evicted run stays the name's until a writer opens it again,
+    which starts a new run, as after a clean close."""
+    now = [0.0]
+    stream_registry.set_clock(lambda: now[0])
+    ad = Adios.from_xml(FAULTY_CONFIG.format(params="lease=0.05"))
+    w = ad.open_write("particles", "s", RankContext(0, 1))
+    w.write("zion", np.zeros((4, 7)))
+    w.end_step()
+    now[0] += 1.0
+    r = ad.open_read("particles", "s", RankContext(0, 1))
+    assert r.begin_step() is StepStatus.OK
+    r.end_step()
+    assert r.begin_step() is StepStatus.OtherError
+    assert ad.open_read("particles", "s", RankContext(0, 1)).begin_step() is StepStatus.OK
+    w2 = ad.open_write("particles", "s", RankContext(0, 1))
+    w2.write("zion", np.ones((4, 7)))
+    w2.close()
+    r2 = ad.open_read("particles", "s", RankContext(0, 1))
+    assert r2.begin_step() is StepStatus.OK
+    np.testing.assert_array_equal(r2.read_block("zion", 0), np.ones((4, 7)))
+    r2.end_step()
+    assert r2.begin_step() is StepStatus.EndOfStream
 
 
 def test_writer_crash_between_steps_reports_failure_without_data_loss():
@@ -405,32 +400,38 @@ def test_writer_crash_between_steps_reports_failure_without_data_loss():
     assert state.error == "writer died"
 
 
+class _LeasedRun(Run):
+    """The least a run needs to be reaped: a name, ``closed`` and ``fail``."""
+
+    name, closed, failed = "s", False, None
+
+    def fail(self, reason):
+        self.closed, self.failed = True, reason
+
+
 def test_directory_lease_reap_with_fake_clock():
-    """Unit-level failure detector: deterministic clock, explicit reap."""
-
-    class _Contact:
-        failed = None
-
-        def fail(self, reason):
-            self.failed = reason
-
+    """Unit-level failure detector: a run's lease on a deterministic
+    clock, and the one reaper that fails a lapsed run."""
     now = [0.0]
-    d = DirectoryServer(clock=lambda: now[0])
-    contact = _Contact()
-    d.register("s", CoordinatorInfo("sim", 0, 4, contact=contact), lease=1.0)
-    d.register("eternal", CoordinatorInfo("sim", 0, 4))  # no lease: never reaped
-    assert d.expired() == []
+    clock = lambda: now[0]  # noqa: E731
+    leased, eternal = _LeasedRun(PluginManager()), _LeasedRun(PluginManager())
+    leased.hold_lease(1.0, clock)
+    eternal.hold_lease(None, clock)      # no lease: never lapses
+    assert not leased.lapsed()
     now[0] = 0.9
-    d.heartbeat("s")                     # refreshes the deadline to 1.9
+    leased.beat()                        # refreshes the deadline to 1.9
+    eternal.beat()
     now[0] = 1.5
-    assert d.expired() == []
+    assert reap([leased, eternal]) == []
+    now[0] = 1.9
+    assert not leased.lapsed()           # lapses strictly past the deadline
     now[0] = 2.0
-    assert d.expired() == ["s"]
-    assert d.reap() == ["s"]
-    assert "lease expired" in contact.failed
-    assert d.evictions == 1
-    assert d.names() == ["eternal"]
-    with pytest.raises(DirectoryError):
-        d.lookup("s")
-    with pytest.raises(ValueError):
-        d.register("bad", CoordinatorInfo("sim", 0, 1), lease=-1.0)
+    assert leased.lapsed()
+    assert reap([leased, eternal]) == [leased]
+    assert "lease expired" in leased.failed
+    assert reap([leased, eternal]) == []  # a failed run is not reaped again
+    now[0] = 1e9
+    assert not eternal.lapsed() and eternal.deadline is None
+    for period in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            Run(PluginManager()).hold_lease(period, clock)

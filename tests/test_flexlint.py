@@ -1035,6 +1035,25 @@ def test_fxl015_keeps_the_step_barrier_protocol_and_the_chain_in_run():
     assert "one rule" in findings[0].message
 
 
+def test_fxl015_keeps_the_lease_deadline_in_run():
+    """A daemon that pushes a run's deadline on by hand is a finding: the
+    lease lapses by ``Run``'s rule on both planes, or not at all."""
+    code = """
+    class Run:
+        def beat(self):
+            self.deadline = self.clock() + self.lease
+
+    class DirectoryDaemon:
+        def _heartbeat(self, stream):
+            stream.deadline = self.clock() + stream.lease
+            self._deadline = 0.0
+    """
+    assert [f.line for f in lint(code, path="repro/adios/api.py")] == [8]
+    findings = lint(code, path="repro/net/server.py")
+    assert [(f.rule, f.line) for f in findings] == [("FXL015", 4), ("FXL015", 8)]
+    assert "lease deadline" in findings[1].message
+
+
 def test_fxl015_flags_shared_memory_and_socket_reads_outside_their_rung():
     code = """
     import mmap, os

@@ -122,16 +122,16 @@ def assert_record(got: dict, want: dict, fmt: Format) -> None:
 
 #: ``encode_message(fmt, sample(fmt), PROTOCOL_REGISTRY)`` before plans
 #: (``net.attach``, ``net.ckpt.*`` and ``net.ckpt.run``: the oracle's
-#: bytes for protocol v7 and checkpoint v3, which changed them).
+#: bytes for protocol v7 and checkpoint v3, which changed them;
+#: ``net.ckpt.stream``: checkpoint v4's).
 GOLDEN = {
     "net.attach": "cdf0f50f000bed7a4e39e5d68a4d000000000000000a00000073657373696f6e2dc3a90c00000073747265616d5f69642dc3a907000000726f6c652dc3a90c0000007072656469636174652dc3a9080000006e6f6e63652dc3a9f4f6c2ffffffffff",
     "net.bye": "cdf0f50f00f8a97d6c67c66e3c0d0000000000000009000000726561736f6e2dc3a9",
     "net.ckpt.head": "cdf0f50f00bbbccf31ef9670cf1d000000000000002b3095ffffffffff922449922449e23f090000007365727665722dc3a9",
-    "net.ckpt.reg": "cdf0f50f00608265a0e9d535fa48000000000000000900000074656e616e742dc3a90900000073747265616d2dc3a90a00000070726f6772616d2dc3a9f4f6c2ffffffffffa5ab76ffffffffffb76ddbb66ddbe63f254992244992f43f",
     "net.ckpt.run": "cdf0f50f007ace06d63bcabd8a2100000000000000f4f6c2ffffffffffb1b4b3ffffffffff09000000000000007061796c6f616400ff",
     "net.ckpt.session": "cdf0f50f0004332c7b1e53687035000000000000000a00000073657373696f6e2dc3a90900000074656e616e742dc3a909000000636c69656e742dc3a909000000726573756d652dc3a9",
     "net.ckpt.step": "cdf0f50f0010c9662bffa515d62100000000000000f4f6c2ffffffffffb1b4b3ffffffffff09000000000000007061796c6f616400ff",
-    "net.ckpt.stream": "cdf0f50f0087d4838d7a037e0ee2000000000000000c00000073747265616d5f69642dc3a90900000074656e616e742dc3a9070000006e616d652dc3a9a5ab76ffffffffffe8ed85ffffffffff01080000006572726f722dc3a96e72a4ffffffffff1f2758ffffffffffb1b4b3ffffffffff030000000500000000000000ffffffffffffffff0000000000010000090000006f776e6572732dc3a9030000000600000000000000ffffffffffffffff0000000000010000030000000500000000000000ffffffffffffffff0000000000010000030000000400000000000000ffffffffffffffff0000000000010000f4f6c2ffffffffff",
+    "net.ckpt.stream": "cdf0f50f006f976c3d6ce38306f2000000000000000c00000073747265616d5f69642dc3a90900000074656e616e742dc3a9070000006e616d652dc3a9a5ab76ffffffffffe8ed85ffffffffff01080000006572726f722dc3a96e72a4ffffffffff1f2758ffffffffffb1b4b3ffffffffff030000000500000000000000ffffffffffffffff0000000000010000090000006f776e6572732dc3a9030000000600000000000000ffffffffffffffff0000000000010000030000000500000000000000ffffffffffffffff0000000000010000030000000400000000000000ffffffffffffffff0000000000010000f4f6c2ffffffffffb76ddbb66ddbe63f254992244992f43f",
     "net.ckpt.tenant": "cdf0f50f009825292ab3c340d13000000000000000070000006e616d652dc3a908000000746f6b656e2dc3a9001f2758ffffffffff499224499224f93f626967ffffffffff",
     "net.eos": "cdf0f50f0033a6be786ffcd9400800000000000000f4f6c2ffffffffff",
     "net.error": "cdf0f50f00bb86592a811a51cb1900000000000000070000006b696e642dc3a90a0000006d6573736167652dc3a9",

@@ -835,6 +835,93 @@ def test_restored_failed_stream_says_why(tmp_path):
         d2.stop()
 
 
+def until(cond, what, within=5.0):
+    """Block until ``cond()`` holds: the daemon's reap tick runs on its loop."""
+    deadline = time.monotonic() + within
+    while not cond():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
+def leased_daemon(now, *tenants):
+    """A started daemon whose leases run on ``now[0]``, reaped every 20 ms."""
+    return DirectoryDaemon(tenants=list(tenants) or [TenantSpec("public")],
+                           telemetry=False, lease_interval=0.02,
+                           clock=lambda: now[0]).start()
+
+
+def test_lease_eviction_sets_the_tenant_streams_gauge():
+    now = [0.0]
+    d = leased_daemon(now)
+    gauge = d.metrics.gauge("tenant.streams", labels={"tenant": "public"})
+    try:
+        with connect(uri(d, "public")) as c:
+            w = c.open("gauge.lease", "w", lease=5.0)  # no heartbeat thread
+            write_step(w, 0)
+            assert gauge.value == 1
+            now[0] += 10.0
+            hosted = d._streams["public/gauge.lease"]
+            until(lambda: hosted.error is not None, "lease never expired")
+            until(lambda: gauge.value == 0, f"gauge still {gauge.value} after the reap")
+            w.close()
+    finally:
+        d.stop()
+
+
+def test_max_leases_counts_the_live_leased_runs():
+    """A second leased writer is over ``max_leases=1``; an unleased one is
+    not; the second is admitted once the first is evicted."""
+    now = [0.0]
+    d = leased_daemon(now, TenantSpec("public", max_leases=1))
+    try:
+        with connect(uri(d, "public")) as c:
+            first = c.open("lease.a", "w", lease=5.0)
+            with pytest.raises(QuotaExceeded, match="max_leases=1") as exc_info:
+                c.open("lease.b", "w", lease=5.0)
+            assert exc_info.value.kind is AdmissionKind.LEASE_QUOTA
+            unleased = c.open("lease.free", "w")
+            now[0] += 10.0
+            hosted = d._streams["public/lease.a"]
+            until(lambda: hosted.error is not None, "lease never expired")
+            second = c.open("lease.b", "w", lease=5.0)
+            for w in (first, unleased, second):
+                w.close()
+    finally:
+        d.stop()
+
+
+def test_a_restored_lease_keeps_its_remaining_time(tmp_path):
+    """Checkpointed 3 s into a 5 s lease, a stream restored into a daemon
+    whose clock starts at 0 is live at 1.9 s and failed at 2.1 s."""
+    now = [0.0]
+    d = leased_daemon(now)
+    try:
+        with connect(uri(d, "public")) as c:
+            w = c.open("ckpt.lease", "w", lease=5.0)  # no heartbeat thread
+            write_step(w, 0)
+            now[0] += 3.0
+            path = d.checkpoint(str(tmp_path / "lease.ckpt"))
+            w.close()
+    finally:
+        d.stop()
+
+    later = [0.0]
+    d2 = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False,
+                         lease_interval=0.02, clock=lambda: later[0])
+    d2.restore(path)
+    d2.start()
+    try:
+        restored = d2._streams["public/ckpt.lease"]
+        later[0] = 1.9
+        time.sleep(0.1)  # five reap ticks
+        assert not restored.closed
+        later[0] = 2.1
+        until(lambda: restored.closed, "restored lease never expired")
+        assert "lease expired" in restored.error
+    finally:
+        d2.stop()
+
+
 def test_heartbeat_tick_counts_open_streams(daemon):
     with connect(uri(daemon), token="s3cret") as c:
         assert c.heartbeat_tick() == 0  # nothing open yet
