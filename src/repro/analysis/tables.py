@@ -63,10 +63,14 @@ OWNERS: tuple[Owner, ...] = (
           "writer, so both planes' leases lapse by one rule"),
     Owner("FXL015", ("*.condition()",), ("adios/api.py:condition",),
           "runs a writer-side chain outside adios.api.condition"),
-    Owner("FXL015", ("combine_predicates()", "*.combine_predicates()"),
-          ("core/plugins.py:ReaderPredicates",),
-          "combines pushdown predicates outside the reader-predicate set, "
-          "so the two planes could prune by different rules"),
+    # A run's chain is made by whatever owns the run on its plane — in
+    # process, on the daemon, for the file methods — and mirrored, once per
+    # session, by the net client: never per handle.
+    Owner("FXL015", ("PluginManager()", "*.PluginManager()"),
+          ("core/stream.py:StreamState", "net/server.py:HostedStream",
+           "core/filereader.py", "net/client.py:_RunChain"),
+          "builds a DC chain outside a run's owner; the chain is the run's "
+          "on every plane, so every handle shows that one"),
     Owner("FXL015", ("os.memfd_create()", "mmap.mmap()"), ("transport/shm.py",),
           "maps shared memory outside the shm rung's arena"),
     # Test doubles stand in for the socket the frame assembler reads.

@@ -151,8 +151,9 @@ _STREAM_SPECS = (
              "Fuse compilable plug-in chains into the redistribution "
              "plan (single-pass reads); false keeps the interpreted pass."),
     HintSpec(PUSHDOWN, "bool", False,
-             "Register reader block predicates with the stream so the "
-             "writer drain skips blocks the chain provably drops."),
+             "Skip sending blocks the run's reader-side chain provably "
+             "drops; the chain is the run's on every plane, so every "
+             "reader runs it."),
 )
 
 #: The FLEXPATH stream method's hints, keyed by hint name.
@@ -325,8 +326,8 @@ class StreamHints:
     #: reads run the chain while scattering (single pass); ``false``
     #: keeps the classic interpreted pass over materialized arrays.
     fused: bool = _DEFAULTS[FUSED]
-    #: Register reader block predicates with the stream so the drain
-    #: skips sending blocks the chain provably drops.
+    #: Skip sending blocks the run's reader-side chain provably drops
+    #: (the chain is the run's on every plane: every reader runs it).
     pushdown: bool = _DEFAULTS[PUSHDOWN]
 
     @classmethod

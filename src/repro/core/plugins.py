@@ -29,13 +29,18 @@ over a fully materialized array.  Value-level filters also expose a
 :class:`BlockPredicate` (the ``might_match`` index-pruning idiom of
 :mod:`repro.adios.query`) that the writer side uses to skip sending
 blocks the chain provably drops.
+
+The chain is the run's on every plane: one :class:`PluginManager` every
+handle of a stream shares in process; on the daemon, ``HostedStream.plugins``,
+which each client session mirrors.  A codelet crosses to the daemon as
+data, :meth:`DCPlugin.spec`, rebuilt by :meth:`DCPlugin.from_spec`: the
+source through the same sandbox, the kernel from :data:`KERNELS`.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-import json
 import math
 import re
 import time
@@ -141,8 +146,16 @@ def _validate(tree: ast.AST, source: str) -> None:
     funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     if len(funcs) != 1 or funcs[0].name != "condition":
         raise CodeletError("codelet must define exactly one function: condition(vars)")
-    if len(funcs[0].args.args) != 1:
+    args = funcs[0].args
+    if len(args.args) != 1:
         raise CodeletError("condition() must take exactly one argument")
+    # Nothing is evaluated when the ``def`` runs: a codelet computes only
+    # when it is applied, in the process that applies it.
+    if (funcs[0].decorator_list or funcs[0].returns or args.args[0].annotation
+            or args.defaults or args.kw_defaults or args.posonlyargs
+            or args.kwonlyargs or args.vararg or args.kwarg):
+        raise CodeletError(
+            "condition(vars) takes no decorator, default, annotation or other argument")
     extra = [n for n in tree.body if not isinstance(n, ast.FunctionDef)]
     if extra:
         raise CodeletError("codelet body must contain only the condition() function")
@@ -192,9 +205,8 @@ class PluginKernel:
       the fused path (``fuse_safe=False`` opts a kernel out of fusion —
       e.g. ``bbox``, whose reduction over an empty selection raises).
 
-    ``pushdown_term`` is the kernel's serializable contribution to the
-    chain's :class:`BlockPredicate`, carried to the writer side and the
-    net broker.
+    ``pushdown_term`` is the kernel's contribution to the chain's
+    :class:`BlockPredicate`, what the run prunes under.
     """
 
     __slots__ = (
@@ -234,7 +246,7 @@ class PluginKernel:
 
 
 class BlockPredicate:
-    """Conservatively-sound, serializable block predicate of a chain.
+    """Conservatively-sound block predicate of a chain.
 
     Built from the chain's value-level terms in deployment order:
     ``scale`` terms map the block's value bounds through the transform,
@@ -242,8 +254,6 @@ class BlockPredicate:
     when a block with the given whole-block bounds **provably**
     contributes no row for ``var`` — the pushdown contract.
     """
-
-    _KINDS = ("range", "scale")
 
     def __init__(self, terms: Sequence[dict]) -> None:
         self.terms = [dict(t) for t in terms]
@@ -259,78 +269,6 @@ class BlockPredicate:
             elif bhi < t["lo"] or blo > t["hi"]:
                 return False
         return True
-
-    def spec(self) -> str:
-        return json.dumps(self.terms, sort_keys=True)
-
-    @classmethod
-    def parse(cls, text: str) -> "BlockPredicate":
-        try:
-            terms = json.loads(text)
-        except ValueError as exc:
-            raise CodeletError(f"bad predicate spec: {exc}") from exc
-        if not isinstance(terms, list):
-            raise CodeletError("predicate spec must be a JSON list")
-        clean = []
-        for t in terms:
-            if not isinstance(t, dict) or t.get("kind") not in cls._KINDS:
-                raise CodeletError(f"bad predicate term: {t!r}")
-            if not isinstance(t.get("var"), str):
-                raise CodeletError(f"predicate term needs a var: {t!r}")
-            keys = ("factor",) if t["kind"] == "scale" else ("lo", "hi")
-            term = {"kind": t["kind"], "var": t["var"]}
-            for k in keys:
-                term[k] = float(t[k])
-            clean.append(term)
-        return cls(clean)
-
-
-def parse_predicate(text: str) -> Optional[BlockPredicate]:
-    """Parse a serialized predicate spec; empty text means no predicate."""
-    if not text or not text.strip():
-        return None
-    return BlockPredicate.parse(text)
-
-
-def combine_predicates(preds: Sequence[BlockPredicate]):
-    """A block is needed if *any* registered reader might match it."""
-    preds = [p for p in preds if p is not None]
-    if not preds:
-        return None
-
-    class _Any:
-        def might_match(self, var: str, lo: float, hi: float) -> bool:
-            return any(p.might_match(var, lo, hi) for p in preds)
-
-    return _Any()
-
-
-class ReaderPredicates:
-    """The pushdown predicates of one run's attached readers.
-
-    Each reader is keyed by whatever stands for it (its handle, its data
-    connection) and maps to its parsed predicate, ``None`` when it has
-    none.  ``combined`` is what a writer side may prune against, and the
-    one rule: ``None`` — never prune — unless at least one reader is
-    attached and *every* attached reader has a predicate, since a block
-    is a safe drop only when each consumer proves it empty.
-    """
-
-    def __init__(self) -> None:
-        self._preds: dict = {}
-        self.combined = None
-
-    def attach(self, key, predicate: Optional[BlockPredicate]) -> None:
-        self._preds[key] = predicate
-        self._combine()
-
-    def detach(self, key) -> None:
-        self._preds.pop(key, None)
-        self._combine()
-
-    def _combine(self) -> None:
-        preds = list(self._preds.values())
-        self.combined = combine_predicates(preds) if preds and None not in preds else None
 
 
 class _ChainCursor:
@@ -566,17 +504,48 @@ class DCPlugin:
         except SyntaxError as exc:
             raise CodeletError(f"codelet syntax error: {exc}") from exc
         _validate(tree, source)
-        namespace: dict = {"__builtins__": {}}
-        namespace.update(_SAFE_GLOBALS)
-        try:
-            exec(compile(tree, f"<dcplugin:{name}>", "exec"), namespace)
-        except Exception as exc:  # pragma: no cover - validation catches most
-            raise CodeletError(f"codelet failed to compile: {exc}") from exc
-        self._func: Callable[[dict], dict] = namespace["condition"]
+        self._tree = tree
+        self._fn: Optional[Callable[[dict], dict]] = None
+
+    @property
+    def _func(self) -> Callable[[dict], dict]:
+        """The ``condition`` function, compiled on the first apply: a
+        process that only holds the chain (the daemon) runs none of it."""
+        if self._fn is None:
+            namespace: dict = {"__builtins__": {}}
+            namespace.update(_SAFE_GLOBALS)
+            try:
+                exec(compile(self._tree, f"<dcplugin:{self.name}>", "exec"), namespace)
+            except Exception as exc:  # pragma: no cover - validation catches most
+                raise CodeletError(f"codelet failed to compile: {exc}") from exc
+            self._fn = namespace["condition"]
+        return self._fn
 
     @property
     def capability(self) -> Optional[Capability]:
         return self.kernel.capability if self.kernel is not None else None
+
+    def spec(self) -> dict:
+        """The codelet as data: name, side, source and kernel fingerprint
+        ("" for a free-form codelet) — what :meth:`from_spec` rebuilds."""
+        return {"name": self.name, "side": self.side.value, "source": self.source,
+                "fingerprint": self.kernel.fingerprint if self.kernel is not None else ""}
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "DCPlugin":
+        """Rebuild a codelet from :meth:`spec`: the source through the
+        ``_validate`` sandbox, the kernel by :func:`kernel_of` (none: the
+        codelet stays interpreted).  An unknown side or kind, a malformed
+        fingerprint or a refused source raises :class:`CodeletError`."""
+        try:
+            side = PluginSide(spec["side"])
+        except ValueError:
+            raise CodeletError(f"unknown plug-in side {spec['side']!r}") from None
+        fingerprint = spec["fingerprint"]
+        plugin = cls(spec["name"], spec["source"],
+                     kernel_of(fingerprint) if fingerprint else None)
+        plugin.side = side
+        return plugin
 
     @staticmethod
     def _record_bytes(record: dict) -> int:
@@ -659,18 +628,20 @@ class DCPlugin:
 
 
 class PluginManager:
-    """The per-stream plug-in chain with runtime deployment and migration.
+    """A run's plug-in chain with runtime deployment and migration.
 
     Deployment of a reader-created plug-in to the writer side travels "a
     communication channel separate from the ones used for data movement"
     (Section II.F) — modelled by the deploy/migrate calls happening outside
-    the stream's step flow.
+    the stream's step flow; on the daemon plane each one is a control
+    request to the daemon, which holds the run's chain.
     """
 
     def __init__(self, monitor: Optional[PerfMonitor] = None) -> None:
         self.monitor = monitor
         self._chain: list[DCPlugin] = []
-        self._version = 0
+        #: Bumped by every deploy, undeploy and actual migration.
+        self.generation = 0
         #: A codelet runs writer-side: :meth:`condition` is not a no-op.
         self.conditions = False
         self._compiled: dict[PluginSide, tuple[int, Optional[CompiledChain]]] = {}
@@ -718,7 +689,7 @@ class PluginManager:
 
     def _changed(self) -> None:
         """The chain changed: a new generation, and is it writer-side?"""
-        self._version += 1
+        self.generation += 1
         self.conditions = self.has_side(PluginSide.WRITER)
 
     # -- compiled form --------------------------------------------------
@@ -727,13 +698,13 @@ class PluginManager:
         when any plug-in on the side is a free-form codelet (no kernel).
         Memoized per deploy/undeploy/migrate generation."""
         cached = self._compiled.get(side)
-        if cached is not None and cached[0] == self._version:
+        if cached is not None and cached[0] == self.generation:
             return cached[1]
         pairs = [(p, p.kernel) for p in self._chain if p.side == side]
         chain: Optional[CompiledChain] = None
         if pairs and all(k is not None for _, k in pairs):
             chain = CompiledChain(pairs)
-        self._compiled[side] = (self._version, chain)
+        self._compiled[side] = (self.generation, chain)
         return chain
 
     def chain_hash(self, side: PluginSide) -> str:
@@ -841,6 +812,29 @@ def condition(vars):
 """
 
 
+def _names(text: str) -> tuple:
+    return tuple(text.split(",")) if text else ()
+
+
+def kernel_of(fingerprint: str) -> PluginKernel:
+    """The kernel a fingerprint names, rebuilt by its kind's factory in
+    :data:`KERNELS`.  An unknown kind, or arguments that do not parse or
+    do not print back as the same fingerprint, raise :class:`CodeletError`."""
+    kind, *args = fingerprint.split(":")
+    if kind not in KERNELS:
+        raise CodeletError(f"unknown codelet kind {kind!r}")
+    parsers, make = KERNELS[kind]
+    try:
+        if len(args) != len(parsers):
+            raise ValueError(f"{kind} takes {len(parsers)} arguments")
+        kernel = make(*(parse(arg) for parse, arg in zip(parsers, args))).kernel
+    except ValueError as exc:
+        raise CodeletError(f"malformed fingerprint {fingerprint!r}: {exc}") from None
+    if kernel.fingerprint != fingerprint:
+        raise CodeletError(f"malformed fingerprint {fingerprint!r}: not canonical")
+    return kernel
+
+
 def sampling_plugin(stride: int = 2, only: Optional[Sequence[str]] = None) -> DCPlugin:
     """Keep every ``stride``-th element of each variable.
 
@@ -928,3 +922,14 @@ def annotation_plugin(key: str, value: float) -> DCPlugin:
     return DCPlugin(
         f"annotate/{key}", ANNOTATION_SRC.format(key=key, value=value), kernel=kernel
     )
+
+
+#: The shipped codelets, by the kind their kernel's fingerprint starts
+#: with: the parsers of its ``:``-separated arguments, and the factory.
+KERNELS: dict[str, tuple[tuple, Callable[..., DCPlugin]]] = {
+    "sample": ((int, _names), sampling_plugin),
+    "range": ((str, int, float, float), range_select_plugin),
+    "units": ((str, float), unit_conversion_plugin),
+    "annotate": ((str, float), annotation_plugin),
+    "bbox": ((), bounding_box_plugin),
+}

@@ -70,7 +70,7 @@ class StepReader(ReadHandle):
     rank); ``writer_record(rank)``, one writer's
     ``{name: data}`` or ``None``; ``trace_ctx``, the publish span reads
     parent on; ``may_be_pruned``, whether a broker may have dropped
-    blocks this reader's chain provably drops.  Subclasses say where a
+    blocks the run's reader chain provably drops.  Subclasses say where a
     step comes from (:meth:`_step_at`; moving past a lost step is done
     once, here) and provide ``plugins``, ``monitor`` and ``_plans`` (the
     :class:`PlanCache` reads compile into; ``None`` re-derives overlap
@@ -137,12 +137,6 @@ class StepReader(ReadHandle):
         if chain is None or not chain.supports(name):
             return None
         return chain
-
-    def _pred_spec(self) -> str:
-        """The reader chain's serialized block predicate ("": none) —
-        what a pushdown reader publishes to whoever prunes for it."""
-        pred = self.plugins.block_predicate(PluginSide.READER)
-        return pred.spec() if pred is not None else ""
 
     def _plan(self, boxes, writer_key, target, gshape, chain=None):
         """This geometry's compiled plan, fused with ``chain`` if given:

@@ -37,7 +37,7 @@ from repro.core.directory import DirectoryError, reap
 from repro.core.drain import StepState, _rank_parts, _StepDrainer
 from repro.core.hints import STREAM_METHODS, StreamError, StreamHints
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import PluginManager, PluginSide, ReaderPredicates
+from repro.core.plugins import PluginManager, PluginSide
 from repro.core.reader import BlockSource, StepReader
 from repro.core.redistribution import (
     CachingOption,
@@ -131,8 +131,6 @@ class StreamState(Run):
         #: the stream ends; its lock guards every call into the store.
         self._committed = threading.Condition(sanitize.make_lock("stream.publish"))
         self._step = 0
-        #: Pushdown readers' block predicates: what the drain may skip.
-        self.readers = ReaderPredicates()
         self._drainer: Optional[_StepDrainer] = None
         #: Transport currently draining steps; degrades down the ladder
         #: (rdma → tcp → shm → "buffered") on repeated failure.
@@ -221,9 +219,11 @@ class StreamState(Run):
                 for rank, written in blocks:
                     step.groups[rank] = ProcessGroupData(
                         rank, self._step, condition(self.plugins, written))
-                wire = _rank_parts(
-                    step, predicate=self.readers.combined, metrics=self.monitor.metrics
-                )
+                # With ``pushdown``, the drain skips what the run's reader
+                # chain provably drops; every reader runs that chain.
+                predicate = (self.plugins.block_predicate(PluginSide.READER)
+                             if self.hints.pushdown else None)
+                wire = _rank_parts(step, predicate=predicate, metrics=self.monitor.metrics)
                 wspan.add_bytes(step.nbytes)
                 step.trace_ctx = wspan.context
             vis.add_bytes(step.nbytes)
@@ -378,8 +378,7 @@ class FlexpathReadHandle(StepReader):
     :class:`StreamStalled` raise), reads address the positioned step,
     ``end_step()`` releases it.  The read path is :class:`StepReader`'s;
     this class adds what only the in-process plane has: the stream's
-    hints, the handshake-protocol accounting and its pushdown
-    registration.
+    hints and the handshake-protocol accounting.
     """
 
     def __init__(self, state: StreamState, ctx: RankContext) -> None:
@@ -404,8 +403,6 @@ class FlexpathReadHandle(StepReader):
             else PlanCache(maxsize=64) if caching is CachingOption.CACHING_LOCAL
             else None
         )
-        # Chain hash last registered with the stream (predicate pushdown).
-        self._registered_pred_hash: Optional[str] = None
 
     def _step_at(self, index: int) -> _PublishedStep:
         return self._state.get_step(index, self._deadline)
@@ -418,17 +415,8 @@ class FlexpathReadHandle(StepReader):
         )
 
     def _reader_chain(self, name: str):
-        """Honours the ``fused`` hint, and is where a pushdown reader
-        registers its chain's block predicate with the stream, so the
-        writer-side drain can skip blocks it provably drops.  Idempotent
-        per chain generation; a chain without a predicate vetoes pruning."""
-        state = self._state
-        if state.hints.pushdown and state.plugins.has_side(PluginSide.READER):
-            chain_hash = state.plugins.chain_hash(PluginSide.READER)
-            if chain_hash != self._registered_pred_hash:
-                state.readers.attach(self, state.plugins.block_predicate(PluginSide.READER))
-                self._registered_pred_hash = chain_hash
-        return super()._reader_chain(name) if state.hints.fused else None
+        """Honours the ``fused`` hint."""
+        return super()._reader_chain(name) if self._state.hints.fused else None
 
     def _account_handshake(self, name, gshape, writer_boxes, writer_key) -> None:
         """Run the 4-step handshake protocol accounting for one exchange.
@@ -469,10 +457,7 @@ class FlexpathReadHandle(StepReader):
         return int(self._state.monitor.metrics.counter("handshake.messages").value)
 
     def close(self):
-        """Withdraws this reader's pushdown predicate: a gone reader must
-        not steer the drain.  Idempotent."""
-        self._registered_pred_hash = None
-        self._state.readers.detach(self)
+        """Nothing to let go: the run holds the chain and the steps."""
 
 
 class FlexpathMethod(IoMethod):

@@ -28,6 +28,7 @@ identical in-process and over the network::
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import threading
 import time
@@ -38,14 +39,16 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from repro.adios.api import IoMethod, RankContext, WriteHandle, condition, register_method
+from repro.adios.api import (
+    IoMethod, RankContext, StepLost, WriteHandle, condition, register_method,
+)
 from repro.adios.model import WrittenVar
 from repro.adios.selection import BoundingBox
 from repro.core.api import Client
 from repro.core.directory import DirectoryError, admission_exception
 from repro.core.hints import DAEMON, TENANT, TOKEN_ENV
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import PluginManager
+from repro.core.plugins import CodeletError, DCPlugin, PluginManager, PluginSide
 from repro.core.redistribution import PlanCache
 from repro.core.resilience import RetryPolicy, retry_call
 from repro.core.stepstore import outcome_error
@@ -158,6 +161,8 @@ def raise_wire_error(frame: Frame, where: str = "reply") -> NoReturn:
         raise admission_exception(kind, message)
     if kind == "protocol":
         raise ProtocolError(message)
+    if kind == "codelet":  # a chain change the run's chain refused
+        raise CodeletError(message)
     raise NetError(kind, message)
 
 
@@ -299,6 +304,8 @@ class RemoteClient(Client):
         #: opened for one handle (``_solo``) closes with that handle.
         self._handles: dict = {}
         self._solo = False
+        #: Stream name -> this session's mirror of its run's chain.
+        self._chains: dict[str, _RunChain] = {}
         self._retry_exhausted(self._dial, "connect")
         flight.record(EV_NET_CONNECT, tenant=tenant, client=client_name)
         # -- background heartbeat (writer leases + reader liveness) --------
@@ -473,7 +480,7 @@ class RemoteClient(Client):
                 if deadline is None or self._clock() >= deadline:
                     raise
                 self._sleep(0.02)
-        link = _DataLink(self, reply.record["stream_id"], mode, rank)
+        link = _DataLink(self, reply.record["stream_id"], mode, rank, pushdown)
         self._hb_streams.add(name)
         flight.record(EV_NET_STREAM_OPEN, stream=link.stream_id, mode=mode,
                       tenant=self.tenant)
@@ -481,9 +488,16 @@ class RemoteClient(Client):
             run = _RunLink(link, name)
             self._handles[run] = handle = NetWriteHandle(run, RankContext(rank, num_ranks))
         else:
-            handle = NetReadHandle(link, name, pushdown=pushdown)
+            handle = NetReadHandle(link, name)
             self._handles[handle] = handle
         return handle
+
+    def _chain(self, name: str) -> "_RunChain":
+        """This session's mirror of the chain of the run ``name`` opens."""
+        chain = self._chains.get(name)
+        if chain is None:
+            chain = self._chains[name] = _RunChain(self, name)
+        return chain
 
     def close(self) -> None:
         """Close every handle this session opened, then the session."""
@@ -528,6 +542,62 @@ _ACKS = (MsgType.OK, MsgType.GRANT)
 _STEPS = (MsgType.STEP_DATA, MsgType.STEP_REF)
 
 
+class _RunChain(PluginManager):
+    """This session's mirror of one daemon run's chain, the ``plugins`` of
+    every handle it opens on the stream (DESIGN §13, "The run's chain").
+
+    A deploy, undeploy or migrate is one CHAIN request, and the reply —
+    the whole chain and its generation — is loaded; codelets the mirror
+    holds keep their objects (and stats).  A data connection ATTACHes
+    with the mirror's generation, and the daemon refuses its next request
+    ``stale_chain`` once the run's has moved on: :meth:`refresh` then
+    loads the chain the run has now.
+    """
+
+    def __init__(self, client: RemoteClient, name: str) -> None:
+        super().__init__(client.monitor)
+        self._client = client
+        self.name = name
+        # A request and the loading of its reply are one: the mirror
+        # never goes back to an older reply than it has loaded.
+        self._lock = threading.Lock()
+
+    def refresh(self) -> None:
+        self._request("get")
+
+    def deploy(self, plugin: DCPlugin, side: PluginSide = PluginSide.READER) -> DCPlugin:
+        self._request("deploy", plugin, **{**plugin.spec(), "side": side.value})
+        return plugin
+
+    def undeploy(self, name: str) -> DCPlugin:
+        plugin = next((p for p in self._chain if p.name == name), None)
+        self._request("undeploy", name=name)
+        return plugin
+
+    def migrate(self, name: str, to_side: PluginSide) -> DCPlugin:
+        self._request("migrate", name=name, side=to_side.value)
+        return next(p for p in self._chain if p.name == name)
+
+    def _request(self, op: str, new: Optional[DCPlugin] = None, **fields: str) -> None:
+        with self._lock:
+            reply = self._client._rpc(MsgType.CHAIN, {
+                "stream": self.name, "op": op, "name": "", "side": "", "source": "",
+                "fingerprint": "", **fields}, MsgType.CHAIN_REPLY).record
+            held = {p.name: p for p in [*self._chain, new] if p is not None}
+            chain = []
+            for spec in json.loads(reply["chain"]):
+                plugin = held.get(spec["name"])
+                if plugin is None or {**plugin.spec(), "side": spec["side"]} != spec:
+                    plugin = DCPlugin.from_spec(spec)
+                plugin.side = PluginSide(spec["side"])
+                chain.append(plugin)
+            # Whole, and the chain before its generation: a handle that
+            # reads a generation finds at least that chain.
+            self._chain = chain
+            self.conditions = self.has_side(PluginSide.WRITER)
+            self.generation = int(reply["generation"])
+
+
 class _DataLink:
     """One data connection of one stream, and the one way a request runs
     on it.
@@ -536,45 +606,40 @@ class _DataLink:
     runs every later request under it too: a retriable fault reconnects
     the session (fresh control socket, resume HELLO) and re-ATTACHes the
     link on a fresh data socket before the next attempt — the socket may
-    be desynced, so no retry reuses it.  :meth:`reattach` binds a new
-    reader predicate the same way.  What the latest positive reply said
-    lives and dies with the connection, like the daemon's half:
+    be desynced, so no retry reuses it.  What the latest positive reply
+    said lives and dies with the connection, like the daemon's half:
     ``grant`` (a writer's GRANT record, or None) and ``stats`` (the broker
     asks for block bounds); ``pool`` is the pool generation the link's
-    slots are mapped from.
+    slots are mapped from.  ``chain`` is the session's mirror of the
+    run's chain, which :meth:`run_synced` keeps up with the daemon's.
     """
 
     def __init__(self, client: RemoteClient, stream_id: str, role: str,
-                 rank: int = 0) -> None:
+                 rank: int = 0, pushdown: bool = False) -> None:
         self.client = client
         self.stream_id = stream_id
         self.role = role
         self.rank = rank
+        self.chain = client._chain(stream_id.split("/", 1)[-1])
+        self.pushdown = pushdown
         self.channel: Optional[TcpChannel] = None
-        #: The reader predicate spec the channel ATTACHed with ("" = none).
-        self.predicate = ""
         self.grant: Optional[dict] = None
         self.stats = False
         self.pool = None
-        self._attach_retrying("")
+        client._retry_exhausted(self._attach, f"ATTACH {stream_id}",
+                                on_retry=client._reconnect)
 
-    def _attach_retrying(self, predicate: str) -> None:
-        self.client._retry_exhausted(
-            lambda: self._attach(predicate), f"ATTACH {self.stream_id}",
-            on_retry=self.client._reconnect,
-        )
-
-    def _attach(self, predicate: str) -> None:
+    def _attach(self) -> None:
         c = self.client
         channel = TcpChannel.connect(c.host, c.data_port, monitor=c.monitor,
                                      injector=c.faults, timeout=c.timeout)
         try:
             self._ack(_exchange(channel, [encode_frame(MsgType.ATTACH, {
                 "session": c.session_id, "stream_id": self.stream_id,
-                "role": self.role, "predicate": predicate, "nonce": c._nonce,
-                "rank": self.rank,
+                "role": self.role, "pushdown": self.pushdown,
+                "chain": self.chain.generation, "nonce": c._nonce, "rank": self.rank,
             }, seq=next(c._frame_seq))], c.timeout, _ACKS, "ATTACH")[0])
-            self.channel, channel, self.predicate = channel, None, predicate
+            self.channel, channel = channel, None
         finally:
             if channel is not None:
                 # A half-attached socket is a leak: the daemon holds the
@@ -588,13 +653,26 @@ class _DataLink:
     def _recover(self, attempt: int, exc: Exception) -> None:
         self.channel.close()
         self.client._reconnect(attempt, exc)
-        self._attach(self.predicate)
+        self._attach()
 
     def run(self, attempt: Callable[[], Any], where: str) -> Any:
         """``attempt()`` — one try of a request, through :meth:`exchange` —
         under the session's retry schedule; exhaustion is
         :class:`SessionLost`."""
         return self.client._retry_exhausted(attempt, where, on_retry=self._recover)
+
+    def run_synced(self, attempt: Callable[[], Any], where: str) -> Any:
+        """:meth:`run` ``attempt()`` — which reads the mirror ``chain`` —
+        under the run's chain: a ``stale_chain`` refusal refreshes the
+        mirror and tries again, as often as the retry schedule has
+        attempts (the chain may move again meanwhile); then it raises."""
+        for left in range(self.client.retry.max_retries, -1, -1):
+            try:
+                return self.run(attempt, where)
+            except NetError as exc:
+                if exc.error_kind != "stale_chain" or not left:
+                    raise
+                self.chain.refresh()
 
     def exchange(self, parts: list, expect: tuple[MsgType, ...],
                  where: str) -> tuple[Frame, Any]:
@@ -604,12 +682,6 @@ class _DataLink:
         if frame.msg_type in _ACKS:
             self._ack(frame)
         return frame, wb
-
-    def reattach(self, predicate: str) -> None:
-        """ATTACH a fresh socket with ``predicate``, then drop the old one."""
-        old = self.channel
-        self._attach_retrying(predicate)
-        old.close()
 
     def slot(self, name: str, offset: int, nbytes: int, write: bool) -> np.ndarray:
         """``nbytes`` at ``offset`` of arena ``name``, through the
@@ -659,7 +731,10 @@ class _RunLink:
     per block, or a slot reference), ``writer_close`` sends the last one
     with ``eos``.  The publish sequence is this rank's: the daemon
     suppresses any republished ``seq`` it has already applied, so a
-    retried PUBLISH (lost ack) never lands twice.
+    retried PUBLISH (lost ack) never lands twice.  The blocks are
+    conditioned under the session's mirror of the run's chain on every
+    attempt, so one refused as made under a moved chain is made again
+    under the run's (:meth:`_DataLink.run_synced`).
     """
 
     def __init__(self, link: _DataLink, name: str) -> None:
@@ -670,8 +745,8 @@ class _RunLink:
         self._publish_seq = 0
         #: The rank's blocks of its open step.
         self._blocks: list[WrittenVar] = []
-        #: The rank's writer-side chain, on its session's monitor.
-        self.plugins = PluginManager(link.client.monitor)
+        #: The run's chain, as this session mirrors it.
+        self.plugins = link.chain
         self.monitor = link.client.monitor
 
     def join(self, rank: int) -> None:
@@ -680,8 +755,13 @@ class _RunLink:
     def write(self, rank: int, wv: WrittenVar) -> None:
         self._blocks.append(wv)
 
-    def _publish_once(self, record: dict, run: list) -> None:
+    def _publish_once(self, rank: int, record: dict) -> None:
         link = self._link
+        records = [_var_record(wv, rank, link.stats)
+                   for wv in condition(self.plugins, self._blocks)]
+        # Per block: head span, then the array itself.
+        run = [part for rec in records for part in encode_var(rec)]
+        record = {**record, "count": len(records)}
         seq = next(link.client._frame_seq)
         nbytes = sum(part.nbytes for part in run)
         grant = link.grant
@@ -702,14 +782,10 @@ class _RunLink:
 
     def _publish(self, rank: int, eos: bool) -> None:
         # The blocks are kept until acknowledged: a refused step is sent again.
-        records = [_var_record(wv, rank, self._link.stats)
-                   for wv in condition(self.plugins, self._blocks)]
-        # Per block: head span, then the array itself.
-        run = [part for rec in records for part in encode_var(rec)]
-        seq = self._publish_seq + 1
-        record = {"step": self._step, "count": len(records), "eos": eos, "seq": seq}
-        self._link.run(lambda: self._publish_once(record, run), f"PUBLISH step {self._step}")
-        self._publish_seq = seq
+        record = {"step": self._step, "eos": eos, "seq": self._publish_seq + 1}
+        self._link.run_synced(lambda: self._publish_once(rank, record),
+                              f"PUBLISH step {self._step}")
+        self._publish_seq = record["seq"]
         self._blocks = []
         self._step += 1
 
@@ -751,10 +827,10 @@ class _CachedStep(BlockSource):
     trace_ctx = CURRENT
 
     def __init__(self, step: int, count: int, wb, offset: int,
-                 may_be_pruned: bool = False) -> None:
+                 may_be_pruned: int = 0) -> None:
         self.step = step
-        #: Fetched over a channel ATTACHed with a predicate: blocks the
-        #: reader's chain provably drops may be missing.
+        #: The chain generation under which the daemon left out blocks the
+        #: run's reader chain provably drops (0: none).
         self.may_be_pruned = may_be_pruned
         self._wb = wb  # kept alive: every array below views into it
         self.vars: list[dict] = []
@@ -816,10 +892,12 @@ class NetReadHandle(StepReader):
     fused chains, ``read_into``/``read_all`` and the read spans work
     across the network hop exactly as they do in process.  This class
     owns only step movement over its :class:`_DataLink`: FETCH, the step
-    cache and pin, predicate sync.
+    cache and pin.  ``plugins`` is the run's chain as the session mirrors
+    it: the daemon serves no step to a connection whose mirror it knows
+    to be behind the run's chain.
     """
 
-    def __init__(self, link: _DataLink, name: str, pushdown: bool = False) -> None:
+    def __init__(self, link: _DataLink, name: str) -> None:
         self._link = link
         self.stream_id = link.stream_id
         self.name = name
@@ -828,16 +906,15 @@ class NetReadHandle(StepReader):
         #: The one step viewing a pinned slot, with its sanitizer digest.
         self._held: Optional[tuple[_CachedStep, Optional[int]]] = None
         self._san = sanitize.get()  # captured: one None check when disabled
-        #: Reader-side plug-in chain: compilable chains run fused per
+        #: The run's chain: compilable reader-side chains run fused per
         #: block (single pass, no assembled intermediate); free-form
         #: codelets keep the interpreted scatter-then-apply path.
-        self.plugins = PluginManager(link.client.monitor)
+        self.plugins = link.chain
         #: The client session's monitor (enable tracing / dump here).
         self.monitor = link.client.monitor
         #: Compiled plans, replayed from the second step on (what
         #: ``caching=local`` selects in process).
         self._plans = PlanCache(maxsize=64)
-        self._pushdown = bool(pushdown)
 
     # -- step movement -----------------------------------------------------
     def _fetch_once(self, step: int) -> _CachedStep:
@@ -860,10 +937,7 @@ class NetReadHandle(StepReader):
             # the caller owns, and the slot is this reader's while ``_held``.
             wb, offset = link.slot(rec["pool"], int(rec["offset"]),
                                    int(rec["nbytes"]), write=False), 0
-        got = _CachedStep(
-            step, int(rec["count"]), wb, offset,
-            may_be_pruned=bool(link.predicate),
-        )
+        got = _CachedStep(step, int(rec["count"]), wb, offset, int(rec["pruned"]))
         if borrowed:
             self._held = got, None if self._san is None else self._san.lend(wb)
         # Retain only the current neighborhood; old steps are gone.
@@ -875,9 +949,8 @@ class NetReadHandle(StepReader):
         cached = self._cache.get(step)
         if cached is not None:
             return cached
-        self._release(own=True)  # all below ends the pin: a re-ATTACH, the FETCH, a retry
-        self._sync_predicate()
-        return self._link.run(lambda: self._fetch_once(step), f"FETCH step {step}")
+        self._release(own=True)  # all below ends the pin: the FETCH, a retry
+        return self._link.run_synced(lambda: self._fetch_once(step), f"FETCH step {step}")
 
     def _release(self, own: bool = False) -> None:
         """The client half of the slot lifetime rule (the daemon's half is
@@ -885,8 +958,8 @@ class NetReadHandle(StepReader):
         slot only while the daemon pins it to this connection.
         ``end_step()`` releases it (dropped from the cache; the broker
         retains it, so reading that index again re-FETCHes); whatever this
-        handle does that ends the pin — the next FETCH, a re-ATTACH,
-        ``close()`` — or that hands a block out whole first makes the
+        handle does that ends the pin — the next FETCH, a re-ATTACH after
+        a fault, ``close()`` — or that hands a block out whole first makes the
         step ``own`` its bytes."""
         if self._held is None:
             return
@@ -905,19 +978,13 @@ class NetReadHandle(StepReader):
         self._release(own=True)
         return super().read_block(name, writer_rank)
 
-    # -- predicate pushdown ------------------------------------------------
-    def _sync_predicate(self) -> None:
-        """Keep the broker's view of this reader's predicate current.
-
-        The chain can change between steps (deploy/undeploy), and the
-        predicate rides the ATTACH frame — so a change re-ATTACHes the
-        data channel with the new spec before the next FETCH."""
-        spec = self._pred_spec() if self._pushdown else ""
-        if spec != self._link.predicate:
-            self._link.reattach(spec)
-
     def _step_at(self, index: int) -> _CachedStep:
-        return self._fetch(index)
+        got = self._fetch(index)
+        if got.may_be_pruned and got.may_be_pruned != self.plugins.generation:
+            # Its gaps are not the ones the run's chain leaves now.
+            raise StepLost(f"step {index} of {self.stream_id!r} was pruned under "
+                           f"chain generation {got.may_be_pruned}")
+        return got
 
     def close(self):
         if self._closed:

@@ -41,6 +41,11 @@ carry ``(pool, offset, nbytes)`` instead of the run.  Every other peer,
 and every smaller run, exchanges exactly the frames above.  Either positive
 reply (v6) also tells a writer whether to stamp block bounds: only while a
 reader prunes against them; the daemon bounds what arrives unstamped then.
+
+The run's chain (v9): CHAIN / CHAIN_REPLY carry a run's DC chain as a
+JSON list of :meth:`~repro.core.plugins.DCPlugin.spec` and its
+generation; a data connection's ATTACH says which generation its peer
+holds, and no other data frame carries one.
 """
 
 from __future__ import annotations
@@ -86,9 +91,8 @@ __all__ = [
 MAGIC = 0xF1EC0107
 
 #: Bump on any incompatible header or format change; DESIGN.md §13
-#: ("Versions") says what each one changed.  v8: REGISTER, LOOKUP and
-#: LOOKUP_REPLY leave the wire (OPEN registers and looks up a stream).
-PROTOCOL_VERSION = 8
+#: ("Versions") says what each one changed.  v9: the run's chain.
+PROTOCOL_VERSION = 9
 
 #: magic u32, version u8, msg type u8, reserved u16, sequence u64.
 #: The sequence is per-connection and monotone; receivers use it to
@@ -112,6 +116,8 @@ class MsgType(enum.IntEnum):
     OPEN = 9           # open a named stream for write or read
     OPEN_REPLY = 10    # daemon → client: stream id + data port
     BYE = 12           # client ends the session
+    CHAIN = 13         # client → daemon: change (or read) a run's DC chain
+    CHAIN_REPLY = 14   # daemon → client: the run's chain and its generation
     # data plane -------------------------------------------------------
     ATTACH = 16        # bind a data connection to (session, stream, role)
     PUBLISH = 17       # writer → daemon: one step (vars follow in-frame)
@@ -165,13 +171,25 @@ _BODY_FORMATS: dict[MsgType, Format] = {
         "net.open_reply", [("stream_id", _S), ("data_port", _I)]
     ),
     MsgType.BYE: PROTOCOL_REGISTRY.define("net.bye", [("reason", _S)]),
+    # ``op``: deploy (the spec fields), undeploy / migrate (``name``, and
+    # the ``side`` migrated to) or get; unused fields are "".
+    MsgType.CHAIN: PROTOCOL_REGISTRY.define(
+        "net.chain",
+        [("stream", _S), ("op", _S), ("name", _S), ("side", _S), ("source", _S),
+         ("fingerprint", _S)],
+    ),
+    MsgType.CHAIN_REPLY: PROTOCOL_REGISTRY.define(
+        "net.chain_reply", [("generation", _I), ("chain", _S)]
+    ),
     MsgType.ATTACH: PROTOCOL_REGISTRY.define(
         "net.attach",
         [("session", _S), ("stream_id", _S), ("role", _S),
-         # Reader-role pushdown: the serialized BlockPredicate of the
-         # reader's compiled plug-in chain ("" = none — disables any
-         # broker-side pruning for the stream while this peer is attached).
-         ("predicate", _S),
+         # A reader that opted into pushdown: while it is attached the
+         # daemon prunes under the run's reader-side chain.
+         ("pushdown", _B),
+         # The generation of the run's chain the peer's mirror holds: the
+         # connection's until a refusal says the chain moved (``stale_chain``).
+         ("chain", _I),
          # What the peer read in WELCOME's ``pool`` arena ("" = could not:
          # other host, uid or pid namespace — it gets inline frames only).
          ("nonce", _S),
@@ -187,8 +205,11 @@ _BODY_FORMATS: dict[MsgType, Format] = {
         # step may still arrive; 0 = answer at once.
         "net.fetch", [("step", _I), ("wait", _F)]
     ),
+    # The reply to the connection's FETCH (its step is the one asked for).
+    # ``pruned``: the chain generation under which blocks the run's reader
+    # chain drops were left out (0: none were; -1: runs of several).
     MsgType.STEP_DATA: PROTOCOL_REGISTRY.define(
-        "net.step_data", [("step", _I), ("count", _I)]
+        "net.step_data", [("count", _I), ("pruned", _I)]
     ),
     MsgType.NOT_READY: PROTOCOL_REGISTRY.define("net.not_ready", [("step", _I)]),
     MsgType.EOS: PROTOCOL_REGISTRY.define("net.eos", [("step", _I)]),
@@ -207,7 +228,7 @@ _BODY_FORMATS: dict[MsgType, Format] = {
     ),
     MsgType.STEP_REF: PROTOCOL_REGISTRY.define(
         "net.step_ref",
-        [("step", _I), ("count", _I), ("pool", _S), ("offset", _I), ("nbytes", _I)],
+        [("count", _I), ("pruned", _I), ("pool", _S), ("offset", _I), ("nbytes", _I)],
     ),
 }
 
@@ -387,8 +408,9 @@ def decode_var(
 #: v3: the stream record carries its writer run (ranks, their sessions and
 #: publish sequences, the barrier) and the open step's runs follow it.
 #: v4: the stream record carries its lease (period, remaining TTL); the
-#: ``net.ckpt.reg`` registration record is gone.
-CKPT_VERSION = 4
+#: ``net.ckpt.reg`` registration record is gone.  v5: the stream record
+#: carries the run's chain; step and run records what they were pruned under.
+CKPT_VERSION = 5
 
 CKPT_HEAD = PROTOCOL_REGISTRY.define(
     "net.ckpt.head", [("version", _I), ("wall", _F), ("server", _S)]
@@ -413,15 +435,17 @@ CKPT_STREAM = PROTOCOL_REGISTRY.define(
      ("ranks", _L), ("owners", _S), ("closed", _L), ("ended", _L),
      ("seqs", _L), ("open", _I),
      # The lease period (0: none) and what was left of it at the walk.
-     ("lease", _F), ("remaining", _F)],
+     ("lease", _F), ("remaining", _F),
+     # The run's chain, as CHAIN_REPLY carries it.
+     ("chain", _S), ("generation", _I)],
 )  # eos_step -1 = still open; count net.ckpt.step records follow
 CKPT_STEP = PROTOCOL_REGISTRY.define(
     "net.ckpt.step",
-    [("step", _I), ("count", _I), ("payload", FieldKind.BYTES)],
+    [("step", _I), ("count", _I), ("pruned", _I), ("payload", FieldKind.BYTES)],
 )
 CKPT_RUN = PROTOCOL_REGISTRY.define(
     "net.ckpt.run",
-    [("rank", _I), ("count", _I), ("payload", FieldKind.BYTES)],
+    [("rank", _I), ("count", _I), ("pruned", _I), ("payload", FieldKind.BYTES)],
 )
 
 

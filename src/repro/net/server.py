@@ -9,7 +9,8 @@ it — a bulk PUBLISH lands in the array the broker then stores:
 * the **control port** speaks the :mod:`repro.net.protocol` frames for
   session setup (HELLO → WELCOME with a bearer-token check against the
   tenant table), named-stream OPEN (which registers a writer's stream
-  and looks up a reader's) and lease HEARTBEATs;
+  and looks up a reader's), lease HEARTBEATs and the runs' DC chains
+  (CHAIN);
 * the **data port** is a store-and-forward step broker: a writer's
   connection ATTACHes to an open stream and PUBLISHes steps, a
   reader's connection FETCHes them — so two unrelated OS processes
@@ -34,6 +35,7 @@ import argparse
 import asyncio
 import functools
 import itertools
+import json
 import os
 import secrets
 import signal
@@ -56,7 +58,7 @@ from repro.core.directory import (
     reap,
 )
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import CodeletError, PluginManager, ReaderPredicates, parse_predicate
+from repro.core.plugins import CodeletError, DCPlugin, PluginManager, PluginSide
 from repro.core.stepstore import Outcome, StepStore
 from repro.net.protocol import (
     CKPT_HEAD,
@@ -167,9 +169,10 @@ class _Conn(asyncio.BufferedProtocol):
         self.bye = False
         self.stream: Optional[HostedStream] = None  # data: after ATTACH
         self.rank = 0  # the writer rank a data connection publishes for
-        self.reader = self.colocated = False
+        self.colocated = False
         self.grant: Optional[tuple] = None   # a writer's unused slot
         self.pinned = None  # the payload last served: kept until the next request
+        self.chain = 0  # the run's chain generation the peer holds (ATTACH)
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -278,6 +281,9 @@ class HostedStream(Run):
     step, ``(var count, run)``, and ends or closes the rank
     (:meth:`publish`), by the rule of every run.
 
+    ``plugins`` is the run's DC chain (DESIGN §13, "The run's chain"):
+    the daemon runs none of it, but prunes under its reader side (§16).
+
     Duck-typed like an in-process stream state (``monitor``, ``closed``,
     ``error``, ``active_transport``) so the live-telemetry server and
     :class:`~repro.obs.health.HealthBoard` sample it unchanged; the
@@ -294,8 +300,8 @@ class HostedStream(Run):
         #: step -> (var count, the step's runs: one rank's — a uint8 view of
         #: the frame that carried it, or of the pool slot it was published
         #: into, ``bytes`` once pruned or restored — or a tuple of several
-        #: ranks' in rank order); what a reader is told about any step is
-        #: this store's ``lookup``.
+        #: ranks' in rank order, the chain generation a run was pruned under
+        #: or 0); what a reader is told about any step is this store's ``lookup``.
         self.store = StepStore(retain=int(retain_steps))
         #: Each joined writer rank's owning session.
         self.owners: dict[int, str] = {}
@@ -317,15 +323,20 @@ class HostedStream(Run):
         metrics = self.monitor.metrics
         self.counter = functools.cache(functools.partial(metrics.counter, labels=self._labels))
         self.gauge = functools.cache(functools.partial(metrics.gauge, labels=self._labels))
-        #: Attached readers' pushdown predicates, keyed by data connection;
-        #: what they combine to is asked at every publish and every ack.
-        self.readers = ReaderPredicates()
+        #: Attached readers that opted into pushdown.
+        self.pushdown: set[_Conn] = set()
         #: Attached readers with a FETCH parked here, and its hold.
         self.parked: dict[_Conn, _Hold] = {}
 
     @property
     def closed(self) -> bool:
         return self.store.closed
+
+    @property
+    def predicate(self):
+        """What a PUBLISH is pruned under: the run's reader-side block
+        predicate while a pushdown reader is attached, else None."""
+        return self.plugins.block_predicate(PluginSide.READER) if self.pushdown else None
 
     @property
     def error(self) -> Optional[str]:
@@ -343,13 +354,14 @@ class HostedStream(Run):
 
     def publish(self, step: int, count: int, payload: "np.ndarray | bytes",
                 eos: bool, seq: int = 0, slot: Optional[tuple] = None,
-                rank: int = 0) -> bool:
+                rank: int = 0, pruned: int = 0) -> bool:
         """Land ``rank``'s run of the open step (its ``step``-th, as the
         rank counts); with ``eos`` the rank closes after it.  Returns False
         for a suppressed duplicate.  ``slot`` is the granted ``(pool,
         offset)`` that ``payload`` views: kept while that view object
         lives, given back at once when the run is not kept as that view
-        (duplicate, pruned to ``bytes``)."""
+        (duplicate, pruned to ``bytes``).  ``pruned``: the chain generation
+        blocks were dropped under (0: none were)."""
         last = self.last_seq.get(rank, 0)
         if 0 < seq <= last:
             self.counter("net.dup_publishes").inc()
@@ -375,7 +387,7 @@ class HostedStream(Run):
         elif slot is not None:
             self.give_back(*slot)
         if count:  # a rank that wrote nothing lands no run
-            self.write(rank, (count, payload))
+            self.write(rank, (count, payload, pruned))
         if eos:
             self.writer_close(rank)
         else:
@@ -387,11 +399,15 @@ class HostedStream(Run):
         landing order)."""
         self.shown = set()
         runs = [run for _, rank_runs in step_runs for run in rank_runs]
-        count, nbytes = sum(c for c, _ in runs), sum(len(p) for _, p in runs)
+        count, nbytes = sum(r[0] for r in runs), sum(len(r[1]) for r in runs)
         # One run is stored as it landed.
-        payload = runs[0][1] if len(runs) == 1 else tuple(p for _, p in runs)
+        payload = runs[0][1] if len(runs) == 1 else tuple(r[1] for r in runs)
+        # Runs pruned under different chains leave gaps no one chain
+        # reads: -1 matches no generation, so the step reads as lost.
+        pruned = {r[2] for r in runs} - {0} or {0}
         step = self.store.last + 1
-        self.store.append(step, (count, payload), nbytes)
+        self.store.append(step, (count, payload, pruned.pop() if len(pruned) == 1 else -1),
+                          nbytes)
         self.active_transport = "tcp" if self.slot_of(payload) is None else "shm"
         self.counter("net.steps_published").inc()
         self.counter("net.bytes_published").inc(nbytes)
@@ -403,8 +419,8 @@ class HostedStream(Run):
         self.store.end()
         self.wake()
 
-    def fetch(self, step: int) -> Optional[tuple[int, "np.ndarray | bytes"]]:
-        """Step ``step``'s ``(var count, runs)``, counted as served;
+    def fetch(self, step: int) -> Optional[tuple[int, "np.ndarray | bytes", int]]:
+        """Step ``step``'s ``(var count, runs, pruned)``, counted as served;
         None on a miss (the store's ``lookup`` says which kind)."""
         outcome, got = self.store.lookup(step)
         if outcome is not Outcome.HIT:
@@ -491,6 +507,12 @@ class HostedStream(Run):
         return hold
 
 
+def chain_record(chain: PluginManager) -> dict:
+    """A run's chain as CHAIN_REPLY and the checkpoint carry it."""
+    return {"generation": chain.generation,
+            "chain": json.dumps([p.spec() for p in chain.plugins()])}
+
+
 def step_runs(payload) -> tuple:
     """A stored step's runs: its one run, or the tuple of several."""
     return payload if isinstance(payload, tuple) else (payload,)
@@ -498,7 +520,7 @@ def step_runs(payload) -> tuple:
 
 def prune_step_payload(raw: np.ndarray, offset: int, count: int,
                        predicate, stream: HostedStream) -> tuple[int, "np.ndarray | bytes"]:
-    """Drop ``net.var`` spans the combined reader predicate proves empty.
+    """Drop ``net.var`` spans the run's reader predicate proves empty.
 
     Walks the PUBLISH frame's var run by ``decode_var`` offsets and
     rebuilds the stored payload from the surviving spans — the payload
@@ -507,7 +529,7 @@ def prune_step_payload(raw: np.ndarray, offset: int, count: int,
     inside that one-step window is bounded here (a slot is mapped here
     too), so outcomes do not depend on who did.  A span nobody can bound
     is always kept, and so is a name's first span while the open step has
-    kept none (``stream.shown``): the reader's chain drops its rows, so
+    kept none (``stream.shown``): the run's reader chain drops its rows, so
     pruning stays invisible.  Each dropped span counts toward the
     stream's ``plugin.blocks_skipped`` series.
     """
@@ -618,6 +640,8 @@ class DirectoryDaemon:
         self._sessions: dict[str, _Session] = {}
         self._resume: dict[str, str] = {}  # resume token -> session_id
         self._session_counter = itertools.count(1)
+        #: Chain generations: unique daemon-wide (a fresh run's is 0).
+        self._generations = itertools.count(1)
         self._draining = False
         self._conns: set[_Conn] = set()
         self.telemetry: Optional[LiveTelemetryServer] = None
@@ -797,9 +821,8 @@ class DirectoryDaemon:
                     self._resume.pop(conn.session.resume, None)
                 flight.record(EV_NET_DISCONNECT, tenant=conn.session.tenant)
             return
-        stream.unpark(conn)  # a parked reader stops steering pruning now
-        if conn.reader:
-            stream.readers.detach(conn)
+        stream.unpark(conn)
+        stream.pushdown.discard(conn)  # a gone reader stops asking for pruning
         if conn.grant is not None:
             stream.give_back(*conn.grant)
         conn.grant = conn.pinned = None
@@ -881,6 +904,8 @@ class DirectoryDaemon:
                 self._ack(conn, "heartbeat" if live else "idle")
             elif frame.msg_type is MsgType.OPEN:
                 self._control_open(session, rec, conn)
+            elif frame.msg_type is MsgType.CHAIN:
+                self._control_chain(session, rec, conn)
             else:
                 self._send_error(
                     conn, "protocol", f"unexpected {frame.msg_type.name} on control port"
@@ -889,6 +914,8 @@ class DirectoryDaemon:
             self._send_admission_error(conn, exc)
         except DirectoryError as exc:
             self._send_error(conn, "directory", str(exc))
+        except CodeletError as exc:
+            self._send_error(conn, "codelet", str(exc))
 
     def _control_open(self, session: _Session, rec: dict, conn) -> None:
         tenant = session.tenant
@@ -921,6 +948,33 @@ class DirectoryDaemon:
             "data_port": self.data_port,
         }))
 
+    def _control_chain(self, session: _Session, rec: dict, conn) -> None:
+        """CHAIN: one change to a run's chain — or ``get``, none — answered
+        with the whole chain.  A change takes the next daemon-wide
+        generation.  The request comes from outside the program: a spec
+        that does not rebuild is a ``protocol`` ERROR and a change the
+        chain refuses a ``codelet`` one, the chain unchanged either way."""
+        stream = self._streams.get(f"{session.tenant}/{rec['stream']}")
+        if stream is None:
+            raise DirectoryError(f"no stream registered under {rec['stream']!r}")
+        chain, op, before = stream.plugins, rec["op"], stream.plugins.generation
+        try:
+            plugin = DCPlugin.from_spec(rec) if op == "deploy" else None
+            side = PluginSide(rec["side"]) if op == "migrate" else None
+            if op not in ("deploy", "undeploy", "migrate", "get"):
+                raise ValueError(f"unknown op {op!r}")
+        except (CodeletError, ValueError) as exc:
+            return self._send_error(conn, "protocol", f"bad chain request: {exc}")
+        if plugin is not None:  # a refused change raises CodeletError: see _control
+            chain.deploy(plugin, plugin.side)
+        elif side is not None:
+            chain.migrate(rec["name"], side)
+        elif op == "undeploy":
+            chain.undeploy(rec["name"])
+        if chain.generation != before:
+            chain.generation = next(self._generations)
+        self._reply(conn, encode_frame(MsgType.CHAIN_REPLY, chain_record(chain)))
+
     # -- data plane --------------------------------------------------------
     @_handler
     def _attach(self, conn: _Conn, raw, frame: Frame) -> None:
@@ -937,34 +991,48 @@ class DirectoryDaemon:
         if self._draining:
             self._send_retry_after(conn, "draining")
             return conn.hang_up()
-        try:
-            predicate = parse_predicate(frame.record["predicate"])
-        except CodeletError as exc:
-            return self._refuse(conn, "protocol", f"bad predicate spec: {exc}")
         conn.stream, conn.rank = stream, int(frame.record["rank"])
         conn.colocated = frame.record["nonce"] == self._nonce
+        conn.chain = int(frame.record["chain"])
         if frame.record["role"] == "w":
             # What the latest positive reply granted this connection, while
             # it is unused; back in the pool when the connection ends.
             conn.grant = stream.grant() if conn.colocated else None
             conn.handler = self._publish
-            self._ack(conn, "attached", conn.grant, stream.readers.combined is not None)
         else:
-            conn.reader, conn.handler = True, self._fetch
-            self._ack(conn, "attached")
-            stream.readers.attach(conn, predicate)
+            conn.handler = self._fetch
+            if frame.record["pushdown"]:
+                stream.pushdown.add(conn)
+        self._ack(conn, "attached", conn.grant, stream)
 
     def _ack(self, conn: _Conn, detail: str, grant: Optional[tuple] = None,
-             stats: bool = False) -> None:
-        """The positive reply: OK, or GRANT to a writer that now holds a slot;
-        ``stats`` asks a writer to stamp block bounds (a reader prunes)."""
+             stream: Optional[HostedStream] = None) -> None:
+        """The positive reply: OK, or GRANT to a writer that now holds a slot.
+        On a data connection ``stats`` asks a writer to stamp block bounds
+        (``stream`` prunes)."""
+        record = {"detail": detail,
+                  "stats": stream is not None and stream.predicate is not None}
         if grant is None:
-            frame = encode_frame(MsgType.OK, {"detail": detail, "stats": stats})
+            frame = encode_frame(MsgType.OK, record)
         else:
             frame = encode_frame(MsgType.GRANT, {
-                "detail": detail, "pool": grant[0].name, "offset": grant[1],
-                "capacity": grant[0].capacity, "stats": stats})
+                **record, "pool": grant[0].name, "offset": grant[1],
+                "capacity": grant[0].capacity})
         self._reply(conn, frame)
+
+    def _stale(self, conn: _Conn, what: str) -> bool:
+        """Refuse ``what`` with ``stale_chain`` when the run's chain moved
+        past the generation ``conn``'s peer holds — its request was made
+        under the old chain.  The refusal is what tells it: the connection
+        holds the run's generation from here, and the peer re-syncs its
+        mirror before it asks again."""
+        generation = conn.stream.plugins.generation
+        if conn.chain == generation:
+            return False
+        held, conn.chain = conn.chain, generation
+        self._send_error(conn, "stale_chain", (
+            f"{what}: the run's chain is at generation {generation}, not {held}"))
+        return True
 
     def _owe(self, conn: _Conn, work, reply: Callable[[], None]) -> None:
         """``conn`` owes a reply until the coroutine ``work`` is done;
@@ -996,8 +1064,10 @@ class DirectoryDaemon:
             return self._send_retry_after(conn, "draining")
         if stream.closed:  # a rank's close after the run ended (a lease) is moot
             if rec["eos"]:
-                return self._ack(conn, "closed")
+                return self._ack(conn, "closed", stream=stream)
             return self._send_error(conn, "stream_failed", stream.error or "stream ended")
+        if self._stale(conn, f"PUBLISH of step {rec['step']}"):
+            return  # the writer re-syncs and conditions its kept blocks again
         try:  # a referenced run is charged like the frame it replaces
             self.directory.charge_bytes(stream.tenant, raw.nbytes + nbytes)
         except AdmissionError as exc:
@@ -1008,9 +1078,11 @@ class DirectoryDaemon:
         else:
             inline_run = raw.nbytes - frame.consumed  # a bulk one sizes the pool
             start, slot = frame.consumed, None
-        # The run as it landed (no copy), pruned of what no reader wants.
-        count, payload = int(rec["count"]), raw[start:] if start else raw
-        predicate = stream.readers.combined
+        # The run as it landed (no copy), pruned of what the run's reader
+        # chain drops.
+        sent = count = int(rec["count"])
+        payload = raw[start:] if start else raw
+        predicate = stream.predicate
         if predicate is not None and count:
             try:
                 count, payload = prune_step_payload(raw, start, count, predicate, stream)
@@ -1019,7 +1091,8 @@ class DirectoryDaemon:
                 # decode surfaces the real error.
                 pass
         stored = stream.publish(int(rec["step"]), count, payload, bool(rec["eos"]),
-                                seq=int(rec["seq"]), slot=slot, rank=conn.rank)
+                                seq=int(rec["seq"]), slot=slot, rank=conn.rank,
+                                pruned=stream.plugins.generation if count < sent else 0)
         if stream.closed:  # the last rank out ended the run
             self._count_runs(stream.tenant)
         else:  # publishing is the writer's liveness signal
@@ -1028,8 +1101,7 @@ class DirectoryDaemon:
         def ack() -> None:
             if conn.colocated:
                 conn.grant = stream.grant(conn.grant, inline_run)
-            self._ack(conn, "published" if stored else "duplicate", conn.grant,
-                      stream.readers.combined is not None)
+            self._ack(conn, "published" if stored else "duplicate", conn.grant, stream)
 
         if stored and self.checkpoint_sync and self.checkpoint_path:
             # Durability before acknowledgement: once the writer sees OK,
@@ -1081,19 +1153,19 @@ class DirectoryDaemon:
         """The reply to a FETCH of ``step``, from the store's outcome."""
         stream = conn.stream
         if outcome is Outcome.HIT:
-            count, conn.pinned = stream.fetch(step)
+            if self._stale(conn, f"FETCH of step {step}"):
+                return  # the reader re-syncs and asks again
+            count, conn.pinned, pruned = stream.fetch(step)
+            head = {"count": count, "pruned": pruned}
             slot = stream.slot_of(conn.pinned)
             if slot is not None and conn.colocated:
                 stream.counter(M_NET_STEPS_FETCHED_BY_REF).inc()
                 return self._reply(conn, encode_frame(MsgType.STEP_REF, {
-                    "step": step, "count": count, "pool": slot[0].name,
-                    "offset": slot[1], "nbytes": len(conn.pinned)}))
+                    **head, "pool": slot[0].name, "offset": slot[1],
+                    "nbytes": len(conn.pinned)}))
             # Several ranks' runs follow the header back to back: no join.
             return self._reply(
-                conn,
-                encode_frame(MsgType.STEP_DATA, {"step": step, "count": count}),
-                *step_runs(conn.pinned),
-            )
+                conn, encode_frame(MsgType.STEP_DATA, head), *step_runs(conn.pinned))
         msg_type, kind = MISS_REPLY[outcome]
         if msg_type is MsgType.NOT_READY and self._draining:
             # No new publishes will land here; tell the reader to
@@ -1237,17 +1309,18 @@ class DirectoryDaemon:
                 "lease": stream.lease or 0.0,
                 "remaining": 0.0 if stream.deadline is None
                 else max(0.0, stream.deadline - stream.clock()),
+                **chain_record(stream.plugins),
             }))
             # ``publish`` is the store's only appender: no entry is lost.
-            for step, (count, payload), _nbytes, _lost in snap["steps"]:
+            for step, (count, payload, pruned), _nbytes, _lost in snap["steps"]:
                 parts.append(encode_record(CKPT_STEP, {
-                    "step": step, "count": count,
+                    "step": step, "count": count, "pruned": pruned,
                     "payload": np.frombuffer(b"".join(step_runs(payload)), dtype=np.uint8),
                 }))
             for rank, runs in stream.open_step.items():
-                for count, run in runs:
+                for count, run, pruned in runs:
                     parts.append(encode_record(CKPT_RUN, {
-                        "rank": rank, "count": count,
+                        "rank": rank, "count": count, "pruned": pruned,
                         "payload": np.frombuffer(run, dtype=np.uint8),
                     }))
         return b"".join(p.tobytes() for p in parts)
@@ -1270,7 +1343,7 @@ class DirectoryDaemon:
             raise ProtocolError(
                 f"bad checkpoint head {fmt.name!r} v{head.get('version')}"
             )
-        max_sid = 0
+        max_sid = max_gen = 0
         while offset < data.nbytes:
             fmt, rec, offset = decode_record(data, offset)
             if fmt.name == CKPT_TENANT.name:
@@ -1309,23 +1382,29 @@ class DirectoryDaemon:
                     if sfmt.name != want.name:
                         raise ProtocolError(f"expected {want.name}, got {sfmt.name}")
                     payload = np.asarray(srec["payload"], dtype=np.uint8).tobytes()
-                    held.append((srec, int(srec["count"]), payload))
+                    held.append((srec, (int(srec["count"]), payload, int(srec["pruned"]))))
                 stream = HostedStream(rec["tenant"], rec["name"])
+                try:
+                    for spec in json.loads(rec["chain"]):
+                        stream.plugins.deploy(DCPlugin.from_spec(spec), PluginSide(spec["side"]))
+                except (ValueError, KeyError, TypeError, CodeletError) as exc:
+                    raise ProtocolError(f"bad chain in checkpoint: {exc}") from None
+                stream.plugins.generation = int(rec["generation"])
+                max_gen = max(max_gen, stream.plugins.generation)
                 stream.hold_lease(rec["lease"] or None, self.clock, rec["remaining"])
                 stream.owners = dict(zip(map(int, rec["ranks"]), rec["owners"].split(",")))
                 stream.barrier = StepBarrier.restore(
                     {"joined": stream.owners, "closed": rec["closed"], "ended": rec["ended"]})
                 seqs = [int(n) for n in rec["seqs"]]
                 stream.last_seq = dict(zip(seqs[::2], seqs[1::2]))
-                for r, count, payload in held[n_steps:]:
-                    stream.write(int(r["rank"]), (count, payload))
+                for r, run in held[n_steps:]:
+                    stream.write(int(r["rank"]), run)
                 stream.store = StepStore.restore({
                     "retain": int(rec["retain"]), "last": int(rec["last_step"]),
                     "ended": None if rec["eos_step"] < 0 else int(rec["eos_step"]),
                     "failed": rec["error"] if rec["failed"] else None,
                     "peak_nbytes": int(rec["peak_nbytes"]),
-                    "steps": [(int(r["step"]), (count, payload), len(payload))
-                              for r, count, payload in held[:n_steps]],
+                    "steps": [(int(r["step"]), run, len(run[1])) for r, run in held[:n_steps]],
                 })
                 self._streams[stream.stream_id] = stream
             else:
@@ -1333,6 +1412,7 @@ class DirectoryDaemon:
         for tenant in {stream.tenant for stream in self._streams.values()}:
             self._count_runs(tenant)
         self._session_counter = itertools.count(max_sid + 1)
+        self._generations = itertools.count(max_gen + 1)
         self.metrics.counter("net.restores").inc()
         flight.record(
             EV_NET_RESTORE, path=source,

@@ -77,7 +77,6 @@ from repro.adios import Adios, BoundingBox, RankContext, StepStatus, block_decom
 from repro.core.drain import StepState
 from repro.core.hints import STREAM_HINTS, TRANSPORT, stream_params
 from repro.core.plugins import (
-    PluginManager,
     PluginSide,
     range_select_plugin,
     sampling_plugin,
@@ -443,24 +442,25 @@ def _run_inproc(report: ChaosReport, log: DeliveryLog, params: str,
         for r in range(writers)
     ]
     state = stream_registry._states[name]
-    oracle: Optional[PluginManager] = None
+    oracle: list = []
     if report.plugins:
         # Same chain twice from fresh instances: one on the live stream
-        # (reads go through the compiled fused plan), one as a detached
-        # interpreted oracle whose output is the expected payload.
-        oracle = PluginManager()
-        for live, detached in zip(_chaos_chain(), _chaos_chain()):
+        # (reads go through the compiled fused plan), one as detached
+        # interpreted codelets whose output is the expected payload.
+        oracle = _chaos_chain()
+        for live in _chaos_chain():
             state.plugins.deploy(live, PluginSide.READER)
-            oracle.deploy(detached, PluginSide.READER)
 
     def payloads(step: int) -> list:
         return [_payload(seed, step, r, counts[r]) for r in range(writers)]
 
     for step in range(steps):
         parts = payloads(step)
-        if oracle is not None:
-            parts = [oracle.apply_side(
-                PluginSide.READER, {var: np.concatenate(parts)})[var]]
+        if oracle:
+            record = {var: np.concatenate(parts)}
+            for plugin in oracle:
+                record = plugin.apply(record)
+            parts = [record[var]]
         log.expected[step] = _digest(*parts)
 
     def write_step(step: int) -> None:
@@ -471,7 +471,7 @@ def _run_inproc(report: ChaosReport, log: DeliveryLog, params: str,
             h.end_step()
 
     def read_digest(reader) -> str:
-        if oracle is not None:
+        if oracle:
             # One full-selection read through the compiled chain.
             return _digest(reader.read(var, start=(0, 0), count=_S3D_SHAPE))
         if gts:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core import stream_registry
+from repro.core.directory import TenantSpec
+from repro.net.server import DirectoryDaemon
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
@@ -73,14 +75,23 @@ def _histograms(hist_dir) -> dict:
 def test_gts_pipeline_gives_the_same_histograms_on_every_method(capsys, tmp_path):
     """The paper's claim on the shipped application: the writer-side
     sampler and the analytics chain move by the ``<method>`` line alone,
-    and every placement yields the same histograms and selectivity."""
+    and every placement yields the same histograms and selectivity —
+    the staging daemon too, where each rank is a session of its own and
+    the sampler deployed on rank 0's handle is the run's."""
+    daemon = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False).start()
+    staging = f"daemon={daemon.host}:{daemon.control_port};tenant=public"
+    methods = {**GTS_METHODS, "staging": ["--method", "STAGING", "--params", staging]}
     got = {}
-    for placement, argv in GTS_METHODS.items():
-        hist_dir = tmp_path / placement
-        out = run_example("gts_analytics_pipeline", [*argv, "--hist-dir", str(hist_dir)], capsys)
-        assert "DC plug-in reduction ratio: 0.25" in out, placement
-        assert "range-query selectivity: 20.0%" in out, placement
-        got[placement] = _histograms(hist_dir)
+    try:
+        for placement, argv in methods.items():
+            hist_dir = tmp_path / placement
+            out = run_example("gts_analytics_pipeline",
+                              [*argv, "--hist-dir", str(hist_dir)], capsys)
+            assert "DC plug-in reduction ratio: 0.25" in out, placement
+            assert "range-query selectivity: 20.0%" in out, placement
+            got[placement] = _histograms(hist_dir)
+    finally:
+        daemon.stop()
     stream = got.pop("stream")
     assert len(stream) == 12
     for placement, hists in got.items():

@@ -972,14 +972,14 @@ def test_fxl014_waivable_with_reason():
 # FXL015 — state and resources with one owner
 # ---------------------------------------------------------------------------
 
-def test_fxl015_flags_rank_set_writes_and_predicate_combination():
+def test_fxl015_flags_rank_set_writes_and_a_chain_built_outside_a_run():
     """The spellings the tree once used, each caught; a step store's
     ``ended`` is not a barrier's."""
     code = """
     stream.barrier.joined = set(owners)
     self.barrier.ended.clear()
     barrier.closed.add(rank)
-    self._prune = combine_predicates(preds)
+    self.plugins = PluginManager(monitor)
     store.ended = 3
     """
     findings = lint(code, path="repro/core/fixture.py")
@@ -997,13 +997,19 @@ def test_fxl015_allows_each_owner_its_own_scope():
             self.barrier.joined |= ranks
     """
     assert [f.line for f in lint(barrier, path="repro/adios/api.py")] == [8]
-    preds = """
-    class ReaderPredicates:
-        def __init__(self, preds):
-            self.combined = combine_predicates(preds)
+    chain = """
+    class HostedStream:
+        def __init__(self):
+            super().__init__(PluginManager(PerfMonitor()))
     """
-    assert lint(preds, path="repro/core/plugins.py") == []
-    assert rules_of(lint(preds, path="repro/net/server.py")) == ["FXL015"]
+    assert lint(chain, path="repro/net/server.py") == []
+    # The per-handle chain the net client once built: each handle its own.
+    per_handle = """
+    class NetReadHandle:
+        def __init__(self, link):
+            self.plugins = PluginManager(link.client.monitor)
+    """
+    assert rules_of(lint(per_handle, path="repro/net/client.py")) == ["FXL015"]
 
 
 def test_fxl015_keeps_the_step_barrier_protocol_and_the_chain_in_run():

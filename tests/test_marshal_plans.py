@@ -121,17 +121,21 @@ def assert_record(got: dict, want: dict, fmt: Format) -> None:
 # ---------------------------------------------------------------------------
 
 #: ``encode_message(fmt, sample(fmt), PROTOCOL_REGISTRY)`` before plans
-#: (``net.attach``, ``net.ckpt.*`` and ``net.ckpt.run``: the oracle's
-#: bytes for protocol v7 and checkpoint v3, which changed them;
-#: ``net.ckpt.stream``: checkpoint v4's).
+#: (``net.ckpt.head``, ``net.ckpt.session`` and ``net.ckpt.tenant``: the
+#: oracle's bytes for checkpoint v3; ``net.attach``, ``net.step_data``,
+#: ``net.step_ref``, ``net.chain``, ``net.chain_reply`` and the
+#: ``net.ckpt`` stream, step and run records: protocol v9's and
+#: checkpoint v5's, which changed or added them).
 GOLDEN = {
-    "net.attach": "cdf0f50f000bed7a4e39e5d68a4d000000000000000a00000073657373696f6e2dc3a90c00000073747265616d5f69642dc3a907000000726f6c652dc3a90c0000007072656469636174652dc3a9080000006e6f6e63652dc3a9f4f6c2ffffffffff",
+    "net.attach": "cdf0f50f00d04dfc926f7e304646000000000000000a00000073657373696f6e2dc3a90c00000073747265616d5f69642dc3a907000000726f6c652dc3a901b1b4b3ffffffffff080000006e6f6e63652dc3a9f4f6c2ffffffffff",
     "net.bye": "cdf0f50f00f8a97d6c67c66e3c0d0000000000000009000000726561736f6e2dc3a9",
+    "net.chain": "cdf0f50f00873a313d53a109a04b000000000000000900000073747265616d2dc3a9050000006f702dc3a9070000006e616d652dc3a907000000736964652dc3a909000000736f757263652dc3a90e00000066696e6765727072696e742dc3a9",
+    "net.chain_reply": "cdf0f50f00dfc9e35e547fc6381400000000000000626967ffffffffff08000000636861696e2dc3a9",
     "net.ckpt.head": "cdf0f50f00bbbccf31ef9670cf1d000000000000002b3095ffffffffff922449922449e23f090000007365727665722dc3a9",
-    "net.ckpt.run": "cdf0f50f007ace06d63bcabd8a2100000000000000f4f6c2ffffffffffb1b4b3ffffffffff09000000000000007061796c6f616400ff",
+    "net.ckpt.run": "cdf0f50f00c5029ea17c4b85832900000000000000f4f6c2ffffffffffb1b4b3ffffffffff6e72a4ffffffffff09000000000000007061796c6f616400ff",
     "net.ckpt.session": "cdf0f50f0004332c7b1e53687035000000000000000a00000073657373696f6e2dc3a90900000074656e616e742dc3a909000000636c69656e742dc3a909000000726573756d652dc3a9",
-    "net.ckpt.step": "cdf0f50f0010c9662bffa515d62100000000000000f4f6c2ffffffffffb1b4b3ffffffffff09000000000000007061796c6f616400ff",
-    "net.ckpt.stream": "cdf0f50f006f976c3d6ce38306f2000000000000000c00000073747265616d5f69642dc3a90900000074656e616e742dc3a9070000006e616d652dc3a9a5ab76ffffffffffe8ed85ffffffffff01080000006572726f722dc3a96e72a4ffffffffff1f2758ffffffffffb1b4b3ffffffffff030000000500000000000000ffffffffffffffff0000000000010000090000006f776e6572732dc3a9030000000600000000000000ffffffffffffffff0000000000010000030000000500000000000000ffffffffffffffff0000000000010000030000000400000000000000ffffffffffffffff0000000000010000f4f6c2ffffffffffb76ddbb66ddbe63f254992244992f43f",
+    "net.ckpt.step": "cdf0f50f00b6fb6533cd433e392900000000000000f4f6c2ffffffffffb1b4b3ffffffffff6e72a4ffffffffff09000000000000007061796c6f616400ff",
+    "net.ckpt.stream": "cdf0f50f00d64bfde217f90b2406010000000000000c00000073747265616d5f69642dc3a90900000074656e616e742dc3a9070000006e616d652dc3a9a5ab76ffffffffffe8ed85ffffffffff01080000006572726f722dc3a96e72a4ffffffffff1f2758ffffffffffb1b4b3ffffffffff030000000500000000000000ffffffffffffffff0000000000010000090000006f776e6572732dc3a9030000000600000000000000ffffffffffffffff0000000000010000030000000500000000000000ffffffffffffffff0000000000010000030000000400000000000000ffffffffffffffff0000000000010000f4f6c2ffffffffffb76ddbb66ddbe63f254992244992f43f08000000636861696e2dc3a9626967ffffffffff",
     "net.ckpt.tenant": "cdf0f50f009825292ab3c340d13000000000000000070000006e616d652dc3a908000000746f6b656e2dc3a9001f2758ffffffffff499224499224f93f626967ffffffffff",
     "net.eos": "cdf0f50f0033a6be786ffcd9400800000000000000f4f6c2ffffffffff",
     "net.error": "cdf0f50f00bb86592a811a51cb1900000000000000070000006b696e642dc3a90a0000006d6573736167652dc3a9",
@@ -146,8 +150,8 @@ GOLDEN = {
     "net.publish": "cdf0f50f001c1d618ea61319fa1900000000000000f4f6c2ffffffffffb1b4b3ffffffffff003739d2ffffffffff",
     "net.publish_ref": "cdf0f50f00260165a05d9b88c33400000000000000f4f6c2ffffffffffb1b4b3ffffffffff003739d2ffffffffff07000000706f6f6c2dc3a96e72a4ffffffffff6e72a4ffffffffff",
     "net.retry_after": "cdf0f50f008c4256eefb823f6b1500000000000000b76ddbb66ddbe63f09000000726561736f6e2dc3a9",
-    "net.step_data": "cdf0f50f00df866cea66bdc32b1000000000000000f4f6c2ffffffffffb1b4b3ffffffffff",
-    "net.step_ref": "cdf0f50f00cc965736679accb22b00000000000000f4f6c2ffffffffffb1b4b3ffffffffff07000000706f6f6c2dc3a96e72a4ffffffffff6e72a4ffffffffff",
+    "net.step_data": "cdf0f50f000fe39d86e67d323d1000000000000000b1b4b3ffffffffff6e72a4ffffffffff",
+    "net.step_ref": "cdf0f50f00a2fa2945c321c99c2b00000000000000b1b4b3ffffffffff6e72a4ffffffffff07000000706f6f6c2dc3a96e72a4ffffffffff6e72a4ffffffffff",
     "net.var": "cdf0f50f00c2c0fe68499be50dad00000000000000070000006e616d652dc3a91f2758ffffffffff030000000500000000000000ffffffffffffffff0000000000010000030000000500000000000000ffffffffffffffff0000000000010000030000000600000000000000ffffffffffffffff0000000000010000922449922449e23f922449922449e23f00033c66340202000000000000000300000000000000180000000000000000000000000080400000004100004041000080410000a041",
     "net.welcome": "cdf0f50f00e8945dfcf578a9503c000000000000000a00000073657373696f6e2dc3a9090000007365727665722dc3a9a5ab76ffffffffff09000000726573756d652dc3a90007000000706f6f6c2dc3a9",
 }

@@ -91,14 +91,19 @@ ROUND_TRIP_CASES = [
     (MsgType.EOS, {"step": 4}),
     (MsgType.RETRY_AFTER, {"delay": 0.25, "reason": "draining"}),
     (MsgType.ATTACH, {"session": "s-1", "stream_id": "acme/gts.out", "role": "w",
-                      "predicate": "", "nonce": "00ff", "rank": 3}),
+                      "pushdown": True, "chain": 7, "nonce": "00ff", "rank": 3}),
     (MsgType.GRANT, {"detail": "published", "pool": "/proc/4242/fd/9@3",
                      "offset": 2359296, "capacity": 2359296, "stats": False}),
     (MsgType.PUBLISH_REF, {"step": 3, "count": 2, "eos": False, "seq": 4,
                            "pool": "/proc/4242/fd/9@3", "offset": 0,
                            "nbytes": 2098000}),
-    (MsgType.STEP_REF, {"step": 3, "count": 2, "pool": "/proc/4242/fd/9@3",
+    (MsgType.STEP_REF, {"count": 2, "pruned": 5, "pool": "/proc/4242/fd/9@3",
                         "offset": 0, "nbytes": 2098000}),
+    (MsgType.STEP_DATA, {"count": 2, "pruned": -1}),
+    (MsgType.CHAIN, {"stream": "gts.out", "op": "deploy", "name": "units/zion",
+                     "side": "writer", "source": "def condition(vars):\n    return vars\n",
+                     "fingerprint": "units:zion:2.5"}),
+    (MsgType.CHAIN_REPLY, {"generation": 7, "chain": "[]"}),
 ]
 
 
@@ -468,7 +473,7 @@ def test_socket_timeout_is_armed_once_not_per_call(daemon, monkeypatch):
         w.begin_step()
         w.write("x", np.zeros(4))
         with pytest.raises(PeerDisconnected):
-            w._run._publish_once({"step": 11, "count": 0, "eos": False, "seq": 12}, [])
+            w._run._publish_once(0, {"step": 11, "eos": False, "seq": 12})
         w._closed = True
         c._hb_streams.clear()
 
@@ -760,12 +765,66 @@ def test_checkpoint_mid_step_restores_the_open_step(tmp_path, rank0_closes):
     assert restored.store.last == -1
     assert restored.publish(0, 1, b"rank1", False, seq=1, rank=1)
     assert restored.store.last == 0
-    assert restored.fetch(0) == (2, (b"rank0", b"rank1"))
+    assert restored.fetch(0) == (2, (b"rank0", b"rank1"), False)
     if rank0_closes:
         with pytest.raises(DirectoryError, match="already open"):
             restored.join(0, "s1")
     else:
         restored.join(0, "s1")  # its OPEN retried: still its session's
+
+
+def test_a_restored_run_keeps_its_chain(tmp_path):
+    """Checkpoint v5 carries the run's chain and its generation: restored
+    into a fresh daemon on the same ports, the writer's next step is
+    conditioned by the writer-side codelet (its PUBLISH says the restored
+    generation), and a reader on a new session reads it through the
+    reader-side one."""
+    from repro.core.plugins import PluginSide, sampling_plugin, unit_conversion_plugin
+
+    a = np.arange(24.0).reshape(8, 3)
+
+    def put(w, k):
+        w.begin_step()
+        w.write("a", a + k, box=BoundingBox((0, 0), (8, 3)), global_shape=(8, 3))
+        w.end_step()
+
+    def read(c, name):
+        r = c.open(name, "r", timeout=2.0)
+        steps = []
+        while r.begin_step(timeout=2.0) is StepStatus.OK:
+            steps.append(r.read("a"))
+            r.end_step()
+        r.close()
+        return steps
+
+    d = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False).start()
+    try:
+        c = connect(uri(d, "public"))
+        w = c.open("ckpt.chain", "w")
+        w.plugins.deploy(unit_conversion_plugin("a", 2.0), PluginSide.WRITER)
+        w.plugins.deploy(sampling_plugin(2), PluginSide.READER)
+        put(w, 0.0)
+        hosted = d._streams["public/ckpt.chain"]
+        specs, generation = [p.spec() for p in hosted.plugins.plugins()], hosted.plugins.generation
+        path = d.checkpoint(str(tmp_path / "chain.ckpt"))
+    finally:
+        d.stop()
+    d2 = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False,
+                         control_port=d.control_port, data_port=d.data_port)
+    d2.restore(path)
+    d2.start()
+    try:
+        restored = d2._streams["public/ckpt.chain"].plugins
+        assert [p.spec() for p in restored.plugins()] == specs
+        assert restored.generation == generation
+        put(w, 1.0)  # resumes: published under the restored generation
+        w.close()
+        c.close()
+        with connect(uri(d2, "public")) as c2:
+            got = read(c2, "ckpt.chain")
+        assert [g.tobytes() for g in got] == [((a + k) * 2.0)[::2].tobytes() for k in (0, 1)]
+    finally:
+        d2.stop()
 
 
 def test_checkpoint_from_another_thread_walks_state_on_the_loop(daemon, tmp_path,
@@ -1244,8 +1303,10 @@ def test_parked_reader_woken_for_an_earlier_step_parks_again(daemon):
         wait_parked(hosted)
         write_step(w, 0)  # wakes it — for a step it did not ask for
         write_step(w, 1)
-        frame = decode_frame(ch.recv(timeout=2.0))
-        assert frame.msg_type is MsgType.STEP_DATA and frame.record["step"] == 1
+        wb = ch.recv(timeout=2.0)
+        frame = decode_frame(wb)
+        assert frame.msg_type is MsgType.STEP_DATA  # step 1's: its x is all ones
+        np.testing.assert_array_equal(decode_var(wb, frame.consumed)[0]["data"], np.ones(4))
         assert counter(hosted, "net.fetches_held", tenant="acme") == 1  # one hold
         assert counter(hosted, "net.steps_fetched", tenant="acme") == 1  # one answer
         ch.close()
@@ -1447,7 +1508,7 @@ def test_a_step_of_several_runs_is_one_vectored_step_data(daemon):
             for k, w in enumerate(writers):
                 write_step(w, 10 * step + k, n=1 << 14)
         hosted = daemon._streams["public/run.vec"]
-        count, runs = hosted.store.lookup(1)[1]
+        count, runs, _pruned = hosted.store.lookup(1)[1]
         assert count == 2 and all(hosted.slot_of(run) is not None for run in runs)
         reader = attach_raw(c0, "public/run.vec")
         reader.sendv([encode_frame(MsgType.FETCH, {"step": 1, "wait": 0.0})], timeout=2.0)

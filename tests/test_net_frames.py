@@ -8,6 +8,7 @@ frame costs: each is answered in the call that completed it.
 
 import asyncio
 import gc
+import json
 import logging
 import socket
 import time
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.directory import TenantSpec
+from repro.core.plugins import CodeletError, DCPlugin, PluginSide, unit_conversion_plugin
 from repro.marshal.codec import encode_into, encoded_size
 from repro.net import server
 from repro.net.client import _DataLink, connect
@@ -546,7 +548,7 @@ def test_stored_payload_is_a_view_of_the_received_frame(daemon, monkeypatch):
         w.write("v", data)
         w.end_step()
         (hosted,) = daemon._streams.values()
-        _outcome, (count, payload) = hosted.store.lookup(0)
+        _outcome, (count, payload, _pruned) = hosted.store.lookup(0)
         assert count == 1 and isinstance(payload, np.ndarray)
         (carrier,) = [f for f in frames if f.nbytes > data.nbytes]
         assert np.shares_memory(payload, carrier)
@@ -648,7 +650,7 @@ def test_a_publish_answers_its_writer_and_the_parked_reader_synchronously():
         for conn, role in ((writer, "w"), (reader, "r")):
             feed(conn, wire(frame_bytes(MsgType.ATTACH, {
                 "session": "s1", "stream_id": stream.stream_id, "role": role,
-                "predicate": "", "nonce": "", "rank": 0})))
+                "pushdown": False, "chain": 0, "nonce": "", "rank": 0})))
             assert replies(conn) == [MsgType.OK]
         feed(reader, wire(frame_bytes(MsgType.FETCH, {"step": 0, "wait": 5.0})))
         assert len(stream.parked) == 1 and replies(reader) == [MsgType.OK]
@@ -669,7 +671,7 @@ def test_a_small_frame_is_one_write_and_a_bulk_payload_is_not_copied():
     conn = make_conn()
     kept = []
     conn.transport.write = kept.append  # the objects written, not copies
-    head = encode_frame(MsgType.STEP_DATA, {"step": 0, "count": 1})
+    head = encode_frame(MsgType.STEP_DATA, {"count": 1, "pruned": 0})
     header = as_byte_view(head).tobytes()
     small = np.arange(INLINE_MAX // 16, dtype=np.float64)
     conn.write_frame(head, small)
@@ -688,21 +690,17 @@ def test_a_small_frame_is_one_write_and_a_bulk_payload_is_not_copied():
 # Bugfix: a parked reader whose socket dies is dropped at once
 # ---------------------------------------------------------------------------
 
-def attach_reader(client, stream_id, predicate):
-    """A reader data channel ATTACHed with ``predicate``, driven by hand."""
-    link = _DataLink(client, stream_id, "r")
-    link.reattach(predicate)
-    return link.channel
+def attach_reader(client, stream_id):
+    """A pushdown reader's data channel, driven by hand."""
+    return _DataLink(client, stream_id, "r", pushdown=True).channel
 
 
 def test_a_parked_reader_whose_socket_dies_is_dropped_at_once(daemon):
-    near = '[{"hi": 1.0, "kind": "range", "lo": 0.0, "var": "x"}]'
-    far = '[{"hi": 6.0, "kind": "range", "lo": 5.0, "var": "x"}]'
     with connect(uri(daemon)) as c:
         w = c.open("dies", "w")
         hosted = daemon._streams[w._run.stream_id]
-        other = attach_reader(c, w._run.stream_id, far)
-        parked = attach_reader(c, w._run.stream_id, near)
+        other = attach_reader(c, w._run.stream_id)
+        parked = attach_reader(c, w._run.stream_id)
         parked.sendv([encode_frame(MsgType.FETCH, {"step": 0, "wait": 8.0})])
         gauge = hosted.monitor.metrics.gauge(M_NET_READERS_PARKED,
                                              labels={"tenant": "public"})
@@ -710,15 +708,14 @@ def test_a_parked_reader_whose_socket_dies_is_dropped_at_once(daemon):
         while not hosted.parked:
             assert time.monotonic() < deadline, "the FETCH never parked"
             time.sleep(0.002)
-        assert gauge.value == 1 and hosted.readers.combined.might_match("x", 0.2, 0.8)
+        assert gauge.value == 1 and len(hosted.pushdown) == 2
         parked.close()
         deadline = time.monotonic() + 0.5
-        while gauge.value or hosted.readers.combined.might_match("x", 0.2, 0.8):
+        while gauge.value or len(hosted.pushdown) == 2:
             assert time.monotonic() < deadline, "the dead reader is still parked"
             time.sleep(0.002)
         assert not hosted.parked
-        assert not hosted.readers.combined.might_match("x", 0.2, 0.8)  # only ``far``
-        assert hosted.readers.combined.might_match("x", 5.5, 5.6)
+        assert len(hosted.pushdown) == 1  # only ``other`` asks for pruning now
         other.close()
         w.close()
 
@@ -792,22 +789,29 @@ def test_loop_lag_gauge_reads_how_late_the_reaper_ticked():
 # Protocol v7: the writer rank of a data connection, and a rank's close
 # ---------------------------------------------------------------------------
 
-#: The frames v7 changed, byte for byte (v8 changed only the header's
-#: version byte): ATTACH names the writer rank the connection publishes
-#: for; a PUBLISH with ``eos`` is that rank's close (here with no blocks
-#: left to send).
+#: The frames v7 changed, byte for byte, as v9 sends them: ATTACH names
+#: the writer rank the connection publishes for; a PUBLISH with ``eos`` is
+#: that rank's close (here with no blocks left to send).  v9 turned
+#: ATTACH's ``predicate`` into ``pushdown`` and the generation of the run's
+#: chain its peer holds, and STEP_DATA's ``step`` echo into ``pruned``;
+#: PUBLISH changed only the header's version byte.
 V7_FRAMES = {
     MsgType.ATTACH: (
-        {"session": "s1", "stream_id": "public/run", "role": "w", "predicate": "",
-         "nonce": "", "rank": 1},
-        "0701ecf1081000000700000000000000cdf0f50f000bed7a4e39e5d68a29000000000000"
-        "000200000073310a0000007075626c69632f72756e0100000077000000000000000001"
-        "00000000000000",
+        {"session": "s1", "stream_id": "public/run", "role": "w", "pushdown": False,
+         "chain": 0, "nonce": "", "rank": 1},
+        "0701ecf1091000000700000000000000cdf0f50f00d04dfc926f7e30462e000000000000"
+        "000200000073310a0000007075626c69632f72756e0100000077000000000000000000"
+        "000000000100000000000000",
     ),
     MsgType.PUBLISH: (
         {"step": 2, "count": 0, "eos": True, "seq": 3},
-        "0701ecf1081100000700000000000000cdf0f50f001c1d618ea61319fa19000000000000"
+        "0701ecf1091100000700000000000000cdf0f50f001c1d618ea61319fa19000000000000"
         "0002000000000000000000000000000000010300000000000000",
+    ),
+    MsgType.STEP_DATA: (
+        {"count": 1, "pruned": 0},
+        "0701ecf1091300000700000000000000cdf0f50f000fe39d86e67d323d10000000000000"
+        "0001000000000000000000000000000000",
     ),
 }
 
@@ -815,7 +819,7 @@ V7_FRAMES = {
 @pytest.mark.parametrize("msg_type", sorted(V7_FRAMES), ids=lambda t: t.name)
 def test_v7_frames_are_their_golden_bytes(msg_type):
     record, golden = V7_FRAMES[msg_type]
-    assert PROTOCOL_VERSION == 8
+    assert PROTOCOL_VERSION == 9
     assert encode_frame(msg_type, record, seq=7).as_array().tobytes().hex() == golden
     frame = decode_frame(bytes.fromhex(golden))
     assert (frame.msg_type, frame.record, frame.seq) == (msg_type, record, 7)
@@ -827,3 +831,100 @@ def test_the_control_close_is_gone_from_the_wire():
     raw[5] = 11
     with pytest.raises(ProtocolError, match="unknown message type 11"):
         decode_frame(bytes(raw))
+
+
+# ---------------------------------------------------------------------------
+# Protocol v9: a chain request comes from outside the program
+# ---------------------------------------------------------------------------
+
+_SOURCE = "def condition(vars):\n    return vars\n"
+
+#: name -> the CHAIN fields a request sends; each must be a ``protocol``
+#: ERROR that leaves the run's chain and generation as they were.
+BAD_CHAIN_REQUESTS = {
+    "unknown_kind": {"op": "deploy", "name": "x", "side": "reader", "source": _SOURCE,
+                     "fingerprint": "wavelet:a:3"},
+    "malformed_fingerprint": {"op": "deploy", "name": "x", "side": "writer",
+                              "source": _SOURCE, "fingerprint": "units:a:two"},
+    "non_canonical_fingerprint": {"op": "deploy", "name": "x", "side": "writer",
+                                  "source": _SOURCE, "fingerprint": "units:a:2.50"},
+    "refused_source": {"op": "deploy", "name": "x", "side": "reader",
+                       "source": "import os\ndef condition(vars):\n    return vars\n",
+                       "fingerprint": ""},
+    # Nothing of a codelet may run when its ``def`` does: the daemon holds
+    # the chain and runs none of it.
+    "default": {"op": "deploy", "name": "x", "side": "reader",
+                "source": "def condition(vars=len):\n    return vars\n", "fingerprint": ""},
+    "decorator": {"op": "deploy", "name": "x", "side": "reader",
+                  "source": "@len\ndef condition(vars):\n    return vars\n",
+                  "fingerprint": ""},
+    "annotation": {"op": "deploy", "name": "x", "side": "reader",
+                   "source": "def condition(vars: len) -> len:\n    return vars\n",
+                   "fingerprint": ""},
+    "unknown_side": {"op": "deploy", "name": "x", "side": "daemon", "source": _SOURCE,
+                     "fingerprint": ""},
+    "unknown_op": {"op": "compile", "name": "x", "side": "", "source": "",
+                   "fingerprint": ""},
+}
+
+
+def chain_rpc(channel, **fields):
+    record = {"stream": "guarded", "op": "get", "name": "", "side": "", "source": "",
+              "fingerprint": "", **fields}
+    channel.send(encode_frame(MsgType.CHAIN, record))
+    return decode_frame(channel.recv(timeout=2.0))
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CHAIN_REQUESTS))
+def test_a_bad_chain_request_is_a_protocol_error_and_changes_nothing(daemon, bad):
+    with connect(uri(daemon)) as c:
+        w = c.open("guarded", "w")
+        w.plugins.deploy(DCPlugin("keep", _SOURCE), PluginSide.WRITER)
+        chain = daemon._streams["public/guarded"].plugins
+        before = ([p.spec() for p in chain.plugins()], chain.generation)
+        with socket.create_connection((daemon.host, daemon.control_port), timeout=2) as s:
+            channel = TcpChannel(s)
+            hello(channel)
+            reply = chain_rpc(channel, **BAD_CHAIN_REQUESTS[bad])
+            assert reply.msg_type is MsgType.ERROR and reply.record["kind"] == "protocol"
+            # The session goes on: the chain is still there, unchanged.
+            reply = chain_rpc(channel)
+            assert reply.msg_type is MsgType.CHAIN_REPLY
+            assert reply.record["generation"] == before[1]
+        assert ([p.spec() for p in chain.plugins()], chain.generation) == before
+        w.close()
+
+
+def test_a_chain_change_takes_a_new_generation_and_a_refused_one_none(daemon):
+    """A deploy over a raw socket rebuilds the codelet from its spec and
+    takes the next daemon-wide generation; one the chain refuses (its
+    name is taken) is a ``codelet`` ERROR, which the client raises as
+    :class:`CodeletError`.  A writer whose connection holds the old
+    generation is refused, refreshes its mirror and publishes again."""
+    with connect(uri(daemon)) as c:
+        w = c.open("guarded", "w")
+        chain = daemon._streams["public/guarded"].plugins
+        with socket.create_connection((daemon.host, daemon.control_port), timeout=2) as s:
+            channel = TcpChannel(s)
+            hello(channel)
+            spec = {**unit_conversion_plugin("a", 2.5).spec(), "side": "writer"}
+            reply = chain_rpc(channel, op="deploy", **spec)
+            assert reply.msg_type is MsgType.CHAIN_REPLY
+            generation = reply.record["generation"]
+            assert generation == chain.generation > 0
+            assert json.loads(reply.record["chain"]) == [spec]
+            assert chain.plugins()[0].kernel.fingerprint == "units:a:2.5"
+            reply = chain_rpc(channel, op="deploy", **spec)
+            assert reply.msg_type is MsgType.ERROR and reply.record["kind"] == "codelet"
+            assert chain.generation == generation
+        with pytest.raises(CodeletError, match="already deployed"):
+            w.plugins.deploy(unit_conversion_plugin("a", 2.5), PluginSide.READER)
+        # The writer's mirror never saw that generation: its PUBLISH is
+        # refused as stale once, then conditioned again and accepted.
+        w.begin_step()
+        w.write("a", np.ones(3))
+        w.end_step()
+        assert w.plugins.generation == generation
+        _count, run, _pruned = daemon._streams["public/guarded"].store.lookup(0)[1]
+        np.testing.assert_array_equal(decode_var(run, 0)[0]["data"], np.full(3, 2.5))
+        w.close()

@@ -4,9 +4,10 @@
   ``ended`` sets — are written by ``StepBarrier`` alone
   (``adios/api.py``); every run calls its ``join`` / ``end`` / ``close``
   / ``fail`` / ``restore``.
-* Readers' pushdown predicates combine in one place, the reader-predicate
-  set (``core/plugins.py:ReaderPredicates``), so both planes prune by
-  the same rule.
+* A DC chain is built only by a run's owner on its plane — the
+  in-process ``StreamState``, the daemon's ``HostedStream``, the file
+  methods' module — and mirrored by the net client's ``_RunChain``, so
+  every handle of a run shows its one chain.
 
 Each claim is an FXL015 row of :data:`repro.analysis.tables.OWNERS`;
 these tests pin the row's owner and run FlexLint over ``src/``, counting
@@ -30,9 +31,9 @@ def _fxl015_findings():
     return tuple(f for f in lint_paths([str(SRC)]) if f.rule == "FXL015")
 
 
-def _breaches(pattern: str, owner: str) -> list[str]:
+def _breaches(pattern: str, *owners: str) -> list[str]:
     (row,) = [r for r in OWNERS if r.rule == "FXL015" and pattern in r.patterns]
-    assert row.scopes == (owner,)
+    assert row.scopes == owners
     return [f.format() for f in _fxl015_findings() if row.why in f.message]
 
 
@@ -44,6 +45,8 @@ def test_only_step_barrier_writes_its_rank_sets():
     assert bad == [], f"rank sets written outside StepBarrier: {bad}"
 
 
-def test_only_the_reader_predicate_set_combines_predicates():
-    bad = _breaches("combine_predicates()", "core/plugins.py:ReaderPredicates")
-    assert bad == [], f"combine_predicates called outside ReaderPredicates: {bad}"
+def test_only_a_runs_owner_builds_its_chain():
+    bad = _breaches("PluginManager()", "core/stream.py:StreamState",
+                    "net/server.py:HostedStream", "core/filereader.py",
+                    "net/client.py:_RunChain")
+    assert bad == [], f"a DC chain built outside a run's owner: {bad}"

@@ -11,12 +11,10 @@ Four tiers:
   plain plan and running the chain interpreted;
 * plan cache — chain-hash-extended keys never collide across chains and
   geometry invalidation drops every fused variant;
-* pushdown — the in-process drain and the net broker skip blocks a
-  registered reader predicate provably drops, counted in
+* pushdown — the in-process drain and the net broker skip blocks the
+  run's reader chain provably drops, counted in
   ``plugin.blocks_skipped``, with reads staying exact.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -28,8 +26,6 @@ from repro.core import CodeletError, DCPlugin, PluginManager, PluginSide
 from repro.core.directory import TenantSpec
 from repro.core.hints import stream_params
 from repro.core.plugins import (
-    BlockPredicate,
-    ReaderPredicates,
     range_select_plugin,
     sampling_plugin,
     unit_conversion_plugin,
@@ -214,33 +210,6 @@ def test_chain_hash_stable_and_parameter_sensitive():
 # Predicate pushdown, in-process plane
 # ---------------------------------------------------------------------------
 
-def test_reader_predicate_set_prunes_only_when_every_reader_proves_it():
-    """The one rule both planes prune by: nothing to prune against unless
-    at least one reader is attached and every attached reader has a
-    predicate; a detach recombines what is left."""
-    def keep(lo, hi):
-        return BlockPredicate([{"kind": "range", "var": "x", "lo": lo, "hi": hi}])
-
-    readers = ReaderPredicates()
-    assert readers.combined is None  # nobody attached
-    readers.attach("a", None)
-    assert readers.combined is None  # a reader with no predicate needs every block
-    readers.attach("a", keep(0.0, 1.0))  # re-attaching replaces
-    readers.attach("b", keep(5.0, 6.0))
-    both = readers.combined
-    assert both.might_match("x", 0.2, 0.8) and both.might_match("x", 5.5, 5.6)
-    assert not both.might_match("x", 2.0, 3.0)
-    readers.attach("c", None)
-    assert readers.combined is None
-    readers.detach("c")
-    readers.detach("b")
-    assert readers.combined.might_match("x", 0.2, 0.8)
-    assert not readers.combined.might_match("x", 5.5, 5.6)
-    readers.detach("a")
-    readers.detach("a")  # idempotent
-    assert readers.combined is None
-
-
 _S3D_XML = """
 <adios-config>
   <adios-group name="field">
@@ -325,31 +294,23 @@ def _pushdown_skips_blocks(xpmem):
 
     metrics = state.monitor.metrics
     try:
-        # Step 0 drains before the reader registered its predicate, so
-        # nothing may be skipped; the first read registers it.
-        write_step()
-        assert reader.begin_step(timeout=5.0) is StepStatus.OK
-        got0 = reader.read("temp", start=(0, 0), count=(32, 32))
-        reader.end_step()
-        assert metrics.counter(M_PLUGIN_BLOCKS_SKIPPED).value == 0
-
-        # Step 1: the drain now provably drops the out-of-range block,
-        # which is never staged or mapped: only ``keep`` is sent.
-        sent = metrics.counter("shm.bytes_sent").value
-        write_step()
-        assert metrics.counter(M_PLUGIN_BLOCKS_SKIPPED).value == 1
-        assert metrics.counter("shm.bytes_sent").value - sent == keep.nbytes
-        path = "xpmem" if xpmem else "pool"
-        assert metrics.counter(f"transport.path.{path}").value == 2
-        assert reader.begin_step(timeout=5.0) is StepStatus.OK
-        got1 = reader.read("temp", start=(0, 0), count=(32, 32))
-        reader.end_step()
-
-        # Reads stay exact either way: the buffered step copy is
-        # untouched, and the chain drops those rows regardless.
-        for got in (got0, got1):
+        # From the first step on, the drain provably drops the
+        # out-of-range block under the run's reader chain: it is never
+        # staged or mapped, only ``keep`` is sent.
+        for k in range(2):
+            sent = metrics.counter("shm.bytes_sent").value
+            write_step()
+            assert metrics.counter(M_PLUGIN_BLOCKS_SKIPPED).value == k + 1
+            assert metrics.counter("shm.bytes_sent").value - sent == keep.nbytes
+            assert reader.begin_step(timeout=5.0) is StepStatus.OK
+            got = reader.read("temp", start=(0, 0), count=(32, 32))
+            reader.end_step()
+            # Reads stay exact: the buffered step copy is untouched, and
+            # the chain drops those rows regardless.
             assert got.shape == (16, 32)
             assert got.tobytes() == keep.tobytes()
+        path = "xpmem" if xpmem else "pool"
+        assert metrics.counter(f"transport.path.{path}").value == 2
         assert metrics.counter(M_PLUGIN_FUSED_READS).value == 2
     finally:
         for h in handles:
@@ -393,30 +354,22 @@ def test_net_broker_prunes_blocks_for_pushdown_readers(daemon):
                     box=BoundingBox((16, 0), (16, 32)), global_shape=(32, 32))
             w.end_step()
 
-        # Step 0 is published before the reader's first fetch carries
-        # the predicate to the broker (the re-ATTACH): never pruned.
-        publish()
-        assert r.begin_step(timeout=2.0) is StepStatus.OK
-        got0 = r.read("temp", start=(0, 0), count=(32, 32))
-        r.end_step()
-        # The daemon notices the predicate-less attach closing
-        # asynchronously; pruning arms once only the re-ATTACH remains.
-        time.sleep(0.3)
-        publish()
-        assert r.begin_step(timeout=2.0) is StepStatus.OK
-        got1 = r.read("temp", start=(0, 0), count=(32, 32))
-        r.end_step()
-
-        # Both reads return exactly the surviving rows — the broker
-        # pruned a block only the chain would have dropped anyway.
-        for got in (got0, got1):
+        # The run's chain and the pushdown reader are there before step 0:
+        # every step is pruned, and both reads return exactly the
+        # surviving rows — the broker pruned a block only the chain
+        # would have dropped anyway.
+        for _ in range(2):
+            publish()
+            assert r.begin_step(timeout=2.0) is StepStatus.OK
+            got = r.read("temp", start=(0, 0), count=(32, 32))
+            r.end_step()
             assert got.shape == (16, 32)
             assert got.tobytes() == keep.tobytes()
         hosted = daemon._streams["public/flux"]
         skipped = hosted.monitor.metrics.counter(
             M_PLUGIN_BLOCKS_SKIPPED, labels={"tenant": "public"}
         ).value
-        assert skipped == 1
+        assert skipped == 2
         # Both reads took the fused per-block path on the client.
         assert c.monitor.metrics.counter(M_PLUGIN_FUSED_READS).value == 2
         w.close()
@@ -445,18 +398,17 @@ def test_net_broker_keeps_a_fully_pruned_variable_visible(daemon):
                 w.end_step()
 
         reads = []
-        for _ in range(2):  # step 0 is never pruned (the re-ATTACH is later)
+        for _ in range(2):
             publish()
             assert r.begin_step(timeout=2.0) is StepStatus.OK
             reads.append(r.read("temp", start=(0, 0), count=(32, 32)))
             r.end_step()
-            time.sleep(0.3)
         assert [got.shape for got in reads] == [(0, 32), (0, 32)]
         hosted = daemon._streams["public/gone"]
         skipped = hosted.monitor.metrics.counter(
             M_PLUGIN_BLOCKS_SKIPPED, labels={"tenant": "public"}
         ).value
-        assert skipped == 3  # of step 1's four blocks, one stays
+        assert skipped == 6  # of each step's four blocks, one stays
         for w in writers:
             w.close()
         r.close()

@@ -44,7 +44,11 @@ from repro import connect
 from repro.net.client import _CachedStep
 from repro.net.protocol import encode_var
 from repro.net.server import DirectoryDaemon
-from repro.obs.names import M_PLUGIN_FUSED_READS, M_PLUGIN_INTERPRETED_READS
+from repro.obs.names import (
+    M_PLUGIN_BLOCKS_SKIPPED,
+    M_PLUGIN_FUSED_READS,
+    M_PLUGIN_INTERPRETED_READS,
+)
 from repro.transport.buffers import as_byte_view
 from repro.transport.shm import ShmArena
 
@@ -762,7 +766,8 @@ def test_writer_chain_conditions_a_step_alike_on_both_planes(tmp_path, daemon, c
 def test_every_write_handle_shows_its_runs_chain_and_monitor(tmp_path, daemon, method):
     """Two ranks' handles on every method: in process and on the file
     methods both show their one run's chain and monitor; a staging rank's
-    run is its own data connection, on its session's monitor."""
+    run is its own data connection, on its session's monitor, and shows
+    its session's mirror of the daemon run's chain — one per session."""
     if method == "net":
         session = connect(_uri(daemon))
         writers = [session.open("planes.run", "w", rank=r, num_ranks=2) for r in range(2)]
@@ -777,7 +782,7 @@ def test_every_write_handle_shows_its_runs_chain_and_monitor(tmp_path, daemon, m
         assert w.plugins.monitor is w.monitor
     if method in ("STAGING", "net"):
         assert all(w.monitor is w._run._link.client.monitor for w in writers)
-        assert writers[0].plugins is not writers[1].plugins
+        assert (writers[0].plugins is writers[1].plugins) == (method == "net")
     else:
         assert writers[0]._run is writers[1]._run
     for w in writers:
@@ -837,3 +842,185 @@ def test_every_method_keeps_every_block_a_rank_writes_of_one_name(tmp_path, daem
     r.end_step()
     r.close()
     client.close()
+
+
+# ---------------------------------------------------------------------------
+# One DC chain per run, on every plane
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["FLEXPATH", "STAGING", "net", "net-nonce-blanked"])
+def chain_plane(request, daemon):
+    """``(open_writers(name, n), open_reader(name, pushdown=False))`` on
+    one plane.  Through the daemon every reader opens on a session of its
+    own, so whatever chain it sees is the run's, not its session's: the
+    ``STAGING`` line opens a session per handle anyway, the other two
+    daemon planes write on one session (same node, or a peer that could
+    not read the nonce: inline frames).  A ``STAGING`` line has no
+    ``pushdown`` parameter, so its pushdown reader opens a session of its
+    own on the same daemon."""
+    opened = []
+    if request.param == "FLEXPATH":
+        client = connect("local://", params="pushdown=true")
+        opened.append(client)
+
+        def writers(name, n):
+            return [client.open(name, "w", rank=r, num_ranks=n) for r in range(n)]
+
+        def reader(name, pushdown=False):
+            return client.open(name, "r")
+
+        yield writers, reader
+        return
+
+    def session():
+        c = connect(_uri(daemon))
+        if request.param == "net-nonce-blanked":
+            c._nonce = ""
+        opened.append(c)
+        return c
+
+    if request.param == "STAGING":
+        params = f"daemon={daemon.host}:{daemon.control_port};tenant=public"
+        client = connect("local://", config=_FILE_CONFIG.format(method="STAGING", params=params))
+
+        def writers(name, n):
+            return [client.open(name, "w", rank=r, num_ranks=n) for r in range(n)]
+    else:
+        def writers(name, n):
+            c = session()
+            return [c.open(name, "w", rank=r, num_ranks=n) for r in range(n)]
+
+    def reader(name, pushdown=False):
+        if request.param == "STAGING" and not pushdown:
+            return client.open(name, "r")
+        return session().open(name, "r", timeout=2.0, pushdown=pushdown)
+
+    yield writers, reader
+    for c in opened:
+        c.close()
+
+
+def _write(writers, name, blocks, gshape):
+    """One step: rank ``k % len(writers)`` writes the k-th ``(data, box)``."""
+    for w in writers:
+        w.begin_step()
+    for k, (data, box) in enumerate(blocks):
+        writers[k % len(writers)].write(name, data, box=box, global_shape=gshape)
+    for w in writers:
+        w.end_step()
+
+
+def _read_step(reader, name):
+    assert reader.begin_step(timeout=2.0) is StepStatus.OK
+    got = reader.read(name)
+    reader.end_step()
+    return got
+
+
+def test_a_readers_writer_side_codelet_conditions_the_next_step(chain_plane):
+    """The paper's deploy: a reader ships a codelet to run writer-side;
+    the step written after it is conditioned on every plane."""
+    open_writers, open_reader = chain_plane
+    (w,) = open_writers("chain.units", 1)
+    r = open_reader("chain.units")
+    r.plugins.deploy(unit_conversion_plugin("a", 2.5), PluginSide.WRITER)
+    a = np.arange(12.0).reshape(4, 3)
+    _write([w], "a", [(a, BoundingBox((0, 0), (4, 3)))], (4, 3))
+    np.testing.assert_array_equal(_read_step(r, "a"), a * 2.5)
+    w.close()
+    r.close()
+
+
+def test_a_late_reader_of_a_pruned_step_runs_the_runs_chain(daemon, chain_plane):
+    """Reader A asks for pushdown with a range filter, and is attached
+    when four 16-row blocks (values 0.5 .. 3.5) are published: three are
+    pruned.  Reader B opens later with no chain of its own and reads the
+    16 surviving rows — the run's chain is its chain too — never 64 rows
+    with fill values where pruned blocks were."""
+    open_writers, open_reader = chain_plane
+    (w,) = open_writers("chain.late", 1)
+    a = open_reader("chain.late", pushdown=True)
+    a.plugins.deploy(range_select_plugin("a", 0, 0.0, 1.0), PluginSide.READER)
+    blocks = [(np.full((16, 3), k + 0.5), BoundingBox((16 * k, 0), (16, 3)))
+              for k in range(4)]
+    _write([w], "a", blocks, (64, 3))
+    b = open_reader("chain.late")
+    got = _read_step(b, "a")
+    assert got.shape == (16, 3) and (got == 0.5).all()
+    hosted = daemon._streams.get("public/chain.late")
+    if hosted is None:  # in process: the drain skipped what the chain drops
+        skipped = stream_registry._states["chain.late"].monitor.metrics.counter(
+            M_PLUGIN_BLOCKS_SKIPPED)
+    else:
+        skipped = hosted.monitor.metrics.counter(
+            M_PLUGIN_BLOCKS_SKIPPED, labels={"tenant": "public"})
+    assert skipped.value == 3
+    w.close()
+    a.close()
+    b.close()
+
+
+def test_one_ranks_deploy_conditions_every_rank(chain_plane):
+    """``writers[0].plugins.deploy`` conditions all four ranks' blocks —
+    on ``STAGING`` each rank is a session of its own, whose next PUBLISH
+    is refused as conditioned under a stale chain and sent again."""
+    open_writers, open_reader = chain_plane
+    writers = open_writers("chain.ranks", 4)
+    writers[0].plugins.deploy(unit_conversion_plugin("a", 2.5), PluginSide.WRITER)
+    a = np.arange(48.0).reshape(16, 3)
+    _write(writers, "a", [(a[4 * r:4 * r + 4], BoundingBox((4 * r, 0), (4, 3)))
+                          for r in range(4)], (16, 3))
+    r = open_reader("chain.ranks")
+    np.testing.assert_array_equal(_read_step(r, "a"), a * 2.5)
+    for w in writers:
+        w.close()
+    r.close()
+
+
+def test_a_step_pruned_under_an_older_chain_is_a_typed_loss(daemon):
+    """Through the daemon the step's gaps are the chain's it was pruned
+    under: read after the run's chain changed, it would be neither what
+    was written nor what the new chain makes of it, so it is a typed
+    loss, never rows that silently went missing."""
+    with connect(_uri(daemon)) as c:
+        w = c.open("chain.moved", "w")
+        r = c.open("chain.moved", "r", timeout=2.0, pushdown=True)
+        r.plugins.deploy(range_select_plugin("a", 0, 0.0, 1.0), PluginSide.READER)
+        blocks = [(np.full((16, 3), k + 0.5), BoundingBox((16 * k, 0), (16, 3)))
+                  for k in range(4)]
+        for _ in range(2):
+            _write([w], "a", blocks, (64, 3))
+        assert _read_step(r, "a").shape == (16, 3)
+        r.plugins.undeploy("range/a[0]")  # step 1 was pruned under the old chain
+        assert r.begin_step(timeout=2.0) is StepStatus.OtherError
+        _write([w], "a", blocks, (64, 3))  # no reader chain now: nothing pruned
+        np.testing.assert_array_equal(_read_step(r, "a"), np.concatenate([b for b, _ in blocks]))
+        w.close()
+        r.close()
+
+
+def test_a_step_whose_ranks_were_pruned_under_two_chains_is_a_typed_loss(daemon):
+    """Rank 0 lands its run of a step pruned under one reader chain, the
+    chain moves, and rank 1 lands its run pruned under the next: no one
+    chain reads both runs' gaps, so the step is a typed loss."""
+    with connect(_uri(daemon)) as c:
+        w0, w1 = (c.open("chain.split", "w", rank=k, num_ranks=2) for k in range(2))
+        r = c.open("chain.split", "r", timeout=2.0, pushdown=True)
+        r.plugins.deploy(range_select_plugin("a", 0, 0.0, 1.0), PluginSide.READER)
+        blocks = [(np.full((16, 3), k + 0.5), BoundingBox((16 * k, 0), (16, 3)))
+                  for k in range(4)]
+        for w in (w0, w1):
+            w.begin_step()
+        for k, (data, box) in enumerate(blocks):
+            (w0, w1)[k // 2].write("a", data, box=box, global_shape=(64, 3))
+        w0.end_step()  # 0.5 kept, 1.5 pruned
+        r.plugins.undeploy("range/a[0]")
+        r.plugins.deploy(range_select_plugin("a", 0, 2.0, 3.0), PluginSide.READER)
+        w1.end_step()  # 2.5 kept, 3.5 pruned
+        assert daemon._streams["public/chain.split"].store.lookup(0)[1][2] == -1
+        assert r.begin_step(timeout=2.0) is StepStatus.OtherError
+        _write([w0, w1], "a", [blocks[0], blocks[2], blocks[1], blocks[3]], (64, 3))
+        np.testing.assert_array_equal(_read_step(r, "a"), blocks[2][0])
+        for w in (w0, w1):
+            w.close()
+        r.close()

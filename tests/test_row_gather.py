@@ -13,9 +13,7 @@ Four tiers:
   returned shares no memory with the blocks it was read from;
 * ``read_into`` under a filtering chain, on both planes, fills ``out``
   only when the chain's output has its shape, and otherwise raises a
-  typed error and leaves ``out`` as it was;
-* pushdown lifetime — a closed in-process reader's predicate stops
-  steering the drain.
+  typed error and leaves ``out`` as it was.
 """
 
 from unittest import mock
@@ -31,7 +29,6 @@ from repro.adios import (
     BoundingBox,
     RankContext,
     StepStatus,
-    block_decompose,
 )
 from repro.core import DCPlugin, PluginManager, PluginSide
 from repro.core.directory import TenantSpec
@@ -48,7 +45,7 @@ from repro.core.redistribution import PlanCache
 from repro.core.stream import stream_registry
 from repro.net.client import connect
 from repro.net.server import DirectoryDaemon
-from repro.obs.names import M_PLUGIN_BLOCKS_SKIPPED, M_PLUGIN_FUSED_READS
+from repro.obs.names import M_PLUGIN_FUSED_READS
 
 # ---------------------------------------------------------------------------
 # A fused filter read is the interpreted chain
@@ -421,45 +418,3 @@ def test_net_read_into_under_a_filter_is_whole_or_refused(daemon, survivors):
         _read_into(r, a, survivors)
         w.close()
         r.close()
-
-
-# ---------------------------------------------------------------------------
-# A closed pushdown reader's predicate goes with it
-# ---------------------------------------------------------------------------
-
-
-def test_closed_pushdown_reader_withdraws_its_predicate():
-    ad = Adios.from_xml(_XML.format(params=stream_params(sync=True, pushdown=True)))
-    name = "rowgather.pushdown.close"
-    boxes = block_decompose(SHAPE, (2, 1))
-    writers = [ad.open_write("field", name, RankContext(r, 2)) for r in range(2)]
-    state = stream_registry._states[name]
-    state.plugins.deploy(range_select_plugin("f", 0, 0.0, 1.0), PluginSide.READER)
-    reader = ad.open_read("field", name, RankContext(0, 1))
-    keep = np.full(tuple(boxes[0].count), 0.5)
-    drop = np.full(tuple(boxes[1].count), 2.5)
-    skipped = state.monitor.metrics.counter(M_PLUGIN_BLOCKS_SKIPPED)
-
-    def write_step():
-        for h, data, box in zip(writers, (keep, drop), boxes):
-            h.write("f", data, box=box, global_shape=SHAPE)
-            h.end_step()
-
-    try:
-        write_step()
-        assert reader.begin_step(timeout=5.0) is StepStatus.OK
-        assert reader.read("f", start=(0, 0), count=SHAPE).tobytes() == keep.tobytes()
-        reader.end_step()
-        assert state.readers.combined is not None
-        write_step()  # the predicate is armed: the drain skips ``drop``
-        assert skipped.value == 1
-
-        reader.close()
-        reader.close()
-        assert state.readers.combined is None
-        write_step()  # nobody left to prune for
-        assert skipped.value == 1
-    finally:
-        for h in writers:
-            h.close()
-        stream_registry.close_stream(name)
