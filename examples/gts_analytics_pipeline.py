@@ -11,7 +11,7 @@ visualization.
 
 The placement is the ``<method>`` line alone (``--method``,
 ``--params``): the same program runs the analytics online through a
-stream (``FLEXPATH``, with ``xpmem=true`` the mapped drain) or offline
+stream (``FLEXPATH``, whose drain maps each step) or offline
 from files (``BP``, ``MPI_AGGREGATE``), and the writer-side codelet
 conditions the output on every one of them.  The stream runs with
 ``trace=true``, so every timestep becomes one distributed trace: the

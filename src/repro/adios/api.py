@@ -127,9 +127,11 @@ class WriteHandle:
         """Add a block of ``name`` to this rank's open step.  On every
         method ``data`` is kept, not copied: it is the run's, and must not
         be modified, until its step ends — on a stream, while the stream
-        retains the step.  A rank may write a name more than once in a
-        step: each write is a block of its own, reads assemble them by
-        box, and ``read_block`` serves the rank's first."""
+        retains the step: readers scatter from it, and the in-process
+        drain maps it rather than staging a copy (``FLEXIO_SANITIZE=1``
+        reports a mapped array that changed).  A rank may write a name
+        more than once in a step: each write is a block of its own, reads
+        assemble them by box, and ``read_block`` serves the rank's first."""
         if self._closed:
             raise AdiosError("write after close")
         if box is not None and tuple(np.shape(data)) != tuple(box.count):

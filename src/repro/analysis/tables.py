@@ -73,6 +73,10 @@ OWNERS: tuple[Owner, ...] = (
           "on every plane, so every handle shows that one"),
     Owner("FXL015", ("os.memfd_create()", "mmap.mmap()"), ("transport/shm.py",),
           "maps shared memory outside the shm rung's arena"),
+    # Reference counts judge reuse: a buffer is free when nothing else
+    # holds it.  One reader of them, beside the buffers it reuses.
+    Owner("FXL015", ("getrefcount()", "*.getrefcount()"), ("core/reader.py",),
+          "reads a reference count outside the read path's result buffers"),
     # Test doubles stand in for the socket the frame assembler reads.
     Owner("FXL015", ("*.recv_into()",), ("transport/tcp.py", "tests/"),
           "reads a socket outside TcpChannel's frame assembly"),

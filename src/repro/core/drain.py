@@ -140,8 +140,7 @@ class _StepDrainer:
 
         state = self._state
         return make_stream_channel(
-            transport, monitor=state.monitor, injector=state._injector,
-            xpmem=state.hints.xpmem,
+            transport, monitor=state.monitor, injector=state._injector
         )
 
     def submit(self, step: _PublishedStep, wire: tuple) -> None:

@@ -121,10 +121,11 @@ _STREAM_SPECS = (
     HintSpec(SYNC, "bool", False,
              "Block the writer until the transport drain completes."),
     HintSpec(XPMEM, "bool", False,
-             "Mapped drain: the shm channel maps a sealed step's arrays "
-             "instead of staging a copy of them, a copy nobody reads: an "
-             "array handed to write() is the run's while the stream retains "
-             "the step (WriteHandle.write)."),
+             "Accepted for existing <method> lines; nothing reads it: the "
+             "in-process drain always maps a sealed step's arrays instead "
+             "of staging a copy nobody reads, so an array handed to write() "
+             "is the run's while the stream retains the step "
+             "(WriteHandle.write)."),
     HintSpec(TRACE, "bool", False,
              "Enable span tracing on the stream's monitor."),
     HintSpec(QUEUE_DEPTH, "int", 2,
@@ -287,12 +288,13 @@ class StreamHints:
     """Transport tuning hints parsed from the XML ``<method>`` parameters.
 
     The paper's Section IV.B.1 knobs: handshake caching, variable
-    batching, synchronous vs asynchronous writes, the XPMEM path, and the
-    buffering depth — ``queue_depth``, the async drainer's hand-off queue
-    (steps in flight before the writer blocks: the back-pressure point).
+    batching, synchronous vs asynchronous writes, and the buffering
+    depth — ``queue_depth``, the async drainer's hand-off queue (steps
+    in flight before the writer blocks: the back-pressure point).
     ``transport`` picks the drain channel.  One field per key of
     :data:`STREAM_HINTS`, which owns every default and every ``enum``
-    hint's admissible values.
+    hint's admissible values.  ``xpmem`` is parsed and read by nothing:
+    the in-process drain always takes the XPMEM-style mapped path.
     """
 
     caching: CachingOption = CachingOption(_DEFAULTS[CACHING])

@@ -33,8 +33,9 @@ blocks the chain provably drops.
 The chain is the run's on every plane: one :class:`PluginManager` every
 handle of a stream shares in process; on the daemon, ``HostedStream.plugins``,
 which each client session mirrors.  A codelet crosses to the daemon as
-data, :meth:`DCPlugin.spec`, rebuilt by :meth:`DCPlugin.from_spec`: the
-source through the same sandbox, the kernel from :data:`KERNELS`.
+data, :meth:`DCPlugin.spec`, rebuilt by :meth:`DCPlugin.from_spec`: a
+fingerprinted one by its factory in :data:`KERNELS`, whose source it
+must carry; a free-form one from its source, through the same sandbox.
 """
 
 from __future__ import annotations
@@ -533,17 +534,27 @@ class DCPlugin:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "DCPlugin":
-        """Rebuild a codelet from :meth:`spec`: the source through the
-        ``_validate`` sandbox, the kernel by :func:`kernel_of` (none: the
-        codelet stays interpreted).  An unknown side or kind, a malformed
-        fingerprint or a refused source raises :class:`CodeletError`."""
+        """Rebuild a codelet from :meth:`spec`: a fingerprinted one is its
+        kind's factory's in :data:`KERNELS` (:func:`plugin_of`), under the
+        spec's name, and its source must be that factory's — else a fused
+        read would run the kernel and an interpreted one another function;
+        a free-form one is its source through the ``_validate`` sandbox,
+        interpreted.  An unknown side or kind, a malformed fingerprint, a
+        source that is not the fingerprint's or a refused source raises
+        :class:`CodeletError`."""
         try:
             side = PluginSide(spec["side"])
         except ValueError:
             raise CodeletError(f"unknown plug-in side {spec['side']!r}") from None
-        fingerprint = spec["fingerprint"]
-        plugin = cls(spec["name"], spec["source"],
-                     kernel_of(fingerprint) if fingerprint else None)
+        fingerprint, kernel = spec["fingerprint"], None
+        if fingerprint:
+            made = plugin_of(fingerprint)
+            if spec["source"] != made.source:
+                raise CodeletError(
+                    f"codelet {spec['name']!r}: its source is not the one its "
+                    f"fingerprint {fingerprint!r} names")
+            kernel = made.kernel
+        plugin = cls(spec["name"], spec["source"], kernel)
         plugin.side = side
         return plugin
 
@@ -816,8 +827,8 @@ def _names(text: str) -> tuple:
     return tuple(text.split(",")) if text else ()
 
 
-def kernel_of(fingerprint: str) -> PluginKernel:
-    """The kernel a fingerprint names, rebuilt by its kind's factory in
+def plugin_of(fingerprint: str) -> DCPlugin:
+    """The codelet a fingerprint names, built by its kind's factory in
     :data:`KERNELS`.  An unknown kind, or arguments that do not parse or
     do not print back as the same fingerprint, raise :class:`CodeletError`."""
     kind, *args = fingerprint.split(":")
@@ -827,12 +838,12 @@ def kernel_of(fingerprint: str) -> PluginKernel:
     try:
         if len(args) != len(parsers):
             raise ValueError(f"{kind} takes {len(parsers)} arguments")
-        kernel = make(*(parse(arg) for parse, arg in zip(parsers, args))).kernel
+        plugin = make(*(parse(arg) for parse, arg in zip(parsers, args)))
     except ValueError as exc:
         raise CodeletError(f"malformed fingerprint {fingerprint!r}: {exc}") from None
-    if kernel.fingerprint != fingerprint:
+    if plugin.kernel.fingerprint != fingerprint:
         raise CodeletError(f"malformed fingerprint {fingerprint!r}: not canonical")
-    return kernel
+    return plugin
 
 
 def sampling_plugin(stride: int = 2, only: Optional[Sequence[str]] = None) -> DCPlugin:

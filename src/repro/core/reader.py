@@ -9,6 +9,9 @@ step comes from and nothing else.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from repro.adios.api import (
@@ -39,6 +42,20 @@ def index_blocks(blocks) -> tuple:
             boxes.append(box)
             datas.append(data)
     return boxes, datas, gshape, dtype, boxes_key(boxes)
+
+
+#: Result buffers a read handle keeps: the caller may hold step s's
+#: result while it reads step s+1.
+OUT_BUFFERS = 2
+
+
+def _refs(bufs: list, i: int) -> int:
+    return sys.getrefcount(bufs[i])
+
+
+#: What :func:`_refs` reads for a buffer only its handle's list holds;
+#: any more is a live result, a slice of one, or another holder.
+_UNHELD = _refs([np.empty(0)], 0)
 
 
 class BlockSource:
@@ -83,6 +100,8 @@ class StepReader(ReadHandle):
     #: The source ``begin_step`` found for the cursor (``None``: not
     #: positioned — each read looks the step up).
     _at = None
+    #: Byte buffers the plain reads' results view (:meth:`_out`).
+    _outs = None
 
     @property
     def current_step(self) -> int:
@@ -174,6 +193,34 @@ class StepReader(ReadHandle):
         mon.metrics.counter("dataplane.bytes_read").inc(int(data.nbytes))
         return data
 
+    def _out(self, shape, dtype) -> np.ndarray:
+        """A new array of ``shape``/``dtype`` for a read that allocates
+        its own result: a fresh view over one of the handle's
+        :data:`OUT_BUFFERS` byte buffers that nothing outside the handle
+        references any more (every view holds its owner through
+        ``.base``), else over a new one.  Reusing the memory, not the
+        array object, keeps a long stream from returning its result
+        pages to the allocator each step and faulting them back in."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if not nbytes or dtype.hasobject:
+            return np.empty(shape, dtype)
+        outs = self._outs
+        if outs is None:
+            outs = self._outs = []
+        spare = None
+        for i in range(len(outs)):
+            if _refs(outs, i) == _UNHELD:
+                if outs[i].nbytes >= nbytes:
+                    return outs[i][:nbytes].view(dtype).reshape(shape)
+                spare = i
+        buf = np.empty(nbytes, np.uint8)
+        if spare is not None:
+            outs[spare] = buf
+        elif len(outs) < OUT_BUFFERS:
+            outs.append(buf)
+        return buf.view(dtype).reshape(shape)
+
     def read(self, name, *, start=None, count=None, selection=None) -> np.ndarray:
         return self._read(name, None, start, count, selection)
 
@@ -264,11 +311,12 @@ class StepReader(ReadHandle):
                 chained = plugins.has_side(PluginSide.READER)
                 with mon.span("transport", name) as tspan:
                     cplan = self._plan(boxes, writer_key, target, gshape)
-                    if out is None or chained:
+                    if chained:
                         result = cplan.execute(datas, dtype=dtype, check=False)[0]
                     else:
+                        dest = self._out(target.count, dtype) if out is None else out
                         result = cplan.execute_into(
-                            datas, [out], fill=0, check=False
+                            datas, [dest], fill=0, check=False
                         )[0]
                     tspan.add_bytes(int(result.nbytes))
                 if chained:

@@ -153,9 +153,7 @@ class FlexIORuntime:
         return self.transfer_time(nbytes, writer_core, reader_core)
 
 
-def make_stream_channel(
-    kind: str = "shm", monitor=None, interconnect=None, injector=None, xpmem: bool = False
-):
+def make_stream_channel(kind: str = "shm", monitor=None, interconnect=None, injector=None):
     """Build the drain channel behind a stream's async publication pipeline.
 
     ``kind`` follows the ``transport`` stream hint: ``shm`` yields an
@@ -166,15 +164,16 @@ def make_stream_channel(
 
     ``injector`` (a :class:`~repro.transport.faults.TransportFaultInjector`)
     makes the built channel inject send faults, for chaos testing and the
-    ``faults=`` stream hint.  ``xpmem`` (the stream hint) makes the shm
-    channel map a step's arrays instead of staging them in a pool buffer;
-    the other transports have no such path and ignore it.
+    ``faults=`` stream hint.  The shm channel maps a sealed step's
+    arrays instead of staging them in a pool buffer: readers scatter
+    from the writer's retained arrays, so a staged copy is one nobody
+    reads.
     """
     kind = (kind or "shm").strip().lower()
     if kind == "shm":
         from repro.transport.shm import ShmChannel
 
-        return ShmChannel(use_xpmem=xpmem, monitor=monitor, injector=injector)
+        return ShmChannel(use_xpmem=True, monitor=monitor, injector=injector)
     if kind == "tcp":
         from repro.transport.tcp import TcpChannel
 

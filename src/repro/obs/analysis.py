@@ -196,8 +196,9 @@ def longest_trace(traces: dict[str, list[SpanNode]]) -> Optional[str]:
 #: Stage → what a FlexIO operator should try first.  Keys match the span
 #: categories emitted by the stream/transport/plug-in layers.
 SUGGESTIONS: dict[str, str] = {
-    "write": "enable asynchronous writes (sync=false) and the XPMEM path "
-             "for large members so the simulation stops blocking on output",
+    "write": "enable asynchronous writes (sync=false) and a deeper "
+             "publication queue (queue_depth) so the simulation stops "
+             "blocking on output",
     "redistribute": "enable handshake caching (caching=all) and variable "
                     "batching (batching=true) to amortize the 4-step protocol",
     "transport": "raise the bulk-Get concurrency bound / move analytics "

@@ -70,20 +70,21 @@ def test_chaos_transactional_regime():
 
 
 def test_chaos_xpmem_run_maps_every_step_and_fails_on_staging(monkeypatch):
-    """``xpmem=True`` mirrors the hint; a regression to the pool path
+    """Every in-process run maps its steps; a regression to the pool path
     fails the observability invariant, not a stopwatch."""
-    report = run_chaos("s3d", seed=5, rate=0.2, steps=10, plugins=True, xpmem=True)
+    report = run_chaos("s3d", seed=5, rate=0.2, steps=10, plugins=True)
     assert report.ok, report.invariant_violations
-    assert report.xpmem and report.as_dict()["xpmem"] is True
+    assert "xpmem" not in report.as_dict()
     assert report.faults_injected > 0 and report.fused_reads > 0
     from repro.core import runtime
+    from repro.transport.shm import ShmChannel
 
-    build = runtime.make_stream_channel
     monkeypatch.setattr(
         runtime, "make_stream_channel",
-        lambda *a, **kw: build(*a, **{**kw, "xpmem": False}),
+        lambda kind, monitor=None, injector=None: ShmChannel(
+            monitor=monitor, injector=injector),
     )
-    staged = run_chaos("s3d", seed=5, rate=0.2, steps=10, xpmem=True)
+    staged = run_chaos("s3d", seed=5, rate=0.2, steps=10)
     assert any("staged through the shm pool" in v for v in staged.invariant_violations)
 
 

@@ -209,3 +209,32 @@ def test_monitoring_integration():
     agg = mon.aggregate("dc_plugin")
     assert agg.count == 1
     assert agg.total_bytes == 100 * 7 * 8
+
+
+# ---------------------------------------------------------------------------
+# Codelets as data: a spec rebuilds one codelet, read one way
+# ---------------------------------------------------------------------------
+
+def test_a_spec_whose_source_is_not_its_fingerprints_is_refused():
+    """The kernel comes from the fingerprint and the interpreted function
+    from the source: a spec where they differ would read one way fused
+    and another interpreted, so it is refused."""
+    spec = {"name": "units/a", "side": "reader", "fingerprint": "units:a:2.5",
+            "source": "def condition(vars):\n    return vars\n"}
+    with pytest.raises(CodeletError, match="not the one its fingerprint"):
+        DCPlugin.from_spec(spec)
+
+
+@pytest.mark.parametrize("made", [
+    unit_conversion_plugin("a", 2.5), sampling_plugin(3, only=("a",)),
+    range_select_plugin("a", 0, 0.0, 1.0), annotation_plugin("k", 1.0),
+    bounding_box_plugin(),
+], ids=lambda p: p.kernel.fingerprint)
+def test_a_fingerprinted_spec_rebuilds_its_factorys_codelet(made):
+    """Under any name and on either side, a shipped codelet's spec
+    rebuilds the factory's source and kernel."""
+    spec = {**made.spec(), "name": "renamed", "side": "writer"}
+    back = DCPlugin.from_spec(spec)
+    assert (back.name, back.side, back.source) == ("renamed", PluginSide.WRITER, made.source)
+    assert back.kernel.fingerprint == made.kernel.fingerprint
+    assert back.spec() == spec

@@ -1068,7 +1068,7 @@ def test_gauge_inc_dec():
 
 
 # ---------------------------------------------------------------------------
-# Mapped drain: xpmem=true maps the sealed step instead of staging it
+# Mapped drain: the drain maps the sealed step instead of staging it
 # ---------------------------------------------------------------------------
 
 def path_counts(state):
@@ -1077,6 +1077,8 @@ def path_counts(state):
 
 
 def test_mapped_drain_copies_nothing_and_reads_the_same_bytes():
+    """The drain maps every step whatever the ``xpmem`` hint says: the
+    hint still parses, and nothing reads it."""
     reads = {}
     for xpmem in ("true", "false"):
         adios = make_adios(f"xpmem={xpmem}")
@@ -1085,12 +1087,8 @@ def test_mapped_drain_copies_nothing_and_reads_the_same_bytes():
         reads[xpmem] = [a.tobytes() for a in read_all_steps(adios, name)]
         state = stream_registry._states[name]
         copies = state.monitor.metrics.histogram("transport.copies")
-        if xpmem == "true":
-            assert (copies.count, copies.total, copies.zero_count) == (20, 0.0, 20)
-            assert path_counts(state) == {"xpmem": 20, "pool": 0}
-        else:
-            assert (copies.count, copies.total) == (20, 20.0)
-            assert path_counts(state) == {"xpmem": 0, "pool": 20}
+        assert (copies.count, copies.total, copies.zero_count) == (20, 0.0, 20)
+        assert path_counts(state) == {"xpmem": 20, "pool": 0}
     assert len(reads["true"]) == 20 and reads["true"] == reads["false"]
 
 
@@ -1195,3 +1193,148 @@ def test_sanitizer_names_a_writer_that_modifies_a_mapped_array():
         writer.close()
     finally:
         sanitize.disable()
+
+
+# ---------------------------------------------------------------------------
+# Result buffers: a plain read reuses memory its caller has dropped
+# ---------------------------------------------------------------------------
+
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_a_held_result_or_slice_of_one_is_never_overwritten():
+    adios = make_adios("")
+    writer = adios.open_write("fields", "dp.outs.held", RankContext(0, 1))
+    reader = adios.open_read("fields", "dp.outs.held", RankContext(0, 1))
+
+    def step(value):
+        write_step(writer, value)
+        assert reader.begin_step(timeout=5.0) is StepStatus.OK
+        got = reader.read("temp")
+        reader.end_step()
+        return got
+
+    first = step(1.0)
+    row = step(2.0)[3]  # only a slice of step 1's result is kept
+    for value in range(3, 9):
+        got = step(float(value))
+        np.testing.assert_array_equal(got, FIELD * value)
+        assert not np.shares_memory(got, first) and not np.shares_memory(got, row)
+    np.testing.assert_array_equal(first, FIELD)
+    np.testing.assert_array_equal(row, FIELD[3] * 2.0)
+    writer.close()
+    reader.close()
+
+
+def test_a_dropped_result_is_reused_through_a_fresh_view():
+    """The memory comes back, the array object does not: a weak reference
+    to an old result never sees a later step's bytes."""
+    import weakref
+
+    adios = make_adios("")
+    writer = adios.open_write("fields", "dp.outs.reuse", RankContext(0, 1))
+    reader = adios.open_read("fields", "dp.outs.reuse", RankContext(0, 1))
+    seen, held = [], None
+    for value in range(1, 7):
+        write_step(writer, float(value))
+        assert reader.begin_step(timeout=5.0) is StepStatus.OK
+        got = reader.read("temp")
+        reader.end_step()
+        if held is not None:
+            assert not np.shares_memory(got, held)  # the one still held
+            old = weakref.ref(held)
+            held = None
+            assert old() is None
+        np.testing.assert_array_equal(got, FIELD * value)
+        seen.append(address(got))
+        held = got
+        del got
+    # Step s's result is held while step s+1 is read: two buffers in turn.
+    assert len(set(seen)) == 2 and seen[2:] == seen[:-2]
+    writer.close()
+    reader.close()
+
+
+def test_live_results_never_share_memory():
+    adios = make_adios("")
+    write_steps(adios, "dp.outs.live", num_steps=1, vars_=("temp", "rho"))
+    reader = adios.open_read("fields", "dp.outs.live", RankContext(0, 1))
+    assert reader.begin_step(timeout=5.0) is StepStatus.OK
+    live = [reader.read("temp"), reader.read("rho"), reader.read("temp"),
+            reader.read("rho", start=(0, 0), count=(4, 16))]
+    reader.end_step()
+    for i, a in enumerate(live):
+        assert not any(np.shares_memory(a, b) for b in live[i + 1:])
+    np.testing.assert_array_equal(live[0], live[2])
+    np.testing.assert_array_equal(live[1][:4], live[3])
+    reader.close()
+
+
+#: One long in-process stream, run in a fresh interpreter: whether freed
+#: memory goes back to the OS depends on what the process freed before.
+LONG_STREAM = """
+import json, resource, sys
+import numpy as np
+import repro
+from repro.adios import StepStatus, block_decompose
+from repro.core.hints import CACHING_ALL, stream_params
+
+SHAPE, GRID, READERS, WARMUP, STEPS = (512, 512), (4, 4), 4, 50, 300
+rng = np.random.default_rng(7)
+ring = [rng.random(SHAPE) for _ in range(4)]
+boxes = block_decompose(SHAPE, GRID)
+blocks = [[np.ascontiguousarray(a[b.slices()]) for b in boxes] for a in ring]
+band = SHAPE[0] // READERS
+params = stream_params(caching=CACHING_ALL, **json.loads(sys.argv[1]))
+client = repro.connect("local://", params=params)
+writers = [client.open("long", "w", rank=r, num_ranks=len(boxes)) for r in range(len(boxes))]
+readers = [client.open("long", "r", rank=r, num_ranks=READERS) for r in range(READERS)]
+
+def step(s):
+    for h, box, block in zip(writers, boxes, blocks[s % 4]):
+        h.begin_step()
+        h.write("field", block, box=box, global_shape=SHAPE)
+        h.end_step()
+    bands = []
+    for i, r in enumerate(readers):
+        assert r.begin_step(timeout=5.0) is StepStatus.OK
+        bands.append(r.read("field", start=(i * band, 0), count=(band, SHAPE[1])))
+        r.end_step()
+    return bands
+
+for s in range(WARMUP):
+    held = step(s)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for s in range(WARMUP, WARMUP + STEPS):
+    held = step(s)  # a step's bands are dropped once the next step's are read
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+want = ring[(WARMUP + STEPS - 1) % 4]
+exact = all(np.array_equal(b, want[i * band:(i + 1) * band]) for i, b in enumerate(held))
+pool = writers[0].monitor.metrics.counter("transport.path.pool").value
+for h in (*writers, *readers):
+    h.close()
+print(json.dumps({"faults_per_step": faults / STEPS, "pool": pool, "exact": exact}))
+"""
+
+
+@pytest.mark.parametrize("hints", [{}, {"xpmem": True}], ids=["default", "xpmem"])
+def test_a_long_stream_faults_no_pages_in_per_step(hints):
+    """A 16 -> 4 MxN of a 2 MB array, each step's bands held until all
+    four are read: the drain maps the step (no pool buffer) and the
+    reads reuse their dropped bands, so the steady state allocates
+    nothing the allocator could hand back and fault in again (about 240
+    minor faults a step when it did)."""
+    import json
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", LONG_STREAM, json.dumps(hints)], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["exact"] and got["pool"] == 0, got
+    assert got["faults_per_step"] <= 10, got

@@ -1075,6 +1075,22 @@ def test_fxl015_flags_shared_memory_and_socket_reads_outside_their_rung():
     assert [f.line for f in lint(code, path="repro/transport/tcp.py")] == [5, 6]
 
 
+def test_fxl015_keeps_reference_counts_in_the_read_paths_buffers():
+    """A buffer reused once nothing else holds it has one judge of
+    "nothing": the read path's; a second one is a finding."""
+    code = """
+    import sys
+    from sys import getrefcount
+
+    def free(bufs, i):
+        return sys.getrefcount(bufs[i]) == 2 or getrefcount(bufs[i]) == 2
+    """
+    findings = lint(code, path="repro/transport/fixture.py")
+    assert [(f.rule, f.line) for f in findings] == [("FXL015", 6), ("FXL015", 6)]
+    assert "reference count" in findings[0].message
+    assert lint(code, path="repro/core/reader.py") == []
+
+
 def test_fxl015_keeps_frame_decoding_in_the_clients_one_exchange():
     """A second decode site in the client — a request answered its own
     way — is a finding; the exchange and the daemon's handler are not."""

@@ -848,6 +848,10 @@ BAD_CHAIN_REQUESTS = {
                               "source": _SOURCE, "fingerprint": "units:a:two"},
     "non_canonical_fingerprint": {"op": "deploy", "name": "x", "side": "writer",
                                   "source": _SOURCE, "fingerprint": "units:a:2.50"},
+    # A kernel that is not the source's: fused and interpreted reads of
+    # one codelet would disagree.
+    "source_not_the_fingerprints": {"op": "deploy", "name": "units/a", "side": "reader",
+                                    "source": _SOURCE, "fingerprint": "units:a:2.5"},
     "refused_source": {"op": "deploy", "name": "x", "side": "reader",
                        "source": "import os\ndef condition(vars):\n    return vars\n",
                        "fingerprint": ""},

@@ -223,7 +223,8 @@ _S3D_XML = """
 @pytest.mark.parametrize("xpmem", [False, True])
 def test_stream_fused_read_matches_interpreted_chain(xpmem):
     """The same steps read through the fused plan (``fused=true``) and
-    through scatter-then-interpret, on the staged and the mapped drain."""
+    through scatter-then-interpret; the drain maps the steps whether or
+    not the ``xpmem`` hint is set."""
     boxes = block_decompose((32, 32), (2, 1))
     rng = np.random.default_rng(11)
     steps = [[rng.uniform(-1.0, 2.0, size=tuple(b.count)) for b in boxes]
@@ -253,8 +254,8 @@ def test_stream_fused_read_matches_interpreted_chain(xpmem):
                 reader.end_step()
             metrics = state.monitor.metrics
             counts[fused] = metrics.counter(M_PLUGIN_FUSED_READS).value
-            path = "xpmem" if xpmem else "pool"
-            assert metrics.counter(f"transport.path.{path}").value == len(steps)
+            assert metrics.counter("transport.path.xpmem").value == len(steps)
+            assert metrics.counter("transport.path.pool").value == 0
         finally:
             for h in handles:
                 h.close()
@@ -309,8 +310,8 @@ def _pushdown_skips_blocks(xpmem):
             # the chain drops those rows regardless.
             assert got.shape == (16, 32)
             assert got.tobytes() == keep.tobytes()
-        path = "xpmem" if xpmem else "pool"
-        assert metrics.counter(f"transport.path.{path}").value == 2
+        assert metrics.counter("transport.path.xpmem").value == 2
+        assert metrics.counter("transport.path.pool").value == 0
         assert metrics.counter(M_PLUGIN_FUSED_READS).value == 2
     finally:
         for h in handles:
