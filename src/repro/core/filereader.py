@@ -74,10 +74,10 @@ class _FileStep(BlockSource):
             if e.name == name:
                 yield e.box, e.global_shape, _FileBlock(reader, e)
 
-    def writer_record(self, rank: int) -> Optional[dict]:
+    def writer_record(self, rank: int, name: Optional[str] = None) -> Optional[dict]:
         record: dict = {}
         for reader, e in self.pairs:
-            if e.rank == rank and e.name not in record:
+            if e.rank == rank and e.name not in record and name in (None, e.name):
                 record[e.name] = reader.fetch(e)
         return record or None
 

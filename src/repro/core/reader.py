@@ -84,8 +84,9 @@ class StepReader(ReadHandle):
     a file step's lazy on-disk blocks):
     ``var_names()``; ``blocks(name)``, :func:`index_blocks` of its
     writer blocks (a sealed step builds it once for every reader
-    rank); ``writer_record(rank)``, one writer's
-    ``{name: data}`` or ``None``; ``trace_ctx``, the publish span reads
+    rank); ``writer_record(rank, name)``, one writer's
+    ``{name: data}`` — only ``name``'s unless ``name`` is ``None`` — or
+    ``None``; ``trace_ctx``, the publish span reads
     parent on; ``may_be_pruned``, whether a broker may have dropped
     blocks the run's reader chain provably drops.  Subclasses say where a
     step comes from (:meth:`_step_at`; moving past a lost step is done
@@ -174,7 +175,10 @@ class StepReader(ReadHandle):
 
     def read_block(self, name: str, writer_rank: int) -> np.ndarray:
         source = self._source()
-        record = source.writer_record(writer_rank)
+        # A reader chain sees the writer's whole record; a plain read
+        # needs its one variable.
+        chained = self.plugins.has_side(PluginSide.READER)
+        record = source.writer_record(writer_rank, None if chained else name)
         if record is None or name not in record:
             raise VariableNotFound(
                 f"no block for var {name!r} from writer {writer_rank} "
@@ -187,7 +191,7 @@ class StepReader(ReadHandle):
         ):
             with mon.span("transport", name, writer_rank=writer_rank) as tspan:
                 tspan.add_bytes(sum(int(d.nbytes) for d in record.values()))
-            if self.plugins.has_side(PluginSide.READER):
+            if chained:
                 record = self.plugins.apply_side(PluginSide.READER, record)
         data = np.asarray(record[name])
         mon.metrics.counter("dataplane.bytes_read").inc(int(data.nbytes))

@@ -95,13 +95,16 @@ class _PublishedStep(BlockSource):
                 if wv.name == name:
                     yield wv.box, wv.global_shape, wv.data
 
-    def writer_record(self, rank: int) -> Optional[dict]:
+    def writer_record(self, rank: int, name: Optional[str] = None) -> Optional[dict]:
+        """Copies of the rank's blocks: the step holds the writer's own
+        arrays, which every reader of the step and the writer share."""
         pg = self.groups.get(rank)
         if pg is None:
             return None
         record: dict = {}
         for wv in pg.blocks:
-            record.setdefault(wv.name, wv.data)
+            if wv.name not in record and name in (None, wv.name):
+                record[wv.name] = wv.data.copy()
         return record
 
 

@@ -867,10 +867,10 @@ class _CachedStep(BlockSource):
                     data,
                 )
 
-    def writer_record(self, rank: int) -> Optional[dict]:
+    def writer_record(self, rank: int, name: Optional[str] = None) -> Optional[dict]:
         record: dict = {}
         for rec in self.vars:
-            if int(rec["writer_rank"]) == rank:
+            if int(rec["writer_rank"]) == rank and name in (None, rec["name"]):
                 record.setdefault(rec["name"], rec["data"])
         return record or None
 

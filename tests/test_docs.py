@@ -196,7 +196,7 @@ def test_a_planted_stale_name_is_caught() -> None:
         "Codelets run through `DCPlugin.apply_twice`, see "
         "`repro.core.plugins.NoSuchThing` in `core/no_such_module.py`; "
         "`Server.wait_closed()`, `DCPlugin.apply`, `PerfMonitor.metrics`, "
-        "`CoupledOptions.scheduler_max_concurrent` and `BENCH_obs.json` "
+        "`CoupledOptions.scheduler_max_concurrent` and `BENCHMARK.json` "
         "are fine.\n"
         "```\nMadeUp.member inside a fence is not a citation\n```\n"
     )

@@ -99,9 +99,27 @@ def test_gts_pipeline_gives_the_same_histograms_on_every_method(capsys, tmp_path
 
 
 def test_s3d_insitu_viz(capsys, tmp_path):
-    out = run_example("s3d_insitu_viz", argv=[str(tmp_path / "imgs")], capsys=capsys)
-    assert "PPM images" in out
-    assert any(f.endswith(".ppm") for f in os.listdir(tmp_path / "imgs"))
+    """The visualization's MxN slab reads move by the ``<method>`` line
+    alone: the default stream, both file methods and the staging daemon
+    render byte-identical PPM images."""
+    daemon = DirectoryDaemon(tenants=[TenantSpec("public")], telemetry=False).start()
+    staging = f"daemon={daemon.host}:{daemon.control_port};tenant=public"
+    methods = {m: ["--method", m] for m in ("BP", "MPI_AGGREGATE")}
+    methods["FLEXPATH"] = []
+    methods["STAGING"] = ["--method", "STAGING", "--params", staging]
+    got = {}
+    try:
+        for method, argv in methods.items():
+            out_dir = tmp_path / method
+            out = run_example("s3d_insitu_viz", [str(out_dir), *argv], capsys)
+            assert f"wrote 4 PPM images to {out_dir}/" in out, method
+            got[method] = {f: (out_dir / f).read_bytes() for f in os.listdir(out_dir)}
+    finally:
+        daemon.stop()
+    stream = got.pop("FLEXPATH")
+    assert sorted(stream) == ["CH4_step0.ppm", "CH4_step1.ppm", "OH_step0.ppm", "OH_step1.ppm"]
+    for method, images in got.items():
+        assert images == stream, method
 
 
 def test_placement_tuning(capsys):

@@ -844,6 +844,35 @@ def test_every_method_keeps_every_block_a_rank_writes_of_one_name(tmp_path, daem
     client.close()
 
 
+@pytest.mark.parametrize("method", [*sorted(WRITE_METHODS), "STAGING"])
+def test_read_block_hands_each_reader_an_array_of_its_own(tmp_path, daemon, method):
+    """What ``read_block`` returns is the caller's: writing into it
+    changes neither another reader's reads of the step nor the writer's
+    array — in process too, where the step holds the writer's arrays."""
+    params = (f"daemon={daemon.host}:{daemon.control_port};tenant=public"
+              if method == "STAGING" else WRITE_METHODS[method])
+    client = connect("local://", config=_FILE_CONFIG.format(method=method, params=params))
+    path = str(tmp_path / "owned.bp")
+    want = np.arange(12.0).reshape(4, 3)
+    a = want.copy()
+    w = client.open(path, "w")
+    w.begin_step()
+    w.write("a", a, box=BoundingBox((0, 0), (4, 3)), global_shape=(4, 3))
+    w.end_step()
+    w.close()
+    readers = [client.open(path, "r") for _ in range(2)]
+    for r in readers:
+        assert r.begin_step(timeout=2.0) is StepStatus.OK
+    readers[0].read_block("a", 0)[0, 0] = -1
+    np.testing.assert_array_equal(readers[1].read("a"), want)
+    np.testing.assert_array_equal(readers[1].read_block("a", 0), want)
+    np.testing.assert_array_equal(a, want)
+    for r in readers:
+        r.end_step()
+        r.close()
+    client.close()
+
+
 # ---------------------------------------------------------------------------
 # One DC chain per run, on every plane
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,24 @@ def test_env_disables_process_recorder(monkeypatch):
     assert recorder.record(EV_STEP_COMMIT, stream="s") is None
     monkeypatch.setenv("FLEXIO_FLIGHT", "1")
     assert recorder.get() is not None
+
+
+def _record_ns(n: int) -> float:
+    """Nanoseconds one ``record()`` on the process-wide recorder takes."""
+    t0 = time.perf_counter()
+    for i in range(n):
+        recorder.record(EV_STEP_COMMIT, stream="s", step=i)
+    return (time.perf_counter() - t0) / n * 1e9
+
+
+def test_record_call_is_submicrosecond(monkeypatch):
+    """The recorder is always on, so ``record()`` rides on every hot-path
+    message: the bounds catch a gross regression (a lock or allocation
+    gone wrong), not noise; the disabled path is one env check."""
+    monkeypatch.setenv("FLEXIO_FLIGHT", "1")
+    assert _record_ns(50_000) < 20_000
+    monkeypatch.setenv("FLEXIO_FLIGHT", "0")
+    assert _record_ns(50_000) < 5_000
 
 
 def test_dump_on_fault_needs_a_configured_dir(tmp_path):
