@@ -111,7 +111,7 @@ class S3dRank:
         cx, cy, cz = (0.3 + t) % 1.0, (0.5 + 0.7 * t) % 1.0, (0.4 + 0.4 * t) % 1.0
         r2 = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
         field = np.exp(-r2 / 0.02)
-        g = rng(hash((self.config.seed, self.rank, step, species)) & 0x7FFFFFFF)
+        g = rng(hash((self.config.seed, self.rank, step, sp_idx)) & 0x7FFFFFFF)
         field = field + 0.05 * g.standard_normal(field.shape)
         return np.ascontiguousarray(field)
 

@@ -432,9 +432,9 @@ def _rank_parts(step: _PublishedStep, predicate, metrics) -> tuple[WireVector, l
     the step's scatter-gather vector with each rank's ``(rank, lo, hi)``
     slice of it.  The plain drain sends the vector whole; the
     transactional one sends each rank's slice as that rank's prepare.
-    Parts are :class:`WireBuffer` views over the step's written arrays —
-    the step holds those arrays until commit/loss, so the views stay
-    valid across retries.
+    Parts are the step's written arrays themselves, viewed as bytes only
+    by whatever walks the vector — the step holds those arrays until
+    commit/loss, so they stay valid across retries.
 
     With a reader ``predicate`` (pushdown; else ``None``), blocks the
     reader chain provably drops never enter the vector — analytics

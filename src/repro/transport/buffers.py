@@ -11,9 +11,10 @@ materialization:
   (heap, pool-leased, xpmem-mapped, registered-RDMA), a liveness
   contract (access after :meth:`~WireBuffer.release` raises), and the
   number of copies the payload underwent on its way here.
-* :class:`WireVector` — a scatter-gather list of byte views, spans made
-  on demand; transports gather it straight into a slot or a leased
-  buffer, never through a ``b"".join``.
+* :class:`WireVector` — a scatter-gather list of parts kept as handed
+  in, byte views and spans made only when walked; transports gather it
+  straight into a slot or a leased buffer, never through a
+  ``b"".join``.
 * :class:`BufferLease` / :class:`LeasePool` — the one size-bucketed
   free list behind the SHM buffer pool and the RDMA registration
   cache, and its acquire/release protocol: exactly one release per
@@ -88,6 +89,33 @@ def as_byte_view(part: Union[bytes, bytearray, memoryview, np.ndarray]) -> np.nd
         arr = part if part.flags.c_contiguous else np.ascontiguousarray(part)
         return arr.reshape(-1).view(np.uint8)
     return np.frombuffer(part, dtype=np.uint8)
+
+
+def _wire_part(part):
+    """A part as a :class:`WireVector` keeps it: a span or a C-contiguous
+    array stays itself, a non-contiguous array is compacted (the one
+    copy, made here so that no walk repeats it), any other bytes-like is
+    viewed as bytes."""
+    if isinstance(part, np.ndarray):
+        return part if part.flags.c_contiguous else np.ascontiguousarray(part)
+    if isinstance(part, WireBuffer):
+        return part
+    return np.frombuffer(part, dtype=np.uint8)
+
+
+_U8 = np.dtype(np.uint8)
+
+
+def _byte_view(part, readonly: bool = False) -> np.ndarray:
+    """The flat uint8 view of one kept part: a part that already is one
+    is its own view, unless it must be read-only — then the view is a new
+    one, so marking it leaves the part's owner writable."""
+    arr = part.as_array() if isinstance(part, WireBuffer) else part
+    if readonly or arr.ndim != 1 or arr.dtype is not _U8:
+        arr = arr.reshape(-1).view(np.uint8)
+        if readonly:
+            arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +514,22 @@ class WireBuffer:
 
 
 class WireVector:
-    """A scatter-gather list of flat uint8 byte views (a :class:`WireBuffer`
-    handed in, a leased span say, stays itself), walked by :meth:`views`;
-    :meth:`copy_into` gathers them into a destination — the *one*
-    producer-side copy of the pool and RDMA paths.  Indexing or iterating
+    """A scatter-gather list of wire parts, walked by :meth:`views` as flat
+    uint8 byte views; :meth:`copy_into` gathers them into a destination —
+    the *one* producer-side copy of the pool and RDMA paths.  A part is
+    kept as it is handed in: a :class:`WireBuffer` (a leased span, say) or
+    a C-contiguous array stays itself, a non-contiguous array is compacted
+    once, here, and any other bytes-like becomes a byte view.  Nothing is
+    flattened until something walks the vector.  Indexing or iterating
     makes a part's span on demand, once, sharing the vector's ownership,
     copies and liveness.  A vector a channel *delivers* (an N-part xpmem
-    mapping) says who owns its memory and how many copies it took, and is
-    released once, whole.  The total length is lazy (reset by :meth:`append`).
+    mapping, :meth:`attach`) says who owns its memory and how many copies
+    it took, and is released once, whole.  The total length is lazy
+    (reset by :meth:`append`).
     """
 
-    __slots__ = ("_parts", "_nbytes", "ownership", "copies",
-                 "_on_release", "_released")
+    __slots__ = ("_parts", "_spans", "_nbytes", "ownership", "copies",
+                 "_on_release", "_released", "_attached")
 
     def __init__(
         self,
@@ -507,33 +539,51 @@ class WireVector:
         copies: int = 0,
         on_release: Optional[Callable[[], None]] = None,
     ) -> None:
-        self._parts: list = [
-            p if isinstance(p, WireBuffer) else as_byte_view(p) for p in parts
-        ]
+        self._parts: list = [_wire_part(p) for p in parts]
+        self._spans: Optional[dict[int, WireBuffer]] = None  # made by _span
         self._nbytes: Optional[int] = None
         self.ownership = ownership
         self.copies = int(copies)
         self._on_release = on_release
         self._released = False
+        #: A consumer's attachment to another vector's parts: it owns
+        #: none of them, and every view of them is read-only.
+        self._attached = False
+
+    def attach(self, on_release: Callable[[], None]) -> Union[WireBuffer, "WireVector"]:
+        """This vector's parts as the consumer of a page mapping sees
+        them: read-only, zero copies, :attr:`Ownership.XPMEM`, and
+        ``on_release`` (the detach) run by the one release.  One part is
+        one contiguous span; N parts are a vector sharing this one's
+        parts, which walks none of them until its caller does."""
+        mapped = dict(ownership=Ownership.XPMEM, copies=COPIES_XPMEM,
+                      on_release=on_release)
+        if len(self._parts) == 1:
+            return WireBuffer(_byte_view(self._parts[0], readonly=True), **mapped)
+        out = WireVector(**mapped)
+        out._parts, out._nbytes, out._attached = list(self._parts), self._nbytes, True
+        return out
 
     @property
     def released(self) -> bool:
         return self._released
 
     def release(self) -> None:
-        """End a delivered vector's lifetime: every part span, then the
-        mapping behind them.  Exactly once; a second call raises."""
+        """End a delivered vector's lifetime: every span it made (and every
+        span handed in, unless it is an attachment, which owns none), then
+        the mapping behind them.  Exactly once; a second call raises."""
         if self._released:
             raise LeaseError(f"double release of {self!r}")
         self._released = True
-        for part in self._parts:
-            if isinstance(part, WireBuffer) and not part.released:
+        owned = [] if self._attached else [p for p in self._parts if isinstance(p, WireBuffer)]
+        for part in (*owned, *(self._spans or {}).values()):
+            if not part.released:
                 part.release()
         if self._on_release is not None:
             self._on_release()
 
     def append(self, part) -> None:
-        self._parts.append(part if isinstance(part, WireBuffer) else as_byte_view(part))
+        self._parts.append(_wire_part(part))
         self._nbytes = None
 
     @property
@@ -544,17 +594,26 @@ class WireVector:
         return self._nbytes
 
     def views(self) -> list[np.ndarray]:
-        """Every part's flat uint8 view, in order; makes no span."""
+        """Every part's flat uint8 view, in order (read-only for an
+        attachment); makes no span."""
         if self._released:
             raise LeaseError(f"views of released {self!r}")
-        return [p.as_array() if isinstance(p, WireBuffer) else p for p in self._parts]
+        readonly = self._attached
+        return [_byte_view(p, readonly) for p in self._parts]
 
     def _span(self, idx: int) -> WireBuffer:
         part = self._parts[idx]
-        if not isinstance(part, WireBuffer):  # made once; after release, born released
-            part = WireBuffer(part, ownership=self.ownership, copies=self.copies)
-            part._released, self._parts[idx] = self._released, part
-        return part
+        if isinstance(part, WireBuffer) and not self._attached:
+            return part
+        if self._spans is None:
+            self._spans = {}
+        span = self._spans.get(idx)
+        if span is None:  # made once; after release, born released
+            span = WireBuffer(_byte_view(part, self._attached),
+                              ownership=self.ownership, copies=self.copies)
+            span._released = self._released
+            self._spans[idx] = span
+        return span
 
     def __len__(self) -> int:
         return len(self._parts)

@@ -18,8 +18,8 @@ Four pieces:
    the consumer receives a :class:`~repro.transport.buffers.WireBuffer`
    view over the shared buffer (one staging copy; releasing the span
    returns the buffer).  The XPMEM path instead "maps" the producer's
-   source buffer into the consumer (zero-copy handoff of a read-only
-   view), so the transport itself performs no copy at all.
+   source parts into the consumer (a zero-copy handoff, read-only when
+   viewed), so the transport itself performs no copy at all.
 
 3. :class:`ShmArena` — the pool between *processes* on one node: one
    memfd generation of slots with a free list, which the directory daemon
@@ -369,20 +369,21 @@ class ShmChannel(Channel):
       and the consumer receives a :class:`WireBuffer` *view* over the
       shared buffer — releasing the span returns the lease.  One copy,
       fully asynchronous.
-    * **xpmem** (``use_xpmem``): the producer maps read-only views of
-      its source parts under one token (modelling ``xpmem_make`` /
-      ``xpmem_attach`` page mapping) and the consumer's delivery
-      attaches to those pages — zero transport copies, no pool buffer —
-      until its release detaches them (``close()`` unmaps what was never
-      received).  The sources must not be modified before that.
+    * **xpmem** (``use_xpmem``): the producer maps its vector under one
+      token (modelling ``xpmem_make`` / ``xpmem_attach`` page mapping)
+      and the consumer's delivery attaches to its parts — zero transport
+      copies, no pool buffer, no per-part work; views are made, read-only,
+      only when the delivery is walked — until its release detaches them
+      (``close()`` unmaps what was never received).  The sources must not
+      be modified before that.
       ``send`` waits for the detach (the paper's synchronous semantics);
       ``sendv`` returns once the mapping is announced, so one thread can
       be both ends of its own channel.
 
     Neither path joins parts on the producer side.  ``recv`` raises
     :class:`QueueClosed` at end of stream; a mapped message of N > 1
-    parts has no contiguous span, so it arrives as one
-    :class:`WireVector` of read-only spans, released once.  Every
+    parts has no contiguous span, so it arrives as one attached
+    :class:`WireVector` (:meth:`WireVector.attach`), released once.  Every
     delivery reports its copy count (inline=2, pool=1, xpmem=0) into the
     ``transport.copies`` histogram of the bound monitor.
     """
@@ -406,8 +407,8 @@ class ShmChannel(Channel):
         #: Optional deterministic fault source consulted before sends.
         self.injector = injector
         self._inline_max = self.queue.payload_size - _CTRL.size
-        #: Live mappings: token -> (read-only part views, detach event,
-        #: the sanitizer's record of them — None unless FLEXIO_SANITIZE=1).
+        #: Live mappings: token -> (the producer's vector, detach event,
+        #: the sanitizer's record of it — None unless FLEXIO_SANITIZE=1).
         self._xpmem_segments: dict[int, tuple] = {}
         self._next_token = 0
         self._token_lock = sanitize.make_lock("shm.xpmem_token")
@@ -476,14 +477,13 @@ class ShmChannel(Channel):
         with self._token_lock:
             token = self._next_token
             self._next_token += 1
-        # "Map" the source pages: read-only views of every part, no copy.
-        views = [np.frombuffer(memoryview(v).toreadonly(), dtype=np.uint8)
-                 for v in vec.views()]
+        # "Map" the source pages: the vector itself, under the token — the
+        # consumer attaches to its parts, and nothing walks them here.
         record = None if self._san is None else (  # the mapping thread names the stream
             f"shm.xpmem#{token} mapped by {threading.current_thread().name}",
-            self._san.lend(*views))
+            self._san.lend(*vec.views()))
         detached = threading.Event()
-        self._xpmem_segments[token] = (views, detached, record)
+        self._xpmem_segments[token] = (vec, detached, record)
         announced = False
         try:
             if torn:
@@ -501,9 +501,9 @@ class ShmChannel(Channel):
         a second call for the same token finds nothing to do."""
         segment = self._xpmem_segments.pop(token, None)
         if segment is not None:
-            views, detached, record = segment
+            vec, detached, record = segment
             if record is not None:
-                self._san.check_lent(sanitize.XPMEM_SOURCE_MUTATED, *record, *views)
+                self._san.check_lent(sanitize.XPMEM_SOURCE_MUTATED, *record, *vec.views())
             detached.set()
 
     def close(self) -> None:
@@ -547,14 +547,9 @@ class ShmChannel(Channel):
             )
         elif path == _PATH_XPMEM:
             token = int(token)
-            views = self._xpmem_segments[token][0]
             # Attach to the producer's pages; release() detaches.
-            mapped = dict(
-                ownership=Ownership.XPMEM, copies=COPIES_XPMEM,
-                on_release=functools.partial(self._unmap, token),
-            )
-            wb = (WireBuffer(views[0], **mapped) if len(views) == 1
-                  else WireVector(views, **mapped))
+            wb = self._xpmem_segments[token][0].attach(
+                functools.partial(self._unmap, token))
         else:
             raise ValueError(f"corrupt control message path {path}")
         return wb, _PATH_NAMES[path]

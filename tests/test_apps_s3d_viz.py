@@ -1,5 +1,10 @@
 """Tests for the S3D workload model and the volume renderer."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,8 @@ from repro.apps.s3d import NUM_SPECIES, SPECIES
 from repro.apps.viz import to_uint8, transfer_function
 from repro.core import RedistributionEngine
 from repro.util import MiB
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +46,24 @@ def test_species_fields_shape_and_determinism():
     f2 = S3dRank(cfg, 3).species_field(0, "CO2")
     np.testing.assert_array_equal(f1, f2)
     assert not np.array_equal(f1, r.species_field(1, "CO2"))  # time-varying
+
+
+def test_species_field_is_the_same_whatever_the_interpreters_hash_seed():
+    """Two processes with different ``PYTHONHASHSEED`` make the same
+    field: the noise seeds from the species' index, not a ``str`` hash."""
+    code = textwrap.dedent("""
+        import hashlib
+        from repro.apps import S3dConfig, S3dRank
+        field = S3dRank(S3dConfig(num_ranks=8, local_edge=8), 0).species_field(0, "OH")
+        print(hashlib.sha256(field.tobytes()).hexdigest())
+    """)
+    digests = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_output_has_all_species():

@@ -50,9 +50,11 @@ from repro.transport.shm import ShmBufferPool, ShmChannel
 
 @pytest.fixture()
 def san():
-    instance = sanitize.enable(fresh=True)
-    yield instance
+    was = sanitize.get()  # under FLEXIO_SANITIZE=1 the later tests keep one
+    yield sanitize.enable(fresh=True)
     sanitize.disable()
+    if was is not None:
+        sanitize.enable()
 
 
 def kinds(instance):

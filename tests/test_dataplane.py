@@ -1092,6 +1092,48 @@ def test_mapped_drain_copies_nothing_and_reads_the_same_bytes():
     assert len(reads["true"]) == 20 and reads["true"] == reads["false"]
 
 
+def test_mapped_drain_views_no_block_between_seal_and_release(monkeypatch):
+    """A 16-block step crosses the in-process drain with constant work:
+    from the seal to the ack's release nothing makes a byte view or a
+    span of a block (the one byte view is the control message's) — only the sanitizer's digests (FLEXIO_SANITIZE=1)
+    walk the mapping, once when it is lent and once when it comes back."""
+    from repro.transport import buffers, shm
+
+    calls = dict.fromkeys(("as_byte_view", "_byte_view", "frombuffer", "WireBuffer"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    adios = make_adios("sync=true")
+    name = "dp.mapped.constant"
+    boxes = block_decompose(SHAPE, (4, 4))
+    handles = [adios.open_write("fields", name, RankContext(r, 16)) for r in range(16)]
+    for r, h in enumerate(handles):
+        h.write("temp", np.full(boxes[r].count, float(r)), box=boxes[r], global_shape=SHAPE)
+    for h in handles[:-1]:
+        h.end_step()
+    as_byte_view = counted("as_byte_view", buffers.as_byte_view)
+    monkeypatch.setattr(buffers, "as_byte_view", as_byte_view)
+    monkeypatch.setattr(shm, "as_byte_view", as_byte_view)
+    monkeypatch.setattr(buffers, "_byte_view", counted("_byte_view", buffers._byte_view))
+    monkeypatch.setattr(np, "frombuffer", counted("frombuffer", np.frombuffer))
+    monkeypatch.setattr(buffers.WireBuffer, "__init__",
+                        counted("WireBuffer", buffers.WireBuffer.__init__))
+    handles[-1].end_step()  # seals; with sync, returns once the ack is released
+    monkeypatch.undo()
+    state = stream_registry._states[name]
+    assert [s.status for s in state.published] == [StepState.COMMITTED]
+    assert path_counts(state) == {"xpmem": 1, "pool": 0}
+    walks = 0 if state._drainer._channel._san is None else 2
+    assert calls == {"as_byte_view": 1, "_byte_view": 16 * walks,  # 1: the control
+                     "frombuffer": 1, "WireBuffer": 0}              # message's view
+    for h in handles:
+        h.close()
+
+
 def test_mapped_drain_sync_write_does_not_deadlock():
     adios = make_adios("xpmem=true;sync=true")
     writer = adios.open_write("fields", "dp.mapped.sync", RankContext(0, 1))

@@ -304,6 +304,49 @@ def test_mapped_sendv_lets_one_thread_be_both_ends():
     assert ch.pool.stats.allocations == 0 and ch.large_sends == 2
 
 
+def test_mapped_sendv_views_no_part_until_the_delivery_is_walked(monkeypatch):
+    """The mapped path does constant work per message: a 16-part sendv →
+    recv → release makes no byte view of any part (the one it makes is
+    the control message's).  Walking the delivery
+    makes read-only views that alias the sources; a non-contiguous part
+    is compacted once, when its vector is built, and never again."""
+    from repro.transport import buffers, shm
+
+    calls = {"as_byte_view": 0, "frombuffer": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    as_byte_view = counted("as_byte_view", buffers.as_byte_view)
+    monkeypatch.setattr(buffers, "as_byte_view", as_byte_view)
+    monkeypatch.setattr(shm, "as_byte_view", as_byte_view)
+    monkeypatch.setattr(np, "frombuffer", counted("frombuffer", np.frombuffer))
+    ch = ShmChannel(use_xpmem=True)
+    sources = [np.full((8, 8), float(i)) for i in range(16)]  # 512 B each: not inline
+    ch.sendv(sources)
+    got = ch.recv()
+    got.release()
+    assert calls == {"as_byte_view": 1, "frombuffer": 1}  # the control message's
+    assert ch._xpmem_segments == {}
+
+    ch.sendv(sources)
+    got = ch.recv()
+    for view, span, src in zip(got.views(), got, sources):
+        for arr in (view, span.as_array()):
+            assert arr.flags.writeable is False and src.flags.writeable
+            assert np.shares_memory(arr, src) and arr.tobytes() == src.tobytes()
+    got.release()
+
+    strided = np.arange(64.0).reshape(8, 8)[:, ::2]
+    vec = WireVector([strided])
+    first, second = vec.views()[0], vec.views()[0]
+    assert not np.shares_memory(first, strided) and np.shares_memory(first, second)
+    assert first.tobytes() == strided.tobytes()
+
+
 def test_mapped_send_returns_only_after_the_consumer_detached():
     ch = ShmChannel(use_xpmem=True)
     big = np.arange(4096, dtype=np.float64)
