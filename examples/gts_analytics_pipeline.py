@@ -11,7 +11,7 @@ visualization.
 
 The placement is the ``<method>`` line alone (``--method``,
 ``--params``): the same program runs the analytics online through a
-stream (``FLEXPATH``, whose drain maps each step) or offline
+stream (``FLEXPATH``, which delivers each step by reference) or offline
 from files (``BP``, ``MPI_AGGREGATE``), and the writer-side codelet
 conditions the output on every one of them.  The stream runs with
 ``trace=true``, so every timestep becomes one distributed trace: the
@@ -119,8 +119,8 @@ def run(args, work: str) -> None:
                 global_shape=PHI_SHAPE,
             )
         for writer in writers:
-            # On a stream the drainer pushes the step through the shm
-            # channel while the simulation continues; a file run writes it.
+            # On a stream the drainer commits the step while the
+            # simulation continues; a file run writes it.
             writer.end_step()
     for writer in writers:
         writer.close()

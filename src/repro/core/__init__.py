@@ -46,7 +46,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "redistribution": "CachingOption CompiledPlan HandshakeCost PlanCache "
                       "RedistributionEngine RedistributionPlan global_plan_cache",
     "resilience": "MovementFailed RetryPolicy TransactionAborted",
-    "runtime": "FlexIORuntime NumaBufferPolicy TransportKind make_stream_channel",
+    "runtime": "FlexIORuntime NumaBufferPolicy TransportKind",
     "stepstore": "StreamStalled",
     "stream": "FlexpathMethod stream_registry",
 })

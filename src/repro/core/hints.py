@@ -86,10 +86,8 @@ MAX_RETRIES = "max_retries"
 RETRY_TIMEOUT = "retry_timeout"
 RETRY_JITTER = "retry_jitter"
 FAULTS = "faults"
-DEGRADE_AFTER = "degrade_after"
 LEASE = "lease"
 FUSED = "fused"
-PUSHDOWN = "pushdown"
 # AGGREGATORS (the MPI_AGGREGATE parameter) is imported above from
 # repro.adios.config, the layer of the file method that reads it.
 #: ``STAGING`` method parameters: the daemon's ``host:port`` and the tenant.
@@ -103,10 +101,9 @@ CACHING_NONE = "none"
 CACHING_LOCAL = "local"
 CACHING_ALL = "all"
 
-#: Values of the ``transport`` hint (drain channels).
+#: The one value of the ``transport`` hint: in process a sealed step is
+#: delivered by reference, on the shm rung.
 TRANSPORT_SHM = "shm"
-TRANSPORT_RDMA = "rdma"
-TRANSPORT_TCP = "tcp"
 
 #: Method names that select the FLEXPATH stream engine.
 STREAM_METHODS = ("FLEXPATH", "FLEXIO")
@@ -119,42 +116,35 @@ _STREAM_SPECS = (
     HintSpec(BATCHING, "bool", False,
              "Aggregate every variable of a step into one handshake round."),
     HintSpec(SYNC, "bool", False,
-             "Block the writer until the transport drain completes."),
+             "Block the writer until its step is committed or lost."),
     HintSpec(XPMEM, "bool", False,
              "Accepted for existing <method> lines; nothing reads it: the "
-             "in-process drain always maps a sealed step's arrays instead "
-             "of staging a copy nobody reads, so an array handed to write() "
-             "is the run's while the stream retains the step "
-             "(WriteHandle.write)."),
+             "in-process drain always delivers a sealed step's arrays by "
+             "reference, so an array handed to write() is the run's while "
+             "the stream retains the step (WriteHandle.write)."),
     HintSpec(TRACE, "bool", False,
              "Enable span tracing on the stream's monitor."),
     HintSpec(QUEUE_DEPTH, "int", 2,
              "Bounded depth of the async publication queue."),
     HintSpec(TRANSPORT, "enum", TRANSPORT_SHM,
-             "Drain channel: shm (intra-node), rdma (inter-node), or "
-             "tcp (cross-process sockets).",
-             choices=(TRANSPORT_SHM, TRANSPORT_RDMA, TRANSPORT_TCP)),
+             "Accepted for existing <method> lines, with the one choice "
+             "shm: the in-process drain delivers a sealed step by reference.",
+             choices=(TRANSPORT_SHM,)),
     HintSpec(TRANSACTIONAL, "bool", False,
              "All-or-nothing step visibility via 2PC across ranks."),
     HintSpec(MAX_RETRIES, "int", 3,
              "Bounded retries per step drain."),
     HintSpec(RETRY_TIMEOUT, "float", 0.25,
-             "Per-send timeout (seconds); also the backoff base delay."),
+             "Backoff base delay (seconds) of the drain's retries."),
     HintSpec(RETRY_JITTER, "float", 0.1,
              "Jitter fraction added to backoff delays."),
     HintSpec(FAULTS, "str", "",
              "Fault-injection schedule, e.g. rate=0.1,seed=7,kinds=timeout."),
-    HintSpec(DEGRADE_AFTER, "int", 2,
-             "Consecutive failed steps before degrading the transport."),
     HintSpec(LEASE, "float", 0.0,
              "Directory lease in seconds (0 = no lease)."),
     HintSpec(FUSED, "bool", True,
              "Fuse compilable plug-in chains into the redistribution "
              "plan (single-pass reads); false keeps the interpreted pass."),
-    HintSpec(PUSHDOWN, "bool", False,
-             "Skip sending blocks the run's reader-side chain provably "
-             "drops; the chain is the run's on every plane, so every "
-             "reader runs it."),
 )
 
 #: The FLEXPATH stream method's hints, keyed by hint name.
@@ -291,10 +281,10 @@ class StreamHints:
     batching, synchronous vs asynchronous writes, and the buffering
     depth — ``queue_depth``, the async drainer's hand-off queue (steps
     in flight before the writer blocks: the back-pressure point).
-    ``transport`` picks the drain channel.  One field per key of
-    :data:`STREAM_HINTS`, which owns every default and every ``enum``
-    hint's admissible values.  ``xpmem`` is parsed and read by nothing:
-    the in-process drain always takes the XPMEM-style mapped path.
+    One field per key of :data:`STREAM_HINTS`, which owns every default
+    and every ``enum`` hint's admissible values.  ``xpmem`` and
+    ``transport`` are parsed and read by nothing: the in-process drain
+    always delivers a sealed step by reference.
     """
 
     caching: CachingOption = CachingOption(_DEFAULTS[CACHING])
@@ -305,22 +295,19 @@ class StreamHints:
     trace: bool = _DEFAULTS[TRACE]
     #: Bounded depth of the async publication queue (back-pressure point).
     queue_depth: int = _DEFAULTS[QUEUE_DEPTH]
-    #: Drain channel: ``shm`` (intra-node), ``rdma`` (inter-node), ``tcp``.
+    #: Always ``shm``: the in-process drain delivers by reference.
     transport: str = _DEFAULTS[TRANSPORT]
     #: All-or-nothing step visibility via two-phase commit across ranks.
     transactional: bool = _DEFAULTS[TRANSACTIONAL]
     #: Bounded retries per step drain (paper's timeout-and-retry).
     max_retries: int = _DEFAULTS[MAX_RETRIES]
-    #: Per-send timeout (seconds); also the backoff base delay.
+    #: Backoff base delay (seconds) of the drain's retries.
     retry_timeout: float = _DEFAULTS[RETRY_TIMEOUT]
     #: Jitter fraction added to backoff delays (decorrelates ranks).
     retry_jitter: float = _DEFAULTS[RETRY_JITTER]
-    #: Fault-injection schedule for the drain channel (chaos testing),
-    #: e.g. ``rate=0.1,seed=7,kinds=timeout|torn``.
+    #: Fault-injection schedule the drain consults once per delivery
+    #: attempt (chaos testing), e.g. ``rate=0.1,seed=7,kinds=timeout|torn``.
     faults: str = _DEFAULTS[FAULTS]
-    #: Consecutive failed steps before degrading to the next transport
-    #: down the ladder (0 disables degradation).
-    degrade_after: int = _DEFAULTS[DEGRADE_AFTER]
     #: Directory lease in seconds; the writer must heartbeat within it or
     #: the failure detector ends the stream for readers (0 = no lease).
     lease: float = _DEFAULTS[LEASE]
@@ -328,9 +315,6 @@ class StreamHints:
     #: reads run the chain while scattering (single pass); ``false``
     #: keeps the classic interpreted pass over materialized arrays.
     fused: bool = _DEFAULTS[FUSED]
-    #: Skip sending blocks the run's reader-side chain provably drops
-    #: (the chain is the run's on every plane: every reader runs it).
-    pushdown: bool = _DEFAULTS[PUSHDOWN]
 
     @classmethod
     def from_spec(cls, spec: MethodSpec) -> "StreamHints":

@@ -24,7 +24,7 @@ per kind it belongs to, never to two sinks of one kind under two names:
   timestamped, dump-on-fault ring of :mod:`repro.obs.recorder`;
 * a **count or level** is a metric — ``monitor.metrics`` → ``/metrics``.
 
-So a step committed, lost, retried or degraded is a flight event and a
+So a step committed, lost or retried is a flight event and a
 counter, never a zero-duration record here, and a timed region is
 recorded once: ``measure()`` *is* the span when its trace is kept and
 the flat :class:`MeasurementPoint` otherwise.  Tracing is off by default

@@ -151,44 +151,3 @@ class FlexIORuntime:
             return nbytes / self.machine.node_type.mem_bw_local
         # File writes are handed to the I/O layer synchronously here.
         return self.transfer_time(nbytes, writer_core, reader_core)
-
-
-def make_stream_channel(kind: str = "shm", monitor=None, interconnect=None, injector=None):
-    """Build the drain channel behind a stream's async publication pipeline.
-
-    ``kind`` follows the ``transport`` stream hint: ``shm`` yields an
-    intra-node :class:`~repro.transport.shm.ShmChannel`; ``rdma`` wires a
-    writer/reader endpoint pair over an NNTI fabric (InfiniBand cost
-    parameters unless ``interconnect`` overrides them) and returns the
-    writer-side :class:`~repro.transport.rdma.RdmaChannel`.
-
-    ``injector`` (a :class:`~repro.transport.faults.TransportFaultInjector`)
-    makes the built channel inject send faults, for chaos testing and the
-    ``faults=`` stream hint.  The shm channel maps a sealed step's
-    arrays instead of staging them in a pool buffer: readers scatter
-    from the writer's retained arrays, so a staged copy is one nobody
-    reads.
-    """
-    kind = (kind or "shm").strip().lower()
-    if kind == "shm":
-        from repro.transport.shm import ShmChannel
-
-        return ShmChannel(use_xpmem=True, monitor=monitor, injector=injector)
-    if kind == "tcp":
-        from repro.transport.tcp import TcpChannel
-
-        # Loopback socketpair: real kernel sockets, one process — the
-        # single-process shape of the cross-process rung.
-        return TcpChannel(monitor=monitor, injector=injector)
-    if kind == "rdma":
-        from repro.machine.interconnect import InfinibandInterconnect
-        from repro.transport.rdma import NntiFabric, RdmaChannel
-
-        fabric = NntiFabric(interconnect or InfinibandInterconnect())
-        writer_ep = fabric.endpoint(0, "stream-writer")
-        reader_ep = fabric.endpoint(1, "stream-reader")
-        conn = fabric.connect(writer_ep, reader_ep)
-        return RdmaChannel(conn, writer_ep, monitor=monitor, injector=injector)
-    raise ValueError(
-        f"unknown stream transport {kind!r}; expected shm, tcp, or rdma"
-    )

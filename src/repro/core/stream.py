@@ -35,9 +35,9 @@ from repro.adios.model import Group, ProcessGroupData, WrittenVar
 from repro.adios.selection import BoundingBox
 from repro.core.directory import DirectoryError, reap
 from repro.core.drain import StepState, _rank_parts, _StepDrainer
-from repro.core.hints import STREAM_METHODS, StreamError, StreamHints
+from repro.core.hints import STREAM_METHODS, TRANSPORT_SHM, StreamError, StreamHints
 from repro.core.monitoring import PerfMonitor
-from repro.core.plugins import PluginManager, PluginSide
+from repro.core.plugins import PluginManager
 from repro.core.reader import BlockSource, StepReader
 from repro.core.redistribution import (
     CachingOption,
@@ -78,8 +78,7 @@ class _PublishedStep(BlockSource):
     #: Per-variable block index (:meth:`BlockSource.blocks`).
     block_index: dict = field(default_factory=dict, repr=False)
 
-    #: The buffered copy is never pruned: in-process pushdown only
-    #: skips *sending* blocks through the drain channel.
+    #: Every reader reads the writer's own arrays: nothing is pruned.
     may_be_pruned = False
 
     def var_names(self) -> list[str]:
@@ -113,6 +112,10 @@ class StreamState(Run):
     drain thread behind it is a :class:`~repro.core.drain._StepDrainer`)
     and its readers' side."""
 
+    #: What live telemetry shows as the stream's transport: in process
+    #: every step is delivered by reference, on the shm rung.
+    active_transport = TRANSPORT_SHM
+
     def __init__(
         self,
         name: str,
@@ -135,9 +138,6 @@ class StreamState(Run):
         self._committed = threading.Condition(sanitize.make_lock("stream.publish"))
         self._step = 0
         self._drainer: Optional[_StepDrainer] = None
-        #: Transport currently draining steps; degrades down the ladder
-        #: (rdma → tcp → shm → "buffered") on repeated failure.
-        self.active_transport = self.hints.transport
         # Fault schedule: the per-stream hint wins over FLEXIO_FAULTS.
         self._injector = parse_fault_spec(self.hints.faults) or injector_from_env()
         if self._injector is not None:
@@ -175,18 +175,17 @@ class StreamState(Run):
             self._drainer = _StepDrainer(self, self.hints.queue_depth)
 
     def shutdown_pipeline(self) -> None:
-        """Stop the drainer thread and close the drain channel.
+        """Stop the drainer thread.
 
-        Idempotent: the drainer/channel references are swapped out before
-        teardown, so a double close (or a close racing a registry reset)
-        finds nothing left to do.
+        Idempotent: the drainer reference is swapped out before teardown,
+        so a double close (or a close racing a registry reset) finds
+        nothing left to do.
         """
         with self._committed:
             self._committed.notify_all()  # readers parked on an ended stream
         drainer, self._drainer = self._drainer, None
         if drainer is not None:
             drainer.stop()
-            drainer._close_channel()  # wedged or not
 
     # -- writer side --------------------------------------------------------
     def write(self, rank: int, wv: WrittenVar) -> None:
@@ -202,7 +201,7 @@ class StreamState(Run):
     def _seal(self, blocks: list[tuple[int, list]], sync: Optional[bool] = None) -> None:
         """Hand the ended step to the drain pipeline.
 
-        ``sync=True`` blocks until the step has cleared the transport
+        ``sync=True`` blocks until the step is committed or lost
         (paper's synchronous writes); ``sync=False`` returns as soon as
         the step is queued.  ``None`` defers to the stream hint.  Either
         way the elapsed wall time lands in the ``writer_visible``
@@ -222,11 +221,7 @@ class StreamState(Run):
                 for rank, written in blocks:
                     step.groups[rank] = ProcessGroupData(
                         rank, self._step, condition(self.plugins, written))
-                # With ``pushdown``, the drain skips what the run's reader
-                # chain provably drops; every reader runs that chain.
-                predicate = (self.plugins.block_predicate(PluginSide.READER)
-                             if self.hints.pushdown else None)
-                wire = _rank_parts(step, predicate=predicate, metrics=self.monitor.metrics)
+                spans = _rank_parts(step)
                 wspan.add_bytes(step.nbytes)
                 step.trace_ctx = wspan.context
             vis.add_bytes(step.nbytes)
@@ -235,7 +230,7 @@ class StreamState(Run):
                 EV_STEP_BEGIN, stream=self.name,
                 step=step.step, nbytes=step.nbytes,
             )
-            self._drainer.submit(step, wire)
+            self._drainer.submit(step, spans)
             if sync:
                 self._drainer.wait_idle()
         self._step += 1

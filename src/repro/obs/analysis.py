@@ -256,8 +256,8 @@ class FaultSummary:
 
     Built from a flight timeline (:func:`fault_summary`): injected
     transport faults, retried drain attempts, steps a retry recovered,
-    steps lost after exhausted retries, transport degradations,
-    abnormal stream ends and wedged drainers.
+    steps lost after exhausted retries, abnormal stream ends and wedged
+    drainers.
     """
 
     #: ``"<transport>.<kind>" -> count`` of injected faults.
@@ -267,8 +267,6 @@ class FaultSummary:
     drain_faults: int = 0
     recovered: int = 0
     steps_lost: int = 0
-    #: ``(src, dst)`` transport pairs, one per degradation event.
-    degradations: list = field(default_factory=list)
     #: Failure reasons of streams that ended abnormally.
     stream_failures: list = field(default_factory=list)
     wedged_drains: int = 0
@@ -280,8 +278,8 @@ class FaultSummary:
     def any(self) -> bool:
         """True when the timeline shows any fault activity at all."""
         return bool(
-            self.injected or self.drain_faults or self.degradations
-            or self.stream_failures or self.wedged_drains
+            self.injected or self.drain_faults or self.stream_failures
+            or self.wedged_drains
         )
 
     def lines(self) -> list[str]:
@@ -296,8 +294,6 @@ class FaultSummary:
             )
         if self.steps_lost:
             out.append(f"{self.steps_lost} steps lost/aborted (typed gaps)")
-        for src, dst in self.degradations:
-            out.append(f"transport degraded {src} -> {dst}")
         for reason in self.stream_failures:
             out.append(f"stream failed: {reason}")
         if self.wedged_drains:
@@ -324,8 +320,6 @@ def fault_summary(events: Iterable) -> FaultSummary:
         elif code in (ev.EV_STEP_LOST, ev.EV_STEP_ABORTED):
             s.drain_faults += 1
             s.steps_lost += 1
-        elif code == ev.EV_DEGRADE:
-            s.degradations.append((e.get("src", "?"), e.get("dst", "?")))
         elif code == ev.EV_STREAM_FAILED:
             s.stream_failures.append(e.get("reason", "?"))
         elif code == ev.EV_DRAIN_WEDGED:

@@ -53,7 +53,6 @@ EV_STEP_LOST = "step.lost"
 EV_STEP_ABORTED = "step.aborted"
 EV_RETRY = "drain.retry"
 EV_FAULT = "transport.fault"
-EV_DEGRADE = "transport.degrade"
 EV_BACKPRESSURE = "queue.backpressure"
 EV_QUEUE_HIGH_WATER = "queue.high_water"
 EV_LEASE_REAP = "lease.reap"
@@ -83,12 +82,11 @@ EV_NET_POOL_RETIRE = "net.pool.retire"
 
 _FLIGHT_SPECS = (
     EventSpec(EV_STEP_BEGIN, "a timestep was sealed and handed to the drainer"),
-    EventSpec(EV_STEP_COMMIT, "a step cleared the transport and became readable"),
+    EventSpec(EV_STEP_COMMIT, "a step was delivered and became readable"),
     EventSpec(EV_STEP_LOST, "retries exhausted; the step's payload was discarded"),
     EventSpec(EV_STEP_ABORTED, "the step's transaction aborted; payload discarded"),
     EventSpec(EV_RETRY, "a drain attempt is being retried after a fault"),
     EventSpec(EV_FAULT, "the fault injector (or a real fault) hit one send"),
-    EventSpec(EV_DEGRADE, "the stream fell down the transport ladder"),
     EventSpec(EV_BACKPRESSURE, "the writer blocked on a full drain queue"),
     EventSpec(EV_QUEUE_HIGH_WATER, "the drain queue reached a new high-water depth"),
     EventSpec(EV_LEASE_REAP, "a run's writer lease lapsed: the reaper failed the run"),

@@ -36,7 +36,6 @@ BYTES_COMMITTED = "dataplane.drain.bytes_committed"
 STEPS_LOST = "dataplane.drain.steps_lost"
 RETRIES = "dataplane.drain.retries"
 QUEUE_DEPTH = "dataplane.drain.queue_depth"
-DEGRADATIONS = "dataplane.transport.degradations"
 WRITER_LATENCY = "latency.writer_visible"
 
 #: Gauge names the model publishes (always with a ``stream`` label).
@@ -50,7 +49,7 @@ class Verdict(Enum):
     """Health grade of one stream over the last window."""
 
     HEALTHY = "healthy"
-    DEGRADED = "degraded"      # working, but paying retries/latency/fallback
+    DEGRADED = "degraded"      # working, but paying retries or latency
     UNHEALTHY = "unhealthy"    # losing data beyond the SLO
     STALLED = "stalled"        # queued work, no commit progress
 
@@ -177,9 +176,6 @@ class StreamHealthModel:
             if snap.delta(RETRIES) > 0:
                 verdict = Verdict.DEGRADED
                 reasons.append(f"{snap.delta(RETRIES):g} retry attempt(s)")
-            if snap.delta(DEGRADATIONS) > 0:
-                verdict = Verdict.DEGRADED
-                reasons.append("transport degraded down the ladder")
 
         report = HealthReport(
             stream=self.name,

@@ -81,7 +81,6 @@ M_DRAIN_STEPS_COMMITTED = "dataplane.drain.steps_committed"
 M_DRAIN_STEPS_LOST = "dataplane.drain.steps_lost"
 M_DRAIN_WEDGED = "dataplane.drain.wedged"
 M_STREAM_FAILURES = "dataplane.stream.failures"
-M_TRANSPORT_DEGRADATIONS = "dataplane.transport.degradations"
 M_TX_ABORTED = "dataplane.tx.aborted"
 M_TX_COMMITTED = "dataplane.tx.committed"
 M_PLAN_CACHE_HITS = "dataplane.plan_cache.hits"
@@ -170,7 +169,6 @@ _METRIC_SPECS = (
     MetricSpec(M_DRAIN_STEPS_LOST, "counter", "steps marked LOST after retry exhaustion"),
     MetricSpec(M_DRAIN_WEDGED, "counter", "drainer threads that missed their join"),
     MetricSpec(M_STREAM_FAILURES, "counter", "streams that ended abnormally"),
-    MetricSpec(M_TRANSPORT_DEGRADATIONS, "counter", "falls down the transport ladder"),
     MetricSpec(M_TX_ABORTED, "counter", "2PC transactions aborted"),
     MetricSpec(M_TX_COMMITTED, "counter", "2PC transactions committed"),
     MetricSpec(M_PLAN_CACHE_HITS, "counter", "compiled-plan cache hits"),

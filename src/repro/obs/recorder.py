@@ -11,7 +11,7 @@ That is a flight recorder:
 
 * a **fixed-capacity ring buffer** (:class:`FlightRecorder`) of compact
   structured events — step begin/commit/LOST/ABORTED, retries, injected
-  faults, transport degradations, lease reaps, queue high-water marks,
+  faults, lease reaps, queue high-water marks,
   sanitizer violations — appended under one tiny lock so concurrent
   producers never tear an event and eviction keeps strict
   ``(timestamp, seq)`` order — the one sink of every *point event* of

@@ -38,8 +38,8 @@ sample per fault-injected endpoint; :func:`check_delivery` and
    the FETCH frames it sent are bounded by the steps it was delivered.
 
 In-process runs add what only they can see: no step left mid-pipeline,
-no step staged through the shm pool instead of mapped, the concurrency
-sanitizer (``FLEXIO_SANITIZE=1``: a mapped array the writer changed is
+the concurrency sanitizer (``FLEXIO_SANITIZE=1``: an array the writer
+changed between its step's seal and the step's commit or loss is
 ``xpmem-source-mutated``), and — with
 ``--plugins`` — reads through the compiled fused plan checked against
 the interpreted chain (the oracle payload *is* the interpreted result,
@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.adios import Adios, BoundingBox, RankContext, StepStatus, block_decompose
 from repro.core.drain import StepState
-from repro.core.hints import STREAM_HINTS, TRANSPORT, stream_params
+from repro.core.hints import TRANSPORT_SHM, stream_params
 from repro.core.plugins import (
     PluginSide,
     range_select_plugin,
@@ -194,7 +194,6 @@ class ChaosReport:
     retries: int = 0
     #: Steps a retry saved in process; sessions resumed on the net plane.
     recovered: int = 0
-    degradations: int = 0
     invariant_violations: list = field(default_factory=list)
     #: Concurrency-sanitizer findings (FLEXIO_SANITIZE=1); also folded
     #: into ``invariant_violations`` so they fail the run.
@@ -286,10 +285,9 @@ def check_delivery(log: DeliveryLog) -> list[str]:
 def check_observability(sample: dict) -> list[str]:
     """Invariant 4 over one endpoint's sample: ``who``, ``injected``
     faults, ``fault_events`` seen in the flight ring, ``counters``
-    mapping a metric name to ``(counter value, flight events)``, — a
-    net reader only — ``fetches``: ``(FETCH frames sent, steps
-    observed)``, and — an in-process run only — ``staged``: deliveries
-    that took the shm pool path instead of the mapped drain."""
+    mapping a metric name to ``(counter value, flight events)``, and —
+    a net reader only — ``fetches``: ``(FETCH frames sent, steps
+    observed)``."""
     who = sample["who"]
     out = []
     if sample["fault_events"] < sample["injected"]:
@@ -300,11 +298,6 @@ def check_observability(sample: dict) -> list[str]:
     for name, (count, events) in sample["counters"].items():
         if count != events:
             out.append(f"{who}: {name}={count} but {events} flight events")
-    if sample.get("staged"):
-        out.append(
-            f"{who}: {sample['staged']} deliveries were staged through "
-            f"the shm pool instead of mapped"
-        )
     if "fetches" in sample:
         # One FETCH per step when the daemon holds it; slack for EOS,
         # expired holds while the writer is down, one per reconnect.
@@ -496,9 +489,6 @@ def _run_inproc(report: ChaosReport, log: DeliveryLog, params: str,
     report.faults_injected = int(metrics.counter("faults.injected.total").value)
     report.retries = int(metrics.counter("dataplane.drain.retries").value)
     report.recovered = int(metrics.counter("dataplane.drain.recovered").value)
-    report.degradations = int(
-        metrics.counter("dataplane.transport.degradations").value
-    )
     if report.plugins:
         report.fused_reads = int(metrics.counter(M_PLUGIN_FUSED_READS).value)
         if any(d is not None for _, d in log.observed) and not report.fused_reads:
@@ -508,7 +498,6 @@ def _run_inproc(report: ChaosReport, log: DeliveryLog, params: str,
     stream_registry.close_stream(name)
     sample = _observe(name, recorder, metrics, report.faults_injected,
                       {"dataplane.drain.retries": EV_RETRY})
-    sample["staged"] = int(metrics.counter("transport.path.pool").value)
     if flight_dir is not None:
         flight.set_flight_dir(None)
     if san is not None:
@@ -719,27 +708,21 @@ def run_chaos(
     rate: float = 0.1,
     steps: int = 20,
     writers: int = 2,
-    transport: str = "shm",
     transactional: bool = False,
     plugins: bool = False,
     kinds: str = "timeout|torn|disconnect",
     max_retries: int = 2,
     retry_timeout: float = 0.01,
-    degrade_after: int = 0,
     deadline_s: float = 60.0,
     trace_out: Optional[str] = None,
     flight_dir: Optional[str] = None,
 ) -> ChaosReport:
     """One seeded chaos run of one scenario; see module doc.
 
-    ``degrade_after=0`` (default) keeps the configured transport under
-    fault so losses stay visible; pass a positive value to exercise the
-    degradation ladder instead.  With ``flight_dir`` the flight recorder
-    writes a dump artifact on every fault (lost step, wedged drainer,
-    typed abandon), and the run fails its observability invariant if
-    there was a typed loss but no artifact appeared.  In process the shm
-    rung must map every step it carries: one staged through its pool is
-    a violation.
+    With ``flight_dir`` the flight recorder writes a dump artifact on
+    every fault (lost step, wedged drainer, typed abandon), and the run
+    fails its observability invariant if there was a typed loss but no
+    artifact appeared.
 
     The ``net`` scenario takes ``seed``, ``rate``, ``steps`` and
     ``flight_dir``; the other knobs configure the in-process data plane
@@ -756,7 +739,7 @@ def run_chaos(
     net = scenario == "net"
     report = ChaosReport(
         scenario=scenario, seed=seed, rate=rate, steps=steps, plugins=plugins,
-        transport="tcp" if net else transport,
+        transport="tcp" if net else TRANSPORT_SHM,
         transactional=transactional and not net,
     )
     log = DeliveryLog()
@@ -769,10 +752,8 @@ def run_chaos(
         params = stream_params(
             sync=True,
             trace=True,
-            transport=transport,
             max_retries=max_retries,
             retry_timeout=retry_timeout,
-            degrade_after=degrade_after,
             transactional=transactional,
             faults=f"rate={rate},seed={seed},kinds={kinds}",
         )
@@ -814,8 +795,7 @@ def _print_report(report: ChaosReport, out) -> None:
         f"{' transactional' if report.transactional else ''}: "
         f"{len(report.committed)}/{report.steps} committed, "
         f"{len(report.lost)} lost, {report.faults_injected} faults injected, "
-        f"{report.retries} retries, {report.recovered} recovered, "
-        f"{report.degradations} degradations "
+        f"{report.retries} retries, {report.recovered} recovered "
         f"({report.wall_time:.2f}s)",
         file=out,
     )
@@ -848,8 +828,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                              "process, 0.06 per frame for net; 0 = calm)")
     parser.add_argument("--steps", type=int, default=20)
     parser.add_argument("--writers", type=int, default=2)
-    parser.add_argument("--transport", default=STREAM_HINTS[TRANSPORT].default,
-                        choices=STREAM_HINTS[TRANSPORT].choices)
     parser.add_argument("--transactional", action="store_true",
                         help="all-or-nothing step visibility (2PC)")
     parser.add_argument("--plugins", action="store_true",
@@ -859,9 +837,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser.add_argument("--kinds", default="timeout|torn|disconnect",
                         help="fault kinds to draw from (|-separated)")
     parser.add_argument("--max-retries", type=int, default=2)
-    parser.add_argument("--degrade-after", type=int, default=0,
-                        help="consecutive failures before degrading "
-                             "transport (0 = never)")
     parser.add_argument("--trace-out", default=None, metavar="OUT.json",
                         help="write a Perfetto trace of the run")
     parser.add_argument("--flight-dir", default=None, metavar="DIR",
@@ -891,12 +866,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             rate=default_rate if args.rate is None else args.rate,
             steps=args.steps,
             writers=args.writers,
-            transport=args.transport,
             transactional=args.transactional,
             plugins=args.plugins and s == "s3d",
             kinds=args.kinds,
             max_retries=args.max_retries,
-            degrade_after=args.degrade_after,
             trace_out=args.trace_out if len(scenarios) == len(seeds) == 1 else None,
             flight_dir=args.flight_dir,
         )

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.obs import sanitize
 from repro.obs.names import F_TRANSPORT_PATH, metric_name, validate_metric
-from repro.transport.faults import FaultKind, fault_exception, record_injected
+from repro.transport.faults import FaultKind, consult
 
 __all__ = [
     "Ownership",
@@ -711,20 +711,11 @@ class Channel(abc.ABC):
         return out
 
     def _consult(self, total: int):
-        """The one fault consult per send: draw from the injector, account
-        the fault, and raise its typed exception — unless the rung acts
-        it out, in which case the kind is returned for :meth:`_transmit`."""
-        injector = self.injector
-        if injector is None:
-            return None
-        kind = injector.next_fault()
-        if kind is None:
-            return None
+        """The one fault consult per send (:func:`~repro.transport.faults.consult`):
+        an injected kind the rung acts out is returned for :meth:`_transmit`,
+        any other is raised."""
         metrics = None if self.monitor is None else self.monitor.metrics
-        record_injected(metrics, self.rung, kind, nbytes=total, stream=injector.stream)
-        if self._acts_out(kind, total):
-            return kind
-        raise fault_exception(kind, f"injected {kind.value} on {self.rung} send ({total} B)")
+        return consult(self.injector, metrics, self.rung, total, self._acts_out)
 
     def _acts_out(self, kind: FaultKind, total: int) -> bool:
         """Whether :meth:`_transmit` acts ``kind`` out on a ``total``-byte

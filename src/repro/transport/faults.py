@@ -13,7 +13,8 @@ fault model; this module supplies it for every transport:
   from :class:`TimeoutError` so pre-existing ``except TimeoutError``
   callers keep working;
 * :class:`TransportFaultInjector`, a seeded deterministic fault source
-  the channels consult before each send.  Selectable per stream via the
+  that every channel send and every in-process drain attempt consults
+  once (:func:`consult`).  Selectable per stream via the
   ``faults=...`` hint or process-wide via ``FLEXIO_FAULTS``; every
   injected fault is counted in the metrics registry and is one
   ``transport.fault`` flight event (a point event: it has a timestamp,
@@ -145,7 +146,7 @@ class TransportFaultInjector:
         if not all(isinstance(k, FaultKind) for k in self.kinds):
             raise ValueError("kinds must be FaultKind values")
         self._rng = rng(self.seed)
-        #: Stream whose drain channel this injector faults ("": none —
+        #: Stream whose drain this injector faults ("": none —
         #: a network client's); attributes the ``transport.fault`` events.
         self.stream = ""
         self.ops_seen = 0
@@ -244,3 +245,23 @@ def record_injected(
     flight.record(
         EV_FAULT, stream=stream, kind=kind.value, transport=transport, nbytes=nbytes
     )
+
+
+def consult(
+    injector: Optional[TransportFaultInjector], metrics, transport: str,
+    nbytes: int, acts_out=None,
+) -> Optional[FaultKind]:
+    """The one fault consult of one ``nbytes`` send on ``transport``:
+    draw from ``injector``, account the fault (:func:`record_injected`),
+    and raise its typed exception — unless ``acts_out(kind, nbytes)``
+    says the caller acts the fault out, in which case the kind is
+    returned.  None: no injector, or no fault this time."""
+    if injector is None:
+        return None
+    kind = injector.next_fault()
+    if kind is None:
+        return None
+    record_injected(metrics, transport, kind, nbytes=nbytes, stream=injector.stream)
+    if acts_out is not None and acts_out(kind, nbytes):
+        return kind
+    raise fault_exception(kind, f"injected {kind.value} on {transport} send ({nbytes} B)")

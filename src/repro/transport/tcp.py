@@ -1,4 +1,4 @@
-"""TCP inter-process transport: the fourth rung of the degradation ladder.
+"""TCP inter-process transport: the rung that crosses a process boundary.
 
 The SHM and RDMA channels simulate intra-node movement inside one
 process; :class:`TcpChannel` is the first transport that crosses a real
@@ -22,16 +22,14 @@ OS boundary.  It implements the same
   pipes as :class:`~repro.transport.faults.PeerDisconnected`, a length
   prefix the receiver will not honour as :class:`FrameRefused`, and a
   connection that dies mid-frame as
-  :class:`~repro.transport.faults.TornSend`, so the stream layer's
-  bounded-retry/degradation machinery treats TCP exactly like SHM and
-  RDMA.  A seeded :class:`TransportFaultInjector` is consulted before
+  :class:`~repro.transport.faults.TornSend`, so bounded-retry code
+  treats TCP exactly like SHM and RDMA.  A seeded :class:`TransportFaultInjector` is consulted before
   each send for chaos runs.
 
 Constructed without a socket the channel wraps a ``socket.socketpair``
-— real kernel sockets, but loopback within one process — which is how
-it slots into the rdma→tcp→shm→buffered ladder for single-process
-runs; :meth:`TcpChannel.connect` dials a daemon's data port for the
-genuinely multi-process path.
+— real kernel sockets, but loopback within one process (the channel
+contract and the transport benches); :meth:`TcpChannel.connect` dials a
+daemon's data port for the genuinely multi-process path.
 """
 
 from __future__ import annotations
@@ -203,9 +201,8 @@ class TcpChannel(Channel):
     """One bidirectional stream-socket data channel.
 
     ``TcpChannel()`` (no socket) wraps a connected ``socketpair`` —
-    sends land on one end and ``recv`` drains the other, which is the
-    loopback shape the step drainer expects when TCP is just a ladder
-    rung inside a single process.  ``TcpChannel(sock)`` adopts an
+    sends land on one end and ``recv`` drains the other: one process is
+    both ends.  ``TcpChannel(sock)`` adopts an
     already connected socket (daemon side / after ``connect``), where
     sends and receives share the one socket.
     """

@@ -2,12 +2,14 @@
 
 Drives :func:`repro.tools.chaos.run_chaos` — the seeded replay of
 GTS/S3D coupled pipelines through the live data plane — across the
-fault regimes (recoverable, lossy, transactional, degrading) and checks
+fault regimes (recoverable, lossy, transactional) and checks
 the resiliency invariants hold; plus unit coverage for the fault
 injector, the fault-spec parser, the shared timeout hierarchy, and the
 wedged-drainer escape hatch.
 """
 
+import io
+import json
 import threading
 
 import numpy as np
@@ -69,33 +71,37 @@ def test_chaos_transactional_regime():
     assert report.writer_failures == len(report.lost)
 
 
-def test_chaos_xpmem_run_maps_every_step_and_fails_on_staging(monkeypatch):
-    """Every in-process run maps its steps; a regression to the pool path
-    fails the observability invariant, not a stopwatch."""
+def test_chaos_plugin_run_reads_fused_under_fault():
     report = run_chaos("s3d", seed=5, rate=0.2, steps=10, plugins=True)
     assert report.ok, report.invariant_violations
     assert "xpmem" not in report.as_dict()
     assert report.faults_injected > 0 and report.fused_reads > 0
-    from repro.core import runtime
-    from repro.transport.shm import ShmChannel
-
-    monkeypatch.setattr(
-        runtime, "make_stream_channel",
-        lambda kind, monitor=None, injector=None: ShmChannel(
-            monitor=monitor, injector=injector),
-    )
-    staged = run_chaos("s3d", seed=5, rate=0.2, steps=10)
-    assert any("staged through the shm pool" in v for v in staged.invariant_violations)
 
 
-def test_chaos_degradation_ladder_engages():
-    """rdma under sustained fault degrades (rdma -> shm -> buffered)."""
-    report = run_chaos(
-        "s3d", seed=3, rate=0.5, steps=12, transport="rdma",
-        max_retries=1, degrade_after=2,
-    )
-    assert report.ok, report.invariant_violations
-    assert report.degradations >= 1
+#: ``chaos`` command line -> (committed steps, lost steps, faults
+#: injected, retries, recovered), 20 steps each.  The injector is drawn
+#: once per delivery attempt, so these pin the order of the draws.
+SEEDED = {
+    "--scenario gts --seed 7 --rate 0.1": (list(range(20)), [], 1, 1, 1),
+    "--scenario s3d --plugins --seed 5 --rate 0.2": (list(range(20)), [], 5, 5, 4),
+    "--scenario s3d --plugins --seed 11 --rate 0.1": (list(range(20)), [], 2, 2, 2),
+    "--scenario gts --seed 3 --rate 0.45 --max-retries 1": (
+        [0, 1, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 17, 18, 19],
+        [2, 9, 10], 16, 13, 10),
+    "--scenario gts --seed 1 --rate 0.45 --max-retries 1 --transactional": (
+        [0, 3, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17, 19],
+        [1, 2, 4, 5, 8, 16, 18], 23, 16, 9),
+}
+
+
+@pytest.mark.parametrize("argv", list(SEEDED))
+def test_seeded_chaos_outcomes_do_not_change(argv):
+    out = io.StringIO()
+    assert chaos.main([*argv.split(), "--json"], out=out) == 0
+    (report,) = json.loads(out.getvalue())
+    got = (report["committed"], report["lost"], report["faults_injected"],
+           report["retries"], report["recovered"])
+    assert got == SEEDED[argv]
 
 
 def test_chaos_same_seed_same_outcome():
@@ -300,10 +306,10 @@ def test_wedged_drainer_stop_times_out_but_does_not_hang():
     drainer = state._drainer
     real_drain = drainer._drain_one
 
-    def stuck_drain(step, rank_parts):
+    def stuck_drain(*item):
         entered.set()
-        release.wait()            # simulate a drain wedged in the transport
-        real_drain(step, rank_parts)
+        release.wait()            # simulate a drain wedged mid-delivery
+        real_drain(*item)
 
     drainer._drain_one = stuck_drain
     h.write("x", np.zeros(4))

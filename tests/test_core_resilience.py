@@ -6,7 +6,7 @@ import pytest
 from repro.adios import Adios, RankContext, StepLost, StepStatus
 from repro.core import StepState, stream_params, stream_registry
 from repro.core.resilience import RetryPolicy, TransactionAborted, retry_call
-from repro.transport.faults import TransportFaultInjector, TransportTimeout
+from repro.transport.faults import TransportFaultInjector
 
 CONFIG = """
 <adios-config>
@@ -132,7 +132,7 @@ def test_retry_call_wraps_real_transport():
 
 def open_tx_writers(num_ranks=2, **hints):
     """Per-rank writers of a ``transactional=true`` stream: the drain
-    sends each rank's payload as that rank's prepare vote."""
+    delivers each rank's payload as that rank's prepare vote."""
     params = stream_params(transactional=True, retry_timeout=0.01, **hints)
     ad = Adios.from_xml(CONFIG.format(params=params))
     writers = [
@@ -200,40 +200,38 @@ def test_transactional_stream_gives_up_and_stays_clean():
     assert reader.begin_step() is StepStatus.EndOfStream  # ... and past it
 
 
-class RankCountingChannel:
-    """Drain channel that records the writer rank of every send attempt
-    (each rank writes its rank number) and times out the ranks in
-    ``failing``."""
+@pytest.fixture()
+def consults(monkeypatch):
+    """The writer rank of every delivery attempt the drain makes: rank r
+    writes r + 1 rows of 7 float64, so an attempt's byte count names it."""
+    from repro.core import drain
 
-    def __init__(self, failing=()):
-        self.failing = set(failing)
-        self.sent = []
+    seen = []
+    real = drain.consult
 
-    def sendv(self, parts, timeout=None):
-        rank = int(next(iter(parts)).as_array(np.float64)[0])
-        self.sent.append(rank)
-        if rank in self.failing:
-            raise TransportTimeout(f"rank {rank} send timed out")
+    def recorded(injector, metrics, transport, nbytes, acts_out=None):
+        seen.append(nbytes // (7 * 8) - 1)
+        return real(injector, metrics, transport, nbytes, acts_out)
 
-    def recv(self, timeout=None):
-        return b""
+    monkeypatch.setattr(drain, "consult", recorded)
+    return seen
 
 
-def tx_writers_over(channel, **hints):
-    ad, writers, state = open_tx_writers(num_ranks=3, retry_jitter=0, **hints)
-    state._ensure_pipeline()
-    state._drainer._channel = channel
-    return ad, writers, state
+def write_ranked_step(writers, rows=lambda r: r + 1):
+    for r, w in enumerate(writers):
+        w.write("zion", np.full((rows(r), 7), float(r)))
+    for w in writers:
+        w.end_step(sync=True)
 
 
-def test_transactional_abort_stops_at_the_first_failed_prepare():
+def test_transactional_abort_stops_at_the_first_failed_prepare(consults):
     """Rank 1's prepare exhausts its retries: the step aborts there, rank
-    2 is never sent, and the writer and reader both get a typed outcome."""
-    channel = RankCountingChannel(failing={1})
-    ad, writers, state = tx_writers_over(channel, max_retries=1)
+    2 is never tried, and the writer and reader both get a typed outcome."""
+    ad, writers, state = open_tx_writers(
+        num_ranks=3, retry_jitter=0, max_retries=1, faults="ops=2|3")
     with pytest.raises(TransactionAborted, match="rank 1"):
-        write_step(writers, float, sync=True)
-    assert channel.sent == [0, 1, 1]  # rank 1 tried twice; rank 2 never
+        write_ranked_step(writers)
+    assert consults == [0, 1, 1]  # rank 1 tried twice; rank 2 never
     (step,) = state.published
     assert step.status is StepState.ABORTED and not step.groups
     metrics = state.monitor.metrics
@@ -246,62 +244,37 @@ def test_transactional_abort_stops_at_the_first_failed_prepare():
         reader.read_block("zion", 0)
 
 
-class RecordingChannel:
-    """Drain channel that keeps the parts of every send."""
-
-    def __init__(self):
-        self.sent = []
-
-    def sendv(self, parts, timeout=None):
-        self.sent.append(list(parts))
-
-    def recv(self, timeout=None):
-        return b""
-
-
-def test_transactional_prepare_votes_send_each_ranks_own_parts_in_rank_order(monkeypatch):
+def test_transactional_prepare_votes_send_each_ranks_own_parts_in_rank_order(
+        monkeypatch, consults):
     from repro.core import stream
 
     sealed = []
     seal = stream._rank_parts
 
-    def recorded(step, **kw):
-        sealed.append(seal(step, **kw))
+    def recorded(step):
+        sealed.append(seal(step))
         return sealed[-1]
 
     monkeypatch.setattr(stream, "_rank_parts", recorded)
-    channel = RecordingChannel()
-    ad, writers, state = tx_writers_over(channel)
-    written = [
-        [np.full((4, 7), float(r)), np.full((2 * r + 1,), 10.0 + r)] for r in range(3)
-    ]
-    for w, (zion, extra) in zip(writers, written):
-        w.write("zion", zion)
-        w.write("extra", extra)
+    ad, writers, state = open_tx_writers(num_ranks=3, retry_jitter=0)
+    for r, w in enumerate(writers):
+        w.write("zion", np.full((r + 1, 7), float(r)))
+        w.write("zion", np.full((r + 1, 7), 10.0 + r))
     for w in writers:
         w.end_step(sync=True)
-    ((parts, _),) = sealed
-    # One prepare per rank, in rank order: that rank's arrays, no others,
-    # as the very spans the seal built — nothing re-wrapped per rank.
-    assert [len(vote) for vote in channel.sent] == [2, 2, 2]
-    assert all(a is b for a, b in zip(sum(channel.sent, []), parts))
-    for vote, arrays in zip(channel.sent, written):
-        for part, array in zip(vote, arrays):
-            assert part.nbytes == array.nbytes
-            assert np.shares_memory(part.as_array(), array)
+    # One prepare per rank, in rank order, over that rank's bytes and no
+    # other's: the very spans the seal measured.
+    assert sealed == [[(r, 2 * (r + 1) * 7 * 8) for r in range(3)]]
+    assert consults == [1, 3, 5]  # each rank's two blocks: 2 (r + 1) rows
     assert state.monitor.metrics.counter("dataplane.tx.committed").value == 1
     for w in writers:
         w.close()
 
 
-def test_transactional_rank_with_nothing_to_send_votes_yes():
-    channel = RankCountingChannel()
-    ad, writers, state = tx_writers_over(channel)
-    for r, w in enumerate(writers):
-        w.write("zion", np.full((0 if r == 1 else 4, 7), float(r)))
-    for w in writers:
-        w.end_step(sync=True)
-    assert channel.sent == [0, 2]  # rank 1's zero-size block: no send
+def test_transactional_rank_with_nothing_to_send_votes_yes(consults):
+    ad, writers, state = open_tx_writers(num_ranks=3, retry_jitter=0)
+    write_ranked_step(writers, rows=lambda r: 0 if r == 1 else r + 1)
+    assert consults == [0, 2]  # rank 1's zero-size block: no attempt
     assert state.monitor.metrics.counter("dataplane.tx.committed").value == 1
     for w in writers:
         w.close()

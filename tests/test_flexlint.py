@@ -263,7 +263,7 @@ def test_fxl005_real_stream_registry_covers_the_real_file():
     from repro.core.drain import DRAINER_METHODS, DRAINER_SHARED_STATE
 
     assert "_drain_one" in DRAINER_METHODS
-    assert "_consecutive_failures" in DRAINER_SHARED_STATE
+    assert DRAINER_SHARED_STATE == {"_pending"}
     path = os.path.join(SRC, "repro", "core", "drain.py")
     findings = lint_paths([path])
     assert [f for f in findings if f.rule == "FXL005" and not f.waived] == []

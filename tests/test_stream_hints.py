@@ -6,7 +6,14 @@ import pytest
 from repro.adios import Adios, RankContext, block_decompose
 from repro.adios.config import MethodSpec
 from repro.core import CachingOption, stream_registry
-from repro.core.hints import STREAM_HINTS, StreamError, StreamHints, stream_params
+from repro.core.hints import (
+    STREAM_HINTS,
+    HintValueError,
+    StreamError,
+    StreamHints,
+    UnknownHintError,
+    stream_params,
+)
 
 CONFIG_TMPL = """
 <adios-config>
@@ -96,14 +103,18 @@ def test_every_registered_enum_choice_round_trips(key, choice):
     assert getattr(value, "value", value) == choice
 
 
-def test_transport_tcp_is_selectable_and_delivers():
-    """The ladder's middle rung, chosen by the hint: every step drains
-    through a TCP channel and reads back exact (``run_stream`` verifies)."""
-    _, state = run_stream("transport=tcp", steps=3)
-    assert state.active_transport == "tcp"
-    metrics = state.monitor.metrics
-    assert metrics.counter("dataplane.drain.steps_committed").value == 3
-    assert metrics.counter("tcp.bytes_sent").value == 3 * 64 * 8
+def test_the_in_process_drain_takes_no_channel_ladder_or_pushdown_hint():
+    """A sealed step is delivered by reference: ``transport`` has one
+    choice, and no key tunes a channel ladder or in-process pushdown."""
+    assert StreamHints.from_spec(MethodSpec("g", "FLEXPATH", {"transport": "shm"})).transport == "shm"
+    for rung in ("tcp", "rdma"):
+        with pytest.raises(HintValueError, match="transport"):
+            StreamHints.from_spec(MethodSpec("g", "FLEXPATH", {"transport": rung}))
+    for key in ("degrade_after", "pushdown"):
+        with pytest.raises(UnknownHintError, match=key):
+            StreamHints.from_spec(MethodSpec("g", "FLEXPATH", {key: "1"}))
+        with pytest.raises(UnknownHintError, match=key):
+            stream_params(**{key: 1})
 
 
 # ---------------------------------------------------------------------------
