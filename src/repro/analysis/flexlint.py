@@ -89,10 +89,11 @@ RULES: dict[str, Rule] = {
         Rule("FXL004", "commit outside the retry/2PC path",
              "commit()/_commit() may only be called from "
              "_drain_one() in core/drain.py (an OWNERS row)."),
-        Rule("FXL005", "undeclared drainer-thread shared state",
-             "attributes assigned inside drainer-path methods (on self "
-             "or self._state) must be declared in "
-             "repro.core.drain.DRAINER_SHARED_STATE."),
+        Rule("FXL005", "undeclared drain-path shared state",
+             "attributes assigned inside drain-path methods (on self "
+             "or self._state), which run on the drainer thread and, for "
+             "a step's first attempt, on the writer's, must be declared "
+             "in repro.core.drain.DRAINER_SHARED_STATE."),
         Rule("FXL006", "copy-discipline breach on the zero-copy plane",
              ".tobytes()/bytes()/bytearray() under transport/ and "
              "core/{stream,drain,reader}.py materialize copies; carry "
@@ -339,7 +340,7 @@ def _check_drainer_state(tree: ast.AST, path: str, cfg: LintConfig):
                 if attr.attr not in shared:
                     yield Finding(
                         "FXL005", path, stmt.lineno, stmt.col_offset,
-                        f"{owner}.{attr.attr} mutated in drainer-path method "
+                        f"{owner}.{attr.attr} mutated in drain-path method "
                         f"{node.name}() but not declared in "
                         f"DRAINER_SHARED_STATE",
                     )

@@ -116,7 +116,9 @@ _STREAM_SPECS = (
     HintSpec(BATCHING, "bool", False,
              "Aggregate every variable of a step into one handshake round."),
     HintSpec(SYNC, "bool", False,
-             "Block the writer until its step is committed or lost."),
+             "Block the writer until its step is committed or lost; "
+             "without it a step that waits for a retry is queued and "
+             "end_step returns."),
     HintSpec(XPMEM, "bool", False,
              "Accepted for existing <method> lines; nothing reads it: the "
              "in-process drain always delivers a sealed step's arrays by "
@@ -125,7 +127,9 @@ _STREAM_SPECS = (
     HintSpec(TRACE, "bool", False,
              "Enable span tracing on the stream's monitor."),
     HintSpec(QUEUE_DEPTH, "int", 2,
-             "Bounded depth of the async publication queue."),
+             "Bounded depth of the queue of steps waiting for a retry "
+             "(a step whose first attempt faulted, and those sealed "
+             "behind it); a full queue blocks the writer."),
     HintSpec(TRANSPORT, "enum", TRANSPORT_SHM,
              "Accepted for existing <method> lines, with the one choice "
              "shm: the in-process drain delivers a sealed step by reference.",
@@ -279,8 +283,9 @@ class StreamHints:
 
     The paper's Section IV.B.1 knobs: handshake caching, variable
     batching, synchronous vs asynchronous writes, and the buffering
-    depth — ``queue_depth``, the async drainer's hand-off queue (steps
-    in flight before the writer blocks: the back-pressure point).
+    depth — ``queue_depth``, the drainer thread's queue of steps
+    waiting for a retry (the back-pressure point: a step that commits
+    at its seal never enters it).
     One field per key of :data:`STREAM_HINTS`, which owns every default
     and every ``enum`` hint's admissible values.  ``xpmem`` and
     ``transport`` are parsed and read by nothing: the in-process drain
@@ -293,7 +298,8 @@ class StreamHints:
     xpmem: bool = _DEFAULTS[XPMEM]
     #: Enable span tracing on the stream's monitor (``trace=true``).
     trace: bool = _DEFAULTS[TRACE]
-    #: Bounded depth of the async publication queue (back-pressure point).
+    #: Bounded depth of the queue of steps waiting for a retry
+    #: (back-pressure point).
     queue_depth: int = _DEFAULTS[QUEUE_DEPTH]
     #: Always ``shm``: the in-process drain delivers by reference.
     transport: str = _DEFAULTS[TRANSPORT]

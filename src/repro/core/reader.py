@@ -142,7 +142,7 @@ class StepReader(ReadHandle):
         """``end_step()`` lets the source's bytes go: what a read returned
         is the caller's and never views them.  Nothing to do in process."""
 
-    def _account_handshake(self, name, gshape, writer_boxes, writer_key) -> None:
+    def _account_handshake(self, name, writer_boxes, writer_key) -> None:
         """Control-plane accounting of one exchange (in process only)."""
 
     def available_vars(self):
@@ -271,7 +271,7 @@ class StepReader(ReadHandle):
         chain = self._reader_chain(name)
         with mon.span("read", name, parent=source.trace_ctx, step=self._cursor):
             with mon.span("redistribute", name, writers=len(boxes)):
-                self._account_handshake(name, gshape, boxes, writer_key)
+                self._account_handshake(name, boxes, writer_key)
             fplan = None
             if chain is not None and boxes:
                 fplan = self._plan(boxes, writer_key, target, gshape, chain)

@@ -556,50 +556,41 @@ class HandshakeCost:
 _DIST_RECORD_BYTES = 64
 
 
-class RedistributionEngine:
-    """Stateful engine for one stream: plan caching + data movement."""
+class HandshakeRounds:
+    """The 4-step handshake's accounting for one M x N exchange: what a
+    round costs given what each side has cached.  It needs M and N only —
+    no data plan — so a stream accounts its handshake with one of these
+    and compiles nothing (:meth:`RedistributionEngine.handshake` is this
+    object's, over the engine's plan)."""
 
     def __init__(
         self,
-        writer_boxes: Sequence[BoundingBox],
-        reader_boxes: Sequence[BoundingBox],
+        num_writers: int,
+        num_readers: int,
         caching: CachingOption = CachingOption.NO_CACHING,
         batching: bool = False,
-        monitor: Optional[PerfMonitor] = None,
-        plan_cache: Optional[PlanCache] = None,
     ) -> None:
+        self.num_writers = num_writers
+        self.num_readers = num_readers
         self.caching = caching
         self.batching = batching
-        self.monitor = monitor
-        self.plan_cache = plan_cache
-        self._writer_boxes = list(writer_boxes)
-        self._reader_boxes = list(reader_boxes)
-        self.compiled = self._compile()
-        self.plan = self.compiled.plan
         #: Whether each side's gathered distribution is already cached.
         self._local_cached = False
         self._peer_cached = False
-        #: The most recent :meth:`handshake`'s cost (``None`` before one).
-        self.last_handshake: Optional[HandshakeCost] = None
 
-    def _compile(self) -> CompiledPlan:
-        if self.plan_cache is not None:
-            compiled, _ = self.plan_cache.get(self._writer_boxes, self._reader_boxes)
-            return compiled
-        return CompiledPlan(compute_plan(self._writer_boxes, self._reader_boxes))
-
-    # ------------------------------------------------------------------
-    def update_writer_boxes(self, writer_boxes: Sequence[BoundingBox]) -> None:
-        """Distribution changed (e.g. particle counts moved): caches drop."""
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate(self._writer_boxes, self._reader_boxes)
-        self._writer_boxes = list(writer_boxes)
-        self.compiled = self._compile()
-        self.plan = self.compiled.plan
+    def reset(self, num_writers: int) -> None:
+        """The writers' distribution changed: both sides' caches drop."""
+        self.num_writers = num_writers
         self._local_cached = False
         self._peer_cached = False
 
-    # -- handshake accounting ----------------------------------------------
+    @property
+    def settled(self) -> bool:
+        """A round now would exchange nothing: CACHING_ALL with both
+        sides' distributions cached (the steady state)."""
+        return (self.caching is CachingOption.CACHING_ALL
+                and self._local_cached and self._peer_cached)
+
     def handshake(self, num_variables: int = 1) -> HandshakeCost:
         """Account the control messages for one timestep's exchange.
 
@@ -612,11 +603,10 @@ class RedistributionEngine:
         total = HandshakeCost(0, 0, ())
         for _ in range(rounds):
             total = total + self._one_round()
-        self.last_handshake = total
         return total
 
     def _one_round(self) -> HandshakeCost:
-        M, N = self.plan.num_writers, self.plan.num_readers
+        M, N = self.num_writers, self.num_readers
         messages = 0
         ctrl = 0
         steps: list[str] = []
@@ -643,6 +633,56 @@ class RedistributionEngine:
             steps.append("exchange_and_broadcast")
             self._peer_cached = True
         return HandshakeCost(messages, ctrl, tuple(steps))
+
+
+class RedistributionEngine:
+    """Stateful engine for one stream: plan caching + data movement."""
+
+    def __init__(
+        self,
+        writer_boxes: Sequence[BoundingBox],
+        reader_boxes: Sequence[BoundingBox],
+        caching: CachingOption = CachingOption.NO_CACHING,
+        batching: bool = False,
+        monitor: Optional[PerfMonitor] = None,
+        plan_cache: Optional[PlanCache] = None,
+    ) -> None:
+        self.caching = caching
+        self.batching = batching
+        self.monitor = monitor
+        self.plan_cache = plan_cache
+        self._writer_boxes = list(writer_boxes)
+        self._reader_boxes = list(reader_boxes)
+        self.compiled = self._compile()
+        self.plan = self.compiled.plan
+        #: The handshake's accounting: each side's caching state.
+        self.rounds = HandshakeRounds(
+            self.plan.num_writers, self.plan.num_readers, caching, batching)
+        #: The most recent :meth:`handshake`'s cost (``None`` before one).
+        self.last_handshake: Optional[HandshakeCost] = None
+
+    def _compile(self) -> CompiledPlan:
+        if self.plan_cache is not None:
+            compiled, _ = self.plan_cache.get(self._writer_boxes, self._reader_boxes)
+            return compiled
+        return CompiledPlan(compute_plan(self._writer_boxes, self._reader_boxes))
+
+    # ------------------------------------------------------------------
+    def update_writer_boxes(self, writer_boxes: Sequence[BoundingBox]) -> None:
+        """Distribution changed (e.g. particle counts moved): caches drop."""
+        if self.plan_cache is not None:
+            self.plan_cache.invalidate(self._writer_boxes, self._reader_boxes)
+        self._writer_boxes = list(writer_boxes)
+        self.compiled = self._compile()
+        self.plan = self.compiled.plan
+        self.rounds.reset(self.plan.num_writers)
+
+    # -- handshake accounting ----------------------------------------------
+    def handshake(self, num_variables: int = 1) -> HandshakeCost:
+        """Account the control messages for one timestep's exchange
+        (:meth:`HandshakeRounds.handshake`); the engine keeps its cost."""
+        self.last_handshake = self.rounds.handshake(num_variables)
+        return self.last_handshake
 
     def data_message_count(self, num_variables: int = 1) -> int:
         """Step-4 stride messages for one timestep."""

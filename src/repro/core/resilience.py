@@ -78,6 +78,7 @@ def retry_call(
     on_retry: Optional[Callable[[int, Exception], None]] = None,
     rng: Optional[Any] = None,
     sleep: Callable[[float], None] = None,
+    failed: Optional[Exception] = None,
 ) -> Any:
     """Run ``op`` under ``policy`` — the one attempt loop.
 
@@ -90,13 +91,15 @@ def retry_call(
     caller decides the terminal type (e.g. wrap in ``SessionLost``).
 
     ``sleep`` is injectable (defaults to ``time.sleep``): tests pass a
-    recorder.
+    recorder.  ``failed``: the retriable exception a first attempt made
+    elsewhere already raised — the loop goes on at the first retry, with
+    the backoff, jitter draw and ``on_retry`` that retry would have had.
     """
     import time as _time
 
     do_sleep = sleep if sleep is not None else _time.sleep
-    last_exc: Optional[Exception] = None
-    for attempt in range(policy.max_retries + 1):
+    last_exc = failed
+    for attempt in range(0 if failed is None else 1, policy.max_retries + 1):
         delay = policy.delay_before(attempt, rng)
         if delay > 0.0:
             do_sleep(delay)

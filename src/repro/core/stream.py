@@ -32,7 +32,6 @@ from repro.adios.api import (
 )
 from repro.adios.config import MethodSpec
 from repro.adios.model import Group, ProcessGroupData, WrittenVar
-from repro.adios.selection import BoundingBox
 from repro.core.directory import DirectoryError, reap
 from repro.core.drain import StepState, _rank_parts, _StepDrainer
 from repro.core.hints import STREAM_METHODS, TRANSPORT_SHM, StreamError, StreamHints
@@ -41,8 +40,8 @@ from repro.core.plugins import PluginManager
 from repro.core.reader import BlockSource, StepReader
 from repro.core.redistribution import (
     CachingOption,
+    HandshakeRounds,
     PlanCache,
-    RedistributionEngine,
     global_plan_cache,
 )
 from repro.core.resilience import MovementFailed, TransactionAborted
@@ -109,8 +108,8 @@ class _PublishedStep(BlockSource):
 
 class StreamState(Run):
     """Shared state of one named stream: its run of buffered steps (the
-    drain thread behind it is a :class:`~repro.core.drain._StepDrainer`)
-    and its readers' side."""
+    drain behind it is a :class:`~repro.core.drain._StepDrainer`) and its
+    readers' side."""
 
     #: What live telemetry shows as the stream's transport: in process
     #: every step is delivered by reference, on the shm rung.
@@ -160,8 +159,9 @@ class StreamState(Run):
     # -- async pipeline -----------------------------------------------------
     @property
     def published(self) -> list[_PublishedStep]:
-        """Every step's outcome; waits for in-flight drains first so callers
-        observe the same ordering the synchronous data plane had."""
+        """Every step's outcome; waits for steps still queued for a retry
+        first, so callers observe the same ordering the synchronous data
+        plane had."""
         self._quiesce()
         with self._committed:
             return list(self.store)
@@ -175,7 +175,7 @@ class StreamState(Run):
             self._drainer = _StepDrainer(self, self.hints.queue_depth)
 
     def shutdown_pipeline(self) -> None:
-        """Stop the drainer thread.
+        """Stop the drainer thread, if one was started.
 
         Idempotent: the drainer reference is swapped out before teardown,
         so a double close (or a close racing a registry reset) finds
@@ -199,13 +199,14 @@ class StreamState(Run):
         super().end_rank_step(rank, sync=sync)
 
     def _seal(self, blocks: list[tuple[int, list]], sync: Optional[bool] = None) -> None:
-        """Hand the ended step to the drain pipeline.
+        """Hand the ended step to the drain, which commits it here when
+        its first delivery attempt succeeds.
 
         ``sync=True`` blocks until the step is committed or lost
-        (paper's synchronous writes); ``sync=False`` returns as soon as
-        the step is queued.  ``None`` defers to the stream hint.  Either
-        way the elapsed wall time lands in the ``writer_visible``
-        measurement category.
+        (paper's synchronous writes); ``sync=False`` returns once the
+        step is committed or, when it must wait for a retry, queued.
+        ``None`` defers to the stream hint.  Either way the elapsed wall
+        time lands in the ``writer_visible`` measurement category.
         """
         if sync is None:
             sync = self.hints.sync
@@ -385,9 +386,10 @@ class FlexpathReadHandle(StepReader):
         self.plugins = state.plugins
         #: The stream's shared monitor (enable tracing / dump here).
         self.monitor = state.monitor
-        # Handshake-protocol accounting per global-array variable: the
-        # engine carries the caching state the XML hints select.
-        self._hs_engines: dict[str, RedistributionEngine] = {}
+        # Handshake-protocol accounting per global-array variable: its
+        # rounds carry the caching state the XML hints select, and the
+        # writer boxes' key they were last paid for.
+        self._hs_rounds: dict[str, HandshakeRounds] = {}
         self._hs_boxes: dict[str, tuple] = {}
         #: Last step whose handshake round is paid (the cursor only grows).
         self._hs_paid_step = -1
@@ -416,32 +418,31 @@ class FlexpathReadHandle(StepReader):
         """Honours the ``fused`` hint."""
         return super()._reader_chain(name) if self._state.hints.fused else None
 
-    def _account_handshake(self, name, gshape, writer_boxes, writer_key) -> None:
+    def _account_handshake(self, name, writer_boxes, writer_key) -> None:
         """Run the 4-step handshake protocol accounting for one exchange.
 
         Honors the stream's caching and batching hints: with CACHING_ALL
-        and unchanged distributions the steady-state cost is zero; with
-        batching only the first variable of each step pays a round.
+        and unchanged distributions the steady-state cost is zero, and
+        such a round is not even built; with batching only the first
+        variable of each step pays a round.  The rounds need the number
+        of writers and readers only: no data plan is compiled for them.
         """
         hints = self._state.hints
-        eng = self._hs_engines.get(name)
-        if eng is None:
-            reader_box = BoundingBox((0,) * len(gshape), tuple(gshape))
-            eng = RedistributionEngine(
-                writer_boxes, [reader_box],
-                caching=hints.caching, batching=hints.batching,
-                plan_cache=self._plans,
-            )
-            self._hs_engines[name] = eng
+        rounds = self._hs_rounds.get(name)
+        if rounds is None:
+            rounds = self._hs_rounds[name] = HandshakeRounds(
+                len(writer_boxes), 1, hints.caching, hints.batching)
             self._hs_boxes[name] = writer_key
-        elif self._hs_boxes.get(name) != writer_key:
+        elif self._hs_boxes[name] != writer_key:
             # Distribution changed (e.g. particle movement): caches drop.
-            eng.update_writer_boxes(writer_boxes)
+            rounds.reset(len(writer_boxes))
             self._hs_boxes[name] = writer_key
         if hints.batching and self._cursor == self._hs_paid_step:
             return  # aggregated into this step's earlier round
-        cost = eng.handshake()
         self._hs_paid_step = self._cursor
+        if rounds.settled:
+            return  # the steady state: a round would exchange nothing
+        cost = rounds.handshake()
         mon = self._state.monitor
         mon.metrics.counter("handshake.messages").inc(cost.messages)
         mon.metrics.counter("handshake.control_bytes").inc(cost.control_bytes)

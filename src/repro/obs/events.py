@@ -81,7 +81,7 @@ EV_NET_POOL_CREATE = "net.pool.create"
 EV_NET_POOL_RETIRE = "net.pool.retire"
 
 _FLIGHT_SPECS = (
-    EventSpec(EV_STEP_BEGIN, "a timestep was sealed and handed to the drainer"),
+    EventSpec(EV_STEP_BEGIN, "a timestep was sealed and handed to the drain"),
     EventSpec(EV_STEP_COMMIT, "a step was delivered and became readable"),
     EventSpec(EV_STEP_LOST, "retries exhausted; the step's payload was discarded"),
     EventSpec(EV_STEP_ABORTED, "the step's transaction aborted; payload discarded"),

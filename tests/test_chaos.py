@@ -288,13 +288,15 @@ def test_fault_summary_reflects_chaos_trace():
 # Wedged drainer escape hatch
 # ---------------------------------------------------------------------------
 
-def test_wedged_drainer_stop_times_out_but_does_not_hang():
+def test_wedged_drainer_stop_times_out_but_does_not_hang(monkeypatch):
+    from repro.core import drain
+
     name = "chaos.wedged.stream"
     adios = Adios.from_xml(
         """
         <adios-config>
           <adios-group name="g"><var name="x" type="float64" dimensions="4"/></adios-group>
-          <method group="g" method="FLEXPATH"/>
+          <method group="g" method="FLEXPATH">retry_timeout=0.001</method>
         </adios-config>
         """
     )
@@ -302,19 +304,20 @@ def test_wedged_drainer_stop_times_out_but_does_not_hang():
     state = stream_registry._states[name]
     release = threading.Event()
     entered = threading.Event()
-    state._ensure_pipeline()
-    drainer = state._drainer
-    real_drain = drainer._drain_one
+    calls = []
 
-    def stuck_drain(*item):
+    def stuck_retry(*args):
+        calls.append(None)
+        if len(calls) == 1:       # the first attempt faults: a retry waits
+            raise TransportTimeout("injected")
         entered.set()
         release.wait()            # simulate a drain wedged mid-delivery
-        real_drain(*item)
 
-    drainer._drain_one = stuck_drain
+    monkeypatch.setattr(drain, "consult", stuck_retry)
     h.write("x", np.zeros(4))
-    h.end_step()                   # async: submits to the drainer and returns
+    h.end_step()                   # async: queues the step for its retry
     assert entered.wait(timeout=5.0)
+    drainer = state._drainer
 
     assert drainer.stop(timeout=0.1) is False
     assert drainer.wedged is True

@@ -110,6 +110,35 @@ def test_retry_call_exhausts_retries():
     assert injector.ops_seen == 3  # max_retries + 1 attempts, no more
 
 
+def test_retry_call_goes_on_from_a_first_attempt_made_elsewhere():
+    """``failed``: the first attempt already raised; the loop makes the
+    same retries, backoffs, jitter draws and ``on_retry`` calls as a loop
+    that had made that attempt itself."""
+    from repro.util import rng
+
+    policy = RetryPolicy(max_retries=3, timeout=0.5, jitter=0.5)
+
+    def run(injector, **kw):
+        retries, slept = [], []
+        retry_call(
+            timing_out(lambda: None, injector), policy, (TimeoutError,),
+            on_retry=lambda n, exc: retries.append((n, str(exc))),
+            sleep=slept.append, rng=rng(7), **kw,
+        )
+        return retries, slept
+
+    whole = run(TransportFaultInjector(fail_ops=[1, 2]))
+    resumed = TransportFaultInjector(fail_ops=[1, 2])
+    with pytest.raises(TimeoutError) as first:
+        timing_out(lambda: None, resumed)()
+    assert run(resumed, failed=first.value) == whole
+    assert [n for n, _ in whole[0]] == [1, 2]
+    # Nothing left to retry: the first attempt's fault is the outcome.
+    with pytest.raises(TimeoutError, match="op 1"):
+        retry_call(lambda: None, RetryPolicy(max_retries=0), (TimeoutError,),
+                   failed=first.value)
+
+
 def test_retry_call_wraps_real_transport():
     """Retry over the actual shm channel: the message still arrives once."""
     from repro.transport import ShmChannel

@@ -38,7 +38,9 @@ from repro.core.redistribution import (
     compute_plan,
     global_plan_cache,
 )
+from repro.core.stepstore import Outcome
 from repro.obs import sanitize
+from repro.transport.faults import TransportTimeout
 
 STREAM_CONFIG = """
 <adios-config>
@@ -540,6 +542,73 @@ def test_handshake_messages_counter_matches_trace():
     assert reader.handshake_messages() > 0
 
 
+def write_two_distributions(adios, name, steps=6):
+    """``steps`` steps of ``temp`` and ``rho`` from four writer ranks:
+    2 x 2 blocks, then — from half-way — 4 x 1 row bands."""
+    writers = [adios.open_write("fields", name, RankContext(r, 4)) for r in range(4)]
+    for step in range(steps):
+        boxes = block_decompose(SHAPE, (2, 2) if step < steps // 2 else (4, 1))
+        for w, box in zip(writers, boxes):
+            for var in ("temp", "rho"):
+                w.write(var, FIELD[box.slices()] * step, box=box, global_shape=SHAPE)
+            w.end_step()
+    for w in writers:
+        w.close()
+
+
+@pytest.mark.parametrize("batching", [False, True])
+@pytest.mark.parametrize("caching", ["NONE", "LOCAL", "ALL"])
+def test_handshake_counters_read_what_the_engines_rounds_cost(caching, batching):
+    """Across a distribution change, at every caching level: the stream
+    pays what an engine's rounds cost — one round a variable read, one
+    a step when batched — though its steady state builds no round."""
+    option = {"NONE": CachingOption.NO_CACHING, "LOCAL": CachingOption.CACHING_LOCAL,
+              "ALL": CachingOption.CACHING_ALL}[caching]
+    adios = make_adios(f"caching={caching};batching={str(batching).lower()}")
+    write_two_distributions(adios, "dp.hs.parity")
+    reader = adios.open_read("fields", "dp.hs.parity", RankContext(0, 1))
+    while reader.begin_step() is StepStatus.OK:
+        for var in ("temp", "rho"):
+            reader.read(var, start=(0, 0), count=(4, 16))
+        reader.end_step()
+    engines = {var: RedistributionEngine(block_decompose(SHAPE, (2, 2)), [WHOLE],
+                                         caching=option, batching=batching)
+               for var in ("temp", "rho")}
+    want = []
+    for step in range(6):
+        if step == 3:
+            for eng in engines.values():
+                eng.update_writer_boxes(block_decompose(SHAPE, (4, 1)))
+        for var in ("temp",) if batching else ("temp", "rho"):
+            want.append(engines[var].handshake())
+    metrics = stream_registry._states["dp.hs.parity"].monitor.metrics
+    assert metrics.counter("handshake.messages").value == sum(c.messages for c in want)
+    assert metrics.counter("handshake.control_bytes").value == sum(
+        c.control_bytes for c in want)
+    assert (want[-1].messages == 0) == (option is CachingOption.CACHING_ALL)
+
+
+@pytest.mark.parametrize("caching", ["LOCAL", "ALL"])
+def test_handshake_accounting_compiles_no_data_plan(monkeypatch, caching):
+    """Reads of a band across a distribution change compile one plan a
+    distribution — the reads' own — and the handshake none."""
+    built = []
+    init = CompiledPlan.__init__
+
+    def counted(self, plan):
+        built.append(plan.reader_boxes)
+        init(self, plan)
+
+    monkeypatch.setattr(CompiledPlan, "__init__", counted)
+    adios = make_adios(f"caching={caching}")
+    write_two_distributions(adios, "dp.hs.plans")
+    reader = adios.open_read("fields", "dp.hs.plans", RankContext(0, 1))
+    while reader.begin_step() is StepStatus.OK:
+        reader.read("temp", start=(0, 0), count=(4, 16))
+        reader.end_step()
+    assert built == [[BoundingBox((0, 0), (4, 16))]] * 2
+
+
 def test_handshake_messages_zero_before_reads():
     adios = make_adios()
     write_steps(adios, "dp.hs0", num_steps=1)
@@ -677,12 +746,21 @@ def test_end_step_sync_override():
 def test_async_backpressure_on_slow_channel(monkeypatch):
     from repro.core import drain
 
-    adios = make_adios("queue_depth=1")
+    adios = make_adios("queue_depth=1;retry_timeout=0.001;retry_jitter=0")
     name = "dp.bp"
     writer = adios.open_write("fields", name, RankContext(0, 1))
     state = stream_registry._states[name]
-    # Every delivery attempt takes 20 ms: the drain falls behind the writer.
-    monkeypatch.setattr(drain, "consult", lambda *args: time.sleep(0.02))
+    calls = []
+
+    def slow_retries(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise TransportTimeout("step 0 waits for a retry")
+        time.sleep(0.02)
+
+    # Step 0's first attempt faults and every retried attempt takes 20 ms:
+    # the steps sealed behind it queue, and the drain falls behind the writer.
+    monkeypatch.setattr(drain, "consult", slow_retries)
     for _ in range(4):
         writer.write("temp", np.ones(SHAPE), box=BoundingBox((0, 0), SHAPE),
                      global_shape=SHAPE)
@@ -766,30 +844,34 @@ def write_step(writer, value=1.0, **end_kw):
     writer.end_step(**end_kw)
 
 
-class GatedConsult:
-    """Stands in for the drain's fault consult: the ``gated``-th delivery
-    attempt blocks until ``gate``."""
+class GatedRetry:
+    """Stands in for the drain's fault consult: the ``faulted``-th
+    delivery attempt faults — a first attempt, on the writer's thread, so
+    its step waits for a retry — and the next one, that retry on the
+    drainer thread, blocks until ``gate``."""
 
-    def __init__(self, gated):
-        self.gated = gated
+    def __init__(self, faulted):
+        self.faulted = faulted
         self.calls = 0
         self.entered = threading.Event()
         self.gate = threading.Event()
 
     def __call__(self, *args):
         self.calls += 1
-        if self.calls == self.gated:
+        if self.calls == self.faulted:
+            raise TransportTimeout("held for a retry")
+        if self.calls == self.faulted + 1:
             self.entered.set()
             assert self.gate.wait(10.0)
 
 
-def gated_stream(monkeypatch, name, gated, params="queue_depth=4"):
+def gated_stream(monkeypatch, name, faulted):
     from repro.core import drain
 
-    adios = make_adios(params)
+    adios = make_adios("queue_depth=4;retry_timeout=0.001;retry_jitter=0")
     writer = adios.open_write("fields", name, RankContext(0, 1))
     reader = adios.open_read("fields", name, RankContext(0, 1))
-    gate = GatedConsult(gated)
+    gate = GatedRetry(faulted)
     monkeypatch.setattr(drain, "consult", gate)
     return writer, reader, stream_registry._states[name], gate
 
@@ -910,15 +992,15 @@ def test_peak_buffered_bytes_matches_brute_force_over_mixed_outcomes():
 
 
 def test_reader_is_woken_by_its_own_steps_commit(monkeypatch):
-    """Step 0 is readable while step 1 is still in the drain."""
-    writer, reader, state, channel = gated_stream(monkeypatch, "dp.wake", gated=2)
+    """Step 0 is readable while step 1 still waits for its retry."""
+    writer, reader, state, channel = gated_stream(monkeypatch, "dp.wake", faulted=2)
     write_step(writer, 1.0)
     write_step(writer, 2.0)
     assert channel.entered.wait(10.0)
     assert in_thread(reader.begin_step) is StepStatus.OK
     np.testing.assert_array_equal(reader.read("temp"), FIELD)
     reader.end_step()
-    assert len(state.store) == 1   # step 1 is still in flight
+    assert len(state.store) == 1   # step 1 still waits for its retry
     channel.gate.set()
     assert in_thread(reader.begin_step) is StepStatus.OK
     np.testing.assert_array_equal(reader.read("temp"), FIELD * 2.0)
@@ -926,14 +1008,58 @@ def test_reader_is_woken_by_its_own_steps_commit(monkeypatch):
 
 
 def test_timed_begin_step_gives_up_on_a_stuck_drain(monkeypatch):
-    writer, reader, state, channel = gated_stream(monkeypatch, "dp.stuck", gated=1)
+    writer, reader, state, channel = gated_stream(monkeypatch, "dp.stuck", faulted=1)
     write_step(writer)
     assert channel.entered.wait(10.0)
-    # Sealed but undrained: the probe waits for the commit, to its deadline.
+    # Sealed but held in its retry: the probe waits for the commit, to its
+    # deadline.
     assert in_thread(reader.begin_step, timeout=0.05) is StepStatus.NotReady
     channel.gate.set()
     assert in_thread(reader.begin_step, timeout=10.0) is StepStatus.OK
     np.testing.assert_array_equal(reader.read("temp"), FIELD)
+    writer.close()
+
+
+def test_a_calm_stream_commits_each_step_at_its_seal_on_the_writers_thread():
+    adios = make_adios()
+    writer = adios.open_write("fields", "dp.inline", RankContext(0, 1))
+    state = stream_registry._states["dp.inline"]
+    for step in range(100):
+        write_step(writer, float(step))
+        assert state.store.lookup(step)[0] is Outcome.HIT
+    assert state._drainer._thread is None
+    assert not [t for t in threading.enumerate() if t.name.startswith("flexio-drain-")]
+    reader = adios.open_read("fields", "dp.inline", RankContext(0, 1))
+    for step in range(100):
+        assert reader.begin_step() is StepStatus.OK
+        np.testing.assert_array_equal(reader.read("temp"), FIELD * step)
+        reader.end_step()
+    writer.close()
+
+
+def test_a_step_sealed_behind_a_retry_commits_after_it(monkeypatch):
+    from repro.obs import recorder as flight
+    from repro.obs.events import EV_STEP_COMMIT
+
+    recorder = flight.reset()
+    writer, reader, state, channel = gated_stream(monkeypatch, "dp.order", faulted=1)
+    write_step(writer, 1.0)  # its first attempt faults: queued for a retry
+    assert channel.entered.wait(10.0)
+    write_step(writer, 2.0)  # sealed behind it: queued, not tried
+    write_step(writer, 3.0)
+    assert channel.calls == 2 and len(state.store) == 0
+    channel.gate.set()
+    state._quiesce()
+    commits = [dict(e.attrs)["step"]
+               for e in recorder.events(code=EV_STEP_COMMIT, stream="dp.order")]
+    assert commits == [0, 1, 2]
+    assert [s.status for s in state.published] == [StepState.COMMITTED] * 3
+    write_step(writer, 4.0)  # nothing pending again: committed at its seal
+    assert state.store.lookup(3)[0] is Outcome.HIT and channel.calls == 5
+    for value in (1.0, 2.0, 3.0, 4.0):
+        assert reader.begin_step() is StepStatus.OK
+        np.testing.assert_array_equal(reader.read("temp"), FIELD * value)
+        reader.end_step()
     writer.close()
 
 
@@ -1197,31 +1323,20 @@ def san():
         sanitize.enable()
 
 
-def test_sanitizer_names_a_writer_that_modifies_a_mapped_array(san):
+def test_sanitizer_names_a_writer_that_modifies_a_mapped_array(san, monkeypatch):
     """A step's arrays are lent to its readers from the seal on: one the
-    writer changes while the step waits in the drain queue is named at
-    its commit."""
-    adios = make_adios("queue_depth=2")
-    writer = adios.open_write("fields", "dp.mutate", RankContext(0, 1))
-    state = stream_registry._states["dp.mutate"]
-    state._ensure_pipeline()
-    drain_one = state._drainer._drain_one
-    held, gate = threading.Event(), threading.Event()
-
-    def held_drain(*item):
-        held.set()
-        assert gate.wait(10.0)
-        drain_one(*item)
-
-    state._drainer._drain_one = held_drain
-    write_step(writer, 1.0)
-    assert held.wait(10.0)  # the drainer holds step 0 ...
+    writer changes while the step waits for a retry is named at its
+    commit."""
+    writer, _, state, channel = gated_stream(monkeypatch, "dp.mutate", faulted=2)
+    write_step(writer, 1.0)  # committed at its seal
     data = FIELD.copy()
     writer.write("temp", data, box=WHOLE, global_shape=SHAPE)
-    writer.end_step()  # ... so step 1 waits in the queue
+    writer.end_step()  # step 1's first attempt faults ...
+    assert channel.entered.wait(10.0)  # ... and the drainer holds its retry
     data[0, 0] = -1.0
-    gate.set()
+    channel.gate.set()
     state._quiesce()
+    assert [s.status for s in state.published] == [StepState.COMMITTED] * 2
     (violation,) = san.violations()
     assert violation.kind == sanitize.XPMEM_SOURCE_MUTATED
     assert "step 1" in violation.what and "dp.mutate" in violation.what
